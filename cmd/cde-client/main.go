@@ -50,7 +50,7 @@ func run() int {
 	url := flag.String("url", "", "interface-document URL of any registered binding")
 	binding := flag.String("binding", "", "force a binding name instead of sniffing the document")
 	timeout := flag.Duration("timeout", 0, "per-call timeout (0 = none)")
-	watch := flag.Bool("watch", false, "subscribe to push-based interface updates (SSE stream, long-poll fallback)")
+	watch := flag.Bool("watch", false, "subscribe to push-based interface updates (one held SSE stream)")
 	parallel := flag.Int("parallel", 1, "issue the call N times concurrently (concurrent-call smoke run)")
 	wsdlURL := flag.String("wsdl", "", "WSDL document URL (SOAP mode)")
 	idlURL := flag.String("idl", "", "CORBA-IDL document URL (CORBA mode)")

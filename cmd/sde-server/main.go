@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	sde-server [-iface ADDR] [-soap ADDR] [-timeout D] [-data-dir DIR]
+//	sde-server [-iface ADDR] [-http ADDR] [-timeout D] [-data-dir DIR]
 //	           [-sync none|group|always] [-shards K] [-live] [-duration D]
 //	           [-max-watcher-lag N] [-watch-write-timeout D] [-follow URL]
 //	           [-drain-timeout D]
@@ -62,7 +62,6 @@ func main() {
 func run() int {
 	ifaceAddr := flag.String("iface", "127.0.0.1:0", "interface-server listen address")
 	httpAddr := flag.String("http", "", "HTTP endpoint listen address (SOAP/JSON handlers)")
-	soapAddr := flag.String("soap", "127.0.0.1:0", "former name of -http, honored when -http is unset")
 	corbaAddr := flag.String("corba", "127.0.0.1:0", "CORBA endpoint listen address")
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "publication stability timeout (Section 5.6)")
 	flushWindow := flag.Duration("flush-window", 0, "publication-store coalescing window (0 = commit immediately)")
@@ -93,7 +92,6 @@ func run() int {
 	mgr, err := core.NewManager(core.Config{
 		InterfaceAddr:     *ifaceAddr,
 		HTTPAddr:          *httpAddr,
-		SOAPAddr:          *soapAddr, // honored when -http is unset (Config alias rule)
 		CORBAAddr:         *corbaAddr,
 		Timeout:           *timeout,
 		FlushWindow:       *flushWindow,

@@ -138,17 +138,7 @@ func (b *soapBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescript
 	return b.compile(doc)
 }
 
-// WatchInterface implements WatchableBackend over the Interface Server's
-// long-poll watch protocol.
-func (b *soapBackend) WatchInterface(ctx context.Context, after uint64) (dyn.InterfaceDescriptor, DocVersions, error) {
-	doc, err := b.docs.Watch(ctx, after)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements StreamingBackend over the Interface Server's
+// StreamInterface implements WatchableBackend over the Interface Server's
 // SSE watch transport.
 func (b *soapBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
 	return b.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
@@ -350,20 +340,7 @@ func (b *corbaBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescrip
 	return b.compile(doc)
 }
 
-// WatchInterface implements WatchableBackend by watching the published IDL
-// document.
-func (b *corbaBackend) WatchInterface(ctx context.Context, after uint64) (dyn.InterfaceDescriptor, DocVersions, error) {
-	if err := b.connect(ctx); err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	doc, err := b.idlDocs.Watch(ctx, after)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements StreamingBackend by streaming the published
+// StreamInterface implements WatchableBackend by streaming the published
 // IDL document.
 func (b *corbaBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
 	if err := b.connect(ctx); err != nil {

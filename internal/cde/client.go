@@ -74,19 +74,6 @@ type Backend interface {
 	Close() error
 }
 
-// WatchableBackend is a Backend with the optional watch capability: its
-// published interface document can be watched (push-invalidated) instead of
-// polled. All three built-in bindings implement it over the Interface
-// Server's long-poll watch protocol; Dial's WithWatch option requires it.
-type WatchableBackend interface {
-	Backend
-	// WatchInterface blocks until the published interface document is newer
-	// than the given document version, then compiles and returns it (the
-	// same output as FetchInterface, without a per-call fetch). It returns
-	// an error wrapping ctx.Err() when ctx ends first.
-	WatchInterface(ctx context.Context, after uint64) (dyn.InterfaceDescriptor, DocVersions, error)
-}
-
 // InterfaceEvent is one interface view delivered over the streaming watch
 // transport.
 type InterfaceEvent struct {
@@ -100,19 +87,18 @@ type InterfaceEvent struct {
 	Replayed, Snapshot bool
 }
 
-// StreamingBackend is a WatchableBackend that can additionally hold one
-// streaming watch (the Interface Server's "?watch=stream" SSE transport)
-// instead of re-issuing a long-poll per update. The client's watcher
-// prefers it and degrades to WatchInterface against servers that only
-// speak the long-poll protocol. All three built-in bindings implement it.
-type StreamingBackend interface {
-	WatchableBackend
+// WatchableBackend is a Backend with the optional watch capability: its
+// published interface document can be watched (push-invalidated) instead of
+// polled, by holding one streaming watch on it (the Interface Server's
+// "?watch=stream" SSE transport). All built-in bindings implement it; Dial's
+// WithWatch option requires it.
+type WatchableBackend interface {
+	Backend
 	// StreamInterface connects one streaming watch, delivering each
 	// committed interface version after the given store epoch — replayed
 	// catch-up first, then live pushes — until ctx ends or the connection
 	// breaks (returned as an error; reconnect with the last seen epoch to
-	// ride journal replay). ifsvr.ErrStreamUnsupported reports a server
-	// without the transport.
+	// ride journal replay).
 	StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error
 }
 
@@ -144,8 +130,8 @@ type ClientStats struct {
 	// Refreshes counts interface *fetches* (initial, reactive, and manual
 	// HTTP round-trips). Watch-delivered updates are counted separately.
 	Refreshes uint64
-	// WatchUpdates counts interface views installed from watch pushes
-	// (either transport) — updates that cost no per-call document fetch.
+	// WatchUpdates counts interface views installed from watch pushes —
+	// updates that cost no per-call document fetch.
 	WatchUpdates uint64
 	// StreamEvents counts events received over the streaming watch
 	// transport (live, replayed, and snapshot alike).
@@ -239,19 +225,16 @@ func NewClientContext(ctx context.Context, backend Backend, opts *DialOptions) (
 		wb, ok := backend.(WatchableBackend)
 		if !ok {
 			_ = backend.Close()
-			return nil, fmt.Errorf("cde: the %s binding does not support watch (backend lacks WatchInterface)", backend.Technology())
+			return nil, fmt.Errorf("cde: the %s binding does not support watch (backend lacks StreamInterface)", backend.Technology())
 		}
 		c.startWatch(wb)
 	}
 	return c, nil
 }
 
-// startWatch launches the push watcher: a goroutine following the published
-// interface document and installing each new version into the client's view
-// — the push-invalidated interface cache. It prefers the streaming
-// transport (one held SSE connection, journal-replay catch-up on
-// reconnect) and degrades to long-polling against servers that only speak
-// that protocol.
+// startWatch launches the push watcher: a goroutine holding one streaming
+// watch on the published interface document and installing each new
+// version into the client's view — the push-invalidated interface cache.
 func (c *Client) startWatch(wb WatchableBackend) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.mu.Lock()
@@ -262,26 +245,18 @@ func (c *Client) startWatch(wb WatchableBackend) {
 	c.mu.Unlock()
 	go func() {
 		defer close(done)
-		if sb, ok := wb.(StreamingBackend); ok {
-			if c.runStreamWatch(ctx, sb) {
-				return
-			}
-			// The server does not stream; fall back for the client's
-			// lifetime.
-		}
-		c.runPollWatch(ctx, wb)
+		c.runWatch(ctx, wb)
 	}()
 }
 
-// runStreamWatch holds one streaming watch, reconnecting with the last seen
-// epoch after a break so catch-up rides journal replay instead of a
-// refetch. It reports true when ctx ended (the watcher is done) and false
-// when the server does not support streaming (degrade to long-poll).
-func (c *Client) runStreamWatch(ctx context.Context, sb StreamingBackend) bool {
+// runWatch holds the streaming watch until ctx ends, reconnecting with the
+// last seen epoch after a break so catch-up rides journal replay instead
+// of a refetch.
+func (c *Client) runWatch(ctx context.Context, wb WatchableBackend) {
 	bo := &backoff.Backoff{Base: watchRetryDelay, Cap: watchRetryCap}
 	for {
 		after := c.Versions().Epoch
-		err := sb.StreamInterface(ctx, after, func(ev InterfaceEvent) {
+		err := wb.StreamInterface(ctx, after, func(ev InterfaceEvent) {
 			installed := c.installView(ev.Desc, ev.Versions, true, c.noteRestart(ev.Versions))
 			c.mu.Lock()
 			c.stats.StreamEvents++
@@ -294,10 +269,7 @@ func (c *Client) runStreamWatch(ctx context.Context, sb StreamingBackend) bool {
 			bo.Reset()
 		})
 		if ctx.Err() != nil {
-			return true
-		}
-		if errors.Is(err, ifsvr.ErrStreamUnsupported) {
-			return false
+			return
 		}
 		if errors.Is(err, ifsvr.ErrStreamDraining) {
 			// The server ended the stream because it is shutting down
@@ -310,10 +282,11 @@ func (c *Client) runStreamWatch(ctx context.Context, sb StreamingBackend) bool {
 			c.mu.Unlock()
 			continue
 		}
-		// Broken stream (server restart, network blip, or a backpressure
-		// eviction because this client lagged): back off — exponentially
-		// while the breaks continue — and reconnect; the server replays
-		// what we missed.
+		// Broken stream (server restart, network blip, a backpressure
+		// eviction because this client lagged, or an endpoint that does
+		// not stream at all): back off — exponentially while the breaks
+		// continue — and reconnect, against the next replica when the
+		// backend rotates endpoints; the server replays what we missed.
 		c.mu.Lock()
 		if errors.Is(err, ifsvr.ErrStreamEvicted) {
 			c.stats.Evictions++
@@ -323,39 +296,9 @@ func (c *Client) runStreamWatch(ctx context.Context, sb StreamingBackend) bool {
 		c.mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return true
+			return
 		case <-time.After(bo.Next()):
 		}
-	}
-}
-
-// runPollWatch is the long-poll watcher: one blocking WatchInterface round
-// per committed version.
-func (c *Client) runPollWatch(ctx context.Context, wb WatchableBackend) {
-	bo := &backoff.Backoff{Base: watchRetryDelay, Cap: watchRetryCap}
-	for {
-		after := c.Versions().Doc
-		desc, vers, err := wb.WatchInterface(ctx, after)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			// Transient watch failure (server restarting or draining,
-			// network blip): back off — exponentially while the failures
-			// continue — and resubscribe (against the next replica when
-			// the backend rotates endpoints).
-			c.mu.Lock()
-			c.stats.Backoffs++
-			c.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(bo.Next()):
-			}
-			continue
-		}
-		bo.Reset()
-		c.installView(desc, vers, true, c.noteRestart(vers))
 	}
 }
 

@@ -29,11 +29,11 @@ type DialOptions struct {
 	// Binding forces the named binding, skipping document sniffing.
 	Binding string
 	// Watch subscribes the client to push-based interface updates: a
-	// watcher long-polls the published interface document and installs
-	// each new version into the client's view, so reactive refresh after a
-	// live edit is served from the invalidated cache instead of a per-call
-	// refetch. Requires the binding's backend to implement
-	// WatchableBackend; Dial fails otherwise.
+	// watcher holds a streaming watch on the published interface document
+	// and installs each new version into the client's view, so reactive
+	// refresh after a live edit is served from the invalidated cache
+	// instead of a per-call refetch. Requires the binding's backend to
+	// implement WatchableBackend; Dial fails otherwise.
 	Watch bool
 	// AuxURL is a binding-specific secondary document URL — the CORBA
 	// binding uses it for the stringified IOR when the primary URL is the
@@ -50,8 +50,8 @@ type DialOptions struct {
 	Prefetched *ifsvr.Document
 	// Endpoints lists replica base URLs (a replicated watch plane's
 	// leader and followers) serving the same documents as the primary
-	// URL. Document fetches, watch polls, and watch streams rotate to the
-	// next endpoint when the current one fails — replica failover,
+	// URL. Document fetches and watch streams rotate to the next endpoint
+	// when the current one fails — replica failover,
 	// client-side. Since every replica serves the leader's store
 	// generation and epochs, the switch is an ordinary
 	// reconnect-with-replay, not a restart.
@@ -271,32 +271,13 @@ func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	return ifsvr.Document{}, lastErr
 }
 
-// Watch performs one blocking watch for a version of the document newer
-// than after, using the shared document client when none was configured.
-// A failed poll rotates the source to the next replica endpoint; the
-// caller's retry loop lands there.
-func (s *DocSource) Watch(ctx context.Context, after uint64) (ifsvr.Document, error) {
-	if err := s.pace(ctx); err != nil {
-		return ifsvr.Document{}, err
-	}
-	d, err := ifsvr.WatchNewer(ctx, docClient(s.hc), s.currentURL(), after)
-	switch {
-	case err == nil:
-		s.bo.Reset()
-	case ctx.Err() == nil:
-		s.failOver()
-	}
-	return d, err
-}
-
 // Stream holds one streaming watch on the document, delivering every
 // version committed after the given store epoch (replayed catch-up first,
 // then live pushes) until ctx ends or the connection breaks. A broken
-// stream rotates the source to the next replica endpoint — except on
-// ErrStreamUnsupported, which must keep pointing at the server that
-// answered so the long-poll degrade stays coherent. A stream ended by a
-// server drain rotates without counting a failure: the server told us to
-// go, so the reconnect to the next replica should be immediate.
+// stream — an endpoint that does not stream included — rotates the source
+// to the next replica endpoint. A stream ended by a server drain rotates
+// without counting a failure: the server told us to go, so the reconnect
+// to the next replica should be immediate.
 func (s *DocSource) Stream(ctx context.Context, afterEpoch uint64, fn func(ifsvr.StreamEvent)) error {
 	if err := s.pace(ctx); err != nil {
 		return err
@@ -309,10 +290,6 @@ func (s *DocSource) Stream(ctx context.Context, afterEpoch uint64, fn func(ifsvr
 	})
 	switch {
 	case ctx.Err() != nil:
-	case errors.Is(err, ifsvr.ErrStreamUnsupported):
-		// The server answered (with the long-poll-only protocol): not a
-		// failure, and the degrade must keep pointing at it.
-		s.bo.Reset()
 	case errors.Is(err, ifsvr.ErrStreamDraining):
 		s.mu.Lock()
 		if len(s.bases) > 0 {

@@ -14,7 +14,7 @@ import (
 //
 // HTTP bindings already share a keep-alive transport inside their callers
 // (soap and jsonb clone http.DefaultTransport once per process); the CDE's
-// own document traffic — interface fetches and watch long-polls — goes
+// own document traffic — interface fetches and watch streams — goes
 // through sharedDocClient below when the caller supplies no HTTP client,
 // so every stub compiled against the same Interface Server reuses one
 // connection pool instead of dialing per fetch.
@@ -25,16 +25,16 @@ import (
 // same published IOR multiplex one TCP connection; iiop.Conn is built for
 // that (concurrent requests are matched by request ID).
 
-// sharedDocClient serves interface-document fetches and watch polls when no
-// explicit HTTP client is configured. It deliberately has no client-level
-// Timeout: watch polls are long by design and are bounded by their
-// contexts; per-call deadlines come from Dial's WithTimeout option.
+// sharedDocClient serves interface-document fetches and watch streams when
+// no explicit HTTP client is configured. It deliberately has no
+// client-level Timeout: watch streams are long by design and are bounded by
+// their contexts; per-call deadlines come from Dial's WithTimeout option.
 //
 // Its transport prefers cleartext HTTP/2: against an h2c-enabled Interface
 // Server (every ifsvr listener since EnableH2C) all of one process's SSE
-// watch streams and long-polls multiplex onto one TCP connection per
-// endpoint instead of one per watcher, and it degrades per host to plain
-// HTTP/1.1 against servers without the protocol (see h2cProbeTransport).
+// watch streams multiplex onto one TCP connection per endpoint instead of
+// one per watcher, and it degrades per host to plain HTTP/1.1 against
+// servers without the protocol (see h2cProbeTransport).
 var sharedDocClient = &http.Client{Transport: newDocTransport()}
 
 // docClient resolves the HTTP client used for document traffic.

@@ -29,7 +29,7 @@ func (noWatchBackend) Technology() string { return "nowatch" }
 func (noWatchBackend) Close() error       { return nil }
 
 // TestWatchRequiresCapableBinding: requesting watch against a backend that
-// lacks WatchInterface fails at connect time with a telling error.
+// lacks StreamInterface fails at connect time with a telling error.
 func TestWatchRequiresCapableBinding(t *testing.T) {
 	_, err := NewClientContext(context.Background(), noWatchBackend{}, &DialOptions{Watch: true})
 	if err == nil {

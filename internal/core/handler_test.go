@@ -227,9 +227,9 @@ func TestManagerListenFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m1.Close()
-	busy := m1.SOAPBaseURL()[len("http://"):]
-	if _, err := NewManager(Config{SOAPAddr: busy}); err == nil {
-		t.Error("manager on a busy SOAP port should fail")
+	busy := m1.HTTPBaseURL()[len("http://"):]
+	if _, err := NewManager(Config{HTTPAddr: busy}); err == nil {
+		t.Error("manager on a busy HTTP port should fail")
 	}
 	if _, err := NewManager(Config{InterfaceAddr: m1.InterfaceBaseURL()[len("http://"):]}); err == nil {
 		t.Error("manager on a busy interface port should fail")
@@ -241,9 +241,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.InterfaceAddr == "" || cfg.HTTPAddr == "" || cfg.CORBAAddr == "" {
 		t.Error("addresses should default")
 	}
-	// The deprecated SOAPAddr is honored when HTTPAddr is unset.
-	if got := (Config{SOAPAddr: "127.0.0.1:9999"}).withDefaults().HTTPAddr; got != "127.0.0.1:9999" {
-		t.Errorf("SOAPAddr should flow into HTTPAddr, got %q", got)
+	if got := (Config{HTTPAddr: "127.0.0.1:9999"}).withDefaults().HTTPAddr; got != "127.0.0.1:9999" {
+		t.Errorf("an explicit HTTPAddr should survive defaulting, got %q", got)
 	}
 	if cfg.Timeout != DefaultTimeout {
 		t.Error("timeout should default")

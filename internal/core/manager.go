@@ -73,11 +73,6 @@ type Config struct {
 	// HTTPAddr is the listen address of the shared HTTP endpoint server
 	// that HTTP-based bindings (SOAP, JSON) mount call handlers on.
 	HTTPAddr string
-	// SOAPAddr is the former name of HTTPAddr, honored when HTTPAddr is
-	// empty.
-	//
-	// Deprecated: set HTTPAddr.
-	SOAPAddr string
 	// CORBAAddr is the listen address used for each CORBA server ORB.
 	CORBAAddr string
 	// Timeout is the publication stability timeout (Section 5.6).
@@ -158,9 +153,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.InterfaceAddr == "" {
 		c.InterfaceAddr = "127.0.0.1:0"
-	}
-	if c.HTTPAddr == "" {
-		c.HTTPAddr = c.SOAPAddr
 	}
 	if c.HTTPAddr == "" {
 		c.HTTPAddr = "127.0.0.1:0"
@@ -304,11 +296,6 @@ func (m *Manager) InterfaceBaseURL() string { return m.iface.BaseURL() }
 // HTTPBaseURL returns the base URL that handlers mounted with MountHTTP are
 // served under.
 func (m *Manager) HTTPBaseURL() string { return m.httpBase }
-
-// SOAPBaseURL is the former name of HTTPBaseURL.
-//
-// Deprecated: use HTTPBaseURL.
-func (m *Manager) SOAPBaseURL() string { return m.httpBase }
 
 // MountHTTP mounts a call handler on the shared HTTP endpoint server at
 // path. HTTP-based bindings use it so one listener serves every HTTP

@@ -356,7 +356,6 @@ type backend struct {
 
 var _ cde.Backend = (*backend)(nil)
 var _ cde.WatchableBackend = (*backend)(nil)
-var _ cde.StreamingBackend = (*backend)(nil)
 
 // NewBackend returns a cde.Backend reading the interface document at
 // docURL. httpClient may be nil; it applies to document traffic only.
@@ -391,17 +390,7 @@ func (b *backend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, 
 	return b.compile(doc)
 }
 
-// WatchInterface implements cde.WatchableBackend over the Interface
-// Server's long-poll watch protocol.
-func (b *backend) WatchInterface(ctx context.Context, after uint64) (dyn.InterfaceDescriptor, cde.DocVersions, error) {
-	doc, err := b.docs.Watch(ctx, after)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, cde.DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements cde.StreamingBackend over the Interface
+// StreamInterface implements cde.WatchableBackend over the Interface
 // Server's SSE watch transport.
 func (b *backend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(cde.InterfaceEvent)) error {
 	return b.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {

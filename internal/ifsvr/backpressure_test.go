@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -18,8 +19,37 @@ import (
 // exactly one connection — never the commit path, never the other
 // watchers. These tests run race-enabled in CI.
 
+// The raw-client tests must not depend on how much a TCP connection
+// happens to buffer: autotuning lets loopback absorb megabytes, and what a
+// stalled-then-resumed receiver is fed afterwards is kernel-version
+// business. Both ends therefore pin their socket buffers before the
+// handshake (so the window scale is negotiated small too): the server's
+// accepted connections inherit the listener's send buffer, the raw client
+// sets its receive buffer in the dialer. A stalled peer then parks the
+// pump after a few dozen KB, and draining the connection takes
+// milliseconds.
+const (
+	pinnedSendBuffer    = 16 << 10
+	pinnedReceiveBuffer = 4 << 10
+)
+
+// sockoptControl returns a net.ListenConfig/net.Dialer Control hook that
+// sets one SOL_SOCKET buffer option before bind/connect.
+func sockoptControl(opt, bytes int) func(network, address string, c syscall.RawConn) error {
+	return func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, opt, bytes)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}
+}
+
 // startBackpressureServer builds a store + view with the given valve
-// settings applied before the listener starts.
+// settings applied before serving, on a listener whose accepted
+// connections carry the pinned send buffer.
 func startBackpressureServer(t *testing.T, tune func(*Server)) (*Store, string) {
 	t.Helper()
 	st := NewStore(0, nil)
@@ -27,35 +57,36 @@ func startBackpressureServer(t *testing.T, tune func(*Server)) (*Store, string) 
 	if tune != nil {
 		tune(srv)
 	}
-	base, err := srv.Start("127.0.0.1:0")
+	lc := net.ListenConfig{Control: sockoptControl(syscall.SO_SNDBUF, pinnedSendBuffer)}
+	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	hs := &http.Server{Handler: srv}
+	go func() { _ = hs.Serve(ln) }()
 	t.Cleanup(func() {
 		st.Close()
-		_ = srv.Close()
+		_ = hs.Close()
 	})
-	return st, base
+	return st, "http://" + ln.Addr().String()
 }
 
 // dialRawStream opens a raw SSE request and returns the connection
 // without ever reading the response: the caller decides whether to stall
-// completely or trickle-read. The shrunken receive buffer keeps the
-// kernel from absorbing the whole storm on the client side.
+// completely or trickle-read. "Connection: close" makes the end of the
+// response a real EOF instead of an idle keep-alive connection.
 func dialRawStream(t *testing.T, base, path string) net.Conn {
 	t.Helper()
 	u, err := url.Parse(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", u.Host)
+	d := net.Dialer{Control: sockoptControl(syscall.SO_RCVBUF, pinnedReceiveBuffer)}
+	conn, err := d.Dial("tcp", u.Host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4096)
-	}
-	req := fmt.Sprintf("GET %s?watch=stream&after=0 HTTP/1.1\r\nHost: %s\r\nAccept: text/event-stream\r\n\r\n", path, u.Host)
+	req := fmt.Sprintf("GET %s?watch=stream&after=0 HTTP/1.1\r\nHost: %s\r\nAccept: text/event-stream\r\nConnection: close\r\n\r\n", path, u.Host)
 	if _, err := conn.Write([]byte(req)); err != nil {
 		_ = conn.Close()
 		t.Fatal(err)
@@ -172,8 +203,8 @@ func TestStreamStalledWatcherEvictedOthersUnaffected(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	// The storm: publish until the write deadline evicts the stalled
-	// stream. The cap exists because the kernel absorbs the first few MB
-	// in socket buffers before the pump's write ever blocks.
+	// stream. The cap bounds a broken valve; with the pinned buffers the
+	// pump's write blocks after the first few events.
 	const maxEdits = 3000
 	version := uint64(1)
 	deadline := time.Now().Add(90 * time.Second)
@@ -186,12 +217,8 @@ func TestStreamStalledWatcherEvictedOthersUnaffected(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The eviction closed the stalled connection: draining it at full
-	// speed (receive buffer re-expanded so the kernel-absorbed backlog
-	// clears quickly) must hit EOF or a reset, not an open stream.
-	if tc, ok := stalled.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4 << 20)
-	}
+	// The eviction closed the stalled connection: draining what the
+	// kernel absorbed must hit EOF or a reset, not an open stream.
 	_ = stalled.SetReadDeadline(time.Now().Add(30 * time.Second))
 	drain := make([]byte, 64<<10)
 	for {
@@ -257,10 +284,9 @@ func TestStreamMaxWatcherLagEvictsLaggard(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	// The storm lands while the client reads nothing: the pump fills the
-	// socket buffers, blocks, and the rest of the storm accumulates as
-	// journal backlog behind its cursor (12.8MB of payload — far past any
-	// autotuned kernel buffer, so the pump is guaranteed to be parked with
-	// a backlog much larger than the budget).
+	// (pinned, tens-of-KB) socket buffers, blocks, and the rest of the
+	// storm — 12.8MB of payload — accumulates as journal backlog behind
+	// its cursor, far past the budget.
 	version := uint64(1)
 	for i := 0; i < 400; i++ {
 		version++
@@ -268,14 +294,9 @@ func TestStreamMaxWatcherLagEvictsLaggard(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The client comes back at full speed — receive buffer re-expanded so
-	// the megabytes the kernel absorbed before the pump blocked drain in
-	// moments instead of trickling through the shrunken window. The
-	// blocked write completes, the next collect sees the backlog, and the
-	// terminal eviction event must arrive before the server hangs up.
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4 << 20)
-	}
+	// The client comes back: the blocked write completes, the next
+	// collect sees the backlog, and the terminal eviction event must
+	// arrive before the server hangs up.
 	buf := make([]byte, 64<<10)
 	var tail []byte
 	deadline := time.Now().Add(60 * time.Second)

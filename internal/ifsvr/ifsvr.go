@@ -6,16 +6,16 @@
 // X-Interface-Version header, which is what lets the CDE (and the
 // experiments) observe the recency guarantees of Sections 5.7 and 6.
 //
-// Since the publication-core refactor the server is a read view over a
-// Backing document store — the coalescing, journaled publication Store in
-// this package, which the SDE Manager shares with every binding and a
-// standalone New() server owns privately (window 0). The view adds the two
-// watch transports: a long-poll GET with "?watch=1&after=N" blocks until a
-// version newer than N is published (or the poll window elapses, answered
-// with 304 Not Modified), and a streaming GET with "?watch=stream&after=N"
-// holds one text/event-stream connection per watcher, serving the journal
-// replay of everything committed after epoch N followed by live fan-out.
-// See docs/watch-protocol.md for the wire protocol of both.
+// Since the publication-core refactor the server is a read view over the
+// coalescing, journaled publication Store in this package, which the SDE
+// Manager shares with every binding and a standalone New() server owns
+// privately (window 0). The view adds the watch plane: a streaming GET
+// with "?watch=stream&after=N" holds one text/event-stream connection per
+// watcher, serving the journal replay of everything committed after epoch
+// N followed by live fan-out — what watch clients use — and a long-poll GET
+// with "?watch=1&after=N", kept for tools, blocks until a version newer
+// than N is published (or the poll window elapses, answered with 304 Not
+// Modified). See docs/watch-protocol.md for the wire protocol of both.
 package ifsvr
 
 import (
@@ -54,11 +54,10 @@ const EpochHeader = "X-Interface-Epoch"
 // state when its epoch regressed). Absent on servers predating it.
 const GenerationHeader = "X-Store-Generation"
 
-// StatsPath is the reserved path serving the backing store's counters as
-// JSON (StoreStats, including the Durability block on durable stores). It
+// StatsPath is the reserved path serving the store's counters as JSON
+// (StoreStats, including the Durability block on durable stores). It
 // exists for operational introspection — ifdump -stats and the SIGQUIT
-// dump read the same numbers — and is only served when the backing store
-// exposes Stats.
+// dump read the same numbers.
 const StatsPath = "/.stats"
 
 // ErrNotFound reports a fetch of a never-published document.
@@ -89,56 +88,14 @@ type Document struct {
 	ContentType string
 }
 
-// Backing is the document store a Server reads from (and forwards writes
-// to). Store is the one implementation: the SDE Manager backs its Interface
-// Server with its shared coalescing store, and New() owns a private one
-// with coalescing disabled. A Backing that additionally implements Journal
-// (as Store does) gets delta catch-up on the streaming watch transport.
-type Backing interface {
-	// PublishVersioned stores content under path and returns the version
-	// the document has (or, in a coalescing store, will have) committed.
-	PublishVersioned(path, contentType, content string, descriptorVersion uint64) uint64
-	// Get returns the current committed document at path.
-	Get(path string) (Document, error)
-	// Version returns the current committed version of path (0 if never
-	// published).
-	Version(path string) uint64
-	// Paths returns all published paths (unordered).
-	Paths() []string
-	// Remove retires path: Get reports it unpublished and staged writes are
-	// dropped, but a later republication continues the version sequence, so
-	// parked watchers see it. Bindings call it when their server closes.
-	Remove(path string)
-	// Wait blocks until a version newer than after is committed at path,
-	// the context ends (returning ctx.Err()), or the store closes.
-	Wait(ctx context.Context, path string, after uint64) (Document, error)
-}
-
-// Generational is the optional Backing capability behind the restart-
-// generation header; Store implements it. A Backing without it serves no
-// GenerationHeader, like a server predating the protocol.
-type Generational interface {
-	// Generation returns the store's incarnation identity (nonzero).
-	Generation() uint64
-}
-
-// backingGeneration resolves the store generation of b (0 when b lacks the
-// capability).
-func backingGeneration(b Backing) uint64 {
-	if g, ok := b.(Generational); ok {
-		return g.Generation()
-	}
-	return 0
-}
-
-// Server is the Interface Server: an HTTP read view over a Backing store.
+// Server is the Interface Server: an HTTP read view over a Store.
 // The zero value (and New) reads from its own in-memory store; NewView
 // reads from a caller-provided store. Call Start to also serve documents
 // over HTTP.
 type Server struct {
 	initStore sync.Once
-	store     Backing
-	owned     *Store // set when the server created its own store (New, zero value)
+	store     *Store
+	owned     bool // the server created its own store (New, zero value)
 
 	// HeartbeatInterval paces the liveness comments of idle streaming
 	// watches (0 means DefaultHeartbeat). Set it before Start.
@@ -152,11 +109,11 @@ type Server struct {
 	// and the write deadline. Set it before Start.
 	MaxWatcherLag int
 
-	// StreamWriteTimeout bounds each write on a held stream (events,
-	// heartbeats) via http.ResponseController.SetWriteDeadline: a peer
-	// that cannot absorb a write within it is evicted instead of pinning
-	// the connection's delivery pump. 0 means DefaultStreamWriteTimeout;
-	// negative disables the deadline. Set it before Start.
+	// StreamWriteTimeout bounds each batch written to a held stream
+	// (events, heartbeats): a peer that cannot absorb one within it is
+	// evicted instead of pinning the connection's delivery pump. 0 means
+	// DefaultStreamWriteTimeout; negative disables the deadline. Set it
+	// before Start.
 	StreamWriteTimeout time.Duration
 
 	// LeaderURL, when set, marks this server a read-only replica fronting
@@ -191,32 +148,27 @@ type Server struct {
 // New returns an interface server over its own store (coalescing disabled:
 // every publication commits immediately).
 func New() *Server {
-	st := NewStore(0, nil)
-	return &Server{store: st, owned: st}
+	return &Server{store: NewStore(0, nil), owned: true}
 }
 
 // NewView returns an interface server that serves (and publishes into) the
-// given backing store — the read-view arrangement the SDE Manager uses with
-// the publication core.
-func NewView(store Backing) *Server {
+// given store — the read-view arrangement the SDE Manager uses with the
+// publication core.
+func NewView(store *Store) *Server {
 	return &Server{store: store}
 }
 
-// backing returns the store, lazily creating an owned one so the zero-value
-// Server stays usable.
-func (s *Server) backing() Backing {
+// Store returns the store the server reads from, lazily creating an owned
+// one so the zero-value Server stays usable.
+func (s *Server) Store() *Store {
 	s.initStore.Do(func() {
 		if s.store == nil {
-			st := NewStore(0, nil)
-			s.store = st
-			s.owned = st
+			s.store = NewStore(0, nil)
+			s.owned = true
 		}
 	})
 	return s.store
 }
-
-// Store returns the backing store.
-func (s *Server) Store() Backing { return s.backing() }
 
 // drainContext returns the context cancelled when the server starts
 // draining, creating it on first use.
@@ -246,26 +198,26 @@ func (s *Server) Draining() bool { return s.drainContext().Err() != nil }
 // version. Republishing the same path bumps the version even if the content
 // is unchanged; the publisher avoids redundant publications itself.
 func (s *Server) Publish(path, contentType, content string) uint64 {
-	return s.backing().PublishVersioned(path, contentType, content, 0)
+	return s.Store().PublishVersioned(path, contentType, content, 0)
 }
 
 // PublishVersioned is Publish carrying the interface-descriptor version the
 // document was generated from.
 func (s *Server) PublishVersioned(path, contentType, content string, descriptorVersion uint64) uint64 {
-	return s.backing().PublishVersioned(path, contentType, content, descriptorVersion)
+	return s.Store().PublishVersioned(path, contentType, content, descriptorVersion)
 }
 
 // Get returns the current document at path.
-func (s *Server) Get(path string) (Document, error) { return s.backing().Get(path) }
+func (s *Server) Get(path string) (Document, error) { return s.Store().Get(path) }
 
 // Version returns the current version of path (0 if never published).
-func (s *Server) Version(path string) uint64 { return s.backing().Version(path) }
+func (s *Server) Version(path string) uint64 { return s.Store().Version(path) }
 
 // Paths returns all published paths (unordered).
-func (s *Server) Paths() []string { return s.backing().Paths() }
+func (s *Server) Paths() []string { return s.Store().Paths() }
 
-// Remove retires a published path (see Backing.Remove).
-func (s *Server) Remove(path string) { s.backing().Remove(path) }
+// Remove retires a published path (see Store.Remove).
+func (s *Server) Remove(path string) { s.Store().Remove(path) }
 
 // maxWatchWait caps how long one watch poll is held open before the server
 // answers 304 Not Modified; clients simply poll again, so the cap only
@@ -309,13 +261,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveWatch(w, r, q)
 		return
 	}
-	st := s.backing()
+	st := s.Store()
 	d, err := st.Get(r.URL.Path)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	writeDoc(w, d, backingGeneration(st))
+	writeDoc(w, d, st.Generation())
 }
 
 // Handle mounts an auxiliary handler on a reserved path (e.g. the
@@ -343,23 +295,12 @@ func (s *Server) auxHandler(path string) http.Handler {
 	return h
 }
 
-// statsBacking is the optional Backing capability behind StatsPath; Store
-// implements it.
-type statsBacking interface {
-	Stats() StoreStats
-}
-
 func (s *Server) serveStats(w http.ResponseWriter) {
-	b, ok := s.backing().(statsBacking)
-	if !ok {
-		http.Error(w, "backing store exposes no stats", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(b.Stats())
+	_ = enc.Encode(s.Store().Stats())
 }
 
 func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request, q url.Values) {
@@ -380,12 +321,12 @@ func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request, q url.Values
 	// Watch responses are point-in-time answers to a version question;
 	// a cached one would defeat the protocol.
 	w.Header().Set("Cache-Control", "no-store")
-	st := s.backing()
+	st := s.Store()
 	d, err := st.Wait(ctx, r.URL.Path, after)
 	// The generation is read AFTER the park: a replica can reset (adopt a
 	// new leader generation) while the poll is held, and the response must
 	// name the incarnation that produced it.
-	gen := backingGeneration(st)
+	gen := st.Generation()
 	switch {
 	case err == nil:
 		writeDoc(w, d, gen)
@@ -421,9 +362,7 @@ func writeHeaders(w http.ResponseWriter, d Document, gen uint64) {
 	w.Header().Set(VersionHeader, strconv.FormatUint(d.Version, 10))
 	w.Header().Set(DescriptorVersionHeader, strconv.FormatUint(d.DescriptorVersion, 10))
 	w.Header().Set(EpochHeader, strconv.FormatUint(d.Epoch, 10))
-	if gen != 0 {
-		w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
-	}
+	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 }
 
 func writeDoc(w http.ResponseWriter, d Document, gen uint64) {
@@ -477,12 +416,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close stops the HTTP server (no-op if Start was never called) and, when
 // the server owns its store (New, zero value), closes it so parked Wait
-// callers and held streams drain. A caller-provided Backing (NewView) is
-// not closed — its owner is.
+// callers and held streams drain. A caller-provided store (NewView) is not
+// closed — its owner is.
 func (s *Server) Close() error {
-	s.backing() // materialize so a zero-value Close is still well-defined
-	if s.owned != nil {
-		s.owned.Close()
+	if st := s.Store(); s.owned {
+		st.Close()
 	}
 	if s.httpSrv == nil {
 		return nil
@@ -490,13 +428,6 @@ func (s *Server) Close() error {
 	err := s.httpSrv.Close()
 	<-s.done
 	return err
-}
-
-// Fetch is FetchContext with a background context.
-//
-// Deprecated: use FetchContext so the round-trip can be cancelled.
-func Fetch(client *http.Client, url string) (Document, error) {
-	return FetchContext(context.Background(), client, url)
 }
 
 // FetchContext retrieves a document over HTTP — the client-side counterpart

@@ -57,7 +57,7 @@ func TestHTTPServing(t *testing.T) {
 		t.Error("BaseURL mismatch")
 	}
 
-	doc, err := Fetch(nil, base+"/idl/Calc.idl")
+	doc, err := FetchContext(context.Background(), nil, base+"/idl/Calc.idl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestHTTPServing(t *testing.T) {
 		t.Errorf("fetched = %+v", doc)
 	}
 
-	if _, err := Fetch(nil, base+"/missing"); err == nil {
+	if _, err := FetchContext(context.Background(), nil, base+"/missing"); err == nil {
 		t.Error("missing doc over HTTP should fail")
 	}
 
@@ -81,7 +81,7 @@ func TestHTTPServing(t *testing.T) {
 }
 
 func TestFetchConnectError(t *testing.T) {
-	if _, err := Fetch(nil, "http://127.0.0.1:1/none"); err == nil {
+	if _, err := FetchContext(context.Background(), nil, "http://127.0.0.1:1/none"); err == nil {
 		t.Error("unreachable fetch should fail")
 	}
 }

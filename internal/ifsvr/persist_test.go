@@ -58,12 +58,12 @@ func TestStoreRecoversAcrossReopen(t *testing.T) {
 		t.Errorf("republished retired path at version %d, want 2", v)
 	}
 	// The journal survives: a watcher that saw epoch 2 replays 3..epoch1.
-	docs, ok := st2.Replay("/wsdl/A.wsdl", 2)
-	if !ok || len(docs) != 3 {
-		t.Fatalf("recovered journal replay = %d docs, ok=%v; want 3, true", len(docs), ok)
+	evs, ok := st2.ReplayEventsInto("/wsdl/A.wsdl", 2, nil)
+	if !ok || len(evs) != 3 {
+		t.Fatalf("recovered journal replay = %d events, ok=%v; want 3, true", len(evs), ok)
 	}
-	if docs[0].Version != 3 || docs[2].Version != 5 {
-		t.Errorf("replayed versions %d..%d, want 3..5", docs[0].Version, docs[2].Version)
+	if evs[0].Doc.Version != 3 || evs[2].Doc.Version != 5 {
+		t.Errorf("replayed versions %d..%d, want 3..5", evs[0].Doc.Version, evs[2].Doc.Version)
 	}
 	// Epochs strictly continue: the next commit is past the old epoch.
 	st2.Publish("/wsdl/A.wsdl", "text/xml", "<a6/>")

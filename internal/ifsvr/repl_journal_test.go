@@ -40,17 +40,17 @@ func TestReplicatedJournalStaysSorted(t *testing.T) {
 	}
 
 	// The binary-searched replay must still see the interleaved entries.
-	docs, ok := s.Replay("/b", 3)
-	if !ok || len(docs) != 1 || docs[0].Epoch != 5 {
-		t.Fatalf("Replay(/b, 3) = %+v, %v; want the epoch-5 version", docs, ok)
+	evs, ok := s.ReplayEventsInto("/b", 3, nil)
+	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 5 {
+		t.Fatalf("ReplayEventsInto(/b, 3) = %+v, %v; want the epoch-5 version", evs, ok)
 	}
-	docs, ok = s.Replay("/a3", 5)
-	if !ok || len(docs) != 1 || docs[0].Epoch != 9 {
-		t.Fatalf("Replay(/a3, 5) = %+v, %v; want the epoch-9 version", docs, ok)
+	evs, ok = s.ReplayEventsInto("/a3", 5, evs)
+	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 9 {
+		t.Fatalf("ReplayEventsInto(/a3, 5) = %+v, %v; want the epoch-9 version", evs, ok)
 	}
-	docs, ok = s.Replay("/a1", 0)
-	if !ok || len(docs) != 1 || docs[0].Epoch != 1 {
-		t.Fatalf("Replay(/a1, 0) = %+v, %v; want the epoch-1 version", docs, ok)
+	evs, ok = s.ReplayEventsInto("/a1", 0, evs)
+	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 1 {
+		t.Fatalf("ReplayEventsInto(/a1, 0) = %+v, %v; want the epoch-1 version", evs, ok)
 	}
 }
 

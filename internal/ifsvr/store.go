@@ -14,14 +14,9 @@ import (
 // ErrStoreClosed reports an operation on a closed publication store.
 var ErrStoreClosed = errors.New("ifsvr: publication store closed")
 
-// ErrClosed is the former name of ErrStoreClosed (the in-memory store it
-// named was folded into Store).
-//
-// Deprecated: match ErrStoreClosed.
-var ErrClosed = ErrStoreClosed
-
 // DefaultHistoryLen is the journal capacity a store is created with: how
-// many committed versions (across all paths) are retained for Replay.
+// many committed versions (across all paths) are retained for watcher
+// catch-up.
 const DefaultHistoryLen = 256
 
 // StoreEvent is one committed publication fanned out to subscribers.
@@ -51,10 +46,11 @@ type StoreStats struct {
 	Batches uint64
 	// Flushes counts explicit Flush calls (the forced-publication path).
 	Flushes uint64
-	// Replays counts Replay calls served from the journal.
+	// Replays counts journal reads (a connecting stream's catch-up, a held
+	// stream's per-commit collect) the journal fully covered.
 	Replays uint64
-	// ReplayMisses counts Replay calls the journal no longer covered —
-	// each forces the caller onto the full-snapshot fallback.
+	// ReplayMisses counts journal reads the journal no longer covered —
+	// each forces the reader onto the full-snapshot fallback.
 	ReplayMisses uint64
 	// WALAppends counts commit batches (and retirements) durably logged.
 	WALAppends uint64
@@ -86,8 +82,8 @@ type StoreStats struct {
 // Store is the event-driven publication core: a versioned interface-document
 // store with epoch-numbered snapshots, subscriber fan-out, edit-storm
 // coalescing, and an epoch-indexed journal for watcher catch-up. It is the
-// single Backing implementation: every binding publishes through it (via the
-// SDE Manager's PublishInterface), the Interface Server reads from it
+// one document store: every binding publishes through it (via the SDE
+// Manager's PublishInterface), the Interface Server reads from it
 // (NewView), and a standalone Server (New or the zero value) owns one with
 // coalescing disabled.
 //
@@ -107,9 +103,10 @@ type StoreStats struct {
 // store-wide happened-before order across paths.
 //
 // Journal: the last HistoryLen committed versions are retained, and
-// Replay(path, afterEpoch) returns the committed versions of a path a
-// reconnecting watcher missed — the streaming watch transport's catch-up
-// path, which turns a reconnect into a delta instead of a full fetch.
+// ReplayEventsInto(path, afterEpoch, buf) returns the committed versions of
+// a path a reconnecting watcher missed — the streaming watch transport's
+// catch-up path, which turns a reconnect into a delta instead of a full
+// fetch.
 //
 // Persistence: a store opened with OpenStore over a Persistence backend
 // (StoreConfig.Dir for the file implementation) appends every commit
@@ -180,8 +177,6 @@ type Store struct {
 	// publish. It is always acquired before mu.
 	deliverMu sync.Mutex
 }
-
-var _ Backing = (*Store)(nil)
 
 // NewStore returns an in-memory store with the given flush window (0
 // disables coalescing: every publish commits immediately) and the default
@@ -397,7 +392,7 @@ func (s *Store) Publish(path, contentType, content string) uint64 {
 	return s.PublishVersioned(path, contentType, content, 0)
 }
 
-// PublishVersioned implements Backing: store content under path. With
+// PublishVersioned stores content under path. With
 // coalescing enabled and the path already published, the write is staged
 // until the path's flush window elapses (or Flush runs), and the returned
 // version is the version the path will carry after that flush. Staged
@@ -610,100 +605,91 @@ func (s *Store) trimJournalLocked() {
 	s.journal = s.journal[:s.histLen]
 }
 
-// Replay returns the committed versions of path with an epoch greater than
-// afterEpoch, oldest first — the delta a watcher that last saw afterEpoch
-// missed. It reports false when the journal no longer covers that range
-// (the entries were evicted, or the journal is disabled); the caller must
-// fall back to a full snapshot of the current document.
-func (s *Store) Replay(path string, afterEpoch uint64) ([]Document, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if afterEpoch < s.floorEpoch {
-		s.stats.ReplayMisses++
-		return nil, false
-	}
-	var docs []Document
-	for _, ev := range s.journal[s.journalFromLocked(afterEpoch):] {
-		if ev.Path == path {
-			docs = append(docs, ev.Doc)
-		}
-	}
-	s.stats.Replays++
-	return docs, true
-}
-
-// journalFromLocked binary-searches the (epoch-ordered) journal for the
-// first entry past afterEpoch, so a replay for a nearly-current watcher —
-// the per-commit wake of every held stream — scans only the tail, not the
-// whole ring. Caller holds s.mu.
-func (s *Store) journalFromLocked(afterEpoch uint64) int {
-	return sort.Search(len(s.journal), func(i int) bool {
+// journalAfterLocked appends to buf the journal entries of path with an
+// epoch greater than afterEpoch, oldest first. The (epoch-ordered) journal
+// is binary-searched for the first entry past afterEpoch, so a read for a
+// nearly-current watcher — the per-commit wake of every held stream —
+// scans only the tail, not the whole ring. Caller holds s.mu.
+func (s *Store) journalAfterLocked(path string, afterEpoch uint64, buf []StoreEvent) []StoreEvent {
+	from := sort.Search(len(s.journal), func(i int) bool {
 		return s.journal[i].Doc.Epoch > afterEpoch
 	})
+	for _, ev := range s.journal[from:] {
+		if ev.Path == path {
+			buf = append(buf, ev)
+		}
+	}
+	return buf
 }
 
-// ReplayEvents is Replay returning the journal entries themselves, whose
-// Payload fields carry the commit-time shared wire encoding — the
-// streaming transport uses it to fan identical bytes out to every watcher
-// instead of re-marshaling per connection.
-func (s *Store) ReplayEvents(path string, afterEpoch uint64) ([]StoreEvent, bool) {
-	return s.ReplayEventsInto(path, afterEpoch, nil)
+// noteReplayLocked counts one journal read by its outcome. Caller holds
+// s.mu.
+func (s *Store) noteReplayLocked(covered bool) {
+	if covered {
+		s.stats.Replays++
+	} else {
+		s.stats.ReplayMisses++
+	}
 }
 
-// ReplayEventsInto is ReplayEvents appending into buf[:0], so a held
-// stream waking once per commit reuses one buffer instead of allocating
-// per wake. On a journal miss it returns buf[:0] (not nil), preserving
-// the caller's buffer capacity for the next wake.
+// ReplayEventsInto returns the committed versions of path with an epoch
+// greater than afterEpoch, oldest first — the delta a watcher that last
+// saw afterEpoch missed — as the journal entries themselves, whose Payload
+// fields carry the commit-time shared wire encoding. It reports false when
+// the journal no longer covers that range (the entries were evicted, or
+// the journal is disabled); the caller must fall back to a full snapshot
+// of the current document. Entries are appended into buf[:0] so a looping
+// caller reuses one buffer; on a miss it returns buf[:0] (not nil),
+// preserving the buffer's capacity.
 func (s *Store) ReplayEventsInto(path string, afterEpoch uint64, buf []StoreEvent) ([]StoreEvent, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	evs := buf[:0]
-	if afterEpoch < s.floorEpoch {
-		s.stats.ReplayMisses++
-		return evs, false
+	covered := afterEpoch >= s.floorEpoch
+	s.noteReplayLocked(covered)
+	if !covered {
+		return buf[:0], false
 	}
-	for _, ev := range s.journal[s.journalFromLocked(afterEpoch):] {
-		if ev.Path == path {
-			evs = append(evs, ev)
-		}
-	}
-	s.stats.Replays++
-	return evs, true
+	return s.journalAfterLocked(path, afterEpoch, buf[:0]), true
 }
 
-// pumpView is one delivery pump's per-wake read of the store: the events
-// pending past the pump's cursor (ok reports whether the journal still
-// covers that range), plus the store-wide state the pump must react to
-// (close, generation change, and the epoch its cursor lands on after a
-// full drain).
+// pumpView is one stream pump's per-wake read of the store: the path's
+// committed document, the journal entries pending past the pump's cursor
+// (complete reports whether they are every version up to that document),
+// and the store-wide state the pump must react to.
 type pumpView struct {
-	events []StoreEvent
-	ok     bool
-	closed bool
-	gen    uint64
-	epoch  uint64
+	cur      Document // zero while the path is unpublished
+	events   []StoreEvent
+	complete bool
+	closed   bool
+	gen      uint64
+	epoch    uint64
 }
 
-// pumpCollect gathers everything a waking delivery pump needs under one
-// mu acquisition: the journal delta for path past afterEpoch (counted as
-// a replay or replay-miss like any journal read), appended into buf[:0]
-// so a held stream reuses one buffer across wakes. On ok=false the
-// cursor fell below the journal floor and the pump must snapshot-reset.
-func (s *Store) pumpCollect(path string, afterEpoch uint64, buf []StoreEvent) pumpView {
+// pumpCollect gathers everything a waking stream pump needs under one mu
+// acquisition. The cursor is the last delivered document of path, as its
+// (epoch, version); a connecting stream knows only the epoch (afterVer 0).
+// With nothing committed past afterVer — every idle sweep wake — it
+// returns without touching the journal. Otherwise events are the journal
+// entries past afterEpoch, appended into buf[:0], and complete reports
+// whether they are the whole history up to cur: by version count for a
+// live cursor (per-path versions are contiguous, so afterVer+len(events)
+// must reach cur.Version — a replicated epoch that arrived at or below
+// the journal floor was never journaled, and fails this), by the journal
+// floor for a connecting one. On complete=false the pump snapshot-resets.
+func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []StoreEvent) pumpView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := pumpView{events: buf[:0], closed: s.closed, gen: s.generation, epoch: s.epoch}
-	if afterEpoch < s.floorEpoch {
-		s.stats.ReplayMisses++
+	v := pumpView{cur: s.docs[path], events: buf[:0], complete: true, closed: s.closed, gen: s.generation, epoch: s.epoch}
+	if v.cur.Version <= afterVer {
 		return v
 	}
-	for _, ev := range s.journal[s.journalFromLocked(afterEpoch):] {
-		if ev.Path == path {
-			v.events = append(v.events, ev)
-		}
+	v.events = s.journalAfterLocked(path, afterEpoch, v.events)
+	if afterVer > 0 {
+		v.complete = afterVer+uint64(len(v.events)) == v.cur.Version
+	} else {
+		v.complete = afterEpoch >= s.floorEpoch
 	}
-	s.stats.Replays++
-	v.ok = true
+	s.noteReplayLocked(v.complete)
 	return v
 }
 
@@ -870,7 +856,7 @@ func (s *Store) Subscribe(fn func(StoreEvent)) (cancel func()) {
 	}
 }
 
-// Remove implements Backing: retire a path when its server closes. The
+// Remove retires a path when its server closes. The
 // committed document disappears (Get reports it unpublished), staged writes
 // and any per-path window override for it are dropped, and — because the
 // "first publication commits immediately" rule keys on committed presence —
@@ -923,7 +909,7 @@ func (s *Store) Remove(path string) {
 	}
 }
 
-// Get implements Backing: the committed document at path. Staged (not yet
+// Get returns the committed document at path. Staged (not yet
 // flushed) content is not visible.
 func (s *Store) Get(path string) (Document, error) {
 	s.mu.Lock()
@@ -935,14 +921,14 @@ func (s *Store) Get(path string) (Document, error) {
 	return d, nil
 }
 
-// Version implements Backing.
+// Version returns the committed version of path (0 if unpublished).
 func (s *Store) Version(path string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.docs[path].Version
 }
 
-// Paths implements Backing.
+// Paths returns all published paths (unordered).
 func (s *Store) Paths() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -953,7 +939,7 @@ func (s *Store) Paths() []string {
 	return ps
 }
 
-// Wait implements Backing: block until a version newer than after is
+// Wait blocks until a version newer than after is
 // committed at path, ctx ends, or the store closes. The wait parks on the
 // sharded watcher registry, so a commit wakes only the waiters of the
 // paths it actually touched — not, as the old store-wide broadcast

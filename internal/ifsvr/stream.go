@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -27,16 +26,12 @@ import (
 // longer covers the client's epoch, the stream opens with one full-snapshot
 // event instead — the bounded fallback.
 //
-// Against the native Store, each held connection runs a DELIVERY PUMP
-// (pumpStream): a commit only nudges the pump's wake channel, and the
-// pump advances its own epoch cursor through the store journal, writing
-// every pending event as one batch per flush. The committing goroutine
-// therefore never writes to a socket, a slow peer lags only itself, and
-// backpressure is explicit: a cursor below the journal floor gets a
-// mid-stream snapshot reset, while a peer that misses its write deadline
-// or exceeds the server's lag budget is evicted with a terminal
-// "eviction" event and reconnects through ordinary replay. Foreign
-// Backings keep the generic Wait-driven loop.
+// Each held connection is served by the delivery pump (pump.go), fed by a
+// streamSource: SSE frames over the store's epoch journal, with the two
+// valves that are this plane's own — a cursor the journal no longer covers
+// gets a mid-stream snapshot reset, and a backlog past the server's lag
+// budget ends the stream with a terminal "eviction" event. Either way the
+// client reconnects through ordinary replay.
 
 // StreamContentType is the MIME type of the streaming watch response.
 const StreamContentType = "text/event-stream"
@@ -45,8 +40,9 @@ const StreamContentType = "text/event-stream"
 const DefaultHeartbeat = 15 * time.Second
 
 // ErrStreamUnsupported reports a server that answered a streaming watch
-// with something other than an event stream — an older server that only
-// speaks the long-poll protocol. Callers degrade to WatchNewer.
+// with something other than an event stream — one that only speaks the
+// long-poll protocol. To a watch client it is a stream error like any
+// other: back off, fail over.
 var ErrStreamUnsupported = errors.New("ifsvr: server does not support the streaming watch transport")
 
 // ErrStreamEvicted reports a streaming watch the server terminated for
@@ -64,30 +60,6 @@ var ErrStreamEvicted = errors.New("ifsvr: stream evicted by server backpressure"
 // does exactly that), not a backoff — the server told us to go, we did
 // not fail.
 var ErrStreamDraining = errors.New("ifsvr: stream ended by server drain")
-
-// Journal is the optional Backing capability the streaming transport's
-// catch-up rides on; Store implements it. Without it every (re)connect
-// falls back to a full snapshot event.
-type Journal interface {
-	// Replay returns the committed versions of path with an epoch greater
-	// than afterEpoch, oldest first, reporting false when the journal no
-	// longer covers that range.
-	Replay(path string, afterEpoch uint64) ([]Document, bool)
-	// Epoch returns the current commit epoch.
-	Epoch() uint64
-}
-
-// EventJournal is a Journal whose entries carry the commit-time shared
-// wire payload (StoreEvent.Payload); Store implements it. The streaming
-// transport prefers it: one marshal per commit fans identical bytes out
-// to every held connection, instead of one marshal per watcher per event.
-type EventJournal interface {
-	Journal
-	// ReplayEventsInto is Replay returning the journal entries themselves,
-	// appended to buf[:0] so a looping caller (one held stream waking per
-	// commit) reuses one buffer instead of allocating per wake.
-	ReplayEventsInto(path string, afterEpoch uint64, buf []StoreEvent) ([]StoreEvent, bool)
-}
 
 // StreamEvent is one event of a streaming watch, as seen by the client.
 type StreamEvent struct {
@@ -115,19 +87,41 @@ type streamWire struct {
 	Content           string `json:"content,omitempty"`
 }
 
-// heartbeat resolves the server's idle-stream comment interval.
-func (s *Server) heartbeat() time.Duration {
-	if s.HeartbeatInterval > 0 {
-		return s.HeartbeatInterval
+// pumpConfig resolves the server's held-stream policy: the heartbeat
+// interval, the per-batch write deadline, the shared sweep (lazily built,
+// ticking at half the heartbeat interval), and the drain signal.
+func (s *Server) pumpConfig(st *Store) PumpConfig {
+	hb := s.HeartbeatInterval
+	if hb <= 0 {
+		hb = DefaultHeartbeat
 	}
-	return DefaultHeartbeat
+	wt := s.StreamWriteTimeout
+	switch {
+	case wt == 0:
+		wt = DefaultStreamWriteTimeout
+	case wt < 0:
+		wt = 0
+	}
+	s.sweepMu.Lock()
+	if s.sweep == nil {
+		s.sweep = NewPumpSweep(hb / 2)
+	}
+	sweep := s.sweep
+	s.sweepMu.Unlock()
+	return PumpConfig{
+		WriteTimeout: wt,
+		Heartbeat:    hb,
+		Sweep:        sweep,
+		Drain:        s.drainContext().Done(),
+		Counters:     &st.fanout.pump,
+	}
 }
 
 // serveStream answers "?watch=stream&after=N": an SSE stream of committed
 // versions of the requested path — journal replay past epoch N (or one
 // snapshot event when the journal fell behind), then live commits, with
 // comment heartbeats while idle. The connection is held until the client
-// goes away or the store closes.
+// goes away, the store closes, or the server drains.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Values) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -135,479 +129,162 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 		return
 	}
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
-	st := s.backing()
-	j, hasJournal := st.(Journal)
-	path := r.URL.Path
+	st := s.Store()
+	gen := st.Generation()
 
 	h := w.Header()
 	h.Set("Content-Type", StreamContentType)
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no") // do not let proxies buffer the stream
-	startGen := backingGeneration(st)
-	if startGen != 0 {
-		// The restart generation, readable before the first event: the
-		// client's restart detector compares it across (re)connects.
-		h.Set(GenerationHeader, strconv.FormatUint(startGen, 10))
-	}
-	if hasJournal {
-		// The store-wide epoch at connect, for cheap cursor resync.
-		h.Set(EpochHeader, strconv.FormatUint(j.Epoch(), 10))
-	}
+	// The restart generation, readable before the first event (the client's
+	// restart detector compares it across reconnects), and the store-wide
+	// epoch at connect.
+	h.Set(GenerationHeader, strconv.FormatUint(gen, 10))
+	h.Set(EpochHeader, strconv.FormatUint(st.Epoch(), 10))
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	if store, isStore := st.(*Store); isStore {
-		// The native Store gets the delivery-pump path: cursor-driven
-		// batched delivery with explicit backpressure. The generic
-		// Wait-driven loop below stays for foreign Backings.
-		s.pumpStream(w, r, store, path, after, startGen)
-		return
-	}
-
-	// emit writes one SSE event. Committed versions arrive with their
-	// commit-time shared payload (the same bytes every watcher gets and
-	// the WAL carries); payload==nil is the degraded path (snapshots, or
-	// a Backing without EventJournal) that marshals per connection. The
-	// framing is hand-appended into a per-connection scratch buffer —
-	// fmt boxing and per-event framing allocations would be paid once per
-	// watcher per commit, the exact multiplier shared payloads remove.
-	var frame []byte
-	emit := func(event string, d Document, payload []byte) bool {
-		if payload == nil {
-			payload = encodeEventPayload(path, d)
-		}
-		frame = frame[:0]
-		frame = append(frame, "id: "...)
-		frame = strconv.AppendUint(frame, d.Epoch, 10)
-		frame = append(frame, "\nevent: "...)
-		frame = append(frame, event...)
-		frame = append(frame, "\ndata: "...)
-		if _, err := w.Write(frame); err != nil {
-			return false
-		}
-		if _, err := w.Write(payload); err != nil {
-			return false
-		}
-		if _, err := io.WriteString(w, "\n\n"); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	// replayEvs returns the journal entries of path past an epoch,
-	// payloads included when the backing shares them. evBuf is reused
-	// across wakes.
-	ej, hasEvents := st.(EventJournal)
-	var evBuf []StoreEvent
-	replayEvs := func(afterEpoch uint64) ([]StoreEvent, bool) {
-		if hasEvents {
-			var ok bool
-			evBuf, ok = ej.ReplayEventsInto(path, afterEpoch, evBuf[:0])
-			return evBuf, ok
-		}
-		if !hasJournal {
-			return nil, false
-		}
-		docs, ok := j.Replay(path, afterEpoch)
-		if !ok {
-			return nil, false
-		}
-		evs := make([]StoreEvent, len(docs))
-		for i, d := range docs {
-			evs[i] = StoreEvent{Path: path, Doc: d}
-		}
-		return evs, true
-	}
-
-	// Catch-up: replay the journal past the client's epoch, or fall back to
-	// one snapshot of the current document. lastVer/lastEpoch are the
-	// stream's cursors; every later emit must strictly advance lastVer.
-	var lastVer, lastEpoch uint64
-	lastEpoch = after
-	cur, curErr := st.Get(path)
-	switch {
-	case curErr == nil && cur.Epoch <= after:
-		if hasJournal && after > j.Epoch() {
-			// The client's cursor is ahead of the whole store: it watched
-			// a previous incarnation whose state this one does not have
-			// (a restart without recovery). Hand it the current document
-			// as a snapshot — paired with the generation header, that is
-			// the client's restart signal — instead of parking it on an
-			// epoch this store will never reach.
-			if !emit("snapshot", cur, nil) {
-				return
-			}
-		}
-		lastVer, lastEpoch = cur.Version, cur.Epoch
-	case curErr == nil:
-		evs, ok := replayEvs(after)
-		if !ok {
-			if !emit("snapshot", cur, nil) {
-				return
-			}
-			lastVer, lastEpoch = cur.Version, cur.Epoch
-			break
-		}
-		for _, ev := range evs {
-			if ev.Doc.Version <= lastVer && lastVer != 0 {
-				continue
-			}
-			if !emit("replay", ev.Doc, ev.Payload) {
-				return
-			}
-			lastVer, lastEpoch = ev.Doc.Version, ev.Doc.Epoch
-		}
-	default:
-		// Not (yet) published: hold the stream open; the first publication
-		// arrives as a live event. lastVer stays 0 so Wait catches it.
-	}
-
-	// Live fan-out: park on the store's subscription code (the same Wait
-	// the long-poll uses), bounded by the heartbeat interval so idle
-	// streams still prove liveness. One heartbeat context spans every
-	// commit inside its window — recreating it per wake would charge a
-	// context+timer allocation to every watcher on every commit, the
-	// same per-watcher multiplier the shared payloads remove.
-	hb := s.heartbeat()
-	drain := s.drainContext()
-	liveWindow := func() (expired, alive bool) {
-		wctx, cancel := context.WithTimeout(r.Context(), hb)
-		defer cancel()
-		// A drain unparks the Wait below so the stream can end with its
-		// terminal frame instead of holding Shutdown for a full window.
-		stopDrain := context.AfterFunc(drain, cancel)
-		defer stopDrain()
-		for {
-			d, err := st.Wait(wctx, path, lastVer)
-			switch {
-			case err == nil:
-				// One or more commits landed. Serve them from the journal
-				// so every watcher fans out the commit-time shared bytes
-				// (and a coalescing store's multi-version gap stays
-				// lossless); a range the journal no longer covers degrades
-				// to the newest version, marshaled per connection. A
-				// stream parked on a then-unpublished path (lastVer 0)
-				// takes the direct path: its cursor says nothing about
-				// what it saw, and the journal may hold a retired
-				// predecessor's stale history.
-				if lastVer > 0 {
-					if evs, ok := replayEvs(lastEpoch); ok {
-						emitted := false
-						for _, ev := range evs {
-							if ev.Doc.Version <= lastVer {
-								continue
-							}
-							if !emit("version", ev.Doc, ev.Payload) {
-								return false, false
-							}
-							lastVer, lastEpoch = ev.Doc.Version, ev.Doc.Epoch
-							emitted = true
-						}
-						if emitted {
-							continue
-						}
-					}
-				}
-				if d.Version <= lastVer {
-					continue
-				}
-				if !emit("version", d, nil) {
-					return false, false
-				}
-				lastVer, lastEpoch = d.Version, d.Epoch
-			case r.Context().Err() != nil:
-				return false, false // client went away
-			case errors.Is(err, context.DeadlineExceeded):
-				return true, true // window elapsed; heartbeat and renew
-			default:
-				return false, false // store closed
-			}
-		}
-	}
-	for {
-		expired, alive := liveWindow()
-		if !alive {
-			if drain.Err() != nil && r.Context().Err() == nil {
-				// Graceful shutdown with the client still connected: the
-				// terminal frame tells it to reconnect to another replica
-				// right away instead of waiting out a broken connection.
-				_, _ = io.WriteString(w, "event: draining\ndata: {}\n\n")
-				fl.Flush()
-			}
-			return
-		}
-		if startGen != 0 && backingGeneration(st) != startGen {
-			// The backing adopted a new generation mid-stream — a replica
-			// that reset after its leader restarted. The stream's cursors
-			// (and everything already emitted) describe the dead
-			// incarnation, so end the stream: the client reconnects, reads
-			// the new generation header, and handles it as the ordinary
-			// restart signal. Checked once per heartbeat window, not per
-			// event — a reset wipes the store, so a stale stream parks
-			// rather than emits, and the window bounds the detection lag.
-			return
-		}
-		if expired {
-			if _, werr := io.WriteString(w, ": hb\n\n"); werr != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	st.fanout.streams.Add(1)
+	// Register the wake BEFORE the first collect: a commit landing between
+	// the two must nudge the pump, not vanish.
+	p := NewPump()
+	cancel := st.watchPath(r.URL.Path, p.wake)
+	defer cancel()
+	p.Run(w, r, s.pumpConfig(st), &streamSource{
+		st:        st,
+		path:      r.URL.Path,
+		gen:       gen,
+		budget:    s.MaxWatcherLag,
+		lastEpoch: after,
+	})
 }
 
-// pumpStream is the delivery-pump body of a streaming watch against the
-// native Store. The connection owns an epoch cursor; a commit to the
-// watched path only nudges the pump's capacity-1 wake channel (see
-// Store.fanOut), and each wake drains EVERYTHING pending behind the
-// cursor from the journal in one batch — one Flush syscall per batch, not
-// per event — under a per-write deadline. Backpressure is explicit:
+// streamSource feeds one SSE stream's pump from the store journal. Its
+// cursor is always one committed document of the path — the last one
+// delivered — as (lastVer, lastEpoch): the epoch says where in the journal
+// to look, the version says whether what is found there is complete. It
+// never advances to the store-wide epoch: on a replica, shards apply out
+// of epoch order, so a lower epoch of this path may yet arrive.
+type streamSource struct {
+	st     *Store
+	path   string
+	gen    uint64 // the generation the stream opened under
+	budget int    // Server.MaxWatcherLag
+
+	lastVer, lastEpoch uint64
+	// live is set once the connect-time catch-up has run; parked marks a
+	// stream that connected to a not (yet) published path.
+	live, parked bool
+	events       []StoreEvent // reused across wakes
+	frame        []byte       // reused across events
+}
+
+// Collect implements PumpSource. The first call is the connect-time
+// catch-up ("replay" events, or the snapshot fallback); later calls
+// deliver live commits as "version" events, with explicit backpressure:
 //
-//   - cursor below the journal floor → one mid-stream "snapshot" event of
-//     the current document (a reset, counted in FanoutStats.Resets);
-//   - pending events past Server.MaxWatcherLag → terminal "eviction"
-//     event and disconnect (FanoutStats.Evictions);
-//   - a write or flush missing Server.StreamWriteTimeout with the client
-//     still connected → disconnect, also counted as an eviction.
-//
-// Idle liveness comments ride the server's shared PumpSweep instead of a
-// per-connection timer.
-func (s *Server) pumpStream(w http.ResponseWriter, r *http.Request, st *Store, path string, after, startGen uint64) {
-	st.fanout.streams.Add(1)
-	rc := http.NewResponseController(w)
-	wt := s.streamWriteTimeout()
-	budget := s.MaxWatcherLag
-	hb := s.heartbeat()
-
-	// Register the wake BEFORE the catch-up read: a commit landing between
-	// the two must nudge the pump, not vanish. The capacity-1 channel
-	// absorbs wakes that arrive while the pump is busy writing.
-	p := NewPump()
-	cancel := st.watchPath(path, p.WakeChan())
-	defer cancel()
-	sweep := s.pumpSweep()
-	sweep.Add(p)
-	defer sweep.Remove(p)
-
-	// arm sets the next writes' shared deadline; a peer that cannot absorb
-	// a batch within it makes the write fail instead of pinning the pump.
-	arm := func() {
-		if wt > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(wt))
-		}
+//   - the journal no longer holds every version past the cursor → one
+//     mid-stream "snapshot" of the current document (FanoutStats.Resets);
+//   - more than Server.MaxWatcherLag events pending → terminal "eviction"
+//     event and disconnect (FanoutStats.Evictions).
+func (src *streamSource) Collect(w io.Writer) bool {
+	st := src.st
+	v := st.pumpCollect(src.path, src.lastEpoch, src.lastVer, src.events)
+	src.events = v.events
+	if v.closed || v.gen != src.gen {
+		// The store closed, or adopted a new generation mid-stream (a
+		// replica that reset after its leader restarted): everything sent
+		// describes the dead incarnation, so end the stream — the client
+		// reconnects and reads the new generation header.
+		return false
 	}
-	// write appends one SSE event into the reused frame buffer and writes
-	// it (buffered; the batch reaches the socket at the next flush).
-	var frame []byte
-	write := func(event string, d Document, payload []byte) error {
-		if payload == nil {
-			payload = encodeEventPayload(path, d)
-		}
-		frame = frame[:0]
-		frame = append(frame, "id: "...)
-		frame = strconv.AppendUint(frame, d.Epoch, 10)
-		frame = append(frame, "\nevent: "...)
-		frame = append(frame, event...)
-		frame = append(frame, "\ndata: "...)
-		frame = append(frame, payload...)
-		frame = append(frame, "\n\n"...)
-		_, err := w.Write(frame)
-		return err
-	}
-	// flush pushes the accumulated batch to the socket; n > 0 records a
-	// delivery batch of that many events.
-	flush := func(n int) error {
-		if err := rc.Flush(); err != nil {
-			return err
-		}
-		p.Touch()
-		if n > 0 {
-			st.fanout.noteBatch(n)
-		}
-		return nil
-	}
-	// evicted classifies a failed write. A missed write deadline is ALWAYS
-	// an eviction — the error check matters because the http server
-	// cancels the request context on any connection write error, so by the
-	// time this runs a deadline miss is indistinguishable from a hangup by
-	// the context alone. A dead context without a deadline error is the
-	// client hanging up (not backpressure).
-	evicted := func(err error) {
-		if errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() == nil {
-			st.fanout.evictions.Add(1)
-		}
-	}
-	// emit1 arms the deadline, writes one event, and flushes it as a batch
-	// of one — the single-event delivery every non-batch site uses.
-	emit1 := func(event string, d Document, payload []byte) bool {
-		arm()
-		err := write(event, d, payload)
-		if err == nil {
-			err = flush(1)
-		}
-		if err != nil {
-			evicted(err)
-			return false
-		}
-		return true
-	}
-
-	// Catch-up, one batch: journal replay past the client's epoch, or the
-	// snapshot fallback. lastVer/lastEpoch are the pump's cursors; every
-	// later write must strictly advance lastVer.
-	var lastVer, lastEpoch uint64
-	lastEpoch = after
-	virgin := false
-	var evBuf []StoreEvent
-	cur, curErr := st.Get(path)
+	connecting := !src.live
+	src.live = true
+	n := 0
 	switch {
-	case curErr == nil && cur.Epoch <= after:
-		if after > st.Epoch() {
-			// Ahead of the whole store: the client watched an incarnation
-			// this store does not have. The snapshot (with the generation
-			// header) is its restart signal.
-			if !emit1("snapshot", cur, nil) {
-				return
-			}
+	case v.cur.Version <= src.lastVer:
+		// Nothing committed past the cursor: an idle sweep wake, or a
+		// path that is not (yet) published — hold the stream open.
+		src.parked = src.parked || connecting
+		return true
+	case src.parked:
+		// First publication of a path the stream parked on. The journal
+		// may hold a retired predecessor's history under this path, so
+		// serve the current document directly instead of replaying.
+		src.parked = false
+		src.emit(w, "version", v.cur, nil)
+		n = 1
+	case connecting && v.cur.Epoch <= src.lastEpoch:
+		// The client is current. If it is ahead of the whole store it
+		// watched an incarnation this store does not have: the snapshot
+		// (with the generation header) is its restart signal.
+		if src.lastEpoch > v.epoch {
+			src.emit(w, "snapshot", v.cur, nil)
+			n = 1
 		}
-		lastVer, lastEpoch = cur.Version, cur.Epoch
-	case curErr == nil:
-		var ok bool
-		evBuf, ok = st.ReplayEventsInto(path, after, evBuf[:0])
-		if !ok {
-			if !emit1("snapshot", cur, nil) {
-				return
-			}
-			lastVer, lastEpoch = cur.Version, cur.Epoch
-			break
+	case !v.complete:
+		// The bounded catch-up history is gone: reset the stream from the
+		// current document instead of buffering the gap.
+		if !connecting {
+			st.fanout.resets.Add(1)
 		}
-		arm()
-		n := 0
-		for _, ev := range evBuf {
-			if ev.Doc.Version <= lastVer && lastVer != 0 {
-				continue
-			}
-			if err := write("replay", ev.Doc, ev.Payload); err != nil {
-				evicted(err)
-				return
-			}
-			lastVer, lastEpoch = ev.Doc.Version, ev.Doc.Epoch
-			n++
-		}
-		if n > 0 {
-			if err := flush(n); err != nil {
-				evicted(err)
-				return
-			}
-		}
+		src.emit(w, "snapshot", v.cur, nil)
+		n = 1
+	case !connecting && src.budget > 0 && len(v.events) > src.budget:
+		// Lag budget exceeded: hand the peer the terminal event and
+		// disconnect — it reconnects through ordinary replay (or its
+		// snapshot fallback) and catches up at its own pace without
+		// holding journal history for everyone else.
+		st.fanout.pump.Evictions.Add(1)
+		fmt.Fprintf(w, "event: eviction\ndata: {\"pending\":%d,\"budget\":%d}\n\n", len(v.events), src.budget)
+		return false
 	default:
-		// Not (yet) published: hold the stream open. The journal may hold
-		// a retired predecessor's history under this path, so the first
-		// wake serves the current document directly instead of replaying.
-		virgin = true
+		event := "version"
+		if connecting {
+			event = "replay"
+		}
+		for _, ev := range v.events {
+			src.emit(w, event, ev.Doc, ev.Payload)
+		}
+		n = len(v.events)
 	}
+	src.lastVer, src.lastEpoch = v.cur.Version, v.cur.Epoch
+	if n > 0 {
+		st.fanout.noteBatch(n)
+	}
+	return true
+}
 
-	// The pump loop: block on the wake channel, drain, repeat.
-	drained := s.drainContext().Done()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-drained:
-			// Graceful shutdown: end the held stream with the terminal
-			// frame so the client reconnects to another replica with its
-			// cursors intact (ordinary replay catch-up) instead of timing
-			// out against a dead connection.
-			arm()
-			_, _ = io.WriteString(w, "event: draining\ndata: {}\n\n")
-			_ = rc.Flush()
-			return
-		case <-p.WakeChan():
-		}
-		view := st.pumpCollect(path, lastEpoch, evBuf[:0])
-		evBuf = view.events
-		if view.closed {
-			return
-		}
-		if startGen != 0 && view.gen != startGen {
-			// The backing adopted a new generation mid-stream — a replica
-			// that reset after its leader restarted. Everything emitted
-			// describes the dead incarnation; end the stream so the client
-			// reconnects and reads the new generation header.
-			return
-		}
-		switch {
-		case virgin:
-			if d, err := st.Get(path); err == nil && d.Version > lastVer {
-				if !emit1("version", d, nil) {
-					return
-				}
-				lastVer, lastEpoch = d.Version, d.Epoch
-				virgin = false
-			}
-		case !view.ok:
-			// The cursor fell below the journal floor: the bounded
-			// catch-up history is gone, so reset the stream from the
-			// current document instead of buffering the gap.
-			if d, err := st.Get(path); err == nil && d.Version > lastVer {
-				st.fanout.resets.Add(1)
-				if !emit1("snapshot", d, nil) {
-					return
-				}
-				lastVer, lastEpoch = d.Version, d.Epoch
-			} else {
-				lastEpoch = view.epoch
-			}
-		default:
-			if budget > 0 && len(evBuf) > budget {
-				// Lag budget exceeded: hand the peer the terminal event
-				// and disconnect — it reconnects through ordinary replay
-				// (or its snapshot fallback) and catches up at its own
-				// pace without holding journal history for everyone else.
-				st.fanout.evictions.Add(1)
-				arm()
-				fmt.Fprintf(w, "event: eviction\ndata: {\"pending\":%d,\"budget\":%d}\n\n", len(evBuf), budget)
-				_ = rc.Flush()
-				return
-			}
-			n := 0
-			if len(evBuf) > 0 {
-				arm()
-			}
-			for _, ev := range evBuf {
-				if ev.Doc.Version <= lastVer {
-					continue
-				}
-				if err := write("version", ev.Doc, ev.Payload); err != nil {
-					evicted(err)
-					return
-				}
-				lastVer = ev.Doc.Version
-				n++
-			}
-			lastEpoch = view.epoch
-			if n > 0 {
-				if err := flush(n); err != nil {
-					evicted(err)
-					return
-				}
-			}
-		}
-		// A sweep nudge with nothing to deliver: prove liveness when due.
-		if p.Idle() >= hb {
-			arm()
-			_, err := io.WriteString(w, ": hb\n\n")
-			if err == nil {
-				err = flush(0)
-			}
-			if err != nil {
-				evicted(err)
-				return
-			}
-			st.fanout.heartbeats.Add(1)
-		}
+// emit writes one SSE event. Committed versions arrive with their
+// commit-time shared payload (the same bytes every watcher gets and the
+// WAL carries); payload==nil marshals per connection (snapshots). The
+// framing is hand-appended into a reused buffer — fmt boxing and
+// per-event allocations would be paid once per watcher per commit, the
+// exact multiplier shared payloads remove.
+func (src *streamSource) emit(w io.Writer, event string, d Document, payload []byte) {
+	if payload == nil {
+		payload = encodeEventPayload(src.path, d)
 	}
+	f := append(src.frame[:0], "id: "...)
+	f = strconv.AppendUint(f, d.Epoch, 10)
+	f = append(f, "\nevent: "...)
+	f = append(f, event...)
+	f = append(f, "\ndata: "...)
+	f = append(f, payload...)
+	f = append(f, "\n\n"...)
+	src.frame = f
+	_, _ = w.Write(f)
+}
+
+// Heartbeat implements PumpSource: the SSE comment line.
+func (src *streamSource) Heartbeat(w io.Writer) { _, _ = io.WriteString(w, ": hb\n\n") }
+
+// Farewell implements PumpSource: the terminal frame of a graceful
+// shutdown, so the client reconnects to another replica with its cursors
+// intact (ordinary replay catch-up) instead of timing out against a dead
+// connection.
+func (src *streamSource) Farewell(w io.Writer) {
+	_, _ = io.WriteString(w, "event: draining\ndata: {}\n\n")
 }
 
 // WatchStream performs one streaming watch against url: it connects with
@@ -616,8 +293,7 @@ func (s *Server) pumpStream(w http.ResponseWriter, r *http.Request, st *Store, p
 // history first, then live commits — until ctx ends or the connection
 // breaks, which is reported as an error so the caller can reconnect with
 // its last seen epoch and ride the replay. A server that does not speak the
-// streaming transport is reported as ErrStreamUnsupported; callers degrade
-// to WatchNewer.
+// streaming transport is reported as ErrStreamUnsupported.
 func WatchStream(ctx context.Context, client *http.Client, url string, afterEpoch uint64, fn func(StreamEvent)) error {
 	if client == nil {
 		client = http.DefaultClient
@@ -626,9 +302,9 @@ func WatchStream(ctx context.Context, client *http.Client, url string, afterEpoc
 	if strings.ContainsRune(url, '?') {
 		sep = "&"
 	}
-	// The timeout parameter is ignored by streaming servers but makes an
-	// older, long-poll-only server answer the probe quickly instead of
-	// parking it for a full poll window.
+	// The timeout parameter is ignored by streaming servers but makes a
+	// long-poll-only server answer quickly instead of parking the request
+	// for a full poll window.
 	streamURL := url + sep + "watch=stream&after=" + strconv.FormatUint(afterEpoch, 10) + "&timeout=1s"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, streamURL, nil)
 	if err != nil {

@@ -12,7 +12,7 @@ package ifsvr
 // dirtied — one small lock each, one non-blocking send per watcher of a
 // dirty path. Delivery itself happens on the watcher's own goroutine
 // (its delivery pump), which pulls pending events from the epoch journal
-// at its own pace; see pump.go and the stream server.
+// at its own pace; see pump.go.
 
 import (
 	"math"
@@ -138,15 +138,14 @@ const batchBuckets = 12
 // fanoutCounters is the delivery plane's hot-path instrumentation: plain
 // atomics, no locks, safe to bump from any pump goroutine.
 type fanoutCounters struct {
-	wakes      atomic.Uint64
-	streams    atomic.Uint64
-	batches    atomic.Uint64
-	events     atomic.Uint64
-	heartbeats atomic.Uint64
-	evictions  atomic.Uint64
-	resets     atomic.Uint64
-	batchMax   atomic.Uint64
-	hist       [batchBuckets]atomic.Uint64
+	wakes    atomic.Uint64
+	streams  atomic.Uint64
+	batches  atomic.Uint64
+	events   atomic.Uint64
+	pump     PumpCounters // heartbeats, evictions
+	resets   atomic.Uint64
+	batchMax atomic.Uint64
+	hist     [batchBuckets]atomic.Uint64
 }
 
 // noteBatch records one pump flush of n events.
@@ -225,9 +224,9 @@ type FanoutStats struct {
 	// Evictions counts streams dropped for backpressure — a write that
 	// missed its deadline, or pending events past MaxWatcherLag.
 	Evictions uint64
-	// Resets counts mid-stream snapshot resets: a pump's cursor fell
-	// below the journal floor and the stream was restarted from the
-	// current document instead of buffering the gap.
+	// Resets counts mid-stream snapshot resets: the journal no longer
+	// held every version past a pump's cursor and the stream was restarted
+	// from the current document instead of buffering the gap.
 	Resets uint64
 }
 
@@ -245,8 +244,8 @@ func (s *Store) fanoutStats() FanoutStats {
 		BatchP50:      s.fanout.batchPercentile(0.50),
 		BatchP99:      s.fanout.batchPercentile(0.99),
 		BatchMax:      int(s.fanout.batchMax.Load()),
-		Heartbeats:    s.fanout.heartbeats.Load(),
-		Evictions:     s.fanout.evictions.Load(),
+		Heartbeats:    s.fanout.pump.Heartbeats.Load(),
+		Evictions:     s.fanout.pump.Evictions.Load(),
 		Resets:        s.fanout.resets.Load(),
 	}
 }

@@ -149,19 +149,9 @@ func (b *backend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, 
 	return b.compile(doc)
 }
 
-// WatchInterface implements cde.WatchableBackend over the Interface
-// Server's long-poll watch protocol, making the binding watch-capable with
-// no extra server-side code.
-func (b *backend) WatchInterface(ctx context.Context, after uint64) (dyn.InterfaceDescriptor, cde.DocVersions, error) {
-	doc, err := b.docs.Watch(ctx, after)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, cde.DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements cde.StreamingBackend over the Interface
-// Server's SSE watch transport, again with no extra server-side code.
+// StreamInterface implements cde.WatchableBackend over the Interface
+// Server's SSE watch transport, making the binding watch-capable with no
+// extra server-side code.
 func (b *backend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(cde.InterfaceEvent)) error {
 	return b.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
 		desc, vers, err := b.compile(ev.Doc)

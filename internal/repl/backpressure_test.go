@@ -1,10 +1,13 @@
 package repl_test
 
 import (
+	"context"
 	"fmt"
 	"net"
+	"net/http"
 	"net/url"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -12,21 +15,58 @@ import (
 	"livedev/internal/repl"
 )
 
+// sockoptControl returns a net.ListenConfig/net.Dialer Control hook that
+// sets one SOL_SOCKET buffer option before bind/connect. As in the watch
+// plane's torture test, both ends pin their socket buffers before the
+// handshake so the stall does not depend on how much TCP autotuning lets
+// loopback absorb.
+func sockoptControl(opt, bytes int) func(network, address string, c syscall.RawConn) error {
+	return func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, opt, bytes)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}
+}
+
+// startPinnedLeader is startLeader on a listener whose accepted
+// connections carry a 16KB send buffer.
+func startPinnedLeader(t *testing.T, cfg repl.TailConfig) (*ifsvr.Store, string) {
+	t.Helper()
+	st := ifsvr.NewStore(0, nil)
+	srv := ifsvr.NewView(st)
+	ts := repl.Attach(st, srv, cfg)
+	lc := net.ListenConfig{Control: sockoptControl(syscall.SO_SNDBUF, 16<<10)}
+	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("starting leader: %v", err)
+	}
+	hs := &http.Server{Handler: srv}
+	go func() { _ = hs.Serve(ln) }()
+	t.Cleanup(func() {
+		_ = hs.Close()
+		ts.Close()
+		st.Close()
+	})
+	return st, "http://" + ln.Addr().String()
+}
+
 // dialStalledTail opens a raw WAL-tail request for one shard and never
-// reads the response — a frozen replication peer. The shrunken receive
-// buffer keeps the kernel from absorbing the whole storm client-side.
+// reads the response — a frozen replication peer with a 4KB receive
+// buffer.
 func dialStalledTail(t *testing.T, base string, shard int) net.Conn {
 	t.Helper()
 	u, err := url.Parse(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", u.Host)
+	d := net.Dialer{Control: sockoptControl(syscall.SO_RCVBUF, 4<<10)}
+	conn, err := d.Dial("tcp", u.Host)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4096)
 	}
 	req := fmt.Sprintf("GET %s?shard=%d&after=0 HTTP/1.1\r\nHost: %s\r\n\r\n", repl.TailPath, shard, u.Host)
 	if _, err := conn.Write([]byte(req)); err != nil {
@@ -44,7 +84,7 @@ func dialStalledTail(t *testing.T, base string, shard int) net.Conn {
 // ReplicationStats.Evictions — while the follower rides the same storm
 // out and converges on every byte.
 func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{
+	st, base := startPinnedLeader(t, repl.TailConfig{
 		Heartbeat:    100 * time.Millisecond,
 		WriteTimeout: 300 * time.Millisecond,
 		// The ring must outlast the storm so the follower tails it without
@@ -74,8 +114,8 @@ func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	// The storm: publish until the write deadline evicts the stalled
-	// tail. The cap exists because the kernel absorbs the first few MB in
-	// socket buffers before the tail's write ever blocks.
+	// tail. The cap bounds a broken valve; with the pinned buffers the
+	// tail's write blocks after the first few records.
 	const maxEdits = 3000
 	edits := 0
 	deadline := time.Now().Add(90 * time.Second)

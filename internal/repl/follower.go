@@ -156,6 +156,8 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 		applied:   make([]uint64, hello.Shards),
 		leaderLSN: append([]uint64(nil), hello.LSNs...),
 	}
+	f.iface = ifsvr.NewView(st)
+	f.iface.LeaderURL = cfg.Leader
 	// Serve the LEADER's restart generation, not our own incarnation
 	// count: a watcher failing over between replicas must not misread
 	// the replica switch as a state-loss restart.
@@ -209,12 +211,12 @@ func handshake(ctx context.Context, hc *http.Client, leader string) (Hello, erro
 // Serve starts the follower's read-only Interface Server on addr and
 // returns its base URL.
 func (f *Follower) Serve(addr string) (string, error) {
-	f.iface = ifsvr.NewView(f.store)
-	f.iface.LeaderURL = f.leader
 	return f.iface.Start(addr)
 }
 
-// Iface returns the follower's Interface Server (nil before Serve).
+// Iface returns the follower's Interface Server — a view over the local
+// store that exists from OpenFollower on (so its valves can be set) and
+// listens once Serve is called.
 func (f *Follower) Iface() *ifsvr.Server { return f.iface }
 
 // Store returns the follower's local store.
@@ -238,9 +240,7 @@ func (f *Follower) Close() {
 	}
 	f.wg.Wait()
 	f.saveCursor()
-	if f.iface != nil {
-		_ = f.iface.Close()
-	}
+	_ = f.iface.Close()
 	f.store.Close()
 }
 
@@ -251,9 +251,7 @@ func (f *Follower) Crash() error {
 		f.cancel()
 	}
 	f.wg.Wait()
-	if f.iface != nil {
-		_ = f.iface.Close()
-	}
+	_ = f.iface.Close()
 	return f.store.Crash()
 }
 

@@ -2,9 +2,8 @@ package repl
 
 import (
 	"encoding/json"
-	"errors"
+	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -49,11 +48,9 @@ type TailConfig struct {
 	// Heartbeat paces idle-stream liveness records (0 means
 	// DefaultTailHeartbeat).
 	Heartbeat time.Duration
-	// WriteTimeout bounds each tail-response write via
-	// http.ResponseController.SetWriteDeadline (0 means
-	// DefaultTailWriteTimeout; negative disables the deadline). A write
-	// missing it with the client still connected counts as an eviction in
-	// ReplicationStats.
+	// WriteTimeout bounds each batch written to a tail (0 means
+	// DefaultTailWriteTimeout; negative disables the deadline). A batch
+	// missing it counts as an eviction in ReplicationStats.
 	WriteTimeout time.Duration
 }
 
@@ -62,17 +59,17 @@ type TailConfig struct {
 // rings, and serves the WAL-tail endpoint — handshake, record streaming
 // from a given lsn, snapshot bootstrap when the cursor has been compacted
 // away, and heartbeats. Mount it on the Interface Server at TailPath
-// (Attach does both steps).
+// (Attach does both steps). Held tails are served by the same delivery
+// pump as the watch streams (ifsvr.Pump.Run): this package supplies only
+// the source — CRC frames over a shard ring — and the policy numbers.
 type TailServer struct {
-	store        *ifsvr.Store
-	gen          uint64
-	shards       int
-	history      int
-	heartbeat    time.Duration
-	writeTimeout time.Duration
-	// sweep is the shared heartbeat ticker over every held tail's pump —
-	// one goroutine total, not one timer per tail connection.
-	sweep  *ifsvr.PumpSweep
+	store   *ifsvr.Store
+	gen     uint64
+	shards  int
+	history int
+	// pump is the held-tail policy: write deadline, heartbeat interval and
+	// shared sweep, the drain signal, and the heartbeat/eviction counters.
+	pump   ifsvr.PumpConfig
 	cancel func()
 	// primed marks a store that already held state when this tail server
 	// was created (a durable leader after restart): that state predates
@@ -90,20 +87,16 @@ type TailServer struct {
 	logs []*shardLog
 
 	statsMu sync.Mutex
-	stats   struct {
-		records, batches, removes, bootstraps, heartbeats uint64
-		evictions                                         uint64
-		tails                                             int
-	}
+	stats   struct{ records, batches, removes, bootstraps uint64 }
 }
 
 // shardLog is one shard's bounded ring of framed records, lsns
-// contiguous and ascending.
+// contiguous and ascending, plus the pumps of the tails held on it.
 type shardLog struct {
-	mu      sync.Mutex
-	lsn     uint64 // last assigned lsn (0 before the first record)
-	frames  []tailFrame
-	changed chan struct{} // closed and replaced on every append
+	mu     sync.Mutex
+	lsn    uint64 // last assigned lsn (0 before the first record)
+	frames []tailFrame
+	tails  map[*ifsvr.Pump]struct{} // nudged on every append
 }
 
 type tailFrame struct {
@@ -137,19 +130,23 @@ func NewTailServer(st *ifsvr.Store, cfg TailConfig) *TailServer {
 		wt = 0
 	}
 	t := &TailServer{
-		store:        st,
-		gen:          st.Generation(),
-		shards:       shards,
-		history:      history,
-		heartbeat:    hb,
-		writeTimeout: wt,
-		sweep:        ifsvr.NewPumpSweep(hb / 2),
-		primed:       st.Epoch() > 0,
-		drain:        make(chan struct{}),
-		logs:         make([]*shardLog, shards),
+		store:   st,
+		gen:     st.Generation(),
+		shards:  shards,
+		history: history,
+		primed:  st.Epoch() > 0,
+		drain:   make(chan struct{}),
+		logs:    make([]*shardLog, shards),
+	}
+	t.pump = ifsvr.PumpConfig{
+		WriteTimeout: wt,
+		Heartbeat:    hb,
+		Sweep:        ifsvr.NewPumpSweep(hb / 2),
+		Drain:        t.drain,
+		Counters:     new(ifsvr.PumpCounters),
 	}
 	for i := range t.logs {
-		t.logs[i] = &shardLog{changed: make(chan struct{})}
+		t.logs[i] = &shardLog{tails: make(map[*ifsvr.Pump]struct{})}
 	}
 	t.cancel = st.SubscribeOps(t.append)
 	st.SetReplicationStats(t.replicationStats)
@@ -228,7 +225,7 @@ func (t *TailServer) append(op ifsvr.StoreOp) {
 	}
 }
 
-// push appends fr and evicts past the capacity, waking parked tails.
+// push appends fr and evicts past the capacity, waking the held tails.
 // Caller holds sl.mu.
 func (sl *shardLog) push(fr tailFrame, history int) {
 	if history > 0 {
@@ -238,8 +235,9 @@ func (sl *shardLog) push(fr tailFrame, history int) {
 			sl.frames = sl.frames[:history]
 		}
 	}
-	close(sl.changed)
-	sl.changed = make(chan struct{})
+	for p := range sl.tails {
+		p.Nudge()
+	}
 }
 
 // floorLocked is the oldest serveable "after" cursor: one below the
@@ -296,150 +294,98 @@ func (t *TailServer) serveHello(w http.ResponseWriter) {
 }
 
 // serveTail streams shard records past `after` until the client goes
-// away: pending records (batched — one flush per collect, not per
-// record), then live pushes as they commit, heartbeats when idle. An
-// unserveable cursor — compacted away, past the head (the follower
-// outlived a leader restart, or sent the forced-bootstrap sentinel), or
-// zero against a primed store whose state predates the rings — is
-// answered inline with one bootstrap record, after which tailing resumes
-// from the bootstrap's lsn.
-//
-// Backpressure mirrors the watch streams: every write runs under the
-// configured write deadline, a peer that misses it while still connected
-// is evicted (counted in ReplicationStats.Evictions), and a peer that
-// falls below the ring floor is bootstrapped rather than buffered for.
-// Idle heartbeats ride the shared PumpSweep, not a per-tail timer.
+// away or the leader drains: pending records (one flush per collect, not
+// per record), then live pushes as they commit, heartbeats when idle. The
+// held-connection policy — write deadline, eviction, heartbeat sweep — is
+// the delivery pump's; see ifsvr/pump.go and "Backpressure and eviction"
+// in docs/watch-protocol.md.
 func (t *TailServer) serveTail(w http.ResponseWriter, r *http.Request, shard int, after uint64) {
-	if _, ok := w.(http.Flusher); !ok {
+	fl, ok := w.(http.Flusher)
+	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", TailContentType)
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	_ = rc.Flush()
+	fl.Flush()
 
-	t.statsMu.Lock()
-	t.stats.tails++
-	t.statsMu.Unlock()
-	defer func() {
-		t.statsMu.Lock()
-		t.stats.tails--
-		t.statsMu.Unlock()
-	}()
-
+	// Register with the ring BEFORE the first collect: a record pushed in
+	// between must nudge the pump, not vanish.
 	p := ifsvr.NewPump()
-	t.sweep.Add(p)
-	defer t.sweep.Remove(p)
-	arm := func() {
-		if t.writeTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(t.writeTimeout))
-		}
-	}
-	// evicted classifies a failed write. A missed write deadline is ALWAYS
-	// an eviction — the error check matters because the http server
-	// cancels the request context on any connection write error, so by the
-	// time this runs a deadline miss is indistinguishable from a hangup by
-	// the context alone. A dead context without a deadline error is the
-	// client hanging up (not backpressure).
-	evicted := func(err error) {
-		if errors.Is(err, os.ErrDeadlineExceeded) || r.Context().Err() == nil {
-			t.statsMu.Lock()
-			t.stats.evictions++
-			t.statsMu.Unlock()
-		}
-	}
-
 	sl := t.logs[shard]
-	cursor := after
+	sl.mu.Lock()
+	sl.tails[p] = struct{}{}
+	sl.mu.Unlock()
+	defer func() {
+		sl.mu.Lock()
+		delete(sl.tails, p)
+		sl.mu.Unlock()
+	}()
+	p.Run(w, r, t.pump, &tailSource{t: t, shard: shard, cursor: after})
+}
+
+// tailSource feeds one held tail's pump from its shard ring: CRC frames
+// past an lsn cursor. This plane's answer to a cursor the ring cannot
+// serve — compacted away, past the head (the follower outlived a leader
+// restart, or sent the forced-bootstrap sentinel), or zero against a
+// primed store whose state predates the rings — is one inline bootstrap
+// record, after which tailing resumes from the bootstrap's lsn.
+type tailSource struct {
+	t      *TailServer
+	shard  int
+	cursor uint64
 	// booted guards the primed-store rule: a fresh follower (after=0)
 	// against a store that predates the rings gets one state transfer,
 	// after which a zero cursor (an empty shard's head) is ordinary.
-	booted := false
-	for {
-		frames, wake, needBootstrap := sl.collect(cursor)
-		if t.primed && cursor == 0 && !booted {
-			needBootstrap = true
-		}
-		if needBootstrap {
-			booted = true
-			frame, lsn := t.bootstrap(shard)
-			arm()
-			if _, err := w.Write(frame); err != nil {
-				evicted(err)
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				evicted(err)
-				return
-			}
-			p.Touch()
-			cursor = lsn
-			t.statsMu.Lock()
-			t.stats.bootstraps++
-			t.statsMu.Unlock()
-			continue
-		}
-		if len(frames) > 0 {
-			arm()
-			for _, fr := range frames {
-				if _, err := w.Write(fr.data); err != nil {
-					evicted(err)
-					return
-				}
-				cursor = fr.lsn
-			}
-			if err := rc.Flush(); err != nil {
-				evicted(err)
-				return
-			}
-			p.Touch()
-			continue
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.drain:
-			// Graceful shutdown: end the held tail; the follower
-			// reconnects from its durable cursor.
-			return
-		case <-wake:
-		case <-p.WakeChan():
-			// Sweep nudge: write the liveness record when due.
-			if p.Idle() < t.heartbeat {
-				continue
-			}
-			arm()
-			if _, err := w.Write(encodeHeartbeatFrame(cursor)); err != nil {
-				evicted(err)
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				evicted(err)
-				return
-			}
-			p.Touch()
-			t.statsMu.Lock()
-			t.stats.heartbeats++
-			t.statsMu.Unlock()
-		}
-	}
+	booted bool
 }
 
-// collect snapshots the frames past cursor (nil when caught up, with the
-// ring's wake channel), or reports that the cursor is unserveable and
-// the tail must bootstrap.
-func (sl *shardLog) collect(cursor uint64) (frames []tailFrame, wake chan struct{}, needBootstrap bool) {
+// Collect implements ifsvr.PumpSource.
+func (src *tailSource) Collect(w io.Writer) bool {
+	t := src.t
+	frames, needBootstrap := t.logs[src.shard].collect(src.cursor)
+	if t.primed && src.cursor == 0 && !src.booted {
+		needBootstrap = true
+	}
+	if needBootstrap {
+		// Records pushed after the bootstrap captured its lsn have nudged
+		// the pump, so the next collect tails them.
+		src.booted = true
+		var frame []byte
+		frame, src.cursor = t.bootstrap(src.shard)
+		_, _ = w.Write(frame)
+		t.statsMu.Lock()
+		t.stats.bootstraps++
+		t.statsMu.Unlock()
+		return true
+	}
+	for _, fr := range frames {
+		_, _ = w.Write(fr.data)
+		src.cursor = fr.lsn
+	}
+	return true
+}
+
+// Heartbeat implements ifsvr.PumpSource: the liveness record.
+func (src *tailSource) Heartbeat(w io.Writer) { _, _ = w.Write(encodeHeartbeatFrame(src.cursor)) }
+
+// Farewell implements ifsvr.PumpSource. A drained tail just ends; the
+// follower reconnects from its durable cursor.
+func (src *tailSource) Farewell(io.Writer) {}
+
+// collect snapshots the frames past cursor (nil when caught up), or
+// reports that the cursor is unserveable and the tail must bootstrap.
+func (sl *shardLog) collect(cursor uint64) (frames []tailFrame, needBootstrap bool) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if cursor > sl.lsn || cursor < sl.floorLocked() {
-		return nil, nil, true
+		return nil, true
 	}
 	if cursor == sl.lsn {
-		return nil, sl.changed, false
+		return nil, false
 	}
 	idx := sort.Search(len(sl.frames), func(i int) bool { return sl.frames[i].lsn > cursor })
-	return append([]tailFrame(nil), sl.frames[idx:]...), nil, false
+	return append([]tailFrame(nil), sl.frames[idx:]...), false
 }
 
 // bootstrap packs one shard's current state into a bootstrap frame. The
@@ -487,6 +433,7 @@ func (t *TailServer) replicationStats() *ifsvr.ReplicationStats {
 		sl.mu.Lock()
 		rs.LSN[i] = sl.lsn
 		rs.FloorLSN[i] = sl.floorLocked()
+		rs.Tails += len(sl.tails)
 		sl.mu.Unlock()
 	}
 	t.statsMu.Lock()
@@ -494,9 +441,8 @@ func (t *TailServer) replicationStats() *ifsvr.ReplicationStats {
 	rs.Batches = t.stats.batches
 	rs.Removes = t.stats.removes
 	rs.Bootstraps = t.stats.bootstraps
-	rs.Heartbeats = t.stats.heartbeats
-	rs.Evictions = t.stats.evictions
-	rs.Tails = t.stats.tails
 	t.statsMu.Unlock()
+	rs.Heartbeats = t.pump.Counters.Heartbeats.Load()
+	rs.Evictions = t.pump.Counters.Evictions.Load()
 	return rs
 }

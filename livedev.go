@@ -25,9 +25,9 @@
 //     resumes its epoch sequence, so reconnecting watchers ride journal
 //     replay instead of refetching; Config.Sync picks the ack's
 //     durability, from buffered through group-commit fsync), read by the
-//     Interface Server and watchable over two HTTP transports — streaming
-//     (SSE, one held connection per watcher, journal-replay catch-up on
-//     reconnect) and long-poll; plus ReExport, the live binding-agnostic
+//     Interface Server and watchable over a streaming HTTP transport (SSE,
+//     one held connection per watcher, journal-replay catch-up on
+//     reconnect); plus ReExport, the live binding-agnostic
 //     bridge (serve any registered binding's class over any other);
 //   - complete SOAP 1.1 + WSDL 1.1 and CORBA (CDR, GIOP/IIOP, IOR, IDL,
 //     DII/DSI ORBs) protocol stacks, built on the standard library only,
@@ -63,8 +63,8 @@
 // Dial fetches the interface document once and sniffs which registered
 // binding it belongs to (WSDL -> SOAP, IDL/IOR -> CORBA, JSON document ->
 // JSON, h2b descriptor -> H2B), or obeys an explicit WithBinding option.
-// The context-free wrappers of the v1 API (ConnectSOAP, ConnectCORBA,
-// Client.Call) remain as thin deprecated shims.
+// The context-free Client.Call of the v1 API remains as a thin deprecated
+// shim.
 //
 // Concurrent callers should consider the h2b binding (H2BBinding): its
 // CDR-over-HTTP/2 wire format multiplexes any number of in-flight calls
@@ -232,18 +232,15 @@ type (
 //     interface refresh.
 //
 // Watch capability (optional): a binding whose client backend also
-// implements cde.WatchableBackend — one extra method, WatchInterface(ctx,
-// after), blocking until the published document is newer than `after` and
-// returning the compiled view — becomes usable with WithWatch: clients get
-// push-invalidated interface caches instead of per-call refetches. Adding
-// cde.StreamingBackend (StreamInterface, usually one call to
-// DocSource.Stream plus the binding's document compiler) upgrades the
-// watcher to the streaming transport. Server halves that publish through
-// Manager.PublishInterface get both watch endpoints ("?watch=1&after=N"
-// long-poll and "?watch=stream&after=N" SSE on the document URL) for free,
-// because the Interface Server is a read view over the manager's journaled
-// publication store (see internal/jsonb for the few-line version of both
-// client methods). Bindings without the capability still work everywhere
+// implements cde.WatchableBackend — one extra method, StreamInterface
+// (usually one call to DocSource.Stream plus the binding's document
+// compiler) — becomes usable with WithWatch: clients get push-invalidated
+// interface caches instead of per-call refetches. Server halves that
+// publish through Manager.PublishInterface get the watch endpoints
+// ("?watch=stream&after=N" SSE, plus the "?watch=1&after=N" long-poll kept
+// for tools) on the document URL for free, because the Interface Server is
+// a read view over the manager's journaled publication store (see
+// internal/jsonb for the few-line client method). Bindings without the capability still work everywhere
 // except WithWatch, which fails loudly at Dial time.
 //
 // internal/jsonb implements the full contract in ~400 lines and is wired
@@ -355,16 +352,14 @@ func WithBinding(name string) Option {
 // resolved from this push-invalidated cache — the reactive refresh of
 // Section 6 without a per-call document refetch.
 //
-// The watcher picks its transport automatically: it prefers the Interface
-// Server's streaming watch ("?watch=stream&after=N", one held SSE
-// connection per client; a broken connection reconnects with the last seen
-// store epoch and is caught up from the server's journal replay instead of
-// refetching) and degrades to the long-poll protocol ("?watch=1&after=N")
-// against servers without the streaming endpoint. ClientStats
-// (StreamEvents, Reconnects, Replays vs Refreshes) makes the chosen path
-// observable. Dial fails if the chosen binding's backend does not implement
-// the optional watch capability (cde.WatchableBackend); all three built-in
-// bindings implement the streaming flavor (cde.StreamingBackend).
+// The watcher holds the Interface Server's streaming watch
+// ("?watch=stream&after=N", one SSE connection per client); a broken
+// connection backs off, fails over to the next endpoint, and reconnects
+// with the last seen store epoch, caught up from the server's journal
+// replay instead of refetching. ClientStats (StreamEvents, Reconnects,
+// Replays vs Refreshes) makes that observable. Dial fails if the chosen
+// binding's backend does not implement the optional watch capability
+// (cde.WatchableBackend); all four built-in bindings do.
 func WithWatch() Option {
 	return func(o *DialOptions) { o.Watch = true }
 }
@@ -447,28 +442,6 @@ func NewClass(name string) *Class { return dyn.NewClass(name) }
 
 // NewManager creates and starts an SDE Manager.
 func NewManager(cfg Config) (*Manager, error) { return core.NewManager(cfg) }
-
-// ConnectSOAP builds a live client from a published WSDL document URL.
-//
-// Deprecated: use Dial, which adds context, sniffing, and options.
-func ConnectSOAP(wsdlURL string) (*Client, error) {
-	return cde.NewSOAPClient(wsdlURL, nil)
-}
-
-// ConnectSOAPWithHTTP is ConnectSOAP with a custom HTTP client.
-//
-// Deprecated: use Dial with WithHTTPClient.
-func ConnectSOAPWithHTTP(wsdlURL string, hc *http.Client) (*Client, error) {
-	return cde.NewSOAPClient(wsdlURL, hc)
-}
-
-// ConnectCORBA builds a live client from published CORBA-IDL and IOR URLs.
-//
-// Deprecated: use Dial with WithAuxURL (or the /idl/ <-> /ior/ path
-// convention).
-func ConnectCORBA(idlURL, iorURL string) (*Client, error) {
-	return cde.NewCORBAClient(idlURL, iorURL, nil)
-}
 
 // Value constructors.
 
