@@ -59,6 +59,39 @@ func TestAllocs_EncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocs_BulkDecode pins the composite decode on the benchmark's bulk
+// shape, 256 three-field structs: per element one field slice and one
+// string copy, plus the sequence's slice and type. The copying dyn
+// constructors and Type.Fields() made that four objects per element.
+func TestAllocs_BulkDecode(t *testing.T) {
+	item := dyn.MustStructOf("Item",
+		dyn.StructField{Name: "id", Type: dyn.Int32T},
+		dyn.StructField{Name: "tag", Type: dyn.StringT},
+		dyn.StructField{Name: "score", Type: dyn.Float64T})
+	elems := make([]dyn.Value, 256)
+	for i := range elems {
+		elems[i] = dyn.MustStructValue(item, dyn.Int32Value(int32(i)), dyn.StringValue("sixteen-byte-tag"), dyn.Float64Value(float64(i)/8))
+	}
+	v := dyn.MustSequenceValue(item, elems...)
+	e := NewEncoder(BigEndian)
+	if err := EncodeValue(e, v); err != nil {
+		t.Fatal(err)
+	}
+	raw := e.Bytes()
+
+	var d Decoder
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Reset(raw, BigEndian)
+		got, err := DecodeValue(&d, v.Type())
+		if err != nil || got.Len() != 256 {
+			t.Fatal(got.Len(), err)
+		}
+	})
+	if allocs > 2*256+2 {
+		t.Errorf("bulk CDR decode allocates %.1f objects/op, budget is %d", allocs, 2*256+2)
+	}
+}
+
 // TestZeroCopyReadsAliasBuffer pins the documented sub-slice semantics: Ref
 // reads return views of the message buffer, plain reads return copies.
 func TestZeroCopyReadsAliasBuffer(t *testing.T) {

@@ -121,18 +121,18 @@ func DecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
 			}
 			elems[i] = ev
 		}
-		return dyn.SequenceValue(t.Elem(), elems...)
+		return dyn.AdoptSequence(t.Elem(), elems)
 	case dyn.KindStruct:
-		fields := t.Fields()
-		vals := make([]dyn.Value, len(fields))
-		for i, f := range fields {
+		vals := make([]dyn.Value, t.NumFields())
+		for i := range vals {
+			f := t.Field(i)
 			fv, err := DecodeValue(d, f.Type)
 			if err != nil {
 				return dyn.Value{}, fmt.Errorf("struct %s field %s: %w", t.Name(), f.Name, err)
 			}
 			vals[i] = fv
 		}
-		return dyn.StructValue(t, vals...)
+		return dyn.AdoptStruct(t, vals)
 	default:
 		return dyn.Value{}, fmt.Errorf("cdr: cannot decode kind %s", t.Kind())
 	}

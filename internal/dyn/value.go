@@ -8,7 +8,8 @@ import (
 
 // Value is a dynamically typed value of the dyn type system. The zero Value
 // is the void value. Values are immutable from the caller's perspective:
-// constructors copy composite contents in, accessors copy out.
+// constructors copy composite contents in (the Adopt pair takes ownership
+// instead), accessors copy out.
 type Value struct {
 	t *Type
 	// Storage; which field is live depends on t.Kind().
@@ -45,8 +46,17 @@ func Float64Value(v float64) Value { return Value{t: Float64T, f: v} }
 func StringValue(v string) Value { return Value{t: StringT, s: v} }
 
 // SequenceValue returns a sequence value of the given element type. Every
-// element must have exactly that type.
+// element must have exactly that type. The elements are copied in; the
+// caller keeps its slice.
 func SequenceValue(elem *Type, elems ...Value) (Value, error) {
+	return AdoptSequence(elem, append([]Value(nil), elems...))
+}
+
+// AdoptSequence is SequenceValue without the copy: it runs the same checks
+// and returns the same errors, but the value takes ownership of elems. The
+// caller gives up the slice and must not read, write or retain it afterwards
+// — it is for decoders that have just built the slice for this value.
+func AdoptSequence(elem *Type, elems []Value) (Value, error) {
 	if elem == nil {
 		return Value{}, fmt.Errorf("dyn: sequence needs an element type")
 	}
@@ -55,9 +65,7 @@ func SequenceValue(elem *Type, elems ...Value) (Value, error) {
 			return Value{}, fmt.Errorf("dyn: sequence element %d has type %s, want %s", i, e.Type(), elem)
 		}
 	}
-	cp := make([]Value, len(elems))
-	copy(cp, elems)
-	return Value{t: SequenceOf(elem), elems: cp}, nil
+	return Value{t: SequenceOf(elem), elems: elems}, nil
 }
 
 // MustSequenceValue is SequenceValue but panics on error.
@@ -70,8 +78,17 @@ func MustSequenceValue(elem *Type, elems ...Value) Value {
 }
 
 // StructValue returns a value of the given struct type with field values
-// given in declaration order.
+// given in declaration order. The values are copied in; the caller keeps its
+// slice.
 func StructValue(t *Type, fieldVals ...Value) (Value, error) {
+	return AdoptStruct(t, append([]Value(nil), fieldVals...))
+}
+
+// AdoptStruct is StructValue without the copy: it runs the same checks and
+// returns the same errors, but the value takes ownership of fieldVals. The
+// caller gives up the slice and must not read, write or retain it afterwards
+// — it is for decoders that have just built the slice for this value.
+func AdoptStruct(t *Type, fieldVals []Value) (Value, error) {
 	if t == nil || t.Kind() != KindStruct {
 		return Value{}, fmt.Errorf("dyn: StructValue needs a struct type, got %s", t)
 	}
@@ -84,9 +101,7 @@ func StructValue(t *Type, fieldVals ...Value) (Value, error) {
 				t.name, t.fields[i].Name, fv.Type(), t.fields[i].Type)
 		}
 	}
-	cp := make([]Value, len(fieldVals))
-	copy(cp, fieldVals)
-	return Value{t: t, elems: cp}, nil
+	return Value{t: t, elems: fieldVals}, nil
 }
 
 // MustStructValue is StructValue but panics on error.

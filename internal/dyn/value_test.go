@@ -84,6 +84,94 @@ func TestStructValueTypeChecking(t *testing.T) {
 	}
 }
 
+// TestAdoptingConstructorsMatchCopyingOnes runs every constructor case of
+// the two tests above through both forms: the same verdict, the same error
+// text, an equal value — the only difference is who owns the slice.
+func TestAdoptingConstructorsMatchCopyingOnes(t *testing.T) {
+	pt := MustStructOf("Point", StructField{Name: "x", Type: Float64T}, StructField{Name: "y", Type: Float64T})
+	other := MustStructOf("Point", StructField{Name: "x", Type: Float64T}, StructField{Name: "z", Type: Float64T})
+	same := func(name string, copied Value, cerr error, adopted Value, aerr error) {
+		t.Helper()
+		switch {
+		case (cerr == nil) != (aerr == nil):
+			t.Errorf("%s: copying constructor says %v, adopting one says %v", name, cerr, aerr)
+		case cerr != nil && cerr.Error() != aerr.Error():
+			t.Errorf("%s: errors differ: %q vs %q", name, cerr, aerr)
+		case cerr == nil && !copied.Equal(adopted):
+			t.Errorf("%s: values differ: %v vs %v", name, copied, adopted)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		elem  *Type
+		elems []Value
+	}{
+		{"nil element type", nil, nil},
+		{"nil element type with elements", nil, []Value{Int32Value(1)}},
+		{"mismatched element", Int32T, []Value{StringValue("x")}},
+		{"mismatch after a match", Int32T, []Value{Int32Value(1), Int64Value(2)}},
+		{"void element", Int32T, []Value{{}}},
+		{"struct of another layout", pt, []Value{Zero(other)}},
+		{"empty", Int32T, nil},
+		{"ints", Int32T, []Value{Int32Value(1), Int32Value(2)}},
+		{"structs", pt, []Value{Zero(pt), MustStructValue(pt, Float64Value(3), Float64Value(4))}},
+	} {
+		copied, cerr := SequenceValue(tc.elem, tc.elems...)
+		adopted, aerr := AdoptSequence(tc.elem, append([]Value(nil), tc.elems...))
+		same("sequence: "+tc.name, copied, cerr, adopted, aerr)
+	}
+	for _, tc := range []struct {
+		name string
+		typ  *Type
+		vals []Value
+	}{
+		{"nil type", nil, nil},
+		{"non-struct type", Int32T, nil},
+		{"sequence type", SequenceOf(pt), []Value{Float64Value(1), Float64Value(2)}},
+		{"too few values", pt, []Value{Float64Value(1)}},
+		{"too many values", pt, []Value{Float64Value(1), Float64Value(2), Float64Value(3)}},
+		{"no values", pt, nil},
+		{"wrong field type", pt, []Value{Float64Value(1), Int32Value(2)}},
+		{"wrong first field type", pt, []Value{StringValue("1"), Float64Value(2)}},
+		{"void field value", pt, []Value{Float64Value(1), {}}},
+		{"point", pt, []Value{Float64Value(3), Float64Value(4)}},
+		{"zero-field struct", MustStructOf("Empty"), nil},
+	} {
+		copied, cerr := StructValue(tc.typ, tc.vals...)
+		adopted, aerr := AdoptStruct(tc.typ, append([]Value(nil), tc.vals...))
+		same("struct: "+tc.name, copied, cerr, adopted, aerr)
+	}
+
+	// Ownership is the difference: the copying form is insulated from the
+	// caller's slice, the adopting form is that slice.
+	elems := []Value{Int32Value(1), Int32Value(2)}
+	copied := MustSequenceValue(Int32T, elems...)
+	adopted, err := AdoptSequence(Int32T, elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elems[0] = Int32Value(9)
+	if copied.Index(0).Int32() != 1 {
+		t.Error("SequenceValue must copy its elements in")
+	}
+	if adopted.Index(0).Int32() != 9 {
+		t.Error("AdoptSequence must take the slice itself, not a copy")
+	}
+	fields := []Value{Float64Value(1), Float64Value(2)}
+	sc := MustStructValue(pt, fields...)
+	sa, err := AdoptStruct(pt, fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields[1] = Float64Value(7)
+	if y, _ := sc.Field("y"); y.Float64() != 2 {
+		t.Error("StructValue must copy its field values in")
+	}
+	if y, _ := sa.Field("y"); y.Float64() != 7 {
+		t.Error("AdoptStruct must take the slice itself, not a copy")
+	}
+}
+
 func TestValueEqual(t *testing.T) {
 	pt := MustStructOf("Point", StructField{Name: "x", Type: Float64T})
 	cases := []struct {

@@ -1,0 +1,103 @@
+package jsonb
+
+import (
+	"testing"
+
+	"livedev/internal/dyn"
+)
+
+// Allocation budgets for the value codec on the benchmark's bulk payload
+// (256 three-field structs). The encoder allocates nothing beyond the
+// message it hands back; the decoder's allocations are what the value itself
+// is made of — per element one field slice and one string, plus the
+// sequence's slice and type — so a return to per-level json.Marshal/Unmarshal
+// (≈4 400 and ≈6 700 objects per call at the parent commit) or to the
+// copying dyn constructors (one more slice per struct) fails here rather
+// than eroding calls_bulk. The tests drive the codec beneath the pooled entry
+// points, so the counts are exact whatever the pool does (under -race it
+// drops a quarter of its Puts).
+
+func TestAllocs_BulkEncode(t *testing.T) {
+	v := bulkValue(256)
+	buf, err := appendValue(nil, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if buf, err = appendValue(buf[:0], v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("bulk appendValue into a warm buffer allocates %.1f objects/op, budget is 0", allocs)
+	}
+}
+
+func TestAllocs_BulkDecode(t *testing.T) {
+	v := bulkValue(256)
+	raw, err := EncodeValue(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := v.Type()
+	c := getCodec()
+	defer putCodec(c)
+	decode := func() {
+		c.reset(raw)
+		if got, err := c.value(typ); err != nil || got.Len() != 256 {
+			t.Fatal(got.Len(), err)
+		}
+	}
+	decode() // grow the element stack once
+	// 256 × (field slice + tag string) + sequence slice + sequence type.
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 2*256+2 {
+		t.Errorf("bulk decode allocates %.1f objects/op, budget is %d", allocs, 2*256+2)
+	}
+}
+
+func TestAllocs_CallEnvelopes(t *testing.T) {
+	args := []dyn.Value{dyn.Int32Value(20), dyn.Int32Value(22)}
+	body, err := appendRequest(nil, "add", args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := getCodec()
+	defer putCodec(c)
+	allocs := testing.AllocsPerRun(200, func() {
+		c.buf, _ = appendRequest(c.buf[:0], "add", args)
+		c.reset(body)
+		if req, err := c.parseCall(lookupCallSig); err != nil || req.stale != nil {
+			t.Fatal(err, req.stale)
+		}
+		c.buf, _ = appendResult(c.buf[:0], args[0])
+		c.reset(c.buf)
+		if rep, err := c.parseReply(dyn.Int32T); err != nil || rep.misfit != nil {
+			t.Fatal(err, rep.misfit)
+		}
+	})
+	// The method name and the argument slice; nothing for the envelopes.
+	if allocs > 2 {
+		t.Errorf("a small call's envelopes allocate %.1f objects/op, budget is 2", allocs)
+	}
+}
+
+var sinkRaw []byte
+var sinkValue dyn.Value
+
+func BenchmarkBulkEncode(b *testing.B) {
+	v := bulkValue(256)
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkRaw, _ = EncodeValue(v)
+	}
+}
+
+func BenchmarkBulkDecode(b *testing.B) {
+	v := bulkValue(256)
+	raw, _ := EncodeValue(v)
+	typ := v.Type()
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkValue, _ = DecodeValue(raw, typ)
+	}
+}

@@ -3,7 +3,6 @@ package jsonb
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,22 +54,22 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	if len(args) != len(sig.Params) {
 		return dyn.Value{}, fmt.Errorf("jsonb: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
 	}
-	wire := callRequest{Method: sig.Name, Args: make([]json.RawMessage, len(args))}
 	for i, a := range args {
 		if !a.Type().Equal(sig.Params[i].Type) {
 			return dyn.Value{}, fmt.Errorf("jsonb: %s parameter %s wants %s, got %s",
 				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
 		}
-		raw, err := EncodeValue(a)
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		wire.Args[i] = raw
 	}
-	payload, err := json.Marshal(wire)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("jsonb: encoding request: %w", err)
+	cd := getCodec()
+	defer putCodec(cd)
+	var err error
+	if cd.buf, err = appendRequest(cd.buf[:0], sig.Name, args); err != nil {
+		return dyn.Value{}, err
 	}
+	// The transport may go on reading a request body after Do returns (a
+	// reply that overtakes the upload), so it gets bytes of its own and the
+	// pooled buffer is free for the reply.
+	payload := append([]byte(nil), cd.buf...)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("jsonb: building HTTP request: %w", err)
@@ -82,27 +81,37 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		return dyn.Value{}, fmt.Errorf("jsonb: posting to %s: %w", c.Endpoint, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	var parsed callResponse
-	if err := json.NewDecoder(resp.Body).Decode(&parsed); err != nil {
+	if cd.buf, err = readBody(cd.buf[:0], resp.Body, resp.ContentLength); err != nil {
 		return dyn.Value{}, fmt.Errorf("jsonb: reading response (HTTP %d): %w", resp.StatusCode, err)
 	}
-	if parsed.Error != nil {
-		switch parsed.Error.Code {
+	result := sig.Result
+	if result == nil {
+		result = dyn.Void
+	}
+	cd.reset(cd.buf)
+	parsed, err := cd.parseReply(result)
+	if err != nil {
+		return dyn.Value{}, fmt.Errorf("jsonb: reading response (HTTP %d): %w", resp.StatusCode, err)
+	}
+	switch {
+	case parsed.failed:
+		code, msg := parsed.failure.Index(0).Str(), parsed.failure.Index(1).Str()
+		switch code {
 		case CodeNonExistentMethod:
-			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, parsed.Error.Message)
+			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, msg)
 		case CodeApplication:
-			return dyn.Value{}, &AppError{Message: parsed.Error.Message}
+			return dyn.Value{}, &AppError{Message: msg}
 		default:
-			return dyn.Value{}, fmt.Errorf("jsonb: server error %s: %s", parsed.Error.Code, parsed.Error.Message)
+			return dyn.Value{}, fmt.Errorf("jsonb: server error %s: %s", code, msg)
 		}
-	}
-	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
+	case result.Kind() == dyn.KindVoid:
 		return dyn.VoidValue(), nil
-	}
-	if parsed.Result == nil {
+	case !parsed.hasResult:
 		return dyn.Value{}, fmt.Errorf("jsonb: response for %s carries no result", sig.Name)
+	case parsed.misfit != nil:
+		return dyn.Value{}, parsed.misfit
 	}
-	return DecodeValue(parsed.Result, sig.Result)
+	return parsed.result, nil
 }
 
 // backend implements cde.Backend over the JSON wire protocol.

@@ -12,13 +12,24 @@
 // paper's "Non Existent Method" exception and carries the same Section 5.7
 // guarantee: by the time the client sees it, the published interface
 // document is current.
+//
+// Member order is not part of the protocol. Decoders accept the members of
+// an envelope or of a struct value in any order, match their names exactly,
+// ignore (but validate) members they do not know and keep the last of
+// duplicates; encoders emit envelope members as shown above and struct
+// members in declaration order. Every struct field must be present, and null
+// stands only for void: anywhere a typed value is expected it is a mismatch,
+// which the server answers as a stale call rather than running the method
+// on zeros. Nothing but whitespace may follow an envelope.
+//
+// Both directions are one pass over one pooled buffer (encode.go, decode.go);
+// encoding/json serves only the interface document, off the call path.
 package jsonb
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"livedev/internal/dyn"
 )
@@ -215,143 +226,4 @@ func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
 		desc.Methods = append(desc.Methods, sig)
 	}
 	return desc, d.Endpoint, nil
-}
-
-// EncodeValue renders v as a JSON value: primitives map naturally (chars as
-// one-rune strings, int64 as a decimal string to dodge float64 precision),
-// structs as objects, sequences as arrays, void as null.
-func EncodeValue(v dyn.Value) (json.RawMessage, error) {
-	switch v.Type().Kind() {
-	case dyn.KindVoid:
-		return json.RawMessage("null"), nil
-	case dyn.KindBoolean:
-		return json.Marshal(v.Bool())
-	case dyn.KindChar:
-		return json.Marshal(string(v.Char()))
-	case dyn.KindInt32:
-		return json.Marshal(v.Int32())
-	case dyn.KindInt64:
-		return json.Marshal(strconv.FormatInt(v.Int64(), 10))
-	case dyn.KindFloat32:
-		return json.Marshal(v.Float32())
-	case dyn.KindFloat64:
-		return json.Marshal(v.Float64())
-	case dyn.KindString:
-		return json.Marshal(v.Str())
-	case dyn.KindSequence:
-		elems := make([]json.RawMessage, 0, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			e, err := EncodeValue(v.Index(i))
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
-		}
-		return json.Marshal(elems)
-	case dyn.KindStruct:
-		obj := make(map[string]json.RawMessage, v.Type().NumFields())
-		for _, f := range v.Type().Fields() {
-			fv, _ := v.Field(f.Name)
-			e, err := EncodeValue(fv)
-			if err != nil {
-				return nil, err
-			}
-			obj[f.Name] = e
-		}
-		return json.Marshal(obj)
-	default:
-		return nil, fmt.Errorf("jsonb: cannot encode %s values", v.Type())
-	}
-}
-
-// DecodeValue parses a JSON value against the expected dyn type.
-func DecodeValue(raw json.RawMessage, t *dyn.Type) (dyn.Value, error) {
-	switch t.Kind() {
-	case dyn.KindVoid:
-		return dyn.VoidValue(), nil
-	case dyn.KindBoolean:
-		var b bool
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding boolean: %w", err)
-		}
-		return dyn.BoolValue(b), nil
-	case dyn.KindChar:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding char: %w", err)
-		}
-		r := []rune(s)
-		if len(r) != 1 {
-			return dyn.Value{}, fmt.Errorf("jsonb: char value must be one rune, got %q", s)
-		}
-		return dyn.CharValue(r[0]), nil
-	case dyn.KindInt32:
-		var i int32
-		if err := json.Unmarshal(raw, &i); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding int32: %w", err)
-		}
-		return dyn.Int32Value(i), nil
-	case dyn.KindInt64:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding int64: %w", err)
-		}
-		i, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding int64: %w", err)
-		}
-		return dyn.Int64Value(i), nil
-	case dyn.KindFloat32:
-		var f float32
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding float32: %w", err)
-		}
-		return dyn.Float32Value(f), nil
-	case dyn.KindFloat64:
-		var f float64
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding float64: %w", err)
-		}
-		return dyn.Float64Value(f), nil
-	case dyn.KindString:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding string: %w", err)
-		}
-		return dyn.StringValue(s), nil
-	case dyn.KindSequence:
-		var elems []json.RawMessage
-		if err := json.Unmarshal(raw, &elems); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding sequence: %w", err)
-		}
-		vals := make([]dyn.Value, 0, len(elems))
-		for _, e := range elems {
-			v, err := DecodeValue(e, t.Elem())
-			if err != nil {
-				return dyn.Value{}, err
-			}
-			vals = append(vals, v)
-		}
-		return dyn.SequenceValue(t.Elem(), vals...)
-	case dyn.KindStruct:
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &obj); err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding struct %s: %w", t.Name(), err)
-		}
-		fields := make([]dyn.Value, 0, t.NumFields())
-		for _, f := range t.Fields() {
-			fraw, ok := obj[f.Name]
-			if !ok {
-				return dyn.Value{}, fmt.Errorf("jsonb: struct %s missing field %s", t.Name(), f.Name)
-			}
-			fv, err := DecodeValue(fraw, f.Type)
-			if err != nil {
-				return dyn.Value{}, err
-			}
-			fields = append(fields, fv)
-		}
-		return dyn.StructValue(t, fields...)
-	default:
-		return dyn.Value{}, fmt.Errorf("jsonb: cannot decode %s values", t)
-	}
 }

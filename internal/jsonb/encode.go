@@ -1,0 +1,223 @@
+package jsonb
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"livedev/internal/dyn"
+)
+
+// codec is the reusable state of one encode, decode or call: the message
+// buffer plus the scanner's two spill areas. Nothing a caller receives
+// aliases it — decoded strings and sequences are copied out — so it goes
+// back to the pool as soon as the message is written or decoded.
+type codec struct {
+	// buf holds the message being built, or the body being scanned.
+	buf []byte
+
+	// Scanner position over data (usually buf) and current nesting depth.
+	data  []byte
+	pos   int
+	depth int
+	// scratch receives string literals that need unescaping.
+	scratch []byte
+	// stack collects sequence elements until their count is known.
+	stack []dyn.Value
+}
+
+var codecPool = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 1024)} }}
+
+// maxPooledBuf bounds what one pooled codec keeps alive, like the SOAP
+// render pool and the CDR encoder pool: a one-off bulk message must not
+// stay resident.
+const maxPooledBuf = 1 << 20
+
+func getCodec() *codec { return codecPool.Get().(*codec) }
+
+func putCodec(c *codec) {
+	const valueSize = 80 // unsafe.Sizeof(dyn.Value{}), near enough for a cap
+	if cap(c.buf) > maxPooledBuf || cap(c.scratch) > maxPooledBuf || cap(c.stack) > maxPooledBuf/valueSize {
+		return
+	}
+	c.buf, c.data, c.scratch = c.buf[:0], nil, c.scratch[:0]
+	codecPool.Put(c)
+}
+
+// EncodeValue renders v as a JSON value: primitives map naturally (chars as
+// one-rune strings, int64 as a decimal string to dodge float64 precision),
+// structs as objects with members in declaration order, sequences as arrays,
+// void as null. NaN and infinities have no JSON form and are an error.
+func EncodeValue(v dyn.Value) (json.RawMessage, error) {
+	c := getCodec()
+	defer putCodec(c)
+	var err error
+	if c.buf, err = appendValue(c.buf[:0], v); err != nil {
+		return nil, err
+	}
+	return append(json.RawMessage(nil), c.buf...), nil
+}
+
+// appendValue appends the JSON form of v to buf.
+func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
+	t := v.Type()
+	switch t.Kind() {
+	case dyn.KindVoid:
+		return append(buf, "null"...), nil
+	case dyn.KindBoolean:
+		return strconv.AppendBool(buf, v.Bool()), nil
+	case dyn.KindChar:
+		return appendString(buf, string(v.Char())), nil
+	case dyn.KindInt32:
+		return strconv.AppendInt(buf, int64(v.Int32()), 10), nil
+	case dyn.KindInt64:
+		buf = append(buf, '"')
+		buf = strconv.AppendInt(buf, v.Int64(), 10)
+		return append(buf, '"'), nil
+	case dyn.KindFloat32:
+		return appendFloat(buf, float64(v.Float32()), 32)
+	case dyn.KindFloat64:
+		return appendFloat(buf, v.Float64(), 64)
+	case dyn.KindString:
+		return appendString(buf, v.Str()), nil
+	case dyn.KindSequence:
+		buf = append(buf, '[')
+		var err error
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if buf, err = appendValue(buf, v.Index(i)); err != nil {
+				return buf, err
+			}
+		}
+		return append(buf, ']'), nil
+	case dyn.KindStruct:
+		buf = append(buf, '{')
+		var err error
+		for i := 0; i < v.Len(); i++ {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendString(buf, t.Field(i).Name)
+			buf = append(buf, ':')
+			if buf, err = appendValue(buf, v.Index(i)); err != nil {
+				return buf, err
+			}
+		}
+		return append(buf, '}'), nil
+	default:
+		return buf, fmt.Errorf("jsonb: cannot encode %s values", t)
+	}
+}
+
+// appendFloat writes f the way encoding/json does (so parent-commit peers
+// see the bytes they always saw): shortest round-tripping digits, exponent
+// form only below 1e-6 and from 1e21, "e-09" trimmed to "e-9".
+func appendFloat(buf []byte, f float64, bits int) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return buf, fmt.Errorf("jsonb: cannot encode %v: JSON has no form for it", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 {
+		if bits == 64 && (abs < 1e-6 || abs >= 1e21) || bits == 32 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
+			format = 'e'
+		}
+	}
+	buf = strconv.AppendFloat(buf, f, format, -1, bits)
+	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+		buf[n-2] = buf[n-1]
+		buf = buf[:n-1]
+	}
+	return buf, nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString writes s as a JSON string literal with encoding/json's
+// default escaping: the short escapes, \u00XX for the remaining control
+// bytes and for < > & (the body may be embedded in HTML), \u2028 and
+// \u2029, and \ufffd for invalid UTF-8.
+func appendString(buf []byte, s string) []byte {
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				buf = append(buf, '\\', b)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
+}
+
+// appendRequest writes the call envelope {"method":…,"args":[…]}.
+func appendRequest(buf []byte, method string, args []dyn.Value) ([]byte, error) {
+	buf = append(buf, `{"method":`...)
+	buf = appendString(buf, method)
+	buf = append(buf, `,"args":[`...)
+	var err error
+	for i, a := range args {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if buf, err = appendValue(buf, a); err != nil {
+			return buf, err
+		}
+	}
+	return append(buf, ']', '}'), nil
+}
+
+// appendResult writes the success envelope {"result":…}.
+func appendResult(buf []byte, v dyn.Value) ([]byte, error) {
+	buf = append(buf, `{"result":`...)
+	buf, err := appendValue(buf, v)
+	return append(buf, '}'), err
+}
+
+// appendError writes the failure envelope {"error":{"code":…,"message":…}}.
+func appendError(buf []byte, code, msg string) []byte {
+	buf = append(buf, `{"error":{"code":`...)
+	buf = appendString(buf, code)
+	buf = append(buf, `,"message":`...)
+	buf = appendString(buf, msg)
+	return append(buf, '}', '}')
+}

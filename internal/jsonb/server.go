@@ -1,11 +1,10 @@
 package jsonb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
 
 	"livedev/internal/core"
@@ -28,23 +27,6 @@ const (
 	// CodeApplication wraps an error returned by the method body.
 	CodeApplication = "application-error"
 )
-
-// callRequest is one wire call.
-type callRequest struct {
-	Method string            `json:"method"`
-	Args   []json.RawMessage `json:"args"`
-}
-
-// callResponse is one wire reply.
-type callResponse struct {
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  *wireError      `json:"error,omitempty"`
-}
-
-type wireError struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
 
 // Server is the JSON subsystem bundle for one managed class — the same
 // Figure 4/5 shape as the SOAP and CORBA bundles: a document generator
@@ -176,14 +158,17 @@ func (h *callHandler) Active() bool {
 	return h.instance != nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, resp callResponse) {
+// writeBody sends one complete envelope: declared length, one Write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(resp)
+	_, _ = w.Write(body) // the client is gone; nobody to tell
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, callResponse{Error: &wireError{Code: code, Message: msg}})
+func writeError(w http.ResponseWriter, c *codec, status int, code, msg string) {
+	c.buf = appendError(c.buf[:0], code, msg)
+	writeBody(w, status, c.buf)
 }
 
 // ServeHTTP handles one call. The request context (cancelled when the
@@ -193,73 +178,68 @@ func (h *callHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "JSON endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var req callRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 16<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
+	// One pooled buffer serves the whole call: the request body is scanned
+	// in it, and since decoded values are copies, the reply is built in it.
+	c := getCodec()
+	defer putCodec(c)
+	var err error
+	if c.buf, err = readBody(c.buf[:0], r.Body, r.ContentLength); err != nil {
+		writeError(w, c, http.StatusBadRequest, CodeMalformed, err.Error())
 		return
 	}
 
 	h.gate.RLock()
 	in := h.instance
-	if in == nil {
+	// Resolve and decode against the live interface, not any cached view.
+	c.reset(c.buf)
+	req, err := c.parseCall(h.class.Interface().Lookup)
+	switch {
+	case err != nil:
 		h.gate.RUnlock()
-		writeError(w, http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
+		writeError(w, c, http.StatusBadRequest, CodeMalformed, err.Error())
 		return
-	}
-
-	// Resolve against the live interface, not any cached view.
-	sig, ok := h.class.Interface().Lookup(req.Method)
-	if !ok || len(req.Args) != len(sig.Params) {
+	case in == nil:
 		h.gate.RUnlock()
-		h.staleCall(w, req.Method)
+		writeError(w, c, http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
 		return
-	}
-	args := make([]dyn.Value, len(sig.Params))
-	for i, p := range sig.Params {
-		v, err := DecodeValue(req.Args[i], p.Type)
-		if err != nil {
-			// Encoded against a stale signature: same protocol as a
-			// missing method (Section 5.6).
-			h.gate.RUnlock()
-			h.staleCall(w, req.Method)
-			return
-		}
-		args[i] = v
-	}
-
-	if err := r.Context().Err(); err != nil {
+	case req.stale != nil:
+		// Unknown method, or encoded against a stale signature: the same
+		// protocol either way (Section 5.6).
+		h.gate.RUnlock()
+		h.staleCall(w, c, req.method)
+		return
+	case r.Context().Err() != nil:
 		// The caller is gone; skip work nobody will observe.
 		h.gate.RUnlock()
 		return
 	}
-	result, err := in.InvokeDistributed(req.Method, args...)
+	result, err := in.InvokeDistributed(req.method, req.args...)
 	h.gate.RUnlock()
 
 	switch {
 	case err == nil:
-		raw, encErr := EncodeValue(result)
-		if encErr != nil {
-			writeError(w, http.StatusInternalServerError, CodeApplication, encErr.Error())
+		if c.buf, err = appendResult(c.buf[:0], result); err != nil {
+			writeError(w, c, http.StatusInternalServerError, CodeApplication, err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, callResponse{Result: raw})
+		writeBody(w, http.StatusOK, c.buf)
 	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
 		// Interface changed between lookup and dispatch.
-		h.staleCall(w, req.Method)
+		h.staleCall(w, c, req.method)
 	default:
-		writeError(w, http.StatusInternalServerError, CodeApplication, err.Error())
+		writeError(w, c, http.StatusInternalServerError, CodeApplication, err.Error())
 	}
 }
 
 // staleCall implements the Section 5.7 server algorithm: stall incoming
 // processing (write gate), force the published interface document current,
 // then report "non-existent method" and resume.
-func (h *callHandler) staleCall(w http.ResponseWriter, method string) {
+func (h *callHandler) staleCall(w http.ResponseWriter, c *codec, method string) {
 	h.gate.Lock()
 	if h.pub != nil && h.reactive {
 		h.pub.EnsureCurrent()
 	}
 	h.gate.Unlock()
-	writeError(w, http.StatusNotFound, CodeNonExistentMethod,
+	writeError(w, c, http.StatusNotFound, CodeNonExistentMethod,
 		"method "+method+" is not part of the current server interface")
 }

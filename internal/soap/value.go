@@ -226,11 +226,11 @@ func DecodeValue(n *Node, t *dyn.Type) (dyn.Value, error) {
 			}
 			elems = append(elems, ev)
 		}
-		return dyn.SequenceValue(t.Elem(), elems...)
+		return dyn.AdoptSequence(t.Elem(), elems)
 	case dyn.KindStruct:
-		fields := t.Fields()
-		vals := make([]dyn.Value, len(fields))
-		for i, f := range fields {
+		vals := make([]dyn.Value, t.NumFields())
+		for i := range vals {
+			f := t.Field(i)
 			c, ok := n.Child(f.Name)
 			if !ok {
 				return dyn.Value{}, fmt.Errorf("soap: struct %s missing field %s", t.Name(), f.Name)
@@ -241,7 +241,7 @@ func DecodeValue(n *Node, t *dyn.Type) (dyn.Value, error) {
 			}
 			vals[i] = fv
 		}
-		return dyn.StructValue(t, vals...)
+		return dyn.AdoptStruct(t, vals)
 	default:
 		return dyn.Value{}, fmt.Errorf("soap: cannot decode kind %s", t.Kind())
 	}
