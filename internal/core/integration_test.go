@@ -255,6 +255,36 @@ func TestMalformedSOAPRequest(t *testing.T) {
 	if parsed.Fault == nil || parsed.Fault.String != soap.FaultMalformedRequest {
 		t.Errorf("fault = %+v", parsed.Fault)
 	}
+	// A body over the 16 MiB cap is malformed as a whole: a complete call
+	// padded past the cap must not be cut at the cap and dispatched.
+	env, err := soap.BuildRequest("urn:CalcMF", "add", []soap.NamedValue{
+		{Name: "a", Value: dyn.Int32Value(1)}, {Name: "b", Value: dyn.Int32Value(2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := ss.Handler().Stats().Calls
+	for _, declare := range []bool{true, false} {
+		var big io.Reader = strings.NewReader(env + strings.Repeat(" ", 16<<20))
+		if !declare { // chunked: the cap has to be found by reading
+			big = io.MultiReader(big)
+		}
+		resp, err := http.Post(ss.Endpoint(), "text/xml", big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		parsed, err := soap.ParseResponse(body)
+		if err != nil || parsed.Fault == nil || parsed.Fault.String != soap.FaultMalformedRequest {
+			t.Errorf("oversize body (declared length %v): %+v, %v", declare, parsed, err)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Errorf("fault declares %d bytes, carries %d", resp.ContentLength, len(body))
+		}
+	}
+	if got := ss.Handler().Stats().Calls; got != calls {
+		t.Errorf("oversize bodies dispatched %d calls", got-calls)
+	}
 	// GET is rejected outright.
 	getResp, err := http.Get(ss.Endpoint())
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -188,23 +187,12 @@ func (h *SOAPCallHandler) count(f func(*CallStats)) {
 	h.statsMu.Unlock()
 }
 
-// writeFault sends a SOAP fault with HTTP 500, per SOAP 1.1 over HTTP.
-func writeFault(w http.ResponseWriter, f *soap.Fault) {
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.WriteHeader(http.StatusInternalServerError)
-	_, _ = io.WriteString(w, soap.BuildFault(f))
-}
-
-func writeOK(w http.ResponseWriter, envelope string) {
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	_, _ = io.WriteString(w, envelope)
-}
-
 // ServeHTTP implements the request/response handling of Section 5.1.3.
 // The request body is read into a pooled buffer (the per-request io.ReadAll
-// was the largest remaining per-call allocation after PR 1): everything
-// decoded from it below — dyn values, method names — is copied by the soap
-// parser, so the buffer recycles as soon as the request is handled.
+// was the largest remaining per-call allocation after PR 1). The parsed
+// request's parameter handles alias that buffer; the decoded dyn values and
+// the method name are copies, so the buffer recycles once the request is
+// handled. Replies are rendered into and written from a pooled buffer too.
 func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
@@ -212,10 +200,10 @@ func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := soap.GetBodyBuffer()
 	defer soap.PutBodyBuffer(buf)
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
+	// An oversize body is malformed like a truncated one: it is not parsed.
+	if err := soap.ReadBody(buf, r.Body, r.ContentLength); err != nil {
 		h.count(func(s *CallStats) { s.Malformed++ })
-		writeFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
 	body := buf.Bytes()
@@ -225,7 +213,7 @@ func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if in == nil {
 		h.gate.RUnlock()
 		h.count(func(s *CallStats) { s.Inactive++ })
-		writeFault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultServerNotInitialized})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultServerNotInitialized})
 		return
 	}
 
@@ -233,7 +221,7 @@ func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		h.gate.RUnlock()
 		h.count(func(s *CallStats) { s.Malformed++ })
-		writeFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
 
@@ -265,13 +253,10 @@ func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case err == nil:
-		env, encErr := soap.BuildResponse(h.serviceNS, req.Method, result)
-		if encErr != nil {
-			writeFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: encErr.Error()})
-			return
-		}
 		h.count(func(s *CallStats) { s.Calls++ })
-		writeOK(w, env)
+		if encErr := soap.WriteResponse(w, h.serviceNS, req.Method, result); encErr != nil {
+			soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: encErr.Error()})
+		}
 	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
 		// Interface changed between lookup and dispatch.
 		h.staleCall(w, req.Method)
@@ -279,7 +264,7 @@ func (h *SOAPCallHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// "a SOAP Response containing a SOAP Fault that encapsulates the
 		// exception is sent to the client."
 		h.count(func(s *CallStats) { s.AppFaults++ })
-		writeFault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
 	}
 }
 
@@ -294,7 +279,7 @@ func (h *SOAPCallHandler) staleCall(w http.ResponseWriter, method string) {
 		h.pub.EnsureCurrent()
 	}
 	h.gate.Unlock()
-	writeFault(w, &soap.Fault{
+	soap.WriteFault(w, &soap.Fault{
 		Code:   "soap:Server",
 		String: soap.FaultNonExistentMethod,
 		Detail: "method " + method + " is not part of the current server interface",

@@ -3,10 +3,11 @@ package soap
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -60,15 +61,73 @@ func GetBodyBuffer() *bytes.Buffer {
 	return b
 }
 
-// PutBodyBuffer recycles a buffer obtained from GetBodyBuffer. The caller
-// must be done with every sub-slice of its contents: decoded dyn values are
-// copies and safe, parsed xmltree nodes are not.
+// PutBodyBuffer recycles a buffer obtained from GetBodyBuffer. Element
+// handles parsed from its contents die with it: call it only after the last
+// DecodeValue. Decoded dyn values and the Method and Fault strings are
+// copies and stay valid.
 func PutBodyBuffer(b *bytes.Buffer) {
 	// Oversized one-off bodies would pin their memory in the pool forever.
-	if b.Cap() > 1<<20 {
+	if b.Cap() > maxPooledRender {
 		return
 	}
 	bodyPool.Put(b)
+}
+
+// maxBodyBytes caps a request or response body, as the JSON and h2b
+// bindings cap theirs.
+const maxBodyBytes = 16 << 20
+
+// ErrBodyTooLarge reports a request or response body over the 16 MiB cap.
+var ErrBodyTooLarge = errors.New("soap: message body exceeds 16 MiB")
+
+// ReadBody reads r to its end into buf and fails with ErrBodyTooLarge once
+// the body passes the cap, rather than handing on a truncated document. A
+// declared length (-1 when unknown) is only a claim, so it buys at most a
+// pool-sized buffer up front; past that the buffer grows as bytes arrive.
+func ReadBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
+	if declared > maxBodyBytes {
+		return ErrBodyTooLarge
+	}
+	if declared > 0 {
+		buf.Grow(int(min(declared, maxPooledRender)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(r, maxBodyBytes+1))
+	if err == nil && buf.Len() > maxBodyBytes {
+		err = ErrBodyTooLarge
+	}
+	return err
+}
+
+const contentType = `text/xml; charset="utf-8"`
+
+// writeEnvelope sends one complete envelope: declared length, one Write.
+func writeEnvelope(w http.ResponseWriter, status int, env []byte) {
+	h := w.Header()
+	h.Set("Content-Type", contentType)
+	h.Set("Content-Length", strconv.Itoa(len(env)))
+	w.WriteHeader(status)
+	_, _ = w.Write(env) // the client is gone; nobody to tell
+}
+
+// WriteResponse renders the response envelope for result and sends it as
+// the HTTP 200 reply, straight from a pooled buffer. On an encoding error
+// nothing has been written.
+func WriteResponse(w http.ResponseWriter, serviceNS, method string, result dyn.Value) error {
+	bp := getRenderBuf()
+	buf, err := appendResponse((*bp)[:0], serviceNS, method, result)
+	if err == nil {
+		writeEnvelope(w, http.StatusOK, buf)
+	}
+	putRenderBuf(bp, buf)
+	return err
+}
+
+// WriteFault sends a SOAP fault with HTTP 500, per SOAP 1.1 over HTTP.
+func WriteFault(w http.ResponseWriter, f *Fault) {
+	bp := getRenderBuf()
+	buf := appendFault((*bp)[:0], f)
+	writeEnvelope(w, http.StatusInternalServerError, buf)
+	putRenderBuf(bp, buf)
 }
 
 // Call is CallContext with a background context.
@@ -83,30 +142,39 @@ func (c *Client) Call(method string, params []NamedValue, resultType *dyn.Type) 
 // faults are returned as *Fault errors. Cancelling ctx aborts the in-flight
 // HTTP round-trip and returns an error wrapping ctx.Err().
 func (c *Client) CallContext(ctx context.Context, method string, params []NamedValue, resultType *dyn.Type) (dyn.Value, error) {
-	reqXML, err := BuildRequest(c.ServiceNS, method, params)
+	bp := getRenderBuf()
+	env, err := appendRequest((*bp)[:0], c.ServiceNS, method, params)
+	// The transport may go on reading a request body after Do returns (a
+	// reply that overtakes the upload), so it gets bytes of its own.
+	var payload []byte
+	if err == nil {
+		payload = append(payload, env...)
+	}
+	putRenderBuf(bp, env)
 	if err != nil {
 		return dyn.Value{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, strings.NewReader(reqXML))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("soap: building HTTP request: %w", err)
 	}
-	req.Header.Set("Content-Type", `text/xml; charset="utf-8"`)
-	req.Header.Set("SOAPAction", fmt.Sprintf("%q", c.ServiceNS+"#"+method))
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("SOAPAction", strconv.Quote(c.ServiceNS+"#"+method))
 
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("soap: posting to %s: %w", c.Endpoint, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
+	// The parsed response's handles alias buf, which goes back to the pool
+	// when this function returns: the decoded result and the fault strings
+	// are copies.
 	buf := GetBodyBuffer()
 	defer PutBodyBuffer(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 16<<20)); err != nil {
-		return dyn.Value{}, fmt.Errorf("soap: reading response: %w", err)
+	if err := ReadBody(buf, resp.Body, resp.ContentLength); err != nil {
+		return dyn.Value{}, fmt.Errorf("soap: reading response (HTTP %d): %w", resp.StatusCode, err)
 	}
 	// SOAP 1.1 faults come back with HTTP 500; parse the envelope either way.
-	// Everything extracted below (the decoded result value, fault strings)
-	// is copied out of the pooled buffer before it is recycled.
 	parsed, err := ParseResponse(buf.Bytes())
 	if err != nil {
 		if resp.StatusCode != http.StatusOK {

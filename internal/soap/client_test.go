@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -28,8 +29,11 @@ func TestClientCallSuccess(t *testing.T) {
 		if req.Method != "greet" {
 			t.Errorf("method = %q", req.Method)
 		}
-		if got := r.Header.Get("SOAPAction"); !strings.Contains(got, "greet") {
-			t.Errorf("SOAPAction = %q", got)
+		if got := r.Header.Get("SOAPAction"); got != `"urn:S#greet"` {
+			t.Errorf("SOAPAction = %s", got)
+		}
+		if r.ContentLength != int64(len(body)) {
+			t.Errorf("request declares %d bytes, carries %d", r.ContentLength, len(body))
 		}
 		env, _ := BuildResponse("urn:S", "greet", dyn.StringValue("hello"))
 		_, _ = io.WriteString(w, env)
@@ -38,6 +42,56 @@ func TestClientCallSuccess(t *testing.T) {
 	got, err := c.Call("greet", nil, dyn.StringT)
 	if err != nil || got.Str() != "hello" {
 		t.Errorf("Call = %v, %v", got, err)
+	}
+}
+
+// A reply over the 16 MiB cap is its own error, not a truncated document
+// reported as malformed XML.
+func TestClientCallOversizeReply(t *testing.T) {
+	env, err := BuildResponse("urn:S", "big", dyn.StringValue(strings.Repeat("x", maxBodyBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, declare := range []bool{true, false} {
+		srv := soapTestServer(t, func(w http.ResponseWriter, _ *http.Request) {
+			if !declare { // chunked: the cap has to be found by reading
+				w.(http.Flusher).Flush()
+			}
+			_, _ = io.WriteString(w, env)
+		})
+		c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
+		if _, err := c.Call("big", nil, dyn.StringT); !errors.Is(err, ErrBodyTooLarge) {
+			t.Errorf("declared length %v: oversize reply = %v, want ErrBodyTooLarge", declare, err)
+		}
+	}
+}
+
+// The reply writers declare the envelope's length and hand it to the
+// connection whole, so net/http does not chunk it.
+func TestWriteResponseDeclaresLength(t *testing.T) {
+	srv := soapTestServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/fault" {
+			WriteFault(w, &Fault{Code: "soap:Server", String: FaultNonExistentMethod})
+		} else if err := WriteResponse(w, "urn:S", "echo", bulkValue()); err != nil {
+			t.Error(err)
+		}
+	})
+	for path, status := range map[string]int{"/ok": http.StatusOK, "/fault": http.StatusInternalServerError} {
+		resp, err := http.Post(srv.URL+path, contentType, strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if resp.StatusCode != status || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: HTTP %d, Content-Length %d, Transfer-Encoding %v for %d bytes", path, resp.StatusCode, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if resp.Header.Get("Content-Type") != contentType {
+			t.Errorf("%s: Content-Type = %q", path, resp.Header.Get("Content-Type"))
+		}
+		if _, ok := checkResponse(t, body, dyn.SequenceOf(bulkItem)); !ok {
+			t.Errorf("%s: reply does not parse", path)
+		}
 	}
 }
 

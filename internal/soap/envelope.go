@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -127,102 +128,168 @@ func (c *skeletonCache) get(serviceNS, method, suffix string) *callSkeleton {
 	return sk.(*callSkeleton)
 }
 
-// BuildRequest renders the SOAP request envelope for an RPC call: the body
-// holds one element named after the method, in the service namespace, with
-// one child element per parameter. The envelope skeleton is cached per
-// (serviceNS, method); only the parameter elements are rendered per call.
-func BuildRequest(serviceNS, method string, params []NamedValue) (string, error) {
+// appendRequest renders the SOAP request envelope for an RPC call onto buf:
+// the body holds one element named after the method, in the service
+// namespace, with one child element per parameter. The envelope skeleton is
+// cached per (serviceNS, method); only the parameter elements are rendered
+// per call.
+func appendRequest(buf []byte, serviceNS, method string, params []NamedValue) ([]byte, error) {
 	sk := reqSkeletons.get(serviceNS, method, "")
-	bp := getRenderBuf()
-	buf := append((*bp)[:0], envPrefix...)
-	var err error
+	buf = append(buf, envPrefix...)
 	if len(params) == 0 {
 		buf = append(buf, sk.selfClose...)
 	} else {
 		buf = append(buf, sk.open...)
 		for _, p := range params {
+			var err error
 			if buf, err = appendValue(buf, p.Name, p.Value); err != nil {
-				putRenderBuf(bp, buf)
-				return "", fmt.Errorf("soap: encoding parameter %s: %w", p.Name, err)
+				return buf, fmt.Errorf("soap: encoding parameter %s: %w", p.Name, err)
 			}
 		}
 		buf = append(buf, sk.close...)
 	}
-	buf = append(buf, envSuffix...)
-	s := string(buf)
-	putRenderBuf(bp, buf)
-	return s, nil
+	return append(buf, envSuffix...), nil
 }
 
-// Request is a parsed SOAP request: the method name and the raw parameter
-// elements, which the call handler decodes against the live signature.
-type Request struct {
-	Method string
-	Params []*Node
-}
-
-// ParseRequest extracts the RPC call from a request envelope.
-func ParseRequest(data []byte) (Request, error) {
-	root, err := ParseXML(data)
-	if err != nil {
-		return Request{}, err
-	}
-	if root.Name != "Envelope" {
-		return Request{}, fmt.Errorf("%w: root element is %s, want Envelope", ErrMalformedXML, root.Name)
-	}
-	body, ok := root.Child("Body")
-	if !ok {
-		return Request{}, fmt.Errorf("%w: no Body element", ErrMalformedXML)
-	}
-	if len(body.Children) != 1 {
-		return Request{}, fmt.Errorf("%w: Body must contain exactly one call element", ErrMalformedXML)
-	}
-	call := body.Children[0]
-	return Request{Method: call.Name, Params: call.Children}, nil
-}
-
-// BuildResponse renders the SOAP response envelope: <methodResponse> with a
-// single <return> element (omitted for void results). Like BuildRequest, it
-// reuses a cached skeleton and renders only the result element per call.
-func BuildResponse(serviceNS, method string, result dyn.Value) (string, error) {
+// appendResponse renders the SOAP response envelope onto buf:
+// <methodResponse> with a single <return> element (omitted for void
+// results), around a cached skeleton like appendRequest.
+func appendResponse(buf []byte, serviceNS, method string, result dyn.Value) ([]byte, error) {
 	sk := respSkeletons.get(serviceNS, method, "Response")
-	bp := getRenderBuf()
-	buf := append((*bp)[:0], envPrefix...)
+	buf = append(buf, envPrefix...)
 	if result.Type().Kind() == dyn.KindVoid {
 		buf = append(buf, sk.selfClose...)
 	} else {
 		buf = append(buf, sk.open...)
 		var err error
 		if buf, err = appendValue(buf, "return", result); err != nil {
-			putRenderBuf(bp, buf)
-			return "", fmt.Errorf("soap: encoding result: %w", err)
+			return buf, fmt.Errorf("soap: encoding result: %w", err)
 		}
 		buf = append(buf, sk.close...)
 	}
-	buf = append(buf, envSuffix...)
-	s := string(buf)
-	putRenderBuf(bp, buf)
-	return s, nil
+	return append(buf, envSuffix...), nil
 }
 
-// BuildFault renders a fault envelope.
-func BuildFault(f *Fault) string {
+// appendFault renders a fault envelope onto buf.
+func appendFault(buf []byte, f *Fault) []byte {
 	fn := NewNode("soapenv:Fault")
-	code := fn.Append(NewNode("faultcode"))
-	code.Text = f.Code
-	fs := fn.Append(NewNode("faultstring"))
-	fs.Text = f.String
+	fn.Append(NewNode("faultcode")).Text = f.Code
+	fn.Append(NewNode("faultstring")).Text = f.String
 	if f.Detail != "" {
-		det := fn.Append(NewNode("detail"))
-		det.Text = f.Detail
+		fn.Append(NewNode("detail")).Text = f.Detail
 	}
-	bp := getRenderBuf()
-	buf := append((*bp)[:0], envPrefix...)
+	buf = append(buf, envPrefix...)
 	buf = fn.appendXML(buf)
-	buf = append(buf, envSuffix...)
-	s := string(buf)
+	return append(buf, envSuffix...)
+}
+
+// rendered runs one of the append functions on a pooled buffer and returns
+// an independent copy of what it wrote.
+func rendered(appendTo func(buf []byte) ([]byte, error)) (string, error) {
+	bp := getRenderBuf()
+	buf, err := appendTo((*bp)[:0])
+	s := ""
+	if err == nil {
+		s = string(buf)
+	}
 	putRenderBuf(bp, buf)
+	return s, err
+}
+
+// BuildRequest returns the request envelope appendRequest renders.
+func BuildRequest(serviceNS, method string, params []NamedValue) (string, error) {
+	return rendered(func(buf []byte) ([]byte, error) { return appendRequest(buf, serviceNS, method, params) })
+}
+
+// BuildResponse returns the response envelope appendResponse renders.
+func BuildResponse(serviceNS, method string, result dyn.Value) (string, error) {
+	return rendered(func(buf []byte) ([]byte, error) { return appendResponse(buf, serviceNS, method, result) })
+}
+
+// BuildFault returns the fault envelope for f.
+func BuildFault(f *Fault) string {
+	s, _ := rendered(func(buf []byte) ([]byte, error) { return appendFault(buf, f), nil })
 	return s
+}
+
+// Request is a parsed SOAP request: the method name and handles on the
+// parameter elements, which the call handler decodes against the live
+// signature. The handles alias the parsed bytes.
+type Request struct {
+	Method string
+	Params []Element
+}
+
+// parseBody validates a whole envelope in one pass — it rejects exactly the
+// documents ParseXML rejects, and those whose root is not Envelope, that
+// have no Body, or whose first Body does not hold exactly one element — and
+// returns that element's local name with handles on its child elements.
+// Namespace prefixes are not resolved: SOAP 1.1 RPC dispatch is by local
+// name.
+func parseBody(data []byte) (name []byte, kids []Element, err error) {
+	lx := lexer{data: data, open: make([][]byte, 0, 8)} // an envelope of scalars nests five deep
+	var (
+		inBody, inCall bool // inside the first Body; inside its first child
+		bodies, calls  int  // Body elements, children of the first Body
+		kid            int  // offset of the open child of the call element
+	)
+	for {
+		tok, err := lx.next()
+		if err != nil {
+			return nil, nil, err
+		}
+		switch depth := len(lx.open); tok {
+		case tokEOF:
+			switch {
+			case bodies == 0:
+				return nil, nil, malformed("no Body element")
+			case calls != 1:
+				return nil, nil, malformed("Body must contain exactly one element")
+			}
+			return name, kids, nil
+		case tokStart:
+			parent := depth // of the element just started
+			if !lx.selfClosed {
+				parent--
+			}
+			switch {
+			case parent == 0:
+				if root := localName(lx.name); string(root) != "Envelope" {
+					return nil, nil, malformed("root element is %s, want Envelope", root)
+				}
+			case parent == 1 && string(localName(lx.name)) == "Body":
+				if bodies++; bodies == 1 {
+					inBody = !lx.selfClosed
+				}
+			case parent == 2 && inBody:
+				if calls++; calls == 1 {
+					name, inCall = localName(lx.name), !lx.selfClosed
+				}
+			case parent == 3 && inCall:
+				if kid = lx.start; lx.selfClosed {
+					kids = append(kids, data[kid:lx.pos])
+				}
+			}
+		case tokEnd:
+			switch {
+			case depth == 3 && inCall:
+				kids = append(kids, data[kid:lx.pos])
+			case depth == 2:
+				inCall = false
+			case depth == 1:
+				inBody = false
+			}
+		}
+	}
+}
+
+// ParseRequest extracts the RPC call from a request envelope.
+func ParseRequest(data []byte) (Request, error) {
+	name, kids, err := parseBody(data)
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{Method: string(name), Params: kids}, nil
 }
 
 // Response is a parsed SOAP response: either a result element or a fault.
@@ -230,49 +297,51 @@ type Response struct {
 	// Method is the responding method name (without the "Response"
 	// suffix); empty for faults.
 	Method string
-	// Return is the result element; nil for void results and faults.
-	Return *Node
+	// Return is a handle on the result element, aliasing the parsed bytes;
+	// nil for void results and faults.
+	Return Element
 	// Fault is non-nil if the envelope carried a fault.
 	Fault *Fault
 }
 
+// child returns the first of kids with the given local name, nil if none.
+func child(kids []Element, name string) Element {
+	for _, k := range kids {
+		if string(k.localName()) == name {
+			return k
+		}
+	}
+	return nil
+}
+
+// text returns the character data directly under the element.
+func (e Element) text() string {
+	if e == nil {
+		return ""
+	}
+	d := decoderPool.Get().(*decoder)
+	defer putDecoder(d)
+	_ = d.enter(e) // parseBody validated the element
+	s, _ := d.chars()
+	return string(s)
+}
+
 // ParseResponse extracts the result or fault from a response envelope.
 func ParseResponse(data []byte) (Response, error) {
-	root, err := ParseXML(data)
+	name, kids, err := parseBody(data)
 	if err != nil {
 		return Response{}, err
 	}
-	if root.Name != "Envelope" {
-		return Response{}, fmt.Errorf("%w: root element is %s, want Envelope", ErrMalformedXML, root.Name)
+	if string(name) == "Fault" {
+		return Response{Fault: &Fault{
+			Code:   child(kids, "faultcode").text(),
+			String: child(kids, "faultstring").text(),
+			Detail: child(kids, "detail").text(),
+		}}, nil
 	}
-	body, ok := root.Child("Body")
-	if !ok {
-		return Response{}, fmt.Errorf("%w: no Body element", ErrMalformedXML)
+	method, ok := bytes.CutSuffix(name, []byte("Response"))
+	if !ok || len(method) == 0 {
+		return Response{}, malformed("element %s is not a Response", name)
 	}
-	if len(body.Children) != 1 {
-		return Response{}, fmt.Errorf("%w: Body must contain exactly one element", ErrMalformedXML)
-	}
-	el := body.Children[0]
-	if el.Name == "Fault" {
-		f := &Fault{}
-		if c, ok := el.Child("faultcode"); ok {
-			f.Code = c.Text
-		}
-		if c, ok := el.Child("faultstring"); ok {
-			f.String = c.Text
-		}
-		if c, ok := el.Child("detail"); ok {
-			f.Detail = c.Text
-		}
-		return Response{Fault: f}, nil
-	}
-	const suffix = "Response"
-	if len(el.Name) <= len(suffix) || el.Name[len(el.Name)-len(suffix):] != suffix {
-		return Response{}, fmt.Errorf("%w: element %s is not a Response", ErrMalformedXML, el.Name)
-	}
-	resp := Response{Method: el.Name[:len(el.Name)-len(suffix)]}
-	if rn, ok := el.Child("return"); ok {
-		resp.Return = rn
-	}
-	return resp, nil
+	return Response{Method: string(method), Return: child(kids, "return")}, nil
 }

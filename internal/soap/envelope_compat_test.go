@@ -27,6 +27,7 @@ func TestBuildRequestMatchesNodeRender(t *testing.T) {
 	st := dyn.MustStructOf("Msg",
 		dyn.StructField{Name: "from", Type: dyn.StringT},
 		dyn.StructField{Name: "id", Type: dyn.Int64T})
+	quoted := dyn.MustStructOf(`A"B&C<'>`, dyn.StructField{Name: "n", Type: dyn.Int32T})
 	cases := []struct {
 		ns, method string
 		params     []NamedValue
@@ -46,6 +47,13 @@ func TestBuildRequestMatchesNodeRender(t *testing.T) {
 			{Name: "emptySeq", Value: dyn.MustSequenceValue(dyn.Int32T)},
 			{Name: "st", Value: dyn.MustStructValue(st, dyn.StringValue("alice"), dyn.Int64Value(7))},
 		}},
+		// A struct's name goes into an attribute value and is escaped there
+		// (the streaming encoder used to append it raw, producing an
+		// envelope its own parser rejected).
+		{"urn:Calc", "odd", []NamedValue{
+			{Name: "q", Value: dyn.MustStructValue(quoted, dyn.Int32Value(1))},
+			{Name: "qs", Value: dyn.MustSequenceValue(quoted, dyn.MustStructValue(quoted, dyn.Int32Value(2)))},
+		}},
 	}
 	for _, c := range cases {
 		got, err := BuildRequest(c.ns, c.method, c.params)
@@ -55,7 +63,7 @@ func TestBuildRequestMatchesNodeRender(t *testing.T) {
 		call := NewNode("m:" + c.method)
 		call.Attrs["xmlns:m"] = c.ns
 		for _, p := range c.params {
-			pn, err := EncodeValue(p.Name, p.Value)
+			pn, err := oracleEncodeValue(p.Name, p.Value)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,6 +72,9 @@ func TestBuildRequestMatchesNodeRender(t *testing.T) {
 		want := nodeEnvelope(call).Render()
 		if got != want {
 			t.Errorf("BuildRequest(%s.%s) diverged from node render:\n got: %s\nwant: %s", c.ns, c.method, got, want)
+		}
+		if req, err := ParseRequest([]byte(got)); err != nil || len(req.Params) != len(c.params) {
+			t.Errorf("BuildRequest(%s.%s) does not parse back: %d parameters, %v", c.ns, c.method, len(req.Params), err)
 		}
 	}
 }
@@ -84,7 +95,7 @@ func TestBuildResponseMatchesNodeRender(t *testing.T) {
 		resp := NewNode("m:" + c.method + "Response")
 		resp.Attrs["xmlns:m"] = "urn:Calc"
 		if c.result.Type().Kind() != dyn.KindVoid {
-			rn, err := EncodeValue("return", c.result)
+			rn, err := oracleEncodeValue("return", c.result)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,6 +46,16 @@ func TestParseXMLErrors(t *testing.T) {
 	}
 }
 
+// encodeElement renders <name> carrying v as the envelope encoder does.
+func encodeElement(t testing.TB, name string, v dyn.Value) Element {
+	t.Helper()
+	buf, err := appendValue(nil, name, v)
+	if err != nil {
+		t.Fatalf("appendValue(%v): %v", v, err)
+	}
+	return buf
+}
+
 func TestEncodeDecodeScalars(t *testing.T) {
 	msg := dyn.MustStructOf("Message",
 		dyn.StructField{Name: "from", Type: dyn.StringT},
@@ -67,16 +77,7 @@ func TestEncodeDecodeScalars(t *testing.T) {
 		dyn.MustStructValue(msg, dyn.StringValue("alice"), dyn.Int64Value(7)),
 	}
 	for _, v := range vals {
-		n, err := EncodeValue("p", v)
-		if err != nil {
-			t.Fatalf("EncodeValue(%v): %v", v, err)
-		}
-		// Round-trip through actual XML text.
-		parsed, err := ParseXML([]byte(n.Render()))
-		if err != nil {
-			t.Fatalf("reparse %v: %v", v, err)
-		}
-		got, err := DecodeValue(parsed, v.Type())
+		got, err := DecodeValue(encodeElement(t, "p", v), v.Type())
 		if err != nil {
 			t.Fatalf("DecodeValue(%v): %v", v, err)
 		}
@@ -92,11 +93,7 @@ func TestSpecialFloats(t *testing.T) {
 		dyn.Float64Value(math.Inf(-1)),
 		dyn.Float32Value(float32(math.Inf(1))),
 	} {
-		n, err := EncodeValue("f", v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeValue(n, v.Type())
+		got, err := DecodeValue(encodeElement(t, "f", v), v.Type())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,12 +102,9 @@ func TestSpecialFloats(t *testing.T) {
 		}
 	}
 	// NaN: equality is identity-based here, check via IsNaN.
-	n, err := EncodeValue("f", dyn.Float64Value(math.NaN()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Text != "NaN" {
-		t.Errorf("NaN text = %q", n.Text)
+	n := encodeElement(t, "f", dyn.Float64Value(math.NaN()))
+	if string(n) != `<f xsi:type="xsd:double">NaN</f>` {
+		t.Errorf("NaN element = %s", n)
 	}
 	got, err := DecodeValue(n, dyn.Float64T)
 	if err != nil || !math.IsNaN(got.Float64()) {
@@ -121,9 +115,7 @@ func TestSpecialFloats(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	bad := func(text string, typ *dyn.Type) {
 		t.Helper()
-		n := NewNode("p")
-		n.Text = text
-		if _, err := DecodeValue(n, typ); err == nil {
+		if _, err := DecodeValue(Element("<p>"+text+"</p>"), typ); err == nil {
 			t.Errorf("DecodeValue(%q as %v) should fail", text, typ)
 		}
 	}
@@ -137,15 +129,11 @@ func TestDecodeErrors(t *testing.T) {
 
 	// Struct missing a field.
 	st := dyn.MustStructOf("S", dyn.StructField{Name: "a", Type: dyn.Int32T})
-	n := NewNode("p")
-	if _, err := DecodeValue(n, st); err == nil {
+	if _, err := DecodeValue(Element("<p/>"), st); err == nil {
 		t.Error("missing struct field should fail")
 	}
 	// Sequence with a bad element.
-	seq := NewNode("p")
-	child := seq.Append(NewNode("item"))
-	child.Text = "notanint"
-	if _, err := DecodeValue(seq, dyn.SequenceOf(dyn.Int32T)); err == nil {
+	if _, err := DecodeValue(Element("<p><item>notanint</item></p>"), dyn.SequenceOf(dyn.Int32T)); err == nil {
 		t.Error("bad sequence element should fail")
 	}
 }
@@ -153,11 +141,7 @@ func TestDecodeErrors(t *testing.T) {
 func TestEncodeWideCharOK(t *testing.T) {
 	// Unlike CDR, the XML encoding handles any rune.
 	v := dyn.CharValue('λ')
-	n, err := EncodeValue("c", v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeValue(n, dyn.Char)
+	got, err := DecodeValue(encodeElement(t, "c", v), dyn.Char)
 	if err != nil || got.Char() != 'λ' {
 		t.Errorf("wide char: %v, %v", got, err)
 	}
@@ -341,7 +325,7 @@ func xmlSafeZero(t *dyn.Type) dyn.Value {
 	}
 }
 
-// Property: encode → render → parse → decode is identity.
+// Property: encode → decode is identity.
 func TestValueXMLRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 200,
@@ -350,19 +334,8 @@ func TestValueXMLRoundTripProperty(t *testing.T) {
 		},
 	}
 	f := func(v dyn.Value) bool {
-		n, err := EncodeValue("p", v)
-		if err != nil {
-			return false
-		}
-		parsed, err := ParseXML([]byte(n.Render()))
-		if err != nil {
-			return false
-		}
-		got, err := DecodeValue(parsed, v.Type())
-		if err != nil {
-			return false
-		}
-		return got.Equal(v)
+		got, err := DecodeValue(encodeElement(t, "p", v), v.Type())
+		return err == nil && got.Equal(v)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

@@ -9,23 +9,33 @@
 //
 // # Pooling and buffer-ownership invariants
 //
-// Envelope construction is the SOAP half of the invocation hot path, so
-// rendering goes through a pool of byte buffers: Render, BuildRequest,
-// BuildResponse and BuildFault assemble output in a pooled buffer and
-// return an independent string, so callers never observe pooled storage.
-// Envelope skeletons (the constant prefix/suffix text around the method
-// element) are cached per (service namespace, method) and reused verbatim.
-// Parsed Node trees own all their strings — nothing retains the input
-// buffer — so callers may recycle the bytes passed to ParseXML freely.
-// Nodes produced by the parser may carry a nil Attrs map when the element
-// had no attributes; reading a nil map is safe (Attr handles it), but
-// writers must use SetAttr or NewNode-created nodes.
+// The call path builds no tree in either direction. Envelopes are appended
+// into pooled byte buffers around a skeleton (the constant text around the
+// method element) cached per (service namespace, method): BuildRequest,
+// BuildResponse, BuildFault and Render return an independent string, so
+// their callers never observe pooled storage; WriteResponse and WriteFault
+// send straight from the buffer and recycle it once the bytes are on the
+// connection. Client.CallContext gives the transport a copy, because the
+// transport may still be reading a request body after the reply arrived.
+//
+// Reading goes the other way round: nothing is copied until a value is
+// decoded. ParseRequest and ParseResponse validate the whole document in
+// one pass and hand out Element handles that alias the bytes they were
+// given — the Request.Params and Response.Return of a body read into a
+// GetBodyBuffer buffer point into that buffer. DecodeValue copies as it
+// decodes: the dyn values it returns own their bytes, as do the Method and
+// Fault strings. So the order is read, parse, decode every element you
+// need, and only then PutBodyBuffer; a handle used after its buffer went
+// back to the pool reads another call's bytes.
+//
+// ParseXML is for documents: the Node tree it returns owns all its strings
+// and nothing retains the input. Nodes it produces may carry a nil
+// Attrs map when the element had no attributes; reading a nil map is safe
+// (Attr handles it), but writers must use SetAttr or NewNode-created nodes.
 package soap
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"sync"
 	"unicode/utf8"
 )
@@ -78,413 +88,66 @@ func (n *Node) SetAttr(name, value string) {
 	n.Attrs[name] = value
 }
 
-// ErrMalformedXML reports unparseable XML input.
-var ErrMalformedXML = errors.New("soap: malformed XML")
-
-// ---- Parsing ----
-//
-// A purpose-built scanner instead of encoding/xml token streaming: SOAP
-// envelopes are parsed on every request and reply, and the generic decoder
-// costs dozens of allocations per document. This parser handles the XML
-// subset SOAP 1.1 stacks exchange: elements, attributes (either quote),
-// character data, the five predefined entities plus numeric references,
-// CDATA, comments, processing instructions, and a prolog/DOCTYPE it skips.
-
-type xmlParser struct {
-	data []byte
-	pos  int
-}
-
 // ParseXML parses a document into a Node tree, rooted at the single
-// top-level element. The tree copies what it keeps: the input buffer may be
-// reused as soon as ParseXML returns.
+// top-level element: the inverse of Render, for documents. The call path
+// reads envelopes without a tree, see ParseRequest. The tree copies what it
+// keeps: the input buffer may be reused as soon as ParseXML returns.
 func ParseXML(data []byte) (*Node, error) {
-	p := xmlParser{data: data}
+	lx := lexer{data: data}
 	var root *Node
-	var stack []*Node
-	var rawNames [][]byte // raw (prefixed) tag names for match checking
+	var stack []*Node // the open elements, parallel to lx.open
 	for {
-		rest := p.data[p.pos:]
-		i := bytes.IndexByte(rest, '<')
-		if i < 0 {
-			// Trailing character data. Inside an element it belongs to the
-			// element, but then the element is unclosed and the final stack
-			// check reports it; outside the root it is ignored, matching
-			// the tolerant behaviour of the previous parser.
-			break
+		tok, err := lx.next()
+		if err != nil {
+			return nil, err
 		}
-		if i > 0 {
-			if len(stack) > 0 {
-				if err := stack[len(stack)-1].addText(rest[:i]); err != nil {
-					return nil, err
-				}
-			}
-			p.pos += i
-		}
-		// p.data[p.pos] == '<'
-		switch {
-		case p.lookingAt("</"):
-			name, err := p.readEndTag()
-			if err != nil {
-				return nil, err
+		switch tok {
+		case tokEOF:
+			return root, nil
+		case tokStart:
+			n := &Node{Name: string(localName(lx.name))}
+			a := lx.attrs
+			for p := skipSpace(a, 0); p < len(a); {
+				name, raw, after, _ := scanAttr(a, p) // the lexer validated it
+				val, _ := decodeEntities(raw)
+				n.SetAttr(string(localName(name)), val)
+				p = skipSpace(a, after)
 			}
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("%w: unbalanced end element", ErrMalformedXML)
-			}
-			if !bytes.Equal(name, rawNames[len(rawNames)-1]) {
-				return nil, fmt.Errorf("%w: element <%s> closed by </%s>", ErrMalformedXML, rawNames[len(rawNames)-1], name)
-			}
-			stack = stack[:len(stack)-1]
-			rawNames = rawNames[:len(rawNames)-1]
-		case p.lookingAt("<!--"):
-			if err := p.skipPast("-->"); err != nil {
-				return nil, err
-			}
-		case p.lookingAt("<![CDATA["):
-			raw, err := p.readCDATA()
-			if err != nil {
-				return nil, err
-			}
-			if len(stack) > 0 {
-				stack[len(stack)-1].appendRawText(raw)
-			}
-		case p.lookingAt("<!"):
-			if err := p.skipPast(">"); err != nil { // DOCTYPE etc.
-				return nil, err
-			}
-		case p.lookingAt("<?"):
-			if err := p.skipPast("?>"); err != nil { // prolog, PIs
-				return nil, err
-			}
-		default:
-			n, rawName, selfClosed, err := p.readStartTag()
-			if err != nil {
-				return nil, err
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("%w: multiple root elements", ErrMalformedXML)
-				}
 				root = n
 			} else {
 				stack[len(stack)-1].Append(n)
 			}
-			if !selfClosed {
+			if !lx.selfClosed {
 				stack = append(stack, n)
-				rawNames = append(rawNames, rawName)
 			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("%w: no root element", ErrMalformedXML)
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("%w: unclosed elements", ErrMalformedXML)
-	}
-	return root, nil
-}
-
-func (p *xmlParser) lookingAt(s string) bool {
-	return len(p.data)-p.pos >= len(s) && string(p.data[p.pos:p.pos+len(s)]) == s
-}
-
-func (p *xmlParser) skipPast(close string) error {
-	i := bytes.Index(p.data[p.pos:], []byte(close))
-	if i < 0 {
-		return fmt.Errorf("%w: unterminated markup", ErrMalformedXML)
-	}
-	p.pos += i + len(close)
-	return nil
-}
-
-func (p *xmlParser) readCDATA() ([]byte, error) {
-	start := p.pos + len("<![CDATA[")
-	i := bytes.Index(p.data[start:], []byte("]]>"))
-	if i < 0 {
-		return nil, fmt.Errorf("%w: unterminated CDATA", ErrMalformedXML)
-	}
-	raw := p.data[start : start+i]
-	p.pos = start + i + len("]]>")
-	return raw, nil
-}
-
-func (p *xmlParser) readEndTag() ([]byte, error) {
-	start := p.pos + 2
-	i := bytes.IndexByte(p.data[start:], '>')
-	if i < 0 {
-		return nil, fmt.Errorf("%w: unterminated end tag", ErrMalformedXML)
-	}
-	name := bytes.TrimSpace(p.data[start : start+i])
-	if len(name) == 0 {
-		return nil, fmt.Errorf("%w: empty end tag", ErrMalformedXML)
-	}
-	p.pos = start + i + 1
-	return name, nil
-}
-
-func isNameByte(c byte) bool {
-	return c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != '>' && c != '/' && c != '=' && c != '"' && c != '\''
-}
-
-func (p *xmlParser) skipSpace() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
+		case tokEnd:
+			stack = stack[:len(stack)-1]
+		case tokText:
+			s, _ := decodeEntities(lx.text) // the lexer validated it
+			stack[len(stack)-1].appendText(s)
+		case tokCDATA:
+			stack[len(stack)-1].appendText(string(lx.text))
 		}
 	}
 }
 
-// readStartTag parses "<name attr=...>" or "<name .../>" with p.pos at '<'.
-func (p *xmlParser) readStartTag() (*Node, []byte, bool, error) {
-	p.pos++ // consume '<'
-	nameStart := p.pos
-	for p.pos < len(p.data) && isNameByte(p.data[p.pos]) {
-		p.pos++
-	}
-	rawName := p.data[nameStart:p.pos]
-	if len(rawName) == 0 {
-		return nil, nil, false, fmt.Errorf("%w: empty element name", ErrMalformedXML)
-	}
-	n := &Node{Name: internName(localName(rawName))}
-	for {
-		p.skipSpace()
-		if p.pos >= len(p.data) {
-			return nil, nil, false, fmt.Errorf("%w: unterminated start tag", ErrMalformedXML)
-		}
-		switch p.data[p.pos] {
-		case '>':
-			p.pos++
-			return n, rawName, false, nil
-		case '/':
-			if p.pos+1 >= len(p.data) || p.data[p.pos+1] != '>' {
-				return nil, nil, false, fmt.Errorf("%w: stray '/' in start tag", ErrMalformedXML)
-			}
-			p.pos += 2
-			return n, rawName, true, nil
-		}
-		// Attribute.
-		attrStart := p.pos
-		for p.pos < len(p.data) && isNameByte(p.data[p.pos]) {
-			p.pos++
-		}
-		attrName := p.data[attrStart:p.pos]
-		if len(attrName) == 0 {
-			return nil, nil, false, fmt.Errorf("%w: malformed attribute", ErrMalformedXML)
-		}
-		p.skipSpace()
-		if p.pos >= len(p.data) || p.data[p.pos] != '=' {
-			return nil, nil, false, fmt.Errorf("%w: attribute %s missing value", ErrMalformedXML, attrName)
-		}
-		p.pos++
-		p.skipSpace()
-		if p.pos >= len(p.data) || (p.data[p.pos] != '"' && p.data[p.pos] != '\'') {
-			return nil, nil, false, fmt.Errorf("%w: attribute %s missing quoted value", ErrMalformedXML, attrName)
-		}
-		quote := p.data[p.pos]
-		p.pos++
-		valStart := p.pos
-		i := bytes.IndexByte(p.data[p.pos:], quote)
-		if i < 0 {
-			return nil, nil, false, fmt.Errorf("%w: unterminated attribute value", ErrMalformedXML)
-		}
-		rawVal := p.data[valStart : valStart+i]
-		p.pos = valStart + i + 1
-		val, err := internAttrValue(rawVal)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		n.SetAttr(internName(localName(attrName)), val)
-	}
-}
-
-// localName strips any namespace prefix ("m:echo" → "echo").
-func localName(raw []byte) []byte {
-	if i := bytes.LastIndexByte(raw, ':'); i >= 0 {
-		return raw[i+1:]
-	}
-	return raw
-}
-
-// internName returns a shared string for the element and attribute names
-// every SOAP envelope repeats, avoiding one allocation per occurrence.
-// (A switch on string(b) does not allocate.)
-func internName(b []byte) string {
-	switch string(b) {
-	case "Envelope":
-		return "Envelope"
-	case "Body":
-		return "Body"
-	case "Fault":
-		return "Fault"
-	case "faultcode":
-		return "faultcode"
-	case "faultstring":
-		return "faultstring"
-	case "detail":
-		return "detail"
-	case "item":
-		return "item"
-	case "return":
-		return "return"
-	case "type":
-		return "type"
-	case "xmlns":
-		return "xmlns"
-	case "soapenv":
-		return "soapenv"
-	case "soapenc":
-		return "soapenc"
-	case "xsd":
-		return "xsd"
-	case "xsi":
-		return "xsi"
-	case "m":
-		return "m"
-	}
-	return string(b)
-}
-
-// internAttrValue decodes an attribute value, returning shared strings for
-// the namespace URIs and xsi:type values every envelope carries.
-func internAttrValue(raw []byte) (string, error) {
-	switch string(raw) {
-	case NSEnvelope:
-		return NSEnvelope, nil
-	case NSXSI:
-		return NSXSI, nil
-	case NSXSD:
-		return NSXSD, nil
-	case NSEncoding:
-		return NSEncoding, nil
-	case "xsd:string":
-		return "xsd:string", nil
-	case "xsd:int":
-		return "xsd:int", nil
-	case "xsd:long":
-		return "xsd:long", nil
-	case "xsd:boolean":
-		return "xsd:boolean", nil
-	case "xsd:float":
-		return "xsd:float", nil
-	case "xsd:double":
-		return "xsd:double", nil
-	case "soapenc:Array":
-		return "soapenc:Array", nil
-	}
-	return decodeEntities(raw)
-}
-
-// addText appends entity-decoded character data to the element.
-func (n *Node) addText(raw []byte) error {
-	s, err := decodeEntities(raw)
-	if err != nil {
-		return err
-	}
+// appendText appends literal character data to the element.
+func (n *Node) appendText(s string) {
 	if n.Text == "" {
 		n.Text = s
 	} else {
 		n.Text += s
 	}
-	return nil
-}
-
-// appendRawText appends already-literal text (CDATA content).
-func (n *Node) appendRawText(raw []byte) {
-	if len(raw) == 0 {
-		return
-	}
-	if n.Text == "" {
-		n.Text = string(raw)
-	} else {
-		n.Text += string(raw)
-	}
 }
 
 // decodeEntities resolves the predefined and numeric character references.
 func decodeEntities(raw []byte) (string, error) {
-	amp := bytes.IndexByte(raw, '&')
-	if amp < 0 {
+	if bytes.IndexByte(raw, '&') < 0 {
 		return string(raw), nil
 	}
-	var b []byte
-	b = append(b, raw[:amp]...)
-	for i := amp; i < len(raw); {
-		c := raw[i]
-		if c != '&' {
-			b = append(b, c)
-			i++
-			continue
-		}
-		semi := bytes.IndexByte(raw[i:], ';')
-		if semi < 0 {
-			return "", fmt.Errorf("%w: unterminated entity", ErrMalformedXML)
-		}
-		ent := string(raw[i+1 : i+semi])
-		switch ent {
-		case "amp":
-			b = append(b, '&')
-		case "lt":
-			b = append(b, '<')
-		case "gt":
-			b = append(b, '>')
-		case "quot":
-			b = append(b, '"')
-		case "apos":
-			b = append(b, '\'')
-		default:
-			if len(ent) > 1 && ent[0] == '#' {
-				r, err := parseCharRef(ent[1:])
-				if err != nil {
-					return "", err
-				}
-				b = utf8.AppendRune(b, r)
-			} else {
-				return "", fmt.Errorf("%w: unknown entity &%s;", ErrMalformedXML, ent)
-			}
-		}
-		i += semi + 1
-	}
-	return string(b), nil
-}
-
-func parseCharRef(s string) (rune, error) {
-	base := 10
-	if len(s) > 0 && (s[0] == 'x' || s[0] == 'X') {
-		base = 16
-		s = s[1:]
-	}
-	var r rune
-	if len(s) == 0 {
-		return 0, fmt.Errorf("%w: empty character reference", ErrMalformedXML)
-	}
-	for i := 0; i < len(s); i++ {
-		var d rune
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			d = rune(c - '0')
-		case base == 16 && c >= 'a' && c <= 'f':
-			d = rune(c-'a') + 10
-		case base == 16 && c >= 'A' && c <= 'F':
-			d = rune(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("%w: bad character reference", ErrMalformedXML)
-		}
-		r = r*rune(base) + d
-		if r > utf8.MaxRune {
-			return 0, fmt.Errorf("%w: character reference out of range", ErrMalformedXML)
-		}
-	}
-	// Reject references outside the XML Char production (NUL, most control
-	// characters, surrogates), as encoding/xml does — accepting them would
-	// smuggle values that cannot round-trip through Render.
-	if !isInCharacterRange(r) {
-		return 0, fmt.Errorf("%w: character reference &#%d; outside XML character range", ErrMalformedXML, r)
-	}
-	return r, nil
+	b, err := appendUnescaped(nil, raw)
+	return string(b), err
 }
 
 // ---- Rendering ----
@@ -563,54 +226,41 @@ func appendAttr(buf []byte, k, v string) []byte {
 	return append(buf, '"')
 }
 
+// asciiEscape maps each ASCII byte to its escaped form, "" for the bytes
+// that stand for themselves: xml.EscapeText's table, with the control
+// characters XML cannot carry replaced by U+FFFD.
+var asciiEscape = func() (t [utf8.RuneSelf]string) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = "\uFFFD"
+	}
+	t['"'], t['\''], t['&'], t['<'], t['>'] = "&#34;", "&#39;", "&amp;", "&lt;", "&gt;"
+	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	return t
+}()
+
 // appendEscaped appends s with XML escaping, mirroring xml.EscapeText's
 // behaviour (same escape table, invalid runes replaced with U+FFFD) without
-// requiring an io.Writer or a byte-slice conversion of s.
+// requiring an io.Writer or a byte-slice conversion of s. ASCII, which is
+// nearly all of every envelope, takes one table load per byte.
 func appendEscaped(buf []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
-		r, width := utf8.DecodeRuneInString(s[i:])
-		var esc string
-		switch r {
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
+		esc, width := "", 1
+		if c := s[i]; c < utf8.RuneSelf {
+			esc = asciiEscape[c]
+		} else {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
 			if !isInCharacterRange(r) || (r == utf8.RuneError && width == 1) {
-				esc = "�"
-				break
+				esc = "\uFFFD"
 			}
-			i += width
-			continue
 		}
-		buf = append(buf, s[last:i]...)
-		buf = append(buf, esc...)
+		if esc != "" {
+			buf = append(buf, s[last:i]...)
+			buf = append(buf, esc...)
+			last = i + width
+		}
 		i += width
-		last = i
 	}
 	return append(buf, s[last:]...)
-}
-
-// isInCharacterRange reports whether r is in the XML Char production, per
-// the same rule encoding/xml applies.
-func isInCharacterRange(r rune) bool {
-	return r == 0x09 ||
-		r == 0x0A ||
-		r == 0x0D ||
-		r >= 0x20 && r <= 0xD7FF ||
-		r >= 0xE000 && r <= 0xFFFD ||
-		r >= 0x10000 && r <= 0x10FFFF
 }

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -104,47 +103,37 @@ func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := soap.GetBodyBuffer()
 	defer soap.PutBodyBuffer(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, 16<<20)); err != nil {
-		s.fault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
+	if err := soap.ReadBody(buf, r.Body, r.ContentLength); err != nil {
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
 	req, err := soap.ParseRequest(buf.Bytes())
 	if err != nil {
-		s.fault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
 	op, ok := s.ops[req.Method]
 	if !ok || len(req.Params) != len(op.Params) {
-		s.fault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod})
 		return
 	}
 	args := make([]dyn.Value, len(op.Params))
 	for i, p := range op.Params {
 		v, err := soap.DecodeValue(req.Params[i], p.Type)
 		if err != nil {
-			s.fault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: err.Error()})
+			soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: err.Error()})
 			return
 		}
 		args[i] = v
 	}
 	result, err := op.Fn(args)
 	if err != nil {
-		s.fault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
 		return
 	}
-	env, err := soap.BuildResponse(s.serviceNS, req.Method, result)
-	if err != nil {
-		s.fault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()})
-		return
+	if err := soap.WriteResponse(w, s.serviceNS, req.Method, result); err != nil {
+		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()})
 	}
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	_, _ = io.WriteString(w, env)
-}
-
-func (s *SOAPServer) fault(w http.ResponseWriter, f *soap.Fault) {
-	w.Header().Set("Content-Type", `text/xml; charset="utf-8"`)
-	w.WriteHeader(http.StatusInternalServerError)
-	_, _ = io.WriteString(w, soap.BuildFault(f))
 }
 
 // Close shuts the server down.
