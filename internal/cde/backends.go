@@ -17,6 +17,144 @@ import (
 	"livedev/internal/wsdl"
 )
 
+// Caller performs calls against the endpoint one compiled interface
+// document advertises — the transport half of a client stub (soap.Client,
+// the pooled IIOP connection, jsonb.Caller, h2b.Caller).
+type Caller interface {
+	// Call performs one RPC against sig. Cancelling ctx must abort the
+	// transport exchange and surface an error wrapping ctx.Err().
+	Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error)
+}
+
+// DocBinding is everything one technology supplies to the client side: a
+// document parser and what it takes to call the endpoint the document
+// names. The document backend built over it (ConnectDocs) does the rest —
+// fetching, the streaming watch, version bookkeeping, swapping the Caller
+// in as new documents arrive.
+type DocBinding struct {
+	// Technology names the binding ("SOAP", "CORBA", "JSON", ...).
+	Technology string
+	// Compile parses one published interface document into the descriptor
+	// and the Caller for the endpoint it advertises.
+	Compile func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error)
+	// IsStale reports whether err is this technology's "Non Existent
+	// Method" signal — what triggers the client's reactive refresh.
+	IsStale func(err error) bool
+	// Bootstrap, when set, runs before every fetch and stream connect:
+	// whatever Compile needs beyond the document (CORBA's IOR).
+	Bootstrap func(ctx context.Context) error
+	// Close, when set, releases what Bootstrap and the Callers hold.
+	Close func() error
+}
+
+// ConnectDocs is the Connect of every document-described binding: a live
+// client over the interface document at url, seeded and pointed at replicas
+// as opts (which may be nil) say.
+func ConnectDocs(ctx context.Context, url string, opts *DialOptions, b DocBinding) (*Client, error) {
+	return NewClientContext(ctx, &docBackend{docs: optsDocSource(url, opts, true), b: b}, opts)
+}
+
+// optsDocSource builds the DocSource for url under opts: its HTTP client,
+// its replica endpoints and — when seeded — its prefetched document.
+func optsDocSource(url string, opts *DialOptions, seeded bool) *DocSource {
+	if opts == nil {
+		return NewDocSource(url, nil, nil)
+	}
+	var seed *ifsvr.Document
+	if seeded {
+		seed = opts.Prefetched
+	}
+	docs := NewDocSource(url, opts.HTTPClient, seed)
+	docs.SetEndpoints(opts.Endpoints)
+	return docs
+}
+
+// docBackend implements WatchableBackend for any DocBinding — the client
+// mirror of core.ClassServer: the per-binding copies of fetch, stream and
+// caller swap, written once.
+type docBackend struct {
+	docs *DocSource
+	b    DocBinding
+
+	mu     sync.RWMutex
+	caller Caller
+}
+
+var _ WatchableBackend = (*docBackend)(nil)
+
+// Technology implements Backend.
+func (d *docBackend) Technology() string { return d.b.Technology }
+
+// compile turns a fetched (or pushed) document into the descriptor and
+// retargets calls at the endpoint it advertises.
+func (d *docBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, DocVersions, error) {
+	desc, caller, err := d.b.Compile(doc)
+	if err != nil {
+		return dyn.InterfaceDescriptor{}, DocVersions{}, err
+	}
+	d.mu.Lock()
+	d.caller = caller
+	d.mu.Unlock()
+	return desc, DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
+}
+
+func (d *docBackend) bootstrap(ctx context.Context) error {
+	if d.b.Bootstrap == nil {
+		return nil
+	}
+	return d.b.Bootstrap(ctx)
+}
+
+// FetchInterface implements Backend: fetch the document and compile it.
+func (d *docBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
+	if err := d.bootstrap(ctx); err != nil {
+		return dyn.InterfaceDescriptor{}, DocVersions{}, err
+	}
+	doc, err := d.docs.Fetch(ctx)
+	if err != nil {
+		return dyn.InterfaceDescriptor{}, DocVersions{}, err
+	}
+	return d.compile(doc)
+}
+
+// StreamInterface implements WatchableBackend over the Interface Server's
+// SSE watch transport — which every binding that publishes through the
+// manager's store gets with no server-side code of its own.
+func (d *docBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
+	if err := d.bootstrap(ctx); err != nil {
+		return err
+	}
+	return d.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
+		desc, vers, err := d.compile(ev.Doc)
+		if err != nil {
+			return // a malformed intermediate version; the next event supersedes it
+		}
+		deliver(InterfaceEvent{Desc: desc, Versions: vers, Replayed: ev.Replayed, Snapshot: ev.Snapshot})
+	})
+}
+
+// Invoke implements Backend.
+func (d *docBackend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
+	d.mu.RLock()
+	caller := d.caller
+	d.mu.RUnlock()
+	if caller == nil {
+		return dyn.Value{}, fmt.Errorf("cde: %s backend not initialized", d.b.Technology)
+	}
+	return caller.Call(ctx, sig, args)
+}
+
+// IsStale implements Backend.
+func (d *docBackend) IsStale(err error) bool { return d.b.IsStale(err) }
+
+// Close implements Backend.
+func (d *docBackend) Close() error {
+	if d.b.Close == nil {
+		return nil
+	}
+	return d.b.Close()
+}
+
 // The built-in SOAP and CORBA connectors register themselves so that
 // cde.Dial (and livedev.Dial) resolve them by name or document sniffing
 // exactly like any third-party binding.
@@ -31,10 +169,7 @@ func init() {
 			},
 		},
 		Connect: func(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
-			docs := NewDocSource(url, opts.HTTPClient, opts.Prefetched)
-			docs.SetEndpoints(opts.Endpoints)
-			return NewClientContext(ctx,
-				&soapBackend{docs: docs, httpClient: opts.HTTPClient}, opts)
+			return ConnectDocs(ctx, url, opts, soapBinding(opts.HTTPClient))
 		},
 	})
 	RegisterConnector(Connector{
@@ -48,6 +183,51 @@ func init() {
 		},
 		Connect: connectCORBA,
 	})
+}
+
+// NewSOAPClient builds a CDE client from the WSDL document published at
+// wsdlURL. httpClient may be nil.
+func NewSOAPClient(wsdlURL string, httpClient *http.Client) (*Client, error) {
+	return ConnectDocs(context.Background(), wsdlURL, &DialOptions{HTTPClient: httpClient}, soapBinding(httpClient))
+}
+
+// soapBinding is the Apache-Axis-equivalent client plumbing: WSDL compiler
+// plus SOAP-over-HTTP invocation (paper Figure 1).
+func soapBinding(httpClient *http.Client) DocBinding {
+	return DocBinding{
+		Technology: "SOAP",
+		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+			parsed, err := wsdl.Parse([]byte(doc.Content))
+			if err != nil {
+				return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: compiling WSDL: %w", err)
+			}
+			return parsed.Descriptor(), soapCaller{&soap.Client{
+				Endpoint:   parsed.Endpoint,
+				ServiceNS:  parsed.TargetNS,
+				HTTPClient: httpClient,
+			}}, nil
+		},
+		IsStale: soap.IsNonExistentMethod,
+	}
+}
+
+// soapCaller adapts soap.Client, which names its parameters, to Caller.
+type soapCaller struct{ c *soap.Client }
+
+// Call implements Caller.
+func (s soapCaller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
+	if len(args) != len(sig.Params) {
+		return dyn.Value{}, fmt.Errorf("cde: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
+	}
+	named := make([]soap.NamedValue, len(args))
+	for i, a := range args {
+		if !a.Type().Equal(sig.Params[i].Type) {
+			return dyn.Value{}, fmt.Errorf("cde: %s parameter %s wants %s, got %s",
+				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
+		}
+		named[i] = soap.NamedValue{Name: sig.Params[i].Name, Value: a}
+	}
+	return s.c.CallContext(ctx, sig.Name, named, sig.Result)
 }
 
 // connectCORBA accepts either the IDL-document URL or the IOR URL as the
@@ -65,126 +245,35 @@ func connectCORBA(ctx context.Context, url string, opts *DialOptions) (*Client, 
 		(opts.Prefetched != nil && strings.HasPrefix(opts.Prefetched.Content, "IOR:"))
 
 	idlURL, iorURL := url, opts.AuxURL
-	var seedIDL, seedIOR *ifsvr.Document
 	if isIOR {
 		idlURL, iorURL = opts.AuxURL, url
 		if idlURL == "" {
 			idlURL = strings.Replace(strings.TrimSuffix(path, ".ior")+".idl", "/ior/", "/idl/", 1)
 		}
-		seedIOR = opts.Prefetched
-	} else {
-		if iorURL == "" {
-			iorURL = strings.Replace(strings.TrimSuffix(path, ".idl")+".ior", "/idl/", "/ior/", 1)
-		}
-		seedIDL = opts.Prefetched
+	} else if iorURL == "" {
+		iorURL = strings.Replace(strings.TrimSuffix(path, ".idl")+".ior", "/idl/", "/ior/", 1)
 	}
 	if idlURL == "" || iorURL == "" {
 		return nil, errors.New("cde: CORBA binding needs both IDL and IOR URLs")
 	}
-	b := &corbaBackend{
-		idlDocs: NewDocSource(idlURL, opts.HTTPClient, seedIDL),
-		iorDocs: NewDocSource(iorURL, opts.HTTPClient, seedIOR),
-	}
-	b.idlDocs.SetEndpoints(opts.Endpoints)
-	b.iorDocs.SetEndpoints(opts.Endpoints)
-	return NewClientContext(ctx, b, opts)
+	// The prefetched document seeds whichever source the primary URL names.
+	return NewClientContext(ctx, newCORBABackend(optsDocSource(idlURL, opts, !isIOR), optsDocSource(iorURL, opts, isIOR)), opts)
 }
 
-// soapBackend is the Apache-Axis-equivalent client plumbing: WSDL compiler
-// plus SOAP-over-HTTP invocation (paper Figure 1).
-type soapBackend struct {
-	docs       *DocSource
-	httpClient *http.Client
-
-	mu     sync.RWMutex
-	caller *soap.Client
-}
-
-var _ Backend = (*soapBackend)(nil)
-
-// NewSOAPClient builds a CDE client from the WSDL document published at
-// wsdlURL. httpClient may be nil.
-func NewSOAPClient(wsdlURL string, httpClient *http.Client) (*Client, error) {
+// NewCORBAClient builds a CDE client from the CORBA-IDL document and
+// stringified IOR published at the given URLs. httpClient may be nil.
+func NewCORBAClient(idlURL, iorURL string, httpClient *http.Client) (*Client, error) {
 	return NewClientContext(context.Background(),
-		&soapBackend{docs: NewDocSource(wsdlURL, httpClient, nil), httpClient: httpClient}, nil)
+		newCORBABackend(NewDocSource(idlURL, httpClient, nil), NewDocSource(iorURL, httpClient, nil)), nil)
 }
 
-// Technology implements Backend.
-func (b *soapBackend) Technology() string { return "SOAP" }
-
-// compile turns a fetched (or pushed) WSDL document into the descriptor and
-// retargets the SOAP caller at the advertised endpoint.
-func (b *soapBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, DocVersions, error) {
-	parsed, err := wsdl.Parse([]byte(doc.Content))
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, fmt.Errorf("cde: compiling WSDL: %w", err)
-	}
-	b.mu.Lock()
-	b.caller = &soap.Client{
-		Endpoint:   parsed.Endpoint,
-		ServiceNS:  parsed.TargetNS,
-		HTTPClient: b.httpClient,
-	}
-	b.mu.Unlock()
-	return parsed.Descriptor(), DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
-}
-
-// FetchInterface implements Backend: fetch the WSDL and compile it.
-func (b *soapBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
-	doc, err := b.docs.Fetch(ctx)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements WatchableBackend over the Interface Server's
-// SSE watch transport.
-func (b *soapBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
-	return b.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
-		desc, vers, err := b.compile(ev.Doc)
-		if err != nil {
-			return // a malformed intermediate version; the next event supersedes it
-		}
-		deliver(InterfaceEvent{Desc: desc, Versions: vers, Replayed: ev.Replayed, Snapshot: ev.Snapshot})
-	})
-}
-
-// Invoke implements Backend.
-func (b *soapBackend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	b.mu.RLock()
-	caller := b.caller
-	b.mu.RUnlock()
-	if caller == nil {
-		return dyn.Value{}, errors.New("cde: SOAP backend not initialized")
-	}
-	if len(args) != len(sig.Params) {
-		return dyn.Value{}, fmt.Errorf("cde: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
-	}
-	named := make([]soap.NamedValue, len(args))
-	for i, a := range args {
-		if !a.Type().Equal(sig.Params[i].Type) {
-			return dyn.Value{}, fmt.Errorf("cde: %s parameter %s wants %s, got %s",
-				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
-		}
-		named[i] = soap.NamedValue{Name: sig.Params[i].Name, Value: a}
-	}
-	return caller.CallContext(ctx, sig.Name, named, sig.Result)
-}
-
-// IsStale implements Backend.
-func (b *soapBackend) IsStale(err error) bool { return soap.IsNonExistentMethod(err) }
-
-// Close implements Backend.
-func (b *soapBackend) Close() error { return nil }
-
-// corbaBackend is the OpenORB-DII-equivalent client plumbing: IDL compiler,
-// IOR bootstrap, IIOP invocation (paper Figure 2). The IIOP connection is
-// drawn from the process-wide endpoint pool, so every backend (and every
-// compiled stub) bound to the same published IOR multiplexes one TCP
-// connection.
-type corbaBackend struct {
-	idlDocs *DocSource
+// corbaStub is the OpenORB-DII-equivalent client plumbing: IDL compiler,
+// IOR bootstrap, IIOP invocation (paper Figure 2). It is its own Caller:
+// the IIOP connection does not change with the document but with the
+// server's incarnation. The connection is drawn from the process-wide
+// endpoint pool, so every stub bound to the same published IOR multiplexes
+// one TCP connection.
+type corbaStub struct {
 	iorDocs *DocSource
 
 	mu      sync.Mutex
@@ -207,19 +296,18 @@ type corbaBackend struct {
 	lastDescriptor uint64
 }
 
-var _ Backend = (*corbaBackend)(nil)
-
-// NewCORBAClient builds a CDE client from the CORBA-IDL document and
-// stringified IOR published at the given URLs. httpClient may be nil.
-func NewCORBAClient(idlURL, iorURL string, httpClient *http.Client) (*Client, error) {
-	return NewClientContext(context.Background(), &corbaBackend{
-		idlDocs: NewDocSource(idlURL, httpClient, nil),
-		iorDocs: NewDocSource(iorURL, httpClient, nil),
-	}, nil)
+// newCORBABackend is the document backend over the IDL document, with a
+// stub bootstrapped from the IOR document as its binding.
+func newCORBABackend(idlDocs, iorDocs *DocSource) *docBackend {
+	b := &corbaStub{iorDocs: iorDocs}
+	return &docBackend{docs: idlDocs, b: DocBinding{
+		Technology: "CORBA",
+		Compile:    b.compile,
+		IsStale:    func(err error) bool { return errors.Is(err, orb.ErrNonExistentMethod) },
+		Bootstrap:  b.connect,
+		Close:      b.close,
+	}}
 }
-
-// Technology implements Backend.
-func (b *corbaBackend) Technology() string { return "CORBA" }
 
 // interfaceNameFromTypeID extracts "Calc" from "IDL:CalcModule/Calc:1.0".
 func interfaceNameFromTypeID(typeID string) (string, error) {
@@ -242,7 +330,7 @@ func interfaceNameFromTypeID(typeID string) (string, error) {
 
 // connect dials the server ORB if not yet connected, using the published
 // IOR (Figure 2 step 1).
-func (b *corbaBackend) connect(ctx context.Context) error {
+func (b *corbaStub) connect(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.conn != nil {
@@ -270,16 +358,17 @@ func (b *corbaBackend) connect(ctx context.Context) error {
 	return nil
 }
 
-// compile turns a fetched (or pushed) IDL document into the descriptor.
-// A restart-generation change across compilations — or, against servers
-// predating the generation header and for class redeployments under a
-// still-running store, a descriptor version moving backwards — is the
-// server-restart signal: the pooled IIOP connection is probed and, if
-// dead, evicted immediately instead of on the next failing call.
-func (b *corbaBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, DocVersions, error) {
+// compile turns a fetched (or pushed) IDL document into the descriptor
+// (Figure 2's IDL compiler). A restart-generation change across
+// compilations — or, against servers predating the generation header and
+// for class redeployments under a still-running store, a descriptor
+// version moving backwards — is the server-restart signal: the pooled IIOP
+// connection is probed and, if dead, evicted immediately instead of on the
+// next failing call.
+func (b *corbaStub) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
 	parsed, err := idl.Parse(doc.Content)
 	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, fmt.Errorf("cde: compiling IDL: %w", err)
+		return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: compiling IDL: %w", err)
 	}
 	b.mu.Lock()
 	name := b.iface
@@ -294,21 +383,21 @@ func (b *corbaBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, Doc
 	}
 	desc, err := idl.Resolve(parsed, name)
 	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, fmt.Errorf("cde: resolving IDL: %w", err)
+		return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: resolving IDL: %w", err)
 	}
 	b.mu.Lock()
 	b.lastDescriptor = doc.DescriptorVersion
 	b.lastGeneration = doc.Generation
 	b.mu.Unlock()
-	return desc, DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
+	return desc, b, nil
 }
 
-// evictRestartedConn probes the backend's pooled IIOP connection after a
+// evictRestartedConn probes the stub's pooled IIOP connection after a
 // generation-change signal. If the socket is dead it is dropped from the
-// endpoint pool (so sibling Dials re-dial too), this backend releases its
-// hold, and the next Invoke reconnects from the freshly published IOR. A
+// endpoint pool (so sibling Dials re-dial too), this stub releases its
+// hold, and the next Call reconnects from the freshly published IOR. A
 // false alarm — the connection still alive — costs nothing.
-func (b *corbaBackend) evictRestartedConn() {
+func (b *corbaStub) evictRestartedConn() {
 	b.mu.Lock()
 	conn, release := b.conn, b.release
 	b.mu.Unlock()
@@ -327,38 +416,10 @@ func (b *corbaBackend) evictRestartedConn() {
 	_ = release()
 }
 
-// FetchInterface implements Backend: fetch and compile the CORBA-IDL
-// document (Figure 2's IDL compiler).
-func (b *corbaBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
-	if err := b.connect(ctx); err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	doc, err := b.idlDocs.Fetch(ctx)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements WatchableBackend by streaming the published
-// IDL document.
-func (b *corbaBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
-	if err := b.connect(ctx); err != nil {
-		return err
-	}
-	return b.idlDocs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
-		desc, vers, err := b.compile(ev.Doc)
-		if err != nil {
-			return // a malformed intermediate version; the next event supersedes it
-		}
-		deliver(InterfaceEvent{Desc: desc, Versions: vers, Replayed: ev.Replayed, Snapshot: ev.Snapshot})
-	})
-}
-
-// Invoke implements Backend via DII. A backend whose pooled connection was
+// Call implements Caller via DII. A stub whose pooled connection was
 // evicted after a server restart reconnects here, from the freshly
 // published IOR.
-func (b *corbaBackend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
+func (b *corbaStub) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
 	b.mu.Lock()
 	conn := b.conn
 	b.mu.Unlock()
@@ -373,14 +434,9 @@ func (b *corbaBackend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn
 	return conn.InvokeContext(ctx, sig, args)
 }
 
-// IsStale implements Backend.
-func (b *corbaBackend) IsStale(err error) bool {
-	return errors.Is(err, orb.ErrNonExistentMethod)
-}
-
-// Close implements Backend: the pooled connection is released, not closed —
-// it is torn down when the last holder lets go.
-func (b *corbaBackend) Close() error {
+// close releases the pooled connection rather than closing it — it is torn
+// down when the last holder lets go.
+func (b *corbaStub) close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.conn == nil {

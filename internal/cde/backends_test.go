@@ -87,7 +87,7 @@ func TestSOAPBackendArgChecks(t *testing.T) {
 }
 
 func TestSOAPBackendInvokeBeforeFetch(t *testing.T) {
-	b := &soapBackend{docs: NewDocSource("http://unused/", nil, nil)}
+	b := &docBackend{docs: NewDocSource("http://unused/", nil, nil), b: soapBinding(nil)}
 	if _, err := b.Invoke(context.Background(), dyn.MethodSig{Name: "x"}, nil); err == nil {
 		t.Error("invoke before FetchInterface should fail")
 	}
@@ -182,7 +182,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 }
 
 func TestCORBABackendInvokeBeforeConnect(t *testing.T) {
-	b := &corbaBackend{idlDocs: NewDocSource("http://unused/", nil, nil), iorDocs: NewDocSource("http://unused/", nil, nil)}
+	b := newCORBABackend(NewDocSource("http://unused/", nil, nil), NewDocSource("http://unused/", nil, nil))
 	if _, err := b.Invoke(context.Background(), dyn.MethodSig{Name: "x"}, nil); err == nil {
 		t.Error("invoke before connect should fail")
 	}
@@ -197,20 +197,21 @@ func TestCORBABackendInvokeBeforeConnect(t *testing.T) {
 // testTarget is a minimal DSI target for the failure-injection tests.
 type testTarget struct{ in *dyn.Instance }
 
-func (t *testTarget) LookupOperation(op string) (dyn.MethodSig, bool) {
-	return t.in.Class().Interface().Lookup(op)
-}
-
-func (t *testTarget) InvokeOperation(_ context.Context, op string, args []dyn.Value) (dyn.Value, error) {
-	v, err := t.in.InvokeDistributed(op, args...)
+func (t *testTarget) Invoke(_ context.Context, req orb.ServerRequest) (dyn.Value, error) {
+	sig, ok := t.in.Class().Interface().Lookup(req.Operation)
+	if !ok {
+		return dyn.Value{}, orb.BadOperation(1)
+	}
+	if len(sig.Params) != 0 || req.Args.Remaining() > 0 {
+		return dyn.Value{}, orb.BadOperation(3) // the injected operations take no arguments
+	}
+	v, err := t.in.InvokeDistributed(req.Operation)
 	if err != nil && errors.Is(err, dyn.ErrNoBody) {
 		// The failure-injection class has no bodies; answer statically so
 		// the happy-path assertion can pass.
-		if strings.HasPrefix(op, "op") {
+		if strings.HasPrefix(req.Operation, "op") {
 			return dyn.Int32Value(7), nil
 		}
 	}
 	return v, err
 }
-
-func (t *testTarget) OperationMissing(string) {}

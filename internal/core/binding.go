@@ -9,21 +9,29 @@ import (
 
 // Binding is the server half of one RMI technology integrated into the SDE
 // — the seam that makes a new technology a registry entry instead of a
-// cross-cutting edit. Serve builds the technology's subsystem bundle
-// (interface generator + DL Publisher + call handler, the Figure 4/5 shape)
-// for one managed class, using the Manager's shared services: the Interface
-// Server for publication (Manager.InterfaceServer, Manager.NewPublisher),
-// the shared HTTP endpoint host for HTTP transports (Manager.MountHTTP), or
-// its own listener for custom transports (the CORBA binding does this).
+// cross-cutting edit. Serve builds the technology's subsystem (the Figure
+// 4/5 shape) for one managed class around a ClassServer, which is where
+// everything the paper prescribes lives. What is left for a binding to
+// supply:
 //
-// Implementations must:
-//   - publish an initial interface description before Serve returns
-//     (Section 4: registration "immediately publishes a basic definition");
-//   - refuse calls until Server.CreateInstance provides the live instance;
-//   - run the Section 5.7 forced-publication protocol before replying
-//     "non-existent method" to a stale call, unless the manager's
-//     ActivePublishingOnly ablation is set (Manager.ReactivePublication);
-//   - call Manager.Unregister(class name) from Server.Close.
+//   - a document generator (GenerateFunc), handed to Manager.NewClassServer
+//     with the document's path and content type;
+//   - a transport that receives requests: a handler on the shared HTTP
+//     endpoint server (ClassServer.MountHTTP), or a listener of its own
+//     released through ClassServer.OnClose (CORBA's ORB, h2b's mux);
+//   - a Resolve per request, decoding it against the live interface it is
+//     handed, passed to ClassServer.Call;
+//   - an outcome mapper, rendering the Reply that comes back in the
+//     technology's wire vocabulary.
+//
+// What it can no longer get wrong, because it no longer does it: publishing
+// the basic description at registration (Manager.Register does, once Serve
+// returns), refusing calls until the instance exists, allowing only one
+// instance, resolving against the live interface rather than a cached one,
+// holding the read gate through the method body, checking the request
+// context before dispatch, forcing publication before "non-existent method"
+// (and not under the ActivePublishingOnly ablation), counting outcomes, and
+// unmounting, unpublishing and unregistering on Close.
 type Binding interface {
 	// Name is the technology name servers and clients resolve ("SOAP",
 	// "CORBA", "JSON", ...). Names are case-sensitive and process-wide.

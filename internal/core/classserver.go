@@ -1,0 +1,297 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"sync"
+	"sync/atomic"
+
+	"livedev/internal/dyn"
+)
+
+// Outcome classifies how one remote call ended. Each binding maps it to
+// its own wire vocabulary (SOAP fault, CORBA exception, JSON error, h2b
+// error header); the classification itself is made once, in
+// ClassServer.Call.
+type Outcome uint8
+
+const (
+	// OutcomeOK: the method ran and returned Reply.Value.
+	OutcomeOK Outcome = iota
+	// OutcomeAppFault: the method body returned Reply.Err.
+	OutcomeAppFault
+	// OutcomeStale: the call does not fit the live interface. The published
+	// interface document is current by the time this outcome is returned
+	// (Section 5.7), so the reply may say "non-existent method".
+	OutcomeStale
+	// OutcomeMalformed: the request could not be read (Reply.Err says why).
+	OutcomeMalformed
+	// OutcomeInactive: the call arrived before CreateInstance.
+	OutcomeInactive
+	// OutcomeAbandoned: the caller's context ended before dispatch. Nothing
+	// ran, nobody is waiting for a reply, and nothing is counted.
+	OutcomeAbandoned
+
+	countedOutcomes = int(OutcomeAbandoned)
+)
+
+// String names the outcome as the livedev_calls_total metric labels it.
+func (o Outcome) String() string {
+	return [...]string{"ok", "app_fault", "stale", "malformed", "inactive", "abandoned"}[o]
+}
+
+// Reply is the typed result of ClassServer.Call.
+type Reply struct {
+	Outcome Outcome
+	// Method is the name the request asked for, as far as it could be read.
+	Method string
+	// Value is the method's result (OutcomeOK only).
+	Value dyn.Value
+	// Err is the body's error (OutcomeAppFault), the reason the request was
+	// unreadable (OutcomeMalformed) or the context's error (OutcomeAbandoned).
+	Err error
+}
+
+// ErrMisfit is what a Resolve returns for a well-formed request that does
+// not fit the live interface: unknown method, wrong argument count, an
+// argument that does not decode as its parameter type. Section 5.6 treats
+// all of them alike — the client's stub is stale.
+var ErrMisfit = errors.New("core: call does not fit the current server interface")
+
+// Resolve is a binding's whole part in serving a call: read the request
+// against live — the interface the class has at this instant, never a
+// cached one — and return the method name and its decoded arguments. A nil
+// error dispatches; ErrMisfit takes the stale path; any other error means
+// the request is malformed. method should be returned whenever it could be
+// read, so error replies can name it. Resolve runs under the read gate: it
+// must not block on the network.
+type Resolve func(live dyn.InterfaceDescriptor) (method string, args []dyn.Value, err error)
+
+// CallStats counts call outcomes.
+type CallStats struct {
+	// Calls counts successfully dispatched method calls.
+	Calls uint64
+	// AppFaults counts calls whose method body returned an error.
+	AppFaults uint64
+	// StaleCalls counts calls that did not fit the live interface (each one
+	// runs the Section 5.7 forced-publication protocol).
+	StaleCalls uint64
+	// Malformed counts unparseable requests.
+	Malformed uint64
+	// Inactive counts calls received before the instance existed.
+	Inactive uint64
+}
+
+// ClassServer is the technology-independent whole of one managed server
+// class: everything Sections 4 and 5 prescribe and nothing about wire
+// formats. It owns the DL Publisher and the document it publishes, the one
+// live instance, the call counters, teardown, and — in Call — the
+// live-call protocol of Sections 5.1.3, 5.4 and 5.7. Every binding's
+// server embeds one and adds a codec and a transport; SOAPServer,
+// CORBAServer, jsonb.Server and h2b.Server differ in nothing else.
+//
+// The protocol, stated once. Calls run concurrently under the read gate
+// (Section 5.4: the handler is "completely multithreaded"), which is held
+// from the instance check through the method body. A call that does not
+// fit the live interface releases it, takes the write gate — which waits
+// for every running body and stalls every incoming call (Section 5.7:
+// "stalls the processing of incoming messages") — forces the published
+// interface current, and only then reports "non-existent method". So a
+// client that reads that reply and refetches the document is guaranteed to
+// see an interface at least as new as the one that refused it. Three rules
+// the per-binding copies of this code used to disagree on: the read gate
+// covers the method body on every binding (CORBA used to drop it before
+// dispatch, so forced publication did not wait for running bodies there);
+// an ended request context skips dispatch on every binding (SOAP used to
+// dispatch regardless); and a server without an instance answers "not
+// initialized" before looking at the request, so it never forces
+// publication (CORBA used to, for an unknown operation).
+type ClassServer struct {
+	mgr        *Manager
+	class      *dyn.Class
+	tech       Technology
+	pub        *DLPublisher
+	docPath    string
+	activeOnly bool // Config.ActivePublishingOnly: the Figure 7 ablation
+
+	gate     sync.RWMutex
+	instance atomic.Pointer[dyn.Instance]
+	counts   [countedOutcomes]atomic.Uint64
+
+	closed  atomic.Bool
+	onClose []func() error // transport teardown; appended during Serve only
+}
+
+// NewClassServer starts class's life as a managed server of technology
+// tech: it wires the publication of the interface document gen renders —
+// under docPath on the Interface Server, with the given content type —
+// through the manager's store, and returns the inactive server for the
+// binding's Serve to embed and attach a transport to (MountHTTP, or a
+// listener of its own released through OnClose).
+//
+// The publication seam bundles what every binding needs: generated text is
+// cached by interface hash, so republishing a previously seen interface
+// (undo/redo, A→B→A edit cycles) skips the generator; documents are
+// committed through the coalescing store carrying the descriptor version;
+// and forced publication flushes the store, so the Section 5.7 guarantee
+// survives coalescing. Nothing is published yet: Manager.Register
+// publishes the basic description (Section 4) once Serve has returned, when
+// the endpoint the document advertises exists.
+func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, contentType string, gen GenerateFunc, opts ...PublishOption) *ClassServer {
+	var pc publishConfig
+	for _, opt := range opts {
+		opt(&pc)
+	}
+	if pc.hasWindow {
+		m.store.SetPathWindow(docPath, pc.window)
+	}
+	docs := newDocCache()
+	pub := NewDLPublisher(class, m.cfg.Timeout, m.cfg.Clock, func(desc dyn.InterfaceDescriptor) error {
+		text, ok := docs.get(desc.Hash())
+		if !ok {
+			var err error
+			if text, err = gen(desc); err != nil {
+				return err
+			}
+			docs.put(desc.Hash(), text)
+		}
+		m.store.PublishVersioned(docPath, contentType, text, desc.Version)
+		return nil
+	})
+	pub.SetFlush(m.store.Flush)
+	return &ClassServer{
+		mgr:        m,
+		class:      class,
+		tech:       tech,
+		pub:        pub,
+		docPath:    docPath,
+		activeOnly: m.cfg.ActivePublishingOnly,
+	}
+}
+
+// MountHTTP serves h at path (under Manager.HTTPBaseURL) on the manager's
+// shared HTTP endpoint server until Close.
+func (s *ClassServer) MountHTTP(path string, h http.Handler) {
+	s.mgr.httpMux.handle(path, h)
+	s.OnClose(func() error {
+		s.mgr.httpMux.removeHandler(path)
+		return nil
+	})
+}
+
+// OnClose registers teardown for a resource the binding owns beside the
+// shared endpoint server — a listener, an extra published document. Call
+// it from Serve only.
+func (s *ClassServer) OnClose(fn func() error) { s.onClose = append(s.onClose, fn) }
+
+// Class implements Server.
+func (s *ClassServer) Class() *dyn.Class { return s.class }
+
+// Technology implements Server.
+func (s *ClassServer) Technology() Technology { return s.tech }
+
+// Publisher implements Server.
+func (s *ClassServer) Publisher() *DLPublisher { return s.pub }
+
+// InterfaceURL implements Server.
+func (s *ClassServer) InterfaceURL() string { return s.mgr.InterfaceBaseURL() + s.docPath }
+
+// CreateInstance implements Server.
+func (s *ClassServer) CreateInstance() (*dyn.Instance, error) {
+	if s.closed.Load() {
+		return nil, errors.New("core: server closed")
+	}
+	in := s.class.NewInstance()
+	if !s.instance.CompareAndSwap(nil, in) {
+		return nil, fmt.Errorf("core: class %s already has its instance (single-instance rule, Section 5.4)", s.class.Name())
+	}
+	return in, nil
+}
+
+// Instance implements Server.
+func (s *ClassServer) Instance() *dyn.Instance { return s.instance.Load() }
+
+// Active reports whether the instance exists, i.e. whether calls are
+// dispatched rather than refused (Section 5.1.3).
+func (s *ClassServer) Active() bool { return s.instance.Load() != nil }
+
+// CallStats implements Server.
+func (s *ClassServer) CallStats() CallStats {
+	return CallStats{
+		Calls:      s.counts[OutcomeOK].Load(),
+		AppFaults:  s.counts[OutcomeAppFault].Load(),
+		StaleCalls: s.counts[OutcomeStale].Load(),
+		Malformed:  s.counts[OutcomeMalformed].Load(),
+		Inactive:   s.counts[OutcomeInactive].Load(),
+	}
+}
+
+// Close implements Server: the transport goes first, then the publisher,
+// the published document and the manager's registration. Idempotent.
+func (s *ClassServer) Close() error {
+	if !s.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	var errs []error
+	for _, fn := range s.onClose {
+		errs = append(errs, fn())
+	}
+	s.pub.Close()
+	s.mgr.store.Remove(s.docPath)
+	s.mgr.unregister(s.class.Name())
+	return errors.Join(errs...)
+}
+
+// Call serves one remote call by the protocol in the type's comment and
+// returns its typed outcome, already counted. ctx is the request context
+// the transport threads up; the method body cannot observe it (the dyn
+// body ABI is context-free: bodies are developer-edited application code),
+// so it is consulted once, just before dispatch.
+//
+// It is one function, and bindings should keep what they stack on top of it
+// shallow: IIOP serves each request on a fresh goroutine, so every frame
+// between the transport and the method body is stack that goroutine has to
+// grow into, per call.
+func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
+	s.gate.RLock()
+	if in := s.instance.Load(); in == nil {
+		rep.Outcome = OutcomeInactive
+	} else {
+		var args []dyn.Value
+		var err error
+		rep.Method, args, err = resolve(s.class.Interface())
+		switch {
+		case err == nil && ctx.Err() != nil:
+			// The caller is gone; don't run a method nobody will observe.
+			rep.Outcome, rep.Err = OutcomeAbandoned, fmt.Errorf("core: call abandoned before dispatch: %w", ctx.Err())
+		case err == nil:
+			rep.Value, err = in.InvokeDistributed(rep.Method, args...)
+			switch {
+			case err == nil:
+				rep.Outcome = OutcomeOK
+			case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
+				// The interface changed between resolve and dispatch.
+				rep.Outcome = OutcomeStale
+			default:
+				rep.Outcome, rep.Err = OutcomeAppFault, err
+			}
+		case errors.Is(err, ErrMisfit):
+			rep.Outcome = OutcomeStale
+		default:
+			rep.Outcome, rep.Err = OutcomeMalformed, err
+		}
+	}
+	s.gate.RUnlock()
+
+	if rep.Outcome == OutcomeStale && !s.activeOnly {
+		s.gate.Lock()
+		s.pub.EnsureCurrent()
+		s.gate.Unlock()
+	}
+	if rep.Outcome != OutcomeAbandoned {
+		s.counts[rep.Outcome].Add(1)
+	}
+	return rep
+}

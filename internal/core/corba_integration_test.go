@@ -10,49 +10,6 @@ import (
 	"livedev/internal/dyn"
 )
 
-// TestCORBAHandlerStats mirrors the SOAP handler counter checks on the
-// CORBA call handler.
-func TestCORBAHandlerStats(t *testing.T) {
-	m := newManager(t)
-	cs, client, class, _ := startCORBA(t, m, "CStats")
-
-	if _, err := client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := class.AddMethod(dyn.MethodSpec{
-		Name:        "bad",
-		Distributed: true,
-		Body: func(*dyn.Instance, []dyn.Value) (dyn.Value, error) {
-			return dyn.Value{}, errors.New("app error")
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv, _ := m.Server("CStats")
-	srv.Publisher().PublishNow()
-	srv.Publisher().WaitIdle()
-	if _, err := client.Call("bad"); err == nil {
-		t.Fatal("bad should fail")
-	}
-	if _, err := client.Call("ghost"); !errors.Is(err, cde.ErrNoSuchStub) {
-		t.Fatalf("ghost: %v", err)
-	}
-	// Force a genuine remote stale call: lie to the backend via a stale
-	// local view by renaming without publishing.
-	id, _ := class.MethodIDByName("add")
-	if err := class.RenameMethod(id, "plus"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); !errors.Is(err, cde.ErrStaleMethod) {
-		t.Fatalf("stale: %v", err)
-	}
-
-	st := cs.HandlerStats()
-	if st.Calls < 1 || st.AppFaults != 1 || st.StaleCalls != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 // TestConcurrentCORBACallsDuringLiveEdits is the CORBA analogue of the
 // SOAP storm test: concurrent IIOP calls race live renames; every reply is
 // either correct or a clean stale error.

@@ -4,48 +4,32 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
+	"livedev/internal/cdr"
 	"livedev/internal/dyn"
 	"livedev/internal/idl"
 	"livedev/internal/ior"
 	"livedev/internal/orb"
 )
 
-// CORBAServer is the CORBA subsystem bundle for one managed class
-// (Figure 5): an IDL Generator feeding the shared Interface Server via a DL
-// Publisher, a Server ORB (with DSI, so interface changes never require ORB
-// reinitialization — Section 5.2.2), and the published IOR.
+// CORBAServer is the CORBA subsystem for one managed class (Figure 5): an
+// IDL Generator feeding the ClassServer's DL Publisher, a Server ORB (with
+// DSI, so interface changes never require ORB reinitialization — Section
+// 5.2.2), the published IOR, and the CORBA Call Handler: "a simple wrapper
+// around the Server ORB" (Section 5.2), here the orb.DSITarget the ORB
+// hands each request to.
 type CORBAServer struct {
-	mgr     *Manager
-	class   *dyn.Class
-	pub     *DLPublisher
-	target  *corbaTarget
-	orbSrv  *orb.ServerORB
+	*ClassServer
 	ref     ior.IOR
-	idlPath string
 	iorPath string
-
-	mu       sync.Mutex
-	instance *dyn.Instance
-	closed   bool
 }
 
 var _ Server = (*CORBAServer)(nil)
+var _ orb.DSITarget = (*CORBAServer)(nil)
 
 func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
-	s := &CORBAServer{
-		mgr:     m,
-		class:   class,
-		idlPath: "/idl/" + class.Name() + ".idl",
-		iorPath: "/ior/" + class.Name() + ".ior",
-	}
-	s.target = &corbaTarget{class: class}
-
-	// Wire the publisher into the call target *before* the ORB starts
-	// listening: a stale call arriving the instant the endpoint is live
-	// must already run the Section 5.7 forced-publication protocol.
-	s.pub = m.StartPublication(class, s.idlPath, "text/plain",
+	s := &CORBAServer{iorPath: "/ior/" + class.Name() + ".ior"}
+	s.ClassServer = m.NewClassServer(class, TechCORBA, "/idl/"+class.Name()+".idl", "text/plain",
 		func(desc dyn.InterfaceDescriptor) (string, error) {
 			doc, err := idl.Generate(desc)
 			if err != nil {
@@ -53,197 +37,81 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 			}
 			return idl.Print(doc), nil
 		})
-	s.target.pub = s.pub
-	s.target.activeOnly = !m.ReactivePublication()
 
 	// The Server ORB is initialized by the CORBA End Point and the IOR is
-	// published via the publication store (Section 5.2.1).
+	// published via the publication store (Section 5.2.1) — before the basic
+	// IDL document Register publishes next, so anyone who can see the IDL
+	// can already bootstrap the connection.
 	typeID := fmt.Sprintf("IDL:%sModule/%s:1.0", class.Name(), class.Name())
-	s.orbSrv = orb.NewServerORB(typeID, []byte(class.Name()), s.target)
-	ref, err := s.orbSrv.Listen(m.CORBAAddr())
+	orbSrv := orb.NewServerORB(typeID, []byte(class.Name()), s)
+	ref, err := orbSrv.Listen(m.cfg.CORBAAddr)
 	if err != nil {
-		s.pub.Close()
+		_ = s.Close()
 		return nil, fmt.Errorf("core: starting server ORB: %w", err)
 	}
 	s.ref = ref
 	m.iface.Publish(s.iorPath, "text/plain", ref.String())
-
-	// "As soon as the class is created, a basic CORBA-IDL document is
-	// published" (Section 4) — after the IOR, so anyone who can see the
-	// IDL can already bootstrap the connection.
-	s.pub.PublishNow()
-	s.pub.WaitIdle()
+	s.OnClose(func() error {
+		err := orbSrv.Close()
+		m.store.Remove(s.iorPath)
+		return err
+	})
 	return s, nil
 }
-
-// Class implements Server.
-func (s *CORBAServer) Class() *dyn.Class { return s.class }
-
-// Technology implements Server.
-func (s *CORBAServer) Technology() Technology { return TechCORBA }
-
-// Publisher implements Server.
-func (s *CORBAServer) Publisher() *DLPublisher { return s.pub }
 
 // IOR returns the server object's interoperable object reference.
 func (s *CORBAServer) IOR() ior.IOR { return s.ref }
 
-// InterfaceURL implements Server: the CORBA-IDL document URL.
-func (s *CORBAServer) InterfaceURL() string {
-	return s.mgr.InterfaceBaseURL() + s.idlPath
-}
-
 // IORURL returns the URL the stringified IOR is published at.
-func (s *CORBAServer) IORURL() string {
-	return s.mgr.InterfaceBaseURL() + s.iorPath
-}
+func (s *CORBAServer) IORURL() string { return s.mgr.InterfaceBaseURL() + s.iorPath }
 
-// CallHandler returns the server's call handler.
-func (s *CORBAServer) CallHandler() CallHandler { return s.target }
-
-// HandlerStats returns the CORBA call handler's counters.
-func (s *CORBAServer) HandlerStats() CallStats { return s.target.Stats() }
-
-// CreateInstance implements Server.
-func (s *CORBAServer) CreateInstance() (*dyn.Instance, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("core: server closed")
-	}
-	if s.instance != nil {
-		return nil, fmt.Errorf("core: class %s already has its instance (single-instance rule, Section 5.4)", s.class.Name())
-	}
-	in := s.class.NewInstance()
-	s.instance = in
-	s.target.Activate(in)
-	return in, nil
-}
-
-// Instance implements Server.
-func (s *CORBAServer) Instance() *dyn.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.instance
-}
-
-// Close implements Server.
-func (s *CORBAServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	err := s.orbSrv.Close()
-	s.pub.Close()
-	s.mgr.Store().Remove(s.idlPath)
-	s.mgr.Store().Remove(s.iorPath)
-	s.mgr.Unregister(s.class.Name())
-	return err
-}
-
-// errServerNotInitialized is returned (as a generic application exception)
-// for calls arriving before the instance exists — the CORBA analogue of the
-// SOAP subsystem's "Server not initialized" fault.
-var errServerNotInitialized = errors.New(FaultTextServerNotInitialized)
-
-// FaultTextServerNotInitialized is the message CORBA clients receive for
-// calls to a not-yet-initialized server.
+// FaultTextServerNotInitialized is the message CORBA clients receive (in
+// the generic application exception) for calls to a not-yet-initialized
+// server — the analogue of the SOAP subsystem's "Server not initialized"
+// fault.
 const FaultTextServerNotInitialized = "Server not initialized"
 
-// corbaTarget is the CORBA Call Handler: "a simple wrapper around the
-// Server ORB" (Section 5.2) implementing orb.DSITarget. It shares the
-// concurrency design of the SOAP handler: concurrent calls under the
-// read gate, stale-method handling under the write gate with forced
-// publication.
-type corbaTarget struct {
-	class      *dyn.Class
-	pub        *DLPublisher
-	activeOnly bool
+var errServerNotInitialized = errors.New(FaultTextServerNotInitialized)
 
-	gate     sync.RWMutex
-	instance *dyn.Instance
-
-	statsMu sync.Mutex
-	stats   CallStats
-}
-
-var _ orb.DSITarget = (*corbaTarget)(nil)
-var _ CallHandler = (*corbaTarget)(nil)
-
-// Activate implements CallHandler.
-func (t *corbaTarget) Activate(in *dyn.Instance) {
-	t.gate.Lock()
-	t.instance = in
-	t.gate.Unlock()
-}
-
-// Active implements CallHandler.
-func (t *corbaTarget) Active() bool {
-	t.gate.RLock()
-	defer t.gate.RUnlock()
-	return t.instance != nil
-}
-
-// Stats returns a snapshot of the handler counters.
-func (t *corbaTarget) Stats() CallStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	return t.stats
-}
-
-func (t *corbaTarget) count(f func(*CallStats)) {
-	t.statsMu.Lock()
-	f(&t.stats)
-	t.statsMu.Unlock()
-}
-
-// LookupOperation implements orb.DSITarget against the live interface.
-func (t *corbaTarget) LookupOperation(op string) (dyn.MethodSig, bool) {
-	return t.class.Interface().Lookup(op)
-}
-
-// InvokeOperation implements orb.DSITarget. ctx is the request context
-// threaded up from the IIOP transport: a client whose invoking context was
-// cancelled (GIOP CancelRequest), a dropped connection, or ORB shutdown
-// cancels it, and the dispatch is skipped — the method body itself cannot
-// observe ctx (the dyn Body ABI is context-free by design; bodies are
-// developer-edited application code).
-func (t *corbaTarget) InvokeOperation(ctx context.Context, op string, args []dyn.Value) (dyn.Value, error) {
-	t.gate.RLock()
-	in := t.instance
-	t.gate.RUnlock()
-	if in == nil {
-		t.count(func(s *CallStats) { s.Inactive++ })
+// Invoke implements orb.DSITarget. The BAD_OPERATION minor code says how
+// the request missed the live interface: 1 unknown operation, 2 changed
+// between resolve and dispatch, 3 arguments that do not decode under the
+// current signature, 4 argument octets left over (the client's stale
+// signature had more parameters than the current one).
+func (s *CORBAServer) Invoke(ctx context.Context, req orb.ServerRequest) (dyn.Value, error) {
+	minor := uint32(2)
+	rep := s.Call(ctx, func(live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
+		sig, ok := live.Lookup(req.Operation)
+		if !ok {
+			minor = 1
+			return req.Operation, nil, ErrMisfit
+		}
+		args := make([]dyn.Value, len(sig.Params))
+		for i, p := range sig.Params {
+			var err error
+			if args[i], err = cdr.DecodeValue(req.Args, p.Type); err != nil {
+				// Encoded against a stale signature (Section 5.6: "Client
+				// calls for stale method signatures may also trigger updates").
+				minor = 3
+				return req.Operation, nil, ErrMisfit
+			}
+		}
+		if req.Args.Remaining() > 0 {
+			minor = 4
+			return req.Operation, nil, ErrMisfit
+		}
+		return req.Operation, args, nil
+	})
+	switch rep.Outcome {
+	case OutcomeOK:
+		return rep.Value, nil
+	case OutcomeStale:
+		return dyn.Value{}, orb.BadOperation(minor)
+	case OutcomeInactive:
 		return dyn.Value{}, errServerNotInitialized
-	}
-	if err := ctx.Err(); err != nil {
-		// The caller is gone; don't run a method nobody will observe.
-		return dyn.Value{}, fmt.Errorf("core: call abandoned before dispatch: %w", err)
-	}
-	v, err := in.InvokeDistributed(op, args...)
-	switch {
-	case err == nil:
-		t.count(func(s *CallStats) { s.Calls++ })
-	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
-		// counted in OperationMissing, which the ORB calls next
 	default:
-		t.count(func(s *CallStats) { s.AppFaults++ })
+		// The body's error, which the ORB wraps in the generic exception —
+		// or an abandoned call's, which nobody reads.
+		return dyn.Value{}, rep.Err
 	}
-	return v, err
-}
-
-// OperationMissing implements orb.DSITarget: the Section 5.7 protocol.
-// Incoming processing stalls on the write gate while the publisher is
-// forced current; only then does the ORB send the BAD_OPERATION ("Non
-// Existent Method") exception.
-func (t *corbaTarget) OperationMissing(string) {
-	t.count(func(s *CallStats) { s.StaleCalls++ })
-	t.gate.Lock()
-	if t.pub != nil && !t.activeOnly {
-		t.pub.EnsureCurrent()
-	}
-	t.gate.Unlock()
 }

@@ -189,8 +189,8 @@ func TestSOAPServerNotInitialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss := srv.(*core.SOAPServer)
-	if ss.CallHandler().Active() {
-		t.Error("handler should be inactive before CreateInstance")
+	if ss.Active() {
+		t.Error("server should be inactive before CreateInstance")
 	}
 
 	env, err := soap.BuildRequest("urn:ColdS", "add", []soap.NamedValue{
@@ -212,8 +212,8 @@ func TestSOAPServerNotInitialized(t *testing.T) {
 	if parsed.Fault == nil || parsed.Fault.String != soap.FaultServerNotInitialized {
 		t.Errorf("fault = %+v", parsed.Fault)
 	}
-	if ss.Handler().Stats().Inactive != 1 {
-		t.Errorf("stats = %+v", ss.Handler().Stats())
+	if ss.CallStats().Inactive != 1 {
+		t.Errorf("stats = %+v", ss.CallStats())
 	}
 }
 
@@ -262,7 +262,7 @@ func TestMalformedSOAPRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := ss.Handler().Stats().Calls
+	calls := ss.CallStats().Calls
 	for _, declare := range []bool{true, false} {
 		var big io.Reader = strings.NewReader(env + strings.Repeat(" ", 16<<20))
 		if !declare { // chunked: the cap has to be found by reading
@@ -282,7 +282,7 @@ func TestMalformedSOAPRequest(t *testing.T) {
 			t.Errorf("fault declares %d bytes, carries %d", resp.ContentLength, len(body))
 		}
 	}
-	if got := ss.Handler().Stats().Calls; got != calls {
+	if got := ss.CallStats().Calls; got != calls {
 		t.Errorf("oversize bodies dispatched %d calls", got-calls)
 	}
 	// GET is rejected outright.
@@ -599,11 +599,8 @@ func TestFigure6Hierarchy(t *testing.T) {
 			t.Errorf("%s: no interface URL", s.Technology())
 		}
 	}
-	var handlers []core.CallHandler = []core.CallHandler{ss.CallHandler(), cs.CallHandler()}
-	for i, h := range handlers {
-		if !h.Active() {
-			t.Errorf("handler %d should be active", i)
-		}
+	if !ss.Active() || !cs.Active() {
+		t.Error("both servers should be active")
 	}
 	if ss.Technology() != core.TechSOAP || cs.Technology() != core.TechCORBA {
 		t.Error("technology tags")

@@ -14,6 +14,7 @@ import (
 	"livedev/internal/cde"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/h2b"
 	"livedev/internal/soap"
 )
 
@@ -147,6 +148,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		[]soap.NamedValue{{Name: "s", Value: dyn.StringValue("hi")}}, dyn.StringT); err != nil {
 		t.Fatal(err)
 	}
+	// Two transports the endpoint mux never sees: IIOP, and h2b's fast path.
+	_, corbaClient, _, _ := startCORBA(t, m, "MeteredC")
+	if _, err := corbaClient.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
+		t.Fatal(err)
+	}
+	core.RegisterBinding(h2b.New())
+	hsrv, err := m.Register(slowEchoClass(t, "MeteredH", 0), h2b.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hsrv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+	echoSig := dyn.MethodSig{Name: "echo", Params: []dyn.Param{{Name: "s", Type: dyn.StringT}}, Result: dyn.StringT}
+	mux := &h2b.Caller{Endpoint: hsrv.(*h2b.Server).Endpoint(), Mux: hsrv.(*h2b.Server).MuxAddr()}
+	if _, err := mux.Call(context.Background(), echoSig, []dyn.Value{dyn.StringValue("hi")}); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(m.HTTPBaseURL() + "/metrics")
 	if err != nil {
@@ -170,9 +189,18 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// The echo call above must show up on its endpoint's request counter.
-	if !strings.Contains(string(body), `livedev_endpoint_requests_total{path="/soap/Metered"} 1`) {
-		t.Errorf("endpoint counter did not record the call:\n%s", body)
+	// The echo call above must show up on its endpoint's request counter,
+	// and every call — whatever carried it — on its class's outcome counters.
+	for _, want := range []string{
+		`livedev_endpoint_requests_total{path="/soap/Metered"} 1`,
+		`livedev_calls_total{class="Metered",binding="SOAP",outcome="ok"} 1`,
+		`livedev_calls_total{class="MeteredC",binding="CORBA",outcome="ok"} 1`,
+		`livedev_calls_total{class="MeteredH",binding="H2B",outcome="ok"} 1`,
+		`livedev_calls_total{class="MeteredH",binding="H2B",outcome="inactive"} 0`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -208,7 +236,9 @@ func TestLifecycleGoroutineChurn(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
-		m.Unregister(name)
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Goroutines wind down asynchronously (stream teardown, publisher
@@ -288,5 +318,43 @@ func TestDrainEndsHeldStreams(t *testing.T) {
 			t.Fatalf("client never observed the draining frame: stats %+v", c.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// failingBinding builds a ClassServer, fails, and closes what it built —
+// the shape of a Serve whose listener cannot bind. Before returning it
+// tries to register the same class again, as a concurrent Register landing
+// in that window would.
+type failingBinding struct{ during error }
+
+func (*failingBinding) Name() string { return "FAILS" }
+
+func (b *failingBinding) Serve(m *core.Manager, class *dyn.Class) (core.Server, error) {
+	s := m.NewClassServer(class, "FAILS", "/fails/"+class.Name(), "text/plain",
+		func(dyn.InterfaceDescriptor) (string, error) { return "", nil })
+	_ = s.Close()
+	_, b.during = m.Register(class, core.TechSOAP)
+	return nil, errors.New("listener would not bind")
+}
+
+// TestFailedServeKeepsRegistrationReserved: closing a half-built server
+// must not release the name Register reserved for it; only Register's own
+// return does.
+func TestFailedServeKeepsRegistrationReserved(t *testing.T) {
+	m := newManager(t)
+	class, _ := newCalcClass(t, "Reserved")
+	b := &failingBinding{}
+	core.RegisterBinding(b)
+	if _, err := m.Register(class, "FAILS"); err == nil {
+		t.Fatal("Register should report the failed Serve")
+	}
+	if b.during == nil || !strings.Contains(b.during.Error(), "already managed") {
+		t.Errorf("a second Register during the failed one: got %v, want \"already managed\"", b.during)
+	}
+	if _, err := m.Register(class, core.TechSOAP); err != nil {
+		t.Fatalf("the name should be free once the failed Register has returned: %v", err)
+	}
+	if n := len(m.Servers()); n != 1 {
+		t.Errorf("%d servers managed, want 1", n)
 	}
 }

@@ -31,8 +31,8 @@ const (
 )
 
 // Server is the technology-independent view of one managed server class —
-// the SDEServer position in the Figure 6 hierarchy. SOAPServer,
-// CORBAServer, and every registered binding's server implement it.
+// the SDEServer position in the Figure 6 hierarchy. Every binding's server
+// implements it by embedding a *ClassServer.
 type Server interface {
 	// Class returns the managed dynamic class.
 	Class() *dyn.Class
@@ -40,29 +40,20 @@ type Server interface {
 	Technology() Technology
 	// Publisher returns the server's DL Publisher.
 	Publisher() *DLPublisher
-	// CreateInstance creates the single live instance and activates the
-	// call handler. It fails if an instance already exists (Section 5.4:
-	// "only a single instance of each dynamic class ... can be in
-	// existence at any given time").
+	// CreateInstance creates the single live instance, after which calls
+	// are dispatched instead of refused (Section 5.1.3). It fails if an
+	// instance already exists (Section 5.4: "only a single instance of each
+	// dynamic class ... can be in existence at any given time").
 	CreateInstance() (*dyn.Instance, error)
 	// Instance returns the live instance (nil before CreateInstance).
 	Instance() *dyn.Instance
 	// InterfaceURL returns the HTTP URL of the published interface
 	// description (WSDL, CORBA-IDL, or the binding's own format).
 	InterfaceURL() string
+	// CallStats returns the server's call-outcome counters.
+	CallStats() CallStats
 	// Close deactivates the server and releases its resources.
 	Close() error
-}
-
-// CallHandler is the communication backend of one technology (Figure 6):
-// it receives remote calls, translates them, and dispatches to the live
-// instance. It remains inactive — refusing calls — until the instance
-// exists (Section 5.1.3).
-type CallHandler interface {
-	// Activate binds the handler to the live instance.
-	Activate(in *dyn.Instance)
-	// Active reports whether an instance is bound.
-	Active() bool
 }
 
 // Config configures a Manager. The zero value listens on ephemeral
@@ -83,7 +74,7 @@ type Config struct {
 	// publication immediately. Forced publication (Section 5.7) always
 	// commits synchronously regardless of the window, so the recency
 	// guarantee is unaffected. Individual documents can override the window
-	// via PublishInterface's WithPathFlushWindow option.
+	// via NewClassServer's WithPathFlushWindow option.
 	FlushWindow time.Duration
 	// HistoryLen bounds the publication store's replay journal: how many
 	// committed versions (across all paths) are retained for streaming-
@@ -293,42 +284,21 @@ func (m *Manager) Store() *Store { return m.store }
 // InterfaceBaseURL returns the Interface Server base URL.
 func (m *Manager) InterfaceBaseURL() string { return m.iface.BaseURL() }
 
-// HTTPBaseURL returns the base URL that handlers mounted with MountHTTP are
-// served under.
+// HTTPBaseURL returns the base URL of the shared HTTP endpoint server that
+// ClassServer.MountHTTP mounts call handlers on.
 func (m *Manager) HTTPBaseURL() string { return m.httpBase }
-
-// MountHTTP mounts a call handler on the shared HTTP endpoint server at
-// path. HTTP-based bindings use it so one listener serves every HTTP
-// technology.
-func (m *Manager) MountHTTP(path string, h http.Handler) { m.httpMux.handle(path, h) }
-
-// UnmountHTTP removes a handler mounted with MountHTTP.
-func (m *Manager) UnmountHTTP(path string) { m.httpMux.removeHandler(path) }
-
-// NewPublisher builds a DL Publisher for class wired to the manager's
-// configured stability timeout and clock, delivering documents via publish.
-// Bindings use it so every technology shares the Section 5.6 publication
-// behaviour (and its test clock) without reaching into the config. The
-// publisher's forced-publication path flushes the manager's publication
-// store, preserving the Section 5.7 guarantee under coalescing. Most
-// bindings want the higher-level PublishInterface instead.
-func (m *Manager) NewPublisher(class *dyn.Class, publish PublishFunc) *DLPublisher {
-	p := NewDLPublisher(class, m.cfg.Timeout, m.cfg.Clock, publish)
-	p.SetFlush(m.store.Flush)
-	return p
-}
 
 // GenerateFunc renders an interface descriptor into one binding's document
 // text (WSDL, CORBA-IDL, JSON, ...).
 type GenerateFunc func(desc dyn.InterfaceDescriptor) (string, error)
 
-// publishConfig is the resolved form of PublishInterface's options.
+// publishConfig is the resolved form of NewClassServer's options.
 type publishConfig struct {
 	window    time.Duration
 	hasWindow bool
 }
 
-// PublishOption configures one PublishInterface/StartPublication call.
+// PublishOption configures one NewClassServer call.
 type PublishOption func(*publishConfig)
 
 // WithPathFlushWindow overrides the store-wide coalescing window for this
@@ -340,68 +310,6 @@ type PublishOption func(*publishConfig)
 func WithPathFlushWindow(d time.Duration) PublishOption {
 	return func(c *publishConfig) { c.window, c.hasWindow = d, true }
 }
-
-// PublishInterface is the publication seam bindings build on: it wires
-// class's interface-document publication through the manager's store and
-// returns the running DL Publisher. It bundles everything the SOAP, CORBA,
-// and JSON bindings used to duplicate:
-//
-//   - generated text is cached by interface hash, so republication of a
-//     previously seen interface (undo/redo, A→B→A edit cycles) skips the
-//     generator;
-//   - documents are committed through the coalescing store under path with
-//     the given content type, carrying the descriptor version;
-//   - the publisher's forced-publication path flushes the store;
-//   - the initial (basic) description is published synchronously before
-//     PublishInterface returns (Section 4), bypassing the flush window
-//     because a first publication always commits immediately.
-//
-// The caller owns the returned publisher and must Close it when the
-// binding's server closes.
-func (m *Manager) PublishInterface(class *dyn.Class, path, contentType string, gen GenerateFunc, opts ...PublishOption) *DLPublisher {
-	p := m.StartPublication(class, path, contentType, gen, opts...)
-	p.PublishNow()
-	p.WaitIdle()
-	return p
-}
-
-// StartPublication is PublishInterface without the initial synchronous
-// publication: the publisher is fully wired (doc cache, store, flush) but
-// nothing has been published yet. Bindings whose call endpoint must be
-// wired to the publisher *before* it goes live — the CORBA binding's ORB
-// starts listening before the basic IDL is generated — use it and trigger
-// PublishNow/WaitIdle themselves once the endpoint order is right.
-func (m *Manager) StartPublication(class *dyn.Class, path, contentType string, gen GenerateFunc, opts ...PublishOption) *DLPublisher {
-	var pc publishConfig
-	for _, opt := range opts {
-		opt(&pc)
-	}
-	if pc.hasWindow {
-		m.store.SetPathWindow(path, pc.window)
-	}
-	docs := newDocCache()
-	publish := func(desc dyn.InterfaceDescriptor) error {
-		text, ok := docs.get(desc.Hash())
-		if !ok {
-			var err error
-			if text, err = gen(desc); err != nil {
-				return err
-			}
-			docs.put(desc.Hash(), text)
-		}
-		m.store.PublishVersioned(path, contentType, text, desc.Version)
-		return nil
-	}
-	return m.NewPublisher(class, publish)
-}
-
-// ReactivePublication reports whether stale calls must force the published
-// interface current before the "non-existent method" reply (true normally;
-// false under the ActivePublishingOnly ablation).
-func (m *Manager) ReactivePublication() bool { return !m.cfg.ActivePublishingOnly }
-
-// CORBAAddr returns the configured listen address for CORBA server ORBs.
-func (m *Manager) CORBAAddr() string { return m.cfg.CORBAAddr }
 
 // Register deploys class as a live server of the named technology — what
 // happens when a JPie user extends SOAPServer or CORBAServer (Section 4):
@@ -436,6 +344,13 @@ func (m *Manager) Register(class *dyn.Class, tech Technology) (Server, error) {
 	m.mu.Unlock()
 
 	srv, err := b.Serve(m, class)
+	if err == nil {
+		// Registration "immediately publishes a basic definition" (Section
+		// 4) — here rather than in each binding, and after Serve, so the
+		// endpoint the document advertises is already up.
+		srv.Publisher().PublishNow()
+		srv.Publisher().WaitIdle()
+	}
 
 	m.mu.Lock()
 	if err != nil {
@@ -468,11 +383,15 @@ func (m *Manager) Servers() []Server {
 	return out
 }
 
-// Unregister drops a server from the registry. Binding Server
-// implementations call it from Close.
-func (m *Manager) Unregister(className string) {
+// unregister drops a server from the registry (ClassServer.Close). A nil
+// slot is the reservation of a Register still in flight and is that
+// Register's to release: a Serve that fails and closes what it built must
+// not open the name to a second Register before the first has returned.
+func (m *Manager) unregister(className string) {
 	m.mu.Lock()
-	delete(m.servers, className)
+	if m.servers[className] != nil {
+		delete(m.servers, className)
+	}
 	m.mu.Unlock()
 }
 

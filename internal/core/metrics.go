@@ -11,8 +11,9 @@ import (
 // text exposition format (one `name{labels} value` line per sample) so any
 // scraper — or a human with curl — can watch the ops plane described in
 // docs/ops.md. Everything here is a snapshot of counters the subsystems
-// already keep: Store.Stats for the publication core, WAL and replication
-// blocks, the fan-out plane, plus the endpoint mux's per-path counters.
+// already keep: every managed server's call outcomes, Store.Stats for the
+// publication core, WAL and replication blocks, the fan-out plane, plus the
+// endpoint mux's per-path counters.
 func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 
@@ -29,7 +30,26 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "livedev_up %d\n", up)
 	fmt.Fprintf(&b, "livedev_draining %d\n", draining)
 
-	// Per-binding endpoint traffic. Sorted for stable scrape output.
+	// Calls by outcome, from each server's one counter set, so every
+	// transport is covered — IIOP and the h2b mux included, which never
+	// touch the endpoint mux below. Sorted for stable scrape output.
+	servers := m.Servers()
+	sort.Slice(servers, func(i, j int) bool { return servers[i].Class().Name() < servers[j].Class().Name() })
+	for _, srv := range servers {
+		st := srv.CallStats()
+		for _, c := range []struct {
+			outcome Outcome
+			n       uint64
+		}{
+			{OutcomeOK, st.Calls}, {OutcomeAppFault, st.AppFaults}, {OutcomeStale, st.StaleCalls},
+			{OutcomeMalformed, st.Malformed}, {OutcomeInactive, st.Inactive},
+		} {
+			fmt.Fprintf(&b, "livedev_calls_total{class=%q,binding=%q,outcome=%q} %d\n",
+				srv.Class().Name(), srv.Technology(), c.outcome, c.n)
+		}
+	}
+
+	// HTTP-mounted endpoint traffic.
 	ms := m.httpMux.stats()
 	sort.Slice(ms, func(i, j int) bool { return ms[i].path < ms[j].path })
 	for _, s := range ms {

@@ -7,7 +7,7 @@
 // event-driven publication refactor — the publication Store: the versioned
 // interface-document store with epoch-numbered snapshots, subscriber
 // fan-out, and edit-storm coalescing that every binding publishes through
-// (Manager.PublishInterface) and the Interface Server reads from. The
+// (Manager.NewClassServer) and the Interface Server reads from. The
 // publication pipeline is therefore: class edit → DL Publisher
 // (stable-timeout, Section 5.6) → Store (flush-window coalescing, epochs,
 // fan-out) → Interface Server read view (HTTP + long-poll watch) → client
@@ -110,8 +110,8 @@ func NewDLPublisher(class *dyn.Class, timeout time.Duration, clk clock.Clock, pu
 }
 
 // SetFlush installs the downstream store-commit hook run at the end of
-// every EnsureCurrent. Manager.NewPublisher and Manager.PublishInterface
-// wire it to the publication store's Flush.
+// every EnsureCurrent. Manager.NewClassServer wires it to the publication
+// store's Flush.
 func (p *DLPublisher) SetFlush(flush func()) {
 	p.mu.Lock()
 	p.flush = flush

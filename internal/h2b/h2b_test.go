@@ -1,10 +1,13 @@
 package h2b
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -12,8 +15,10 @@ import (
 	"time"
 
 	"livedev/internal/cde"
+	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
 )
 
@@ -289,11 +294,12 @@ func TestMuxParallelCallsShareOneConn(t *testing.T) {
 	}
 }
 
-// TestMuxStaleCallMatchesHTTPPath pins wire-contract parity: the fast
-// path reports stale calls with the same error the HTTP path does, so
-// the CDE's Section 5.7 reaction works identically on either transport.
-func TestMuxStaleCallMatchesHTTPPath(t *testing.T) {
-	mgr, err := core.NewManager(core.Config{Timeout: 50 * time.Millisecond})
+// TestServerRefusesOversizeBody: a body over the call size limit is
+// malformed as a whole on the HTTP path, as it is on the fast path — not
+// cut at the limit, decoded as far as it goes and then taken for a stale
+// call, which would force a publication and send the client refetching.
+func TestServerRefusesOversizeBody(t *testing.T) {
+	mgr, err := core.NewManager(core.Config{Timeout: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +311,63 @@ func TestMuxStaleCallMatchesHTTPPath(t *testing.T) {
 	if _, err := srv.CreateInstance(); err != nil {
 		t.Fatal(err)
 	}
-	caller := &Caller{Endpoint: srv.(*Server).Endpoint(), Mux: srv.(*Server).MuxAddr()}
-	sig := dyn.MethodSig{Name: "vanished", Result: dyn.Int32T}
-	_, err = caller.Call(context.Background(), sig, nil)
-	if !errors.Is(err, ErrNonExistentMethod) {
-		t.Fatalf("want ErrNonExistentMethod over the fast path, got %v", err)
+	forcedBefore, statsBefore := srv.Publisher().Stats(), srv.CallStats()
+
+	// add(1, 2), then padding one octet past the limit.
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteLong(1)
+	e.WriteLong(2)
+	body := append(e.Bytes(), make([]byte, maxBodyBytes+1-len(e.Bytes()))...)
+	for _, declare := range []bool{true, false} {
+		var r io.Reader = bytes.NewReader(body)
+		if !declare { // chunked: the limit has to be found by reading
+			r = io.MultiReader(r)
+		}
+		req, err := http.NewRequest(http.MethodPost, srv.(*Server).Endpoint(), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(MethodHeader, "add")
+		req.Header.Set(OrderHeader, OrderBig)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || resp.Header.Get(ErrorHeader) != CodeMalformed {
+			t.Errorf("oversize body (declared length %v) answered %d %q, want 400 %q",
+				declare, resp.StatusCode, resp.Header.Get(ErrorHeader), CodeMalformed)
+		}
+	}
+	if after := srv.Publisher().Stats(); after.Forced != forcedBefore.Forced || after.ForcedNoop != forcedBefore.ForcedNoop {
+		t.Errorf("an oversize body ran the stale-call protocol: %+v -> %+v", forcedBefore, after)
+	}
+	statsBefore.Malformed += 2
+	if after := srv.CallStats(); after != statsBefore {
+		t.Errorf("stats = %+v, want %+v", after, statsBefore)
+	}
+}
+
+// TestCallerRefusesOversizeReply: a reply over the limit is reported as
+// such, not cut at the limit and handed to the decoder.
+func TestCallerRefusesOversizeReply(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// A well-formed sequence<octet-sized booleans> one element too long.
+		e := cdr.NewEncoder(cdr.BigEndian)
+		e.WriteULong(maxBodyBytes)
+		w.Header().Set("Content-Type", CallContentType)
+		w.Header().Set(OrderHeader, OrderBig)
+		_, _ = w.Write(e.Bytes())
+		_, _ = w.Write(make([]byte, maxBodyBytes))
+	}))
+	ifsvr.EnableH2C(ts.Config) // the caller speaks prior-knowledge h2c
+	ts.Start()
+	defer ts.Close()
+
+	sig := dyn.MethodSig{Name: "flags", Result: dyn.SequenceOf(dyn.Boolean)}
+	_, err := (&Caller{Endpoint: ts.URL}).Call(context.Background(), sig, nil)
+	if !errors.Is(err, errBodyTooLarge) {
+		t.Fatalf("an oversize reply returned %v, want errBodyTooLarge", err)
 	}
 }
 

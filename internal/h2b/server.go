@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"sync"
 
 	"livedev/internal/cdr"
 	"livedev/internal/core"
@@ -19,60 +18,56 @@ import (
 // maxBodyBytes bounds one call's argument (or reply) stream.
 const maxBodyBytes = 16 << 20
 
-// Server is the h2b subsystem bundle for one managed class — the same
-// Figure 4/5 shape as the other bindings: a document generator feeding
-// the shared Interface Server via a DL Publisher, and a call handler
-// mounted on the manager's shared HTTP endpoint server. The manager's
-// listener speaks cleartext HTTP/2 (ifsvr.EnableH2C), which is what lets
-// the client half promise prior-knowledge h2c on the advertised endpoint.
-// It is built entirely from the Manager's public binding surface.
-type Server struct {
-	mgr      *core.Manager
-	class    *dyn.Class
-	pub      *core.DLPublisher
-	handler  *callHandler
-	endpoint string
-	path     string
-	docPath  string
-	mux      *h2x.Server
-	muxAddr  string
+var errBodyTooLarge = errors.New("h2b: message body exceeds 16 MiB")
 
-	mu       sync.Mutex
-	instance *dyn.Instance
-	closed   bool
+// readBody reads r to its end and fails with errBodyTooLarge once the body
+// passes maxBodyBytes, rather than handing on a truncated argument stream
+// (which would decode as a stale call, not as the framing error it is).
+func readBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
+	if err == nil && len(body) > maxBodyBytes {
+		err = errBodyTooLarge
+	}
+	return body, err
+}
+
+// Server is the h2b subsystem for one managed class: a document generator
+// feeding the embedded core.ClassServer's publisher, and a call handler
+// served twice — mounted on the manager's shared HTTP endpoint server,
+// whose listener speaks cleartext HTTP/2 (ifsvr.EnableH2C), which is what
+// lets the client half promise prior-knowledge h2c on the advertised
+// endpoint; and on a dedicated h2x fast-path listener.
+type Server struct {
+	*core.ClassServer
+	endpoint string
+	muxAddr  string
 }
 
 var _ core.Server = (*Server)(nil)
+var _ http.Handler = (*Server)(nil)
+var _ h2x.Handler = (*Server)(nil)
 
 func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
-	s := &Server{
-		mgr:     m,
-		class:   class,
-		path:    "/h2b/" + class.Name(),
-		docPath: "/h2bif/" + class.Name() + ".h2b",
-	}
-	s.endpoint = m.HTTPBaseURL() + s.path
-	s.handler = &callHandler{class: class}
+	path := "/h2b/" + class.Name()
+	s := &Server{endpoint: m.HTTPBaseURL() + path}
+	s.ClassServer = m.NewClassServer(class, Name, "/h2bif/"+class.Name()+".h2b", DocContentType,
+		func(desc dyn.InterfaceDescriptor) (string, error) {
+			return GenerateDoc(desc, s.endpoint, s.muxAddr)
+		})
 
 	// The fast-path listener: the same calls, carried by the purpose-built
 	// h2x engine instead of the general HTTP stack, on a dedicated port
 	// next to the manager's listener (the CORBA binding's IIOP port is the
 	// precedent). The document advertises it as mux_endpoint.
-	s.mux = h2x.NewServer(s.handler)
-	muxAddr, err := s.mux.Listen(net.JoinHostPort(httpHost(m.HTTPBaseURL()), "0"))
+	mux := h2x.NewServer(s)
+	muxAddr, err := mux.Listen(net.JoinHostPort(httpHost(m.HTTPBaseURL()), "0"))
 	if err != nil {
+		_ = s.Close()
 		return nil, fmt.Errorf("h2b: starting mux listener: %w", err)
 	}
 	s.muxAddr = muxAddr
-
-	s.pub = m.PublishInterface(class, s.docPath, DocContentType,
-		func(desc dyn.InterfaceDescriptor) (string, error) {
-			return GenerateDoc(desc, s.endpoint, s.muxAddr)
-		})
-	s.handler.pub = s.pub
-	s.handler.reactive = m.ReactivePublication()
-
-	m.MountHTTP(s.path, s.handler)
+	s.OnClose(mux.Close)
+	s.MountHTTP(path, s)
 	return s, nil
 }
 
@@ -85,99 +80,12 @@ func httpHost(baseURL string) string {
 	return "127.0.0.1"
 }
 
-// Class implements core.Server.
-func (s *Server) Class() *dyn.Class { return s.class }
-
-// Technology implements core.Server.
-func (s *Server) Technology() core.Technology { return core.Technology(Name) }
-
-// Publisher implements core.Server.
-func (s *Server) Publisher() *core.DLPublisher { return s.pub }
-
 // Endpoint returns the CDR-POST endpoint URL.
 func (s *Server) Endpoint() string { return s.endpoint }
 
 // MuxAddr returns the fast-path listener's "host:port" — the address the
 // interface document advertises as mux_endpoint.
 func (s *Server) MuxAddr() string { return s.muxAddr }
-
-// InterfaceURL implements core.Server: the h2b interface document URL.
-func (s *Server) InterfaceURL() string {
-	return s.mgr.InterfaceBaseURL() + s.docPath
-}
-
-// CreateInstance implements core.Server.
-func (s *Server) CreateInstance() (*dyn.Instance, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("h2b: server closed")
-	}
-	if s.instance != nil {
-		return nil, fmt.Errorf("h2b: class %s already has its instance (single-instance rule, Section 5.4)", s.class.Name())
-	}
-	in := s.class.NewInstance()
-	s.instance = in
-	s.handler.Activate(in)
-	return in, nil
-}
-
-// Instance implements core.Server.
-func (s *Server) Instance() *dyn.Instance {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.instance
-}
-
-// Close implements core.Server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	_ = s.mux.Close()
-	s.mgr.UnmountHTTP(s.path)
-	s.pub.Close()
-	s.mgr.Store().Remove(s.docPath)
-	s.mgr.Unregister(s.class.Name())
-	return nil
-}
-
-// callHandler is the binding's Call Handler, with the same concurrency
-// design as the built-in bindings: concurrent requests under a read gate,
-// the stale path under the write gate with forced publication (Section
-// 5.7). Under HTTP/2 the concurrent requests are streams of one
-// connection, so the read gate is what lets them actually dispatch in
-// parallel.
-type callHandler struct {
-	class    *dyn.Class
-	pub      *core.DLPublisher
-	reactive bool
-
-	gate     sync.RWMutex
-	instance *dyn.Instance
-}
-
-var _ core.CallHandler = (*callHandler)(nil)
-var _ http.Handler = (*callHandler)(nil)
-var _ h2x.Handler = (*callHandler)(nil)
-
-// Activate implements core.CallHandler.
-func (h *callHandler) Activate(in *dyn.Instance) {
-	h.gate.Lock()
-	h.instance = in
-	h.gate.Unlock()
-}
-
-// Active implements core.CallHandler.
-func (h *callHandler) Active() bool {
-	h.gate.RLock()
-	defer h.gate.RUnlock()
-	return h.instance != nil
-}
 
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -205,66 +113,51 @@ func errReply(status int, code, msg string) reply {
 	return reply{status: status, errCode: code, msg: msg}
 }
 
-// call runs one decoded-transport call: CDR argument decode under the
-// read gate, dispatch, CDR result encode. It is the shared core of both
-// transports — the HTTP handler on the manager's listener and the h2x
-// fast path — so the stale-call protocol and encoder pooling behave
-// identically on either. body is the caller's own buffer: the zero-copy
-// decode may alias it, argument values keep it alive.
-func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []byte) reply {
-	if method == "" {
-		return errReply(http.StatusBadRequest, CodeMalformed, "missing "+MethodHeader+" header")
-	}
-	order, err := parseOrder(orderHdr)
-	if err != nil {
-		return errReply(http.StatusBadRequest, CodeMalformed, err.Error())
-	}
-
-	h.gate.RLock()
-	in := h.instance
-	if in == nil {
-		h.gate.RUnlock()
-		return errReply(http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
-	}
-
-	// Resolve against the live interface, not any cached view.
-	sig, ok := h.class.Interface().Lookup(method)
-	if !ok {
-		h.gate.RUnlock()
-		return h.staleCall(method)
-	}
-	d := cdr.NewDecoder(body, order)
-	d.SetZeroCopy(true)
-	args := make([]dyn.Value, len(sig.Params))
-	for i, p := range sig.Params {
-		v, derr := cdr.DecodeValue(d, p.Type)
-		if derr != nil {
-			// Encoded against a stale signature: same protocol as a
-			// missing method (Section 5.6).
-			h.gate.RUnlock()
-			return h.staleCall(method)
+// call runs one call whose transport is already decoded: CDR argument
+// decode against the live interface and dispatch through the ClassServer's
+// gate, CDR result encode. It is the shared core of both transports — the
+// HTTP handler on the manager's listener and the h2x fast path — so the
+// stale-call protocol and encoder pooling behave identically on either.
+// body is the caller's own buffer: the zero-copy decode may alias it,
+// argument values keep it alive. readErr is the transport's failure to
+// produce body (an oversize one included), if any.
+func (s *Server) call(ctx context.Context, method, orderHdr string, body []byte, readErr error) reply {
+	rep := s.Call(ctx, func(live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
+		if readErr != nil {
+			return method, nil, readErr
 		}
-		args[i] = v
-	}
-	if d.Remaining() != 0 {
-		// Trailing octets mean the client encoded more arguments than the
-		// current signature takes — a stale stub, not a framing error.
-		h.gate.RUnlock()
-		return h.staleCall(method)
-	}
+		if method == "" {
+			return "", nil, errors.New("missing " + MethodHeader + " header")
+		}
+		order, err := parseOrder(orderHdr)
+		if err != nil {
+			return method, nil, err
+		}
+		sig, ok := live.Lookup(method)
+		if !ok {
+			return method, nil, core.ErrMisfit
+		}
+		d := cdr.NewDecoder(body, order)
+		d.SetZeroCopy(true)
+		args := make([]dyn.Value, len(sig.Params))
+		for i, p := range sig.Params {
+			if args[i], err = cdr.DecodeValue(d, p.Type); err != nil {
+				// Encoded against a stale signature (Section 5.6).
+				return method, nil, core.ErrMisfit
+			}
+		}
+		if d.Remaining() != 0 {
+			// Trailing octets mean the client encoded more arguments than the
+			// current signature takes — a stale stub, not a framing error.
+			return method, nil, core.ErrMisfit
+		}
+		return method, args, nil
+	})
 
-	if ctx.Err() != nil {
-		// The stream was reset; skip work nobody will observe.
-		h.gate.RUnlock()
-		return reply{}
-	}
-	result, err := in.InvokeDistributed(method, args...)
-	h.gate.RUnlock()
-
-	switch {
-	case err == nil:
+	switch rep.Outcome {
+	case core.OutcomeOK:
 		e := cdr.GetEncoder(cdr.BigEndian)
-		if encErr := cdr.EncodeValue(e, result); encErr != nil {
+		if encErr := cdr.EncodeValue(e, rep.Value); encErr != nil {
 			cdr.PutEncoder(e)
 			return errReply(http.StatusInternalServerError, CodeApplication, encErr.Error())
 		}
@@ -274,28 +167,31 @@ func (h *callHandler) call(ctx context.Context, method, orderHdr string, body []
 			body:    e.Bytes(),
 			release: func() { cdr.PutEncoder(e) },
 		}
-	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
-		// Interface changed between lookup and dispatch.
-		return h.staleCall(method)
+	case core.OutcomeAppFault:
+		return errReply(http.StatusInternalServerError, CodeApplication, rep.Err.Error())
+	case core.OutcomeStale:
+		return errReply(http.StatusNotFound, CodeNonExistentMethod,
+			"method "+rep.Method+" is not part of the current server interface")
+	case core.OutcomeMalformed:
+		return errReply(http.StatusBadRequest, CodeMalformed, rep.Err.Error())
+	case core.OutcomeInactive:
+		return errReply(http.StatusServiceUnavailable, CodeNotInitialized, "server not initialized")
 	default:
-		return errReply(http.StatusInternalServerError, CodeApplication, err.Error())
+		// Abandoned: the stream was reset; the zero reply sends nothing.
+		return reply{}
 	}
 }
 
 // ServeHTTP handles one call (one HTTP/2 stream) on the manager's
 // listener. The request context — cancelled when the client resets the
 // stream — gates dispatch.
-func (h *callHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "h2b endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
-		return
-	}
-	rep := h.call(r.Context(), r.Header.Get(MethodHeader), r.Header.Get(OrderHeader), body)
+	body, readErr := readBody(r.Body)
+	rep := s.call(r.Context(), r.Header.Get(MethodHeader), r.Header.Get(OrderHeader), body, readErr)
 	switch {
 	case rep.status == 0:
 		// Caller gone; the reset stream carries no reply.
@@ -317,7 +213,7 @@ func (h *callHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP, minus the general HTTP stack. The engine invokes Done after
 // the response octets leave, which is when the pooled encoder backing
 // the body goes back to its pool.
-func (h *callHandler) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
+func (s *Server) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
 	if r.Method != "POST" {
 		return &h2x.Response{
 			Status: http.StatusMethodNotAllowed,
@@ -325,15 +221,23 @@ func (h *callHandler) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response
 			Body:   []byte("h2b endpoint: POST only"),
 		}
 	}
+	var readErr error
 	if len(r.Body) > maxBodyBytes {
-		return h2xError(http.StatusBadRequest, CodeMalformed, "request body exceeds the call size limit")
+		readErr = errBodyTooLarge
 	}
-	rep := h.call(ctx, r.HeaderValue(muxMethodHeader), r.HeaderValue(muxOrderHeader), r.Body)
+	rep := s.call(ctx, r.HeaderValue(muxMethodHeader), r.HeaderValue(muxOrderHeader), r.Body, readErr)
 	switch {
 	case rep.status == 0:
 		return nil // caller gone; a nil response just drops the stream
 	case rep.errCode != "":
-		return h2xError(rep.status, rep.errCode, rep.msg)
+		return &h2x.Response{
+			Status: rep.status,
+			Header: [][2]string{
+				{"content-type", "text/plain; charset=utf-8"},
+				{muxErrorHeader, rep.errCode},
+			},
+			Body: []byte(rep.msg),
+		}
 	default:
 		return &h2x.Response{
 			Status: rep.status,
@@ -345,29 +249,4 @@ func (h *callHandler) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response
 			Done: rep.release,
 		}
 	}
-}
-
-// h2xError renders an error outcome as a fast-path response.
-func h2xError(status int, code, msg string) *h2x.Response {
-	return &h2x.Response{
-		Status: status,
-		Header: [][2]string{
-			{"content-type", "text/plain; charset=utf-8"},
-			{muxErrorHeader, code},
-		},
-		Body: []byte(msg),
-	}
-}
-
-// staleCall implements the Section 5.7 server algorithm: stall incoming
-// processing (write gate), force the published interface document current,
-// then report "non-existent method" and resume.
-func (h *callHandler) staleCall(method string) reply {
-	h.gate.Lock()
-	if h.pub != nil && h.reactive {
-		h.pub.EnsureCurrent()
-	}
-	h.gate.Unlock()
-	return errReply(http.StatusNotFound, CodeNonExistentMethod,
-		"method "+method+" is not part of the current server interface")
 }

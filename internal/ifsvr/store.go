@@ -83,7 +83,7 @@ type StoreStats struct {
 // store with epoch-numbered snapshots, subscriber fan-out, edit-storm
 // coalescing, and an epoch-indexed journal for watcher catch-up. It is the
 // one document store: every binding publishes through it (via the SDE
-// Manager's PublishInterface), the Interface Server reads from it
+// Manager's NewClassServer), the Interface Server reads from it
 // (NewView), and a standalone Server (New or the zero value) owns one with
 // coalescing disabled.
 //

@@ -136,6 +136,13 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 	h.Set("Content-Type", StreamContentType)
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no") // do not let proxies buffer the stream
+	if r.ProtoMajor == 1 {
+		// The stream ends when the connection does, so it needs no chunk
+		// framing (the SSE specification's own advice), and without it
+		// net/http hands a frame larger than its 4 KB connection buffer to
+		// the socket in one write instead of three.
+		h.Set("Transfer-Encoding", "identity")
+	}
 	// The restart generation, readable before the first event (the client's
 	// restart detector compares it across reconnects), and the store-wide
 	// epoch at connect.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,5 +469,40 @@ func TestStreamDeliversEveryVersionAppliedOutOfEpochOrder(t *testing.T) {
 		if ev.Doc.Epoch != wantEpoch || ev.Doc.Content != wantContent || ev.Doc.ContentType != "text/xml" || ev.Doc.DescriptorVersion != uint64(i+1) {
 			t.Errorf("event %d = %+v, want version %d at epoch %d with content %q", i, ev.Doc, i+1, wantEpoch, wantContent)
 		}
+	}
+}
+
+// TestStreamIsUnchunkedOnHTTP1: an HTTP/1.1 watch stream is delimited by
+// the connection, not by chunk framing, so a frame larger than net/http's
+// connection buffer is one socket write; a document of that size still
+// arrives whole.
+func TestStreamIsUnchunkedOnHTTP1(t *testing.T) {
+	st, url := startStreamServer(t, 0)
+	big := "<" + strings.Repeat("x", 12<<10) + "/>"
+	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", big, 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"?watch=stream&after=0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.ProtoMajor != 1 || len(resp.TransferEncoding) != 0 || resp.ContentLength != -1 {
+		t.Fatalf("stream answered HTTP/%d with Transfer-Encoding %v, Content-Length %d; want HTTP/1.1, unchunked, unsized",
+			resp.ProtoMajor, resp.TransferEncoding, resp.ContentLength)
+	}
+	err = readStream(ctx, resp.Body, 0, func(ev StreamEvent) {
+		if ev.Doc.Content != big {
+			t.Errorf("a %d-byte document arrived as %d bytes", len(big), len(ev.Doc.Content))
+		}
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("stream ended with %v before delivering the document", err)
 	}
 }

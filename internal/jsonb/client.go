@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"livedev/internal/cde"
@@ -114,80 +113,6 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	return parsed.result, nil
 }
 
-// backend implements cde.Backend over the JSON wire protocol.
-type backend struct {
-	docs       *cde.DocSource
-	httpClient *http.Client
-
-	mu     sync.RWMutex
-	caller *Caller
-}
-
-var _ cde.Backend = (*backend)(nil)
-
-// NewBackend returns a cde.Backend reading the interface document at
-// docURL. httpClient may be nil.
-func NewBackend(docURL string, httpClient *http.Client) cde.Backend {
-	return &backend{docs: cde.NewDocSource(docURL, httpClient, nil), httpClient: httpClient}
-}
-
-// Technology implements cde.Backend.
-func (b *backend) Technology() string { return Name }
-
-// compile turns a fetched (or pushed) interface document into the
-// descriptor and (re)targets the caller at the advertised endpoint.
-func (b *backend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, cde.DocVersions, error) {
-	desc, endpoint, err := ParseDoc(doc.Content)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, cde.DocVersions{}, err
-	}
-	desc.Version = doc.DescriptorVersion
-	b.mu.Lock()
-	b.caller = &Caller{Endpoint: endpoint, HTTPClient: b.httpClient}
-	b.mu.Unlock()
-	return desc, cde.DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
-}
-
-// FetchInterface implements cde.Backend: fetch the JSON interface document
-// and compile it.
-func (b *backend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, cde.DocVersions, error) {
-	doc, err := b.docs.Fetch(ctx)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, cde.DocVersions{}, err
-	}
-	return b.compile(doc)
-}
-
-// StreamInterface implements cde.WatchableBackend over the Interface
-// Server's SSE watch transport, making the binding watch-capable with no
-// extra server-side code.
-func (b *backend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(cde.InterfaceEvent)) error {
-	return b.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
-		desc, vers, err := b.compile(ev.Doc)
-		if err != nil {
-			return // a malformed intermediate version; the next event supersedes it
-		}
-		deliver(cde.InterfaceEvent{Desc: desc, Versions: vers, Replayed: ev.Replayed, Snapshot: ev.Snapshot})
-	})
-}
-
-// Invoke implements cde.Backend.
-func (b *backend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	b.mu.RLock()
-	caller := b.caller
-	b.mu.RUnlock()
-	if caller == nil {
-		return dyn.Value{}, errors.New("jsonb: backend not initialized")
-	}
-	return caller.Call(ctx, sig, args)
-}
-
-// IsStale implements cde.Backend.
-func (b *backend) IsStale(err error) bool { return errors.Is(err, ErrNonExistentMethod) }
-
-// Close implements cde.Backend.
-func (b *backend) Close() error { return nil }
-
 // Binding is the complete JSON/HTTP RMI technology: the server half
 // (core.Binding: Name + Serve) and the client half (Describe + Connect,
 // the cde.Connector shape). livedev.RegisterBinding accepts it directly.
@@ -213,20 +138,26 @@ func (Binding) Describe() cde.DocMatch {
 	}
 }
 
-// Connect builds a live CDE client from the interface-document URL.
+// Connect builds a live CDE client from the interface-document URL: the
+// binding's document parser and Caller under cde's document backend, which
+// also makes the binding watch-capable.
 func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (*cde.Client, error) {
 	var hc *http.Client
-	var seed *ifsvr.Document
 	if opts != nil {
 		hc = opts.HTTPClient
-		seed = opts.Prefetched
 	}
-	docs := cde.NewDocSource(url, hc, seed)
-	if opts != nil {
-		docs.SetEndpoints(opts.Endpoints)
-	}
-	b := &backend{docs: docs, httpClient: hc}
-	return cde.NewClientContext(ctx, b, opts)
+	return cde.ConnectDocs(ctx, url, opts, cde.DocBinding{
+		Technology: Name,
+		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, cde.Caller, error) {
+			desc, endpoint, err := ParseDoc(doc.Content)
+			if err != nil {
+				return dyn.InterfaceDescriptor{}, nil, err
+			}
+			desc.Version = doc.DescriptorVersion
+			return desc, &Caller{Endpoint: endpoint, HTTPClient: hc}, nil
+		},
+		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
+	})
 }
 
 // Connector returns the client half as a cde.Connector, for callers wiring

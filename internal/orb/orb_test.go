@@ -7,27 +7,45 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"livedev/internal/cdr"
 	"livedev/internal/dyn"
 	"livedev/internal/giop"
 	"livedev/internal/ior"
 )
 
 // classTarget adapts a dyn class instance to DSITarget for tests; it is the
-// shape the SDE's CORBA Call Handler takes.
+// shape the SDE's CORBA Call Handler takes, minus gate and publisher:
+// missing counts the replies that would have forced publication first.
 type classTarget struct {
 	in      *dyn.Instance
 	missing atomic.Int64
 }
 
-func (t *classTarget) LookupOperation(op string) (dyn.MethodSig, bool) {
-	return t.in.Class().Interface().Lookup(op)
+func (t *classTarget) Invoke(_ context.Context, req ServerRequest) (dyn.Value, error) {
+	sig, ok := t.in.Class().Interface().Lookup(req.Operation)
+	if !ok {
+		t.missing.Add(1)
+		return dyn.Value{}, BadOperation(1)
+	}
+	args := make([]dyn.Value, len(sig.Params))
+	for i, p := range sig.Params {
+		var err error
+		if args[i], err = cdr.DecodeValue(req.Args, p.Type); err != nil {
+			t.missing.Add(1)
+			return dyn.Value{}, BadOperation(3)
+		}
+	}
+	if req.Args.Remaining() > 0 {
+		t.missing.Add(1)
+		return dyn.Value{}, BadOperation(4)
+	}
+	v, err := t.in.InvokeDistributed(req.Operation, args...)
+	if errors.Is(err, dyn.ErrNoSuchMethod) || errors.Is(err, dyn.ErrSignatureMismatch) {
+		t.missing.Add(1)
+		return dyn.Value{}, BadOperation(2)
+	}
+	return v, err
 }
-
-func (t *classTarget) InvokeOperation(_ context.Context, op string, args []dyn.Value) (dyn.Value, error) {
-	return t.in.InvokeDistributed(op, args...)
-}
-
-func (t *classTarget) OperationMissing(string) { t.missing.Add(1) }
 
 var _ DSITarget = (*classTarget)(nil)
 

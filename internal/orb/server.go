@@ -11,7 +11,6 @@ package orb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 
@@ -36,25 +35,33 @@ type AppError struct {
 // Error implements error.
 func (e *AppError) Error() string { return "server application error: " + e.Message }
 
+// ServerRequest is one incoming invocation as the Dynamic Skeleton
+// Interface presents it: the operation name, and the CDR stream holding
+// its arguments for the target to decode once it knows the operation's
+// current signature.
+type ServerRequest struct {
+	Operation string
+	Args      *cdr.Decoder
+}
+
+// BadOperation is the paper's "Non Existent Method" exception on the CORBA
+// path; minor says how the request missed the interface.
+func BadOperation(minor uint32) *giop.SystemException {
+	return &giop.SystemException{RepoID: giop.RepoBadOperation, Minor: minor, Completed: giop.CompletedNo}
+}
+
 // DSITarget is what a ServerORB dispatches to: the SDE's CORBA Call
-// Handler wraps the dynamic server instance in one. Implementations must be
-// safe for concurrent use.
+// Handler. Implementations must be safe for concurrent use.
 type DSITarget interface {
-	// LookupOperation reports the signature op has on the current live
-	// interface, or false if the operation does not exist (any more).
-	LookupOperation(op string) (dyn.MethodSig, bool)
-
-	// InvokeOperation invokes op with already-decoded arguments. ctx is
-	// the request context: it is cancelled when the client abandons the
-	// call (GIOP CancelRequest), the connection drops, or the ORB shuts
-	// down; implementations may use it to skip work nobody will observe.
-	InvokeOperation(ctx context.Context, op string, args []dyn.Value) (dyn.Value, error)
-
-	// OperationMissing is called before a BAD_OPERATION ("Non Existent
-	// Method") reply is sent, so the SDE can force the published IDL
-	// current first (Section 5.7). It must block until the published
-	// interface is guaranteed current.
-	OperationMissing(op string)
+	// Invoke serves one request: resolve req.Operation against the current
+	// live interface, decode req.Args under the signature found there, run
+	// the operation. ctx is cancelled when the client
+	// abandons the call (GIOP CancelRequest), the connection drops, or the
+	// ORB shuts down. The error picks the reply: a *giop.SystemException is
+	// sent as such — BadOperation only once the published IDL is
+	// guaranteed current (Section 5.7) — and any other error is an
+	// application error, sent wrapped in the generic user exception.
+	Invoke(ctx context.Context, req ServerRequest) (dyn.Value, error)
 }
 
 // ServerORB is an IIOP server endpoint dispatching via DSI.
@@ -103,8 +110,7 @@ func (o *ServerORB) Addr() net.Addr { return o.addr }
 func (o *ServerORB) Close() error { return o.srv.Close() }
 
 func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
-	sysEx := func(repoID string, minor uint32, completed giop.CompletionStatus) giop.Message {
-		se := &giop.SystemException{RepoID: repoID, Minor: minor, Completed: completed}
+	sysEx := func(se *giop.SystemException) giop.Message {
 		msg, err := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplySystemException}, se.Encode)
 		if err != nil {
 			return giop.Message{Type: giop.MsgMessageError, Order: order}
@@ -113,63 +119,30 @@ func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.
 	}
 
 	if string(h.ObjectKey) != string(o.objectKey) {
-		return sysEx(giop.RepoObjectNotExist, 1, giop.CompletedNo)
+		return sysEx(&giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo})
 	}
 
-	sig, ok := o.target.LookupOperation(h.Operation)
-	if !ok {
-		// The paper's reactive-publication step: make the published
-		// interface current, then report "Non Existent Method".
-		o.target.OperationMissing(h.Operation)
-		return sysEx(giop.RepoBadOperation, 1, giop.CompletedNo)
-	}
-
-	vals := make([]dyn.Value, len(sig.Params))
-	for i, p := range sig.Params {
-		v, err := cdr.DecodeValue(args, p.Type)
-		if err != nil {
-			// The arguments do not decode under the operation's *current*
-			// signature: the client encoded against a stale one. Section
-			// 5.6: "Client calls for stale method signatures may also
-			// trigger updates" — run the same forced-publication protocol
-			// as for a missing method, then report Non Existent Method.
-			o.target.OperationMissing(h.Operation)
-			return sysEx(giop.RepoBadOperation, 3, giop.CompletedNo)
-		}
-		vals[i] = v
-	}
-	if args.Remaining() > 0 {
-		// Leftover argument octets: the client's stale signature had more
-		// parameters than the current one. Same treatment.
-		o.target.OperationMissing(h.Operation)
-		return sysEx(giop.RepoBadOperation, 4, giop.CompletedNo)
-	}
-
-	result, err := o.target.InvokeOperation(ctx, h.Operation, vals)
-	switch {
-	case err == nil:
+	result, err := o.target.Invoke(ctx, ServerRequest{Operation: h.Operation, Args: args})
+	if err == nil {
 		msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyNoException},
 			func(e *cdr.Encoder) error { return cdr.EncodeValue(e, result) })
 		if encErr != nil {
-			return sysEx(giop.RepoMarshal, 2, giop.CompletedYes)
-		}
-		return msg
-	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
-		// The interface changed between lookup and invoke: same treatment
-		// as an unknown operation.
-		o.target.OperationMissing(h.Operation)
-		return sysEx(giop.RepoBadOperation, 2, giop.CompletedNo)
-	default:
-		// Application error → generic user exception with the message.
-		msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyUserException},
-			func(e *cdr.Encoder) error {
-				e.WriteString(AppErrorRepoID)
-				e.WriteString(err.Error())
-				return nil
-			})
-		if encErr != nil {
-			return sysEx(giop.RepoUnknown, 1, giop.CompletedMaybe)
+			return sysEx(&giop.SystemException{RepoID: giop.RepoMarshal, Minor: 2, Completed: giop.CompletedYes})
 		}
 		return msg
 	}
+	if se, ok := giop.AsSystemException(err); ok {
+		return sysEx(se)
+	}
+	// Application error → generic user exception with the message.
+	msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyUserException},
+		func(e *cdr.Encoder) error {
+			e.WriteString(AppErrorRepoID)
+			e.WriteString(err.Error())
+			return nil
+		})
+	if encErr != nil {
+		return sysEx(&giop.SystemException{RepoID: giop.RepoUnknown, Minor: 1, Completed: giop.CompletedMaybe})
+	}
+	return msg
 }

@@ -160,7 +160,7 @@ type (
 	DLPublisher = core.DLPublisher
 	// PublisherStats counts publisher activity.
 	PublisherStats = core.PublisherStats
-	// PublishOption configures one Manager.PublishInterface call.
+	// PublishOption configures one Manager.NewClassServer call.
 	PublishOption = core.PublishOption
 	// SyncPolicy picks when a durable store's publish ack is on disk
 	// (Config.Sync; meaningful only with Config.DataDir).
@@ -178,7 +178,7 @@ const (
 
 // WithPathFlushWindow overrides the store-wide coalescing window for one
 // published document: hot classes can coalesce harder than cold ones. Pass
-// it to Manager.PublishInterface / StartPublication.
+// it to Manager.NewClassServer.
 func WithPathFlushWindow(d time.Duration) PublishOption {
 	return core.WithPathFlushWindow(d)
 }
@@ -207,55 +207,53 @@ type (
 // technology through this one interface — a technology is a registry
 // entry, not a cross-cutting edit.
 //
-// The contract for implementers:
+// What an implementer supplies — the paper's protocol itself (Sections 4,
+// 5.4, 5.6, 5.7) is written once, in core.ClassServer on the server side
+// and cde's document backend on the client side, and is not the binding's
+// to get wrong:
 //
 //   - Name is the technology's registry key, used by Manager.Register
 //     (as the Technology argument) and WithBinding. It must be non-empty
 //     and stable.
-//   - Serve deploys a dynamic class as a live server under a Manager,
-//     returning a core.Server. It must publish an initial interface
-//     description before returning (use Manager.NewPublisher +
-//     Manager.InterfaceServer), refuse calls until CreateInstance is
-//     called, resolve every incoming call against the class's *live*
-//     interface, run the forced-publication protocol (DLPublisher
-//     .EnsureCurrent, gated on Manager.ReactivePublication) before
-//     replying "non-existent method" to a stale call, and call
-//     Manager.Unregister from Close. HTTP-based transports should mount
-//     on Manager.MountHTTP; others own their listeners.
+//   - Serve deploys a dynamic class as a live server under a Manager: a
+//     core.Server that embeds the *core.ClassServer from
+//     Manager.NewClassServer — given the binding's document generator —
+//     behind a transport (ClassServer.MountHTTP on the shared HTTP
+//     endpoint, or a listener of the binding's own released through
+//     ClassServer.OnClose). Per request the binding supplies a
+//     core.Resolve, which decodes the request against the live interface
+//     it is handed, to ClassServer.Call, and maps the core.Reply that
+//     comes back (result, application error, non-existent method,
+//     malformed, not initialized) to its wire format. Publication of the
+//     basic description, the single instance, the gate, forced
+//     publication before "non-existent method", counters and teardown
+//     come with the ClassServer.
 //   - Describe reports how the binding's published interface documents
 //     are recognized, so Dial can route to it without an explicit option.
-//   - Connect builds a live Client from an interface-document URL. It
-//     must honor ctx for all I/O and pass opts through to
-//     cde.NewClientContext so WithTimeout and WithDebugger work. Its
-//     "non-existent method" transport error must be reported by the
-//     backend's IsStale, which is what triggers the client's reactive
-//     interface refresh.
+//   - Connect builds a live Client from an interface-document URL:
+//     cde.ConnectDocs over a cde.DocBinding — a document parser returning
+//     the descriptor and a cde.Caller for the endpoint the document
+//     names, and an IsStale recognizing the technology's "non-existent
+//     method" error (which is what triggers the client's reactive
+//     interface refresh). The Caller must honor ctx for all I/O.
+//     Fetching, WithTimeout, WithDebugger, replica endpoints and
+//     WithWatch — push-invalidated interface caches over the Interface
+//     Server's "?watch=stream&after=N" SSE endpoint, which every document
+//     published through a ClassServer has — come with ConnectDocs.
 //
-// Watch capability (optional): a binding whose client backend also
-// implements cde.WatchableBackend — one extra method, StreamInterface
-// (usually one call to DocSource.Stream plus the binding's document
-// compiler) — becomes usable with WithWatch: clients get push-invalidated
-// interface caches instead of per-call refetches. Server halves that
-// publish through Manager.PublishInterface get the watch endpoints
-// ("?watch=stream&after=N" SSE, plus the "?watch=1&after=N" long-poll kept
-// for tools) on the document URL for free, because the Interface Server is
-// a read view over the manager's journaled publication store (see
-// internal/jsonb for the few-line client method). Bindings without the capability still work everywhere
-// except WithWatch, which fails loudly at Dial time.
-//
-// internal/jsonb implements the full contract in ~400 lines and is wired
-// up purely through RegisterBinding.
+// internal/jsonb is the worked example: a document grammar, a one-pass
+// wire codec, a Resolve, an outcome mapper and a Caller, wired up purely
+// through RegisterBinding.
 //
 // internal/h2b is the binary worked example: the same contract carrying
 // CDR-encoded bodies over HTTP/2 streams. It shows the two degrees of
 // freedom HTTP-based bindings have beyond jsonb — a binding may own a
 // dedicated listener next to its MountHTTP mount (h2b's multiplexed fast
-// path, the way CORBA owns its IIOP port) as long as Close releases it,
-// and its interface document may carry extra transport keys (h2b's
-// "mux_endpoint") provided Describe still recognizes documents without
-// them. Neither needs core or cde edits: both halves arrive through
-// RegisterBinding like any other technology. See docs/h2b-protocol.md
-// for its wire format.
+// path, the way CORBA owns its IIOP port), and its interface document may
+// carry extra transport keys (h2b's "mux_endpoint") provided Describe
+// still recognizes documents without them. Neither needs core or cde
+// edits: both halves arrive through RegisterBinding like any other
+// technology. See docs/h2b-protocol.md for its wire format.
 type Binding interface {
 	// Name is the technology name ("SOAP", "CORBA", "JSON", ...).
 	Name() string
