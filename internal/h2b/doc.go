@@ -30,7 +30,6 @@
 package h2b
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"livedev/internal/cdr"
@@ -119,21 +118,13 @@ func parseOrder(v string) (cdr.ByteOrder, error) {
 // GenerateDoc renders the interface document for desc served at endpoint.
 // The document is the JSON binding's grammar under this binding's format
 // tag — the struct table, method list, and endpoint field are identical,
-// so the two bindings share one stub compiler. mux, when non-empty, is
-// the "host:port" of the dedicated multiplexed fast-path listener and is
-// published as the document's "mux_endpoint" field; clients without
-// fast-path support ignore the extra key, and documents without it fall
-// back to the HTTP endpoint.
+// so the two bindings share one document codec and one stub compiler. mux,
+// when non-empty, is the "host:port" of the dedicated multiplexed fast-path
+// listener and is published as the document's "mux_endpoint" field; clients
+// without fast-path support ignore the extra key, and documents without it
+// fall back to the HTTP endpoint.
 func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint, mux string) (string, error) {
-	text, err := jsonb.GenerateDoc(desc, endpoint)
-	if err != nil {
-		return "", err
-	}
-	text, err = retag(text, jsonb.DocFormat, DocFormat)
-	if err != nil || mux == "" {
-		return text, err
-	}
-	return injectMux(text, mux)
+	return jsonb.GenerateDocAs(DocFormat, desc, endpoint, mux)
 }
 
 // ParseDoc compiles an interface document into a descriptor, the
@@ -141,57 +132,9 @@ func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint, mux string) (string, er
 // when the document does not advertise one) — the binding's stub
 // compiler.
 func ParseDoc(text string) (dyn.InterfaceDescriptor, string, string, error) {
-	var probe struct {
-		Format string `json:"format"`
-		Mux    string `json:"mux_endpoint"`
-	}
-	if err := json.Unmarshal([]byte(text), &probe); err != nil {
-		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("h2b: parsing interface document: %w", err)
-	}
-	if probe.Format != DocFormat {
-		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("h2b: unsupported document format %q", probe.Format)
-	}
-	retagged, err := retag(text, DocFormat, jsonb.DocFormat)
+	desc, endpoint, mux, err := jsonb.ParseDocAs(DocFormat, text)
 	if err != nil {
-		return dyn.InterfaceDescriptor{}, "", "", err
+		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("h2b: %w", err)
 	}
-	desc, endpoint, err := jsonb.ParseDoc(retagged)
-	return desc, endpoint, probe.Mux, err
-}
-
-// injectMux adds the "mux_endpoint" field to a rendered document. It
-// round-trips through a raw-message map (not jsonb.Doc, which would drop
-// the key it is adding).
-func injectMux(text, mux string) (string, error) {
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal([]byte(text), &m); err != nil {
-		return "", fmt.Errorf("h2b: re-parsing interface document: %w", err)
-	}
-	raw, err := json.Marshal(mux)
-	if err != nil {
-		return "", err
-	}
-	m["mux_endpoint"] = raw
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("h2b: encoding interface document: %w", err)
-	}
-	return string(out), nil
-}
-
-// retag swaps the document's format tag, preserving everything else.
-func retag(text, from, to string) (string, error) {
-	var d jsonb.Doc
-	if err := json.Unmarshal([]byte(text), &d); err != nil {
-		return "", fmt.Errorf("h2b: parsing interface document: %w", err)
-	}
-	if d.Format != from {
-		return "", fmt.Errorf("h2b: unexpected document format %q", d.Format)
-	}
-	d.Format = to
-	out, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("h2b: encoding interface document: %w", err)
-	}
-	return string(out), nil
+	return desc, endpoint, mux, nil
 }

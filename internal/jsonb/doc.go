@@ -43,11 +43,14 @@ const ContentType = "application/json"
 // Doc is the machine-readable interface description the binding publishes —
 // the JSON analogue of a WSDL or CORBA-IDL document.
 type Doc struct {
-	Format   string      `json:"format"`
-	Class    string      `json:"class"`
-	Endpoint string      `json:"endpoint"`
-	Methods  []MethodDoc `json:"methods"`
-	Structs  []StructDoc `json:"structs,omitempty"`
+	Format   string `json:"format"`
+	Class    string `json:"class"`
+	Endpoint string `json:"endpoint"`
+	// Mux is a second, multiplexed call endpoint ("host:port"). Only
+	// bindings that write this grammar under their own format tag set it.
+	Mux     string      `json:"mux_endpoint,omitempty"`
+	Methods []MethodDoc `json:"methods"`
+	Structs []StructDoc `json:"structs,omitempty"`
 }
 
 // MethodDoc describes one distributed method.
@@ -135,7 +138,14 @@ func (td TypeDoc) resolve(structs map[string]*dyn.Type) (*dyn.Type, error) {
 
 // GenerateDoc renders the interface document for desc served at endpoint.
 func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint string) (string, error) {
-	d := Doc{Format: DocFormat, Class: desc.ClassName, Endpoint: endpoint}
+	return GenerateDocAs(DocFormat, desc, endpoint, "")
+}
+
+// GenerateDocAs renders the document under another binding's format tag,
+// with that binding's multiplexed endpoint if it has one: the one document
+// codec, for every binding that shares the grammar.
+func GenerateDocAs(format string, desc dyn.InterfaceDescriptor, endpoint, mux string) (string, error) {
+	d := Doc{Format: format, Class: desc.ClassName, Endpoint: endpoint, Mux: mux}
 	for _, s := range desc.Structs {
 		sd := StructDoc{Name: s.Name()}
 		for _, f := range s.Fields() {
@@ -160,12 +170,19 @@ func GenerateDoc(desc dyn.InterfaceDescriptor, endpoint string) (string, error) 
 // ParseDoc compiles an interface document into a descriptor and the
 // advertised endpoint — the binding's stub compiler.
 func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
+	desc, endpoint, _, err := ParseDocAs(DocFormat, text)
+	return desc, endpoint, err
+}
+
+// ParseDocAs compiles a document that must carry the given format tag, and
+// also returns its multiplexed endpoint, empty if it advertises none.
+func ParseDocAs(format, text string) (dyn.InterfaceDescriptor, string, string, error) {
 	var d Doc
 	if err := json.Unmarshal([]byte(text), &d); err != nil {
-		return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: parsing interface document: %w", err)
+		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: parsing interface document: %w", err)
 	}
-	if d.Format != DocFormat {
-		return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: unsupported document format %q", d.Format)
+	if d.Format != format {
+		return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: unsupported document format %q", d.Format)
 	}
 	// The descriptor's struct list is sorted alphabetically, not in
 	// dependency order, so a struct may reference one defined later in the
@@ -186,7 +203,7 @@ func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
 					break
 				}
 				if err != nil {
-					return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: struct %s field %s: %w", sd.Name, f.Name, err)
+					return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: struct %s field %s: %w", sd.Name, f.Name, err)
 				}
 				fields = append(fields, dyn.StructField{Name: f.Name, Type: ft})
 			}
@@ -196,13 +213,13 @@ func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
 			}
 			st, err := dyn.StructOf(sd.Name, fields...)
 			if err != nil {
-				return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: struct %s: %w", sd.Name, err)
+				return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: struct %s: %w", sd.Name, err)
 			}
 			structs[sd.Name] = st
 		}
 		if len(deferred) == len(pending) {
 			sd := deferred[0]
-			return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: struct %s references undefined or cyclic struct types", sd.Name)
+			return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: struct %s references undefined or cyclic struct types", sd.Name)
 		}
 		pending = deferred
 	}
@@ -214,16 +231,16 @@ func ParseDoc(text string) (dyn.InterfaceDescriptor, string, error) {
 		sig := dyn.MethodSig{Name: md.Name}
 		var err error
 		if sig.Result, err = md.Result.resolve(structs); err != nil {
-			return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: method %s result: %w", md.Name, err)
+			return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: method %s result: %w", md.Name, err)
 		}
 		for _, p := range md.Params {
 			pt, perr := p.Type.resolve(structs)
 			if perr != nil {
-				return dyn.InterfaceDescriptor{}, "", fmt.Errorf("jsonb: method %s param %s: %w", md.Name, p.Name, perr)
+				return dyn.InterfaceDescriptor{}, "", "", fmt.Errorf("jsonb: method %s param %s: %w", md.Name, p.Name, perr)
 			}
 			sig.Params = append(sig.Params, dyn.Param{Name: p.Name, Type: pt})
 		}
 		desc.Methods = append(desc.Methods, sig)
 	}
-	return desc, d.Endpoint, nil
+	return desc, d.Endpoint, d.Mux, nil
 }

@@ -53,9 +53,8 @@ type NamedValue struct {
 }
 
 // envPrefix/envSuffix are the constant SOAP 1.1 envelope framing around the
-// body's single call element. The attribute order matches Render's sorted
-// attribute output, so cached-skeleton envelopes are byte-identical to
-// node-rendered ones.
+// body's single call element. The attributes are in sorted order, as the
+// tree renderer the tests compare with emits them.
 const (
 	envPrefix = `<soapenv:Envelope xmlns:soapenc="` + NSEncoding +
 		`" xmlns:soapenv="` + NSEnvelope +
@@ -75,7 +74,7 @@ type callSkeleton struct {
 
 func newCallSkeleton(serviceNS, elem string) *callSkeleton {
 	var ns []byte
-	ns = appendEscaped(ns, serviceNS)
+	ns = AppendEscaped(ns, serviceNS)
 	head := "<m:" + elem + ` xmlns:m="` + string(ns) + `"`
 	return &callSkeleton{
 		open:      head + ">",
@@ -172,15 +171,25 @@ func appendResponse(buf []byte, serviceNS, method string, result dyn.Value) ([]b
 
 // appendFault renders a fault envelope onto buf.
 func appendFault(buf []byte, f *Fault) []byte {
-	fn := NewNode("soapenv:Fault")
-	fn.Append(NewNode("faultcode")).Text = f.Code
-	fn.Append(NewNode("faultstring")).Text = f.String
+	buf = append(buf, envPrefix+"<soapenv:Fault>"...)
+	buf = appendTextElement(buf, "faultcode", f.Code)
+	buf = appendTextElement(buf, "faultstring", f.String)
 	if f.Detail != "" {
-		fn.Append(NewNode("detail")).Text = f.Detail
+		buf = appendTextElement(buf, "detail", f.Detail)
 	}
-	buf = append(buf, envPrefix...)
-	buf = fn.appendXML(buf)
-	return append(buf, envSuffix...)
+	return append(buf, "</soapenv:Fault>"+envSuffix...)
+}
+
+// appendTextElement appends <name>text</name>, self-closed when text is
+// empty.
+func appendTextElement(buf []byte, name, text string) []byte {
+	buf = append(append(buf, '<'), name...)
+	if text == "" {
+		return append(buf, '/', '>')
+	}
+	buf = AppendEscaped(append(buf, '>'), text)
+	buf = append(append(buf, '<', '/'), name...)
+	return append(buf, '>')
 }
 
 // rendered runs one of the append functions on a pooled buffer and returns
@@ -221,7 +230,7 @@ type Request struct {
 }
 
 // parseBody validates a whole envelope in one pass — it rejects exactly the
-// documents ParseXML rejects, and those whose root is not Envelope, that
+// documents the lexer rejects, and those whose root is not Envelope, that
 // have no Body, or whose first Body does not hold exactly one element — and
 // returns that element's local name with handles on its child elements.
 // Namespace prefixes are not resolved: SOAP 1.1 RPC dispatch is by local

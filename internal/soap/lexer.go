@@ -17,12 +17,12 @@ var ErrMalformedXML = errors.New("soap: malformed XML")
 // exchange — elements, attributes (either quote), character data, the five
 // predefined entities plus numeric references, CDATA, comments, processing
 // instructions, and a prolog/DOCTYPE it skips — and it is where a document
-// is validated: every consumer (ParseXML's tree builder, the envelope walk
-// of ParseRequest/ParseResponse, the typed scanner behind DecodeValue)
-// accepts exactly the documents next accepts, whether it reads a region or
-// skips it. Tokens alias the input; nothing is copied or allocated except
-// the stack of open element names once a document nests deeper than the
-// caller's initial capacity.
+// is validated: every consumer (the envelope walk of ParseRequest and
+// ParseResponse, the typed scanner behind DecodeValue, the exported Scanner
+// the WSDL compiler walks) accepts exactly the documents next accepts,
+// whether it reads a region or skips it. Tokens alias the input; nothing is
+// copied or allocated except the stack of open element names once a document
+// nests deeper than the caller's initial capacity.
 
 type tokenKind uint8
 

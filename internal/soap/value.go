@@ -43,8 +43,8 @@ func xsdType(t *dyn.Type) string {
 // appendValue renders the element <name> carrying v into buf: void as an
 // empty element, scalars as character data, sequences as <item> children,
 // structs as one child per member in declaration order, everything but void
-// annotated with xsi:type. The bytes are those Render produces for the same
-// element built as a Node tree (attribute values escaped, an element
+// annotated with xsi:type. The bytes are those the tests' tree renderer
+// produces for the same element (attribute values escaped, an element
 // without content self-closed). On error buf holds a partial element.
 func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	t := v.Type()
@@ -56,7 +56,7 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	}
 	buf = append(buf, ` xsi:type="`...)
 	if k == dyn.KindStruct {
-		buf = appendEscaped(append(buf, "tns:"...), t.Name())
+		buf = AppendEscaped(append(buf, "tns:"...), t.Name())
 	} else {
 		buf = append(buf, xsdType(t)...)
 	}
@@ -70,7 +70,7 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	case dyn.KindChar:
 		var tmp [utf8.UTFMax]byte
 		n := utf8.EncodeRune(tmp[:], v.Char())
-		buf = appendEscaped(buf, string(tmp[:n]))
+		buf = AppendEscaped(buf, string(tmp[:n]))
 	case dyn.KindInt32:
 		buf = strconv.AppendInt(buf, int64(v.Int32()), 10)
 	case dyn.KindInt64:
@@ -80,7 +80,7 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	case dyn.KindFloat64:
 		buf = appendXSDFloat(buf, v.Float64(), 64)
 	case dyn.KindString:
-		buf = appendEscaped(buf, v.Str())
+		buf = AppendEscaped(buf, v.Str())
 	case dyn.KindSequence:
 		for i := 0; i < v.Len() && err == nil; i++ {
 			buf, err = appendValue(buf, "item", v.Index(i))

@@ -2,9 +2,10 @@
 // publishes: an rpc/encoded service description with an XSD schema for
 // user-defined complex types (structs and arrays), request/response
 // messages per distributed method, a portType, binding, and a service
-// element carrying the SOAP endpoint address. Generate is the SDE's WSDL
-// Generator component (Figure 4); Parse+Resolve form the client-side "WSDL
-// compiler" (Figure 1).
+// element carrying the SOAP endpoint address. Generate and XML are the SDE's
+// WSDL Generator component (Figure 4); Parse is the client-side "WSDL
+// compiler" (Figure 1). Both are single passes: XML appends the text into a
+// pooled buffer, Parse walks internal/soap's lexer.
 //
 // Type mapping: dyn primitives map to xsd types (int32→xsd:int,
 // int64→xsd:long, ...); char maps to the schema simple type tns:char
@@ -17,7 +18,8 @@ package wsdl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"livedev/internal/dyn"
 	"livedev/internal/soap"
@@ -88,232 +90,218 @@ func Generate(desc dyn.InterfaceDescriptor, endpoint string) *Document {
 	}
 }
 
-// xsdTypeName maps a dyn type to its WSDL type reference, registering any
-// needed complexType definitions in defs (name → *dyn.Type).
-func xsdTypeName(t *dyn.Type, defs map[string]*dyn.Type) (string, error) {
+// declare registers the complexType definitions t needs in defs (name →
+// *dyn.Type) and reports whether t holds a char anywhere, which needs the
+// char simpleType. A document has one namespace for its types, so a name
+// that two different types need — a struct called char, or called what an
+// array type is called — cannot be written.
+func declare(t *dyn.Type, defs map[string]*dyn.Type) (usesChar bool, err error) {
+	name := ""
 	switch t.Kind() {
-	case dyn.KindBoolean:
-		return "xsd:boolean", nil
 	case dyn.KindChar:
-		return "tns:char", nil
-	case dyn.KindInt32:
-		return "xsd:int", nil
-	case dyn.KindInt64:
-		return "xsd:long", nil
-	case dyn.KindFloat32:
-		return "xsd:float", nil
-	case dyn.KindFloat64:
-		return "xsd:double", nil
-	case dyn.KindString:
-		return "xsd:string", nil
+		return true, nil
 	case dyn.KindStruct:
-		if _, ok := defs[t.Name()]; !ok {
-			defs[t.Name()] = t
-			for _, f := range t.Fields() {
-				if _, err := xsdTypeName(f.Type, defs); err != nil {
-					return "", err
-				}
+		name = t.Name()
+		for _, f := range t.Fields() {
+			c, err := declare(f.Type, defs)
+			if err != nil {
+				return false, err
 			}
+			usesChar = usesChar || c
 		}
-		return "tns:" + t.Name(), nil
 	case dyn.KindSequence:
-		inner, err := xsdTypeName(t.Elem(), defs)
-		if err != nil {
-			return "", err
+		name = arrayName(t.Elem())
+		if usesChar, err = declare(t.Elem(), defs); err != nil {
+			return false, err
 		}
-		name := arrayTypeName(inner)
-		if _, ok := defs[name]; !ok {
-			defs[name] = t
-		}
-		return "tns:" + name, nil
 	default:
-		return "", fmt.Errorf("wsdl: no mapping for kind %s", t.Kind())
+		if xsdNames[t.Kind()] == "" {
+			err = fmt.Errorf("wsdl: no mapping for kind %s", t.Kind())
+		}
+		return false, err
+	}
+	if prev, taken := defs[name]; name == "char" || taken && !prev.Equal(t) {
+		return false, fmt.Errorf("wsdl: type %s needs the name %s, which another type has", t, name)
+	}
+	defs[name] = t
+	return usesChar, nil
+}
+
+// xsdNames are the XML Schema types the scalar kinds other than char map to.
+var xsdNames = map[dyn.Kind]string{
+	dyn.KindBoolean: "boolean", dyn.KindInt32: "int", dyn.KindInt64: "long",
+	dyn.KindFloat32: "float", dyn.KindFloat64: "double", dyn.KindString: "string",
+}
+
+// appendTypeRef appends t's WSDL type reference, XML-escaped: an xsd scalar,
+// tns:char, a struct's tns:Name or a sequence's tns:ArrayOf… . declare has
+// refused every other kind.
+func appendTypeRef(buf []byte, t *dyn.Type) []byte {
+	switch t.Kind() {
+	case dyn.KindChar:
+		return append(buf, "tns:char"...)
+	case dyn.KindStruct:
+		return soap.AppendEscaped(append(buf, "tns:"...), t.Name())
+	case dyn.KindSequence:
+		return soap.AppendEscaped(append(buf, "tns:"...), arrayName(t.Elem()))
+	default:
+		return append(append(buf, "xsd:"...), xsdNames[t.Kind()]...)
 	}
 }
 
-// arrayTypeName builds Axis-style array type names from the element's
-// qualified reference: "xsd:int" → "ArrayOf_xsd_int", "tns:Message" →
-// "ArrayOfMessage", "tns:ArrayOf_xsd_int" → "ArrayOfArrayOf_xsd_int".
-func arrayTypeName(elemRef string) string {
-	switch {
-	case len(elemRef) > 4 && elemRef[:4] == "xsd:":
-		return "ArrayOf_xsd_" + elemRef[4:]
-	case len(elemRef) > 4 && elemRef[:4] == "tns:":
-		return "ArrayOf" + elemRef[4:]
+// arrayName builds the Axis-style name of the array type whose elements are
+// elem from the element's reference: xsd:int → ArrayOf_xsd_int, tns:Message
+// → ArrayOfMessage, tns:ArrayOf_xsd_int → ArrayOfArrayOf_xsd_int.
+func arrayName(elem *dyn.Type) string {
+	switch elem.Kind() {
+	case dyn.KindChar:
+		return "ArrayOfchar"
+	case dyn.KindStruct:
+		return "ArrayOf" + elem.Name()
+	case dyn.KindSequence:
+		return "ArrayOf" + arrayName(elem.Elem())
 	default:
-		return "ArrayOf" + elemRef
+		return "ArrayOf_xsd_" + xsdNames[elem.Kind()]
 	}
 }
 
-// XML renders the document as WSDL 1.1 text.
+// bufPool recycles XML's buffers; maxPooledBuf bounds what it retains.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+const maxPooledBuf = 1 << 20
+
+// put appends its arguments to b: alternately markup, as it stands, and an
+// attribute value, escaped.
+func put(b []byte, parts ...string) []byte {
+	for i, p := range parts {
+		if i%2 == 0 {
+			b = append(b, p...)
+		} else {
+			b = soap.AppendEscaped(b, p)
+		}
+	}
+	return b
+}
+
+// XML renders the document as WSDL 1.1 text: every element's attributes in
+// sorted order, an element without children self-closed.
 func (d *Document) XML() (string, error) {
+	// Collect the type definitions every signature needs.
 	defs := make(map[string]*dyn.Type)
-
-	root := soap.NewNode("wsdl:definitions")
-	root.Attrs["name"] = d.ServiceName
-	root.Attrs["targetNamespace"] = d.TargetNS
-	root.Attrs["xmlns:wsdl"] = NSWSDL
-	root.Attrs["xmlns:soap"] = NSWSDLSOAP
-	root.Attrs["xmlns:xsd"] = NSXSD
-	root.Attrs["xmlns:tns"] = d.TargetNS
-
-	// Pre-walk every signature to collect type definitions, and remember
-	// part type references.
-	type partRef struct{ name, ref string }
-	type opRefs struct {
-		in  []partRef
-		out []partRef // empty for void
-	}
-	ops := make(map[string]opRefs, len(d.Methods))
 	usesChar := false
-	var walk func(t *dyn.Type) (string, error)
-	walk = func(t *dyn.Type) (string, error) {
-		ref, err := xsdTypeName(t, defs)
-		if err != nil {
-			return "", err
-		}
-		if t.Kind() == dyn.KindChar {
-			usesChar = true
-		}
-		// char may be nested inside structs/sequences too.
-		switch t.Kind() {
-		case dyn.KindSequence:
-			if _, err := walk(t.Elem()); err != nil {
-				return "", err
-			}
-		case dyn.KindStruct:
-			for _, f := range t.Fields() {
-				if _, err := walk(f.Type); err != nil {
-					return "", err
-				}
-			}
-		}
-		return ref, nil
-	}
 	for _, m := range d.Methods {
-		var refs opRefs
 		for _, p := range m.Params {
-			ref, err := walk(p.Type)
+			c, err := declare(p.Type, defs)
 			if err != nil {
 				return "", fmt.Errorf("wsdl: operation %s parameter %s: %w", m.Name, p.Name, err)
 			}
-			refs.in = append(refs.in, partRef{p.Name, ref})
+			usesChar = usesChar || c
 		}
 		if m.Result.Kind() != dyn.KindVoid {
-			ref, err := walk(m.Result)
+			c, err := declare(m.Result, defs)
 			if err != nil {
 				return "", fmt.Errorf("wsdl: operation %s result: %w", m.Name, err)
 			}
-			refs.out = append(refs.out, partRef{"return", ref})
+			usesChar = usesChar || c
 		}
-		ops[m.Name] = refs
-	}
-
-	// <types> schema.
-	types := root.Append(soap.NewNode("wsdl:types"))
-	schema := types.Append(soap.NewNode("xsd:schema"))
-	schema.Attrs["targetNamespace"] = d.TargetNS
-	if usesChar {
-		st := schema.Append(soap.NewNode("xsd:simpleType"))
-		st.Attrs["name"] = "char"
-		re := st.Append(soap.NewNode("xsd:restriction"))
-		re.Attrs["base"] = "xsd:string"
-		ln := re.Append(soap.NewNode("xsd:length"))
-		ln.Attrs["value"] = "1"
 	}
 	names := make([]string, 0, len(defs))
 	for n := range defs {
 		names = append(names, n)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := defs[n]
-		ct := schema.Append(soap.NewNode("xsd:complexType"))
-		ct.Attrs["name"] = n
-		seq := ct.Append(soap.NewNode("xsd:sequence"))
-		if t.Kind() == dyn.KindSequence {
-			item := seq.Append(soap.NewNode("xsd:element"))
-			item.Attrs["name"] = "item"
-			ref, err := xsdTypeName(t.Elem(), defs)
-			if err != nil {
-				return "", err
-			}
-			item.Attrs["type"] = ref
-			item.Attrs["minOccurs"] = "0"
-			item.Attrs["maxOccurs"] = "unbounded"
-			continue
+	slices.Sort(names)
+
+	bp := bufPool.Get().(*[]byte)
+	b := put((*bp)[:0], `<?xml version="1.0" encoding="UTF-8"?>`+"\n"+
+		`<wsdl:definitions name="`, d.ServiceName, `" targetNamespace="`, d.TargetNS,
+		`" xmlns:soap="`+NSWSDLSOAP+`" xmlns:tns="`, d.TargetNS,
+		`" xmlns:wsdl="`+NSWSDL+`" xmlns:xsd="`+NSXSD+`">`)
+
+	// <types> schema.
+	b = put(b, `<wsdl:types><xsd:schema targetNamespace="`, d.TargetNS, `"`)
+	if !usesChar && len(names) == 0 {
+		b = append(b, `/>`...)
+	} else {
+		b = append(b, '>')
+		if usesChar {
+			b = append(b, `<xsd:simpleType name="char"><xsd:restriction base="xsd:string">`+
+				`<xsd:length value="1"/></xsd:restriction></xsd:simpleType>`...)
 		}
-		for _, f := range t.Fields() {
-			el := seq.Append(soap.NewNode("xsd:element"))
-			el.Attrs["name"] = f.Name
-			ref, err := xsdTypeName(f.Type, defs)
-			if err != nil {
-				return "", err
+		for _, n := range names {
+			b = put(b, `<xsd:complexType name="`, n, `">`)
+			switch t := defs[n]; {
+			case t.Kind() == dyn.KindSequence:
+				b = append(b, `<xsd:sequence><xsd:element maxOccurs="unbounded" minOccurs="0" name="item" type="`...)
+				b = append(appendTypeRef(b, t.Elem()), `"/></xsd:sequence>`...)
+			case t.NumFields() == 0:
+				b = append(b, `<xsd:sequence/>`...)
+			default:
+				b = append(b, `<xsd:sequence>`...)
+				for _, f := range t.Fields() {
+					b = appendTypeRef(put(b, `<xsd:element name="`, f.Name, `" type="`), f.Type)
+					b = append(b, `"/>`...)
+				}
+				b = append(b, `</xsd:sequence>`...)
 			}
-			el.Attrs["type"] = ref
+			b = append(b, `</xsd:complexType>`...)
 		}
+		b = append(b, `</xsd:schema>`...)
 	}
+	b = append(b, `</wsdl:types>`...)
 
 	// Messages.
 	for _, m := range d.Methods {
-		refs := ops[m.Name]
-		req := root.Append(soap.NewNode("wsdl:message"))
-		req.Attrs["name"] = m.Name + "Request"
-		for _, pr := range refs.in {
-			part := req.Append(soap.NewNode("wsdl:part"))
-			part.Attrs["name"] = pr.name
-			part.Attrs["type"] = pr.ref
+		if len(m.Params) == 0 {
+			b = put(b, `<wsdl:message name="`, m.Name, `Request"/>`)
+		} else {
+			b = put(b, `<wsdl:message name="`, m.Name, `Request">`)
+			for _, p := range m.Params {
+				b = appendTypeRef(put(b, `<wsdl:part name="`, p.Name, `" type="`), p.Type)
+				b = append(b, `"/>`...)
+			}
+			b = append(b, `</wsdl:message>`...)
 		}
-		resp := root.Append(soap.NewNode("wsdl:message"))
-		resp.Attrs["name"] = m.Name + "Response"
-		for _, pr := range refs.out {
-			part := resp.Append(soap.NewNode("wsdl:part"))
-			part.Attrs["name"] = pr.name
-			part.Attrs["type"] = pr.ref
+		if m.Result.Kind() == dyn.KindVoid {
+			b = put(b, `<wsdl:message name="`, m.Name, `Response"/>`)
+		} else {
+			b = appendTypeRef(put(b, `<wsdl:message name="`, m.Name, `Response"><wsdl:part name="return" type="`), m.Result)
+			b = append(b, `"/></wsdl:message>`...)
 		}
 	}
 
 	// PortType.
-	pt := root.Append(soap.NewNode("wsdl:portType"))
-	pt.Attrs["name"] = d.ServiceName + "PortType"
-	for _, m := range d.Methods {
-		op := pt.Append(soap.NewNode("wsdl:operation"))
-		op.Attrs["name"] = m.Name
-		in := op.Append(soap.NewNode("wsdl:input"))
-		in.Attrs["message"] = "tns:" + m.Name + "Request"
-		out := op.Append(soap.NewNode("wsdl:output"))
-		out.Attrs["message"] = "tns:" + m.Name + "Response"
+	b = put(b, `<wsdl:portType name="`, d.ServiceName, `PortType"`)
+	if len(d.Methods) == 0 {
+		b = append(b, `/>`...)
+	} else {
+		b = append(b, '>')
+		for _, m := range d.Methods {
+			b = put(b, `<wsdl:operation name="`, m.Name, `"><wsdl:input message="tns:`, m.Name,
+				`Request"/><wsdl:output message="tns:`, m.Name, `Response"/></wsdl:operation>`)
+		}
+		b = append(b, `</wsdl:portType>`...)
 	}
 
 	// Binding (rpc/encoded over HTTP).
-	binding := root.Append(soap.NewNode("wsdl:binding"))
-	binding.Attrs["name"] = d.ServiceName + "Binding"
-	binding.Attrs["type"] = "tns:" + d.ServiceName + "PortType"
-	sb := binding.Append(soap.NewNode("soap:binding"))
-	sb.Attrs["style"] = "rpc"
-	sb.Attrs["transport"] = "http://schemas.xmlsoap.org/soap/http"
+	b = put(b, `<wsdl:binding name="`, d.ServiceName, `Binding" type="tns:`, d.ServiceName,
+		`PortType"><soap:binding style="rpc" transport="http://schemas.xmlsoap.org/soap/http"/>`)
+	const body = `<soap:body encodingStyle="` + NSSOAPEnc + `" namespace="`
 	for _, m := range d.Methods {
-		op := binding.Append(soap.NewNode("wsdl:operation"))
-		op.Attrs["name"] = m.Name
-		so := op.Append(soap.NewNode("soap:operation"))
-		so.Attrs["soapAction"] = d.TargetNS + "#" + m.Name
-		for _, dir := range []string{"input", "output"} {
-			dn := op.Append(soap.NewNode("wsdl:" + dir))
-			body := dn.Append(soap.NewNode("soap:body"))
-			body.Attrs["use"] = "encoded"
-			body.Attrs["namespace"] = d.TargetNS
-			body.Attrs["encodingStyle"] = NSSOAPEnc
-		}
+		b = put(b, `<wsdl:operation name="`, m.Name, `"><soap:operation soapAction="`, d.TargetNS, `#`, m.Name,
+			`"/><wsdl:input>`+body, d.TargetNS, `" use="encoded"/></wsdl:input><wsdl:output>`+body, d.TargetNS,
+			`" use="encoded"/></wsdl:output></wsdl:operation>`)
 	}
+	b = append(b, `</wsdl:binding>`...)
 
 	// Service + port + endpoint address.
-	svc := root.Append(soap.NewNode("wsdl:service"))
-	svc.Attrs["name"] = d.ServiceName
-	port := svc.Append(soap.NewNode("wsdl:port"))
-	port.Attrs["name"] = d.ServiceName + "Port"
-	port.Attrs["binding"] = "tns:" + d.ServiceName + "Binding"
-	addr := port.Append(soap.NewNode("soap:address"))
-	addr.Attrs["location"] = d.Endpoint
+	b = put(b, `<wsdl:service name="`, d.ServiceName, `"><wsdl:port binding="tns:`, d.ServiceName,
+		`Binding" name="`, d.ServiceName, `Port"><soap:address location="`, d.Endpoint,
+		`"/></wsdl:port></wsdl:service></wsdl:definitions>`)
 
-	return `<?xml version="1.0" encoding="UTF-8"?>` + "\n" + root.Render(), nil
+	text := string(b)
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		bufPool.Put(bp)
+	}
+	return text, nil
 }
