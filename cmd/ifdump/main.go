@@ -4,12 +4,11 @@
 // document and the resolved method signatures with their version headers —
 // a debugging window into the publication protocol.
 //
-// With -watch N it then follows the document through the Interface
-// Server's long-poll watch protocol, printing each newly committed version
-// as it is pushed (N updates, then exit; 0 follows forever) — a live view
-// of the publication store's commits, coalescing included. With -stream
-// the follow rides the SSE streaming transport on one held connection
-// instead, marking replayed (journal catch-up) and snapshot events.
+// With -watch N it then follows the document over the Interface Server's
+// SSE watch stream on one held connection, printing each newly committed
+// version as it is pushed (N updates, then exit; 0 follows forever) and
+// marking replayed (journal catch-up) and snapshot events — a live view
+// of the publication store's commits, coalescing included.
 //
 // With -stats it also fetches the server's publication-store counters
 // (the /.stats endpoint on the same host as the document URL) and prints
@@ -25,9 +24,9 @@
 //
 // Usage:
 //
-//	ifdump -wsdl URL [-watch N] [-stream] [-stats]
-//	ifdump -idl URL [-iface NAME] [-watch N] [-stream] [-stats]
-//	ifdump -h2b URL [-watch N] [-stream] [-stats]
+//	ifdump -wsdl URL [-watch N] [-stats]
+//	ifdump -idl URL [-iface NAME] [-watch N] [-stats]
+//	ifdump -h2b URL [-watch N] [-stats]
 package main
 
 import (
@@ -57,23 +56,22 @@ func run() int {
 	h2bURL := flag.String("h2b", "", "h2b binary-binding descriptor URL")
 	ifaceName := flag.String("iface", "", "interface name to resolve (IDL mode; default: the only interface)")
 	raw := flag.Bool("raw", false, "print the raw document too")
-	watch := flag.Int("watch", -1, "after dumping, follow the document via the watch protocol for N updates (0 = forever)")
-	stream := flag.Bool("stream", false, "follow over the SSE streaming transport instead of long-polling")
+	watch := flag.Int("watch", -1, "after dumping, follow the document's watch stream for N updates (0 = forever)")
 	stats := flag.Bool("stats", false, "also fetch and print the server's publication-store counters (/.stats)")
 	flag.Parse()
 
 	switch {
 	case *wsdlURL != "":
-		return dump(*wsdlURL, *raw, *watch, *stream, *stats, func(doc ifsvr.Document) error {
+		return dump(*wsdlURL, *raw, *watch, *stats, func(doc ifsvr.Document) error {
 			return printWSDL(doc)
 		})
 	case *idlURL != "":
 		name := *ifaceName
-		return dump(*idlURL, *raw, *watch, *stream, *stats, func(doc ifsvr.Document) error {
+		return dump(*idlURL, *raw, *watch, *stats, func(doc ifsvr.Document) error {
 			return printIDL(doc, name)
 		})
 	case *h2bURL != "":
-		return dump(*h2bURL, *raw, *watch, *stream, *stats, printH2B)
+		return dump(*h2bURL, *raw, *watch, *stats, printH2B)
 	default:
 		fmt.Fprintln(os.Stderr, "ifdump: need -wsdl URL, -idl URL, or -h2b URL")
 		return 2
@@ -105,9 +103,9 @@ func printStats(docURL string) error {
 	return nil
 }
 
-// dump fetches and prints the document once, then optionally follows it
-// through the watch protocol (long-poll rounds, or one SSE stream).
-func dump(url string, raw bool, watch int, stream, stats bool, print func(ifsvr.Document) error) int {
+// dump fetches and prints the document once, then optionally follows its
+// watch stream.
+func dump(url string, raw bool, watch int, stats bool, print func(ifsvr.Document) error) int {
 	ctx := context.Background()
 	doc, err := ifsvr.FetchContext(ctx, nil, url)
 	if err != nil {
@@ -127,23 +125,7 @@ func dump(url string, raw bool, watch int, stream, stats bool, print func(ifsvr.
 	if watch < 0 {
 		return 0
 	}
-	if stream {
-		return streamFollow(ctx, url, doc, raw, watch, print)
-	}
-	for n := 0; watch == 0 || n < watch; n++ {
-		next, err := ifsvr.WatchNewer(ctx, nil, url, doc.Version)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ifdump: watch:", err)
-			return 1
-		}
-		doc = next
-		fmt.Println("\n--- watch update ---")
-		if err := printDoc(doc, raw, print); err != nil {
-			fmt.Fprintln(os.Stderr, "ifdump:", err)
-			return 1
-		}
-	}
-	return 0
+	return streamFollow(ctx, url, doc, raw, watch, print)
 }
 
 // streamFollow follows the document over the SSE transport, reconnecting
@@ -176,7 +158,7 @@ func streamFollow(ctx context.Context, url string, doc ifsvr.Document, raw bool,
 			break
 		}
 		if errors.Is(err, ifsvr.ErrStreamUnsupported) {
-			fmt.Fprintln(os.Stderr, "ifdump: server does not stream; use plain -watch")
+			fmt.Fprintln(os.Stderr, "ifdump: server does not stream:", err)
 			return 1
 		}
 		if err != nil {

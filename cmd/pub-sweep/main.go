@@ -3,21 +3,15 @@
 // stable-timeout mechanism, replayed over a deterministic developer edit
 // trace in virtual time.
 //
-// With -sync it also sweeps the durable store's WAL sync policies: a
-// closed-loop concurrent publisher storm under buffered (none), group-
-// commit, and per-commit (always) fsync, plus cold-cache recovery time
-// for one-big-log versus sharded WAL layouts.
-//
 // Usage:
 //
-//	pub-sweep [-seed N] [-bursts N] [-stale-latency] [-sync]
+//	pub-sweep [-seed N] [-bursts N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"livedev/internal/experiments"
 )
@@ -29,9 +23,6 @@ func main() {
 func run() int {
 	seed := flag.Int64("seed", 1, "edit-trace seed")
 	bursts := flag.Int("bursts", 20, "edit bursts in the developer trace")
-	staleLat := flag.Bool("stale-latency", false, "also measure Section 5.7 forced-publication latency")
-	genCost := flag.Duration("gen-cost", 25*time.Millisecond, "synthetic interface-generation cost for -stale-latency")
-	syncSweep := flag.Bool("sync", false, "also sweep durable-store WAL sync policies and recovery sharding")
 	flag.Parse()
 
 	cfg := experiments.DefaultSweep(*seed)
@@ -42,25 +33,5 @@ func run() int {
 		return 1
 	}
 	fmt.Print(experiments.FormatSweep(results))
-
-	if *staleLat {
-		fmt.Println()
-		stale, err := experiments.RunStaleLatency(*genCost, 10)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pub-sweep:", err)
-			return 1
-		}
-		fmt.Print(experiments.FormatStale(stale))
-	}
-
-	if *syncSweep {
-		fmt.Println()
-		rows, err := experiments.RunDurabilitySweep(experiments.DurabilityConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pub-sweep:", err)
-			return 1
-		}
-		fmt.Print(experiments.FormatDurability(rows))
-	}
 	return 0
 }

@@ -1,67 +1,43 @@
-// Command rtt-bench regenerates the paper's Table 1: mean round-trip time
-// of RMI calls for SDE and static servers over SOAP and CORBA, plus the
-// allocation profile of each configuration — and, since the event-driven
-// publication core, the refresh-after-edit latency rows comparing a
-// polling client against a watch-subscribed one (push-invalidated cache) —
-// and, since the streaming watch plane, the watcher fan-out rows: edit→
-// all-notified latency across N concurrent watchers for the poll,
-// long-poll, and stream transports.
+// Command rtt-bench runs, by hand, the four watch-plane experiments the
+// declared benchmark (bench/, BENCHMARK.json) does not cover yet, and
+// prints one text table each. Nothing gates on its output; call latency,
+// Table 1 and refresh figures come from `go run -C bench .`.
 //
-// Besides the human-readable tables it writes a machine-readable
-// BENCH_rtt.json (ns/op, B/op, allocs/op per Table 1 row; mean/p50 per
-// refresh and fan-out row) so the perf trajectory of the invocation hot
-// path and the publication path can be tracked PR over PR; CI diffs each
-// fresh run against the committed baseline (cmd/benchdiff).
-//
-// With -parallel N it also measures the four SDE bindings under N
-// concurrent callers each — throughput rows (wall-clock over total calls)
-// that reward call multiplexing, landing in the artifact's parallel_rows
-// section and gated hard by benchdiff like the serial rows.
+//   - Watcher fan-out (-fanout-watchers, on by default): edit→all-notified
+//     latency across N held SSE streams. Sizes past a couple thousand
+//     watchers move the serving store to a re-exec'd child process (fd
+//     limits; honest scheduling). With -fanout-stall the same population is
+//     measured once alone ("stream-base") and once sharing the server with
+//     a client that never reads its socket ("stream-stall"): the delivery
+//     pumps keep the two rows indistinguishable, and the stalled stream is
+//     evicted at the write deadline — once its socket is full, which on
+//     loopback takes a few MB (edits × payload); the "evicted" column
+//     says whether the run got there.
+//   - Restart reconnect (-restart): N streaming watchers ride an Interface
+//     Server restart over a data dir, timed until every watcher is caught
+//     up — once recovered via journal replay and once degraded to the
+//     snapshot stampede.
+//   - Durability (-durability): commit throughput per WAL sync policy and
+//     cold-cache recovery time per shard count.
+//   - Replication (-replicas): N SSE watchers spread round-robin across a
+//     leader and its WAL-shipping read-only followers, timing
+//     edit→all-notified across the plane plus the per-follower lag.
 //
 // Usage:
 //
-//	rtt-bench [-calls N] [-payload BYTES] [-parallel N] [-refresh-rounds N] [-poll D]
-//	          [-fanout-watchers 1,100,1000] [-fanout-edits N] [-fanout-poll D]
-//	          [-fanout-payload BYTES] [-fanout-stall] [-fanout-stall-watchers N]
-//	          [-fanout-stall-edits N] [-fanout-stall-payload BYTES]
-//	          [-restart] [-restart-watchers N] [-durability] [-json PATH]
-//	          [-replicas 1,2,4] [-replica-watchers N] [-replica-edits N]
-//
-// Fan-out sizes past a couple thousand watchers move the serving store to
-// a re-exec'd child process (fd limits; honest scheduling) and run the
-// stream transport only. With -fanout-stall it also measures backpressure
-// isolation: the same N-watcher stream population once alone
-// ("stream-base") and once sharing the server with a stalled client that
-// never reads its socket ("stream-stall") — the delivery-pump fan-out
-// keeps the two rows indistinguishable where a push-per-commit loop
-// would have dragged every healthy watcher behind the stalled one.
-//
-// With -restart it also measures the durable store's restart-reconnect
-// latency: N streaming watchers ride an Interface Server restart over a
-// data dir, timed until every watcher is caught up — once recovered via
-// journal replay and once degraded to the snapshot stampede.
-//
-// With -durability it also measures the sharded WAL: commit throughput
-// per sync policy and cold-cache recovery time per shard count, landing
-// in the artifact's durability_rows section.
-//
-// With -replicas it also measures the replicated watch plane: N SSE
-// watchers (-replica-watchers) spread round-robin across a leader and
-// its WAL-shipping read-only followers, timing edit→all-notified across
-// the plane plus the per-follower replication lag, landing in the
-// artifact's replication_rows section.
+//	rtt-bench [-fanout-watchers 1,100,1000] [-fanout-edits N] [-fanout-payload BYTES]
+//	          [-fanout-stall] [-fanout-stall-watchers N] [-fanout-stall-edits N]
+//	          [-fanout-stall-payload BYTES] [-restart] [-restart-watchers N]
+//	          [-durability] [-replicas 1,2,4] [-replica-watchers N] [-replica-edits N]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"livedev/internal/benchfmt"
 	"livedev/internal/experiments"
 )
 
@@ -70,7 +46,10 @@ func main() {
 	// follower processes; when the child env var is set this runs the
 	// child role and exits instead of benchmarking.
 	experiments.ReplicationChild()
-	os.Exit(run())
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "rtt-bench:", err)
+		os.Exit(1)
+	}
 }
 
 // parseSizes parses "1,100,1000" into watcher counts.
@@ -90,16 +69,9 @@ func parseSizes(s string) []int {
 	return out
 }
 
-func run() int {
-	calls := flag.Int("calls", 100, "RMI calls per configuration (the paper used 100)")
-	payload := flag.Int("payload", 64, "echoed string payload size in bytes")
-	parallel := flag.Int("parallel", 0, "concurrent callers for the parallel-call rows (0 disables)")
-	refreshRounds := flag.Int("refresh-rounds", 12, "refresh-after-edit rounds per client strategy (0 disables)")
-	pollInterval := flag.Duration("poll", 50*time.Millisecond, "polling client's refresh interval for the refresh rows")
-	jsonPath := flag.String("json", "BENCH_rtt.json", "path for the machine-readable results (empty disables)")
+func run() error {
 	fanoutSizes := flag.String("fanout-watchers", "1,100,1000", "comma-separated watcher counts for the fan-out rows (empty disables)")
 	fanoutEdits := flag.Int("fanout-edits", 5, "edit rounds per fan-out configuration")
-	fanoutPoll := flag.Duration("fanout-poll", 25*time.Millisecond, "polling transport's interval for the fan-out rows")
 	fanoutPayload := flag.Int("fanout-payload", 0, "published document payload for the fan-out rows, in bytes (0 = tiny)")
 	fanoutStall := flag.Bool("fanout-stall", false, "also measure stalled-watcher backpressure isolation (stream-base vs stream-stall rows)")
 	stallWatchers := flag.Int("fanout-stall-watchers", 10000, "healthy stream-watcher population for the stall rows")
@@ -108,206 +80,67 @@ func run() int {
 	restart := flag.Bool("restart", false, "also measure restart-reconnect latency (durable store; replay vs snapshot recovery)")
 	restartWatchers := flag.Int("restart-watchers", 1000, "watcher count for the restart-reconnect rows")
 	durability := flag.Bool("durability", false, "also measure WAL sync-policy throughput and sharded recovery time")
-	replicaCounts := flag.String("replicas", "", "comma-separated replica counts for the replication rows (empty disables; ISSUE baseline: 1,2,4)")
+	replicaCounts := flag.String("replicas", "", "comma-separated replica counts for the replication rows (empty disables; e.g. 1,2,4)")
 	replicaWatchers := flag.Int("replica-watchers", 10000, "total watcher population for the replication rows")
 	replicaEdits := flag.Int("replica-edits", 5, "edit rounds per replication configuration")
 	flag.Parse()
 
-	rows, err := experiments.RunTable1(experiments.Table1Config{
-		Calls:        *calls,
-		PayloadBytes: *payload,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-		return 1
-	}
-	fmt.Print(experiments.FormatTable1(rows))
-
-	var parallelRows []experiments.ParallelRTTRow
-	if *parallel > 0 {
-		parallelRows, err = experiments.RunTable1Parallel(experiments.Table1Config{
-			Calls:        *calls,
-			PayloadBytes: *payload,
-		}, *parallel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
-		}
-		fmt.Println()
-		fmt.Print(experiments.FormatParallel(parallelRows))
-	}
-
-	var refreshRows []experiments.RefreshRow
-	if *refreshRounds > 0 {
-		refreshRows, err = experiments.RunRefreshLatency(experiments.RefreshConfig{
-			Rounds:       *refreshRounds,
-			PollInterval: *pollInterval,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
-		}
-		fmt.Println()
-		fmt.Print(experiments.FormatRefresh(refreshRows))
-	}
-
 	var fanoutRows []experiments.FanoutRow
 	if sizes := parseSizes(*fanoutSizes); len(sizes) > 0 {
-		fanoutRows, err = experiments.RunWatchFanout(experiments.FanoutConfig{
-			Watchers:     sizes,
-			Edits:        *fanoutEdits,
-			PollInterval: *fanoutPoll,
-			Payload:      *fanoutPayload,
+		rows, err := experiments.RunWatchFanout(experiments.FanoutConfig{
+			Watchers: sizes,
+			Edits:    *fanoutEdits,
+			Payload:  *fanoutPayload,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
+			return err
 		}
-		fmt.Println()
-		fmt.Print(experiments.FormatFanout(fanoutRows))
+		fanoutRows = rows
 	}
-
 	if *fanoutStall {
-		stallRows, err := experiments.RunFanoutStall(experiments.FanoutStallConfig{
+		rows, err := experiments.RunFanoutStall(experiments.FanoutStallConfig{
 			Watchers: *stallWatchers,
 			Edits:    *stallEdits,
 			Payload:  *stallPayload,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
+			return err
 		}
-		fmt.Println()
-		fmt.Print(experiments.FormatFanout(stallRows))
-		fanoutRows = append(fanoutRows, stallRows...)
+		fanoutRows = append(fanoutRows, rows...)
+	}
+	if len(fanoutRows) > 0 {
+		fmt.Print(experiments.FormatFanout("Watcher fan-out: edit→all-notified latency over held streams", fanoutRows))
 	}
 
 	if *restart {
-		restartRows, err := experiments.RunRestartReconnect(experiments.RestartConfig{
-			Watchers: *restartWatchers,
-		})
+		rows, err := experiments.RunRestartReconnect(experiments.RestartConfig{Watchers: *restartWatchers})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
+			return err
 		}
 		fmt.Println()
-		fmt.Print(experiments.FormatFanout(restartRows))
-		// The restart rows share the fan-out row shape and land in the
-		// same artifact section (restart→all-caught-up latency instead of
-		// edit→all-notified).
-		fanoutRows = append(fanoutRows, restartRows...)
+		fmt.Print(experiments.FormatFanout("Restart reconnect: restart→all-caught-up latency", rows))
 	}
 
-	var replicationRows []experiments.ReplicationRow
+	if *durability {
+		rows, err := experiments.RunDurabilitySweep(experiments.DurabilityConfig{})
+		if err != nil {
+			return err
+		}
+		fmt.Println()
+		fmt.Print(experiments.FormatDurability(rows))
+	}
+
 	if counts := parseSizes(*replicaCounts); len(counts) > 0 {
-		replicationRows, err = experiments.RunReplicationFanout(experiments.ReplicationConfig{
+		rows, err := experiments.RunReplicationFanout(experiments.ReplicationConfig{
 			Replicas: counts,
 			Watchers: *replicaWatchers,
 			Edits:    *replicaEdits,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
+			return err
 		}
 		fmt.Println()
-		fmt.Print(experiments.FormatReplication(replicationRows))
+		fmt.Print(experiments.FormatReplication(rows))
 	}
-
-	var durabilityRows []experiments.DurabilityResult
-	if *durability {
-		durabilityRows, err = experiments.RunDurabilitySweep(experiments.DurabilityConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench:", err)
-			return 1
-		}
-		fmt.Println()
-		fmt.Print(experiments.FormatDurability(durabilityRows))
-	}
-
-	if *jsonPath != "" {
-		out := benchfmt.File{
-			Schema:  benchfmt.Schema,
-			Command: "rtt-bench",
-			Calls:   *calls,
-			Payload: *payload,
-		}
-		for _, r := range rows {
-			out.Rows = append(out.Rows, benchfmt.BenchRow{
-				Config:      r.Config,
-				PaperRTTMs:  float64(r.PaperRTT.Milliseconds()),
-				NsPerOp:     float64(r.Measured.Mean.Nanoseconds()),
-				P50Ns:       float64(r.Measured.P50.Nanoseconds()),
-				BytesPerOp:  r.BytesPerOp,
-				AllocsPerOp: r.AllocsPerOp,
-				N:           r.Measured.N,
-			})
-		}
-		for _, r := range parallelRows {
-			out.ParallelRows = append(out.ParallelRows, benchfmt.ParallelRow{
-				Config:  r.Config,
-				Workers: r.Workers,
-				Calls:   r.Calls,
-				NsPerOp: r.NsPerOp,
-			})
-		}
-		for _, r := range refreshRows {
-			out.RefreshRows = append(out.RefreshRows, benchfmt.RefreshRow{
-				Mode:   r.Mode,
-				Rounds: r.Rounds,
-				MeanNs: float64(r.Mean.Nanoseconds()),
-				P50Ns:  float64(r.P50.Nanoseconds()),
-			})
-		}
-		for _, r := range fanoutRows {
-			out.FanoutRows = append(out.FanoutRows, benchfmt.FanoutRow{
-				Transport: r.Transport,
-				Watchers:  r.Watchers,
-				Edits:     r.Edits,
-				MeanNs:    float64(r.Mean.Nanoseconds()),
-				P50Ns:     float64(r.P50.Nanoseconds()),
-				P99Ns:     float64(r.P99.Nanoseconds()),
-				MaxNs:     float64(r.Max.Nanoseconds()),
-			})
-		}
-		for _, r := range durabilityRows {
-			row := benchfmt.DurabilityRow{
-				Kind:       r.Kind,
-				Shards:     r.Shards,
-				Publishers: r.Publishers,
-				Commits:    r.Commits,
-				OpsPerSec:  r.OpsPerSec,
-			}
-			if r.Kind == "throughput" {
-				row.Policy = r.Policy.String()
-			}
-			if r.Recovery > 0 {
-				row.RecoveryMs = float64(r.Recovery.Nanoseconds()) / 1e6
-			}
-			out.DurabilityRows = append(out.DurabilityRows, row)
-		}
-		for _, r := range replicationRows {
-			out.ReplicationRows = append(out.ReplicationRows, benchfmt.ReplicationRow{
-				Replicas: r.Replicas,
-				Watchers: r.Watchers,
-				Edits:    r.Edits,
-				MeanNs:   float64(r.Mean.Nanoseconds()),
-				P50Ns:    float64(r.P50.Nanoseconds()),
-				MaxNs:    float64(r.Max.Nanoseconds()),
-				LagP50Ns: float64(r.LagP50.Nanoseconds()),
-				LagP99Ns: float64(r.LagP99.Nanoseconds()),
-			})
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench: encoding json:", err)
-			return 1
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "rtt-bench: writing json:", err)
-			return 1
-		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
-	}
-	return 0
+	return nil
 }

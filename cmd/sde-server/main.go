@@ -32,10 +32,10 @@
 //
 // With -follow the process is a read-only replica instead: no classes are
 // registered; the leader's write-ahead log is tailed and the replicated
-// documents (GETs, long-polls, SSE watch streams) are served under the
-// leader's restart generation, publications answered with 421 naming the
-// leader. Combine with -data-dir so a restarted replica resumes tailing
-// from its durable position. See docs/replication.md.
+// documents (GETs, SSE watch streams) are served under the leader's
+// restart generation, publications answered with 421 naming the leader.
+// Combine with -data-dir so a restarted replica resumes tailing from its
+// durable position. See docs/replication.md.
 package main
 
 import (
@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -295,11 +294,9 @@ func run() int {
 			}
 			fmt.Printf("live edit %d applied; interface version now %d (publishes after %v of stability)\n",
 				step, class.InterfaceVersion(), *timeout)
-			if !strings.Contains(os.Getenv("SDE_QUIET"), "1") {
-				st := soapSrv.Publisher().Stats()
-				fmt.Printf("  publisher: %d published, %d skipped, %d forced\n",
-					st.Published, st.SkippedCurrent, st.Forced)
-			}
+			st := soapSrv.Publisher().Stats()
+			fmt.Printf("  publisher: %d published, %d skipped, %d forced\n",
+				st.Published, st.SkippedCurrent, st.Forced)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
+	"livedev/internal/jsonb"
 	"livedev/internal/soap"
 )
 
@@ -40,67 +41,96 @@ func slowEchoClass(t *testing.T, name string, d time.Duration) *dyn.Class {
 
 // TestDrainCompletesInFlightCall is the heart of the lifecycle contract: a
 // call accepted before Drain runs to completion while the drain is in
-// progress, and a connection arriving after the drain began is refused.
+// progress, and a connection arriving after the drain began is refused —
+// on every binding that answers calls on the shared HTTP endpoint, which
+// is the listener Drain closes.
 func TestDrainCompletesInFlightCall(t *testing.T) {
-	m := newManager(t)
-	srv, err := m.Register(slowEchoClass(t, "SlowDrain", 300*time.Millisecond), core.TechSOAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.CreateInstance(); err != nil {
-		t.Fatal(err)
-	}
-	ep := srv.(*core.SOAPServer).Endpoint()
+	core.RegisterBinding(jsonb.New())
+	core.RegisterBinding(h2b.New())
+	sig := dyn.MethodSig{Name: "echo", Params: []dyn.Param{{Name: "s", Type: dyn.StringT}}, Result: dyn.StringT}
+	args := []dyn.Value{dyn.StringValue("survives")}
+	for _, tc := range []struct {
+		name string
+		tech core.Technology
+		// caller returns the binding's raw call stub for a served class.
+		caller func(srv core.Server) func(context.Context) (dyn.Value, error)
+	}{
+		{"SOAP", core.TechSOAP, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+			client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:SlowDrain", HTTPClient: &http.Client{}}
+			return func(ctx context.Context) (dyn.Value, error) {
+				return client.CallContext(ctx, "echo", []soap.NamedValue{{Name: "s", Value: args[0]}}, dyn.StringT)
+			}
+		}},
+		{"JSON", jsonb.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+			caller := &jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint(), HTTPClient: &http.Client{}}
+			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
+		}},
+		// No Mux address: the call rides the shared h2c endpoint, not the
+		// binding's own listener.
+		{"H2B-http", h2b.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+			caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
+			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newManager(t)
+			srv, err := m.Register(slowEchoClass(t, "SlowDrain", 300*time.Millisecond), tc.tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.CreateInstance(); err != nil {
+				t.Fatal(err)
+			}
+			call := tc.caller(srv)
 
-	client := &soap.Client{Endpoint: ep, ServiceNS: "urn:SlowDrain", HTTPClient: &http.Client{}}
-	args := []soap.NamedValue{{Name: "s", Value: dyn.StringValue("survives")}}
+			type result struct {
+				val dyn.Value
+				err error
+			}
+			inflight := make(chan result, 1)
+			go func() {
+				v, err := call(context.Background())
+				inflight <- result{v, err}
+			}()
+			time.Sleep(50 * time.Millisecond) // let the call reach the (sleeping) handler
 
-	type result struct {
-		val dyn.Value
-		err error
-	}
-	inflight := make(chan result, 1)
-	go func() {
-		v, err := client.CallContext(context.Background(), "echo", args, dyn.StringT)
-		inflight <- result{v, err}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the call reach the (sleeping) handler
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained := make(chan error, 1)
+			go func() { drained <- m.Drain(ctx) }()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	drained := make(chan error, 1)
-	go func() { drained <- m.Drain(ctx) }()
+			// While the drain is waiting on the slow call, new work is refused:
+			// registrations immediately, new HTTP dials once the listener closes.
+			time.Sleep(50 * time.Millisecond)
+			if !m.Draining() {
+				t.Fatal("Draining() = false during Drain")
+			}
+			if _, err := m.Register(slowEchoClass(t, "LateClass", 0), core.TechSOAP); err == nil {
+				t.Fatal("Register succeeded on a draining manager")
+			}
+			if err := m.Probe(); !errors.Is(err, core.ErrDraining) {
+				t.Fatalf("Probe during drain = %v, want ErrDraining", err)
+			}
 
-	// While the drain is waiting on the slow call, new work is refused:
-	// registrations immediately, new HTTP dials once the listener closes.
-	time.Sleep(50 * time.Millisecond)
-	if !m.Draining() {
-		t.Fatal("Draining() = false during Drain")
-	}
-	if _, err := m.Register(slowEchoClass(t, "LateClass", 0), core.TechSOAP); err == nil {
-		t.Fatal("Register succeeded on a draining manager")
-	}
-	if err := m.Probe(); !errors.Is(err, core.ErrDraining) {
-		t.Fatalf("Probe during drain = %v, want ErrDraining", err)
-	}
+			r := <-inflight
+			if r.err != nil {
+				t.Fatalf("in-flight call dropped by drain: %v", r.err)
+			}
+			if r.val.Str() != "survives" {
+				t.Fatalf("in-flight call corrupted: %q", r.val.Str())
+			}
+			if err := <-drained; err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
 
-	r := <-inflight
-	if r.err != nil {
-		t.Fatalf("in-flight call dropped by drain: %v", r.err)
-	}
-	if r.val.Str() != "survives" {
-		t.Fatalf("in-flight call corrupted: %q", r.val.Str())
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-
-	// The listener is closed now: a fresh dial must fail.
-	if _, err := http.Get(m.HTTPBaseURL() + "/metrics"); err == nil {
-		t.Fatal("new HTTP connection accepted after drain")
-	}
-	if err := m.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
+			// The listener is closed now: a fresh dial must fail.
+			if _, err := http.Get(m.HTTPBaseURL() + "/metrics"); err == nil {
+				t.Fatal("new HTTP connection accepted after drain")
+			}
+			if err := m.Stop(); err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+		})
 	}
 }
 

@@ -468,9 +468,9 @@ func (m *Manager) Draining() bool {
 //     bounded by ctx — for in-flight calls to complete
 //     (http.Server.Shutdown, not Close: nothing in flight is dropped);
 //  3. held replication tails are ended so followers reconnect elsewhere;
-//  4. the Interface Server drains: parked long-polls answer immediately
-//     and held watch streams end with a terminal "draining" frame, so
-//     watchers reconnect to another replica instead of timing out;
+//  4. the Interface Server drains: held watch streams end with a
+//     terminal "draining" frame, so watchers reconnect to another replica
+//     instead of timing out;
 //  5. staged publications are flushed through the WAL.
 //
 // Drain is idempotent, reversible only by Stop (there is no undrain), and

@@ -10,7 +10,7 @@
 // (Manager.NewClassServer) and the Interface Server reads from. The
 // publication pipeline is therefore: class edit → DL Publisher
 // (stable-timeout, Section 5.6) → Store (flush-window coalescing, epochs,
-// fan-out) → Interface Server read view (HTTP + long-poll watch) → client
+// fan-out) → Interface Server read view (HTTP GET + watch stream) → client
 // caches (push-invalidated via the watch protocol).
 package core
 

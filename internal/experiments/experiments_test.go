@@ -4,72 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"livedev/internal/workload"
 )
-
-// TestTable1Shape runs the Table 1 experiment (with a reduced call count)
-// and asserts the paper's qualitative claims:
-//   - SDE SOAP is slower than static SOAP;
-//   - SDE CORBA is slower than static CORBA;
-//   - static CORBA is the fastest configuration;
-//   - CORBA beats SOAP on the same server kind.
-func TestTable1Shape(t *testing.T) {
-	rows, err := RunTable1(Table1Config{Calls: 60, PayloadBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Four paper configurations plus the JSON binding-seam row and the
-	// h2b multiplexed-binary row.
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]workload.RTTStats{}
-	for _, r := range rows {
-		byName[r.Config] = r.Measured
-		if r.Measured.N != 60 {
-			t.Errorf("%s: %d samples", r.Config, r.Measured.N)
-		}
-		if r.Measured.Mean <= 0 {
-			t.Errorf("%s: non-positive mean", r.Config)
-		}
-	}
-	sdeSOAP := byName["SDE SOAP/Axis"].P50
-	staticSOAP := byName["Axis-Tomcat/Axis"].P50
-	sdeCORBA := byName["SDE CORBA/OpenORB"].P50
-	staticCORBA := byName["OpenORB/OpenORB"].P50
-
-	// The strong, stable shape claim: binary CORBA beats XML SOAP for the
-	// same server kind (the paper's 0.42 s vs 0.53 s and 0.51 s vs 0.58 s).
-	if staticCORBA >= staticSOAP {
-		t.Errorf("static CORBA (%v) should beat static SOAP (%v)", staticCORBA, staticSOAP)
-	}
-	if sdeCORBA >= sdeSOAP {
-		t.Errorf("SDE CORBA (%v) should beat SDE SOAP (%v)", sdeCORBA, sdeSOAP)
-	}
-	// The SDE-vs-static overhead on this stack is small (the paper's bound
-	// is 25% on a Java reflection stack); on a shared CI machine it can be
-	// inside scheduler noise, so assert only that SDE is not *wildly* off
-	// its static counterpart in either direction. The precise per-stage
-	// overhead is measured network-free by BenchmarkCallPath_*.
-	within := func(a, b time.Duration, factor float64) bool {
-		fa, fb := float64(a), float64(b)
-		return fa <= fb*factor && fb <= fa*factor
-	}
-	if !within(sdeSOAP, staticSOAP, 2.0) {
-		t.Errorf("SDE SOAP (%v) and static SOAP (%v) should be within 2x", sdeSOAP, staticSOAP)
-	}
-	if !within(sdeCORBA, staticCORBA, 2.0) {
-		t.Errorf("SDE CORBA (%v) and static CORBA (%v) should be within 2x", sdeCORBA, staticCORBA)
-	}
-
-	out := FormatTable1(rows)
-	for _, want := range []string{"Table 1", "SDE SOAP/Axis", "OpenORB/OpenORB", "SDE overhead"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatTable1 missing %q:\n%s", want, out)
-		}
-	}
-}
 
 // TestSweepQualitativeClaims checks Section 5.6's argument quantitatively:
 //   - change-driven publishes far more often (every settled edit) and
@@ -147,50 +82,10 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestStaleLatencyOrdering: the Section 5.7 case analysis predicts the
-// wait is ~0, ~1, ~1 and ~2 generations for the four states.
-func TestStaleLatencyOrdering(t *testing.T) {
-	const genCost = 30 * time.Millisecond
-	results, err := RunStaleLatency(genCost, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byState := map[StaleState]StaleResult{}
-	for _, r := range results {
-		byState[r.State] = r
-	}
-	idle := byState[StateIdleCurrent].Latency.Mean
-	gen := byState[StateGenerating].Latency.Mean
-	timer := byState[StateTimerArmed].Latency.Mean
-	both := byState[StateGeneratingAndTimer].Latency.Mean
-
-	if idle > genCost/2 {
-		t.Errorf("idle-current wait %v should be near zero", idle)
-	}
-	if gen > 2*genCost || gen < genCost/10 {
-		t.Errorf("generating wait %v should be around one generation (%v)", gen, genCost)
-	}
-	if timer < genCost/2 || timer > 2*genCost {
-		t.Errorf("timer-armed wait %v should be around one generation (%v)", timer, genCost)
-	}
-	if both < 3*genCost/2 {
-		t.Errorf("generating+timer wait %v should approach two generations (%v)", both, 2*genCost)
-	}
-	out := FormatStale(results)
-	if !strings.Contains(out, "generating+timer") {
-		t.Errorf("FormatStale output:\n%s", out)
-	}
-}
-
 func TestStrategyAndStateStrings(t *testing.T) {
 	for _, s := range []Strategy{StrategyChangeDriven, StrategyPoll, StrategyStableTimeout, Strategy(0)} {
 		if s.String() == "" {
 			t.Error("empty strategy string")
-		}
-	}
-	for _, s := range []StaleState{StateIdleCurrent, StateGenerating, StateTimerArmed, StateGeneratingAndTimer, StaleState(0)} {
-		if s.String() == "" {
-			t.Error("empty state string")
 		}
 	}
 }
@@ -240,6 +135,57 @@ func TestReplicationFanoutSmoke(t *testing.T) {
 		t.Errorf("2-replica row must carry a follower lag: %+v", rows[1])
 	}
 	if FormatReplication(rows) == "" {
+		t.Error("empty table")
+	}
+}
+
+// TestFanoutStallSmoke runs the stalled-watcher experiment at toy size.
+// The documents are fat on purpose: loopback absorbs a few MB towards a
+// client that never reads, and only past that does the server's write
+// block, miss its deadline and evict the stream.
+func TestFanoutStallSmoke(t *testing.T) {
+	t.Parallel()
+	rows, err := RunFanoutStall(FanoutStallConfig{Watchers: 4, Edits: 16, Payload: 512 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].Transport != "stream-base" || rows[1].Transport != "stream-stall" {
+		t.Fatalf("rows = %+v, want stream-base then stream-stall", rows)
+	}
+	for _, r := range rows {
+		if r.Watchers != 4 || r.Edits != 16 || r.Mean <= 0 {
+			t.Errorf("malformed row %+v", r)
+		}
+	}
+	if rows[0].Evictions != 0 || rows[1].Evictions != 1 {
+		t.Errorf("evictions = %d alone, %d beside the stalled client; want 0 and 1", rows[0].Evictions, rows[1].Evictions)
+	}
+}
+
+// TestDurabilitySweepSmoke runs the WAL sync sweep at a few dozen commits:
+// one throughput row per policy, one recovery row per shard count.
+func TestDurabilitySweepSmoke(t *testing.T) {
+	t.Parallel()
+	rows, err := RunDurabilitySweep(DurabilityConfig{
+		Publishers: 4, Commits: 8, RecoveryDocs: 6, RecoveryBytes: 4 << 10, RecoveryShards: []int{1, 2}, Trials: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 5 {
+		t.Fatalf("got %d rows, want 3 throughput + 2 recovery", len(rows))
+	}
+	for _, r := range rows[:3] {
+		if r.Kind != "throughput" || r.Commits != 32 || r.OpsPerSec <= 0 {
+			t.Errorf("malformed throughput row %+v", r)
+		}
+	}
+	for i, r := range rows[3:] {
+		if r.Kind != "recovery" || r.Shards != i+1 || r.Commits != 6 || r.Recovery <= 0 {
+			t.Errorf("malformed recovery row %+v", r)
+		}
+	}
+	if FormatDurability(rows) == "" {
 		t.Error("empty table")
 	}
 }

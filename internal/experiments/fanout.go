@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,32 +17,23 @@ import (
 )
 
 // The watcher fan-out experiment: how long after a committed edit have ALL
-// of N concurrent watchers observed it, per transport?
+// of N concurrent watchers observed it? Each watcher holds one SSE
+// connection, so a commit is N event writes on already-open sockets.
 //
-//   - "poll-<D>": each watcher GETs the document every D — the pre-watch
-//     CDE. Latency floors at ~D/2 and the server eats N/D requests per
-//     second even when nothing changes.
-//   - "long-poll": each watcher parks one request per commit (the PR 3
-//     protocol). Latency is a round-trip, but every commit costs N
-//     re-requests.
-//   - "stream": each watcher holds one SSE connection (this PR). A commit
-//     is N event writes on already-open sockets.
-//
-// Past fanoutChildWatchers the stream server runs as a separate PROCESS
+// Past fanoutChildWatchers the server runs as a separate PROCESS
 // (re-exec, the same leader child the replication experiment uses): both
 // ends of every SSE socket in one fd table blows the descriptor limit,
 // and an in-process server would share the Go scheduler with N client
-// goroutines, measuring contention instead of fan-out. The
-// request-per-round transports are skipped at those sizes — they would
-// measure a connect storm, not a transport.
+// goroutines, measuring contention instead of fan-out.
 
 // fanoutChildWatchers is the fan-out size past which the serving store
-// moves to a child process and the non-stream transports are skipped.
+// moves to a child process.
 const fanoutChildWatchers = 2000
 
-// FanoutRow summarizes one (transport, watcher-count) configuration.
+// FanoutRow summarizes one (configuration, watcher-count) run.
 type FanoutRow struct {
-	// Transport names the watch transport measured.
+	// Transport names the configuration measured: "stream", the stall
+	// pair "stream-base"/"stream-stall", or a restart recovery mode.
 	Transport string
 	// Watchers is the number of concurrent watchers.
 	Watchers int
@@ -51,6 +43,10 @@ type FanoutRow struct {
 	// time from the commit until the LAST watcher has observed the new
 	// version.
 	Mean, P50, P99, Max time.Duration
+	// Evictions is the server's count of streams it dropped for
+	// backpressure by the end of the run: 1 for a stall row whose frozen
+	// client filled its socket, 0 when every watcher kept up.
+	Evictions uint64
 }
 
 // FanoutConfig parameterizes the fan-out experiment.
@@ -59,12 +55,6 @@ type FanoutConfig struct {
 	Watchers []int
 	// Edits is the number of edit rounds per configuration (default 5).
 	Edits int
-	// PollInterval is the polling transport's fetch interval (default
-	// 25ms).
-	PollInterval time.Duration
-	// Transports restricts the run ("poll", "long-poll", "stream"); empty
-	// means all three.
-	Transports []string
 	// Payload pads each published document to roughly this many bytes
 	// (default 0: the tiny "<vN/>" form, so the numbers measure the
 	// transport, not the payload).
@@ -78,12 +68,6 @@ func (c FanoutConfig) withDefaults() FanoutConfig {
 	if c.Edits <= 0 {
 		c.Edits = 5
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
-	}
-	if len(c.Transports) == 0 {
-		c.Transports = []string{"poll", "long-poll", "stream"}
-	}
 	return c
 }
 
@@ -94,8 +78,10 @@ type FanoutStallConfig struct {
 	// Edits is the number of measured edit rounds (default 8).
 	Edits int
 	// Payload pads each published document to roughly this many bytes
-	// (default 16384) so the stalled connection's socket buffers actually
-	// fill.
+	// (default 16384). The stalled connection's socket only fills once
+	// Edits × Payload passes what loopback absorbs — a few MB; a run that
+	// sends less never blocks a server write and its stall row reports 0
+	// evictions.
 	Payload int
 }
 
@@ -112,23 +98,17 @@ func (c FanoutStallConfig) withDefaults() FanoutStallConfig {
 	return c
 }
 
-// RunWatchFanout measures the edit→all-notified latency of each transport
-// at each fan-out size. Every configuration gets a fresh store and HTTP
-// view.
+// RunWatchFanout measures the edit→all-notified latency at each fan-out
+// size. Every size gets a fresh store and HTTP view.
 func RunWatchFanout(cfg FanoutConfig) ([]FanoutRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []FanoutRow
-	for _, transport := range cfg.Transports {
-		for _, n := range cfg.Watchers {
-			if transport != "stream" && n >= fanoutChildWatchers {
-				continue
-			}
-			row, err := runFanoutOne(transport, n, cfg, false, "")
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fan-out %s/%d: %w", transport, n, err)
-			}
-			rows = append(rows, row)
+	for _, n := range cfg.Watchers {
+		row, err := runFanoutOne("stream", n, cfg, false)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fan-out stream/%d: %w", n, err)
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -148,7 +128,7 @@ func RunFanoutStall(cfg FanoutStallConfig) ([]FanoutRow, error) {
 		label string
 		stall bool
 	}{{"stream-base", false}, {"stream-stall", true}} {
-		row, err := runFanoutOne("stream", cfg.Watchers, fc, run.stall, run.label)
+		row, err := runFanoutOne(run.label, cfg.Watchers, fc, run.stall)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fan-out %s/%d: %w", run.label, cfg.Watchers, err)
 		}
@@ -194,7 +174,9 @@ func openStalledStream(base, path string) (net.Conn, error) {
 	return conn, nil
 }
 
-func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, label string) (FanoutRow, error) {
+// runFanoutOne times cfg.Edits edits against watchers held streams; label
+// names the row, stall adds one frozen client beside them.
+func runFanoutOne(label string, watchers int, cfg FanoutConfig, stall bool) (FanoutRow, error) {
 	raiseFDLimit(uint64(watchers) + 1024)
 
 	// The serving side: in-process for small populations, a re-exec'd
@@ -206,7 +188,7 @@ func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, 
 		publish func(v uint64) error
 		cleanup func()
 	)
-	if transport == "stream" && watchers >= fanoutChildWatchers {
+	if watchers >= fanoutChildWatchers {
 		child, err := spawnReplChild("leader", "")
 		if err != nil {
 			return FanoutRow{}, err
@@ -241,8 +223,7 @@ func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, 
 	docURL := base + path
 
 	// One shared client with enough connection capacity for N concurrent
-	// watchers; no client-level timeout (streams and long-polls are long by
-	// design).
+	// watchers; no client-level timeout (streams are long by design).
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = watchers + 4
 	hc := &http.Client{Transport: tr}
@@ -257,63 +238,18 @@ func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, 
 	// Each watcher exposes the newest version it has observed; the
 	// publisher side spins on these to time "all notified".
 	seen := make([]atomic.Uint64, watchers)
-	ready := make(chan struct{}, watchers)
 	for w := 0; w < watchers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cur := seen[w].Load()
-			first := true
-			markReady := func() {
-				if first {
-					ready <- struct{}{}
-					first = false
-				}
-			}
-			switch transport {
-			case "stream":
-				for ctx.Err() == nil {
-					markReady()
-					_ = ifsvr.WatchStream(ctx, hc, docURL, 0, func(ev ifsvr.StreamEvent) {
-						if ev.Doc.Version > seen[w].Load() {
-							seen[w].Store(ev.Doc.Version)
-						}
-					})
-				}
-			case "long-poll":
-				for ctx.Err() == nil {
-					markReady()
-					d, err := ifsvr.WatchNewer(ctx, hc, docURL, cur)
-					if err != nil {
-						continue
+			for ctx.Err() == nil {
+				_ = ifsvr.WatchStream(ctx, hc, docURL, 0, func(ev ifsvr.StreamEvent) {
+					if ev.Doc.Version > seen[w].Load() {
+						seen[w].Store(ev.Doc.Version)
 					}
-					cur = d.Version
-					seen[w].Store(cur)
-				}
-			case "poll":
-				t := time.NewTicker(cfg.PollInterval)
-				defer t.Stop()
-				for {
-					markReady()
-					select {
-					case <-ctx.Done():
-						return
-					case <-t.C:
-					}
-					d, err := ifsvr.FetchContext(ctx, hc, docURL)
-					if err == nil && d.Version > seen[w].Load() {
-						seen[w].Store(d.Version)
-					}
-				}
+				})
 			}
 		}(w)
-	}
-	for w := 0; w < watchers; w++ {
-		select {
-		case <-ready:
-		case <-time.After(30 * time.Second):
-			return FanoutRow{}, fmt.Errorf("watchers did not start")
-		}
 	}
 	// Wait for every watcher to have actually connected and observed the
 	// seed version, so edit 1 times the fan-out and not the connect ramp
@@ -374,14 +310,7 @@ func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, 
 		latencies = append(latencies, time.Since(start))
 	}
 
-	name := label
-	if name == "" {
-		name = transport
-		if transport == "poll" {
-			name = fmt.Sprintf("poll-%s", cfg.PollInterval)
-		}
-	}
-	row := FanoutRow{Transport: name, Watchers: watchers, Edits: len(latencies)}
+	row := FanoutRow{Transport: label, Watchers: watchers, Edits: len(latencies)}
 	sorted := append([]time.Duration(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var total time.Duration
@@ -392,19 +321,57 @@ func runFanoutOne(transport string, watchers int, cfg FanoutConfig, stall bool, 
 	row.P50 = sorted[len(sorted)/2]
 	row.P99 = sorted[len(sorted)*99/100]
 	row.Max = sorted[len(sorted)-1]
-	return row, nil
+
+	// A frozen client is dropped once a write to it has blocked for the
+	// server's write deadline, which a short run finishes well inside:
+	// wait the deadline out so the row reports the eviction instead of
+	// racing it. (Loopback absorbs a few MB before a write blocks at all;
+	// a run that sends the stalled stream less reports 0.)
+	var patience time.Duration
+	if stall {
+		patience = ifsvr.DefaultStreamWriteTimeout + 2*time.Second
+	}
+	for deadline := time.Now().Add(patience); ; time.Sleep(10 * time.Millisecond) {
+		var err error
+		if row.Evictions, err = streamEvictions(ctx, hc, base); err != nil {
+			return FanoutRow{}, err
+		}
+		if row.Evictions > 0 || !time.Now().Before(deadline) {
+			return row, nil
+		}
+	}
 }
 
-// FormatFanout renders the fan-out rows as an aligned table.
-func FormatFanout(rows []FanoutRow) string {
+// streamEvictions reads the backpressure-eviction counter from the
+// server's stats endpoint.
+func streamEvictions(ctx context.Context, hc *http.Client, base string) (uint64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+ifsvr.StatsPath, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("reading %s: %w", ifsvr.StatsPath, err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var stats ifsvr.StoreStats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		return 0, fmt.Errorf("decoding %s: %w", ifsvr.StatsPath, err)
+	}
+	return stats.Fanout.Evictions, nil
+}
+
+// FormatFanout renders fan-out-shaped rows as an aligned table under
+// title.
+func FormatFanout(title string, rows []FanoutRow) string {
 	var b strings.Builder
-	b.WriteString("Watcher fan-out: edit→all-notified latency per transport\n")
-	fmt.Fprintf(&b, "%-14s %9s %6s %12s %12s %12s %12s\n", "transport", "watchers", "edits", "mean", "p50", "p99", "max")
+	b.WriteString(title + "\n")
+	fmt.Fprintf(&b, "%-16s %9s %6s %12s %12s %12s %12s %8s\n", "run", "watchers", "edits", "mean", "p50", "p99", "max", "evicted")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %9d %6d %12s %12s %12s %12s\n",
+		fmt.Fprintf(&b, "%-16s %9d %6d %12s %12s %12s %12s %8d\n",
 			r.Transport, r.Watchers, r.Edits,
 			r.Mean.Round(10*time.Microsecond), r.P50.Round(10*time.Microsecond),
-			r.P99.Round(10*time.Microsecond), r.Max.Round(10*time.Microsecond))
+			r.P99.Round(10*time.Microsecond), r.Max.Round(10*time.Microsecond), r.Evictions)
 	}
 	return b.String()
 }

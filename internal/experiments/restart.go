@@ -53,8 +53,8 @@ func (c RestartConfig) withDefaults() RestartConfig {
 
 // RunRestartReconnect measures the restart→all-watchers-caught-up latency
 // for the replay and snapshot recovery paths. The rows reuse the fan-out
-// row shape (transport, watchers, mean/p50/max) so they land next to the
-// steady-state fan-out numbers in BENCH_rtt.json.
+// row shape (mode, watchers, mean/p50/max; evictions are the last
+// incarnation's).
 func RunRestartReconnect(cfg RestartConfig) ([]FanoutRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []FanoutRow
@@ -197,5 +197,6 @@ func runRestartOne(mode string, cfg RestartConfig) (FanoutRow, error) {
 		P50:       latencies[len(latencies)/2],
 		P99:       latencies[len(latencies)*99/100],
 		Max:       latencies[len(latencies)-1],
+		Evictions: st.Stats().Fanout.Evictions,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 )
@@ -57,48 +56,6 @@ func TestShutdownEndsHeldStream(t *testing.T) {
 	}
 	if !s.Draining() {
 		t.Fatal("Draining() = false after Shutdown")
-	}
-	_ = s.Close()
-}
-
-// TestShutdownAnswersParkedLongPoll: a long-poll parked on a future version
-// is answered promptly when the drain begins — with 503 and
-// Connection: close, NOT 304 — so the client errors out of WatchNewer and
-// fails over instead of re-polling this server forever.
-func TestShutdownAnswersParkedLongPoll(t *testing.T) {
-	s := New()
-	base, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Store().PublishVersioned("/doc", "text/plain", "v1", 1)
-
-	pollErr := make(chan error, 1)
-	go func() {
-		// after=current version parks the poll waiting for the next commit.
-		_, err := WatchContext(context.Background(), nil, base+"/doc", 1)
-		pollErr <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // let the poll park
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	select {
-	case err := <-pollErr:
-		if err == nil {
-			t.Fatal("parked long-poll returned a document from a draining server")
-		}
-		if errors.Is(err, ErrNotModified) {
-			t.Fatal("draining long-poll answered 304 — the client would re-poll this server forever")
-		}
-		if !strings.Contains(err.Error(), "503") {
-			t.Fatalf("parked long-poll error = %v, want a 503 drain answer", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked long-poll never answered after Shutdown")
 	}
 	_ = s.Close()
 }

@@ -263,90 +263,6 @@ func TestShardTorture(t *testing.T) {
 	}
 }
 
-// TestLegacyLayoutMigration: a data directory written by the pre-sharding
-// layout (snapshot.json + wal.log, snapshot schema v1) is absorbed on
-// first open — documents, retired floors, and WAL-tail records included —
-// rewritten into the sharded layout, and the legacy files are deleted
-// only after the rewrite.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-build the PR 5 layout: a v1 snapshot covering lsn 1 with one
-	// doc, plus a WAL carrying one lingering covered record (the lsn
-	// guard) and two live ones.
-	docA := Document{Content: "<a1/>", ContentType: "text/xml", Version: 1, Epoch: 1}
-	snap := map[string]any{
-		"schema":      snapshotSchemaV1,
-		"generation":  3,
-		"epoch":       1,
-		"floor_epoch": 0,
-		"lsn":         1,
-		"docs":        []streamWire{docWire("/wsdl/A.wsdl", docA)},
-		"retired":     map[string]uint64{"/idl/gone.idl": 7},
-		"journal":     []streamWire{docWire("/wsdl/A.wsdl", docA)},
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	docA2 := Document{Content: "<a2/>", ContentType: "text/xml", Version: 2, Epoch: 2}
-	docB := Document{Content: "<b1/>", ContentType: "text/xml", Version: 1, Epoch: 3}
-	var wal []byte
-	wal = append(wal, encodeCommitRecord(1, []StoreEvent{{Path: "/wsdl/A.wsdl", Doc: docA, Payload: encodeEventPayload("/wsdl/A.wsdl", docA)}})...)
-	wal = append(wal, encodeCommitRecord(2, []StoreEvent{{Path: "/wsdl/A.wsdl", Doc: docA2, Payload: encodeEventPayload("/wsdl/A.wsdl", docA2)}})...)
-	wal = append(wal, encodeCommitRecord(3, []StoreEvent{{Path: "/wsdl/B.wsdl", Doc: docB, Payload: encodeEventPayload("/wsdl/B.wsdl", docB)}})...)
-	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), wal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 4})
-	if err != nil {
-		t.Fatalf("migrating open: %v", err)
-	}
-	if d, err := st.Get("/wsdl/A.wsdl"); err != nil || d.Version != 2 || d.Content != "<a2/>" {
-		t.Fatalf("migrated doc A = %+v, %v; want v2 from the WAL tail", d, err)
-	}
-	if d, err := st.Get("/wsdl/B.wsdl"); err != nil || d.Version != 1 {
-		t.Fatalf("migrated doc B = %+v, %v", d, err)
-	}
-	if got := st.Epoch(); got != 3 {
-		t.Errorf("migrated epoch = %d, want 3", got)
-	}
-	if got := st.Generation(); got != 4 {
-		t.Errorf("migrated generation = %d, want 4 (recovered 3, bumped)", got)
-	}
-	// The retirement floor migrated: republication resumes the sequence.
-	if v := st.Publish("/idl/gone.idl", "text/plain", "back"); v != 8 {
-		t.Errorf("republished retired path at version %d, want 8", v)
-	}
-	stats := st.Stats()
-	if stats.Durability == nil || stats.Durability.MigratedSources == 0 {
-		t.Error("migration not reflected in durability stats")
-	}
-	// The one-shot migration ends with the legacy files gone.
-	for _, name := range []string{legacySnapshotFile, legacyWALFile} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Errorf("legacy file %s survived migration (err=%v)", name, err)
-		}
-	}
-	st.Close()
-
-	// The migrated directory reopens as a plain sharded store.
-	st2, err := OpenStore(StoreConfig{Dir: dir, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	if d, err := st2.Get("/wsdl/A.wsdl"); err != nil || d.Version != 2 {
-		t.Fatalf("post-migration reopen doc A = %+v, %v", d, err)
-	}
-	if st2.Stats().Durability.MigratedSources != 0 {
-		t.Error("second open still reports migrated sources")
-	}
-}
-
 // TestStatsEndpoint: the Interface Server serves the backing store's
 // counters — durability block included — as JSON on StatsPath.
 func TestStatsEndpoint(t *testing.T) {
@@ -385,7 +301,8 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestReshardOnOpen: opening a directory with a different shard count
 // reshards it — every document lands in its new shard, the old layout's
-// extra files are removed, and shrinking works as well as growing.
+// extra files are removed, and shrinking works as well as growing. Files
+// the sharded layout does not name are not a recovery source.
 func TestReshardOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 8})
@@ -421,6 +338,33 @@ func TestReshardOnOpen(t *testing.T) {
 			if i, perr := parseShardIndex(e.Name(), "wal-", ".log"); perr == nil && i >= k {
 				t.Errorf("reshard to %d left %s behind", k, e.Name())
 			}
+		}
+	}
+
+	// A directory holding only the pre-sharding single-file pair opens
+	// empty and leaves both files as they were.
+	foreign := t.TempDir()
+	single := map[string]string{
+		"snapshot.json": `{"schema":"livedev/ifsvr-snapshot/v1","generation":3,"epoch":1,"lsn":1,` +
+			`"docs":[{"path":"/wsdl/A.wsdl","content":"<a1/>","content_type":"text/xml","version":1,"epoch":1}]}`,
+		"wal.log": "not a sharded log",
+	}
+	for name, content := range single {
+		if err := os.WriteFile(filepath.Join(foreign, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err = OpenStore(StoreConfig{Dir: foreign, Shards: 2})
+	if err != nil {
+		t.Fatalf("open beside a single-file pair: %v", err)
+	}
+	if paths := st.Paths(); len(paths) != 0 || st.Stats().Durability.MigratedSources != 0 {
+		t.Errorf("single-file pair was read: paths %v, %d migrated sources", paths, st.Stats().Durability.MigratedSources)
+	}
+	st.Close()
+	for name, content := range single {
+		if got, err := os.ReadFile(filepath.Join(foreign, name)); err != nil || string(got) != content {
+			t.Errorf("%s after open: %q, %v; want it untouched", name, got, err)
 		}
 	}
 }

@@ -5,9 +5,9 @@ import "net/http"
 // Cleartext HTTP/2 (h2c) on the serving side.
 //
 // The watch plane's scaling story is many held streams from few client
-// processes: SSE watch streams, long-polls, and the h2b binding's
-// multiplexed CDR calls all want to share one TCP connection per
-// client-server pair instead of one per stream. Go 1.24's net/http can
+// processes: SSE watch streams and the h2b binding's multiplexed CDR
+// calls all want to share one TCP connection per client-server pair
+// instead of one per stream. Go 1.24's net/http can
 // serve unencrypted HTTP/2 natively (Server.Protocols), sniffing the h2
 // client preface per connection, so HTTP/1.1 clients keep working on the
 // same listener — no TLS requirement, no second port, no new dependency.

@@ -12,10 +12,8 @@
 // privately (window 0). The view adds the watch plane: a streaming GET
 // with "?watch=stream&after=N" holds one text/event-stream connection per
 // watcher, serving the journal replay of everything committed after epoch
-// N followed by live fan-out — what watch clients use — and a long-poll GET
-// with "?watch=1&after=N", kept for tools, blocks until a version newer
-// than N is published (or the poll window elapses, answered with 304 Not
-// Modified). See docs/watch-protocol.md for the wire protocol of both.
+// N followed by live fan-out. See docs/watch-protocol.md for the wire
+// protocol.
 package ifsvr
 
 import (
@@ -26,7 +24,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -62,10 +59,6 @@ const StatsPath = "/.stats"
 
 // ErrNotFound reports a fetch of a never-published document.
 var ErrNotFound = errors.New("ifsvr: document not published")
-
-// ErrNotModified reports a watch poll that elapsed with no newer version —
-// the caller should simply poll again.
-var ErrNotModified = errors.New("ifsvr: document not modified")
 
 // Document is one published interface description.
 type Document struct {
@@ -130,11 +123,9 @@ type Server struct {
 	sweepMu sync.Mutex
 	sweep   *PumpSweep
 
-	// drainCtx is cancelled when a graceful Shutdown begins: parked watch
-	// polls answer immediately and held streams end with a terminal
-	// "draining" frame so clients reconnect to another replica instead of
-	// waiting out their poll windows. Lazily created so the zero-value
-	// Server keeps working.
+	// drainCtx is cancelled when a graceful Shutdown begins: held streams
+	// end with a terminal "draining" frame so clients reconnect to another
+	// replica. Lazily created so the zero-value Server keeps working.
 	drainMu     sync.Mutex
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
@@ -181,8 +172,8 @@ func (s *Server) drainContext() context.Context {
 	return s.drainCtx
 }
 
-// startDrain signals every held poll and stream that the server is
-// draining. Idempotent.
+// startDrain signals every held stream that the server is draining.
+// Idempotent.
 func (s *Server) startDrain() {
 	s.drainContext()
 	s.drainMu.Lock()
@@ -219,18 +210,11 @@ func (s *Server) Paths() []string { return s.Store().Paths() }
 // Remove retires a published path (see Store.Remove).
 func (s *Server) Remove(path string) { s.Store().Remove(path) }
 
-// maxWatchWait caps how long one watch poll is held open before the server
-// answers 304 Not Modified; clients simply poll again, so the cap only
-// bounds how long an idle connection is parked.
-const maxWatchWait = 25 * time.Second
-
 // ServeHTTP implements http.Handler: GET returns the document with its
-// version headers. With "?watch=1&after=N" the request long-polls until a
-// version newer than N is committed (200 with the new document), or the
-// poll window elapses (304 Not Modified with the current version headers).
-// With "?watch=stream&after=N" the request becomes a server-sent-event
-// stream: journal replay of everything committed after epoch N, then one
-// event per live commit, on a single held connection (see stream.go).
+// version headers. With "?watch=stream&after=N" the request becomes a
+// server-sent-event stream: journal replay of everything committed after
+// epoch N, then one event per live commit, on a single held connection
+// (see stream.go). Any other query is ignored.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if h := s.auxHandler(r.URL.Path); h != nil {
 		h.ServeHTTP(w, r)
@@ -255,10 +239,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("watch") == "stream" {
 		s.serveStream(w, r, q)
-		return
-	}
-	if q.Get("watch") != "" {
-		s.serveWatch(w, r, q)
 		return
 	}
 	st := s.Store()
@@ -303,71 +283,12 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	_ = enc.Encode(s.Store().Stats())
 }
 
-func (s *Server) serveWatch(w http.ResponseWriter, r *http.Request, q url.Values) {
-	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
-	wait := maxWatchWait
-	if t := q.Get("timeout"); t != "" {
-		if d, err := time.ParseDuration(t); err == nil && d > 0 && d < wait {
-			wait = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), wait)
-	defer cancel()
-	// A drain must unpark this poll immediately: the Wait below would
-	// otherwise hold its window open and stall Shutdown for up to
-	// maxWatchWait.
-	stopDrain := context.AfterFunc(s.drainContext(), cancel)
-	defer stopDrain()
-	// Watch responses are point-in-time answers to a version question;
-	// a cached one would defeat the protocol.
-	w.Header().Set("Cache-Control", "no-store")
-	st := s.Store()
-	d, err := st.Wait(ctx, r.URL.Path, after)
-	// The generation is read AFTER the park: a replica can reset (adopt a
-	// new leader generation) while the poll is held, and the response must
-	// name the incarnation that produced it.
-	gen := st.Generation()
-	switch {
-	case err == nil:
-		writeDoc(w, d, gen)
-	case r.Context().Err() != nil:
-		// Client went away; nothing useful to write.
-	case s.Draining():
-		// The server is going away: answer now (instead of holding the
-		// window) with an error the watch client treats as a failed poll,
-		// so it rotates to another replica. Connection: close takes the
-		// conn off keep-alive, letting Shutdown finish promptly.
-		w.Header().Set("Connection", "close")
-		http.Error(w, "server draining; reconnect to another replica", http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded):
-		// Poll window elapsed with no newer version. The headers carry the
-		// current version, epoch, AND generation so the poller can resync
-		// its cursors — and detect a restarted server — without a document
-		// fetch; Retry-After tells clients and intermediaries the polite
-		// re-poll pacing after an idle window.
-		cur, getErr := st.Get(r.URL.Path)
-		if getErr != nil {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeHeaders(w, cur, gen)
-		w.WriteHeader(http.StatusNotModified)
-	default:
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	}
-}
-
-func writeHeaders(w http.ResponseWriter, d Document, gen uint64) {
+func writeDoc(w http.ResponseWriter, d Document, gen uint64) {
+	w.Header().Set("Content-Type", d.ContentType)
 	w.Header().Set(VersionHeader, strconv.FormatUint(d.Version, 10))
 	w.Header().Set(DescriptorVersionHeader, strconv.FormatUint(d.DescriptorVersion, 10))
 	w.Header().Set(EpochHeader, strconv.FormatUint(d.Epoch, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
-}
-
-func writeDoc(w http.ResponseWriter, d Document, gen uint64) {
-	w.Header().Set("Content-Type", d.ContentType)
-	writeHeaders(w, d, gen)
 	_, _ = io.WriteString(w, d.Content)
 }
 
@@ -395,12 +316,12 @@ func (s *Server) Start(addr string) (string, error) {
 // BaseURL returns the server's base URL ("" before Start).
 func (s *Server) BaseURL() string { return s.baseURL }
 
-// Shutdown gracefully drains the server: parked watch polls answer
-// immediately, held streams end with a terminal "draining" frame so their
-// clients reconnect elsewhere, the listener stops accepting connections,
-// and in-flight requests run to completion (bounded by ctx, after which
-// remaining connections are abandoned to Close). Unlike Close it never
-// closes the backing store — draining is reversible right up to Stop.
+// Shutdown gracefully drains the server: held streams end with a terminal
+// "draining" frame so their clients reconnect elsewhere, the listener
+// stops accepting connections, and in-flight requests run to completion
+// (bounded by ctx, after which remaining connections are abandoned to
+// Close). Unlike Close it never closes the backing store — draining is
+// reversible right up to Stop.
 // Safe to call before Start (it only marks the server draining).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.startDrain()

@@ -102,53 +102,27 @@ func TestVersionsAreMonotonePerPath(t *testing.T) {
 	}
 }
 
-func TestWatchEndpointLongPoll(t *testing.T) {
+// TestLegacyWatchQueryIsPlainGET: the long-poll endpoint is gone, so a
+// "?watch=1&after=<current>" request — which used to park until the next
+// commit — is answered at once as the plain document GET it now is, with
+// every header a fetch carries.
+func TestLegacyWatchQueryIsPlainGET(t *testing.T) {
 	s := New()
-	s.PublishVersioned("/wsdl/W.wsdl", "text/xml", "<v1/>", 1)
+	s.PublishVersioned("/wsdl/W.wsdl", "text/xml", "<v1/>", 7)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	url := base + "/wsdl/W.wsdl"
 
-	// A poll for an already-newer version returns immediately.
-	doc, err := WatchContext(context.Background(), nil, url, 0)
-	if err != nil || doc.Content != "<v1/>" || doc.Version != 1 {
-		t.Fatalf("watch after=0: %+v, %v", doc, err)
+	hc := &http.Client{Timeout: 2 * time.Second}
+	doc, err := FetchContext(context.Background(), hc, base+"/wsdl/W.wsdl?watch=1&after=1")
+	if err != nil {
+		t.Fatalf("GET ?watch=1 with nothing newer to wait for: %v", err)
 	}
-
-	// A poll parked on the current version is released by the publication.
-	done := make(chan Document, 1)
-	go func() {
-		d, err := WatchNewer(context.Background(), nil, url, 1)
-		if err == nil {
-			done <- d
-		}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the poll park
-	s.PublishVersioned("/wsdl/W.wsdl", "text/xml", "<v2/>", 2)
-	select {
-	case d := <-done:
-		if d.Content != "<v2/>" || d.Version != 2 || d.DescriptorVersion != 2 {
-			t.Errorf("pushed doc = %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch poll was not released by the publication")
-	}
-
-	// A bounded poll with no publication answers 304 -> ErrNotModified,
-	// carrying the current version headers.
-	d, err := WatchContext(context.Background(), nil, url+"?timeout=50ms", 2)
-	if !errors.Is(err, ErrNotModified) {
-		t.Fatalf("idle bounded poll: %+v, %v", d, err)
-	}
-	if d.Version != 2 {
-		t.Errorf("304 version header = %d", d.Version)
-	}
-
-	// Watching a never-published path 404s after the poll window.
-	if _, err := WatchContext(context.Background(), nil, base+"/nope?timeout=50ms", 0); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unpublished watch: %v", err)
+	want := Document{Content: "<v1/>", Version: 1, DescriptorVersion: 7, Epoch: 1,
+		Generation: s.Store().Generation(), ContentType: "text/xml"}
+	if doc != want || doc.Generation == 0 {
+		t.Errorf("doc = %+v, want %+v", doc, want)
 	}
 }

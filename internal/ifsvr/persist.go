@@ -23,19 +23,14 @@ import (
 // snapshot. Shards carry independent log sequence numbers and compact
 // independently, so a hot path rewrites 1/K of the state instead of all of
 // it, and fsync pressure spreads across K files. Open loads every shard
-// (and any leftover single-file or differently-sharded layout) in
-// parallel, merges newest-wins, bumps the generation, and rewrites a
-// fresh full snapshot — so a restarted Interface Server resumes at an
-// epoch strictly past its pre-restart epoch and still answers
-// reconnecting watchers from the journal (event: replay) instead of
-// forcing a snapshot stampede.
+// (and any leftover differently-sharded layout) in parallel, merges
+// newest-wins, bumps the generation, and rewrites a fresh full snapshot —
+// so a restarted Interface Server resumes at an epoch strictly past its
+// pre-restart epoch and still answers reconnecting watchers from the
+// journal (event: replay) instead of forcing a snapshot stampede.
 
 // SnapshotSchema identifies the sharded snapshot file format.
 const SnapshotSchema = "livedev/ifsvr-snapshot/v2"
-
-// snapshotSchemaV1 is the pre-sharding single-file snapshot format; Load
-// migrates it on first open.
-const snapshotSchemaV1 = "livedev/ifsvr-snapshot/v1"
 
 // DefaultSnapshotEvery is how many commit batches a shard logs between
 // compacted snapshots of that shard.
@@ -142,9 +137,8 @@ type PersistStats struct {
 	SyncWaitNanos uint64
 	// Compactions counts snapshot passes that wrote at least one shard.
 	Compactions uint64
-	// MigratedSources counts foreign layouts absorbed at open: a legacy
-	// single-file snapshot+WAL pair, or shard files from a different
-	// shard count.
+	// MigratedSources counts foreign layouts absorbed at open: shard
+	// files from a different shard count.
 	MigratedSources int
 }
 
@@ -212,8 +206,7 @@ type snapshotWire struct {
 	Generation uint64 `json:"generation"`
 	Epoch      uint64 `json:"epoch"`
 	FloorEpoch uint64 `json:"floor_epoch"`
-	// Shard/Shards locate this file in the sharded layout (absent in the
-	// legacy v1 single-file format).
+	// Shard/Shards locate this file in the sharded layout.
 	Shard  int `json:"shard"`
 	Shards int `json:"shards,omitempty"`
 	// Lsn is the shard's last logged operation this snapshot covers.
@@ -225,11 +218,6 @@ type snapshotWire struct {
 	Retired map[string]uint64 `json:"retired,omitempty"`
 	Journal []streamWire      `json:"journal,omitempty"`
 }
-
-const (
-	legacySnapshotFile = "snapshot.json"
-	legacyWALFile      = "wal.log"
-)
 
 // shardSnapshotFile / shardWALFile name shard i's files.
 func shardSnapshotFile(i int) string { return fmt.Sprintf("snapshot-%02d.json", i) }
@@ -339,10 +327,10 @@ func (sh *walShard) notifyLocked() {
 type filePersistence struct {
 	cfg    FileConfig
 	shards []*walShard
-	// stale are files superseded by the configured layout (the legacy
-	// single-file pair, shard files from a different K); they are deleted
-	// only after the next full snapshot has durably captured their
-	// contents in the configured layout.
+	// stale are files superseded by the configured layout (shard files
+	// from a different K); they are deleted only after the next full
+	// snapshot has durably captured their contents in the configured
+	// layout.
 	stale    []string
 	migrated int
 	wg       sync.WaitGroup
@@ -392,8 +380,7 @@ func OpenFilePersistence(cfg FileConfig) (Persistence, error) {
 }
 
 // walSource is one on-disk snapshot+WAL pair recovery reads: a configured
-// shard, a shard file left over from a different shard count, or the
-// legacy single-file layout (shard == -1).
+// shard, or a shard file left over from a different shard count.
 type walSource struct {
 	shard    int
 	snapName string
@@ -409,15 +396,14 @@ type sourceState struct {
 }
 
 // Load implements Persistence: every discoverable source — the configured
-// shards plus any legacy or differently-sharded leftovers — is replayed
+// shards plus any differently-sharded leftovers — is replayed
 // concurrently (snapshot, then the WAL's longest valid prefix), and the
 // results are merged newest-wins by epoch/version. One goroutine per
 // source overlaps each shard's file reads with the others' JSON decoding,
 // which is what makes recovery wall-time fall as the shard count rises.
 // Foreign sources are remembered and deleted after the next full
 // Snapshot rewrites their contents into the configured layout — the
-// one-shot migration path for a PR 5 single-file directory or a changed
-// shard count.
+// one-shot migration path for a changed shard count.
 func (p *filePersistence) Load() (PersistentState, error) {
 	sources, err := p.discoverSources()
 	if err != nil {
@@ -471,7 +457,7 @@ func (p *filePersistence) Load() (PersistentState, error) {
 		// fresh appends extend, never collide with, records a crash may
 		// have left behind the next snapshot's lsn watermark.
 		src := sources[i]
-		if src.shard >= 0 && src.shard < len(p.shards) {
+		if src.shard < len(p.shards) {
 			sh := p.shards[src.shard]
 			sh.mu.Lock()
 			sh.lsn = res.lsn
@@ -505,12 +491,9 @@ func (p *filePersistence) discoverSources() ([]walSource, error) {
 	}
 	k := len(p.shards)
 	seen := make(map[int]bool)
-	legacy := false
 	for _, e := range entries {
 		name := e.Name()
 		switch {
-		case name == legacySnapshotFile || name == legacyWALFile:
-			legacy = true
 		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".json"):
 			if i, perr := parseShardIndex(name, "snapshot-", ".json"); perr == nil {
 				seen[i] = true
@@ -530,11 +513,6 @@ func (p *filePersistence) discoverSources() ([]walSource, error) {
 	}
 	sort.Ints(idxs)
 	var sources []walSource
-	if legacy {
-		sources = append(sources, walSource{shard: -1, snapName: legacySnapshotFile, walName: legacyWALFile})
-		p.stale = append(p.stale, legacySnapshotFile, legacyWALFile)
-		p.migrated++
-	}
 	for _, i := range idxs {
 		sources = append(sources, walSource{shard: i, snapName: shardSnapshotFile(i), walName: shardWALFile(i)})
 		if i >= k {
@@ -582,7 +560,7 @@ func (p *filePersistence) loadSource(src walSource) sourceState {
 			res.err = fmt.Errorf("ifsvr: parsing %s: %w", src.snapName, jerr)
 			return res
 		}
-		if snap.Schema != SnapshotSchema && snap.Schema != snapshotSchemaV1 {
+		if snap.Schema != SnapshotSchema {
 			res.err = fmt.Errorf("ifsvr: %s schema %q, want %q", src.snapName, snap.Schema, SnapshotSchema)
 			return res
 		}
@@ -603,7 +581,7 @@ func (p *filePersistence) loadSource(src walSource) sourceState {
 	}
 
 	var sh *walShard
-	if src.shard >= 0 && src.shard < len(p.shards) {
+	if src.shard < len(p.shards) {
 		sh = p.shards[src.shard]
 	}
 	var img []byte

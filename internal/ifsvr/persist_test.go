@@ -3,7 +3,6 @@ package ifsvr
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -261,77 +260,5 @@ func TestRestartRecoveryReplay(t *testing.T) {
 		if !s.gens[gen1] || !s.gens[st2.Generation()] || gen1 == st2.Generation() {
 			t.Errorf("watcher %d: generations seen %v, want {%d, %d}", w, s.gens, gen1, st2.Generation())
 		}
-	}
-}
-
-// TestLongPollCarriesGenerationHeader: the poll-fallback transport carries
-// the restart-generation header on both its answers — the 200 with a new
-// version and the idle-window 304 — so poll clients detect restarts the
-// same way stream clients do.
-func TestLongPollCarriesGenerationHeader(t *testing.T) {
-	st, url := startStreamServer(t, 0)
-	st.Publish("/wsdl/S.wsdl", "text/xml", "<v1/>")
-	gen := fmt.Sprintf("%d", st.Generation())
-	if gen == "0" {
-		t.Fatal("in-memory store must have a nonzero generation")
-	}
-
-	// 200: a poll that is immediately satisfied.
-	resp, err := http.Get(url + "?watch=1&after=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if got := resp.Header.Get(GenerationHeader); got != gen {
-		t.Errorf("watch 200 %s = %q, want %q", GenerationHeader, got, gen)
-	}
-
-	// 304: a poll whose window elapses idle.
-	resp, err = http.Get(url + "?watch=1&after=1&timeout=50ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("idle poll answered HTTP %d, want 304", resp.StatusCode)
-	}
-	if got := resp.Header.Get(GenerationHeader); got != gen {
-		t.Errorf("watch 304 %s = %q, want %q", GenerationHeader, got, gen)
-	}
-
-	// And the plain document GET.
-	resp, err = http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if got := resp.Header.Get(GenerationHeader); got != gen {
-		t.Errorf("document GET %s = %q, want %q", GenerationHeader, got, gen)
-	}
-}
-
-// TestWatchNewerDetectsRegressedServer: a poll parked on a cursor the
-// server's state cannot reach (a restart that lost state) must return the
-// current document instead of wedging until the caller gives up.
-func TestWatchNewerDetectsRegressedServer(t *testing.T) {
-	st, url := startStreamServer(t, 0)
-	st.Publish("/wsdl/S.wsdl", "text/xml", "<v1/>")
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// A client-side timeout keeps each poll round short (the timeout hint
-	// makes the server 304 quickly), so the regression check runs fast.
-	hc := &http.Client{Timeout: 500 * time.Millisecond}
-	// The client's cursor says version 40 — a previous incarnation. The
-	// fresh store is at version 1.
-	doc, err := WatchNewer(ctx, hc, url, 40)
-	if err != nil {
-		t.Fatalf("WatchNewer against a regressed server: %v", err)
-	}
-	if doc.Version != 1 || doc.Content != "<v1/>" {
-		t.Errorf("doc = %+v, want the regressed server's current version 1", doc)
-	}
-	if doc.Generation != st.Generation() {
-		t.Errorf("doc generation = %d, want %d (the restart detector's input)", doc.Generation, st.Generation())
 	}
 }

@@ -77,8 +77,8 @@ type FollowerConfig struct {
 
 // Follower tails every shard of a leader's WAL concurrently and applies
 // the records through the store's commit path into its own (optionally
-// durable) store. The store serves doc GETs, long-polls, and SSE watch
-// streams read-only under the leader's generation and epochs; Serve
+// durable) store. The store serves doc GETs and SSE watch streams
+// read-only under the leader's generation and epochs; Serve
 // starts an Interface Server view that additionally answers writes with
 // 421 Misdirected Request naming the leader.
 //

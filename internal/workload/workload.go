@@ -1,14 +1,12 @@
-// Package workload provides deterministic workload generation and
-// measurement for the experiments: a developer editing model (bursts of
-// interface edits separated by think time, driving the Section 5.6
-// publication-strategy study), and round-trip-time statistics for the
-// Table 1 reproduction.
+// Package workload provides deterministic workload generation for the
+// experiments: a developer editing model (bursts of interface edits
+// separated by think time) driving the Section 5.6 publication-strategy
+// study.
 package workload
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"livedev/internal/dyn"
@@ -143,54 +141,4 @@ func Apply(class *dyn.Class, id dyn.MemberID, e Edit, step int) (bool, error) {
 	default:
 		return false, fmt.Errorf("workload: unknown edit kind %d", e.Kind)
 	}
-}
-
-// RTTStats summarizes a set of round-trip samples.
-type RTTStats struct {
-	N              int
-	Mean, Min, Max time.Duration
-	P50, P90, P99  time.Duration
-	P999           time.Duration
-	Total          time.Duration
-}
-
-// Summarize computes statistics over samples (which it sorts in place).
-func Summarize(samples []time.Duration) RTTStats {
-	if len(samples) == 0 {
-		return RTTStats{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	var total time.Duration
-	for _, s := range samples {
-		total += s
-	}
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(samples)-1))
-		return samples[idx]
-	}
-	return RTTStats{
-		N:     len(samples),
-		Mean:  total / time.Duration(len(samples)),
-		Min:   samples[0],
-		Max:   samples[len(samples)-1],
-		P50:   pct(0.50),
-		P90:   pct(0.90),
-		P99:   pct(0.99),
-		P999:  pct(0.999),
-		Total: total,
-	}
-}
-
-// MeasureRTT invokes call n times, recording each round trip. The paper
-// averaged over one hundred calls (Section 7).
-func MeasureRTT(n int, call func() error) ([]time.Duration, error) {
-	samples := make([]time.Duration, 0, n)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		if err := call(); err != nil {
-			return samples, fmt.Errorf("workload: call %d failed: %w", i, err)
-		}
-		samples = append(samples, time.Since(start))
-	}
-	return samples, nil
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 
 	"livedev/internal/dyn"
@@ -107,76 +106,3 @@ func TestApplyEditsDriveInterfaceVersion(t *testing.T) {
 		t.Error("unknown kind should fail")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
-		t.Error("empty summarize")
-	}
-	samples := []time.Duration{
-		5 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond,
-		2 * time.Millisecond, 4 * time.Millisecond,
-	}
-	s := Summarize(samples)
-	if s.N != 5 || s.Min != time.Millisecond || s.Max != 5*time.Millisecond {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.Mean != 3*time.Millisecond {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	if s.P50 != 3*time.Millisecond {
-		t.Errorf("p50 = %v", s.P50)
-	}
-	if s.Total != 15*time.Millisecond {
-		t.Errorf("total = %v", s.Total)
-	}
-}
-
-// Property: percentiles are ordered and bounded by min/max.
-func TestSummarizeOrderingProperty(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]time.Duration, len(raw))
-		for i, v := range raw {
-			samples[i] = time.Duration(v) * time.Microsecond
-		}
-		s := Summarize(samples)
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMeasureRTT(t *testing.T) {
-	calls := 0
-	samples, err := MeasureRTT(10, func() error {
-		calls++
-		return nil
-	})
-	if err != nil || len(samples) != 10 || calls != 10 {
-		t.Errorf("MeasureRTT: %d samples, %d calls, %v", len(samples), calls, err)
-	}
-	// A failing call aborts with partial samples.
-	samples, err = MeasureRTT(10, func() error {
-		if calls > 12 {
-			return errTest
-		}
-		calls++
-		return nil
-	})
-	if err == nil {
-		t.Error("failure should propagate")
-	}
-	if len(samples) > 10 {
-		t.Error("too many samples after failure")
-	}
-}
-
-var errTest = &testError{}
-
-type testError struct{}
-
-func (*testError) Error() string { return "test error" }

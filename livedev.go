@@ -82,8 +82,8 @@
 // The watch plane scales out horizontally: a manager started with
 // Config.FollowURL (sde-server: -follow <leader-url>) is a read-only
 // replica that tails the leader's write-ahead log and serves the
-// replicated documents — GETs, long-polls, and SSE watch streams — under
-// the leader's restart generation, while answering publications with 421
+// replicated documents — GETs and SSE watch streams — under the leader's
+// restart generation, while answering publications with 421
 // Misdirected Request naming the leader. Clients spread across replicas
 // with WithEndpoints(leader, replicaA, replicaB) — failover between them
 // is the watcher's ordinary reconnect, never a visible restart — or ask a
