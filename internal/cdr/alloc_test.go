@@ -59,26 +59,23 @@ func TestAllocs_EncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllocs_BulkDecode pins the composite decode on the benchmark's bulk
-// shape, 256 three-field structs: per element one field slice and one
-// string copy, plus the sequence's slice and type. The copying dyn
-// constructors and Type.Fields() made that four objects per element.
-func TestAllocs_BulkDecode(t *testing.T) {
-	item := dyn.MustStructOf("Item",
-		dyn.StructField{Name: "id", Type: dyn.Int32T},
-		dyn.StructField{Name: "tag", Type: dyn.StringT},
-		dyn.StructField{Name: "score", Type: dyn.Float64T})
-	elems := make([]dyn.Value, 256)
-	for i := range elems {
-		elems[i] = dyn.MustStructValue(item, dyn.Int32Value(int32(i)), dyn.StringValue("sixteen-byte-tag"), dyn.Float64Value(float64(i)/8))
-	}
-	v := dyn.MustSequenceValue(item, elems...)
+// bulkValue is the benchmark's bulk payload, a sequence of 256 three-field
+// structs, and its big-endian encoding.
+func bulkValue(tb testing.TB) (dyn.Value, []byte) {
+	v := itemSeq(256)
 	e := NewEncoder(BigEndian)
 	if err := EncodeValue(e, v); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	raw := e.Bytes()
+	return v, e.Bytes()
+}
 
+// TestAllocs_BulkDecode pins the composite decode on the bulk shape: one
+// string copy per element, plus the sequence's slice and type and the one
+// slab all 256 field slices are carved from. A field slice per struct made
+// that two objects per element.
+func TestAllocs_BulkDecode(t *testing.T) {
+	v, raw := bulkValue(t)
 	var d Decoder
 	allocs := testing.AllocsPerRun(100, func() {
 		d.Reset(raw, BigEndian)
@@ -87,8 +84,34 @@ func TestAllocs_BulkDecode(t *testing.T) {
 			t.Fatal(got.Len(), err)
 		}
 	})
-	if allocs > 2*256+2 {
-		t.Errorf("bulk CDR decode allocates %.1f objects/op, budget is %d", allocs, 2*256+2)
+	if allocs > 256+4 {
+		t.Errorf("bulk CDR decode allocates %.1f objects/op, budget is %d", allocs, 256+4)
+	}
+}
+
+var sinkValue dyn.Value
+
+func BenchmarkBulkEncode(b *testing.B) {
+	v, _ := bulkValue(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		e := GetEncoder(BigEndian)
+		if err := EncodeValue(e, v); err != nil {
+			b.Fatal(err)
+		}
+		PutEncoder(e)
+	}
+}
+
+func BenchmarkBulkDecode(b *testing.B) {
+	v, raw := bulkValue(b)
+	typ := v.Type()
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	var d Decoder
+	for b.Loop() {
+		d.Reset(raw, BigEndian)
+		sinkValue, _ = DecodeValue(&d, typ)
 	}
 }
 

@@ -23,6 +23,11 @@ var ErrBadString = errors.New("cdr: malformed string")
 // message buffer; they are valid only while the caller keeps that buffer
 // alive and unmodified, and must never be used together with pooled
 // message bodies that outlive the returned values.
+//
+// In either mode the parts of one DecodeValue result share memory with each
+// other: the field slices of the structs of a decoded sequence are carved
+// from one backing array (dyn.Slab), so retaining one element of a large
+// sequence retains the field values of all of them.
 type Decoder struct {
 	buf      []byte
 	pos      int

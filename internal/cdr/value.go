@@ -55,8 +55,40 @@ func EncodeValue(e *Encoder, v dyn.Value) error {
 	return nil
 }
 
-// DecodeValue reads a value of type t from the stream.
+// DecodeValue reads a value of type t from the stream. The structs of one
+// decoded sequence share the backing array of their field values (see the
+// Decoder's copy discipline).
 func DecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
+	var fields dyn.Slab // dropped with this decode
+	return decodeValue(d, t, &fields)
+}
+
+// minSize returns the fewest octets a value of type t takes on the wire,
+// alignment padding aside.
+func minSize(t *dyn.Type) int {
+	switch t.Kind() {
+	case dyn.KindBoolean, dyn.KindChar:
+		return 1
+	case dyn.KindInt32, dyn.KindFloat32:
+		return 4
+	case dyn.KindInt64, dyn.KindFloat64:
+		return 8
+	case dyn.KindString:
+		return 4 + 1 // the length and the NUL
+	case dyn.KindSequence:
+		return 4 // the length
+	case dyn.KindStruct:
+		n := 0
+		for i := 0; i < t.NumFields(); i++ {
+			n += minSize(t.Field(i).Type)
+		}
+		return n
+	default:
+		return 0
+	}
+}
+
+func decodeValue(d *Decoder, t *dyn.Type, fields *dyn.Slab) (dyn.Value, error) {
 	switch t.Kind() {
 	case dyn.KindVoid:
 		return dyn.VoidValue(), nil
@@ -107,26 +139,33 @@ func DecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
 		if err != nil {
 			return dyn.Value{}, err
 		}
-		// Guard against hostile lengths: each element needs at least one
-		// octet on the wire.
-		if int(n) > d.Remaining() {
+		// Guard against hostile lengths before allocating by them: every
+		// element needs its type's minimum on the wire (one octet where
+		// that is none), which keeps what a lying length can allocate
+		// within a small constant of the message size.
+		elem := t.Elem()
+		if uint64(n) > uint64(d.Remaining()/max(minSize(elem), 1)) {
 			return dyn.Value{}, fmt.Errorf("%w: sequence claims %d elements with %d octets left",
 				ErrTruncated, n, d.Remaining())
 		}
+		if elem.Kind() == dyn.KindStruct {
+			// Void fields take no octets, so the octets left cap this too.
+			fields.Grow(min(int(n)*elem.NumFields(), d.Remaining()))
+		}
 		elems := make([]dyn.Value, int(n))
 		for i := range elems {
-			ev, err := DecodeValue(d, t.Elem())
+			ev, err := decodeValue(d, elem, fields)
 			if err != nil {
 				return dyn.Value{}, fmt.Errorf("sequence element %d: %w", i, err)
 			}
 			elems[i] = ev
 		}
-		return dyn.AdoptSequence(t.Elem(), elems)
+		return dyn.AdoptSequence(elem, elems)
 	case dyn.KindStruct:
-		vals := make([]dyn.Value, t.NumFields())
+		vals := fields.Take(t.NumFields())
 		for i := range vals {
 			f := t.Field(i)
-			fv, err := DecodeValue(d, f.Type)
+			fv, err := decodeValue(d, f.Type, fields)
 			if err != nil {
 				return dyn.Value{}, fmt.Errorf("struct %s field %s: %w", t.Name(), f.Name, err)
 			}

@@ -1,9 +1,11 @@
 package cdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +96,46 @@ func TestDecodeHostileSequenceLength(t *testing.T) {
 	d := NewDecoder(e.Bytes(), BigEndian)
 	if _, err := DecodeValue(d, dyn.SequenceOf(dyn.Int32T)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("hostile length: %v", err)
+	}
+}
+
+// TestDecodeLyingSequenceLength: a 64 KiB body whose length prefix claims
+// more Items than its octets could hold is refused, and what the claim made
+// the decoder allocate on the way stays a small multiple of the body. The
+// guard used to ask one octet of every claimed element, so the first claim
+// here bought 64 Ki values before one was read (5 MB then; 3 MB of values
+// and field slab now, had the guard stayed).
+func TestDecodeLyingSequenceLength(t *testing.T) {
+	vals := make([]dyn.Value, 2700)
+	for i := range vals {
+		vals[i] = dyn.Zero(itemType)
+	}
+	e := NewEncoder(BigEndian)
+	if err := EncodeValue(e, dyn.MustSequenceValue(itemType, vals...)); err != nil {
+		t.Fatal(err)
+	}
+	body := e.Bytes()
+	if len(body) < 63<<10 || len(body) > 64<<10 {
+		t.Fatalf("body is %d octets, want about 64 KiB", len(body))
+	}
+	typ := dyn.SequenceOf(itemType)
+	room := (len(body) - 4) / minSize(itemType)
+	for _, claim := range []int{
+		len(body) - 4, // an octet each: what the old guard let through
+		room + 1,      // the first claim the guard refuses outright
+		room,          // admitted on its minimum sizes, 2 700 padded Items in, truncated
+	} {
+		binary.BigEndian.PutUint32(body, uint32(claim))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeValue(NewDecoder(body, BigEndian), typ)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTruncated) {
+			t.Errorf("claim of %d elements: %v, want ErrTruncated", claim, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("claim of %d elements in %d octets allocated %d bytes, want under 1 MiB", claim, len(body), got)
+		}
 	}
 }
 

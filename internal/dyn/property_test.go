@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -194,5 +195,197 @@ func TestDescriptorHashMatchesEquality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ---- Representation invariants of Value ----
+
+// TestValueIsThreeWords: the layout the codecs' cost rests on, and the
+// guarantee that == on values does not compile.
+func TestValueIsThreeWords(t *testing.T) {
+	vt := reflect.TypeOf(Value{})
+	if got, want := vt.Size(), 3*reflect.TypeOf(uintptr(0)).Size(); got != want {
+		t.Errorf("Value is %d bytes, want three words (%d)", got, want)
+	}
+	if vt.Comparable() {
+		t.Error("Value is comparable: == would compare string and slice pointers, not contents")
+	}
+}
+
+// TestMismatchedAccessorsReturnZero: an accessor asked for a payload the
+// value's kind does not carry answers its zero, never a reinterpretation of
+// another kind's bits. The two integer kinds read each other (sign-extended
+// up, truncated down) and so do the two float kinds, as they always have;
+// Len counts sequence elements and struct fields alike.
+func TestMismatchedAccessorsReturnZero(t *testing.T) {
+	pt := MustStructOf("P", StructField{Name: "s", Type: StringT}, StructField{Name: "n", Type: Int64T})
+	type payload struct {
+		b   bool
+		c   rune
+		i32 int32
+		i64 int64
+		f32 float32
+		f64 float64
+		s   string
+		n   int
+	}
+	cases := []struct {
+		v    Value
+		want payload
+	}{
+		{Value{}, payload{}},
+		{VoidValue(), payload{}},
+		{BoolValue(true), payload{b: true}},
+		{BoolValue(false), payload{}},
+		{CharValue('λ'), payload{c: 'λ'}},
+		{CharValue(-1), payload{c: -1}},
+		{Int32Value(-7), payload{i32: -7, i64: -7}},
+		{Int64Value(1<<40 | 5), payload{i32: 5, i64: 1<<40 | 5}},
+		{Int64Value(-1), payload{i32: -1, i64: -1}},
+		{Float32Value(1.5), payload{f32: 1.5, f64: 1.5}},
+		{Float64Value(1e300), payload{f32: float32(math.Inf(1)), f64: 1e300}},
+		{Float64Value(0.1), payload{f32: float32(0.1), f64: 0.1}},
+		{StringValue("seven b"), payload{s: "seven b"}},
+		{StringValue(""), payload{}},
+		{MustSequenceValue(StringT, StringValue("a"), StringValue("b"), StringValue("c")), payload{n: 3}},
+		{MustSequenceValue(Boolean), payload{}},
+		{MustStructValue(pt, StringValue("x"), Int64Value(9)), payload{n: 2}},
+		{Zero(pt), payload{n: 2}},
+	}
+	for _, tc := range cases {
+		v := tc.v
+		got := payload{v.Bool(), v.Char(), v.Int32(), v.Int64(), v.Float32(), v.Float64(), v.Str(), v.Len()}
+		if got != tc.want {
+			t.Errorf("%s %v: accessors read %+v, want %+v", v.Type(), v, got, tc.want)
+		}
+		if es := v.Elems(); len(es) != tc.want.n {
+			t.Errorf("%s %v: Elems() has %d values, want %d", v.Type(), v, len(es), tc.want.n)
+		}
+		if _, ok := v.Field("s"); ok != (v.Type().Kind() == KindStruct) {
+			t.Errorf("%s %v: Field(\"s\") found = %v", v.Type(), v, ok)
+		}
+	}
+}
+
+// TestFloatEqualityIsNumeric: Equal compares floats as numbers although the
+// payload word holds their bits — NaN differs from itself, the two zeros
+// are equal — at either width and inside a composite.
+func TestFloatEqualityIsNumeric(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	pt := MustStructOf("F", StructField{Name: "f", Type: Float64T})
+	for _, tc := range []struct {
+		a, b Value
+		want bool
+	}{
+		{Float64Value(nan), Float64Value(nan), false},
+		{Float32Value(float32(nan)), Float32Value(float32(nan)), false},
+		{Float64Value(negZero), Float64Value(0), true},
+		{Float32Value(float32(negZero)), Float32Value(0), true},
+		{Float64Value(1), Float32Value(1), false}, // different types
+		{MustStructValue(pt, Float64Value(nan)), MustStructValue(pt, Float64Value(nan)), false},
+		{MustSequenceValue(Float64T, Float64Value(negZero)), MustSequenceValue(Float64T, Float64Value(0)), true},
+	} {
+		if got := tc.a.Equal(tc.b); got != tc.want {
+			t.Errorf("%v.Equal(%v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+	if v := Float64Value(negZero); !math.Signbit(v.Float64()) || v.String() != "-0" {
+		t.Errorf("-0 came back as %v (%s)", v.Float64(), v)
+	}
+}
+
+// TestEmptyPayloadsRoundTrip: the empty string and the empty sequence have
+// nothing for the pointer word to point at, however they were made.
+func TestEmptyPayloadsRoundTrip(t *testing.T) {
+	backing := "backing"
+	for _, s := range []string{"", backing[:0], backing[len(backing):], string([]byte{})} {
+		v := StringValue(s)
+		if v.Str() != "" || v.Len() != 0 || v.String() != `""` || !v.Equal(Zero(StringT)) || !Zero(StringT).Equal(v) {
+			t.Errorf("empty string value reads %q, renders %s", v.Str(), v)
+		}
+	}
+	adopted, err := AdoptSequence(Int32T, make([]Value, 0, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Value{MustSequenceValue(Int32T), adopted, Zero(SequenceOf(Int32T))} {
+		if v.Len() != 0 || len(v.Elems()) != 0 || v.String() != "[]" || !v.Equal(MustSequenceValue(Int32T)) {
+			t.Errorf("empty sequence has %d elements, renders %s", v.Len(), v)
+		}
+		if v.Equal(MustSequenceValue(Int64T)) {
+			t.Error("empty sequences of different element types are equal")
+		}
+	}
+}
+
+// TestSlabSlicesDoNotAlias: field slices carved from one chunk are
+// neighbours in memory and nothing else. Each is zeroed and exactly as long
+// as asked with no spare capacity, so neither writing through one after
+// adopting it (which the Adopt contract forbids, and a decoder bug could do)
+// nor appending to it can be observed through a sibling.
+func TestSlabSlicesDoNotAlias(t *testing.T) {
+	pt := MustStructOf("P", StructField{Name: "a", Type: Int32T}, StructField{Name: "b", Type: StringT})
+	for _, grow := range []int{0, 6, 2} { // chunks from Take alone, one exact chunk, one too small
+		var slab Slab
+		slab.Grow(grow)
+		var slices [3][]Value
+		var structs [3]Value
+		for i := range slices {
+			s := slab.Take(2)
+			if len(s) != 2 || cap(s) != 2 {
+				t.Fatalf("Grow(%d): Take(2) has len %d cap %d", grow, len(s), cap(s))
+			}
+			for _, z := range s {
+				if z.Type() != Void || z.Len() != 0 {
+					t.Fatalf("Grow(%d): Take returned a used value %v", grow, z)
+				}
+			}
+			s[0], s[1] = Int32Value(int32(i)), StringValue(fmt.Sprint("field of ", i))
+			slices[i] = s
+			var err error
+			if structs[i], err = AdoptStruct(pt, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := [3]string{structs[0].String(), structs[1].String(), structs[2].String()}
+		slices[1][0], slices[1][1] = Int32Value(99), StringValue("overwritten")
+		_ = append(slices[1], Int32Value(100), StringValue("appended"))
+		_ = append(slices[0], Int32Value(101))
+		if got := structs[1].String(); got != `P{a:99,b:"overwritten"}` {
+			t.Errorf("Grow(%d): the adopted slice is not the value's own: %s", grow, got)
+		}
+		for _, i := range []int{0, 2} {
+			if got := structs[i].String(); got != want[i] {
+				t.Errorf("Grow(%d): struct %d changed from %s to %s through a sibling's slice", grow, i, want[i], got)
+			}
+		}
+	}
+}
+
+// TestSlabChunks pins how many chunks a decode costs: one when the count
+// was known up front, a logarithmic number when it was not, and exactly the
+// fields of a lone struct either way.
+func TestSlabChunks(t *testing.T) {
+	take := func(grow, n, each int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			var slab Slab
+			slab.Grow(grow)
+			for range n {
+				slab.Take(each)
+			}
+		})
+	}
+	if got := take(256*3, 256, 3); got != 1 {
+		t.Errorf("256 structs after Grow(768): %v chunks, want 1", got)
+	}
+	if got := take(0, 256, 3); got != 9 {
+		t.Errorf("256 structs without Grow: %v chunks, want 9 (3 values doubling to 768)", got)
+	}
+	if got := take(0, 1, 3); got != 1 {
+		t.Errorf("a lone struct: %v chunks, want 1", got)
+	}
+	var slab Slab
+	if slab.Take(3); len(slab.free) != 0 {
+		t.Errorf("a lone struct's chunk has %d values to spare, want none", len(slab.free))
 	}
 }

@@ -472,7 +472,7 @@ func (c *codec) sequence(elem *dyn.Type) (dyn.Value, error) {
 // members skipped, every field required.
 func (c *codec) structure(t *dyn.Type) (dyn.Value, error) {
 	n := t.NumFields()
-	vals := make([]dyn.Value, n)
+	vals := c.fields.Take(n)
 	var seenBuf [64]bool
 	seen := seenBuf[:]
 	if n > len(seen) {

@@ -27,6 +27,8 @@ type codec struct {
 	scratch []byte
 	// stack collects sequence elements until their count is known.
 	stack []dyn.Value
+	// fields is what one decode's struct field slices are carved from.
+	fields dyn.Slab
 }
 
 var codecPool = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 1024)} }}
@@ -39,11 +41,12 @@ const maxPooledBuf = 1 << 20
 func getCodec() *codec { return codecPool.Get().(*codec) }
 
 func putCodec(c *codec) {
-	const valueSize = 80 // unsafe.Sizeof(dyn.Value{}), near enough for a cap
+	const valueSize = 24 // unsafe.Sizeof(dyn.Value{})
 	if cap(c.buf) > maxPooledBuf || cap(c.scratch) > maxPooledBuf || cap(c.stack) > maxPooledBuf/valueSize {
 		return
 	}
-	c.buf, c.data, c.scratch = c.buf[:0], nil, c.scratch[:0]
+	// The decoded values own the slab's chunks; nothing pooled may pin them.
+	c.buf, c.data, c.scratch, c.fields = c.buf[:0], nil, c.scratch[:0], dyn.Slab{}
 	codecPool.Put(c)
 }
 

@@ -146,18 +146,22 @@ type decoder struct {
 	scratch []byte
 	// stack collects sequence elements until their count is known.
 	stack []dyn.Value
+	// fields is what one decode's struct member slices are carved from.
+	fields dyn.Slab
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
 func putDecoder(d *decoder) {
-	const valueSize = 80 // unsafe.Sizeof(dyn.Value{}), near enough for a cap
+	const valueSize = 24 // unsafe.Sizeof(dyn.Value{})
 	if cap(d.scratch) > maxPooledRender || cap(d.stack) > maxPooledRender/valueSize || cap(d.lx.open) > 64 {
 		return
 	}
-	// Nothing pooled may pin the caller's buffer.
+	// Nothing pooled may pin the caller's buffer, or the chunks the decoded
+	// value now owns.
 	clear(d.lx.open[:cap(d.lx.open)])
 	d.lx = lexer{open: d.lx.open[:0]}
+	d.fields = dyn.Slab{}
 	decoderPool.Put(d)
 }
 
@@ -373,7 +377,7 @@ func (d *decoder) sequence(elem *dyn.Type) (dyn.Value, error) {
 // kept, unknown ones skipped, every member required.
 func (d *decoder) structure(t *dyn.Type) (dyn.Value, error) {
 	n := t.NumFields()
-	vals := make([]dyn.Value, n)
+	vals := d.fields.Take(n)
 	var seenBuf [64]bool
 	seen := seenBuf[:]
 	if n > len(seen) {
