@@ -13,11 +13,12 @@ import (
 // Client-side connection reuse across Dials and compiled stubs.
 //
 // HTTP bindings already share a keep-alive transport inside their callers
-// (soap and jsonb clone http.DefaultTransport once per process); the CDE's
-// own document traffic — interface fetches and watch streams — goes
-// through sharedDocClient below when the caller supplies no HTTP client,
-// so every stub compiled against the same Interface Server reuses one
-// connection pool instead of dialing per fetch.
+// (soap clones http.DefaultTransport once per process; jsonb and h2b's
+// plain-POST endpoint use it as is); the CDE's own document traffic —
+// interface fetches and watch streams — goes through sharedDocClient below
+// when the caller supplies no HTTP client, so every stub compiled against
+// the same Interface Server reuses one connection pool instead of dialing
+// per fetch.
 //
 // The CORBA side has no transport-level pool to lean on, so the CDE keeps
 // one: IIOP connections are shared per endpoint (profile address + object
@@ -30,12 +31,22 @@ import (
 // client-level Timeout: watch streams are long by design and are bounded by
 // their contexts; per-call deadlines come from Dial's WithTimeout option.
 //
-// Its transport prefers cleartext HTTP/2: against an h2c-enabled Interface
-// Server (every ifsvr listener since EnableH2C) all of one process's SSE
-// watch streams multiplex onto one TCP connection per endpoint instead of
-// one per watcher, and it degrades per host to plain HTTP/1.1 against
-// servers without the protocol (see h2cProbeTransport).
+// Its transport is plain HTTP/1.1 keep-alive: a fetch reuses one idle
+// connection per Interface Server (the stale-call recovery path, Section
+// 5.7, pays no dial), and every held watch stream occupies a connection of
+// its own until its context ends — W watchers of one server are W sockets
+// plus the fetch connection (docs/watch-protocol.md, "Connection cost").
 var sharedDocClient = &http.Client{Transport: newDocTransport()}
+
+// newDocTransport clones http.DefaultTransport (keeping its proxy
+// environment support and dial/TLS timeouts) with an idle pool deep enough
+// that a burst of refreshes against one server finds its connections again
+// instead of re-dialling.
+func newDocTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 16
+	return t
+}
 
 // docClient resolves the HTTP client used for document traffic.
 func docClient(hc *http.Client) *http.Client {

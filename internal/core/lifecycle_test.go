@@ -65,8 +65,8 @@ func TestDrainCompletesInFlightCall(t *testing.T) {
 			caller := &jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint(), HTTPClient: &http.Client{}}
 			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
 		}},
-		// No Mux address: the call rides the shared h2c endpoint, not the
-		// binding's own listener.
+		// No Mux address: the call is a plain POST to the shared endpoint,
+		// not a stream on the binding's own listener.
 		{"H2B-http", h2b.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
 			caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
 			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
@@ -231,6 +231,74 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestListenersSpeakHTTP11Only: neither shared listener advertises or
+// accepts cleartext HTTP/2. net/http hands a prior-knowledge client's
+// preface to the handler as a "PRI *" request, which the Interface Server
+// answers 405 and the endpoint mux 404 — so the client fails at once
+// rather than hanging, and nothing is published, dispatched or counted.
+func TestListenersSpeakHTTP11Only(t *testing.T) {
+	m := newManager(t)
+	srv, err := m.Register(slowEchoClass(t, "Plain", 0), core.TechSOAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+	metrics := func() string {
+		t.Helper()
+		resp, err := http.Get(m.HTTPBaseURL() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if h := resp.Header.Get("X-H2C"); h != "" {
+			t.Errorf("the endpoint server advertises X-H2C: %s", h)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls []string
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "livedev_calls_total") {
+				calls = append(calls, line)
+			}
+		}
+		return strings.Join(calls, "\n")
+	}
+	resp, err := http.Get(srv.InterfaceURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if h := resp.Header.Get("X-H2C"); h != "" {
+		t.Errorf("the Interface Server advertises X-H2C: %s", h)
+	}
+	callsBefore, storeBefore := metrics(), m.Store().Stats()
+
+	var p http.Protocols
+	p.SetUnencryptedHTTP2(true)
+	h2c := &http.Client{Transport: &http.Transport{Protocols: &p}, Timeout: 5 * time.Second}
+	for _, target := range []string{srv.InterfaceURL(), srv.(*core.SOAPServer).Endpoint()} {
+		start := time.Now()
+		resp, err := h2c.Post(target, "text/xml", strings.NewReader("<x/>"))
+		if err == nil {
+			_ = resp.Body.Close()
+			t.Errorf("prior-knowledge h2c POST to %s was answered over %s, want an error", target, resp.Proto)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("prior-knowledge h2c POST to %s took %v to fail, want a prompt error", target, elapsed)
+		}
+	}
+	if after := m.Store().Stats(); after.Publishes != storeBefore.Publishes || after.Commits != storeBefore.Commits {
+		t.Errorf("an h2c preface published: %+v -> %+v", storeBefore, after)
+	}
+	if after := metrics(); after != callsBefore {
+		t.Errorf("an h2c preface was counted as a call:\n%s\n->\n%s", callsBefore, after)
 	}
 }
 

@@ -252,10 +252,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	// listener the bindings serve on, so one address covers both.
 	m.httpMux.handle("/metrics", http.HandlerFunc(m.serveMetrics))
 	m.httpSrv = &http.Server{Handler: m.httpMux, ReadHeaderTimeout: 10 * time.Second}
-	// Cleartext HTTP/2 alongside HTTP/1.1 on the shared endpoint listener:
-	// existing SOAP/JSON traffic is untouched (preface-sniffed), and the
-	// h2b binding's multiplexed CDR calls ride h2 streams on one conn.
-	ifsvr.EnableH2C(m.httpSrv)
 	m.httpDone = make(chan struct{})
 	go func() {
 		defer close(m.httpDone)

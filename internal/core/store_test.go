@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -93,33 +92,22 @@ func TestStoreCoalescesEditStorm(t *testing.T) {
 	s := NewStore(window, clk)
 	s.Publish("/p", "text/plain", "v0") // initial publication, commits
 
+	// The subscriber is the concurrent client: it counts the storm's
+	// commits (counting starts after the initial doc) and reports the one
+	// that converges on the storm's final content.
+	final := fmt.Sprintf("v%d", storm)
+	done := make(chan ifsvr.Document, 1)
 	var commits atomic.Int64
 	cancel := s.Subscribe(func(ev StoreEvent) {
-		if ev.Path == "/p" {
-			commits.Add(1)
+		if ev.Path != "/p" {
+			return
+		}
+		commits.Add(1)
+		if ev.Doc.Content == final {
+			done <- ev.Doc
 		}
 	})
 	defer cancel()
-	base := commits.Load() // storm counting starts after the initial doc
-
-	final := fmt.Sprintf("v%d", storm)
-	done := make(chan ifsvr.Document, 1)
-	go func() {
-		// The concurrent client: follow the document through Wait until it
-		// converges on the storm's final content.
-		var after uint64
-		for {
-			d, err := s.Wait(context.Background(), "/p", after)
-			if err != nil {
-				return
-			}
-			after = d.Version
-			if d.Content == final {
-				done <- d
-				return
-			}
-		}
-	}()
 
 	for i := 1; i <= storm; i++ {
 		s.PublishVersioned("/p", "text/plain", fmt.Sprintf("v%d", i), uint64(i))
@@ -135,8 +123,7 @@ func TestStoreCoalescesEditStorm(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("concurrent client did not converge on the final version")
 	}
-	got := commits.Load() - base
-	if got < 1 || got > 5 {
+	if got := commits.Load(); got < 1 || got > 5 {
 		t.Errorf("storm of %d publications committed %d times, want 1..5", storm, got)
 	}
 	st := s.Stats()
@@ -170,31 +157,45 @@ func TestStoreEpochsSharedPerBatch(t *testing.T) {
 	}
 }
 
-// TestStoreWaitUnblocksOnClose: parked waiters drain when the store closes.
+// TestStoreWaitUnblocksOnClose: a held stream parked at the head ends when
+// the store closes.
 func TestStoreWaitUnblocksOnClose(t *testing.T) {
 	s := NewStore(0, nil)
 	s.Publish("/p", "text/plain", "x")
+	view := ifsvr.NewView(s)
+	base, err := view.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = view.Close() }()
+
+	replayed := make(chan struct{}, 1)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.Wait(context.Background(), "/p", 99)
-		errc <- err
+		errc <- ifsvr.WatchStream(context.Background(), nil, base+"/p", 0, func(ifsvr.StreamEvent) {
+			replayed <- struct{}{}
+		})
 	}()
-	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-replayed: // connected, caught up, parked
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream did not deliver the replayed document")
+	}
 	s.Close()
 	select {
 	case err := <-errc:
-		if !errors.Is(err, ErrStoreClosed) {
-			t.Errorf("wait after close: %v", err)
+		if err == nil {
+			t.Error("a stream the store closed under ended without an error")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter did not unblock on close")
+	case <-time.After(5 * time.Second):
+		t.Fatal("held stream did not end on close")
 	}
 }
 
 // TestStoreSubscribeUnsubscribeRace hammers publish, flush, subscribe,
-// unsubscribe, and wait concurrently — run under -race. Each subscriber
-// checks that the versions it sees per path are strictly increasing
-// (delivery preserves commit order).
+// unsubscribe, and held-stream connect/park/hangup concurrently — run
+// under -race. Each subscriber checks that the versions it sees per path
+// are strictly increasing (delivery preserves commit order).
 func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 	s := NewStore(time.Millisecond, clock.Real{})
 	paths := []string{"/a", "/b", "/c"}
@@ -253,7 +254,14 @@ func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 		}()
 	}
 
-	// Waiters.
+	// Held streams, each hung up after 10 ms and reconnected past the last
+	// epoch it saw: wake registration and cancellation race the commits.
+	view := ifsvr.NewView(s)
+	base, err := view.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = view.Close() }()
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -266,11 +274,10 @@ func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-				d, err := s.Wait(ctx, paths[w], after)
+				_ = ifsvr.WatchStream(ctx, nil, base+paths[w], after, func(ev ifsvr.StreamEvent) {
+					after = ev.Doc.Epoch
+				})
 				cancel()
-				if err == nil {
-					after = d.Version
-				}
 			}
 		}(w)
 	}
@@ -327,31 +334,18 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 	pub := srv.Publisher()
 	wsdlPath := "/wsdl/Storm.wsdl"
 
+	// The subscriber is the concurrent client following the document
+	// through the store: it counts commits and keeps the last descriptor
+	// version it was handed.
 	var commits atomic.Int64
+	var lastDesc atomic.Uint64
 	cancel := mgr.Store().Subscribe(func(ev StoreEvent) {
 		if ev.Path == wsdlPath {
 			commits.Add(1)
+			lastDesc.Store(ev.Doc.DescriptorVersion)
 		}
 	})
 	defer cancel()
-
-	// A concurrent client following the document through the store.
-	converged := make(chan uint64, 1)
-	watchCtx, watchCancel := context.WithCancel(context.Background())
-	defer watchCancel()
-	go func() {
-		var after uint64
-		var lastDesc uint64
-		for {
-			d, err := mgr.Store().Wait(watchCtx, wsdlPath, after)
-			if err != nil {
-				converged <- lastDesc
-				return
-			}
-			after = d.Version
-			lastDesc = d.DescriptorVersion
-		}
-	}()
 
 	// The storm: every edit is followed by a full stability timeout, so
 	// the DL Publisher publishes each one — the store is what coalesces.
@@ -385,15 +379,10 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 		t.Errorf("forced publication left descriptor version %d, class at %d", d.DescriptorVersion, class.InterfaceVersion())
 	}
 
-	// The concurrent client converged on the final version.
-	watchCancel()
-	select {
-	case last := <-converged:
-		if last != class.InterfaceVersion() {
-			t.Errorf("concurrent client converged on descriptor version %d, want %d", last, class.InterfaceVersion())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("concurrent client did not exit")
+	// The concurrent client converged on the final version (the forced
+	// commit fans out before EnsureCurrent returns).
+	if last := lastDesc.Load(); last != class.InterfaceVersion() {
+		t.Errorf("concurrent client converged on descriptor version %d, want %d", last, class.InterfaceVersion())
 	}
 }
 
@@ -477,15 +466,18 @@ func TestReRegisterAfterCloseUnderFlushWindow(t *testing.T) {
 	}
 	oldIDLVer := mgr.Store().Version("/idl/Calc.idl")
 
-	// A watcher parked past the first server's last version must see the
-	// re-registered server's publication.
+	// A subscriber waiting past the first server's last version must see
+	// the re-registered server's publication.
 	woken := make(chan ifsvr.Document, 1)
-	go func() {
-		d, err := mgr.Store().Wait(context.Background(), "/ior/Calc.ior", oldIOR.Version)
-		if err == nil {
-			woken <- d
+	cancel := mgr.Store().Subscribe(func(ev StoreEvent) {
+		if ev.Path == "/ior/Calc.ior" && ev.Doc.Version > oldIOR.Version {
+			select {
+			case woken <- ev.Doc:
+			default:
+			}
 		}
-	}()
+	})
+	defer cancel()
 
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)

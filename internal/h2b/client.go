@@ -6,12 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"livedev/internal/cde"
 	"livedev/internal/cdr"
@@ -35,101 +32,25 @@ type AppError struct {
 // Error implements error.
 func (e *AppError) Error() string { return "server application error: " + e.Message }
 
-// The binding's shared call transport. An h2b interface document promises
-// its endpoint speaks cleartext HTTP/2 — the server half mounts on the
-// manager's h2c-enabled listener — so the client sends prior-knowledge h2
-// with no probe and no HTTP/1.1 fallback for http:// endpoints (https
-// endpoints negotiate h2 via ALPN). MaxConnsPerHost pins the design
-// point: one long-lived TCP connection per endpoint, with concurrent
-// calls multiplexed as concurrent streams rather than racing dials the
-// way HTTP/1.1 keep-alive (or an unlimited pool) would under parallel
-// load. Every dial is counted per endpoint so "N parallel callers share
-// one connection" is test-assertable (Dials/TransportStats).
-var sharedCallClient = &http.Client{Transport: newCallTransport()}
-
-func newCallTransport() *http.Transport {
-	var p http.Protocols
-	p.SetHTTP2(true)
-	p.SetUnencryptedHTTP2(true)
-	dial := (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext
-	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			c, err := dial(ctx, network, addr)
-			if err == nil {
-				countCallDial(addr)
-			}
-			return c, err
-		},
-		Protocols:       &p,
-		MaxConnsPerHost: 1,
-		ReadBufferSize:  1 << 16,
-		WriteBufferSize: 1 << 16,
-		HTTP2: &http.HTTP2Config{
-			MaxConcurrentStreams:          512,
-			MaxReceiveBufferPerConnection: 1 << 20,
-			MaxReceiveBufferPerStream:     1 << 18,
-		},
-	}
-}
-
-// Per-endpoint TCP dial counters for the shared call transport.
-var (
-	callDialMu    sync.Mutex
-	callDialCount = make(map[string]int)
-)
-
-func countCallDial(addr string) {
-	callDialMu.Lock()
-	callDialCount[addr]++
-	callDialMu.Unlock()
-}
-
-// Dials reports how many TCP connections the shared call transport has
-// dialed to addr (a "host:port") over the process lifetime. With HTTP/2
-// multiplexing, N parallel callers against one endpoint should move this
-// by one, not by N.
-func Dials(addr string) int {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	return callDialCount[addr]
-}
-
-// TransportStats reports the shared call transport's total dialed
-// connections and the number of distinct endpoints dialed — the binding's
-// sibling of cde.IIOPPoolStats.
-func TransportStats() (dials, endpoints int) {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	for _, n := range callDialCount {
-		dials += n
-	}
-	return dials, len(callDialCount)
-}
-
-// DialedEndpoints returns the dialed endpoints, sorted — a debugging aid
-// for connection-count assertions.
-func DialedEndpoints() []string {
-	callDialMu.Lock()
-	defer callDialMu.Unlock()
-	eps := make([]string, 0, len(callDialCount))
-	for e := range callDialCount {
-		eps = append(eps, e)
-	}
-	sort.Strings(eps)
-	return eps
-}
-
 // The fast-path connection pool: one long-lived h2x connection per mux
-// endpoint, shared by every caller in the process (the stdlib transport's
-// MaxConnsPerHost=1 design point, kept by hand). Dials are
+// endpoint, shared by every caller in the process. Dials are
 // single-flighted — under a parallel burst the first caller dials while
-// the rest wait on ready — and counted in the same per-endpoint counters
-// as the stdlib transport, so Dials() assertions cover both paths.
+// the rest wait on ready — and counted per endpoint, so "N parallel
+// callers share one connection" is test-assertable (Dials).
 var (
 	muxMu    sync.Mutex
 	muxConns = make(map[string]*muxEntry)
+	muxDials = make(map[string]int) // endpoint -> connections dialed, under muxMu
 )
+
+// Dials reports how many fast-path connections have been dialed to addr
+// (a "host:port") over the process lifetime. N parallel callers against
+// one mux endpoint should move this by one, not by N.
+func Dials(addr string) int {
+	muxMu.Lock()
+	defer muxMu.Unlock()
+	return muxDials[addr]
+}
 
 type muxEntry struct {
 	ready chan struct{} // closed once conn/err are set
@@ -159,15 +80,13 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 			muxConns[addr] = ne
 			muxMu.Unlock()
 			ne.conn, ne.err = h2x.Dial(addr)
+			muxMu.Lock()
 			if ne.err == nil {
-				countCallDial(addr)
-			} else {
-				muxMu.Lock()
-				if muxConns[addr] == ne {
-					delete(muxConns, addr)
-				}
-				muxMu.Unlock()
+				muxDials[addr]++
+			} else if muxConns[addr] == ne {
+				delete(muxConns, addr)
 			}
+			muxMu.Unlock()
 			close(ne.ready)
 			return ne.conn, ne.err
 		}
@@ -184,11 +103,10 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 }
 
 // Caller posts CDR calls to one endpoint URL — the transport half of an
-// h2b client stub (the analogue of jsonb.Caller). Calls always ride the
-// binding's shared prior-knowledge h2c transport: the interface document
-// advertising the endpoint promises HTTP/2, and a caller-supplied HTTP
-// client (whose transport would speak HTTP/1.1) applies to document
-// traffic only.
+// h2b client stub (the analogue of jsonb.Caller). With Mux set, calls ride
+// the pooled fast-path connection; without it they are plain HTTP POSTs on
+// http.DefaultClient's keep-alive pool, one connection per in-flight call.
+// A caller-supplied HTTP client applies to document traffic only.
 type Caller struct {
 	// Endpoint is the CDR-POST endpoint URL.
 	Endpoint string
@@ -199,8 +117,9 @@ type Caller struct {
 	Mux string
 }
 
-// Call performs one RPC against sig. Cancelling ctx resets the in-flight
-// HTTP/2 stream and returns an error wrapping ctx.Err().
+// Call performs one RPC against sig. Cancelling ctx aborts the in-flight
+// call (a stream reset on the fast path, a closed connection on the plain
+// POST) and returns an error wrapping ctx.Err().
 func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
 	if len(args) != len(sig.Params) {
 		return dyn.Value{}, fmt.Errorf("h2b: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
@@ -225,26 +144,23 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		cdr.PutEncoder(e)
 		return v, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(e.Bytes()))
+	// The transport may go on reading a request body after Do returns (a
+	// reply that overtakes the upload, an aborted round trip), so it gets
+	// bytes of its own and the pooled encoder is recycled here.
+	payload := append([]byte(nil), e.Bytes()...)
+	cdr.PutEncoder(e)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
 	if err != nil {
-		cdr.PutEncoder(e)
 		return dyn.Value{}, fmt.Errorf("h2b: building HTTP request: %w", err)
 	}
 	req.Header.Set("Content-Type", CallContentType)
 	req.Header.Set(MethodHeader, sig.Name)
 	req.Header.Set(OrderHeader, orderValue(cdr.BigEndian))
 
-	resp, err := sharedCallClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		// An aborted round trip (stream reset on cancellation) may leave
-		// the transport's write path still aliasing the encoder buffer:
-		// abandon the encoder to the GC instead of recycling it.
 		return dyn.Value{}, fmt.Errorf("h2b: posting to %s: %w", c.Endpoint, err)
 	}
-	// The server reads the whole argument stream before replying, so a
-	// response means the request body is fully consumed and the pooled
-	// encoder is safe to recycle.
-	cdr.PutEncoder(e)
 	defer func() { _ = resp.Body.Close() }()
 
 	if code := resp.Header.Get(ErrorHeader); code != "" || resp.StatusCode != http.StatusOK {
@@ -281,8 +197,8 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 }
 
 // callMux performs one RPC over the pooled fast-path connection. It is
-// the same wire exchange as the stdlib path — POST, the X-H2B-* headers,
-// a CDR body each way — framed by the h2x engine.
+// the same wire exchange as the plain POST — the X-H2B-* headers, a CDR
+// body each way — framed by the h2x engine.
 func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (dyn.Value, error) {
 	req := &h2x.Request{
 		Method:    "POST",
@@ -346,7 +262,7 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 	return v, nil
 }
 
-// Binding is the complete CDR-over-HTTP/2 RMI technology: the server half
+// Binding is the complete CDR-over-HTTP RMI technology: the server half
 // (core.Binding: Name + Serve) and the client half (Describe + Connect,
 // the cde.Connector shape). livedev.RegisterBinding accepts it directly.
 type Binding struct{}

@@ -1,12 +1,14 @@
 // Package h2b is the multiplexed binary binding for the SDE/CDE: dynamic
-// classes called with CDR-encoded bodies over cleartext HTTP/2. It is the
+// classes called with CDR-encoded bodies over HTTP. It is the
 // performance-motivated fourth binding — where jsonb proves the binding
 // seam is real, h2b proves it is fast: calls reuse the CORBA binding's
 // pooled CDR encoders and zero-copy decoder reads (no per-call JSON/XML
 // boxing), and the transport is one long-lived TCP connection per
-// endpoint with concurrent calls riding concurrent HTTP/2 streams, so a
-// parallel caller never queues behind a connection the way HTTP/1.1
-// keep-alive forces.
+// endpoint with concurrent calls riding concurrent HTTP/2 streams of the
+// purpose-built h2x engine (the document's mux_endpoint), so a parallel
+// caller never queues behind a connection the way HTTP/1.1 keep-alive
+// forces. The document's endpoint carries the same calls as plain HTTP
+// POSTs on the manager's shared listener, for clients without the engine.
 //
 // Wire protocol: POST the CDR-encoded arguments (in signature order,
 // jointly forming one CDR stream) to the endpoint with Content-Type
@@ -15,8 +17,9 @@
 // CDR-encoded result with its own X-H2B-Order; an error reply carries the
 // code in X-H2B-Error and a plain-text message, using the same codes and
 // statuses as the JSON binding. There is no binding-level framing beyond
-// this: HTTP/2's own stream framing delimits calls, flow-controls bodies,
-// and maps cancellation onto RST_STREAM (the server observes it as the
+// this: HTTP's own framing delimits calls; on the fast path HTTP/2 stream
+// flow control bounds bodies and cancellation is an RST_STREAM, on the
+// plain POST it is a closed connection (the server observes either as the
 // request context ending).
 //
 // The error code "non-existent-method" carries the Section 5.7 guarantee:

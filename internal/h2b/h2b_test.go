@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
-	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
 )
 
@@ -148,101 +146,9 @@ func TestServeRegisterAndCall(t *testing.T) {
 	}
 }
 
-// TestCallsRideHTTP2 pins the transport claim the interface document
-// makes: the advertised endpoint answers prior-knowledge cleartext
-// HTTP/2, and calls through the shared call client are h2 streams.
-func TestCallsRideHTTP2(t *testing.T) {
-	mgr, err := core.NewManager(core.Config{Timeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	h2bSrv, err := mgr.Register(calcClass(t), core.Technology(Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h2bSrv.CreateInstance(); err != nil {
-		t.Fatal(err)
-	}
-	srv := h2bSrv.(*Server)
-
-	req, err := http.NewRequest(http.MethodPost, srv.Endpoint(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", CallContentType)
-	req.Header.Set(MethodHeader, "add")
-	resp, err := sharedCallClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST to the h2b endpoint: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.Proto != "HTTP/2.0" {
-		t.Errorf("call answered over %s, the h2b endpoint must speak HTTP/2", resp.Proto)
-	}
-	// An empty body for a two-argument method is a stale-encoded call.
-	if code := resp.Header.Get(ErrorHeader); code != CodeNonExistentMethod {
-		t.Errorf("error code = %q, want %q", code, CodeNonExistentMethod)
-	}
-}
-
-// TestParallelCallsShareOneConn pins the binding's fast-path design: many
-// concurrent calls against one endpoint multiplex as HTTP/2 streams of
-// one TCP connection instead of opening one connection each.
-func TestParallelCallsShareOneConn(t *testing.T) {
-	mgr, err := core.NewManager(core.Config{Timeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Close()
-	srv, err := mgr.Register(calcClass(t), core.Technology(Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.CreateInstance(); err != nil {
-		t.Fatal(err)
-	}
-
-	u, err := url.Parse(srv.(*Server).Endpoint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := Dials(u.Host)
-
-	sig, ok := srv.Class().Interface().Lookup("add")
-	if !ok {
-		t.Fatal("no signature for add")
-	}
-	caller := &Caller{Endpoint: srv.(*Server).Endpoint()}
-	const callers = 32
-	var wg sync.WaitGroup
-	errs := make(chan error, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int32) {
-			defer wg.Done()
-			got, err := caller.Call(context.Background(), sig, []dyn.Value{dyn.Int32Value(i), dyn.Int32Value(1)})
-			if err == nil && got.Int32() != i+1 {
-				err = fmt.Errorf("add(%d, 1) = %d", i, got.Int32())
-			}
-			errs <- err
-		}(int32(i))
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if dials := Dials(u.Host) - before; dials > 1 {
-		t.Errorf("%d parallel calls dialed %d TCP connections; HTTP/2 multiplexing should need 1", callers, dials)
-	}
-}
-
-// TestMuxParallelCallsShareOneConn is the fast path's version of the
-// conn-sharing pin: parallel calls through the mux endpoint ride streams
-// of one pooled h2x connection, single-flight dialed.
+// TestMuxParallelCallsShareOneConn pins the binding's fast-path design:
+// parallel calls through the mux endpoint ride streams of one pooled h2x
+// connection, single-flight dialed, instead of opening one each.
 func TestMuxParallelCallsShareOneConn(t *testing.T) {
 	mgr, err := core.NewManager(core.Config{Timeout: 50 * time.Millisecond})
 	if err != nil {
@@ -351,7 +257,7 @@ func TestServerRefusesOversizeBody(t *testing.T) {
 // TestCallerRefusesOversizeReply: a reply over the limit is reported as
 // such, not cut at the limit and handed to the decoder.
 func TestCallerRefusesOversizeReply(t *testing.T) {
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// A well-formed sequence<octet-sized booleans> one element too long.
 		e := cdr.NewEncoder(cdr.BigEndian)
 		e.WriteULong(maxBodyBytes)
@@ -360,8 +266,6 @@ func TestCallerRefusesOversizeReply(t *testing.T) {
 		_, _ = w.Write(e.Bytes())
 		_, _ = w.Write(make([]byte, maxBodyBytes))
 	}))
-	ifsvr.EnableH2C(ts.Config) // the caller speaks prior-knowledge h2c
-	ts.Start()
 	defer ts.Close()
 
 	sig := dyn.MethodSig{Name: "flags", Result: dyn.SequenceOf(dyn.Boolean)}

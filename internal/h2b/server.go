@@ -34,9 +34,8 @@ func readBody(r io.Reader) ([]byte, error) {
 // Server is the h2b subsystem for one managed class: a document generator
 // feeding the embedded core.ClassServer's publisher, and a call handler
 // served twice — mounted on the manager's shared HTTP endpoint server,
-// whose listener speaks cleartext HTTP/2 (ifsvr.EnableH2C), which is what
-// lets the client half promise prior-knowledge h2c on the advertised
-// endpoint; and on a dedicated h2x fast-path listener.
+// where the advertised endpoint is a plain HTTP POST any client can make;
+// and on a dedicated h2x fast-path listener, the multiplexed path.
 type Server struct {
 	*core.ClassServer
 	endpoint string
@@ -182,9 +181,9 @@ func (s *Server) call(ctx context.Context, method, orderHdr string, body []byte,
 	}
 }
 
-// ServeHTTP handles one call (one HTTP/2 stream) on the manager's
-// listener. The request context — cancelled when the client resets the
-// stream — gates dispatch.
+// ServeHTTP handles one call on the manager's listener. The request
+// context — cancelled when the client's connection goes away — gates
+// dispatch.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "h2b endpoint: POST only", http.StatusMethodNotAllowed)
@@ -194,7 +193,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rep := s.call(r.Context(), r.Header.Get(MethodHeader), r.Header.Get(OrderHeader), body, readErr)
 	switch {
 	case rep.status == 0:
-		// Caller gone; the reset stream carries no reply.
+		// Caller gone; nobody is left to read a reply.
 	case rep.errCode != "":
 		writeError(w, rep.status, rep.errCode, rep.msg)
 	default:

@@ -302,9 +302,6 @@ func (s *Server) Start(addr string) (string, error) {
 	s.listener = ln
 	s.baseURL = "http://" + ln.Addr().String()
 	s.httpSrv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	// Cleartext HTTP/2 with HTTP/1.1 preface sniffing: watch streams from
-	// one client process coalesce onto one TCP connection.
-	EnableH2C(s.httpSrv)
 	s.done = make(chan struct{})
 	go func() {
 		defer close(s.done)
@@ -351,8 +348,12 @@ func (s *Server) Close() error {
 	return err
 }
 
+// maxDocBytes bounds one fetched interface document.
+const maxDocBytes = 16 << 20
+
 // FetchContext retrieves a document over HTTP — the client-side counterpart
-// used by the CDE. Cancelling ctx aborts the round-trip.
+// used by the CDE. Cancelling ctx aborts the round-trip. A document over
+// maxDocBytes is refused, not cut at the limit and handed on as if whole.
 func FetchContext(ctx context.Context, client *http.Client, url string) (Document, error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -367,11 +368,18 @@ func FetchContext(ctx context.Context, client *http.Client, url string) (Documen
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
+		// An HTTP/1.1 connection goes back to the keep-alive pool only
+		// once its body is read to the end; error bodies are a line of
+		// text, so drain a bounded amount rather than redial next time.
+		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return Document{}, fmt.Errorf("ifsvr: fetching %s: HTTP %d", url, resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxDocBytes+1))
 	if err != nil {
 		return Document{}, fmt.Errorf("ifsvr: reading %s: %w", url, err)
+	}
+	if len(data) > maxDocBytes {
+		return Document{}, fmt.Errorf("ifsvr: fetching %s: document exceeds the %d MiB limit", url, maxDocBytes>>20)
 	}
 	return Document{
 		Content:           string(data),

@@ -1,9 +1,13 @@
 package ifsvr
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -83,6 +87,49 @@ func TestHTTPServing(t *testing.T) {
 func TestFetchConnectError(t *testing.T) {
 	if _, err := FetchContext(context.Background(), nil, "http://127.0.0.1:1/none"); err == nil {
 		t.Error("unreachable fetch should fail")
+	}
+}
+
+// TestFetchRefusesOversizeDocument: a document over the size limit is an
+// error naming the URL and the limit, not a document cut at the limit and
+// handed to a compiler as if it were whole.
+func TestFetchRefusesOversizeDocument(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		_, _ = w.Write(bytes.Repeat([]byte{' '}, maxDocBytes+1))
+	}))
+	defer ts.Close()
+	doc, err := FetchContext(context.Background(), nil, ts.URL+"/huge")
+	if err == nil {
+		t.Fatalf("an oversize document was handed on as %d bytes", len(doc.Content))
+	}
+	if msg := err.Error(); !strings.Contains(msg, ts.URL+"/huge") || !strings.Contains(msg, "16 MiB") {
+		t.Errorf("error %q should name the URL and the limit", msg)
+	}
+}
+
+// TestFetchKeepsConnAcrossNon200: a refused fetch drains its answer, so
+// the next fetch on the same client reuses the keep-alive connection.
+func TestFetchKeepsConnAcrossNon200(t *testing.T) {
+	var conns []string // the handler runs one request at a time here
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conns = append(conns, r.RemoteAddr)
+		if len(conns) == 1 {
+			http.Error(w, strings.Repeat("document not published\n", 64), http.StatusNotFound)
+			return
+		}
+		_, _ = io.WriteString(w, "<doc/>")
+	}))
+	defer ts.Close()
+	hc := &http.Client{Transport: &http.Transport{}}
+	if _, err := FetchContext(context.Background(), hc, ts.URL+"/doc"); err == nil {
+		t.Fatal("a 404 should fail the fetch")
+	}
+	if doc, err := FetchContext(context.Background(), hc, ts.URL+"/doc"); err != nil || doc.Content != "<doc/>" {
+		t.Fatalf("second fetch: %+v, %v", doc, err)
+	}
+	if len(conns) != 2 || conns[0] != conns[1] {
+		t.Errorf("the fetch after a 404 arrived from %v, want the same connection twice", conns)
 	}
 }
 

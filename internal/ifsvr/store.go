@@ -1,7 +1,6 @@
 package ifsvr
 
 import (
-	"context"
 	"errors"
 	"math/rand/v2"
 	"sort"
@@ -164,9 +163,8 @@ type Store struct {
 	closed       bool
 
 	// watchers is the path-hash-sharded wake registry (see watchers.go):
-	// parked long-polls and held streams register a capacity-1 wake
-	// channel per path, and a commit nudges only the shards its batch
-	// dirtied. Shard locks nest strictly inside mu (registration and
+	// held streams register a capacity-1 wake channel per path, and a
+	// commit nudges only the shards its batch dirtied. Shard locks nest strictly inside mu (registration and
 	// wakeup never hold mu) and are never held across a callback.
 	watchers [watchShardCount]watchShard
 	// fanout is the delivery plane's lock-free instrumentation.
@@ -939,40 +937,9 @@ func (s *Store) Paths() []string {
 	return ps
 }
 
-// Wait blocks until a version newer than after is
-// committed at path, ctx ends, or the store closes. The wait parks on the
-// sharded watcher registry, so a commit wakes only the waiters of the
-// paths it actually touched — not, as the old store-wide broadcast
-// channel did, every parked long-poll in the process.
-func (s *Store) Wait(ctx context.Context, path string, after uint64) (Document, error) {
-	// Register before the first check: a commit landing between the check
-	// and the park must not be missed. The capacity-1 channel absorbs a
-	// wake that arrives while this waiter is off checking.
-	wake := make(chan struct{}, 1)
-	cancel := s.watchPath(path, wake)
-	defer cancel()
-	for {
-		s.mu.Lock()
-		d, ok := s.docs[path]
-		closed := s.closed
-		s.mu.Unlock()
-		if ok && d.Version > after {
-			return d, nil
-		}
-		if closed {
-			return Document{}, ErrStoreClosed
-		}
-		select {
-		case <-ctx.Done():
-			return Document{}, ctx.Err()
-		case <-wake:
-		}
-	}
-}
-
-// Close flushes staged publications, wakes waiters, and stops the flush
-// timer; a persistent store writes a final compacted snapshot and releases
-// its backend. Subsequent publishes are dropped.
+// Close flushes staged publications, wakes held streams, and stops the
+// flush timer; a persistent store writes a final compacted snapshot and
+// releases its backend. Subsequent publishes are dropped.
 func (s *Store) Close() {
 	s.deliverMu.Lock()
 	defer s.deliverMu.Unlock()

@@ -16,9 +16,7 @@ import (
 
 // The streaming watch transport.
 //
-// A long-poll watcher costs one HTTP request per watcher per commit; under
-// thousands of watchers the re-request storm dominates. The streaming
-// transport holds ONE connection per watcher: a GET with
+// A watcher holds ONE connection, whatever the commit rate: a GET with
 // "?watch=stream&after=N" is answered with a text/event-stream that first
 // replays every version committed after epoch N still in the store's
 // journal (catch-up without a document refetch), then carries one event per
@@ -40,9 +38,9 @@ const StreamContentType = "text/event-stream"
 const DefaultHeartbeat = 15 * time.Second
 
 // ErrStreamUnsupported reports a server that answered a streaming watch
-// with something other than an event stream — one that only speaks the
-// long-poll protocol. To a watch client it is a stream error like any
-// other: back off, fail over.
+// with something other than an event stream — typically the plain
+// document, from a server that ignores the watch query. To a watch client
+// it is a stream error like any other: back off, fail over.
 var ErrStreamUnsupported = errors.New("ifsvr: server does not support the streaming watch transport")
 
 // ErrStreamEvicted reports a streaming watch the server terminated for
@@ -309,10 +307,7 @@ func WatchStream(ctx context.Context, client *http.Client, url string, afterEpoc
 	if strings.ContainsRune(url, '?') {
 		sep = "&"
 	}
-	// The timeout parameter is ignored by streaming servers but makes a
-	// long-poll-only server answer quickly instead of parking the request
-	// for a full poll window.
-	streamURL := url + sep + "watch=stream&after=" + strconv.FormatUint(afterEpoch, 10) + "&timeout=1s"
+	streamURL := url + sep + "watch=stream&after=" + strconv.FormatUint(afterEpoch, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, streamURL, nil)
 	if err != nil {
 		return fmt.Errorf("ifsvr: building stream request for %s: %w", url, err)

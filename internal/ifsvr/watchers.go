@@ -2,17 +2,13 @@ package ifsvr
 
 // The watcher wake plane.
 //
-// Commit used to notify waiters by closing one store-wide broadcast
-// channel, which woke every parked long-poll and every held stream on
-// every commit — a thundering herd on s.mu at large watcher counts, and
-// O(watchers) work per commit even when only one path changed. The
-// registry below inverts that: each held connection registers a
-// capacity-1 wake channel under the path it watches, the registry is
-// sharded by path hash, and a commit touches only the shards its batch
-// dirtied — one small lock each, one non-blocking send per watcher of a
-// dirty path. Delivery itself happens on the watcher's own goroutine
-// (its delivery pump), which pulls pending events from the epoch journal
-// at its own pace; see pump.go.
+// A commit must not do O(watchers) work, nor wake streams whose path it
+// did not touch: each held stream registers a capacity-1 wake channel
+// under the path it watches, the registry is sharded by path hash, and a
+// commit touches only the shards its batch dirtied — one small lock each,
+// one non-blocking send per watcher of a dirty path. Delivery itself
+// happens on the watcher's own goroutine (its delivery pump), which pulls
+// pending events from the epoch journal at its own pace; see pump.go.
 
 import (
 	"math"
@@ -200,8 +196,7 @@ func (c *fanoutCounters) batchPercentile(q float64) int {
 // backpressure valves (evictions, snapshot resets) are firing.
 type FanoutStats struct {
 	// Watchers is the number of currently registered watch subscriptions
-	// (held streams plus parked long-polls); ShardWatchers is the
-	// per-registry-shard breakdown.
+	// (held streams); ShardWatchers is the per-registry-shard breakdown.
 	Watchers      int
 	ShardWatchers []int
 	// Wakes counts wake signals sent to watcher pumps at commit time;

@@ -33,8 +33,11 @@
 //     DII/DSI ORBs) protocol stacks, built on the standard library only,
 //     plus two bindings implemented purely against the public binding
 //     seam: JSON/HTTP, and h2b — CDR-encoded call bodies multiplexed as
-//     cleartext HTTP/2 streams, one TCP connection per endpoint no matter
-//     how many calls are in flight (docs/h2b-protocol.md).
+//     cleartext HTTP/2 streams on the binding's own fast-path listener,
+//     one TCP connection per endpoint no matter how many calls are in
+//     flight (docs/h2b-protocol.md). Everything on the shared HTTP
+//     listeners — SOAP, JSON, h2b's plain-POST endpoint, interface
+//     documents, watch streams — is HTTP/1.1.
 //
 // # The v2 API: Dial, options, bindings
 //
@@ -311,9 +314,10 @@ func ReExport(m *Manager, name string, backend *Client, tech Technology) (*Bridg
 func JSONBinding() Binding { return jsonb.New() }
 
 // H2BBinding returns the built-in multiplexed binary binding — dynamic
-// classes called with CDR-encoded bodies over cleartext HTTP/2 (one TCP
-// connection per endpoint, concurrent calls as concurrent streams; see
-// docs/h2b-protocol.md). It is not registered by default; pass it to
+// classes called with CDR-encoded bodies over cleartext HTTP/2 on the
+// binding's fast-path listener (one TCP connection per endpoint,
+// concurrent calls as concurrent streams; see docs/h2b-protocol.md). It
+// is not registered by default; pass it to
 // RegisterBinding to enable it:
 //
 //	livedev.RegisterBinding(livedev.H2BBinding())
