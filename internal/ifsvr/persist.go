@@ -1,6 +1,7 @@
 package ifsvr
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Store persistence: sharded snapshot+WAL pairs.
@@ -198,9 +202,12 @@ type Persistence interface {
 	Close() error
 }
 
-// snapshotWire is the JSON layout of one shard's snapshot file. Documents
-// and journal entries use the same wire object as the SSE transport and
-// the WAL, keyed by path.
+// snapshotWire is the JSON layout of one shard's snapshot file, as Load
+// parses it. Documents and journal entries use the same wire object as
+// the SSE transport and the WAL, keyed by path. The writer does not
+// marshal it: writeSnapshotImage streams the same bytes from the
+// commit-time wire payloads, and a test holds it to json.Marshal of this
+// struct.
 type snapshotWire struct {
 	Schema     string `json:"schema"`
 	Generation uint64 `json:"generation"`
@@ -222,6 +229,13 @@ type snapshotWire struct {
 // shardSnapshotFile / shardWALFile name shard i's files.
 func shardSnapshotFile(i int) string { return fmt.Sprintf("snapshot-%02d.json", i) }
 func shardWALFile(i int) string      { return fmt.Sprintf("wal-%02d.log", i) }
+
+// isSnapshotTemp reports whether name is the temp file of a shard
+// snapshot write (os.CreateTemp over shardSnapshotFile(i)+".tmp*").
+func isSnapshotTemp(name string) bool {
+	ok, _ := filepath.Match("snapshot-*.json.tmp*", name)
+	return ok
+}
 
 // shardOf maps a document path to its shard: FNV-1a over the path, mod K.
 // The hash is stable across processes and releases — changing it would
@@ -279,7 +293,12 @@ type walShard struct {
 	err     error // sticky append/fsync error; cleared by a successful snapshot
 	closed  bool
 	waiters []*syncWaiter
+	buf     []byte // record encode buffer, reused across appends
 }
+
+// walBufKeep caps the encode buffer a shard keeps between appends, so one
+// rare huge batch does not stay pinned.
+const walBufKeep = 1 << 20
 
 // syncWaiter is one parked Sync call: completed with nil once the shard's
 // durable watermark reaches lsn, or with the shard's error.
@@ -483,7 +502,10 @@ func (p *filePersistence) Load() (PersistentState, error) {
 }
 
 // discoverSources lists the recovery sources under the data directory and
-// records which files the configured layout supersedes.
+// records which files the configured layout supersedes. It deletes the
+// temp files of snapshots a crash interrupted: the rename is a
+// snapshot's commit point, so a leftover temp never holds committed
+// state, and nothing else would ever remove it.
 func (p *filePersistence) discoverSources() ([]walSource, error) {
 	entries, err := os.ReadDir(p.cfg.Dir)
 	if err != nil {
@@ -494,6 +516,10 @@ func (p *filePersistence) discoverSources() ([]walSource, error) {
 	for _, e := range entries {
 		name := e.Name()
 		switch {
+		case isSnapshotTemp(name):
+			if err := os.Remove(filepath.Join(p.cfg.Dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return nil, fmt.Errorf("ifsvr: removing interrupted snapshot %s: %w", name, err)
+			}
 		case strings.HasPrefix(name, "snapshot-") && strings.HasSuffix(name, ".json"):
 			if i, perr := parseShardIndex(name, "snapshot-", ".json"); perr == nil {
 				seen[i] = true
@@ -709,8 +735,10 @@ type walMark struct {
 	lsn   uint64
 }
 
-// fileSyncToken is the SyncToken of the file backend: the per-shard lsns
-// one logged operation must see durable before its ack.
+// fileSyncToken is the SyncToken of a file-backend operation that logged
+// on several shards: the per-shard lsns it must see durable before its
+// ack. An operation on one shard returns its walMark alone — one
+// allocation, not two.
 type fileSyncToken []walMark
 
 // Append implements Persistence: the batch's events are partitioned by
@@ -725,8 +753,8 @@ func (p *filePersistence) Append(events []StoreEvent) (SyncToken, error) {
 		if k > 1 {
 			idx = shardOf(events[0].Path, k)
 		}
-		return p.appendShard(idx, func(lsn uint64) []byte {
-			return encodeCommitRecord(lsn, events)
+		return p.appendShard(idx, func(buf []byte, lsn uint64) []byte {
+			return appendCommitRecord(buf, lsn, events)
 		})
 	}
 	groups := make(map[int][]StoreEvent)
@@ -741,13 +769,13 @@ func (p *filePersistence) Append(events []StoreEvent) (SyncToken, error) {
 	var tok fileSyncToken
 	for _, idx := range order {
 		evs := groups[idx]
-		t, err := p.appendShard(idx, func(lsn uint64) []byte {
-			return encodeCommitRecord(lsn, evs)
+		t, err := p.appendShard(idx, func(buf []byte, lsn uint64) []byte {
+			return appendCommitRecord(buf, lsn, evs)
 		})
 		if err != nil {
 			return tok, err
 		}
-		tok = append(tok, t.(fileSyncToken)...)
+		tok = append(tok, t.(walMark))
 	}
 	return tok, nil
 }
@@ -755,17 +783,21 @@ func (p *filePersistence) Append(events []StoreEvent) (SyncToken, error) {
 // AppendRemove implements Persistence: one retirement record on the
 // path's shard.
 func (p *filePersistence) AppendRemove(path string, version uint64) (SyncToken, error) {
-	return p.appendShard(shardOf(path, len(p.shards)), func(lsn uint64) []byte {
-		return encodeRemoveRecord(lsn, path, version)
+	return p.appendShard(shardOf(path, len(p.shards)), func(buf []byte, lsn uint64) []byte {
+		return appendRemoveRecord(buf, lsn, path, version)
 	})
 }
 
 // appendShard logs one record on shard idx, lazily writing the
-// shard-header record when the file is empty. A write error is sticky:
-// recovery stops at the first bad record, so appending past a torn one
-// would only log bytes replay can never reach. A later successful
-// snapshot of the shard resets the file and clears the error.
-func (p *filePersistence) appendShard(idx int, enc func(lsn uint64) []byte) (SyncToken, error) {
+// shard-header record when the file is empty. enc frames the record for
+// lsn onto the shard's reused encode buffer, and one write(2) hands
+// header and record to the kernel. A record over walMaxRecord is refused
+// before anything is written — recovery would read it as a torn tail and
+// drop every later record with it — so that error is not sticky. A write
+// error is: recovery stops at the first bad record, so appending past a
+// torn one would only log bytes replay can never reach. A later
+// successful snapshot of the shard resets the file and clears the error.
+func (p *filePersistence) appendShard(idx int, enc func(buf []byte, lsn uint64) []byte) (SyncToken, error) {
 	sh := p.shards[idx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -775,20 +807,26 @@ func (p *filePersistence) appendShard(idx int, enc func(lsn uint64) []byte) (Syn
 	if sh.err != nil {
 		return nil, sh.err
 	}
+	buf := sh.buf[:0]
 	if !sh.started {
-		if _, err := sh.f.Write(encodeShardHeaderRecord(idx, len(p.shards))); err != nil {
-			sh.err = err
-			return nil, err
-		}
-		sh.started = true
+		buf = appendShardHeaderRecord(buf, idx, len(p.shards))
 	}
 	lsn := sh.lsn + 1
-	if _, err := sh.f.Write(enc(lsn)); err != nil {
+	start := len(buf)
+	buf = enc(buf, lsn)
+	if n := len(buf) - start - walHeaderLen; n > walMaxRecord {
+		sh.keepBuf(buf)
+		return nil, fmt.Errorf("ifsvr: WAL record of %d bytes on shard %d exceeds the %d-byte limit", n, idx, walMaxRecord)
+	}
+	_, err := sh.f.Write(buf)
+	sh.keepBuf(buf)
+	if err != nil {
 		sh.err = err
 		sh.cond.Broadcast()
 		sh.notifyLocked()
 		return nil, err
 	}
+	sh.started = true
 	sh.lsn = lsn
 	sh.batches++
 	switch p.cfg.Sync {
@@ -807,7 +845,18 @@ func (p *filePersistence) appendShard(idx int, enc func(lsn uint64) []byte) (Syn
 	case SyncGroupCommit:
 		sh.cond.Broadcast() // hand the record to the shard's writer
 	}
-	return fileSyncToken{{shard: idx, lsn: lsn}}, nil
+	return walMark{shard: idx, lsn: lsn}, nil
+}
+
+// keepBuf retains buf as the shard's encode buffer for the next append,
+// unless a huge batch grew it past walBufKeep. Caller holds sh.mu; the
+// write(2) has already copied the bytes into the kernel.
+func (sh *walShard) keepBuf(buf []byte) {
+	if cap(buf) > walBufKeep {
+		sh.buf = nil
+		return
+	}
+	sh.buf = buf[:0]
 }
 
 // groupSyncer is shard sh's dedicated WAL writer under SyncGroupCommit:
@@ -888,9 +937,15 @@ func (p *filePersistence) groupSyncer(sh *walShard) {
 // is where concurrent committers queue behind the shard writer's next
 // fsync.
 func (p *filePersistence) Sync(tok SyncToken) error {
-	marks, ok := tok.(fileSyncToken)
-	if !ok || len(marks) == 0 || p.cfg.Sync == SyncNone {
+	if p.cfg.Sync == SyncNone {
 		return nil
+	}
+	var marks fileSyncToken
+	switch t := tok.(type) {
+	case walMark:
+		marks = fileSyncToken{t}
+	case fileSyncToken:
+		marks = t
 	}
 	var start time.Time
 	var firstErr error
@@ -962,9 +1017,26 @@ func (p *filePersistence) Snapshot(state PersistentState) error {
 // resets their WALs.
 func (p *filePersistence) writeSnapshots(state PersistentState, full bool) error {
 	k := len(p.shards)
-	wires := make([]snapshotWire, k)
-	for i := range wires {
-		wires[i] = snapshotWire{
+	due := make([]bool, k)
+	var wrote bool
+	for i, sh := range p.shards {
+		due[i] = full
+		if !full {
+			sh.mu.Lock()
+			due[i] = sh.batches >= p.cfg.SnapshotEvery
+			sh.mu.Unlock()
+		}
+		wrote = wrote || due[i]
+	}
+	imgs := gatherShardImages(state, due)
+
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i, sh := range p.shards {
+		if !due[i] {
+			continue
+		}
+		hdr := snapshotWire{
 			Schema:     SnapshotSchema,
 			Generation: state.Generation,
 			Epoch:      state.Epoch,
@@ -972,41 +1044,11 @@ func (p *filePersistence) writeSnapshots(state PersistentState, full bool) error
 			Shard:      i,
 			Shards:     k,
 		}
-	}
-	for path, d := range state.Docs {
-		i := shardOf(path, k)
-		wires[i].Docs = append(wires[i].Docs, docWire(path, d))
-	}
-	for path, v := range state.Retired {
-		i := shardOf(path, k)
-		if wires[i].Retired == nil {
-			wires[i].Retired = make(map[string]uint64)
-		}
-		wires[i].Retired[path] = v
-	}
-	for _, ev := range state.Journal {
-		i := shardOf(ev.Path, k)
-		wires[i].Journal = append(wires[i].Journal, docWire(ev.Path, ev.Doc))
-	}
-
-	var wrote bool
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for i, sh := range p.shards {
-		if !full {
-			sh.mu.Lock()
-			due := sh.batches >= p.cfg.SnapshotEvery
-			sh.mu.Unlock()
-			if !due {
-				continue
-			}
-		}
-		wrote = true
 		wg.Add(1)
-		go func(i int, sh *walShard) {
+		go func(sh *walShard, hdr snapshotWire, img *shardImage) {
 			defer wg.Done()
-			errs[i] = p.writeShardSnapshot(sh, wires[i])
-		}(i, sh)
+			errs[sh.idx] = p.writeShardSnapshot(sh, hdr, img)
+		}(sh, hdr, &imgs[i])
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -1034,17 +1076,209 @@ func (p *filePersistence) writeSnapshots(state PersistentState, full bool) error
 	return nil
 }
 
-// docWire renders one document as the shared wire object.
-func docWire(path string, d Document) streamWire {
-	return streamWire{
-		Path:              path,
-		Version:           d.Version,
-		DescriptorVersion: d.DescriptorVersion,
-		Epoch:             d.Epoch,
-		ContentType:       d.ContentType,
-		Content:           d.Content,
-	}
+// shardImage is one shard's part of a PersistentState in the order its
+// snapshot file spells it, each document and journal entry already in its
+// wire bytes.
+type shardImage struct {
+	docs    []imageDoc     // path order
+	retired []imageRetired // path order
+	journal [][]byte       // journal order
 }
+
+// imageDoc is one document of a shardImage and the wire bytes of its
+// version.
+type imageDoc struct {
+	path    string
+	doc     Document
+	payload []byte
+}
+
+// imageRetired is one retirement floor of a shardImage.
+type imageRetired struct {
+	path    string
+	version uint64
+}
+
+// gatherShardImages splits state by path-hash into the images of the due
+// shards (the others stay empty). Wire bytes are the ones each commit
+// already marshalled: a journal entry's Payload, and for a document the
+// Payload of the newest journal entry with its path, epoch and version.
+// encodeEventPayload runs only for an entry or document with no such
+// bytes — a state built by a test or another backend, or a document
+// older than the journal.
+func gatherShardImages(state PersistentState, due []bool) []shardImage {
+	k := len(due)
+	imgs := make([]shardImage, k)
+	for path, d := range state.Docs {
+		if i := shardOf(path, k); due[i] {
+			imgs[i].docs = append(imgs[i].docs, imageDoc{path: path, doc: d})
+		}
+	}
+	for path, v := range state.Retired {
+		if i := shardOf(path, k); due[i] {
+			imgs[i].retired = append(imgs[i].retired, imageRetired{path: path, version: v})
+		}
+	}
+	for i := range imgs {
+		slices.SortFunc(imgs[i].docs, func(a, b imageDoc) int { return strings.Compare(a.path, b.path) })
+		slices.SortFunc(imgs[i].retired, func(a, b imageRetired) int { return strings.Compare(a.path, b.path) })
+	}
+	// Newest first, so the first journal entry matching a document is its
+	// newest; each shard's journal is reversed back into order below.
+	for j := len(state.Journal) - 1; j >= 0; j-- {
+		ev := &state.Journal[j]
+		i := shardOf(ev.Path, k)
+		if !due[i] {
+			continue
+		}
+		payload := ev.Payload
+		if payload == nil {
+			payload = encodeEventPayload(ev.Path, ev.Doc)
+		}
+		img := &imgs[i]
+		img.journal = append(img.journal, payload)
+		n, ok := slices.BinarySearchFunc(img.docs, ev.Path, func(d imageDoc, path string) int { return strings.Compare(d.path, path) })
+		if !ok {
+			continue
+		}
+		if d := &img.docs[n]; d.payload == nil && d.doc.Epoch == ev.Doc.Epoch && d.doc.Version == ev.Doc.Version {
+			d.payload = payload
+		}
+	}
+	for i := range imgs {
+		slices.Reverse(imgs[i].journal)
+		for n := range imgs[i].docs {
+			if d := &imgs[i].docs[n]; d.payload == nil {
+				d.payload = encodeEventPayload(d.path, d.doc)
+			}
+		}
+	}
+	return imgs
+}
+
+// writeSnapshotImage streams one shard's snapshot file into w: the header
+// fields of hdr (its Docs, Retired and Journal are ignored) and the
+// contents of img, byte for byte what json.Marshal renders for the
+// equivalent snapshotWire — "docs" null when empty, "shards", "retired"
+// and "journal" omitted when empty, "retired" in key order — with the
+// document and journal objects spliced from their wire bytes instead of
+// re-escaped. The caller flushes w.
+func writeSnapshotImage(w *bufio.Writer, hdr snapshotWire, img *shardImage) {
+	b := w.AvailableBuffer()
+	b = append(b, `{"schema":`...)
+	b = appendJSONString(b, hdr.Schema)
+	b = append(b, `,"generation":`...)
+	b = strconv.AppendUint(b, hdr.Generation, 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, hdr.Epoch, 10)
+	b = append(b, `,"floor_epoch":`...)
+	b = strconv.AppendUint(b, hdr.FloorEpoch, 10)
+	b = append(b, `,"shard":`...)
+	b = strconv.AppendInt(b, int64(hdr.Shard), 10)
+	if hdr.Shards != 0 {
+		b = append(b, `,"shards":`...)
+		b = strconv.AppendInt(b, int64(hdr.Shards), 10)
+	}
+	b = append(b, `,"lsn":`...)
+	b = strconv.AppendUint(b, hdr.Lsn, 10)
+	if len(img.docs) == 0 {
+		b = append(b, `,"docs":null`...)
+		w.Write(b)
+	} else {
+		b = append(b, `,"docs":[`...)
+		w.Write(b)
+		for n, d := range img.docs {
+			if n > 0 {
+				w.WriteByte(',')
+			}
+			w.Write(d.payload)
+		}
+		w.WriteByte(']')
+	}
+	if len(img.retired) > 0 {
+		w.WriteString(`,"retired":{`)
+		for n, r := range img.retired {
+			b := w.AvailableBuffer()
+			if n > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, r.path)
+			b = append(b, ':')
+			b = strconv.AppendUint(b, r.version, 10)
+			w.Write(b)
+		}
+		w.WriteByte('}')
+	}
+	if len(img.journal) > 0 {
+		w.WriteString(`,"journal":[`)
+		for n, payload := range img.journal {
+			if n > 0 {
+				w.WriteByte(',')
+			}
+			w.Write(payload)
+		}
+		w.WriteByte(']')
+	}
+	w.WriteByte('}')
+}
+
+// appendJSONString writes s as a JSON string literal with encoding/json's
+// default escaping: the short escapes, \u00XX for the remaining control
+// bytes and for < > &, \u2028 and \u2029, and \ufffd for invalid UTF-8.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				buf = append(buf, '\\', c)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+			start = i + size
+		case r == 0x2028 || r == 0x2029:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
+}
+
+// snapshotWriters pools the snapshot files' write buffers: a cadence
+// snapshot streams each document and journal entry through one 64 KiB
+// buffer (entries larger than it go to the file directly) instead of
+// building the file in memory.
+var snapshotWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
 // writeShardSnapshot installs one shard's snapshot (temp, fsync, rename,
 // dir fsync) and resets its WAL. The snapshot records the shard's current
@@ -1052,21 +1286,23 @@ func docWire(path string, d Document) streamWire {
 // recovery skips by watermark. The write happens outside the shard lock —
 // appends are excluded by the store's writer lock, not this one — so Sync
 // waiters on other shards are never blocked behind snapshot IO here.
-func (p *filePersistence) writeShardSnapshot(sh *walShard, wire snapshotWire) error {
+func (p *filePersistence) writeShardSnapshot(sh *walShard, hdr snapshotWire, img *shardImage) error {
 	sh.mu.Lock()
-	wire.Lsn = sh.lsn
+	hdr.Lsn = sh.lsn
 	sh.mu.Unlock()
-	data, err := json.Marshal(wire)
-	if err != nil {
-		return fmt.Errorf("ifsvr: encoding snapshot shard %d: %w", sh.idx, err)
-	}
 	snapName := shardSnapshotFile(sh.idx)
 	tmp, err := os.CreateTemp(p.cfg.Dir, snapName+".tmp*")
 	if err != nil {
 		return fmt.Errorf("ifsvr: creating snapshot temp: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err == nil {
+	w := snapshotWriters.Get().(*bufio.Writer)
+	w.Reset(tmp)
+	writeSnapshotImage(w, hdr, img)
+	err = w.Flush()
+	w.Reset(nil)
+	snapshotWriters.Put(w)
+	if err == nil {
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {

@@ -396,10 +396,10 @@ func DecodeFrame(data []byte) (kind byte, payload []byte, n int, ok bool) {
 }
 
 // EncodeCommitFrame renders one committed batch as a CRC-framed commit
-// record, splicing the events' commit-time payloads without
-// re-marshaling.
+// record in one allocation, splicing the events' commit-time payloads
+// without re-marshaling.
 func EncodeCommitFrame(lsn uint64, evs []StoreEvent) []byte {
-	return encodeCommitRecord(lsn, evs)
+	return appendCommitRecord(nil, lsn, evs)
 }
 
 // DecodeCommitFrame parses a commit-record payload back into its lsn and
@@ -411,7 +411,7 @@ func DecodeCommitFrame(payload []byte) (uint64, []StoreEvent, error) {
 
 // EncodeRemoveFrame renders one retirement as a CRC-framed remove record.
 func EncodeRemoveFrame(lsn uint64, path string, version uint64) []byte {
-	return encodeRemoveRecord(lsn, path, version)
+	return appendRemoveRecord(nil, lsn, path, version)
 }
 
 // DecodeRemoveFrame parses a remove-record payload.

@@ -37,9 +37,11 @@ import (
 const (
 	// walHeaderLen frames every record: payload length + CRC.
 	walHeaderLen = 8
-	// walMaxRecord bounds a single record so a corrupt length prefix cannot
-	// drive a giant allocation during recovery (documents are capped at
-	// 16 MiB on the fetch path; a batch of a few of them fits comfortably).
+	// walMaxRecord bounds a single record (kind byte + body) so a corrupt
+	// length prefix cannot drive a giant allocation during recovery
+	// (documents are capped at 16 MiB on the fetch path; a batch of a few
+	// of them fits comfortably). The writer refuses a longer record before
+	// writing anything: recovery would read it as a torn tail.
 	walMaxRecord = 64 << 20
 
 	// walKindCommit is a committed publication batch:
@@ -83,42 +85,64 @@ type walRemove struct {
 // appendWALRecord frames kind+payload onto buf and returns the extended
 // slice.
 func appendWALRecord(buf []byte, kind byte, payload []byte) []byte {
-	var hdr [walHeaderLen]byte
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, kind)
-	body = append(body, payload...)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	buf = append(buf, hdr[:]...)
-	return append(buf, body...)
+	buf, start := beginWALRecord(buf, kind, len(payload))
+	buf = append(buf, payload...)
+	return sealWALRecord(buf, start)
 }
 
-// encodeCommitRecord renders one committed batch as a WAL record, splicing
-// the events' pre-marshaled wire payloads into the envelope without
-// re-marshaling them.
-func encodeCommitRecord(lsn uint64, evs []StoreEvent) []byte {
-	n := 40
+// beginWALRecord starts a record in place at the end of buf, growing it
+// once for a body of up to n bytes after the kind byte: it reserves the
+// header and appends the kind byte. The caller appends the body and
+// passes start to sealWALRecord.
+func beginWALRecord(buf []byte, kind byte, n int) (_ []byte, start int) {
+	var hdr [walHeaderLen]byte
+	if need := walHeaderLen + 1 + n; cap(buf)-len(buf) < need {
+		// Not slices.Grow: under -race it allocates twice.
+		grown := make([]byte, len(buf), max(2*cap(buf), len(buf)+need))
+		copy(grown, buf)
+		buf = grown
+	}
+	start = len(buf)
+	buf = append(buf, hdr[:]...)
+	return append(buf, kind), start
+}
+
+// sealWALRecord fills in the header of the record framed in place at
+// buf[start:]: walHeaderLen reserved bytes, then the kind byte and body,
+// which the length and CRC cover.
+func sealWALRecord(buf []byte, start int) []byte {
+	body := buf[start+walHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(body))
+	return buf
+}
+
+// appendCommitRecord frames one committed batch as a WAL record onto buf,
+// splicing the events' pre-marshaled wire payloads into the envelope
+// without re-marshaling them. buf grows at most once.
+func appendCommitRecord(buf []byte, lsn uint64, evs []StoreEvent) []byte {
+	n := len(`{"lsn":`) + 20 + len(`,"events":[`) + len("]}")
 	for _, ev := range evs {
 		n += len(ev.Payload) + 1
 	}
-	body := make([]byte, 0, n)
-	body = append(body, `{"lsn":`...)
-	body = strconv.AppendUint(body, lsn, 10)
-	body = append(body, `,"events":[`...)
+	buf, start := beginWALRecord(buf, walKindCommit, n)
+	buf = append(buf, `{"lsn":`...)
+	buf = strconv.AppendUint(buf, lsn, 10)
+	buf = append(buf, `,"events":[`...)
 	for i, ev := range evs {
 		if i > 0 {
-			body = append(body, ',')
+			buf = append(buf, ',')
 		}
-		body = append(body, ev.Payload...)
+		buf = append(buf, ev.Payload...)
 	}
-	body = append(body, "]}"...)
-	return appendWALRecord(nil, walKindCommit, body)
+	buf = append(buf, "]}"...)
+	return sealWALRecord(buf, start)
 }
 
-// encodeRemoveRecord renders one retirement as a WAL record.
-func encodeRemoveRecord(lsn uint64, path string, version uint64) []byte {
+// appendRemoveRecord frames one retirement as a WAL record onto buf.
+func appendRemoveRecord(buf []byte, lsn uint64, path string, version uint64) []byte {
 	body, _ := json.Marshal(walRemove{Lsn: lsn, Path: path, Version: version})
-	return appendWALRecord(nil, walKindRemove, body)
+	return appendWALRecord(buf, walKindRemove, body)
 }
 
 // walShardHeader is the JSON payload of a walKindShard record.
@@ -128,11 +152,11 @@ type walShardHeader struct {
 	Shards int    `json:"shards"`
 }
 
-// encodeShardHeaderRecord renders the header record that leads shard
-// `shard` of a K-way layout.
-func encodeShardHeaderRecord(shard, shards int) []byte {
+// appendShardHeaderRecord frames the header record that leads shard
+// `shard` of a K-way layout onto buf.
+func appendShardHeaderRecord(buf []byte, shard, shards int) []byte {
 	body, _ := json.Marshal(walShardHeader{Schema: walSchema, Shard: shard, Shards: shards})
-	return appendWALRecord(nil, walKindShard, body)
+	return appendWALRecord(buf, walKindShard, body)
 }
 
 // decodeWALRecord parses the record at the head of data. It returns the

@@ -201,15 +201,15 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a wal"))
 	doc := Document{Content: "<v1/>", ContentType: "text/xml", Version: 1, DescriptorVersion: 1, Epoch: 1}
-	rec := encodeCommitRecord(1, []StoreEvent{{Path: "/p", Doc: doc, Payload: encodeEventPayload("/p", doc)}})
+	rec := appendCommitRecord(nil, 1, []StoreEvent{{Path: "/p", Doc: doc, Payload: encodeEventPayload("/p", doc)}})
 	f.Add(rec)
-	f.Add(append(bytes.Clone(rec), encodeRemoveRecord(2, "/p", 1)...))
+	f.Add(append(bytes.Clone(rec), appendRemoveRecord(nil, 2, "/p", 1)...))
 	f.Add(rec[:len(rec)-3])
 	// The sharded framing: a shard-header record leading a data record, as
 	// every shard WAL file begins, plus a header from a different layout.
-	f.Add(append(encodeShardHeaderRecord(0, 8), rec...))
-	f.Add(encodeShardHeaderRecord(7, 8))
-	f.Add(encodeShardHeaderRecord(3, 4)[:walHeaderLen+2])
+	f.Add(append(appendShardHeaderRecord(nil, 0, 8), rec...))
+	f.Add(appendShardHeaderRecord(nil, 7, 8))
+	f.Add(appendShardHeaderRecord(nil, 3, 4)[:walHeaderLen+2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid := scanWAL(data)
@@ -217,13 +217,15 @@ func FuzzWALDecode(f *testing.F) {
 			t.Fatalf("scanWAL claimed %d of %d bytes", valid, len(data))
 		}
 		// Round-trip: re-framing the decoded records must reproduce the
-		// valid prefix byte for byte.
-		var rebuilt []byte
+		// valid prefix byte for byte, through the in-place framer and the
+		// parent's two-copy one alike.
+		var rebuilt, oracle []byte
 		for _, r := range recs {
 			rebuilt = appendWALRecord(rebuilt, r.kind, r.payload)
+			oracle = oracleAppendWALRecord(oracle, r.kind, r.payload)
 		}
-		if !bytes.Equal(rebuilt, data[:valid]) {
-			t.Fatalf("decoded records re-encode to %d bytes != valid prefix %d", len(rebuilt), valid)
+		if !bytes.Equal(rebuilt, data[:valid]) || !bytes.Equal(oracle, rebuilt) {
+			t.Fatalf("decoded records re-encode to %d bytes (oracle %d) != valid prefix %d", len(rebuilt), len(oracle), valid)
 		}
 		// Semantic decode of accepted commit records must not panic either.
 		for _, r := range recs {
