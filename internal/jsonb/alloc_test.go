@@ -84,8 +84,51 @@ func TestAllocs_CallEnvelopes(t *testing.T) {
 	}
 }
 
+// The interface document, on the benchmark's class shape. The writer
+// allocates the string it returns and nothing per method: the parent's
+// json.MarshalIndent over a Doc tree made 24 objects at 8 methods and more
+// with every method. The reader allocates the Doc tree it fills (names are
+// substrings of the text) and the descriptor it resolves; the parent's
+// json.Unmarshal made 86 on the 8-method document.
+const (
+	maxGenerateDocAllocs = 1
+	maxParseDocAllocs    = 36
+)
+
+func TestAllocs_GenerateDoc(t *testing.T) {
+	c := getCodec()
+	defer putCodec(c)
+	for _, n := range []int{8, 64} {
+		desc := benchDesc(n)
+		generate := func() { sinkText = string(appendDoc(c.buf[:0], DocFormat, desc, benchEndpoint, "mux:1")) }
+		c.buf = appendDoc(c.buf[:0], DocFormat, desc, benchEndpoint, "mux:1") // grow the buffer once
+		if allocs := testing.AllocsPerRun(100, generate); allocs != maxGenerateDocAllocs {
+			t.Errorf("GenerateDocAs on a %d-method class allocates %.1f objects/op, want %d", n, allocs, maxGenerateDocAllocs)
+		}
+	}
+}
+
+func TestAllocs_ParseDoc(t *testing.T) {
+	text, err := GenerateDoc(benchDesc(8), benchEndpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := getCodec()
+	defer putCodec(c)
+	parse := func() {
+		if _, _, _, err := c.parseDoc(DocFormat, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse() // grow the buffer once
+	if allocs := testing.AllocsPerRun(100, parse); allocs > maxParseDocAllocs {
+		t.Errorf("ParseDocAs on the 8-method document allocates %.1f objects/op, budget is %d", allocs, maxParseDocAllocs)
+	}
+}
+
 var sinkRaw []byte
 var sinkValue dyn.Value
+var sinkText string
 
 func BenchmarkBulkEncode(b *testing.B) {
 	v := bulkValue(256)
@@ -102,5 +145,47 @@ func BenchmarkBulkDecode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sinkValue, _ = DecodeValue(raw, typ)
+	}
+}
+
+func BenchmarkGenerateDoc(b *testing.B) {
+	desc := benchDesc(8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := GenerateDoc(desc, benchEndpoint); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParseDoc(b *testing.B) {
+	text, _ := GenerateDoc(benchDesc(8), benchEndpoint)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	for b.Loop() {
+		if _, _, err := ParseDoc(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The oracle's cost on the same document, for the record docs/perf.md keeps.
+func BenchmarkOracleGenerateDoc(b *testing.B) {
+	desc := benchDesc(8)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := oracleGenerateDocAs(DocFormat, desc, benchEndpoint, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOracleParseDoc(b *testing.B) {
+	text, _ := GenerateDoc(benchDesc(8), benchEndpoint)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, _, err := oracleParseDocAs(DocFormat, text); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
