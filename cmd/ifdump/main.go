@@ -13,9 +13,9 @@
 // With -stats it also fetches the server's publication-store counters
 // (the /.stats endpoint on the same host as the document URL) and prints
 // them — commits, coalescing, journal replays, for a durable store the
-// WAL durability block (per-shard lsns, fsyncs, group-commit batch
-// sizes, sync-wait totals), for a replicated server the Replication
-// block (role, per-shard applied vs leader lsns, lag, bootstrap and
+// WAL durability block (lsns, fsyncs, group-commit batch sizes,
+// sync-wait totals), for a replicated server the Replication block
+// (role, applied vs leader lsn, lag, bootstrap and
 // reconnect counts), and the watch fan-out block: held watchers per
 // registry shard, commit wakeups, delivery batch-size percentiles, and
 // the backpressure evictions/resets. Pointed at a read-only replica

@@ -18,7 +18,7 @@
 //     up — once recovered via journal replay and once degraded to the
 //     snapshot stampede.
 //   - Durability (-durability): commit throughput per WAL sync policy and
-//     cold-cache recovery time per shard count.
+//     cold-cache recovery time of a WAL-resident dataset.
 //   - Replication (-replicas): N SSE watchers spread round-robin across a
 //     leader and its WAL-shipping read-only followers, timing
 //     edit→all-notified across the plane plus the per-follower lag.
@@ -79,7 +79,7 @@ func run() error {
 	stallPayload := flag.Int("fanout-stall-payload", 16384, "published document payload for the stall rows, in bytes")
 	restart := flag.Bool("restart", false, "also measure restart-reconnect latency (durable store; replay vs snapshot recovery)")
 	restartWatchers := flag.Int("restart-watchers", 1000, "watcher count for the restart-reconnect rows")
-	durability := flag.Bool("durability", false, "also measure WAL sync-policy throughput and sharded recovery time")
+	durability := flag.Bool("durability", false, "also measure WAL sync-policy throughput and cold-cache recovery time")
 	replicaCounts := flag.String("replicas", "", "comma-separated replica counts for the replication rows (empty disables; e.g. 1,2,4)")
 	replicaWatchers := flag.Int("replica-watchers", 10000, "total watcher population for the replication rows")
 	replicaEdits := flag.Int("replica-edits", 5, "edit rounds per replication configuration")

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	sde-server [-iface ADDR] [-http ADDR] [-timeout D] [-data-dir DIR]
-//	           [-sync none|group|always] [-shards K] [-live] [-duration D]
+//	           [-sync none|group|always] [-live] [-duration D]
 //	           [-max-watcher-lag N] [-watch-write-timeout D] [-follow URL]
 //	           [-drain-timeout D]
 //
@@ -22,13 +22,12 @@
 // restarted sde-server resumes its epoch sequence, so watch clients ride
 // journal replay across the restart instead of refetching snapshots.
 // -sync picks the durability of the publication ack (group = group-commit
-// fsync) and -shards the WAL/snapshot shard count. -max-watcher-lag and
-// -watch-write-timeout are the watch-stream backpressure valves: a
-// streaming watcher pending more than N events, or unable to absorb a
-// write within D, is evicted with a terminal event and reconnects
-// through ordinary replay. SIGQUIT dumps the store's counters — the
-// durability, replication, and watch fan-out blocks included — without
-// stopping the server.
+// fsync). -max-watcher-lag and -watch-write-timeout are the watch-stream
+// backpressure valves: a streaming watcher pending more than N events, or
+// unable to absorb a write within D, is evicted with a terminal event and
+// reconnects through ordinary replay. SIGQUIT dumps the store's counters
+// — the durability, replication, and watch fan-out blocks included —
+// without stopping the server.
 //
 // With -follow the process is a read-only replica instead: no classes are
 // registered; the leader's write-ahead log is tailed and the replicated
@@ -67,7 +66,6 @@ func run() int {
 	historyLen := flag.Int("history-len", 0, "publication-store replay journal capacity (0 = default, negative disables)")
 	dataDir := flag.String("data-dir", "", "durable publication-store directory (snapshot + WAL; empty = in-memory)")
 	syncMode := flag.String("sync", "", "durable-store sync policy: none, group (ack after group-commit fsync), or always (empty = store default)")
-	shards := flag.Int("shards", 0, "durable-store WAL/snapshot shard count (0 = store default)")
 	maxLag := flag.Int("max-watcher-lag", 0, "evict a streaming watcher pending more than this many events (0 = unbounded)")
 	watchWriteTimeout := flag.Duration("watch-write-timeout", 0, "per-write deadline on held watch streams (0 = default, negative disables)")
 	live := flag.Bool("live", false, "keep editing the server interface live")
@@ -97,7 +95,6 @@ func run() int {
 		HistoryLen:        *historyLen,
 		DataDir:           *dataDir,
 		Sync:              syncPolicy,
-		WALShards:         *shards,
 		FollowURL:         *follow,
 		MaxWatcherLag:     *maxLag,
 		WatchWriteTimeout: *watchWriteTimeout,
@@ -233,8 +230,7 @@ func run() int {
 		fmt.Printf("  data dir: %s (store generation %d, epoch %d)\n",
 			*dataDir, mgr.Store().Generation(), mgr.Store().Epoch())
 		if d := mgr.Store().Stats().Durability; d != nil {
-			fmt.Printf("  durability: sync=%s shards=%d (SIGQUIT dumps store stats)\n",
-				d.Policy, d.Shards)
+			fmt.Printf("  durability: sync=%s (SIGQUIT dumps store stats)\n", d.Policy)
 		}
 	}
 	fmt.Println("  WSDL:", soapSrv.InterfaceURL())
@@ -249,7 +245,7 @@ func run() int {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	// SIGQUIT dumps the publication store's counters (including the
-	// durability block: per-shard lsns, fsyncs, group-commit batch sizes)
+	// durability block: lsns, fsyncs, group-commit batch sizes)
 	// without stopping the server — the live-ops view of -sync.
 	statsSig := make(chan os.Signal, 1)
 	signal.Notify(statsSig, syscall.SIGQUIT)

@@ -3,6 +3,8 @@ package cde
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -218,6 +220,72 @@ func TestWatchClientRecoversFromStateLossRestart(t *testing.T) {
 	}
 	if st := c.Stats(); st.Restarts == 0 {
 		t.Errorf("stats = %+v: the state-loss restart should have been counted", st)
+	}
+	if _, err := c.CallContext(ctx, "op"); err != nil {
+		t.Fatalf("post-restart call: %v", err)
+	}
+}
+
+// TestWatchClientRecoversFromWipedDataDir: a durable server whose data
+// directory is lost restarts over an empty one at the same address. It
+// comes back under a new generation with regressed epochs and versions, so
+// the watching client counts exactly one state-loss restart and installs
+// the new incarnation's view instead of refusing it as a stale view of the
+// same server.
+func TestWatchClientRecoversFromWipedDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", dir, 3)
+	ifaceAddr := strings.TrimPrefix(mgr1.InterfaceBaseURL(), "http://")
+	for i := 0; i < 3; i++ {
+		if _, err := srv1.Class().AddMethod(dyn.MethodSpec{
+			Name: fmt.Sprintf("extra%d", i), Result: dyn.Int32T, Distributed: true,
+			Body: func(_ *dyn.Instance, _ []dyn.Value) (dyn.Value, error) {
+				return dyn.Int32Value(0), nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		srv1.Publisher().PublishNow()
+		srv1.Publisher().WaitIdle()
+	}
+
+	ctx := context.Background()
+	c, err := Dial(ctx, srv1.InterfaceURL(), &DialOptions{Watch: true})
+	if err != nil {
+		_ = mgr1.Close()
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	pre := c.Versions()
+	if pre.Generation == 0 || pre.Doc < 2 {
+		t.Fatalf("pre-restart view %+v, want a generation and an aged document", pre)
+	}
+
+	if err := mgr1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, _ := startCalcManager(t, ifaceAddr, dir, 0)
+	defer func() { _ = mgr2.Close() }()
+
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		v := c.Versions()
+		if v.Generation != 0 && v.Generation != pre.Generation {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("client stuck on the lost incarnation's view %+v", c.Versions())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if v := c.Versions(); v.Doc >= pre.Doc || v.Epoch >= pre.Epoch {
+		t.Errorf("new incarnation's view %+v, expected versions regressed below %+v (empty data dir)", v, pre)
+	}
+	if st := c.Stats(); st.Restarts != 1 {
+		t.Errorf("stats = %+v: the wiped data dir should count as exactly one state-loss restart", st)
 	}
 	if _, err := c.CallContext(ctx, "op"); err != nil {
 		t.Fatalf("post-restart call: %v", err)

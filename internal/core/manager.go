@@ -101,25 +101,18 @@ type Config struct {
 	// company under SyncGroupCommit before its fsync is issued anyway.
 	// Zero means the ifsvr default.
 	GroupCommitWindow time.Duration
-	// WALShards is the number of hash-partitioned WAL/snapshot shard
-	// pairs the durable store spreads paths over (ignored without
-	// DataDir). Zero means the ifsvr default; an existing data directory
-	// written with a different count is resharded on open.
-	WALShards int
 	// FollowURL turns the manager into a read-only replica: instead of
 	// hosting live server classes it tails the write-ahead log of the
-	// leader Interface Server at this base URL (all shards concurrently)
-	// and applies every committed publication into its own store, which
+	// leader Interface Server at this base URL and applies every committed publication into its own store, which
 	// the local Interface Server serves under the leader's restart
 	// generation. Register fails in this mode, and publications arriving
 	// over HTTP are answered with 421 Misdirected Request naming the
 	// leader. DataDir still applies: a durable follower resumes tailing
 	// from its persisted position after a restart.
 	FollowURL string
-	// ReadyLagBound is the replication lag (in unapplied WAL records,
-	// summed over shards) above which a follower-mode manager reports not
-	// ready from Probe. Zero means DefaultReadyLagBound. Ignored on a
-	// leader.
+	// ReadyLagBound is the replication lag (in unapplied WAL records)
+	// above which a follower-mode manager reports not ready from Probe.
+	// Zero means DefaultReadyLagBound. Ignored on a leader.
 	ReadyLagBound uint64
 	// MaxWatcherLag bounds how many committed-but-undelivered events a
 	// streaming watcher of the Interface Server may have pending before
@@ -196,7 +189,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		Dir:         cfg.DataDir,
 		Sync:        cfg.Sync,
 		GroupWindow: cfg.GroupCommitWindow,
-		Shards:      cfg.WALShards,
 	}
 	m := &Manager{
 		cfg:     cfg,

@@ -79,34 +79,26 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "livedev_fanout_evictions_total %d\n", st.Fanout.Evictions)
 	fmt.Fprintf(&b, "livedev_fanout_resets_total %d\n", st.Fanout.Resets)
 
-	// WAL durability: per-shard append/durable watermarks (their gap is
-	// the fsync lag in records), fsync counters, and the mean time an
-	// acked commit waited on fsync.
+	// WAL durability: append/durable watermarks (their gap is the fsync
+	// lag in records), fsync counters, and the mean time an acked commit
+	// waited on fsync.
 	if d := st.Durability; d != nil {
-		for shard, lsn := range d.LastLSN {
-			fmt.Fprintf(&b, "livedev_wal_last_lsn{shard=\"%d\"} %d\n", shard, lsn)
-		}
-		for shard, lsn := range d.DurableLSN {
-			fmt.Fprintf(&b, "livedev_wal_durable_lsn{shard=\"%d\"} %d\n", shard, lsn)
-			if shard < len(d.LastLSN) {
-				fmt.Fprintf(&b, "livedev_wal_fsync_lag{shard=\"%d\"} %d\n", shard, d.LastLSN[shard]-lsn)
-			}
-		}
+		fmt.Fprintf(&b, "livedev_wal_last_lsn %d\n", d.LastLSN)
+		fmt.Fprintf(&b, "livedev_wal_durable_lsn %d\n", d.DurableLSN)
+		fmt.Fprintf(&b, "livedev_wal_fsync_lag %d\n", d.LastLSN-d.DurableLSN)
 		fmt.Fprintf(&b, "livedev_wal_fsyncs_total %d\n", d.Fsyncs)
 		fmt.Fprintf(&b, "livedev_wal_sync_waits_total %d\n", d.SyncWaits)
 		fmt.Fprintf(&b, "livedev_wal_sync_wait_mean_seconds %g\n", d.SyncWaitMean().Seconds())
 		fmt.Fprintf(&b, "livedev_wal_compactions_total %d\n", d.Compactions)
 	}
 
-	// Replication: role-labelled lag and per-shard positions. On a
+	// Replication: role-labelled lag and the log position. On a
 	// leader, Tails is the connected follower count; on a follower, Lag
 	// is how far behind the leader's shipped frontier it is.
 	if rp := st.Replication; rp != nil {
 		fmt.Fprintf(&b, "livedev_repl_lag{role=%q} %d\n", rp.Role, rp.Lag)
 		fmt.Fprintf(&b, "livedev_repl_tails{role=%q} %d\n", rp.Role, rp.Tails)
-		for shard, lsn := range rp.LSN {
-			fmt.Fprintf(&b, "livedev_repl_lsn{shard=\"%d\"} %d\n", shard, lsn)
-		}
+		fmt.Fprintf(&b, "livedev_repl_lsn %d\n", rp.LSN)
 		fmt.Fprintf(&b, "livedev_repl_records_total %d\n", rp.Records)
 		fmt.Fprintf(&b, "livedev_repl_reconnects_total %d\n", rp.Reconnects)
 		fmt.Fprintf(&b, "livedev_repl_evictions_total %d\n", rp.Evictions)

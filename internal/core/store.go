@@ -45,8 +45,8 @@ type (
 	PersistentState = ifsvr.PersistentState
 	// SyncPolicy selects when a durable store fsyncs its write-ahead log.
 	SyncPolicy = ifsvr.SyncPolicy
-	// PersistStats counts durability-backend activity (per-shard log
-	// positions, fsyncs, group-commit batching, sync waits).
+	// PersistStats counts durability-backend activity (log positions,
+	// fsyncs, group-commit batching, sync waits).
 	PersistStats = ifsvr.PersistStats
 )
 

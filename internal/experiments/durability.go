@@ -11,8 +11,7 @@ import (
 	"livedev/internal/ifsvr"
 )
 
-// The durability experiments quantify the two claims of the sharded
-// group-commit WAL:
+// The durability experiments quantify the group-commit WAL:
 //
 //  1. Throughput: a publication acked under SyncGroupCommit is on disk,
 //     yet a closed-loop publisher storm keeps a large fraction of the
@@ -20,10 +19,9 @@ import (
 //     concurrent commits share fsyncs instead of queuing behind them.
 //     SyncAlways is the honest lower bound: one fsync per commit.
 //
-//  2. Recovery: replaying K shard WALs concurrently beats one big log,
-//     because each shard goroutine's cold file reads overlap the JSON
-//     decode of the others. The trial evicts the page cache first
-//     (dropFileCache) so the reads are real; without eviction the
+//  2. Recovery: how long OpenStore takes to replay a WAL-resident
+//     dataset from a cold page cache. The trial evicts the page cache
+//     first (dropFileCache) so the reads are real; without eviction the
 //     experiment would measure memcpy, not recovery.
 //
 // Durable stores live under os.TempDir; each run cleans up after itself.
@@ -38,9 +36,6 @@ type DurabilityConfig struct {
 	// DocBytes is the throughput storm's document size (default 64; see
 	// withDefaults for why the storm deliberately commits small documents).
 	DocBytes int
-	// Shards is the throughput store's WAL shard count (default 2; see
-	// withDefaults for why it is deliberately far below Publishers).
-	Shards int
 
 	// RecoveryDocs and RecoveryBytes shape the recovery dataset: docs of
 	// that content size, all resident in the WAL (snapshot cadence pushed
@@ -48,9 +43,6 @@ type DurabilityConfig struct {
 	// back is real I/O next to decoding it.
 	RecoveryDocs  int
 	RecoveryBytes int
-	// RecoveryShards are the shard counts to time recovery under
-	// (default {1, ifsvr.DefaultShards}).
-	RecoveryShards []int
 	// Trials is how many times each configuration is run; the best trial
 	// is reported (max throughput, min recovery time), the usual guard
 	// against scheduler and disk noise (default 3).
@@ -73,24 +65,11 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 		// regime.
 		c.DocBytes = 64
 	}
-	if c.Shards <= 0 {
-		// One shard, so every concurrent commit shares the same fsync:
-		// group commit coalesces per shard, and a one-publisher-per-shard
-		// storm would degenerate to SyncAlways. The storm is deliberately
-		// wide with small documents — the regime group commit exists for,
-		// where the commit CPU of a large group amortizes the fixed fsync
-		// cost instead of every commit queuing behind it. Sharding's own
-		// payoff (parallel recovery) is measured by the recovery rows.
-		c.Shards = 1
-	}
 	if c.RecoveryDocs <= 0 {
 		c.RecoveryDocs = 96
 	}
 	if c.RecoveryBytes <= 0 {
 		c.RecoveryBytes = 96 << 10
-	}
-	if len(c.RecoveryShards) == 0 {
-		c.RecoveryShards = []int{1, ifsvr.DefaultShards}
 	}
 	if c.Trials <= 0 {
 		c.Trials = 3
@@ -99,15 +78,12 @@ func (c DurabilityConfig) withDefaults() DurabilityConfig {
 }
 
 // DurabilityResult is one measured configuration: a throughput row
-// (OpsPerSec under a sync policy) or a recovery row (Recovery for a shard
-// count).
+// (OpsPerSec under a sync policy) or the recovery row.
 type DurabilityResult struct {
 	// Kind is "throughput" or "recovery".
 	Kind string
 	// Policy is the sync policy of a throughput row ("" on recovery rows).
 	Policy ifsvr.SyncPolicy
-	// Shards is the WAL shard count.
-	Shards int
 	// Publishers and Paths describe the throughput storm (0 on recovery
 	// rows).
 	Publishers int
@@ -127,7 +103,7 @@ type DurabilityResult struct {
 }
 
 // RunDurabilitySweep measures commit throughput under each sync policy and
-// cold-cache recovery time for each configured shard count.
+// cold-cache recovery time.
 func RunDurabilitySweep(cfg DurabilityConfig) ([]DurabilityResult, error) {
 	cfg = cfg.withDefaults()
 	var out []DurabilityResult
@@ -144,17 +120,17 @@ func RunDurabilitySweep(cfg DurabilityConfig) ([]DurabilityResult, error) {
 		}
 		out = append(out, best)
 	}
-	for _, k := range cfg.RecoveryShards {
-		r, err := runRecovery(cfg, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+	r, err := runRecovery(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return append(out, r), nil
 }
 
-// runThroughput runs the closed-loop publisher storm under one policy.
+// runThroughput runs the closed-loop publisher storm under one policy. The
+// storm is deliberately wide with small documents — the regime group
+// commit exists for, where the commit CPU of a large group amortizes the
+// fixed fsync cost instead of every commit queuing behind it.
 func runThroughput(cfg DurabilityConfig, policy ifsvr.SyncPolicy) (DurabilityResult, error) {
 	dir, err := os.MkdirTemp("", "livedev-durability-*")
 	if err != nil {
@@ -163,7 +139,6 @@ func runThroughput(cfg DurabilityConfig, policy ifsvr.SyncPolicy) (DurabilityRes
 	defer func() { _ = os.RemoveAll(dir) }()
 	st, err := ifsvr.OpenStore(ifsvr.StoreConfig{
 		Dir:           dir,
-		Shards:        cfg.Shards,
 		Sync:          policy,
 		SnapshotEvery: cfg.Publishers * cfg.Commits * 2, // keep compaction out of the timed window
 	})
@@ -189,7 +164,6 @@ func runThroughput(cfg DurabilityConfig, policy ifsvr.SyncPolicy) (DurabilityRes
 	res := DurabilityResult{
 		Kind:       "throughput",
 		Policy:     policy,
-		Shards:     cfg.Shards,
 		Publishers: cfg.Publishers,
 		Paths:      cfg.Publishers,
 		Commits:    cfg.Publishers * cfg.Commits,
@@ -205,9 +179,9 @@ func runThroughput(cfg DurabilityConfig, policy ifsvr.SyncPolicy) (DurabilityRes
 	return res, nil
 }
 
-// runRecovery builds one WAL-resident dataset under k shards, then times
-// cold-cache OpenStore, best of cfg.Trials.
-func runRecovery(cfg DurabilityConfig, k int) (DurabilityResult, error) {
+// runRecovery builds one WAL-resident dataset, then times cold-cache
+// OpenStore, best of cfg.Trials.
+func runRecovery(cfg DurabilityConfig) (DurabilityResult, error) {
 	dir, err := os.MkdirTemp("", "livedev-durability-*")
 	if err != nil {
 		return DurabilityResult{}, fmt.Errorf("experiments: durability temp dir: %w", err)
@@ -215,11 +189,10 @@ func runRecovery(cfg DurabilityConfig, k int) (DurabilityResult, error) {
 	defer func() { _ = os.RemoveAll(dir) }()
 	st, err := ifsvr.OpenStore(ifsvr.StoreConfig{
 		Dir:           dir,
-		Shards:        k,
 		SnapshotEvery: cfg.RecoveryDocs * 2, // everything stays in the WAL
 	})
 	if err != nil {
-		return DurabilityResult{}, fmt.Errorf("experiments: opening %d-shard store: %w", k, err)
+		return DurabilityResult{}, fmt.Errorf("experiments: opening recovery store: %w", err)
 	}
 	content := strings.Repeat("y", cfg.RecoveryBytes)
 	for i := 0; i < cfg.RecoveryDocs; i++ {
@@ -228,7 +201,7 @@ func runRecovery(cfg DurabilityConfig, k int) (DurabilityResult, error) {
 	// Crash, not Close: a close would compact the WAL into snapshots and
 	// there would be nothing left to replay.
 	if err := st.Crash(); err != nil {
-		return DurabilityResult{}, fmt.Errorf("experiments: crashing %d-shard store: %w", k, err)
+		return DurabilityResult{}, fmt.Errorf("experiments: crashing recovery store: %w", err)
 	}
 
 	best := time.Duration(0)
@@ -238,14 +211,14 @@ func runRecovery(cfg DurabilityConfig, k int) (DurabilityResult, error) {
 			return DurabilityResult{}, err
 		}
 		start := time.Now()
-		st, err := ifsvr.OpenStore(ifsvr.StoreConfig{Dir: dir, Shards: k, SnapshotEvery: cfg.RecoveryDocs * 2})
+		st, err := ifsvr.OpenStore(ifsvr.StoreConfig{Dir: dir, SnapshotEvery: cfg.RecoveryDocs * 2})
 		if err != nil {
-			return DurabilityResult{}, fmt.Errorf("experiments: recovering %d-shard store: %w", k, err)
+			return DurabilityResult{}, fmt.Errorf("experiments: recovering store: %w", err)
 		}
 		elapsed := time.Since(start)
 		if n := len(st.Paths()); n != cfg.RecoveryDocs {
 			_ = st.Crash()
-			return DurabilityResult{}, fmt.Errorf("experiments: %d-shard recovery yielded %d docs, want %d", k, n, cfg.RecoveryDocs)
+			return DurabilityResult{}, fmt.Errorf("experiments: recovery yielded %d docs, want %d", n, cfg.RecoveryDocs)
 		}
 		if err := st.Crash(); err != nil {
 			return DurabilityResult{}, fmt.Errorf("experiments: closing recovered store: %w", err)
@@ -256,7 +229,6 @@ func runRecovery(cfg DurabilityConfig, k int) (DurabilityResult, error) {
 	}
 	return DurabilityResult{
 		Kind:     "recovery",
-		Shards:   k,
 		Commits:  cfg.RecoveryDocs,
 		Recovery: best,
 	}, nil
@@ -284,24 +256,24 @@ func evictDir(dir string) error {
 func FormatDurability(rows []DurabilityResult) string {
 	var b strings.Builder
 	b.WriteString("Durable commit throughput (closed-loop publisher storm)\n")
-	fmt.Fprintf(&b, "%-8s %7s %11s %8s %8s %10s\n", "sync", "shards", "publishers", "commits", "fsyncs", "ops/sec")
+	fmt.Fprintf(&b, "%-8s %11s %8s %8s %10s\n", "sync", "publishers", "commits", "fsyncs", "ops/sec")
 	for _, r := range rows {
 		if r.Kind != "throughput" {
 			continue
 		}
-		fmt.Fprintf(&b, "%-8s %7d %11d %8d %8d %10.0f", r.Policy, r.Shards, r.Publishers, r.Commits, r.Fsyncs, r.OpsPerSec)
+		fmt.Fprintf(&b, "%-8s %11d %8d %8d %10.0f", r.Policy, r.Publishers, r.Commits, r.Fsyncs, r.OpsPerSec)
 		if r.BatchMean > 0 {
 			fmt.Fprintf(&b, "  (%.1f commits/fsync)", r.BatchMean)
 		}
 		b.WriteByte('\n')
 	}
 	b.WriteString("\nCold-cache recovery (WAL-resident dataset, best of trials)\n")
-	fmt.Fprintf(&b, "%7s %8s %12s\n", "shards", "docs", "recovery")
+	fmt.Fprintf(&b, "%8s %12s\n", "docs", "recovery")
 	for _, r := range rows {
 		if r.Kind != "recovery" {
 			continue
 		}
-		fmt.Fprintf(&b, "%7d %8d %12s\n", r.Shards, r.Commits, r.Recovery.Round(100*time.Microsecond))
+		fmt.Fprintf(&b, "%8d %12s\n", r.Commits, r.Recovery.Round(100*time.Microsecond))
 	}
 	return b.String()
 }

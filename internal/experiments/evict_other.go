@@ -3,8 +3,7 @@
 package experiments
 
 // dropFileCache is a no-op where page-cache eviction is unsupported: the
-// recovery trials then measure warm-cache replay, which still orders the
-// shard counts but compresses the gap between them.
+// recovery trials then measure warm-cache replay.
 func dropFileCache(string) error { return nil }
 
 // drainWriteback is a no-op without sync(2).

@@ -163,27 +163,25 @@ func TestFanoutStallSmoke(t *testing.T) {
 }
 
 // TestDurabilitySweepSmoke runs the WAL sync sweep at a few dozen commits:
-// one throughput row per policy, one recovery row per shard count.
+// one throughput row per policy, then the recovery row.
 func TestDurabilitySweepSmoke(t *testing.T) {
 	t.Parallel()
 	rows, err := RunDurabilitySweep(DurabilityConfig{
-		Publishers: 4, Commits: 8, RecoveryDocs: 6, RecoveryBytes: 4 << 10, RecoveryShards: []int{1, 2}, Trials: 1,
+		Publishers: 4, Commits: 8, RecoveryDocs: 6, RecoveryBytes: 4 << 10, Trials: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 3 throughput + 2 recovery", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 3 throughput + 1 recovery", len(rows))
 	}
 	for _, r := range rows[:3] {
 		if r.Kind != "throughput" || r.Commits != 32 || r.OpsPerSec <= 0 {
 			t.Errorf("malformed throughput row %+v", r)
 		}
 	}
-	for i, r := range rows[3:] {
-		if r.Kind != "recovery" || r.Shards != i+1 || r.Commits != 6 || r.Recovery <= 0 {
-			t.Errorf("malformed recovery row %+v", r)
-		}
+	if r := rows[3]; r.Kind != "recovery" || r.Commits != 6 || r.Recovery <= 0 {
+		t.Errorf("malformed recovery row %+v", r)
 	}
 	if FormatDurability(rows) == "" {
 		t.Error("empty table")

@@ -7,29 +7,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
-)
 
-// shardPaths returns one document path per shard of a K-way layout, so a
-// test can address each shard file deterministically.
-func shardPaths(t *testing.T, k int) []string {
-	t.Helper()
-	paths := make([]string, k)
-	found := 0
-	for i := 0; found < k && i < 10000; i++ {
-		p := fmt.Sprintf("/wsdl/S%04d.wsdl", i)
-		if s := shardOf(p, k); paths[s] == "" {
-			paths[s] = p
-			found++
-		}
-	}
-	if found != k {
-		t.Fatalf("could not find a path for each of %d shards", k)
-	}
-	return paths
-}
+	"livedev/internal/clock"
+)
 
 // TestSyncPolicyStorm runs a concurrent publisher storm under every sync
 // policy (race-enabled in CI): N publishers hammer disjoint paths, every
@@ -41,7 +25,6 @@ func TestSyncPolicyStorm(t *testing.T) {
 			dir := t.TempDir()
 			st, err := OpenStore(StoreConfig{
 				Dir:         dir,
-				Shards:      4,
 				Sync:        policy,
 				GroupWindow: 500 * time.Microsecond,
 			})
@@ -77,10 +60,8 @@ func TestSyncPolicyStorm(t *testing.T) {
 			}
 			if policy != SyncNone {
 				// Every logged record was durable before its ack returned.
-				for i := range stats.Durability.LastLSN {
-					if d, l := stats.Durability.DurableLSN[i], stats.Durability.LastLSN[i]; d < l {
-						t.Errorf("shard %d durable lsn %d < last lsn %d after all acks", i, d, l)
-					}
+				if d, l := stats.Durability.DurableLSN, stats.Durability.LastLSN; d < l {
+					t.Errorf("durable lsn %d < last lsn %d after all acks", d, l)
 				}
 				if stats.Durability.Fsyncs == 0 {
 					t.Errorf("no fsyncs recorded under %v", policy)
@@ -88,7 +69,7 @@ func TestSyncPolicyStorm(t *testing.T) {
 			}
 			st.Close()
 
-			st2, err := OpenStore(StoreConfig{Dir: dir, Shards: 4})
+			st2, err := OpenStore(StoreConfig{Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,12 +89,11 @@ func TestSyncPolicyStorm(t *testing.T) {
 // acked under SyncGroupCommit must be recoverable from the data directory
 // exactly as the files stand at ack time — reopened without Close, no
 // parting flush or snapshot (Crash) — because the ack only returned after
-// the shard writer's fsync covered the record.
+// the log writer's fsync covered the record.
 func TestGroupCommitAckSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(StoreConfig{
 		Dir:         dir,
-		Shards:      4,
 		Sync:        SyncGroupCommit,
 		GroupWindow: 500 * time.Microsecond,
 	})
@@ -140,7 +120,7 @@ func TestGroupCommitAckSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := OpenStore(StoreConfig{Dir: dir, Shards: 4})
+	st2, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen after crash: %v", err)
 	}
@@ -159,114 +139,118 @@ func TestGroupCommitAckSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestShardTorture is the per-shard crash-consistency torture: with K
-// shards each holding its own record stream, truncate and bit-flip every
-// byte offset of each shard's last record in turn. Parallel recovery must
-// yield the longest valid prefix of the damaged shard, leave every other
-// shard untouched, and keep epochs strictly continuing — damage to one
-// shard file must never bleed into its neighbours.
-func TestShardTorture(t *testing.T) {
-	const k = 4
-	const batches = 4
-	paths := shardPaths(t, k)
+// TestRecoveryIsCommitPrefix is the one log's crash-consistency torture:
+// multi-path batches — one coalescing window each, on the fake clock,
+// across paths the sharded layout kept in different files — then every
+// truncation and every flipped byte of the last two WAL records. Recovery
+// must yield exactly the state after a prefix of the committed batches —
+// never half a batch, never a later batch without an earlier one — and
+// that prefix ends right before the damaged record.
+func TestRecoveryIsCommitPrefix(t *testing.T) {
+	var paths []string
+	for i, seen := 0, map[int]bool{}; len(paths) < 4; i++ {
+		p := fmt.Sprintf("/wsdl/P%d.wsdl", i)
+		if k := shardOf(p, 8); !seen[k] {
+			seen[k] = true
+			paths = append(paths, p)
+		}
+	}
+	type state struct {
+		epoch    uint64
+		versions [4]uint64
+	}
+	clk := clock.NewFake()
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: k, SnapshotEvery: 1 << 20})
+	st, err := OpenStore(StoreConfig{Dir: dir, Window: time.Second, Clock: clk, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	finalEpoch := make([]uint64, k) // epoch carried by each shard's last record
-	for i := 1; i <= batches; i++ {
-		for s, p := range paths {
-			st.PublishVersioned(p, "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
-			finalEpoch[s] = st.Epoch()
+	read := func(st *Store) state {
+		s := state{epoch: st.Epoch()}
+		for i, p := range paths {
+			s.versions[i] = st.Version(p)
 		}
+		return s
+	}
+	prefixes := []state{read(st)} // prefixes[k] is the state after k batches
+	for _, p := range paths {
+		st.Publish(p, "text/xml", "<v1/>") // a first publication commits alone
+		prefixes = append(prefixes, read(st))
+	}
+	for r := 1; r <= 4; r++ {
+		for i, p := range paths {
+			if (i+r)%4 != 0 {
+				st.Publish(p, "text/xml", fmt.Sprintf("<r%d/>", r))
+			}
+		}
+		clk.Advance(time.Second) // the window's flush: one batch of three paths
+		prefixes = append(prefixes, read(st))
 	}
 	if err := st.Crash(); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int // byte offset of each batch's record
+	for off := 0; off < len(img); {
+		_, n, ok := decodeWALRecord(img[off:])
+		if !ok {
+			t.Fatalf("WAL image invalid at %d", off)
+		}
+		starts = append(starts, off)
+		off += n
+	}
+	if len(starts) != len(prefixes)-1 {
+		t.Fatalf("WAL holds %d records for %d batches", len(starts), len(prefixes)-1)
+	}
+	// Damage at offset off lands in record k (0-based): recovery keeps the
+	// k batches before it.
+	survivors := func(off int) int {
+		k := len(starts) - 1
+		for starts[k] > off {
+			k--
+		}
+		return k
+	}
 
-	// Preserve the crash image of every file; each torture round restores
-	// it before damaging one shard.
-	pristine := make(map[string][]byte)
-	for i := 0; i < k; i++ {
-		for _, name := range []string{shardWALFile(i), shardSnapshotFile(i)} {
-			img, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pristine[name] = img
+	check := func(tag string, wal []byte, want state) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	restore := func() {
-		for name, img := range pristine {
-			if err := os.WriteFile(filepath.Join(dir, name), img, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	check := func(tag string, damaged int) {
-		st, err := OpenStore(StoreConfig{Dir: dir, Shards: k, SnapshotEvery: 1 << 20})
+		st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20})
 		if err != nil {
 			t.Fatalf("%s: recovery errored: %v", tag, err)
 		}
-		for s, p := range paths {
-			want := uint64(batches)
-			if s == damaged {
-				want = batches - 1 // the damaged shard loses exactly its last batch
-			}
-			if v := st.Version(p); v != want {
-				t.Fatalf("%s: shard %d recovered version %d, want %d", tag, s, v, want)
-			}
-		}
-		// The recovered epoch is the newest one an undamaged record carries:
-		// losing one shard's tail never rolls back its neighbours.
-		var wantEpoch uint64
-		for s, e := range finalEpoch {
-			if s != damaged && e > wantEpoch {
-				wantEpoch = e
-			}
-		}
-		recovered := st.Epoch()
-		if recovered != wantEpoch {
-			t.Fatalf("%s: recovered epoch %d, want %d (undamaged shards carry the newest epochs)", tag, recovered, wantEpoch)
-		}
-		// Epochs strictly continue past the recovered state.
-		st.Publish(paths[0], "text/xml", "<next/>")
-		if got := st.Epoch(); got <= recovered {
-			t.Fatalf("%s: post-recovery epoch %d did not advance past %d", tag, got, recovered)
-		}
+		got := read(st)
 		if err := st.Crash(); err != nil {
 			t.Fatal(err)
 		}
+		if got != want {
+			t.Fatalf("%s: recovered %+v, want the state after the batches before the damage %+v", tag, got, want)
+		}
 	}
-
-	for s := 0; s < k; s++ {
-		img := pristine[shardWALFile(s)]
-		last := lastRecordStart(t, img)
-		walPath := filepath.Join(dir, shardWALFile(s))
-		for cut := last; cut < len(img); cut++ {
-			restore()
-			if err := os.WriteFile(walPath, img[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("shard %d truncate@%d", s, cut), s)
-		}
-		for off := last; off < len(img); off++ {
-			restore()
-			mut := bytes.Clone(img)
-			mut[off] ^= 0xFF
-			if err := os.WriteFile(walPath, mut, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			check(fmt.Sprintf("shard %d bitflip@%d", s, off), s)
-		}
+	for off := starts[len(starts)-2]; off < len(img); off++ {
+		check(fmt.Sprintf("truncate@%d", off), img[:off], prefixes[survivors(off)])
+		mut := bytes.Clone(img)
+		mut[off] ^= 0xFF
+		check(fmt.Sprintf("bitflip@%d", off), mut, prefixes[survivors(off)])
 	}
 }
 
 // TestStatsEndpoint: the Interface Server serves the backing store's
 // counters — durability block included — as JSON on StatsPath.
 func TestStatsEndpoint(t *testing.T) {
-	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), Shards: 2, Sync: SyncAlways})
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,77 +278,79 @@ func TestStatsEndpoint(t *testing.T) {
 	if got.WALAppends != 1 || got.Durability == nil {
 		t.Fatalf("stats = %+v, want 1 WAL append with a durability block", got)
 	}
-	if got.Durability.Policy != "always" || got.Durability.Shards != 2 || got.Durability.Fsyncs == 0 {
+	if d := got.Durability; d.Policy != "always" || d.LastLSN != 1 || d.DurableLSN != 1 || d.Fsyncs == 0 {
 		t.Fatalf("durability stats = %+v", got.Durability)
 	}
 }
 
-// TestReshardOnOpen: opening a directory with a different shard count
-// reshards it — every document lands in its new shard, the old layout's
-// extra files are removed, and shrinking works as well as growing. Files
-// the sharded layout does not name are not a recovery source.
-func TestReshardOnOpen(t *testing.T) {
+// TestLeftoverShardedLayout: a data directory in the sharded layout
+// earlier releases wrote (snapshot-NN.json + wal-NN.log) is not read. The
+// open starts empty under a fresh generation — a state-loss restart —
+// and removes the old files once its own snapshot is durable, leaving
+// exactly snapshot.json and wal.log. A snapshot.json in a schema this
+// release does not write is refused, and its directory left as it was.
+func TestLeftoverShardedLayout(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 8})
+	doc := Document{Content: "<a1/>", ContentType: "text/xml", Version: 1, Epoch: 1}
+	commit := appendCommitRecord(nil, 1, []StoreEvent{{Path: "/wsdl/A.wsdl", Doc: doc, Payload: encodeEventPayload("/wsdl/A.wsdl", doc)}})
+	leftover := map[string]string{
+		"snapshot-00.json": `{"schema":"livedev/ifsvr-snapshot/v2","generation":7,"epoch":1,"floor_epoch":0,"shard":0,"shards":2,"lsn":0,"docs":null}`,
+		"snapshot-01.json": `{"schema":"livedev/ifsvr-snapshot/v2","generation":7,"epoch":1,"floor_epoch":0,"shard":1,"shards":2,"lsn":0,"docs":null}`,
+		"wal-00.log":       string(appendWALRecord(nil, 'S', []byte(`{"schema":"livedev/ifsvr-wal/v2","shard":0,"shards":2}`))) + string(commit),
+		"wal-01.log":       "",
+	}
+	for name, content := range leftover {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(StoreConfig{Dir: dir})
+	if err != nil {
+		t.Fatalf("open over the sharded layout: %v", err)
+	}
+	if paths := st.Paths(); len(paths) != 0 || st.Epoch() != 0 {
+		t.Errorf("the sharded layout was read: paths %v, epoch %d", paths, st.Epoch())
+	}
+	if gen := st.Generation(); gen == 8 {
+		t.Errorf("generation %d continues the sharded layout's; a state-loss open needs a fresh one", gen)
+	}
+	st.Publish("/wsdl/B.wsdl", "text/xml", "<b/>")
+	st.Close()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const docs = 20
-	for i := 0; i < docs; i++ {
-		st.Publish(fmt.Sprintf("/wsdl/R%02d.wsdl", i), "text/xml", fmt.Sprintf("<r%d/>", i))
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{snapshotFile, walFile}) {
+		t.Errorf("data dir holds %v, want exactly [%s %s]", names, snapshotFile, walFile)
+	}
+	st = openDir(t, dir, 0)
+	if _, err := st.Get("/wsdl/A.wsdl"); err == nil || st.Version("/wsdl/B.wsdl") != 1 {
+		t.Errorf("reopen: paths %v, want only the new layout's /wsdl/B.wsdl", st.Paths())
 	}
 	st.Close()
 
-	for _, k := range []int{2, 5} { // shrink, then grow again
-		st, err := OpenStore(StoreConfig{Dir: dir, Shards: k})
-		if err != nil {
-			t.Fatalf("reshard to %d: %v", k, err)
-		}
-		for i := 0; i < docs; i++ {
-			path := fmt.Sprintf("/wsdl/R%02d.wsdl", i)
-			if d, gerr := st.Get(path); gerr != nil || d.Version != 1 {
-				t.Fatalf("reshard to %d lost %s: %+v, %v", k, path, d, gerr)
-			}
-		}
-		st.Close()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if i, perr := parseShardIndex(e.Name(), "snapshot-", ".json"); perr == nil && i >= k {
-				t.Errorf("reshard to %d left %s behind", k, e.Name())
-			}
-			if i, perr := parseShardIndex(e.Name(), "wal-", ".log"); perr == nil && i >= k {
-				t.Errorf("reshard to %d left %s behind", k, e.Name())
-			}
-		}
-	}
-
-	// A directory holding only the pre-sharding single-file pair opens
-	// empty and leaves both files as they were.
 	foreign := t.TempDir()
 	single := map[string]string{
-		"snapshot.json": `{"schema":"livedev/ifsvr-snapshot/v1","generation":3,"epoch":1,"lsn":1,` +
+		snapshotFile: `{"schema":"livedev/ifsvr-snapshot/v1","generation":3,"epoch":1,"lsn":1,` +
 			`"docs":[{"path":"/wsdl/A.wsdl","content":"<a1/>","content_type":"text/xml","version":1,"epoch":1}]}`,
-		"wal.log": "not a sharded log",
+		walFile: "not a log",
 	}
 	for name, content := range single {
 		if err := os.WriteFile(filepath.Join(foreign, name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err = OpenStore(StoreConfig{Dir: foreign, Shards: 2})
-	if err != nil {
-		t.Fatalf("open beside a single-file pair: %v", err)
+	if st, err := OpenStore(StoreConfig{Dir: foreign}); err == nil {
+		st.Close()
+		t.Error("a snapshot in a foreign schema was accepted")
 	}
-	if paths := st.Paths(); len(paths) != 0 || st.Stats().Durability.MigratedSources != 0 {
-		t.Errorf("single-file pair was read: paths %v, %d migrated sources", paths, st.Stats().Durability.MigratedSources)
-	}
-	st.Close()
 	for name, content := range single {
 		if got, err := os.ReadFile(filepath.Join(foreign, name)); err != nil || string(got) != content {
-			t.Errorf("%s after open: %q, %v; want it untouched", name, got, err)
+			t.Errorf("%s after the refused open: %q, %v; want it untouched", name, got, err)
 		}
 	}
 }

@@ -37,19 +37,17 @@ func oracleDocWire(path string, d Document) streamWire {
 	}
 }
 
-// oracleSnapshot renders shard `shard` of state as the parent did:
-// json.Marshal of its snapshotWire. Documents go in path order — the order
-// writeSnapshotImage uses; the parent's was map order, so any fixed order
-// is one it could have written.
-func oracleSnapshot(t testing.TB, state PersistentState, shard, shards int, lsn uint64) []byte {
+// oracleSnapshot renders state as the parent did: json.Marshal of its
+// snapshotWire. Documents go in path order — the order writeSnapshotImage
+// uses; the parent's was map order, so any fixed order is one it could
+// have written.
+func oracleSnapshot(t testing.TB, state PersistentState, lsn uint64) []byte {
 	t.Helper()
 	wire := snapshotWire{
 		Schema:     SnapshotSchema,
 		Generation: state.Generation,
 		Epoch:      state.Epoch,
 		FloorEpoch: state.FloorEpoch,
-		Shard:      shard,
-		Shards:     shards,
 		Lsn:        lsn,
 	}
 	paths := make([]string, 0, len(state.Docs))
@@ -58,22 +56,13 @@ func oracleSnapshot(t testing.TB, state PersistentState, shard, shards int, lsn 
 	}
 	slices.Sort(paths)
 	for _, path := range paths {
-		if shardOf(path, shards) == shard {
-			wire.Docs = append(wire.Docs, oracleDocWire(path, state.Docs[path]))
-		}
+		wire.Docs = append(wire.Docs, oracleDocWire(path, state.Docs[path]))
 	}
-	for path, v := range state.Retired {
-		if shardOf(path, shards) == shard {
-			if wire.Retired == nil {
-				wire.Retired = make(map[string]uint64)
-			}
-			wire.Retired[path] = v
-		}
+	if len(state.Retired) > 0 {
+		wire.Retired = state.Retired
 	}
 	for _, ev := range state.Journal {
-		if shardOf(ev.Path, shards) == shard {
-			wire.Journal = append(wire.Journal, oracleDocWire(ev.Path, ev.Doc))
-		}
+		wire.Journal = append(wire.Journal, oracleDocWire(ev.Path, ev.Doc))
 	}
 	data, err := json.Marshal(wire)
 	if err != nil {
@@ -120,13 +109,12 @@ var awkward = []string{
 	"emoji " + string(rune(0x1F600)) + " and " + string(rune(0x65E5)),
 }
 
-// randomState draws a PersistentState and a shard count: paths (shared
-// between docs, retired floors and the journal so shards collide), absent
-// and empty maps and journal, contents needing escaping, and journal
-// entries with and without their Payload. Journal entries at a document's
-// own (epoch, version) are that document — the invariant a commit keeps.
-func randomState(r *rand.Rand, frag string) (PersistentState, int) {
-	shards := 1 + r.IntN(8)
+// randomState draws a PersistentState: paths (shared between docs,
+// retired floors and the journal so they collide), absent and empty maps
+// and journal, contents needing escaping, and journal entries with and
+// without their Payload. Journal entries at a document's own (epoch,
+// version) are that document — the invariant a commit keeps.
+func randomState(r *rand.Rand, frag string) PersistentState {
 	pick := func() string {
 		switch r.IntN(4) {
 		case 0:
@@ -192,17 +180,15 @@ func randomState(r *rand.Rand, frag string) (PersistentState, int) {
 		}
 	}
 	r.Shuffle(len(state.Journal), func(i, j int) { state.Journal[i], state.Journal[j] = state.Journal[j], state.Journal[i] })
-	return state, shards
+	return state
 }
 
-// imageBytes renders shard i of state through the new writer, over a
-// bufio.Writer of bufSize bytes (small sizes force the flushes and direct
-// writes a 64 KiB buffer only sees with large documents).
-func imageBytes(t testing.TB, state PersistentState, i, shards int, lsn uint64, bufSize int) []byte {
+// imageBytes renders state through the new writer, over a bufio.Writer of
+// bufSize bytes (small sizes force the flushes and direct writes a 64 KiB
+// buffer only sees with large documents).
+func imageBytes(t testing.TB, state PersistentState, lsn uint64, bufSize int) []byte {
 	t.Helper()
-	due := make([]bool, shards)
-	due[i] = true
-	imgs := gatherShardImages(state, due)
+	img := gatherImage(state)
 	var out bytes.Buffer
 	w := bufio.NewWriterSize(&out, bufSize)
 	writeSnapshotImage(w, snapshotWire{
@@ -210,10 +196,8 @@ func imageBytes(t testing.TB, state PersistentState, i, shards int, lsn uint64, 
 		Generation: state.Generation,
 		Epoch:      state.Epoch,
 		FloorEpoch: state.FloorEpoch,
-		Shard:      i,
-		Shards:     shards,
 		Lsn:        lsn,
-	}, &imgs[i])
+	}, &img)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +213,7 @@ func TestSnapshotWireFields(t *testing.T) {
 	for i := 0; i < rt.NumField(); i++ {
 		names = append(names, rt.Field(i).Tag.Get("json"))
 	}
-	want := []string{"schema", "generation", "epoch", "floor_epoch", "shard", "shards,omitempty",
+	want := []string{"schema", "generation", "epoch", "floor_epoch",
 		"lsn", "docs", "retired,omitempty", "journal,omitempty"}
 	if !slices.Equal(names, want) {
 		t.Fatalf("snapshotWire fields = %q, want %q: update writeSnapshotImage and this list together", names, want)
@@ -237,8 +221,8 @@ func TestSnapshotWireFields(t *testing.T) {
 }
 
 // TestSnapshotFilesMatchMarshal is the property test: for random states
-// the snapshot files Snapshot writes are, shard by shard, byte for byte
-// json.Marshal of the parent's snapshotWire — and Load reads them back.
+// the snapshot file Snapshot writes is byte for byte json.Marshal of the
+// parent's snapshotWire — and Load reads it back.
 func TestSnapshotFilesMatchMarshal(t *testing.T) {
 	iters := 200
 	if testing.Short() {
@@ -246,26 +230,24 @@ func TestSnapshotFilesMatchMarshal(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= uint64(iters); seed++ {
 		r := rand.New(rand.NewPCG(seed, 25))
-		state, shards := randomState(r, awkward[int(seed)%len(awkward)])
+		state := randomState(r, awkward[int(seed)%len(awkward)])
 		dir := t.TempDir()
-		p, err := OpenFilePersistence(FileConfig{Dir: dir, Shards: shards})
+		p, err := OpenFilePersistence(FileConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := p.Snapshot(state); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < shards; i++ {
-			got, err := os.ReadFile(filepath.Join(dir, shardSnapshotFile(i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := oracleSnapshot(t, state, i, shards, 0); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d shard %d/%d:\n got %s\nwant %s", seed, i, shards, got, want)
-			}
+		got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleSnapshot(t, state, 0); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d:\n got %s\nwant %s", seed, got, want)
 		}
 		if _, err := p.Load(); err != nil {
-			t.Fatalf("seed %d: loading the written snapshots: %v", seed, err)
+			t.Fatalf("seed %d: loading the written snapshot: %v", seed, err)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
@@ -282,13 +264,11 @@ func FuzzSnapshotWriter(f *testing.F) {
 	f.Add(uint64(99), strings.Repeat("<&>", 40), uint16(16))
 	f.Fuzz(func(t *testing.T, seed uint64, frag string, bufSize uint16) {
 		r := rand.New(rand.NewPCG(seed, 25))
-		state, shards := randomState(r, frag)
+		state := randomState(r, frag)
 		lsn := r.Uint64() >> r.IntN(64)
-		for i := 0; i < shards; i++ {
-			got := imageBytes(t, state, i, shards, lsn, 16+int(bufSize))
-			if want := oracleSnapshot(t, state, i, shards, lsn); !bytes.Equal(got, want) {
-				t.Fatalf("shard %d/%d:\n got %s\nwant %s", i, shards, got, want)
-			}
+		got := imageBytes(t, state, lsn, 16+int(bufSize))
+		if want := oracleSnapshot(t, state, lsn); !bytes.Equal(got, want) {
+			t.Fatalf("\n got %s\nwant %s", got, want)
 		}
 	})
 }
@@ -323,11 +303,10 @@ func TestWALEncodersMatchOracle(t *testing.T) {
 }
 
 // TestParentWrittenDirOpens: a data directory written by the parent's
-// encoders — snapshot files and WAL records — recovers under the new
-// code, and the snapshots the new code then writes are the parent's bytes
-// again (so the parent reads them as its own).
+// encoders — the snapshot file and WAL records — recovers under the new
+// code, and the snapshot the new code then writes is the parent's bytes
+// again (so the parent reads it as its own).
 func TestParentWrittenDirOpens(t *testing.T) {
-	const shards = 2
 	dir := t.TempDir()
 	doc := func(content string, version, epoch uint64) Document {
 		return Document{Content: content, ContentType: "text/xml", Version: version, DescriptorVersion: version, Epoch: epoch}
@@ -335,16 +314,7 @@ func TestParentWrittenDirOpens(t *testing.T) {
 	ev := func(path string, d Document) StoreEvent {
 		return StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
 	}
-	// Two paths on different shards, so both snapshot files have content.
-	var a, b string
-	for n := 0; a == "" || b == ""; n++ {
-		path := fmt.Sprintf("/wsdl/P%d<&>.wsdl", n)
-		if shardOf(path, shards) == 0 && a == "" {
-			a = path
-		} else if shardOf(path, shards) == 1 && b == "" {
-			b = path
-		}
-	}
+	const a, b = "/wsdl/P0<&>.wsdl", "/wsdl/P1<&>.wsdl"
 	snapState := PersistentState{
 		Generation: 4,
 		Epoch:      2,
@@ -352,26 +322,19 @@ func TestParentWrittenDirOpens(t *testing.T) {
 		Retired:    map[string]uint64{"/gone": 3},
 		Journal:    []StoreEvent{ev(a, doc("<a1/>", 1, 1)), ev(b, doc("<b1/>", 1, 2))},
 	}
-	for i := 0; i < shards; i++ {
-		if err := os.WriteFile(filepath.Join(dir, shardSnapshotFile(i)), oracleSnapshot(t, snapState, i, shards, 0), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Shard of a: the header record, a commit, a second commit; a remove
-	// of b on its own shard.
-	walA := oracleAppendWALRecord(nil, walKindShard, []byte(fmt.Sprintf(`{"schema":%q,"shard":%d,"shards":%d}`, walSchema, shardOf(a, shards), shards)))
-	walA = append(walA, oracleCommitRecord(1, []StoreEvent{ev(a, doc("<a2/>", 2, 3))})...)
-	walA = append(walA, oracleCommitRecord(2, []StoreEvent{ev(a, doc("<a3/>", 3, 4))})...)
-	rm, _ := json.Marshal(walRemove{Lsn: 1, Path: b, Version: 1})
-	walB := oracleAppendWALRecord(oracleAppendWALRecord(nil, walKindShard, []byte(fmt.Sprintf(`{"schema":%q,"shard":%d,"shards":%d}`, walSchema, shardOf(b, shards), shards))), walKindRemove, rm)
-	if err := os.WriteFile(filepath.Join(dir, shardWALFile(shardOf(a, shards))), walA, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), oracleSnapshot(t, snapState, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, shardWALFile(shardOf(b, shards))), walB, 0o644); err != nil {
+	// A commit of a, a retirement of b, a second commit of a.
+	rm, _ := json.Marshal(walRemove{Lsn: 2, Path: b, Version: 1})
+	wal := oracleCommitRecord(1, []StoreEvent{ev(a, doc("<a2/>", 2, 3))})
+	wal = oracleAppendWALRecord(wal, walKindRemove, rm)
+	wal = append(wal, oracleCommitRecord(3, []StoreEvent{ev(a, doc("<a3/>", 3, 4))})...)
+	if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: shards})
+	st, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,18 +352,16 @@ func TestParentWrittenDirOpens(t *testing.T) {
 	}
 	state := st.CloneState()
 	st.Close()
-	for i := 0; i < shards; i++ {
-		got, err := os.ReadFile(filepath.Join(dir, shardSnapshotFile(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire snapshotWire
-		if err := json.Unmarshal(got, &wire); err != nil {
-			t.Fatalf("shard %d snapshot does not parse: %v", i, err)
-		}
-		if want := oracleSnapshot(t, state, i, shards, wire.Lsn); !bytes.Equal(got, want) {
-			t.Fatalf("shard %d snapshot written at close:\n got %s\nwant %s", i, got, want)
-		}
+	got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire snapshotWire
+	if err := json.Unmarshal(got, &wire); err != nil {
+		t.Fatalf("snapshot does not parse: %v", err)
+	}
+	if want := oracleSnapshot(t, state, wire.Lsn); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot written at close:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -425,7 +386,7 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 		t.Skip("allocates several 64 MiB buffers")
 	}
 	dir := t.TempDir()
-	cfg := FileConfig{Dir: dir, Shards: 1, SnapshotEvery: 1 << 20}
+	cfg := FileConfig{Dir: dir, SnapshotEvery: 1 << 20}
 	p, err := OpenFilePersistence(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -443,13 +404,13 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 	if _, err := p.Append([]StoreEvent{{Path: "/big", Doc: big, Payload: pad[:need]}}); err != nil {
 		t.Fatalf("record of exactly walMaxRecord bytes refused: %v", err)
 	}
-	walPath := filepath.Join(dir, shardWALFile(0))
+	walPath := filepath.Join(dir, walFile)
 	before, err := os.Stat(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(walHeaderLen + 1 + len(`{"schema":"livedev/ifsvr-wal/v2","shard":0,"shards":1}`) + walHeaderLen + walMaxRecord); before.Size() != want {
-		t.Fatalf("WAL size %d, want %d (header record + a walMaxRecord record)", before.Size(), want)
+	if want := int64(walHeaderLen + walMaxRecord); before.Size() != want {
+		t.Fatalf("WAL size %d, want %d (one walMaxRecord record)", before.Size(), want)
 	}
 	over := Document{Content: "<big/>", Version: 2, Epoch: 2}
 	if _, err := p.Append([]StoreEvent{{Path: "/big", Doc: over, Payload: pad}}); err == nil {
@@ -481,7 +442,7 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 	if d := state.Docs["/small"]; d.Version != 1 || d.Content != "<small/>" {
 		t.Errorf("recovered /small = %+v, want the record after the refusal", d)
 	}
-	if got := p.Stats().LastLSN[0]; got != 2 {
+	if got := p.Stats().LastLSN; got != 2 {
 		t.Errorf("recovered lsn = %d, want 2 (the refused record took none)", got)
 	}
 }
@@ -495,7 +456,7 @@ func TestOpenRemovesInterruptedSnapshotTemp(t *testing.T) {
 		st.Publish("/wsdl/T.wsdl", "text/xml", fmt.Sprintf("<v%d/>", i))
 	}
 	st.Close()
-	temps := []string{"snapshot-00.json.tmp1234567", "snapshot-05.json.tmp89"}
+	temps := []string{"snapshot.json.tmp1234567", "snapshot-05.json.tmp89"}
 	for _, name := range temps {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"schema":"half a snap`), 0o644); err != nil {
 			t.Fatal(err)
@@ -522,8 +483,9 @@ func TestOpenRemovesInterruptedSnapshotTemp(t *testing.T) {
 }
 
 // TestAllocsWALAppend pins the commit path's WAL cost: a one-event Append
-// under SyncNone allocates at most its sync token, whatever the document
-// size — the record is framed in place in the shard's reused buffer.
+// under SyncNone allocates nothing, whatever the document size — the
+// record is framed in place in the log's reused buffer, and the sync token
+// is the record's lsn.
 func TestAllocsWALAppend(t *testing.T) {
 	for _, size := range []int{100, 100 << 10} {
 		p, err := OpenFilePersistence(FileConfig{Dir: t.TempDir(), SnapshotEvery: 1 << 20})
@@ -540,8 +502,8 @@ func TestAllocsWALAppend(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 1 {
-			t.Errorf("%d-byte document: Append allocates %.1f times, want at most 1 (the sync token)", size, allocs)
+		if allocs != 0 {
+			t.Errorf("%d-byte document: Append allocates %.1f times, want 0", size, allocs)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
@@ -562,13 +524,13 @@ func TestAllocsEncodeCommitFrame(t *testing.T) {
 	}
 }
 
-// TestCompactAllocsFlatInDocSize: a cadence Compact of a 64-entry journal
+// TestCompactAllocsFlatInDocSize: a cadence snapshot of a 64-entry journal
 // streams the commit-time bytes to the file, so what it allocates does not
 // grow with the documents (the parent marshalled every entry again: two
 // copies of the whole snapshot).
 func TestCompactAllocsFlatInDocSize(t *testing.T) {
 	measure := func(size int) uint64 {
-		p, err := OpenFilePersistence(FileConfig{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1})
+		p, err := OpenFilePersistence(FileConfig{Dir: t.TempDir(), SnapshotEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,7 +552,7 @@ func TestCompactAllocsFlatInDocSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&before)
-			if err := p.Compact(state); err != nil {
+			if err := p.Snapshot(state); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -599,8 +561,8 @@ func TestCompactAllocsFlatInDocSize(t *testing.T) {
 		return best
 	}
 	small, large := measure(1<<10), measure(64<<10)
-	t.Logf("Compact allocates %d bytes at 1 KB contents, %d at 64 KB", small, large)
+	t.Logf("Snapshot allocates %d bytes at 1 KB contents, %d at 64 KB", small, large)
 	if large > small && large-small >= 64<<10 {
-		t.Errorf("Compact allocates %d bytes more at 64 KB contents than at 1 KB: it copies the documents", large-small)
+		t.Errorf("Snapshot allocates %d bytes more at 64 KB contents than at 1 KB: it copies the documents", large-small)
 	}
 }

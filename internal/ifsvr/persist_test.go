@@ -26,8 +26,9 @@ func openDir(t *testing.T, dir string, historyLen int) *Store {
 func TestStoreRecoversAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	st := openDir(t, dir, 0)
-	if got := st.Generation(); got != 1 {
-		t.Errorf("first open generation = %d, want 1", got)
+	gen1 := st.Generation()
+	if gen1 == 0 {
+		t.Error("first open generation = 0")
 	}
 	for i := 1; i <= 5; i++ {
 		st.PublishVersioned("/wsdl/A.wsdl", "text/xml", fmt.Sprintf("<a%d/>", i), uint64(i))
@@ -39,8 +40,8 @@ func TestStoreRecoversAcrossReopen(t *testing.T) {
 
 	st2 := openDir(t, dir, 0)
 	defer st2.Close()
-	if got := st2.Generation(); got != 2 {
-		t.Errorf("second open generation = %d, want 2", got)
+	if got := st2.Generation(); got != gen1+1 {
+		t.Errorf("second open generation = %d, want %d", got, gen1+1)
 	}
 	if got := st2.Epoch(); got != epoch1 {
 		t.Errorf("recovered epoch = %d, want %d", got, epoch1)
@@ -80,21 +81,41 @@ func TestStoreRecoveryCompacts(t *testing.T) {
 		st.Publish("/doc", "text/plain", fmt.Sprintf("v%d", i))
 	}
 	st.Close()
-	// Close snapshots every shard: all WAL shards must be empty again (the
-	// shard-header record is lazy, so a reset log is truly zero bytes).
-	for i := 0; i < DefaultShards; i++ {
-		wal, err := os.Stat(filepath.Join(dir, shardWALFile(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wal.Size() != 0 {
-			t.Errorf("WAL shard %d size after close = %d, want 0 (snapshot compaction)", i, wal.Size())
-		}
+	// Close snapshots the state: the WAL must be empty again.
+	wal, err := os.Stat(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wal.Size() != 0 {
+		t.Errorf("WAL size after close = %d, want 0 (snapshot compaction)", wal.Size())
 	}
 	st2 := openDir(t, dir, 0)
 	defer st2.Close()
 	if v := st2.Version("/doc"); v != 10 {
 		t.Errorf("recovered version = %d, want 10", v)
+	}
+}
+
+// TestWipedDirectoryChangesGeneration: a store whose data directory is
+// lost reopens under a different generation, so a client that watched the
+// old incarnation reads the regressed epochs and versions as a state-loss
+// restart instead of refusing them as a stale view of the same server.
+func TestWipedDirectoryChangesGeneration(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	st := openDir(t, dir, 0)
+	st.Publish("/wsdl/W.wsdl", "text/xml", "<w/>")
+	gen := st.Generation()
+	st.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	st = openDir(t, dir, 0)
+	defer st.Close()
+	if got := st.Generation(); got == gen || got == 0 {
+		t.Fatalf("generation after the directory was wiped = %d, the lost incarnation had %d", got, gen)
+	}
+	if v := st.Version("/wsdl/W.wsdl"); v != 0 {
+		t.Fatalf("wiped store still holds version %d", v)
 	}
 }
 

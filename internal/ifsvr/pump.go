@@ -31,7 +31,7 @@ import (
 // What is pending, how it is framed, and what a cursor the journal no
 // longer covers gets instead (a snapshot reset, a lag eviction, a tail
 // bootstrap) is the source's business: streamSource in stream.go, and
-// repl's tail source over its shard rings.
+// repl's tail source over its record ring.
 
 // DefaultStreamWriteTimeout bounds each batch write on a held watch stream
 // when Server.StreamWriteTimeout is zero.

@@ -1,9 +1,6 @@
 package ifsvr
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "encoding/json"
 
 // The replication seam: what the internal/repl package needs from the
 // publication store without reaching into its internals.
@@ -109,8 +106,8 @@ func (s *Store) AdoptGeneration(gen uint64) {
 // ResetReplicated wipes a replica's state for a new leader incarnation:
 // documents, retired floors, the replay journal, and the epoch counter
 // all reset, and the new generation is adopted. The follower calls it
-// after a re-handshake reveals a generation (or shard-count) change —
-// the old incarnation's versions and epochs mean nothing under the new
+// after a re-handshake reveals a generation change — the old
+// incarnation's versions and epochs mean nothing under the new
 // one, and leaving them in place would make the version filter silently
 // skip the new leader's lower-numbered commits. Parked waiters wake (the
 // forced snapshot bootstrap that follows rebuilds state), held watch
@@ -164,7 +161,7 @@ func (s *Store) SetReplicationStats(fn func() *ReplicationStats) {
 
 // ReplicationStats is the replication counter block surfaced in
 // StoreStats (and the /.stats endpoint) when the store is a replication
-// leader or follower. Slices are indexed by replication shard.
+// leader or follower.
 type ReplicationStats struct {
 	// Role is "leader" or "follower".
 	Role string
@@ -173,19 +170,16 @@ type ReplicationStats struct {
 	// Generation is the replication generation every replica serves: the
 	// leader's store generation, adopted by followers.
 	Generation uint64
-	// Shards is the replication shard count from the handshake.
-	Shards int
-	// LSN is the per-shard log position: the leader's last assigned lsn,
-	// or the follower's last applied lsn.
-	LSN []uint64
-	// FloorLSN is the leader's oldest still-serveable cursor per shard; a
-	// follower below it is bootstrapped from a snapshot.
-	FloorLSN []uint64
-	// LeaderLSN is the follower's view of the leader's per-shard lsn
-	// (from received records and heartbeats).
-	LeaderLSN []uint64
-	// Lag is the follower's total backlog: sum over shards of
-	// LeaderLSN-LSN.
+	// LSN is the log position: the leader's last assigned lsn, or the
+	// follower's last applied lsn.
+	LSN uint64
+	// FloorLSN is the leader's oldest still-serveable cursor; a follower
+	// below it is bootstrapped from a snapshot.
+	FloorLSN uint64
+	// LeaderLSN is the follower's view of the leader's lsn (from received
+	// records and heartbeats).
+	LeaderLSN uint64
+	// Lag is the follower's backlog: LeaderLSN-LSN.
 	Lag uint64
 	// Records counts shipped (leader) or applied (follower) data records.
 	Records uint64
@@ -201,8 +195,8 @@ type ReplicationStats struct {
 	// a peer whose writes missed the tail server's write deadline.
 	Evictions uint64
 	// Resets counts follower re-handshakes that revealed a new leader
-	// incarnation (generation or shard-count change) — each wiped the
-	// local state and re-bootstrapped under the new generation.
+	// incarnation (a generation change) — each wiped the local state and
+	// re-bootstrapped under the new generation.
 	Resets uint64
 	// FrameErrors counts torn or CRC-rejected records on the wire — each
 	// forces a reconnect and a re-fetch from the last applied lsn.
@@ -213,12 +207,13 @@ type ReplicationStats struct {
 
 // ApplyReplicated commits a batch of replicated events into the store,
 // installing the leader's versions and epochs verbatim: documents update,
-// the journal extends (insertion-sorted by epoch — shard streams may
-// interleave), persistence appends, and watchers fan out the leader's
-// exact payload bytes. Events at or below the path's current version (or
-// its retired floor) are skipped, which makes re-applying an overlapping
-// record — a reconnect, a bootstrap, a durable-cursor lag window — both
-// miss-free and duplicate-free. It returns the number of events applied.
+// the journal extends, persistence appends, and watchers fan out the
+// leader's exact payload bytes. A follower applies the leader's records in
+// the leader's commit order, so the journal only ever appends. Events at
+// or below the path's current version (or its retired floor) are skipped,
+// which makes re-applying an overlapping record — a reconnect, a
+// bootstrap, a durable-cursor lag window — both miss-free and
+// duplicate-free. It returns the number of events applied.
 func (s *Store) ApplyReplicated(evs []StoreEvent) int {
 	var p Persistence
 	var tok SyncToken
@@ -254,7 +249,7 @@ func (s *Store) ApplyReplicated(evs []StoreEvent) int {
 	if e := fresh[len(fresh)-1].Doc.Epoch; e > s.epoch {
 		s.epoch = e
 	}
-	s.journalInsertLocked(fresh)
+	s.journalLocked(fresh)
 	if s.persist != nil {
 		t, err := s.persist.Append(fresh)
 		if err != nil {
@@ -320,45 +315,10 @@ func (s *Store) ApplyReplicatedRemove(path string, version uint64) bool {
 	return true
 }
 
-// journalInsertLocked extends the replay journal with a replicated
-// record's events, keeping the ring sorted by epoch: concurrent shard
-// streams interleave their epochs, and the replay binary search requires
-// order. Events are inserted one epoch-run at a time — a commit record
-// (every event sharing the batch epoch) is a single insertion, while a
-// multi-epoch bootstrap block splits at its epoch boundaries, so an
-// epoch another shard's stream already journaled cannot land inside the
-// block and unsort the ring. An epoch at or below the journal floor is
-// dropped — it is already-evicted territory. Caller holds s.mu.
-func (s *Store) journalInsertLocked(evs []StoreEvent) {
-	if s.histLen <= 0 {
-		s.floorEpoch = s.epoch
-		return
-	}
-	for len(evs) > 0 {
-		e := evs[0].Doc.Epoch
-		n := 1
-		for n < len(evs) && evs[n].Doc.Epoch == e {
-			n++
-		}
-		run := evs[:n]
-		evs = evs[n:]
-		if e <= s.floorEpoch {
-			continue
-		}
-		idx := sort.Search(len(s.journal), func(i int) bool { return s.journal[i].Doc.Epoch > e })
-		if idx == len(s.journal) {
-			s.journal = append(s.journal, run...)
-		} else {
-			tail := append(append([]StoreEvent(nil), run...), s.journal[idx:]...)
-			s.journal = append(s.journal[:idx], tail...)
-		}
-	}
-	s.trimJournalLocked()
-}
-
-// ShardOf is the store's stable path→shard assignment (FNV-1a mod
-// shards), shared by the WAL layout and the replication transport so a
-// path's records land in the same shard on every process.
+// ShardOf is FNV-1a over path, mod shards — the hash the watcher registry
+// stripes its locks by. The benchmark's input generator (bench/inputs.go)
+// names it, with repl.DefaultTailShards, to pick its class names; it stays
+// exported for that.
 func ShardOf(path string, shards int) int {
 	return shardOf(path, shards)
 }

@@ -1,56 +1,51 @@
 package ifsvr
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestReplicatedJournalStaysSorted pins the journal-insert invariant
-// under interleaved shard streams: a multi-epoch bootstrap block from
-// one shard must not land as one contiguous run around an epoch another
-// shard's live record already journaled — the replay binary search
-// requires the ring sorted by epoch.
+// TestReplicatedJournalStaysSorted: a replica's replay journal only
+// appends, and stays sorted by epoch — the replay binary search needs it —
+// because the replica applies in the leader's commit order. That holds
+// for a snapshot bootstrap overlapping records already applied: the
+// bootstrap's documents come epoch-sorted, those the replica has are
+// filtered by version, and the rest are newer than anything journaled.
 func TestReplicatedJournalStaysSorted(t *testing.T) {
 	s := NewStore(0, nil)
 	defer s.Close()
 
-	// Shard B's live commit record applies first, at epoch 5.
-	s.ApplyReplicated([]StoreEvent{
-		{Path: "/b", Doc: Document{Content: "b1", Version: 1, Epoch: 5}},
-	})
-	// Shard A's bootstrap block spans epochs 1..9. A contiguous insert
-	// keyed on the block's first epoch would place the whole block before
-	// epoch 5 and unsort the ring.
-	s.ApplyReplicated([]StoreEvent{
+	// Two live commit records.
+	s.ApplyReplicated([]StoreEvent{{Path: "/a1", Doc: Document{Content: "a1", Version: 1, Epoch: 1}}})
+	s.ApplyReplicated([]StoreEvent{{Path: "/b", Doc: Document{Content: "b1", Version: 1, Epoch: 5}}})
+	// A bootstrap of the leader's state at epoch 9, covering both.
+	if n := s.ApplyReplicated([]StoreEvent{
 		{Path: "/a1", Doc: Document{Content: "a1", Version: 1, Epoch: 1}},
-		{Path: "/a2", Doc: Document{Content: "a2", Version: 1, Epoch: 3}},
+		{Path: "/b", Doc: Document{Content: "b1", Version: 1, Epoch: 5}},
+		{Path: "/a2", Doc: Document{Content: "a2", Version: 1, Epoch: 7}},
 		{Path: "/a3", Doc: Document{Content: "a3", Version: 1, Epoch: 9}},
-	})
+	}); n != 2 {
+		t.Fatalf("bootstrap applied %d events, want the 2 the replica lacked", n)
+	}
 
 	s.mu.Lock()
-	var last uint64
-	for i, ev := range s.journal {
-		if ev.Doc.Epoch < last {
-			s.mu.Unlock()
-			t.Fatalf("journal unsorted at %d: epoch %d after %d", i, ev.Doc.Epoch, last)
-		}
-		last = ev.Doc.Epoch
+	var epochs []uint64
+	for _, ev := range s.journal {
+		epochs = append(epochs, ev.Doc.Epoch)
 	}
-	n := len(s.journal)
 	s.mu.Unlock()
-	if n != 4 {
-		t.Fatalf("journal holds %d events, want 4", n)
+	if !slices.Equal(epochs, []uint64{1, 5, 7, 9}) {
+		t.Fatalf("journal epochs %v, want [1 5 7 9]", epochs)
 	}
-
-	// The binary-searched replay must still see the interleaved entries.
-	evs, ok := s.ReplayEventsInto("/b", 3, nil)
-	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 5 {
-		t.Fatalf("ReplayEventsInto(/b, 3) = %+v, %v; want the epoch-5 version", evs, ok)
-	}
-	evs, ok = s.ReplayEventsInto("/a3", 5, evs)
-	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 9 {
-		t.Fatalf("ReplayEventsInto(/a3, 5) = %+v, %v; want the epoch-9 version", evs, ok)
-	}
-	evs, ok = s.ReplayEventsInto("/a1", 0, evs)
-	if !ok || len(evs) != 1 || evs[0].Doc.Epoch != 1 {
-		t.Fatalf("ReplayEventsInto(/a1, 0) = %+v, %v; want the epoch-1 version", evs, ok)
+	for _, c := range []struct {
+		path  string
+		after uint64
+		epoch uint64
+	}{{"/b", 3, 5}, {"/a3", 5, 9}, {"/a1", 0, 1}} {
+		evs, ok := s.ReplayEventsInto(c.path, c.after, nil)
+		if !ok || len(evs) != 1 || evs[0].Doc.Epoch != c.epoch {
+			t.Fatalf("ReplayEventsInto(%s, %d) = %+v, %v; want the epoch-%d version", c.path, c.after, evs, ok, c.epoch)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // the truncated file replaced the good one and the next open failed.
 func TestFailedSnapshotWriteKeepsPrevious(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestFailedSnapshotWriteKeepsPrevious(t *testing.T) {
 		t.Error("a failed snapshot write was not counted in PersistErrors")
 	}
 
-	st, err = OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st, err = OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("open after a failed snapshot write: %v", err)
 	}

@@ -65,12 +65,12 @@ type StoreStats struct {
 	// JournalDepth is the number of events currently retained in the
 	// replay journal (gauge, not cumulative).
 	JournalDepth int
-	// Durability is the persistence backend's own counter block (per-shard
-	// lsns, fsyncs, group-commit batch sizes, fsync lag); nil for an
-	// in-memory store.
+	// Durability is the persistence backend's own counter block (lsns,
+	// fsyncs, group-commit batch sizes, fsync lag); nil for an in-memory
+	// store.
 	Durability *PersistStats
 	// Replication is the replication subsystem's counter block (role,
-	// per-shard lsns, lag, reconnects); nil for an unreplicated store.
+	// lsns, lag, reconnects); nil for an unreplicated store.
 	Replication *ReplicationStats
 	// Fanout is the delivery plane's counter block: registered watchers,
 	// commit-time wakeups, flush batch sizes, and the backpressure valves
@@ -109,9 +109,9 @@ type StoreStats struct {
 //
 // Persistence: a store opened with OpenStore over a Persistence backend
 // (StoreConfig.Dir for the file implementation) appends every commit
-// batch to a path-hash-sharded write-ahead log before fan-out, compacts
-// each shard's state (documents, epoch counter, replay journal, restart
-// generation) into that shard's snapshot every SnapshotEvery of its
+// batch to its write-ahead log before fan-out — one record per batch, in
+// commit order — compacts the full state (documents, epoch counter,
+// replay journal, restart generation) into a snapshot every SnapshotEvery
 // batches, and — under StoreConfig.Sync group or always — holds the
 // publisher's ack until the batch is fsynced. A reopened store resumes at an
 // epoch strictly past its pre-restart epoch, so watchers reconnecting
@@ -122,22 +122,21 @@ type Store struct {
 	clk     clock.Clock
 	histLen int
 
-	// generation identifies this store incarnation (never 0): persistent
-	// stores count incarnations over their data directory (1, 2, ...);
-	// in-memory stores draw a random identity at creation. Served as the
-	// X-Store-Generation header so clients can tell "same server, journal
-	// evicted" (snapshot event, same generation) from "new server" (a
-	// generation change — with an epoch regression when the new server
-	// lost the old state).
+	// generation identifies this store incarnation (never 0): a store
+	// draws a random identity at creation, and a persistent store that
+	// recovered one from its data directory takes the next value instead.
+	// Served as the X-Store-Generation header so clients can tell "same
+	// server, journal evicted" (snapshot event, same generation) from "new
+	// server" (a generation change — with an epoch regression when the new
+	// server lost the old state).
 	generation uint64
 
 	// persist, when non-nil, is the durability backend: every commit batch
-	// is appended to its WAL (under mu, before fan-out), and shards whose
-	// batch count is due are compacted into snapshots — off mu, under
-	// deliverMu, so readers are not blocked by snapshot IO. The sync wait
-	// of a committed batch (policy group/always) happens after BOTH locks
-	// release, which is what lets concurrent committers amortize one
-	// fsync.
+	// is appended to its WAL (under mu, before fan-out), and once the log
+	// is due it is compacted into a snapshot — off mu, under deliverMu, so
+	// readers are not blocked by snapshot IO. The sync wait of a committed
+	// batch (policy group/always) happens after BOTH locks release, which
+	// is what lets concurrent committers amortize one fsync.
 	persist Persistence
 
 	mu           sync.Mutex
@@ -212,19 +211,17 @@ type StoreConfig struct {
 	// HistoryLen bounds the replay journal (0 means DefaultHistoryLen,
 	// negative disables it).
 	HistoryLen int
-	// Dir enables the file persistence backend (sharded snapshot-NN.json
-	// + wal-NN.log pairs under this directory) when Persistence is nil.
-	// Empty keeps the store in-memory.
+	// Dir enables the file persistence backend (snapshot.json + wal.log
+	// under this directory) when Persistence is nil. Empty keeps the store
+	// in-memory.
 	Dir string
 	// Persistence is an explicit durability backend; it overrides Dir
-	// (and Shards/Sync/GroupWindow/SnapshotEvery, which configure the
-	// file backend Dir resolves to).
+	// (and Sync/GroupWindow/SnapshotEvery, which configure the file
+	// backend Dir resolves to).
 	Persistence Persistence
-	// SnapshotEvery is how many commit batches one shard logs between
-	// cadence compactions of that shard (0 means DefaultSnapshotEvery).
+	// SnapshotEvery is how many commit batches the log takes between
+	// cadence snapshots (0 means DefaultSnapshotEvery).
 	SnapshotEvery int
-	// Shards is the WAL/snapshot shard count (0 means DefaultShards).
-	Shards int
 	// Sync selects what a committed publication's ack means for
 	// durability: SyncNone (buffered write, the default), SyncGroupCommit
 	// (ack after an fsync shared with concurrent committers), or
@@ -238,9 +235,11 @@ type StoreConfig struct {
 // OpenStore opens a store, recovering documents, versions, the epoch
 // counter, the bounded replay journal, and the restart generation from the
 // configured persistence backend (if any). The recovered generation is
-// bumped and a fresh compacted snapshot is written immediately, so every
-// open is durably distinguishable from the last. With no persistence
-// configured it is NewStore with options.
+// bumped — a directory with nothing to recover keeps NewStore's random
+// one, so a store whose data was lost never reuses its old generation —
+// and a fresh compacted snapshot is written immediately, so every open is
+// durably distinguishable from the last. With no persistence configured
+// it is NewStore with options.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	s := NewStore(cfg.Window, cfg.Clock)
 	switch {
@@ -253,7 +252,6 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	if p == nil && cfg.Dir != "" {
 		fp, err := OpenFilePersistence(FileConfig{
 			Dir:           cfg.Dir,
-			Shards:        cfg.Shards,
 			Sync:          cfg.Sync,
 			GroupWindow:   cfg.GroupWindow,
 			SnapshotEvery: cfg.SnapshotEvery,
@@ -278,7 +276,9 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		s.retired[path] = v
 	}
 	s.epoch = state.Epoch
-	s.generation = state.Generation + 1
+	if next := state.Generation + 1; next > 1 {
+		s.generation = next // 0 (nothing recovered) and a wrap keep the random one
+	}
 	if s.histLen > 0 {
 		s.journal = state.Journal
 		s.floorEpoch = state.FloorEpoch
@@ -455,7 +455,7 @@ func (s *Store) PublishVersioned(path, contentType, content string, descriptorVe
 // that wait returns.
 func (s *Store) commitLocked(order []string, contents map[string]Document) ([]StoreEvent, SyncToken) {
 	if len(order) == 0 {
-		return nil, nil
+		return nil, 0
 	}
 	s.epoch++
 	s.stats.Batches++
@@ -500,7 +500,7 @@ func (s *Store) commitLocked(order []string, contents map[string]Document) ([]St
 // group-commit fsync, and holding the writer lock through it would
 // serialize the groups back into per-commit fsyncs.
 func (s *Store) awaitDurable(p Persistence, tok SyncToken) {
-	if p == nil || tok == nil {
+	if p == nil || tok == 0 {
 		return
 	}
 	if err := p.Sync(tok); err != nil {
@@ -536,8 +536,8 @@ func (s *Store) stateLocked(copied bool) PersistentState {
 	return st
 }
 
-// snapshotLocked compacts the full store state — every shard — into the
-// persistence backend. Caller holds s.mu (or, during OpenStore/Close, has
+// snapshotLocked compacts the full store state into the persistence
+// backend. Caller holds s.mu (or, during OpenStore/Close, has
 // exclusive access) — only the open/close paths pay snapshot IO under the
 // lock; the steady-state cadence goes through maybeCompact instead.
 func (s *Store) snapshotLocked() error {
@@ -552,7 +552,7 @@ func (s *Store) snapshotLocked() error {
 }
 
 // maybeCompact writes the cadence snapshot when the backend reports one
-// due (a shard crossed its batch budget). Caller holds deliverMu but NOT
+// due (the log crossed its batch budget). Caller holds deliverMu but NOT
 // mu: deliverMu serializes every WAL writer (publish, flush, remove,
 // close), so the logs cannot grow under the compaction, while readers on
 // mu — document GETs, parked Waits, journal replays for a thousand held
@@ -570,7 +570,7 @@ func (s *Store) maybeCompact() {
 	if !due {
 		return
 	}
-	err := p.Compact(state)
+	err := p.Snapshot(state)
 	s.mu.Lock()
 	if err != nil {
 		s.stats.PersistErrors++
@@ -750,7 +750,7 @@ func (s *Store) flushLocked() ([]StoreEvent, SyncToken) {
 	}
 	s.timerOn = false
 	if len(s.pendingOrder) == 0 {
-		return nil, nil
+		return nil, 0
 	}
 	order, contents := s.pendingOrder, s.pending
 	s.pendingOrder = nil

@@ -167,9 +167,13 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 // streamSource feeds one SSE stream's pump from the store journal. Its
 // cursor is always one committed document of the path — the last one
 // delivered — as (lastVer, lastEpoch): the epoch says where in the journal
-// to look, the version says whether what is found there is complete. It
-// never advances to the store-wide epoch: on a replica, shards apply out
-// of epoch order, so a lower epoch of this path may yet arrive.
+// to look, the version says whether what is found there is complete (a
+// path's versions are contiguous, so the count of pending entries must
+// close the gap to the current version). It never advances to the
+// store-wide epoch: that names no document of the path, so nothing could
+// check the journal's entries against it, and the cursor would stop being
+// the value the client holds and sends back as after= on a reconnect —
+// live wakes and reconnects read the journal the same way.
 type streamSource struct {
 	st     *Store
 	path   string

@@ -399,79 +399,6 @@ func TestPerPathFlushWindows(t *testing.T) {
 	}
 }
 
-// TestStreamDeliversEveryVersionAppliedOutOfEpochOrder: a replica's shard
-// tails apply concurrently, so commits of different paths reach its store
-// out of epoch order — here /a@1, /b@3, /b@5, then /a@2 and /a@4, whose
-// epochs are below the store-wide epoch by the time they land. A stream
-// held on /a must still deliver every version of /a, once, byte-identical:
-// its cursor may only advance to epochs it has delivered, never to the
-// store-wide epoch.
-func TestStreamDeliversEveryVersionAppliedOutOfEpochOrder(t *testing.T) {
-	st, url := startStreamServer(t, 0)
-	const a, b = "/wsdl/S.wsdl", "/wsdl/Other.wsdl"
-	apply := func(path string, version, epoch uint64) {
-		t.Helper()
-		doc := Document{
-			Content:           fmt.Sprintf("<%s v=%d e=%d/>", path, version, epoch),
-			ContentType:       "text/xml",
-			Version:           version,
-			DescriptorVersion: version,
-			Epoch:             epoch,
-		}
-		if n := st.ApplyReplicated([]StoreEvent{{Path: path, Doc: doc}}); n != 1 {
-			t.Fatalf("ApplyReplicated(%s v%d @%d) applied %d events", path, version, epoch, n)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := make(chan StreamEvent, 16)
-	go func() {
-		_ = WatchStream(ctx, nil, url, 0, func(ev StreamEvent) { events <- ev })
-	}()
-	var got []StreamEvent
-	await := func(version uint64) {
-		t.Helper()
-		for {
-			select {
-			case ev := <-events:
-				got = append(got, ev)
-				if ev.Doc.Version >= version {
-					return
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatalf("version %d of %s never arrived (got %d events)", version, a, len(got))
-			}
-		}
-	}
-
-	// Each /a version is awaited before the next apply, so every one of
-	// them is a separate wake of the held stream's pump.
-	apply(a, 1, 1)
-	await(1)
-	apply(b, 1, 3)
-	apply(b, 2, 5)
-	apply(a, 2, 2)
-	await(2)
-	apply(a, 3, 4)
-	apply(a, 4, 6) // a marker past the store-wide epoch: the stream is still live
-	await(4)
-
-	if len(got) != 4 {
-		t.Fatalf("stream delivered %d events, want versions 1..4 once each: %+v", len(got), got)
-	}
-	for i, ev := range got {
-		if ev.Doc.Version != uint64(i+1) {
-			t.Fatalf("event %d is version %d, want %d (a version was skipped or repeated)", i, ev.Doc.Version, i+1)
-		}
-		wantEpoch := []uint64{1, 2, 4, 6}[i]
-		wantContent := fmt.Sprintf("<%s v=%d e=%d/>", a, i+1, wantEpoch)
-		if ev.Doc.Epoch != wantEpoch || ev.Doc.Content != wantContent || ev.Doc.ContentType != "text/xml" || ev.Doc.DescriptorVersion != uint64(i+1) {
-			t.Errorf("event %d = %+v, want version %d at epoch %d with content %q", i, ev.Doc, i+1, wantEpoch, wantContent)
-		}
-	}
-}
-
 // TestStreamIsUnchunkedOnHTTP1: an HTTP/1.1 watch stream is delimited by
 // the connection, not by chunk framing, so a frame larger than net/http's
 // connection buffer is one socket write; a document of that size still

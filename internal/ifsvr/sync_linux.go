@@ -7,7 +7,7 @@ import (
 	"syscall"
 )
 
-// walSync makes an appended WAL shard durable with fdatasync(2): the data
+// walSync makes the appended WAL durable with fdatasync(2): the data
 // and the file size reach disk, but the mtime-only metadata update skips
 // the journal commit fsync(2) would force. On the group-commit hot path
 // that is a measurable fraction of every flush.

@@ -23,16 +23,17 @@ import (
 // watcher.
 //
 // Every record carries the store's log sequence number (lsn, monotone per
-// logged operation). The snapshot records the last lsn it covers, and
-// recovery skips records at or below it — which makes replay idempotent
-// when a crash lands between the snapshot rename and the WAL reset and
-// old records linger in the log.
+// logged operation), so the lsn order of the one log is commit order. The
+// snapshot records the last lsn it covers, and recovery skips records at
+// or below it — which makes replay idempotent when a crash lands between
+// the snapshot rename and the WAL reset and old records linger in the log.
 //
 // Recovery reads records until the first torn or corrupt one (short frame,
 // absurd length, or CRC mismatch) and keeps the longest valid prefix: a
 // crash mid-append loses at most the batch being written, never an earlier
-// one. A record is only acted on after its CRC checks out, so a flipped
-// byte anywhere in the tail degrades to clean truncation.
+// one, so what recovers is always a prefix of commit history. A record is
+// only acted on after its CRC checks out, so a flipped byte anywhere in the
+// tail degrades to clean truncation.
 
 const (
 	// walHeaderLen frames every record: payload length + CRC.
@@ -49,17 +50,7 @@ const (
 	walKindCommit = 'C'
 	// walKindRemove is a retired path: {"lsn":..., "path":..., "version":...}.
 	walKindRemove = 'R'
-	// walKindShard is the shard-header record leading every shard WAL
-	// file: {"schema":..., "shard":i, "shards":K}. It is framing metadata
-	// only — recovery validates and skips it — written lazily before the
-	// first data record after a reset, so a compacted (empty) log stays
-	// zero bytes.
-	walKindShard = 'S'
 )
-
-// walSchema identifies the sharded WAL framing inside shard-header
-// records.
-const walSchema = "livedev/ifsvr-wal/v2"
 
 // walRecord is one decoded WAL record.
 type walRecord struct {
@@ -143,20 +134,6 @@ func appendCommitRecord(buf []byte, lsn uint64, evs []StoreEvent) []byte {
 func appendRemoveRecord(buf []byte, lsn uint64, path string, version uint64) []byte {
 	body, _ := json.Marshal(walRemove{Lsn: lsn, Path: path, Version: version})
 	return appendWALRecord(buf, walKindRemove, body)
-}
-
-// walShardHeader is the JSON payload of a walKindShard record.
-type walShardHeader struct {
-	Schema string `json:"schema"`
-	Shard  int    `json:"shard"`
-	Shards int    `json:"shards"`
-}
-
-// appendShardHeaderRecord frames the header record that leads shard
-// `shard` of a K-way layout onto buf.
-func appendShardHeaderRecord(buf []byte, shard, shards int) []byte {
-	body, _ := json.Marshal(walShardHeader{Schema: walSchema, Shard: shard, Shards: shards})
-	return appendWALRecord(buf, walKindShard, body)
 }
 
 // decodeWALRecord parses the record at the head of data. It returns the

@@ -8,16 +8,15 @@ import (
 	"testing"
 )
 
-// buildTortureDir publishes batches 1..n into a durable single-shard
-// store with the snapshot cadence pushed out, so everything past the
-// open-time snapshot sits in the WAL, then crashes it (no parting
-// snapshot). It returns the data dir and the WAL image. Single-shard
-// keeps the K=1 recovery path covered; the K>1 equivalent is
-// TestShardTorture.
+// buildTortureDir publishes batches 1..n into a durable store with the
+// snapshot cadence pushed out, so everything past the open-time snapshot
+// sits in the WAL, then crashes it (no parting snapshot). It returns the
+// data dir and the WAL image. TestRecoveryIsCommitPrefix does the same
+// with multi-path batches.
 func buildTortureDir(t *testing.T, n int) (string, []byte) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20, Shards: 1})
+	st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +26,7 @@ func buildTortureDir(t *testing.T, n int) (string, []byte) {
 	if err := st.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	img, err := os.ReadFile(filepath.Join(dir, shardWALFile(0)))
+	img, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func lastRecordStart(t *testing.T, img []byte) int {
 // the torture path plus the epoch.
 func reopenTorture(t *testing.T, dir string) (version, epoch uint64) {
 	t.Helper()
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("open after torture: %v", err)
 	}
@@ -72,8 +71,8 @@ func TestWALTortureTruncate(t *testing.T) {
 	const batches = 6
 	dir, img := buildTortureDir(t, batches)
 	last := lastRecordStart(t, img)
-	walPath := filepath.Join(dir, shardWALFile(0))
-	snapPath := filepath.Join(dir, shardSnapshotFile(0))
+	walPath := filepath.Join(dir, walFile)
+	snapPath := filepath.Join(dir, snapshotFile)
 	snap, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +101,8 @@ func TestWALTortureCorrupt(t *testing.T) {
 	const batches = 6
 	dir, img := buildTortureDir(t, batches)
 	last := lastRecordStart(t, img)
-	walPath := filepath.Join(dir, shardWALFile(0))
-	snapPath := filepath.Join(dir, shardSnapshotFile(0))
+	walPath := filepath.Join(dir, walFile)
+	snapPath := filepath.Join(dir, snapshotFile)
 	snap, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -133,20 +132,20 @@ func TestWALRecoveryTruncatesTornTail(t *testing.T) {
 	const batches = 4
 	dir, img := buildTortureDir(t, batches)
 	last := lastRecordStart(t, img)
-	walPath := filepath.Join(dir, shardWALFile(0))
+	walPath := filepath.Join(dir, walFile)
 	cut := last + (len(img)-last)/2
 	if err := os.WriteFile(walPath, img[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Publish("/wsdl/T.wsdl", "text/xml", "<after-recovery/>")
 	st.Close()
 
-	st2, err := OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st2, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen after torn-tail recovery: %v", err)
 	}
@@ -164,14 +163,14 @@ func TestWALRecoveryTruncatesTornTail(t *testing.T) {
 // snapshot legitimately contains (the lsn guard).
 func TestWALRecoverySkipsSnapshottedRecords(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20, Shards: 1})
+	st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Publish("/p", "text/plain", "v1")
 	st.Remove("/p")
 	st.Publish("/p", "text/plain", "v2") // resumes the sequence: version 2
-	walPath := filepath.Join(dir, shardWALFile(0))
+	walPath := filepath.Join(dir, walFile)
 	img, err := os.ReadFile(walPath) // publish, remove, publish records
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +181,7 @@ func TestWALRecoverySkipsSnapshottedRecords(t *testing.T) {
 	if err := os.WriteFile(walPath, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStore(StoreConfig{Dir: dir, Shards: 1})
+	st2, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +204,13 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(rec)
 	f.Add(append(bytes.Clone(rec), appendRemoveRecord(nil, 2, "/p", 1)...))
 	f.Add(rec[:len(rec)-3])
-	// The sharded framing: a shard-header record leading a data record, as
-	// every shard WAL file begins, plus a header from a different layout.
-	f.Add(append(appendShardHeaderRecord(nil, 0, 8), rec...))
-	f.Add(appendShardHeaderRecord(nil, 7, 8))
-	f.Add(appendShardHeaderRecord(nil, 3, 4)[:walHeaderLen+2])
+	// A two-event batch after a one-event one, a record of a kind recovery
+	// does not know (skipped, like the header record the sharded layout
+	// led each file with), and a header cut short.
+	two := appendCommitRecord(nil, 2, []StoreEvent{{Path: "/p", Doc: doc, Payload: encodeEventPayload("/p", doc)}, {Path: "/q", Doc: doc, Payload: encodeEventPayload("/q", doc)}})
+	f.Add(append(bytes.Clone(rec), two...))
+	f.Add(append(appendWALRecord(nil, 'S', []byte(`{"shard":0,"shards":8}`)), rec...))
+	f.Add(two[:walHeaderLen+2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid := scanWAL(data)

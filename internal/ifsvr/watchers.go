@@ -18,10 +18,25 @@ import (
 )
 
 // watchShardCount is the number of locks the watcher registry is split
-// across. Watchers of one path always share a shard (path-hash, same
-// stable hash as WAL sharding), so a commit's wakeup cost is O(dirty
-// shards), not O(registry).
+// across. Watchers of one path always share a shard (shardOf), so a
+// commit's wakeup cost is O(dirty shards), not O(registry).
 const watchShardCount = 32
+
+// shardOf maps a path to its registry shard: FNV-1a over the path, mod
+// shards. The hash is spelled out instead of delegated to a seed-randomized
+// library hash so it is stable across processes (see ShardOf).
+func shardOf(path string, shards int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(path); i++ {
+		h ^= uint64(path[i])
+		h *= prime64
+	}
+	return int(h % uint64(shards))
+}
 
 // watchShard is one lock's worth of the registry: path → set of wake
 // channels, keyed by a per-shard registration id so cancel is O(1).

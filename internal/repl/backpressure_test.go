@@ -54,10 +54,9 @@ func startPinnedLeader(t *testing.T, cfg repl.TailConfig) (*ifsvr.Store, string)
 	return st, "http://" + ln.Addr().String()
 }
 
-// dialStalledTail opens a raw WAL-tail request for one shard and never
-// reads the response — a frozen replication peer with a 4KB receive
-// buffer.
-func dialStalledTail(t *testing.T, base string, shard int) net.Conn {
+// dialStalledTail opens a raw WAL-tail request and never reads the
+// response — a frozen replication peer with a 4KB receive buffer.
+func dialStalledTail(t *testing.T, base string) net.Conn {
 	t.Helper()
 	u, err := url.Parse(base)
 	if err != nil {
@@ -68,7 +67,7 @@ func dialStalledTail(t *testing.T, base string, shard int) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := fmt.Sprintf("GET %s?shard=%d&after=0 HTTP/1.1\r\nHost: %s\r\n\r\n", repl.TailPath, shard, u.Host)
+	req := fmt.Sprintf("GET %s?after=0 HTTP/1.1\r\nHost: %s\r\n\r\n", repl.TailPath, u.Host)
 	if _, err := conn.Write([]byte(req)); err != nil {
 		_ = conn.Close()
 		t.Fatal(err)
@@ -95,21 +94,12 @@ func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
 	f := openFollower(t, base, ifsvr.StoreConfig{})
 	defer f.Close()
 
-	// A path pinned to shard 0, so the storm's records land on the shard
-	// the stalled tail holds.
-	var path string
-	for i := 0; ; i++ {
-		p := fmt.Sprintf("/doc/stall-%d", i)
-		if ifsvr.ShardOf(p, repl.DefaultTailShards) == 0 {
-			path = p
-			break
-		}
-	}
+	const path = "/doc/stall"
 	pad := strings.Repeat("x", 8<<10)
 	st.Publish(path, "text/plain", "seed-"+pad)
 	waitConverged(t, st, f.Store())
 
-	_ = dialStalledTail(t, base, 0)
+	_ = dialStalledTail(t, base)
 	// Let the leader accept the stalled tail before the storm.
 	time.Sleep(100 * time.Millisecond)
 

@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,7 +17,7 @@ import (
 )
 
 // cursorFile is the follower's sidecar next to its store data: the
-// leader generation and per-shard applied lsns a restart resumes from.
+// leader generation and the applied lsn a restart resumes from.
 // It is written without fsync — the apply path is idempotent, so a
 // cursor that lags (or tears and parses as nothing) only widens the
 // re-fetch overlap, never loses or duplicates a commit.
@@ -37,8 +38,8 @@ const DefaultRetryDelay = 200 * time.Millisecond
 // re-fetch overlap, which the version filter deduplicates.
 const cursorSaveEvery = 64
 
-// bootstrapCursor is the sentinel applied-lsn meaning "this shard has no
-// usable position — force a snapshot bootstrap". It is installed when a
+// bootstrapCursor is the sentinel applied-lsn meaning "no usable
+// position — force a snapshot bootstrap". It is installed when a
 // re-handshake reveals a new leader incarnation (the old lsns mean
 // nothing there) and persists in the cursor sidecar, so a follower that
 // crashes mid-rebuild still bootstraps on restart. Any cursor past the
@@ -46,18 +47,10 @@ const cursorSaveEvery = 64
 // protocol support.
 const bootstrapCursor = ^uint64(0)
 
-// tailVerdict classifies how a tail stream ended.
-type tailVerdict int
-
-const (
-	// tailRetry is a transient break — connection loss, torn frame, CRC
-	// reject: reconnect to the same topology after the retry delay.
-	tailRetry tailVerdict = iota
-	// tailReset is a topology change — the response headers or a
-	// bootstrap frame named a different generation, or the shard no
-	// longer exists (HTTP 400): stop tailing and re-handshake.
-	tailReset
-)
+// errReset ends a tail stream that revealed a new leader incarnation —
+// the response header or a bootstrap frame named a different generation:
+// stop tailing and re-handshake.
+var errReset = errors.New("repl: leader generation changed")
 
 // FollowerConfig configures OpenFollower.
 type FollowerConfig struct {
@@ -66,7 +59,7 @@ type FollowerConfig struct {
 	Leader string
 	// Store configures the follower's own store — in-memory by default,
 	// durable when Dir is set (the replication cursor persists next to
-	// the shards, so a restarted follower resumes tailing from its
+	// the store's files, so a restarted follower resumes tailing from its
 	// durable position instead of re-bootstrapping).
 	Store ifsvr.StoreConfig
 	// HTTPClient overrides the tailing client (nil means a private one).
@@ -75,23 +68,22 @@ type FollowerConfig struct {
 	RetryDelay time.Duration
 }
 
-// Follower tails every shard of a leader's WAL concurrently and applies
-// the records through the store's commit path into its own (optionally
+// Follower tails a leader's log and applies its records, in the leader's
+// commit order, through the store's commit path into its own (optionally
 // durable) store. The store serves doc GETs and SSE watch streams
-// read-only under the leader's generation and epochs; Serve
-// starts an Interface Server view that additionally answers writes with
-// 421 Misdirected Request naming the leader.
+// read-only under the leader's generation and epochs; Serve starts an
+// Interface Server view that additionally answers writes with 421
+// Misdirected Request naming the leader.
 //
 // A supervisor loop watches for the leader changing underneath the
-// tailers: a generation or shard-count mismatch on a tail response's
-// headers, a bootstrap frame carrying a foreign generation, or a
-// shard-out-of-range rejection all signal a new leader incarnation. The
-// supervisor then stops every tailer, re-handshakes, wipes the local
-// state (the old incarnation's versions would otherwise shadow the new
-// leader's lower-numbered commits), adopts the new generation and shard
-// count, and rebuilds the tailers with forced-bootstrap cursors — so
-// the replica converges on the new incarnation instead of silently
-// serving the dead one.
+// tailer: a generation mismatch on a tail response's header, or a
+// bootstrap frame carrying a foreign generation, signals a new leader
+// incarnation. The supervisor then re-handshakes, wipes the local state
+// (the old incarnation's versions would otherwise shadow the new
+// leader's lower-numbered commits), adopts the new generation, and
+// resumes tailing with the forced-bootstrap cursor — so the replica
+// converges on the new incarnation instead of silently serving the dead
+// one.
 type Follower struct {
 	leader string
 	hc     *http.Client
@@ -100,17 +92,15 @@ type Follower struct {
 	dir    string
 	retry  time.Duration
 
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	resetCh chan struct{} // tailers signal a topology change (capacity 1)
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	curMu     sync.Mutex // serializes cursor-sidecar writes
 	mu        sync.Mutex
 	gen       uint64
-	shards    int
-	applied   []uint64 // per-shard last applied lsn (or bootstrapCursor)
-	leaderLSN []uint64 // per-shard leader head, from records and heartbeats
-	dirty     int      // applied records since the last cursor save
+	applied   uint64 // last applied lsn (or bootstrapCursor)
+	leaderLSN uint64 // leader head, from records and heartbeats
+	dirty     int    // applied records since the last cursor save
 	counters  struct {
 		records, batches, removes, bootstraps, heartbeats uint64
 		reconnects, resets, frameErrors                   uint64
@@ -119,14 +109,13 @@ type Follower struct {
 
 // cursorState is the cursorFile layout.
 type cursorState struct {
-	Generation uint64   `json:"generation"`
-	Shards     int      `json:"shards"`
-	Applied    []uint64 `json:"applied"`
+	Generation uint64 `json:"generation"`
+	Applied    uint64 `json:"applied"`
 }
 
 // OpenFollower handshakes with the leader, opens (or recovers) the local
-// store, and starts tailing every shard. The returned follower's store
-// is read-only and already adopting the leader's generation.
+// store, and starts tailing. The returned follower's store is read-only
+// and already adopting the leader's generation.
 func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	hc := cfg.HTTPClient
 	if hc == nil {
@@ -150,11 +139,8 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 		store:     st,
 		dir:       cfg.Store.Dir,
 		retry:     retry,
-		resetCh:   make(chan struct{}, 1),
 		gen:       hello.Generation,
-		shards:    hello.Shards,
-		applied:   make([]uint64, hello.Shards),
-		leaderLSN: append([]uint64(nil), hello.LSNs...),
+		leaderLSN: hello.LSN,
 	}
 	f.iface = ifsvr.NewView(st)
 	f.iface.LeaderURL = cfg.Leader
@@ -166,8 +152,8 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	st.SetReplicationStats(f.replicationStats)
 	cur, curOK := f.loadCursor()
 	switch {
-	case curOK && cur.Generation == hello.Generation && cur.Shards == hello.Shards:
-		copy(f.applied, cur.Applied)
+	case curOK && cur.Generation == hello.Generation:
+		f.applied = cur.Applied
 	case curOK || st.Epoch() > 0:
 		// The durable cursor (or the recovered store state, when the
 		// cursor tore) belongs to a dead leader incarnation: its
@@ -202,8 +188,8 @@ func handshake(ctx context.Context, hc *http.Client, leader string) (Hello, erro
 	if h.Schema != Schema {
 		return Hello{}, fmt.Errorf("repl: leader speaks %q, want %q", h.Schema, Schema)
 	}
-	if h.Shards <= 0 || h.Generation == 0 {
-		return Hello{}, fmt.Errorf("repl: malformed handshake (shards=%d generation=%d)", h.Shards, h.Generation)
+	if h.Generation == 0 {
+		return Hello{}, errors.New("repl: malformed handshake (generation 0)")
 	}
 	return h, nil
 }
@@ -255,36 +241,13 @@ func (f *Follower) Crash() error {
 	return f.store.Crash()
 }
 
-// run is the supervisor: it spawns one tailer per shard of the current
-// topology and, whenever a tailer reports a topology change, tears the
-// incarnation down, re-handshakes, and rebuilds — looping until Close.
+// run is the supervisor: it tails the current leader incarnation and,
+// whenever the tail reports a new one, re-handshakes and resumes —
+// looping until Close.
 func (f *Follower) run(ctx context.Context) {
 	defer f.wg.Done()
 	for ctx.Err() == nil {
-		ictx, icancel := context.WithCancel(ctx)
-		var tails sync.WaitGroup
-		f.mu.Lock()
-		shards := f.shards
-		f.mu.Unlock()
-		for i := 0; i < shards; i++ {
-			tails.Add(1)
-			go func(shard int) {
-				defer tails.Done()
-				f.tailShard(ictx, shard)
-			}(i)
-		}
-		select {
-		case <-ctx.Done():
-		case <-f.resetCh:
-		}
-		icancel()
-		tails.Wait()
-		// Drain a duplicate signal raised by a second tailer before the
-		// teardown — it describes the same topology change.
-		select {
-		case <-f.resetCh:
-		default:
-		}
+		f.tail(ctx)
 		if ctx.Err() != nil {
 			return
 		}
@@ -292,18 +255,9 @@ func (f *Follower) run(ctx context.Context) {
 	}
 }
 
-// signalReset notifies the supervisor of a topology change (idempotent —
-// a second signal for the same change coalesces).
-func (f *Follower) signalReset() {
-	select {
-	case f.resetCh <- struct{}{}:
-	default:
-	}
-}
-
 // rehandshake re-fetches the leader's Hello (retrying with capped
 // exponential backoff while it is unreachable) and adopts whatever
-// topology it names.
+// generation it names.
 func (f *Follower) rehandshake(ctx context.Context) {
 	bo := f.newBackoff()
 	for ctx.Err() == nil {
@@ -331,18 +285,14 @@ func (f *Follower) newBackoff() *backoff.Backoff {
 	return &backoff.Backoff{Base: f.retry, Cap: cap}
 }
 
-// adopt reconciles a re-handshake's Hello: an unchanged topology was a
-// false alarm (keep the cursors), a changed one is a new leader
-// incarnation — wipe local state, adopt the new generation and shard
-// count, and mark every shard for snapshot bootstrap.
+// adopt reconciles a re-handshake's Hello: an unchanged generation was a
+// false alarm (keep the cursor), a changed one is a new leader
+// incarnation — wipe local state, adopt the new generation, and mark the
+// cursor for snapshot bootstrap.
 func (f *Follower) adopt(h Hello) {
 	f.mu.Lock()
-	if h.Generation == f.gen && h.Shards == f.shards {
-		for i, l := range h.LSNs {
-			if i < len(f.leaderLSN) && l > f.leaderLSN[i] {
-				f.leaderLSN[i] = l
-			}
-		}
+	if h.Generation == f.gen {
+		f.leaderLSN = max(f.leaderLSN, h.LSN)
 		f.mu.Unlock()
 		return
 	}
@@ -352,34 +302,26 @@ func (f *Follower) adopt(h Hello) {
 }
 
 // resetLocked wipes the follower for a new leader incarnation h: local
-// store state (documents, journal, epochs), per-shard cursors (to the
+// store state (documents, journal, epochs), the cursor (to the
 // forced-bootstrap sentinel), and the adopted generation. Caller holds
-// f.mu on the adopt path; OpenFollower calls it before the tailers
-// exist.
+// f.mu on the adopt path; OpenFollower calls it before the tailer exists.
 func (f *Follower) resetLocked(h Hello) {
 	f.gen = h.Generation
-	f.shards = h.Shards
-	f.applied = make([]uint64, h.Shards)
-	for i := range f.applied {
-		f.applied[i] = bootstrapCursor
-	}
-	f.leaderLSN = append([]uint64(nil), h.LSNs...)
+	f.applied = bootstrapCursor
+	f.leaderLSN = h.LSN
 	f.counters.resets++
 	f.dirty = 0
 	f.store.ResetReplicated(h.Generation)
 }
 
-// tailShard is one shard's tail loop: stream records from the last
-// applied lsn, apply, and on a transient break — connection loss, torn
-// frame, CRC mismatch — reconnect and re-fetch from the last applied
-// lsn (the apply path skips versions it already has, so overlap is
-// harmless). A topology change ends the loop and wakes the supervisor
-// instead: the shard may not exist on the new leader, and retrying the
-// old stream would spin hot against 400s forever.
-func (f *Follower) tailShard(ctx context.Context, shard int) {
+// tail is the tail loop: stream records from the last applied lsn,
+// apply, and on a transient break — connection loss, torn frame, CRC
+// mismatch — reconnect and re-fetch from the last applied lsn (the apply
+// path skips versions it already has, so overlap is harmless). It
+// returns when ctx ends or a stream reveals a new leader incarnation.
+func (f *Follower) tail(ctx context.Context) {
 	bo := f.newBackoff()
-	first := true
-	for ctx.Err() == nil {
+	for first := true; ctx.Err() == nil; first = false {
 		if !first {
 			f.mu.Lock()
 			f.counters.reconnects++
@@ -390,121 +332,107 @@ func (f *Follower) tailShard(ctx context.Context, shard int) {
 			case <-time.After(bo.Next()):
 			}
 		}
-		first = false
-		verdict, progressed := f.tailOnce(ctx, shard)
+		progressed, err := f.tailOnce(ctx)
 		if progressed {
 			// The stream carried at least one good record: the next break
 			// is a fresh failure, not a continuation of this streak.
 			bo.Reset()
 		}
-		if verdict == tailReset {
-			f.signalReset()
+		if err == errReset {
 			return
 		}
 	}
 }
 
-// tailOnce holds one tail stream until it breaks, reports a topology
-// change, or ctx ends. progressed reports whether at least one record was
-// applied cleanly — the signal that resets the caller's reconnect
-// backoff (a connection that dies before carrying anything does not).
-func (f *Follower) tailOnce(ctx context.Context, shard int) (verdict tailVerdict, progressed bool) {
-	after := f.appliedLSN(shard)
-	url := fmt.Sprintf("%s%s?shard=%d&after=%d", f.leader, TailPath, shard, after)
+// tailOnce holds one tail stream until it breaks, reveals a new leader
+// incarnation (errReset), or ctx ends. progressed reports whether at
+// least one record was applied cleanly — the signal that resets the
+// caller's reconnect backoff (a connection that dies before carrying
+// anything does not).
+func (f *Follower) tailOnce(ctx context.Context) (progressed bool, err error) {
+	f.mu.Lock()
+	after, gen := f.applied, f.gen
+	f.mu.Unlock()
+	url := fmt.Sprintf("%s%s?after=%d", f.leader, TailPath, after)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return tailRetry, false
+		return false, err
 	}
 	resp, err := f.hc.Do(req)
 	if err != nil {
-		return tailRetry, false
+		return false, err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusBadRequest {
-		// Shard out of range: the leader restarted with fewer shards.
-		return tailReset, false
-	}
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != TailContentType {
-		return tailRetry, false
+		return false, fmt.Errorf("repl: tail answered HTTP %d", resp.StatusCode)
 	}
-	gen, shards := f.topology()
 	if g, perr := strconv.ParseUint(resp.Header.Get(GenerationHeader), 10, 64); perr == nil && g != 0 && g != gen {
-		return tailReset, false
-	}
-	if n, perr := strconv.Atoi(resp.Header.Get(ShardsHeader)); perr == nil && n > 0 && n != shards {
-		return tailReset, false
+		return false, errReset
 	}
 	fr := newFrameReader(resp.Body)
 	for {
 		kind, payload, err := fr.next()
+		if err == nil {
+			err = f.applyFrame(kind, payload)
+		} else if err != errCorruptFrame {
+			return progressed, err // a broken connection, not a bad frame
+		}
 		if err != nil {
-			if err == errCorruptFrame {
+			if err != errReset {
 				f.mu.Lock()
 				f.counters.frameErrors++
 				f.mu.Unlock()
 			}
-			return tailRetry, progressed
-		}
-		v, err := f.applyFrame(shard, kind, payload)
-		if err != nil {
-			f.mu.Lock()
-			f.counters.frameErrors++
-			f.mu.Unlock()
-			return tailRetry, progressed
-		}
-		if v == tailReset {
-			return tailReset, progressed
+			return progressed, err
 		}
 		progressed = true
 	}
 }
 
-// applyFrame applies one decoded record and advances the shard cursor.
-func (f *Follower) applyFrame(shard int, kind byte, payload []byte) (tailVerdict, error) {
+// applyFrame applies one decoded record and advances the cursor.
+func (f *Follower) applyFrame(kind byte, payload []byte) error {
 	switch kind {
 	case FrameCommit:
 		lsn, evs, err := ifsvr.DecodeCommitFrame(payload)
 		if err != nil {
-			return tailRetry, err
+			return err
 		}
 		f.store.ApplyReplicated(evs)
-		f.advance(shard, lsn, func(c *Follower) { c.counters.batches++; c.counters.records++ })
+		f.advance(lsn, func(c *Follower) { c.counters.batches++; c.counters.records++ })
 	case FrameRemove:
 		lsn, path, version, err := ifsvr.DecodeRemoveFrame(payload)
 		if err != nil {
-			return tailRetry, err
+			return err
 		}
 		f.store.ApplyReplicatedRemove(path, version)
-		f.advance(shard, lsn, func(c *Follower) { c.counters.removes++; c.counters.records++ })
+		f.advance(lsn, func(c *Follower) { c.counters.removes++; c.counters.records++ })
 	case FrameBootstrap:
 		lsn, evs, err := ifsvr.DecodeCommitFrame(payload)
 		if err != nil {
-			return tailRetry, err
+			return err
 		}
 		var meta bootstrapMeta
 		if err := json.Unmarshal(payload, &meta); err != nil {
-			return tailRetry, err
+			return err
 		}
-		if gen, _ := f.topology(); meta.Generation != 0 && meta.Generation != gen {
+		if meta.Generation != 0 && meta.Generation != f.Generation() {
 			// The state transfer belongs to a leader incarnation we have
 			// not adopted: applying it would interleave two incarnations'
 			// versions. Re-handshake first.
-			return tailReset, nil
+			return errReset
 		}
 		f.store.ApplyReplicated(evs)
 		for path, v := range meta.Retired {
 			f.store.ApplyReplicatedRemove(path, v)
 		}
-		f.setBootstrapCursor(shard, lsn)
+		f.setBootstrapCursor(lsn)
 	case FrameHeartbeat:
 		var hb heartbeatWire
 		if err := json.Unmarshal(payload, &hb); err != nil {
-			return tailRetry, err
+			return err
 		}
 		f.mu.Lock()
-		if hb.Lsn > f.leaderLSN[shard] {
-			f.leaderLSN[shard] = hb.Lsn
-		}
+		f.leaderLSN = max(f.leaderLSN, hb.Lsn)
 		f.counters.heartbeats++
 		dirty := f.dirty > 0
 		f.mu.Unlock()
@@ -514,23 +442,21 @@ func (f *Follower) applyFrame(shard int, kind byte, payload []byte) (tailVerdict
 			f.saveCursor()
 		}
 	default:
-		return tailRetry, fmt.Errorf("repl: unknown frame kind %q", kind)
+		return fmt.Errorf("repl: unknown frame kind %q", kind)
 	}
-	return tailRetry, nil
+	return nil
 }
 
-// advance records a shard's applied lsn (and the implied leader head)
-// and debounces the cursor-sidecar write. A shard awaiting bootstrap
-// keeps its sentinel — a stray data record cannot masquerade as a full
-// state transfer.
-func (f *Follower) advance(shard int, lsn uint64, count func(*Follower)) {
+// advance records the applied lsn (and the implied leader head) and
+// debounces the cursor-sidecar write. A follower awaiting bootstrap keeps
+// its sentinel — a stray data record cannot masquerade as a full state
+// transfer.
+func (f *Follower) advance(lsn uint64, count func(*Follower)) {
 	f.mu.Lock()
-	if f.applied[shard] != bootstrapCursor && lsn > f.applied[shard] {
-		f.applied[shard] = lsn
+	if f.applied != bootstrapCursor && lsn > f.applied {
+		f.applied = lsn
 	}
-	if lsn > f.leaderLSN[shard] {
-		f.leaderLSN[shard] = lsn
-	}
+	f.leaderLSN = max(f.leaderLSN, lsn)
 	count(f)
 	f.dirty++
 	save := f.dirty >= cursorSaveEvery
@@ -540,37 +466,23 @@ func (f *Follower) advance(shard int, lsn uint64, count func(*Follower)) {
 	}
 }
 
-// setBootstrapCursor installs a snapshot bootstrap's shard position —
+// setBootstrapCursor installs a snapshot bootstrap's log position —
 // unconditionally, even downward: the bootstrap's state defines the
 // cursor, and after a leader restart the new head is below the old one.
 // Bootstraps are rare and load-bearing, so the cursor persists
 // immediately rather than debounced.
-func (f *Follower) setBootstrapCursor(shard int, lsn uint64) {
+func (f *Follower) setBootstrapCursor(lsn uint64) {
 	f.mu.Lock()
-	f.applied[shard] = lsn
-	if lsn > f.leaderLSN[shard] {
-		f.leaderLSN[shard] = lsn
-	}
+	f.applied = lsn
+	f.leaderLSN = max(f.leaderLSN, lsn)
 	f.counters.bootstraps++
 	f.mu.Unlock()
 	f.saveCursor()
 }
 
-func (f *Follower) appliedLSN(shard int) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.applied[shard]
-}
-
-// topology returns the currently adopted generation and shard count.
-func (f *Follower) topology() (uint64, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gen, f.shards
-}
-
-// loadCursor reads the cursor sidecar ("" dir, a missing file, or a torn
-// write all read as no cursor — the follower just bootstraps).
+// loadCursor reads the cursor sidecar ("" dir, a missing file, a torn
+// write, or a file in an older layout all read as no cursor — the
+// follower just bootstraps).
 func (f *Follower) loadCursor() (cursorState, bool) {
 	if f.dir == "" {
 		return cursorState{}, false
@@ -580,7 +492,7 @@ func (f *Follower) loadCursor() (cursorState, bool) {
 		return cursorState{}, false
 	}
 	var cur cursorState
-	if json.Unmarshal(data, &cur) != nil || len(cur.Applied) != cur.Shards {
+	if json.Unmarshal(data, &cur) != nil {
 		return cursorState{}, false
 	}
 	return cur, true
@@ -589,16 +501,13 @@ func (f *Follower) loadCursor() (cursorState, bool) {
 // saveCursor writes the cursor sidecar (best-effort, unsynced; see
 // cursorFile) and resets the debounce counter.
 func (f *Follower) saveCursor() {
-	if f.dir == "" {
-		f.mu.Lock()
-		f.dirty = 0
-		f.mu.Unlock()
-		return
-	}
 	f.mu.Lock()
-	cur := cursorState{Generation: f.gen, Shards: f.shards, Applied: append([]uint64(nil), f.applied...)}
+	cur := cursorState{Generation: f.gen, Applied: f.applied}
 	f.dirty = 0
 	f.mu.Unlock()
+	if f.dir == "" {
+		return
+	}
 	data, err := json.Marshal(cur)
 	if err != nil {
 		return
@@ -612,46 +521,36 @@ func (f *Follower) saveCursor() {
 	_ = os.Rename(tmp, filepath.Join(f.dir, cursorFile))
 }
 
-// Lag is the follower's total backlog: sum over shards of the leader
-// head minus the applied lsn, as last observed. A shard awaiting
-// bootstrap counts its whole leader head as backlog.
+// Lag is the follower's backlog: the leader head minus the applied lsn,
+// as last observed. A follower awaiting bootstrap counts the whole leader
+// head as backlog.
 func (f *Follower) Lag() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.lagLocked()
+	return f.leaderLSN - f.appliedLocked()
 }
 
-func (f *Follower) lagLocked() uint64 {
-	var lag uint64
-	for i := range f.applied {
-		switch {
-		case f.applied[i] == bootstrapCursor:
-			lag += f.leaderLSN[i]
-		case f.leaderLSN[i] > f.applied[i]:
-			lag += f.leaderLSN[i] - f.applied[i]
-		}
+// appliedLocked is the applied lsn as stats report it: the bootstrap
+// sentinel reads as 0, no usable position yet. Caller holds f.mu.
+func (f *Follower) appliedLocked() uint64 {
+	if f.applied == bootstrapCursor {
+		return 0
 	}
-	return lag
+	return min(f.applied, f.leaderLSN)
 }
 
 // replicationStats is the follower's StoreStats.Replication block.
 func (f *Follower) replicationStats() *ifsvr.ReplicationStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	applied := make([]uint64, len(f.applied))
-	for i, l := range f.applied {
-		if l != bootstrapCursor {
-			applied[i] = l // sentinel reads as 0: no usable position yet
-		}
-	}
+	applied := f.appliedLocked()
 	return &ifsvr.ReplicationStats{
 		Role:        "follower",
 		LeaderURL:   f.leader,
 		Generation:  f.gen,
-		Shards:      f.shards,
 		LSN:         applied,
-		LeaderLSN:   append([]uint64(nil), f.leaderLSN...),
-		Lag:         f.lagLocked(),
+		LeaderLSN:   f.leaderLSN,
+		Lag:         f.leaderLSN - applied,
 		Records:     f.counters.records,
 		Batches:     f.counters.batches,
 		Removes:     f.counters.removes,

@@ -2,21 +2,27 @@ package repl
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"testing"
 
 	"livedev/internal/ifsvr"
 )
 
-// tailSeedCorpus builds representative tail streams: every frame kind,
-// concatenations, a truncated tail, and a bit-flipped record.
+// tailSeedCorpus builds representative tail streams: every frame kind —
+// a commit batch spanning several paths, a bootstrap of a whole store —
+// concatenations, a truncated tail, a bit-flipped record, and the v2
+// handshake body read as if it were the stream.
 func tailSeedCorpus() [][]byte {
 	doc := ifsvr.Document{Content: "<x/>", ContentType: "text/xml", Version: 3, DescriptorVersion: 2, Epoch: 9}
-	ev := ifsvr.StoreEvent{Path: "/wsdl/Calc.wsdl", Doc: doc, Payload: ifsvr.EventPayload("/wsdl/Calc.wsdl", doc)}
-	commit := ifsvr.EncodeCommitFrame(7, []ifsvr.StoreEvent{ev, ev})
+	ev := func(path string) ifsvr.StoreEvent {
+		return ifsvr.StoreEvent{Path: path, Doc: doc, Payload: ifsvr.EventPayload(path, doc)}
+	}
+	commit := ifsvr.EncodeCommitFrame(7, []ifsvr.StoreEvent{ev("/wsdl/Calc.wsdl"), ev("/idl/Calc.idl"), ev("/jsonif/Calc.json")})
 	remove := ifsvr.EncodeRemoveFrame(8, "/wsdl/Calc.wsdl", 3)
-	boot := encodeBootstrapFrame(12, 42, 9, []ifsvr.StoreEvent{ev}, map[string]uint64{"/gone": 5})
+	boot := encodeBootstrapFrame(12, 42, 9, []ifsvr.StoreEvent{ev("/wsdl/Calc.wsdl"), ev("/idl/Calc.idl")}, map[string]uint64{"/gone": 5})
 	hb := encodeHeartbeatFrame(12)
+	hello, _ := json.Marshal(Hello{Schema: Schema, Generation: 42, Epoch: 9, LSN: 12, Floor: 4})
 
 	stream := append(append(append(append([]byte(nil), commit...), remove...), boot...), hb...)
 	truncated := append([]byte(nil), stream[:len(stream)-5]...)
@@ -24,8 +30,8 @@ func tailSeedCorpus() [][]byte {
 	flipped[len(commit)+10] ^= 0x40
 
 	return [][]byte{
-		commit, remove, boot, hb, stream, truncated, flipped,
-		{}, {0}, {1, 0, 0, 0},
+		commit, remove, boot, hb, stream, truncated, flipped, hello,
+		{}, {1, 0, 0, 0},
 		append([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}, bytes.Repeat([]byte{'a'}, 32)...),
 	}
 }

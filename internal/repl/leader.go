@@ -12,15 +12,18 @@ import (
 	"livedev/internal/ifsvr"
 )
 
-// DefaultTailShards is the replication shard count: how many independent
-// record streams a follower tails concurrently. It is a transport-level
-// partition (by the same path hash as the durable WAL layout) and need
-// not match the store's on-disk shard count.
+// DefaultTailShards was the replication stream count when the tail was
+// split by path hash.
+//
+// Deprecated: replication is one record stream; nothing in this package
+// reads it. It stays, with its value, because the benchmark's input
+// generator (bench/inputs.go) names it with ifsvr.ShardOf to pick its
+// class names, and changing it would change the benchmark's documents.
 const DefaultTailShards = 4
 
-// DefaultTailHistory bounds each shard's in-memory record ring: how far
-// behind a follower may fall and still resume by tailing. A follower
-// below the ring's floor is bootstrapped from a snapshot instead.
+// DefaultTailHistory bounds the in-memory record ring: how far behind a
+// follower may fall and still resume by tailing. A follower below the
+// ring's floor is bootstrapped from a snapshot instead.
 const DefaultTailHistory = 256
 
 // DefaultTailHeartbeat paces liveness records on idle tail streams.
@@ -36,14 +39,11 @@ const DefaultTailWriteTimeout = 5 * time.Second
 // TailConfig configures a leader's TailServer. The zero value uses the
 // defaults above.
 type TailConfig struct {
-	// Shards is the replication stream count (0 means DefaultTailShards).
-	Shards int
-	// History bounds each shard's record ring (0 means
-	// DefaultTailHistory; negative keeps nothing — every resume
-	// bootstraps). The ring is also the tail plane's lag budget: a client
-	// that falls more than History records behind loses its cursor to
-	// eviction from the ring and is snapshot-bootstrapped on its next
-	// collect instead of tailing the gap.
+	// History bounds the record ring (0 means DefaultTailHistory; negative
+	// keeps nothing — every resume bootstraps). The ring is also the tail
+	// plane's lag budget: a client that falls more than History records
+	// behind loses its cursor to eviction from the ring and is
+	// snapshot-bootstrapped on its next collect instead of tailing the gap.
 	History int
 	// Heartbeat paces idle-stream liveness records (0 means
 	// DefaultTailHeartbeat).
@@ -55,17 +55,17 @@ type TailConfig struct {
 }
 
 // TailServer is the leader half of replication: it taps the store's
-// logged operations (SubscribeOps), frames them into per-shard record
-// rings, and serves the WAL-tail endpoint — handshake, record streaming
-// from a given lsn, snapshot bootstrap when the cursor has been compacted
-// away, and heartbeats. Mount it on the Interface Server at TailPath
-// (Attach does both steps). Held tails are served by the same delivery
-// pump as the watch streams (ifsvr.Pump.Run): this package supplies only
-// the source — CRC frames over a shard ring — and the policy numbers.
+// logged operations (SubscribeOps), frames each into one record of a
+// ring, in commit order, and serves the WAL-tail endpoint — handshake,
+// record streaming from a given lsn, snapshot bootstrap when the cursor
+// has been compacted away, and heartbeats. Mount it on the Interface
+// Server at TailPath (Attach does both steps). Held tails are served by
+// the same delivery pump as the watch streams (ifsvr.Pump.Run): this
+// package supplies only the source — CRC frames over the ring — and the
+// policy numbers.
 type TailServer struct {
 	store   *ifsvr.Store
 	gen     uint64
-	shards  int
 	history int
 	// pump is the held-tail policy: write deadline, heartbeat interval and
 	// shared sweep, the drain signal, and the heartbeat/eviction counters.
@@ -73,8 +73,8 @@ type TailServer struct {
 	cancel func()
 	// primed marks a store that already held state when this tail server
 	// was created (a durable leader after restart): that state predates
-	// every ring, so a fresh follower's after=0 cursor must be answered
-	// with a snapshot bootstrap, not an empty stream.
+	// the ring, so a fresh follower's after=0 cursor must be answered with
+	// a snapshot bootstrap, not an empty stream.
 	primed bool
 
 	// drain is closed when the leader begins a graceful shutdown; held
@@ -83,20 +83,13 @@ type TailServer struct {
 	drain     chan struct{}
 	drainOnce sync.Once
 
-	mu   sync.Mutex
-	logs []*shardLog
-
-	statsMu sync.Mutex
-	stats   struct{ records, batches, removes, bootstraps uint64 }
-}
-
-// shardLog is one shard's bounded ring of framed records, lsns
-// contiguous and ascending, plus the pumps of the tails held on it.
-type shardLog struct {
+	// mu guards the ring: lsns contiguous and ascending, plus the pumps of
+	// the tails held on it and the shipping counters.
 	mu     sync.Mutex
 	lsn    uint64 // last assigned lsn (0 before the first record)
 	frames []tailFrame
 	tails  map[*ifsvr.Pump]struct{} // nudged on every append
+	stats  struct{ records, batches, removes, bootstraps uint64 }
 }
 
 type tailFrame struct {
@@ -107,10 +100,6 @@ type tailFrame struct {
 // NewTailServer builds a tail server over st and starts tapping its
 // operations. Call Close to stop the tap.
 func NewTailServer(st *ifsvr.Store, cfg TailConfig) *TailServer {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = DefaultTailShards
-	}
 	history := cfg.History
 	switch {
 	case history == 0:
@@ -132,11 +121,10 @@ func NewTailServer(st *ifsvr.Store, cfg TailConfig) *TailServer {
 	t := &TailServer{
 		store:   st,
 		gen:     st.Generation(),
-		shards:  shards,
 		history: history,
 		primed:  st.Epoch() > 0,
 		drain:   make(chan struct{}),
-		logs:    make([]*shardLog, shards),
+		tails:   make(map[*ifsvr.Pump]struct{}),
 	}
 	t.pump = ifsvr.PumpConfig{
 		WriteTimeout: wt,
@@ -144,9 +132,6 @@ func NewTailServer(st *ifsvr.Store, cfg TailConfig) *TailServer {
 		Sweep:        ifsvr.NewPumpSweep(hb / 2),
 		Drain:        t.drain,
 		Counters:     new(ifsvr.PumpCounters),
-	}
-	for i := range t.logs {
-		t.logs[i] = &shardLog{tails: make(map[*ifsvr.Pump]struct{})}
 	}
 	t.cancel = st.SubscribeOps(t.append)
 	st.SetReplicationStats(t.replicationStats)
@@ -180,126 +165,83 @@ func (t *TailServer) Close() {
 	}
 }
 
-// append frames one logged operation into its shard ring. It runs on the
-// committing goroutine, under the store's delivery lock — keep it cheap.
+// append frames one logged operation as the ring's next record. It runs
+// on the committing goroutine, under the store's delivery lock — keep it
+// cheap.
 func (t *TailServer) append(op ifsvr.StoreOp) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.lsn++
+	fr := tailFrame{lsn: t.lsn}
 	if op.RemovePath != "" {
-		i := ifsvr.ShardOf(op.RemovePath, t.shards)
-		sl := t.logs[i]
-		sl.mu.Lock()
-		sl.lsn++
-		sl.push(tailFrame{lsn: sl.lsn, data: ifsvr.EncodeRemoveFrame(sl.lsn, op.RemovePath, op.RemoveVersion)}, t.history)
-		sl.mu.Unlock()
-		t.statsMu.Lock()
+		fr.data = ifsvr.EncodeRemoveFrame(t.lsn, op.RemovePath, op.RemoveVersion)
 		t.stats.removes++
-		t.stats.records++
-		t.statsMu.Unlock()
-		return
-	}
-	// One commit batch may span shards; each shard gets one commit record
-	// holding its slice of the batch, in batch order.
-	var groups [][]ifsvr.StoreEvent
-	var touched []int
-	for _, ev := range op.Events {
-		i := ifsvr.ShardOf(ev.Path, t.shards)
-		if groups == nil {
-			groups = make([][]ifsvr.StoreEvent, t.shards)
-		}
-		if groups[i] == nil {
-			touched = append(touched, i)
-		}
-		groups[i] = append(groups[i], ev)
-	}
-	for _, i := range touched {
-		sl := t.logs[i]
-		sl.mu.Lock()
-		sl.lsn++
-		sl.push(tailFrame{lsn: sl.lsn, data: ifsvr.EncodeCommitFrame(sl.lsn, groups[i])}, t.history)
-		sl.mu.Unlock()
-	}
-	if len(touched) > 0 {
-		t.statsMu.Lock()
+	} else {
+		fr.data = ifsvr.EncodeCommitFrame(t.lsn, op.Events)
 		t.stats.batches++
-		t.stats.records += uint64(len(touched))
-		t.statsMu.Unlock()
 	}
-}
-
-// push appends fr and evicts past the capacity, waking the held tails.
-// Caller holds sl.mu.
-func (sl *shardLog) push(fr tailFrame, history int) {
-	if history > 0 {
-		sl.frames = append(sl.frames, fr)
-		if over := len(sl.frames) - history; over > 0 {
-			copy(sl.frames, sl.frames[over:])
-			sl.frames = sl.frames[:history]
+	t.stats.records++
+	if t.history > 0 {
+		t.frames = append(t.frames, fr)
+		if over := len(t.frames) - t.history; over > 0 {
+			copy(t.frames, t.frames[over:])
+			t.frames = t.frames[:t.history]
 		}
 	}
-	for p := range sl.tails {
+	for p := range t.tails {
 		p.Nudge()
 	}
 }
 
 // floorLocked is the oldest serveable "after" cursor: one below the
 // oldest retained frame, or the head when the ring is empty. Caller
-// holds sl.mu.
-func (sl *shardLog) floorLocked() uint64 {
-	if len(sl.frames) == 0 {
-		return sl.lsn
+// holds t.mu.
+func (t *TailServer) floorLocked() uint64 {
+	if len(t.frames) == 0 {
+		return t.lsn
 	}
-	return sl.frames[0].lsn - 1
+	return t.frames[0].lsn - 1
 }
 
-// ServeHTTP implements the WAL-tail endpoint.
+// ServeHTTP implements the WAL-tail endpoint: the handshake without an
+// after parameter, the record stream with one.
 func (t *TailServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	w.Header().Set(GenerationHeader, strconv.FormatUint(t.gen, 10))
-	w.Header().Set(ShardsHeader, strconv.Itoa(t.shards))
 	w.Header().Set("Cache-Control", "no-store")
 	q := r.URL.Query()
-	shardParam := q.Get("shard")
-	if shardParam == "" {
+	if !q.Has("after") {
 		t.serveHello(w)
 		return
 	}
-	shard, err := strconv.Atoi(shardParam)
-	if err != nil || shard < 0 || shard >= t.shards {
-		http.Error(w, "shard out of range", http.StatusBadRequest)
+	after, err := strconv.ParseUint(q.Get("after"), 10, 64)
+	if err != nil {
+		http.Error(w, "bad after cursor", http.StatusBadRequest)
 		return
 	}
-	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
-	t.serveTail(w, r, shard, after)
+	t.serveTail(w, r, after)
 }
 
 func (t *TailServer) serveHello(w http.ResponseWriter) {
-	h := Hello{
-		Schema:     Schema,
-		Generation: t.gen,
-		Shards:     t.shards,
-		Epoch:      t.store.Epoch(),
-		LSNs:       make([]uint64, t.shards),
-		Floors:     make([]uint64, t.shards),
-	}
-	for i, sl := range t.logs {
-		sl.mu.Lock()
-		h.LSNs[i] = sl.lsn
-		h.Floors[i] = sl.floorLocked()
-		sl.mu.Unlock()
-	}
+	h := Hello{Schema: Schema, Generation: t.gen, Epoch: t.store.Epoch()}
+	t.mu.Lock()
+	h.LSN = t.lsn
+	h.Floor = t.floorLocked()
+	t.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(h)
 }
 
-// serveTail streams shard records past `after` until the client goes
-// away or the leader drains: pending records (one flush per collect, not
-// per record), then live pushes as they commit, heartbeats when idle. The
+// serveTail streams the records past `after` until the client goes away
+// or the leader drains: pending records (one flush per collect, not per
+// record), then live pushes as they commit, heartbeats when idle. The
 // held-connection policy — write deadline, eviction, heartbeat sweep — is
 // the delivery pump's; see ifsvr/pump.go and "Backpressure and eviction"
 // in docs/watch-protocol.md.
-func (t *TailServer) serveTail(w http.ResponseWriter, r *http.Request, shard int, after uint64) {
+func (t *TailServer) serveTail(w http.ResponseWriter, r *http.Request, after uint64) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -312,38 +254,36 @@ func (t *TailServer) serveTail(w http.ResponseWriter, r *http.Request, shard int
 	// Register with the ring BEFORE the first collect: a record pushed in
 	// between must nudge the pump, not vanish.
 	p := ifsvr.NewPump()
-	sl := t.logs[shard]
-	sl.mu.Lock()
-	sl.tails[p] = struct{}{}
-	sl.mu.Unlock()
+	t.mu.Lock()
+	t.tails[p] = struct{}{}
+	t.mu.Unlock()
 	defer func() {
-		sl.mu.Lock()
-		delete(sl.tails, p)
-		sl.mu.Unlock()
+		t.mu.Lock()
+		delete(t.tails, p)
+		t.mu.Unlock()
 	}()
-	p.Run(w, r, t.pump, &tailSource{t: t, shard: shard, cursor: after})
+	p.Run(w, r, t.pump, &tailSource{t: t, cursor: after})
 }
 
-// tailSource feeds one held tail's pump from its shard ring: CRC frames
-// past an lsn cursor. This plane's answer to a cursor the ring cannot
-// serve — compacted away, past the head (the follower outlived a leader
-// restart, or sent the forced-bootstrap sentinel), or zero against a
-// primed store whose state predates the rings — is one inline bootstrap
-// record, after which tailing resumes from the bootstrap's lsn.
+// tailSource feeds one held tail's pump from the ring: CRC frames past an
+// lsn cursor. This plane's answer to a cursor the ring cannot serve —
+// compacted away, past the head (the follower outlived a leader restart,
+// or sent the forced-bootstrap sentinel), or zero against a primed store
+// whose state predates the ring — is one inline bootstrap record, after
+// which tailing resumes from the bootstrap's lsn.
 type tailSource struct {
 	t      *TailServer
-	shard  int
 	cursor uint64
 	// booted guards the primed-store rule: a fresh follower (after=0)
-	// against a store that predates the rings gets one state transfer,
-	// after which a zero cursor (an empty shard's head) is ordinary.
+	// against a store that predates the ring gets one state transfer,
+	// after which a zero cursor (an empty log's head) is ordinary.
 	booted bool
 }
 
 // Collect implements ifsvr.PumpSource.
 func (src *tailSource) Collect(w io.Writer) bool {
 	t := src.t
-	frames, needBootstrap := t.logs[src.shard].collect(src.cursor)
+	frames, needBootstrap := t.collect(src.cursor)
 	if t.primed && src.cursor == 0 && !src.booted {
 		needBootstrap = true
 	}
@@ -352,11 +292,11 @@ func (src *tailSource) Collect(w io.Writer) bool {
 		// the pump, so the next collect tails them.
 		src.booted = true
 		var frame []byte
-		frame, src.cursor = t.bootstrap(src.shard)
+		frame, src.cursor = t.bootstrap()
 		_, _ = w.Write(frame)
-		t.statsMu.Lock()
+		t.mu.Lock()
 		t.stats.bootstraps++
-		t.statsMu.Unlock()
+		t.mu.Unlock()
 		return true
 	}
 	for _, fr := range frames {
@@ -375,74 +315,52 @@ func (src *tailSource) Farewell(io.Writer) {}
 
 // collect snapshots the frames past cursor (nil when caught up), or
 // reports that the cursor is unserveable and the tail must bootstrap.
-func (sl *shardLog) collect(cursor uint64) (frames []tailFrame, needBootstrap bool) {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if cursor > sl.lsn || cursor < sl.floorLocked() {
+func (t *TailServer) collect(cursor uint64) (frames []tailFrame, needBootstrap bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cursor > t.lsn || cursor < t.floorLocked() {
 		return nil, true
 	}
-	if cursor == sl.lsn {
+	if cursor == t.lsn {
 		return nil, false
 	}
-	idx := sort.Search(len(sl.frames), func(i int) bool { return sl.frames[i].lsn > cursor })
-	return append([]tailFrame(nil), sl.frames[idx:]...), false
+	idx := sort.Search(len(t.frames), func(i int) bool { return t.frames[i].lsn > cursor })
+	return append([]tailFrame(nil), t.frames[idx:]...), false
 }
 
-// bootstrap packs one shard's current state into a bootstrap frame. The
-// shard position L is captured BEFORE the state clone: the state then
+// bootstrap packs the store's whole current state into a bootstrap frame.
+// The log position L is captured BEFORE the state clone: the state then
 // covers at least every record ≤ L, streaming resumes after L, and any
 // overlap (a record committed between the two reads) is deduplicated by
 // the follower's version filter.
-func (t *TailServer) bootstrap(shard int) ([]byte, uint64) {
-	sl := t.logs[shard]
-	sl.mu.Lock()
-	lsn := sl.lsn
-	sl.mu.Unlock()
+func (t *TailServer) bootstrap() ([]byte, uint64) {
+	t.mu.Lock()
+	lsn := t.lsn
+	t.mu.Unlock()
 	state := t.store.CloneState()
-	var evs []ifsvr.StoreEvent
+	evs := make([]ifsvr.StoreEvent, 0, len(state.Docs))
 	for path, d := range state.Docs {
-		if ifsvr.ShardOf(path, t.shards) != shard {
-			continue
-		}
 		evs = append(evs, ifsvr.StoreEvent{Path: path, Doc: d, Payload: ifsvr.EventPayload(path, d)})
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Doc.Epoch < evs[j].Doc.Epoch })
-	var retired map[string]uint64
-	for path, v := range state.Retired {
-		if ifsvr.ShardOf(path, t.shards) != shard {
-			continue
-		}
-		if retired == nil {
-			retired = make(map[string]uint64)
-		}
-		retired[path] = v
-	}
-	return encodeBootstrapFrame(lsn, t.gen, state.Epoch, evs, retired), lsn
+	return encodeBootstrapFrame(lsn, t.gen, state.Epoch, evs, state.Retired), lsn
 }
 
 // replicationStats is the leader's StoreStats.Replication block.
 func (t *TailServer) replicationStats() *ifsvr.ReplicationStats {
-	rs := &ifsvr.ReplicationStats{
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &ifsvr.ReplicationStats{
 		Role:       "leader",
 		Generation: t.gen,
-		Shards:     t.shards,
-		LSN:        make([]uint64, t.shards),
-		FloorLSN:   make([]uint64, t.shards),
+		LSN:        t.lsn,
+		FloorLSN:   t.floorLocked(),
+		Tails:      len(t.tails),
+		Records:    t.stats.records,
+		Batches:    t.stats.batches,
+		Removes:    t.stats.removes,
+		Bootstraps: t.stats.bootstraps,
+		Heartbeats: t.pump.Counters.Heartbeats.Load(),
+		Evictions:  t.pump.Counters.Evictions.Load(),
 	}
-	for i, sl := range t.logs {
-		sl.mu.Lock()
-		rs.LSN[i] = sl.lsn
-		rs.FloorLSN[i] = sl.floorLocked()
-		rs.Tails += len(sl.tails)
-		sl.mu.Unlock()
-	}
-	t.statsMu.Lock()
-	rs.Records = t.stats.records
-	rs.Batches = t.stats.batches
-	rs.Removes = t.stats.removes
-	rs.Bootstraps = t.stats.bootstraps
-	t.statsMu.Unlock()
-	rs.Heartbeats = t.pump.Counters.Heartbeats.Load()
-	rs.Evictions = t.pump.Counters.Evictions.Load()
-	return rs
 }

@@ -26,9 +26,9 @@ import (
 )
 
 const (
-	// TailPath is the leader's WAL-tail endpoint. A request without a
-	// "shard" parameter answers the JSON handshake (Hello); with
-	// "?shard=K&after=N" it streams shard K's records past lsn N.
+	// TailPath is the leader's WAL-tail endpoint. A request without an
+	// "after" parameter answers the JSON handshake (Hello); "?after=N"
+	// streams the records past lsn N.
 	TailPath = "/.wal"
 
 	// ReplicasPath is the director's endpoint-list resource.
@@ -37,17 +37,16 @@ const (
 	// TailContentType marks a record stream (the handshake is plain JSON).
 	TailContentType = "application/x-livedev-waltail"
 
-	// GenerationHeader and ShardsHeader ride on every tail response. A
-	// follower compares them to its adopted topology on each (re)connect
-	// — a leader swap breaks the old stream, so the next connect's
-	// headers reveal it — and treats a mismatch as a topology change:
-	// re-handshake, reset local state, re-bootstrap. (Mid-stream, the
-	// same check rides on every bootstrap frame's generation field.)
+	// GenerationHeader rides on every tail response. A follower compares
+	// it to its adopted generation on each (re)connect — a leader swap
+	// breaks the old stream, so the next connect's header reveals it — and
+	// treats a mismatch as a new leader incarnation: re-handshake, reset
+	// local state, re-bootstrap. (Mid-stream, the same check rides on
+	// every bootstrap frame's generation field.)
 	GenerationHeader = "X-Repl-Generation"
-	ShardsHeader     = "X-Repl-Shards"
 
 	// Schema identifies the protocol revision in the handshake.
-	Schema = "livedev/repl-tail/v1"
+	Schema = "livedev/repl-tail/v2"
 )
 
 // Record kinds on the tail stream. Commit and remove records are the WAL
@@ -60,27 +59,26 @@ const (
 	// FrameBootstrap is a snapshot state transfer, sent when the
 	// follower's cursor is no longer serveable:
 	// {"lsn":L,"generation":G,"epoch":E,"events":[...],"retired":{...}}.
-	// The events array is the shard's current documents in epoch order;
-	// lsn L is the shard position the state covers — tailing resumes
-	// after L.
+	// The events array is the store's current documents in epoch order;
+	// lsn L is the log position the state covers — tailing resumes after
+	// L.
 	FrameBootstrap = 'B'
 	// FrameHeartbeat is liveness padding on an idle stream: {"lsn":N}
-	// with the shard's current head, so a quiet follower still tracks
-	// leader progress (and lag stays honest).
+	// with the stream's cursor, so a quiet follower still tracks leader
+	// progress (and lag stays honest).
 	FrameHeartbeat = 'H'
 )
 
-// Hello is the handshake body: GET TailPath with no shard parameter.
+// Hello is the handshake body: GET TailPath with no after parameter.
 type Hello struct {
 	Schema     string `json:"schema"`
 	Generation uint64 `json:"generation"`
-	Shards     int    `json:"shards"`
 	Epoch      uint64 `json:"epoch"`
-	// LSNs is each shard's head (last assigned lsn).
-	LSNs []uint64 `json:"lsns"`
-	// Floors is each shard's oldest still-serveable "after" cursor; a
-	// follower below its shard's floor is answered with a bootstrap.
-	Floors []uint64 `json:"floors"`
+	// LSN is the log's head (last assigned lsn).
+	LSN uint64 `json:"lsn"`
+	// Floor is the oldest still-serveable "after" cursor; a follower below
+	// it is answered with a bootstrap.
+	Floor uint64 `json:"floor"`
 }
 
 // bootstrapMeta is the part of a FrameBootstrap payload beyond what
@@ -105,7 +103,7 @@ func encodeHeartbeatFrame(lsn uint64) []byte {
 	return ifsvr.AppendFrame(nil, FrameHeartbeat, body)
 }
 
-// encodeBootstrapFrame packs a shard snapshot: state as of shard position
+// encodeBootstrapFrame packs a state transfer: state as of log position
 // lsn, documents spliced via their shared wire payloads, retirement
 // floors alongside.
 func encodeBootstrapFrame(lsn, generation, epoch uint64, evs []ifsvr.StoreEvent, retired map[string]uint64) []byte {

@@ -235,7 +235,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 // commits than the ring holds, so its cursor is below the floor and the
 // leader answers with a state transfer before live records.
 func TestLeaderCompactionBootstrap(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{Shards: 2, History: 4})
+	st, _, base := startLeader(t, repl.TailConfig{History: 4})
 
 	for i := 0; i < 200; i++ {
 		st.Publish(fmt.Sprintf("/doc/%d", i%8), "text/plain", fmt.Sprintf("content-%d", i))
@@ -283,7 +283,7 @@ func corruptingProxy(t *testing.T, leader string, after int) *httptest.Server {
 		w.WriteHeader(resp.StatusCode)
 		fl := w.(http.Flusher)
 		fl.Flush()
-		streaming := r.URL.Query().Get("shard") != ""
+		streaming := r.URL.Query().Has("after")
 		buf := make([]byte, 4096)
 		total := 0
 		for {
@@ -316,7 +316,7 @@ func corruptingProxy(t *testing.T, leader string, after int) *httptest.Server {
 // and asserts the follower rejects it by CRC, reconnects, re-fetches,
 // and still converges byte-exactly.
 func TestCorruptTailFrameRefetched(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{Shards: 1, History: 100000})
+	st, _, base := startLeader(t, repl.TailConfig{History: 100000})
 	for i := 0; i < 40; i++ {
 		st.Publish("/doc/a", "text/plain", fmt.Sprintf("content-%d", i))
 	}
@@ -713,48 +713,6 @@ func TestLeaderRestartDurableRehandshake(t *testing.T) {
 
 	// Post-restart commits keep flowing.
 	st2.Publish("/doc/d", "text/plain", "v4")
-	waitConverged(t, st2, f.Store())
-}
-
-// TestLeaderReshardRebuild restarts the leader with FEWER replication
-// shards: the follower's extra tailers are answered 400 (shard out of
-// range) and must treat that as a topology change — re-handshake and
-// rebuild the tailer set — instead of hot-spinning on the dead shard
-// forever while the survivors cover only part of the keyspace.
-func TestLeaderReshardRebuild(t *testing.T) {
-	sw := &swappableFront{}
-	front := httptest.NewServer(sw)
-	t.Cleanup(front.Close)
-
-	st1 := ifsvr.NewStore(0, nil)
-	t.Cleanup(st1.Close)
-	leaderBehind(t, sw, st1, repl.TailConfig{Shards: 4})
-	for i := 0; i < 16; i++ {
-		st1.Publish(fmt.Sprintf("/doc/%d", i), "text/plain", "four-shards")
-	}
-
-	f := openFollower(t, front.URL, ifsvr.StoreConfig{})
-	defer f.Close()
-	waitConverged(t, st1, f.Store())
-
-	st2 := ifsvr.NewStore(0, nil)
-	t.Cleanup(st2.Close)
-	for i := 0; i < 16; i++ {
-		st2.Publish(fmt.Sprintf("/doc/%d", i), "text/plain", "two-shards")
-	}
-	leaderBehind(t, sw, st2, repl.TailConfig{Shards: 2})
-	front.CloseClientConnections()
-
-	awaitResets(t, f, 1)
-	waitConverged(t, st2, f.Store())
-	rs := f.Store().Stats().Replication
-	if rs == nil || rs.Shards != 2 || len(rs.LSN) != 2 {
-		t.Fatalf("follower did not adopt the new shard count: %+v", rs)
-	}
-	// Live commits reach every path — both surviving shards are tailed.
-	for i := 0; i < 16; i++ {
-		st2.Publish(fmt.Sprintf("/doc/%d", i), "text/plain", "two-shards-live")
-	}
 	waitConverged(t, st2, f.Store())
 }
 

@@ -20,8 +20,8 @@
 //     versioned, epoch-numbered document store with subscriber fan-out,
 //     edit-storm coalescing (Config.FlushWindow, per-path overrides via
 //     WithPathFlushWindow), a bounded replay journal (Config.HistoryLen),
-//     and optional durability (Config.DataDir: path-sharded snapshot+WAL
-//     persistence with parallel replay on open — a restarted server
+//     and optional durability (Config.DataDir: one snapshot plus one
+//     commit-ordered WAL, replayed on open — a restarted server
 //     resumes its epoch sequence, so reconnecting watchers ride journal
 //     replay instead of refetching; Config.Sync picks the ack's
 //     durability, from buffered through group-commit fsync), read by the
