@@ -11,10 +11,15 @@ type step struct {
 	revert func()
 }
 
+// historyDepth is how many edits History keeps: a server that stays up
+// while a developer edits it must not hold every edit it ever served.
+const historyDepth = 1024
+
 // History is the class's undo/redo stack. The paper's DL Publishers detect
 // changes "by monitoring the JPie undo/redo stack"; in this runtime every
 // committed edit lands here and also produces a ChangeEvent, and undo/redo
-// themselves commit (and announce) the inverse edits.
+// themselves commit (and announce) the inverse edits. It keeps the newest
+// 1024 edits; older ones can no longer be undone.
 type History struct {
 	class *Class
 
@@ -27,10 +32,17 @@ func newHistory(c *Class) *History {
 	return &History{class: c}
 }
 
-// push records a freshly applied edit, truncating any redo tail.
+// push records a freshly applied edit, truncating any redo tail and, at
+// historyDepth, dropping the oldest edit. Dropping reslices the stack, so
+// append copies it only when the backing array runs out: amortized O(1).
 func (h *History) push(s *step) {
 	h.mu.Lock()
+	clear(h.stack[h.cursor:])
 	h.stack = h.stack[:h.cursor]
+	if len(h.stack) == historyDepth {
+		h.stack[0] = nil // free it now, not when the array is next regrown
+		h.stack = h.stack[1:]
+	}
 	h.stack = append(h.stack, s)
 	h.cursor = len(h.stack)
 	h.mu.Unlock()
@@ -87,7 +99,7 @@ func (h *History) Redo() error {
 	return nil
 }
 
-// Ops returns the descriptions of all recorded edits, oldest first.
+// Ops returns the descriptions of the recorded edits, oldest first.
 func (h *History) Ops() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -102,7 +102,9 @@ type PersistentState struct {
 	// Retired maps removed paths to their last committed version, so a
 	// republication resumes the sequence.
 	Retired map[string]uint64
-	// Journal is the bounded replay journal, commit order.
+	// Journal is the bounded replay journal, commit order. A store's own
+	// entries carry Payload and the metadata but no Doc.Content (the text
+	// is in Payload); Load returns them with both.
 	Journal []StoreEvent
 }
 
@@ -701,10 +703,11 @@ type imageRetired struct {
 // gatherImage orders state for its snapshot file. Wire bytes are the ones
 // each commit already marshalled: a journal entry's Payload, and for a
 // document the Payload of the newest journal entry with its path, epoch
-// and version. encodeEventPayload runs only for an entry or document with
-// no such bytes — a state built by a test or another backend, or a
-// document older than the journal.
-func gatherImage(state PersistentState) snapshotImage {
+// and version. encodeEventPayload runs only for a document with no such
+// bytes (one older than the journal) or a journal entry that still has its
+// Content (a state built by a test or another backend). A journal entry
+// with neither cannot be written, and is an error.
+func gatherImage(state PersistentState) (snapshotImage, error) {
 	img := snapshotImage{journal: make([][]byte, len(state.Journal))}
 	for path, d := range state.Docs {
 		img.docs = append(img.docs, imageDoc{path: path, doc: d})
@@ -720,6 +723,9 @@ func gatherImage(state PersistentState) snapshotImage {
 		ev := &state.Journal[j]
 		payload := ev.Payload
 		if payload == nil {
+			if ev.Doc.Content == "" {
+				return snapshotImage{}, fmt.Errorf("ifsvr: journal entry %s at epoch %d has neither wire bytes nor content", ev.Path, ev.Doc.Epoch)
+			}
 			payload = encodeEventPayload(ev.Path, ev.Doc)
 		}
 		img.journal[j] = payload
@@ -736,7 +742,7 @@ func gatherImage(state PersistentState) snapshotImage {
 			d.payload = encodeEventPayload(d.path, d.doc)
 		}
 	}
-	return img
+	return img, nil
 }
 
 // writeSnapshotImage streams the snapshot file into w: the header fields
@@ -874,7 +880,10 @@ func (p *filePersistence) Snapshot(state PersistentState) error {
 		Lsn:        p.lsn,
 	}
 	p.mu.Unlock()
-	img := gatherImage(state)
+	img, err := gatherImage(state)
+	if err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(p.cfg.Dir, snapshotFile+".tmp*")
 	if err != nil {
 		return fmt.Errorf("ifsvr: creating snapshot temp: %w", err)

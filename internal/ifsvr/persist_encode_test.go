@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -142,9 +143,11 @@ func randomState(r *rand.Rand, frag string) PersistentState {
 		}
 		return d
 	}
+	// An entry without Payload must have Content: one with neither is an
+	// error (TestSnapshotRefusesEntryWithoutBytes).
 	withPayload := func(path string, d Document) StoreEvent {
 		ev := StoreEvent{Path: path, Doc: d}
-		if r.IntN(3) > 0 {
+		if d.Content == "" || r.IntN(3) > 0 {
 			ev.Payload = encodeEventPayload(path, d)
 		}
 		return ev
@@ -188,7 +191,10 @@ func randomState(r *rand.Rand, frag string) PersistentState {
 // buffer only sees with large documents).
 func imageBytes(t testing.TB, state PersistentState, lsn uint64, bufSize int) []byte {
 	t.Helper()
-	img := gatherImage(state)
+	img, err := gatherImage(state)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	w := bufio.NewWriterSize(&out, bufSize)
 	writeSnapshotImage(w, snapshotWire{
@@ -273,22 +279,43 @@ func FuzzSnapshotWriter(f *testing.F) {
 	})
 }
 
+// oracleRemoveRecord is the parent's remove record: json.Marshal of
+// walRemove, copied into a frame.
+func oracleRemoveRecord(lsn uint64, path string, version uint64) []byte {
+	body, _ := json.Marshal(walRemove{Lsn: lsn, Path: path, Version: version})
+	return oracleAppendWALRecord(nil, walKindRemove, body)
+}
+
 // TestWALEncodersMatchOracle: the in-place framers produce the parent's
-// bytes for random batches, alone and appended onto a non-empty buffer
-// (FuzzWALDecode's rebuild path).
+// bytes for random batches of 1–4 events with escape-heavy paths and
+// contents, and lsns up to 2^64−1: alone, appended onto a non-empty buffer
+// (FuzzWALDecode's rebuild path), and framed at send time into one reused
+// buffer from events whose Content is cleared, as the replication ring
+// keeps them.
 func TestWALEncodersMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(25, 25))
+	var sendBuf []byte
 	for iter := 0; iter < 200; iter++ {
-		var evs []StoreEvent
-		for n := r.IntN(5); n > 0; n-- {
-			path := "/" + awkward[r.IntN(len(awkward))]
-			d := Document{Content: strings.Repeat(awkward[r.IntN(len(awkward))], r.IntN(50)), Version: r.Uint64(), Epoch: r.Uint64()}
-			evs = append(evs, StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)})
+		var evs, ring []StoreEvent
+		for n := 1 + r.IntN(4); n > 0; n-- {
+			path := "/" + strings.Repeat(awkward[r.IntN(len(awkward))], 1+r.IntN(3))
+			d := Document{Content: strings.Repeat(awkward[r.IntN(len(awkward))], r.IntN(50)), ContentType: awkward[r.IntN(len(awkward))], Version: r.Uint64(), Epoch: r.Uint64()}
+			ev := StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
+			evs = append(evs, ev)
+			ev.Doc.Content = ""
+			ring = append(ring, ev)
 		}
-		lsn := r.Uint64() >> r.IntN(64)
+		lsn := [...]uint64{math.MaxUint64, r.Uint64(), r.Uint64() >> r.IntN(64)}[iter%3]
 		want := oracleCommitRecord(lsn, evs)
 		if got := EncodeCommitFrame(lsn, evs); !bytes.Equal(got, want) {
 			t.Fatalf("iter %d: EncodeCommitFrame differs from the oracle:\n got %q\nwant %q", iter, got, want)
+		}
+		if sendBuf = AppendCommitFrame(sendBuf[:0], lsn, ring); !bytes.Equal(sendBuf, want) {
+			t.Fatalf("iter %d: send-time commit frame differs from the oracle:\n got %q\nwant %q", iter, sendBuf, want)
+		}
+		path, version := evs[0].Path, r.Uint64()>>r.IntN(64)
+		if sendBuf = AppendRemoveFrame(sendBuf[:0], lsn, path, version); !bytes.Equal(sendBuf, oracleRemoveRecord(lsn, path, version)) {
+			t.Fatalf("iter %d: send-time remove frame differs from the oracle:\n got %q\nwant %q", iter, sendBuf, oracleRemoveRecord(lsn, path, version))
 		}
 		prefix := bytes.Repeat([]byte{byte(iter)}, r.IntN(40))
 		if got := appendCommitRecord(bytes.Clone(prefix), lsn, evs); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
@@ -350,7 +377,16 @@ func TestParentWrittenDirOpens(t *testing.T) {
 	if evs, ok := st.ReplayEventsInto(a, 0, nil); !ok || len(evs) != 3 {
 		t.Fatalf("journal replay of %s = %d events (ok=%v), want 3", a, len(evs), ok)
 	}
+	// Journal entries keep their wire bytes, not their text: the oracle's
+	// journal objects come from each entry's Payload.
 	state := st.CloneState()
+	for i, ev := range state.Journal {
+		var w streamWire
+		if err := json.Unmarshal(ev.Payload, &w); err != nil {
+			t.Fatalf("journal entry %d payload: %v", i, err)
+		}
+		state.Journal[i].Doc = wireDocument(w)
+	}
 	st.Close()
 	got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
@@ -362,6 +398,78 @@ func TestParentWrittenDirOpens(t *testing.T) {
 	}
 	if want := oracleSnapshot(t, state, wire.Lsn); !bytes.Equal(got, want) {
 		t.Fatalf("snapshot written at close:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestJournalKeepsWireBytesOnly: a journal entry — committed, recovered on
+// open, or applied from a leader without its payload — carries Payload and
+// metadata but no Doc.Content, while subscribers still get the text.
+func TestJournalKeepsWireBytesOnly(t *testing.T) {
+	content := func(i int) string { return fmt.Sprintf("<a%d/>", i) }
+	check := func(st *Store, when string) {
+		t.Helper()
+		evs, ok := st.ReplayEventsInto("/a", 0, nil)
+		if !ok || len(evs) != 3 {
+			t.Fatalf("%s: replay = %d events (ok=%v), want 3", when, len(evs), ok)
+		}
+		for i, ev := range evs {
+			var w streamWire
+			if err := json.Unmarshal(ev.Payload, &w); err != nil || ev.Doc.Content != "" || w.Content != content(i+1) {
+				t.Errorf("%s: entry %d has content %q and payload %s (%v); want only the payload of %s", when, i, ev.Doc.Content, ev.Payload, err, content(i+1))
+			}
+		}
+	}
+	dir := t.TempDir()
+	st := openDir(t, dir, 0)
+	var seen []string
+	cancel := st.Subscribe(func(ev StoreEvent) { seen = append(seen, ev.Doc.Content) })
+	for i := 1; i <= 3; i++ {
+		st.Publish("/a", "text/xml", content(i))
+	}
+	cancel()
+	if want := []string{content(1), content(2), content(3)}; !slices.Equal(seen, want) {
+		t.Fatalf("subscriber saw %q, want %q", seen, want)
+	}
+	check(st, "committed")
+	st.Close()
+	st = openDir(t, dir, 0)
+	defer st.Close()
+	check(st, "recovered")
+
+	replica := NewStore(0, nil)
+	defer replica.Close()
+	for i := 1; i <= 3; i++ {
+		replica.ApplyReplicated([]StoreEvent{{Path: "/a", Doc: Document{Content: content(i), Version: uint64(i), Epoch: uint64(i)}}})
+	}
+	check(replica, "replicated")
+}
+
+// TestSnapshotRefusesEntryWithoutBytes: a journal entry with neither
+// Payload nor Content cannot be written; Snapshot names it and leaves the
+// previous snapshot in place instead of writing "content":"".
+func TestSnapshotRefusesEntryWithoutBytes(t *testing.T) {
+	dir := t.TempDir()
+	p, err := OpenFilePersistence(FileConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	good := PersistentState{Generation: 1, Epoch: 1, Journal: []StoreEvent{{Path: "/a", Doc: Document{Content: "<a/>", Version: 1, Epoch: 1}}}}
+	if err := p.Snapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good
+	bad.Journal = []StoreEvent{{Path: "/a", Doc: Document{Version: 1, Epoch: 7}}}
+	err = p.Snapshot(bad)
+	if err == nil || !strings.Contains(err.Error(), "/a") || !strings.Contains(err.Error(), "epoch 7") {
+		t.Fatalf("Snapshot of an entry without bytes = %v, want an error naming /a and epoch 7", err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused snapshot changed the file (%v):\n%s", err, after)
 	}
 }
 

@@ -362,6 +362,13 @@ func EncodeCommitFrame(lsn uint64, evs []StoreEvent) []byte {
 	return appendCommitRecord(nil, lsn, evs)
 }
 
+// AppendCommitFrame is EncodeCommitFrame onto buf, which it grows at most
+// once: a sender that reuses buf frames without allocating. Only each
+// event's Payload is read.
+func AppendCommitFrame(buf []byte, lsn uint64, evs []StoreEvent) []byte {
+	return appendCommitRecord(buf, lsn, evs)
+}
+
 // DecodeCommitFrame parses a commit-record payload back into its lsn and
 // events; each event's Payload is re-derived deterministically, so the
 // bytes a follower fans out are identical to the leader's.
@@ -369,9 +376,10 @@ func DecodeCommitFrame(payload []byte) (uint64, []StoreEvent, error) {
 	return decodeCommitPayload(payload)
 }
 
-// EncodeRemoveFrame renders one retirement as a CRC-framed remove record.
-func EncodeRemoveFrame(lsn uint64, path string, version uint64) []byte {
-	return appendRemoveRecord(nil, lsn, path, version)
+// AppendRemoveFrame frames one retirement as a CRC-framed remove record
+// onto buf.
+func AppendRemoveFrame(buf []byte, lsn uint64, path string, version uint64) []byte {
+	return appendRemoveRecord(buf, lsn, path, version)
 }
 
 // DecodeRemoveFrame parses a remove-record payload.

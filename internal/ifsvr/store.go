@@ -19,6 +19,11 @@ var ErrStoreClosed = errors.New("ifsvr: publication store closed")
 const DefaultHistoryLen = 256
 
 // StoreEvent is one committed publication fanned out to subscribers.
+//
+// Subscribers and StoreOp receivers get the commit-time event, Content
+// included. A journal entry (ReplayEventsInto, PersistentState.Journal)
+// carries Payload and the metadata but no Doc.Content: read the text from
+// Payload, or use Get for the current version.
 type StoreEvent struct {
 	// Path is the document path that committed.
 	Path string
@@ -280,6 +285,9 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		s.generation = next // 0 (nothing recovered) and a wrap keep the random one
 	}
 	if s.histLen > 0 {
+		for i := range state.Journal {
+			state.Journal[i] = journalEntry(state.Journal[i])
+		}
 		s.journal = state.Journal
 		s.floorEpoch = state.FloorEpoch
 		s.trimJournalLocked()
@@ -587,8 +595,20 @@ func (s *Store) journalLocked(evs []StoreEvent) {
 		s.floorEpoch = s.epoch
 		return
 	}
-	s.journal = append(s.journal, evs...)
+	for _, ev := range evs {
+		s.journal = append(s.journal, journalEntry(ev))
+	}
 	s.trimJournalLocked()
+}
+
+// journalEntry is ev as the journal keeps it: its readers need only the
+// wire bytes, and each path's newest text is already in the docs map.
+func journalEntry(ev StoreEvent) StoreEvent {
+	if ev.Payload == nil {
+		ev.Payload = encodeEventPayload(ev.Path, ev.Doc)
+	}
+	ev.Doc.Content = ""
+	return ev
 }
 
 // trimJournalLocked evicts journal entries past the capacity, advancing the
@@ -633,12 +653,13 @@ func (s *Store) noteReplayLocked(covered bool) {
 // ReplayEventsInto returns the committed versions of path with an epoch
 // greater than afterEpoch, oldest first — the delta a watcher that last
 // saw afterEpoch missed — as the journal entries themselves, whose Payload
-// fields carry the commit-time shared wire encoding. It reports false when
-// the journal no longer covers that range (the entries were evicted, or
-// the journal is disabled); the caller must fall back to a full snapshot
-// of the current document. Entries are appended into buf[:0] so a looping
-// caller reuses one buffer; on a miss it returns buf[:0] (not nil),
-// preserving the buffer's capacity.
+// fields carry the commit-time shared wire encoding. Their Doc.Content is
+// empty: the text is in Payload, and Get has the current version's. It
+// reports false when the journal no longer covers that range (the entries
+// were evicted, or the journal is disabled); the caller must fall back to
+// a full snapshot of the current document. Entries are appended into
+// buf[:0] so a looping caller reuses one buffer; on a miss it returns
+// buf[:0] (not nil), preserving the buffer's capacity.
 func (s *Store) ReplayEventsInto(path string, afterEpoch uint64, buf []StoreEvent) ([]StoreEvent, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

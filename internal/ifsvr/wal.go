@@ -130,10 +130,18 @@ func appendCommitRecord(buf []byte, lsn uint64, evs []StoreEvent) []byte {
 	return sealWALRecord(buf, start)
 }
 
-// appendRemoveRecord frames one retirement as a WAL record onto buf.
+// appendRemoveRecord frames one retirement as a WAL record onto buf: the
+// bytes json.Marshal renders for walRemove, appended in place.
 func appendRemoveRecord(buf []byte, lsn uint64, path string, version uint64) []byte {
-	body, _ := json.Marshal(walRemove{Lsn: lsn, Path: path, Version: version})
-	return appendWALRecord(buf, walKindRemove, body)
+	buf, start := beginWALRecord(buf, walKindRemove, len(`{"lsn":,"path":"","version":}`)+40+len(path))
+	buf = append(buf, `{"lsn":`...)
+	buf = strconv.AppendUint(buf, lsn, 10)
+	buf = append(buf, `,"path":`...)
+	buf = appendJSONString(buf, path)
+	buf = append(buf, `,"version":`...)
+	buf = strconv.AppendUint(buf, version, 10)
+	buf = append(buf, '}')
+	return sealWALRecord(buf, start)
 }
 
 // decodeWALRecord parses the record at the head of data. It returns the

@@ -19,7 +19,7 @@ func tailSeedCorpus() [][]byte {
 		return ifsvr.StoreEvent{Path: path, Doc: doc, Payload: ifsvr.EventPayload(path, doc)}
 	}
 	commit := ifsvr.EncodeCommitFrame(7, []ifsvr.StoreEvent{ev("/wsdl/Calc.wsdl"), ev("/idl/Calc.idl"), ev("/jsonif/Calc.json")})
-	remove := ifsvr.EncodeRemoveFrame(8, "/wsdl/Calc.wsdl", 3)
+	remove := ifsvr.AppendRemoveFrame(nil, 8, "/wsdl/Calc.wsdl", 3)
 	boot := encodeBootstrapFrame(12, 42, 9, []ifsvr.StoreEvent{ev("/wsdl/Calc.wsdl"), ev("/idl/Calc.idl")}, map[string]uint64{"/gone": 5})
 	hb := encodeHeartbeatFrame(12)
 	hello, _ := json.Marshal(Hello{Schema: Schema, Generation: 42, Epoch: 9, LSN: 12, Floor: 4})

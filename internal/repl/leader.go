@@ -40,10 +40,12 @@ const DefaultTailWriteTimeout = 5 * time.Second
 // defaults above.
 type TailConfig struct {
 	// History bounds the record ring (0 means DefaultTailHistory; negative
-	// keeps nothing — every resume bootstraps). The ring is also the tail
-	// plane's lag budget: a client that falls more than History records
-	// behind loses its cursor to eviction from the ring and is
-	// snapshot-bootstrapped on its next collect instead of tailing the gap.
+	// keeps nothing — every resume bootstraps). The ring holds committed
+	// batches, sharing the journal's payload bytes, and retirements; each
+	// is framed at send time. The ring is also the tail plane's lag
+	// budget: a client that falls more than History records behind loses
+	// its cursor to eviction from the ring and is snapshot-bootstrapped on
+	// its next collect instead of tailing the gap.
 	History int
 	// Heartbeat paces idle-stream liveness records (0 means
 	// DefaultTailHeartbeat).
@@ -55,8 +57,8 @@ type TailConfig struct {
 }
 
 // TailServer is the leader half of replication: it taps the store's
-// logged operations (SubscribeOps), frames each into one record of a
-// ring, in commit order, and serves the WAL-tail endpoint — handshake,
+// logged operations (SubscribeOps), keeps each as one record of a ring,
+// in commit order, and serves the WAL-tail endpoint — handshake,
 // record streaming from a given lsn, snapshot bootstrap when the cursor
 // has been compacted away, and heartbeats. Mount it on the Interface
 // Server at TailPath (Attach does both steps). Held tails are served by
@@ -85,16 +87,21 @@ type TailServer struct {
 
 	// mu guards the ring: lsns contiguous and ascending, plus the pumps of
 	// the tails held on it and the shipping counters.
-	mu     sync.Mutex
-	lsn    uint64 // last assigned lsn (0 before the first record)
-	frames []tailFrame
-	tails  map[*ifsvr.Pump]struct{} // nudged on every append
-	stats  struct{ records, batches, removes, bootstraps uint64 }
+	mu      sync.Mutex
+	lsn     uint64 // last assigned lsn (0 before the first record)
+	records []tailRecord
+	tails   map[*ifsvr.Pump]struct{} // nudged on every append
+	stats   struct{ records, batches, removes, bootstraps uint64 }
 }
 
-type tailFrame struct {
-	lsn  uint64
-	data []byte
+// tailRecord is one logged operation of the ring: a committed batch,
+// whose events keep their payload bytes but not their text, or (events
+// nil) the retirement of path at version.
+type tailRecord struct {
+	lsn     uint64
+	events  []ifsvr.StoreEvent
+	path    string
+	version uint64
 }
 
 // NewTailServer builds a tail server over st and starts tapping its
@@ -165,27 +172,31 @@ func (t *TailServer) Close() {
 	}
 }
 
-// append frames one logged operation as the ring's next record. It runs
-// on the committing goroutine, under the store's delivery lock — keep it
+// append keeps one logged operation as the ring's next record. It runs on
+// the committing goroutine, under the store's delivery lock — keep it
 // cheap.
 func (t *TailServer) append(op ifsvr.StoreOp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lsn++
-	fr := tailFrame{lsn: t.lsn}
+	rec := tailRecord{lsn: t.lsn, path: op.RemovePath, version: op.RemoveVersion}
 	if op.RemovePath != "" {
-		fr.data = ifsvr.EncodeRemoveFrame(t.lsn, op.RemovePath, op.RemoveVersion)
 		t.stats.removes++
 	} else {
-		fr.data = ifsvr.EncodeCommitFrame(t.lsn, op.Events)
+		// A copy, not op.Events: those documents hold their text.
+		rec.events = make([]ifsvr.StoreEvent, len(op.Events))
+		for i, ev := range op.Events {
+			ev.Doc.Content = ""
+			rec.events[i] = ev
+		}
 		t.stats.batches++
 	}
 	t.stats.records++
 	if t.history > 0 {
-		t.frames = append(t.frames, fr)
-		if over := len(t.frames) - t.history; over > 0 {
-			copy(t.frames, t.frames[over:])
-			t.frames = t.frames[:t.history]
+		t.records = append(t.records, rec)
+		if over := len(t.records) - t.history; over > 0 {
+			copy(t.records, t.records[over:])
+			t.records = t.records[:t.history]
 		}
 	}
 	for p := range t.tails {
@@ -194,13 +205,13 @@ func (t *TailServer) append(op ifsvr.StoreOp) {
 }
 
 // floorLocked is the oldest serveable "after" cursor: one below the
-// oldest retained frame, or the head when the ring is empty. Caller
+// oldest retained record, or the head when the ring is empty. Caller
 // holds t.mu.
 func (t *TailServer) floorLocked() uint64 {
-	if len(t.frames) == 0 {
+	if len(t.records) == 0 {
 		return t.lsn
 	}
-	return t.frames[0].lsn - 1
+	return t.records[0].lsn - 1
 }
 
 // ServeHTTP implements the WAL-tail endpoint: the handshake without an
@@ -278,12 +289,17 @@ type tailSource struct {
 	// against a store that predates the ring gets one state transfer,
 	// after which a zero cursor (an empty log's head) is ordinary.
 	booted bool
+	// pending (the records past the cursor) and frame (the one being
+	// sent) are reused across collects.
+	pending []tailRecord
+	frame   []byte
 }
 
 // Collect implements ifsvr.PumpSource.
 func (src *tailSource) Collect(w io.Writer) bool {
 	t := src.t
-	frames, needBootstrap := t.collect(src.cursor)
+	var needBootstrap bool
+	src.pending, needBootstrap = t.collect(src.cursor, src.pending[:0])
 	if t.primed && src.cursor == 0 && !src.booted {
 		needBootstrap = true
 	}
@@ -299,10 +315,16 @@ func (src *tailSource) Collect(w io.Writer) bool {
 		t.mu.Unlock()
 		return true
 	}
-	for _, fr := range frames {
-		_, _ = w.Write(fr.data)
-		src.cursor = fr.lsn
+	for _, rec := range src.pending {
+		if rec.events == nil {
+			src.frame = ifsvr.AppendRemoveFrame(src.frame[:0], rec.lsn, rec.path, rec.version)
+		} else {
+			src.frame = ifsvr.AppendCommitFrame(src.frame[:0], rec.lsn, rec.events)
+		}
+		_, _ = w.Write(src.frame)
+		src.cursor = rec.lsn
 	}
+	clear(src.pending) // pin no record past its eviction from the ring
 	return true
 }
 
@@ -313,19 +335,16 @@ func (src *tailSource) Heartbeat(w io.Writer) { _, _ = w.Write(encodeHeartbeatFr
 // follower reconnects from its durable cursor.
 func (src *tailSource) Farewell(io.Writer) {}
 
-// collect snapshots the frames past cursor (nil when caught up), or
-// reports that the cursor is unserveable and the tail must bootstrap.
-func (t *TailServer) collect(cursor uint64) (frames []tailFrame, needBootstrap bool) {
+// collect appends to buf the records past cursor (none when caught up),
+// or reports that the cursor is unserveable and the tail must bootstrap.
+func (t *TailServer) collect(cursor uint64, buf []tailRecord) (_ []tailRecord, needBootstrap bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cursor > t.lsn || cursor < t.floorLocked() {
-		return nil, true
+		return buf, true
 	}
-	if cursor == t.lsn {
-		return nil, false
-	}
-	idx := sort.Search(len(t.frames), func(i int) bool { return t.frames[i].lsn > cursor })
-	return append([]tailFrame(nil), t.frames[idx:]...), false
+	idx := sort.Search(len(t.records), func(i int) bool { return t.records[i].lsn > cursor })
+	return append(buf, t.records[idx:]...), false
 }
 
 // bootstrap packs the store's whole current state into a bootstrap frame.
