@@ -13,6 +13,7 @@ import (
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
+	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
 	"livedev/internal/orb"
 	"livedev/internal/soap"
@@ -65,6 +66,28 @@ func classify(err error) (class, msg string) {
 		return seesAppFault, hApp.Message
 	}
 	return err.Error(), ""
+}
+
+// carriedDoc is the interface document a front's stale reply carried, nil
+// if none.
+func carriedDoc(err error) *ifsvr.Document {
+	var (
+		fault *soap.Fault
+		oStal *orb.StaleError
+		jStal *jsonb.StaleError
+		hStal *h2b.StaleError
+	)
+	switch {
+	case errors.As(err, &fault):
+		return fault.Interface
+	case errors.As(err, &oStal):
+		return oStal.Interface
+	case errors.As(err, &jStal):
+		return jStal.Interface
+	case errors.As(err, &hStal):
+		return hStal.Interface
+	}
+	return nil
 }
 
 // stub is a front's raw client: it encodes exactly the call it is given,
@@ -411,6 +434,21 @@ func runScenario(t *testing.T, f front, sc scenario, mgr *core.Manager, classNam
 	}
 	if sc.docLacks != "" && strings.Contains(doc, sc.docLacks) {
 		t.Errorf("the published document already mentions %q:\n%s", sc.docLacks, doc)
+	}
+	if sc.sees == seesStale {
+		// Section 5.7's forced publication rides on the reply: the document a
+		// fetch would get now, counters and all — except under the ablation,
+		// which forces nothing and so vouches for nothing.
+		carried := carriedDoc(callErr)
+		switch published, err := ifsvr.FetchContext(context.Background(), nil, srv.InterfaceURL()); {
+		case err != nil:
+			t.Fatal(err)
+		case sc.activeOnly && carried != nil:
+			t.Errorf("the ablation's stale reply carried document version %d", carried.Version)
+		case !sc.activeOnly && (carried == nil || carried.Content != published.Content || carried.Version != published.Version ||
+			carried.DescriptorVersion != published.DescriptorVersion || carried.Epoch != published.Epoch || carried.Generation != published.Generation):
+			t.Errorf("the stale reply carried %+v, the Interface Server serves %+v", carried, published)
+		}
 	}
 	if n := srv.Publisher().Stats().Forced - forcedBefore; n != sc.forced {
 		t.Errorf("PublisherStats.Forced moved by %d, want %d", n, sc.forced)

@@ -40,6 +40,10 @@ type DocBinding struct {
 	// IsStale reports whether err is this technology's "Non Existent
 	// Method" signal — what triggers the client's reactive refresh.
 	IsStale func(err error) bool
+	// StaleDoc, when set, returns the interface document a stale err
+	// carried (nil when it carried none): the client installs it instead of
+	// fetching the document.
+	StaleDoc func(err error) *ifsvr.Document
 	// Bootstrap, when set, runs before every fetch and stream connect:
 	// whatever Compile needs beyond the document (CORBA's IOR).
 	Bootstrap func(ctx context.Context) error
@@ -115,6 +119,22 @@ func (d *docBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescripto
 		return dyn.InterfaceDescriptor{}, DocVersions{}, err
 	}
 	return d.compile(doc)
+}
+
+// carriedInterface compiles the interface document the stale reply err
+// carried. It reports false — the client then fetches — when the binding
+// reads no document off its replies, err carried none, or the one it carried
+// is unversioned, over ifsvr.MaxCarriedDoc or does not compile.
+func (d *docBackend) carriedInterface(err error) (dyn.InterfaceDescriptor, DocVersions, bool) {
+	if d.b.StaleDoc == nil {
+		return dyn.InterfaceDescriptor{}, DocVersions{}, false
+	}
+	doc := d.b.StaleDoc(err)
+	if doc == nil || doc.Version == 0 || len(doc.Content) > ifsvr.MaxCarriedDoc {
+		return dyn.InterfaceDescriptor{}, DocVersions{}, false
+	}
+	desc, vers, cerr := d.compile(*doc)
+	return desc, vers, cerr == nil
 }
 
 // StreamInterface implements WatchableBackend over the Interface Server's
@@ -208,6 +228,13 @@ func soapBinding(httpClient *http.Client) DocBinding {
 			}}, nil
 		},
 		IsStale: soap.IsNonExistentMethod,
+		StaleDoc: func(err error) *ifsvr.Document {
+			var f *soap.Fault
+			if errors.As(err, &f) {
+				return f.Interface
+			}
+			return nil
+		},
 	}
 }
 
@@ -304,8 +331,15 @@ func newCORBABackend(idlDocs, iorDocs *DocSource) *docBackend {
 		Technology: "CORBA",
 		Compile:    b.compile,
 		IsStale:    func(err error) bool { return errors.Is(err, orb.ErrNonExistentMethod) },
-		Bootstrap:  b.connect,
-		Close:      b.close,
+		StaleDoc: func(err error) *ifsvr.Document {
+			var stale *orb.StaleError
+			if errors.As(err, &stale) {
+				return stale.Interface
+			}
+			return nil
+		},
+		Bootstrap: b.connect,
+		Close:     b.close,
 	}}
 }
 

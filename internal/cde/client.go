@@ -8,8 +8,10 @@
 // only after the published interface is current — the client updates its
 // view of the server interface *before* delivering the exception to the
 // calling code, so the developer always sees the signature change that
-// caused the failure (Section 6, Figure 9). The JPie debugger analogue
-// records the failed call and supports 'try again'.
+// caused the failure (Section 6, Figure 9). The view is updated from the
+// reply, which carries the document the Interface Server would serve at
+// that instant; only a reply without one is followed by a fetch. The JPie
+// debugger analogue records the failed call and supports 'try again'.
 package cde
 
 import (
@@ -128,7 +130,8 @@ type ClientStats struct {
 	// reactive interface refresh).
 	StaleFaults uint64
 	// Refreshes counts interface *fetches* (initial, reactive, and manual
-	// HTTP round-trips). Watch-delivered updates are counted separately.
+	// HTTP round-trips). Watch-delivered updates are counted separately; a
+	// document a stale reply carried is not a fetch and counts in neither.
 	Refreshes uint64
 	// WatchUpdates counts interface views installed from watch pushes —
 	// updates that cost no per-call document fetch.
@@ -178,9 +181,6 @@ type Client struct {
 	iface    dyn.InterfaceDescriptor
 	versions DocVersions
 	stats    ClientStats
-	// viewChanged is closed and replaced whenever a new interface view is
-	// installed; the stale-call path waits on it for the watch push.
-	viewChanged chan struct{}
 	// viewHooks run (outside the lock) after every installed view — the
 	// hooks bridges use for event-driven re-export. Keyed so several
 	// listeners (e.g. two fronts over one client) coexist.
@@ -206,7 +206,7 @@ func NewClient(backend Backend) (*Client, error) {
 // NewClientContext is NewClient with a context governing the initial
 // interface fetch and per-client options (nil for defaults).
 func NewClientContext(ctx context.Context, backend Backend, opts *DialOptions) (*Client, error) {
-	c := &Client{backend: backend, viewChanged: make(chan struct{})}
+	c := &Client{backend: backend}
 	c.debugger = &Debugger{client: c}
 	if opts != nil {
 		c.callTimeout = opts.Timeout
@@ -257,7 +257,7 @@ func (c *Client) runWatch(ctx context.Context, wb WatchableBackend) {
 	for {
 		after := c.Versions().Epoch
 		err := wb.StreamInterface(ctx, after, func(ev InterfaceEvent) {
-			installed := c.installView(ev.Desc, ev.Versions, true, c.noteRestart(ev.Versions))
+			installed := c.installView(ev.Desc, ev.Versions, fromWatch, c.noteRestart(ev.Versions))
 			c.mu.Lock()
 			c.stats.StreamEvents++
 			if ev.Replayed && installed {
@@ -365,29 +365,39 @@ func (c *Client) AddViewListener(fn func()) (remove func()) {
 	}
 }
 
-// installView installs a fetched or pushed interface view. The view never
-// moves backwards: an older document than the current view is dropped (its
-// fetch is still counted) — unless force is set, the restart path, where
-// the regressed view is the new server's truth. It reports whether the
-// view was installed.
-func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, fromWatch, force bool) bool {
+// viewSource says where an installed view came from.
+type viewSource uint8
+
+const (
+	fromFetch viewSource = iota // a document GET
+	fromWatch                   // a watch-stream push
+	fromReply                   // the document a stale reply carried
+)
+
+// installView installs a fetched, pushed or carried interface view. The
+// view never moves backwards, and never re-installs itself: a document
+// older than the current view, or a versioned one with the current view's
+// (generation, version), is dropped (a fetch is still counted) — unless
+// force is set, the restart path, where the regressed view is the new
+// server's truth. It reports whether the view was installed.
+func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, src viewSource, force bool) bool {
 	c.mu.Lock()
-	if !fromWatch {
+	if src == fromFetch {
 		// A fetch happened whether or not its result wins the race below.
 		c.stats.Refreshes++
 	}
-	if vers.Doc < c.versions.Doc && !force {
+	cur := c.versions
+	same := vers.Doc != 0 && vers.Doc == cur.Doc && vers.Generation == cur.Generation
+	if !force && (vers.Doc < cur.Doc || same) {
 		c.mu.Unlock()
 		return false
 	}
-	if fromWatch {
+	if src == fromWatch {
 		// Counted only when the pushed view is actually installed.
 		c.stats.WatchUpdates++
 	}
 	c.iface = desc
 	c.versions = vers
-	close(c.viewChanged)
-	c.viewChanged = make(chan struct{})
 	hooks := make([]func(), 0, len(c.viewHooks))
 	for _, h := range c.viewHooks {
 		hooks = append(hooks, h)
@@ -439,55 +449,33 @@ func (c *Client) RefreshContext(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	c.installView(desc, vers, false, c.noteRestart(vers))
+	c.installView(desc, vers, fromFetch, c.noteRestart(vers))
 	return nil
 }
 
-// watchStaleWait bounds how long a stale call waits for the watch push
-// before falling back to an HTTP refresh. The push normally arrives within
-// a round-trip of the "Non Existent Method" reply (the server committed the
-// document before replying), so the bound only matters when the watch
-// stream is wedged — or when the server runs the ActivePublishingOnly
-// ablation, where no forced publication happens and every stale call pays
-// the full fallback wait; don't combine watch clients with that ablation.
-const watchStaleWait = 2 * time.Second
+// carrier is a Backend whose stale replies may carry the interface document
+// the refusing server just committed — the document backend of every
+// DocBinding.
+type carrier interface {
+	carriedInterface(err error) (dyn.InterfaceDescriptor, DocVersions, bool)
+}
 
-// reactiveRefresh brings the client's view up to date after a "Non Existent
-// Method" reply to a call against sig. Without a watcher it fetches the
-// document (the classic Section 6 path). With a watcher, the
-// push-invalidated cache resolves it: the server's forced publication is
-// already on its way to the watcher, so this waits for a view that is both
-// newer than the one the failed call was made against and no longer
-// carries the failed signature — an intermediate publication that still
-// contains it cannot be the forced one, so the wait continues (the view
-// must explain the fault, per Section 6). If no such push arrives within
-// watchStaleWait the refresh falls back to a fetch so the recency
-// guarantee holds regardless.
-func (c *Client) reactiveRefresh(ctx context.Context, calledWith uint64, sig dyn.MethodSig) error {
-	if !c.Watching() {
-		return c.RefreshContext(ctx)
-	}
-	fallback := time.NewTimer(watchStaleWait)
-	defer fallback.Stop()
-	for {
-		c.mu.RLock()
-		cur := c.versions.Doc
-		changed := c.viewChanged
-		have, stillThere := c.iface.Lookup(sig.Name)
-		c.mu.RUnlock()
-		if cur > calledWith && (!stillThere || !have.Equal(sig)) {
+// reactiveRefresh brings the client's view up to date after the "Non
+// Existent Method" reply stale, watcher or not. The reply carries the
+// document the server's forced publication committed (Section 5.7), which
+// is exactly what the Interface Server would serve at that instant, and it
+// is installed like a fetched one. A reply without one — the
+// ActivePublishingOnly ablation, a document over ifsvr.MaxCarriedDoc or one
+// that does not compile, a server predating carried documents — falls back
+// to fetching the document, the classic Section 6 path.
+func (c *Client) reactiveRefresh(ctx context.Context, stale error) error {
+	if cb, ok := c.backend.(carrier); ok {
+		if desc, vers, ok := cb.carriedInterface(stale); ok {
+			c.installView(desc, vers, fromReply, c.noteRestart(vers))
 			return nil
 		}
-		select {
-		case <-changed:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-fallback.C:
-			// Covers the pathological tails (e.g. the signature was
-			// restored unchanged after the fault) with one bounded fetch.
-			return c.RefreshContext(ctx)
-		}
 	}
+	return c.RefreshContext(ctx)
 }
 
 // Call is CallContext with a background context (bounded by the client's
@@ -520,7 +508,6 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 	}
 
 	c.mu.RLock()
-	calledWith := c.versions.Doc
 	sig, ok := c.iface.Lookup(method)
 	c.mu.RUnlock()
 	if !ok {
@@ -529,10 +516,6 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 			return dyn.Value{}, err
 		}
 		c.mu.RLock()
-		// Re-snapshot the view version too: the invoke below runs against
-		// the refreshed view, so the reactive-update wait on a stale reply
-		// must be measured from here, not from the pre-refresh version.
-		calledWith = c.versions.Doc
 		sig, ok = c.iface.Lookup(method)
 		c.mu.RUnlock()
 		if !ok {
@@ -554,11 +537,10 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 	// Section 6: "when a 'Non existent Method' exception is received by
 	// the client backend, the client view of the server interface is
 	// updated to the currently published one. Then, the exception is sent
-	// to the dynamic class that made the original RMI call." With a watcher
-	// running, the update comes from the push-invalidated cache instead of
-	// a per-call document refetch.
+	// to the dynamic class that made the original RMI call." The currently
+	// published one rides on the reply itself.
 	c.refreshMu.Lock()
-	refreshErr := c.reactiveRefresh(ctx, calledWith, sig)
+	refreshErr := c.reactiveRefresh(ctx, err)
 	c.refreshMu.Unlock()
 
 	c.mu.Lock()

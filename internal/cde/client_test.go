@@ -379,3 +379,31 @@ func TestInterfaceNameFromTypeID(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualViewInstallsOnce: a view with the current view's (generation,
+// document version) is not installed again — a Refresh that fetched version
+// N before the watch stream pushed N must not fire the view listeners (a
+// bridge's proxy re-sync) twice.
+func TestEqualViewInstallsOnce(t *testing.T) {
+	b := newFakeBackend()
+	c, err := NewClient(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var hooks int
+	c.AddViewListener(func() { hooks++ })
+
+	b.setInterface(descWith("ping", "more"))
+	for i := 0; i < 2; i++ {
+		if err := c.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hooks != 1 {
+		t.Errorf("two fetches of one version fired the view listeners %d times, want 1", hooks)
+	}
+	if st := c.Stats(); st.Refreshes != 3 {
+		t.Errorf("stats = %+v: every fetch still counts", st)
+	}
+}

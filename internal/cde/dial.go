@@ -30,10 +30,10 @@ type DialOptions struct {
 	Binding string
 	// Watch subscribes the client to push-based interface updates: a
 	// watcher holds a streaming watch on the published interface document
-	// and installs each new version into the client's view, so reactive
-	// refresh after a live edit is served from the invalidated cache
-	// instead of a per-call refetch. Requires the binding's backend to
-	// implement WatchableBackend; Dial fails otherwise.
+	// and installs each new version into the client's view as it is
+	// committed, before any call finds the old one stale. Requires the
+	// binding's backend to implement WatchableBackend; Dial fails
+	// otherwise.
 	Watch bool
 	// AuxURL is a binding-specific secondary document URL — the CORBA
 	// binding uses it for the stringified IOR when the primary URL is the

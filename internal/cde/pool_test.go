@@ -53,10 +53,11 @@ func serveCounted(t *testing.T, h http.Handler) (baseURL string, census *connCen
 	return ts.URL, census
 }
 
-// TestRefreshesReuseOneDocConn pins the property the stale-call recovery
-// path (Section 5.7) rides on: every document fetch of one client — the
-// dial, explicit refreshes, the refetch after each stale call — travels on
-// one HTTP/1.1 keep-alive connection of the shared document transport.
+// TestRefreshesReuseOneDocConn pins that every document fetch of one client
+// — the dial and explicit refreshes — travels on one HTTP/1.1 keep-alive
+// connection of the shared document transport, and that stale-call
+// recoveries (Section 5.7) add no fetch at all: their replies carry the
+// document.
 func TestRefreshesReuseOneDocConn(t *testing.T) {
 	mgr, err := core.NewManager(core.Config{Timeout: time.Hour}) // only a stale call publishes
 	if err != nil {
@@ -112,8 +113,8 @@ func TestRefreshesReuseOneDocConn(t *testing.T) {
 			t.Fatalf("stale call %d: the recovered view lacks %s", i, renamed)
 		}
 	}
-	if st := c.Stats(); st.Refreshes < 2*rounds {
-		t.Fatalf("stats = %+v: want at least %d document fetches", st, 2*rounds)
+	if st := c.Stats(); st.Refreshes != rounds+1 || st.StaleFaults != rounds {
+		t.Fatalf("stats = %+v: want %d document fetches (the dial and the refreshes) and %d stale faults", st, rounds+1, rounds)
 	}
 	if opened, _ := census.counts(); opened != 1 {
 		t.Errorf("%d refreshes and %d stale-call recoveries opened %d document connections, want exactly 1", rounds, rounds, opened)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // Outcome classifies how one remote call ended. Each binding maps it to
@@ -52,6 +53,12 @@ type Reply struct {
 	// Err is the body's error (OutcomeAppFault), the reason the request was
 	// unreadable (OutcomeMalformed) or the context's error (OutcomeAbandoned).
 	Err error
+	// Doc is the interface document the forced publication committed
+	// (OutcomeStale only), for the binding to put on its stale reply so the
+	// client need not fetch it. It is nil under the ActivePublishingOnly
+	// ablation, when the committed document is older than the interface that
+	// refused the call, and when it is over ifsvr.MaxCarriedDoc.
+	Doc *ifsvr.Document
 }
 
 // ErrMisfit is what a Resolve returns for a well-formed request that does
@@ -100,10 +107,11 @@ type CallStats struct {
 // "stalls the processing of incoming messages") — forces the published
 // interface current, and only then reports "non-existent method". So a
 // client that reads that reply and refetches the document is guaranteed to
-// see an interface at least as new as the one that refused it. Three rules
-// the per-binding copies of this code used to disagree on: the read gate
-// covers the method body on every binding (CORBA used to drop it before
-// dispatch, so forced publication did not wait for running bodies there);
+// see an interface at least as new as the one that refused it; the reply
+// carries that very document (Reply.Doc), so the client need not refetch.
+// Three rules the per-binding copies of this code used to disagree on: the
+// read gate covers the method body on every binding (CORBA used to drop it
+// before dispatch, so forced publication did not wait for running bodies there);
 // an ended request context skips dispatch on every binding (SOAP used to
 // dispatch regardless); and a server without an instance answers "not
 // initialized" before looking at the request, so it never forces
@@ -255,13 +263,16 @@ func (s *ClassServer) Close() error {
 // between the transport and the method body is stack that goroutine has to
 // grow into, per call.
 func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
+	var refused uint64 // the version of the interface that refused the call
 	s.gate.RLock()
 	if in := s.instance.Load(); in == nil {
 		rep.Outcome = OutcomeInactive
 	} else {
 		var args []dyn.Value
 		var err error
-		rep.Method, args, err = resolve(s.class.Interface())
+		live := s.class.Interface()
+		refused = live.Version
+		rep.Method, args, err = resolve(live)
 		switch {
 		case err == nil && ctx.Err() != nil:
 			// The caller is gone; don't run a method nobody will observe.
@@ -273,7 +284,7 @@ func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
 				rep.Outcome = OutcomeOK
 			case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
 				// The interface changed between resolve and dispatch.
-				rep.Outcome = OutcomeStale
+				rep.Outcome, refused = OutcomeStale, s.class.InterfaceVersion()
 			default:
 				rep.Outcome, rep.Err = OutcomeAppFault, err
 			}
@@ -288,10 +299,27 @@ func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
 	if rep.Outcome == OutcomeStale && !s.activeOnly {
 		s.gate.Lock()
 		s.pub.EnsureCurrent()
+		rep.Doc = s.committedDoc(refused)
 		s.gate.Unlock()
 	}
 	if rep.Outcome != OutcomeAbandoned {
 		s.counts[rep.Outcome].Add(1)
 	}
 	return rep
+}
+
+// committedDoc returns what the Interface Server would serve for the class
+// at this instant, for a stale reply to carry — or nil when that does not
+// vouch for the interface version that refused the call, is over
+// ifsvr.MaxCarriedDoc, or there is no manager's store to read (a bare gate).
+func (s *ClassServer) committedDoc(refused uint64) *ifsvr.Document {
+	if s.mgr == nil {
+		return nil
+	}
+	doc, err := s.mgr.store.Get(s.docPath)
+	if err != nil || doc.DescriptorVersion < refused || len(doc.Content) > ifsvr.MaxCarriedDoc {
+		return nil
+	}
+	doc.Generation = s.mgr.store.Generation()
+	return &doc
 }

@@ -106,7 +106,7 @@ func (s *CORBAServer) Invoke(ctx context.Context, req orb.ServerRequest) (dyn.Va
 	case OutcomeOK:
 		return rep.Value, nil
 	case OutcomeStale:
-		return dyn.Value{}, orb.BadOperation(minor)
+		return dyn.Value{}, &orb.StaleError{Operation: req.Operation, Exception: orb.BadOperation(minor), Interface: rep.Doc}
 	case OutcomeInactive:
 		return dyn.Value{}, errServerNotInitialized
 	default:

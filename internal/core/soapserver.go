@@ -87,9 +87,10 @@ func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: rep.Err.Error()})
 	case OutcomeStale:
 		soap.WriteFault(w, &soap.Fault{
-			Code:   "soap:Server",
-			String: soap.FaultNonExistentMethod,
-			Detail: "method " + rep.Method + " is not part of the current server interface",
+			Code:      "soap:Server",
+			String:    soap.FaultNonExistentMethod,
+			Detail:    "method " + rep.Method + " is not part of the current server interface",
+			Interface: rep.Doc,
 		})
 	case OutcomeMalformed:
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})

@@ -274,8 +274,10 @@ func readMessage(r io.Reader, pooled bool) (Message, error) {
 }
 
 // RequestHeader is the GIOP 1.0 request header. ServiceContext is omitted
-// from the struct (we always emit an empty sequence) because the SDE/CDE
-// protocol carries its metadata in reply bodies instead.
+// from the struct: requests always carry an empty list, and DecodeRequest
+// skips whatever list a peer sends. Replies do use the list — a
+// BAD_OPERATION reply carries the current interface document in one
+// (ReplyHeader.Contexts, DocContext).
 //
 // When produced by DecodeRequest, ObjectKey and Principal are sub-slices of
 // the message body: they are valid only until the message is recycled and
@@ -373,8 +375,19 @@ func DecodeCancelRequest(m Message) (uint32, error) {
 	return id, nil
 }
 
+// ServiceContext is one entry of a GIOP service context list: an id and
+// its octets, by convention an encapsulation.
+type ServiceContext struct {
+	ID   uint32
+	Data []byte
+}
+
 // ReplyHeader is the GIOP 1.0 reply header.
 type ReplyHeader struct {
+	// Contexts is the reply's service context list, empty on every reply
+	// but a stale call's BAD_OPERATION. DecodeReply returns the entries'
+	// Data as sub-slices of the message body, valid until it is recycled.
+	Contexts  []ServiceContext
 	RequestID uint32
 	Status    ReplyStatus
 }
@@ -385,7 +398,11 @@ type ReplyHeader struct {
 // written (see the package comment).
 func EncodeReply(order cdr.ByteOrder, h ReplyHeader, result func(*cdr.Encoder) error) (Message, error) {
 	e := cdr.GetEncoder(order)
-	e.WriteULong(0) // empty service context list
+	e.WriteULong(uint32(len(h.Contexts)))
+	for _, sc := range h.Contexts {
+		e.WriteULong(sc.ID)
+		e.WriteOctetSeq(sc.Data)
+	}
 	e.WriteULong(h.RequestID)
 	e.WriteULong(uint32(h.Status))
 	if result != nil {
@@ -408,15 +425,26 @@ func DecodeReply(m Message) (ReplyHeader, *cdr.Decoder, error) {
 	if err != nil {
 		return ReplyHeader{}, nil, fmt.Errorf("giop: reply service context: %w", err)
 	}
-	for i := uint32(0); i < nctx; i++ {
-		if _, err := d.ReadULong(); err != nil {
-			return ReplyHeader{}, nil, fmt.Errorf("giop: service context %d: %w", i, err)
+	var h ReplyHeader
+	if nctx > 0 {
+		// Each entry takes at least eight octets, which bounds what a lying
+		// count can make us allocate by the body's own length.
+		if int64(nctx) > int64(d.Remaining()/8) {
+			return ReplyHeader{}, nil, fmt.Errorf("giop: reply claims %d service contexts in %d octets", nctx, d.Remaining())
 		}
-		if _, err := d.ReadOctetSeq(); err != nil {
+		h.Contexts = make([]ServiceContext, nctx)
+	}
+	for i := range h.Contexts {
+		sc := &h.Contexts[i]
+		if sc.ID, err = d.ReadULong(); err == nil {
+			if sc.Data, err = d.ReadOctetSeqRef(); err == nil {
+				err = zeroPadding(d, 4)
+			}
+		}
+		if err != nil {
 			return ReplyHeader{}, nil, fmt.Errorf("giop: service context %d: %w", i, err)
 		}
 	}
-	var h ReplyHeader
 	if h.RequestID, err = d.ReadULong(); err != nil {
 		return ReplyHeader{}, nil, fmt.Errorf("giop: reply request id: %w", err)
 	}
@@ -426,4 +454,20 @@ func DecodeReply(m Message) (ReplyHeader, *cdr.Decoder, error) {
 	}
 	h.Status = ReplyStatus(st)
 	return h, d, nil
+}
+
+// zeroPadding consumes the octets that align d to a multiple of n, refusing
+// any that is not zero, so that whatever the decoders here accept
+// re-encodes byte for byte.
+func zeroPadding(d *cdr.Decoder, n int) error {
+	for d.Pos()%n != 0 {
+		b, err := d.ReadOctet()
+		if err != nil {
+			return err
+		}
+		if b != 0 {
+			return fmt.Errorf("giop: nonzero alignment padding at %d", d.Pos()-1)
+		}
+	}
+	return nil
 }

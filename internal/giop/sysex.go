@@ -77,6 +77,62 @@ func AsSystemException(err error) (*SystemException, bool) {
 	return nil, false
 }
 
+// DocContextID tags the reply service context in which a BAD_OPERATION reply
+// carries the interface document the server's forced publication committed
+// (Section 5.7). It is a vendor id: "LD", then 1.
+const DocContextID uint32 = 0x4C440001
+
+// DocContext is the interface document a stale reply carries: the Interface
+// Server's four counters for it, and its text.
+type DocContext struct {
+	Version, DescriptorVersion, Epoch, Generation uint64
+	Text                                          string
+}
+
+// Context encodes dc as a DocContextID service context: an encapsulation in
+// the given byte order of the four counters, each an unsigned long long, and
+// the text as a string.
+func (dc DocContext) Context(order cdr.ByteOrder) ServiceContext {
+	data, _ := cdr.EncodeEncapsulation(order, func(e *cdr.Encoder) error {
+		for _, v := range [...]uint64{dc.Version, dc.DescriptorVersion, dc.Epoch, dc.Generation} {
+			e.WriteULongLong(v)
+		}
+		e.WriteString(dc.Text)
+		return nil
+	})
+	return ServiceContext{ID: DocContextID, Data: data}
+}
+
+// ParseDocContext decodes a DocContextID service context. It refuses a
+// context with another id, and one that is truncated, pads with anything
+// but zeros, or leaves octets over: what it accepts, Context re-encodes
+// byte for byte.
+func ParseDocContext(sc ServiceContext) (DocContext, error) {
+	if sc.ID != DocContextID {
+		return DocContext{}, fmt.Errorf("giop: service context %#x is not a document", sc.ID)
+	}
+	d, err := cdr.NewEncapsulationDecoder(sc.Data)
+	if err != nil {
+		return DocContext{}, fmt.Errorf("giop: document context: %w", err)
+	}
+	var dc DocContext
+	for _, dst := range [...]*uint64{&dc.Version, &dc.DescriptorVersion, &dc.Epoch, &dc.Generation} {
+		if err = zeroPadding(d, 8); err == nil {
+			*dst, err = d.ReadULongLong()
+		}
+		if err != nil {
+			return DocContext{}, fmt.Errorf("giop: document context: %w", err)
+		}
+	}
+	if dc.Text, err = d.ReadString(); err != nil {
+		return DocContext{}, fmt.Errorf("giop: document context: %w", err)
+	}
+	if d.Remaining() != 0 {
+		return DocContext{}, fmt.Errorf("giop: document context: %d octets left over", d.Remaining())
+	}
+	return dc, nil
+}
+
 // IsBadOperation reports whether err is a BAD_OPERATION system exception —
 // the CORBA-side signal of the paper's "Non Existent Method" condition.
 func IsBadOperation(err error) bool {

@@ -21,8 +21,22 @@ import (
 // ErrNonExistentMethod is the client-visible form of the binding's
 // "non-existent method" error code. Receiving it guarantees the published
 // interface document is already current (Section 5.7), so the CDE reacts
-// by re-fetching it.
+// by installing the document the reply carries, or by re-fetching it.
 var ErrNonExistentMethod = errors.New("h2b: non-existent method")
+
+// StaleError is a "non-existent method" reply: the server's message, and
+// the interface document the reply carried, if any. It matches
+// ErrNonExistentMethod.
+type StaleError struct {
+	Message   string
+	Interface *ifsvr.Document
+}
+
+// Error implements error.
+func (e *StaleError) Error() string { return ErrNonExistentMethod.Error() + ": " + e.Message }
+
+// Unwrap returns ErrNonExistentMethod.
+func (e *StaleError) Unwrap() error { return ErrNonExistentMethod }
 
 // AppError is a server-side application error delivered to the client.
 type AppError struct {
@@ -164,15 +178,8 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	defer func() { _ = resp.Body.Close() }()
 
 	if code := resp.Header.Get(ErrorHeader); code != "" || resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		switch code {
-		case CodeNonExistentMethod:
-			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, msg)
-		case CodeApplication:
-			return dyn.Value{}, &AppError{Message: string(msg)}
-		default:
-			return dyn.Value{}, fmt.Errorf("h2b: server error %s (HTTP %d): %s", code, resp.StatusCode, msg)
-		}
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, max(maxMessage, ifsvr.MaxCarriedDoc)+1))
+		return dyn.Value{}, replyError(sig, code, resp.StatusCode, msg, resp.Header.Get)
 	}
 	body, err := readBody(resp.Body)
 	if err != nil {
@@ -230,18 +237,9 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 	}
 
 	if code := resp.HeaderValue(muxErrorHeader); code != "" || resp.Status != http.StatusOK {
-		msg := resp.Body
-		if len(msg) > 1<<16 {
-			msg = msg[:1<<16]
-		}
-		switch code {
-		case CodeNonExistentMethod:
-			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, msg)
-		case CodeApplication:
-			return dyn.Value{}, &AppError{Message: string(msg)}
-		default:
-			return dyn.Value{}, fmt.Errorf("h2b: server error %s (HTTP %d): %s", code, resp.Status, msg)
-		}
+		return dyn.Value{}, replyError(sig, code, resp.Status, resp.Body, func(name string) string {
+			return resp.HeaderValue(strings.ToLower(name))
+		})
 	}
 	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil
@@ -260,6 +258,32 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 		return dyn.Value{}, fmt.Errorf("h2b: decoding %s result: %w", sig.Name, err)
 	}
 	return v, nil
+}
+
+// maxMessage bounds the error text an error reply is reported with.
+const maxMessage = 1 << 16
+
+// replyError is the error an error reply to a call against sig stands for:
+// its code, HTTP status and body, and its headers as get reads them. A
+// stale reply's body is the interface document it carries when get finds
+// the document's counters; the caller reads it to one octet past
+// ifsvr.MaxCarriedDoc, so one at the bound arrives whole and one past it is
+// refused, not cut.
+func replyError(sig dyn.MethodSig, code string, status int, body []byte, get func(string) string) error {
+	if code == CodeNonExistentMethod && len(body) <= ifsvr.MaxCarriedDoc {
+		if doc, ok := ifsvr.CarriedDoc(string(body), get); ok {
+			return &StaleError{Message: "method " + sig.Name + " is not part of the current server interface", Interface: &doc}
+		}
+	}
+	msg := body[:min(len(body), maxMessage)]
+	switch code {
+	case CodeNonExistentMethod:
+		return &StaleError{Message: string(msg)}
+	case CodeApplication:
+		return &AppError{Message: string(msg)}
+	default:
+		return fmt.Errorf("h2b: server error %s (HTTP %d): %s", code, status, msg)
+	}
 }
 
 // Binding is the complete CDR-over-HTTP RMI technology: the server half
@@ -303,6 +327,13 @@ func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (
 			return desc, &Caller{Endpoint: endpoint, Mux: mux}, nil
 		},
 		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
+		StaleDoc: func(err error) *ifsvr.Document {
+			var stale *StaleError
+			if errors.As(err, &stale) {
+				return stale.Interface
+			}
+			return nil
+		},
 	})
 }
 

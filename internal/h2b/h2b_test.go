@@ -17,6 +17,8 @@ import (
 	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/h2x"
+	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
 )
 
@@ -453,5 +455,78 @@ func TestCancellationAbortsInFlightCall(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("cancellation took %v, should be prompt", elapsed)
+	}
+}
+
+// TestStaleReplyCarriesDocumentUpToTheBound: on both fronts, a stale error
+// reply whose body is a document of exactly ifsvr.MaxCarriedDoc octets
+// reaches the client whole, past the 64 KiB message cap's old cut; one
+// octet more is refused rather than cut, and so is a body without the
+// document headers.
+func TestStaleReplyCarriesDocumentUpToTheBound(t *testing.T) {
+	doc := ifsvr.Document{Version: 3, DescriptorVersion: 5, Epoch: 8, Generation: 13}
+	var (
+		mu      sync.Mutex
+		body    string
+		headers bool
+	)
+	answer := func() (string, [][2]string) {
+		mu.Lock()
+		defer mu.Unlock()
+		var hdr [][2]string
+		if headers {
+			ifsvr.DocHeaders(doc, func(name, value string) { hdr = append(hdr, [2]string{name, value}) })
+		}
+		return body, hdr
+	}
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		b, hdr := answer()
+		for _, h := range hdr {
+			w.Header().Set(h[0], h[1])
+		}
+		writeError(w, http.StatusNotFound, CodeNonExistentMethod, b)
+	}))
+	defer plain.Close()
+	mux := h2x.NewServer(h2x.HandlerFunc(func(_ context.Context, _ *h2x.Request) *h2x.Response {
+		b, hdr := answer()
+		fields := [][2]string{{muxErrorHeader, CodeNonExistentMethod}}
+		for _, h := range hdr {
+			fields = append(fields, [2]string{strings.ToLower(h[0]), h[1]})
+		}
+		return &h2x.Response{Status: http.StatusNotFound, Header: fields, Body: []byte(b)}
+	}))
+	muxAddr, err := mux.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close()
+
+	sig := dyn.MethodSig{Name: "gone", Result: dyn.Int32T}
+	for _, tc := range []struct {
+		name    string
+		size    int
+		headers bool
+		carried bool
+	}{
+		{"at the bound", ifsvr.MaxCarriedDoc, true, true},
+		{"one octet past it", ifsvr.MaxCarriedDoc + 1, true, false},
+		{"without the headers", 100, false, false},
+	} {
+		mu.Lock()
+		body, headers = strings.Repeat("d", tc.size), tc.headers
+		mu.Unlock()
+		for front, c := range map[string]*Caller{"http": {Endpoint: plain.URL}, "mux": {Endpoint: plain.URL, Mux: muxAddr}} {
+			_, err := c.Call(context.Background(), sig, nil)
+			var stale *StaleError
+			if !errors.As(err, &stale) || !errors.Is(err, ErrNonExistentMethod) {
+				t.Fatalf("%s, %s: %v", tc.name, front, err)
+			}
+			switch got := stale.Interface; {
+			case !tc.carried && got != nil:
+				t.Errorf("%s, %s: carried %d octets", tc.name, front, len(got.Content))
+			case tc.carried && (got == nil || len(got.Content) != tc.size || got.Version != doc.Version || got.Generation != doc.Generation):
+				t.Errorf("%s, %s: carried %+v", tc.name, front, got)
+			}
+		}
 	}
 }

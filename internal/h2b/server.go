@@ -8,11 +8,13 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 
 	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2x"
+	"livedev/internal/ifsvr"
 )
 
 // maxBodyBytes bounds one call's argument (or reply) stream.
@@ -105,6 +107,9 @@ type reply struct {
 	order   cdr.ByteOrder
 	body    []byte
 	release func()
+	// doc is the interface document a stale reply carries: msg is its text,
+	// and its counters go in the ifsvr document headers.
+	doc *ifsvr.Document
 }
 
 // errReply builds an error outcome.
@@ -169,6 +174,11 @@ func (s *Server) call(ctx context.Context, method, orderHdr string, body []byte,
 	case core.OutcomeAppFault:
 		return errReply(http.StatusInternalServerError, CodeApplication, rep.Err.Error())
 	case core.OutcomeStale:
+		if rep.Doc != nil {
+			r := errReply(http.StatusNotFound, CodeNonExistentMethod, rep.Doc.Content)
+			r.doc = rep.Doc
+			return r
+		}
 		return errReply(http.StatusNotFound, CodeNonExistentMethod,
 			"method "+rep.Method+" is not part of the current server interface")
 	case core.OutcomeMalformed:
@@ -195,6 +205,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case rep.status == 0:
 		// Caller gone; nobody is left to read a reply.
 	case rep.errCode != "":
+		if rep.doc != nil {
+			ifsvr.DocHeaders(*rep.doc, w.Header().Set)
+		}
 		writeError(w, rep.status, rep.errCode, rep.msg)
 	default:
 		w.Header().Set("Content-Type", CallContentType)
@@ -229,14 +242,16 @@ func (s *Server) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
 	case rep.status == 0:
 		return nil // caller gone; a nil response just drops the stream
 	case rep.errCode != "":
-		return &h2x.Response{
-			Status: rep.status,
-			Header: [][2]string{
-				{"content-type", "text/plain; charset=utf-8"},
-				{muxErrorHeader, rep.errCode},
-			},
-			Body: []byte(rep.msg),
+		hdr := [][2]string{
+			{"content-type", "text/plain; charset=utf-8"},
+			{muxErrorHeader, rep.errCode},
 		}
+		if rep.doc != nil {
+			ifsvr.DocHeaders(*rep.doc, func(name, value string) {
+				hdr = append(hdr, [2]string{strings.ToLower(name), value})
+			})
+		}
+		return &h2x.Response{Status: rep.status, Header: hdr, Body: []byte(rep.msg)}
 	default:
 		return &h2x.Response{
 			Status: rep.status,

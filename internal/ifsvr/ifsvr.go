@@ -247,7 +247,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	writeDoc(w, d, st.Generation())
+	d.Generation = st.Generation()
+	writeDoc(w, d)
 }
 
 // Handle mounts an auxiliary handler on a reserved path (e.g. the
@@ -283,13 +284,54 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	_ = enc.Encode(s.Store().Stats())
 }
 
-func writeDoc(w http.ResponseWriter, d Document, gen uint64) {
-	w.Header().Set("Content-Type", d.ContentType)
-	w.Header().Set(VersionHeader, strconv.FormatUint(d.Version, 10))
-	w.Header().Set(DescriptorVersionHeader, strconv.FormatUint(d.DescriptorVersion, 10))
-	w.Header().Set(EpochHeader, strconv.FormatUint(d.Epoch, 10))
-	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
+// writeDoc answers a GET with d. The declared length keeps net/http from
+// chunking a document larger than its 2 KB write buffer.
+func writeDoc(w http.ResponseWriter, d Document) {
+	h := w.Header()
+	h.Set("Content-Type", d.ContentType)
+	h.Set("Content-Length", strconv.Itoa(len(d.Content)))
+	DocHeaders(d, h.Set)
 	_, _ = io.WriteString(w, d.Content)
+}
+
+// MaxCarriedDoc bounds the document a "Non Existent Method" reply carries,
+// on every binding (docs/watch-protocol.md, "Stale replies carry the
+// document"): a server leaves a larger document out of the reply, a client
+// refuses one, and either way the client fetches it instead. Transports
+// must read a stale reply's body up to this size without cutting it.
+const MaxCarriedDoc = 64 << 10
+
+// DocHeaders calls set once for each of the four counters of d, under the
+// header names a document GET answers with. A stale reply that carries d
+// sends the same four.
+func DocHeaders(d Document, set func(name, value string)) {
+	set(VersionHeader, strconv.FormatUint(d.Version, 10))
+	set(DescriptorVersionHeader, strconv.FormatUint(d.DescriptorVersion, 10))
+	set(EpochHeader, strconv.FormatUint(d.Epoch, 10))
+	set(GenerationHeader, strconv.FormatUint(d.Generation, 10))
+}
+
+// CarriedDoc rebuilds the document a stale reply carried from its text and
+// the headers get looks up by the names DocHeaders sets. It reports false
+// unless all four counters are there as decimal numbers.
+func CarriedDoc(content string, get func(name string) string) (Document, bool) {
+	d := Document{Content: content}
+	for _, c := range [...]struct {
+		name string
+		dst  *uint64
+	}{
+		{VersionHeader, &d.Version},
+		{DescriptorVersionHeader, &d.DescriptorVersion},
+		{EpochHeader, &d.Epoch},
+		{GenerationHeader, &d.Generation},
+	} {
+		v, err := strconv.ParseUint(get(c.name), 10, 64)
+		if err != nil {
+			return Document{}, false
+		}
+		*c.dst = v
+	}
+	return d, true
 }
 
 // Start begins serving over HTTP on addr ("127.0.0.1:0" for an ephemeral
@@ -374,7 +416,7 @@ func FetchContext(ctx context.Context, client *http.Client, url string) (Documen
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return Document{}, fmt.Errorf("ifsvr: fetching %s: HTTP %d", url, resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxDocBytes+1))
+	data, err := readDoc(resp)
 	if err != nil {
 		return Document{}, fmt.Errorf("ifsvr: reading %s: %w", url, err)
 	}
@@ -389,6 +431,31 @@ func FetchContext(ctx context.Context, client *http.Client, url string) (Documen
 		Generation:        headerUint(resp, GenerationHeader),
 		ContentType:       resp.Header.Get("Content-Type"),
 	}, nil
+}
+
+// readDoc reads a document body of at most maxDocBytes+1 octets into one
+// buffer sized from its declared length, so a body that is as long as it
+// claims needs no regrowth and the final EOF read finds room.
+func readDoc(resp *http.Response) ([]byte, error) {
+	size := int64(512)
+	if resp.ContentLength >= 0 {
+		size = min(resp.ContentLength, maxDocBytes) + 1
+	}
+	data := make([]byte, 0, size)
+	r := io.LimitReader(resp.Body, maxDocBytes+1)
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 func headerUint(resp *http.Response, name string) uint64 {

@@ -108,6 +108,53 @@ func TestFetchRefusesOversizeDocument(t *testing.T) {
 	}
 }
 
+// TestDocGetIsNotChunked: a document larger than net/http's 2 KB response
+// buffer is answered with its exact Content-Length, not chunked, and
+// FetchContext reads it whole.
+func TestDocGetIsNotChunked(t *testing.T) {
+	s := New()
+	text := strings.Repeat("<operation name=\"op\"/>\n", 300) // ~7 KB, the size of a WSDL
+	s.Publish("/wsdl/Big.wsdl", "text/xml", text)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/wsdl/Big.wsdl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil || string(body) != text {
+		t.Fatalf("GET read %d bytes, %v", len(body), err)
+	}
+	if resp.ContentLength != int64(len(text)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v; want %d and none", resp.ContentLength, resp.TransferEncoding, len(text))
+	}
+	if doc, err := FetchContext(context.Background(), nil, ts.URL+"/wsdl/Big.wsdl"); err != nil || doc.Content != text || doc.Version != 1 {
+		t.Errorf("FetchContext = %d bytes at version %d, %v", len(doc.Content), doc.Version, err)
+	}
+}
+
+// TestCarriedDocNeedsAllFourCounters: the headers a GET answers with are
+// exactly what CarriedDoc reads back; a reply missing one, or carrying one
+// that is not a number, carries no document.
+func TestCarriedDocNeedsAllFourCounters(t *testing.T) {
+	want := Document{Content: "<definitions/>", Version: 3, DescriptorVersion: 8, Epoch: 21, Generation: 1 << 40}
+	h := http.Header{}
+	DocHeaders(want, h.Set)
+	if got, ok := CarriedDoc(want.Content, h.Get); !ok || got != want {
+		t.Errorf("CarriedDoc = %+v, %v; want %+v", got, ok, want)
+	}
+	for _, name := range []string{VersionHeader, DescriptorVersionHeader, EpochHeader, GenerationHeader} {
+		for _, bad := range []string{"", "-1", "x"} {
+			h2 := h.Clone()
+			h2.Set(name, bad)
+			if got, ok := CarriedDoc(want.Content, h2.Get); ok {
+				t.Errorf("%s: %q: carried %+v", name, bad, got)
+			}
+		}
+	}
+}
+
 // TestFetchKeepsConnAcrossNon200: a refused fetch drains its answer, so
 // the next fetch on the same client reuses the keep-alive connection.
 func TestFetchKeepsConnAcrossNon200(t *testing.T) {

@@ -18,8 +18,22 @@ import (
 // ErrNonExistentMethod is the client-visible form of the binding's
 // "non-existent method" error code. Receiving it guarantees the published
 // interface document is already current (Section 5.7), so the CDE reacts
-// by re-fetching it.
+// by installing the document the reply carries, or by re-fetching it.
 var ErrNonExistentMethod = errors.New("jsonb: non-existent method")
+
+// StaleError is a "non-existent method" reply: the server's message, and
+// the interface document the reply carried, if any. It matches
+// ErrNonExistentMethod.
+type StaleError struct {
+	Message   string
+	Interface *ifsvr.Document
+}
+
+// Error implements error.
+func (e *StaleError) Error() string { return ErrNonExistentMethod.Error() + ": " + e.Message }
+
+// Unwrap returns ErrNonExistentMethod.
+func (e *StaleError) Unwrap() error { return ErrNonExistentMethod }
 
 // AppError is a server-side application error delivered to the client.
 type AppError struct {
@@ -97,7 +111,13 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		code, msg := parsed.failure.Index(0).Str(), parsed.failure.Index(1).Str()
 		switch code {
 		case CodeNonExistentMethod:
-			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNonExistentMethod, msg)
+			stale := &StaleError{Message: msg}
+			if parsed.iface != nil {
+				if doc, ok := ifsvr.CarriedDoc(string(parsed.iface), resp.Header.Get); ok {
+					stale.Interface = &doc
+				}
+			}
+			return dyn.Value{}, stale
 		case CodeApplication:
 			return dyn.Value{}, &AppError{Message: msg}
 		default:
@@ -157,6 +177,13 @@ func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (
 			return desc, &Caller{Endpoint: endpoint, HTTPClient: hc}, nil
 		},
 		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
+		StaleDoc: func(err error) *ifsvr.Document {
+			var stale *StaleError
+			if errors.As(err, &stale) {
+				return stale.Interface
+			}
+			return nil
+		},
 	})
 }
 

@@ -629,3 +629,46 @@ func TestParseReply(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleErrorCarriesInterface: a stale reply's error object carries the
+// document, itself a JSON object, verbatim as its "interface" member, and
+// the scanner returns exactly those bytes, white space included; a reader
+// that knows only code and message (encoding/json, as a client before this
+// change decodes it) reads the same code and message as ever.
+func TestStaleErrorCarriesInterface(t *testing.T) {
+	doc, err := GenerateDoc(benchDesc(3), "http://127.0.0.1:1/json/X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := appendStaleError(nil, "method \"x\" <gone>", doc)
+	var parent struct {
+		Error *struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &parent); err != nil || parent.Error == nil ||
+		parent.Error.Code != CodeNonExistentMethod || parent.Error.Message != "method \"x\" <gone>" {
+		t.Fatalf("encoding/json reads %s as %+v, %v", body, parent.Error, err)
+	}
+	c := getCodec()
+	defer putCodec(c)
+	parse := func(body string) reply {
+		t.Helper()
+		c.reset([]byte(body))
+		r, err := c.parseReply(dyn.Int32T)
+		if err != nil || !r.failed || r.failure.Index(0).Str() != CodeNonExistentMethod {
+			t.Fatalf("%s: %+v, %v", body, r, err)
+		}
+		return r
+	}
+	if r := parse(string(body)); string(r.iface) != doc {
+		t.Errorf("interface member = %q, want %q", r.iface, doc)
+	}
+	if r := parse(`{"error":{"code":"non-existent-method","message":"m"}}`); r.iface != nil {
+		t.Errorf("a reply without the member carried %q", r.iface)
+	}
+	if r := parse(`{"error":{"interface":1,"code":"non-existent-method","interface": {"a" : [1]}  ,"message":"m"}}`); string(r.iface) != ` {"a" : [1]}  ` {
+		t.Errorf("the last duplicate, white space and all: %q", r.iface)
+	}
+}

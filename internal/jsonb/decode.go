@@ -658,6 +658,9 @@ type reply struct {
 	// failure is the error member, a wireErrorType value, when failed is set.
 	failure dyn.Value
 	failed  bool
+	// iface is the error object's "interface" member as its raw bytes — the
+	// document a stale reply carries — or nil. It aliases the scanned body.
+	iface []byte
 }
 
 // parseReply scans the response envelope in c.data, decoding the result
@@ -679,10 +682,7 @@ func (c *codec) parseReply(t *dyn.Type) (reply, error) {
 			out.result, out.misfit, err = c.try(t)
 			out.hasResult = true
 		case "error":
-			var misfit error
-			if out.failure, misfit, err = c.try(wireErrorType); err == nil && misfit != nil {
-				err = fmt.Errorf("jsonb: malformed error reply: %w", misfit)
-			}
+			out.failure, out.iface, err = c.errorObject()
 			out.failed = true
 		default:
 			err = c.skip()
@@ -696,6 +696,61 @@ func (c *codec) parseReply(t *dyn.Type) (reply, error) {
 	}
 	c.close()
 	return out, c.end()
+}
+
+// errorObject scans the error member's value: the protocol's error object,
+// whose "code" and "message" must be strings (returned as a wireErrorType
+// value), and whose "interface", when there is one, is the document a stale
+// reply carries, returned as its exact bytes from the colon to the comma or
+// brace after it (nil when there is none). Members may come in any order; the last of duplicates
+// counts, and unknown ones are skipped.
+func (c *codec) errorObject() (failure dyn.Value, iface []byte, err error) {
+	if c.ws() != '{' {
+		return failure, nil, c.syntax("malformed error reply: not an object")
+	}
+	var fields [2]dyn.Value // code, message
+	var seen [2]bool
+	more, err := c.open('}')
+	for more && err == nil {
+		var name []byte
+		if name, err = c.member(); err != nil {
+			break
+		}
+		switch f := string(name); f {
+		case "code", "message":
+			i := 0
+			if f == "message" {
+				i = 1
+			}
+			if c.ws() != '"' {
+				return failure, nil, c.syntax("malformed error reply: " + f + " is not a string")
+			}
+			var s []byte
+			if s, err = c.str(); err == nil {
+				fields[i], seen[i] = dyn.StringValue(string(s)), true
+			}
+		case "interface":
+			from := c.pos
+			if err = c.skip(); err == nil {
+				c.ws()
+				iface = c.data[from:c.pos]
+			}
+		default:
+			err = c.skip()
+		}
+		if err == nil {
+			more, err = c.more('}')
+		}
+	}
+	if err != nil {
+		return failure, nil, err
+	}
+	c.close()
+	if !seen[0] || !seen[1] {
+		return failure, nil, c.syntax("malformed error reply: code or message missing")
+	}
+	failure, err = dyn.AdoptStruct(wireErrorType, fields[:])
+	return failure, iface, err
 }
 
 // ---- Bodies ----

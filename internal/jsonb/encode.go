@@ -218,9 +218,24 @@ func appendResult(buf []byte, v dyn.Value) ([]byte, error) {
 
 // appendError writes the failure envelope {"error":{"code":…,"message":…}}.
 func appendError(buf []byte, code, msg string) []byte {
+	return append(appendErrorMembers(buf, code, msg), '}', '}')
+}
+
+// appendStaleError writes the failure envelope of a stale call that carries
+// the current interface document: {"error":{"code":…,"message":…,
+// "interface":<doc>}}. The document is itself a JSON object, so it goes in
+// verbatim, as the member's value, byte for byte what the Interface Server
+// serves: nothing to escape, and nothing to unescape.
+func appendStaleError(buf []byte, msg, doc string) []byte {
+	buf = append(appendErrorMembers(buf, CodeNonExistentMethod, msg), `,"interface":`...)
+	return append(append(buf, doc...), '}', '}')
+}
+
+// appendErrorMembers writes a failure envelope up to its error object's
+// last member.
+func appendErrorMembers(buf []byte, code, msg string) []byte {
 	buf = append(buf, `{"error":{"code":`...)
 	buf = appendString(buf, code)
 	buf = append(buf, `,"message":`...)
-	buf = appendString(buf, msg)
-	return append(buf, '}', '}')
+	return appendString(buf, msg)
 }

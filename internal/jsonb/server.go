@@ -6,6 +6,7 @@ import (
 
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // Name is the binding's registered technology name.
@@ -105,8 +106,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case core.OutcomeAppFault:
 		writeError(w, c, http.StatusInternalServerError, CodeApplication, rep.Err.Error())
 	case core.OutcomeStale:
-		writeError(w, c, http.StatusNotFound, CodeNonExistentMethod,
-			"method "+rep.Method+" is not part of the current server interface")
+		msg := "method " + rep.Method + " is not part of the current server interface"
+		if rep.Doc == nil {
+			writeError(w, c, http.StatusNotFound, CodeNonExistentMethod, msg)
+			return
+		}
+		ifsvr.DocHeaders(*rep.Doc, w.Header().Set)
+		c.buf = appendStaleError(c.buf[:0], msg, rep.Doc.Content)
+		writeBody(w, http.StatusNotFound, c.buf)
 	case core.OutcomeMalformed:
 		writeError(w, c, http.StatusBadRequest, CodeMalformed, rep.Err.Error())
 	case core.OutcomeInactive:

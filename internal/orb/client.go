@@ -16,7 +16,8 @@ import (
 // Existent Method" exception on the CORBA path: the server's live interface
 // no longer (or does not yet) contain the invoked operation. Receiving it
 // guarantees the server has already published an up-to-date interface
-// description (Section 5.7), so the CDE reacts by re-fetching the IDL.
+// description (Section 5.7), so the CDE reacts by installing the IDL the
+// reply carries (StaleError.Interface), or by re-fetching it.
 var ErrNonExistentMethod = errors.New("orb: non-existent method")
 
 // ClientORB is a DII client endpoint bound to one remote object.
@@ -75,8 +76,9 @@ func (o *ClientORB) Invoke(sig dyn.MethodSig, args []dyn.Value) (dyn.Value, erro
 // is sent, the eventual reply is dropped) and returns an error wrapping
 // ctx.Err().
 //
-// Error space: ErrNonExistentMethod (wrapping the BAD_OPERATION system
-// exception) when the operation is gone from the live interface; *AppError
+// Error space: a *StaleError, matching ErrNonExistentMethod and wrapping the
+// BAD_OPERATION system exception, when the operation is gone from the live
+// interface; *AppError
 // for server application exceptions; *giop.SystemException for other
 // system exceptions; context and transport errors otherwise.
 func (o *ClientORB) InvokeContext(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
@@ -127,7 +129,7 @@ func (o *ClientORB) InvokeContext(ctx context.Context, sig dyn.MethodSig, args [
 				return fmt.Errorf("orb: decoding system exception: %w", err)
 			}
 			if se.RepoID == giop.RepoBadOperation {
-				return fmt.Errorf("%w: %s: %w", ErrNonExistentMethod, sig.Name, se)
+				return &StaleError{Operation: sig.Name, Exception: se, Interface: carriedDoc(hdr.Contexts)}
 			}
 			return se
 		default:

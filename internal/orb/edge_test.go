@@ -150,3 +150,51 @@ func TestServerEncodesResultFailure(t *testing.T) {
 		t.Errorf("wide result: %v", err)
 	}
 }
+
+// TestClientReadsCarriedDocument: a BAD_OPERATION reply's document context
+// reaches the client as StaleError.Interface, counters and text intact; a
+// malformed one is dropped — the reply still means "non-existent method",
+// and the client falls back to fetching the document.
+func TestClientReadsCarriedDocument(t *testing.T) {
+	doc := giop.DocContext{Version: 4, DescriptorVersion: 9, Epoch: 17, Generation: 99, Text: "interface Calc {};"}
+	for name, contexts := range map[string][]giop.ServiceContext{
+		"well formed":   {{ID: 0xBEEF, Data: []byte{1}}, doc.Context(cdr.LittleEndian)},
+		"malformed":     {{ID: giop.DocContextID, Data: append(doc.Context(cdr.BigEndian).Data, 0)}},
+		"without a doc": nil,
+	} {
+		t.Run(name, func(t *testing.T) {
+			h := iiop.HandlerFunc(func(_ context.Context, rh giop.RequestHeader, _ *cdr.Decoder, order cdr.ByteOrder) giop.Message {
+				msg, _ := giop.EncodeReply(order, giop.ReplyHeader{Contexts: contexts, RequestID: rh.RequestID, Status: giop.ReplySystemException},
+					BadOperation(1).Encode)
+				return msg
+			})
+			srv := iiop.NewServer(h)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := iiop.Dial(addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := &ClientORB{conn: conn, order: cdr.BigEndian}
+			defer cl.Close()
+
+			_, err = cl.Invoke(dyn.MethodSig{Name: "gone", Result: dyn.Int32T}, nil)
+			var stale *StaleError
+			if !errors.Is(err, ErrNonExistentMethod) || !errors.As(err, &stale) || !giop.IsBadOperation(err) {
+				t.Fatalf("stale reply = %v", err)
+			}
+			switch got := stale.Interface; {
+			case name != "well formed":
+				if got != nil {
+					t.Errorf("carried %+v", got)
+				}
+			case got == nil || got.Content != doc.Text || got.Version != doc.Version || got.DescriptorVersion != doc.DescriptorVersion ||
+				got.Epoch != doc.Epoch || got.Generation != doc.Generation:
+				t.Errorf("carried %+v, want %+v", got, doc)
+			}
+		})
+	}
+}

@@ -11,12 +11,14 @@ package orb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 
 	"livedev/internal/cdr"
 	"livedev/internal/dyn"
 	"livedev/internal/giop"
+	"livedev/internal/ifsvr"
 	"livedev/internal/iiop"
 	"livedev/internal/ior"
 )
@@ -50,6 +52,58 @@ func BadOperation(minor uint32) *giop.SystemException {
 	return &giop.SystemException{RepoID: giop.RepoBadOperation, Minor: minor, Completed: giop.CompletedNo}
 }
 
+// StaleError is the "Non Existent Method" reply, on either side of the ORB.
+// A DSITarget returns one to refuse a call: the reply is Exception, a
+// BAD_OPERATION, carrying Interface — the document the forced publication
+// committed — in a giop.DocContextID service context when it is set. A
+// client receives one for that reply, with Interface taken from a
+// well-formed context. It matches ErrNonExistentMethod and unwraps to
+// Exception.
+type StaleError struct {
+	Operation string
+	Exception *giop.SystemException
+	Interface *ifsvr.Document
+}
+
+// Error implements error.
+func (e *StaleError) Error() string {
+	return fmt.Sprintf("%v: %s: %v", ErrNonExistentMethod, e.Operation, e.Exception)
+}
+
+// Is makes errors.Is(err, ErrNonExistentMethod) hold.
+func (e *StaleError) Is(target error) bool { return target == ErrNonExistentMethod }
+
+// Unwrap returns the BAD_OPERATION exception.
+func (e *StaleError) Unwrap() error { return e.Exception }
+
+// docContexts is the service context list of a stale reply carrying doc.
+func docContexts(doc *ifsvr.Document, order cdr.ByteOrder) []giop.ServiceContext {
+	if doc == nil {
+		return nil
+	}
+	return []giop.ServiceContext{giop.DocContext{
+		Version: doc.Version, DescriptorVersion: doc.DescriptorVersion,
+		Epoch: doc.Epoch, Generation: doc.Generation, Text: doc.Content,
+	}.Context(order)}
+}
+
+// carriedDoc returns the interface document in a stale reply's service
+// contexts: nil when there is none, or when it is malformed.
+func carriedDoc(contexts []giop.ServiceContext) *ifsvr.Document {
+	for _, sc := range contexts {
+		if sc.ID != giop.DocContextID {
+			continue
+		}
+		dc, err := giop.ParseDocContext(sc)
+		if err != nil {
+			return nil
+		}
+		return &ifsvr.Document{Content: dc.Text, Version: dc.Version,
+			DescriptorVersion: dc.DescriptorVersion, Epoch: dc.Epoch, Generation: dc.Generation}
+	}
+	return nil
+}
+
 // DSITarget is what a ServerORB dispatches to: the SDE's CORBA Call
 // Handler. Implementations must be safe for concurrent use.
 type DSITarget interface {
@@ -57,10 +111,11 @@ type DSITarget interface {
 	// live interface, decode req.Args under the signature found there, run
 	// the operation. ctx is cancelled when the client
 	// abandons the call (GIOP CancelRequest), the connection drops, or the
-	// ORB shuts down. The error picks the reply: a *giop.SystemException is
-	// sent as such — BadOperation only once the published IDL is
-	// guaranteed current (Section 5.7) — and any other error is an
-	// application error, sent wrapped in the generic user exception.
+	// ORB shuts down. The error picks the reply: a *StaleError is sent as
+	// its BAD_OPERATION and document context — only once the published IDL
+	// is guaranteed current (Section 5.7) — a *giop.SystemException as
+	// such, and any other error is an application error, sent wrapped in
+	// the generic user exception.
 	Invoke(ctx context.Context, req ServerRequest) (dyn.Value, error)
 }
 
@@ -110,8 +165,8 @@ func (o *ServerORB) Addr() net.Addr { return o.addr }
 func (o *ServerORB) Close() error { return o.srv.Close() }
 
 func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
-	sysEx := func(se *giop.SystemException) giop.Message {
-		msg, err := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplySystemException}, se.Encode)
+	sysEx := func(se *giop.SystemException, contexts []giop.ServiceContext) giop.Message {
+		msg, err := giop.EncodeReply(order, giop.ReplyHeader{Contexts: contexts, RequestID: h.RequestID, Status: giop.ReplySystemException}, se.Encode)
 		if err != nil {
 			return giop.Message{Type: giop.MsgMessageError, Order: order}
 		}
@@ -119,7 +174,7 @@ func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.
 	}
 
 	if string(h.ObjectKey) != string(o.objectKey) {
-		return sysEx(&giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo})
+		return sysEx(&giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo}, nil)
 	}
 
 	result, err := o.target.Invoke(ctx, ServerRequest{Operation: h.Operation, Args: args})
@@ -127,12 +182,16 @@ func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.
 		msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyNoException},
 			func(e *cdr.Encoder) error { return cdr.EncodeValue(e, result) })
 		if encErr != nil {
-			return sysEx(&giop.SystemException{RepoID: giop.RepoMarshal, Minor: 2, Completed: giop.CompletedYes})
+			return sysEx(&giop.SystemException{RepoID: giop.RepoMarshal, Minor: 2, Completed: giop.CompletedYes}, nil)
 		}
 		return msg
 	}
+	var stale *StaleError
+	if errors.As(err, &stale) {
+		return sysEx(stale.Exception, docContexts(stale.Interface, order))
+	}
 	if se, ok := giop.AsSystemException(err); ok {
-		return sysEx(se)
+		return sysEx(se, nil)
 	}
 	// Application error → generic user exception with the message.
 	msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyUserException},
@@ -142,7 +201,7 @@ func (o *ServerORB) handle(ctx context.Context, h giop.RequestHeader, args *cdr.
 			return nil
 		})
 	if encErr != nil {
-		return sysEx(&giop.SystemException{RepoID: giop.RepoUnknown, Minor: 1, Completed: giop.CompletedMaybe})
+		return sysEx(&giop.SystemException{RepoID: giop.RepoUnknown, Minor: 1, Completed: giop.CompletedMaybe}, nil)
 	}
 	return msg
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // Client posts SOAP requests to one endpoint URL — the transport half of a
@@ -122,8 +123,12 @@ func WriteResponse(w http.ResponseWriter, serviceNS, method string, result dyn.V
 	return err
 }
 
-// WriteFault sends a SOAP fault with HTTP 500, per SOAP 1.1 over HTTP.
+// WriteFault sends a SOAP fault with HTTP 500, per SOAP 1.1 over HTTP, and
+// the counters of the interface document it carries, if any.
 func WriteFault(w http.ResponseWriter, f *Fault) {
+	if f.Interface != nil {
+		ifsvr.DocHeaders(*f.Interface, w.Header().Set)
+	}
 	bp := getRenderBuf()
 	buf := appendFault((*bp)[:0], f)
 	writeEnvelope(w, http.StatusInternalServerError, buf)
@@ -182,8 +187,13 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 		}
 		return dyn.Value{}, err
 	}
-	if parsed.Fault != nil {
-		return dyn.Value{}, parsed.Fault
+	if f := parsed.Fault; f != nil {
+		if text, ok := parsed.detail.childText("interface"); ok {
+			if doc, ok := ifsvr.CarriedDoc(text, resp.Header.Get); ok {
+				f.Interface = &doc
+			}
+		}
+		return dyn.Value{}, f
 	}
 	if resultType == nil || resultType.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil

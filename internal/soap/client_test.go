@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // echoServer answers SOAP requests per the handler function.
@@ -120,6 +121,55 @@ func TestClientCallFaultWithHTTP500(t *testing.T) {
 	_, err := c.Call("x", nil, dyn.Int32T)
 	if !IsNonExistentMethod(err) {
 		t.Errorf("fault = %v", err)
+	}
+}
+
+// TestFaultCarriesInterface: a "Non existent Method" fault carrying the
+// interface document puts its text in one <interface> child of <detail>, as
+// character data — never markup, to the tree parser as much as to the
+// scanner — and its counters in the document headers; the client reads both
+// back into Fault.Interface. The detail text a reader before this change
+// sees is unchanged, and without the headers nothing is carried.
+func TestFaultCarriesInterface(t *testing.T) {
+	doc := &ifsvr.Document{Content: `<definitions name="a&amp;b"><x/><![CDATA[]]></definitions>]]>`, Version: 4, DescriptorVersion: 6, Epoch: 9, Generation: 12}
+	const detail = "method x is not part of the current server interface"
+	fault := &Fault{Code: "soap:Server", String: FaultNonExistentMethod, Detail: detail, Interface: doc}
+	env := BuildFault(fault)
+	tree, err := oracleParseXML([]byte(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := tree.Children[0].Children[0].Child("detail")
+	if !ok || d.Text != detail || len(d.Children) != 1 || d.Children[0].Name != "interface" ||
+		len(d.Children[0].Children) != 0 || d.Children[0].Text != doc.Content {
+		t.Fatalf("detail as the tree parser reads it: %+v\n%s", d, env)
+	}
+	parsed, err := ParseResponse([]byte(env))
+	if err != nil || parsed.Fault == nil || parsed.Fault.Detail != detail {
+		t.Fatalf("parsed %+v, %v", parsed.Fault, err)
+	}
+	for _, withHeaders := range []bool{true, false} {
+		srv := soapTestServer(t, func(w http.ResponseWriter, _ *http.Request) {
+			f := *fault
+			if !withHeaders {
+				// The envelope alone: the counters are not there.
+				w.WriteHeader(http.StatusInternalServerError)
+				_, _ = io.WriteString(w, BuildFault(&f))
+				return
+			}
+			WriteFault(w, &f)
+		})
+		_, err := (&Client{Endpoint: srv.URL, ServiceNS: "urn:S"}).Call("x", nil, dyn.Int32T)
+		var got *Fault
+		if !errors.As(err, &got) || !IsNonExistentMethod(err) || got.Detail != detail {
+			t.Fatalf("fault = %v", err)
+		}
+		switch {
+		case !withHeaders && got.Interface != nil:
+			t.Errorf("carried %+v without the document headers", got.Interface)
+		case withHeaders && (got.Interface == nil || *got.Interface != *doc):
+			t.Errorf("carried %+v, want %+v", got.Interface, doc)
+		}
 	}
 }
 

