@@ -50,6 +50,7 @@ import (
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
+	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
 )
 
@@ -74,10 +75,10 @@ func run() int {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on SIGTERM/SIGINT (held streams get a terminal draining event)")
 	flag.Parse()
 
-	var syncPolicy core.SyncPolicy
+	var syncPolicy ifsvr.SyncPolicy
 	if *syncMode != "" {
 		var err error
-		if syncPolicy, err = core.ParseSyncPolicy(*syncMode); err != nil {
+		if syncPolicy, err = ifsvr.ParseSyncPolicy(*syncMode); err != nil {
 			fmt.Fprintln(os.Stderr, "sde-server:", err)
 			return 2
 		}

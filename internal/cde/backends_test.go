@@ -17,15 +17,19 @@ import (
 // startIfsvr publishes the given documents and returns the base URL.
 func startIfsvr(t *testing.T, docs map[string]string) string {
 	t.Helper()
-	s := ifsvr.New()
+	st := ifsvr.NewStore(0, nil)
 	for path, content := range docs {
-		s.Publish(path, "text/plain", content)
+		st.Publish(path, "text/plain", content)
 	}
+	s := ifsvr.NewView(st)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
+	t.Cleanup(func() {
+		_ = s.Close()
+		st.Close()
+	})
 	return base
 }
 
@@ -68,7 +72,7 @@ func TestSOAPBackendEndpointUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Call("op"); err == nil {
+	if _, err := client.CallContext(context.Background(), "op"); err == nil {
 		t.Error("call to a dead endpoint should fail")
 	}
 }
@@ -81,7 +85,7 @@ func TestSOAPBackendArgChecks(t *testing.T) {
 	}
 	defer client.Close()
 	// Arity is checked client-side before any network traffic.
-	if _, err := client.Call("op", dyn.Int32Value(1)); err == nil {
+	if _, err := client.CallContext(context.Background(), "op", dyn.Int32Value(1)); err == nil {
 		t.Error("arity mismatch should fail client-side")
 	}
 }
@@ -176,7 +180,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Call("op"); err != nil {
+	if _, err := client.CallContext(context.Background(), "op"); err != nil {
 		t.Errorf("valid setup should call: %v", err)
 	}
 }

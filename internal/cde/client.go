@@ -478,15 +478,6 @@ func (c *Client) reactiveRefresh(ctx context.Context, stale error) error {
 	return c.RefreshContext(ctx)
 }
 
-// Call is CallContext with a background context (bounded by the client's
-// default timeout, if one was configured).
-//
-// Deprecated: use CallContext so calls can carry deadlines and be
-// cancelled.
-func (c *Client) Call(method string, args ...dyn.Value) (dyn.Value, error) {
-	return c.CallContext(context.Background(), method, args...)
-}
-
 // CallContext invokes a server method by name. The signature is resolved
 // against the client's current interface view; arguments are type-checked
 // against it; and the reactive-update protocol of Section 6 runs on "Non

@@ -116,7 +116,7 @@ func TestCallSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	v, err := c.Call("ping")
+	v, err := c.CallContext(context.Background(), "ping")
 	if err != nil || v.Str() != "pong" {
 		t.Errorf("Call = %v, %v", v, err)
 	}
@@ -136,12 +136,12 @@ func TestCallUnknownMethodRefreshesOnce(t *testing.T) {
 	// The server gained a method the client has not seen: Call must
 	// refresh and find it.
 	b.setInterface(descWith("ping", "added"))
-	if _, err := c.Call("added"); err != nil {
+	if _, err := c.CallContext(context.Background(), "added"); err != nil {
 		t.Errorf("Call(added) after server-side addition: %v", err)
 	}
 
 	// A genuinely unknown method fails with ErrNoSuchStub after refresh.
-	if _, err := c.Call("ghost"); !errors.Is(err, ErrNoSuchStub) {
+	if _, err := c.CallContext(context.Background(), "ghost"); !errors.Is(err, ErrNoSuchStub) {
 		t.Errorf("Call(ghost) = %v", err)
 	}
 }
@@ -166,7 +166,7 @@ func TestStaleCallRefreshesBeforeDelivery(t *testing.T) {
 		return dyn.StringValue("ok"), nil
 	}
 
-	_, err = c.Call("ping")
+	_, err = c.CallContext(context.Background(), "ping")
 	var stale *StaleMethodError
 	if !errors.As(err, &stale) {
 		t.Fatalf("Call(ping) = %v, want StaleMethodError", err)
@@ -224,7 +224,7 @@ func TestDebuggerRecordsAndTryAgain(t *testing.T) {
 		}
 		return dyn.StringValue("recovered"), nil
 	}
-	if _, err := c.Call("ping"); !errors.Is(err, ErrStaleMethod) {
+	if _, err := c.CallContext(context.Background(), "ping"); !errors.Is(err, ErrStaleMethod) {
 		t.Fatalf("Call = %v", err)
 	}
 	if len(prompted) != 1 || prompted[0].Method != "ping" {
@@ -297,7 +297,7 @@ func TestNonStaleErrorsPassThrough(t *testing.T) {
 	b.invoke = func(dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
 		return dyn.Value{}, appErr
 	}
-	_, err = c.Call("ping")
+	_, err = c.CallContext(context.Background(), "ping")
 	if !errors.Is(err, appErr) {
 		t.Errorf("Call = %v", err)
 	}
@@ -348,7 +348,7 @@ func TestStaleWithFailedRefreshStillDeliversStaleError(t *testing.T) {
 	b.fetchErr = fmt.Errorf("interface server unreachable")
 	b.mu.Unlock()
 
-	_, err = c.Call("ping")
+	_, err = c.CallContext(context.Background(), "ping")
 	if !errors.Is(err, ErrStaleMethod) {
 		t.Fatalf("Call = %v", err)
 	}

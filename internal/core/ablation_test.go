@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestActivePublishingViolatesRecency(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, err = client.Call("op")
+			_, err = client.CallContext(context.Background(), "op")
 			if !errors.Is(err, cde.ErrStaleMethod) {
 				t.Fatalf("stale call: %v", err)
 			}

@@ -147,14 +147,7 @@ type ClassServer struct {
 // survives coalescing. Nothing is published yet: Manager.Register
 // publishes the basic description (Section 4) once Serve has returned, when
 // the endpoint the document advertises exists.
-func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, contentType string, gen GenerateFunc, opts ...PublishOption) *ClassServer {
-	var pc publishConfig
-	for _, opt := range opts {
-		opt(&pc)
-	}
-	if pc.hasWindow {
-		m.store.SetPathWindow(docPath, pc.window)
-	}
+func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, contentType string, gen GenerateFunc) *ClassServer {
 	docs := newDocCache()
 	pub := NewDLPublisher(class, m.cfg.Timeout, m.cfg.Clock, func(desc dyn.InterfaceDescriptor) error {
 		text, ok := docs.get(desc.Hash())

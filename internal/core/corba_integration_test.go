@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestConcurrentCORBACallsDuringLiveEdits(t *testing.T) {
 					return
 				default:
 				}
-				got, err := client.Call("add", dyn.Int32Value(3), dyn.Int32Value(4))
+				got, err := client.CallContext(context.Background(), "add", dyn.Int32Value(3), dyn.Int32Value(4))
 				switch {
 				case err == nil:
 					if got.Int32() != 7 {
@@ -103,7 +104,7 @@ func TestAutoRefreshRegularUpdatePath(t *testing.T) {
 	if client.Stats().StaleFaults != 0 {
 		t.Errorf("stats = %+v", client.Stats())
 	}
-	if v, err := client.Call("fresh"); err != nil || v.Str() != "f" {
+	if v, err := client.CallContext(context.Background(), "fresh"); err != nil || v.Str() != "f" {
 		t.Errorf("fresh = %v, %v", v, err)
 	}
 }
@@ -116,7 +117,7 @@ func TestInterfaceServerServesBothSubsystems(t *testing.T) {
 	startSOAP(t, m, "ShareS")
 	startCORBA(t, m, "ShareC")
 
-	paths := m.InterfaceServer().Paths()
+	paths := m.Store().Paths()
 	var hasWSDL, hasIDL, hasIOR bool
 	for _, p := range paths {
 		switch {

@@ -50,7 +50,7 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 		return nil, fmt.Errorf("core: starting server ORB: %w", err)
 	}
 	s.ref = ref
-	m.iface.Publish(s.iorPath, "text/plain", ref.String())
+	m.store.Publish(s.iorPath, "text/plain", ref.String())
 	s.OnClose(func() error {
 		err := orbSrv.Close()
 		m.store.Remove(s.iorPath)

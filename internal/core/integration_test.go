@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -120,7 +121,7 @@ func TestFigure1SOAPFlow(t *testing.T) {
 	if client.Technology() != "SOAP" {
 		t.Errorf("technology = %s", client.Technology())
 	}
-	got, err := client.Call("add", dyn.Int32Value(20), dyn.Int32Value(22))
+	got, err := client.CallContext(context.Background(), "add", dyn.Int32Value(20), dyn.Int32Value(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestFigure1SOAPFlow(t *testing.T) {
 		t.Errorf("add = %v", got)
 	}
 	// Composite types over the wire.
-	seq, err := client.Call("wrap", dyn.StringValue("hello"))
+	seq, err := client.CallContext(context.Background(), "wrap", dyn.StringValue("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +150,14 @@ func TestFigure2CORBAFlow(t *testing.T) {
 	if client.Technology() != "CORBA" {
 		t.Errorf("technology = %s", client.Technology())
 	}
-	got, err := client.Call("add", dyn.Int32Value(20), dyn.Int32Value(22))
+	got, err := client.CallContext(context.Background(), "add", dyn.Int32Value(20), dyn.Int32Value(22))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Int32() != 42 {
 		t.Errorf("add = %v", got)
 	}
-	seq, err := client.Call("wrap", dyn.StringValue("bonjour"))
+	seq, err := client.CallContext(context.Background(), "wrap", dyn.StringValue("bonjour"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestFigure2CORBAFlow(t *testing.T) {
 func TestNonDistributedInvisible(t *testing.T) {
 	m := newManager(t)
 	_, client, _, _ := startSOAP(t, m, "CalcND")
-	if _, err := client.Call("internal"); !errors.Is(err, cde.ErrNoSuchStub) {
+	if _, err := client.CallContext(context.Background(), "internal"); !errors.Is(err, cde.ErrNoSuchStub) {
 		t.Errorf("internal should be invisible: %v", err)
 	}
 }
@@ -232,7 +233,7 @@ func TestCORBAServerNotInitialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	_, err = client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2))
+	_, err = client.CallContext(context.Background(), "add", dyn.Int32Value(1), dyn.Int32Value(2))
 	if err == nil || !strings.Contains(err.Error(), core.FaultTextServerNotInitialized) {
 		t.Errorf("cold CORBA call: %v", err)
 	}
@@ -313,7 +314,7 @@ func TestLiveMethodAddition(t *testing.T) {
 				srv, client, class = srv_, c, cl
 			}
 
-			if _, err := client.Call("shout", dyn.StringValue("x")); !errors.Is(err, cde.ErrNoSuchStub) {
+			if _, err := client.CallContext(context.Background(), "shout", dyn.StringValue("x")); !errors.Is(err, cde.ErrNoSuchStub) {
 				t.Fatalf("pre-addition call: %v", err)
 			}
 
@@ -331,7 +332,7 @@ func TestLiveMethodAddition(t *testing.T) {
 			srv.Publisher().PublishNow()
 			srv.Publisher().WaitIdle()
 
-			got, err := client.Call("shout", dyn.StringValue("live"))
+			got, err := client.CallContext(context.Background(), "shout", dyn.StringValue("live"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,7 +370,7 @@ func TestRecencyGuarantee(t *testing.T) {
 			}
 			verAfterRename := class.InterfaceVersion()
 
-			_, err := client.Call("add", dyn.Int32Value(1), dyn.Int32Value(2))
+			_, err := client.CallContext(context.Background(), "add", dyn.Int32Value(1), dyn.Int32Value(2))
 			var stale *cde.StaleMethodError
 			if !errors.As(err, &stale) {
 				t.Fatalf("stale call: %v", err)
@@ -396,7 +397,7 @@ func TestRecencyGuarantee(t *testing.T) {
 			}
 
 			// And the call now works under its new name.
-			got, err := client.Call("plus", dyn.Int32Value(1), dyn.Int32Value(2))
+			got, err := client.CallContext(context.Background(), "plus", dyn.Int32Value(1), dyn.Int32Value(2))
 			if err != nil || got.Int32() != 3 {
 				t.Errorf("plus = %v, %v", got, err)
 			}
@@ -414,7 +415,7 @@ func TestTryAgainFlow(t *testing.T) {
 	if err := class.RenameMethod(addID, "plus"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Call("add", dyn.Int32Value(2), dyn.Int32Value(3)); !errors.Is(err, cde.ErrStaleMethod) {
+	if _, err := client.CallContext(context.Background(), "add", dyn.Int32Value(2), dyn.Int32Value(3)); !errors.Is(err, cde.ErrStaleMethod) {
 		t.Fatalf("expected stale error, got %v", err)
 	}
 	// Server developer puts the signature back.
@@ -462,7 +463,7 @@ func TestApplicationErrorsPropagate(t *testing.T) {
 			srv.Publisher().PublishNow()
 			srv.Publisher().WaitIdle()
 
-			_, err := client.Call("boom")
+			_, err := client.CallContext(context.Background(), "boom")
 			if err == nil || !strings.Contains(err.Error(), "kaboom") {
 				t.Errorf("boom = %v", err)
 			}
@@ -546,7 +547,7 @@ func TestConcurrentCallsDuringLiveEdits(t *testing.T) {
 					return
 				default:
 				}
-				got, err := client.Call("add", dyn.Int32Value(2), dyn.Int32Value(2))
+				got, err := client.CallContext(context.Background(), "add", dyn.Int32Value(2), dyn.Int32Value(2))
 				switch {
 				case err == nil:
 					if got.Int32() != 4 {

@@ -180,7 +180,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// Two transports the endpoint mux never sees: IIOP, and h2b's fast path.
 	_, corbaClient, _, _ := startCORBA(t, m, "MeteredC")
-	if _, err := corbaClient.Call("add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
+	if _, err := corbaClient.CallContext(context.Background(), "add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil {
 		t.Fatal(err)
 	}
 	core.RegisterBinding(h2b.New())
@@ -328,7 +328,7 @@ func TestLifecycleGoroutineChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Call("echo", dyn.StringValue("x")); err != nil {
+		if _, err := c.CallContext(context.Background(), "echo", dyn.StringValue("x")); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Close(); err != nil {

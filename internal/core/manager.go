@@ -73,8 +73,7 @@ type Config struct {
 	// committed once per window. Zero (the default) commits every
 	// publication immediately. Forced publication (Section 5.7) always
 	// commits synchronously regardless of the window, so the recency
-	// guarantee is unaffected. Individual documents can override the window
-	// via NewClassServer's WithPathFlushWindow option.
+	// guarantee is unaffected.
 	FlushWindow time.Duration
 	// HistoryLen bounds the publication store's replay journal: how many
 	// committed versions (across all paths) are retained for streaming-
@@ -97,10 +96,6 @@ type Config struct {
 	// blocks each publication until its record is durable; SyncAlways
 	// fsyncs every commit individually.
 	Sync SyncPolicy
-	// GroupCommitWindow bounds how long a lone commit may wait for
-	// company under SyncGroupCommit before its fsync is issued anyway.
-	// Zero means the ifsvr default.
-	GroupCommitWindow time.Duration
 	// FollowURL turns the manager into a read-only replica: instead of
 	// hosting live server classes it tails the write-ahead log of the
 	// leader Interface Server at this base URL and applies every committed publication into its own store, which
@@ -110,10 +105,6 @@ type Config struct {
 	// leader. DataDir still applies: a durable follower resumes tailing
 	// from its persisted position after a restart.
 	FollowURL string
-	// ReadyLagBound is the replication lag (in unapplied WAL records)
-	// above which a follower-mode manager reports not ready from Probe.
-	// Zero means DefaultReadyLagBound. Ignored on a leader.
-	ReadyLagBound uint64
 	// MaxWatcherLag bounds how many committed-but-undelivered events a
 	// streaming watcher of the Interface Server may have pending before
 	// its stream is evicted with a terminal event (the client reconnects
@@ -161,7 +152,7 @@ func (c Config) withDefaults() Config {
 type Manager struct {
 	cfg Config
 
-	store    *Store
+	store    *ifsvr.Store
 	iface    *ifsvr.Server
 	tail     *repl.TailServer // leader mode: WAL-tail endpoint on the iface
 	follower *repl.Follower   // follower mode (Config.FollowURL)
@@ -183,12 +174,11 @@ type Manager struct {
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	storeCfg := ifsvr.StoreConfig{
-		Window:      cfg.FlushWindow,
-		Clock:       cfg.Clock,
-		HistoryLen:  cfg.HistoryLen,
-		Dir:         cfg.DataDir,
-		Sync:        cfg.Sync,
-		GroupWindow: cfg.GroupCommitWindow,
+		Window:     cfg.FlushWindow,
+		Clock:      cfg.Clock,
+		HistoryLen: cfg.HistoryLen,
+		Dir:        cfg.DataDir,
+		Sync:       cfg.Sync,
 	}
 	m := &Manager{
 		cfg:     cfg,
@@ -265,9 +255,9 @@ func (m *Manager) Follower() *repl.Follower { return m.follower }
 func (m *Manager) TailServer() *repl.TailServer { return m.tail }
 
 // Store returns the manager's publication store — the versioned document
-// store with subscriber fan-out and edit-storm coalescing that every
+// store with tap and watcher fan-out and edit-storm coalescing that every
 // binding publishes through.
-func (m *Manager) Store() *Store { return m.store }
+func (m *Manager) Store() *ifsvr.Store { return m.store }
 
 // InterfaceBaseURL returns the Interface Server base URL.
 func (m *Manager) InterfaceBaseURL() string { return m.iface.BaseURL() }
@@ -279,25 +269,6 @@ func (m *Manager) HTTPBaseURL() string { return m.httpBase }
 // GenerateFunc renders an interface descriptor into one binding's document
 // text (WSDL, CORBA-IDL, JSON, ...).
 type GenerateFunc func(desc dyn.InterfaceDescriptor) (string, error)
-
-// publishConfig is the resolved form of NewClassServer's options.
-type publishConfig struct {
-	window    time.Duration
-	hasWindow bool
-}
-
-// PublishOption configures one NewClassServer call.
-type PublishOption func(*publishConfig)
-
-// WithPathFlushWindow overrides the store-wide coalescing window for this
-// document path: a hot class can coalesce harder (longer window) than the
-// manager's FlushWindow, a latency-sensitive one softer (shorter, or 0 to
-// commit every publication immediately). First publications and forced
-// publications commit synchronously regardless, exactly as with the
-// store-wide window.
-func WithPathFlushWindow(d time.Duration) PublishOption {
-	return func(c *publishConfig) { c.window, c.hasWindow = d, true }
-}
 
 // Register deploys class as a live server of the named technology — what
 // happens when a JPie user extends SOAPServer or CORBAServer (Section 4):
@@ -395,7 +366,7 @@ func (m *Manager) unregister(className string) {
 const DefaultDrainTimeout = 2 * time.Second
 
 // DefaultReadyLagBound is the Probe readiness bound on a follower's
-// replication lag when Config.ReadyLagBound is zero. It matches the tail
+// replication lag, in unapplied records. It matches the tail
 // plane's default ring history: a follower further behind than the ring
 // would have to bootstrap anyway, so it has no business taking traffic.
 const DefaultReadyLagBound = uint64(repl.DefaultTailHistory)
@@ -406,7 +377,7 @@ var ErrDraining = errors.New("core: manager draining")
 
 // Probe answers the readiness question: the listeners are up, the store
 // recovered its state, and (in follower mode) replication is caught up
-// within Config.ReadyLagBound. A nil return means the manager can take
+// within DefaultReadyLagBound. A nil return means the manager can take
 // traffic; the error otherwise says what is not ready — the load
 // balancer's health-check contract, also served over HTTP as
 // /metrics' lifecycle gauge.
@@ -430,12 +401,8 @@ func (m *Manager) Probe() error {
 		return errors.New("core: publication store not recovered")
 	}
 	if m.follower != nil {
-		bound := m.cfg.ReadyLagBound
-		if bound == 0 {
-			bound = DefaultReadyLagBound
-		}
-		if lag := m.follower.Lag(); lag > bound {
-			return fmt.Errorf("core: follower lags the leader by %d records (readiness bound %d)", lag, bound)
+		if lag := m.follower.Lag(); lag > DefaultReadyLagBound {
+			return fmt.Errorf("core: follower lags the leader by %d records (readiness bound %d)", lag, DefaultReadyLagBound)
 		}
 	}
 	return nil

@@ -17,9 +17,9 @@ import (
 // TestStoreImmediateWithoutWindow: with no flush window every publish
 // commits immediately and fans out, preserving the pre-store behaviour.
 func TestStoreImmediateWithoutWindow(t *testing.T) {
-	s := NewStore(0, nil)
-	var events []StoreEvent
-	cancel := s.Subscribe(func(ev StoreEvent) { events = append(events, ev) })
+	s := ifsvr.NewStore(0, nil)
+	var events []ifsvr.StoreEvent
+	cancel := s.Subscribe(func(op ifsvr.StoreOp) { events = append(events, op.Events...) })
 	defer cancel()
 
 	if v := s.Publish("/p", "text/plain", "a"); v != 1 {
@@ -49,7 +49,7 @@ func TestStoreImmediateWithoutWindow(t *testing.T) {
 // basic definition).
 func TestStoreFirstPublicationCommitsImmediately(t *testing.T) {
 	clk := clock.NewFake()
-	s := NewStore(time.Hour, clk)
+	s := ifsvr.NewStore(time.Hour, clk)
 	s.Publish("/p", "text/plain", "basic")
 	if d, err := s.Get("/p"); err != nil || d.Content != "basic" {
 		t.Fatalf("initial doc = %+v, %v", d, err)
@@ -61,7 +61,7 @@ func TestStoreFirstPublicationCommitsImmediately(t *testing.T) {
 // the later timer expiry has nothing left to commit.
 func TestStoreFlushCommitsSynchronously(t *testing.T) {
 	clk := clock.NewFake()
-	s := NewStore(time.Minute, clk)
+	s := ifsvr.NewStore(time.Minute, clk)
 	s.Publish("/p", "text/plain", "v1")
 	s.PublishVersioned("/p", "text/plain", "v2", 2)
 	if d, _ := s.Get("/p"); d.Content != "v1" {
@@ -89,7 +89,7 @@ func TestStoreCoalescesEditStorm(t *testing.T) {
 		storm   = 100
 	)
 	clk := clock.NewFake()
-	s := NewStore(window, clk)
+	s := ifsvr.NewStore(window, clk)
 	s.Publish("/p", "text/plain", "v0") // initial publication, commits
 
 	// The subscriber is the concurrent client: it counts the storm's
@@ -98,13 +98,15 @@ func TestStoreCoalescesEditStorm(t *testing.T) {
 	final := fmt.Sprintf("v%d", storm)
 	done := make(chan ifsvr.Document, 1)
 	var commits atomic.Int64
-	cancel := s.Subscribe(func(ev StoreEvent) {
-		if ev.Path != "/p" {
-			return
-		}
-		commits.Add(1)
-		if ev.Doc.Content == final {
-			done <- ev.Doc
+	cancel := s.Subscribe(func(op ifsvr.StoreOp) {
+		for _, ev := range op.Events {
+			if ev.Path != "/p" {
+				continue
+			}
+			commits.Add(1)
+			if ev.Doc.Content == final {
+				done <- ev.Doc
+			}
 		}
 	})
 	defer cancel()
@@ -139,7 +141,7 @@ func TestStoreCoalescesEditStorm(t *testing.T) {
 // carry the same epoch; separate batches advance it.
 func TestStoreEpochsSharedPerBatch(t *testing.T) {
 	clk := clock.NewFake()
-	s := NewStore(50*time.Millisecond, clk)
+	s := ifsvr.NewStore(50*time.Millisecond, clk)
 	s.Publish("/a", "text/plain", "a0")
 	s.Publish("/b", "text/plain", "b0")
 	epochAfterInit := s.Epoch()
@@ -160,7 +162,7 @@ func TestStoreEpochsSharedPerBatch(t *testing.T) {
 // TestStoreWaitUnblocksOnClose: a held stream parked at the head ends when
 // the store closes.
 func TestStoreWaitUnblocksOnClose(t *testing.T) {
-	s := NewStore(0, nil)
+	s := ifsvr.NewStore(0, nil)
 	s.Publish("/p", "text/plain", "x")
 	view := ifsvr.NewView(s)
 	base, err := view.Start("127.0.0.1:0")
@@ -197,7 +199,7 @@ func TestStoreWaitUnblocksOnClose(t *testing.T) {
 // under -race. Each subscriber checks that the versions it sees per path
 // are strictly increasing (delivery preserves commit order).
 func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
-	s := NewStore(time.Millisecond, clock.Real{})
+	s := ifsvr.NewStore(time.Millisecond, clock.Real{})
 	paths := []string{"/a", "/b", "/c"}
 	for _, p := range paths {
 		s.Publish(p, "text/plain", "init")
@@ -240,12 +242,14 @@ func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 				}
 				last := make(map[string]uint64)
 				var mu sync.Mutex
-				cancel := s.Subscribe(func(ev StoreEvent) {
+				cancel := s.Subscribe(func(op ifsvr.StoreOp) {
 					mu.Lock()
-					if ev.Doc.Version <= last[ev.Path] {
-						monotonic.Store(false)
+					for _, ev := range op.Events {
+						if ev.Doc.Version <= last[ev.Path] {
+							monotonic.Store(false)
+						}
+						last[ev.Path] = ev.Doc.Version
 					}
-					last[ev.Path] = ev.Doc.Version
 					mu.Unlock()
 				})
 				time.Sleep(time.Millisecond)
@@ -339,10 +343,12 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 	// version it was handed.
 	var commits atomic.Int64
 	var lastDesc atomic.Uint64
-	cancel := mgr.Store().Subscribe(func(ev StoreEvent) {
-		if ev.Path == wsdlPath {
-			commits.Add(1)
-			lastDesc.Store(ev.Doc.DescriptorVersion)
+	cancel := mgr.Store().Subscribe(func(op ifsvr.StoreOp) {
+		for _, ev := range op.Events {
+			if ev.Path == wsdlPath {
+				commits.Add(1)
+				lastDesc.Store(ev.Doc.DescriptorVersion)
+			}
 		}
 	})
 	defer cancel()
@@ -469,11 +475,13 @@ func TestReRegisterAfterCloseUnderFlushWindow(t *testing.T) {
 	// A subscriber waiting past the first server's last version must see
 	// the re-registered server's publication.
 	woken := make(chan ifsvr.Document, 1)
-	cancel := mgr.Store().Subscribe(func(ev StoreEvent) {
-		if ev.Path == "/ior/Calc.ior" && ev.Doc.Version > oldIOR.Version {
-			select {
-			case woken <- ev.Doc:
-			default:
+	cancel := mgr.Store().Subscribe(func(op ifsvr.StoreOp) {
+		for _, ev := range op.Events {
+			if ev.Path == "/ior/Calc.ior" && ev.Doc.Version > oldIOR.Version {
+				select {
+				case woken <- ev.Doc:
+				default:
+				}
 			}
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"livedev/internal/clock"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 	"livedev/internal/workload"
 )
 
@@ -228,9 +229,11 @@ func runOne(cfg SweepConfig, s Strategy, param time.Duration) (SweepResult, erro
 		// The new publication seam: the DL Publisher publishes into the
 		// coalescing store; only committed store versions count as
 		// publications (that is what clients and watchers can observe).
-		store := core.NewStore(param, clk)
-		unsubStore := store.Subscribe(func(ev core.StoreEvent) {
-			recordPub(ev.Doc.Content)
+		store := ifsvr.NewStore(param, clk)
+		unsubStore := store.Subscribe(func(op ifsvr.StoreOp) {
+			for _, ev := range op.Events {
+				recordPub(ev.Doc.Content)
+			}
 		})
 		pub = core.NewDLPublisher(class, coalescedStableTimeout, clk, func(desc dyn.InterfaceDescriptor) error {
 			store.PublishVersioned("/doc", "text/plain", desc.Hash(), desc.Version)

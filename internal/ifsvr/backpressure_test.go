@@ -47,12 +47,15 @@ func sockoptControl(opt, bytes int) func(network, address string, c syscall.RawC
 	}
 }
 
-// startBackpressureServer builds a store + view with the given valve
-// settings applied before serving, on a listener whose accepted
-// connections carry the pinned send buffer.
-func startBackpressureServer(t *testing.T, tune func(*Server)) (*Store, string) {
+// startBackpressureServer builds a store (its journal retaining historyLen
+// versions) + view with the given valve settings applied before serving,
+// on a listener whose accepted connections carry the pinned send buffer.
+func startBackpressureServer(t *testing.T, historyLen int, tune func(*Server)) (*Store, string) {
 	t.Helper()
-	st := NewStore(0, nil)
+	st, err := OpenStore(StoreConfig{HistoryLen: historyLen})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := NewView(st)
 	if tune != nil {
 		tune(srv)
@@ -133,14 +136,13 @@ func TestStreamStalledWatcherEvictedOthersUnaffected(t *testing.T) {
 		watchers = 8
 	}
 	const payload = 8 << 10
-	st, base := startBackpressureServer(t, func(srv *Server) {
-		srv.HeartbeatInterval = 100 * time.Millisecond
-		srv.StreamWriteTimeout = 300 * time.Millisecond
-	})
 	// The journal must retain the whole storm: with no journal eviction, a
 	// missing epoch in a healthy watcher's record is a real delivery miss,
 	// not a legitimate snapshot reset.
-	st.SetHistoryLen(4096)
+	st, base := startBackpressureServer(t, 4096, func(srv *Server) {
+		srv.HeartbeatInterval = 100 * time.Millisecond
+		srv.StreamWriteTimeout = 300 * time.Millisecond
+	})
 	const path = "/wsdl/S.wsdl"
 	streamURL := base + path
 	st.PublishVersioned(path, "text/xml", paddedContent(1, payload), 1)
@@ -268,14 +270,13 @@ func TestStreamStalledWatcherEvictedOthersUnaffected(t *testing.T) {
 // event rather than replaying the gap.
 func TestStreamMaxWatcherLagEvictsLaggard(t *testing.T) {
 	const payload = 32 << 10
-	st, base := startBackpressureServer(t, func(srv *Server) {
+	// The journal must cover the whole backlog: a cursor below the floor
+	// would take the snapshot-reset path, not the lag eviction.
+	st, base := startBackpressureServer(t, 8192, func(srv *Server) {
 		srv.HeartbeatInterval = time.Second
 		srv.StreamWriteTimeout = -1 // disabled: this test is about the lag valve
 		srv.MaxWatcherLag = 4
 	})
-	// The journal must cover the whole backlog: a cursor below the floor
-	// would take the snapshot-reset path, not the lag eviction.
-	st.SetHistoryLen(8192)
 	const path = "/wsdl/S.wsdl"
 	st.PublishVersioned(path, "text/xml", paddedContent(1, payload), 1)
 

@@ -13,12 +13,12 @@ import (
 // client helper surfaces it as ErrStreamDraining — the signal to reconnect
 // to another replica immediately, without backoff.
 func TestShutdownEndsHeldStream(t *testing.T) {
-	s := New()
+	s, st := newView(t)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store().PublishVersioned("/doc", "text/plain", "v1", 1)
+	st.PublishVersioned("/doc", "text/plain", "v1", 1)
 
 	got := make(chan error, 1)
 	streaming := make(chan struct{})
@@ -63,12 +63,12 @@ func TestShutdownEndsHeldStream(t *testing.T) {
 // TestShutdownRefusesNewConnections: once Shutdown returns, the listener
 // no longer accepts work.
 func TestShutdownRefusesNewConnections(t *testing.T) {
-	s := New()
+	s, st := newView(t)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Store().PublishVersioned("/doc", "text/plain", "v1", 1)
+	st.PublishVersioned("/doc", "text/plain", "v1", 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

@@ -23,7 +23,7 @@ func TestStreamFanoutSharedBuffersByteIdentical(t *testing.T) {
 	if testing.Short() {
 		watchers, edits = 100, 10
 	}
-	st, url := startStreamServer(t, 0)
+	st, url := startStreamServer(t, StoreConfig{})
 	const path = "/wsdl/S.wsdl"
 	st.PublishVersioned(path, "text/xml", "<v1/>", 1)
 

@@ -6,10 +6,9 @@
 // X-Interface-Version header, which is what lets the CDE (and the
 // experiments) observe the recency guarantees of Sections 5.7 and 6.
 //
-// Since the publication-core refactor the server is a read view over the
-// coalescing, journaled publication Store in this package, which the SDE
-// Manager shares with every binding and a standalone New() server owns
-// privately (window 0). The view adds the watch plane: a streaming GET
+// The server is a read view over the coalescing, journaled publication
+// Store in this package, which the SDE Manager shares with every binding
+// and publishes through. The view adds the watch plane: a streaming GET
 // with "?watch=stream&after=N" holds one text/event-stream connection per
 // watcher, serving the journal replay of everything committed after epoch
 // N followed by live fan-out. See docs/watch-protocol.md for the wire
@@ -81,14 +80,11 @@ type Document struct {
 	ContentType string
 }
 
-// Server is the Interface Server: an HTTP read view over a Store.
-// The zero value (and New) reads from its own in-memory store; NewView
-// reads from a caller-provided store. Call Start to also serve documents
-// over HTTP.
+// Server is the Interface Server: an HTTP read view over a Store
+// (NewView). Publications go to the store; call Start to serve its
+// documents over HTTP.
 type Server struct {
-	initStore sync.Once
-	store     *Store
-	owned     bool // the server created its own store (New, zero value)
+	store *Store
 
 	// HeartbeatInterval paces the liveness comments of idle streaming
 	// watches (0 means DefaultHeartbeat). Set it before Start.
@@ -125,8 +121,7 @@ type Server struct {
 
 	// drainCtx is cancelled when a graceful Shutdown begins: held streams
 	// end with a terminal "draining" frame so clients reconnect to another
-	// replica. Lazily created so the zero-value Server keeps working.
-	drainMu     sync.Mutex
+	// replica.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
@@ -136,79 +131,19 @@ type Server struct {
 	done     chan struct{}
 }
 
-// New returns an interface server over its own store (coalescing disabled:
-// every publication commits immediately).
-func New() *Server {
-	return &Server{store: NewStore(0, nil), owned: true}
-}
-
-// NewView returns an interface server that serves (and publishes into) the
-// given store — the read-view arrangement the SDE Manager uses with the
-// publication core.
+// NewView returns an interface server that serves the given store — the
+// read-view arrangement the SDE Manager uses with the publication core.
 func NewView(store *Store) *Server {
-	return &Server{store: store}
+	s := &Server{store: store}
+	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
+	return s
 }
 
-// Store returns the store the server reads from, lazily creating an owned
-// one so the zero-value Server stays usable.
-func (s *Server) Store() *Store {
-	s.initStore.Do(func() {
-		if s.store == nil {
-			s.store = NewStore(0, nil)
-			s.owned = true
-		}
-	})
-	return s.store
-}
-
-// drainContext returns the context cancelled when the server starts
-// draining, creating it on first use.
-func (s *Server) drainContext() context.Context {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.drainCtx == nil {
-		s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	}
-	return s.drainCtx
-}
-
-// startDrain signals every held stream that the server is draining.
-// Idempotent.
-func (s *Server) startDrain() {
-	s.drainContext()
-	s.drainMu.Lock()
-	cancel := s.drainCancel
-	s.drainMu.Unlock()
-	cancel()
-}
+// Store returns the store the server reads from.
+func (s *Server) Store() *Store { return s.store }
 
 // Draining reports whether a graceful Shutdown has begun.
-func (s *Server) Draining() bool { return s.drainContext().Err() != nil }
-
-// Publish stores content under path (e.g. "/wsdl/Mail") and returns the new
-// version. Republishing the same path bumps the version even if the content
-// is unchanged; the publisher avoids redundant publications itself.
-func (s *Server) Publish(path, contentType, content string) uint64 {
-	return s.Store().PublishVersioned(path, contentType, content, 0)
-}
-
-// PublishVersioned is Publish carrying the interface-descriptor version the
-// document was generated from.
-func (s *Server) PublishVersioned(path, contentType, content string, descriptorVersion uint64) uint64 {
-	return s.Store().PublishVersioned(path, contentType, content, descriptorVersion)
-}
-
-// Get returns the current document at path.
-func (s *Server) Get(path string) (Document, error) { return s.Store().Get(path) }
-
-// Version returns the current version of path (0 if never published).
-func (s *Server) Version(path string) uint64 { return s.Store().Version(path) }
-
-// Paths returns all published paths (unordered).
-func (s *Server) Paths() []string { return s.Store().Paths() }
-
-// Remove retires a published path (see Store.Remove).
-func (s *Server) Remove(path string) { s.Store().Remove(path) }
+func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 
 // ServeHTTP implements http.Handler: GET returns the document with its
 // version headers. With "?watch=stream&after=N" the request becomes a
@@ -241,13 +176,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveStream(w, r, q)
 		return
 	}
-	st := s.Store()
-	d, err := st.Get(r.URL.Path)
+	d, err := s.store.Get(r.URL.Path)
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
-	d.Generation = st.Generation()
+	d.Generation = s.store.Generation()
 	writeDoc(w, d)
 }
 
@@ -281,7 +215,7 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	w.Header().Set("Cache-Control", "no-store")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.Store().Stats())
+	_ = enc.Encode(s.store.Stats())
 }
 
 // writeDoc answers a GET with d. The declared length keeps net/http from
@@ -363,7 +297,7 @@ func (s *Server) BaseURL() string { return s.baseURL }
 // reversible right up to Stop.
 // Safe to call before Start (it only marks the server draining).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.startDrain()
+	s.drainCancel() // held streams end with a terminal "draining" frame
 	if s.httpSrv == nil {
 		return nil
 	}
@@ -374,14 +308,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Close stops the HTTP server (no-op if Start was never called) and, when
-// the server owns its store (New, zero value), closes it so parked Wait
-// callers and held streams drain. A caller-provided store (NewView) is not
-// closed — its owner is.
+// Close stops the HTTP server (no-op if Start was never called). The store
+// is not closed — its owner is.
 func (s *Server) Close() error {
-	if st := s.Store(); s.owned {
-		st.Close()
-	}
 	if s.httpSrv == nil {
 		return nil
 	}

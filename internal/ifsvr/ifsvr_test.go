@@ -12,8 +12,17 @@ import (
 	"time"
 )
 
+// newView returns an Interface Server over a fresh in-memory store, closed
+// when the test ends.
+func newView(t *testing.T) (*Server, *Store) {
+	t.Helper()
+	st := NewStore(0, nil)
+	t.Cleanup(st.Close)
+	return NewView(st), st
+}
+
 func TestPublishGetVersioning(t *testing.T) {
-	s := New()
+	_, s := newView(t)
 	if _, err := s.Get("/wsdl/X"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing doc: %v", err)
 	}
@@ -38,20 +47,9 @@ func TestPublishGetVersioning(t *testing.T) {
 	}
 }
 
-func TestZeroValueServerUsable(t *testing.T) {
-	var s Server
-	s.Publish("/p", "text/plain", "x")
-	if d, err := s.Get("/p"); err != nil || d.Content != "x" {
-		t.Errorf("zero-value server: %v, %v", d, err)
-	}
-	if err := s.Close(); err != nil {
-		t.Errorf("close without start: %v", err)
-	}
-}
-
 func TestHTTPServing(t *testing.T) {
-	s := New()
-	s.PublishVersioned("/idl/Calc.idl", "text/plain", "module CalcModule {};", 3)
+	s, st := newView(t)
+	st.PublishVersioned("/idl/Calc.idl", "text/plain", "module CalcModule {};", 3)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +110,9 @@ func TestFetchRefusesOversizeDocument(t *testing.T) {
 // buffer is answered with its exact Content-Length, not chunked, and
 // FetchContext reads it whole.
 func TestDocGetIsNotChunked(t *testing.T) {
-	s := New()
+	s, st := newView(t)
 	text := strings.Repeat("<operation name=\"op\"/>\n", 300) // ~7 KB, the size of a WSDL
-	s.Publish("/wsdl/Big.wsdl", "text/xml", text)
+	st.Publish("/wsdl/Big.wsdl", "text/xml", text)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/wsdl/Big.wsdl")
@@ -181,7 +179,7 @@ func TestFetchKeepsConnAcrossNon200(t *testing.T) {
 }
 
 func TestVersionsAreMonotonePerPath(t *testing.T) {
-	s := New()
+	_, s := newView(t)
 	var last uint64
 	for i := 0; i < 50; i++ {
 		v := s.Publish("/p", "text/plain", "content")
@@ -201,8 +199,8 @@ func TestVersionsAreMonotonePerPath(t *testing.T) {
 // commit — is answered at once as the plain document GET it now is, with
 // every header a fetch carries.
 func TestLegacyWatchQueryIsPlainGET(t *testing.T) {
-	s := New()
-	s.PublishVersioned("/wsdl/W.wsdl", "text/xml", "<v1/>", 7)
+	s, st := newView(t)
+	st.PublishVersioned("/wsdl/W.wsdl", "text/xml", "<v1/>", 7)
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +213,7 @@ func TestLegacyWatchQueryIsPlainGET(t *testing.T) {
 		t.Fatalf("GET ?watch=1 with nothing newer to wait for: %v", err)
 	}
 	want := Document{Content: "<v1/>", Version: 1, DescriptorVersion: 7, Epoch: 1,
-		Generation: s.Store().Generation(), ContentType: "text/xml"}
+		Generation: st.Generation(), ContentType: "text/xml"}
 	if doc != want || doc.Generation == 0 {
 		t.Errorf("doc = %+v, want %+v", doc, want)
 	}

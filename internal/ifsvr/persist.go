@@ -33,16 +33,16 @@ import (
 // SnapshotSchema identifies the snapshot file format.
 const SnapshotSchema = "livedev/ifsvr-snapshot/v3"
 
-// DefaultSnapshotEvery is how many commit batches the store logs between
+// DefaultSnapshotEvery is how many operations the store logs between
 // compacted snapshots.
 const DefaultSnapshotEvery = 64
 
 // DefaultGroupWindow is the group-commit gather window when
-// FileConfig.GroupWindow is 0 under SyncGroupCommit.
+// StoreConfig.GroupWindow is 0 under SyncGroupCommit.
 const DefaultGroupWindow = 2 * time.Millisecond
 
 // SyncPolicy selects what a committed publication's ack means for
-// durability (see FileConfig.Sync).
+// durability (see StoreConfig.Sync).
 type SyncPolicy int
 
 const (
@@ -108,13 +108,8 @@ type PersistentState struct {
 	Journal []StoreEvent
 }
 
-// SyncToken identifies the durability horizon of one logged operation: the
-// log sequence number Append returns and Sync blocks on. Zero means
-// nothing to wait for.
-type SyncToken uint64
-
-// PersistStats are the durability counters of a Persistence backend; all
-// fields are cumulative since open.
+// PersistStats are the durability counters of a store's log; all fields
+// are cumulative since open.
 type PersistStats struct {
 	// Policy is the backend's sync policy ("none", "group", "always").
 	Policy string
@@ -151,43 +146,6 @@ func (ps PersistStats) SyncWaitMean() time.Duration {
 		return 0
 	}
 	return time.Duration(ps.SyncWaitNanos / ps.SyncWaits)
-}
-
-// Persistence is the pluggable durability backend of a Store. The file
-// implementation (StoreConfig.Dir) is the default; alternative backends
-// (a KV store, object storage) implement the same operations. Load,
-// Append, AppendRemove, Snapshot, and Close are never concurrent — the
-// store serializes them on its writer lock (the appends under the state
-// lock too; the cadence Snapshot deliberately off it, so document readers
-// never wait on snapshot IO). Sync and Stats ARE concurrent: the store
-// calls Sync after releasing its locks so concurrent committers can share
-// one fsync. Implementations must not rely on the store's locks for their
-// own synchronization, and must not call back into the store.
-type Persistence interface {
-	// Load recovers the persisted state: the last snapshot plus the
-	// longest valid prefix of the write-ahead log. A backend with no prior
-	// state returns a zero PersistentState and no error.
-	Load() (PersistentState, error)
-	// Append logs one committed batch before watchers are notified. The
-	// returned token is what Sync blocks on.
-	Append(events []StoreEvent) (SyncToken, error)
-	// AppendRemove logs a path retirement.
-	AppendRemove(path string, version uint64) (SyncToken, error)
-	// Sync blocks until the operation behind tok is durable under the
-	// backend's sync policy. It is called without store locks held, so
-	// concurrent committers can batch into one fsync.
-	Sync(tok SyncToken) error
-	// CompactDue reports whether the log holds enough batches to warrant
-	// a cadence snapshot.
-	CompactDue() bool
-	// Snapshot writes the full state as the new snapshot and resets the
-	// log, so recovery cost stays bounded (the cadence, open and close
-	// paths alike).
-	Snapshot(state PersistentState) error
-	// Stats returns the backend's durability counters.
-	Stats() PersistStats
-	// Close releases the backend's resources (after a final Snapshot).
-	Close() error
 }
 
 // snapshotWire is the JSON layout of the snapshot file, as Load parses it.
@@ -231,22 +189,6 @@ func isLeftover(name string) bool {
 	return snap || wal
 }
 
-// FileConfig configures the file persistence backend.
-type FileConfig struct {
-	// Dir is the data directory (created if needed).
-	Dir string
-	// Sync selects the durability policy of the ack (default SyncNone).
-	Sync SyncPolicy
-	// GroupWindow bounds the extra time a lone commit may wait for
-	// concurrent commits to join its fsync group under SyncGroupCommit
-	// (0 means DefaultGroupWindow; groups that already formed behind an
-	// in-flight fsync are synced immediately).
-	GroupWindow time.Duration
-	// SnapshotEvery is how many batches the log takes between cadence
-	// snapshots (0 means DefaultSnapshotEvery).
-	SnapshotEvery int
-}
-
 // walBufKeep caps the encode buffer kept between appends, so one rare huge
 // batch does not stay pinned.
 const walBufKeep = 1 << 20
@@ -258,11 +200,18 @@ type syncWaiter struct {
 	done chan error
 }
 
-// filePersistence is the file-backed Persistence: one snapshot and one
-// WAL under a directory. Snapshots are written to a temp file, fsynced,
-// renamed into place, and the directory is fsynced — so a crash
-// mid-snapshot leaves the previous one intact and a completed rename
-// survives power loss.
+// filePersistence is a durable store's log: one snapshot and one WAL under
+// a directory. Snapshots are written to a temp file, fsynced, renamed into
+// place, and the directory is fsynced — so a crash mid-snapshot leaves the
+// previous one intact and a completed rename survives power loss.
+//
+// Load, Append, AppendRemove, Snapshot and Close are never concurrent: the
+// store serializes them on its writer lock (the appends under the state
+// lock too; the cadence Snapshot deliberately off it, so document readers
+// never wait on snapshot IO). Sync and Stats are concurrent: the store
+// calls Sync after releasing its locks so concurrent committers can share
+// one fsync. The log takes no store lock and never calls back into the
+// store.
 //
 // mu guards the log state. cond wakes only the group-commit syncer ("new
 // record appended" / "shutting down"), while Sync waiters each get their
@@ -270,7 +219,7 @@ type syncWaiter struct {
 // — a shared broadcast here would stampede every parked publisher on
 // every round.
 type filePersistence struct {
-	cfg FileConfig
+	cfg StoreConfig
 	f   *os.File
 	// leftover are the sharded layout's files found at open: never read,
 	// and removed once the first snapshot of this layout is durable.
@@ -294,9 +243,9 @@ type filePersistence struct {
 	compactions   atomic.Uint64
 }
 
-// OpenFilePersistence opens (creating if needed) the snapshot+WAL layout
-// under cfg.Dir. It is what StoreConfig.Dir resolves to.
-func OpenFilePersistence(cfg FileConfig) (Persistence, error) {
+// openFilePersistence opens (creating if needed) the snapshot+WAL layout
+// under cfg.Dir, with cfg's Sync, GroupWindow and SnapshotEvery.
+func openFilePersistence(cfg StoreConfig) (*filePersistence, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -319,10 +268,10 @@ func OpenFilePersistence(cfg FileConfig) (Persistence, error) {
 	return p, nil
 }
 
-// Load implements Persistence: the snapshot, then the WAL's longest valid
-// prefix on top, skipping records the snapshot's lsn watermark already
-// covers. The WAL is truncated to the valid prefix so later appends
-// extend valid data, never garbage.
+// Load recovers the persisted state: the snapshot, then the WAL's longest
+// valid prefix on top, skipping records the snapshot's lsn watermark
+// already covers. The WAL is truncated to the valid prefix so later
+// appends extend valid data, never garbage.
 func (p *filePersistence) Load() (PersistentState, error) {
 	if err := p.scanDir(); err != nil {
 		return PersistentState{}, err
@@ -460,17 +409,17 @@ func wireDocument(w streamWire) Document {
 	}
 }
 
-// Append implements Persistence: the batch is one commit record under the
-// next lsn. The write is buffered (page cache); durability is the
-// syncer's job.
-func (p *filePersistence) Append(events []StoreEvent) (SyncToken, error) {
+// Append logs one committed batch as one commit record under the next
+// lsn, which it returns for Sync. The write is buffered (page cache);
+// durability is the syncer's job.
+func (p *filePersistence) Append(events []StoreEvent) (uint64, error) {
 	return p.append(func(buf []byte, lsn uint64) []byte {
 		return appendCommitRecord(buf, lsn, events)
 	})
 }
 
-// AppendRemove implements Persistence: one retirement record.
-func (p *filePersistence) AppendRemove(path string, version uint64) (SyncToken, error) {
+// AppendRemove logs one retirement record, returning its lsn.
+func (p *filePersistence) AppendRemove(path string, version uint64) (uint64, error) {
 	return p.append(func(buf []byte, lsn uint64) []byte {
 		return appendRemoveRecord(buf, lsn, path, version)
 	})
@@ -484,7 +433,7 @@ func (p *filePersistence) AppendRemove(path string, version uint64) (SyncToken, 
 // recovery stops at the first bad record, so appending past a torn one
 // would only log bytes replay can never reach. A later successful
 // snapshot resets the file and clears the error.
-func (p *filePersistence) append(enc func(buf []byte, lsn uint64) []byte) (SyncToken, error) {
+func (p *filePersistence) append(enc func(buf []byte, lsn uint64) []byte) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -521,7 +470,7 @@ func (p *filePersistence) append(enc func(buf []byte, lsn uint64) []byte) (SyncT
 	case SyncGroupCommit:
 		p.cond.Broadcast() // hand the record to the writer
 	}
-	return SyncToken(lsn), nil
+	return lsn, nil
 }
 
 // keepBuf retains buf as the encode buffer for the next append, unless a
@@ -638,17 +587,16 @@ func (p *filePersistence) groupSyncer() {
 	}
 }
 
-// Sync implements Persistence: block until the record behind tok is
-// durable. Under SyncNone (or for a zero token) there is nothing to wait
-// for; under SyncAlways the append already synced and the wait is free;
-// under SyncGroupCommit this is where concurrent committers queue behind
-// the writer's next fsync.
-func (p *filePersistence) Sync(tok SyncToken) error {
-	if p.cfg.Sync == SyncNone || tok == 0 {
+// Sync blocks until the record lsn is durable. Under SyncNone (or for lsn
+// 0) there is nothing to wait for; under SyncAlways the append already
+// synced and the wait is free; under SyncGroupCommit this is where
+// concurrent committers queue behind the writer's next fsync.
+func (p *filePersistence) Sync(lsn uint64) error {
+	if p.cfg.Sync == SyncNone || lsn == 0 {
 		return nil
 	}
 	p.mu.Lock()
-	if p.durable >= uint64(tok) {
+	if p.durable >= lsn {
 		p.mu.Unlock()
 		return nil
 	}
@@ -660,7 +608,7 @@ func (p *filePersistence) Sync(tok SyncToken) error {
 		p.mu.Unlock()
 		return err
 	}
-	w := &syncWaiter{lsn: uint64(tok), done: make(chan error, 1)}
+	w := &syncWaiter{lsn: lsn, done: make(chan error, 1)}
 	p.waiters = append(p.waiters, w)
 	p.mu.Unlock()
 	start := time.Now()
@@ -670,8 +618,8 @@ func (p *filePersistence) Sync(tok SyncToken) error {
 	return err
 }
 
-// CompactDue implements Persistence: true once the log holds SnapshotEvery
-// batches since the last snapshot.
+// CompactDue reports whether the log holds SnapshotEvery records since the
+// last snapshot: a cadence snapshot is due.
 func (p *filePersistence) CompactDue() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -705,8 +653,8 @@ type imageRetired struct {
 // document the Payload of the newest journal entry with its path, epoch
 // and version. encodeEventPayload runs only for a document with no such
 // bytes (one older than the journal) or a journal entry that still has its
-// Content (a state built by a test or another backend). A journal entry
-// with neither cannot be written, and is an error.
+// Content (a state built by a test). A journal entry with neither cannot
+// be written, and is an error.
 func gatherImage(state PersistentState) (snapshotImage, error) {
 	img := snapshotImage{journal: make([][]byte, len(state.Journal))}
 	for path, d := range state.Docs {
@@ -863,9 +811,9 @@ func appendJSONString(buf []byte, s string) []byte {
 // building the file in memory.
 var snapshotWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 64<<10) }}
 
-// Snapshot implements Persistence: install state as the snapshot (temp,
-// fsync, rename, dir fsync) and reset the WAL. The snapshot records the
-// current lsn, so a crash between the rename and the WAL reset leaves
+// Snapshot installs state as the snapshot (temp, fsync, rename, dir fsync)
+// and resets the WAL, so recovery cost stays bounded. The snapshot records
+// the current lsn, so a crash between the rename and the WAL reset leaves
 // records recovery skips by watermark. The write happens outside p.mu —
 // appends are excluded by the store's writer lock, not this one — so Sync
 // waiters are never blocked behind snapshot IO. The first durable
@@ -958,7 +906,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Stats implements Persistence.
+// Stats returns the log's durability counters.
 func (p *filePersistence) Stats() PersistStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -974,8 +922,7 @@ func (p *filePersistence) Stats() PersistStats {
 	}
 }
 
-// Close implements Persistence: stop the writer, wake any waiters, and
-// close the WAL.
+// Close stops the writer, wakes any waiters, and closes the WAL.
 func (p *filePersistence) Close() error {
 	p.mu.Lock()
 	p.closed = true

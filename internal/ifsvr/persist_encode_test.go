@@ -238,7 +238,7 @@ func TestSnapshotFilesMatchMarshal(t *testing.T) {
 		r := rand.New(rand.NewPCG(seed, 25))
 		state := randomState(r, awkward[int(seed)%len(awkward)])
 		dir := t.TempDir()
-		p, err := OpenFilePersistence(FileConfig{Dir: dir})
+		p, err := openFilePersistence(StoreConfig{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,11 @@ func TestJournalKeepsWireBytesOnly(t *testing.T) {
 	dir := t.TempDir()
 	st := openDir(t, dir, 0)
 	var seen []string
-	cancel := st.Subscribe(func(ev StoreEvent) { seen = append(seen, ev.Doc.Content) })
+	cancel := st.Subscribe(func(op StoreOp) {
+		for _, ev := range op.Events {
+			seen = append(seen, ev.Doc.Content)
+		}
+	})
 	for i := 1; i <= 3; i++ {
 		st.Publish("/a", "text/xml", content(i))
 	}
@@ -449,7 +453,7 @@ func TestJournalKeepsWireBytesOnly(t *testing.T) {
 // previous snapshot in place instead of writing "content":"".
 func TestSnapshotRefusesEntryWithoutBytes(t *testing.T) {
 	dir := t.TempDir()
-	p, err := OpenFilePersistence(FileConfig{Dir: dir})
+	p, err := openFilePersistence(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,8 +498,8 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 		t.Skip("allocates several 64 MiB buffers")
 	}
 	dir := t.TempDir()
-	cfg := FileConfig{Dir: dir, SnapshotEvery: 1 << 20}
-	p, err := OpenFilePersistence(cfg)
+	cfg := StoreConfig{Dir: dir, SnapshotEvery: 1 << 20}
+	p, err := openFilePersistence(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +539,7 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err = OpenFilePersistence(cfg)
+	p, err = openFilePersistence(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +600,7 @@ func TestOpenRemovesInterruptedSnapshotTemp(t *testing.T) {
 // is the record's lsn.
 func TestAllocsWALAppend(t *testing.T) {
 	for _, size := range []int{100, 100 << 10} {
-		p, err := OpenFilePersistence(FileConfig{Dir: t.TempDir(), SnapshotEvery: 1 << 20})
+		p, err := openFilePersistence(StoreConfig{Dir: t.TempDir(), SnapshotEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -638,7 +642,7 @@ func TestAllocsEncodeCommitFrame(t *testing.T) {
 // copies of the whole snapshot).
 func TestCompactAllocsFlatInDocSize(t *testing.T) {
 	measure := func(size int) uint64 {
-		p, err := OpenFilePersistence(FileConfig{Dir: t.TempDir(), SnapshotEvery: 1})
+		p, err := openFilePersistence(StoreConfig{Dir: t.TempDir(), SnapshotEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

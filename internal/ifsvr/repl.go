@@ -5,77 +5,18 @@ import "encoding/json"
 // The replication seam: what the internal/repl package needs from the
 // publication store without reaching into its internals.
 //
-// A replication LEADER observes every logged operation through
-// SubscribeOps — commit batches with their commit-time shared wire
-// payloads, and retirements — and ships them to followers as CRC-framed
-// records (the WAL record format, re-used as the wire format so the two
-// encoders cannot drift). A replication FOLLOWER feeds received records
-// back in through ApplyReplicated / ApplyReplicatedRemove, which run the
-// ordinary commit machinery (journal, fan-out, optional persistence) but
-// install the leader's versions and epochs verbatim instead of assigning
-// new ones — so a watcher on a follower sees byte-identical events, at
-// identical epochs, under the leader's restart generation
-// (AdoptGeneration), and fail-over between replicas looks like an
-// ordinary reconnect rather than a state-loss restart.
-
-// StoreOp is one logged store operation delivered to SubscribeOps: either
-// a committed publication batch (Events non-empty) or a retirement
-// (RemovePath non-empty).
-type StoreOp struct {
-	// Events is the committed batch, in commit order, payloads included.
-	Events []StoreEvent
-	// RemovePath is the retired path (empty for a commit batch).
-	RemovePath string
-	// RemoveVersion is the retired path's last committed version — the
-	// floor a republication resumes from.
-	RemoveVersion uint64
-}
-
-// SubscribeOps registers fn for every logged operation — committed
-// batches AND retirements, unlike Subscribe which sees only committed
-// versions — and returns a cancel function. Delivery runs on the
-// committing goroutine in commit order (under the same ordering lock as
-// watcher fan-out); fn must not call back into the store's publish,
-// flush, or apply paths.
-func (s *Store) SubscribeOps(fn func(StoreOp)) (cancel func()) {
-	s.mu.Lock()
-	if s.opsSubs == nil {
-		s.opsSubs = make(map[uint64]func(StoreOp))
-	}
-	id := s.nextOpsSub
-	s.nextOpsSub++
-	s.opsSubs[id] = fn
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.opsSubs, id)
-		s.mu.Unlock()
-	}
-}
-
-// opsSubsLocked snapshots the ops-subscriber list. Caller holds s.mu.
-func (s *Store) opsSubsLocked() []func(StoreOp) {
-	if len(s.opsSubs) == 0 {
-		return nil
-	}
-	fns := make([]func(StoreOp), 0, len(s.opsSubs))
-	for _, fn := range s.opsSubs {
-		fns = append(fns, fn)
-	}
-	return fns
-}
-
-// deliverOps hands one logged operation to the snapshotted ops
-// subscribers. Callers hold deliverMu (not mu), the same ordering rule as
-// fanOut.
-func deliverOps(fns []func(StoreOp), op StoreOp) {
-	if len(op.Events) == 0 && op.RemovePath == "" {
-		return
-	}
-	for _, fn := range fns {
-		fn(op)
-	}
-}
+// A replication LEADER taps every logged operation through Subscribe —
+// commit batches with their commit-time shared wire payloads, and
+// retirements — and ships them to followers as CRC-framed records (the
+// WAL record format, re-used as the wire format so the two encoders cannot
+// drift). A replication FOLLOWER feeds received records back in through
+// ApplyReplicated / ApplyReplicatedRemove, which take the store's one write
+// path (journal, fan-out, optional persistence) but install the leader's
+// versions and epochs verbatim instead of assigning new ones — so a
+// watcher on a follower sees byte-identical events, at identical epochs,
+// under the leader's restart generation (AdoptGeneration), and fail-over
+// between replicas looks like an ordinary reconnect rather than a
+// state-loss restart.
 
 // SetReadOnly marks the store as a replica: PublishVersioned and Remove
 // become no-ops (returning 0), so the only writers are the replication
@@ -116,11 +57,7 @@ func (s *Store) AdoptGeneration(gen uint64) {
 // durable replica snapshots the cleared state so its own restart cannot
 // resurrect the dead incarnation's documents.
 func (s *Store) ResetReplicated(gen uint64) {
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.beginWrite(false) {
 		return
 	}
 	s.docs = make(map[string]Document)
@@ -131,10 +68,9 @@ func (s *Store) ResetReplicated(gen uint64) {
 	if gen != 0 {
 		s.generation = gen
 	}
-	if err := s.snapshotLocked(); err != nil {
-		s.stats.PersistErrors++
-	}
+	_ = s.snapshotLocked() // a failure is counted in PersistErrors
 	s.mu.Unlock()
+	s.deliverMu.Unlock()
 	// Wake everything: parked waiters re-check, and held stream pumps see
 	// the generation change on their next collect and unwind.
 	s.wakeAllWatchers()
@@ -215,17 +151,10 @@ type ReplicationStats struct {
 // bootstrap, a durable-cursor lag window — both miss-free and
 // duplicate-free. It returns the number of events applied.
 func (s *Store) ApplyReplicated(evs []StoreEvent) int {
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.beginWrite(false) {
 		return 0
 	}
-	fresh := make([]StoreEvent, 0, len(evs))
+	var fresh []StoreEvent
 	for _, ev := range evs {
 		if cur, ok := s.docs[ev.Path]; ok && ev.Doc.Version <= cur.Version {
 			continue
@@ -238,34 +167,15 @@ func (s *Store) ApplyReplicated(evs []StoreEvent) int {
 			ev.Payload = encodeEventPayload(ev.Path, ev.Doc)
 		}
 		s.docs[ev.Path] = ev.Doc
-		s.stats.Commits++
+		if fresh == nil {
+			fresh = make([]StoreEvent, 0, len(evs))
+		}
 		fresh = append(fresh, ev)
 	}
-	if len(fresh) == 0 {
-		s.mu.Unlock()
-		return 0
+	if len(fresh) > 0 {
+		s.epoch = max(s.epoch, fresh[len(fresh)-1].Doc.Epoch)
 	}
-	s.stats.Batches++
-	if e := fresh[len(fresh)-1].Doc.Epoch; e > s.epoch {
-		s.epoch = e
-	}
-	s.journalLocked(fresh)
-	if s.persist != nil {
-		t, err := s.persist.Append(fresh)
-		if err != nil {
-			s.stats.PersistErrors++
-		} else {
-			s.stats.WALAppends++
-			tok = t
-		}
-	}
-	fns := s.subscribersLocked()
-	ops := s.opsSubsLocked()
-	p = s.persist
-	s.mu.Unlock()
-	s.fanOut(fresh, fns)
-	deliverOps(ops, StoreOp{Events: fresh})
-	s.maybeCompact()
+	s.endWrite(StoreOp{Events: fresh})
 	return len(fresh)
 }
 
@@ -275,44 +185,23 @@ func (s *Store) ApplyReplicated(evs []StoreEvent) int {
 // adopted so a later republication resumes the leader's sequence. It
 // reports whether a document was actually retired.
 func (s *Store) ApplyReplicatedRemove(path string, version uint64) bool {
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.beginWrite(false) {
 		return false
 	}
-	d, ok := s.docs[path]
-	if ok && d.Version > version {
-		s.mu.Unlock()
-		return false
-	}
-	if !ok {
+	var op StoreOp
+	switch d, ok := s.docs[path]; {
+	case ok && d.Version > version:
+	case !ok:
 		if s.retired[path] < version {
 			s.retired[path] = version
 		}
-		s.mu.Unlock()
-		return false
+	default:
+		s.retired[path] = version
+		delete(s.docs, path)
+		op = StoreOp{RemovePath: path, RemoveVersion: version}
 	}
-	s.retired[path] = version
-	delete(s.docs, path)
-	if s.persist != nil {
-		t, err := s.persist.AppendRemove(path, version)
-		if err != nil {
-			s.stats.PersistErrors++
-		} else {
-			s.stats.WALAppends++
-			tok = t
-			p = s.persist
-		}
-	}
-	ops := s.opsSubsLocked()
-	s.mu.Unlock()
-	deliverOps(ops, StoreOp{RemovePath: path, RemoveVersion: version})
-	return true
+	s.endWrite(op)
+	return op.RemovePath != ""
 }
 
 // ShardOf is FNV-1a over path, mod shards — the hash the watcher registry

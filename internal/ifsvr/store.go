@@ -3,6 +3,7 @@ package ifsvr
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,12 +19,12 @@ var ErrStoreClosed = errors.New("ifsvr: publication store closed")
 // catch-up.
 const DefaultHistoryLen = 256
 
-// StoreEvent is one committed publication fanned out to subscribers.
+// StoreEvent is one committed publication.
 //
-// Subscribers and StoreOp receivers get the commit-time event, Content
-// included. A journal entry (ReplayEventsInto, PersistentState.Journal)
-// carries Payload and the metadata but no Doc.Content: read the text from
-// Payload, or use Get for the current version.
+// Taps (Subscribe) get the commit-time event, Content included. A journal
+// entry (ReplayEventsInto, PersistentState.Journal) carries Payload and the
+// metadata but no Doc.Content: read the text from Payload, or use Get for
+// the current version.
 type StoreEvent struct {
 	// Path is the document path that committed.
 	Path string
@@ -37,9 +38,23 @@ type StoreEvent struct {
 	Payload []byte
 }
 
+// StoreOp is one logged store operation, as a tap (Subscribe) receives it:
+// either a committed publication batch (Events non-empty) or a retirement
+// (RemovePath non-empty).
+type StoreOp struct {
+	// Events is the committed batch, in commit order, payloads included.
+	Events []StoreEvent
+	// RemovePath is the retired path (empty for a commit batch).
+	RemovePath string
+	// RemoveVersion is the retired path's last committed version — the
+	// floor a republication resumes from.
+	RemoveVersion uint64
+}
+
 // StoreStats counts store activity; all fields are cumulative.
 type StoreStats struct {
-	// Publishes counts PublishVersioned calls.
+	// Publishes counts PublishVersioned calls the store took (not those a
+	// closed store or a replica dropped).
 	Publishes uint64
 	// Commits counts committed document versions (one per fan-out event).
 	Commits uint64
@@ -70,9 +85,8 @@ type StoreStats struct {
 	// JournalDepth is the number of events currently retained in the
 	// replay journal (gauge, not cumulative).
 	JournalDepth int
-	// Durability is the persistence backend's own counter block (lsns,
-	// fsyncs, group-commit batch sizes, fsync lag); nil for an in-memory
-	// store.
+	// Durability is the log's own counter block (lsns, fsyncs,
+	// group-commit batch sizes, fsync lag); nil for an in-memory store.
 	Durability *PersistStats
 	// Replication is the replication subsystem's counter block (role,
 	// lsns, lag, reconnects); nil for an unreplicated store.
@@ -84,23 +98,21 @@ type StoreStats struct {
 }
 
 // Store is the event-driven publication core: a versioned interface-document
-// store with epoch-numbered snapshots, subscriber fan-out, edit-storm
+// store with epoch-numbered snapshots, tap and watcher fan-out, edit-storm
 // coalescing, and an epoch-indexed journal for watcher catch-up. It is the
 // one document store: every binding publishes through it (via the SDE
-// Manager's NewClassServer), the Interface Server reads from it
-// (NewView), and a standalone Server (New or the zero value) owns one with
-// coalescing disabled.
+// Manager's NewClassServer), and the Interface Server reads from it
+// (NewView).
 //
 // Coalescing: with a non-zero flush window, rapid PublishVersioned calls to
 // an already-published path are staged, and the window's flush commits each
 // path once with the last-written content — a storm of N publications
-// becomes one committed version per window. Each path can carry its own
-// window (SetPathWindow) so hot classes coalesce harder than cold ones. The
-// first publication of a path always commits immediately (the paper's
-// "immediately publishes a basic definition", Section 4), and Flush commits
-// the staged set synchronously, which is how the forced-publication
-// protocol (Section 5.7) keeps its recency guarantee: DLPublisher
-// .EnsureCurrent flushes before the "Non Existent Method" reply goes out.
+// becomes one committed version per window. The first publication of a
+// path always commits immediately (the paper's "immediately publishes a
+// basic definition", Section 4), and Flush commits the staged set
+// synchronously, which is how the forced-publication protocol (Section
+// 5.7) keeps its recency guarantee: DLPublisher.EnsureCurrent flushes
+// before the "Non Existent Method" reply goes out.
 //
 // Epochs: every commit batch advances the store epoch; each committed
 // document records the epoch it was committed under, giving observers a
@@ -112,16 +124,22 @@ type StoreStats struct {
 // catch-up path, which turns a reconnect into a delta instead of a full
 // fetch.
 //
-// Persistence: a store opened with OpenStore over a Persistence backend
-// (StoreConfig.Dir for the file implementation) appends every commit
-// batch to its write-ahead log before fan-out — one record per batch, in
-// commit order — compacts the full state (documents, epoch counter,
-// replay journal, restart generation) into a snapshot every SnapshotEvery
-// batches, and — under StoreConfig.Sync group or always — holds the
-// publisher's ack until the batch is fsynced. A reopened store resumes at an
-// epoch strictly past its pre-restart epoch, so watchers reconnecting
-// with their last epoch ride journal replay across the restart instead
-// of forcing a snapshot stampede.
+// One write path: every mutation — a publish, the flush timer, Flush,
+// Remove, and the replication applies — takes the write locks in
+// beginWrite, changes the in-memory state, and hands the resulting StoreOp
+// to endWrite, which logs, journals, delivers, compacts and waits for
+// durability in one fixed order (see endWrite).
+//
+// Persistence: a store opened with OpenStore over a data directory
+// (StoreConfig.Dir) appends every commit batch and retirement to its
+// write-ahead log before fan-out — one record per operation, in commit
+// order — compacts the full state (documents, epoch counter, replay
+// journal, restart generation) into a snapshot every SnapshotEvery
+// records, and — under StoreConfig.Sync group or always — holds the
+// publisher's ack until the record is fsynced. A reopened store resumes at
+// an epoch strictly past its pre-restart epoch, so watchers reconnecting
+// with their last epoch ride journal replay across the restart instead of
+// forcing a snapshot stampede.
 type Store struct {
 	window  time.Duration
 	clk     clock.Clock
@@ -136,35 +154,28 @@ type Store struct {
 	// server lost the old state).
 	generation uint64
 
-	// persist, when non-nil, is the durability backend: every commit batch
-	// is appended to its WAL (under mu, before fan-out), and once the log
-	// is due it is compacted into a snapshot — off mu, under deliverMu, so
-	// readers are not blocked by snapshot IO. The sync wait of a committed
-	// batch (policy group/always) happens after BOTH locks release, which
-	// is what lets concurrent committers amortize one fsync.
-	persist Persistence
+	// persist, when non-nil, is the store's log: every operation is
+	// appended to its WAL (under mu, before fan-out), and once the log is
+	// due it is compacted into a snapshot — off mu, under deliverMu, so
+	// readers are not blocked by snapshot IO. The sync wait of a logged
+	// operation (policy group/always) happens after BOTH locks release,
+	// which is what lets concurrent committers amortize one fsync.
+	persist *filePersistence
 
-	mu           sync.Mutex
-	docs         map[string]Document
-	retired      map[string]uint64   // removed paths → last committed version
-	pending      map[string]Document // staged content awaiting a flush
-	pendingOrder []string
-	deadlines    map[string]time.Time // per-path commit deadline of staged content
-	pathWindows  map[string]time.Duration
-	timer        clock.Timer
-	timerOn      bool
-	timerAt      time.Time
-	epoch        uint64
-	journal      []StoreEvent // commit-ordered ring, capacity histLen
-	floorEpoch   uint64       // journal covers epochs in (floorEpoch, epoch]
-	stats        StoreStats
-	subs         map[uint64]func(StoreEvent)
-	nextSub      uint64
-	opsSubs      map[uint64]func(StoreOp) // replication taps (SubscribeOps)
-	nextOpsSub   uint64
-	readOnly     bool // replica: local publishes/removes are dropped
-	replStats    func() *ReplicationStats
-	closed       bool
+	mu         sync.Mutex
+	docs       map[string]Document
+	retired    map[string]uint64   // removed paths → last committed version
+	pending    map[string]Document // staged content awaiting a flush
+	staged     []stagedPath        // pending's paths in staging order
+	timer      clock.Timer
+	timerOn    bool
+	epoch      uint64
+	journal    []StoreEvent // commit-ordered ring, capacity histLen
+	floorEpoch uint64       // journal covers epochs in (floorEpoch, epoch]
+	stats      StoreStats
+	readOnly   bool // replica: local publishes/removes are dropped
+	replStats  func() *ReplicationStats
+	closed     bool
 
 	// watchers is the path-hash-sharded wake registry (see watchers.go):
 	// held streams register a capacity-1 wake channel per path, and a
@@ -174,10 +185,20 @@ type Store struct {
 	// fanout is the delivery plane's lock-free instrumentation.
 	fanout fanoutCounters
 
-	// deliverMu serializes commit+fan-out so events arrive in commit order
-	// even when a timer flush races an explicit Flush or an immediate
-	// publish. It is always acquired before mu.
+	// deliverMu serializes the writers, so operations are logged, woken
+	// and delivered in commit order even when a timer flush races an
+	// explicit Flush or an immediate publish. It is always acquired before
+	// mu, and it guards the taps, which run under it.
 	deliverMu sync.Mutex
+	taps      map[uint64]func(StoreOp)
+	nextTap   uint64
+}
+
+// stagedPath is one staged path and the time its flush window ends. The
+// window is store-wide, so staging order is deadline order.
+type stagedPath struct {
+	path string
+	due  time.Time
 }
 
 // NewStore returns an in-memory store with the given flush window (0
@@ -200,8 +221,6 @@ func NewStore(window time.Duration, clk clock.Clock) *Store {
 		docs:       make(map[string]Document),
 		retired:    make(map[string]uint64),
 		pending:    make(map[string]Document),
-		deadlines:  make(map[string]time.Time),
-		subs:       make(map[uint64]func(StoreEvent)),
 	}
 }
 
@@ -216,15 +235,10 @@ type StoreConfig struct {
 	// HistoryLen bounds the replay journal (0 means DefaultHistoryLen,
 	// negative disables it).
 	HistoryLen int
-	// Dir enables the file persistence backend (snapshot.json + wal.log
-	// under this directory) when Persistence is nil. Empty keeps the store
-	// in-memory.
+	// Dir makes the store durable: snapshot.json and wal.log under this
+	// directory (created if needed). Empty keeps the store in-memory.
 	Dir string
-	// Persistence is an explicit durability backend; it overrides Dir
-	// (and Sync/GroupWindow/SnapshotEvery, which configure the file
-	// backend Dir resolves to).
-	Persistence Persistence
-	// SnapshotEvery is how many commit batches the log takes between
+	// SnapshotEvery is how many logged operations the log takes between
 	// cadence snapshots (0 means DefaultSnapshotEvery).
 	SnapshotEvery int
 	// Sync selects what a committed publication's ack means for
@@ -233,18 +247,18 @@ type StoreConfig struct {
 	// SyncAlways (ack after a per-batch fsync).
 	Sync SyncPolicy
 	// GroupWindow bounds the extra time a lone commit may wait for
-	// company under SyncGroupCommit (0 means DefaultGroupWindow).
+	// company under SyncGroupCommit (0 means DefaultGroupWindow; groups
+	// that already formed behind an in-flight fsync are synced at once).
 	GroupWindow time.Duration
 }
 
 // OpenStore opens a store, recovering documents, versions, the epoch
-// counter, the bounded replay journal, and the restart generation from the
-// configured persistence backend (if any). The recovered generation is
-// bumped — a directory with nothing to recover keeps NewStore's random
-// one, so a store whose data was lost never reuses its old generation —
-// and a fresh compacted snapshot is written immediately, so every open is
-// durably distinguishable from the last. With no persistence configured
-// it is NewStore with options.
+// counter, the bounded replay journal, and the restart generation from
+// cfg.Dir (if set). The recovered generation is bumped — a directory with
+// nothing to recover keeps NewStore's random one, so a store whose data was
+// lost never reuses its old generation — and a fresh compacted snapshot is
+// written immediately, so every open is durably distinguishable from the
+// last. Without a directory it is NewStore with options.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	s := NewStore(cfg.Window, cfg.Clock)
 	switch {
@@ -253,21 +267,12 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	case cfg.HistoryLen > 0:
 		s.histLen = cfg.HistoryLen
 	}
-	p := cfg.Persistence
-	if p == nil && cfg.Dir != "" {
-		fp, err := OpenFilePersistence(FileConfig{
-			Dir:           cfg.Dir,
-			Sync:          cfg.Sync,
-			GroupWindow:   cfg.GroupWindow,
-			SnapshotEvery: cfg.SnapshotEvery,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p = fp
-	}
-	if p == nil {
+	if cfg.Dir == "" {
 		return s, nil
+	}
+	p, err := openFilePersistence(cfg)
+	if err != nil {
+		return nil, err
 	}
 	state, err := p.Load()
 	if err != nil {
@@ -312,58 +317,6 @@ func (s *Store) Generation() uint64 {
 	return s.generation
 }
 
-// FlushWindow returns the configured store-wide coalescing window.
-func (s *Store) FlushWindow() time.Duration { return s.window }
-
-// SetHistoryLen resizes the replay journal to retain the last n committed
-// versions (n < 0 disables the journal entirely; 0 restores the default).
-// Shrinking evicts the oldest entries, moving the replay floor forward.
-func (s *Store) SetHistoryLen(n int) {
-	if n == 0 {
-		n = DefaultHistoryLen
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 0 {
-		s.histLen = 0
-		s.journal = nil
-		s.floorEpoch = s.epoch
-		return
-	}
-	s.histLen = n
-	s.trimJournalLocked()
-}
-
-// HistoryLen returns the journal capacity (0 when disabled).
-func (s *Store) HistoryLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.histLen
-}
-
-// SetPathWindow overrides the coalescing window for one path — hot paths
-// can coalesce harder (longer window) than the store-wide setting, cold
-// paths softer (shorter, or 0 for immediate commits). A zero-or-negative
-// override commits that path's publications immediately. The override
-// applies to publications staged after the call and is cleared by Remove.
-func (s *Store) SetPathWindow(path string, window time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pathWindows == nil {
-		s.pathWindows = make(map[string]time.Duration)
-	}
-	s.pathWindows[path] = window
-}
-
-// windowFor resolves the effective coalescing window of path. Caller holds
-// s.mu.
-func (s *Store) windowFor(path string) time.Duration {
-	if w, ok := s.pathWindows[path]; ok {
-		return w
-	}
-	return s.window
-}
-
 // Epoch returns the current commit epoch.
 func (s *Store) Epoch() uint64 {
 	s.mu.Lock()
@@ -371,8 +324,8 @@ func (s *Store) Epoch() uint64 {
 	return s.epoch
 }
 
-// Stats returns a snapshot of the store counters, including the
-// persistence backend's durability block for a persistent store.
+// Stats returns a snapshot of the store counters, including the log's
+// durability block for a persistent store.
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	st := s.stats
@@ -393,6 +346,98 @@ func (s *Store) Stats() StoreStats {
 	return st
 }
 
+// Subscribe registers fn as a tap on every logged operation — each
+// committed batch, its documents' text included, and each retirement — and
+// returns a cancel function. fn runs on the committing goroutine, in commit
+// order, after the operation is logged and journaled and its watchers are
+// woken; it must not call back into the store's write paths, Subscribe, or
+// a cancel function. Once cancel returns, fn is not called again.
+func (s *Store) Subscribe(fn func(StoreOp)) (cancel func()) {
+	s.deliverMu.Lock()
+	if s.taps == nil {
+		s.taps = make(map[uint64]func(StoreOp))
+	}
+	id := s.nextTap
+	s.nextTap++
+	s.taps[id] = fn
+	s.deliverMu.Unlock()
+	return func() {
+		s.deliverMu.Lock()
+		delete(s.taps, id)
+		s.deliverMu.Unlock()
+	}
+}
+
+// beginWrite takes the write locks, deliverMu then mu, for one mutation.
+// It reports false, holding neither, when the store takes no write: it is
+// closed, or it is a replica and the write is local (a publish or a
+// remove), which belongs on the leader. On true the caller changes the
+// in-memory state and ends with endWrite.
+func (s *Store) beginWrite(local bool) bool {
+	s.deliverMu.Lock()
+	s.mu.Lock()
+	if s.closed || local && s.readOnly {
+		s.mu.Unlock()
+		s.deliverMu.Unlock()
+		return false
+	}
+	return true
+}
+
+// endWrite is the one write routine every mutation ends in. The caller
+// holds both write locks (beginWrite) and has applied op to the documents,
+// the retired floors and the epoch; endWrite does the rest, in this order:
+//
+//  1. append op to the WAL, under mu, before any watcher or tap sees it;
+//  2. journal op's events and release mu, then, still under deliverMu,
+//     wake the watchers of its paths and hand op to the taps, so both
+//     observe operations in commit order;
+//  3. run the cadence compaction under deliverMu but not mu, so readers
+//     never wait on snapshot IO;
+//  4. release deliverMu and only then wait for durability, so concurrent
+//     committers share one group-commit fsync.
+//
+// An empty op (nothing staged, nothing new, nothing to retire) just
+// releases the locks: no record, no delivery, no allocation.
+func (s *Store) endWrite(op StoreOp) {
+	if len(op.Events) == 0 && op.RemovePath == "" {
+		s.mu.Unlock()
+		s.deliverMu.Unlock()
+		return
+	}
+	p := s.persist
+	var lsn uint64
+	if p != nil {
+		var err error
+		if op.RemovePath != "" {
+			lsn, err = p.AppendRemove(op.RemovePath, op.RemoveVersion)
+		} else {
+			lsn, err = p.Append(op.Events)
+		}
+		if err != nil {
+			s.stats.PersistErrors++
+		} else {
+			s.stats.WALAppends++
+		}
+	}
+	if len(op.Events) > 0 {
+		s.stats.Batches++
+		s.stats.Commits += uint64(len(op.Events))
+		s.journalLocked(op.Events)
+	}
+	s.mu.Unlock()
+	// Waking a watcher is a non-blocking send — the socket writes happen
+	// on each watcher's own delivery pump — so this costs O(watchers of the
+	// batch's paths), not O(bytes).
+	s.wakeWatchers(op.Events)
+	for _, fn := range s.taps {
+		fn(op)
+	}
+	s.maybeCompact()
+	s.deliverMu.Unlock()
+	s.awaitDurable(p, lsn)
+}
+
 // Publish is PublishVersioned without a descriptor version.
 func (s *Store) Publish(path, contentType, content string) uint64 {
 	return s.PublishVersioned(path, contentType, content, 0)
@@ -400,118 +445,78 @@ func (s *Store) Publish(path, contentType, content string) uint64 {
 
 // PublishVersioned stores content under path. With
 // coalescing enabled and the path already published, the write is staged
-// until the path's flush window elapses (or Flush runs), and the returned
+// until the flush window elapses (or Flush runs), and the returned
 // version is the version the path will carry after that flush. Staged
 // writes to the same path coalesce — only the last content commits — so an
 // earlier caller in the same window receives the version its superseded
 // content never actually had; treat the return as "the path's next
 // committed version", not a receipt for this exact content.
 func (s *Store) PublishVersioned(path, contentType, content string, descriptorVersion uint64) uint64 {
-	staged := Document{
-		Content:           content,
-		ContentType:       contentType,
-		DescriptorVersion: descriptorVersion,
-	}
-	// The durability wait runs after BOTH locks release (deferred calls
-	// run last-in-first-out): concurrent publishers park in Sync together
-	// and share the backend's next fsync, instead of serializing fsyncs
-	// behind deliverMu.
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	s.stats.Publishes++
-	if s.closed || s.readOnly {
-		s.mu.Unlock()
+	if !s.beginWrite(true) {
 		return 0
 	}
-	_, published := s.docs[path]
-	window := s.windowFor(path)
-	if window <= 0 || !published {
-		var evs []StoreEvent
-		evs, tok = s.commitLocked([]string{path}, map[string]Document{path: staged})
-		ver := s.docs[path].Version
-		fns := s.subscribersLocked()
-		ops := s.opsSubsLocked()
-		p = s.persist
-		s.mu.Unlock()
-		s.fanOut(evs, fns)
-		deliverOps(ops, StoreOp{Events: evs})
-		s.maybeCompact()
+	s.stats.Publishes++
+	doc := Document{Content: content, ContentType: contentType, DescriptorVersion: descriptorVersion}
+	cur, published := s.docs[path]
+	if s.window <= 0 || !published {
+		op := s.commitLocked([]StoreEvent{{Path: path, Doc: doc}})
+		ver := op.Events[0].Doc.Version
+		s.endWrite(op)
 		return ver
 	}
 	if _, dup := s.pending[path]; dup {
 		s.stats.Coalesced++
 	} else {
-		s.pendingOrder = append(s.pendingOrder, path)
-		s.deadlines[path] = s.clk.Now().Add(window)
+		s.staged = append(s.staged, stagedPath{path: path, due: s.clk.Now().Add(s.window)})
 		s.rearmLocked()
 	}
-	s.pending[path] = staged
-	ver := s.docs[path].Version + 1
-	s.mu.Unlock()
-	return ver
+	s.pending[path] = doc
+	s.endWrite(StoreOp{})
+	return cur.Version + 1
 }
 
-// commitLocked commits the given paths (drawing content from contents),
-// bumping the epoch once for the batch and journaling each committed
-// version. Caller holds s.mu, must fan the returned events out after
-// unlocking, and must pass the returned token to awaitDurable after
-// releasing deliverMu — the ack of a synced store is only honest once
-// that wait returns.
-func (s *Store) commitLocked(order []string, contents map[string]Document) ([]StoreEvent, SyncToken) {
-	if len(order) == 0 {
-		return nil, 0
+// commitLocked commits a batch under the next epoch: evs carry each
+// path's staged content (Content, ContentType, DescriptorVersion), and
+// commitLocked fills in the committed document and its wire bytes in
+// place. Caller holds s.mu and passes the returned op to endWrite.
+func (s *Store) commitLocked(evs []StoreEvent) StoreOp {
+	if len(evs) == 0 {
+		return StoreOp{}
 	}
 	s.epoch++
-	s.stats.Batches++
-	evs := make([]StoreEvent, 0, len(order))
-	for _, path := range order {
-		staged := contents[path]
-		d := s.docs[path]
+	for i := range evs {
+		ev := &evs[i]
+		d := s.docs[ev.Path]
 		if d.Version == 0 {
 			// A republication of a retired path resumes its version
 			// sequence so parked watchers still wake on it.
-			d.Version = s.retired[path]
-			delete(s.retired, path)
+			d.Version = s.retired[ev.Path]
+			delete(s.retired, ev.Path)
 		}
-		d.Content = staged.Content
-		d.ContentType = staged.ContentType
-		d.DescriptorVersion = staged.DescriptorVersion
+		d.Content = ev.Doc.Content
+		d.ContentType = ev.Doc.ContentType
+		d.DescriptorVersion = ev.Doc.DescriptorVersion
 		d.Epoch = s.epoch
 		d.Version++
-		s.docs[path] = d
-		s.stats.Commits++
+		s.docs[ev.Path] = d
 		// One marshal per committed version: the same bytes back the WAL
 		// record and every streaming watcher's "data:" line.
-		evs = append(evs, StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)})
+		ev.Doc = d
+		ev.Payload = encodeEventPayload(ev.Path, d)
 	}
-	s.journalLocked(evs)
-	var tok SyncToken
-	if s.persist != nil {
-		t, err := s.persist.Append(evs)
-		if err != nil {
-			s.stats.PersistErrors++
-		} else {
-			s.stats.WALAppends++
-			tok = t
-		}
-	}
-	return evs, tok
+	return StoreOp{Events: evs}
 }
 
-// awaitDurable blocks until the logged operation behind tok is durable
-// under the backend's sync policy. Callers must have released deliverMu
-// (and mu): the wait is where concurrent committers gather into one
-// group-commit fsync, and holding the writer lock through it would
-// serialize the groups back into per-commit fsyncs.
-func (s *Store) awaitDurable(p Persistence, tok SyncToken) {
-	if p == nil || tok == 0 {
+// awaitDurable blocks until the logged operation lsn is durable under the
+// log's sync policy. Callers must have released deliverMu (and mu): the
+// wait is where concurrent committers gather into one group-commit fsync,
+// and holding the writer lock through it would serialize the groups back
+// into per-commit fsyncs.
+func (s *Store) awaitDurable(p *filePersistence, lsn uint64) {
+	if p == nil || lsn == 0 {
 		return
 	}
-	if err := p.Sync(tok); err != nil {
+	if err := p.Sync(lsn); err != nil {
 		s.mu.Lock()
 		s.stats.PersistErrors++
 		s.mu.Unlock()
@@ -544,47 +549,47 @@ func (s *Store) stateLocked(copied bool) PersistentState {
 	return st
 }
 
-// snapshotLocked compacts the full store state into the persistence
-// backend. Caller holds s.mu (or, during OpenStore/Close, has
-// exclusive access) — only the open/close paths pay snapshot IO under the
-// lock; the steady-state cadence goes through maybeCompact instead.
+// snapshotLocked compacts the full store state into the log. Caller holds
+// s.mu (or, during OpenStore, has exclusive access) — only the open,
+// close and reset paths pay snapshot IO under the lock; the steady-state
+// cadence goes through maybeCompact instead.
 func (s *Store) snapshotLocked() error {
 	if s.persist == nil {
 		return nil
 	}
-	if err := s.persist.Snapshot(s.stateLocked(false)); err != nil {
-		return err
-	}
-	s.stats.Snapshots++
-	return nil
+	err := s.persist.Snapshot(s.stateLocked(false))
+	s.noteSnapshotLocked(err)
+	return err
 }
 
-// maybeCompact writes the cadence snapshot when the backend reports one
-// due (the log crossed its batch budget). Caller holds deliverMu but NOT
-// mu: deliverMu serializes every WAL writer (publish, flush, remove,
-// close), so the logs cannot grow under the compaction, while readers on
-// mu — document GETs, parked Waits, journal replays for a thousand held
-// streams — never wait on snapshot file IO.
-func (s *Store) maybeCompact() {
-	s.mu.Lock()
-	due := s.persist != nil && !s.closed && s.persist.CompactDue()
-	var state PersistentState
-	var p Persistence
-	if due {
-		state = s.stateLocked(true)
-		p = s.persist
-	}
-	s.mu.Unlock()
-	if !due {
-		return
-	}
-	err := p.Snapshot(state)
-	s.mu.Lock()
+// noteSnapshotLocked counts one snapshot write by its outcome. Caller
+// holds s.mu.
+func (s *Store) noteSnapshotLocked(err error) {
 	if err != nil {
 		s.stats.PersistErrors++
 	} else {
 		s.stats.Snapshots++
 	}
+}
+
+// maybeCompact writes the cadence snapshot when the log reports one due
+// (it crossed its record budget); Close writes a closing store's last
+// snapshot itself. Caller holds deliverMu but NOT mu: deliverMu
+// serializes every WAL writer, so the log cannot grow under the
+// compaction, while readers on mu — document GETs, journal replays for a
+// thousand held streams — never wait on snapshot file IO.
+func (s *Store) maybeCompact() {
+	s.mu.Lock()
+	p := s.persist
+	if p == nil || s.closed || !p.CompactDue() {
+		s.mu.Unlock()
+		return
+	}
+	state := s.stateLocked(true)
+	s.mu.Unlock()
+	err := p.Snapshot(state)
+	s.mu.Lock()
+	s.noteSnapshotLocked(err)
 	s.mu.Unlock()
 }
 
@@ -712,16 +717,12 @@ func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []Stor
 	return v
 }
 
-// rearmLocked (re)schedules the flush timer for the earliest pending
-// deadline. Caller holds s.mu.
+// rearmLocked arms the flush timer for the oldest staged path's deadline —
+// the earliest, since staging order is deadline order — or stops it when
+// nothing is staged. An armed timer already fires early enough. Caller
+// holds s.mu.
 func (s *Store) rearmLocked() {
-	var next time.Time
-	for _, p := range s.pendingOrder {
-		if dl := s.deadlines[p]; next.IsZero() || dl.Before(next) {
-			next = dl
-		}
-	}
-	if next.IsZero() {
+	if len(s.staged) == 0 {
 		if s.timer != nil {
 			s.timer.Stop()
 			s.timer = nil
@@ -729,203 +730,86 @@ func (s *Store) rearmLocked() {
 		s.timerOn = false
 		return
 	}
-	if s.timerOn && !s.timerAt.After(next) {
-		return // the armed timer fires early enough
+	if s.timerOn {
+		return
 	}
-	if s.timer != nil {
-		s.timer.Stop()
-	}
-	d := next.Sub(s.clk.Now())
-	if d < 0 {
-		d = 0
-	}
-	s.timerAt = next
 	s.timerOn = true
-	s.timer = s.clk.AfterFunc(d, s.onFlushTimer)
+	s.timer = s.clk.AfterFunc(max(s.staged[0].due.Sub(s.clk.Now()), 0), s.onFlushTimer)
 }
 
-// dueLocked stages-out everything whose deadline has passed. Caller holds
-// s.mu.
-func (s *Store) dueLocked(now time.Time) (order []string, contents map[string]Document) {
-	contents = make(map[string]Document)
-	keep := s.pendingOrder[:0]
-	for _, p := range s.pendingOrder {
-		if s.deadlines[p].After(now) {
-			keep = append(keep, p)
-			continue
-		}
-		order = append(order, p)
-		contents[p] = s.pending[p]
-		delete(s.pending, p)
-		delete(s.deadlines, p)
+// unstageLocked takes the n oldest staged paths out of the staging area
+// and returns them as a batch for commitLocked. Caller holds s.mu.
+func (s *Store) unstageLocked(n int) []StoreEvent {
+	if n == 0 {
+		return nil
 	}
-	s.pendingOrder = keep
-	return order, contents
+	evs := make([]StoreEvent, n)
+	for i, sp := range s.staged[:n] {
+		evs[i] = StoreEvent{Path: sp.path, Doc: s.pending[sp.path]}
+		delete(s.pending, sp.path)
+	}
+	s.staged = slices.Delete(s.staged, 0, n)
+	return evs
 }
 
-// flushLocked stages-out and commits everything pending. Caller holds s.mu.
-func (s *Store) flushLocked() ([]StoreEvent, SyncToken) {
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-	s.timerOn = false
-	if len(s.pendingOrder) == 0 {
-		return nil, 0
-	}
-	order, contents := s.pendingOrder, s.pending
-	s.pendingOrder = nil
-	s.pending = make(map[string]Document)
-	s.deadlines = make(map[string]time.Time)
-	return s.commitLocked(order, contents)
+// flushLocked commits everything staged and stops the flush timer. Caller
+// holds s.mu.
+func (s *Store) flushLocked() StoreOp {
+	op := s.commitLocked(s.unstageLocked(len(s.staged)))
+	s.rearmLocked()
+	return op
 }
 
+// onFlushTimer commits the staged paths whose window has ended.
 func (s *Store) onFlushTimer() {
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
+	if !s.beginWrite(false) {
+		return
+	}
 	s.timerOn = false
 	s.timer = nil
-	var evs []StoreEvent
-	if !s.closed {
-		order, contents := s.dueLocked(s.clk.Now())
-		evs, tok = s.commitLocked(order, contents)
-		p = s.persist
-		s.rearmLocked() // paths with longer windows stay staged
+	now := s.clk.Now()
+	n := 0
+	for n < len(s.staged) && !s.staged[n].due.After(now) {
+		n++
 	}
-	fns := s.subscribersLocked()
-	ops := s.opsSubsLocked()
-	s.mu.Unlock()
-	s.fanOut(evs, fns)
-	deliverOps(ops, StoreOp{Events: evs})
-	s.maybeCompact()
+	op := s.commitLocked(s.unstageLocked(n))
+	s.rearmLocked() // paths staged later stay staged
+	s.endWrite(op)
 }
 
 // Flush synchronously commits every staged publication — the forced-
 // publication path: after Flush returns, Get observes everything published
 // before the call (and, under a syncing policy, the batch is durable).
 func (s *Store) Flush() {
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
+	if !s.beginWrite(false) {
+		return
+	}
 	s.stats.Flushes++
-	var evs []StoreEvent
-	if !s.closed {
-		evs, tok = s.flushLocked()
-		p = s.persist
-	}
-	fns := s.subscribersLocked()
-	ops := s.opsSubsLocked()
-	s.mu.Unlock()
-	s.fanOut(evs, fns)
-	deliverOps(ops, StoreOp{Events: evs})
-	s.maybeCompact()
-}
-
-// subscribersLocked snapshots the subscriber list. Caller holds s.mu.
-func (s *Store) subscribersLocked() []func(StoreEvent) {
-	if len(s.subs) == 0 {
-		return nil
-	}
-	fns := make([]func(StoreEvent), 0, len(s.subs))
-	for _, fn := range s.subs {
-		fns = append(fns, fn)
-	}
-	return fns
-}
-
-// fanOut wakes the watchers of the batch's paths, then delivers the
-// events to the snapshotted subscribers. Callers hold deliverMu (acquired
-// before the commit), which is what keeps delivery in commit order across
-// concurrent committers. Waking a watcher is a non-blocking send — the
-// actual socket writes happen on each watcher's own delivery pump, so the
-// committing goroutine's cost here is O(watchers of the dirty paths), not
-// O(bytes). Subscriber callbacks run on the committing goroutine and must
-// not call back into the store's publish/flush paths.
-func (s *Store) fanOut(evs []StoreEvent, fns []func(StoreEvent)) {
-	if len(evs) > 0 {
-		s.wakeWatchers(evs)
-	}
-	for _, ev := range evs {
-		for _, fn := range fns {
-			fn(ev)
-		}
-	}
-}
-
-// Subscribe registers fn for every committed publication and returns a
-// cancel function. An event already being delivered when cancel returns may
-// still invoke fn once.
-func (s *Store) Subscribe(fn func(StoreEvent)) (cancel func()) {
-	s.mu.Lock()
-	id := s.nextSub
-	s.nextSub++
-	s.subs[id] = fn
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.subs, id)
-		s.mu.Unlock()
-	}
+	s.endWrite(s.flushLocked())
 }
 
 // Remove retires a path when its server closes. The
 // committed document disappears (Get reports it unpublished), staged writes
-// and any per-path window override for it are dropped, and — because the
-// "first publication commits immediately" rule keys on committed presence —
-// a re-registered server's fresh documents commit synchronously instead of
-// sitting out a flush window behind the dead server's entries. The retired
-// version floor is kept so republication continues the sequence.
+// for it are dropped, and — because the "first publication commits
+// immediately" rule keys on committed presence — a re-registered server's
+// fresh documents commit synchronously instead of sitting out a flush
+// window behind the dead server's entries. The retired version floor is
+// kept so republication continues the sequence.
 func (s *Store) Remove(path string) {
-	var p Persistence
-	var tok SyncToken
-	defer func() { s.awaitDurable(p, tok) }()
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.readOnly {
-		s.mu.Unlock()
+	if !s.beginWrite(true) {
 		return
 	}
-	var removed uint64
+	var op StoreOp
 	if d, ok := s.docs[path]; ok {
-		removed = d.Version
 		s.retired[path] = d.Version
 		delete(s.docs, path)
-		if s.persist != nil && !s.closed {
-			t, err := s.persist.AppendRemove(path, d.Version)
-			if err != nil {
-				s.stats.PersistErrors++
-			} else {
-				s.stats.WALAppends++
-				tok = t
-				p = s.persist
-			}
-		}
+		op = StoreOp{RemovePath: path, RemoveVersion: d.Version}
 	}
-	delete(s.pathWindows, path)
-	if _, staged := s.pending[path]; staged {
+	if _, ok := s.pending[path]; ok {
 		delete(s.pending, path)
-		delete(s.deadlines, path)
-		order := s.pendingOrder[:0]
-		for _, p := range s.pendingOrder {
-			if p != path {
-				order = append(order, p)
-			}
-		}
-		s.pendingOrder = order
+		s.staged = slices.DeleteFunc(s.staged, func(sp stagedPath) bool { return sp.path == path })
 	}
-	ops := s.opsSubsLocked()
-	s.mu.Unlock()
-	if removed != 0 {
-		deliverOps(ops, StoreOp{RemovePath: path, RemoveVersion: removed})
-	}
+	s.endWrite(op)
 }
 
 // Get returns the committed document at path. Staged (not yet
@@ -958,35 +842,27 @@ func (s *Store) Paths() []string {
 	return ps
 }
 
-// Close flushes staged publications, wakes held streams, and stops the
-// flush timer; a persistent store writes a final compacted snapshot and
-// releases its backend. Subsequent publishes are dropped.
+// Close commits staged publications through the write routine as the
+// store's last write, then writes a final compacted snapshot, releases the
+// log, and wakes every held stream. Every later write is dropped.
 func (s *Store) Close() {
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.beginWrite(false) {
 		return
 	}
-	// The final flush's batch needs no sync wait: the full snapshot below
-	// durably captures it (and resets the logs) before the backend closes.
-	evs, _ := s.flushLocked()
+	op := s.flushLocked()
 	s.closed = true
-	if s.persist != nil {
-		if err := s.snapshotLocked(); err != nil {
-			s.stats.PersistErrors++
-		}
-		if err := s.persist.Close(); err != nil {
+	s.endWrite(op)
+	s.deliverMu.Lock()
+	s.mu.Lock()
+	if p := s.persist; p != nil {
+		_ = s.snapshotLocked() // a failure is counted in PersistErrors
+		if err := p.Close(); err != nil {
 			s.stats.PersistErrors++
 		}
 		s.persist = nil
 	}
-	fns := s.subscribersLocked()
-	ops := s.opsSubsLocked()
 	s.mu.Unlock()
-	s.fanOut(evs, fns)
-	deliverOps(ops, StoreOp{Events: evs})
+	s.deliverMu.Unlock()
 	// Every held watcher — not just those on the final batch's paths —
 	// must notice the close and unwind.
 	s.wakeAllWatchers()
@@ -998,17 +874,14 @@ func (s *Store) Close() {
 // find it after a process kill. It exists for crash-recovery tests and
 // the recovery benchmark; production shutdown is Close.
 func (s *Store) Crash() error {
-	s.deliverMu.Lock()
-	defer s.deliverMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.beginWrite(false) {
 		return nil
 	}
 	s.closed = true
 	p := s.persist
 	s.persist = nil
 	s.mu.Unlock()
+	s.deliverMu.Unlock()
 	s.wakeAllWatchers()
 	if p == nil {
 		return nil

@@ -110,7 +110,7 @@ func (s *Server) pumpConfig(st *Store) PumpConfig {
 		WriteTimeout: wt,
 		Heartbeat:    hb,
 		Sweep:        sweep,
-		Drain:        s.drainContext().Done(),
+		Drain:        s.drainCtx.Done(),
 		Counters:     &st.fanout.pump,
 	}
 }
@@ -127,7 +127,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 		return
 	}
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
-	st := s.Store()
+	st := s.store
 	gen := st.Generation()
 
 	h := w.Header()

@@ -13,11 +13,15 @@ import (
 	"time"
 )
 
-// startStreamServer publishes an initial version and starts the HTTP view
-// over a fresh store, returning the store, the document URL, and a cleanup.
-func startStreamServer(t *testing.T, window time.Duration) (*Store, string) {
+// startStreamServer starts the HTTP view over a fresh store opened with
+// cfg, returning the store and the document URL; both close when the test
+// ends.
+func startStreamServer(t *testing.T, cfg StoreConfig) (*Store, string) {
 	t.Helper()
-	st := NewStore(window, nil)
+	st, err := OpenStore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := NewView(st)
 	base, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -33,7 +37,7 @@ func startStreamServer(t *testing.T, window time.Duration) (*Store, string) {
 // TestStreamDeliversEveryCommittedVersion: a stream opened at epoch 0
 // carries every committed version in order, live.
 func TestStreamDeliversEveryCommittedVersion(t *testing.T) {
-	st, url := startStreamServer(t, 0)
+	st, url := startStreamServer(t, StoreConfig{})
 	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +80,7 @@ func TestStreamDeliversEveryCommittedVersion(t *testing.T) {
 // after=<last seen epoch>; journal replay hands it exactly the versions it
 // missed — none skipped, none duplicated. Run under -race.
 func TestStreamStormReconnectNoMissNoDup(t *testing.T) {
-	st, url := startStreamServer(t, 0)
+	st, url := startStreamServer(t, StoreConfig{})
 	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
 
 	const storm = 100
@@ -174,8 +178,7 @@ func TestStreamStormReconnectNoMissNoDup(t *testing.T) {
 // client's epoch, the reconnect opens with one full-snapshot event of the
 // current document instead of a (gappy) replay.
 func TestStreamReplayFallsBackToSnapshot(t *testing.T) {
-	st, url := startStreamServer(t, 0)
-	st.SetHistoryLen(8)
+	st, url := startStreamServer(t, StoreConfig{HistoryLen: 8})
 	for i := 1; i <= 50; i++ {
 		st.PublishVersioned("/wsdl/S.wsdl", "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
 	}
@@ -220,8 +223,7 @@ func TestStreamReplayFallsBackToSnapshot(t *testing.T) {
 // to evict continuously — every client must still observe strictly
 // increasing versions (replays and snapshots included). Run under -race.
 func TestStreamChurnUnderEvictingJournal(t *testing.T) {
-	st, url := startStreamServer(t, time.Millisecond)
-	st.SetHistoryLen(4)
+	st, url := startStreamServer(t, StoreConfig{Window: time.Millisecond, HistoryLen: 4})
 	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
 
 	stop := make(chan struct{})
@@ -255,7 +257,7 @@ func TestStreamChurnUnderEvictingJournal(t *testing.T) {
 				return
 			default:
 			}
-			cancel := st.Subscribe(func(StoreEvent) {})
+			cancel := st.Subscribe(func(StoreOp) {})
 			time.Sleep(time.Millisecond)
 			cancel()
 		}
@@ -304,7 +306,7 @@ func TestStreamChurnUnderEvictingJournal(t *testing.T) {
 // its first event — not the retired predecessor's stale journal history,
 // which is still in the ring (Remove does not purge journal entries).
 func TestStreamOnRepublishedPathSkipsStaleHistory(t *testing.T) {
-	st, url := startStreamServer(t, 0)
+	st, url := startStreamServer(t, StoreConfig{})
 	const path = "/wsdl/S.wsdl"
 	for i := 1; i <= 3; i++ {
 		st.PublishVersioned(path, "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
@@ -367,44 +369,12 @@ func TestStreamAgainstLongPollOnlyServer(t *testing.T) {
 	}
 }
 
-// TestPerPathFlushWindows: a path with its own window coalesces on that
-// window while sibling paths follow the store default.
-func TestPerPathFlushWindows(t *testing.T) {
-	st := NewStore(0, nil) // store-wide: immediate commits
-	defer st.Close()
-	st.SetPathWindow("/hot", 30*time.Millisecond)
-
-	st.Publish("/hot", "text/plain", "h0") // first publication: immediate
-	st.Publish("/cold", "text/plain", "c0")
-
-	// A burst against each: the cold path commits every write, the hot
-	// path coalesces into one trailing commit.
-	for i := 1; i <= 10; i++ {
-		st.Publish("/hot", "text/plain", fmt.Sprintf("h%d", i))
-		st.Publish("/cold", "text/plain", fmt.Sprintf("c%d", i))
-	}
-	if v := st.Version("/cold"); v != 11 {
-		t.Errorf("cold path version = %d, want 11 (no coalescing)", v)
-	}
-	if v := st.Version("/hot"); v != 1 {
-		t.Errorf("hot path version = %d, want 1 (burst staged)", v)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Version("/hot") != 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	d, err := st.Get("/hot")
-	if err != nil || d.Version != 2 || d.Content != "h10" {
-		t.Fatalf("hot path after window: %+v, %v (want one committed version with the last content)", d, err)
-	}
-}
-
 // TestStreamIsUnchunkedOnHTTP1: an HTTP/1.1 watch stream is delimited by
 // the connection, not by chunk framing, so a frame larger than net/http's
 // connection buffer is one socket write; a document of that size still
 // arrives whole.
 func TestStreamIsUnchunkedOnHTTP1(t *testing.T) {
-	st, url := startStreamServer(t, 0)
+	st, url := startStreamServer(t, StoreConfig{})
 	big := "<" + strings.Repeat("x", 12<<10) + "/>"
 	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", big, 1)
 

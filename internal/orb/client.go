@@ -63,13 +63,6 @@ func (o *ClientORB) Close() error { return o.conn.Close() }
 // entries so new Dials reconnect instead of inheriting a dead socket.
 func (o *ClientORB) Broken() bool { return o.conn.Broken() }
 
-// Invoke is InvokeContext with a background context.
-//
-// Deprecated: use InvokeContext so the call can be cancelled.
-func (o *ClientORB) Invoke(sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	return o.InvokeContext(context.Background(), sig, args)
-}
-
 // InvokeContext performs a dynamic invocation: arguments are type-checked
 // against sig, encoded in CDR, and the result is decoded per sig.Result.
 // Cancelling ctx aborts the in-flight IIOP invocation (a GIOP CancelRequest

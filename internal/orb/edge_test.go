@@ -23,7 +23,7 @@ func TestClientEncodeErrorFailsLocally(t *testing.T) {
 		Params: []dyn.Param{{Name: "c", Type: dyn.Char}, {Name: "b", Type: dyn.Int32T}},
 		Result: dyn.Int32T,
 	}
-	_, err := cl.Invoke(sig, []dyn.Value{dyn.CharValue('λ'), dyn.Int32Value(1)})
+	_, err := cl.InvokeContext(context.Background(), sig, []dyn.Value{dyn.CharValue('λ'), dyn.Int32Value(1)})
 	if err == nil {
 		t.Fatal("wide char should fail to encode")
 	}
@@ -60,7 +60,7 @@ func TestClientRejectsUnknownUserException(t *testing.T) {
 	cl.order = cdr.BigEndian
 	defer cl.Close()
 
-	_, err = cl.Invoke(dyn.MethodSig{Name: "x", Result: dyn.Int32T}, nil)
+	_, err = cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "x", Result: dyn.Int32T}, nil)
 	if err == nil {
 		t.Fatal("unknown user exception should error")
 	}
@@ -91,7 +91,7 @@ func TestClientRejectsUnsupportedReplyStatus(t *testing.T) {
 	cl := &ClientORB{conn: conn, order: cdr.BigEndian}
 	defer cl.Close()
 
-	if _, err := cl.Invoke(dyn.MethodSig{Name: "x", Result: dyn.Int32T}, nil); err == nil {
+	if _, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "x", Result: dyn.Int32T}, nil); err == nil {
 		t.Fatal("LOCATION_FORWARD should be reported as unsupported")
 	}
 }
@@ -121,7 +121,7 @@ func TestClientRejectsTruncatedResult(t *testing.T) {
 	cl := &ClientORB{conn: conn, order: cdr.BigEndian}
 	defer cl.Close()
 
-	if _, err := cl.Invoke(dyn.MethodSig{Name: "x", Result: dyn.Int64T}, nil); err == nil {
+	if _, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "x", Result: dyn.Int64T}, nil); err == nil {
 		t.Fatal("truncated result should fail")
 	}
 }
@@ -144,7 +144,7 @@ func TestServerEncodesResultFailure(t *testing.T) {
 	cl, stop := startORB(t, target)
 	defer stop()
 
-	_, err := cl.Invoke(dyn.MethodSig{Name: "wide", Result: dyn.Char}, nil)
+	_, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "wide", Result: dyn.Char}, nil)
 	se, ok := giop.AsSystemException(err)
 	if !ok || se.RepoID != giop.RepoMarshal {
 		t.Errorf("wide result: %v", err)
@@ -181,7 +181,7 @@ func TestClientReadsCarriedDocument(t *testing.T) {
 			cl := &ClientORB{conn: conn, order: cdr.BigEndian}
 			defer cl.Close()
 
-			_, err = cl.Invoke(dyn.MethodSig{Name: "gone", Result: dyn.Int32T}, nil)
+			_, err = cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "gone", Result: dyn.Int32T}, nil)
 			var stale *StaleError
 			if !errors.Is(err, ErrNonExistentMethod) || !errors.As(err, &stale) || !giop.IsBadOperation(err) {
 				t.Fatalf("stale reply = %v", err)

@@ -114,7 +114,7 @@ func TestInvokeSuccess(t *testing.T) {
 	if cl.TypeID() != "IDL:CalcModule/Calc:1.0" {
 		t.Errorf("TypeID = %q", cl.TypeID())
 	}
-	got, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(20), dyn.Int32Value(22)})
+	got, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(20), dyn.Int32Value(22)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInvokeNonExistentMethod(t *testing.T) {
 	defer stop()
 
 	sig := dyn.MethodSig{Name: "ghost", Result: dyn.Int32T}
-	_, err := cl.Invoke(sig, nil)
+	_, err := cl.InvokeContext(context.Background(), sig, nil)
 	if !errors.Is(err, ErrNonExistentMethod) {
 		t.Fatalf("ghost: %v", err)
 	}
@@ -148,13 +148,13 @@ func TestInvokeAfterLiveRemoval(t *testing.T) {
 	cl, stop := startORB(t, target)
 	defer stop()
 
-	if _, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)}); err != nil {
+	if _, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RemoveMethod(id); err != nil {
 		t.Fatal(err)
 	}
-	_, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)})
+	_, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)})
 	if !errors.Is(err, ErrNonExistentMethod) {
 		t.Fatalf("after removal: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestInvokeApplicationError(t *testing.T) {
 	cl, stop := startORB(t, target)
 	defer stop()
 
-	_, err := cl.Invoke(dyn.MethodSig{Name: "fail", Result: dyn.StringT}, nil)
+	_, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "fail", Result: dyn.StringT}, nil)
 	var appErr *AppError
 	if !errors.As(err, &appErr) {
 		t.Fatalf("fail: %v", err)
@@ -183,10 +183,10 @@ func TestInvokeClientSideTypeChecks(t *testing.T) {
 	cl, stop := startORB(t, target)
 	defer stop()
 
-	if _, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(1)}); err == nil {
+	if _, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1)}); err == nil {
 		t.Error("wrong arity should fail client-side")
 	}
-	if _, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(1), dyn.StringValue("x")}); err == nil {
+	if _, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.StringValue("x")}); err == nil {
 		t.Error("wrong type should fail client-side")
 	}
 }
@@ -208,7 +208,7 @@ func TestWrongObjectKey(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, err = cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)})
+	_, err = cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)})
 	se, ok := giop.AsSystemException(err)
 	if !ok || se.RepoID != giop.RepoObjectNotExist {
 		t.Errorf("wrong key: %v", err)
@@ -230,7 +230,7 @@ func TestStaleSignatureTreatedAsStaleCall(t *testing.T) {
 		Params: []dyn.Param{{Name: "s", Type: dyn.StringT}},
 		Result: dyn.Int32T,
 	}
-	_, err := cl.Invoke(staleSig, []dyn.Value{dyn.StringValue("xy")})
+	_, err := cl.InvokeContext(context.Background(), staleSig, []dyn.Value{dyn.StringValue("xy")})
 	if !errors.Is(err, ErrNonExistentMethod) {
 		t.Fatalf("stale signature: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestStaleSignatureTreatedAsStaleCall(t *testing.T) {
 		},
 		Result: dyn.Int32T,
 	}
-	_, err = cl.Invoke(staleWide, []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2), dyn.Int32Value(3)})
+	_, err = cl.InvokeContext(context.Background(), staleWide, []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2), dyn.Int32Value(3)})
 	if !errors.Is(err, ErrNonExistentMethod) {
 		t.Fatalf("extra-args stale signature: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestConcurrentInvocations(t *testing.T) {
 		wg.Add(1)
 		go func(n int32) {
 			defer wg.Done()
-			got, err := cl.Invoke(addSig(), []dyn.Value{dyn.Int32Value(n), dyn.Int32Value(n)})
+			got, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(n), dyn.Int32Value(n)})
 			if err != nil {
 				t.Errorf("invoke %d: %v", n, err)
 				return
@@ -296,7 +296,7 @@ func TestVoidResult(t *testing.T) {
 	cl, stop := startORB(t, target)
 	defer stop()
 
-	got, err := cl.Invoke(dyn.MethodSig{Name: "ping", Result: dyn.Void}, nil)
+	got, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "ping", Result: dyn.Void}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

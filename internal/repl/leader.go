@@ -57,7 +57,7 @@ type TailConfig struct {
 }
 
 // TailServer is the leader half of replication: it taps the store's
-// logged operations (SubscribeOps), keeps each as one record of a ring,
+// logged operations (Subscribe), keeps each as one record of a ring,
 // in commit order, and serves the WAL-tail endpoint — handshake,
 // record streaming from a given lsn, snapshot bootstrap when the cursor
 // has been compacted away, and heartbeats. Mount it on the Interface
@@ -140,7 +140,7 @@ func NewTailServer(st *ifsvr.Store, cfg TailConfig) *TailServer {
 		Drain:        t.drain,
 		Counters:     new(ifsvr.PumpCounters),
 	}
-	t.cancel = st.SubscribeOps(t.append)
+	t.cancel = st.Subscribe(t.append)
 	st.SetReplicationStats(t.replicationStats)
 	return t
 }

@@ -19,7 +19,7 @@ func TestAllocsTailCollect(t *testing.T) {
 	defer ts.Close()
 	var want []byte
 	var lsn uint64
-	cancel := st.SubscribeOps(func(op ifsvr.StoreOp) {
+	cancel := st.Subscribe(func(op ifsvr.StoreOp) {
 		lsn++
 		if op.RemovePath != "" {
 			want = ifsvr.AppendRemoveFrame(want, lsn, op.RemovePath, op.RemoveVersion)

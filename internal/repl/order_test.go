@@ -68,7 +68,7 @@ func (b *heldBody) Read(p []byte) (int, error) {
 func recordOps(st *ifsvr.Store) func() []string {
 	var mu sync.Mutex
 	var ops []string
-	st.SubscribeOps(func(op ifsvr.StoreOp) {
+	st.Subscribe(func(op ifsvr.StoreOp) {
 		mu.Lock()
 		defer mu.Unlock()
 		if op.RemovePath != "" {

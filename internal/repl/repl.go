@@ -3,10 +3,12 @@
 // and a fronting director that spreads watchers across them.
 //
 // The design adds no new invariants — only a new transport for existing
-// ones. The leader tails its own commit log (the lsn-numbered, CRC-framed
-// records PR 5 put on disk) over a streaming HTTP endpoint; a follower
-// applies those records through the ordinary commit machinery into its
-// own store, installing the leader's versions, epochs, and restart
+// ones. The leader taps its store's logged operations (Store.Subscribe)
+// into an in-memory ring of records, framed like the WAL's records but
+// numbered by the ring's own lsns, which restart at 0 with each leader
+// process, and serves them over a streaming HTTP endpoint; a follower
+// applies those records through the store's one write path into its own
+// store, installing the leader's versions, epochs, and restart
 // generation verbatim. A watcher on a follower therefore sees the exact
 // bytes, at the exact epochs, it would see on the leader, and failing
 // over between replicas is the watch protocol's ordinary

@@ -172,9 +172,11 @@ func TestFollowerRestartResumes(t *testing.T) {
 	}
 	var seenMu sync.Mutex
 	var seen []seenEvent
-	record := func(ev ifsvr.StoreEvent) {
+	record := func(op ifsvr.StoreOp) {
 		seenMu.Lock()
-		seen = append(seen, seenEvent{ev.Path, ev.Doc.Version})
+		for _, ev := range op.Events {
+			seen = append(seen, seenEvent{ev.Path, ev.Doc.Version})
+		}
 		seenMu.Unlock()
 	}
 
@@ -344,9 +346,11 @@ func TestEditStormByteIdentical(t *testing.T) {
 	collect := func(st *ifsvr.Store) (*sync.Mutex, map[uint64][]string) {
 		mu := &sync.Mutex{}
 		m := make(map[uint64][]string)
-		st.Subscribe(func(ev ifsvr.StoreEvent) {
+		st.Subscribe(func(op ifsvr.StoreOp) {
 			mu.Lock()
-			m[ev.Doc.Epoch] = append(m[ev.Doc.Epoch], string(ev.Payload))
+			for _, ev := range op.Events {
+				m[ev.Doc.Epoch] = append(m[ev.Doc.Epoch], string(ev.Payload))
+			}
 			mu.Unlock()
 		})
 		return mu, m

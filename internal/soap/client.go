@@ -135,13 +135,6 @@ func WriteFault(w http.ResponseWriter, f *Fault) {
 	putRenderBuf(bp, buf)
 }
 
-// Call is CallContext with a background context.
-//
-// Deprecated: use CallContext so the round-trip can be cancelled.
-func (c *Client) Call(method string, params []NamedValue, resultType *dyn.Type) (dyn.Value, error) {
-	return c.CallContext(context.Background(), method, params, resultType)
-}
-
 // CallContext performs one RPC: it builds the request envelope, POSTs it,
 // parses the response, and decodes the result against resultType. SOAP
 // faults are returned as *Fault errors. Cancelling ctx aborts the in-flight

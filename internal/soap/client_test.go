@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -40,7 +41,7 @@ func TestClientCallSuccess(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	got, err := c.Call("greet", nil, dyn.StringT)
+	got, err := c.CallContext(context.Background(), "greet", nil, dyn.StringT)
 	if err != nil || got.Str() != "hello" {
 		t.Errorf("Call = %v, %v", got, err)
 	}
@@ -61,7 +62,7 @@ func TestClientCallOversizeReply(t *testing.T) {
 			_, _ = io.WriteString(w, env)
 		})
 		c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-		if _, err := c.Call("big", nil, dyn.StringT); !errors.Is(err, ErrBodyTooLarge) {
+		if _, err := c.CallContext(context.Background(), "big", nil, dyn.StringT); !errors.Is(err, ErrBodyTooLarge) {
 			t.Errorf("declared length %v: oversize reply = %v, want ErrBodyTooLarge", declare, err)
 		}
 	}
@@ -102,12 +103,12 @@ func TestClientCallVoidResult(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	got, err := c.Call("reset", nil, dyn.Void)
+	got, err := c.CallContext(context.Background(), "reset", nil, dyn.Void)
 	if err != nil || !got.IsVoid() {
 		t.Errorf("void call = %v, %v", got, err)
 	}
 	// nil result type behaves like void.
-	if _, err := c.Call("reset", nil, nil); err != nil {
+	if _, err := c.CallContext(context.Background(), "reset", nil, nil); err != nil {
 		t.Errorf("nil result type: %v", err)
 	}
 }
@@ -118,7 +119,7 @@ func TestClientCallFaultWithHTTP500(t *testing.T) {
 		_, _ = io.WriteString(w, BuildFault(&Fault{Code: "soap:Server", String: FaultNonExistentMethod}))
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	_, err := c.Call("x", nil, dyn.Int32T)
+	_, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T)
 	if !IsNonExistentMethod(err) {
 		t.Errorf("fault = %v", err)
 	}
@@ -159,7 +160,7 @@ func TestFaultCarriesInterface(t *testing.T) {
 			}
 			WriteFault(w, &f)
 		})
-		_, err := (&Client{Endpoint: srv.URL, ServiceNS: "urn:S"}).Call("x", nil, dyn.Int32T)
+		_, err := (&Client{Endpoint: srv.URL, ServiceNS: "urn:S"}).CallContext(context.Background(), "x", nil, dyn.Int32T)
 		var got *Fault
 		if !errors.As(err, &got) || !IsNonExistentMethod(err) || got.Detail != detail {
 			t.Fatalf("fault = %v", err)
@@ -178,7 +179,7 @@ func TestClientCallHTTPErrorWithoutEnvelope(t *testing.T) {
 		http.Error(w, "gateway exploded", http.StatusBadGateway)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	_, err := c.Call("x", nil, dyn.Int32T)
+	_, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T)
 	if err == nil || !strings.Contains(err.Error(), "HTTP 502") {
 		t.Errorf("HTTP error = %v", err)
 	}
@@ -189,7 +190,7 @@ func TestClientCallGarbage200(t *testing.T) {
 		_, _ = io.WriteString(w, "this is not xml")
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("garbage 200 should fail")
 	}
 }
@@ -202,21 +203,21 @@ func TestClientCallMissingReturn(t *testing.T) {
 		_, _ = io.WriteString(w, env)
 	})
 	c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("missing return element should fail")
 	}
 }
 
 func TestClientUnreachable(t *testing.T) {
 	c := &Client{Endpoint: "http://127.0.0.1:1/", ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("unreachable endpoint should fail")
 	}
 }
 
 func TestClientBadEndpointURL(t *testing.T) {
 	c := &Client{Endpoint: "://not-a-url", ServiceNS: "urn:S"}
-	if _, err := c.Call("x", nil, dyn.Int32T); err == nil {
+	if _, err := c.CallContext(context.Background(), "x", nil, dyn.Int32T); err == nil {
 		t.Error("invalid URL should fail")
 	}
 }

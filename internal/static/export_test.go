@@ -1,6 +1,7 @@
 package static
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestExportSOAPServesCalls(t *testing.T) {
 	defer srv.Close()
 
 	client := &soap.Client{Endpoint: endpoint, ServiceNS: "urn:Calc"}
-	got, err := client.Call("add", []soap.NamedValue{
+	got, err := client.CallContext(context.Background(), "add", []soap.NamedValue{
 		{Name: "a", Value: dyn.Int32Value(40)},
 		{Name: "b", Value: dyn.Int32Value(2)},
 	}, dyn.Int32T)
@@ -90,7 +91,7 @@ func TestExportSOAPServesCalls(t *testing.T) {
 		t.Errorf("exported SOAP add = %v, %v", got, err)
 	}
 	// The helper was not exported.
-	if _, err := client.Call("helper", nil, dyn.Int32T); !soap.IsNonExistentMethod(err) {
+	if _, err := client.CallContext(context.Background(), "helper", nil, dyn.Int32T); !soap.IsNonExistentMethod(err) {
 		t.Errorf("helper should not be exported: %v", err)
 	}
 }
@@ -120,7 +121,7 @@ func TestExportCORBAServesCalls(t *testing.T) {
 		Params: []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
 		Result: dyn.Int32T,
 	}
-	got, err := conn.Invoke(sig, []dyn.Value{dyn.Int32Value(20), dyn.Int32Value(22)})
+	got, err := conn.InvokeContext(context.Background(), sig, []dyn.Value{dyn.Int32Value(20), dyn.Int32Value(22)})
 	if err != nil || got.Int32() != 42 {
 		t.Errorf("exported CORBA add = %v, %v", got, err)
 	}

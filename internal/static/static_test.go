@@ -1,6 +1,7 @@
 package static
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestStaticSOAPServer(t *testing.T) {
 	}
 
 	client := &soap.Client{Endpoint: endpoint, ServiceNS: "urn:Calc"}
-	got, err := client.Call("add", []soap.NamedValue{
+	got, err := client.CallContext(context.Background(), "add", []soap.NamedValue{
 		{Name: "a", Value: dyn.Int32Value(20)},
 		{Name: "b", Value: dyn.Int32Value(22)},
 	}, dyn.Int32T)
@@ -68,26 +69,26 @@ func TestStaticSOAPServer(t *testing.T) {
 	}
 
 	// Void result.
-	if _, err := client.Call("ping", nil, dyn.Void); err != nil {
+	if _, err := client.CallContext(context.Background(), "ping", nil, dyn.Void); err != nil {
 		t.Errorf("ping: %v", err)
 	}
 
 	// Unknown method → Non existent Method fault (static servers do not
 	// run the forced-publication protocol, they just fault).
-	_, err = client.Call("ghost", nil, dyn.Int32T)
+	_, err = client.CallContext(context.Background(), "ghost", nil, dyn.Int32T)
 	if !soap.IsNonExistentMethod(err) {
 		t.Errorf("ghost: %v", err)
 	}
 
 	// Application error.
-	_, err = client.Call("boom", nil, dyn.StringT)
+	_, err = client.CallContext(context.Background(), "boom", nil, dyn.StringT)
 	var fault *soap.Fault
 	if !errors.As(err, &fault) || !strings.Contains(fault.String, "static kaboom") {
 		t.Errorf("boom: %v", err)
 	}
 
 	// Arity mismatch is a fault, not a hang.
-	_, err = client.Call("add", []soap.NamedValue{{Name: "a", Value: dyn.Int32Value(1)}}, dyn.Int32T)
+	_, err = client.CallContext(context.Background(), "add", []soap.NamedValue{{Name: "a", Value: dyn.Int32Value(1)}}, dyn.Int32T)
 	if err == nil {
 		t.Error("arity mismatch should fault")
 	}
@@ -115,19 +116,19 @@ func TestStaticCORBAServer(t *testing.T) {
 		Params: []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
 		Result: dyn.Int32T,
 	}
-	got, err := client.Invoke(addSig, []dyn.Value{dyn.Int32Value(40), dyn.Int32Value(2)})
+	got, err := client.InvokeContext(context.Background(), addSig, []dyn.Value{dyn.Int32Value(40), dyn.Int32Value(2)})
 	if err != nil || got.Int32() != 42 {
 		t.Errorf("add = %v, %v", got, err)
 	}
 
 	// Unknown op → BAD_OPERATION.
-	_, err = client.Invoke(dyn.MethodSig{Name: "ghost", Result: dyn.Int32T}, nil)
+	_, err = client.InvokeContext(context.Background(), dyn.MethodSig{Name: "ghost", Result: dyn.Int32T}, nil)
 	if !errors.Is(err, orb.ErrNonExistentMethod) {
 		t.Errorf("ghost: %v", err)
 	}
 
 	// Application error → AppError.
-	_, err = client.Invoke(dyn.MethodSig{Name: "boom", Result: dyn.StringT}, nil)
+	_, err = client.InvokeContext(context.Background(), dyn.MethodSig{Name: "boom", Result: dyn.StringT}, nil)
 	var appErr *orb.AppError
 	if !errors.As(err, &appErr) || !strings.Contains(appErr.Message, "static kaboom") {
 		t.Errorf("boom: %v", err)

@@ -17,11 +17,11 @@
 //     turns the client's interface view into a push-invalidated cache —
 //     with a debugger supporting 'try again';
 //   - an event-driven publication core: every binding publishes through a
-//     versioned, epoch-numbered document store with subscriber fan-out,
-//     edit-storm coalescing (Config.FlushWindow, per-path overrides via
-//     WithPathFlushWindow), a bounded replay journal (Config.HistoryLen),
-//     and optional durability (Config.DataDir: one snapshot plus one
-//     commit-ordered WAL, replayed on open — a restarted server
+//     versioned, epoch-numbered document store with watcher fan-out,
+//     edit-storm coalescing (Config.FlushWindow), a bounded replay
+//     journal (Config.HistoryLen), and optional durability
+//     (Config.DataDir: one snapshot plus one commit-ordered WAL, replayed
+//     on open — a restarted server
 //     resumes its epoch sequence, so reconnecting watchers ride journal
 //     replay instead of refetching; Config.Sync picks the ack's
 //     durability, from buffered through group-commit fsync), read by the
@@ -66,8 +66,8 @@
 // Dial fetches the interface document once and sniffs which registered
 // binding it belongs to (WSDL -> SOAP, IDL/IOR -> CORBA, JSON document ->
 // JSON, h2b descriptor -> H2B), or obeys an explicit WithBinding option.
-// The context-free Client.Call of the v1 API remains as a thin deprecated
-// shim.
+// Every call takes a context: the context-free Client.Call of the v1 API
+// is gone.
 //
 // Concurrent callers should consider the h2b binding (H2BBinding): its
 // CDR-over-HTTP/2 wire format multiplexes any number of in-flight calls
@@ -163,8 +163,6 @@ type (
 	DLPublisher = core.DLPublisher
 	// PublisherStats counts publisher activity.
 	PublisherStats = core.PublisherStats
-	// PublishOption configures one Manager.NewClassServer call.
-	PublishOption = core.PublishOption
 	// SyncPolicy picks when a durable store's publish ack is on disk
 	// (Config.Sync; meaningful only with Config.DataDir).
 	SyncPolicy = core.SyncPolicy
@@ -178,13 +176,6 @@ const (
 	SyncGroupCommit = core.SyncGroupCommit
 	SyncAlways      = core.SyncAlways
 )
-
-// WithPathFlushWindow overrides the store-wide coalescing window for one
-// published document: hot classes can coalesce harder than cold ones. Pass
-// it to Manager.NewClassServer.
-func WithPathFlushWindow(d time.Duration) PublishOption {
-	return core.WithPathFlushWindow(d)
-}
 
 // CDE types.
 type (

@@ -101,7 +101,7 @@ func TestJSONBindingPluggedInViaRegistryOnly(t *testing.T) {
 
 	// The debugger recorded the failure and TryAgain fails (the method is
 	// renamed), but a WithDebugger-dialed client observed the prompt; the
-	// deprecated shim path is covered by the option test below.
+	// prompt hook itself is covered by the option test below.
 	if _, ok := client.Debugger().Last(); !ok {
 		t.Error("debugger should have recorded the stale call")
 	}
