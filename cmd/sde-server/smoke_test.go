@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -51,9 +52,82 @@ func callsTotal(metrics, class, binding, outcome string) (uint64, bool) {
 	return n, err == nil
 }
 
+// child is one real sde-server process and its stdout lines.
+type child struct {
+	cmd    *exec.Cmd
+	lines  chan string
+	exited bool
+}
+
+// startChild re-execs this test binary as the real sde-server with args
+// and reads its announcement — "  label: value" lines — until last is
+// announced. The process is killed when the test ends unless wait reaped it.
+func startChild(t *testing.T, fail func(string, ...any), last string, args ...string) (*child, map[string]string) {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		fail("%v", err)
+	}
+	c := &child{cmd: exec.Command(exe, args...), lines: make(chan string, 64)} // the server prints ~15 lines in its whole life; never blocks the child
+	c.cmd.Args[0] = childName
+	c.cmd.Stderr = os.Stderr
+	stdout, err := c.cmd.StdoutPipe()
+	if err != nil {
+		fail("%v", err)
+	}
+	if err := c.cmd.Start(); err != nil {
+		fail("%v", err)
+	}
+	t.Cleanup(func() {
+		if !c.exited {
+			_ = c.cmd.Process.Kill()
+			_ = c.cmd.Wait()
+		}
+	})
+	go func() {
+		defer close(c.lines)
+		for sc := bufio.NewScanner(stdout); sc.Scan(); {
+			c.lines <- sc.Text()
+		}
+	}()
+	urls := map[string]string{}
+	for startup := time.After(5 * time.Second); urls[last] == ""; {
+		select {
+		case line, ok := <-c.lines:
+			if !ok {
+				fail("server exited before announcing its URLs (got %v)", urls)
+			}
+			if label, value, found := strings.Cut(strings.TrimSpace(line), ":"); found {
+				urls[label] = strings.TrimSpace(value)
+			}
+		case <-startup:
+			fail("no URL announcement within 5s (got %v)", urls)
+		}
+	}
+	return c, urls
+}
+
+// wait reads the signalled child's output to its end, for at most hung,
+// and reaps it: whether it printed "shut down cleanly", and how it exited.
+func (c *child) wait(fail func(string, ...any), hung time.Duration) (clean bool, err error) {
+	for timeout, running := time.After(hung), true; running; {
+		select {
+		case line, open := <-c.lines:
+			running = open
+			clean = clean || strings.Contains(line, "shut down cleanly")
+		case <-timeout:
+			fail("still running %v after SIGTERM", hung)
+		}
+	}
+	err = c.cmd.Wait()
+	c.exited = true
+	return clean, err
+}
+
 // TestStagedSmoke drives the real sde-server process through its life:
 // start → probe → exercise every binding → scrape and assert /metrics →
-// SIGTERM with a watch client attached. Every failure names its stage.
+// walk a -follow replica → SIGTERM with a watch client attached. Every
+// failure names its stage.
 func TestStagedSmoke(t *testing.T) {
 	stage := "start"
 	fail := func(format string, args ...any) {
@@ -61,7 +135,8 @@ func TestStagedSmoke(t *testing.T) {
 		t.Fatalf("stage "+stage+": "+format, args...)
 	}
 	// await polls cond in 10 ms steps; the smoke's only waits are for a
-	// stream to attach and for the client to see the drain.
+	// document to replicate, a stream to attach and the client to see the
+	// drain.
 	await := func(what string, cond func() bool) {
 		t.Helper()
 		for deadline := time.Now().Add(3 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
@@ -73,52 +148,11 @@ func TestStagedSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
-	// --- start: the real main(), durable store, group-commit fsync.
-	exe, err := os.Executable()
-	if err != nil {
-		fail("%v", err)
-	}
+	// --- start: the real main(), durable store, group-commit fsync. The
+	// announcement ends with the "H2B endpoint" line.
 	const drainTimeout = 2 * time.Second
-	cmd := exec.Command(exe, "-iface", "127.0.0.1:0", "-http", "127.0.0.1:0", "-corba", "127.0.0.1:0",
+	server, urls := startChild(t, fail, "H2B endpoint", "-iface", "127.0.0.1:0", "-http", "127.0.0.1:0", "-corba", "127.0.0.1:0",
 		"-data-dir", t.TempDir(), "-sync", "group", "-drain-timeout", drainTimeout.String())
-	cmd.Args[0] = childName
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := cmd.Start(); err != nil {
-		fail("%v", err)
-	}
-	exited := false
-	defer func() {
-		if !exited {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
-	lines := make(chan string, 64) // the server prints ~15 lines in its whole life; never blocks the child
-	go func() {
-		defer close(lines)
-		for sc := bufio.NewScanner(stdout); sc.Scan(); {
-			lines <- sc.Text()
-		}
-	}()
-	// The announcement is "  label: value" lines, "H2B endpoint" last.
-	urls := map[string]string{}
-	for startup := time.After(5 * time.Second); urls["H2B endpoint"] == ""; {
-		select {
-		case line, ok := <-lines:
-			if !ok {
-				fail("server exited before announcing its URLs (got %v)", urls)
-			}
-			if label, value, found := strings.Cut(strings.TrimSpace(line), ":"); found {
-				urls[label] = strings.TrimSpace(value)
-			}
-		case <-startup:
-			fail("no URL announcement within 5s (got %v)", urls)
-		}
-	}
 	h2bEndpoint, rest, _ := strings.Cut(urls["H2B endpoint"], " (mux ")
 	h2bMux := strings.TrimSuffix(rest, ")")
 	httpBase, _, found := strings.Cut(urls["SOAP endpoint"], "/soap/")
@@ -225,6 +259,62 @@ func TestStagedSmoke(t *testing.T) {
 		}
 	}
 
+	// --- follow: a -follow replica of the server. A watch client dialed
+	// at the replica reads the leader's document, watches the replica and
+	// calls the leader; the replica names its leader on document GETs,
+	// refuses writes, reports its role, and stops cleanly on SIGTERM.
+	stage = "follow"
+	leaderBase, _, _ := strings.Cut(urls["WSDL"], "/wsdl/")
+	replica, replicaURLs := startChild(t, fail, "serving", "-follow", leaderBase,
+		"-iface", "127.0.0.1:0", "-http", "127.0.0.1:0", "-drain-timeout", drainTimeout.String())
+	replicaWSDL := replicaURLs["serving"] + strings.TrimPrefix(urls["WSDL"], leaderBase)
+	var named string
+	await("the replica to serve the WSDL", func() bool {
+		resp, err := http.Get(replicaWSDL)
+		if err != nil {
+			return false
+		}
+		_ = resp.Body.Close()
+		named = resp.Header.Get(ifsvr.LeaderHeader)
+		return resp.StatusCode == http.StatusOK
+	})
+	if named != leaderBase {
+		fail("the replica's GET names leader %q, want %q", named, leaderBase)
+	}
+	viaReplica, err := livedev.Dial(ctx, replicaWSDL, livedev.WithWatch(), livedev.WithTimeout(3*time.Second))
+	if err != nil {
+		fail("Dial %s WithWatch: %v", replicaWSDL, err)
+	}
+	sum, err := viaReplica.CallContext(ctx, "add", livedev.Int32(40), livedev.Int32(2))
+	_ = viaReplica.Close()
+	if err != nil || sum.Int32() != 42 {
+		fail("add(40, 2) dialed at the replica = %v, %v", sum, err)
+	}
+	resp, err := http.Post(replicaWSDL, "text/xml", strings.NewReader("<definitions/>"))
+	if err != nil {
+		fail("POST to the replica: %v", err)
+	}
+	_ = resp.Body.Close()
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusMisdirectedRequest || !strings.HasPrefix(loc, leaderBase) {
+		fail("POST to the replica: HTTP %d, Location %q; want 421 naming %s", resp.StatusCode, loc, leaderBase)
+	}
+	resp, err = http.Get(replicaURLs["serving"] + ifsvr.StatsPath)
+	if err != nil {
+		fail("GET %s: %v", ifsvr.StatsPath, err)
+	}
+	var stats ifsvr.StoreStats
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	_ = resp.Body.Close()
+	if err != nil || stats.Replication == nil || stats.Replication.Role != "follower" {
+		fail("the replica's %s: %v, replication %+v; want role follower", ifsvr.StatsPath, err, stats.Replication)
+	}
+	if err := replica.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		fail("%v", err)
+	}
+	if clean, err := replica.wait(fail, drainTimeout+3*time.Second); err != nil || !clean {
+		fail("Wait: %v, printed \"shut down cleanly\": %v", err, clean)
+	}
+
 	// --- SIGTERM with a watch client attached.
 	stage = "sigterm"
 	watcher, err := livedev.Dial(ctx, urls["WSDL"], livedev.WithWatch())
@@ -236,22 +326,11 @@ func TestStagedSmoke(t *testing.T) {
 		return strings.Contains(scrape(), "livedev_watchers 1\n")
 	})
 	signalled := time.Now()
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := server.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		fail("%v", err)
 	}
 	await("the watch client to see the terminal draining frame", func() bool { return watcher.Stats().Drains > 0 })
-	clean := false
-	for hung, running := time.After(drainTimeout+3*time.Second), true; running; {
-		select {
-		case line, open := <-lines:
-			running = open
-			clean = clean || strings.Contains(line, "shut down cleanly")
-		case <-hung:
-			fail("still running %v after SIGTERM", time.Since(signalled).Round(time.Millisecond))
-		}
-	}
-	err = cmd.Wait()
-	exited = true
+	clean, err := server.wait(fail, drainTimeout+3*time.Second)
 	if took := time.Since(signalled); err != nil || !clean || took > drainTimeout {
 		fail("Wait: %v, %v after SIGTERM (drain timeout %v), printed \"shut down cleanly\": %v", err, took.Round(time.Millisecond), drainTimeout, clean)
 	}

@@ -82,6 +82,7 @@ type docBackend struct {
 
 	mu     sync.RWMutex
 	caller Caller
+	vers   DocVersions // of the document caller was compiled from
 }
 
 var _ WatchableBackend = (*docBackend)(nil)
@@ -90,16 +91,21 @@ var _ WatchableBackend = (*docBackend)(nil)
 func (d *docBackend) Technology() string { return d.b.Technology }
 
 // compile turns a fetched (or pushed) document into the descriptor and
-// retargets calls at the endpoint it advertises.
+// retargets calls at the endpoint it advertises — under the rule the
+// client's installView applies, so a document the client drops as older
+// than its view does not retarget them.
 func (d *docBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, DocVersions, error) {
 	desc, caller, err := d.b.Compile(doc)
 	if err != nil {
 		return dyn.InterfaceDescriptor{}, DocVersions{}, err
 	}
+	vers := DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}
 	d.mu.Lock()
-	d.caller = caller
+	if restarted(d.vers, vers) || newer(d.vers, vers) {
+		d.caller, d.vers = caller, vers
+	}
 	d.mu.Unlock()
-	return desc, DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}, nil
+	return desc, vers, nil
 }
 
 func (d *docBackend) bootstrap(ctx context.Context) error {

@@ -3,6 +3,7 @@ package cde
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,6 +101,43 @@ func TestSOAPBackendInvokeBeforeFetch(t *testing.T) {
 	}
 	if err := b.Close(); err != nil {
 		t.Errorf("close: %v", err)
+	}
+}
+
+// taggedCaller answers every call with its tag.
+type taggedCaller string
+
+func (c taggedCaller) Call(context.Context, dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
+	return dyn.StringValue(string(c)), nil
+}
+
+// TestDroppedViewKeepsCaller: a document the client drops, being older
+// than its view, does not retarget calls at the endpoint it advertises.
+func TestDroppedViewKeepsCaller(t *testing.T) {
+	doc := func(v uint64) *ifsvr.Document {
+		return &ifsvr.Document{Content: "op", Version: v, Epoch: v, Generation: 1}
+	}
+	b := &docBackend{docs: NewDocSource("http://unused/", nil, doc(2)), b: DocBinding{
+		Technology: "TAGGED",
+		Compile: func(d ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+			return descWith(d.Content), taggedCaller("v" + strconv.FormatUint(d.Version, 10)), nil
+		},
+		IsStale: func(error) bool { return false },
+	}}
+	c, err := NewClientContext(context.Background(), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b.docs = NewDocSource("http://unused/", nil, doc(1))
+	if err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Versions().Doc; v != 2 {
+		t.Fatalf("view at v%d after v1 was offered, want v2 kept", v)
+	}
+	if got, err := c.CallContext(context.Background(), "op"); err != nil || got.Str() != "v2" {
+		t.Errorf("call answered by %v (%v), want v2's caller", got, err)
 	}
 }
 

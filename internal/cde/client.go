@@ -317,15 +317,27 @@ func (c *Client) runWatch(ctx context.Context, wb WatchableBackend) {
 func (c *Client) noteRestart(vers DocVersions) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if vers.Generation == 0 || c.versions.Generation == 0 ||
-		vers.Generation == c.versions.Generation {
-		return false
-	}
-	if vers.Epoch >= c.versions.Epoch && vers.Doc >= c.versions.Doc {
+	if !restarted(c.versions, vers) {
 		return false
 	}
 	c.stats.Restarts++
 	return true
+}
+
+// restarted is noteRestart's test of a view of next against one of cur.
+func restarted(cur, next DocVersions) bool {
+	if next.Generation == 0 || cur.Generation == 0 || next.Generation == cur.Generation {
+		return false
+	}
+	return next.Epoch < cur.Epoch || next.Doc < cur.Doc
+}
+
+// newer is installView's rule short of a restart: a view of next replaces
+// one of cur unless it is older, or versioned with cur's (generation,
+// version).
+func newer(cur, next DocVersions) bool {
+	same := next.Doc != 0 && next.Doc == cur.Doc && next.Generation == cur.Generation
+	return next.Doc >= cur.Doc && !same
 }
 
 // watchRetryDelay is the base pacing of watch resubscription after a
@@ -386,9 +398,7 @@ func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, src
 		// A fetch happened whether or not its result wins the race below.
 		c.stats.Refreshes++
 	}
-	cur := c.versions
-	same := vers.Doc != 0 && vers.Doc == cur.Doc && vers.Generation == cur.Generation
-	if !force && (vers.Doc < cur.Doc || same) {
+	if !force && !newer(c.versions, vers) {
 		c.mu.Unlock()
 		return false
 	}

@@ -2,7 +2,6 @@ package cde
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -50,15 +49,12 @@ type DialOptions struct {
 	Prefetched *ifsvr.Document
 	// Endpoints lists replica base URLs (a replicated watch plane's
 	// leader and followers) serving the same documents as the primary
-	// URL. Document fetches and watch streams rotate to the next endpoint
-	// when the current one fails — replica failover,
-	// client-side. Since every replica serves the leader's store
-	// generation and epochs, the switch is an ordinary
-	// reconnect-with-replay, not a restart.
+	// URL. Watch streams rotate to the next endpoint when the current one
+	// fails — replica failover, client-side. Since every replica serves
+	// the leader's store generation and epochs, the switch is an ordinary
+	// reconnect-with-replay, not a restart. Document reads do not rotate:
+	// they go to the leader a replica names (DocSource.Fetch).
 	Endpoints []string
-	// DirectorURL names a fronting director whose /.replicas endpoint
-	// list is fetched at Dial time and merged into Endpoints.
-	DirectorURL string
 }
 
 // DocMatch describes how a binding's published interface documents can be
@@ -125,10 +121,11 @@ func ConnectorNames() []string {
 	return names
 }
 
-// DocSource fetches one published interface document, optionally seeded
+// DocSource reads one published interface document, optionally seeded
 // with a prefetched copy (Dial's sniffing fetch) that is consumed exactly
 // once — backends use it so connection establishment fetches each document
-// a single time. Safe for concurrent use.
+// a single time. Reads go to the leader a replica names; watch streams
+// rotate across the replica endpoints. Safe for concurrent use.
 type DocSource struct {
 	url string
 	hc  *http.Client
@@ -136,14 +133,15 @@ type DocSource struct {
 	// bo paces retries once every endpoint in the rotation has failed:
 	// capped jittered exponential backoff, reset by the next success, so a
 	// client whose endpoints all die makes O(log) dials per second instead
-	// of spinning hot through failOver. waits counts the sleeps it caused.
+	// of spinning hot. waits counts the sleeps it caused.
 	bo    backoff.Backoff
 	waits atomic.Uint64
 
-	mu    sync.Mutex
-	seed  *ifsvr.Document
-	bases []string // replica endpoints; rotation target on failure
-	cur   int
+	mu     sync.Mutex
+	seed   *ifsvr.Document
+	leader string   // the leader a replica named; every later read goes there
+	bases  []string // replica endpoints; stream rotation target on failure
+	cur    int
 }
 
 // NewDocSource returns a source for url. seed may be nil.
@@ -154,9 +152,9 @@ func NewDocSource(url string, hc *http.Client, seed *ifsvr.Document) *DocSource 
 // URL returns the document URL.
 func (s *DocSource) URL() string { return s.url }
 
-// SetEndpoints installs the replica endpoint list the source may rotate
-// across (DialOptions.Endpoints). Empty is a no-op: the source stays
-// pinned to its URL.
+// SetEndpoints installs the replica endpoint list watch streams rotate
+// across (DialOptions.Endpoints). Empty is a no-op: streams stay on the
+// source's URL.
 func (s *DocSource) SetEndpoints(bases []string) {
 	if len(bases) == 0 {
 		return
@@ -166,35 +164,27 @@ func (s *DocSource) SetEndpoints(bases []string) {
 	s.mu.Unlock()
 }
 
-// currentURL resolves the document URL against the currently selected
-// endpoint: the path and query stay, the scheme and host come from the
-// endpoint base.
-func (s *DocSource) currentURL() string {
+// onBase moves url onto base: the path and query stay, the scheme and host
+// come from base. A url or base that does not parse, or a base without a
+// host, leaves url as it is.
+func onBase(url, base string) string {
+	u, err := neturl.Parse(url)
+	b, berr := neturl.Parse(base)
+	if err != nil || berr != nil || b.Host == "" {
+		return url
+	}
+	u.Scheme, u.Host = b.Scheme, b.Host
+	return u.String()
+}
+
+// streamURL is the document URL on the endpoint the stream rotation is at.
+func (s *DocSource) streamURL() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.bases) == 0 {
 		return s.url
 	}
-	u, err := neturl.Parse(s.url)
-	b, berr := neturl.Parse(s.bases[s.cur%len(s.bases)])
-	if err != nil || berr != nil || b.Host == "" {
-		return s.url
-	}
-	u.Scheme = b.Scheme
-	u.Host = b.Host
-	return u.String()
-}
-
-// failOver rotates to the next endpoint after a failure on the current
-// one (no-op without an endpoint list) and records the failure in the
-// source's backoff streak.
-func (s *DocSource) failOver() {
-	s.mu.Lock()
-	if len(s.bases) > 0 {
-		s.cur++
-	}
-	s.mu.Unlock()
-	s.bo.Fail()
+	return onBase(s.url, s.bases[s.cur%len(s.bases)])
 }
 
 // rotation is the number of distinct endpoints a failure streak must
@@ -238,15 +228,14 @@ func (s *DocSource) pace(ctx context.Context) error {
 func (s *DocSource) Backoffs() uint64 { return s.waits.Load() }
 
 // Fetch returns the seeded document on the first call that finds one, and
-// fetches over HTTP otherwise — trying each configured replica endpoint
-// in rotation before giving up.
+// reads the document over HTTP otherwise: from the dialed URL until a
+// replica names its leader, from the leader ever after (readLeader).
 func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	s.mu.Lock()
-	seed := s.seed
+	seed, url := s.seed, s.url
 	s.seed = nil
-	attempts := 1
-	if len(s.bases) > 1 {
-		attempts = len(s.bases)
+	if s.leader != "" {
+		url = onBase(url, s.leader)
 	}
 	s.mu.Unlock()
 	if seed != nil {
@@ -255,20 +244,32 @@ func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	if err := s.pace(ctx); err != nil {
 		return ifsvr.Document{}, err
 	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		doc, err := ifsvr.FetchContext(ctx, docClient(s.hc), s.currentURL())
-		if err == nil {
-			s.bo.Reset()
-			return doc, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
-		s.failOver()
+	doc, leader, err := readLeader(ctx, docClient(s.hc), url)
+	if leader != "" {
+		s.mu.Lock()
+		s.leader = leader
+		s.mu.Unlock()
 	}
-	return ifsvr.Document{}, lastErr
+	switch {
+	case err == nil:
+		s.bo.Reset()
+	case ctx.Err() == nil:
+		s.bo.Fail()
+	}
+	return doc, err
+}
+
+// readLeader GETs the document at url. When the answer names a leader —
+// url is on a replica — it reads the document once more from the leader,
+// same path and query, and returns the leader too: an explicit read never
+// installs a replica's view, which may be older than one already in use.
+func readLeader(ctx context.Context, hc *http.Client, url string) (ifsvr.Document, string, error) {
+	doc, leader, err := ifsvr.FetchLeader(ctx, hc, url)
+	if err != nil || leader == "" {
+		return doc, "", err
+	}
+	doc, _, err = ifsvr.FetchLeader(ctx, hc, onBase(url, leader))
+	return doc, leader, err
 }
 
 // Stream holds one streaming watch on the document, delivering every
@@ -282,22 +283,22 @@ func (s *DocSource) Stream(ctx context.Context, afterEpoch uint64, fn func(ifsvr
 	if err := s.pace(ctx); err != nil {
 		return err
 	}
-	err := ifsvr.WatchStream(ctx, docClient(s.hc), s.currentURL(), afterEpoch, func(ev ifsvr.StreamEvent) {
+	err := ifsvr.WatchStream(ctx, docClient(s.hc), s.streamURL(), afterEpoch, func(ev ifsvr.StreamEvent) {
 		// A delivered event proves the endpoint healthy; the next break
 		// starts a fresh failure streak.
 		s.bo.Reset()
 		fn(ev)
 	})
-	switch {
-	case ctx.Err() != nil:
-	case errors.Is(err, ifsvr.ErrStreamDraining):
-		s.mu.Lock()
-		if len(s.bases) > 0 {
-			s.cur++
-		}
-		s.mu.Unlock()
-	default:
-		s.failOver()
+	if ctx.Err() != nil {
+		return err
+	}
+	s.mu.Lock()
+	if len(s.bases) > 0 {
+		s.cur++
+	}
+	s.mu.Unlock()
+	if !errors.Is(err, ifsvr.ErrStreamDraining) {
+		s.bo.Fail()
 	}
 	return err
 }
@@ -320,13 +321,6 @@ func Dial(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
 			defer cancel()
 		}
 	}
-	if opts.DirectorURL != "" {
-		resolved, err := resolveDirector(ctx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("cde: resolving director endpoints: %w", err)
-		}
-		opts = resolved
-	}
 	if opts.Binding != "" {
 		c, ok := LookupConnector(opts.Binding)
 		if !ok {
@@ -336,7 +330,7 @@ func Dial(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
 		return c.Connect(ctx, url, opts)
 	}
 
-	doc, err := ifsvr.FetchContext(ctx, docClient(opts.HTTPClient), url)
+	doc, _, err := readLeader(ctx, docClient(opts.HTTPClient), url)
 	if err != nil {
 		return nil, fmt.Errorf("cde: fetching interface document: %w", err)
 	}
@@ -349,53 +343,6 @@ func Dial(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
 	seeded := *opts
 	seeded.Prefetched = &doc
 	return c.Connect(ctx, url, &seeded)
-}
-
-// replicaSetWire mirrors the director's /.replicas JSON — kept local so
-// the client side does not depend on the replication package.
-type replicaSetWire struct {
-	Endpoints []struct {
-		URL     string `json:"url"`
-		Healthy bool   `json:"healthy"`
-	} `json:"endpoints"`
-}
-
-// resolveDirector fetches the replica endpoint list from the configured
-// director and returns a copy of opts with it merged into Endpoints
-// (explicit endpoints first, then the director's, deduplicated).
-func resolveDirector(ctx context.Context, opts *DialOptions) (*DialOptions, error) {
-	url := strings.TrimSuffix(opts.DirectorURL, "/") + "/.replicas"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := docClient(opts.HTTPClient).Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fetching %s: HTTP %d", url, resp.StatusCode)
-	}
-	var set replicaSetWire
-	if err := json.NewDecoder(resp.Body).Decode(&set); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
-	}
-	merged := append([]string(nil), opts.Endpoints...)
-	seen := make(map[string]bool, len(merged))
-	for _, ep := range merged {
-		seen[ep] = true
-	}
-	for _, r := range set.Endpoints {
-		if r.URL != "" && !seen[r.URL] {
-			seen[r.URL] = true
-			merged = append(merged, r.URL)
-		}
-	}
-	resolved := *opts
-	resolved.Endpoints = merged
-	resolved.DirectorURL = ""
-	return &resolved, nil
 }
 
 // matchConnector scores every registered connector against the fetched

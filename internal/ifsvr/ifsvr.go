@@ -50,6 +50,12 @@ const EpochHeader = "X-Interface-Epoch"
 // state when its epoch regressed). Absent on servers predating it.
 const GenerationHeader = "X-Store-Generation"
 
+// LeaderHeader carries, on a replica's document GETs only, the base URL of
+// the leader the replica tails (Server.LeaderURL, the name its 421s put in
+// Location). A client reads documents there: the leader's are never older
+// than a replica's. A leader sends no such header.
+const LeaderHeader = "X-Interface-Leader"
+
 // StatsPath is the reserved path serving the store's counters as JSON
 // (StoreStats, including the Durability block on durable stores). It
 // exists for operational introspection — ifdump -stats and the SIGQUIT
@@ -108,7 +114,8 @@ type Server struct {
 	// LeaderURL, when set, marks this server a read-only replica fronting
 	// a replication follower: non-GET requests are answered with
 	// 421 Misdirected Request and a Location header naming the leader,
-	// where publications belong. Set it before Start.
+	// where publications belong, and document GETs name it in
+	// LeaderHeader. Set it before Start.
 	LeaderURL string
 
 	auxMu sync.RWMutex
@@ -182,6 +189,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.Generation = s.store.Generation()
+	if s.LeaderURL != "" {
+		w.Header().Set(LeaderHeader, s.LeaderURL)
+	}
 	writeDoc(w, d)
 }
 
@@ -326,16 +336,23 @@ const maxDocBytes = 16 << 20
 // used by the CDE. Cancelling ctx aborts the round-trip. A document over
 // maxDocBytes is refused, not cut at the limit and handed on as if whole.
 func FetchContext(ctx context.Context, client *http.Client, url string) (Document, error) {
+	doc, _, err := FetchLeader(ctx, client, url)
+	return doc, err
+}
+
+// FetchLeader is FetchContext that also returns the answer's LeaderHeader:
+// the leader's base URL when url is on a replica, "" otherwise.
+func FetchLeader(ctx context.Context, client *http.Client, url string) (Document, string, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return Document{}, fmt.Errorf("ifsvr: building request for %s: %w", url, err)
+		return Document{}, "", fmt.Errorf("ifsvr: building request for %s: %w", url, err)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return Document{}, fmt.Errorf("ifsvr: fetching %s: %w", url, err)
+		return Document{}, "", fmt.Errorf("ifsvr: fetching %s: %w", url, err)
 	}
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusOK {
@@ -343,14 +360,14 @@ func FetchContext(ctx context.Context, client *http.Client, url string) (Documen
 		// once its body is read to the end; error bodies are a line of
 		// text, so drain a bounded amount rather than redial next time.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
-		return Document{}, fmt.Errorf("ifsvr: fetching %s: HTTP %d", url, resp.StatusCode)
+		return Document{}, "", fmt.Errorf("ifsvr: fetching %s: HTTP %d", url, resp.StatusCode)
 	}
 	data, err := readDoc(resp)
 	if err != nil {
-		return Document{}, fmt.Errorf("ifsvr: reading %s: %w", url, err)
+		return Document{}, "", fmt.Errorf("ifsvr: reading %s: %w", url, err)
 	}
 	if len(data) > maxDocBytes {
-		return Document{}, fmt.Errorf("ifsvr: fetching %s: document exceeds the %d MiB limit", url, maxDocBytes>>20)
+		return Document{}, "", fmt.Errorf("ifsvr: fetching %s: document exceeds the %d MiB limit", url, maxDocBytes>>20)
 	}
 	return Document{
 		Content:           string(data),
@@ -359,7 +376,7 @@ func FetchContext(ctx context.Context, client *http.Client, url string) (Documen
 		Epoch:             headerUint(resp, EpochHeader),
 		Generation:        headerUint(resp, GenerationHeader),
 		ContentType:       resp.Header.Get("Content-Type"),
-	}, nil
+	}, resp.Header.Get(LeaderHeader), nil
 }
 
 // readDoc reads a document body of at most maxDocBytes+1 octets into one

@@ -132,6 +132,22 @@ func TestDocGetIsNotChunked(t *testing.T) {
 	}
 }
 
+// TestReplicaGETNamesLeader: a replica's document GET names its leader in
+// LeaderHeader, which FetchLeader hands back; a leader's names none.
+func TestReplicaGETNamesLeader(t *testing.T) {
+	for _, leader := range []string{"", "http://leader.example:8080"} {
+		s, st := newView(t)
+		s.LeaderURL = leader
+		st.Publish("/doc", "text/plain", "x")
+		ts := httptest.NewServer(s)
+		doc, got, err := FetchLeader(context.Background(), nil, ts.URL+"/doc")
+		ts.Close()
+		if err != nil || got != leader || doc.Content != "x" {
+			t.Errorf("LeaderURL %q: FetchLeader = %q, %q, %v", leader, doc.Content, got, err)
+		}
+	}
+}
+
 // TestCarriedDocNeedsAllFourCounters: the headers a GET answers with are
 // exactly what CarriedDoc reads back; a reply missing one, or carrying one
 // that is not a number, carries no document.

@@ -1,6 +1,5 @@
 // Package repl replicates the Interface Server's publication store:
-// leader→follower WAL shipping over HTTP, read-only follower replicas,
-// and a fronting director that spreads watchers across them.
+// leader→follower WAL shipping over HTTP and read-only follower replicas.
 //
 // The design adds no new invariants — only a new transport for existing
 // ones. The leader taps its store's logged operations (Store.Subscribe)
@@ -32,9 +31,6 @@ const (
 	// "after" parameter answers the JSON handshake (Hello); "?after=N"
 	// streams the records past lsn N.
 	TailPath = "/.wal"
-
-	// ReplicasPath is the director's endpoint-list resource.
-	ReplicasPath = "/.replicas"
 
 	// TailContentType marks a record stream (the handshake is plain JSON).
 	TailContentType = "application/x-livedev-waltail"

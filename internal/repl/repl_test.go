@@ -3,7 +3,6 @@ package repl_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -394,102 +393,6 @@ func TestEditStormByteIdentical(t *testing.T) {
 					epoch, i, levs[i], fevs[i])
 			}
 		}
-	}
-}
-
-// TestDirector pins the fronting tier: /.replicas lists the fleet with
-// roles, GETs are spread (307) across healthy replicas, and writes are
-// misdirected (421) to the leader.
-func TestDirector(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{})
-	st.Publish("/doc/a", "text/plain", "hello")
-
-	f1 := openFollower(t, base, ifsvr.StoreConfig{})
-	defer f1.Close()
-	f2 := openFollower(t, base, ifsvr.StoreConfig{})
-	defer f2.Close()
-	f1URL, err := f1.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("serving follower 1: %v", err)
-	}
-	f2URL, err := f2.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("serving follower 2: %v", err)
-	}
-	waitConverged(t, st, f1.Store(), f2.Store())
-
-	d := repl.NewDirector(repl.DirectorConfig{
-		Endpoints: []string{base, f1URL, f2URL},
-		Interval:  20 * time.Millisecond,
-	})
-	dURL, err := d.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("starting director: %v", err)
-	}
-	defer func() { _ = d.Close() }()
-
-	// The endpoint list names every replica; roles settle after a check.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		set := d.Replicas()
-		roles := make(map[string]string)
-		for _, r := range set.Endpoints {
-			if r.Healthy {
-				roles[r.URL] = r.Role
-			}
-		}
-		if roles[base] == "leader" && roles[f1URL] == "follower" && roles[f2URL] == "follower" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("director never settled roles: %+v", set)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// GETs through the director spread across replicas: the 307 target
-	// host changes across consecutive requests.
-	targets := make(map[string]bool)
-	noFollow := &http.Client{CheckRedirect: func(req *http.Request, via []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	for i := 0; i < 9; i++ {
-		resp, err := noFollow.Get(dURL + "/doc/a")
-		if err != nil {
-			t.Fatalf("GET via director: %v", err)
-		}
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusTemporaryRedirect {
-			t.Fatalf("director GET: HTTP %d, want 307", resp.StatusCode)
-		}
-		targets[resp.Header.Get("Location")] = true
-	}
-	if len(targets) < 3 {
-		t.Fatalf("director only spread across %d replicas: %v", len(targets), targets)
-	}
-
-	// A default client follows the redirect to a real document.
-	resp, err := http.Get(dURL + "/doc/a")
-	if err != nil {
-		t.Fatalf("GET via director: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if string(body) != "hello" {
-		t.Fatalf("GET via director served %q", body)
-	}
-
-	// Writes are misdirected to the leader.
-	resp, err = http.Post(dURL+"/doc/a", "text/plain", strings.NewReader("nope"))
-	if err != nil {
-		t.Fatalf("POST via director: %v", err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("POST via director: HTTP %d, want 421", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, base) {
-		t.Fatalf("POST misdirect Location = %q, want leader %q", loc, base)
 	}
 }
 

@@ -87,13 +87,14 @@
 // replica that tails the leader's write-ahead log and serves the
 // replicated documents — GETs and SSE watch streams — under the leader's
 // restart generation, while answering publications with 421
-// Misdirected Request naming the leader. Clients spread across replicas
-// with WithEndpoints(leader, replicaA, replicaB) — failover between them
-// is the watcher's ordinary reconnect, never a visible restart — or ask a
-// fronting sde-director for the current replica set via WithDirector:
+// Misdirected Request naming the leader. A replica's document GETs name
+// the leader too (X-Interface-Leader), and a client reads its documents
+// there, so an explicit read never returns a view older than the leader's.
+// Watchers spread across replicas with WithEndpoints — failover between
+// them is the watcher's ordinary reconnect, never a visible restart:
 //
-//	client, _ := livedev.Dial(ctx, docURL,
-//	    livedev.WithWatch(), livedev.WithDirector("http://director:8080"))
+//	client, _ := livedev.Dial(ctx, replicaA+docPath, livedev.WithWatch(),
+//	    livedev.WithEndpoints(replicaA, replicaB))
 //
 // See docs/replication.md for the WAL-shipping protocol.
 //
@@ -373,20 +374,14 @@ func WithAuxURL(url string) Option {
 
 // WithEndpoints supplies equivalent Interface Server base URLs — a leader
 // and its read-only replicas (Config.FollowURL / sde-server -follow).
-// Document fetches and watch streams rotate to the next endpoint when the
-// current one fails, so a replica dying mid-session is ridden out by the
-// watcher's ordinary reconnect: the replicas serve the leader's restart
-// generation, so the switch is journal catch-up, never a state-loss
-// restart. The dialed URL's path is kept; only scheme and host rotate.
+// Watch streams rotate to the next endpoint when the current one fails, so
+// a replica dying mid-session is ridden out by the watcher's ordinary
+// reconnect: the replicas serve the leader's restart generation, so the
+// switch is journal catch-up, never a state-loss restart. The dialed URL's
+// path is kept; only scheme and host rotate. Document reads do not rotate:
+// they go to the leader a replica names.
 func WithEndpoints(urls ...string) Option {
 	return func(o *DialOptions) { o.Endpoints = append(o.Endpoints, urls...) }
-}
-
-// WithDirector points the client at a fronting director (sde-director):
-// Dial asks it for the current replica set once and dials with those
-// endpoints, as if they had been passed to WithEndpoints.
-func WithDirector(url string) Option {
-	return func(o *DialOptions) { o.DirectorURL = url }
 }
 
 // Dial builds a live CDE client from a published interface-document URL.

@@ -254,3 +254,114 @@ func TestStaleRecencyAcrossReplicas(t *testing.T) {
 		})
 	}
 }
+
+// TestExplicitReadsGoToLeader is the monotonic-reads rule for explicit
+// reads: a client dialed at a follower whose tail is held, with the
+// follower and the leader as its endpoints, reads its documents from the
+// leader the follower names. On every binding Dial and a later Refresh
+// install renames the follower never saw, while the client's watch stream
+// stays on the follower.
+func TestExplicitReadsGoToLeader(t *testing.T) {
+	livedev.RegisterBinding(livedev.JSONBinding())
+	livedev.RegisterBinding(livedev.H2BBinding())
+	ctx := context.Background()
+	leader, err := livedev.NewManager(livedev.Config{Timeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = leader.Close() }()
+	servers := make(map[livedev.Technology]livedev.Server)
+	for _, tech := range staleTechs {
+		class := livedev.NewClass("Read" + string(tech))
+		if _, err := class.AddMethod(livedev.MethodSpec{
+			Name: "echo", Params: []livedev.Param{{Name: "s", Type: livedev.StringType}}, Result: livedev.StringType, Distributed: true,
+			Body: func(_ *livedev.Instance, args []livedev.Value) (livedev.Value, error) { return args[0], nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := leader.Register(class, tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.CreateInstance(); err != nil {
+			t.Fatal(err)
+		}
+		servers[tech] = srv
+	}
+
+	tail := &heldTail{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
+	f, err := repl.OpenFollower(repl.FollowerConfig{
+		Leader:     leader.InterfaceBaseURL(),
+		HTTPClient: &http.Client{Transport: tail},
+		RetryDelay: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer tail.release()
+	followerBase, err := f.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	await := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not within 10s", what)
+			}
+		}
+	}
+	// Every binding's documents (the IOR too) on the follower before the hold.
+	for _, path := range leader.Store().Paths() {
+		want, _ := leader.Store().Get(path)
+		await(t, "the follower to replicate "+path, func() bool {
+			got, err := f.Store().Get(path)
+			return err == nil && got.Version >= want.Version
+		})
+	}
+
+	tail.hold()
+	leaderWatchers := leader.Store().Stats().Fanout.Watchers
+	for _, tech := range staleTechs {
+		t.Run(string(tech), func(t *testing.T) {
+			srv := servers[tech]
+			rename := func(from, to string) {
+				id, _ := srv.Class().MethodIDByName(from)
+				if err := srv.Class().RenameMethod(id, to); err != nil {
+					t.Fatal(err)
+				}
+				srv.Publisher().PublishNow()
+				srv.Publisher().WaitIdle()
+			}
+			rename("echo", "echo2")
+			c, err := livedev.Dial(ctx, followerBase+strings.TrimPrefix(srv.InterfaceURL(), leader.InterfaceBaseURL()),
+				livedev.WithEndpoints(followerBase, leader.InterfaceBaseURL()), livedev.WithWatch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			if _, ok := c.Interface().Lookup("echo2"); !ok {
+				t.Error("Dial installed the lagging follower's view")
+			}
+
+			rename("echo2", "echo3")
+			if err := c.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Interface().Lookup("echo3"); !ok {
+				t.Error("Refresh installed the lagging follower's view")
+			}
+			if got, err := c.CallContext(ctx, "echo3", livedev.Str("x")); err != nil || got.Str() != "x" {
+				t.Errorf("echo3 after Refresh = %v, %v", got, err)
+			}
+
+			await(t, "the watch stream to attach to the follower", func() bool {
+				return f.Store().Stats().Fanout.Watchers >= 1
+			})
+			if n := leader.Store().Stats().Fanout.Watchers; n != leaderWatchers {
+				t.Errorf("the leader holds %d watch streams, %d before the client: the stream left the follower", n, leaderWatchers)
+			}
+		})
+	}
+}
