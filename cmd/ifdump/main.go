@@ -8,11 +8,11 @@
 // SSE watch stream on one held connection, printing each newly committed
 // version as it is pushed (N updates, then exit; 0 follows forever) and
 // marking replayed (journal catch-up) and snapshot events — a live view
-// of the publication store's commits, coalescing included.
+// of the publication store's commits.
 //
 // With -stats it also fetches the server's publication-store counters
 // (the /.stats endpoint on the same host as the document URL) and prints
-// them — commits, coalescing, journal replays, for a durable store the
+// them — publishes, commits, journal replays, for a durable store the
 // WAL durability block (lsns, fsyncs, group-commit batch sizes,
 // sync-wait totals), for a replicated server the Replication block
 // (role, applied vs leader lsn, lag, bootstrap and

@@ -63,7 +63,6 @@ func run() int {
 	httpAddr := flag.String("http", "", "HTTP endpoint listen address (SOAP/JSON handlers)")
 	corbaAddr := flag.String("corba", "127.0.0.1:0", "CORBA endpoint listen address")
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "publication stability timeout (Section 5.6)")
-	flushWindow := flag.Duration("flush-window", 0, "publication-store coalescing window (0 = commit immediately)")
 	historyLen := flag.Int("history-len", 0, "publication-store replay journal capacity (0 = default, negative disables)")
 	dataDir := flag.String("data-dir", "", "durable publication-store directory (snapshot + WAL; empty = in-memory)")
 	syncMode := flag.String("sync", "", "durable-store sync policy: none, group (ack after group-commit fsync), or always (empty = store default)")
@@ -92,7 +91,6 @@ func run() int {
 		HTTPAddr:          *httpAddr,
 		CORBAAddr:         *corbaAddr,
 		Timeout:           *timeout,
-		FlushWindow:       *flushWindow,
 		HistoryLen:        *historyLen,
 		DataDir:           *dataDir,
 		Sync:              syncPolicy,

@@ -13,7 +13,7 @@
 // SOAP↔CORBA pairing with every direction the registry supports
 // (SOAP↔CORBA↔JSON and any third-party binding), and it inherits the whole
 // publication core for free: the bridge's derived interface document is
-// published through the manager's coalescing store, stale calls from front
+// published through the manager's publication store, stale calls from front
 // clients run the Section 5.7 forced-publication protocol, and — because
 // the proxy class is an ordinary dynamic class — server-side edits
 // propagate through the bridge live.

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"livedev/internal/clock"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/ifsvr"
@@ -126,7 +125,7 @@ func TestRefreshesReuseOneDocConn(t *testing.T) {
 // one process are all served (replay, then a live commit), and once their
 // contexts end the server sees every one of their connections closed.
 func TestWatchStreamsHoldAndReleaseConns(t *testing.T) {
-	store := ifsvr.NewStore(0, clock.Real{})
+	store := ifsvr.NewStore(0, nil)
 	defer store.Close()
 	store.Publish("/if/conns.json", "application/json", `{"v":1}`)
 	base, census := serveCounted(t, ifsvr.NewView(store))

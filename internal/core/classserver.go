@@ -141,10 +141,9 @@ type ClassServer struct {
 //
 // The publication seam bundles what every binding needs: generated text is
 // cached by interface hash, so republishing a previously seen interface
-// (undo/redo, A→B→A edit cycles) skips the generator; documents are
-// committed through the coalescing store carrying the descriptor version;
-// and forced publication flushes the store, so the Section 5.7 guarantee
-// survives coalescing. Nothing is published yet: Manager.Register
+// (undo/redo, A→B→A edit cycles) skips the generator, and documents are
+// committed through the store carrying the descriptor version. Nothing is
+// published yet: Manager.Register
 // publishes the basic description (Section 4) once Serve has returned, when
 // the endpoint the document advertises exists.
 func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, contentType string, gen GenerateFunc) *ClassServer {
@@ -161,7 +160,6 @@ func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, con
 		m.store.PublishVersioned(docPath, contentType, text, desc.Version)
 		return nil
 	})
-	pub.SetFlush(m.store.Flush)
 	return &ClassServer{
 		mgr:        m,
 		class:      class,

@@ -68,13 +68,6 @@ type Config struct {
 	CORBAAddr string
 	// Timeout is the publication stability timeout (Section 5.6).
 	Timeout time.Duration
-	// FlushWindow is the publication store's edit-storm coalescing window:
-	// rapid publications of an already-published document are batched and
-	// committed once per window. Zero (the default) commits every
-	// publication immediately. Forced publication (Section 5.7) always
-	// commits synchronously regardless of the window, so the recency
-	// guarantee is unaffected.
-	FlushWindow time.Duration
 	// HistoryLen bounds the publication store's replay journal: how many
 	// committed versions (across all paths) are retained for streaming-
 	// watch catch-up (Replay). Zero means ifsvr.DefaultHistoryLen; negative
@@ -174,8 +167,6 @@ type Manager struct {
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	storeCfg := ifsvr.StoreConfig{
-		Window:     cfg.FlushWindow,
-		Clock:      cfg.Clock,
 		HistoryLen: cfg.HistoryLen,
 		Dir:        cfg.DataDir,
 		Sync:       cfg.Sync,
@@ -255,8 +246,7 @@ func (m *Manager) Follower() *repl.Follower { return m.follower }
 func (m *Manager) TailServer() *repl.TailServer { return m.tail }
 
 // Store returns the manager's publication store — the versioned document
-// store with tap and watcher fan-out and edit-storm coalescing that every
-// binding publishes through.
+// store with tap and watcher fan-out that every binding publishes through.
 func (m *Manager) Store() *ifsvr.Store { return m.store }
 
 // InterfaceBaseURL returns the Interface Server base URL.
@@ -425,8 +415,10 @@ func (m *Manager) Draining() bool {
 //  3. held replication tails are ended so followers reconnect elsewhere;
 //  4. the Interface Server drains: held watch streams end with a
 //     terminal "draining" frame, so watchers reconnect to another replica
-//     instead of timing out;
-//  5. staged publications are flushed through the WAL.
+//     instead of timing out.
+//
+// Every publication committed through the WAL before it returned, so the
+// drain has nothing left to flush.
 //
 // Drain is idempotent, reversible only by Stop (there is no undrain), and
 // leaves every serving structure intact — a drained manager still answers
@@ -453,12 +445,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 	if err := m.iface.Shutdown(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("core: draining interface server: %w", err))
-	}
-	if m.follower == nil {
-		// Commit anything staged in a coalescing window through the WAL
-		// (and, under a sync policy, through its fsync) before Stop can
-		// close the store.
-		m.store.Flush()
 	}
 	return errors.Join(errs...)
 }

@@ -62,7 +62,6 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	// Publication core.
 	fmt.Fprintf(&b, "livedev_store_publishes_total %d\n", st.Publishes)
 	fmt.Fprintf(&b, "livedev_store_commits_total %d\n", st.Commits)
-	fmt.Fprintf(&b, "livedev_store_coalesced_total %d\n", st.Coalesced)
 	fmt.Fprintf(&b, "livedev_store_epoch %d\n", st.Epoch)
 	fmt.Fprintf(&b, "livedev_store_generation %d\n", st.Generation)
 	fmt.Fprintf(&b, "livedev_store_journal_depth %d\n", st.JournalDepth)

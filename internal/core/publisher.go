@@ -5,13 +5,12 @@
 // calls (Section 5.7), the SOAP and CORBA call handlers arranged in the
 // technology-independent class hierarchy of Figure 6, and — since the
 // event-driven publication refactor — the publication Store: the versioned
-// interface-document store with epoch-numbered snapshots, subscriber
-// fan-out, and edit-storm coalescing that every binding publishes through
-// (Manager.NewClassServer) and the Interface Server reads from. The
-// publication pipeline is therefore: class edit → DL Publisher
-// (stable-timeout, Section 5.6) → Store (flush-window coalescing, epochs,
-// fan-out) → Interface Server read view (HTTP GET + watch stream) → client
-// caches (push-invalidated via the watch protocol).
+// interface-document store with epoch-numbered snapshots and subscriber
+// fan-out that every binding publishes through (Manager.NewClassServer) and
+// the Interface Server reads from. The publication pipeline is therefore:
+// class edit → DL Publisher (stable-timeout, Section 5.6) → Store (commit
+// before return, epochs, fan-out) → Interface Server read view (HTTP GET +
+// watch stream) → client caches (push-invalidated via the watch protocol).
 package core
 
 import (
@@ -61,12 +60,6 @@ type DLPublisher struct {
 	publish PublishFunc
 	clk     clock.Clock
 
-	// flush, when non-nil, commits the downstream publication store's
-	// staged documents. EnsureCurrent calls it after its generations
-	// complete so the forced-publication guarantee (Section 5.7) holds
-	// even when the store coalesces publications under a flush window.
-	flush func()
-
 	mu            sync.Mutex
 	cond          *sync.Cond
 	timeout       time.Duration
@@ -107,15 +100,6 @@ func NewDLPublisher(class *dyn.Class, timeout time.Duration, clk clock.Clock, pu
 	p.cond = sync.NewCond(&p.mu)
 	p.unsubscribe = class.Subscribe(p.onChange)
 	return p
-}
-
-// SetFlush installs the downstream store-commit hook run at the end of
-// every EnsureCurrent. Manager.NewClassServer wires it to the publication
-// store's Flush.
-func (p *DLPublisher) SetFlush(flush func()) {
-	p.mu.Lock()
-	p.flush = flush
-	p.mu.Unlock()
 }
 
 // SetTimeout changes the stability timeout for subsequently armed timers
@@ -309,14 +293,7 @@ func (p *DLPublisher) EnsureCurrent() {
 		// no-op either way because publication was not needed per protocol).
 		if p.publishedHash == p.class.Interface().Hash() {
 			p.stats.ForcedNoop++
-			flush := p.flush
 			p.mu.Unlock()
-			// Even a no-op generation must commit anything the store still
-			// holds staged, or the "published" description a client fetches
-			// next could predate what this publisher already sent.
-			if flush != nil {
-				flush()
-			}
 			return
 		}
 		p.startGenerationLocked()
@@ -326,11 +303,7 @@ func (p *DLPublisher) EnsureCurrent() {
 	for p.completedGens < target && !p.closed {
 		p.cond.Wait()
 	}
-	flush := p.flush
 	p.mu.Unlock()
-	if flush != nil {
-		flush()
-	}
 }
 
 // Busy reports whether a generation is currently running.

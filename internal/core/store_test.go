@@ -14,9 +14,11 @@ import (
 	"livedev/internal/ifsvr"
 )
 
-// TestStoreImmediateWithoutWindow: with no flush window every publish
-// commits immediately and fans out, preserving the pre-store behaviour.
-func TestStoreImmediateWithoutWindow(t *testing.T) {
+// TestStorePublishCommitsBeforeReturn: every publish is committed, in its
+// own epoch, and handed to the taps before it returns — the basic
+// definition is visible at once (Section 4), and the stability timeout
+// upstream is the only thing that rations publication.
+func TestStorePublishCommitsBeforeReturn(t *testing.T) {
 	s := ifsvr.NewStore(0, nil)
 	var events []ifsvr.StoreEvent
 	cancel := s.Subscribe(func(op ifsvr.StoreOp) { events = append(events, op.Events...) })
@@ -39,123 +41,8 @@ func TestStoreImmediateWithoutWindow(t *testing.T) {
 		t.Error("epochs must advance per commit batch")
 	}
 	st := s.Stats()
-	if st.Publishes != 2 || st.Commits != 2 || st.Coalesced != 0 {
+	if st.Publishes != 2 || st.Commits != 2 || st.Batches != 2 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-// TestStoreFirstPublicationCommitsImmediately: even under a flush window,
-// a never-published path commits synchronously (Section 4's immediate
-// basic definition).
-func TestStoreFirstPublicationCommitsImmediately(t *testing.T) {
-	clk := clock.NewFake()
-	s := ifsvr.NewStore(time.Hour, clk)
-	s.Publish("/p", "text/plain", "basic")
-	if d, err := s.Get("/p"); err != nil || d.Content != "basic" {
-		t.Fatalf("initial doc = %+v, %v", d, err)
-	}
-}
-
-// TestStoreFlushCommitsSynchronously: Flush is the forced-publication
-// path — staged content becomes visible without any timer involvement, and
-// the later timer expiry has nothing left to commit.
-func TestStoreFlushCommitsSynchronously(t *testing.T) {
-	clk := clock.NewFake()
-	s := ifsvr.NewStore(time.Minute, clk)
-	s.Publish("/p", "text/plain", "v1")
-	s.PublishVersioned("/p", "text/plain", "v2", 2)
-	if d, _ := s.Get("/p"); d.Content != "v1" {
-		t.Fatalf("staged write must not be visible, got %q", d.Content)
-	}
-	s.Flush()
-	d, _ := s.Get("/p")
-	if d.Content != "v2" || d.Version != 2 || d.DescriptorVersion != 2 {
-		t.Fatalf("after flush: %+v", d)
-	}
-	clk.Advance(2 * time.Minute)
-	if got := s.Stats().Commits; got != 2 {
-		t.Errorf("timer after flush must not double-commit: commits = %d", got)
-	}
-}
-
-// TestStoreCoalescesEditStorm is the acceptance scenario at store level: a
-// storm of 100 rapid publications collapses into a bounded number of
-// committed versions while a concurrent client converges on the final
-// content.
-func TestStoreCoalescesEditStorm(t *testing.T) {
-	const (
-		window  = 100 * time.Millisecond
-		spacing = 5 * time.Millisecond
-		storm   = 100
-	)
-	clk := clock.NewFake()
-	s := ifsvr.NewStore(window, clk)
-	s.Publish("/p", "text/plain", "v0") // initial publication, commits
-
-	// The subscriber is the concurrent client: it counts the storm's
-	// commits (counting starts after the initial doc) and reports the one
-	// that converges on the storm's final content.
-	final := fmt.Sprintf("v%d", storm)
-	done := make(chan ifsvr.Document, 1)
-	var commits atomic.Int64
-	cancel := s.Subscribe(func(op ifsvr.StoreOp) {
-		for _, ev := range op.Events {
-			if ev.Path != "/p" {
-				continue
-			}
-			commits.Add(1)
-			if ev.Doc.Content == final {
-				done <- ev.Doc
-			}
-		}
-	})
-	defer cancel()
-
-	for i := 1; i <= storm; i++ {
-		s.PublishVersioned("/p", "text/plain", fmt.Sprintf("v%d", i), uint64(i))
-		clk.Advance(spacing)
-	}
-	clk.Advance(2 * window) // trailing flush
-
-	select {
-	case d := <-done:
-		if d.DescriptorVersion != storm {
-			t.Errorf("converged on descriptor version %d", d.DescriptorVersion)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("concurrent client did not converge on the final version")
-	}
-	if got := commits.Load(); got < 1 || got > 5 {
-		t.Errorf("storm of %d publications committed %d times, want 1..5", storm, got)
-	}
-	st := s.Stats()
-	if st.Coalesced == 0 {
-		t.Error("storm should have coalesced publications")
-	}
-	if d, _ := s.Get("/p"); d.Content != final {
-		t.Errorf("final content = %q", d.Content)
-	}
-}
-
-// TestStoreEpochsSharedPerBatch: documents committed in one flush batch
-// carry the same epoch; separate batches advance it.
-func TestStoreEpochsSharedPerBatch(t *testing.T) {
-	clk := clock.NewFake()
-	s := ifsvr.NewStore(50*time.Millisecond, clk)
-	s.Publish("/a", "text/plain", "a0")
-	s.Publish("/b", "text/plain", "b0")
-	epochAfterInit := s.Epoch()
-
-	s.Publish("/a", "text/plain", "a1")
-	s.Publish("/b", "text/plain", "b1")
-	s.Flush()
-	da, _ := s.Get("/a")
-	db, _ := s.Get("/b")
-	if da.Epoch != db.Epoch {
-		t.Errorf("one batch, two epochs: %d vs %d", da.Epoch, db.Epoch)
-	}
-	if da.Epoch != epochAfterInit+1 {
-		t.Errorf("epoch = %d, want %d", da.Epoch, epochAfterInit+1)
 	}
 }
 
@@ -194,12 +81,12 @@ func TestStoreWaitUnblocksOnClose(t *testing.T) {
 	}
 }
 
-// TestStoreSubscribeUnsubscribeRace hammers publish, flush, subscribe,
+// TestStoreSubscribeUnsubscribeRace hammers publish, subscribe,
 // unsubscribe, and held-stream connect/park/hangup concurrently — run
 // under -race. Each subscriber checks that the versions it sees per path
 // are strictly increasing (delivery preserves commit order).
 func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
-	s := ifsvr.NewStore(time.Millisecond, clock.Real{})
+	s := ifsvr.NewStore(0, nil)
 	paths := []string{"/a", "/b", "/c"}
 	for _, p := range paths {
 		s.Publish(p, "text/plain", "init")
@@ -220,9 +107,6 @@ func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 				default:
 				}
 				s.PublishVersioned(paths[i%len(paths)], "text/plain", fmt.Sprintf("w%d-%d", w, i), uint64(i))
-				if i%17 == 0 {
-					s.Flush()
-				}
 			}
 		}(w)
 	}
@@ -309,17 +193,17 @@ func drainStorePublisher(clk *clock.Fake, pub *DLPublisher, d time.Duration) {
 	}
 }
 
-// TestManagerEditStormCoalesces is the acceptance scenario end to end: 100
-// committed edits against a managed server, each one stable long enough to
-// run a full publication, produce at most 5 committed document versions
-// through the manager's coalescing store — and a forced publication still
-// commits synchronously with the final interface.
+// TestManagerEditStormCoalesces is the acceptance scenario end to end: a
+// storm of 100 edits against a managed server, each inside the stability
+// interval of the one before, yields exactly one committed document
+// version — the stable timeout (Section 5.6) is what rations the storm —
+// and a forced publication still commits synchronously with the final
+// interface.
 func TestManagerEditStormCoalesces(t *testing.T) {
 	clk := clock.NewFake()
 	mgr, err := NewManager(Config{
-		Timeout:     10 * time.Millisecond,
-		FlushWindow: 300 * time.Millisecond,
-		Clock:       clk,
+		Timeout: 100 * time.Millisecond,
+		Clock:   clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,26 +237,28 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 	})
 	defer cancel()
 
-	// The storm: every edit is followed by a full stability timeout, so
-	// the DL Publisher publishes each one — the store is what coalesces.
+	// The storm: every edit lands 5 ms after the last, well inside the
+	// 100 ms stability interval, so the timer keeps resetting and only
+	// the quiet period after the last edit publishes.
 	const storm = 100
 	for i := 1; i <= storm; i++ {
 		if err := class.RenameMethod(id, fmt.Sprintf("op%03d", i)); err != nil {
 			t.Fatal(err)
 		}
-		drainStorePublisher(clk, pub, 15*time.Millisecond)
+		drainStorePublisher(clk, pub, 5*time.Millisecond)
 	}
-	drainStorePublisher(clk, pub, 600*time.Millisecond) // trailing flush
+	drainStorePublisher(clk, pub, 200*time.Millisecond) // the quiet period
 
-	if got := commits.Load(); got < 1 || got > 5 {
-		t.Errorf("storm of %d stable edits committed %d document versions, want 1..5", storm, got)
+	if got := commits.Load(); got != 1 {
+		t.Errorf("storm of %d edits inside one stability interval committed %d document versions, want 1", storm, got)
 	}
 	if d, _ := mgr.Store().Get(wsdlPath); d.DescriptorVersion != class.InterfaceVersion() {
 		t.Errorf("final committed descriptor version %d, class at %d", d.DescriptorVersion, class.InterfaceVersion())
 	}
 
 	// Forced publication (the Section 5.7 path) commits synchronously even
-	// mid-window: edit, then EnsureCurrent with no virtual-time advance.
+	// with the timer armed: edit, then EnsureCurrent with no virtual-time
+	// advance.
 	if err := class.RenameMethod(id, "opFinal"); err != nil {
 		t.Fatal(err)
 	}
@@ -392,64 +278,13 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 	}
 }
 
-// TestPublisherStableTimeoutSemanticsWithWindow pins that the flush window
-// does not change the paper's stable-timeout behaviour: edits within the
-// stability interval still produce a single generation, and the timer only
-// publishes once the interface is stable.
-func TestPublisherStableTimeoutSemanticsWithWindow(t *testing.T) {
-	clk := clock.NewFake()
-	mgr, err := NewManager(Config{
-		Timeout:     100 * time.Millisecond,
-		FlushWindow: 50 * time.Millisecond,
-		Clock:       clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mgr.Close() }()
-
-	class := dyn.NewClass("Stable")
-	id, err := class.AddMethod(dyn.MethodSpec{Name: "a", Result: dyn.Int32T, Distributed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := mgr.Register(class, TechSOAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := srv.Publisher()
-	gen0 := pub.Stats().Generations
-
-	// Three rapid edits inside one stability interval: timer keeps
-	// resetting, nothing publishes.
-	for _, name := range []string{"b", "c", "d"} {
-		if err := class.RenameMethod(id, name); err != nil {
-			t.Fatal(err)
-		}
-		clk.Advance(40 * time.Millisecond)
-	}
-	if got := pub.Stats().Generations; got != gen0 {
-		t.Fatalf("mid-burst generations = %d, want %d", got, gen0)
-	}
-
-	// Stability: one generation, and after the flush window one commit.
-	drainStorePublisher(clk, pub, 200*time.Millisecond)
-	if got := pub.Stats().Generations; got != gen0+1 {
-		t.Errorf("post-stability generations = %d, want %d", got, gen0+1)
-	}
-	if d, _ := mgr.Store().Get("/wsdl/Stable.wsdl"); d.DescriptorVersion != class.InterfaceVersion() {
-		t.Errorf("committed descriptor version %d, class at %d", d.DescriptorVersion, class.InterfaceVersion())
-	}
-}
-
-// TestReRegisterAfterCloseUnderFlushWindow pins the retire-on-close
-// behaviour: with a coalescing window configured, closing a server and
-// re-registering its class must not leave the dead server's documents
-// (notably the CORBA IOR) being served, and the fresh server's basic
-// documents must commit immediately, resuming the version sequence so
-// parked watchers wake.
-func TestReRegisterAfterCloseUnderFlushWindow(t *testing.T) {
-	mgr, err := NewManager(Config{Timeout: 20 * time.Millisecond, FlushWindow: 2 * time.Second})
+// TestReRegisterAfterClose pins the retire-on-close behaviour: closing a
+// server and re-registering its class must not leave the dead server's
+// documents (notably the CORBA IOR) being served, and the fresh server's
+// basic documents must commit immediately, resuming the version sequence
+// so parked watchers wake.
+func TestReRegisterAfterClose(t *testing.T) {
+	mgr, err := NewManager(Config{Timeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 )
 
-// MemberID identifies a method or field across renames and signature edits,
+// MemberID identifies a method across renames and signature edits,
 // the way JPie keeps declaration and use consistent when a member is
 // renamed: callers hold the ID, not the name.
 type MemberID uint64
@@ -42,13 +42,6 @@ type method struct {
 	body        Body
 }
 
-// fieldDef is the internal mutable field record.
-type fieldDef struct {
-	id   MemberID
-	name string
-	typ  *Type
-}
-
 // ChangeEvent is delivered to listeners after every committed edit (and
 // after every undo/redo step). InterfaceAffecting is true when the edit
 // changed the class's distributed interface descriptor — the signal the
@@ -71,9 +64,9 @@ type ChangeEvent struct {
 // outside the class lock, in registration order.
 type Listener func(ChangeEvent)
 
-// Class is a dynamic class: a named, mutable collection of methods and
-// fields. All operations are safe for concurrent use. The zero value is not
-// usable; construct with NewClass.
+// Class is a dynamic class: a named, mutable collection of methods. All
+// operations are safe for concurrent use. The zero value is not usable;
+// construct with NewClass.
 //
 // Dispatch concurrency model: edits serialize on c.mu, but the call path is
 // lock-free. Every committed edit rebuilds an immutable dispatch table
@@ -92,7 +85,6 @@ type Class struct {
 
 	mu        sync.RWMutex
 	methods   []*method
-	fields    []*fieldDef
 	nextID    MemberID
 	seq       uint64 // total committed edits (incl. undo/redo)
 	ifaceVer  uint64 // distributed interface version
@@ -276,29 +268,6 @@ func (c *Class) methodByNameLocked(name string) *method {
 	return nil
 }
 
-func (c *Class) findFieldLocked(id MemberID) (int, *fieldDef) {
-	for i, f := range c.fields {
-		if f.id == id {
-			return i, f
-		}
-	}
-	return -1, nil
-}
-
-func (c *Class) memberNameInUseLocked(name string) bool {
-	for _, m := range c.methods {
-		if m.name == name {
-			return true
-		}
-	}
-	for _, f := range c.fields {
-		if f.name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // AddMethod adds a method and returns its stable member ID.
 func (c *Class) AddMethod(spec MethodSpec) (MemberID, error) {
 	return c.addMethod(spec, true)
@@ -317,7 +286,7 @@ func (c *Class) addMethod(spec MethodSpec, recording bool) (MemberID, error) {
 		}
 	}
 	c.mu.Lock()
-	if c.memberNameInUseLocked(spec.Name) {
+	if c.methodByNameLocked(spec.Name) != nil {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, spec.Name)
 	}
@@ -349,7 +318,7 @@ func (c *Class) addMethod(spec MethodSpec, recording bool) (MemberID, error) {
 // addMethodWithID re-adds a method under a specific ID (redo path).
 func (c *Class) addMethodWithID(spec MethodSpec, id MemberID) (MemberID, error) {
 	c.mu.Lock()
-	if c.memberNameInUseLocked(spec.Name) {
+	if c.methodByNameLocked(spec.Name) != nil {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, spec.Name)
 	}
@@ -417,7 +386,7 @@ func (c *Class) renameMethod(id MemberID, newName string, recording bool) error 
 		c.mu.Unlock()
 		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
 	}
-	if m.name != newName && c.memberNameInUseLocked(newName) {
+	if m.name != newName && c.methodByNameLocked(newName) != nil {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicateName, newName)
 	}
@@ -550,77 +519,6 @@ func (c *Class) setBody(id MemberID, body Body, recording bool) error {
 	return nil
 }
 
-// AddField adds an instance field. Existing instances observe the new field
-// with its zero value immediately.
-func (c *Class) AddField(name string, t *Type) (MemberID, error) {
-	return c.addField(name, t, true)
-}
-
-func (c *Class) addField(name string, t *Type, recording bool) (MemberID, error) {
-	if name == "" {
-		return 0, fmt.Errorf("dyn: field needs a name")
-	}
-	if t == nil {
-		return 0, fmt.Errorf("dyn: field %s has no type", name)
-	}
-	c.mu.Lock()
-	if c.memberNameInUseLocked(name) {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, name)
-	}
-	id := c.nextID
-	c.nextID++
-	c.fields = append(c.fields, &fieldDef{id: id, name: name, typ: t})
-	var st *step
-	if recording {
-		st = &step{
-			revert: func() { _ = c.removeField(id, false) },
-			apply:  func() { _, _ = c.addFieldWithID(name, t, id) },
-		}
-	}
-	c.commit("add field "+name, st, recording)
-	return id, nil
-}
-
-func (c *Class) addFieldWithID(name string, t *Type, id MemberID) (MemberID, error) {
-	c.mu.Lock()
-	if c.memberNameInUseLocked(name) {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, name)
-	}
-	c.fields = append(c.fields, &fieldDef{id: id, name: name, typ: t})
-	if id >= c.nextID {
-		c.nextID = id + 1
-	}
-	c.commit("add field "+name, nil, false)
-	return id, nil
-}
-
-// RemoveField deletes an instance field.
-func (c *Class) RemoveField(id MemberID) error {
-	return c.removeField(id, true)
-}
-
-func (c *Class) removeField(id MemberID, recording bool) error {
-	c.mu.Lock()
-	i, f := c.findFieldLocked(id)
-	if f == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: field %d", ErrNoSuchMember, id)
-	}
-	c.fields = append(c.fields[:i], c.fields[i+1:]...)
-	var st *step
-	if recording {
-		saved := *f
-		st = &step{
-			revert: func() { _, _ = c.addFieldWithID(saved.name, saved.typ, saved.id) },
-			apply:  func() { _ = c.removeField(id, false) },
-		}
-	}
-	c.commit("remove field "+f.name, st, recording)
-	return nil
-}
-
 // MethodIDByName returns the member ID of the named method. It reads the
 // lock-free dispatch table, so it is safe on the call path.
 func (c *Class) MethodIDByName(name string) (MemberID, bool) {
@@ -631,32 +529,9 @@ func (c *Class) MethodIDByName(name string) (MemberID, bool) {
 	return m.id, true
 }
 
-// FieldIDByName returns the member ID of the named field.
-func (c *Class) FieldIDByName(name string) (MemberID, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, f := range c.fields {
-		if f.name == name {
-			return f.id, true
-		}
-	}
-	return 0, false
-}
-
-// FieldType returns the declared type of a field.
-func (c *Class) FieldType(id MemberID) (*Type, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, f := c.findFieldLocked(id)
-	if f == nil {
-		return nil, false
-	}
-	return f.typ, true
-}
-
 // NewInstance creates a live instance of the class. Per the paper
 // (Section 5.4) the SDE keeps a single instance per server class; the
 // runtime itself does not enforce that, the SDE manager does.
 func (c *Class) NewInstance() *Instance {
-	return &Instance{class: c, fields: make(map[MemberID]Value)}
+	return &Instance{class: c}
 }

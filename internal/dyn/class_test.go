@@ -135,9 +135,6 @@ func TestDuplicateNamesRejected(t *testing.T) {
 	if _, err := c.AddMethod(MethodSpec{Name: "add"}); !errors.Is(err, ErrDuplicateName) {
 		t.Errorf("duplicate method: %v", err)
 	}
-	if _, err := c.AddField("add", Int32T); !errors.Is(err, ErrDuplicateName) {
-		t.Errorf("field clashing with method: %v", err)
-	}
 	id2, err := c.AddMethod(MethodSpec{Name: "other"})
 	if err != nil {
 		t.Fatal(err)
@@ -159,12 +156,6 @@ func TestEditValidation(t *testing.T) {
 	if _, err := c.AddMethod(MethodSpec{Name: "m", Params: []Param{{Name: "p"}}}); err == nil {
 		t.Error("nil param type should fail")
 	}
-	if _, err := c.AddField("", Int32T); err == nil {
-		t.Error("empty field name should fail")
-	}
-	if _, err := c.AddField("f", nil); err == nil {
-		t.Error("nil field type should fail")
-	}
 	bogus := MemberID(999)
 	if err := c.RemoveMethod(bogus); !errors.Is(err, ErrNoSuchMember) {
 		t.Error("remove bogus method")
@@ -184,64 +175,11 @@ func TestEditValidation(t *testing.T) {
 	if err := c.SetBody(bogus, nil); !errors.Is(err, ErrNoSuchMember) {
 		t.Error("setbody bogus method")
 	}
-	if err := c.RemoveField(bogus); !errors.Is(err, ErrNoSuchMember) {
-		t.Error("remove bogus field")
-	}
 	if err := c.SetParams(MemberID(1), []Param{{Name: "p", Type: nil}}); err == nil {
 		t.Error("setparams with nil type should fail")
 	}
 	if err := c.RenameMethod(MemberID(1), ""); err == nil {
 		t.Error("rename to empty should fail")
-	}
-}
-
-func TestFields(t *testing.T) {
-	c := NewClass("Counter")
-	fid, err := c.AddField("count", Int32T)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := c.NewInstance()
-	v, err := in.GetField(fid)
-	if err != nil || v.Int32() != 0 {
-		t.Fatalf("fresh field should read zero: %v, %v", v, err)
-	}
-	if err := in.SetField(fid, Int32Value(41)); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.SetField(fid, StringValue("no")); !errors.Is(err, ErrSignatureMismatch) {
-		t.Errorf("type-mismatched write: %v", err)
-	}
-	if v, _ := in.GetField(fid); v.Int32() != 41 {
-		t.Errorf("field = %v", v)
-	}
-	if v, err := in.GetFieldByName("count"); err != nil || v.Int32() != 41 {
-		t.Errorf("GetFieldByName = %v, %v", v, err)
-	}
-	if err := in.SetFieldByName("count", Int32Value(42)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.GetFieldByName("nope"); !errors.Is(err, ErrNoSuchMember) {
-		t.Error("missing field by name")
-	}
-	if err := in.SetFieldByName("nope", Int32Value(0)); !errors.Is(err, ErrNoSuchMember) {
-		t.Error("missing field by name on set")
-	}
-
-	// A field added after instance creation is visible with zero value.
-	fid2, err := c.AddField("label", StringT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := in.GetField(fid2); err != nil || v.Str() != "" {
-		t.Errorf("late field = %v, %v", v, err)
-	}
-	// Removing the field makes reads fail.
-	if err := c.RemoveField(fid2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.GetField(fid2); !errors.Is(err, ErrNoSuchMember) {
-		t.Error("removed field should be gone")
 	}
 }
 

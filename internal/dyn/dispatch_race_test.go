@@ -90,12 +90,6 @@ func TestConcurrentEditsRaceLiveCalls(t *testing.T) {
 		if err := c.RenameMethod(id, "gen"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.AddField("f", Int32T); err == nil {
-			fid, _ := c.FieldIDByName("f")
-			if err := c.RemoveField(fid); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 	stop.Store(true)
 	wg.Wait()

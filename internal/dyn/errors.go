@@ -14,12 +14,12 @@ var (
 	// not match the method's current parameter types.
 	ErrSignatureMismatch = errors.New("dyn: argument list does not match method signature")
 
-	// ErrDuplicateName reports an attempt to create a method or field with
-	// a name already in use on the class.
+	// ErrDuplicateName reports an attempt to create a method with a name
+	// already in use on the class.
 	ErrDuplicateName = errors.New("dyn: duplicate member name")
 
-	// ErrNoSuchMember reports an edit addressed to a method or field ID
-	// that is not (any longer) part of the class.
+	// ErrNoSuchMember reports an edit addressed to a method ID that is not
+	// (any longer) part of the class.
 	ErrNoSuchMember = errors.New("dyn: no such member")
 
 	// ErrNoBody reports an invocation of a method whose implementation has

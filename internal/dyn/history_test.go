@@ -86,36 +86,6 @@ func TestUndoRedoSignatureEdits(t *testing.T) {
 	}
 }
 
-func TestUndoRedoFieldEdits(t *testing.T) {
-	c := NewClass("C")
-	fid, err := c.AddField("f", StringT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RemoveField(fid); err != nil {
-		t.Fatal(err)
-	}
-	h := c.History()
-	if err := h.Undo(); err != nil { // un-remove
-		t.Fatal(err)
-	}
-	if _, ok := c.FieldIDByName("f"); !ok {
-		t.Error("field should be restored")
-	}
-	if err := h.Undo(); err != nil { // un-add
-		t.Fatal(err)
-	}
-	if _, ok := c.FieldIDByName("f"); ok {
-		t.Error("field should be gone")
-	}
-	if err := h.Redo(); err != nil { // re-add
-		t.Fatal(err)
-	}
-	if ft, ok := c.FieldType(fid); !ok || !ft.Equal(StringT) {
-		t.Error("field should be back with its type and ID")
-	}
-}
-
 func TestRedoTailTruncatedByNewEdit(t *testing.T) {
 	c, id := newCalcClass(t)
 	h := c.History()

@@ -1,9 +1,6 @@
 package dyn
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Instance is a live object of a dynamic class. Method dispatch resolves
 // against the class's *current* method table on every call, so signature and
@@ -11,9 +8,6 @@ import (
 // JPie property the paper's live-development model depends on.
 type Instance struct {
 	class *Class
-
-	mu     sync.RWMutex
-	fields map[MemberID]Value
 }
 
 // Class returns the instance's dynamic class.
@@ -67,55 +61,4 @@ func (in *Instance) invoke(name string, args []Value, distributedOnly bool) (Val
 			in.class.Name(), name, out.Type(), m.result)
 	}
 	return out, nil
-}
-
-// GetField reads an instance field by member ID. Fields never written read
-// as the zero value of their declared type — including fields added to the
-// class after the instance was created.
-func (in *Instance) GetField(id MemberID) (Value, error) {
-	t, ok := in.class.FieldType(id)
-	if !ok {
-		return Value{}, fmt.Errorf("%w: field %d", ErrNoSuchMember, id)
-	}
-	in.mu.RLock()
-	v, ok := in.fields[id]
-	in.mu.RUnlock()
-	if !ok {
-		return Zero(t), nil
-	}
-	return v, nil
-}
-
-// SetField writes an instance field; the value must match the field's
-// declared type.
-func (in *Instance) SetField(id MemberID, v Value) error {
-	t, ok := in.class.FieldType(id)
-	if !ok {
-		return fmt.Errorf("%w: field %d", ErrNoSuchMember, id)
-	}
-	if !v.Type().Equal(t) {
-		return fmt.Errorf("%w: field %d wants %s, got %s", ErrSignatureMismatch, id, t, v.Type())
-	}
-	in.mu.Lock()
-	in.fields[id] = v
-	in.mu.Unlock()
-	return nil
-}
-
-// GetFieldByName is a convenience wrapper resolving the field name first.
-func (in *Instance) GetFieldByName(name string) (Value, error) {
-	id, ok := in.class.FieldIDByName(name)
-	if !ok {
-		return Value{}, fmt.Errorf("%w: field %s", ErrNoSuchMember, name)
-	}
-	return in.GetField(id)
-}
-
-// SetFieldByName is a convenience wrapper resolving the field name first.
-func (in *Instance) SetFieldByName(name string, v Value) error {
-	id, ok := in.class.FieldIDByName(name)
-	if !ok {
-		return fmt.Errorf("%w: field %s", ErrNoSuchMember, name)
-	}
-	return in.SetField(id, v)
 }

@@ -66,9 +66,7 @@ func applyRandomEdit(r *rand.Rand, c *Class, step int) {
 			_ = c.SetDistributed(id, r.Intn(2) == 0)
 		}
 	case 6:
-		if r.Intn(2) == 0 {
-			_, _ = c.AddField(fmt.Sprintf("f%d_%d", step, r.Intn(10)), types[r.Intn(len(types))])
-		} else if id, ok := pick(); ok {
+		if id, ok := pick(); ok {
 			_ = c.SetBody(id, func(*Instance, []Value) (Value, error) { return VoidValue(), nil })
 		}
 	}

@@ -1,7 +1,7 @@
 // Package dyn implements a dynamic-class runtime modeled on JPie's dynamic
 // classes (Goldman 2004), the substrate the paper's Server Development
-// Environment is built on. A Class owns a mutable set of methods and fields
-// whose signatures and implementations can change at run time; changes take
+// Environment is built on. A Class owns a mutable set of methods whose
+// signatures and implementations can change at run time; changes take
 // effect immediately on existing instances, are recorded on an undo/redo
 // history stack, and are announced to registered listeners. The type system
 // mirrors the subset the paper's CORBA-IDL/WSDL mappings support: Java

@@ -9,7 +9,6 @@ import (
 	"livedev/internal/clock"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
-	"livedev/internal/ifsvr"
 	"livedev/internal/workload"
 )
 
@@ -30,18 +29,7 @@ const (
 	// StrategyStableTimeout is the paper's mechanism: change-driven, but
 	// waits for a stable interval (implemented by core.DLPublisher).
 	StrategyStableTimeout
-	// StrategyCoalescedStore is the publication core's extension of the
-	// paper's mechanism: stable-timeout publication routed through the
-	// coalescing store, whose flush window batches rapid publications into
-	// one committed version (Param is the flush window; the stability
-	// timeout is fixed at coalescedStableTimeout).
-	StrategyCoalescedStore
 )
-
-// coalescedStableTimeout is the stability timeout used under
-// StrategyCoalescedStore, chosen from the middle of the stable-timeout
-// sweep so the store's flush window is the variable under study.
-const coalescedStableTimeout = 200 * time.Millisecond
 
 // String names the strategy.
 func (s Strategy) String() string {
@@ -52,8 +40,6 @@ func (s Strategy) String() string {
 		return "poll"
 	case StrategyStableTimeout:
 		return "stable-timeout"
-	case StrategyCoalescedStore:
-		return "stable+store"
 	default:
 		return "unknown"
 	}
@@ -98,9 +84,6 @@ type SweepConfig struct {
 	Timeouts []time.Duration
 	// PollIntervals are the polling intervals to sweep.
 	PollIntervals []time.Duration
-	// FlushWindows are the coalescing-store flush windows to sweep (the
-	// stable timeout is fixed at coalescedStableTimeout for these runs).
-	FlushWindows []time.Duration
 }
 
 // DefaultSweep covers the paper's qualitative comparison with a parameter
@@ -115,9 +98,6 @@ func DefaultSweep(seed int64) SweepConfig {
 		},
 		PollIntervals: []time.Duration{
 			200 * time.Millisecond, 1 * time.Second, 5 * time.Second,
-		},
-		FlushWindows: []time.Duration{
-			500 * time.Millisecond, 2 * time.Second, 5 * time.Second,
 		},
 	}
 }
@@ -155,11 +135,6 @@ func RunSweep(cfg SweepConfig) ([]SweepResult, error) {
 	}
 	for _, to := range cfg.Timeouts {
 		if err := run(StrategyStableTimeout, to); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range cfg.FlushWindows {
-		if err := run(StrategyCoalescedStore, w); err != nil {
 			return nil, err
 		}
 	}
@@ -225,27 +200,6 @@ func runOne(cfg SweepConfig, s Strategy, param time.Duration) (SweepResult, erro
 			return nil
 		})
 		cancelStrategy = pub.Close
-	case StrategyCoalescedStore:
-		// The new publication seam: the DL Publisher publishes into the
-		// coalescing store; only committed store versions count as
-		// publications (that is what clients and watchers can observe).
-		store := ifsvr.NewStore(param, clk)
-		unsubStore := store.Subscribe(func(op ifsvr.StoreOp) {
-			for _, ev := range op.Events {
-				recordPub(ev.Doc.Content)
-			}
-		})
-		pub = core.NewDLPublisher(class, coalescedStableTimeout, clk, func(desc dyn.InterfaceDescriptor) error {
-			store.PublishVersioned("/doc", "text/plain", desc.Hash(), desc.Version)
-			return nil
-		})
-		pub.SetFlush(store.Flush)
-		cancelStrategy = func() {
-			pub.Close()
-			store.Flush()
-			unsubStore()
-			store.Close()
-		}
 	default:
 		return SweepResult{}, fmt.Errorf("experiments: unknown strategy %d", s)
 	}

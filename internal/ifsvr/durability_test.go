@@ -7,12 +7,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
-
-	"livedev/internal/clock"
 )
 
 // TestSyncPolicyStorm runs a concurrent publisher storm under every sync
@@ -140,8 +137,9 @@ func TestGroupCommitAckSurvivesCrash(t *testing.T) {
 }
 
 // TestRecoveryIsCommitPrefix is the one log's crash-consistency torture:
-// multi-path batches — one coalescing window each, on the fake clock,
-// across paths the sharded layout kept in different files — then every
+// multi-path batches — replicated commit records of three paths each, as a
+// follower logs them, across paths the sharded layout kept in different
+// files — then every
 // truncation and every flipped byte of the last two WAL records. Recovery
 // must yield exactly the state after a prefix of the committed batches —
 // never half a batch, never a later batch without an earlier one — and
@@ -159,9 +157,8 @@ func TestRecoveryIsCommitPrefix(t *testing.T) {
 		epoch    uint64
 		versions [4]uint64
 	}
-	clk := clock.NewFake()
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, Window: time.Second, Clock: clk, SnapshotEvery: 1 << 20})
+	st, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +171,22 @@ func TestRecoveryIsCommitPrefix(t *testing.T) {
 	}
 	prefixes := []state{read(st)} // prefixes[k] is the state after k batches
 	for _, p := range paths {
-		st.Publish(p, "text/xml", "<v1/>") // a first publication commits alone
+		st.Publish(p, "text/xml", "<v1/>") // a publication commits alone
 		prefixes = append(prefixes, read(st))
 	}
+	st.SetReadOnly(true)
 	for r := 1; r <= 4; r++ {
+		epoch := st.Epoch() + 1
+		var batch []StoreEvent // one commit record of three paths
 		for i, p := range paths {
 			if (i+r)%4 != 0 {
-				st.Publish(p, "text/xml", fmt.Sprintf("<r%d/>", r))
+				doc := Document{Content: fmt.Sprintf("<r%d/>", r), ContentType: "text/xml", Version: st.Version(p) + 1, Epoch: epoch}
+				batch = append(batch, StoreEvent{Path: p, Doc: doc})
 			}
 		}
-		clk.Advance(time.Second) // the window's flush: one batch of three paths
+		if n := st.ApplyReplicated(batch); n != 3 {
+			t.Fatalf("batch %d applied %d events, want 3", r, n)
+		}
 		prefixes = append(prefixes, read(st))
 	}
 	if err := st.Crash(); err != nil {
@@ -283,56 +286,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestLeftoverShardedLayout: a data directory in the sharded layout
-// earlier releases wrote (snapshot-NN.json + wal-NN.log) is not read. The
-// open starts empty under a fresh generation — a state-loss restart —
-// and removes the old files once its own snapshot is durable, leaving
-// exactly snapshot.json and wal.log. A snapshot.json in a schema this
+// TestForeignSnapshotSchemaRefused: a snapshot.json in a schema this
 // release does not write is refused, and its directory left as it was.
-func TestLeftoverShardedLayout(t *testing.T) {
-	dir := t.TempDir()
-	doc := Document{Content: "<a1/>", ContentType: "text/xml", Version: 1, Epoch: 1}
-	commit := appendCommitRecord(nil, 1, []StoreEvent{{Path: "/wsdl/A.wsdl", Doc: doc, Payload: encodeEventPayload("/wsdl/A.wsdl", doc)}})
-	leftover := map[string]string{
-		"snapshot-00.json": `{"schema":"livedev/ifsvr-snapshot/v2","generation":7,"epoch":1,"floor_epoch":0,"shard":0,"shards":2,"lsn":0,"docs":null}`,
-		"snapshot-01.json": `{"schema":"livedev/ifsvr-snapshot/v2","generation":7,"epoch":1,"floor_epoch":0,"shard":1,"shards":2,"lsn":0,"docs":null}`,
-		"wal-00.log":       string(appendWALRecord(nil, 'S', []byte(`{"schema":"livedev/ifsvr-wal/v2","shard":0,"shards":2}`))) + string(commit),
-		"wal-01.log":       "",
-	}
-	for name, content := range leftover {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := OpenStore(StoreConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("open over the sharded layout: %v", err)
-	}
-	if paths := st.Paths(); len(paths) != 0 || st.Epoch() != 0 {
-		t.Errorf("the sharded layout was read: paths %v, epoch %d", paths, st.Epoch())
-	}
-	if gen := st.Generation(); gen == 8 {
-		t.Errorf("generation %d continues the sharded layout's; a state-loss open needs a fresh one", gen)
-	}
-	st.Publish("/wsdl/B.wsdl", "text/xml", "<b/>")
-	st.Close()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if !slices.Equal(names, []string{snapshotFile, walFile}) {
-		t.Errorf("data dir holds %v, want exactly [%s %s]", names, snapshotFile, walFile)
-	}
-	st = openDir(t, dir, 0)
-	if _, err := st.Get("/wsdl/A.wsdl"); err == nil || st.Version("/wsdl/B.wsdl") != 1 {
-		t.Errorf("reopen: paths %v, want only the new layout's /wsdl/B.wsdl", st.Paths())
-	}
-	st.Close()
-
+func TestForeignSnapshotSchemaRefused(t *testing.T) {
 	foreign := t.TempDir()
 	single := map[string]string{
 		snapshotFile: `{"schema":"livedev/ifsvr-snapshot/v1","generation":3,"epoch":1,"lsn":1,` +

@@ -6,9 +6,9 @@
 // X-Interface-Version header, which is what lets the CDE (and the
 // experiments) observe the recency guarantees of Sections 5.7 and 6.
 //
-// The server is a read view over the coalescing, journaled publication
-// Store in this package, which the SDE Manager shares with every binding
-// and publishes through. The view adds the watch plane: a streaming GET
+// The server is a read view over the journaled publication Store in this
+// package, which the SDE Manager shares with every binding and publishes
+// through. The view adds the watch plane: a streaming GET
 // with "?watch=stream&after=N" holds one text/event-stream connection per
 // watcher, serving the journal replay of everything committed after epoch
 // N followed by live fan-out. See docs/watch-protocol.md for the wire

@@ -181,14 +181,6 @@ func isSnapshotTemp(name string) bool {
 	return ok
 }
 
-// isLeftover reports whether name is a file of the sharded layout earlier
-// releases wrote (snapshot-NN.json, wal-NN.log). Open never reads them.
-func isLeftover(name string) bool {
-	snap, _ := filepath.Match("snapshot-[0-9]*.json", name)
-	wal, _ := filepath.Match("wal-[0-9]*.log", name)
-	return snap || wal
-}
-
 // walBufKeep caps the encode buffer kept between appends, so one rare huge
 // batch does not stay pinned.
 const walBufKeep = 1 << 20
@@ -221,10 +213,7 @@ type syncWaiter struct {
 type filePersistence struct {
 	cfg StoreConfig
 	f   *os.File
-	// leftover are the sharded layout's files found at open: never read,
-	// and removed once the first snapshot of this layout is durable.
-	leftover []string
-	wg       sync.WaitGroup
+	wg  sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -378,21 +367,17 @@ func (p *filePersistence) Load() (PersistentState, error) {
 
 // scanDir deletes the temp files of snapshots a crash interrupted — the
 // rename is a snapshot's commit point, so a leftover temp never holds
-// committed state, and nothing else would ever remove it — and notes the
-// sharded layout's files for removal after the first snapshot.
+// committed state, and nothing else would ever remove it.
 func (p *filePersistence) scanDir() error {
 	entries, err := os.ReadDir(p.cfg.Dir)
 	if err != nil {
 		return fmt.Errorf("ifsvr: listing data dir: %w", err)
 	}
 	for _, e := range entries {
-		switch name := e.Name(); {
-		case isSnapshotTemp(name):
+		if name := e.Name(); isSnapshotTemp(name) {
 			if err := os.Remove(filepath.Join(p.cfg.Dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
 				return fmt.Errorf("ifsvr: removing interrupted snapshot %s: %w", name, err)
 			}
-		case isLeftover(name):
-			p.leftover = append(p.leftover, name)
 		}
 	}
 	return nil
@@ -816,8 +801,7 @@ var snapshotWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil
 // the current lsn, so a crash between the rename and the WAL reset leaves
 // records recovery skips by watermark. The write happens outside p.mu —
 // appends are excluded by the store's writer lock, not this one — so Sync
-// waiters are never blocked behind snapshot IO. The first durable
-// snapshot also removes the sharded layout's leftover files.
+// waiters are never blocked behind snapshot IO.
 func (p *filePersistence) Snapshot(state PersistentState) error {
 	p.mu.Lock()
 	hdr := snapshotWire{
@@ -877,16 +861,7 @@ func (p *filePersistence) Snapshot(state PersistentState) error {
 	p.notifyLocked()
 	p.mu.Unlock()
 	p.compactions.Add(1)
-	if len(p.leftover) == 0 {
-		return nil
-	}
-	for _, name := range p.leftover {
-		if err := os.Remove(filepath.Join(p.cfg.Dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("ifsvr: removing leftover %s: %w", name, err)
-		}
-	}
-	p.leftover = nil
-	return syncDir(p.cfg.Dir)
+	return nil
 }
 
 // syncDir fsyncs a directory so renames and removals inside it are

@@ -3,12 +3,9 @@ package ifsvr
 import (
 	"errors"
 	"math/rand/v2"
-	"slices"
 	"sort"
 	"sync"
 	"time"
-
-	"livedev/internal/clock"
 )
 
 // ErrStoreClosed reports an operation on a closed publication store.
@@ -58,13 +55,9 @@ type StoreStats struct {
 	Publishes uint64
 	// Commits counts committed document versions (one per fan-out event).
 	Commits uint64
-	// Coalesced counts publishes absorbed into an already-pending slot —
-	// edit-storm publications that never became a distinct version.
-	Coalesced uint64
-	// Batches counts flush batches that committed at least one document.
+	// Batches counts commit batches (one per publish, one per replicated
+	// commit record).
 	Batches uint64
-	// Flushes counts explicit Flush calls (the forced-publication path).
-	Flushes uint64
 	// Replays counts journal reads (a connecting stream's catch-up, a held
 	// stream's per-commit collect) the journal fully covered.
 	Replays uint64
@@ -98,21 +91,15 @@ type StoreStats struct {
 }
 
 // Store is the event-driven publication core: a versioned interface-document
-// store with epoch-numbered snapshots, tap and watcher fan-out, edit-storm
-// coalescing, and an epoch-indexed journal for watcher catch-up. It is the
-// one document store: every binding publishes through it (via the SDE
-// Manager's NewClassServer), and the Interface Server reads from it
-// (NewView).
+// store with epoch-numbered snapshots, tap and watcher fan-out, and an
+// epoch-indexed journal for watcher catch-up. It is the one document store:
+// every binding publishes through it (via the SDE Manager's
+// NewClassServer), and the Interface Server reads from it (NewView).
 //
-// Coalescing: with a non-zero flush window, rapid PublishVersioned calls to
-// an already-published path are staged, and the window's flush commits each
-// path once with the last-written content — a storm of N publications
-// becomes one committed version per window. The first publication of a
-// path always commits immediately (the paper's "immediately publishes a
-// basic definition", Section 4), and Flush commits the staged set
-// synchronously, which is how the forced-publication protocol (Section
-// 5.7) keeps its recency guarantee: DLPublisher.EnsureCurrent flushes
-// before the "Non Existent Method" reply goes out.
+// Every publish commits before it returns: the DL Publisher's stability
+// timeout (Section 5.6) is the only thing that rations publication, so a
+// basic definition is visible at once (Section 4) and a forced publication
+// (Section 5.7) is committed when EnsureCurrent returns.
 //
 // Epochs: every commit batch advances the store epoch; each committed
 // document records the epoch it was committed under, giving observers a
@@ -124,8 +111,8 @@ type StoreStats struct {
 // catch-up path, which turns a reconnect into a delta instead of a full
 // fetch.
 //
-// One write path: every mutation — a publish, the flush timer, Flush,
-// Remove, and the replication applies — takes the write locks in
+// One write path: every mutation — a publish, Remove, and the replication
+// applies — takes the write locks in
 // beginWrite, changes the in-memory state, and hands the resulting StoreOp
 // to endWrite, which logs, journals, delivers, compacts and waits for
 // durability in one fixed order (see endWrite).
@@ -141,8 +128,6 @@ type StoreStats struct {
 // with their last epoch ride journal replay across the restart instead of
 // forcing a snapshot stampede.
 type Store struct {
-	window  time.Duration
-	clk     clock.Clock
 	histLen int
 
 	// generation identifies this store incarnation (never 0): a store
@@ -164,11 +149,7 @@ type Store struct {
 
 	mu         sync.Mutex
 	docs       map[string]Document
-	retired    map[string]uint64   // removed paths → last committed version
-	pending    map[string]Document // staged content awaiting a flush
-	staged     []stagedPath        // pending's paths in staging order
-	timer      clock.Timer
-	timerOn    bool
+	retired    map[string]uint64 // removed paths → last committed version
 	epoch      uint64
 	journal    []StoreEvent // commit-ordered ring, capacity histLen
 	floorEpoch uint64       // journal covers epochs in (floorEpoch, epoch]
@@ -186,52 +167,34 @@ type Store struct {
 	fanout fanoutCounters
 
 	// deliverMu serializes the writers, so operations are logged, woken
-	// and delivered in commit order even when a timer flush races an
-	// explicit Flush or an immediate publish. It is always acquired before
-	// mu, and it guards the taps, which run under it.
+	// and delivered in commit order even when publishes race each other or
+	// a replicated apply. It is always acquired before mu, and it guards
+	// the taps, which run under it.
 	deliverMu sync.Mutex
 	taps      map[uint64]func(StoreOp)
 	nextTap   uint64
 }
 
-// stagedPath is one staged path and the time its flush window ends. The
-// window is store-wide, so staging order is deadline order.
-type stagedPath struct {
-	path string
-	due  time.Time
-}
-
-// NewStore returns an in-memory store with the given flush window (0
-// disables coalescing: every publish commits immediately) and the default
-// journal capacity. clk drives the flush timer; nil means the real clock.
-// For a store that survives process restarts, use OpenStore.
-func NewStore(window time.Duration, clk clock.Clock) *Store {
-	if clk == nil {
-		clk = clock.Real{}
-	}
+// NewStore returns an in-memory store with the default journal capacity.
+// Both arguments are ignored; they remain so existing NewStore(0, nil)
+// callers keep compiling. For a store that survives process restarts, use
+// OpenStore.
+func NewStore(_ time.Duration, _ any) *Store {
 	gen := rand.Uint64()
 	for gen == 0 {
 		gen = rand.Uint64()
 	}
 	return &Store{
-		window:     window,
-		clk:        clk,
 		histLen:    DefaultHistoryLen,
 		generation: gen,
 		docs:       make(map[string]Document),
 		retired:    make(map[string]uint64),
-		pending:    make(map[string]Document),
 	}
 }
 
-// StoreConfig configures OpenStore. The zero value matches
-// NewStore(0, nil): in-memory, coalescing disabled, default journal.
+// StoreConfig configures OpenStore. The zero value matches NewStore: an
+// in-memory store with the default journal.
 type StoreConfig struct {
-	// Window is the store-wide edit-storm coalescing window (0 commits
-	// every publish immediately).
-	Window time.Duration
-	// Clock drives the flush timer; nil means the real clock.
-	Clock clock.Clock
 	// HistoryLen bounds the replay journal (0 means DefaultHistoryLen,
 	// negative disables it).
 	HistoryLen int
@@ -260,7 +223,7 @@ type StoreConfig struct {
 // written immediately, so every open is durably distinguishable from the
 // last. Without a directory it is NewStore with options.
 func OpenStore(cfg StoreConfig) (*Store, error) {
-	s := NewStore(cfg.Window, cfg.Clock)
+	s := NewStore(0, nil)
 	switch {
 	case cfg.HistoryLen < 0:
 		s.histLen = 0
@@ -397,8 +360,8 @@ func (s *Store) beginWrite(local bool) bool {
 //  4. release deliverMu and only then wait for durability, so concurrent
 //     committers share one group-commit fsync.
 //
-// An empty op (nothing staged, nothing new, nothing to retire) just
-// releases the locks: no record, no delivery, no allocation.
+// An empty op (nothing new, nothing to retire) just releases the locks: no
+// record, no delivery, no allocation.
 func (s *Store) endWrite(op StoreOp) {
 	if len(op.Events) == 0 && op.RemovePath == "" {
 		s.mu.Unlock()
@@ -443,68 +406,33 @@ func (s *Store) Publish(path, contentType, content string) uint64 {
 	return s.PublishVersioned(path, contentType, content, 0)
 }
 
-// PublishVersioned stores content under path. With
-// coalescing enabled and the path already published, the write is staged
-// until the flush window elapses (or Flush runs), and the returned
-// version is the version the path will carry after that flush. Staged
-// writes to the same path coalesce — only the last content commits — so an
-// earlier caller in the same window receives the version its superseded
-// content never actually had; treat the return as "the path's next
-// committed version", not a receipt for this exact content.
+// PublishVersioned commits content under path as the path's next version,
+// in its own epoch, and returns that version once the commit is logged,
+// journaled and delivered (and, under a syncing policy, durable). A closed
+// store or a replica takes no write and returns 0.
 func (s *Store) PublishVersioned(path, contentType, content string, descriptorVersion uint64) uint64 {
 	if !s.beginWrite(true) {
 		return 0
 	}
 	s.stats.Publishes++
-	doc := Document{Content: content, ContentType: contentType, DescriptorVersion: descriptorVersion}
-	cur, published := s.docs[path]
-	if s.window <= 0 || !published {
-		op := s.commitLocked([]StoreEvent{{Path: path, Doc: doc}})
-		ver := op.Events[0].Doc.Version
-		s.endWrite(op)
-		return ver
-	}
-	if _, dup := s.pending[path]; dup {
-		s.stats.Coalesced++
-	} else {
-		s.staged = append(s.staged, stagedPath{path: path, due: s.clk.Now().Add(s.window)})
-		s.rearmLocked()
-	}
-	s.pending[path] = doc
-	s.endWrite(StoreOp{})
-	return cur.Version + 1
-}
-
-// commitLocked commits a batch under the next epoch: evs carry each
-// path's staged content (Content, ContentType, DescriptorVersion), and
-// commitLocked fills in the committed document and its wire bytes in
-// place. Caller holds s.mu and passes the returned op to endWrite.
-func (s *Store) commitLocked(evs []StoreEvent) StoreOp {
-	if len(evs) == 0 {
-		return StoreOp{}
-	}
 	s.epoch++
-	for i := range evs {
-		ev := &evs[i]
-		d := s.docs[ev.Path]
-		if d.Version == 0 {
-			// A republication of a retired path resumes its version
-			// sequence so parked watchers still wake on it.
-			d.Version = s.retired[ev.Path]
-			delete(s.retired, ev.Path)
-		}
-		d.Content = ev.Doc.Content
-		d.ContentType = ev.Doc.ContentType
-		d.DescriptorVersion = ev.Doc.DescriptorVersion
-		d.Epoch = s.epoch
-		d.Version++
-		s.docs[ev.Path] = d
-		// One marshal per committed version: the same bytes back the WAL
-		// record and every streaming watcher's "data:" line.
-		ev.Doc = d
-		ev.Payload = encodeEventPayload(ev.Path, d)
+	d := s.docs[path]
+	if d.Version == 0 {
+		// A republication of a retired path resumes its version
+		// sequence so parked watchers still wake on it.
+		d.Version = s.retired[path]
+		delete(s.retired, path)
 	}
-	return StoreOp{Events: evs}
+	d.Content = content
+	d.ContentType = contentType
+	d.DescriptorVersion = descriptorVersion
+	d.Epoch = s.epoch
+	d.Version++
+	s.docs[path] = d
+	// One marshal per committed version: the same bytes back the WAL
+	// record and every streaming watcher's "data:" line.
+	s.endWrite(StoreOp{Events: []StoreEvent{{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}}})
+	return d.Version
 }
 
 // awaitDurable blocks until the logged operation lsn is durable under the
@@ -717,84 +645,9 @@ func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []Stor
 	return v
 }
 
-// rearmLocked arms the flush timer for the oldest staged path's deadline —
-// the earliest, since staging order is deadline order — or stops it when
-// nothing is staged. An armed timer already fires early enough. Caller
-// holds s.mu.
-func (s *Store) rearmLocked() {
-	if len(s.staged) == 0 {
-		if s.timer != nil {
-			s.timer.Stop()
-			s.timer = nil
-		}
-		s.timerOn = false
-		return
-	}
-	if s.timerOn {
-		return
-	}
-	s.timerOn = true
-	s.timer = s.clk.AfterFunc(max(s.staged[0].due.Sub(s.clk.Now()), 0), s.onFlushTimer)
-}
-
-// unstageLocked takes the n oldest staged paths out of the staging area
-// and returns them as a batch for commitLocked. Caller holds s.mu.
-func (s *Store) unstageLocked(n int) []StoreEvent {
-	if n == 0 {
-		return nil
-	}
-	evs := make([]StoreEvent, n)
-	for i, sp := range s.staged[:n] {
-		evs[i] = StoreEvent{Path: sp.path, Doc: s.pending[sp.path]}
-		delete(s.pending, sp.path)
-	}
-	s.staged = slices.Delete(s.staged, 0, n)
-	return evs
-}
-
-// flushLocked commits everything staged and stops the flush timer. Caller
-// holds s.mu.
-func (s *Store) flushLocked() StoreOp {
-	op := s.commitLocked(s.unstageLocked(len(s.staged)))
-	s.rearmLocked()
-	return op
-}
-
-// onFlushTimer commits the staged paths whose window has ended.
-func (s *Store) onFlushTimer() {
-	if !s.beginWrite(false) {
-		return
-	}
-	s.timerOn = false
-	s.timer = nil
-	now := s.clk.Now()
-	n := 0
-	for n < len(s.staged) && !s.staged[n].due.After(now) {
-		n++
-	}
-	op := s.commitLocked(s.unstageLocked(n))
-	s.rearmLocked() // paths staged later stay staged
-	s.endWrite(op)
-}
-
-// Flush synchronously commits every staged publication — the forced-
-// publication path: after Flush returns, Get observes everything published
-// before the call (and, under a syncing policy, the batch is durable).
-func (s *Store) Flush() {
-	if !s.beginWrite(false) {
-		return
-	}
-	s.stats.Flushes++
-	s.endWrite(s.flushLocked())
-}
-
-// Remove retires a path when its server closes. The
-// committed document disappears (Get reports it unpublished), staged writes
-// for it are dropped, and — because the "first publication commits
-// immediately" rule keys on committed presence — a re-registered server's
-// fresh documents commit synchronously instead of sitting out a flush
-// window behind the dead server's entries. The retired version floor is
-// kept so republication continues the sequence.
+// Remove retires a path when its server closes. The committed document
+// disappears (Get reports it unpublished), and the retired version floor
+// is kept so republication continues the sequence.
 func (s *Store) Remove(path string) {
 	if !s.beginWrite(true) {
 		return
@@ -805,15 +658,10 @@ func (s *Store) Remove(path string) {
 		delete(s.docs, path)
 		op = StoreOp{RemovePath: path, RemoveVersion: d.Version}
 	}
-	if _, ok := s.pending[path]; ok {
-		delete(s.pending, path)
-		s.staged = slices.DeleteFunc(s.staged, func(sp stagedPath) bool { return sp.path == path })
-	}
 	s.endWrite(op)
 }
 
-// Get returns the committed document at path. Staged (not yet
-// flushed) content is not visible.
+// Get returns the committed document at path.
 func (s *Store) Get(path string) (Document, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -842,18 +690,14 @@ func (s *Store) Paths() []string {
 	return ps
 }
 
-// Close commits staged publications through the write routine as the
-// store's last write, then writes a final compacted snapshot, releases the
-// log, and wakes every held stream. Every later write is dropped.
+// Close marks the store closed, so every later write is dropped, then
+// writes a final compacted snapshot, releases the log, and wakes every held
+// stream.
 func (s *Store) Close() {
 	if !s.beginWrite(false) {
 		return
 	}
-	op := s.flushLocked()
 	s.closed = true
-	s.endWrite(op)
-	s.deliverMu.Lock()
-	s.mu.Lock()
 	if p := s.persist; p != nil {
 		_ = s.snapshotLocked() // a failure is counted in PersistErrors
 		if err := p.Close(); err != nil {
@@ -863,15 +707,14 @@ func (s *Store) Close() {
 	}
 	s.mu.Unlock()
 	s.deliverMu.Unlock()
-	// Every held watcher — not just those on the final batch's paths —
-	// must notice the close and unwind.
+	// Every held watcher must notice the close and unwind.
 	s.wakeAllWatchers()
 }
 
-// Crash closes the store the hard way: no final flush, no parting
-// snapshot — the data directory is left exactly as the crash-consistency
-// machinery (WAL framing, lsn watermarks, torn-tail truncation) would
-// find it after a process kill. It exists for crash-recovery tests and
+// Crash closes the store the hard way: no parting snapshot — the data
+// directory is left exactly as the crash-consistency machinery (WAL
+// framing, lsn watermarks, torn-tail truncation) would find it after a
+// process kill. It exists for crash-recovery tests and
 // the recovery benchmark; production shutdown is Close.
 func (s *Store) Crash() error {
 	if !s.beginWrite(false) {

@@ -223,7 +223,7 @@ func TestStreamReplayFallsBackToSnapshot(t *testing.T) {
 // to evict continuously — every client must still observe strictly
 // increasing versions (replays and snapshots included). Run under -race.
 func TestStreamChurnUnderEvictingJournal(t *testing.T) {
-	st, url := startStreamServer(t, StoreConfig{Window: time.Millisecond, HistoryLen: 4})
+	st, url := startStreamServer(t, StoreConfig{HistoryLen: 4})
 	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
 
 	stop := make(chan struct{})
@@ -240,9 +240,6 @@ func TestStreamChurnUnderEvictingJournal(t *testing.T) {
 			default:
 			}
 			st.PublishVersioned("/wsdl/S.wsdl", "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
-			if i%13 == 0 {
-				st.Flush()
-			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()

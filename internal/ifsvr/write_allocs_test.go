@@ -43,9 +43,6 @@ func TestWriteAllocsLeaderPublish(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, publish); allocs > 5 {
 		t.Errorf("an immediate publish allocates %.1f times, want at most 5", allocs)
 	}
-	if allocs := testing.AllocsPerRun(200, st.Flush); allocs != 0 {
-		t.Errorf("a Flush with nothing staged allocates %.1f times, want 0", allocs)
-	}
 }
 
 func TestWriteAllocsFollowerApply(t *testing.T) {

@@ -5,9 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-	"time"
-
-	"livedev/internal/clock"
 )
 
 // The store's one write path, held to its contract row by row: every
@@ -20,19 +17,14 @@ import (
 // /a.
 type writeRig struct {
 	st   *Store
-	clk  *clock.Fake
 	ops  []StoreOp
 	wake chan struct{}
 }
 
-// rigWindow is the rig store's flush window; publishes to a published path
-// stage until it ends.
-const rigWindow = time.Second
-
 func newWriteRig(t *testing.T) *writeRig {
 	t.Helper()
-	r := &writeRig{clk: clock.NewFake(), wake: make(chan struct{}, 1)}
-	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), SnapshotEvery: 1, Window: rigWindow, Clock: r.clk})
+	r := &writeRig{wake: make(chan struct{}, 1)}
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), SnapshotEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +56,6 @@ func opShape(op StoreOp) string {
 
 func TestWriteContract(t *testing.T) {
 	publishA := func(r *writeRig) { r.st.Publish("/a", "text/xml", "<a1/>") }
-	stageA := func(r *writeRig) {
-		publishA(r)
-		r.st.Publish("/a", "text/xml", "<a2/>")
-	}
 	for _, row := range []struct {
 		name  string
 		setup func(*writeRig)
@@ -76,16 +64,12 @@ func TestWriteContract(t *testing.T) {
 		wake  bool
 	}{
 		{name: "immediate publish", write: publishA, want: "C /a", wake: true},
-		{name: "timer flush", setup: stageA, write: func(r *writeRig) { r.clk.Advance(rigWindow) }, want: "C /a", wake: true},
-		{name: "Flush", setup: stageA, write: func(r *writeRig) { r.st.Flush() }, want: "C /a", wake: true},
 		{name: "Remove", setup: publishA, write: func(r *writeRig) { r.st.Remove("/a") }, want: "R /a 1"},
 		{name: "ApplyReplicated", write: func(r *writeRig) { r.st.ApplyReplicated(replicated("/a", 1, 1)) }, want: "C /a", wake: true},
 		{name: "ApplyReplicatedRemove",
 			setup: func(r *writeRig) { r.st.ApplyReplicated(replicated("/a", 1, 1)) },
 			write: func(r *writeRig) { r.st.ApplyReplicatedRemove("/a", 1) }, want: "R /a 1"},
 
-		{name: "Flush with nothing staged", setup: publishA, write: func(r *writeRig) { r.st.Flush() }},
-		{name: "staged publish", setup: stageA, write: func(r *writeRig) { r.st.Publish("/a", "text/xml", "<a3/>") }},
 		{name: "Remove of an unpublished path", write: func(r *writeRig) { r.st.Remove("/a") }},
 		{name: "ApplyReplicated at the current version",
 			setup: func(r *writeRig) { r.st.ApplyReplicated(replicated("/a", 2, 2)) },
@@ -162,7 +146,6 @@ func TestClosedStoreTakesNoWrites(t *testing.T) {
 
 	st.Publish("/a", "text/xml", "<a2/>")
 	st.PublishVersioned("/b", "text/xml", "<b1/>", 3)
-	st.Flush()
 	st.Remove("/a")
 	st.ApplyReplicated(replicated("/c", 1, epoch+1))
 	st.ApplyReplicatedRemove("/a", doc.Version)

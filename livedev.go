@@ -17,8 +17,9 @@
 //     turns the client's interface view into a push-invalidated cache —
 //     with a debugger supporting 'try again';
 //   - an event-driven publication core: every binding publishes through a
-//     versioned, epoch-numbered document store with watcher fan-out,
-//     edit-storm coalescing (Config.FlushWindow), a bounded replay
+//     versioned, epoch-numbered document store with watcher fan-out, in
+//     which every publish commits before it returns (the stable timeout,
+//     Config.Timeout, is what rations edit storms), a bounded replay
 //     journal (Config.HistoryLen), and optional durability
 //     (Config.DataDir: one snapshot plus one commit-ordered WAL, replayed
 //     on open — a restarted server
