@@ -262,12 +262,7 @@ func run() int {
 		case <-stop:
 			return drainAndExit(mgr, *drainTimeout)
 		case <-statsSig:
-			data, err := json.MarshalIndent(mgr.Store().Stats(), "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sde-server: stats:", err)
-				continue
-			}
-			fmt.Printf("store stats:\n%s\n", data)
+			dumpStats(mgr)
 		case <-deadline:
 			return 0
 		case <-ticker.C:
@@ -294,6 +289,18 @@ func run() int {
 				st.Published, st.SkippedCurrent, st.Forced)
 		}
 	}
+}
+
+// dumpStats is the SIGQUIT dump of the leader and follower loops alike:
+// the publication store's counters, the durability and replication blocks
+// included, as indented JSON on stdout.
+func dumpStats(mgr *core.Manager) {
+	data, err := json.MarshalIndent(mgr.Store().Stats(), "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sde-server: stats:", err)
+		return
+	}
+	fmt.Printf("store stats:\n%s\n", data)
 }
 
 // drainAndExit is the signal path: drain gracefully — stop accepting new
@@ -340,12 +347,7 @@ func runFollower(mgr *core.Manager, duration, drainTimeout time.Duration) int {
 		case <-deadline:
 			return 0
 		case <-statsSig:
-			data, err := json.MarshalIndent(mgr.Store().Stats(), "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sde-server: stats:", err)
-				continue
-			}
-			fmt.Printf("store stats:\n%s\n", data)
+			dumpStats(mgr)
 		}
 	}
 }

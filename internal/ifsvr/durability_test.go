@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestSyncPolicyStorm runs a concurrent publisher storm under every sync
@@ -20,11 +19,7 @@ func TestSyncPolicyStorm(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncNone, SyncGroupCommit, SyncAlways} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			st, err := OpenStore(StoreConfig{
-				Dir:         dir,
-				Sync:        policy,
-				GroupWindow: 500 * time.Microsecond,
-			})
+			st, err := OpenStore(StoreConfig{Dir: dir, Sync: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,11 +84,7 @@ func TestSyncPolicyStorm(t *testing.T) {
 // the log writer's fsync covered the record.
 func TestGroupCommitAckSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{
-		Dir:         dir,
-		Sync:        SyncGroupCommit,
-		GroupWindow: 500 * time.Microsecond,
-	})
+	st, err := OpenStore(StoreConfig{Dir: dir, Sync: SyncGroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +172,7 @@ func TestRecoveryIsCommitPrefix(t *testing.T) {
 		for i, p := range paths {
 			if (i+r)%4 != 0 {
 				doc := Document{Content: fmt.Sprintf("<r%d/>", r), ContentType: "text/xml", Version: st.Version(p) + 1, Epoch: epoch}
-				batch = append(batch, StoreEvent{Path: p, Doc: doc})
+				batch = append(batch, StoreEvent{Path: p, Doc: doc, Payload: encodeEventPayload(p, doc)})
 			}
 		}
 		if n := st.ApplyReplicated(batch); n != 3 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,7 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
+
+	"livedev/internal/jsonstr"
 )
 
 // Store persistence: one snapshot plus one write-ahead log.
@@ -37,8 +39,9 @@ const SnapshotSchema = "livedev/ifsvr-snapshot/v3"
 // compacted snapshots.
 const DefaultSnapshotEvery = 64
 
-// DefaultGroupWindow is the group-commit gather window when
-// StoreConfig.GroupWindow is 0 under SyncGroupCommit.
+// DefaultGroupWindow bounds the extra time a lone commit may wait for
+// company under SyncGroupCommit (groups that already formed behind an
+// in-flight fsync are synced at once).
 const DefaultGroupWindow = 2 * time.Millisecond
 
 // SyncPolicy selects what a committed publication's ack means for
@@ -97,8 +100,10 @@ type PersistentState struct {
 	// FloorEpoch is the replay-journal floor: the journal covers epochs in
 	// (FloorEpoch, Epoch].
 	FloorEpoch uint64
-	// Docs are the committed documents by path.
-	Docs map[string]Document
+	// Docs are the committed documents by path, each as its newest
+	// committed event: the Document, Content included, and the Payload its
+	// commit (or, after a restart or on a replica, its decode) encoded.
+	Docs map[string]StoreEvent
 	// Retired maps removed paths to their last committed version, so a
 	// republication resumes the sequence.
 	Retired map[string]uint64
@@ -233,13 +238,10 @@ type filePersistence struct {
 }
 
 // openFilePersistence opens (creating if needed) the snapshot+WAL layout
-// under cfg.Dir, with cfg's Sync, GroupWindow and SnapshotEvery.
+// under cfg.Dir, with cfg's Sync and SnapshotEvery.
 func openFilePersistence(cfg StoreConfig) (*filePersistence, error) {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if cfg.GroupWindow <= 0 {
-		cfg.GroupWindow = DefaultGroupWindow
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ifsvr: creating data dir: %w", err)
@@ -259,14 +261,16 @@ func openFilePersistence(cfg StoreConfig) (*filePersistence, error) {
 
 // Load recovers the persisted state: the snapshot, then the WAL's longest
 // valid prefix on top, skipping records the snapshot's lsn watermark
-// already covers. The WAL is truncated to the valid prefix so later
-// appends extend valid data, never garbage.
+// already covers. Every recovered version is encoded once, here: a
+// document or journal entry from the snapshot as it is read, a WAL
+// record's events as they are decoded. The WAL is truncated to the valid
+// prefix so later appends extend valid data, never garbage.
 func (p *filePersistence) Load() (PersistentState, error) {
 	if err := p.scanDir(); err != nil {
 		return PersistentState{}, err
 	}
 	state := PersistentState{
-		Docs:    make(map[string]Document),
+		Docs:    make(map[string]StoreEvent),
 		Retired: make(map[string]uint64),
 	}
 	var lsn uint64
@@ -289,14 +293,11 @@ func (p *filePersistence) Load() (PersistentState, error) {
 		state.FloorEpoch = snap.FloorEpoch
 		lsn = snap.Lsn
 		for _, w := range snap.Docs {
-			state.Docs[w.Path] = wireDocument(w)
+			state.Docs[w.Path] = wireEvent(w)
 		}
-		for path, v := range snap.Retired {
-			state.Retired[path] = v
-		}
+		maps.Copy(state.Retired, snap.Retired)
 		for _, w := range snap.Journal {
-			doc := wireDocument(w)
-			state.Journal = append(state.Journal, StoreEvent{Path: w.Path, Doc: doc, Payload: encodeEventPayload(w.Path, doc)})
+			state.Journal = append(state.Journal, wireEvent(w))
 		}
 	}
 
@@ -325,7 +326,7 @@ func (p *filePersistence) Load() (PersistentState, error) {
 			lsn = recLSN
 			applied++
 			for _, ev := range evs {
-				state.Docs[ev.Path] = ev.Doc
+				state.Docs[ev.Path] = ev
 				delete(state.Retired, ev.Path)
 				if ev.Doc.Epoch > state.Epoch {
 					state.Epoch = ev.Doc.Epoch
@@ -381,17 +382,6 @@ func (p *filePersistence) scanDir() error {
 		}
 	}
 	return nil
-}
-
-// wireDocument converts a snapshot/WAL wire object back into a Document.
-func wireDocument(w streamWire) Document {
-	return Document{
-		Content:           w.Content,
-		ContentType:       w.ContentType,
-		Version:           w.Version,
-		DescriptorVersion: w.DescriptorVersion,
-		Epoch:             w.Epoch,
-	}
 }
 
 // Append logs one committed batch as one commit record under the next
@@ -510,14 +500,14 @@ func (p *filePersistence) notifyLocked() {
 // while the following fsync runs, and commit CPU overlaps disk time
 // instead of alternating with it. Only a lone record waits: one yield
 // (letting already-runnable committers join) plus, if it is still alone,
-// a fraction of GroupWindow — one bounded chance for an imminent
+// a fraction of DefaultGroupWindow — one bounded chance for an imminent
 // concurrent commit to share the fsync. (A deliberate full-window pause
 // before each storm flush was tried and measured slower here: the
 // closed-loop committers exhaust their in-flight commits within the
 // window and the pause becomes idle time.)
 func (p *filePersistence) groupSyncer() {
 	defer p.wg.Done()
-	gatherTick := p.cfg.GroupWindow / 8
+	const gatherTick = DefaultGroupWindow / 8
 	for {
 		p.mu.Lock()
 		for !p.closed && (p.err != nil || p.durable >= p.lsn) {
@@ -544,7 +534,7 @@ func (p *filePersistence) groupSyncer() {
 			}
 			p.mu.Unlock()
 		}
-		if pending == 1 && gatherTick > 0 {
+		if pending == 1 {
 			time.Sleep(gatherTick)
 			p.mu.Lock()
 			if p.closed {
@@ -612,19 +602,11 @@ func (p *filePersistence) CompactDue() bool {
 }
 
 // snapshotImage is a PersistentState in the order its snapshot file spells
-// it, each document and journal entry already in its wire bytes.
+// it, each document and journal entry as its wire bytes.
 type snapshotImage struct {
-	docs    []imageDoc     // path order
+	docs    [][]byte       // path order
 	retired []imageRetired // path order
 	journal [][]byte       // journal order
-}
-
-// imageDoc is one document of a snapshotImage and the wire bytes of its
-// version.
-type imageDoc struct {
-	path    string
-	doc     Document
-	payload []byte
 }
 
 // imageRetired is one retirement floor of a snapshotImage.
@@ -633,47 +615,28 @@ type imageRetired struct {
 	version uint64
 }
 
-// gatherImage orders state for its snapshot file. Wire bytes are the ones
-// each commit already marshalled: a journal entry's Payload, and for a
-// document the Payload of the newest journal entry with its path, epoch
-// and version. encodeEventPayload runs only for a document with no such
-// bytes (one older than the journal) or a journal entry that still has its
-// Content (a state built by a test). A journal entry with neither cannot
-// be written, and is an error.
+// gatherImage orders state for its snapshot file. Every document and
+// journal entry is spliced from the Payload its commit (or recovery, or
+// replicated apply) encoded; one without those bytes cannot be written,
+// and is an error.
 func gatherImage(state PersistentState) (snapshotImage, error) {
-	img := snapshotImage{journal: make([][]byte, len(state.Journal))}
-	for path, d := range state.Docs {
-		img.docs = append(img.docs, imageDoc{path: path, doc: d})
+	img := snapshotImage{docs: make([][]byte, 0, len(state.Docs)), journal: make([][]byte, len(state.Journal))}
+	for _, path := range slices.Sorted(maps.Keys(state.Docs)) {
+		ev := state.Docs[path]
+		if ev.Payload == nil {
+			return snapshotImage{}, fmt.Errorf("ifsvr: document %s at epoch %d has no wire bytes", path, ev.Doc.Epoch)
+		}
+		img.docs = append(img.docs, ev.Payload)
 	}
 	for path, v := range state.Retired {
 		img.retired = append(img.retired, imageRetired{path: path, version: v})
 	}
-	slices.SortFunc(img.docs, func(a, b imageDoc) int { return strings.Compare(a.path, b.path) })
 	slices.SortFunc(img.retired, func(a, b imageRetired) int { return strings.Compare(a.path, b.path) })
-	// Newest first, so the first journal entry matching a document is its
-	// newest.
-	for j := len(state.Journal) - 1; j >= 0; j-- {
-		ev := &state.Journal[j]
-		payload := ev.Payload
-		if payload == nil {
-			if ev.Doc.Content == "" {
-				return snapshotImage{}, fmt.Errorf("ifsvr: journal entry %s at epoch %d has neither wire bytes nor content", ev.Path, ev.Doc.Epoch)
-			}
-			payload = encodeEventPayload(ev.Path, ev.Doc)
+	for j, ev := range state.Journal {
+		if ev.Payload == nil {
+			return snapshotImage{}, fmt.Errorf("ifsvr: journal entry %s at epoch %d has no wire bytes", ev.Path, ev.Doc.Epoch)
 		}
-		img.journal[j] = payload
-		n, ok := slices.BinarySearchFunc(img.docs, ev.Path, func(d imageDoc, path string) int { return strings.Compare(d.path, path) })
-		if !ok {
-			continue
-		}
-		if d := &img.docs[n]; d.payload == nil && d.doc.Epoch == ev.Doc.Epoch && d.doc.Version == ev.Doc.Version {
-			d.payload = payload
-		}
-	}
-	for n := range img.docs {
-		if d := &img.docs[n]; d.payload == nil {
-			d.payload = encodeEventPayload(d.path, d.doc)
-		}
+		img.journal[j] = ev.Payload
 	}
 	return img, nil
 }
@@ -688,7 +651,7 @@ func gatherImage(state PersistentState) (snapshotImage, error) {
 func writeSnapshotImage(w *bufio.Writer, hdr snapshotWire, img *snapshotImage) {
 	b := w.AvailableBuffer()
 	b = append(b, `{"schema":`...)
-	b = appendJSONString(b, hdr.Schema)
+	b = jsonstr.Append(b, hdr.Schema)
 	b = append(b, `,"generation":`...)
 	b = strconv.AppendUint(b, hdr.Generation, 10)
 	b = append(b, `,"epoch":`...)
@@ -703,11 +666,11 @@ func writeSnapshotImage(w *bufio.Writer, hdr snapshotWire, img *snapshotImage) {
 	} else {
 		b = append(b, `,"docs":[`...)
 		w.Write(b)
-		for n, d := range img.docs {
+		for n, payload := range img.docs {
 			if n > 0 {
 				w.WriteByte(',')
 			}
-			w.Write(d.payload)
+			w.Write(payload)
 		}
 		w.WriteByte(']')
 	}
@@ -718,7 +681,7 @@ func writeSnapshotImage(w *bufio.Writer, hdr snapshotWire, img *snapshotImage) {
 			if n > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, r.path)
+			b = jsonstr.Append(b, r.path)
 			b = append(b, ':')
 			b = strconv.AppendUint(b, r.version, 10)
 			w.Write(b)
@@ -736,58 +699,6 @@ func writeSnapshotImage(w *bufio.Writer, hdr snapshotWire, img *snapshotImage) {
 		w.WriteByte(']')
 	}
 	w.WriteByte('}')
-}
-
-// appendJSONString writes s as a JSON string literal with encoding/json's
-// default escaping: the short escapes, \u00XX for the remaining control
-// bytes and for < > &, \u2028 and \u2029, and \ufffd for invalid UTF-8.
-func appendJSONString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				buf = append(buf, '\\', c)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\ufffd`...)
-			start = i + size
-		case r == 0x2028 || r == 0x2029:
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hex[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }
 
 // snapshotWriters pools the snapshot file's write buffers: a cadence

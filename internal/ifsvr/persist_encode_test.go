@@ -57,7 +57,7 @@ func oracleSnapshot(t testing.TB, state PersistentState, lsn uint64) []byte {
 	}
 	slices.Sort(paths)
 	for _, path := range paths {
-		wire.Docs = append(wire.Docs, oracleDocWire(path, state.Docs[path]))
+		wire.Docs = append(wire.Docs, oracleDocWire(path, state.Docs[path].Doc))
 	}
 	if len(state.Retired) > 0 {
 		wire.Retired = state.Retired
@@ -112,9 +112,10 @@ var awkward = []string{
 
 // randomState draws a PersistentState: paths (shared between docs,
 // retired floors and the journal so they collide), absent and empty maps
-// and journal, contents needing escaping, and journal entries with and
-// without their Payload. Journal entries at a document's own (epoch,
-// version) are that document — the invariant a commit keeps.
+// and journal, and contents needing escaping. Every document and journal
+// entry carries its Payload, as the store's do (one without is an error:
+// TestSnapshotRefusesEntryWithoutBytes). Journal entries at a document's
+// own (epoch, version) are that document — the invariant a commit keeps.
 func randomState(r *rand.Rand, frag string) PersistentState {
 	pick := func() string {
 		switch r.IntN(4) {
@@ -143,17 +144,11 @@ func randomState(r *rand.Rand, frag string) PersistentState {
 		}
 		return d
 	}
-	// An entry without Payload must have Content: one with neither is an
-	// error (TestSnapshotRefusesEntryWithoutBytes).
 	withPayload := func(path string, d Document) StoreEvent {
-		ev := StoreEvent{Path: path, Doc: d}
-		if d.Content == "" || r.IntN(3) > 0 {
-			ev.Payload = encodeEventPayload(path, d)
-		}
-		return ev
+		return StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
 	}
 	if r.IntN(4) > 0 {
-		state.Docs = make(map[string]Document)
+		state.Docs = make(map[string]StoreEvent)
 	}
 	if r.IntN(4) > 0 {
 		state.Retired = make(map[string]uint64)
@@ -165,7 +160,7 @@ func randomState(r *rand.Rand, frag string) PersistentState {
 				continue
 			}
 			d := newDoc(2+uint64(r.IntN(100)), 1+uint64(r.IntN(1000)))
-			state.Docs[path] = d
+			state.Docs[path] = withPayload(path, d)
 			// Older versions of the path, then (maybe) the document's own
 			// commit, somewhere in the journal.
 			for n := r.IntN(3); n > 0; n-- {
@@ -345,7 +340,7 @@ func TestParentWrittenDirOpens(t *testing.T) {
 	snapState := PersistentState{
 		Generation: 4,
 		Epoch:      2,
-		Docs:       map[string]Document{a: doc("<a1/>", 1, 1), b: doc("<b1/>", 1, 2)},
+		Docs:       map[string]StoreEvent{a: ev(a, doc("<a1/>", 1, 1)), b: ev(b, doc("<b1/>", 1, 2))},
 		Retired:    map[string]uint64{"/gone": 3},
 		Journal:    []StoreEvent{ev(a, doc("<a1/>", 1, 1)), ev(b, doc("<b1/>", 1, 2))},
 	}
@@ -385,7 +380,7 @@ func TestParentWrittenDirOpens(t *testing.T) {
 		if err := json.Unmarshal(ev.Payload, &w); err != nil {
 			t.Fatalf("journal entry %d payload: %v", i, err)
 		}
-		state.Journal[i].Doc = wireDocument(w)
+		state.Journal[i].Doc = wireEvent(w).Doc
 	}
 	st.Close()
 	got, err := os.ReadFile(filepath.Join(dir, snapshotFile))
@@ -402,8 +397,8 @@ func TestParentWrittenDirOpens(t *testing.T) {
 }
 
 // TestJournalKeepsWireBytesOnly: a journal entry — committed, recovered on
-// open, or applied from a leader without its payload — carries Payload and
-// metadata but no Doc.Content, while subscribers still get the text.
+// open, or applied from a leader — carries Payload and metadata but no
+// Doc.Content, while subscribers still get the text.
 func TestJournalKeepsWireBytesOnly(t *testing.T) {
 	content := func(i int) string { return fmt.Sprintf("<a%d/>", i) }
 	check := func(st *Store, when string) {
@@ -443,14 +438,16 @@ func TestJournalKeepsWireBytesOnly(t *testing.T) {
 	replica := NewStore(0, nil)
 	defer replica.Close()
 	for i := 1; i <= 3; i++ {
-		replica.ApplyReplicated([]StoreEvent{{Path: "/a", Doc: Document{Content: content(i), Version: uint64(i), Epoch: uint64(i)}}})
+		d := Document{Content: content(i), Version: uint64(i), Epoch: uint64(i)}
+		replica.ApplyReplicated([]StoreEvent{{Path: "/a", Doc: d, Payload: encodeEventPayload("/a", d)}})
 	}
 	check(replica, "replicated")
 }
 
-// TestSnapshotRefusesEntryWithoutBytes: a journal entry with neither
-// Payload nor Content cannot be written; Snapshot names it and leaves the
-// previous snapshot in place instead of writing "content":"".
+// TestSnapshotRefusesEntryWithoutBytes: a journal entry or a document
+// without its Payload cannot be written, whatever its Content; Snapshot
+// names it and leaves the previous snapshot in place instead of encoding
+// it again or writing "content":"".
 func TestSnapshotRefusesEntryWithoutBytes(t *testing.T) {
 	dir := t.TempDir()
 	p, err := openFilePersistence(StoreConfig{Dir: dir})
@@ -458,7 +455,8 @@ func TestSnapshotRefusesEntryWithoutBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	good := PersistentState{Generation: 1, Epoch: 1, Journal: []StoreEvent{{Path: "/a", Doc: Document{Content: "<a/>", Version: 1, Epoch: 1}}}}
+	d := Document{Content: "<a/>", Version: 1, Epoch: 1}
+	good := PersistentState{Generation: 1, Epoch: 1, Journal: []StoreEvent{{Path: "/a", Doc: d, Payload: encodeEventPayload("/a", d)}}}
 	if err := p.Snapshot(good); err != nil {
 		t.Fatal(err)
 	}
@@ -471,6 +469,12 @@ func TestSnapshotRefusesEntryWithoutBytes(t *testing.T) {
 	err = p.Snapshot(bad)
 	if err == nil || !strings.Contains(err.Error(), "/a") || !strings.Contains(err.Error(), "epoch 7") {
 		t.Fatalf("Snapshot of an entry without bytes = %v, want an error naming /a and epoch 7", err)
+	}
+	badDoc := good
+	badDoc.Docs = map[string]StoreEvent{"/b": {Path: "/b", Doc: Document{Content: "<b/>", Version: 1, Epoch: 8}}}
+	err = p.Snapshot(badDoc)
+	if err == nil || !strings.Contains(err.Error(), "/b") || !strings.Contains(err.Error(), "epoch 8") {
+		t.Fatalf("Snapshot of a document without bytes = %v, want an error naming /b and epoch 8", err)
 	}
 	if after, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("refused snapshot changed the file (%v):\n%s", err, after)
@@ -548,10 +552,10 @@ func TestWALRefusesOversizeRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := state.Docs["/big"]; d.Version != 1 || d.Content != "<big/>" {
+	if d := state.Docs["/big"].Doc; d.Version != 1 || d.Content != "<big/>" {
 		t.Errorf("recovered /big = %+v, want the walMaxRecord record's version 1", d)
 	}
-	if d := state.Docs["/small"]; d.Version != 1 || d.Content != "<small/>" {
+	if d := state.Docs["/small"].Doc; d.Version != 1 || d.Content != "<small/>" {
 		t.Errorf("recovered /small = %+v, want the record after the refusal", d)
 	}
 	if got := p.Stats().LastLSN; got != 2 {
@@ -637,9 +641,9 @@ func TestAllocsEncodeCommitFrame(t *testing.T) {
 }
 
 // TestCompactAllocsFlatInDocSize: a cadence snapshot of a 64-entry journal
-// streams the commit-time bytes to the file, so what it allocates does not
-// grow with the documents (the parent marshalled every entry again: two
-// copies of the whole snapshot).
+// and of documents older than it streams the commit-time bytes to the
+// file, so what it allocates does not grow with the documents (the parent
+// marshalled every entry again: two copies of the whole snapshot).
 func TestCompactAllocsFlatInDocSize(t *testing.T) {
 	measure := func(size int) uint64 {
 		p, err := openFilePersistence(StoreConfig{Dir: t.TempDir(), SnapshotEvery: 1})
@@ -647,14 +651,21 @@ func TestCompactAllocsFlatInDocSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		state := PersistentState{Generation: 1, Docs: make(map[string]Document)}
+		state := PersistentState{Generation: 1, Docs: make(map[string]StoreEvent)}
+		commit := func(path string, version uint64) StoreEvent {
+			state.Epoch++
+			d := Document{Content: strings.Repeat("<&>", size/3), ContentType: "text/xml", Version: version, Epoch: state.Epoch}
+			ev := StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
+			state.Docs[path] = ev
+			return ev
+		}
+		for n := 0; n < 8; n++ {
+			commit(fmt.Sprintf("/wsdl/Old%d.wsdl", n), 1)
+		}
+		state.FloorEpoch = state.Epoch
 		for v := uint64(1); v <= 8; v++ {
 			for n := 0; n < 8; n++ {
-				path := fmt.Sprintf("/wsdl/C%d.wsdl", n)
-				state.Epoch++
-				d := Document{Content: strings.Repeat("<&>", size/3), ContentType: "text/xml", Version: v, Epoch: state.Epoch}
-				state.Docs[path] = d
-				state.Journal = append(state.Journal, StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)})
+				state.Journal = append(state.Journal, commit(fmt.Sprintf("/wsdl/C%d.wsdl", n), v))
 			}
 		}
 		best := ^uint64(0)

@@ -60,7 +60,7 @@ func (s *Store) ResetReplicated(gen uint64) {
 	if !s.beginWrite(false) {
 		return
 	}
-	s.docs = make(map[string]Document)
+	s.docs = make(map[string]StoreEvent)
 	s.retired = make(map[string]uint64)
 	s.journal = nil
 	s.epoch = 0
@@ -144,29 +144,28 @@ type ReplicationStats struct {
 // ApplyReplicated commits a batch of replicated events into the store,
 // installing the leader's versions and epochs verbatim: documents update,
 // the journal extends, persistence appends, and watchers fan out the
-// leader's exact payload bytes. A follower applies the leader's records in
-// the leader's commit order, so the journal only ever appends. Events at
-// or below the path's current version (or its retired floor) are skipped,
-// which makes re-applying an overlapping record — a reconnect, a
-// bootstrap, a durable-cursor lag window — both miss-free and
-// duplicate-free. It returns the number of events applied.
+// leader's exact payload bytes. Every event must carry its Payload, as
+// DecodeCommitFrame's do: the store keeps and splices those bytes and
+// never encodes a replicated version itself. A follower applies the
+// leader's records in the leader's commit order, so the journal only ever
+// appends. Events at or below the path's current version (or its retired
+// floor) are skipped, which makes re-applying an overlapping record — a
+// reconnect, a bootstrap, a durable-cursor lag window — both miss-free
+// and duplicate-free. It returns the number of events applied.
 func (s *Store) ApplyReplicated(evs []StoreEvent) int {
 	if !s.beginWrite(false) {
 		return 0
 	}
 	var fresh []StoreEvent
 	for _, ev := range evs {
-		if cur, ok := s.docs[ev.Path]; ok && ev.Doc.Version <= cur.Version {
+		if cur, ok := s.docs[ev.Path]; ok && ev.Doc.Version <= cur.Doc.Version {
 			continue
 		}
 		if rv, retired := s.retired[ev.Path]; retired && ev.Doc.Version <= rv {
 			continue
 		}
 		delete(s.retired, ev.Path)
-		if ev.Payload == nil {
-			ev.Payload = encodeEventPayload(ev.Path, ev.Doc)
-		}
-		s.docs[ev.Path] = ev.Doc
+		s.docs[ev.Path] = ev
 		if fresh == nil {
 			fresh = make([]StoreEvent, 0, len(evs))
 		}
@@ -189,8 +188,8 @@ func (s *Store) ApplyReplicatedRemove(path string, version uint64) bool {
 		return false
 	}
 	var op StoreOp
-	switch d, ok := s.docs[path]; {
-	case ok && d.Version > version:
+	switch ev, ok := s.docs[path]; {
+	case ok && ev.Doc.Version > version:
 	case !ok:
 		if s.retired[path] < version {
 			s.retired[path] = version
@@ -259,8 +258,8 @@ func AppendCommitFrame(buf []byte, lsn uint64, evs []StoreEvent) []byte {
 }
 
 // DecodeCommitFrame parses a commit-record payload back into its lsn and
-// events; each event's Payload is re-derived deterministically, so the
-// bytes a follower fans out are identical to the leader's.
+// events; each event's Payload is re-derived deterministically, once, so
+// the bytes a follower keeps and fans out are identical to the leader's.
 func DecodeCommitFrame(payload []byte) (uint64, []StoreEvent, error) {
 	return decodeCommitPayload(payload)
 }
@@ -281,8 +280,9 @@ func DecodeRemoveFrame(payload []byte) (lsn uint64, path string, version uint64,
 }
 
 // EventPayload marshals one committed version into the shared wire form
-// (the SSE "data:" line / WAL commit element) — what a leader packs into
-// a snapshot bootstrap for documents whose commit-time payload is gone.
+// (the SSE "data:" line / WAL commit element). The store never needs it —
+// every committed event keeps its bytes — so only the benchmark's probes
+// (bench/) call it, to time the encode and to build replicated events.
 func EventPayload(path string, d Document) []byte {
 	return encodeEventPayload(path, d)
 }

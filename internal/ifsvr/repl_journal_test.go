@@ -16,14 +16,14 @@ func TestReplicatedJournalStaysSorted(t *testing.T) {
 	defer s.Close()
 
 	// Two live commit records.
-	s.ApplyReplicated([]StoreEvent{{Path: "/a1", Doc: Document{Content: "a1", Version: 1, Epoch: 1}}})
-	s.ApplyReplicated([]StoreEvent{{Path: "/b", Doc: Document{Content: "b1", Version: 1, Epoch: 5}}})
+	s.ApplyReplicated([]StoreEvent{replicatedEvent("/a1", "a1", 1, 1)})
+	s.ApplyReplicated([]StoreEvent{replicatedEvent("/b", "b1", 1, 5)})
 	// A bootstrap of the leader's state at epoch 9, covering both.
 	if n := s.ApplyReplicated([]StoreEvent{
-		{Path: "/a1", Doc: Document{Content: "a1", Version: 1, Epoch: 1}},
-		{Path: "/b", Doc: Document{Content: "b1", Version: 1, Epoch: 5}},
-		{Path: "/a2", Doc: Document{Content: "a2", Version: 1, Epoch: 7}},
-		{Path: "/a3", Doc: Document{Content: "a3", Version: 1, Epoch: 9}},
+		replicatedEvent("/a1", "a1", 1, 1),
+		replicatedEvent("/b", "b1", 1, 5),
+		replicatedEvent("/a2", "a2", 1, 7),
+		replicatedEvent("/a3", "a3", 1, 9),
 	}); n != 2 {
 		t.Fatalf("bootstrap applied %d events, want the 2 the replica lacked", n)
 	}
@@ -59,7 +59,7 @@ func TestResetReplicatedClearsIncarnation(t *testing.T) {
 	s.SetReadOnly(true)
 	s.AdoptGeneration(77)
 	s.ApplyReplicated([]StoreEvent{
-		{Path: "/x", Doc: Document{Content: "old", Version: 9, Epoch: 12}},
+		replicatedEvent("/x", "old", 9, 12),
 	})
 	s.ApplyReplicatedRemove("/gone", 4)
 
@@ -76,8 +76,8 @@ func TestResetReplicatedClearsIncarnation(t *testing.T) {
 	// The new incarnation's low-numbered bootstrap applies cleanly — the
 	// old incarnation's version floor is gone.
 	if n := s.ApplyReplicated([]StoreEvent{
-		{Path: "/x", Doc: Document{Content: "new", Version: 1, Epoch: 2}},
-		{Path: "/gone", Doc: Document{Content: "back", Version: 1, Epoch: 3}},
+		replicatedEvent("/x", "new", 1, 2),
+		replicatedEvent("/gone", "back", 1, 3),
 	}); n != 2 {
 		t.Fatalf("applied %d events after reset, want 2", n)
 	}

@@ -2,7 +2,9 @@ package ifsvr
 
 import (
 	"errors"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,10 +20,17 @@ const DefaultHistoryLen = 256
 
 // StoreEvent is one committed publication.
 //
-// Taps (Subscribe) get the commit-time event, Content included. A journal
-// entry (ReplayEventsInto, PersistentState.Journal) carries Payload and the
-// metadata but no Doc.Content: read the text from Payload, or use Get for
-// the current version.
+// A version is encoded once per process: at commit on a leader
+// (PublishVersioned), and at decode on a replica or during recovery (a
+// replicated commit frame, the WAL, the snapshot). Every later reader — the
+// WAL append, the journal, each stream's events and snapshot resets, the
+// cadence snapshot, a replication bootstrap — splices those bytes.
+//
+// Taps (Subscribe) and the store's per-path newest version
+// (PersistentState.Docs) carry the event with Content and Payload. A
+// journal entry (ReplayEventsInto, PersistentState.Journal) carries Payload
+// and the metadata but no Doc.Content: read the text from Payload, or use
+// Get for the current version.
 type StoreEvent struct {
 	// Path is the document path that committed.
 	Path string
@@ -29,9 +38,8 @@ type StoreEvent struct {
 	Doc Document
 	// Payload is the event's shared wire encoding: the JSON object that is
 	// both the SSE "data:" line every streaming watcher receives and the
-	// element of the WAL commit record. It is marshaled exactly once, at
-	// commit time, and fanned out by reference — receivers must treat it
-	// as immutable.
+	// element of the WAL commit record. It is encoded once (see above) and
+	// fanned out by reference — receivers must treat it as immutable.
 	Payload []byte
 }
 
@@ -148,8 +156,8 @@ type Store struct {
 	persist *filePersistence
 
 	mu         sync.Mutex
-	docs       map[string]Document
-	retired    map[string]uint64 // removed paths → last committed version
+	docs       map[string]StoreEvent // each path's newest committed event
+	retired    map[string]uint64     // removed paths → last committed version
 	epoch      uint64
 	journal    []StoreEvent // commit-ordered ring, capacity histLen
 	floorEpoch uint64       // journal covers epochs in (floorEpoch, epoch]
@@ -187,7 +195,7 @@ func NewStore(_ time.Duration, _ any) *Store {
 	return &Store{
 		histLen:    DefaultHistoryLen,
 		generation: gen,
-		docs:       make(map[string]Document),
+		docs:       make(map[string]StoreEvent),
 		retired:    make(map[string]uint64),
 	}
 }
@@ -207,12 +215,9 @@ type StoreConfig struct {
 	// Sync selects what a committed publication's ack means for
 	// durability: SyncNone (buffered write, the default), SyncGroupCommit
 	// (ack after an fsync shared with concurrent committers), or
-	// SyncAlways (ack after a per-batch fsync).
+	// SyncAlways (ack after a per-batch fsync). A lone commit under
+	// SyncGroupCommit waits at most DefaultGroupWindow for company.
 	Sync SyncPolicy
-	// GroupWindow bounds the extra time a lone commit may wait for
-	// company under SyncGroupCommit (0 means DefaultGroupWindow; groups
-	// that already formed behind an in-flight fsync are synced at once).
-	GroupWindow time.Duration
 }
 
 // OpenStore opens a store, recovering documents, versions, the epoch
@@ -242,12 +247,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		_ = p.Close()
 		return nil, err
 	}
-	for path, d := range state.Docs {
-		s.docs[path] = d
-	}
-	for path, v := range state.Retired {
-		s.retired[path] = v
-	}
+	s.docs, s.retired = state.Docs, state.Retired
 	s.epoch = state.Epoch
 	if next := state.Generation + 1; next > 1 {
 		s.generation = next // 0 (nothing recovered) and a wrap keep the random one
@@ -416,7 +416,7 @@ func (s *Store) PublishVersioned(path, contentType, content string, descriptorVe
 	}
 	s.stats.Publishes++
 	s.epoch++
-	d := s.docs[path]
+	d := s.docs[path].Doc
 	if d.Version == 0 {
 		// A republication of a retired path resumes its version
 		// sequence so parked watchers still wake on it.
@@ -428,10 +428,12 @@ func (s *Store) PublishVersioned(path, contentType, content string, descriptorVe
 	d.DescriptorVersion = descriptorVersion
 	d.Epoch = s.epoch
 	d.Version++
-	s.docs[path] = d
 	// One marshal per committed version: the same bytes back the WAL
-	// record and every streaming watcher's "data:" line.
-	s.endWrite(StoreOp{Events: []StoreEvent{{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}}})
+	// record, every streaming watcher's "data:" line, the snapshot and a
+	// replication bootstrap.
+	ev := StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
+	s.docs[path] = ev
+	s.endWrite(StoreOp{Events: []StoreEvent{ev}})
 	return d.Version
 }
 
@@ -464,15 +466,9 @@ func (s *Store) stateLocked(copied bool) PersistentState {
 		Journal:    s.journal,
 	}
 	if copied {
-		st.Docs = make(map[string]Document, len(s.docs))
-		for k, v := range s.docs {
-			st.Docs[k] = v
-		}
-		st.Retired = make(map[string]uint64, len(s.retired))
-		for k, v := range s.retired {
-			st.Retired[k] = v
-		}
-		st.Journal = append([]StoreEvent(nil), s.journal...)
+		st.Docs = maps.Clone(s.docs)
+		st.Retired = maps.Clone(s.retired)
+		st.Journal = slices.Clone(s.journal)
 	}
 	return st
 }
@@ -537,9 +533,6 @@ func (s *Store) journalLocked(evs []StoreEvent) {
 // journalEntry is ev as the journal keeps it: its readers need only the
 // wire bytes, and each path's newest text is already in the docs map.
 func journalEntry(ev StoreEvent) StoreEvent {
-	if ev.Payload == nil {
-		ev.Payload = encodeEventPayload(ev.Path, ev.Doc)
-	}
 	ev.Doc.Content = ""
 	return ev
 }
@@ -605,11 +598,11 @@ func (s *Store) ReplayEventsInto(path string, afterEpoch uint64, buf []StoreEven
 }
 
 // pumpView is one stream pump's per-wake read of the store: the path's
-// committed document, the journal entries pending past the pump's cursor
+// newest committed event, the journal entries pending past the pump's cursor
 // (complete reports whether they are every version up to that document),
 // and the store-wide state the pump must react to.
 type pumpView struct {
-	cur      Document // zero while the path is unpublished
+	cur      StoreEvent // zero while the path is unpublished
 	events   []StoreEvent
 	complete bool
 	closed   bool
@@ -632,12 +625,12 @@ func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []Stor
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := pumpView{cur: s.docs[path], events: buf[:0], complete: true, closed: s.closed, gen: s.generation, epoch: s.epoch}
-	if v.cur.Version <= afterVer {
+	if v.cur.Doc.Version <= afterVer {
 		return v
 	}
 	v.events = s.journalAfterLocked(path, afterEpoch, v.events)
 	if afterVer > 0 {
-		v.complete = afterVer+uint64(len(v.events)) == v.cur.Version
+		v.complete = afterVer+uint64(len(v.events)) == v.cur.Doc.Version
 	} else {
 		v.complete = afterEpoch >= s.floorEpoch
 	}
@@ -653,10 +646,10 @@ func (s *Store) Remove(path string) {
 		return
 	}
 	var op StoreOp
-	if d, ok := s.docs[path]; ok {
-		s.retired[path] = d.Version
+	if ev, ok := s.docs[path]; ok {
+		s.retired[path] = ev.Doc.Version
 		delete(s.docs, path)
-		op = StoreOp{RemovePath: path, RemoveVersion: d.Version}
+		op = StoreOp{RemovePath: path, RemoveVersion: ev.Doc.Version}
 	}
 	s.endWrite(op)
 }
@@ -665,18 +658,18 @@ func (s *Store) Remove(path string) {
 func (s *Store) Get(path string) (Document, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.docs[path]
+	ev, ok := s.docs[path]
 	if !ok {
 		return Document{}, ErrNotFound
 	}
-	return d, nil
+	return ev.Doc, nil
 }
 
 // Version returns the committed version of path (0 if unpublished).
 func (s *Store) Version(path string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.docs[path].Version
+	return s.docs[path].Doc.Version
 }
 
 // Paths returns all published paths (unordered).

@@ -211,7 +211,7 @@ func (src *streamSource) Collect(w io.Writer) bool {
 	src.live = true
 	n := 0
 	switch {
-	case v.cur.Version <= src.lastVer:
+	case v.cur.Doc.Version <= src.lastVer:
 		// Nothing committed past the cursor: an idle sweep wake, or a
 		// path that is not (yet) published — hold the stream open.
 		src.parked = src.parked || connecting
@@ -221,14 +221,14 @@ func (src *streamSource) Collect(w io.Writer) bool {
 		// may hold a retired predecessor's history under this path, so
 		// serve the current document directly instead of replaying.
 		src.parked = false
-		src.emit(w, "version", v.cur, nil)
+		src.emit(w, "version", v.cur)
 		n = 1
-	case connecting && v.cur.Epoch <= src.lastEpoch:
+	case connecting && v.cur.Doc.Epoch <= src.lastEpoch:
 		// The client is current. If it is ahead of the whole store it
 		// watched an incarnation this store does not have: the snapshot
 		// (with the generation header) is its restart signal.
 		if src.lastEpoch > v.epoch {
-			src.emit(w, "snapshot", v.cur, nil)
+			src.emit(w, "snapshot", v.cur)
 			n = 1
 		}
 	case !v.complete:
@@ -237,7 +237,7 @@ func (src *streamSource) Collect(w io.Writer) bool {
 		if !connecting {
 			st.fanout.resets.Add(1)
 		}
-		src.emit(w, "snapshot", v.cur, nil)
+		src.emit(w, "snapshot", v.cur)
 		n = 1
 	case !connecting && src.budget > 0 && len(v.events) > src.budget:
 		// Lag budget exceeded: hand the peer the terminal event and
@@ -253,33 +253,30 @@ func (src *streamSource) Collect(w io.Writer) bool {
 			event = "replay"
 		}
 		for _, ev := range v.events {
-			src.emit(w, event, ev.Doc, ev.Payload)
+			src.emit(w, event, ev)
 		}
 		n = len(v.events)
 	}
-	src.lastVer, src.lastEpoch = v.cur.Version, v.cur.Epoch
+	src.lastVer, src.lastEpoch = v.cur.Doc.Version, v.cur.Doc.Epoch
 	if n > 0 {
 		st.fanout.noteBatch(n)
 	}
 	return true
 }
 
-// emit writes one SSE event. Committed versions arrive with their
-// commit-time shared payload (the same bytes every watcher gets and the
-// WAL carries); payload==nil marshals per connection (snapshots). The
-// framing is hand-appended into a reused buffer — fmt boxing and
-// per-event allocations would be paid once per watcher per commit, the
-// exact multiplier shared payloads remove.
-func (src *streamSource) emit(w io.Writer, event string, d Document, payload []byte) {
-	if payload == nil {
-		payload = encodeEventPayload(src.path, d)
-	}
+// emit writes one SSE event: ev's commit-time shared payload, the same
+// bytes every watcher gets and the WAL carries, whether ev is a journal
+// entry or the path's current version (a parked first publication, a
+// snapshot reset). The framing is hand-appended into a reused buffer —
+// fmt boxing and per-event allocations would be paid once per watcher per
+// commit, the exact multiplier shared payloads remove.
+func (src *streamSource) emit(w io.Writer, event string, ev StoreEvent) {
 	f := append(src.frame[:0], "id: "...)
-	f = strconv.AppendUint(f, d.Epoch, 10)
+	f = strconv.AppendUint(f, ev.Doc.Epoch, 10)
 	f = append(f, "\nevent: "...)
 	f = append(f, event...)
 	f = append(f, "\ndata: "...)
-	f = append(f, payload...)
+	f = append(f, ev.Payload...)
 	f = append(f, "\n\n"...)
 	src.frame = f
 	_, _ = w.Write(f)

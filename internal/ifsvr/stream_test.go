@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -398,5 +400,53 @@ func TestStreamIsUnchunkedOnHTTP1(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("stream ended with %v before delivering the document", err)
+	}
+}
+
+// TestStreamSnapshotAllocsFlatInDocSize: a mid-stream snapshot reset and a
+// parked first publication send the current version's commit-time bytes,
+// so what a Collect allocates does not grow with the document: a held
+// stream must not encode a version once per connection.
+func TestStreamSnapshotAllocsFlatInDocSize(t *testing.T) {
+	measure := func(size int, parked bool) uint64 {
+		st, err := OpenStore(StoreConfig{HistoryLen: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		const path = "/wsdl/S.wsdl"
+		for range 3 {
+			st.Publish(path, "text/xml", strings.Repeat("<&>", size/3))
+		}
+		src := &streamSource{st: st, path: path, gen: st.Generation()}
+		collect := func() {
+			// A live cursor at version 1, whose successor the one-entry
+			// journal lost (a reset), or a stream parked before the first
+			// publication.
+			src.live, src.parked, src.lastVer, src.lastEpoch = true, parked, 1, 1
+			if parked {
+				src.lastVer, src.lastEpoch = 0, 0
+			}
+			if !src.Collect(io.Discard) {
+				t.Fatal("Collect ended the stream")
+			}
+		}
+		collect() // grows the reused frame buffer
+		best := ^uint64(0)
+		var before, after runtime.MemStats
+		for range 5 {
+			runtime.ReadMemStats(&before)
+			collect()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	for _, parked := range []bool{false, true} {
+		small, large := measure(1<<10, parked), measure(64<<10, parked)
+		t.Logf("parked=%v: Collect allocates %d bytes at 1 KB contents, %d at 64 KB", parked, small, large)
+		if large > small && large-small >= 64<<10 {
+			t.Errorf("parked=%v: Collect allocates %d bytes more at 64 KB contents than at 1 KB: it encodes the document again", parked, large-small)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strconv"
+
+	"livedev/internal/jsonstr"
 )
 
 // The write-ahead-log record format.
@@ -137,7 +139,7 @@ func appendRemoveRecord(buf []byte, lsn uint64, path string, version uint64) []b
 	buf = append(buf, `{"lsn":`...)
 	buf = strconv.AppendUint(buf, lsn, 10)
 	buf = append(buf, `,"path":`...)
-	buf = appendJSONString(buf, path)
+	buf = jsonstr.Append(buf, path)
 	buf = append(buf, `,"version":`...)
 	buf = strconv.AppendUint(buf, version, 10)
 	buf = append(buf, '}')
@@ -185,23 +187,34 @@ func decodeCommitPayload(payload []byte) (uint64, []StoreEvent, error) {
 	}
 	evs := make([]StoreEvent, 0, len(rec.Events))
 	for _, w := range rec.Events {
-		doc := Document{
-			Content:           w.Content,
-			ContentType:       w.ContentType,
-			Version:           w.Version,
-			DescriptorVersion: w.DescriptorVersion,
-			Epoch:             w.Epoch,
-		}
-		evs = append(evs, StoreEvent{Path: w.Path, Doc: doc, Payload: encodeEventPayload(w.Path, doc)})
+		evs = append(evs, wireEvent(w))
 	}
 	return rec.Lsn, evs, nil
 }
 
+// wireEvent converts a decoded WAL, snapshot or replication wire object
+// back into the event it was encoded from. It is the one place a decoded
+// version is encoded: re-deriving Payload here, once, is what lets every
+// later reader splice the bytes. The encoding is deterministic, so they
+// equal the bytes the object was read from whenever those came from
+// encodeEventPayload.
+func wireEvent(w streamWire) StoreEvent {
+	doc := Document{
+		Content:           w.Content,
+		ContentType:       w.ContentType,
+		Version:           w.Version,
+		DescriptorVersion: w.DescriptorVersion,
+		Epoch:             w.Epoch,
+	}
+	return StoreEvent{Path: w.Path, Doc: doc, Payload: encodeEventPayload(w.Path, doc)}
+}
+
 // encodeEventPayload marshals one committed version into the shared wire
 // form: the JSON object that is both the SSE "data:" line and the WAL
-// commit-record element. It is called once per event at commit time; the
-// resulting bytes are fanned out to every watcher and appended to the log,
-// so they must never be mutated afterwards.
+// commit-record element. It runs once per version per process — at commit
+// (PublishVersioned) or at decode (wireEvent); the resulting bytes are
+// fanned out to every watcher, appended to the log, and spliced into
+// snapshots and bootstraps, so they must never be mutated afterwards.
 func encodeEventPayload(path string, d Document) []byte {
 	data, err := json.Marshal(streamWire{
 		Path:              path,

@@ -34,6 +34,7 @@ import (
 	"strings"
 
 	"livedev/internal/dyn"
+	"livedev/internal/jsonstr"
 )
 
 // DocFormat identifies the interface-document format (and its version).
@@ -272,7 +273,7 @@ func (w *indenter) key(k string) {
 	w.buf = append(w.buf, '"', ':', ' ')
 }
 
-func (w *indenter) str(s string) { w.buf = appendString(w.buf, s) }
+func (w *indenter) str(s string) { w.buf = jsonstr.Append(w.buf, s) }
 
 func (w *indenter) null() { w.buf = append(w.buf, "null"...) }
 

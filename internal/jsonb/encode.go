@@ -6,9 +6,9 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"livedev/internal/dyn"
+	"livedev/internal/jsonstr"
 )
 
 // codec is the reusable state of one encode, decode or call: the message
@@ -73,7 +73,7 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	case dyn.KindBoolean:
 		return strconv.AppendBool(buf, v.Bool()), nil
 	case dyn.KindChar:
-		return appendString(buf, string(v.Char())), nil
+		return jsonstr.Append(buf, string(v.Char())), nil
 	case dyn.KindInt32:
 		return strconv.AppendInt(buf, int64(v.Int32()), 10), nil
 	case dyn.KindInt64:
@@ -85,7 +85,7 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	case dyn.KindFloat64:
 		return appendFloat(buf, v.Float64(), 64)
 	case dyn.KindString:
-		return appendString(buf, v.Str()), nil
+		return jsonstr.Append(buf, v.Str()), nil
 	case dyn.KindSequence:
 		buf = append(buf, '[')
 		var err error
@@ -105,7 +105,7 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendString(buf, t.Field(i).Name)
+			buf = jsonstr.Append(buf, t.Field(i).Name)
 			buf = append(buf, ':')
 			if buf, err = appendValue(buf, v.Index(i)); err != nil {
 				return buf, err
@@ -138,64 +138,10 @@ func appendFloat(buf []byte, f float64, bits int) ([]byte, error) {
 	return buf, nil
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendString writes s as a JSON string literal with encoding/json's
-// default escaping: the short escapes, \u00XX for the remaining control
-// bytes and for < > & (the body may be embedded in HTML), \u2028 and
-// \u2029, and \ufffd for invalid UTF-8.
-func appendString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch b {
-			case '"', '\\':
-				buf = append(buf, '\\', b)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
 // appendRequest writes the call envelope {"method":…,"args":[…]}.
 func appendRequest(buf []byte, method string, args []dyn.Value) ([]byte, error) {
 	buf = append(buf, `{"method":`...)
-	buf = appendString(buf, method)
+	buf = jsonstr.Append(buf, method)
 	buf = append(buf, `,"args":[`...)
 	var err error
 	for i, a := range args {
@@ -235,7 +181,7 @@ func appendStaleError(buf []byte, msg, doc string) []byte {
 // last member.
 func appendErrorMembers(buf []byte, code, msg string) []byte {
 	buf = append(buf, `{"error":{"code":`...)
-	buf = appendString(buf, code)
+	buf = jsonstr.Append(buf, code)
 	buf = append(buf, `,"message":`...)
-	return appendString(buf, msg)
+	return jsonstr.Append(buf, msg)
 }

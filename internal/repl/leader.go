@@ -3,7 +3,9 @@ package repl
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -347,20 +349,18 @@ func (t *TailServer) collect(cursor uint64, buf []tailRecord) (_ []tailRecord, n
 	return append(buf, t.records[idx:]...), false
 }
 
-// bootstrap packs the store's whole current state into a bootstrap frame.
-// The log position L is captured BEFORE the state clone: the state then
-// covers at least every record ≤ L, streaming resumes after L, and any
-// overlap (a record committed between the two reads) is deduplicated by
-// the follower's version filter.
+// bootstrap packs the store's whole current state into a bootstrap frame,
+// splicing each document's commit-time bytes. The log position L is
+// captured BEFORE the state clone: the state then covers at least every
+// record ≤ L, streaming resumes after L, and any overlap (a record
+// committed between the two reads) is deduplicated by the follower's
+// version filter.
 func (t *TailServer) bootstrap() ([]byte, uint64) {
 	t.mu.Lock()
 	lsn := t.lsn
 	t.mu.Unlock()
 	state := t.store.CloneState()
-	evs := make([]ifsvr.StoreEvent, 0, len(state.Docs))
-	for path, d := range state.Docs {
-		evs = append(evs, ifsvr.StoreEvent{Path: path, Doc: d, Payload: ifsvr.EventPayload(path, d)})
-	}
+	evs := slices.Collect(maps.Values(state.Docs))
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Doc.Epoch < evs[j].Doc.Epoch })
 	return encodeBootstrapFrame(lsn, t.gen, state.Epoch, evs, state.Retired), lsn
 }
