@@ -28,9 +28,9 @@ type Caller interface {
 
 // DocBinding is everything one technology supplies to the client side: a
 // document parser and what it takes to call the endpoint the document
-// names. The document backend built over it (ConnectDocs) does the rest —
-// fetching, the streaming watch, version bookkeeping, swapping the Caller
-// in as new documents arrive.
+// names. The Client ConnectDocs builds over it does the rest — fetching,
+// the streaming watch, version bookkeeping, installing each new document's
+// Caller with the view compiled from it.
 type DocBinding struct {
 	// Technology names the binding ("SOAP", "CORBA", "JSON", ...).
 	Technology string
@@ -44,8 +44,9 @@ type DocBinding struct {
 	// carried (nil when it carried none): the client installs it instead of
 	// fetching the document.
 	StaleDoc func(err error) *ifsvr.Document
-	// Bootstrap, when set, runs before every fetch and stream connect:
-	// whatever Compile needs beyond the document (CORBA's IOR).
+	// Bootstrap, when set, runs before every fetch: whatever Compile needs
+	// beyond the document (CORBA's IOR). A stream needs none of its own:
+	// the client that holds one has fetched already.
 	Bootstrap func(ctx context.Context) error
 	// Close, when set, releases what Bootstrap and the Callers hold.
 	Close func() error
@@ -55,7 +56,7 @@ type DocBinding struct {
 // client over the interface document at url, seeded and pointed at replicas
 // as opts (which may be nil) say.
 func ConnectDocs(ctx context.Context, url string, opts *DialOptions, b DocBinding) (*Client, error) {
-	return NewClientContext(ctx, &docBackend{docs: optsDocSource(url, opts, true), b: b}, opts)
+	return connect(ctx, optsDocSource(url, opts, true), b, opts)
 }
 
 // optsDocSource builds the DocSource for url under opts: its HTTP client,
@@ -71,114 +72,6 @@ func optsDocSource(url string, opts *DialOptions, seeded bool) *DocSource {
 	docs := NewDocSource(url, opts.HTTPClient, seed)
 	docs.SetEndpoints(opts.Endpoints)
 	return docs
-}
-
-// docBackend implements WatchableBackend for any DocBinding — the client
-// mirror of core.ClassServer: the per-binding copies of fetch, stream and
-// caller swap, written once.
-type docBackend struct {
-	docs *DocSource
-	b    DocBinding
-
-	mu     sync.RWMutex
-	caller Caller
-	vers   DocVersions // of the document caller was compiled from
-}
-
-var _ WatchableBackend = (*docBackend)(nil)
-
-// Technology implements Backend.
-func (d *docBackend) Technology() string { return d.b.Technology }
-
-// compile turns a fetched (or pushed) document into the descriptor and
-// retargets calls at the endpoint it advertises — under the rule the
-// client's installView applies, so a document the client drops as older
-// than its view does not retarget them.
-func (d *docBackend) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, DocVersions, error) {
-	desc, caller, err := d.b.Compile(doc)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	vers := DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}
-	d.mu.Lock()
-	if restarted(d.vers, vers) || newer(d.vers, vers) {
-		d.caller, d.vers = caller, vers
-	}
-	d.mu.Unlock()
-	return desc, vers, nil
-}
-
-func (d *docBackend) bootstrap(ctx context.Context) error {
-	if d.b.Bootstrap == nil {
-		return nil
-	}
-	return d.b.Bootstrap(ctx)
-}
-
-// FetchInterface implements Backend: fetch the document and compile it.
-func (d *docBackend) FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
-	if err := d.bootstrap(ctx); err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	doc, err := d.docs.Fetch(ctx)
-	if err != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, err
-	}
-	return d.compile(doc)
-}
-
-// carriedInterface compiles the interface document the stale reply err
-// carried. It reports false — the client then fetches — when the binding
-// reads no document off its replies, err carried none, or the one it carried
-// is unversioned, over ifsvr.MaxCarriedDoc or does not compile.
-func (d *docBackend) carriedInterface(err error) (dyn.InterfaceDescriptor, DocVersions, bool) {
-	if d.b.StaleDoc == nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, false
-	}
-	doc := d.b.StaleDoc(err)
-	if doc == nil || doc.Version == 0 || len(doc.Content) > ifsvr.MaxCarriedDoc {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, false
-	}
-	desc, vers, cerr := d.compile(*doc)
-	return desc, vers, cerr == nil
-}
-
-// StreamInterface implements WatchableBackend over the Interface Server's
-// SSE watch transport — which every binding that publishes through the
-// manager's store gets with no server-side code of its own.
-func (d *docBackend) StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error {
-	if err := d.bootstrap(ctx); err != nil {
-		return err
-	}
-	return d.docs.Stream(ctx, afterEpoch, func(ev ifsvr.StreamEvent) {
-		desc, vers, err := d.compile(ev.Doc)
-		if err != nil {
-			return // a malformed intermediate version; the next event supersedes it
-		}
-		deliver(InterfaceEvent{Desc: desc, Versions: vers, Replayed: ev.Replayed, Snapshot: ev.Snapshot})
-	})
-}
-
-// Invoke implements Backend.
-func (d *docBackend) Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	d.mu.RLock()
-	caller := d.caller
-	d.mu.RUnlock()
-	if caller == nil {
-		return dyn.Value{}, fmt.Errorf("cde: %s backend not initialized", d.b.Technology)
-	}
-	return caller.Call(ctx, sig, args)
-}
-
-// IsStale implements Backend.
-func (d *docBackend) IsStale(err error) bool { return d.b.IsStale(err) }
-
-// Close implements Backend.
-func (d *docBackend) Close() error {
-	if d.b.Close == nil {
-		return nil
-	}
-	return d.b.Close()
 }
 
 // The built-in SOAP and CORBA connectors register themselves so that
@@ -209,12 +102,6 @@ func init() {
 		},
 		Connect: connectCORBA,
 	})
-}
-
-// NewSOAPClient builds a CDE client from the WSDL document published at
-// wsdlURL. httpClient may be nil.
-func NewSOAPClient(wsdlURL string, httpClient *http.Client) (*Client, error) {
-	return ConnectDocs(context.Background(), wsdlURL, &DialOptions{HTTPClient: httpClient}, soapBinding(httpClient))
 }
 
 // soapBinding is the Apache-Axis-equivalent client plumbing: WSDL compiler
@@ -290,14 +177,7 @@ func connectCORBA(ctx context.Context, url string, opts *DialOptions) (*Client, 
 		return nil, errors.New("cde: CORBA binding needs both IDL and IOR URLs")
 	}
 	// The prefetched document seeds whichever source the primary URL names.
-	return NewClientContext(ctx, newCORBABackend(optsDocSource(idlURL, opts, !isIOR), optsDocSource(iorURL, opts, isIOR)), opts)
-}
-
-// NewCORBAClient builds a CDE client from the CORBA-IDL document and
-// stringified IOR published at the given URLs. httpClient may be nil.
-func NewCORBAClient(idlURL, iorURL string, httpClient *http.Client) (*Client, error) {
-	return NewClientContext(context.Background(),
-		newCORBABackend(NewDocSource(idlURL, httpClient, nil), NewDocSource(iorURL, httpClient, nil)), nil)
+	return connect(ctx, optsDocSource(idlURL, opts, !isIOR), corbaBinding(optsDocSource(iorURL, opts, isIOR)), opts)
 }
 
 // corbaStub is the OpenORB-DII-equivalent client plumbing: IDL compiler,
@@ -313,6 +193,7 @@ type corbaStub struct {
 	conn    *orb.ClientORB
 	release func() error // returns the pooled connection
 	iface   string       // interface name from the IOR type id
+	closed  bool         // set by close: no connection is taken after it
 	// lastGeneration is the store restart generation of the last compiled
 	// IDL document. A change means the Interface Server process restarted
 	// — whether or not it recovered its durable state, the old ORB socket
@@ -329,11 +210,11 @@ type corbaStub struct {
 	lastDescriptor uint64
 }
 
-// newCORBABackend is the document backend over the IDL document, with a
-// stub bootstrapped from the IOR document as its binding.
-func newCORBABackend(idlDocs, iorDocs *DocSource) *docBackend {
+// corbaBinding compiles IDL documents into calls through a stub
+// bootstrapped from the IOR document iorDocs reads.
+func corbaBinding(iorDocs *DocSource) DocBinding {
 	b := &corbaStub{iorDocs: iorDocs}
-	return &docBackend{docs: idlDocs, b: DocBinding{
+	return DocBinding{
 		Technology: "CORBA",
 		Compile:    b.compile,
 		IsStale:    func(err error) bool { return errors.Is(err, orb.ErrNonExistentMethod) },
@@ -346,7 +227,7 @@ func newCORBABackend(idlDocs, iorDocs *DocSource) *docBackend {
 		},
 		Bootstrap: b.connect,
 		Close:     b.close,
-	}}
+	}
 }
 
 // interfaceNameFromTypeID extracts "Calc" from "IDL:CalcModule/Calc:1.0".
@@ -369,10 +250,14 @@ func interfaceNameFromTypeID(typeID string) (string, error) {
 }
 
 // connect dials the server ORB if not yet connected, using the published
-// IOR (Figure 2 step 1).
+// IOR (Figure 2 step 1). A closed stub refuses: the reference it would take
+// from the endpoint pool would never be released.
 func (b *corbaStub) connect(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.closed {
+		return errClosed
+	}
 	if b.conn != nil {
 		return nil
 	}
@@ -475,10 +360,12 @@ func (b *corbaStub) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Valu
 }
 
 // close releases the pooled connection rather than closing it — it is torn
-// down when the last holder lets go.
+// down when the last holder lets go — and keeps the stub from taking
+// another.
 func (b *corbaStub) close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.closed = true
 	if b.conn == nil {
 		return nil
 	}

@@ -6,7 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/idl"
 	"livedev/internal/ifsvr"
@@ -49,17 +51,17 @@ func validWSDL(t *testing.T) string {
 
 func TestSOAPBackendFetchFailures(t *testing.T) {
 	// Unreachable interface server.
-	if _, err := NewSOAPClient("http://127.0.0.1:1/wsdl", nil); err == nil {
+	if _, err := Dial(context.Background(), "http://127.0.0.1:1/wsdl", &DialOptions{Binding: "SOAP"}); err == nil {
 		t.Error("unreachable WSDL URL should fail")
 	}
 	// 404.
 	base := startIfsvr(t, nil)
-	if _, err := NewSOAPClient(base+"/missing.wsdl", nil); err == nil {
+	if _, err := Dial(context.Background(), base+"/missing.wsdl", &DialOptions{Binding: "SOAP"}); err == nil {
 		t.Error("missing WSDL should fail")
 	}
 	// Unparseable WSDL.
 	base2 := startIfsvr(t, map[string]string{"/bad.wsdl": "<not-wsdl/>"})
-	if _, err := NewSOAPClient(base2+"/bad.wsdl", nil); err == nil {
+	if _, err := Dial(context.Background(), base2+"/bad.wsdl", &DialOptions{Binding: "SOAP"}); err == nil {
 		t.Error("non-WSDL document should fail")
 	}
 }
@@ -68,7 +70,7 @@ func TestSOAPBackendEndpointUnreachable(t *testing.T) {
 	// Valid WSDL advertising a dead endpoint: construction succeeds (the
 	// interface is compiled), calls fail cleanly.
 	base := startIfsvr(t, map[string]string{"/svc.wsdl": validWSDL(t)})
-	client, err := NewSOAPClient(base+"/svc.wsdl", nil)
+	client, err := Dial(context.Background(), base+"/svc.wsdl", &DialOptions{Binding: "SOAP"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestSOAPBackendEndpointUnreachable(t *testing.T) {
 
 func TestSOAPBackendArgChecks(t *testing.T) {
 	base := startIfsvr(t, map[string]string{"/svc.wsdl": validWSDL(t)})
-	client, err := NewSOAPClient(base+"/svc.wsdl", nil)
+	client, err := Dial(context.Background(), base+"/svc.wsdl", &DialOptions{Binding: "SOAP"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,14 +94,15 @@ func TestSOAPBackendArgChecks(t *testing.T) {
 }
 
 func TestSOAPBackendInvokeBeforeFetch(t *testing.T) {
-	b := &docBackend{docs: NewDocSource("http://unused/", nil, nil), b: soapBinding(nil)}
-	if _, err := b.Invoke(context.Background(), dyn.MethodSig{Name: "x"}, nil); err == nil {
-		t.Error("invoke before FetchInterface should fail")
+	seed := &ifsvr.Document{Content: validWSDL(t), Version: 1}
+	c, err := connect(context.Background(), NewDocSource("http://unused/", nil, seed), soapBinding(nil), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.Technology() != "SOAP" {
+	if c.Technology() != "SOAP" {
 		t.Error("Technology")
 	}
-	if err := b.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Errorf("close: %v", err)
 	}
 }
@@ -117,19 +120,18 @@ func TestDroppedViewKeepsCaller(t *testing.T) {
 	doc := func(v uint64) *ifsvr.Document {
 		return &ifsvr.Document{Content: "op", Version: v, Epoch: v, Generation: 1}
 	}
-	b := &docBackend{docs: NewDocSource("http://unused/", nil, doc(2)), b: DocBinding{
+	c, err := connect(context.Background(), NewDocSource("http://unused/", nil, doc(2)), DocBinding{
 		Technology: "TAGGED",
 		Compile: func(d ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
 			return descWith(d.Content), taggedCaller("v" + strconv.FormatUint(d.Version, 10)), nil
 		},
 		IsStale: func(error) bool { return false },
-	}}
-	c, err := NewClientContext(context.Background(), b, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	b.docs = NewDocSource("http://unused/", nil, doc(1))
+	c.docs = NewDocSource("http://unused/", nil, doc(1))
 	if err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -144,24 +146,24 @@ func TestDroppedViewKeepsCaller(t *testing.T) {
 func TestCORBABackendFetchFailures(t *testing.T) {
 	// Missing IOR document.
 	base := startIfsvr(t, nil)
-	if _, err := NewCORBAClient(base+"/x.idl", base+"/x.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base+"/x.idl", &DialOptions{Binding: "CORBA", AuxURL: base + "/x.ior"}); err == nil {
 		t.Error("missing IOR should fail")
 	}
 	// Unparseable IOR.
 	base2 := startIfsvr(t, map[string]string{"/x.ior": "garbage"})
-	if _, err := NewCORBAClient(base2+"/x.idl", base2+"/x.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base2+"/x.idl", &DialOptions{Binding: "CORBA", AuxURL: base2 + "/x.ior"}); err == nil {
 		t.Error("garbage IOR should fail")
 	}
 	// IOR with a bad repository id.
 	badID := ior.New("NOPREFIX", "127.0.0.1", 1, []byte("k"))
 	base3 := startIfsvr(t, map[string]string{"/x.ior": badID.String()})
-	if _, err := NewCORBAClient(base3+"/x.idl", base3+"/x.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base3+"/x.idl", &DialOptions{Binding: "CORBA", AuxURL: base3 + "/x.ior"}); err == nil {
 		t.Error("bad repository id should fail")
 	}
 	// IOR pointing at a dead endpoint.
 	deadRef := ior.New("IDL:Mod/Svc:1.0", "127.0.0.1", 1, []byte("k"))
 	base4 := startIfsvr(t, map[string]string{"/x.ior": deadRef.String()})
-	if _, err := NewCORBAClient(base4+"/x.idl", base4+"/x.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base4+"/x.idl", &DialOptions{Binding: "CORBA", AuxURL: base4 + "/x.ior"}); err == nil {
 		t.Error("dead ORB endpoint should fail")
 	}
 }
@@ -182,7 +184,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 
 	// IDL missing entirely.
 	base := startIfsvr(t, map[string]string{"/svc.ior": ref.String()})
-	if _, err := NewCORBAClient(base+"/svc.idl", base+"/svc.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base+"/svc.idl", &DialOptions{Binding: "CORBA", AuxURL: base + "/svc.ior"}); err == nil {
 		t.Error("missing IDL should fail")
 	}
 
@@ -191,7 +193,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		"/svc.ior": ref.String(),
 		"/svc.idl": "not idl at all {",
 	})
-	if _, err := NewCORBAClient(base2+"/svc.idl", base2+"/svc.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base2+"/svc.idl", &DialOptions{Binding: "CORBA", AuxURL: base2 + "/svc.ior"}); err == nil {
 		t.Error("unparseable IDL should fail")
 	}
 
@@ -200,7 +202,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		"/svc.ior": ref.String(),
 		"/svc.idl": "module SvcModule { interface Other { void f(); }; };",
 	})
-	if _, err := NewCORBAClient(base3+"/svc.idl", base3+"/svc.ior", nil); err == nil {
+	if _, err := Dial(context.Background(), base3+"/svc.idl", &DialOptions{Binding: "CORBA", AuxURL: base3 + "/svc.ior"}); err == nil {
 		t.Error("interface mismatch should fail")
 	}
 
@@ -213,7 +215,7 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		"/svc.ior": ref.String(),
 		"/svc.idl": idl.Print(doc),
 	})
-	client, err := NewCORBAClient(base4+"/svc.idl", base4+"/svc.ior", nil)
+	client, err := Dial(context.Background(), base4+"/svc.idl", &DialOptions{Binding: "CORBA", AuxURL: base4 + "/svc.ior"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,15 +226,56 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 }
 
 func TestCORBABackendInvokeBeforeConnect(t *testing.T) {
-	b := newCORBABackend(NewDocSource("http://unused/", nil, nil), NewDocSource("http://unused/", nil, nil))
-	if _, err := b.Invoke(context.Background(), dyn.MethodSig{Name: "x"}, nil); err == nil {
+	stub := &corbaStub{iorDocs: NewDocSource("http://unused/", nil, nil)}
+	if _, err := stub.Call(context.Background(), dyn.MethodSig{Name: "x"}, nil); err == nil {
 		t.Error("invoke before connect should fail")
 	}
-	if b.Technology() != "CORBA" {
+	b := corbaBinding(NewDocSource("http://unused/", nil, nil))
+	if b.Technology != "CORBA" {
 		t.Error("Technology")
 	}
 	if err := b.Close(); err != nil {
 		t.Errorf("close before connect: %v", err)
+	}
+}
+
+// TestClosedClientStaysClosed: after Close, a call and a refresh fail, and
+// the CORBA stub takes no pooled IIOP connection again — nothing would
+// ever release it.
+func TestClosedClientStaysClosed(t *testing.T) {
+	mgr, err := core.NewManager(core.Config{Timeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mgr.Close() }()
+	srv, err := mgr.Register(calcClass(t, 0), core.TechCORBA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	conns, refs := IIOPPoolStats()
+	c, err := Dial(ctx, srv.InterfaceURL(), &DialOptions{Binding: "CORBA"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CallContext(ctx, "op"); err != nil {
+		t.Fatalf("call before close: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.CallContext(ctx, "op"); err == nil {
+		t.Errorf("call after close returned %v", v)
+	}
+	if err := c.Refresh(); err == nil {
+		t.Error("refresh after close succeeded")
+	}
+	if gc, gr := IIOPPoolStats(); gc != conns || gr != refs {
+		t.Errorf("IIOP pool at conns=%d refs=%d after close, want conns=%d refs=%d as before the dial", gc, gr, conns, refs)
 	}
 }
 

@@ -117,3 +117,20 @@ func TestBackoffResetsOnRecovery(t *testing.T) {
 		t.Fatalf("first post-reset failure delay = %v, want within the base", d)
 	}
 }
+
+// TestFailedReadsArePaced: reads go to the leader and never rotate across
+// the replica endpoints, so a read that follows a failed one waits out the
+// backoff, however many endpoints the source lists.
+func TestFailedReadsArePaced(t *testing.T) {
+	src := NewDocSource("http://127.0.0.1:1/x.wsdl", nil, nil)
+	src.SetEndpoints([]string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"})
+	src.bo.Base = time.Millisecond
+	for i, want := range []uint64{0, 1} {
+		if _, err := src.Fetch(context.Background()); err == nil {
+			t.Fatal("a read from a dead endpoint succeeded")
+		}
+		if got := src.Backoffs(); got != want {
+			t.Errorf("after failed read %d: %d backoff waits, want %d", i+1, got, want)
+		}
+	}
+}

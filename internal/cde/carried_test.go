@@ -91,7 +91,7 @@ func TestStaleReplyDocumentOrFetch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			publish(ifsvr.Document{Content: "ops:ping", Version: 1, Generation: 1})
 			b := opsBinding(carryingStale{tc.carried})
-			c, err := NewClientContext(context.Background(), &docBackend{docs: NewDocSource(ts.URL+"/doc", nil, nil), b: b}, nil)
+			c, err := ConnectDocs(context.Background(), ts.URL+"/doc", nil, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,6 @@ import (
 	"sync"
 	"time"
 
-	"livedev/internal/backoff"
 	"livedev/internal/dyn"
 	"livedev/internal/ifsvr"
 )
@@ -55,54 +54,6 @@ func (e *StaleMethodError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrStaleMethod) work and preserves the cause.
 func (e *StaleMethodError) Unwrap() []error { return []error{ErrStaleMethod, e.Cause} }
-
-// Backend is the technology-specific client plumbing (Axis for SOAP,
-// OpenORB DII for CORBA in the paper; our soap, orb, and jsonb packages
-// here). Both operations take the caller's context: cancellation must abort
-// the underlying transport exchange and surface an error wrapping ctx.Err().
-type Backend interface {
-	// FetchInterface retrieves and compiles the published interface
-	// description, returning the descriptor, the document publish version,
-	// and the descriptor version it was generated from.
-	FetchInterface(ctx context.Context) (dyn.InterfaceDescriptor, DocVersions, error)
-	// Invoke performs the remote call against sig.
-	Invoke(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error)
-	// IsStale reports whether err is this technology's "Non Existent
-	// Method" signal.
-	IsStale(err error) bool
-	// Technology names the backend ("SOAP", "CORBA", "JSON", ...).
-	Technology() string
-	// Close releases connections.
-	Close() error
-}
-
-// InterfaceEvent is one interface view delivered over the streaming watch
-// transport.
-type InterfaceEvent struct {
-	// Desc is the compiled interface descriptor.
-	Desc dyn.InterfaceDescriptor
-	// Versions are the document's version counters.
-	Versions DocVersions
-	// Replayed marks a view served from the store journal during reconnect
-	// catch-up; Snapshot marks the full-document fallback when the journal
-	// no longer covered the client's epoch.
-	Replayed, Snapshot bool
-}
-
-// WatchableBackend is a Backend with the optional watch capability: its
-// published interface document can be watched (push-invalidated) instead of
-// polled, by holding one streaming watch on it (the Interface Server's
-// "?watch=stream" SSE transport). All built-in bindings implement it; Dial's
-// WithWatch option requires it.
-type WatchableBackend interface {
-	Backend
-	// StreamInterface connects one streaming watch, delivering each
-	// committed interface version after the given store epoch — replayed
-	// catch-up first, then live pushes — until ctx ends or the connection
-	// breaks (returned as an error; reconnect with the last seen epoch to
-	// ride journal replay).
-	StreamInterface(ctx context.Context, afterEpoch uint64, deliver func(InterfaceEvent)) error
-}
 
 // DocVersions carries the version counters of a published document.
 type DocVersions struct {
@@ -157,7 +108,9 @@ type ClientStats struct {
 	// data dir) is NOT a restart here — the watcher rides journal replay
 	// and only Reconnects moves.
 	Restarts uint64
-	// Backoffs counts backoff waits the watcher's retry loop performed:
+	// Backoffs counts the backoff waits of the client's document source
+	// (DocSource.Backoffs): a read waits from its first failure, a stream
+	// reconnect once the whole endpoint rotation has failed, and
 	// consecutive failures lengthen the wait exponentially (capped,
 	// jittered, reset on success), so each is a dial that hot-spin retry
 	// would have made many times over.
@@ -169,18 +122,34 @@ type ClientStats struct {
 	Drains uint64
 }
 
-// Client is a live CDE client bound to one server.
+// errClosed reports a call or a refresh on a closed client.
+var errClosed = errors.New("cde: client is closed")
+
+// view is one interface view: the compiled descriptor, the versions of the
+// document it was compiled from, and the Caller for the endpoint that
+// document advertises. An installed view is never modified; a newer one
+// replaces it whole.
+type view struct {
+	iface    dyn.InterfaceDescriptor
+	versions DocVersions
+	caller   Caller
+}
+
+// Client is a live CDE client bound to one server: the source of its
+// published interface document, the binding that compiles it, and the one
+// view installed from it.
 type Client struct {
-	backend Backend
+	docs *DocSource
+	b    DocBinding
 
 	// callTimeout, when non-zero, bounds each call whose context carries no
 	// deadline of its own (the Dial WithTimeout option).
 	callTimeout time.Duration
 
-	mu       sync.RWMutex
-	iface    dyn.InterfaceDescriptor
-	versions DocVersions
-	stats    ClientStats
+	mu     sync.RWMutex
+	view   *view
+	stats  ClientStats
+	closed bool
 	// viewHooks run (outside the lock) after every installed view — the
 	// hooks bridges use for event-driven re-export. Keyed so several
 	// listeners (e.g. two fronts over one client) coexist.
@@ -197,16 +166,11 @@ type Client struct {
 	refreshMu sync.Mutex // serializes concurrent reactive refreshes
 }
 
-// NewClient wraps a backend and performs the initial interface fetch —
-// step (1) of Figures 1 and 2.
-func NewClient(backend Backend) (*Client, error) {
-	return NewClientContext(context.Background(), backend, nil)
-}
-
-// NewClientContext is NewClient with a context governing the initial
-// interface fetch and per-client options (nil for defaults).
-func NewClientContext(ctx context.Context, backend Backend, opts *DialOptions) (*Client, error) {
-	c := &Client{backend: backend}
+// connect builds the client over docs and b and performs the initial
+// interface fetch — step (1) of Figures 1 and 2 — then starts the push
+// watcher when opts (which may be nil) ask for it.
+func connect(ctx context.Context, docs *DocSource, b DocBinding, opts *DialOptions) (*Client, error) {
+	c := &Client{docs: docs, b: b, view: &view{}}
 	c.debugger = &Debugger{client: c}
 	if opts != nil {
 		c.callTimeout = opts.Timeout
@@ -215,19 +179,13 @@ func NewClientContext(ctx context.Context, backend Backend, opts *DialOptions) (
 		}
 	}
 	if err := c.RefreshContext(ctx); err != nil {
-		// The backend may already hold resources (the CORBA backend takes a
-		// pooled IIOP connection ref during the fetch); a failed dial must
-		// release them.
-		_ = backend.Close()
+		// The binding may already hold resources (CORBA's bootstrap takes a
+		// pooled IIOP connection ref); a failed dial must release them.
+		_ = c.Close()
 		return nil, err
 	}
 	if opts != nil && opts.Watch {
-		wb, ok := backend.(WatchableBackend)
-		if !ok {
-			_ = backend.Close()
-			return nil, fmt.Errorf("cde: the %s binding does not support watch (backend lacks StreamInterface)", backend.Technology())
-		}
-		c.startWatch(wb)
+		c.startWatch()
 	}
 	return c, nil
 }
@@ -235,96 +193,66 @@ func NewClientContext(ctx context.Context, backend Backend, opts *DialOptions) (
 // startWatch launches the push watcher: a goroutine holding one streaming
 // watch on the published interface document and installing each new
 // version into the client's view — the push-invalidated interface cache.
-func (c *Client) startWatch(wb WatchableBackend) {
+func (c *Client) startWatch() {
 	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
 	c.mu.Lock()
-	c.watching = true
-	c.watchCancel = cancel
-	c.watchDone = make(chan struct{})
-	done := c.watchDone
+	c.watching, c.watchCancel, c.watchDone = true, cancel, done
 	c.mu.Unlock()
 	go func() {
 		defer close(done)
-		c.runWatch(ctx, wb)
+		c.runWatch(ctx)
 	}()
 }
 
 // runWatch holds the streaming watch until ctx ends, reconnecting with the
 // last seen epoch after a break so catch-up rides journal replay instead
-// of a refetch.
-func (c *Client) runWatch(ctx context.Context, wb WatchableBackend) {
-	bo := &backoff.Backoff{Base: watchRetryDelay, Cap: watchRetryCap}
+// of a refetch. The document source paces the reconnects: a broken stream
+// (server restart, network blip, a backpressure eviction because this
+// client lagged, or an endpoint that does not stream at all) fails over to
+// the next replica endpoint at once and waits out the source's backoff only
+// once the whole rotation has failed; a drained one reconnects without a
+// wait — the server asked us to move, we did not fail.
+func (c *Client) runWatch(ctx context.Context) {
 	for {
-		after := c.Versions().Epoch
-		err := wb.StreamInterface(ctx, after, func(ev InterfaceEvent) {
-			installed := c.installView(ev.Desc, ev.Versions, fromWatch, c.noteRestart(ev.Versions))
+		err := c.docs.Stream(ctx, c.Versions().Epoch, func(ev ifsvr.StreamEvent) {
+			installed, err := c.install(ev.Doc, fromWatch)
+			if err != nil {
+				return // a malformed intermediate version; the next event supersedes it
+			}
 			c.mu.Lock()
 			c.stats.StreamEvents++
 			if ev.Replayed && installed {
 				c.stats.Replays++
 			}
 			c.mu.Unlock()
-			// A delivered event proves the stream healthy: the next break
-			// starts a fresh failure streak.
-			bo.Reset()
 		})
 		if ctx.Err() != nil {
 			return
 		}
-		if errors.Is(err, ifsvr.ErrStreamDraining) {
-			// The server ended the stream because it is shutting down
-			// gracefully: reconnect immediately — the backend's endpoint
-			// rotation already points at the next replica, and our cursors
-			// ride replay there. No backoff; this was not a failure.
-			c.mu.Lock()
-			c.stats.Drains++
-			c.stats.Reconnects++
-			c.mu.Unlock()
-			continue
-		}
-		// Broken stream (server restart, network blip, a backpressure
-		// eviction because this client lagged, or an endpoint that does
-		// not stream at all): back off — exponentially while the breaks
-		// continue — and reconnect, against the next replica when the
-		// backend rotates endpoints; the server replays what we missed.
 		c.mu.Lock()
-		if errors.Is(err, ifsvr.ErrStreamEvicted) {
+		switch {
+		case errors.Is(err, ifsvr.ErrStreamDraining):
+			c.stats.Drains++
+		case errors.Is(err, ifsvr.ErrStreamEvicted):
 			c.stats.Evictions++
 		}
 		c.stats.Reconnects++
-		c.stats.Backoffs++
 		c.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(bo.Next()):
-		}
 	}
 }
 
-// noteRestart reports whether a watched view belongs to a new server
-// incarnation that did not recover the previous one's state — a restart-
-// generation change whose epoch OR document version regressed below the
-// client's cursors. That combination forces the view past the
-// no-backwards rule. The document-version check matters when the new
-// incarnation's store-wide epoch has already overtaken the client's
-// (path-scoped) epoch cursor: per-incarnation document versions are
-// monotone per path, so a regressed version under a new generation is
-// still proof of state loss. A generation change with both cursors
-// intact is a durable server restart the watcher rides via journal
-// replay, and a snapshot on an unchanged generation is merely a journal
-// eviction — neither forces anything.
-func (c *Client) noteRestart(vers DocVersions) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !restarted(c.versions, vers) {
-		return false
-	}
-	c.stats.Restarts++
-	return true
-}
-
-// restarted is noteRestart's test of a view of next against one of cur.
+// restarted reports whether a view of next belongs to a new server
+// incarnation that did not recover the one cur came from — a restart-
+// generation change whose epoch OR document version regressed below cur's.
+// That combination forces the view past the no-backwards rule. The
+// document-version check matters when the new incarnation's store-wide
+// epoch has already overtaken the client's (path-scoped) epoch cursor:
+// per-incarnation document versions are monotone per path, so a regressed
+// version under a new generation is still proof of state loss. A
+// generation change with both cursors intact is a durable server restart
+// the watcher rides via journal replay, and a snapshot on an unchanged
+// generation is merely a journal eviction — neither forces anything.
 func restarted(cur, next DocVersions) bool {
 	if next.Generation == 0 || cur.Generation == 0 || next.Generation == cur.Generation {
 		return false
@@ -339,15 +267,6 @@ func newer(cur, next DocVersions) bool {
 	same := next.Doc != 0 && next.Doc == cur.Doc && next.Generation == cur.Generation
 	return next.Doc >= cur.Doc && !same
 }
-
-// watchRetryDelay is the base pacing of watch resubscription after a
-// transient failure; consecutive failures back off exponentially up to
-// watchRetryCap (jittered, reset on success). Vars, not consts, so tests
-// can compress the schedule.
-var (
-	watchRetryDelay = 200 * time.Millisecond
-	watchRetryCap   = 5 * time.Second
-)
 
 // Watching reports whether the push watcher is running.
 func (c *Client) Watching() bool {
@@ -386,19 +305,35 @@ const (
 	fromReply                   // the document a stale reply carried
 )
 
-// installView installs a fetched, pushed or carried interface view. The
-// view never moves backwards, and never re-installs itself: a document
-// older than the current view, or a versioned one with the current view's
-// (generation, version), is dropped (a fetch is still counted) — unless
-// force is set, the restart path, where the regressed view is the new
-// server's truth. It reports whether the view was installed.
-func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, src viewSource, force bool) bool {
+// install compiles doc into a view and installs it (installView), reporting
+// whether it was installed. A document that does not compile installs
+// nothing and is returned as the error.
+func (c *Client) install(doc ifsvr.Document, src viewSource) (bool, error) {
+	desc, caller, err := c.b.Compile(doc)
+	if err != nil {
+		return false, err
+	}
+	vers := DocVersions{Doc: doc.Version, Descriptor: doc.DescriptorVersion, Epoch: doc.Epoch, Generation: doc.Generation}
+	return c.installView(&view{iface: desc, versions: vers, caller: caller}, src), nil
+}
+
+// installView installs a fetched, pushed or carried view. The view never
+// moves backwards, and never re-installs itself: a document older than the
+// current view, or a versioned one with the current view's (generation,
+// version), is dropped whole — its Caller does not retarget calls either
+// (a fetch is still counted) — unless it restarted the server, where the
+// regressed view is the new incarnation's truth. It reports whether the
+// view was installed.
+func (c *Client) installView(v *view, src viewSource) bool {
 	c.mu.Lock()
 	if src == fromFetch {
 		// A fetch happened whether or not its result wins the race below.
 		c.stats.Refreshes++
 	}
-	if !force && !newer(c.versions, vers) {
+	switch {
+	case restarted(c.view.versions, v.versions):
+		c.stats.Restarts++
+	case !newer(c.view.versions, v.versions):
 		c.mu.Unlock()
 		return false
 	}
@@ -406,8 +341,7 @@ func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, src
 		// Counted only when the pushed view is actually installed.
 		c.stats.WatchUpdates++
 	}
-	c.iface = desc
-	c.versions = vers
+	c.view = v
 	hooks := make([]func(), 0, len(c.viewHooks))
 	for _, h := range c.viewHooks {
 		hooks = append(hooks, h)
@@ -419,14 +353,14 @@ func (c *Client) installView(desc dyn.InterfaceDescriptor, vers DocVersions, src
 	return true
 }
 
-// Technology reports the backend technology.
-func (c *Client) Technology() string { return c.backend.Technology() }
+// Technology reports the binding's technology.
+func (c *Client) Technology() string { return c.b.Technology }
 
 // Interface returns the client's current view of the server interface.
 func (c *Client) Interface() dyn.InterfaceDescriptor {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.iface
+	return c.view.iface
 }
 
 // Versions returns the versions of the interface document the current view
@@ -434,14 +368,16 @@ func (c *Client) Interface() dyn.InterfaceDescriptor {
 func (c *Client) Versions() DocVersions {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.versions
+	return c.view.versions
 }
 
 // Stats returns a snapshot of the client counters.
 func (c *Client) Stats() ClientStats {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.stats
+	st := c.stats
+	c.mu.RUnlock()
+	st.Backoffs = c.docs.Backoffs()
+	return st
 }
 
 // Debugger returns the client's debugger.
@@ -455,44 +391,52 @@ func (c *Client) Refresh() error { return c.RefreshContext(context.Background())
 // never moves backwards: a fetch racing a newer fetch is discarded by
 // comparing document versions.
 func (c *Client) RefreshContext(ctx context.Context) error {
-	desc, vers, err := c.backend.FetchInterface(ctx)
+	c.mu.RLock()
+	closed := c.closed
+	c.mu.RUnlock()
+	if closed {
+		return errClosed
+	}
+	if c.b.Bootstrap != nil {
+		if err := c.b.Bootstrap(ctx); err != nil {
+			return err
+		}
+	}
+	doc, err := c.docs.Fetch(ctx)
 	if err != nil {
 		return err
 	}
-	c.installView(desc, vers, fromFetch, c.noteRestart(vers))
-	return nil
-}
-
-// carrier is a Backend whose stale replies may carry the interface document
-// the refusing server just committed — the document backend of every
-// DocBinding.
-type carrier interface {
-	carriedInterface(err error) (dyn.InterfaceDescriptor, DocVersions, bool)
+	_, err = c.install(doc, fromFetch)
+	return err
 }
 
 // reactiveRefresh brings the client's view up to date after the "Non
 // Existent Method" reply stale, watcher or not. The reply carries the
 // document the server's forced publication committed (Section 5.7), which
 // is exactly what the Interface Server would serve at that instant, and it
-// is installed like a fetched one. A reply without one — the
-// ActivePublishingOnly ablation, a document over ifsvr.MaxCarriedDoc or one
-// that does not compile, a server predating carried documents — falls back
-// to fetching the document, the classic Section 6 path.
+// is installed like a fetched one. A reply without one — a binding that
+// reads no document off its replies, the ActivePublishingOnly ablation, a
+// document that is unversioned, over ifsvr.MaxCarriedDoc or does not
+// compile, a server predating carried documents — falls back to fetching
+// the document, the classic Section 6 path.
 func (c *Client) reactiveRefresh(ctx context.Context, stale error) error {
-	if cb, ok := c.backend.(carrier); ok {
-		if desc, vers, ok := cb.carriedInterface(stale); ok {
-			c.installView(desc, vers, fromReply, c.noteRestart(vers))
-			return nil
+	if c.b.StaleDoc != nil {
+		doc := c.b.StaleDoc(stale)
+		if doc != nil && doc.Version != 0 && len(doc.Content) <= ifsvr.MaxCarriedDoc {
+			if _, err := c.install(*doc, fromReply); err == nil {
+				return nil
+			}
 		}
 	}
 	return c.RefreshContext(ctx)
 }
 
 // CallContext invokes a server method by name. The signature is resolved
-// against the client's current interface view; arguments are type-checked
-// against it; and the reactive-update protocol of Section 6 runs on "Non
-// Existent Method" replies: refresh first, then deliver a
-// *StaleMethodError, which is also recorded with the debugger.
+// against the client's current interface view and the call goes to the
+// endpoint that same view names; arguments are type-checked against it;
+// and the reactive-update protocol of Section 6 runs on "Non Existent
+// Method" replies: refresh first, then deliver a *StaleMethodError, which
+// is also recorded with the debugger.
 //
 // Cancelling ctx (or exceeding its deadline, or the client's configured
 // default timeout when ctx carries no deadline) aborts the in-flight
@@ -509,29 +453,33 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 	}
 
 	c.mu.RLock()
-	sig, ok := c.iface.Lookup(method)
+	v, closed := c.view, c.closed
 	c.mu.RUnlock()
+	if closed {
+		return dyn.Value{}, errClosed
+	}
+	sig, ok := v.iface.Lookup(method)
 	if !ok {
 		// The local view may predate a server-side addition: refresh once.
 		if err := c.RefreshContext(ctx); err != nil {
 			return dyn.Value{}, err
 		}
 		c.mu.RLock()
-		sig, ok = c.iface.Lookup(method)
+		v = c.view
 		c.mu.RUnlock()
-		if !ok {
+		if sig, ok = v.iface.Lookup(method); !ok {
 			return dyn.Value{}, fmt.Errorf("%w: %s", ErrNoSuchStub, method)
 		}
 	}
 
-	result, err := c.backend.Invoke(ctx, sig, args)
+	result, err := v.caller.Call(ctx, sig, args)
 	if err == nil {
 		c.mu.Lock()
 		c.stats.Calls++
 		c.mu.Unlock()
 		return result, nil
 	}
-	if !c.backend.IsStale(err) {
+	if !c.b.IsStale(err) {
 		return dyn.Value{}, err
 	}
 
@@ -546,7 +494,7 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 
 	c.mu.Lock()
 	c.stats.StaleFaults++
-	ver := c.versions.Descriptor
+	ver := c.view.versions.Descriptor
 	c.mu.Unlock()
 
 	staleErr := &StaleMethodError{Method: method, RefreshedDescriptorVersion: ver, Cause: err}
@@ -583,9 +531,11 @@ func (c *Client) AutoRefresh(interval time.Duration) (stop func()) {
 	}
 }
 
-// Close stops the watcher (if any) and releases the backend.
+// Close stops the watcher (if any) and releases what the binding holds.
+// Calls and refreshes on a closed client fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	c.closed = true
 	cancel, done := c.watchCancel, c.watchDone
 	c.watchCancel, c.watchDone = nil, nil
 	c.watching = false
@@ -594,7 +544,10 @@ func (c *Client) Close() error {
 		cancel()
 		<-done
 	}
-	return c.backend.Close()
+	if c.b.Close == nil {
+		return nil
+	}
+	return c.b.Close()
 }
 
 // Exception is a failed call recorded by the debugger (Figure 9).

@@ -4,34 +4,41 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
-// fakeBackend is a scriptable Backend: it serves interface descriptors from
-// a versioned store and dispatches invocations to a function.
-type fakeBackend struct {
+// fakeServer is a scriptable interface server plus the binding that reads
+// it: it serves the interface's method names as a versioned document, and
+// the Callers its binding compiles dispatch invocations to a function.
+type fakeServer struct {
+	url string
+
 	mu       sync.Mutex
 	desc     dyn.InterfaceDescriptor
 	vers     DocVersions
 	fetchErr error
 	invoke   func(sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error)
 	fetches  int
-	staleErr error // the error that counts as "Non Existent Method"
 	closed   bool
 }
 
-var _ Backend = (*fakeBackend)(nil)
-
 var errFakeStale = errors.New("fake: non existent method")
 
-func newFakeBackend() *fakeBackend {
-	b := &fakeBackend{staleErr: errFakeStale}
-	b.setInterface(descWith("ping"))
-	return b
+func newFakeServer(t *testing.T) *fakeServer {
+	f := &fakeServer{}
+	f.setInterface(descWith("ping"))
+	ts := httptest.NewServer(http.HandlerFunc(f.serveDoc))
+	t.Cleanup(ts.Close)
+	f.url = ts.URL + "/fake.doc"
+	return f
 }
 
 func descWith(methods ...string) dyn.InterfaceDescriptor {
@@ -46,46 +53,69 @@ func descWith(methods ...string) dyn.InterfaceDescriptor {
 	return c.Interface()
 }
 
-func (b *fakeBackend) setInterface(d dyn.InterfaceDescriptor) {
-	b.mu.Lock()
-	b.desc = d
-	b.vers.Doc++
-	b.vers.Descriptor++
-	b.mu.Unlock()
+func (f *fakeServer) setInterface(d dyn.InterfaceDescriptor) {
+	f.mu.Lock()
+	f.desc = d
+	f.vers.Doc++
+	f.vers.Descriptor++
+	f.mu.Unlock()
 }
 
-func (b *fakeBackend) FetchInterface(context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.fetches++
-	if b.fetchErr != nil {
-		return dyn.InterfaceDescriptor{}, DocVersions{}, b.fetchErr
+// serveDoc answers a document GET with the method names, comma-separated.
+func (f *fakeServer) serveDoc(w http.ResponseWriter, _ *http.Request) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.fetches++
+	if f.fetchErr != nil {
+		http.Error(w, f.fetchErr.Error(), http.StatusServiceUnavailable)
+		return
 	}
-	return b.desc, b.vers, nil
+	names := make([]string, len(f.desc.Methods))
+	for i, m := range f.desc.Methods {
+		names[i] = m.Name
+	}
+	ifsvr.DocHeaders(ifsvr.Document{Version: f.vers.Doc, DescriptorVersion: f.vers.Descriptor,
+		Epoch: f.vers.Epoch, Generation: f.vers.Generation}, w.Header().Set)
+	_, _ = w.Write([]byte(strings.Join(names, ",")))
 }
 
-func (b *fakeBackend) Invoke(_ context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	b.mu.Lock()
-	fn := b.invoke
-	b.mu.Unlock()
+// binding compiles the fake's documents; its Callers answer through invoke.
+func (f *fakeServer) binding() DocBinding {
+	return DocBinding{
+		Technology: "FAKE",
+		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+			return descWith(strings.Split(doc.Content, ",")...), fakeCaller{f}, nil
+		},
+		IsStale: func(err error) bool { return errors.Is(err, errFakeStale) },
+		Close: func() error {
+			f.mu.Lock()
+			f.closed = true
+			f.mu.Unlock()
+			return nil
+		},
+	}
+}
+
+// dial connects a client to the fake through ConnectDocs.
+func (f *fakeServer) dial() (*Client, error) {
+	return ConnectDocs(context.Background(), f.url, nil, f.binding())
+}
+
+type fakeCaller struct{ f *fakeServer }
+
+func (c fakeCaller) Call(_ context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
+	c.f.mu.Lock()
+	fn := c.f.invoke
+	c.f.mu.Unlock()
 	if fn != nil {
 		return fn(sig, args)
 	}
 	return dyn.StringValue("pong"), nil
 }
 
-func (b *fakeBackend) IsStale(err error) bool { return errors.Is(err, errFakeStale) }
-func (b *fakeBackend) Technology() string     { return "FAKE" }
-func (b *fakeBackend) Close() error {
-	b.mu.Lock()
-	b.closed = true
-	b.mu.Unlock()
-	return nil
-}
-
 func TestNewClientFetchesInterface(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +132,20 @@ func TestNewClientFetchesInterface(t *testing.T) {
 }
 
 func TestNewClientFetchFailure(t *testing.T) {
-	b := newFakeBackend()
-	b.fetchErr = errors.New("interface server down")
-	if _, err := NewClient(b); err == nil {
-		t.Error("NewClient should fail when the initial fetch fails")
+	f := newFakeServer(t)
+	f.fetchErr = errors.New("interface server down")
+	c, err := f.dial()
+	if err == nil {
+		t.Fatal("connecting should fail when the initial fetch fails")
+	}
+	if c != nil || !f.closed {
+		t.Errorf("a failed connect returned %v and left the binding open (closed=%v)", c, f.closed)
 	}
 }
 
 func TestCallSuccess(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +160,8 @@ func TestCallSuccess(t *testing.T) {
 }
 
 func TestCallUnknownMethodRefreshesOnce(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +169,7 @@ func TestCallUnknownMethodRefreshesOnce(t *testing.T) {
 
 	// The server gained a method the client has not seen: Call must
 	// refresh and find it.
-	b.setInterface(descWith("ping", "added"))
+	f.setInterface(descWith("ping", "added"))
 	if _, err := c.CallContext(context.Background(), "added"); err != nil {
 		t.Errorf("Call(added) after server-side addition: %v", err)
 	}
@@ -150,16 +184,16 @@ func TestStaleCallRefreshesBeforeDelivery(t *testing.T) {
 	// The Section 6 client algorithm: when the server says "Non Existent
 	// Method", the client's interface view is updated BEFORE the exception
 	// reaches the caller.
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	// Server renames ping→pong and will reject ping calls as stale.
-	b.setInterface(descWith("pong"))
-	b.invoke = func(sig dyn.MethodSig, _ []dyn.Value) (dyn.Value, error) {
+	f.setInterface(descWith("pong"))
+	f.invoke = func(sig dyn.MethodSig, _ []dyn.Value) (dyn.Value, error) {
 		if sig.Name == "ping" {
 			return dyn.Value{}, errFakeStale
 		}
@@ -196,8 +230,8 @@ func TestStaleCallRefreshesBeforeDelivery(t *testing.T) {
 }
 
 func TestDebuggerRecordsAndTryAgain(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +250,7 @@ func TestDebuggerRecordsAndTryAgain(t *testing.T) {
 	// Fail a call; the debugger records it and prompts.
 	var failing sync.Mutex
 	shouldFail := true
-	b.invoke = func(sig dyn.MethodSig, _ []dyn.Value) (dyn.Value, error) {
+	f.invoke = func(sig dyn.MethodSig, _ []dyn.Value) (dyn.Value, error) {
 		failing.Lock()
 		defer failing.Unlock()
 		if shouldFail && sig.Name == "ping" {
@@ -252,15 +286,15 @@ func TestDebuggerRecordsAndTryAgain(t *testing.T) {
 }
 
 func TestRefreshNeverMovesBackwards(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	v1 := c.Versions()
 
-	b.setInterface(descWith("ping", "more"))
+	f.setInterface(descWith("ping", "more"))
 	if err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +304,11 @@ func TestRefreshNeverMovesBackwards(t *testing.T) {
 	}
 	// Simulate an old in-flight fetch result arriving late: serving a
 	// stale document must not regress the view. We emulate by dropping the
-	// backend's version below the client's.
-	b.mu.Lock()
-	b.desc = descWith("ping")
-	b.vers = DocVersions{Doc: v2.Doc - 1, Descriptor: v2.Descriptor - 1}
-	b.mu.Unlock()
+	// served version below the client's.
+	f.mu.Lock()
+	f.desc = descWith("ping")
+	f.vers = DocVersions{Doc: v2.Doc - 1, Descriptor: v2.Descriptor - 1}
+	f.mu.Unlock()
 	if err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +321,14 @@ func TestRefreshNeverMovesBackwards(t *testing.T) {
 }
 
 func TestNonStaleErrorsPassThrough(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	appErr := errors.New("database on fire")
-	b.invoke = func(dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
+	f.invoke = func(dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
 		return dyn.Value{}, appErr
 	}
 	_, err = c.CallContext(context.Background(), "ping")
@@ -310,15 +344,15 @@ func TestNonStaleErrorsPassThrough(t *testing.T) {
 }
 
 func TestAutoRefresh(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	stop := c.AutoRefresh(5 * time.Millisecond)
-	b.setInterface(descWith("ping", "fresh"))
+	f.setInterface(descWith("ping", "fresh"))
 	deadline := time.After(2 * time.Second)
 	for {
 		if _, ok := c.Interface().Lookup("fresh"); ok {
@@ -335,18 +369,18 @@ func TestAutoRefresh(t *testing.T) {
 }
 
 func TestStaleWithFailedRefreshStillDeliversStaleError(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	b.invoke = func(dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
+	f.invoke = func(dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
 		return dyn.Value{}, errFakeStale
 	}
-	b.mu.Lock()
-	b.fetchErr = fmt.Errorf("interface server unreachable")
-	b.mu.Unlock()
+	f.mu.Lock()
+	f.fetchErr = fmt.Errorf("interface server unreachable")
+	f.mu.Unlock()
 
 	_, err = c.CallContext(context.Background(), "ping")
 	if !errors.Is(err, ErrStaleMethod) {
@@ -385,8 +419,8 @@ func TestInterfaceNameFromTypeID(t *testing.T) {
 // N before the watch stream pushed N must not fire the view listeners (a
 // bridge's proxy re-sync) twice.
 func TestEqualViewInstallsOnce(t *testing.T) {
-	b := newFakeBackend()
-	c, err := NewClient(b)
+	f := newFakeServer(t)
+	c, err := f.dial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +428,7 @@ func TestEqualViewInstallsOnce(t *testing.T) {
 	var hooks int
 	c.AddViewListener(func() { hooks++ })
 
-	b.setInterface(descWith("ping", "more"))
+	f.setInterface(descWith("ping", "more"))
 	for i := 0; i < 2; i++ {
 		if err := c.Refresh(); err != nil {
 			t.Fatal(err)

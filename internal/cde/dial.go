@@ -30,9 +30,8 @@ type DialOptions struct {
 	// Watch subscribes the client to push-based interface updates: a
 	// watcher holds a streaming watch on the published interface document
 	// and installs each new version into the client's view as it is
-	// committed, before any call finds the old one stale. Requires the
-	// binding's backend to implement WatchableBackend; Dial fails
-	// otherwise.
+	// committed, before any call finds the old one stale. Every binding
+	// connected through ConnectDocs can be watched.
 	Watch bool
 	// AuxURL is a binding-specific secondary document URL — the CORBA
 	// binding uses it for the stringified IOR when the primary URL is the
@@ -44,7 +43,7 @@ type DialOptions struct {
 	Prompt func(Exception)
 	// Prefetched, when non-nil, is the document already fetched from the
 	// primary URL — Dial's sniffing fetch sets it so the chosen
-	// connector's backend can seed its initial interface compilation
+	// connector's client can seed its initial interface compilation
 	// instead of re-fetching the same document.
 	Prefetched *ifsvr.Document
 	// Endpoints lists replica base URLs (a replicated watch plane's
@@ -123,17 +122,18 @@ func ConnectorNames() []string {
 
 // DocSource reads one published interface document, optionally seeded
 // with a prefetched copy (Dial's sniffing fetch) that is consumed exactly
-// once — backends use it so connection establishment fetches each document
+// once — clients use it so connection establishment fetches each document
 // a single time. Reads go to the leader a replica names; watch streams
 // rotate across the replica endpoints. Safe for concurrent use.
 type DocSource struct {
 	url string
 	hc  *http.Client
 
-	// bo paces retries once every endpoint in the rotation has failed:
-	// capped jittered exponential backoff, reset by the next success, so a
-	// client whose endpoints all die makes O(log) dials per second instead
-	// of spinning hot. waits counts the sleeps it caused.
+	// bo paces retries — reads from their first failure, streams once
+	// every endpoint in the rotation has failed: capped jittered
+	// exponential backoff, reset by the next success, so a client whose
+	// endpoints all die makes O(log) dials per second instead of spinning
+	// hot. waits counts the sleeps it caused.
 	bo    backoff.Backoff
 	waits atomic.Uint64
 
@@ -148,9 +148,6 @@ type DocSource struct {
 func NewDocSource(url string, hc *http.Client, seed *ifsvr.Document) *DocSource {
 	return &DocSource{url: url, hc: hc, seed: seed}
 }
-
-// URL returns the document URL.
-func (s *DocSource) URL() string { return s.url }
 
 // SetEndpoints installs the replica endpoint list watch streams rotate
 // across (DialOptions.Endpoints). Empty is a no-op: streams stay on the
@@ -187,8 +184,8 @@ func (s *DocSource) streamURL() string {
 	return onBase(s.url, s.bases[s.cur%len(s.bases)])
 }
 
-// rotation is the number of distinct endpoints a failure streak must
-// cover before pacing kicks in: a single replica loss fails over
+// rotation is the number of distinct endpoints a stream failure streak
+// must cover before pacing kicks in: a single replica loss fails over
 // immediately; pacing starts only once the whole rotation has failed.
 func (s *DocSource) rotation() int {
 	s.mu.Lock()
@@ -199,20 +196,15 @@ func (s *DocSource) rotation() int {
 	return 1
 }
 
-// pace sleeps out the source's current backoff delay — but only when the
-// failure streak already spans the whole endpoint rotation, so plain
-// replica failover stays immediate. It returns early (with ctx.Err())
+// pace sleeps out the source's current backoff delay once the failure
+// streak has reached after (at least 1). It returns early (with ctx.Err())
 // when ctx ends first.
-func (s *DocSource) pace(ctx context.Context) error {
-	if s.bo.Streak() < s.rotation() {
-		return nil
-	}
-	d := s.bo.Delay()
-	if d <= 0 {
+func (s *DocSource) pace(ctx context.Context, after int) error {
+	if s.bo.Streak() < after {
 		return nil
 	}
 	s.waits.Add(1)
-	t := time.NewTimer(d)
+	t := time.NewTimer(s.bo.Delay())
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
@@ -229,7 +221,8 @@ func (s *DocSource) Backoffs() uint64 { return s.waits.Load() }
 
 // Fetch returns the seeded document on the first call that finds one, and
 // reads the document over HTTP otherwise: from the dialed URL until a
-// replica names its leader, from the leader ever after (readLeader).
+// replica names its leader, from the leader ever after (readLeader). Reads
+// do not rotate, so they wait out the backoff from the first failure.
 func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	s.mu.Lock()
 	seed, url := s.seed, s.url
@@ -241,7 +234,7 @@ func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	if seed != nil {
 		return *seed, nil
 	}
-	if err := s.pace(ctx); err != nil {
+	if err := s.pace(ctx, 1); err != nil {
 		return ifsvr.Document{}, err
 	}
 	doc, leader, err := readLeader(ctx, docClient(s.hc), url)
@@ -278,9 +271,10 @@ func readLeader(ctx context.Context, hc *http.Client, url string) (ifsvr.Documen
 // stream — an endpoint that does not stream included — rotates the source
 // to the next replica endpoint. A stream ended by a server drain rotates
 // without counting a failure: the server told us to go, so the reconnect
-// to the next replica should be immediate.
+// to the next replica should be immediate. Only a failure streak that spans
+// the whole rotation waits out the backoff before connecting.
 func (s *DocSource) Stream(ctx context.Context, afterEpoch uint64, fn func(ifsvr.StreamEvent)) error {
-	if err := s.pace(ctx); err != nil {
+	if err := s.pace(ctx, s.rotation()); err != nil {
 		return err
 	}
 	err := ifsvr.WatchStream(ctx, docClient(s.hc), s.streamURL(), afterEpoch, func(ev ifsvr.StreamEvent) {

@@ -50,7 +50,8 @@ func awaitReplicated(t *testing.T, f *repl.Follower, path string, want uint64) {
 // stream reconnect rotates to the surviving replica and rides journal
 // replay there — the replicas serve the LEADER's restart generation, so
 // the endpoint switch is ordinary catch-up, never a state-loss restart
-// (Restarts must stay exactly 0).
+// (Restarts must stay exactly 0), and immediate: only a failure of the
+// whole rotation waits out a backoff (Backoffs must stay 0 too).
 func TestWatchClientFailsOverBetweenReplicas(t *testing.T) {
 	mgr, srv := startCalcManager(t, "127.0.0.1:0", "", 0)
 	defer func() { _ = mgr.Close() }()
@@ -137,6 +138,9 @@ func TestWatchClientFailsOverBetweenReplicas(t *testing.T) {
 	}
 	if st.Reconnects == 0 {
 		t.Errorf("stats = %+v: killing the client's replica should have forced at least one reconnect", st)
+	}
+	if st.Backoffs != 0 {
+		t.Errorf("stats = %+v: failing over to a live replica must not wait out a backoff", st)
 	}
 	if _, err := c.CallContext(ctx, "op"); err != nil {
 		t.Fatalf("post-failover call: %v", err)

@@ -83,10 +83,8 @@ func TestNoteRestartSignals(t *testing.T) {
 			DocVersions{Doc: 5, Epoch: 9, Generation: 0}, DocVersions{Doc: 1, Epoch: 2, Generation: 0}, false},
 	}
 	for _, tc := range cases {
-		c := &Client{}
-		c.versions = tc.cur
-		if got := c.noteRestart(tc.got); got != tc.want {
-			t.Errorf("%s: noteRestart(%+v) with view %+v = %v, want %v", tc.name, tc.got, tc.cur, got, tc.want)
+		if got := restarted(tc.cur, tc.got); got != tc.want {
+			t.Errorf("%s: restarted(%+v, %+v) = %v, want %v", tc.name, tc.cur, tc.got, got, tc.want)
 		}
 	}
 }

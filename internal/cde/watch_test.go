@@ -15,35 +15,10 @@ import (
 	"livedev/internal/dyn"
 )
 
-// noWatchBackend is a minimal Backend without the optional watch capability.
-type noWatchBackend struct{}
-
-func (noWatchBackend) FetchInterface(context.Context) (dyn.InterfaceDescriptor, DocVersions, error) {
-	return dyn.InterfaceDescriptor{ClassName: "X"}, DocVersions{Doc: 1}, nil
-}
-func (noWatchBackend) Invoke(context.Context, dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
-	return dyn.Value{}, errors.New("not implemented")
-}
-func (noWatchBackend) IsStale(error) bool { return false }
-func (noWatchBackend) Technology() string { return "nowatch" }
-func (noWatchBackend) Close() error       { return nil }
-
-// TestWatchRequiresCapableBinding: requesting watch against a backend that
-// lacks StreamInterface fails at connect time with a telling error.
-func TestWatchRequiresCapableBinding(t *testing.T) {
-	_, err := NewClientContext(context.Background(), noWatchBackend{}, &DialOptions{Watch: true})
-	if err == nil {
-		t.Fatal("watch against a non-watchable backend must fail")
-	}
-	if !strings.Contains(err.Error(), "does not support watch") {
-		t.Errorf("error = %v", err)
-	}
-}
-
-// TestWatchOffKeepsFetchingPath: without the option the same backend
-// connects fine and Watching reports false.
+// TestWatchOffKeepsFetchingPath: without the option a client connects
+// fine and Watching reports false.
 func TestWatchOffKeepsFetchingPath(t *testing.T) {
-	c, err := NewClientContext(context.Background(), noWatchBackend{}, nil)
+	c, err := newFakeServer(t).dial()
 	if err != nil {
 		t.Fatal(err)
 	}

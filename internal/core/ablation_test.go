@@ -54,10 +54,10 @@ func TestActivePublishingViolatesRecency(t *testing.T) {
 
 			var client *cde.Client
 			if tech == core.TechSOAP {
-				client, err = cde.NewSOAPClient(srv.InterfaceURL(), nil)
+				client, err = cde.Dial(context.Background(), srv.InterfaceURL(), &cde.DialOptions{Binding: "SOAP"})
 			} else {
 				cs := srv.(*core.CORBAServer)
-				client, err = cde.NewCORBAClient(cs.InterfaceURL(), cs.IORURL(), nil)
+				client, err = cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -83,7 +83,7 @@ func startSOAP(t *testing.T, m *core.Manager, name string) (*core.SOAPServer, *c
 	}
 	srv.Publisher().PublishNow()
 	srv.Publisher().WaitIdle()
-	client, err := cde.NewSOAPClient(srv.InterfaceURL(), nil)
+	client, err := cde.Dial(context.Background(), srv.InterfaceURL(), &cde.DialOptions{Binding: "SOAP"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func startCORBA(t *testing.T, m *core.Manager, name string) (*core.CORBAServer, 
 	srv.Publisher().PublishNow()
 	srv.Publisher().WaitIdle()
 	cs := srv.(*core.CORBAServer)
-	client, err := cde.NewCORBAClient(cs.InterfaceURL(), cs.IORURL(), nil)
+	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCORBAServerNotInitialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := srv.(*core.CORBAServer)
-	client, err := cde.NewCORBAClient(cs.InterfaceURL(), cs.IORURL(), nil)
+	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
 	if err != nil {
 		t.Fatal(err)
 	}

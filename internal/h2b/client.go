@@ -312,8 +312,8 @@ func (Binding) Describe() cde.DocMatch {
 }
 
 // Connect builds a live CDE client from the interface-document URL: the
-// binding's document parser and Caller under cde's document backend, which
-// also makes the binding watch-capable. opts.HTTPClient applies to
+// binding's document parser and Caller under the client cde.ConnectDocs
+// builds, which also makes the binding watch-capable. opts.HTTPClient applies to
 // document traffic only.
 func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (*cde.Client, error) {
 	return cde.ConnectDocs(ctx, url, opts, cde.DocBinding{

@@ -159,8 +159,8 @@ func (Binding) Describe() cde.DocMatch {
 }
 
 // Connect builds a live CDE client from the interface-document URL: the
-// binding's document parser and Caller under cde's document backend, which
-// also makes the binding watch-capable.
+// binding's document parser and Caller under the client cde.ConnectDocs
+// builds, which also makes the binding watch-capable.
 func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (*cde.Client, error) {
 	var hc *http.Client
 	if opts != nil {

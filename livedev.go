@@ -205,8 +205,8 @@ type (
 //
 // What an implementer supplies — the paper's protocol itself (Sections 4,
 // 5.4, 5.6, 5.7) is written once, in core.ClassServer on the server side
-// and cde's document backend on the client side, and is not the binding's
-// to get wrong:
+// and the cde.Client that cde.ConnectDocs builds on the client side, and
+// is not the binding's to get wrong:
 //
 //   - Name is the technology's registry key, used by Manager.Register
 //     (as the Technology argument) and WithBinding. It must be non-empty
@@ -349,12 +349,12 @@ func WithBinding(name string) Option {
 //
 // The watcher holds the Interface Server's streaming watch
 // ("?watch=stream&after=N", one SSE connection per client); a broken
-// connection backs off, fails over to the next endpoint, and reconnects
-// with the last seen store epoch, caught up from the server's journal
-// replay instead of refetching. ClientStats (StreamEvents, Reconnects,
-// Replays vs Refreshes) makes that observable. Dial fails if the chosen
-// binding's backend does not implement the optional watch capability
-// (cde.WatchableBackend); all four built-in bindings do.
+// connection fails over to the next endpoint at once — backing off only
+// once every endpoint has failed — and reconnects with the last seen store
+// epoch, caught up from the server's journal replay instead of refetching. ClientStats (StreamEvents, Reconnects,
+// Replays vs Refreshes) makes that observable. Every binding whose
+// Connect goes through cde.ConnectDocs can be watched; all four built-in
+// bindings do.
 func WithWatch() Option {
 	return func(o *DialOptions) { o.Watch = true }
 }
