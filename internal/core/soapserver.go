@@ -37,10 +37,10 @@ func newSOAPServer(m *Manager, class *dyn.Class) (*SOAPServer, error) {
 func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
 // ServeHTTP implements the request/response handling of Section 5.1.3.
-// The request body is read into a pooled buffer. The parsed request's
-// parameter handles alias that buffer; the decoded dyn values and the
-// method name are copies, so the buffer recycles once the request is
-// handled. Replies are rendered into and written from a pooled buffer too.
+// The request body is read into a pooled buffer and parsed in the one
+// pass that decodes its parameters; the decoded dyn values and the method
+// name are copies, so the buffer recycles once the request is handled.
+// Replies are rendered into and written from a pooled buffer too.
 func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
@@ -55,25 +55,19 @@ func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if readErr != nil {
 			return "", nil, readErr
 		}
-		req, err := soap.ParseRequest(buf.Bytes())
+		// "the SOAP Call Handler searches for a matching method in the
+		// current server interface" while it parses the request.
+		call, err := soap.ParseCall(buf.Bytes(), live.Lookup)
 		if err != nil {
 			return "", nil, err
 		}
-		// "the SOAP Call Handler searches for a matching method in the
-		// current server interface".
-		sig, ok := live.Lookup(req.Method)
-		if !ok || len(req.Params) != len(sig.Params) {
-			return req.Method, nil, ErrMisfit
+		if call.Stale != nil {
+			// Unknown, or encoded against a stale signature (Section 5.6:
+			// "Client calls for stale method signatures may also trigger
+			// updates").
+			return call.Method, nil, ErrMisfit
 		}
-		args := make([]dyn.Value, len(sig.Params))
-		for i, p := range sig.Params {
-			if args[i], err = soap.DecodeValue(req.Params[i], p.Type); err != nil {
-				// Encoded against a stale signature (Section 5.6: "Client
-				// calls for stale method signatures may also trigger updates").
-				return req.Method, nil, ErrMisfit
-			}
-		}
-		return req.Method, args, nil
+		return call.Method, call.Args, nil
 	})
 
 	switch rep.Outcome {

@@ -141,6 +141,30 @@ func TestAllocs_BulkParseDecode(t *testing.T) {
 	}
 }
 
+// TestAllocs_BulkParseCall pins the one-pass read of the same request: the
+// walk decodes the parameter in place, so no handle slice is made.
+func TestAllocs_BulkParseCall(t *testing.T) {
+	raw, typ := bulkRequest(t), dyn.SequenceOf(bulkItem)
+	sig := dyn.MethodSig{Name: "echoAll", Params: []dyn.Param{{Name: "v", Type: typ}}, Result: typ}
+	lookup := func(string) (dyn.MethodSig, bool) { return sig, true }
+	if c, err := ParseCall(raw, lookup); err != nil || c.Stale != nil || !c.Args[0].Equal(bulkValue()) {
+		t.Fatalf("bulk request does not decode to the value it encodes: %v, %v", c.Stale, err)
+	}
+	d := new(decoder)
+	parseCall := func() {
+		d.fields = dyn.Slab{} // as putDecoder leaves it
+		if c, err := d.call(raw, lookup); err != nil || c.Stale != nil || c.Args[0].Len() != 256 {
+			t.Fatal(c.Stale, err)
+		}
+	}
+	parseCall() // grow the element stack once
+	// 256 tag strings + sequence slice + sequence type + argument slice +
+	// method name + the slab's nine chunks.
+	if allocs := testing.AllocsPerRun(50, parseCall); allocs > 256+4+9 {
+		t.Errorf("bulk ParseCall allocates %.0f objects/op, budget is %d", allocs, 256+4+9)
+	}
+}
+
 func TestAllocs_BulkBuild(t *testing.T) {
 	params := []NamedValue{{Name: "v", Value: bulkValue()}}
 	buf, err := appendRequest(nil, "urn:Bench", "echoAll", params)

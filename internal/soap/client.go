@@ -172,8 +172,11 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 	if err := ReadBody(buf, resp.Body, resp.ContentLength); err != nil {
 		return dyn.Value{}, fmt.Errorf("soap: reading response (HTTP %d): %w", resp.StatusCode, err)
 	}
+	if resultType == nil {
+		resultType = dyn.Void
+	}
 	// SOAP 1.1 faults come back with HTTP 500; parse the envelope either way.
-	parsed, err := ParseResponse(buf.Bytes())
+	parsed, err := parseReply(buf.Bytes(), resultType)
 	if err != nil {
 		if resp.StatusCode != http.StatusOK {
 			return dyn.Value{}, fmt.Errorf("soap: HTTP %d from %s", resp.StatusCode, c.Endpoint)
@@ -188,11 +191,11 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 		}
 		return dyn.Value{}, f
 	}
-	if resultType == nil || resultType.Kind() == dyn.KindVoid {
+	if resultType.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil
 	}
 	if parsed.Return == nil {
 		return dyn.Value{}, fmt.Errorf("soap: response for %s carries no return element", method)
 	}
-	return DecodeValue(parsed.Return, resultType)
+	return parsed.value, parsed.misfit
 }

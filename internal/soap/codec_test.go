@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"livedev/internal/dyn"
+	"livedev/internal/ifsvr"
 )
 
 // The differential checks: everything the call path does to bytes — the
@@ -85,14 +86,17 @@ func checkXML(t *testing.T, data []byte) {
 }
 
 // checkRequest holds ParseRequest and the decoding of every parameter
-// against each of types to the oracle, and reports whether the envelope was
-// accepted.
+// against each of types to the oracle, and ParseCall to both (checkCall),
+// and reports whether the envelope was accepted.
 func checkRequest(t *testing.T, data []byte, types ...*dyn.Type) (Request, bool) {
 	t.Helper()
 	want, werr := oracleParseRequest(data)
 	got, gerr := ParseRequest(data)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("ParseRequest: oracle error %v, scanner error %v\n%q", werr, gerr, data)
+	}
+	for _, typ := range types {
+		checkCall(t, data, got, gerr, typ)
 	}
 	if werr != nil {
 		return got, false
@@ -116,6 +120,9 @@ func checkResponse(t *testing.T, data []byte, types ...*dyn.Type) (Response, boo
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("ParseResponse: oracle error %v, scanner error %v\n%q", werr, gerr, data)
 	}
+	for _, typ := range types {
+		checkReply(t, data, got, gerr, typ)
+	}
 	if werr != nil {
 		return got, false
 	}
@@ -128,6 +135,88 @@ func checkResponse(t *testing.T, data []byte, types ...*dyn.Type) (Response, boo
 		}
 	}
 	return got, true
+}
+
+// checkCall holds ParseCall to the two-pass path — req and gerr, what
+// ParseRequest made of data — with every parameter typed typ: the same
+// grammar verdict, the method looked up once, and the values DecodeValue
+// makes of the handles, or the first parameter's DecodeValue error as
+// Stale. A signature of another arity, or none, makes a well-formed call
+// stale; a malformed one is malformed whatever the signature.
+func checkCall(t *testing.T, data []byte, req Request, gerr error, typ *dyn.Type) {
+	t.Helper()
+	n := len(req.Params)
+	for _, arity := range []int{-1, 0, 1, n, n + 1} { // -1: no such method
+		var asked []string
+		call, err := ParseCall(data, func(m string) (dyn.MethodSig, bool) {
+			asked = append(asked, m)
+			params := make([]dyn.Param, max(arity, 0))
+			for i := range params {
+				params[i] = dyn.Param{Name: "p", Type: typ}
+			}
+			return dyn.MethodSig{Name: m, Params: params, Result: typ}, arity >= 0
+		})
+		if (gerr == nil) != (err == nil) {
+			t.Fatalf("ParseCall, arity %d of %s: two-pass error %v, one-pass error %v\n%q", arity, typ, gerr, err, data)
+		}
+		if err != nil {
+			continue
+		}
+		if call.Method != req.Method || len(asked) != 1 || asked[0] != req.Method {
+			t.Fatalf("ParseCall: method %q, looked up %q, want %q once\n%q", call.Method, asked, req.Method, data)
+		}
+		var stale error
+		args := make([]dyn.Value, 0, n)
+		if arity != n {
+			stale = &Fault{Code: "soap:Server", String: FaultNonExistentMethod}
+		}
+		for i := 0; stale == nil && i < n; i++ {
+			v, err := DecodeValue(req.Params[i], typ)
+			args, stale = append(args, v), err
+		}
+		if stale != nil {
+			if call.Stale == nil || call.Stale.Error() != stale.Error() || call.Args != nil {
+				t.Fatalf("ParseCall, arity %d of %s: stale %v with %d args, want stale %v\n%q", arity, typ, call.Stale, len(call.Args), stale, data)
+			}
+			continue
+		}
+		if call.Stale != nil || len(call.Args) != n {
+			t.Fatalf("ParseCall, arity %d of %s: stale %v with %d args, want %d args\n%q", arity, typ, call.Stale, len(call.Args), n, data)
+		}
+		for i, v := range args {
+			if !sameValue(call.Args[i], v) {
+				t.Fatalf("ParseCall: argument %d is %v, DecodeValue made %v\n%q", i, call.Args[i], v, data)
+			}
+		}
+	}
+}
+
+// checkReply holds parseReply, decoding as typ, to the two-pass path — res
+// and gerr, what ParseResponse made of data: the same grammar verdict, the
+// same method, fault and handles, and the value (or error) DecodeValue
+// makes of the return handle.
+func checkReply(t *testing.T, data []byte, res Response, gerr error, typ *dyn.Type) {
+	t.Helper()
+	got, err := parseReply(data, typ)
+	if (gerr == nil) != (err == nil) {
+		t.Fatalf("parseReply as %s: two-pass error %v, one-pass error %v\n%q", typ, gerr, err, data)
+	}
+	if err != nil {
+		return
+	}
+	if got.Method != res.Method || !reflect.DeepEqual(got.Fault, res.Fault) || !bytes.Equal(got.Return, res.Return) || !bytes.Equal(got.detail, res.detail) {
+		t.Fatalf("parseReply: %+v (fault %+v), ParseResponse %+v (fault %+v)\n%q", got, got.Fault, res, res.Fault, data)
+	}
+	if res.Return == nil {
+		return
+	}
+	want, werr := DecodeValue(res.Return, typ)
+	switch {
+	case (werr == nil) != (got.misfit == nil) || werr != nil && werr.Error() != got.misfit.Error():
+		t.Fatalf("parseReply as %s: misfit %v, DecodeValue error %v\n%q", typ, got.misfit, werr, data)
+	case werr == nil && !sameValue(got.value, want):
+		t.Fatalf("parseReply as %s: %v, DecodeValue made %v\n%q", typ, got.value, want, data)
+	}
 }
 
 // inRequest wraps parameter elements in a request envelope as BuildRequest
@@ -338,21 +427,47 @@ var envelopeCases = []struct {
 	{"malformed inside a skipped Header", `<Envelope><Header><h a=b/></Header><Body><call/></Body></Envelope>`, false, false},
 	{"malformed inside a second Body", `<Envelope><Body><call/></Body><Body>&x;</Body></Envelope>`, false, false},
 	{"malformed inside a parameter", `<Envelope><Body><call><a><b></a></call></Body></Envelope>`, false, false},
+	{"misfitting parameter before malformed bytes", `<Envelope><Body><add><a>x</a><b><c></b></add></Body></Envelope>`, false, false},
+	{"unknown method before a malformed tail", `<Envelope><Body><nosuch><a>1</a></nosuch></Body><Trailer>&bogus;</Trailer></Envelope>`, false, false},
+	{"extra parameter before a malformed tail", `<Envelope><Body><add><a>1</a><b>2</b><c>3</c></add></Body></Envelope><`, false, false},
+	{"call that fits", `<Envelope><Body><m:add xmlns:m="urn:T"><a>1</a><b> 2 </b></m:add></Body></Envelope>`, true, false},
+	{"well-formed unknown method", `<Envelope><Body><nosuch><a>1</a><b>2</b></nosuch></Body></Envelope>`, true, false},
+	{"missing parameter", `<Envelope><Body><add><a>1</a></add></Body></Envelope>`, true, false},
+	{"extra parameter", `<Envelope><Body><add><a>1</a><b>2</b><c>3</c></add></Body></Envelope>`, true, false},
+	{"misfitting parameter", `<Envelope><Body><add><a>x</a><b>2</b></add></Body></Envelope>`, true, false},
 
 	{"built response", envPrefix + `<m:addResponse xmlns:m="urn:T"><return xsi:type="xsd:int">5</return></m:addResponse>` + envSuffix, true, true},
 	{"void response", envPrefix + `<m:resetResponse xmlns:m="urn:T"/>` + envSuffix, true, true},
 	{"return is the first child so named", `<Envelope><Body><fResponse><other>1</other><r:return>2</r:return><return>3</return></fResponse></Body></Envelope>`, true, true},
+	{"two return children, the first decoded", `<Envelope><Body><fResponse><return>1</return><return>x</return></fResponse></Body></Envelope>`, true, true},
+	{"two return children, the first misfits", `<Envelope><Body><fResponse><return>x</return><return>1</return></fResponse></Body></Envelope>`, true, true},
 	{"no return element", `<Envelope><Body><fResponse><result>2</result></fResponse></Body></Envelope>`, true, true},
 	{"bare Response", `<Envelope><Body><Response><return>1</return></Response></Body></Envelope>`, true, false},
 	{"not a response", `<Envelope><Body><fResponses/></Body></Envelope>`, true, false},
 	{"built fault", BuildFault(&Fault{Code: "soap:Server", String: FaultNonExistentMethod, Detail: `method "x" & <y>`}), true, true},
+	{"fault carrying an interface", BuildFault(&Fault{Code: "soap:Server", String: FaultNonExistentMethod, Detail: "method f", Interface: &ifsvr.Document{Content: `<definitions><x a="&amp;"/>]]></definitions>`}}), true, true},
 	{"fault without detail", BuildFault(&Fault{Code: "soap:Client", String: FaultMalformedRequest}), true, true},
 	{"fault members in any order, first wins", `<Envelope><Body><e:Fault><detail>d<x>no</x>1</detail><faultstring>s&amp;</faultstring><faultstring>t</faultstring><faultcode><![CDATA[c]]></faultcode></e:Fault></Body></Envelope>`, true, true},
 	{"empty fault", `<Envelope><Body><Fault/></Body></Envelope>`, true, true},
 	{"fault is case-sensitive", `<Envelope><Body><fault/></Body></Envelope>`, true, false},
 }
 
+// callVerdicts are what ParseCall must make of some envelopeCases against
+// the live signature add(a int, b int): a grammar error anywhere wins over
+// every misfit before it, and a well-formed call that does not fit is stale.
+var callVerdicts = map[string]string{
+	"misfitting parameter before malformed bytes": "malformed",
+	"unknown method before a malformed tail":      "malformed",
+	"extra parameter before a malformed tail":     "malformed",
+	"call that fits":             "fits",
+	"well-formed unknown method": "stale",
+	"missing parameter":          "stale",
+	"extra parameter":            "stale",
+	"misfitting parameter":       "stale",
+}
+
 func TestEnvelopesAgainstOracle(t *testing.T) {
+	add := dyn.MethodSig{Name: "add", Params: []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}}, Result: dyn.Int32T}
 	for _, tc := range envelopeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := []byte(tc.doc)
@@ -363,7 +478,53 @@ func TestEnvelopesAgainstOracle(t *testing.T) {
 			if _, ok := checkResponse(t, data, codecTypes...); ok != tc.okRes {
 				t.Errorf("ParseResponse accepted: %v, want %v", ok, tc.okRes)
 			}
+			want, ok := callVerdicts[tc.name]
+			if !ok {
+				return
+			}
+			call, err := ParseCall(data, func(m string) (dyn.MethodSig, bool) { return add, m == "add" })
+			got := "fits"
+			switch {
+			case err != nil:
+				got = "malformed"
+			case call.Stale != nil:
+				got = "stale"
+			case call.Args[0].Int32() != 1 || call.Args[1].Int32() != 2:
+				t.Errorf("add called with %v", call.Args)
+			}
+			if got != want {
+				t.Errorf("ParseCall reads the call as %s (%v, stale %v), want %s", got, err, call.Stale, want)
+			}
 		})
+	}
+}
+
+// A reply decodes its first return child, and a fault reply keeps the
+// interface it carries.
+func TestParseReply(t *testing.T) {
+	byName := func(name string) []byte {
+		for _, tc := range envelopeCases {
+			if tc.name == name {
+				return []byte(tc.doc)
+			}
+		}
+		t.Fatalf("no envelope case %q", name)
+		return nil
+	}
+	res, err := parseReply(byName("two return children, the first decoded"), dyn.Int32T)
+	if err != nil || res.misfit != nil || res.value.Int32() != 1 {
+		t.Errorf("first of two returns: %v, misfit %v, %v", res.value, res.misfit, err)
+	}
+	res, err = parseReply(byName("two return children, the first misfits"), dyn.Int32T)
+	if err != nil || res.misfit == nil {
+		t.Errorf("first of two returns misfits: %v, misfit %v, %v", res.value, res.misfit, err)
+	}
+	res, err = parseReply(byName("fault carrying an interface"), dyn.Int32T)
+	if err != nil || res.Fault == nil || res.Fault.String != FaultNonExistentMethod {
+		t.Fatalf("fault reply: %+v, %v", res.Fault, err)
+	}
+	if text, ok := res.detail.childText("interface"); !ok || text != `<definitions><x a="&amp;"/>]]></definitions>` {
+		t.Errorf("fault reply carries interface %q, %v", text, ok)
 	}
 }
 

@@ -259,33 +259,35 @@ type Request struct {
 	Params []Element
 }
 
-// parseBody validates a whole envelope in one pass — it rejects exactly the
-// documents the lexer rejects, and those whose root is not Envelope, that
-// have no Body, or whose first Body does not hold exactly one element — and
-// returns that element's local name with handles on its child elements.
-// Namespace prefixes are not resolved: SOAP 1.1 RPC dispatch is by local
-// name.
-func parseBody(data []byte) (name []byte, kids []Element, err error) {
-	lx := lexer{data: data, open: make([][]byte, 0, 8)} // an envelope of scalars nests five deep
+// walk validates a whole envelope in one pass on d's lexer — it rejects
+// exactly the documents the lexer rejects, and those whose root is not
+// Envelope, that have no Body, or whose first Body does not hold exactly one
+// element — and returns that element's local name. It hands each child
+// element of that call element to each, with the lexer on the child's start
+// tag and the call's local name as argument; each consumes the child through
+// its end tag, and an error from it ends the walk. Namespace prefixes are
+// not resolved: SOAP 1.1 RPC dispatch is by local name.
+func (d *decoder) walk(data []byte, each func(call []byte) error) (name []byte, err error) {
+	lx := &d.lx
+	*lx = lexer{data: data, open: lx.open[:0]}
 	var (
 		inBody, inCall bool // inside the first Body; inside its first child
 		bodies, calls  int  // Body elements, children of the first Body
-		kid            int  // offset of the open child of the call element
 	)
 	for {
 		tok, err := lx.next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		switch depth := len(lx.open); tok {
 		case tokEOF:
 			switch {
 			case bodies == 0:
-				return nil, nil, malformed("no Body element")
+				return nil, malformed("no Body element")
 			case calls != 1:
-				return nil, nil, malformed("Body must contain exactly one element")
+				return nil, malformed("Body must contain exactly one element")
 			}
-			return name, kids, nil
+			return name, nil
 		case tokStart:
 			parent := depth // of the element just started
 			if !lx.selfClosed {
@@ -294,7 +296,7 @@ func parseBody(data []byte) (name []byte, kids []Element, err error) {
 			switch {
 			case parent == 0:
 				if root := localName(lx.name); string(root) != "Envelope" {
-					return nil, nil, malformed("root element is %s, want Envelope", root)
+					return nil, malformed("root element is %s, want Envelope", root)
 				}
 			case parent == 1 && string(localName(lx.name)) == "Body":
 				if bodies++; bodies == 1 {
@@ -305,30 +307,115 @@ func parseBody(data []byte) (name []byte, kids []Element, err error) {
 					name, inCall = localName(lx.name), !lx.selfClosed
 				}
 			case parent == 3 && inCall:
-				if kid = lx.start; lx.selfClosed {
-					kids = append(kids, data[kid:lx.pos])
+				if err := each(name); err != nil {
+					return nil, err
 				}
 			}
 		case tokEnd:
-			switch {
-			case depth == 3 && inCall:
-				kids = append(kids, data[kid:lx.pos])
-			case depth == 2:
+			switch depth {
+			case 2:
 				inCall = false
-			case depth == 1:
+			case 1:
 				inBody = false
 			}
 		}
 	}
 }
 
+// element consumes the element whose start tag the lexer just returned and
+// returns a handle on its bytes.
+func (d *decoder) element() (Element, error) {
+	at := d.lx.start
+	err := d.skip()
+	return d.lx.data[at:d.lx.pos], err
+}
+
+// walkElements walks an envelope recording a handle on each child of its
+// call element. The decoder is a local, not a pooled one, so the two-pass
+// API's allocations do not depend on what the pool keeps.
+func walkElements(data []byte) (name []byte, kids []Element, err error) {
+	d := decoder{lx: lexer{open: make([][]byte, 0, 8)}} // an envelope of scalars nests five deep
+	name, err = d.walk(data, func([]byte) error {
+		e, err := d.element()
+		kids = append(kids, e)
+		return err
+	})
+	return name, kids, err
+}
+
 // ParseRequest extracts the RPC call from a request envelope.
 func ParseRequest(data []byte) (Request, error) {
-	name, kids, err := parseBody(data)
+	name, kids, err := walkElements(data)
 	if err != nil {
 		return Request{}, err
 	}
 	return Request{Method: string(name), Params: kids}, nil
+}
+
+// Call is a request envelope read against the live interface.
+type Call struct {
+	Method string
+	// Args are the parameters decoded against the method's signature,
+	// ready to dispatch; nil when Stale is set.
+	Args []dyn.Value
+	// Stale says why a well-formed call does not fit the interface lookup
+	// resolved it against: a "Non existent Method" *Fault when the method
+	// is unknown or the number of parameters is wrong, otherwise the
+	// DecodeValue error of the first parameter that does not decode as its
+	// type.
+	Stale error
+}
+
+// ParseCall reads a request envelope in the one pass that validates it:
+// the method is resolved through lookup once, when the walk reaches its
+// first parameter (after the walk, for a call without any), and each
+// parameter is decoded in place against its type, exactly as DecodeValue
+// would decode it. Only a grammar violation is an error, whatever fits
+// before it; a well-formed call that does not fit comes back with Stale
+// set. Nothing in the result aliases data.
+func ParseCall(data []byte, lookup func(string) (dyn.MethodSig, bool)) (Call, error) {
+	d := decoderPool.Get().(*decoder)
+	defer putDecoder(d)
+	return d.call(data, lookup)
+}
+
+func (d *decoder) call(data []byte, lookup func(string) (dyn.MethodSig, bool)) (Call, error) {
+	var (
+		c     Call
+		sig   dyn.MethodSig
+		known bool
+		n     int // parameters seen
+	)
+	resolve := func(method []byte) {
+		c.Method = string(method)
+		if sig, known = lookup(c.Method); known {
+			c.Args = make([]dyn.Value, len(sig.Params))
+		}
+	}
+	name, err := d.walk(data, func(method []byte) error {
+		if n++; n == 1 {
+			resolve(method)
+		}
+		if !known || n > len(sig.Params) || c.Stale != nil {
+			return d.skip()
+		}
+		var err error
+		c.Args[n-1], c.Stale, err = d.try(sig.Params[n-1].Type)
+		return err
+	})
+	if err != nil {
+		return Call{}, err
+	}
+	if n == 0 {
+		resolve(name)
+	}
+	if !known || n != len(sig.Params) {
+		c.Stale = &Fault{Code: "soap:Server", String: FaultNonExistentMethod}
+	}
+	if c.Stale != nil {
+		c.Args = nil
+	}
+	return c, nil
 }
 
 // Response is a parsed SOAP response: either a result element or a fault.
@@ -343,6 +430,10 @@ type Response struct {
 	Fault *Fault
 	// detail is a handle on the fault's detail element, if any.
 	detail Element
+	// value is Return decoded in place by parseReply, or misfit why it
+	// does not decode.
+	value  dyn.Value
+	misfit error
 }
 
 // child returns the first of kids with the given local name, nil if none.
@@ -362,7 +453,7 @@ func (e Element) text() string {
 	}
 	d := decoderPool.Get().(*decoder)
 	defer putDecoder(d)
-	_ = d.enter(e) // parseBody validated the element
+	_ = d.enter(e) // the walk validated the element
 	s, _ := d.chars()
 	return string(s)
 }
@@ -385,7 +476,7 @@ func (e Element) childText(name string) (string, bool) {
 		}
 		child := len(d.lx.open) == depth+1 || (d.lx.selfClosed && len(d.lx.open) == depth)
 		if tok == tokStart && child && string(localName(d.lx.name)) == name {
-			s, _ := d.chars() // parseBody validated the element
+			s, _ := d.chars() // the walk validated the element
 			return string(s), true
 		}
 	}
@@ -393,10 +484,50 @@ func (e Element) childText(name string) (string, bool) {
 
 // ParseResponse extracts the result or fault from a response envelope.
 func ParseResponse(data []byte) (Response, error) {
-	name, kids, err := parseBody(data)
+	name, kids, err := walkElements(data)
 	if err != nil {
 		return Response{}, err
 	}
+	return response(name, kids, Response{Return: child(kids, "return")})
+}
+
+// parseReply reads a response envelope in the one pass that validates it,
+// decoding the first return child of a …Response element in place against
+// t, exactly as DecodeValue would decode it; a fault's children are kept as
+// handles. Nothing in the result but Return and the fault's detail aliases
+// data.
+func parseReply(data []byte, t *dyn.Type) (Response, error) {
+	d := decoderPool.Get().(*decoder)
+	defer putDecoder(d)
+	var (
+		res  Response
+		kids []Element // a fault's children
+	)
+	name, err := d.walk(data, func(call []byte) error {
+		switch {
+		case string(call) == "Fault":
+			e, err := d.element()
+			kids = append(kids, e)
+			return err
+		case res.Return != nil || string(localName(d.lx.name)) != "return":
+			return d.skip()
+		}
+		at := d.lx.start
+		var err error
+		res.value, res.misfit, err = d.try(t)
+		res.Return = data[at:d.lx.pos]
+		return err
+	})
+	if err != nil {
+		return Response{}, err
+	}
+	return response(name, kids, res)
+}
+
+// response completes a walked response envelope whose Body holds the
+// element named name: a fault read from its children kids, or res for the
+// method a …Response element names.
+func response(name []byte, kids []Element, res Response) (Response, error) {
 	if string(name) == "Fault" {
 		detail := child(kids, "detail")
 		return Response{Fault: &Fault{
@@ -409,5 +540,6 @@ func ParseResponse(data []byte) (Response, error) {
 	if !ok || len(method) == 0 {
 		return Response{}, malformed("element %s is not a Response", name)
 	}
-	return Response{Method: string(method), Return: child(kids, "return")}, nil
+	res.Method = string(method)
+	return res, nil
 }

@@ -218,6 +218,23 @@ func (d *decoder) value(t *dyn.Type) (dyn.Value, error) {
 	}
 }
 
+// try decodes the element whose start tag the lexer just returned like
+// value, but when a well-formed element does not fit t it still consumes it
+// and reports the misfit apart from err, which is then only ever a grammar
+// error: the caller can walk on. After a misfit the lexer rewinds to the
+// element's content and skips it. value never lexes past the element's end
+// tag, so the open-name stack still holds the element's name at the saved
+// length.
+func (d *decoder) try(t *dyn.Type) (v dyn.Value, misfit, err error) {
+	lx := &d.lx
+	at, open, selfClosed := lx.pos, len(lx.open), lx.selfClosed
+	if v, misfit = d.value(t); misfit != nil {
+		lx.pos, lx.open, lx.selfClosed = at, lx.open[:open], selfClosed
+		err = d.skip()
+	}
+	return v, misfit, err
+}
+
 // skip consumes the rest of the current element — validated by the lexer,
 // iteratively, so no depth of nesting costs stack.
 func (d *decoder) skip() error {

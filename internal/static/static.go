@@ -94,7 +94,7 @@ func (s *SOAPServer) Start(addr string) (string, error) {
 // Endpoint returns the endpoint URL ("" before Start).
 func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
-// ServeHTTP implements the static request path: parse, table lookup,
+// ServeHTTP implements the static request path: parse against the table,
 // dispatch, encode.
 func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -107,33 +107,33 @@ func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
-	req, err := soap.ParseRequest(buf.Bytes())
+	call, err := soap.ParseCall(buf.Bytes(), s.lookup)
 	if err != nil {
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 		return
 	}
-	op, ok := s.ops[req.Method]
-	if !ok || len(req.Params) != len(op.Params) {
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod})
+	if call.Stale != nil {
+		f := &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: call.Stale.Error()}
+		if soap.IsNonExistentMethod(call.Stale) {
+			f = &soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod}
+		}
+		soap.WriteFault(w, f)
 		return
 	}
-	args := make([]dyn.Value, len(op.Params))
-	for i, p := range op.Params {
-		v, err := soap.DecodeValue(req.Params[i], p.Type)
-		if err != nil {
-			soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: err.Error()})
-			return
-		}
-		args[i] = v
-	}
-	result, err := op.Fn(args)
+	result, err := s.ops[call.Method].Fn(call.Args)
 	if err != nil {
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
 		return
 	}
-	if err := soap.WriteResponse(w, s.serviceNS, req.Method, result); err != nil {
+	if err := soap.WriteResponse(w, s.serviceNS, call.Method, result); err != nil {
 		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()})
 	}
+}
+
+// lookup resolves a method in the operation table, for soap.ParseCall.
+func (s *SOAPServer) lookup(method string) (dyn.MethodSig, bool) {
+	op, ok := s.ops[method]
+	return op.Sig(), ok
 }
 
 // Close shuts the server down.
