@@ -19,8 +19,12 @@ import (
 // DialOptions carries the cross-technology knobs of a Dial. The zero value
 // is usable; the livedev facade builds one from functional options.
 type DialOptions struct {
-	// HTTPClient is used for interface-document fetches and (by HTTP-based
-	// bindings) for calls. Nil means a default client.
+	// HTTPClient is used for interface-document fetches and for SOAP and
+	// JSON calls (h2b calls never take it). Nil means a shared default
+	// for documents and the direct HTTP/1.1 client (internal/h1) for
+	// calls: pooled keep-alive connections to http:// endpoints, a 30 s
+	// ceiling on a call without a deadline. For calls, proxy settings
+	// from the environment apply only to a supplied client.
 	HTTPClient *http.Client
 	// Timeout, when non-zero, bounds every call made through the resulting
 	// client whose context carries no deadline of its own.

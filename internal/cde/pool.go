@@ -12,13 +12,12 @@ import (
 
 // Client-side connection reuse across Dials and compiled stubs.
 //
-// HTTP bindings already share a keep-alive transport inside their callers
-// (soap clones http.DefaultTransport once per process; jsonb and h2b's
-// plain-POST endpoint use it as is); the CDE's own document traffic —
-// interface fetches and watch streams — goes through sharedDocClient below
-// when the caller supplies no HTTP client, so every stub compiled against
-// the same Interface Server reuses one connection pool instead of dialing
-// per fetch.
+// HTTP bindings already share a keep-alive pool inside their callers
+// (internal/h1, when no HTTP client is supplied); the CDE's own document
+// traffic — interface fetches and watch streams — goes through
+// sharedDocClient below when the caller supplies no HTTP client, so every
+// stub compiled against the same Interface Server reuses one connection
+// pool instead of dialing per fetch.
 //
 // The CORBA side has no transport-level pool to lean on, so the CDE keeps
 // one: IIOP connections are shared per endpoint (profile address + object

@@ -39,39 +39,53 @@ func slowEchoClass(t *testing.T, name string, d time.Duration) *dyn.Class {
 	return c
 }
 
+// httpClients are the two ways an HTTP call binding posts: the default
+// client (internal/h1) and an injected *http.Client. The suffix names the
+// subtest.
+var httpClients = []struct {
+	suffix string
+	client *http.Client
+}{{"", nil}, {"-injected", &http.Client{}}}
+
 // TestDrainCompletesInFlightCall is the heart of the lifecycle contract: a
 // call accepted before Drain runs to completion while the drain is in
 // progress, and a connection arriving after the drain began is refused —
 // on every binding that answers calls on the shared HTTP endpoint, which
-// is the listener Drain closes.
+// is the listener Drain closes. SOAP and JSON run twice: on the default
+// client (internal/h1) and on an injected *http.Client.
 func TestDrainCompletesInFlightCall(t *testing.T) {
 	core.RegisterBinding(jsonb.New())
 	core.RegisterBinding(h2b.New())
 	sig := dyn.MethodSig{Name: "echo", Params: []dyn.Param{{Name: "s", Type: dyn.StringT}}, Result: dyn.StringT}
 	args := []dyn.Value{dyn.StringValue("survives")}
-	for _, tc := range []struct {
+	type row struct {
 		name string
 		tech core.Technology
 		// caller returns the binding's raw call stub for a served class.
 		caller func(srv core.Server) func(context.Context) (dyn.Value, error)
-	}{
-		{"SOAP", core.TechSOAP, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-			client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:SlowDrain", HTTPClient: &http.Client{}}
-			return func(ctx context.Context) (dyn.Value, error) {
-				return client.CallContext(ctx, "echo", []soap.NamedValue{{Name: "s", Value: args[0]}}, dyn.StringT)
-			}
-		}},
-		{"JSON", jsonb.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-			caller := &jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint(), HTTPClient: &http.Client{}}
-			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
-		}},
-		// No Mux address: the call is a plain POST to the shared endpoint,
-		// not a stream on the binding's own listener.
-		{"H2B-http", h2b.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-			caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
-			return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
-		}},
-	} {
+	}
+	var rows []row
+	for _, hc := range httpClients {
+		rows = append(rows,
+			row{"SOAP" + hc.suffix, core.TechSOAP, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+				client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:SlowDrain", HTTPClient: hc.client}
+				return func(ctx context.Context) (dyn.Value, error) {
+					return client.CallContext(ctx, "echo", []soap.NamedValue{{Name: "s", Value: args[0]}}, dyn.StringT)
+				}
+			}},
+			row{"JSON" + hc.suffix, jsonb.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+				caller := &jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint(), HTTPClient: hc.client}
+				return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
+			}})
+	}
+	// No Mux address: the call is a plain POST to the shared endpoint,
+	// not a stream on the binding's own listener. h2b takes no HTTP
+	// client for calls, so it runs on the default client only.
+	rows = append(rows, row{"H2B-http", h2b.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
+		caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
+		return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
+	}})
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newManager(t)
 			srv, err := m.Register(slowEchoClass(t, "SlowDrain", 300*time.Millisecond), tc.tech)
@@ -163,8 +177,15 @@ func TestProbeLifecycle(t *testing.T) {
 }
 
 // TestMetricsEndpoint asserts the ops-plane gauges docs/ops.md advertises
-// are present on the shared endpoint mux.
+// are present on the shared endpoint mux, with the SOAP call made on the
+// default client and on an injected one.
 func TestMetricsEndpoint(t *testing.T) {
+	for _, hc := range httpClients {
+		t.Run("SOAP"+hc.suffix, func(t *testing.T) { testMetricsEndpoint(t, hc.client) })
+	}
+}
+
+func testMetricsEndpoint(t *testing.T, hc *http.Client) {
 	m := newManager(t)
 	srv, err := m.Register(slowEchoClass(t, "Metered", 0), core.TechSOAP)
 	if err != nil {
@@ -173,7 +194,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := srv.CreateInstance(); err != nil {
 		t.Fatal(err)
 	}
-	client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:Metered", HTTPClient: &http.Client{}}
+	client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:Metered", HTTPClient: hc}
 	if _, err := client.CallContext(context.Background(), "echo",
 		[]soap.NamedValue{{Name: "s", Value: dyn.StringValue("hi")}}, dyn.StringT); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,9 @@
 package h2b
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -14,6 +12,7 @@ import (
 	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/h2x"
 	"livedev/internal/ifsvr"
 )
@@ -118,9 +117,10 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 
 // Caller posts CDR calls to one endpoint URL — the transport half of an
 // h2b client stub (the analogue of jsonb.Caller). With Mux set, calls ride
-// the pooled fast-path connection; without it they are plain HTTP POSTs on
-// http.DefaultClient's keep-alive pool, one connection per in-flight call.
-// A caller-supplied HTTP client applies to document traffic only.
+// the pooled fast-path connection; without it they are plain HTTP/1.1
+// POSTs on internal/h1's keep-alive pool, one connection per in-flight
+// call, under its 30 s ceiling when the context has no deadline. A
+// caller-supplied HTTP client applies to document traffic only.
 type Caller struct {
 	// Endpoint is the CDR-POST endpoint URL.
 	Endpoint string
@@ -158,43 +158,33 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		cdr.PutEncoder(e)
 		return v, err
 	}
-	// The transport may go on reading a request body after Do returns (a
-	// reply that overtakes the upload, an aborted round trip), so it gets
-	// bytes of its own and the pooled encoder is recycled here.
-	payload := append([]byte(nil), e.Bytes()...)
+	// Post is done with the request when it returns. The reply gets a
+	// buffer of its own: the zero-copy decode below may alias it.
+	r, err := h1.Post(ctx, nil, c.Endpoint, [][2]string{
+		{"Content-Type", CallContentType},
+		{MethodHeader, sig.Name},
+		{OrderHeader, orderValue(cdr.BigEndian)},
+	}, e.Bytes(), nil)
 	cdr.PutEncoder(e)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: building HTTP request: %w", err)
+	if errors.Is(err, h1.ErrBodyTooLarge) {
+		err = errBodyTooLarge
 	}
-	req.Header.Set("Content-Type", CallContentType)
-	req.Header.Set(MethodHeader, sig.Name)
-	req.Header.Set(OrderHeader, orderValue(cdr.BigEndian))
-
-	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("h2b: posting to %s: %w", c.Endpoint, err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-
-	if code := resp.Header.Get(ErrorHeader); code != "" || resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, max(maxMessage, ifsvr.MaxCarriedDoc)+1))
-		return dyn.Value{}, replyError(sig, code, resp.StatusCode, msg, resp.Header.Get)
-	}
-	body, err := readBody(resp.Body)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: reading reply for %s: %w", sig.Name, err)
+	if code := r.Header(ErrorHeader); code != "" || r.Status != http.StatusOK {
+		return dyn.Value{}, replyError(sig, code, r.Status, r.Body, r.Header)
 	}
 	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil
 	}
-	order, err := parseOrder(resp.Header.Get(OrderHeader))
+	order, err := parseOrder(r.Header(OrderHeader))
 	if err != nil {
 		return dyn.Value{}, err
 	}
 	// The reply body is this call's own heap buffer: the zero-copy decode
 	// may alias it, the result value keeps it alive.
-	d := cdr.NewDecoder(body, order)
+	d := cdr.NewDecoder(r.Body, order)
 	d.SetZeroCopy(true)
 	v, err := cdr.DecodeValue(d, sig.Result)
 	if err != nil {

@@ -1,17 +1,16 @@
 package jsonb
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"livedev/internal/cde"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/ifsvr"
 )
 
@@ -43,22 +42,17 @@ type AppError struct {
 // Error implements error.
 func (e *AppError) Error() string { return "server application error: " + e.Message }
 
-var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second}
-
 // Caller posts calls to one endpoint URL — the transport half of a JSON
 // client stub (the analogue of soap.Client).
 type Caller struct {
 	// Endpoint is the JSON-POST endpoint URL.
 	Endpoint string
-	// HTTPClient is used for transport; a default client is used when nil.
+	// HTTPClient, when set, carries the calls, with its own timeouts,
+	// proxy and TLS settings. Nil means the direct HTTP/1.1 client
+	// (internal/h1): pooled keep-alive connections to http:// endpoints,
+	// a 30 s ceiling on a call whose context has no deadline, and no
+	// environment proxy.
 	HTTPClient *http.Client
-}
-
-func (c *Caller) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return defaultHTTPClient
 }
 
 // Call performs one RPC against sig. Cancelling ctx aborts the in-flight
@@ -79,32 +73,24 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	if cd.buf, err = appendRequest(cd.buf[:0], sig.Name, args); err != nil {
 		return dyn.Value{}, err
 	}
-	// The transport may go on reading a request body after Do returns (a
-	// reply that overtakes the upload), so it gets bytes of its own and the
-	// pooled buffer is free for the reply.
-	payload := append([]byte(nil), cd.buf...)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("jsonb: building HTTP request: %w", err)
+	// The reply lands in the request's buffer, which Post is done with by
+	// then.
+	r, err := h1.Post(ctx, c.HTTPClient, c.Endpoint, [][2]string{{"Content-Type", ContentType}}, cd.buf, cd.buf[:0])
+	cd.buf = r.Buf
+	if errors.Is(err, h1.ErrBodyTooLarge) {
+		err = errBodyTooLarge
 	}
-	req.Header.Set("Content-Type", ContentType)
-
-	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("jsonb: posting to %s: %w", c.Endpoint, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if cd.buf, err = readBody(cd.buf[:0], resp.Body, resp.ContentLength); err != nil {
-		return dyn.Value{}, fmt.Errorf("jsonb: reading response (HTTP %d): %w", resp.StatusCode, err)
 	}
 	result := sig.Result
 	if result == nil {
 		result = dyn.Void
 	}
-	cd.reset(cd.buf)
+	cd.reset(r.Body)
 	parsed, err := cd.parseReply(result)
 	if err != nil {
-		return dyn.Value{}, fmt.Errorf("jsonb: reading response (HTTP %d): %w", resp.StatusCode, err)
+		return dyn.Value{}, fmt.Errorf("jsonb: reading response (HTTP %d): %w", r.Status, err)
 	}
 	switch {
 	case parsed.failed:
@@ -113,7 +99,7 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		case CodeNonExistentMethod:
 			stale := &StaleError{Message: msg}
 			if parsed.iface != nil {
-				if doc, ok := ifsvr.CarriedDoc(string(parsed.iface), resp.Header.Get); ok {
+				if doc, ok := ifsvr.CarriedDoc(string(parsed.iface), r.Header); ok {
 					stale.Interface = &doc
 				}
 			}

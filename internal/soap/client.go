@@ -9,9 +9,9 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/ifsvr"
 )
 
@@ -22,35 +22,17 @@ type Client struct {
 	Endpoint string
 	// ServiceNS is the XML namespace RPC calls are made in.
 	ServiceNS string
-	// HTTPClient is used for transport; a default client with a timeout
-	// is used when nil.
+	// HTTPClient, when set, carries the calls, with its own timeouts,
+	// proxy and TLS settings. Nil means the direct HTTP/1.1 client
+	// (internal/h1): pooled keep-alive connections to http:// endpoints,
+	// a 30 s ceiling on a call whose context has no deadline, and no
+	// environment proxy.
 	HTTPClient *http.Client
 }
 
-// defaultTransport is shared by every Client without an explicit
-// HTTPClient: a clone of http.DefaultTransport (keeping its proxy
-// environment support and dial/TLS timeouts) with a deep idle pool, so
-// repeated RPCs to the same endpoint reuse TCP connections instead of
-// re-dialling — the transport half of the invocation hot path.
-var defaultTransport = func() *http.Transport {
-	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConns = 256
-	t.MaxIdleConnsPerHost = 32
-	return t
-}()
-
-var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second, Transport: defaultTransport}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return defaultHTTPClient
-}
-
-// bodyPool holds reusable buffers for HTTP bodies (responses here, requests
-// on the server side): reading a body per call was the largest remaining
-// per-call allocation after the envelope work moved to pooled buffers.
+// bodyPool holds reusable buffers for the request bodies the SOAP servers
+// read: reading a body per call was the largest remaining per-call
+// allocation after the envelope work moved to pooled buffers.
 var bodyPool = sync.Pool{
 	New: func() any { return bytes.NewBuffer(make([]byte, 0, 4<<10)) },
 }
@@ -142,50 +124,39 @@ func WriteFault(w http.ResponseWriter, f *Fault) {
 func (c *Client) CallContext(ctx context.Context, method string, params []NamedValue, resultType *dyn.Type) (dyn.Value, error) {
 	bp := getRenderBuf()
 	env, err := appendRequest((*bp)[:0], c.ServiceNS, method, params)
-	// The transport may go on reading a request body after Do returns (a
-	// reply that overtakes the upload), so it gets bytes of its own.
-	var payload []byte
-	if err == nil {
-		payload = append(payload, env...)
-	}
-	putRenderBuf(bp, env)
 	if err != nil {
+		putRenderBuf(bp, env)
 		return dyn.Value{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Endpoint, bytes.NewReader(payload))
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("soap: building HTTP request: %w", err)
+	// The reply lands in the request's buffer, which Post is done with by
+	// then. The parsed reply's handles alias it, so it goes back to the
+	// pool only when this function returns: the decoded result and the
+	// fault strings are copies.
+	r, err := h1.Post(ctx, c.HTTPClient, c.Endpoint, [][2]string{
+		{"Content-Type", contentType},
+		{"SOAPAction", strconv.Quote(c.ServiceNS + "#" + method)},
+	}, env, env[:0])
+	defer putRenderBuf(bp, r.Buf)
+	if errors.Is(err, h1.ErrBodyTooLarge) {
+		err = ErrBodyTooLarge
 	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set("SOAPAction", strconv.Quote(c.ServiceNS+"#"+method))
-
-	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("soap: posting to %s: %w", c.Endpoint, err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	// The parsed response's handles alias buf, which goes back to the pool
-	// when this function returns: the decoded result and the fault strings
-	// are copies.
-	buf := GetBodyBuffer()
-	defer PutBodyBuffer(buf)
-	if err := ReadBody(buf, resp.Body, resp.ContentLength); err != nil {
-		return dyn.Value{}, fmt.Errorf("soap: reading response (HTTP %d): %w", resp.StatusCode, err)
 	}
 	if resultType == nil {
 		resultType = dyn.Void
 	}
 	// SOAP 1.1 faults come back with HTTP 500; parse the envelope either way.
-	parsed, err := parseReply(buf.Bytes(), resultType)
+	parsed, err := parseReply(r.Body, resultType)
 	if err != nil {
-		if resp.StatusCode != http.StatusOK {
-			return dyn.Value{}, fmt.Errorf("soap: HTTP %d from %s", resp.StatusCode, c.Endpoint)
+		if r.Status != http.StatusOK {
+			return dyn.Value{}, fmt.Errorf("soap: HTTP %d from %s", r.Status, c.Endpoint)
 		}
 		return dyn.Value{}, err
 	}
 	if f := parsed.Fault; f != nil {
 		if text, ok := parsed.detail.childText("interface"); ok {
-			if doc, ok := ifsvr.CarriedDoc(text, resp.Header.Get); ok {
+			if doc, ok := ifsvr.CarriedDoc(text, r.Header); ok {
 				f.Interface = &doc
 			}
 		}

@@ -322,7 +322,11 @@ func H2BBinding() Binding { return h2b.New() }
 type Option func(*DialOptions)
 
 // WithHTTPClient sets the HTTP client used for interface-document fetches
-// and, by HTTP-based bindings, for calls.
+// and for SOAP and JSON calls (h2b calls never take it). Without it, calls
+// go on the direct HTTP/1.1 client: pooled keep-alive connections to
+// http:// endpoints, a 30 s ceiling on a call without a deadline. For
+// calls, proxy settings from the environment apply only to a supplied
+// client.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(o *DialOptions) { o.HTTPClient = hc }
 }
