@@ -130,6 +130,7 @@ type ClassServer struct {
 
 	closed  atomic.Bool
 	onClose []func() error // transport teardown; appended during Serve only
+	onStale func()         // a test's hook: runs on a stale call before the forced publication
 }
 
 // NewClassServer starts class's life as a managed server of technology
@@ -287,11 +288,16 @@ func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
 	}
 	s.gate.RUnlock()
 
-	if rep.Outcome == OutcomeStale && !s.activeOnly {
-		s.gate.Lock()
-		s.pub.EnsureCurrent()
-		rep.Doc = s.committedDoc(refused)
-		s.gate.Unlock()
+	if rep.Outcome == OutcomeStale {
+		if s.onStale != nil {
+			s.onStale()
+		}
+		if !s.activeOnly {
+			s.gate.Lock()
+			s.pub.EnsureCurrent()
+			rep.Doc = s.committedDoc(refused)
+			s.gate.Unlock()
+		}
 	}
 	if rep.Outcome != OutcomeAbandoned {
 		s.counts[rep.Outcome].Add(1)

@@ -113,8 +113,9 @@ type Config struct {
 	Clock clock.Clock
 	// ActivePublishingOnly disables the Section 5.7 reactive publication
 	// on stale calls, leaving only the timer-driven path — the Figure 7
-	// baseline the paper argues against. It exists for the E2/E3 ablation
-	// experiments; production use should leave it false.
+	// baseline the paper argues against. It exists for the ablation checks
+	// (TestFigure7Matrix, the conformance suite's ActivePublishingOnly
+	// rows); production use should leave it false.
 	ActivePublishingOnly bool
 }
 

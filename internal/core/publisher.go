@@ -27,7 +27,7 @@ import (
 type PublishFunc func(desc dyn.InterfaceDescriptor) error
 
 // PublisherStats counts publisher activity; all fields are cumulative.
-// Retrieved via DLPublisher.Stats for the Section 5.6 experiments.
+// Retrieved via DLPublisher.Stats.
 type PublisherStats struct {
 	// TimerArms counts timer (re)arms caused by interface-affecting edits.
 	TimerArms uint64
@@ -59,10 +59,10 @@ type DLPublisher struct {
 	class   *dyn.Class
 	publish PublishFunc
 	clk     clock.Clock
+	timeout time.Duration
 
 	mu            sync.Mutex
 	cond          *sync.Cond
-	timeout       time.Duration
 	timer         clock.Timer
 	timerRunning  bool
 	generating    bool
@@ -100,24 +100,6 @@ func NewDLPublisher(class *dyn.Class, timeout time.Duration, clk clock.Clock, pu
 	p.cond = sync.NewCond(&p.mu)
 	p.unsubscribe = class.Subscribe(p.onChange)
 	return p
-}
-
-// SetTimeout changes the stability timeout for subsequently armed timers
-// (the SDE Manager Interface lets the user tune it, Section 4).
-func (p *DLPublisher) SetTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultTimeout
-	}
-	p.mu.Lock()
-	p.timeout = d
-	p.mu.Unlock()
-}
-
-// Timeout returns the current stability timeout.
-func (p *DLPublisher) Timeout() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.timeout
 }
 
 // Stats returns a snapshot of the publisher counters.
@@ -304,20 +286,6 @@ func (p *DLPublisher) EnsureCurrent() {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-}
-
-// Busy reports whether a generation is currently running.
-func (p *DLPublisher) Busy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.generating
-}
-
-// TimerArmed reports whether the stability timer is currently armed.
-func (p *DLPublisher) TimerArmed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.timerRunning
 }
 
 // WaitIdle blocks until no generation is running and no timer is armed —

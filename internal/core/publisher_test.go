@@ -381,38 +381,6 @@ func TestPublishNowWhileGeneratingQueues(t *testing.T) {
 	}
 }
 
-func TestSetTimeout(t *testing.T) {
-	c, id := newTestClass(t)
-	clk := clock.NewFake()
-	rec := newRecordingPub(false)
-	p := NewDLPublisher(c, testTimeout, clk, rec.fn)
-	defer p.Close()
-
-	p.SetTimeout(10 * testTimeout)
-	if p.Timeout() != 10*testTimeout {
-		t.Error("Timeout() after SetTimeout")
-	}
-	if err := c.RenameMethod(id, "slow"); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(5 * testTimeout)
-	// The timer has not fired, so no generation can have started; do not
-	// WaitIdle here (with a fake clock an armed timer never self-fires).
-	if rec.count() != 0 {
-		t.Error("published before the longer timeout elapsed")
-	}
-	clk.Advance(5 * testTimeout)
-	p.WaitIdle()
-	if rec.count() != 1 {
-		t.Error("did not publish after the longer timeout")
-	}
-	// Defaulting behaviour.
-	p.SetTimeout(0)
-	if p.Timeout() != DefaultTimeout {
-		t.Error("SetTimeout(0) should restore the default")
-	}
-}
-
 func TestCloseDetachesFromClass(t *testing.T) {
 	c, id := newTestClass(t)
 	clk := clock.NewFake()

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,20 +178,6 @@ func TestStoreSubscribeUnsubscribeRace(t *testing.T) {
 	}
 }
 
-// drainStorePublisher advances virtual time step by step, letting each
-// timer expiry's asynchronous generation finish before time moves on (the
-// publisher's stability timer may stay armed, so WaitIdle would block).
-func drainStorePublisher(clk *clock.Fake, pub *DLPublisher, d time.Duration) {
-	step := time.Millisecond
-	for d > 0 {
-		clk.Advance(step)
-		for pub.Busy() {
-			runtime.Gosched()
-		}
-		d -= step
-	}
-}
-
 // TestManagerEditStormCoalesces is the acceptance scenario end to end: a
 // storm of 100 edits against a managed server, each inside the stability
 // interval of the one before, yields exactly one committed document
@@ -245,9 +230,10 @@ func TestManagerEditStormCoalesces(t *testing.T) {
 		if err := class.RenameMethod(id, fmt.Sprintf("op%03d", i)); err != nil {
 			t.Fatal(err)
 		}
-		drainStorePublisher(clk, pub, 5*time.Millisecond)
+		clk.Advance(5 * time.Millisecond)
 	}
-	drainStorePublisher(clk, pub, 200*time.Millisecond) // the quiet period
+	clk.Advance(200 * time.Millisecond) // the quiet period
+	pub.WaitIdle()
 
 	if got := commits.Load(); got != 1 {
 		t.Errorf("storm of %d edits inside one stability interval committed %d document versions, want 1", storm, got)

@@ -1,94 +1,8 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
-	"time"
 )
-
-// TestSweepQualitativeClaims checks Section 5.6's argument quantitatively:
-//   - change-driven publishes far more often (every settled edit) and
-//     publishes transient interfaces;
-//   - the stable-timeout strategy publishes much less while keeping the
-//     final interface current;
-//   - poll can leave larger publication lag than its interval suggests and
-//     also publishes transients.
-func TestSweepQualitativeClaims(t *testing.T) {
-	cfg := DefaultSweep(7)
-	results, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var changeDriven *SweepResult
-	var bestStable *SweepResult
-	for i := range results {
-		r := &results[i]
-		if !r.FinalCurrent {
-			t.Errorf("%s/%v: final interface not published", r.Strategy, r.Param)
-		}
-		switch r.Strategy {
-		case StrategyChangeDriven:
-			changeDriven = r
-		case StrategyStableTimeout:
-			if r.Param == 500*time.Millisecond {
-				bestStable = r
-			}
-		}
-	}
-	if changeDriven == nil || bestStable == nil {
-		t.Fatal("missing strategies in sweep results")
-	}
-	if changeDriven.Publications != changeDriven.InterfaceEdits {
-		t.Errorf("change-driven should publish per edit: %d pubs, %d edits",
-			changeDriven.Publications, changeDriven.InterfaceEdits)
-	}
-	if changeDriven.TransientPublications == 0 {
-		t.Error("change-driven should publish transient interfaces on bursty traces")
-	}
-	if bestStable.Publications >= changeDriven.Publications {
-		t.Errorf("stable-timeout (%d pubs) should publish less than change-driven (%d)",
-			bestStable.Publications, changeDriven.Publications)
-	}
-	if bestStable.TransientPublications > changeDriven.TransientPublications {
-		t.Error("stable-timeout should not publish more transients than change-driven")
-	}
-
-	out := FormatSweep(results)
-	if !strings.Contains(out, "stable-timeout") || !strings.Contains(out, "change-driven") {
-		t.Errorf("FormatSweep output:\n%s", out)
-	}
-}
-
-// TestSweepDeterminism: the same seed reproduces identical sweep numbers.
-func TestSweepDeterminism(t *testing.T) {
-	cfg := DefaultSweep(3)
-	cfg.Timeouts = []time.Duration{200 * time.Millisecond}
-	cfg.PollIntervals = nil
-	a, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("run %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestStrategyAndStateStrings(t *testing.T) {
-	for _, s := range []Strategy{StrategyChangeDriven, StrategyPoll, StrategyStableTimeout, Strategy(0)} {
-		if s.String() == "" {
-			t.Error("empty strategy string")
-		}
-	}
-}
 
 // TestRestartReconnectSmoke runs the restart-reconnect experiment at a
 // small scale: both recovery paths must produce a row, the replay path

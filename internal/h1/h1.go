@@ -5,6 +5,13 @@
 // no transport goroutines, no header maps, and the call's deadline is the
 // connection's. A caller-supplied *http.Client is honoured instead, for a
 // proxy, TLS or instrumentation.
+//
+// Idle connections are not timed out. One its server closed is dropped
+// when its endpoint is next taken, and every endpoint's are checked each
+// time a call goes to a new one, so a process that moves on from a server
+// that went away does not keep its sockets. The check is a peek at the
+// socket, made on Unix only (not AIX); elsewhere an idle connection is
+// kept until a call finds it dead.
 package h1
 
 import (
@@ -94,11 +101,14 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 		deadline = time.Now().Add(ceiling)
 	}
 	ep, c, err := take(rawURL, deadline)
-	if err == nil && c == nil {
-		c, err = dial(ctx, ep.addr, deadline)
-	}
 	if err != nil {
 		return Reply{Buf: dst}, callErr(ctx, err)
+	}
+	if c == nil {
+		if c, err = dial(ctx, ep.addr, deadline); err != nil {
+			put(ep, nil, false)
+			return Reply{Buf: dst}, callErr(ctx, err)
+		}
 	}
 	var stop func() bool
 	if ctx.Done() != nil {
@@ -108,11 +118,7 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 	if stop != nil && !stop() {
 		reuse = false // the connection is closed, or closing
 	}
-	if err == nil && reuse {
-		put(ep, c)
-	} else {
-		_ = c.Close()
-	}
+	put(ep, c, err == nil && reuse)
 	if err != nil {
 		return r, callErr(ctx, err)
 	}
@@ -165,12 +171,13 @@ func readAll(r io.Reader, dst []byte) ([]byte, error) {
 	return b.Bytes(), err
 }
 
-// An endpoint is a parsed call URL and its idle connections, most
-// recently used last. Idle connections are not timed out: one its server
-// closed is found and dropped when next taken.
+// An endpoint is a parsed call URL, its idle connections, most recently
+// used last, and the number of calls that took it and have not put it
+// back.
 type endpoint struct {
 	addr, host, target string
 	idle               []*conn
+	calls              int
 }
 
 var (
@@ -179,12 +186,14 @@ var (
 )
 
 // take returns rawURL's endpoint and, if one passes the liveness check,
-// an idle connection whose deadline is already set.
+// an idle connection whose deadline is already set. The caller owes the
+// endpoint a put.
 func take(rawURL string, deadline time.Time) (*endpoint, *conn, error) {
 	mu.Lock()
 	defer mu.Unlock()
 	ep := endpoints[rawURL]
 	if ep == nil {
+		sweep()
 		u, err := url.Parse(rawURL)
 		if err != nil {
 			return nil, nil, err
@@ -198,6 +207,7 @@ func take(rawURL string, deadline time.Time) (*endpoint, *conn, error) {
 		}
 		endpoints[rawURL] = ep
 	}
+	ep.calls++
 	for len(ep.idle) > 0 {
 		c := ep.idle[len(ep.idle)-1]
 		ep.idle = ep.idle[:len(ep.idle)-1]
@@ -209,15 +219,43 @@ func take(rawURL string, deadline time.Time) (*endpoint, *conn, error) {
 	return ep, nil, nil
 }
 
-func put(ep *endpoint, c *conn) {
-	_ = c.SetDeadline(time.Time{}) // an expired deadline would fail the liveness check
-	mu.Lock()
-	defer mu.Unlock()
-	if len(ep.idle) >= maxIdle {
-		_ = c.Close()
-		return
+// put ends a call that took ep: c, if any, is pooled when keep says it
+// may carry another call and the pool has room, and closed otherwise.
+func put(ep *endpoint, c *conn, keep bool) {
+	if keep {
+		_ = c.SetDeadline(time.Time{}) // an expired deadline would fail the liveness check
 	}
-	ep.idle = append(ep.idle, c)
+	mu.Lock()
+	ep.calls--
+	if keep && len(ep.idle) < maxIdle {
+		ep.idle = append(ep.idle, c)
+		c = nil
+	}
+	mu.Unlock()
+	if c != nil {
+		_ = c.Close()
+	}
+}
+
+// sweep closes every idle connection that fails the liveness check and
+// forgets the endpoints left with neither idle connections nor a call
+// that will put one back. Caller holds mu.
+func sweep() {
+	for key, ep := range endpoints {
+		live := ep.idle[:0]
+		for _, c := range ep.idle {
+			if c.alive() {
+				live = append(live, c)
+			} else {
+				_ = c.Close()
+			}
+		}
+		clear(ep.idle[len(live):])
+		ep.idle = live
+		if len(live) == 0 && ep.calls == 0 {
+			delete(endpoints, key)
+		}
+	}
 }
 
 func dial(ctx context.Context, addr string, deadline time.Time) (*conn, error) {

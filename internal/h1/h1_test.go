@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -68,10 +69,13 @@ func idleConns(url string) int {
 // kept or dropped.
 func TestKeepAliveRobustness(t *testing.T) {
 	arrived := make(chan struct{}, 1)
+	other := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer other.Close()
 	for _, tc := range []struct {
 		name    string
 		row     http.HandlerFunc
 		restart bool // restart the server on its address before the row's call
+		move    bool // close the server and serve the row's call and the last on a new address
 		cancel  bool // cancel the row's call once its handler runs
 		body    string
 		err     error // errors.Is target; nil when the call must succeed
@@ -80,6 +84,16 @@ func TestKeepAliveRobustness(t *testing.T) {
 	}{
 		{name: "server restarted on the same address", restart: true, body: "ok", idle: 1, conns: 2,
 			row: func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "ok") }},
+		{name: "server gone, calls move to a new address", move: true, body: "ok", idle: 1, conns: 2,
+			row: func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "ok") }},
+		{name: "call to a new endpoint while this one's is in flight", body: "ok", idle: 1, conns: 1,
+			row: func(w http.ResponseWriter, r *http.Request) {
+				if _, err := Post(r.Context(), nil, other.URL, nil, nil, nil); err != nil {
+					_, _ = io.WriteString(w, err.Error())
+					return
+				}
+				_, _ = io.WriteString(w, "ok")
+			}},
 		{name: "connection closed after the request is read", err: io.EOF, idle: 0, conns: 2,
 			row: func(w http.ResponseWriter, r *http.Request) {
 				_, _ = io.Copy(io.Discard, r.Body)
@@ -130,8 +144,12 @@ func TestKeepAliveRobustness(t *testing.T) {
 			if r, err := call(context.Background()); err != nil || string(r.Body) != "ok" {
 				t.Fatalf("first call: %q, %v", r.Body, err)
 			}
-			if tc.restart {
+			first := s.url()
+			if tc.restart || tc.move {
 				_ = s.srv.Close()
+				if tc.move {
+					s.addr = "127.0.0.1:0"
+				}
 				s.start(t)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -151,6 +169,14 @@ func TestKeepAliveRobustness(t *testing.T) {
 			}
 			if got := idleConns(s.url()); got != tc.idle {
 				t.Errorf("%d connections pooled after the row's call, want %d", got, tc.idle)
+			}
+			if tc.move {
+				mu.Lock()
+				_, kept := endpoints[first]
+				mu.Unlock()
+				if kept {
+					t.Errorf("the endpoint of the server that went away is still pooled")
+				}
 			}
 			if r, err := call(context.Background()); err != nil || string(r.Body) != "ok" {
 				t.Fatalf("last call: %q, %v", r.Body, err)
