@@ -14,8 +14,8 @@
 // (the /.stats endpoint on the same host as the document URL) and prints
 // them — publishes, commits, journal replays, for a durable store the
 // WAL durability block (lsns, fsyncs, group-commit batch sizes,
-// sync-wait totals), for a replicated server the Replication block
-// (role, applied vs leader lsn, lag, bootstrap and
+// sync-wait totals), the Replication block
+// (role, applied vs leader epoch, lag, bootstrap and
 // reconnect counts), and the watch fan-out block: held watchers per
 // registry shard, commit wakeups, delivery batch-size percentiles, and
 // the backpressure evictions/resets. Pointed at a read-only replica

@@ -20,7 +20,7 @@
 //   - Durability (-durability): commit throughput per WAL sync policy and
 //     cold-cache recovery time of a WAL-resident dataset.
 //   - Replication (-replicas): N SSE watchers spread round-robin across a
-//     leader and its WAL-shipping read-only followers, timing
+//     leader and its read-only followers, timing
 //     edit→all-notified across the plane plus the per-follower lag.
 //
 // Usage:

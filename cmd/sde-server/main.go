@@ -30,11 +30,11 @@
 // without stopping the server.
 //
 // With -follow the process is a read-only replica instead: no classes are
-// registered; the leader's write-ahead log is tailed and the replicated
-// documents (GETs, SSE watch streams) are served under the leader's
-// restart generation, publications answered with 421 naming the leader.
-// Combine with -data-dir so a restarted replica resumes tailing from its
-// durable position. See docs/replication.md.
+// registered; the leader's all-paths watch stream is applied and the
+// replicated documents (GETs, SSE watch streams) are served under the
+// leader's restart generation, publications answered with 421 naming the
+// leader. Combine with -data-dir so a restarted replica resumes from its
+// durable epoch. See docs/replication.md.
 package main
 
 import (
@@ -328,7 +328,7 @@ func runFollower(mgr *core.Manager, duration, drainTimeout time.Duration) int {
 	fmt.Println("SDE replica running (read-only)")
 	fmt.Println("  leader:   ", f.Leader())
 	fmt.Println("  serving:  ", mgr.InterfaceBaseURL())
-	fmt.Printf("  generation %d, replication lag %d records (SIGQUIT dumps store stats)\n",
+	fmt.Printf("  generation %d, replication lag %d epochs (SIGQUIT dumps store stats)\n",
 		f.Generation(), f.Lag())
 
 	stop := make(chan os.Signal, 1)

@@ -1,11 +1,14 @@
 package cde
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +149,120 @@ func TestStreamWatcherReconnectRidesReplay(t *testing.T) {
 	}
 	if st.StreamEvents == 0 {
 		t.Errorf("stats = %+v: watch updates should have arrived over the stream", st)
+	}
+}
+
+// corruptingTransport passes requests through but replaces the nth data
+// line of the FIRST streaming-watch response with one that does not
+// decode.
+type corruptingTransport struct {
+	nth int
+
+	mu   sync.Mutex
+	done bool
+}
+
+func (c *corruptingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !strings.Contains(req.URL.RawQuery, "watch=stream") {
+		return resp, err
+	}
+	c.mu.Lock()
+	first := !c.done
+	c.done = true
+	c.mu.Unlock()
+	if first {
+		resp.Body = &corruptingBody{ReadCloser: resp.Body, br: bufio.NewReader(resp.Body), nth: c.nth}
+	}
+	return resp, nil
+}
+
+// corruptingBody hands its stream on line by line, the nth data line
+// replaced.
+type corruptingBody struct {
+	io.ReadCloser
+	br        *bufio.Reader
+	nth, seen int
+	line      []byte
+}
+
+func (b *corruptingBody) Read(p []byte) (int, error) {
+	if len(b.line) == 0 {
+		line, err := b.br.ReadBytes('\n')
+		if bytes.HasPrefix(line, []byte("data:")) {
+			if b.seen++; b.seen == b.nth {
+				line = []byte("data: {\"version\":\n")
+			}
+		}
+		if len(line) == 0 {
+			return 0, err
+		}
+		b.line = line
+	}
+	n := copy(p, b.line)
+	b.line = b.line[n:]
+	return n, nil
+}
+
+// TestWatchClientRefetchesUndecodableEvent: a watch client whose stream
+// carries a data line that does not decode does not skip that version —
+// the stream ends there, the client reconnects with its last epoch, and
+// replay installs every version, the refused one included.
+func TestWatchClientRefetchesUndecodableEvent(t *testing.T) {
+	mgr, err := core.NewManager(core.Config{Timeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = mgr.Close() }()
+	class := dyn.NewClass("Garbled")
+	id, err := class.AddMethod(dyn.MethodSpec{Name: "op0", Result: dyn.Int32T, Distributed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := mgr.Register(class, core.TechSOAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+
+	hc := &http.Client{Transport: &corruptingTransport{nth: 2}}
+	c, err := Dial(context.Background(), srv.InterfaceURL(), &DialOptions{Watch: true, HTTPClient: hc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	var mu sync.Mutex
+	var installed []uint64
+	c.AddViewListener(func() {
+		mu.Lock()
+		installed = append(installed, c.Versions().Doc)
+		mu.Unlock()
+	})
+	first := c.Versions().Doc
+
+	const renames = 4
+	for i := 1; i <= renames; i++ {
+		if err := class.RenameMethod(id, fmt.Sprintf("op%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		srv.Publisher().PublishNow()
+		srv.Publisher().WaitIdle()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Versions().Doc < first+renames && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for v := first + 1; v <= first+renames; v++ {
+		if !slices.Contains(installed, v) {
+			t.Fatalf("installed versions %v: v%d was never installed", installed, v)
+		}
+	}
+	if st := c.Stats(); st.Reconnects == 0 {
+		t.Errorf("stats = %+v: the refused event should have ended the stream", st)
 	}
 }
 

@@ -90,13 +90,13 @@ type Config struct {
 	// fsyncs every commit individually.
 	Sync SyncPolicy
 	// FollowURL turns the manager into a read-only replica: instead of
-	// hosting live server classes it tails the write-ahead log of the
-	// leader Interface Server at this base URL and applies every committed publication into its own store, which
-	// the local Interface Server serves under the leader's restart
-	// generation. Register fails in this mode, and publications arriving
-	// over HTTP are answered with 421 Misdirected Request naming the
-	// leader. DataDir still applies: a durable follower resumes tailing
-	// from its persisted position after a restart.
+	// hosting live server classes it watches the all-paths stream of the
+	// leader Interface Server at this base URL and applies every committed
+	// publication into its own store, which the local Interface Server
+	// serves under the leader's restart generation. Register fails in this
+	// mode, and publications arriving over HTTP are answered with 421
+	// Misdirected Request naming the leader. DataDir still applies: a
+	// durable follower resumes from its persisted epoch after a restart.
 	FollowURL string
 	// MaxWatcherLag bounds how many committed-but-undelivered events a
 	// streaming watcher of the Interface Server may have pending before
@@ -148,8 +148,7 @@ type Manager struct {
 
 	store    *ifsvr.Store
 	iface    *ifsvr.Server
-	tail     *repl.TailServer // leader mode: WAL-tail endpoint on the iface
-	follower *repl.Follower   // follower mode (Config.FollowURL)
+	follower *repl.Follower // follower mode (Config.FollowURL)
 
 	httpMux  *dynamicMux
 	httpSrv  *http.Server
@@ -178,8 +177,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		servers: make(map[string]Server),
 	}
 	if cfg.FollowURL != "" {
-		// Follower mode: the store is fed by tailing the leader's WAL,
-		// not by local publishers, and the Interface Server serves it
+		// Follower mode: the store is fed by the leader's all-paths
+		// stream, not by local publishers, and the Interface Server serves it
 		// read-only under the leader's generation.
 		f, err := repl.OpenFollower(repl.FollowerConfig{Leader: cfg.FollowURL, Store: storeCfg})
 		if err != nil {
@@ -210,9 +209,6 @@ func NewManager(cfg Config) (*Manager, error) {
 			m.store.Close()
 			return nil, fmt.Errorf("core: starting interface server: %w", err)
 		}
-		// Every leader-mode manager exposes the replication tail, so any
-		// other manager (or sde-server -follow) can replicate from it.
-		m.tail = repl.Attach(m.store, m.iface, repl.TailConfig{})
 	}
 	ln, err := net.Listen("tcp", cfg.HTTPAddr)
 	if err != nil {
@@ -241,10 +237,6 @@ func (m *Manager) InterfaceServer() *ifsvr.Server { return m.iface }
 // Follower returns the replication follower when the manager runs in
 // follower mode (Config.FollowURL), nil on a leader.
 func (m *Manager) Follower() *repl.Follower { return m.follower }
-
-// TailServer returns the leader's replication WAL-tail endpoint, nil in
-// follower mode.
-func (m *Manager) TailServer() *repl.TailServer { return m.tail }
 
 // Store returns the manager's publication store — the versioned document
 // store with tap and watcher fan-out that every binding publishes through.
@@ -357,10 +349,10 @@ func (m *Manager) unregister(className string) {
 const DefaultDrainTimeout = 2 * time.Second
 
 // DefaultReadyLagBound is the Probe readiness bound on a follower's
-// replication lag, in unapplied records. It matches the tail
-// plane's default ring history: a follower further behind than the ring
-// would have to bootstrap anyway, so it has no business taking traffic.
-const DefaultReadyLagBound = uint64(repl.DefaultTailHistory)
+// replication lag, in epochs. It matches the default journal: a follower
+// further behind than the leader's journal would be snapshot-reset
+// anyway, so it has no business taking traffic.
+const DefaultReadyLagBound = uint64(ifsvr.DefaultHistoryLen)
 
 // ErrDraining reports an operation refused because the manager is
 // draining.
@@ -393,7 +385,7 @@ func (m *Manager) Probe() error {
 	}
 	if m.follower != nil {
 		if lag := m.follower.Lag(); lag > DefaultReadyLagBound {
-			return fmt.Errorf("core: follower lags the leader by %d records (readiness bound %d)", lag, DefaultReadyLagBound)
+			return fmt.Errorf("core: follower lags the leader by %d epochs (readiness bound %d)", lag, DefaultReadyLagBound)
 		}
 	}
 	return nil
@@ -413,10 +405,9 @@ func (m *Manager) Draining() bool {
 //  2. the HTTP endpoint server stops accepting connections and waits —
 //     bounded by ctx — for in-flight calls to complete
 //     (http.Server.Shutdown, not Close: nothing in flight is dropped);
-//  3. held replication tails are ended so followers reconnect elsewhere;
-//  4. the Interface Server drains: held watch streams end with a
-//     terminal "draining" frame, so watchers reconnect to another replica
-//     instead of timing out.
+//  3. the Interface Server drains: held watch streams, followers' included,
+//     end with a terminal "draining" frame, so watchers reconnect to
+//     another replica instead of timing out.
 //
 // Every publication committed through the WAL before it returned, so the
 // drain has nothing left to flush.
@@ -438,11 +429,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 	// In-flight calls finish; new conns are refused from here on.
 	if err := m.httpSrv.Shutdown(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("core: draining HTTP endpoint server: %w", err))
-	}
-	// End held WAL tails first: a parked follower would otherwise stall
-	// the Interface Server's shutdown until the deadline.
-	if m.tail != nil {
-		m.tail.Drain()
 	}
 	if err := m.iface.Shutdown(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("core: draining interface server: %w", err))
@@ -482,13 +468,10 @@ func (m *Manager) Stop() error {
 	}
 	<-m.httpDone
 	if m.follower != nil {
-		// The follower owns the iface and store: stop tailing, persist
+		// The follower owns the iface and store: stop following, persist
 		// the replication cursor, then close both.
 		m.follower.Close()
 		return errors.Join(errs...)
-	}
-	if m.tail != nil {
-		m.tail.Close()
 	}
 	if err := m.iface.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("core: closing interface server: %w", err))

@@ -91,9 +91,9 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "livedev_wal_compactions_total %d\n", d.Compactions)
 	}
 
-	// Replication: role-labelled lag and the log position. On a
-	// leader, Tails is the connected follower count; on a follower, Lag
-	// is how far behind the leader's shipped frontier it is.
+	// Replication: role-labelled lag and the stream position, in store
+	// epochs. On a leader, Tails is the connected follower count; on a
+	// follower, Lag is how far behind the leader's epoch it is.
 	if rp := st.Replication; rp != nil {
 		fmt.Fprintf(&b, "livedev_repl_lag{role=%q} %d\n", rp.Role, rp.Lag)
 		fmt.Fprintf(&b, "livedev_repl_tails{role=%q} %d\n", rp.Role, rp.Tails)

@@ -24,7 +24,7 @@ import (
 // what one server comfortably holds? N SSE watchers are spread
 // round-robin across a leader and R-1 followers; each edit is timed until
 // the LAST watcher (on any replica) has observed it, and separately until
-// each follower's store serves it (the WAL-shipping lag).
+// each follower's store serves it (the replication lag).
 //
 // The leader and every follower run as separate PROCESSES (the
 // experiment binary re-execs itself, see ReplicationChild): that is both
@@ -98,8 +98,7 @@ func ReplicationChild() {
 	os.Exit(0)
 }
 
-// runReplicationLeaderChild serves a fresh store (WAL-tail endpoint
-// attached), prints its base URL, then publishes one version per line
+// runReplicationLeaderChild serves a fresh store, prints its base URL, then publishes one version per line
 // read from stdin until EOF. A line is "V" or "V SIZE": the version to
 // publish, optionally padded to roughly SIZE bytes (the fan-out stall
 // experiment publishes fat documents through the same child).
@@ -111,8 +110,6 @@ func runReplicationLeaderChild() {
 		fmt.Fprintln(os.Stderr, "repl leader child:", err)
 		os.Exit(1)
 	}
-	tail := repl.Attach(st, srv, repl.TailConfig{})
-	defer tail.Close()
 	st.PublishVersioned(replPath, "text/xml", "<v1/>", 1)
 	fmt.Println(base)
 	sc := bufio.NewScanner(os.Stdin)

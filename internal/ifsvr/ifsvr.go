@@ -51,7 +51,7 @@ const EpochHeader = "X-Interface-Epoch"
 const GenerationHeader = "X-Store-Generation"
 
 // LeaderHeader carries, on a replica's document GETs only, the base URL of
-// the leader the replica tails (Server.LeaderURL, the name its 421s put in
+// the leader the replica follows (Server.LeaderURL, the name its 421s put in
 // Location). A client reads documents there: the leader's are never older
 // than a replica's. A leader sends no such header.
 const LeaderHeader = "X-Interface-Leader"
@@ -118,9 +118,6 @@ type Server struct {
 	// LeaderHeader. Set it before Start.
 	LeaderURL string
 
-	auxMu sync.RWMutex
-	aux   map[string]http.Handler
-
 	// sweep is the shared heartbeat ticker over every held stream's
 	// delivery pump — one goroutine, not one timer per connection.
 	sweepMu sync.Mutex
@@ -156,12 +153,9 @@ func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 // version headers. With "?watch=stream&after=N" the request becomes a
 // server-sent-event stream: journal replay of everything committed after
 // epoch N, then one event per live commit, on a single held connection
-// (see stream.go). Any other query is ignored.
+// (see stream.go); on AllPath, of every path (repl.go). Any other query is
+// ignored.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if h := s.auxHandler(r.URL.Path); h != nil {
-		h.ServeHTTP(w, r)
-		return
-	}
 	if r.Method != http.MethodGet {
 		if s.LeaderURL != "" {
 			// A replica does not take writes: misdirect the request to the
@@ -193,31 +187,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(LeaderHeader, s.LeaderURL)
 	}
 	writeDoc(w, d)
-}
-
-// Handle mounts an auxiliary handler on a reserved path (e.g. the
-// replication subsystem's WAL-tail endpoint), checked before the document
-// routes and exempt from the GET-only rule. Later mounts on the same path
-// replace earlier ones; a nil handler unmounts.
-func (s *Server) Handle(path string, h http.Handler) {
-	s.auxMu.Lock()
-	if s.aux == nil {
-		s.aux = make(map[string]http.Handler)
-	}
-	if h == nil {
-		delete(s.aux, path)
-	} else {
-		s.aux[path] = h
-	}
-	s.auxMu.Unlock()
-}
-
-// auxHandler resolves an auxiliary mount (nil if none).
-func (s *Server) auxHandler(path string) http.Handler {
-	s.auxMu.RLock()
-	h := s.aux[path]
-	s.auxMu.RUnlock()
-	return h
 }
 
 func (s *Server) serveStats(w http.ResponseWriter) {

@@ -284,9 +284,8 @@ func oracleRemoveRecord(lsn uint64, path string, version uint64) []byte {
 // TestWALEncodersMatchOracle: the in-place framers produce the parent's
 // bytes for random batches of 1–4 events with escape-heavy paths and
 // contents, and lsns up to 2^64−1: alone, appended onto a non-empty buffer
-// (FuzzWALDecode's rebuild path), and framed at send time into one reused
-// buffer from events whose Content is cleared, as the replication ring
-// keeps them.
+// (FuzzWALDecode's rebuild path), and framed into one reused buffer from
+// events whose Content is cleared, as the journal keeps them.
 func TestWALEncodersMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewPCG(25, 25))
 	var sendBuf []byte
@@ -305,11 +304,11 @@ func TestWALEncodersMatchOracle(t *testing.T) {
 		if got := EncodeCommitFrame(lsn, evs); !bytes.Equal(got, want) {
 			t.Fatalf("iter %d: EncodeCommitFrame differs from the oracle:\n got %q\nwant %q", iter, got, want)
 		}
-		if sendBuf = AppendCommitFrame(sendBuf[:0], lsn, ring); !bytes.Equal(sendBuf, want) {
+		if sendBuf = appendCommitRecord(sendBuf[:0], lsn, ring); !bytes.Equal(sendBuf, want) {
 			t.Fatalf("iter %d: send-time commit frame differs from the oracle:\n got %q\nwant %q", iter, sendBuf, want)
 		}
 		path, version := evs[0].Path, r.Uint64()>>r.IntN(64)
-		if sendBuf = AppendRemoveFrame(sendBuf[:0], lsn, path, version); !bytes.Equal(sendBuf, oracleRemoveRecord(lsn, path, version)) {
+		if sendBuf = appendRemoveRecord(sendBuf[:0], lsn, path, version); !bytes.Equal(sendBuf, oracleRemoveRecord(lsn, path, version)) {
 			t.Fatalf("iter %d: send-time remove frame differs from the oracle:\n got %q\nwant %q", iter, sendBuf, oracleRemoveRecord(lsn, path, version))
 		}
 		prefix := bytes.Repeat([]byte{byte(iter)}, r.IntN(40))

@@ -13,15 +13,16 @@ import (
 // The delivery pump: the one held-connection loop in the repository.
 //
 // Commits never write to sockets. Every held connection — an SSE watch
-// stream here, a WAL tail in internal/repl — owns a Pump: a capacity-1
-// wake channel the commit path (or the shared heartbeat sweep) nudges. The
-// connection's goroutine runs Pump.Run, which on each wake asks its
-// PumpSource for everything pending behind the source's own cursor, so a
-// commit costs one non-blocking send per watcher and a slow socket slows
-// nobody but itself. Run owns the whole held-connection policy:
+// stream of one path or, for a replication follower, of all paths — owns a
+// Pump: a capacity-1 wake channel the commit path (or the shared heartbeat
+// sweep) nudges. The connection's goroutine runs Pump.Run, which on each
+// wake asks its PumpSource for everything pending behind the source's own
+// cursor, so a commit costs one non-blocking send per watcher and a slow
+// socket slows nobody but itself. Run owns the whole held-connection policy:
 //
 //   - one write deadline per batch, armed on the batch's first write;
-//   - one flush per batch, however many frames the source wrote;
+//   - one flush per batch, however many frames the source wrote, the
+//     first carrying the response headers;
 //   - a failed write is an eviction when it missed the deadline (or the
 //     peer is still connected), a hangup otherwise;
 //   - idle liveness frames, paced by one shared PumpSweep ticker instead
@@ -29,9 +30,8 @@ import (
 //   - a graceful drain ends the connection with the source's farewell.
 //
 // What is pending, how it is framed, and what a cursor the journal no
-// longer covers gets instead (a snapshot reset, a lag eviction, a tail
-// bootstrap) is the source's business: streamSource in stream.go, and
-// repl's tail source over its record ring.
+// longer covers gets instead (a snapshot reset, a lag eviction) is the
+// source's business: streamSource in stream.go, and allSource in repl.go.
 
 // DefaultStreamWriteTimeout bounds each batch write on a held watch stream
 // when Server.StreamWriteTimeout is zero.
@@ -84,10 +84,9 @@ type Pump struct {
 	lastWrite atomic.Int64 // unix nanos of the last completed flush
 }
 
-// NewPump returns a pump whose idle clock starts now (the response headers
-// just went out when a connection creates one). Register it with whatever
-// nudges it — Store.watchPath, a tail ring — before calling Run, so a
-// commit landing in between is a pending wake, not a lost one.
+// NewPump returns a pump whose idle clock starts now. Register it with
+// whatever nudges it — Store.watchPath, Store.watchAll — before calling
+// Run, so a commit landing in between is a pending wake, not a lost one.
 func NewPump() *Pump {
 	p := &Pump{wake: make(chan struct{}, 1)}
 	p.touch()
@@ -124,14 +123,19 @@ func (pw *pumpWriter) Write(b []byte) (int, error) {
 		return 0, pw.err
 	}
 	if !pw.dirty {
-		pw.dirty = true
-		if pw.timeout > 0 {
-			_ = pw.rc.SetWriteDeadline(time.Now().Add(pw.timeout))
-		}
+		pw.arm()
 	}
 	n, err := pw.w.Write(b)
 	pw.err = err
 	return n, err
+}
+
+// arm opens a batch: the next flush is due, under the write deadline.
+func (pw *pumpWriter) arm() {
+	pw.dirty = true
+	if pw.timeout > 0 {
+		_ = pw.rc.SetWriteDeadline(time.Now().Add(pw.timeout))
+	}
 }
 
 // flush pushes the batch to the socket and reports the batch's fate.
@@ -144,12 +148,15 @@ func (pw *pumpWriter) flush() error {
 }
 
 // Run serves one held connection until the peer goes away, the source
-// ends it, a write fails, or the server drains. The response headers must
-// already be flushed.
+// ends it, a write fails, or the server drains. The response headers are
+// written but not flushed: they go out with the first batch, the
+// connect-time catch-up, so a client that has read them knows its
+// catch-up was collected.
 func (p *Pump) Run(w http.ResponseWriter, r *http.Request, cfg PumpConfig, src PumpSource) {
 	cfg.Sweep.Add(p)
 	defer cfg.Sweep.Remove(p)
 	pw := &pumpWriter{w: w, rc: http.NewResponseController(w), timeout: cfg.WriteTimeout}
+	pw.arm() // the headers open the first batch
 	// deliver flushes what the source wrote. The error check matters: the
 	// http server cancels the request context on any connection write
 	// error, so by then a deadline miss is indistinguishable from a hangup

@@ -20,11 +20,11 @@ const DefaultHistoryLen = 256
 
 // StoreEvent is one committed publication.
 //
-// A version is encoded once per process: at commit on a leader
-// (PublishVersioned), and at decode on a replica or during recovery (a
-// replicated commit frame, the WAL, the snapshot). Every later reader — the
-// WAL append, the journal, each stream's events and snapshot resets, the
-// cadence snapshot, a replication bootstrap — splices those bytes.
+// A version is encoded at most once per process: at commit on a leader
+// (PublishVersioned), and at decode during recovery (the WAL, the
+// snapshot); a replica keeps the "data:" bytes it read. Every later reader
+// — the WAL append, the journal, each stream's events and snapshot resets,
+// the cadence snapshot — splices those bytes.
 //
 // Taps (Subscribe) and the store's per-path newest version
 // (PersistentState.Docs) carry the event with Content and Payload. A
@@ -89,8 +89,9 @@ type StoreStats struct {
 	// Durability is the log's own counter block (lsns, fsyncs,
 	// group-commit batch sizes, fsync lag); nil for an in-memory store.
 	Durability *PersistStats
-	// Replication is the replication subsystem's counter block (role,
-	// lsns, lag, reconnects); nil for an unreplicated store.
+	// Replication is the replication counter block (role, epochs, lag,
+	// reconnects): a follower's, or on any other store the leader's, since
+	// every store can be followed.
 	Replication *ReplicationStats
 	// Fanout is the delivery plane's counter block: registered watchers,
 	// commit-time wakeups, flush batch sizes, and the backpressure valves
@@ -158,6 +159,8 @@ type Store struct {
 	mu         sync.Mutex
 	docs       map[string]StoreEvent // each path's newest committed event
 	retired    map[string]uint64     // removed paths → last committed version
+	retiredAt  map[string]retireMark // when each floor was set (not persisted)
+	retireSeq  uint64                // floors set so far
 	epoch      uint64
 	journal    []StoreEvent // commit-ordered ring, capacity histLen
 	floorEpoch uint64       // journal covers epochs in (floorEpoch, epoch]
@@ -171,8 +174,13 @@ type Store struct {
 	// commit nudges only the shards its batch dirtied. Shard locks nest strictly inside mu (registration and
 	// wakeup never hold mu) and are never held across a callback.
 	watchers [watchShardCount]watchShard
-	// fanout is the delivery plane's lock-free instrumentation.
+	// allWatchers holds the all-paths streams' wake channels (repl.go),
+	// nudged by every logged operation.
+	allWatchers watchShard
+	// fanout is the delivery plane's lock-free instrumentation; follow is
+	// the all-paths streams' (the leader's ReplicationStats).
 	fanout fanoutCounters
+	follow followCounters
 
 	// deliverMu serializes the writers, so operations are logged, woken
 	// and delivered in commit order even when publishes race each other or
@@ -197,6 +205,7 @@ func NewStore(_ time.Duration, _ any) *Store {
 		generation: gen,
 		docs:       make(map[string]StoreEvent),
 		retired:    make(map[string]uint64),
+		retiredAt:  make(map[string]retireMark),
 	}
 }
 
@@ -295,6 +304,7 @@ func (s *Store) Stats() StoreStats {
 	st.Epoch = s.epoch
 	st.Generation = s.generation
 	st.JournalDepth = len(s.journal)
+	floor := s.floorEpoch
 	p := s.persist
 	rs := s.replStats
 	s.mu.Unlock()
@@ -304,6 +314,8 @@ func (s *Store) Stats() StoreStats {
 	}
 	if rs != nil {
 		st.Replication = rs()
+	} else {
+		st.Replication = s.leaderStats(st, floor)
 	}
 	st.Fanout = s.fanoutStats()
 	return st
@@ -393,6 +405,7 @@ func (s *Store) endWrite(op StoreOp) {
 	// on each watcher's own delivery pump — so this costs O(watchers of the
 	// batch's paths), not O(bytes).
 	s.wakeWatchers(op.Events)
+	s.allWatchers.wake("")
 	for _, fn := range s.taps {
 		fn(op)
 	}
@@ -421,7 +434,7 @@ func (s *Store) PublishVersioned(path, contentType, content string, descriptorVe
 		// A republication of a retired path resumes its version
 		// sequence so parked watchers still wake on it.
 		d.Version = s.retired[path]
-		delete(s.retired, path)
+		s.unretireLocked(path)
 	}
 	d.Content = content
 	d.ContentType = contentType
@@ -429,8 +442,8 @@ func (s *Store) PublishVersioned(path, contentType, content string, descriptorVe
 	d.Epoch = s.epoch
 	d.Version++
 	// One marshal per committed version: the same bytes back the WAL
-	// record, every streaming watcher's "data:" line, the snapshot and a
-	// replication bootstrap.
+	// record, every streaming watcher's "data:" line (a follower's
+	// included) and the snapshot.
 	ev := StoreEvent{Path: path, Doc: d, Payload: encodeEventPayload(path, d)}
 	s.docs[path] = ev
 	s.endWrite(StoreOp{Events: []StoreEvent{ev}})
@@ -555,15 +568,21 @@ func (s *Store) trimJournalLocked() {
 // nearly-current watcher — the per-commit wake of every held stream —
 // scans only the tail, not the whole ring. Caller holds s.mu.
 func (s *Store) journalAfterLocked(path string, afterEpoch uint64, buf []StoreEvent) []StoreEvent {
-	from := sort.Search(len(s.journal), func(i int) bool {
-		return s.journal[i].Doc.Epoch > afterEpoch
-	})
-	for _, ev := range s.journal[from:] {
+	for _, ev := range s.journalFromLocked(afterEpoch) {
 		if ev.Path == path {
 			buf = append(buf, ev)
 		}
 	}
 	return buf
+}
+
+// journalFromLocked is the journal past afterEpoch, every path. Caller
+// holds s.mu.
+func (s *Store) journalFromLocked(afterEpoch uint64) []StoreEvent {
+	from := sort.Search(len(s.journal), func(i int) bool {
+		return s.journal[i].Doc.Epoch > afterEpoch
+	})
+	return s.journal[from:]
 }
 
 // noteReplayLocked counts one journal read by its outcome. Caller holds
@@ -647,7 +666,7 @@ func (s *Store) Remove(path string) {
 	}
 	var op StoreOp
 	if ev, ok := s.docs[path]; ok {
-		s.retired[path] = ev.Doc.Version
+		s.retireLocked(path, ev.Doc.Version)
 		delete(s.docs, path)
 		op = StoreOp{RemovePath: path, RemoveVersion: ev.Doc.Version}
 	}

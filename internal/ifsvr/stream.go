@@ -29,7 +29,9 @@ import (
 // valves that are this plane's own — a cursor the journal no longer covers
 // gets a mid-stream snapshot reset, and a backlog past the server's lag
 // budget ends the stream with a terminal "eviction" event. Either way the
-// client reconnects through ordinary replay.
+// client reconnects through ordinary replay. The all-paths form of the
+// stream (AllPath), which replication followers hold, is fed by allSource
+// (repl.go).
 
 // StreamContentType is the MIME type of the streaming watch response.
 const StreamContentType = "text/event-stream"
@@ -59,6 +61,12 @@ var ErrStreamEvicted = errors.New("ifsvr: stream evicted by server backpressure"
 // not fail.
 var ErrStreamDraining = errors.New("ifsvr: stream ended by server drain")
 
+// ErrStreamCorrupt reports a stream event whose "data:" line does not
+// decode. The stream ends there, so no later event can move the caller's
+// cursor past the lost one: reconnecting with the last seen epoch replays
+// it.
+var ErrStreamCorrupt = errors.New("ifsvr: stream event does not decode")
+
 // StreamEvent is one event of a streaming watch, as seen by the client.
 type StreamEvent struct {
 	// Doc is the committed (or snapshotted) document. Its Generation field
@@ -73,6 +81,14 @@ type StreamEvent struct {
 	// was ahead of a restarted store that lost the old state — so this is
 	// the current document, not a step of the committed history.
 	Snapshot bool
+	// Path is the document's path, and Payload the event's "data:" bytes:
+	// the serving store's committed wire encoding (StoreEvent.Payload),
+	// which a replication follower applies verbatim.
+	Path    string
+	Payload []byte
+	// Removed marks a retired floor on the all-paths stream (AllPath):
+	// Path was removed at Doc.Version, and Doc carries nothing else.
+	Removed bool
 }
 
 // streamWire is the JSON payload of one SSE data line.
@@ -87,8 +103,9 @@ type streamWire struct {
 
 // pumpConfig resolves the server's held-stream policy: the heartbeat
 // interval, the per-batch write deadline, the shared sweep (lazily built,
-// ticking at half the heartbeat interval), and the drain signal.
-func (s *Server) pumpConfig(st *Store) PumpConfig {
+// ticking at half the heartbeat interval), and the drain signal; counters
+// receives the outcomes.
+func (s *Server) pumpConfig(counters *PumpCounters) PumpConfig {
 	hb := s.HeartbeatInterval
 	if hb <= 0 {
 		hb = DefaultHeartbeat
@@ -111,18 +128,18 @@ func (s *Server) pumpConfig(st *Store) PumpConfig {
 		Heartbeat:    hb,
 		Sweep:        sweep,
 		Drain:        s.drainCtx.Done(),
-		Counters:     &st.fanout.pump,
+		Counters:     counters,
 	}
 }
 
 // serveStream answers "?watch=stream&after=N": an SSE stream of committed
 // versions of the requested path — journal replay past epoch N (or one
 // snapshot event when the journal fell behind), then live commits, with
-// comment heartbeats while idle. The connection is held until the client
-// goes away, the store closes, or the server drains.
+// comment heartbeats while idle — or, on AllPath, of every path. The
+// connection is held until the client goes away, the store closes, or the
+// server drains.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Values) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
 		return
 	}
@@ -146,16 +163,19 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 	// epoch at connect.
 	h.Set(GenerationHeader, strconv.FormatUint(gen, 10))
 	h.Set(EpochHeader, strconv.FormatUint(st.Epoch(), 10))
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	w.WriteHeader(http.StatusOK) // Run flushes it with the catch-up
 
-	st.fanout.streams.Add(1)
 	// Register the wake BEFORE the first collect: a commit landing between
 	// the two must nudge the pump, not vanish.
 	p := NewPump()
-	cancel := st.watchPath(r.URL.Path, p.wake)
-	defer cancel()
-	p.Run(w, r, s.pumpConfig(st), &streamSource{
+	if r.URL.Path == AllPath {
+		defer st.watchAll(p.wake)()
+		p.Run(w, r, s.pumpConfig(&st.follow.pump), &allSource{st: st, gen: gen, cursor: after})
+		return
+	}
+	st.fanout.streams.Add(1)
+	defer st.watchPath(r.URL.Path, p.wake)()
+	p.Run(w, r, s.pumpConfig(&st.fanout.pump), &streamSource{
 		st:        st,
 		path:      r.URL.Path,
 		gen:       gen,
@@ -175,6 +195,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 // the value the client holds and sends back as after= on a reconnect —
 // live wakes and reconnects read the journal the same way.
 type streamSource struct {
+	sseLiveness
 	st     *Store
 	path   string
 	gen    uint64 // the generation the stream opened under
@@ -267,29 +288,38 @@ func (src *streamSource) Collect(w io.Writer) bool {
 // emit writes one SSE event: ev's commit-time shared payload, the same
 // bytes every watcher gets and the WAL carries, whether ev is a journal
 // entry or the path's current version (a parked first publication, a
-// snapshot reset). The framing is hand-appended into a reused buffer —
-// fmt boxing and per-event allocations would be paid once per watcher per
-// commit, the exact multiplier shared payloads remove.
+// snapshot reset).
 func (src *streamSource) emit(w io.Writer, event string, ev StoreEvent) {
-	f := append(src.frame[:0], "id: "...)
-	f = strconv.AppendUint(f, ev.Doc.Epoch, 10)
+	src.frame = appendEvent(src.frame[:0], ev.Doc.Epoch, event, ev.Payload)
+	_, _ = w.Write(src.frame)
+}
+
+// appendEvent appends one SSE event — id (an epoch), name and data line —
+// to f. The framing is hand-appended into a reused buffer: fmt boxing and
+// per-event allocations would be paid once per watcher per commit, the
+// exact multiplier shared payloads remove.
+func appendEvent(f []byte, id uint64, event string, data []byte) []byte {
+	f = append(f, "id: "...)
+	f = strconv.AppendUint(f, id, 10)
 	f = append(f, "\nevent: "...)
 	f = append(f, event...)
 	f = append(f, "\ndata: "...)
-	f = append(f, ev.Payload...)
-	f = append(f, "\n\n"...)
-	src.frame = f
-	_, _ = w.Write(f)
+	f = append(f, data...)
+	return append(f, "\n\n"...)
 }
 
+// sseLiveness is the SSE half of a PumpSource that both stream forms
+// share: the idle heartbeat and the drain farewell.
+type sseLiveness struct{}
+
 // Heartbeat implements PumpSource: the SSE comment line.
-func (src *streamSource) Heartbeat(w io.Writer) { _, _ = io.WriteString(w, ": hb\n\n") }
+func (sseLiveness) Heartbeat(w io.Writer) { _, _ = io.WriteString(w, ": hb\n\n") }
 
 // Farewell implements PumpSource: the terminal frame of a graceful
 // shutdown, so the client reconnects to another replica with its cursors
 // intact (ordinary replay catch-up) instead of timing out against a dead
 // connection.
-func (src *streamSource) Farewell(w io.Writer) {
+func (sseLiveness) Farewell(w io.Writer) {
 	_, _ = io.WriteString(w, "event: draining\ndata: {}\n\n")
 }
 
@@ -301,6 +331,25 @@ func (src *streamSource) Farewell(w io.Writer) {
 // its last seen epoch and ride the replay. A server that does not speak the
 // streaming transport is reported as ErrStreamUnsupported.
 func WatchStream(ctx context.Context, client *http.Client, url string, afterEpoch uint64, fn func(StreamEvent)) error {
+	s, err := OpenStream(ctx, client, url, afterEpoch)
+	if err != nil {
+		return err
+	}
+	return s.Read(ctx, fn)
+}
+
+// A Stream is a streaming watch whose response headers have been read.
+type Stream struct {
+	// Generation and Epoch are the serving store's restart generation and
+	// store-wide epoch when it answered (GenerationHeader, EpochHeader).
+	// The server collected the connect-time catch-up before it sent them.
+	Generation, Epoch uint64
+	body              io.ReadCloser
+}
+
+// OpenStream connects the streaming watch of WatchStream and returns once
+// the response headers are in; Read delivers the events.
+func OpenStream(ctx context.Context, client *http.Client, url string, afterEpoch uint64) (*Stream, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -311,33 +360,46 @@ func WatchStream(ctx context.Context, client *http.Client, url string, afterEpoc
 	streamURL := url + sep + "watch=stream&after=" + strconv.FormatUint(afterEpoch, 10)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, streamURL, nil)
 	if err != nil {
-		return fmt.Errorf("ifsvr: building stream request for %s: %w", url, err)
+		return nil, fmt.Errorf("ifsvr: building stream request for %s: %w", url, err)
 	}
 	req.Header.Set("Accept", StreamContentType)
 	resp, err := client.Do(req)
 	if err != nil {
-		return fmt.Errorf("ifsvr: streaming %s: %w", url, err)
+		return nil, fmt.Errorf("ifsvr: streaming %s: %w", url, err)
 	}
-	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%w: %s", ErrNotFound, url)
+		_ = resp.Body.Close()
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, url)
 	}
 	ct := resp.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
 	}
 	if resp.StatusCode != http.StatusOK || !strings.EqualFold(strings.TrimSpace(ct), StreamContentType) {
-		return fmt.Errorf("%w (%s answered HTTP %d %s)", ErrStreamUnsupported, url, resp.StatusCode, ct)
+		_ = resp.Body.Close()
+		return nil, fmt.Errorf("%w (%s answered HTTP %d %s)", ErrStreamUnsupported, url, resp.StatusCode, ct)
 	}
-	return readStream(ctx, resp.Body, headerUint(resp, GenerationHeader), fn)
+	return &Stream{Generation: headerUint(resp, GenerationHeader), Epoch: headerUint(resp, EpochHeader), body: resp.Body}, nil
 }
+
+// Read invokes fn for every event until the stream ends — always with an
+// error, streams being held forever by a healthy server — or ctx is done,
+// then closes the stream.
+func (s *Stream) Read(ctx context.Context, fn func(StreamEvent)) error {
+	defer func() { _ = s.body.Close() }()
+	return readStream(ctx, s.body, s.Generation, fn)
+}
+
+// Close abandons a stream without reading it.
+func (s *Stream) Close() error { return s.body.Close() }
 
 // readStream parses the SSE framing: "field: value" lines accumulate into
 // an event dispatched at each blank line; comment lines (heartbeats) are
 // skipped. gen is the serving store's restart generation (from the
 // response headers), stamped onto every delivered document. It returns
 // when the stream ends (an error — streams are held forever by a healthy
-// server) or ctx is done.
+// server), an event's data does not decode (ErrStreamCorrupt), or ctx is
+// done.
 func readStream(ctx context.Context, body io.Reader, gen uint64, fn func(StreamEvent)) error {
 	br := bufio.NewReader(body)
 	var event, data string
@@ -365,21 +427,26 @@ func readStream(ctx context.Context, body io.Reader, gen uint64, fn func(StreamE
 				return ErrStreamDraining
 			}
 			if data != "" {
+				payload := []byte(data)
 				var wire streamWire
-				if jerr := json.Unmarshal([]byte(data), &wire); jerr == nil {
-					fn(StreamEvent{
-						Doc: Document{
-							Content:           wire.Content,
-							Version:           wire.Version,
-							DescriptorVersion: wire.DescriptorVersion,
-							Epoch:             wire.Epoch,
-							Generation:        gen,
-							ContentType:       wire.ContentType,
-						},
-						Replayed: event == "replay",
-						Snapshot: event == "snapshot",
-					})
+				if jerr := json.Unmarshal(payload, &wire); jerr != nil {
+					return fmt.Errorf("%w: %v", ErrStreamCorrupt, jerr)
 				}
+				fn(StreamEvent{
+					Doc: Document{
+						Content:           wire.Content,
+						Version:           wire.Version,
+						DescriptorVersion: wire.DescriptorVersion,
+						Epoch:             wire.Epoch,
+						Generation:        gen,
+						ContentType:       wire.ContentType,
+					},
+					Replayed: event == "replay",
+					Snapshot: event == "snapshot",
+					Path:     wire.Path,
+					Payload:  payload,
+					Removed:  event == "remove",
+				})
 			}
 			event, data = "", ""
 		case strings.HasPrefix(line, ":"):

@@ -192,9 +192,9 @@ func decodeCommitPayload(payload []byte) (uint64, []StoreEvent, error) {
 	return rec.Lsn, evs, nil
 }
 
-// wireEvent converts a decoded WAL, snapshot or replication wire object
-// back into the event it was encoded from. It is the one place a decoded
-// version is encoded: re-deriving Payload here, once, is what lets every
+// wireEvent converts a decoded WAL or snapshot wire object back into the
+// event it was encoded from. It is the one place a decoded version is
+// encoded: re-deriving Payload here, once, is what lets every
 // later reader splice the bytes. The encoding is deterministic, so they
 // equal the bytes the object was read from whenever those came from
 // encodeEventPayload.
@@ -214,7 +214,7 @@ func wireEvent(w streamWire) StoreEvent {
 // commit-record element. It runs once per version per process — at commit
 // (PublishVersioned) or at decode (wireEvent); the resulting bytes are
 // fanned out to every watcher, appended to the log, and spliced into
-// snapshots and bootstraps, so they must never be mutated afterwards.
+// snapshots and snapshot resets, so they must never be mutated afterwards.
 func encodeEventPayload(path string, d Document) []byte {
 	data, err := json.Marshal(streamWire{
 		Path:              path,

@@ -38,7 +38,7 @@ func shardOf(path string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// watchShard is one lock's worth of the registry: path → set of wake
+// watchShard is one lock's worth of a wake registry: path → set of wake
 // channels, keyed by a per-shard registration id so cancel is O(1).
 type watchShard struct {
 	mu     sync.Mutex
@@ -55,7 +55,17 @@ func (s *Store) watchShardOf(path string) *watchShard {
 // a full channel simply means a wake is already pending — the watcher
 // will drain everything it finds when it gets around to looking.
 func (s *Store) watchPath(path string, wake chan<- struct{}) (cancel func()) {
-	sh := s.watchShardOf(path)
+	return s.watchShardOf(path).add(path, wake)
+}
+
+// watchAll registers the wake channel of an all-paths stream: every logged
+// operation nudges it. It is kept out of the path registry, so Fanout's
+// counters describe per-path watchers only.
+func (s *Store) watchAll(wake chan<- struct{}) (cancel func()) {
+	return s.allWatchers.add("", wake)
+}
+
+func (sh *watchShard) add(path string, wake chan<- struct{}) (cancel func()) {
 	sh.mu.Lock()
 	if sh.paths == nil {
 		sh.paths = make(map[string]map[uint64]chan<- struct{})
@@ -81,6 +91,44 @@ func (s *Store) watchPath(path string, wake chan<- struct{}) (cancel func()) {
 	}
 }
 
+// wake signals every watcher of path and returns how many there were.
+func (sh *watchShard) wake(path string) (n uint64) {
+	sh.mu.Lock()
+	for _, ch := range sh.paths[path] {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+		n++
+	}
+	sh.mu.Unlock()
+	return n
+}
+
+// wakeAll signals every watcher of every path.
+func (sh *watchShard) wakeAll() {
+	sh.mu.Lock()
+	for _, set := range sh.paths {
+		for _, ch := range set {
+			select {
+			case ch <- struct{}{}:
+			default:
+			}
+		}
+	}
+	sh.mu.Unlock()
+}
+
+// count is the number of registered watchers.
+func (sh *watchShard) count() (n int) {
+	sh.mu.Lock()
+	for _, set := range sh.paths {
+		n += len(set)
+	}
+	sh.mu.Unlock()
+	return n
+}
+
 // wakeWatchers signals every watcher of every path in a committed batch.
 // A commit batch carries each path at most once, so no dedup is needed;
 // sends are non-blocking against capacity-1 channels, so a slow watcher
@@ -88,39 +136,21 @@ func (s *Store) watchPath(path string, wake chan<- struct{}) (cancel func()) {
 func (s *Store) wakeWatchers(evs []StoreEvent) {
 	var woken uint64
 	for _, ev := range evs {
-		sh := s.watchShardOf(ev.Path)
-		sh.mu.Lock()
-		for _, ch := range sh.paths[ev.Path] {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-			woken++
-		}
-		sh.mu.Unlock()
+		woken += s.watchShardOf(ev.Path).wake(ev.Path)
 	}
 	if woken > 0 {
 		s.fanout.wakes.Add(woken)
 	}
 }
 
-// wakeAllWatchers nudges every registered watcher regardless of path —
-// used for store-wide state changes (close, crash, replicated reset)
-// that every held connection must notice.
+// wakeAllWatchers nudges every registered watcher regardless of path, and
+// every all-paths stream — used for store-wide state changes (close,
+// crash, replicated reset) that every held connection must notice.
 func (s *Store) wakeAllWatchers() {
 	for i := range s.watchers {
-		sh := &s.watchers[i]
-		sh.mu.Lock()
-		for _, set := range sh.paths {
-			for _, ch := range set {
-				select {
-				case ch <- struct{}{}:
-				default:
-				}
-			}
-		}
-		sh.mu.Unlock()
+		s.watchers[i].wakeAll()
 	}
+	s.allWatchers.wakeAll()
 }
 
 // watcherCounts reports the registered-watcher population, total and per
@@ -128,15 +158,8 @@ func (s *Store) wakeAllWatchers() {
 func (s *Store) watcherCounts() (total int, per []int) {
 	per = make([]int, watchShardCount)
 	for i := range s.watchers {
-		sh := &s.watchers[i]
-		sh.mu.Lock()
-		n := 0
-		for _, set := range sh.paths {
-			n += len(set)
-		}
-		sh.mu.Unlock()
-		per[i] = n
-		total += n
+		per[i] = s.watchers[i].count()
+		total += per[i]
 	}
 	return total, per
 }

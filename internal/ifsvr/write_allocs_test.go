@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"livedev/internal/ifsvr"
-	"livedev/internal/repl"
 )
 
 // The write path's allocation pins, in the benchmark leader's shape: a
-// durable SyncNone store with a replication tail server attached and a
-// 1.5 KB document. Cadence snapshots are pinned elsewhere
+// durable SyncNone store with a follower's all-paths stream held on it
+// and a 1.5 KB document. Cadence snapshots are pinned elsewhere
 // (TestCompactAllocsFlatInDocSize); SnapshotEvery keeps them out of these
 // runs.
 
@@ -32,8 +31,7 @@ func openPinStore(t *testing.T) *ifsvr.Store {
 
 func TestWriteAllocsLeaderPublish(t *testing.T) {
 	st := openPinStore(t)
-	tail := repl.NewTailServer(st, repl.TailConfig{})
-	defer tail.Close()
+	holdAllPaths(t, st)
 	var v uint64
 	publish := func() {
 		v++

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"livedev/internal/ifsvr"
-	"livedev/internal/repl"
 )
 
 // sockoptControl returns a net.ListenConfig/net.Dialer Control hook that
@@ -33,12 +32,17 @@ func sockoptControl(opt, bytes int) func(network, address string, c syscall.RawC
 }
 
 // startPinnedLeader is startLeader on a listener whose accepted
-// connections carry a 16KB send buffer.
-func startPinnedLeader(t *testing.T, cfg repl.TailConfig) (*ifsvr.Store, string) {
+// connections carry a 16KB send buffer, with the given held-stream
+// heartbeat and write deadline.
+func startPinnedLeader(t *testing.T, cfg ifsvr.StoreConfig, heartbeat, writeTimeout time.Duration) (*ifsvr.Store, string) {
 	t.Helper()
-	st := ifsvr.NewStore(0, nil)
+	st, err := ifsvr.OpenStore(cfg)
+	if err != nil {
+		t.Fatalf("opening leader store: %v", err)
+	}
 	srv := ifsvr.NewView(st)
-	ts := repl.Attach(st, srv, cfg)
+	srv.HeartbeatInterval = heartbeat
+	srv.StreamWriteTimeout = writeTimeout
 	lc := net.ListenConfig{Control: sockoptControl(syscall.SO_SNDBUF, 16<<10)}
 	ln, err := lc.Listen(context.Background(), "tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,14 +52,13 @@ func startPinnedLeader(t *testing.T, cfg repl.TailConfig) (*ifsvr.Store, string)
 	go func() { _ = hs.Serve(ln) }()
 	t.Cleanup(func() {
 		_ = hs.Close()
-		ts.Close()
 		st.Close()
 	})
 	return st, "http://" + ln.Addr().String()
 }
 
-// dialStalledTail opens a raw WAL-tail request and never reads the
-// response — a frozen replication peer with a 4KB receive buffer.
+// dialStalledTail opens a raw all-paths stream request and never reads
+// the response — a frozen replication peer with a 4KB receive buffer.
 func dialStalledTail(t *testing.T, base string) net.Conn {
 	t.Helper()
 	u, err := url.Parse(base)
@@ -67,7 +70,7 @@ func dialStalledTail(t *testing.T, base string) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := fmt.Sprintf("GET %s?after=0 HTTP/1.1\r\nHost: %s\r\n\r\n", repl.TailPath, u.Host)
+	req := fmt.Sprintf("GET %s?watch=stream&after=0 HTTP/1.1\r\nHost: %s\r\n\r\n", ifsvr.AllPath, u.Host)
 	if _, err := conn.Write([]byte(req)); err != nil {
 		_ = conn.Close()
 		t.Fatal(err)
@@ -78,18 +81,14 @@ func dialStalledTail(t *testing.T, base string) net.Conn {
 
 // TestTailStalledClientEvictedFollowerUnaffected mirrors the watch-plane
 // stall torture on the replication plane: a real follower and a stalled
-// raw tail client share the leader. The publish storm must evict the
-// stalled tail via the write deadline — counted in the leader's
-// ReplicationStats.Evictions — while the follower rides the same storm
-// out and converges on every byte.
+// raw all-paths client share the leader. The publish storm must evict the
+// stalled stream via the write deadline — counted in the leader's
+// ReplicationStats.Evictions, not in Fanout — while the follower rides
+// the same storm out and converges on every byte.
 func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
-	st, base := startPinnedLeader(t, repl.TailConfig{
-		Heartbeat:    100 * time.Millisecond,
-		WriteTimeout: 300 * time.Millisecond,
-		// The ring must outlast the storm so the follower tails it without
-		// ever needing a bootstrap.
-		History: 8192,
-	})
+	// The journal must outlast the storm so the follower replays it
+	// without ever needing a snapshot reset.
+	st, base := startPinnedLeader(t, ifsvr.StoreConfig{HistoryLen: 8192}, 100*time.Millisecond, 300*time.Millisecond)
 
 	f := openFollower(t, base, ifsvr.StoreConfig{})
 	defer f.Close()
@@ -100,12 +99,12 @@ func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
 	waitConverged(t, st, f.Store())
 
 	_ = dialStalledTail(t, base)
-	// Let the leader accept the stalled tail before the storm.
+	// Let the leader accept the stalled stream before the storm.
 	time.Sleep(100 * time.Millisecond)
 
 	// The storm: publish until the write deadline evicts the stalled
-	// tail. The cap bounds a broken valve; with the pinned buffers the
-	// tail's write blocks after the first few records.
+	// stream. The cap bounds a broken valve; with the pinned buffers the
+	// stream's write blocks after the first few events.
 	const maxEdits = 3000
 	edits := 0
 	deadline := time.Now().Add(90 * time.Second)
@@ -114,7 +113,7 @@ func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
 			break
 		}
 		if edits >= maxEdits || time.Now().After(deadline) {
-			t.Fatalf("stalled tail never evicted (%d edits)", edits)
+			t.Fatalf("stalled stream never evicted (%d edits)", edits)
 		}
 		edits++
 		st.Publish(path, "text/plain", fmt.Sprintf("content-%d-%s", edits, pad))
@@ -122,11 +121,14 @@ func TestTailStalledClientEvictedFollowerUnaffected(t *testing.T) {
 	}
 
 	// The follower was never the evicted party: it converges on the
-	// post-storm state and its tail kept applying records throughout.
+	// post-storm state and its stream kept applying events throughout.
 	st.Publish(path, "text/plain", "final-"+pad)
 	waitConverged(t, st, f.Store())
 	rs := f.Store().Stats().Replication
 	if rs == nil || rs.Role != "follower" || rs.Records == 0 {
 		t.Fatalf("follower Replication block = %+v", rs)
+	}
+	if fs := st.Stats().Fanout; fs.Evictions != 0 || fs.Watchers != 0 {
+		t.Fatalf("all-paths streams counted in the leader's Fanout block: %+v", fs)
 	}
 }

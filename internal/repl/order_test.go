@@ -15,8 +15,8 @@ import (
 	"livedev/internal/repl"
 )
 
-// holdingTransport is a follower's tail transport with a hold: while
-// held, reads of tail response bodies block, so the leader's records pile
+// holdingTransport is a follower's stream transport with a hold: while
+// held, reads of stream response bodies block, so the leader's events pile
 // up behind the connection and reach the follower as one burst on
 // release.
 type holdingTransport struct {
@@ -86,17 +86,18 @@ func recordOps(st *ifsvr.Store) func() []string {
 }
 
 // TestFollowerAppliesInCommitOrder: a burst the follower receives all at
-// once — its tail held while the leader commits across paths that the
+// once — its stream held while the leader commits across paths that the
 // replication plane once split over four streams, then released — is
 // applied in the leader's commit order. The follower's logged operations
 // are the leader's, in the leader's order; its replay journal holds the
 // leader's bytes; and a watcher held on each path sees every version
 // exactly once.
 func TestFollowerAppliesInCommitOrder(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{History: 100000})
+	st, base := startLeader(t, ifsvr.StoreConfig{HistoryLen: 100000})
 	leaderOps := recordOps(st)
 
-	// Two paths on each of the four streams the tail was once split into.
+	// Two paths on each of the four streams the replication tail was once
+	// split into.
 	var paths []string
 	covered := make(map[int]int)
 	for i := 0; len(paths) < 8; i++ {
@@ -177,7 +178,7 @@ func TestFollowerAppliesInCommitOrder(t *testing.T) {
 		awaitVersion(w, 1)
 	}
 
-	// The burst, behind the held tail: versions 2..6 of every path in
+	// The burst, behind the held stream: versions 2..6 of every path in
 	// round-robin, so consecutive epochs belong to different paths, and a
 	// retirement in the middle.
 	const last = 6

@@ -1,8 +1,11 @@
 package repl_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,23 +18,24 @@ import (
 	"livedev/internal/repl"
 )
 
-// startLeader builds a leader: store, Interface Server view, tail server
-// mounted at repl.TailPath.
-func startLeader(t *testing.T, cfg repl.TailConfig) (*ifsvr.Store, *repl.TailServer, string) {
+// startLeader builds a leader: a store opened with cfg (its HistoryLen is
+// the followers' lag budget) and its Interface Server view.
+func startLeader(t *testing.T, cfg ifsvr.StoreConfig) (*ifsvr.Store, string) {
 	t.Helper()
-	st := ifsvr.NewStore(0, nil)
+	st, err := ifsvr.OpenStore(cfg)
+	if err != nil {
+		t.Fatalf("opening leader store: %v", err)
+	}
 	srv := ifsvr.NewView(st)
-	ts := repl.Attach(st, srv, cfg)
 	base, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("starting leader: %v", err)
 	}
 	t.Cleanup(func() {
 		_ = srv.Close()
-		ts.Close()
 		st.Close()
 	})
-	return st, ts, base
+	return st, base
 }
 
 // waitConverged blocks until every follower store holds every leader
@@ -77,7 +81,7 @@ func openFollower(t *testing.T, leader string, storeCfg ifsvr.StoreConfig) *repl
 // followers serve the leader's generation over HTTP, and a write to a
 // follower is misdirected (421) to the leader.
 func TestReplicationSmoke(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{})
+	st, base := startLeader(t, ifsvr.StoreConfig{})
 
 	f1 := openFollower(t, base, ifsvr.StoreConfig{})
 	defer f1.Close()
@@ -155,10 +159,10 @@ func awaitRemoved(t *testing.T, path string, stores ...*ifsvr.Store) {
 
 // TestFollowerRestartResumes kills a durable follower mid-stream and
 // restarts it over the same data dir: it must resume from its durable
-// lsn with zero missed and zero duplicated versions across the two
+// epoch with zero missed and zero duplicated versions across the two
 // incarnations.
 func TestFollowerRestartResumes(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{History: 100000})
+	st, base := startLeader(t, ifsvr.StoreConfig{HistoryLen: 100000})
 	dir := t.TempDir()
 
 	const paths = 4
@@ -182,7 +186,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	f := openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
 	f.Store().Subscribe(record)
 
-	// Storm while the follower tails.
+	// Storm while the follower follows.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -201,10 +205,19 @@ func TestFollowerRestartResumes(t *testing.T) {
 
 	<-done // leader finishes the storm while the follower is down
 
-	// Restart over the same dir: tailing resumes from the durable cursor.
-	f2 := openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	// Restart over the same dir: the stream resumes from the durable
+	// cursor. OpenFollower returns with the stream connected, so it is
+	// held until the subscription records what it carries.
+	tr := &holdingTransport{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
+	tr.hold()
+	f2, err := repl.OpenFollower(repl.FollowerConfig{Leader: base, Store: ifsvr.StoreConfig{Dir: dir},
+		HTTPClient: &http.Client{Transport: tr}, RetryDelay: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("reopening follower: %v", err)
+	}
 	defer f2.Close()
 	f2.Store().Subscribe(record)
+	tr.release()
 	waitConverged(t, st, f2.Store())
 
 	// Zero miss, zero dup: per path, the two incarnations together fanned
@@ -227,16 +240,16 @@ func TestFollowerRestartResumes(t *testing.T) {
 		}
 	}
 	if rs := f2.Store().Stats().Replication; rs == nil || rs.Bootstraps != 0 {
-		t.Fatalf("restart should resume by tailing, not bootstrap: %+v", rs)
+		t.Fatalf("restart should resume by replay, not bootstrap: %+v", rs)
 	}
 }
 
-// TestLeaderCompactionBootstrap forces the snapshot-bootstrap path: the
-// leader's tail ring is tiny, the follower connects after far more
-// commits than the ring holds, so its cursor is below the floor and the
-// leader answers with a state transfer before live records.
+// TestLeaderCompactionBootstrap forces the snapshot-reset path: the
+// leader's journal is tiny, the follower connects after far more commits
+// than the journal holds, so its cursor is below the floor and the leader
+// answers with its current state before live events.
 func TestLeaderCompactionBootstrap(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{History: 4})
+	st, base := startLeader(t, ifsvr.StoreConfig{HistoryLen: 4})
 
 	for i := 0; i < 200; i++ {
 		st.Publish(fmt.Sprintf("/doc/%d", i%8), "text/plain", fmt.Sprintf("content-%d", i))
@@ -252,16 +265,16 @@ func TestLeaderCompactionBootstrap(t *testing.T) {
 	if rs == nil || rs.Bootstraps == 0 {
 		t.Fatalf("follower should have bootstrapped: %+v", rs)
 	}
-	// Live records flow after the bootstrap.
+	// Live events flow after the bootstrap.
 	st.Publish("/doc/0", "text/plain", "after-bootstrap")
 	waitConverged(t, st, f.Store())
 }
 
-// corruptingProxy proxies the leader's tail endpoint, flipping one byte
-// of the record stream after `after` bytes — once. The follower must
-// reject the frame by CRC, reconnect (through the now-clean proxy), and
-// re-fetch from its last applied lsn.
-func corruptingProxy(t *testing.T, leader string, after int) *httptest.Server {
+// corruptingProxy proxies the leader, replacing the data line of the
+// first all-paths stream's nth event with one that does not decode —
+// once. The follower must refuse the event, reconnect (through the now
+// clean proxy), and re-fetch from its last applied epoch.
+func corruptingProxy(t *testing.T, leader string, nth int) *httptest.Server {
 	t.Helper()
 	var corrupted atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -284,55 +297,55 @@ func corruptingProxy(t *testing.T, leader string, after int) *httptest.Server {
 		w.WriteHeader(resp.StatusCode)
 		fl := w.(http.Flusher)
 		fl.Flush()
-		streaming := r.URL.Query().Has("after")
-		buf := make([]byte, 4096)
-		total := 0
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				chunk := buf[:n]
-				if streaming && total+n > after && corrupted.CompareAndSwap(false, true) {
-					i := after - total
-					if i < 0 || i >= n {
-						i = n - 1
-					}
-					chunk[i] ^= 0xFF
+		corrupt := corrupted.CompareAndSwap(false, true)
+		br := bufio.NewReader(resp.Body)
+		for data := 0; ; {
+			line, err := br.ReadString('\n')
+			if strings.HasPrefix(line, "data:") {
+				if data++; corrupt && data == nth {
+					line = "data: {\"path\":\n"
 				}
-				total += n
-				if _, werr := w.Write(chunk); werr != nil {
-					return
-				}
-				fl.Flush()
 			}
-			if err != nil {
+			if _, werr := io.WriteString(w, line); werr != nil || err != nil {
 				return
 			}
+			fl.Flush()
 		}
 	}))
 	t.Cleanup(proxy.Close)
 	return proxy
 }
 
-// TestCorruptTailFrameRefetched injects a bit-flipped record on the wire
-// and asserts the follower rejects it by CRC, reconnects, re-fetches,
-// and still converges byte-exactly.
-func TestCorruptTailFrameRefetched(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{History: 100000})
+// TestUndecodableEventRefetched serves the follower a "data:" line that
+// does not decode and asserts the follower refuses it, reconnects,
+// re-fetches, and still converges byte-exactly.
+func TestUndecodableEventRefetched(t *testing.T) {
+	st, base := startLeader(t, ifsvr.StoreConfig{HistoryLen: 100000})
+	proxy := corruptingProxy(t, base, 10)
+	f := openFollower(t, proxy.URL, ifsvr.StoreConfig{})
+	defer f.Close()
 	for i := 0; i < 40; i++ {
 		st.Publish("/doc/a", "text/plain", fmt.Sprintf("content-%d", i))
 	}
 
-	proxy := corruptingProxy(t, base, 700)
-	f := openFollower(t, proxy.URL, ifsvr.StoreConfig{})
-	defer f.Close()
-
 	waitConverged(t, st, f.Store())
 	rs := f.Store().Stats().Replication
 	if rs == nil || rs.FrameErrors == 0 {
-		t.Fatalf("expected a CRC-rejected frame: %+v", rs)
+		t.Fatalf("expected a refused event: %+v", rs)
 	}
 	if rs.Reconnects == 0 {
-		t.Fatalf("expected a reconnect after the rejected frame: %+v", rs)
+		t.Fatalf("expected a reconnect after the refused event: %+v", rs)
+	}
+	var lev, fev []ifsvr.StoreEvent
+	lev, _ = st.ReplayEventsInto("/doc/a", 0, lev)
+	fev, _ = f.Store().ReplayEventsInto("/doc/a", 0, fev)
+	if len(fev) != len(lev) {
+		t.Fatalf("follower journal holds %d versions, leader %d", len(fev), len(lev))
+	}
+	for i := range lev {
+		if !bytes.Equal(fev[i].Payload, lev[i].Payload) {
+			t.Fatalf("version %d differs:\n leader   %s\n follower %s", i+1, lev[i].Payload, fev[i].Payload)
+		}
 	}
 }
 
@@ -340,7 +353,7 @@ func TestCorruptTailFrameRefetched(t *testing.T) {
 // (race-enabled in CI) and asserts every epoch's fanned-out event bytes
 // are identical on leader and follower.
 func TestEditStormByteIdentical(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{History: 100000})
+	st, base := startLeader(t, ifsvr.StoreConfig{HistoryLen: 100000})
 
 	collect := func(st *ifsvr.Store) (*sync.Mutex, map[uint64][]string) {
 		mu := &sync.Mutex{}
@@ -399,7 +412,7 @@ func TestEditStormByteIdentical(t *testing.T) {
 // TestFollowerWatchStream pins that a held SSE watch on a FOLLOWER sees
 // live leader commits — the whole point of the read plane.
 func TestFollowerWatchStream(t *testing.T) {
-	st, _, base := startLeader(t, repl.TailConfig{})
+	st, base := startLeader(t, ifsvr.StoreConfig{})
 	st.Publish("/doc/w", "text/plain", "v1")
 
 	f := openFollower(t, base, ifsvr.StoreConfig{})
@@ -463,15 +476,10 @@ func (s *swappableFront) swap(h http.Handler) {
 	s.mu.Unlock()
 }
 
-// leaderBehind builds a leader (store + view + tail server) mounted on
-// a swappable front instead of its own listener.
-func leaderBehind(t *testing.T, sw *swappableFront, st *ifsvr.Store, cfg repl.TailConfig) *repl.TailServer {
-	t.Helper()
-	srv := ifsvr.NewView(st)
-	ts := repl.Attach(st, srv, cfg)
-	sw.swap(srv)
-	t.Cleanup(ts.Close)
-	return ts
+// leaderBehind mounts a leader (st's Interface Server view) on a swappable
+// front instead of its own listener.
+func leaderBehind(sw *swappableFront, st *ifsvr.Store) {
+	sw.swap(ifsvr.NewView(st))
 }
 
 func awaitResets(t *testing.T, f *repl.Follower, want uint64) {
@@ -489,10 +497,10 @@ func awaitResets(t *testing.T, f *repl.Follower, want uint64) {
 	}
 }
 
-// TestLeaderStateLossReset is the review's headline scenario: the leader
-// dies losing all state, and a new one (new generation, fresh low
-// versions) comes up at the same address. The follower must detect the
-// generation change, re-handshake, wipe its stale state, re-bootstrap,
+// TestLeaderStateLossReset: the leader dies losing all state, and a new
+// one (new generation, fresh low versions) comes up at the same address.
+// The follower must detect the generation change on its next stream, wipe
+// its stale state, re-bootstrap,
 // and converge on the new incarnation — not silently keep serving the
 // dead one while its version filter swallows every new commit.
 func TestLeaderStateLossReset(t *testing.T) {
@@ -502,7 +510,7 @@ func TestLeaderStateLossReset(t *testing.T) {
 
 	st1 := ifsvr.NewStore(0, nil)
 	t.Cleanup(st1.Close)
-	leaderBehind(t, sw, st1, repl.TailConfig{})
+	leaderBehind(sw, st1)
 	for i := 0; i < 5; i++ {
 		st1.Publish("/doc/a", "text/plain", fmt.Sprintf("old-%d", i))
 	}
@@ -531,7 +539,7 @@ func TestLeaderStateLossReset(t *testing.T) {
 	t.Cleanup(st2.Close)
 	st2.Publish("/doc/a", "text/plain", "fresh")
 	st2.Publish("/new/only", "text/plain", "born")
-	leaderBehind(t, sw, st2, repl.TailConfig{})
+	leaderBehind(sw, st2)
 	front.CloseClientConnections()
 
 	awaitResets(t, f, 1)
@@ -568,10 +576,9 @@ func TestLeaderStateLossReset(t *testing.T) {
 }
 
 // TestLeaderRestartDurableRehandshake restarts a DURABLE leader over its
-// data dir: the generation bumps (every open does), the in-memory tail
-// rings restart at lsn 0, and the follower must re-handshake and
-// re-bootstrap — converging on the preserved state with its original
-// versions intact.
+// data dir: the generation bumps (every open does), and the follower must
+// notice it on its next stream, reset and re-bootstrap — converging on
+// the preserved state with its original versions intact.
 func TestLeaderRestartDurableRehandshake(t *testing.T) {
 	sw := &swappableFront{}
 	front := httptest.NewServer(sw)
@@ -582,7 +589,7 @@ func TestLeaderRestartDurableRehandshake(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening leader store: %v", err)
 	}
-	ts1 := leaderBehind(t, sw, st1, repl.TailConfig{})
+	leaderBehind(sw, st1)
 	for i := 0; i < 3; i++ {
 		st1.Publish("/doc/d", "text/plain", fmt.Sprintf("v%d", i+1))
 	}
@@ -594,7 +601,6 @@ func TestLeaderRestartDurableRehandshake(t *testing.T) {
 
 	// Clean restart of the leader process over the same dir.
 	sw.swap(nil)
-	ts1.Close()
 	st1.Close()
 	front.CloseClientConnections()
 	st2, err := ifsvr.OpenStore(ifsvr.StoreConfig{Dir: dir})
@@ -605,7 +611,7 @@ func TestLeaderRestartDurableRehandshake(t *testing.T) {
 	if st2.Generation() == st1.Generation() {
 		t.Fatalf("reopen did not bump the generation (%d)", st2.Generation())
 	}
-	leaderBehind(t, sw, st2, repl.TailConfig{})
+	leaderBehind(sw, st2)
 
 	awaitResets(t, f, 1)
 	waitConverged(t, st2, f.Store())
@@ -623,37 +629,44 @@ func TestLeaderRestartDurableRehandshake(t *testing.T) {
 	waitConverged(t, st2, f.Store())
 }
 
-// TestPrimedLeaderFirstConnectBootstraps attaches the tail server to a
-// store that ALREADY has state (a restarted durable leader): its rings
-// are empty and its lsns start at 0, so a fresh follower's after=0 can
-// not be served by streaming — the leader must answer it with a
-// snapshot bootstrap, not an empty caught-up stream.
-func TestPrimedLeaderFirstConnectBootstraps(t *testing.T) {
-	st := ifsvr.NewStore(0, nil)
-	srv := ifsvr.NewView(st)
-	for i := 0; i < 10; i++ {
-		st.Publish(fmt.Sprintf("/pre/%d", i%3), "text/plain", fmt.Sprintf("v%d", i))
-	}
-	// Attach AFTER the state exists — none of it is in the rings.
-	ts := repl.Attach(st, srv, repl.TailConfig{})
-	base, err := srv.Start("127.0.0.1:0")
+// TestRestartedLeaderFirstConnectConverges: a follower's first connect to
+// a durable leader restarted over state it committed in an earlier
+// incarnation — documents, a retired floor — converges byte for byte, and
+// live events flow after it.
+func TestRestartedLeaderFirstConnectConverges(t *testing.T) {
+	dir := t.TempDir()
+	st0, err := ifsvr.OpenStore(ifsvr.StoreConfig{Dir: dir})
 	if err != nil {
-		t.Fatalf("starting leader: %v", err)
+		t.Fatalf("opening leader store: %v", err)
 	}
-	t.Cleanup(func() {
-		_ = srv.Close()
-		ts.Close()
-		st.Close()
-	})
+	for i := 0; i < 10; i++ {
+		st0.Publish(fmt.Sprintf("/pre/%d", i%3), "text/plain", fmt.Sprintf("v%d", i))
+	}
+	st0.Publish("/pre/gone", "text/plain", "short-lived")
+	st0.Remove("/pre/gone")
+	st0.Close()
+	st, base := startLeader(t, ifsvr.StoreConfig{Dir: dir})
 
 	f := openFollower(t, base, ifsvr.StoreConfig{})
 	defer f.Close()
 	waitConverged(t, st, f.Store())
-	rs := f.Store().Stats().Replication
-	if rs == nil || rs.Bootstraps == 0 {
-		t.Fatalf("pre-attach state must arrive by bootstrap: %+v", rs)
+	sameBytes := func() {
+		t.Helper()
+		leader, follower := st.CloneState(), f.Store().CloneState()
+		for path, ev := range leader.Docs {
+			if !bytes.Equal(follower.Docs[path].Payload, ev.Payload) {
+				t.Fatalf("%s: follower bytes differ:\n leader   %s\n follower %s", path, ev.Payload, follower.Docs[path].Payload)
+			}
+		}
+		if len(follower.Docs) != len(leader.Docs) {
+			t.Fatalf("follower holds %d documents, leader %d", len(follower.Docs), len(leader.Docs))
+		}
+		if v := follower.Retired["/pre/gone"]; v != 1 {
+			t.Fatalf("follower's retired floor for /pre/gone = %d, want 1", v)
+		}
 	}
-	// And live tailing resumes past the bootstrap.
+	sameBytes()
 	st.Publish("/pre/0", "text/plain", "live")
 	waitConverged(t, st, f.Store())
+	sameBytes()
 }

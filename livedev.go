@@ -85,7 +85,7 @@
 //
 // The watch plane scales out horizontally: a manager started with
 // Config.FollowURL (sde-server: -follow <leader-url>) is a read-only
-// replica that tails the leader's write-ahead log and serves the
+// replica that watches the leader's all-paths stream and serves the
 // replicated documents — GETs and SSE watch streams — under the leader's
 // restart generation, while answering publications with 421
 // Misdirected Request naming the leader. A replica's document GETs name
@@ -97,7 +97,7 @@
 //	client, _ := livedev.Dial(ctx, replicaA+docPath, livedev.WithWatch(),
 //	    livedev.WithEndpoints(replicaA, replicaB))
 //
-// See docs/replication.md for the WAL-shipping protocol.
+// See docs/replication.md for the follower's stream.
 //
 // # Adding an RMI technology
 //

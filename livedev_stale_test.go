@@ -95,23 +95,23 @@ func TestStaleRecoveryFetchesNoDocument(t *testing.T) {
 	}
 }
 
-// heldTail is a follower's tail transport that can be held: while held,
-// what a read of a tail body returns is kept back until release — a read
+// heldStream is a follower's stream transport that can be held: while held,
+// what a read of a stream body returns is kept back until release — a read
 // already waiting on the network when the hold begins included — so the
 // leader's commits do not reach the follower.
-type heldTail struct {
+type heldStream struct {
 	http.RoundTripper
 	mu   sync.Mutex
 	held chan struct{}
 }
 
-func (h *heldTail) hold() {
+func (h *heldStream) hold() {
 	h.mu.Lock()
 	h.held = make(chan struct{})
 	h.mu.Unlock()
 }
 
-func (h *heldTail) release() {
+func (h *heldStream) release() {
 	h.mu.Lock()
 	if h.held != nil {
 		close(h.held)
@@ -120,7 +120,7 @@ func (h *heldTail) release() {
 	h.mu.Unlock()
 }
 
-func (h *heldTail) RoundTrip(req *http.Request) (*http.Response, error) {
+func (h *heldStream) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := h.RoundTripper.RoundTrip(req)
 	if err == nil && req.URL.Query().Has("after") {
 		resp.Body = &heldBody{ReadCloser: resp.Body, h: h}
@@ -130,7 +130,7 @@ func (h *heldTail) RoundTrip(req *http.Request) (*http.Response, error) {
 
 type heldBody struct {
 	io.ReadCloser
-	h *heldTail
+	h *heldStream
 }
 
 func (b *heldBody) Read(p []byte) (int, error) {
@@ -146,7 +146,7 @@ func (b *heldBody) Read(p []byte) (int, error) {
 
 // TestStaleRecencyAcrossReplicas is Section 6's guarantee with a replica in
 // the way: a watcher-less client reads its documents from a follower whose
-// tail is held, so the follower never sees the leader's forced publication.
+// stream is held, so the follower never sees the leader's forced publication.
 // After a rename and a stale call, on every binding, the client's view
 // still has the new name, an epoch at least the leader's at reply time, and
 // a descriptor version at least the refusing interface's — the reply
@@ -181,17 +181,17 @@ func TestStaleRecencyAcrossReplicas(t *testing.T) {
 		classes[tech], urls[tech] = class, srv.InterfaceURL()
 	}
 
-	tail := &heldTail{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
+	feed := &heldStream{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
 	f, err := repl.OpenFollower(repl.FollowerConfig{
 		Leader:     leader.InterfaceBaseURL(),
-		HTTPClient: &http.Client{Transport: tail},
+		HTTPClient: &http.Client{Transport: feed},
 		RetryDelay: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	defer tail.release()
+	defer feed.release()
 	followerBase, err := f.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestStaleRecencyAcrossReplicas(t *testing.T) {
 		clients[tech] = c
 	}
 
-	tail.hold()
+	feed.hold()
 	for _, tech := range staleTechs {
 		t.Run(string(tech), func(t *testing.T) {
 			class, c := classes[tech], clients[tech]
@@ -256,7 +256,7 @@ func TestStaleRecencyAcrossReplicas(t *testing.T) {
 }
 
 // TestExplicitReadsGoToLeader is the monotonic-reads rule for explicit
-// reads: a client dialed at a follower whose tail is held, with the
+// reads: a client dialed at a follower whose stream is held, with the
 // follower and the leader as its endpoints, reads its documents from the
 // leader the follower names. On every binding Dial and a later Refresh
 // install renames the follower never saw, while the client's watch stream
@@ -289,17 +289,17 @@ func TestExplicitReadsGoToLeader(t *testing.T) {
 		servers[tech] = srv
 	}
 
-	tail := &heldTail{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
+	feed := &heldStream{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
 	f, err := repl.OpenFollower(repl.FollowerConfig{
 		Leader:     leader.InterfaceBaseURL(),
-		HTTPClient: &http.Client{Transport: tail},
+		HTTPClient: &http.Client{Transport: feed},
 		RetryDelay: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	defer tail.release()
+	defer feed.release()
 	followerBase, err := f.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestExplicitReadsGoToLeader(t *testing.T) {
 		})
 	}
 
-	tail.hold()
+	feed.hold()
 	leaderWatchers := leader.Store().Stats().Fanout.Watchers
 	for _, tech := range staleTechs {
 		t.Run(string(tech), func(t *testing.T) {
