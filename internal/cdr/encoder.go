@@ -81,14 +81,6 @@ func NewEncoder(order ByteOrder) *Encoder {
 	return &Encoder{order: order}
 }
 
-// NewEncoderSize returns an encoder whose buffer is pre-grown to hold
-// sizeHint octets without reallocating.
-func NewEncoderSize(order ByteOrder, sizeHint int) *Encoder {
-	e := &Encoder{order: order}
-	e.Grow(sizeHint)
-	return e
-}
-
 // encoderPool recycles encoders (and, transitively, their grown buffers)
 // across messages. See the package comment for the ownership rules.
 var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}

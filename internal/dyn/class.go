@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -32,7 +33,10 @@ type MethodSpec struct {
 	Body        Body  // may be nil until the developer writes it
 }
 
-// method is the internal mutable method record.
+// method is one method record. A record is immutable once it is put: an
+// edit copies the current record, changes the copy and puts the copy in
+// its place, so the dispatch table and the history hold records as they
+// are, and a call in flight keeps the record it started with.
 type method struct {
 	id          MemberID
 	name        string
@@ -56,7 +60,8 @@ type ChangeEvent struct {
 	// InterfaceAffecting reports whether this edit changed the
 	// distributed interface descriptor.
 	InterfaceAffecting bool
-	// Op is a human-readable description of the edit ("add method foo").
+	// Op is a human-readable description of the edit ("add method foo");
+	// undo and redo steps read "undo <op>" and "redo <op>".
 	Op string
 }
 
@@ -70,7 +75,7 @@ type Listener func(ChangeEvent)
 //
 // Dispatch concurrency model: edits serialize on c.mu, but the call path is
 // lock-free. Every committed edit rebuilds an immutable dispatch table
-// (name → method snapshot) and swaps it in atomically before the editing
+// (name → method record) and swaps it in atomically before the editing
 // call returns, so a call that starts after an edit returns is guaranteed
 // to see the edit — the paper's "edits take effect immediately" semantics —
 // while calls themselves take no mutex and do no linear scan.
@@ -84,70 +89,31 @@ type Class struct {
 	ifaceCache atomic.Pointer[InterfaceDescriptor]
 
 	mu        sync.RWMutex
-	methods   []*method
+	methods   map[MemberID]*method
 	nextID    MemberID
 	seq       uint64 // total committed edits (incl. undo/redo)
 	ifaceVer  uint64 // distributed interface version
 	ifaceHash string // hash of the current interface descriptor
-	history   *History
+	history   History
 
+	// listeners is in registration order. Subscribe only appends and
+	// cancel deletes from a copy, so a slice notify has read never changes
+	// under it and notify ranges over it without holding lmu.
 	lmu       sync.Mutex
-	listeners map[int]Listener
-	nextLis   int
-}
-
-// methodView is an immutable snapshot of one method, published in the
-// dispatch table. The params slice is never mutated after publication
-// (edits replace the whole record), so readers may alias it freely.
-type methodView struct {
-	id          MemberID
-	name        string
-	params      []Param
-	result      *Type
-	body        Body
-	distributed bool
+	listeners []*Listener
 }
 
 // dispatchTable is the immutable name → method index swapped in whole on
 // every committed edit.
 type dispatchTable struct {
-	byName map[string]*methodView
-}
-
-var emptyDispatch = &dispatchTable{byName: map[string]*methodView{}}
-
-// rebuildDispatchLocked publishes a fresh dispatch table reflecting the
-// current method set. Caller holds c.mu.
-func (c *Class) rebuildDispatchLocked() {
-	if len(c.methods) == 0 {
-		c.dispatch.Store(emptyDispatch)
-		return
-	}
-	t := &dispatchTable{byName: make(map[string]*methodView, len(c.methods))}
-	for _, m := range c.methods {
-		// m.params is replaced wholesale by edits, never mutated in
-		// place, so the view can alias it.
-		t.byName[m.name] = &methodView{
-			id:          m.id,
-			name:        m.name,
-			params:      m.params,
-			result:      m.result,
-			body:        m.body,
-			distributed: m.distributed,
-		}
-	}
-	c.dispatch.Store(t)
+	byName map[string]*method
 }
 
 // NewClass creates an empty dynamic class with the given name.
 func NewClass(name string) *Class {
-	c := &Class{
-		name:      name,
-		nextID:    1,
-		listeners: make(map[int]Listener),
-	}
-	c.history = newHistory(c)
-	c.dispatch.Store(emptyDispatch)
+	c := &Class{name: name, nextID: 1, methods: make(map[MemberID]*method)}
+	c.history.class = c
+	c.dispatch.Store(&dispatchTable{})
 	desc := c.interfaceLocked()
 	c.ifaceHash = desc.hash
 	c.ifaceCache.Store(&desc)
@@ -158,7 +124,7 @@ func NewClass(name string) *Class {
 func (c *Class) Name() string { return c.name }
 
 // History returns the class's undo/redo history stack.
-func (c *Class) History() *History { return c.history }
+func (c *Class) History() *History { return &c.history }
 
 // Seq returns the total number of committed edits.
 func (c *Class) Seq() uint64 {
@@ -179,14 +145,13 @@ func (c *Class) InterfaceVersion() uint64 {
 // Subscribe registers a change listener and returns a function that removes
 // it. The listener is called synchronously after each committed edit.
 func (c *Class) Subscribe(l Listener) (cancel func()) {
+	p := &l
 	c.lmu.Lock()
-	id := c.nextLis
-	c.nextLis++
-	c.listeners[id] = l
+	c.listeners = append(c.listeners, p)
 	c.lmu.Unlock()
 	return func() {
 		c.lmu.Lock()
-		delete(c.listeners, id)
+		c.listeners = slices.DeleteFunc(slices.Clone(c.listeners), func(q *Listener) bool { return q == p })
 		c.lmu.Unlock()
 	}
 }
@@ -195,35 +160,31 @@ func (c *Class) Subscribe(l Listener) (cancel func()) {
 // c.mu held.
 func (c *Class) notify(ev ChangeEvent) {
 	c.lmu.Lock()
-	ls := make([]Listener, 0, len(c.listeners))
-	ids := make([]int, 0, len(c.listeners))
-	for id := range c.listeners {
-		ids = append(ids, id)
-	}
-	// Deterministic order: ascending registration ID.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
-		ls = append(ls, c.listeners[id])
-	}
+	ls := c.listeners
 	c.lmu.Unlock()
 	for _, l := range ls {
-		l(ev)
+		(*l)(ev)
 	}
 }
 
-// commit finalizes an edit made while holding c.mu: bumps counters,
-// recomputes the interface descriptor, swaps in the new dispatch table and
-// descriptor cache, releases the lock, records the step on the history
-// stack (unless replaying), and notifies listeners.
+// put is the class's one write path: edits, undo and redo all end here.
+// It makes next the record of method id (nil removes the method), pushes
+// the step {op, id, before, after} onto the history when record is set,
+// bumps the counters, publishes the new descriptor and dispatch table,
+// releases c.mu and notifies listeners.
 //
-// The mutex must be held on entry; commit releases it. The dispatch table
-// and descriptor are published before the lock is released, so the edit is
-// visible to the lock-free call path before the editing call returns.
-func (c *Class) commit(op string, step *step, recording bool) ChangeEvent {
+// The mutex must be held on entry. Only the notification runs after it is
+// released: the edit is visible to the lock-free call path before the
+// editing call returns, and the history lists edits in commit order.
+func (c *Class) put(id MemberID, next *method, op string, record bool) {
+	if record {
+		c.history.push(step{op: op, id: id, before: c.methods[id], after: next})
+	}
+	if next == nil {
+		delete(c.methods, id)
+	} else {
+		c.methods[id] = next
+	}
 	c.seq++
 	desc := c.interfaceLocked()
 	affecting := desc.hash != c.ifaceHash
@@ -233,7 +194,11 @@ func (c *Class) commit(op string, step *step, recording bool) ChangeEvent {
 	}
 	desc.Version = c.ifaceVer
 	c.ifaceCache.Store(&desc)
-	c.rebuildDispatchLocked()
+	t := &dispatchTable{byName: make(map[string]*method, len(c.methods))}
+	for _, m := range c.methods {
+		t.byName[m.name] = m
+	}
+	c.dispatch.Store(t)
 	ev := ChangeEvent{
 		Class:              c,
 		Seq:                c.seq,
@@ -242,38 +207,38 @@ func (c *Class) commit(op string, step *step, recording bool) ChangeEvent {
 		Op:                 op,
 	}
 	c.mu.Unlock()
-	if recording && step != nil {
-		step.op = op
-		c.history.push(step)
-	}
 	c.notify(ev)
-	return ev
 }
 
-func (c *Class) findMethodLocked(id MemberID) (int, *method) {
-	for i, m := range c.methods {
-		if m.id == id {
-			return i, m
-		}
+// edit puts a changed copy of method id's record. change runs under c.mu:
+// it alters the copy and describes the edit, or returns an error to leave
+// the class as it is.
+func (c *Class) edit(id MemberID, change func(m *method) (op string, err error)) error {
+	c.mu.Lock()
+	cur := c.methods[id]
+	if cur == nil {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
 	}
-	return -1, nil
-}
-
-func (c *Class) methodByNameLocked(name string) *method {
-	for _, m := range c.methods {
-		if m.name == name {
-			return m
-		}
+	next := *cur
+	op, err := change(&next)
+	if err != nil {
+		c.mu.Unlock()
+		return err
 	}
+	c.put(id, &next, op, true)
 	return nil
+}
+
+// nameTakenLocked reports whether a method is named name. Caller holds
+// c.mu, under which the dispatch table is the current one.
+func (c *Class) nameTakenLocked(name string) bool {
+	_, ok := c.dispatch.Load().byName[name]
+	return ok
 }
 
 // AddMethod adds a method and returns its stable member ID.
 func (c *Class) AddMethod(spec MethodSpec) (MemberID, error) {
-	return c.addMethod(spec, true)
-}
-
-func (c *Class) addMethod(spec MethodSpec, recording bool) (MemberID, error) {
 	if spec.Name == "" {
 		return 0, fmt.Errorf("dyn: method needs a name")
 	}
@@ -286,237 +251,95 @@ func (c *Class) addMethod(spec MethodSpec, recording bool) (MemberID, error) {
 		}
 	}
 	c.mu.Lock()
-	if c.methodByNameLocked(spec.Name) != nil {
+	if c.nameTakenLocked(spec.Name) {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, spec.Name)
 	}
 	id := c.nextID
 	c.nextID++
-	m := &method{
+	c.put(id, &method{
 		id:          id,
 		name:        spec.Name,
 		params:      append([]Param(nil), spec.Params...),
 		result:      spec.Result,
 		distributed: spec.Distributed,
 		body:        spec.Body,
-	}
-	c.methods = append(c.methods, m)
-	var st *step
-	if recording {
-		spec := spec
-		st = &step{
-			revert: func() { _ = c.removeMethod(id, false) },
-			apply: func() {
-				_, _ = c.addMethodWithID(spec, id)
-			},
-		}
-	}
-	c.commit("add method "+spec.Name, st, recording)
-	return id, nil
-}
-
-// addMethodWithID re-adds a method under a specific ID (redo path).
-func (c *Class) addMethodWithID(spec MethodSpec, id MemberID) (MemberID, error) {
-	c.mu.Lock()
-	if c.methodByNameLocked(spec.Name) != nil {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrDuplicateName, spec.Name)
-	}
-	m := &method{
-		id:          id,
-		name:        spec.Name,
-		params:      append([]Param(nil), spec.Params...),
-		result:      spec.Result,
-		distributed: spec.Distributed,
-		body:        spec.Body,
-	}
-	if spec.Result == nil {
-		m.result = Void
-	}
-	c.methods = append(c.methods, m)
-	if id >= c.nextID {
-		c.nextID = id + 1
-	}
-	c.commit("add method "+spec.Name, nil, false)
+	}, "add method "+spec.Name, true)
 	return id, nil
 }
 
 // RemoveMethod deletes a method from the class.
 func (c *Class) RemoveMethod(id MemberID) error {
-	return c.removeMethod(id, true)
-}
-
-func (c *Class) removeMethod(id MemberID, recording bool) error {
 	c.mu.Lock()
-	i, m := c.findMethodLocked(id)
+	m := c.methods[id]
 	if m == nil {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
 	}
-	c.methods = append(c.methods[:i], c.methods[i+1:]...)
-	var st *step
-	if recording {
-		saved := *m
-		savedParams := append([]Param(nil), m.params...)
-		st = &step{
-			revert: func() {
-				sp := MethodSpec{Name: saved.name, Params: savedParams, Result: saved.result, Distributed: saved.distributed, Body: saved.body}
-				_, _ = c.addMethodWithID(sp, saved.id)
-			},
-			apply: func() { _ = c.removeMethod(id, false) },
-		}
-	}
-	c.commit("remove method "+m.name, st, recording)
+	c.put(id, nil, "remove method "+m.name, true)
 	return nil
 }
 
 // RenameMethod changes a method's name. Calls made through the member ID
 // keep working, mirroring JPie's consistency of declaration and use.
 func (c *Class) RenameMethod(id MemberID, newName string) error {
-	return c.renameMethod(id, newName, true)
-}
-
-func (c *Class) renameMethod(id MemberID, newName string, recording bool) error {
 	if newName == "" {
 		return fmt.Errorf("dyn: method needs a name")
 	}
-	c.mu.Lock()
-	_, m := c.findMethodLocked(id)
-	if m == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
-	}
-	if m.name != newName && c.methodByNameLocked(newName) != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrDuplicateName, newName)
-	}
-	old := m.name
-	m.name = newName
-	var st *step
-	if recording {
-		st = &step{
-			revert: func() { _ = c.renameMethod(id, old, false) },
-			apply:  func() { _ = c.renameMethod(id, newName, false) },
+	return c.edit(id, func(m *method) (string, error) {
+		if m.name != newName && c.nameTakenLocked(newName) {
+			return "", fmt.Errorf("%w: %s", ErrDuplicateName, newName)
 		}
-	}
-	c.commit(fmt.Sprintf("rename method %s to %s", old, newName), st, recording)
-	return nil
+		op := fmt.Sprintf("rename method %s to %s", m.name, newName)
+		m.name = newName
+		return op, nil
+	})
 }
 
 // SetParams replaces a method's formal parameter list.
 func (c *Class) SetParams(id MemberID, params []Param) error {
-	return c.setParams(id, params, true)
-}
-
-func (c *Class) setParams(id MemberID, params []Param, recording bool) error {
 	for _, p := range params {
 		if p.Type == nil {
 			return fmt.Errorf("dyn: parameter %q has no type", p.Name)
 		}
 	}
-	c.mu.Lock()
-	_, m := c.findMethodLocked(id)
-	if m == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
-	}
-	old := m.params
-	m.params = append([]Param(nil), params...)
-	var st *step
-	if recording {
-		newCopy := append([]Param(nil), params...)
-		st = &step{
-			revert: func() { _ = c.setParams(id, old, false) },
-			apply:  func() { _ = c.setParams(id, newCopy, false) },
-		}
-	}
-	c.commit("set parameters of "+m.name, st, recording)
-	return nil
+	return c.edit(id, func(m *method) (string, error) {
+		m.params = append([]Param(nil), params...)
+		return "set parameters of " + m.name, nil
+	})
 }
 
 // SetResult replaces a method's result type (nil means void).
 func (c *Class) SetResult(id MemberID, result *Type) error {
-	return c.setResult(id, result, true)
-}
-
-func (c *Class) setResult(id MemberID, result *Type, recording bool) error {
 	if result == nil {
 		result = Void
 	}
-	c.mu.Lock()
-	_, m := c.findMethodLocked(id)
-	if m == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
-	}
-	old := m.result
-	m.result = result
-	var st *step
-	if recording {
-		st = &step{
-			revert: func() { _ = c.setResult(id, old, false) },
-			apply:  func() { _ = c.setResult(id, result, false) },
-		}
-	}
-	c.commit("set result of "+m.name, st, recording)
-	return nil
+	return c.edit(id, func(m *method) (string, error) {
+		m.result = result
+		return "set result of " + m.name, nil
+	})
 }
 
 // SetDistributed toggles the 'distributed' modifier: whether the method is
 // part of the published server interface (Figure 3 of the paper).
 func (c *Class) SetDistributed(id MemberID, distributed bool) error {
-	return c.setDistributed(id, distributed, true)
-}
-
-func (c *Class) setDistributed(id MemberID, distributed bool, recording bool) error {
-	c.mu.Lock()
-	_, m := c.findMethodLocked(id)
-	if m == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
-	}
-	old := m.distributed
-	m.distributed = distributed
-	var st *step
-	if recording {
-		st = &step{
-			revert: func() { _ = c.setDistributed(id, old, false) },
-			apply:  func() { _ = c.setDistributed(id, distributed, false) },
+	return c.edit(id, func(m *method) (string, error) {
+		m.distributed = distributed
+		if distributed {
+			return "set distributed on " + m.name, nil
 		}
-	}
-	op := "clear distributed on "
-	if distributed {
-		op = "set distributed on "
-	}
-	c.commit(op+m.name, st, recording)
-	return nil
+		return "clear distributed on " + m.name, nil
+	})
 }
 
 // SetBody replaces a method's implementation. The change takes effect
 // immediately for all existing instances (calls in flight finish with the
 // body they started with).
 func (c *Class) SetBody(id MemberID, body Body) error {
-	return c.setBody(id, body, true)
-}
-
-func (c *Class) setBody(id MemberID, body Body, recording bool) error {
-	c.mu.Lock()
-	_, m := c.findMethodLocked(id)
-	if m == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: method %d", ErrNoSuchMember, id)
-	}
-	old := m.body
-	m.body = body
-	var st *step
-	if recording {
-		st = &step{
-			revert: func() { _ = c.setBody(id, old, false) },
-			apply:  func() { _ = c.setBody(id, body, false) },
-		}
-	}
-	c.commit("set body of "+m.name, st, recording)
-	return nil
+	return c.edit(id, func(m *method) (string, error) {
+		m.body = body
+		return "set body of " + m.name, nil
+	})
 }
 
 // MethodIDByName returns the member ID of the named method. It reads the

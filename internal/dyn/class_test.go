@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -268,6 +269,27 @@ func TestChangeEvents(t *testing.T) {
 	defer mu.Unlock()
 	if len(events) != 2 {
 		t.Error("cancelled listener should not receive events")
+	}
+}
+
+// TestListenersInRegistrationOrder: listeners hear each edit in the order
+// they subscribed, and cancelling one leaves the others in that order.
+func TestListenersInRegistrationOrder(t *testing.T) {
+	c, id := newCalcClass(t)
+	var heard []int
+	cancels := make([]func(), 3)
+	for i := range cancels {
+		cancels[i] = c.Subscribe(func(ChangeEvent) { heard = append(heard, i) })
+	}
+	if err := c.RenameMethod(id, "sum"); err != nil {
+		t.Fatal(err)
+	}
+	cancels[1]()
+	if err := c.RenameMethod(id, "plus"); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 0, 2}; !slices.Equal(heard, want) {
+		t.Errorf("listeners heard %v, want %v", heard, want)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // the developer edits the class. Run under -race (CI does) it proves the
 // mutex-free call path is data-race free; the generation check proves the
 // paper's immediate-effect semantics survived the lock removal — a call
-// started after an edit returns must observe that edit.
+// started after an edit, an undo or a redo returns must observe it.
 func TestConcurrentEditsRaceLiveCalls(t *testing.T) {
 	c := NewClass("Raced")
 	// published is the body generation the editor has committed; bodies
@@ -69,11 +69,25 @@ func TestConcurrentEditsRaceLiveCalls(t *testing.T) {
 	}
 
 	// Editor: body swaps (the immediate-effect edit), signature edits,
-	// renames, and distributed-flag flips, all racing the callers.
+	// renames, distributed-flag flips, and undo and redo of them, all
+	// racing the callers.
+	h := c.History()
 	var gen int64
 	for r := 0; r < editRoundsPerKind; r++ {
 		gen++
 		if err := c.SetBody(id, makeBody(gen)); err != nil {
+			t.Fatal(err)
+		}
+		// Undo puts the previous body back and redo puts the new one
+		// again; the bound moves up only once redo has returned, so a
+		// call that starts after that must see it.
+		if err := h.Undo(); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := in.InvokeDistributed("gen"); err != nil || v.Int64() != gen-1 {
+			t.Fatalf("after undo returned: %v, %v; want generation %d", v, err, gen-1)
+		}
+		if err := h.Redo(); err != nil {
 			t.Fatal(err)
 		}
 		published.Store(gen)
@@ -89,6 +103,17 @@ func TestConcurrentEditsRaceLiveCalls(t *testing.T) {
 		}
 		if err := c.RenameMethod(id, "gen"); err != nil {
 			t.Fatal(err)
+		}
+		// Unwind the rename pair and the flag flip, then replay them.
+		for i := 0; i < 3; i++ {
+			if err := h.Undo(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if err := h.Redo(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	stop.Store(true)

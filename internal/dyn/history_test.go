@@ -2,6 +2,10 @@ package dyn
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -165,5 +169,55 @@ func TestHistoryOps(t *testing.T) {
 	}
 	if c.History().Len() != 2 {
 		t.Errorf("Len() = %d", c.History().Len())
+	}
+}
+
+// TestHistoryOrderIsCommitOrder: edits committed at once from several
+// goroutines land on the history in the order they were committed, so
+// undoing them all walks back through the states the class really had.
+func TestHistoryOrderIsCommitOrder(t *testing.T) {
+	const editors, renames, rounds = 4, 50, 200
+	for round := 0; round < rounds; round++ {
+		c := NewClass("Order")
+		ids := make([]MemberID, editors)
+		for g := range ids {
+			id, err := c.AddMethod(MethodSpec{Name: fmt.Sprintf("g%d_0", g), Result: Int32T, Distributed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[g] = id
+		}
+		var mu sync.Mutex
+		opBySeq := make(map[uint64]string)
+		c.Subscribe(func(ev ChangeEvent) {
+			mu.Lock()
+			opBySeq[ev.Seq] = ev.Op
+			mu.Unlock()
+		})
+		var wg sync.WaitGroup
+		for g, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 1; i <= renames; i++ {
+					if err := c.RenameMethod(id, fmt.Sprintf("g%d_%d", g, i)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		want := make([]string, 0, len(opBySeq))
+		for _, seq := range slices.Sorted(maps.Keys(opBySeq)) {
+			want = append(want, opBySeq[seq])
+		}
+		ops := c.History().Ops()
+		if got := ops[len(ops)-len(want):]; !slices.Equal(got, want) {
+			t.Fatalf("round %d: history order is not commit order:\nhistory %q\ncommits %q", round, got, want)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package dyn
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,15 +18,12 @@ type editScript struct {
 }
 
 // applyRandomEdit performs one random edit on the class, tolerating
-// expected failures (duplicate names, missing members).
+// expected failures (duplicate names, missing members). A body it sets
+// returns the edit's step number, which names it in methodRecords.
 func applyRandomEdit(r *rand.Rand, c *Class, step int) {
-	// Collect current member IDs.
-	var methodIDs []MemberID
-	for _, name := range methodNames(c) {
-		if id, ok := c.MethodIDByName(name); ok {
-			methodIDs = append(methodIDs, id)
-		}
-	}
+	c.mu.RLock()
+	methodIDs := slices.Sorted(maps.Keys(c.methods))
+	c.mu.RUnlock()
 	pick := func() (MemberID, bool) {
 		if len(methodIDs) == 0 {
 			return 0, false
@@ -67,32 +66,45 @@ func applyRandomEdit(r *rand.Rand, c *Class, step int) {
 		}
 	case 6:
 		if id, ok := pick(); ok {
-			_ = c.SetBody(id, func(*Instance, []Value) (Value, error) { return VoidValue(), nil })
+			_ = c.SetBody(id, func(*Instance, []Value) (Value, error) { return Int64Value(int64(step)), nil })
 		}
 	}
 }
 
-func methodNames(c *Class) []string {
-	// The descriptor only lists distributed methods; probe via interface
-	// plus known naming patterns is fragile, so track via reflection on
-	// the class: use the descriptor for distributed ones and additionally
-	// try recent names. Simplest robust approach: iterate the class's
-	// internal table through exported behaviour — the interface descriptor
-	// covers distributed methods; for the rest, the test only needs *some*
-	// member IDs, so distributed coverage is enough plus we keep IDs from
-	// successful adds implicitly by name probing.
-	var names []string
-	for _, m := range c.Interface().Methods {
-		names = append(names, m.Name)
+// methodRecord is a method record in comparable form. The body is named
+// by what it returns: the step that set it, or -1 for no body.
+type methodRecord struct {
+	name        string
+	params      []Param
+	result      *Type
+	distributed bool
+	body        int64
+}
+
+// methodRecords reads every method record of the class, by member ID.
+func methodRecords(c *Class) map[MemberID]methodRecord {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	recs := make(map[MemberID]methodRecord, len(c.methods))
+	for id, m := range c.methods {
+		body := int64(-1)
+		if m.body != nil {
+			v, _ := m.body(nil, nil)
+			body = v.Int64()
+		}
+		recs[id] = methodRecord{m.name, m.params, m.result, m.distributed, body}
 	}
-	return names
+	return recs
 }
 
 // TestUndoAllRestoresInitialInterface: apply a random edit script, then
 // undo everything — the distributed interface descriptor must equal the
 // initial one; redo everything — it must equal the final one. This is the
 // JPie property that makes history monitoring a sound basis for the
-// publisher.
+// publisher. At every undo and redo depth the whole method records must
+// be the ones the class had at that depth on the way forward: member IDs,
+// names, signatures, the distributed flag and bodies, of non-distributed
+// methods too.
 func TestUndoAllRestoresInitialInterface(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 60,
@@ -108,16 +120,26 @@ func TestUndoAllRestoresInitialInterface(t *testing.T) {
 		}
 		initial := c.Interface().Hash()
 		initialDepth := c.History().UndoDepth()
+		atDepth := map[int]map[MemberID]methodRecord{initialDepth: methodRecords(c)}
 
 		r := rand.New(rand.NewSource(s.seed))
 		for i := 0; i < s.steps; i++ {
 			applyRandomEdit(r, c, i)
+			atDepth[c.History().UndoDepth()] = methodRecords(c)
 		}
 		final := c.Interface().Hash()
+		restored := func(step string) bool {
+			d := c.History().UndoDepth()
+			if got := methodRecords(c); !reflect.DeepEqual(got, atDepth[d]) {
+				t.Logf("seed %d, %s to depth %d: records %+v, want %+v", s.seed, step, d, got, atDepth[d])
+				return false
+			}
+			return true
+		}
 
 		// Undo back to the initial state.
 		for c.History().UndoDepth() > initialDepth {
-			if err := c.History().Undo(); err != nil {
+			if err := c.History().Undo(); err != nil || !restored("undo") {
 				return false
 			}
 		}
@@ -126,7 +148,7 @@ func TestUndoAllRestoresInitialInterface(t *testing.T) {
 		}
 		// Redo forward to the final state.
 		for c.History().RedoDepth() > 0 {
-			if err := c.History().Redo(); err != nil {
+			if err := c.History().Redo(); err != nil || !restored("redo") {
 				return false
 			}
 		}
