@@ -12,6 +12,7 @@ import (
 
 	"livedev/internal/clock"
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/ifsvr"
 	"livedev/internal/repl"
 )
@@ -151,10 +152,8 @@ type Manager struct {
 	follower *repl.Follower // follower mode (Config.FollowURL)
 
 	httpMux  *dynamicMux
-	httpSrv  *http.Server
-	httpLn   net.Listener
+	httpSrv  *h1.Server
 	httpBase string
-	httpDone chan struct{}
 
 	mu       sync.Mutex
 	servers  map[string]Server
@@ -216,17 +215,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.store.Close()
 		return nil, fmt.Errorf("core: starting HTTP endpoint server: %w", err)
 	}
-	m.httpLn = ln
 	m.httpBase = "http://" + ln.Addr().String()
 	// The ops plane rides the shared endpoint mux: scrapers hit the same
 	// listener the bindings serve on, so one address covers both.
 	m.httpMux.handle("/metrics", http.HandlerFunc(m.serveMetrics))
-	m.httpSrv = &http.Server{Handler: m.httpMux, ReadHeaderTimeout: 10 * time.Second}
-	m.httpDone = make(chan struct{})
-	go func() {
-		defer close(m.httpDone)
-		_ = m.httpSrv.Serve(ln)
-	}()
+	m.httpSrv = h1.Serve(ln, m.httpMux)
 	return m, nil
 }
 
@@ -402,9 +395,12 @@ func (m *Manager) Draining() bool {
 //
 //  1. new registrations are refused (Register returns an error) and
 //     Probe reports not-ready, so orchestrators stop routing here;
-//  2. the HTTP endpoint server stops accepting connections and waits —
-//     bounded by ctx — for in-flight calls to complete
-//     (http.Server.Shutdown, not Close: nothing in flight is dropped);
+//  2. the HTTP endpoint server stops accepting connections, closes its
+//     idle keep-alive connections and waits — bounded by ctx — for
+//     in-flight calls to complete, each connection closing after its
+//     reply (h1.Server.Shutdown, not Close: nothing in flight is dropped,
+//     and a connection accepted but yet to send its first call counts as
+//     in flight);
 //  3. the Interface Server drains: held watch streams, followers' included,
 //     end with a terminal "draining" frame, so watchers reconnect to
 //     another replica instead of timing out.
@@ -466,7 +462,6 @@ func (m *Manager) Stop() error {
 	if err := m.httpSrv.Close(); err != nil {
 		errs = append(errs, fmt.Errorf("core: closing HTTP endpoint server: %w", err))
 	}
-	<-m.httpDone
 	if m.follower != nil {
 		// The follower owns the iface and store: stop following, persist
 		// the replication cursor, then close both.
@@ -561,9 +556,6 @@ func (d *dynamicMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // statusWriter records the response status for the mux's error counter.
-// Unwrap keeps http.ResponseController (and so write deadlines) working
-// through the wrapper; the explicit Flush passthrough keeps handlers that
-// type-assert http.Flusher directly (streaming responses) working too.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -575,11 +567,3 @@ func (sw *statusWriter) WriteHeader(code int) {
 	}
 	sw.ResponseWriter.WriteHeader(code)
 }
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -106,5 +108,6 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	w.Header().Set("Content-Length", strconv.Itoa(b.Len()))
+	_, _ = io.WriteString(w, b.String())
 }

@@ -1,10 +1,13 @@
-// Package h1 posts call bodies as HTTP/1.1 requests on pooled keep-alive
-// connections. It is the one client the HTTP call bindings share: SOAP,
-// JSON and h2b's plain endpoint. The calling goroutine writes request
-// line, headers and body in one Write and reads the whole reply itself:
-// no transport goroutines, no header maps, and the call's deadline is the
-// connection's. A caller-supplied *http.Client is honoured instead, for a
-// proxy, TLS or instrumentation.
+// Package h1 is the HTTP/1.1 both ends of an HTTP call run on: the
+// client and the server the call bindings share (SOAP, JSON and h2b's
+// plain endpoint).
+//
+// Post sends a call body as a request on a pooled keep-alive connection.
+// The calling goroutine writes request line, headers and body in one
+// Write and reads the whole reply itself: no transport goroutines, no
+// header maps, and the call's deadline is the connection's. A
+// caller-supplied *http.Client is honoured instead, for a proxy, TLS or
+// instrumentation.
 //
 // Idle connections are not timed out. One its server closed is dropped
 // when its endpoint is next taken, and every endpoint's are checked each
@@ -12,6 +15,34 @@
 // that went away does not keep its sockets. The check is a peek at the
 // socket, made on Unix only (not AIX); elsewhere an idle connection is
 // kept until a call finds it dead.
+//
+// Serve runs an http.Handler on a listener: the call endpoints (the
+// manager's SOAP, JSON, H2B-http and /metrics mux, and internal/static's
+// Table 1 control) serve on it. One goroutine per connection reads each
+// request into state the connection reuses, calls the handler with a
+// reused *http.Request and a ResponseWriter that holds the reply back
+// until the handler returns, and writes status line, header and body in
+// one write (writev for a body over 4 KiB): no background read goroutine,
+// no context.WithCancel and no bufio.Writer per request. It keeps what net/http does that a client can
+// see: keep-alive, HTTP/1.0 with and without keep-alive, Connection:
+// close, Content-Length and chunked request bodies, Expect: 100-continue,
+// HEAD, a 10 s header timeout and a 1 MiB header cap (400, 431 and 501
+// close the connection, as does a bad Content-Length or a control
+// character in a header value), a handler panic closing its own
+// connection only, and the reply head net/http writes for the same
+// handler calls. It differs in two ways: a body the handler did not
+// declare goes out with its length rather than chunked, and a request
+// body the handler leaves unread closes the connection after the reply
+// (net/http reads up to 256 KiB of it first). A request's context reports
+// context.Canceled from Err once the peer has gone: on Unix by a
+// non-blocking peek when Err is asked, elsewhere by a background read
+// started once the body is read, as net/http does, which can learn of the
+// departure late. It is cancelled when its connection closes, not as each
+// handler returns. A request or header line must fit the 4 KiB read
+// buffer (431 otherwise). The server does not do TLS, HTTP/2 (h2c),
+// upgrades, Hijack, Flush, informational replies or request trailers:
+// handlers that stream or wait on their peer, such as the Interface
+// Server's, stay on net/http.
 package h1
 
 import (
@@ -43,7 +74,7 @@ var ceiling = 30 * time.Second
 const (
 	maxBody   = 16 << 20
 	maxIdle   = 32       // idle connections kept per endpoint
-	maxHeader = 1 << 20  // reply header bytes read before giving up
+	maxHeader = 1 << 20  // header bytes read before giving up, either half
 	maxWBuf   = 64 << 10 // request buffer a connection keeps between calls
 )
 
@@ -315,7 +346,7 @@ func (c *conn) roundTrip(ep *endpoint, header [][2]string, body, dst []byte) (Re
 		}
 		keep := line[7] == '1'
 		var f framing
-		if dst, f, err = c.readHeader(dst[:0]); err != nil {
+		if dst, f, err = readHeader(c.br, dst[:0]); err != nil {
 			return Reply{Buf: dst}, false, err
 		}
 		if status < 200 && status != http.StatusSwitchingProtocols {
@@ -326,7 +357,7 @@ func (c *conn) roundTrip(ep *endpoint, header [][2]string, body, dst []byte) (Re
 		case status < 200 || status == http.StatusNoContent || status == http.StatusNotModified:
 		case f.chunked:
 			if dst, err = readAll(httputil.NewChunkedReader(c.br), dst); err == nil {
-				_, _, err = c.readHeader(dst[len(dst):]) // the trailer, into spare room
+				_, _, err = readHeader(c.br, dst[len(dst):]) // the trailer, into spare room
 			}
 		case f.length > maxBody:
 			err = ErrBodyTooLarge
@@ -342,23 +373,32 @@ func (c *conn) roundTrip(ep *endpoint, header [][2]string, body, dst []byte) (Re
 	}
 }
 
-// framing is what a reply header says about the body after it.
+// framing is what a header says about the body after it.
 type framing struct {
 	length         int64 // -1 when not declared
 	chunked, close bool
 }
 
-// readHeader appends the header lines to dst, without the empty line that
-// ends them, and reports the framing they declare.
-func (c *conn) readHeader(dst []byte) ([]byte, framing, error) {
+var (
+	errHeaderTooLarge = errors.New("h1: header too large")
+	errBadHeader      = errors.New("h1: malformed header")
+	errTE             = errors.New("h1: unsupported Transfer-Encoding")
+)
+
+// readHeader appends the header lines br holds to dst, without the empty
+// line that ends them, and reports the framing they declare. Both halves
+// read with it: a reply's header, a request's, a chunked body's trailer.
+func readHeader(br *bufio.Reader, dst []byte) ([]byte, framing, error) {
 	f := framing{length: -1}
 	for start := len(dst); ; start = len(dst) {
-		frag, err := c.br.ReadSlice('\n') // a line must fit the 4 KiB read buffer
-		if err != nil {
-			return dst, f, fmt.Errorf("h1: reading reply header: %w", err)
+		frag, err := br.ReadSlice('\n') // a line must fit the 4 KiB read buffer
+		if err == bufio.ErrBufferFull {
+			return dst, f, errHeaderTooLarge
+		} else if err != nil {
+			return dst, f, fmt.Errorf("h1: reading header: %w", err)
 		}
 		if dst = append(dst, frag...); len(dst) > maxHeader {
-			return dst, f, errors.New("h1: reply header too large")
+			return dst, f, errHeaderTooLarge
 		}
 		line := bytes.TrimRight(dst[start:], "\r\n")
 		if len(line) == 0 {
@@ -366,19 +406,19 @@ func (c *conn) readHeader(dst []byte) ([]byte, framing, error) {
 		}
 		name, value, ok := bytes.Cut(line, []byte(":"))
 		if !ok {
-			return dst, f, fmt.Errorf("h1: malformed header line %q", line)
+			return dst, f, fmt.Errorf("%w line %q", errBadHeader, line)
 		}
 		value = bytes.TrimSpace(value)
 		switch {
 		case strings.EqualFold(string(name), "Content-Length"):
-			n, err := strconv.ParseInt(string(value), 10, 64)
-			if err != nil || n < 0 || (f.length >= 0 && n != f.length) {
-				return dst, f, fmt.Errorf("h1: bad Content-Length %q", value)
+			n, err := strconv.ParseUint(string(value), 10, 63) // digits only: no sign
+			if err != nil || (f.length >= 0 && int64(n) != f.length) {
+				return dst, f, fmt.Errorf("%w: Content-Length %q", errBadHeader, value)
 			}
-			f.length = n
+			f.length = int64(n)
 		case strings.EqualFold(string(name), "Transfer-Encoding"):
-			if !strings.EqualFold(string(value), "chunked") {
-				return dst, f, fmt.Errorf("h1: unsupported Transfer-Encoding %q", value)
+			if f.chunked || !strings.EqualFold(string(value), "chunked") {
+				return dst, f, fmt.Errorf("%w %q", errTE, value)
 			}
 			f.chunked = true
 		case strings.EqualFold(string(name), "Connection"):

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 
 	"livedev/internal/cdr"
@@ -88,8 +89,10 @@ func (s *Server) Endpoint() string { return s.endpoint }
 // interface document advertises as mux_endpoint.
 func (s *Server) MuxAddr() string { return s.muxAddr }
 
+// writeError sends an error reply: declared length, one Write.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(msg)))
 	w.Header().Set(ErrorHeader, code)
 	w.WriteHeader(status)
 	_, _ = io.WriteString(w, msg)
@@ -211,10 +214,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, rep.status, rep.errCode, rep.msg)
 	default:
 		w.Header().Set("Content-Type", CallContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(rep.body)))
 		w.Header().Set(OrderHeader, orderValue(rep.order))
 		_, _ = w.Write(rep.body)
-		// Write copies into the response stream's buffer, so the pooled
-		// encoder can be recycled immediately.
+		// The reply has left, or been copied, by the time Write returns,
+		// so the pooled encoder can be recycled immediately.
 		if rep.release != nil {
 			rep.release()
 		}

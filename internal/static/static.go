@@ -13,12 +13,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
-	"time"
 
 	"livedev/internal/cdr"
 	"livedev/internal/dyn"
 	"livedev/internal/giop"
+	"livedev/internal/h1"
 	"livedev/internal/iiop"
 	"livedev/internal/ior"
 	"livedev/internal/orb"
@@ -52,11 +51,8 @@ type SOAPServer struct {
 	serviceNS string
 	ops       map[string]Op
 
-	srv      *http.Server
-	ln       net.Listener
+	srv      *h1.Server
 	endpoint string
-	done     chan struct{}
-	once     sync.Once
 }
 
 // NewSOAPServer builds a static SOAP server for the given operations.
@@ -80,14 +76,10 @@ func (s *SOAPServer) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("static: listen %s: %w", addr, err)
 	}
-	s.ln = ln
 	s.endpoint = "http://" + ln.Addr().String() + "/"
-	s.srv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		_ = s.srv.Serve(ln)
-	}()
+	// The same HTTP/1.1 server as the SDE's call endpoint, so Table 1
+	// compares dispatch, not servers.
+	s.srv = h1.Serve(ln, s)
 	return s.endpoint, nil
 }
 
@@ -136,17 +128,12 @@ func (s *SOAPServer) lookup(method string) (dyn.MethodSig, bool) {
 	return op.Sig(), ok
 }
 
-// Close shuts the server down.
+// Close shuts the server down. Idempotent.
 func (s *SOAPServer) Close() error {
 	if s.srv == nil {
 		return nil
 	}
-	var err error
-	s.once.Do(func() {
-		err = s.srv.Close()
-		<-s.done
-	})
-	return err
+	return s.srv.Close()
 }
 
 // CORBAServer is a static CORBA servant on a fixed operation table — the

@@ -216,12 +216,18 @@ type (
 //     Manager.NewClassServer — given the binding's document generator —
 //     behind a transport (ClassServer.MountHTTP on the shared HTTP
 //     endpoint, or a listener of the binding's own released through
-//     ClassServer.OnClose). Per request the binding supplies a
-//     core.Resolve, which decodes the request against the live interface
-//     it is handed, to ClassServer.Call, and maps the core.Reply that
-//     comes back (result, application error, non-existent method,
-//     malformed, not initialized) to its wire format. Publication of the
-//     basic description, the single instance, the gate, forced
+//     ClassServer.OnClose). The shared endpoint is internal/h1's HTTP/1.1
+//     server: a mounted handler writes one reply, which goes out when the
+//     handler returns (no Flush, no Hijack), a request body it leaves
+//     unread closes the connection, and its request context's Err
+//     reports a caller that has gone, which ClassServer.Call checks
+//     before dispatch; a binding that streams belongs on a listener of
+//     its own. Per request the binding
+//     supplies a core.Resolve, which decodes the request against the live
+//     interface it is handed, to ClassServer.Call, and maps the
+//     core.Reply that comes back (result, application error, non-existent
+//     method, malformed, not initialized) to its wire format. Publication
+//     of the basic description, the single instance, the gate, forced
 //     publication before "non-existent method", counters and teardown
 //     come with the ClassServer.
 //   - Describe reports how the binding's published interface documents
