@@ -1,6 +1,8 @@
 package cdr
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"livedev/internal/dyn"
@@ -70,10 +72,11 @@ func bulkValue(tb testing.TB) (dyn.Value, []byte) {
 	return v, e.Bytes()
 }
 
-// TestAllocs_BulkDecode pins the composite decode on the bulk shape: one
-// string copy per element, plus the sequence's slice and type and the one
-// slab all 256 field slices are carved from. A field slice per struct made
-// that two objects per element.
+// TestAllocs_BulkDecode pins the composite decode on the bulk shape: the
+// sequence's slice and type, the one slab chunk all 256 field slices are
+// carved from, and nine string chunks, doubling from the first 16-byte tag
+// until the 4 KiB of tags fit. A string copy per element made that 256 more,
+// and a field slice per struct 256 more again.
 func TestAllocs_BulkDecode(t *testing.T) {
 	v, raw := bulkValue(t)
 	var d Decoder
@@ -84,8 +87,42 @@ func TestAllocs_BulkDecode(t *testing.T) {
 			t.Fatal(got.Len(), err)
 		}
 	})
-	if allocs > 256+4 {
-		t.Errorf("bulk CDR decode allocates %.1f objects/op, budget is %d", allocs, 256+4)
+	if allocs > 3+9 {
+		t.Errorf("bulk CDR decode allocates %.1f objects/op, budget is %d", allocs, 3+9)
+	}
+}
+
+// TestDecodeAllocBound: hostile inputs cannot make a decode allocate more
+// than a small multiple of their own size. 65 536 one-octet strings cost a
+// value each (24 bytes for their 8 octets on the wire) and chunks of at most
+// three times their bytes; a count that claims as many strings as the octets
+// left could hold at their minimum of five buys 24 bytes per five octets
+// before the decode runs out. Both stay under six times the message.
+func TestDecodeAllocBound(t *testing.T) {
+	const n = 1 << 16
+	e := NewEncoder(BigEndian)
+	e.WriteULong(n)
+	for range n {
+		e.WriteString("x")
+	}
+	strs := e.Bytes()
+	lie := append([]byte(nil), strs...)
+	binary.BigEndian.PutUint32(lie, uint32((len(lie)-4)/minSize(dyn.StringT)))
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		ok   bool
+	}{{"one-octet strings", strs, true}, {"lying count", lie, false}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := DecodeValue(NewDecoder(tc.raw, BigEndian), dyn.SequenceOf(dyn.StringT))
+		runtime.ReadMemStats(&after)
+		if tc.ok != (err == nil) || tc.ok && v.Len() != n {
+			t.Fatalf("%s: %d strings, %v", tc.name, v.Len(), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 6*uint64(len(tc.raw)) {
+			t.Errorf("%s: %d octets allocated %d bytes, want at most six times as many", tc.name, len(tc.raw), got)
+		}
 	}
 }
 
@@ -151,5 +188,21 @@ func TestZeroCopyReadsAliasBuffer(t *testing.T) {
 	s, err := d3.ReadString()
 	if err != nil || s != "view" {
 		t.Fatalf("zero-copy string = %q, %v", s, err)
+	}
+
+	// A decoded value owns its strings unless zero-copy mode is on.
+	v, raw := bulkValue(t)
+	for _, zeroCopy := range []bool{false, true} {
+		buf := append([]byte(nil), raw...)
+		d := NewDecoder(buf, BigEndian)
+		d.SetZeroCopy(zeroCopy)
+		got, err := DecodeValue(d, v.Type())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(buf)
+		if aliased := !got.Equal(v); aliased != zeroCopy {
+			t.Errorf("zero-copy %v: the decoded value aliases the message buffer: %v", zeroCopy, aliased)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"livedev/internal/dyn"
 )
 
 func TestAlignmentPadding(t *testing.T) {
@@ -105,12 +107,21 @@ func TestStringErrors(t *testing.T) {
 	if _, err := d.ReadString(); !errors.Is(err, ErrBadString) {
 		t.Errorf("missing NUL: %v", err)
 	}
-	// Truncated payload.
-	e = NewEncoder(BigEndian)
-	e.WriteULong(10)
-	d = NewDecoder(e.Bytes(), BigEndian)
-	if _, err := d.ReadString(); !errors.Is(err, ErrTruncated) {
-		t.Errorf("truncated: %v", err)
+	// Truncated payload, and lengths from 2^31, which an int holds only on
+	// a 64-bit platform: converted first, they went negative on a 32-bit
+	// one, passed the bounds check and panicked slicing.
+	for _, n := range []uint32{10, 1 << 31, 0xFFFFFFF0} {
+		e = NewEncoder(BigEndian)
+		e.WriteULong(n)
+		e.WriteOctets([]byte("abc\x00"))
+		d = NewDecoder(e.Bytes(), BigEndian)
+		if _, err := d.ReadString(); !errors.Is(err, ErrTruncated) {
+			t.Errorf("length %#x: %v", n, err)
+		}
+		d = NewDecoder(e.Bytes(), BigEndian)
+		if _, err := DecodeValue(d, dyn.StringT); !errors.Is(err, ErrTruncated) {
+			t.Errorf("length %#x, as a value: %v", n, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -24,10 +25,10 @@ var ErrBadString = errors.New("cdr: malformed string")
 // alive and unmodified, and must never be used together with pooled
 // message bodies that outlive the returned values.
 //
-// In either mode the parts of one DecodeValue result share memory with each
-// other: the field slices of the structs of a decoded sequence are carved
-// from one backing array (dyn.Slab), so retaining one element of a large
-// sequence retains the field values of all of them.
+// Outside zero-copy mode no DecodeValue result aliases the buffer, but its
+// parts share memory with each other: its struct field slices, and its
+// strings' bytes, are carved from shared chunks (dyn.Slab), so retaining one
+// element or string of a large sequence retains its siblings' chunk too.
 type Decoder struct {
 	buf      []byte
 	pos      int
@@ -85,27 +86,55 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 // Pos returns the current read offset.
 func (d *Decoder) Pos() int { return d.pos }
 
-func (d *Decoder) align(n int) {
-	for d.pos%n != 0 {
-		d.pos++
+// next skips the padding before a primitive of size n (1, 2, 4 or 8) and
+// returns its n octets, or nil, with the padding skipped, if fewer are left.
+// It, u32, u64 and the encoder's writes are small enough to inline, so the
+// value walk reads and writes a scalar without a call.
+func (d *Decoder) next(n int) []byte {
+	d.pos = (d.pos + n - 1) &^ (n - 1)
+	if len(d.buf)-d.pos < n {
+		return nil
 	}
+	d.pos += n
+	return d.buf[d.pos-n : d.pos]
 }
 
-func (d *Decoder) need(n int) error {
-	if d.pos+n > len(d.buf) {
-		return fmt.Errorf("%w: need %d octets at %d, have %d", ErrTruncated, n, d.pos, len(d.buf)-d.pos)
+func (d *Decoder) u32(b []byte) uint32 {
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return binary.BigEndian.Uint32(b)
+}
+
+func (d *Decoder) u64(b []byte) uint64 {
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return binary.BigEndian.Uint64(b)
+}
+
+// need reports ErrTruncated unless n more octets are left. n is a wire
+// count as read: compared unconverted, a count no int holds on a 32-bit
+// platform is refused like any other that overruns.
+func (d *Decoder) need(n uint64) error {
+	if have := len(d.buf) - d.pos; have < 0 || n > uint64(have) {
+		return d.short(n)
 	}
 	return nil
 }
 
+// short is the error for a read of n octets at the current position.
+func (d *Decoder) short(n uint64) error {
+	return fmt.Errorf("%w: need %d octets at %d, have %d", ErrTruncated, n, d.pos, len(d.buf)-d.pos)
+}
+
 // ReadOctet reads one raw octet.
 func (d *Decoder) ReadOctet() (byte, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
+	b := d.next(1)
+	if b == nil {
+		return 0, d.short(1)
 	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b, nil
+	return b[0], nil
 }
 
 // ReadOctets reads n raw octets (copied, unless zero-copy mode is on).
@@ -116,7 +145,7 @@ func (d *Decoder) ReadOctets(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cdr: negative octet count %d", n)
 	}
-	if err := d.need(n); err != nil {
+	if err := d.need(uint64(n)); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
@@ -131,7 +160,7 @@ func (d *Decoder) ReadOctetsRef(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cdr: negative octet count %d", n)
 	}
-	if err := d.need(n); err != nil {
+	if err := d.need(uint64(n)); err != nil {
 		return nil, err
 	}
 	out := d.buf[d.pos : d.pos+n : d.pos+n]
@@ -153,13 +182,14 @@ func (d *Decoder) ReadChar() (byte, error) { return d.ReadOctet() }
 
 // ReadUShort reads an unsigned short.
 func (d *Decoder) ReadUShort() (uint16, error) {
-	d.align(2)
-	if err := d.need(2); err != nil {
-		return 0, err
+	b := d.next(2)
+	if b == nil {
+		return 0, d.short(2)
 	}
-	v := d.order.order().Uint16(d.buf[d.pos:])
-	d.pos += 2
-	return v, nil
+	if d.order == LittleEndian {
+		return binary.LittleEndian.Uint16(b), nil
+	}
+	return binary.BigEndian.Uint16(b), nil
 }
 
 // ReadShort reads a signed short.
@@ -170,13 +200,11 @@ func (d *Decoder) ReadShort() (int16, error) {
 
 // ReadULong reads an unsigned long (32 bits).
 func (d *Decoder) ReadULong() (uint32, error) {
-	d.align(4)
-	if err := d.need(4); err != nil {
-		return 0, err
+	b := d.next(4)
+	if b == nil {
+		return 0, d.short(4)
 	}
-	v := d.order.order().Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v, nil
+	return d.u32(b), nil
 }
 
 // ReadLong reads a signed long (32 bits).
@@ -187,13 +215,11 @@ func (d *Decoder) ReadLong() (int32, error) {
 
 // ReadULongLong reads an unsigned long long (64 bits).
 func (d *Decoder) ReadULongLong() (uint64, error) {
-	d.align(8)
-	if err := d.need(8); err != nil {
-		return 0, err
+	b := d.next(8)
+	if b == nil {
+		return 0, d.short(8)
 	}
-	v := d.order.order().Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v, nil
+	return d.u64(b), nil
 }
 
 // ReadLongLong reads a signed long long (64 bits).
@@ -218,30 +244,36 @@ func (d *Decoder) ReadDouble() (float64, error) {
 // returned string is a copy unless zero-copy mode is on, in which case it
 // is a view over the message buffer (see SetZeroCopy).
 func (d *Decoder) ReadString() (string, error) {
-	n, err := d.ReadULong()
-	if err != nil {
-		return "", err
-	}
-	if n == 0 {
-		return "", fmt.Errorf("%w: zero-length string encoding", ErrBadString)
-	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
-	}
-	raw := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	if raw[len(raw)-1] != 0 {
-		return "", fmt.Errorf("%w: missing terminating NUL", ErrBadString)
-	}
-	raw = raw[:len(raw)-1]
-	if d.zeroCopy {
-		if len(raw) == 0 {
-			return "", nil
-		}
-		return unsafe.String(&raw[0], len(raw)), nil
+	raw, err := d.stringOctets()
+	if err != nil || d.zeroCopy {
+		return view(raw), err
 	}
 	return string(raw), nil
 }
+
+// stringOctets reads a CDR string's octets, without the NUL, as a view of
+// the message buffer.
+func (d *Decoder) stringOctets() ([]byte, error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("%w: zero-length string encoding", ErrBadString)
+	}
+	if err := d.need(uint64(n)); err != nil {
+		return nil, err
+	}
+	raw := d.buf[d.pos : d.pos+int(n)] // need bounds n by an int
+	d.pos += int(n)
+	if raw[len(raw)-1] != 0 {
+		return nil, fmt.Errorf("%w: missing terminating NUL", ErrBadString)
+	}
+	return raw[:len(raw)-1], nil
+}
+
+// view returns raw as a string that shares its memory.
+func view(raw []byte) string { return unsafe.String(unsafe.SliceData(raw), len(raw)) }
 
 // ReadOctetSeq reads sequence<octet> (copied, unless zero-copy mode is on).
 func (d *Decoder) ReadOctetSeq() ([]byte, error) {

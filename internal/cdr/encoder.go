@@ -3,7 +3,8 @@
 // CDR's natural alignment rules (primitives align to their size relative to
 // the start of the stream), strings with trailing NUL, sequences, structs,
 // and nested encapsulations (used by IORs and tagged profiles). Value-level
-// marshalling for the dyn type system lives in value.go.
+// marshalling for the dyn type system (value.go) is one walk the static type
+// drives, with the scalars read and written inline.
 //
 // # Pooling and buffer-ownership invariants
 //
@@ -41,18 +42,9 @@ const (
 	LittleEndian ByteOrder = 1
 )
 
-func (o ByteOrder) order() binary.ByteOrder {
-	if o == LittleEndian {
-		return binary.LittleEndian
-	}
-	return binary.BigEndian
-}
-
 // Binary returns the encoding/binary byte order corresponding to the flag,
 // for callers (like the GIOP framer) that marshal fields directly.
-func (o ByteOrder) Binary() binary.ByteOrder { return o.order() }
-
-func (o ByteOrder) appendOrder() binary.AppendByteOrder {
+func (o ByteOrder) Binary() binary.ByteOrder {
 	if o == LittleEndian {
 		return binary.LittleEndian
 	}
@@ -168,7 +160,11 @@ func (e *Encoder) WriteChar(c byte) { e.WriteOctet(c) }
 // WriteUShort encodes an unsigned short with 2-octet alignment.
 func (e *Encoder) WriteUShort(v uint16) {
 	e.align(2)
-	e.buf = e.order.appendOrder().AppendUint16(e.buf, v)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint16(e.buf, v)
+	}
 }
 
 // WriteShort encodes a signed short.
@@ -177,7 +173,11 @@ func (e *Encoder) WriteShort(v int16) { e.WriteUShort(uint16(v)) }
 // WriteULong encodes an unsigned long (32 bits) with 4-octet alignment.
 func (e *Encoder) WriteULong(v uint32) {
 	e.align(4)
-	e.buf = e.order.appendOrder().AppendUint32(e.buf, v)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint32(e.buf, v)
+	}
 }
 
 // WriteLong encodes a signed long (32 bits).
@@ -187,7 +187,11 @@ func (e *Encoder) WriteLong(v int32) { e.WriteULong(uint32(v)) }
 // alignment.
 func (e *Encoder) WriteULongLong(v uint64) {
 	e.align(8)
-	e.buf = e.order.appendOrder().AppendUint64(e.buf, v)
+	if e.order == LittleEndian {
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
+	} else {
+		e.buf = binary.BigEndian.AppendUint64(e.buf, v)
+	}
 }
 
 // WriteLongLong encodes a signed long long (64 bits).

@@ -11,10 +11,59 @@ import (
 	"livedev/internal/dyn"
 )
 
+// oracleEncodeValue is EncodeValue as it stood before the type-driven walk:
+// one recursive call per value, switching on the value's own type. Kept
+// verbatim as the reference TestEncodeValueAgainstOracle and
+// FuzzDecodeValue hold the walk to.
+func oracleEncodeValue(e *Encoder, v dyn.Value) error {
+	t := v.Type()
+	switch t.Kind() {
+	case dyn.KindVoid:
+		return nil // void occupies no octets
+	case dyn.KindBoolean:
+		e.WriteBool(v.Bool())
+	case dyn.KindChar:
+		c := v.Char()
+		if c > 0xFF {
+			return fmt.Errorf("cdr: char %q exceeds one octet (CORBA char is ISO 8859-1)", c)
+		}
+		e.WriteChar(byte(c))
+	case dyn.KindInt32:
+		e.WriteLong(v.Int32())
+	case dyn.KindInt64:
+		e.WriteLongLong(v.Int64())
+	case dyn.KindFloat32:
+		e.WriteFloat(v.Float32())
+	case dyn.KindFloat64:
+		e.WriteDouble(v.Float64())
+	case dyn.KindString:
+		e.WriteString(v.Str())
+	case dyn.KindSequence:
+		e.WriteULong(uint32(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			if err := oracleEncodeValue(e, v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case dyn.KindStruct:
+		for i := 0; i < v.Len(); i++ {
+			if err := oracleEncodeValue(e, v.Index(i)); err != nil {
+				return fmt.Errorf("struct %s field %s: %w", t.Name(), t.Field(i).Name, err)
+			}
+		}
+	default:
+		return fmt.Errorf("cdr: cannot encode kind %s", t.Kind())
+	}
+	return nil
+}
+
 // oracleDecodeValue is DecodeValue as it stood before the field slab: one
-// slice per struct, and the old length guard that only asks one octet of
-// every claimed element. Kept verbatim as the reference FuzzDecodeValue and
-// the tests hold the slab-building decoder to.
+// slice per struct, one allocation per string, and the old length guard
+// that only asks one octet of every claimed element. Kept verbatim, but for
+// the guard's comparison, as the reference FuzzDecodeValue and the tests
+// hold the type-driven walk to. The guard compares the count unconverted:
+// int(n) is negative on a 32-bit platform for counts from 2^31, which then
+// passed the guard and panicked in make.
 func oracleDecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
 	switch t.Kind() {
 	case dyn.KindVoid:
@@ -68,7 +117,7 @@ func oracleDecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
 		}
 		// Guard against hostile lengths: each element needs at least one
 		// octet on the wire.
-		if int(n) > d.Remaining() {
+		if uint64(n) > uint64(d.Remaining()) {
 			return dyn.Value{}, fmt.Errorf("%w: sequence claims %d elements with %d octets left",
 				ErrTruncated, n, d.Remaining())
 		}
@@ -160,7 +209,8 @@ var codecTypes = []*dyn.Type{
 // elements' minimum sizes exceed the octets left, which the oracle cannot
 // finish decoding either, so the guard moves a refusal earlier (and makes it
 // ErrTruncated) but never adds one. What is accepted is the same value read
-// off the same octets, and a fixed point of encode and decode.
+// off the same octets, which EncodeValue and the oracle encoder write as the
+// same octets, and a fixed point of encode and decode.
 func checkDecode(t *testing.T, raw []byte, typ *dyn.Type, order ByteOrder) {
 	t.Helper()
 	wd, gd := NewDecoder(raw, order), NewDecoder(raw, order)
@@ -178,12 +228,12 @@ func checkDecode(t *testing.T, raw []byte, typ *dyn.Type, order ByteOrder) {
 	if !sameValue(got, want) || gd.Pos() != wd.Pos() {
 		t.Fatalf("%s, %v: oracle %v up to %d, decoder %v up to %d\n%x", typ, order, want, wd.Pos(), got, gd.Pos(), raw)
 	}
+	e, oe := NewEncoder(order), NewEncoder(order)
+	if err, oerr := EncodeValue(e, got), oracleEncodeValue(oe, got); err != nil || oerr != nil || !bytes.Equal(e.Bytes(), oe.Bytes()) {
+		t.Fatalf("%s, %v: re-encoding %v: %v, oracle %v\n%x\n%x", typ, order, got, err, oerr, e.Bytes(), oe.Bytes())
+	}
 	if hasEmptyElems(typ) {
 		return
-	}
-	e := NewEncoder(order)
-	if err := EncodeValue(e, got); err != nil {
-		t.Fatalf("%s, %v: re-encoding %v: %v", typ, order, got, err)
 	}
 	ad := NewDecoder(e.Bytes(), order)
 	again, err := DecodeValue(ad, typ)
@@ -259,5 +309,46 @@ func randomOfType(r *rand.Rand, t *dyn.Type) dyn.Value {
 		return dyn.StringValue(string(b))
 	default:
 		return cloneShape(r, dyn.Zero(t))
+	}
+}
+
+// TestEncodeValueAgainstOracle holds EncodeValue to the recursive encoder it
+// replaced: the same octets for random values of every shape in both byte
+// orders, with 0 to 7 octets already written so every alignment is met, and
+// the same error, after the same octets, for a wide char alone and inside a
+// struct inside a sequence.
+func TestEncodeValueAgainstOracle(t *testing.T) {
+	wide := dyn.MustStructOf("Wide",
+		dyn.StructField{Name: "n", Type: dyn.Int32T},
+		dyn.StructField{Name: "c", Type: dyn.Char})
+	values := []dyn.Value{ // the two that must fail, then the random ones
+		dyn.CharValue('λ'),
+		dyn.MustSequenceValue(wide,
+			dyn.MustStructValue(wide, dyn.Int32Value(1), dyn.CharValue('a')),
+			dyn.MustStructValue(wide, dyn.Int32Value(2), dyn.CharValue('λ'))),
+	}
+	r := rand.New(rand.NewSource(42))
+	for _, typ := range codecTypes {
+		for range 8 {
+			values = append(values, randomOfType(r, typ))
+		}
+	}
+	for vi, v := range values {
+		for _, order := range []ByteOrder{BigEndian, LittleEndian} {
+			for start := range 8 {
+				e, oe := NewEncoder(order), NewEncoder(order)
+				for i := range start {
+					e.WriteOctet(byte(i))
+					oe.WriteOctet(byte(i))
+				}
+				err, oerr := EncodeValue(e, v), oracleEncodeValue(oe, v)
+				if fmt.Sprint(err) != fmt.Sprint(oerr) || !bytes.Equal(e.Bytes(), oe.Bytes()) {
+					t.Fatalf("%v, %v from %d: %v, oracle %v\n%x\n%x", v, order, start, err, oerr, e.Bytes(), oe.Bytes())
+				}
+				if (err != nil) != (vi < 2) {
+					t.Fatalf("%v: error %v", v, err)
+				}
+			}
+		}
 	}
 }

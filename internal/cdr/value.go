@@ -2,6 +2,7 @@ package cdr
 
 import (
 	"fmt"
+	"math"
 
 	"livedev/internal/dyn"
 )
@@ -13,54 +14,72 @@ import (
 // padding beyond each field's own alignment.
 
 // EncodeValue appends v to the stream according to its dyn type.
-func EncodeValue(e *Encoder, v dyn.Value) error {
-	t := v.Type()
-	switch t.Kind() {
-	case dyn.KindVoid:
-		return nil // void occupies no octets
-	case dyn.KindBoolean:
-		e.WriteBool(v.Bool())
-	case dyn.KindChar:
-		c := v.Char()
-		if c > 0xFF {
-			return fmt.Errorf("cdr: char %q exceeds one octet (CORBA char is ISO 8859-1)", c)
+func EncodeValue(e *Encoder, v dyn.Value) error { return encodeValue(e, v.Type(), v) }
+
+// encodeValue appends v, whose type is t, in one walk the type drives: a
+// sequence or struct loops over its elements or fields and writes the
+// scalars among them inline, recursing only into nested composites. A scalar
+// t is walked as a composite of one, itself.
+func encodeValue(e *Encoder, t *dyn.Type, v dyn.Value) error {
+	k, n, xt := t.Kind(), v.Len(), t
+	composite := k == dyn.KindSequence || k == dyn.KindStruct
+	if !composite {
+		n = 1
+	} else if k == dyn.KindSequence {
+		xt = t.Elem()
+		e.WriteULong(uint32(n))
+	}
+	for i := range n {
+		x := v
+		if composite {
+			x = v.Index(i)
 		}
-		e.WriteChar(byte(c))
-	case dyn.KindInt32:
-		e.WriteLong(v.Int32())
-	case dyn.KindInt64:
-		e.WriteLongLong(v.Int64())
-	case dyn.KindFloat32:
-		e.WriteFloat(v.Float32())
-	case dyn.KindFloat64:
-		e.WriteDouble(v.Float64())
-	case dyn.KindString:
-		e.WriteString(v.Str())
-	case dyn.KindSequence:
-		e.WriteULong(uint32(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if err := EncodeValue(e, v.Index(i)); err != nil {
-				return err
+		if k == dyn.KindStruct {
+			xt = t.Field(i).Type
+		}
+		var err error
+		switch xt.Kind() {
+		case dyn.KindVoid: // void occupies no octets
+		case dyn.KindBoolean:
+			e.WriteBool(x.Bool())
+		case dyn.KindChar:
+			if c := x.Char(); c > 0xFF {
+				err = fmt.Errorf("cdr: char %q exceeds one octet (CORBA char is ISO 8859-1)", c)
+			} else {
+				e.WriteChar(byte(c))
 			}
+		case dyn.KindInt32:
+			e.WriteLong(x.Int32())
+		case dyn.KindInt64:
+			e.WriteLongLong(x.Int64())
+		case dyn.KindFloat32:
+			e.WriteFloat(x.Float32())
+		case dyn.KindFloat64:
+			e.WriteDouble(x.Float64())
+		case dyn.KindString:
+			e.WriteString(x.Str())
+		case dyn.KindSequence, dyn.KindStruct:
+			err = encodeValue(e, xt, x)
+		default:
+			err = fmt.Errorf("cdr: cannot encode kind %s", xt.Kind())
 		}
-	case dyn.KindStruct:
-		for i := 0; i < v.Len(); i++ {
-			if err := EncodeValue(e, v.Index(i)); err != nil {
+		if err != nil {
+			if k == dyn.KindStruct {
 				return fmt.Errorf("struct %s field %s: %w", t.Name(), t.Field(i).Name, err)
 			}
+			return err
 		}
-	default:
-		return fmt.Errorf("cdr: cannot encode kind %s", t.Kind())
 	}
 	return nil
 }
 
-// DecodeValue reads a value of type t from the stream. The structs of one
-// decoded sequence share the backing array of their field values (see the
+// DecodeValue reads a value of type t from the stream. The values of one
+// decode share memory: the structs of a decoded sequence share the backing
+// array of their field values, and its strings share their bytes (see the
 // Decoder's copy discipline).
 func DecodeValue(d *Decoder, t *dyn.Type) (dyn.Value, error) {
-	var fields dyn.Slab // dropped with this decode
-	return decodeValue(d, t, &fields)
+	var s dyn.Slab // dropped with this decode
+	return decodeValue(d, t, &s)
 }
 
 // minSize returns the fewest octets a value of type t takes on the wire,
@@ -88,91 +107,109 @@ func minSize(t *dyn.Type) int {
 	}
 }
 
-func decodeValue(d *Decoder, t *dyn.Type, fields *dyn.Slab) (dyn.Value, error) {
-	switch t.Kind() {
-	case dyn.KindVoid:
-		return dyn.VoidValue(), nil
-	case dyn.KindBoolean:
-		b, err := d.ReadBool()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.BoolValue(b), nil
-	case dyn.KindChar:
-		c, err := d.ReadChar()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.CharValue(rune(c)), nil
-	case dyn.KindInt32:
-		v, err := d.ReadLong()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.Int32Value(v), nil
-	case dyn.KindInt64:
-		v, err := d.ReadLongLong()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.Int64Value(v), nil
-	case dyn.KindFloat32:
-		v, err := d.ReadFloat()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.Float32Value(v), nil
-	case dyn.KindFloat64:
-		v, err := d.ReadDouble()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.Float64Value(v), nil
-	case dyn.KindString:
-		s, err := d.ReadString()
-		if err != nil {
-			return dyn.Value{}, err
-		}
-		return dyn.StringValue(s), nil
+// decodeValue reads a value of type t in the walk encodeValue makes, the
+// struct field slices and (outside zero-copy mode) the strings carved from s.
+func decodeValue(d *Decoder, t *dyn.Type, s *dyn.Slab) (dyn.Value, error) {
+	k, n, xt := t.Kind(), 1, t
+	composite := k == dyn.KindSequence || k == dyn.KindStruct
+	var vals []dyn.Value
+	switch k {
 	case dyn.KindSequence:
-		n, err := d.ReadULong()
+		c, err := d.ReadULong()
 		if err != nil {
 			return dyn.Value{}, err
 		}
 		// Guard against hostile lengths before allocating by them: every
 		// element needs its type's minimum on the wire (one octet where
 		// that is none), which keeps what a lying length can allocate
-		// within a small constant of the message size.
-		elem := t.Elem()
-		if uint64(n) > uint64(d.Remaining()/max(minSize(elem), 1)) {
+		// within a small constant of the message size. Past the guard the
+		// count is at most the octets left, so an int holds it.
+		xt = t.Elem()
+		if uint64(c) > uint64(d.Remaining()/max(minSize(xt), 1)) {
 			return dyn.Value{}, fmt.Errorf("%w: sequence claims %d elements with %d octets left",
-				ErrTruncated, n, d.Remaining())
+				ErrTruncated, c, d.Remaining())
 		}
-		if elem.Kind() == dyn.KindStruct {
+		n = int(c)
+		if nf := xt.NumFields(); nf > 0 {
 			// Void fields take no octets, so the octets left cap this too.
-			fields.Grow(min(int(n)*elem.NumFields(), d.Remaining()))
+			s.Grow(min(n, d.Remaining()/nf) * nf)
 		}
-		elems := make([]dyn.Value, int(n))
-		for i := range elems {
-			ev, err := decodeValue(d, elem, fields)
-			if err != nil {
-				return dyn.Value{}, fmt.Errorf("sequence element %d: %w", i, err)
-			}
-			elems[i] = ev
-		}
-		return dyn.AdoptSequence(elem, elems)
+		vals = make([]dyn.Value, n)
 	case dyn.KindStruct:
-		vals := fields.Take(t.NumFields())
-		for i := range vals {
-			f := t.Field(i)
-			fv, err := decodeValue(d, f.Type, fields)
-			if err != nil {
-				return dyn.Value{}, fmt.Errorf("struct %s field %s: %w", t.Name(), f.Name, err)
-			}
-			vals[i] = fv
-		}
-		return dyn.AdoptStruct(t, vals)
-	default:
-		return dyn.Value{}, fmt.Errorf("cdr: cannot decode kind %s", t.Kind())
+		n = t.NumFields()
+		vals = s.Take(n)
 	}
+	for i := range n {
+		if k == dyn.KindStruct {
+			xt = t.Field(i).Type
+		}
+		var x dyn.Value
+		var err error
+		switch xt.Kind() {
+		case dyn.KindVoid:
+			x = dyn.VoidValue()
+		case dyn.KindBoolean:
+			if b := d.next(1); b != nil {
+				x = dyn.BoolValue(b[0] != 0)
+			} else {
+				err = d.short(1)
+			}
+		case dyn.KindChar:
+			if b := d.next(1); b != nil {
+				x = dyn.CharValue(rune(b[0]))
+			} else {
+				err = d.short(1)
+			}
+		case dyn.KindInt32:
+			if b := d.next(4); b != nil {
+				x = dyn.Int32Value(int32(d.u32(b)))
+			} else {
+				err = d.short(4)
+			}
+		case dyn.KindInt64:
+			if b := d.next(8); b != nil {
+				x = dyn.Int64Value(int64(d.u64(b)))
+			} else {
+				err = d.short(8)
+			}
+		case dyn.KindFloat32:
+			if b := d.next(4); b != nil {
+				x = dyn.Float32Value(math.Float32frombits(d.u32(b)))
+			} else {
+				err = d.short(4)
+			}
+		case dyn.KindFloat64:
+			if b := d.next(8); b != nil {
+				x = dyn.Float64Value(math.Float64frombits(d.u64(b)))
+			} else {
+				err = d.short(8)
+			}
+		case dyn.KindString:
+			var raw []byte
+			if raw, err = d.stringOctets(); d.zeroCopy {
+				x = dyn.StringValue(view(raw))
+			} else {
+				x = dyn.StringValue(s.CopyString(raw, d.Remaining()))
+			}
+		case dyn.KindSequence, dyn.KindStruct:
+			x, err = decodeValue(d, xt, s)
+		default:
+			err = fmt.Errorf("cdr: cannot decode kind %s", xt.Kind())
+		}
+		switch {
+		case err != nil && k == dyn.KindSequence:
+			return dyn.Value{}, fmt.Errorf("sequence element %d: %w", i, err)
+		case err != nil && k == dyn.KindStruct:
+			return dyn.Value{}, fmt.Errorf("struct %s field %s: %w", t.Name(), t.Field(i).Name, err)
+		case err != nil:
+			return dyn.Value{}, err
+		case !composite:
+			return x, nil
+		}
+		vals[i] = x
+	}
+	if k == dyn.KindSequence {
+		return dyn.AdoptSequence(xt, vals)
+	}
+	return dyn.AdoptStruct(t, vals)
 }

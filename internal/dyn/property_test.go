@@ -409,3 +409,46 @@ func TestSlabChunks(t *testing.T) {
 		t.Errorf("a lone struct's chunk has %d values to spare, want none", len(slab.free))
 	}
 }
+
+// TestSlabStringChunks pins the string side: a lone string costs one
+// allocation of its own length, chunks double from the first string's length
+// but never past the input left, and every string keeps its own bytes.
+func TestSlabStringChunks(t *testing.T) {
+	tag := []byte("sixteen-byte-tag")
+	if got := testing.AllocsPerRun(20, func() {
+		var slab Slab
+		slab.CopyString(tag, 0)
+	}); got != 1 {
+		t.Errorf("a lone string: %v chunks, want 1", got)
+	}
+	var slab Slab
+	if slab.CopyString(tag, 0); len(slab.text) != 0 || slab.texts != len(tag) {
+		t.Errorf("a lone string's chunk is %d bytes with %d to spare, want %d and none", slab.texts, len(slab.text), len(tag))
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		var slab Slab
+		for range 256 {
+			slab.CopyString(tag, 1<<20)
+		}
+	}); got != 9 {
+		t.Errorf("256 tags: %v chunks, want 9 (16 bytes doubling to 4 KiB)", got)
+	}
+	slab = Slab{}
+	var strs []string
+	for i, rest := 0, 14; rest >= 0; i, rest = i+1, rest-2 { // the input holds nothing else
+		b, before := []byte(fmt.Sprintf("%02d", i)), slab.texts
+		strs = append(strs, slab.CopyString(b, rest))
+		b[0] = 'x' // the input buffer is recycled: the copy must not see it
+		if slab.texts != before && slab.texts > len(b)+rest {
+			t.Fatalf("string %d: a %d-byte chunk with %d bytes of input left", i, slab.texts, len(b)+rest)
+		}
+	}
+	for i, s := range strs {
+		if want := fmt.Sprintf("%02d", i); s != want {
+			t.Errorf("string %d reads %q, want %q", i, s, want)
+		}
+	}
+	if slab.CopyString(nil, 0) != "" {
+		t.Error("an empty string is not empty")
+	}
+}

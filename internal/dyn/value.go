@@ -100,7 +100,7 @@ func AdoptSequence(elem *Type, elems []Value) (Value, error) {
 		return Value{}, fmt.Errorf("dyn: sequence needs an element type")
 	}
 	for i, e := range elems {
-		if !e.Type().Equal(elem) {
+		if e.t != elem && !e.Type().Equal(elem) {
 			return Value{}, fmt.Errorf("dyn: sequence element %d has type %s, want %s", i, e.Type(), elem)
 		}
 	}
@@ -135,7 +135,7 @@ func AdoptStruct(t *Type, fieldVals []Value) (Value, error) {
 		return Value{}, fmt.Errorf("dyn: struct %s has %d fields, got %d values", t.name, len(t.fields), len(fieldVals))
 	}
 	for i, fv := range fieldVals {
-		if !fv.Type().Equal(t.fields[i].Type) {
+		if want := t.fields[i].Type; fv.t != want && !fv.Type().Equal(want) {
 			return Value{}, fmt.Errorf("dyn: struct %s field %s has type %s, want %s",
 				t.name, t.fields[i].Name, fv.Type(), t.fields[i].Type)
 		}

@@ -162,6 +162,26 @@ func TestDecodeRequestSkipsServiceContexts(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestHugeOperationLength: an operation name whose length is
+// 2^31 or more is refused as truncated on every platform. On a 32-bit one
+// the length used to go negative, pass the bounds check and panic, and the
+// IIOP server, which does not recover, died on the one request.
+func TestDecodeRequestHugeOperationLength(t *testing.T) {
+	for _, n := range []uint32{1 << 31, 0xFFFFFFF0} {
+		e := cdr.NewEncoder(cdr.BigEndian)
+		e.WriteULong(0)            // no service contexts
+		e.WriteULong(7)            // request id
+		e.WriteBool(true)          // response expected
+		e.WriteOctetSeq([]byte{9}) // object key
+		e.WriteULong(n)            // the operation name's length
+		e.WriteOctets([]byte("op\x00"))
+		_, _, err := DecodeRequest(Message{Type: MsgRequest, Order: cdr.BigEndian, Body: e.Bytes()})
+		if !errors.Is(err, cdr.ErrTruncated) {
+			t.Errorf("operation length %#x: %v, want ErrTruncated", n, err)
+		}
+	}
+}
+
 func TestReplyRoundTrip(t *testing.T) {
 	msg, err := EncodeReply(cdr.LittleEndian, ReplyHeader{RequestID: 9, Status: ReplyNoException},
 		func(e *cdr.Encoder) error {

@@ -9,14 +9,14 @@ import (
 // Allocation budgets for the value codec on the benchmark's bulk payload
 // (256 three-field structs). The encoder allocates nothing beyond the
 // message it hands back; the decoder's allocations are what the value itself
-// is made of — per element one string, plus the sequence's slice and type
-// and the few slab chunks the field slices share — so a return to per-level
+// is made of — the sequence's slice and type and the few slab chunks the
+// field slices and the strings' bytes share — so a return to per-level
 // json.Marshal/Unmarshal (≈4 400 and ≈6 700 objects per call at the parent
-// commit), to the copying dyn constructors or to a field slice per struct
-// (one more object per element each) fails here rather than eroding
-// calls_bulk. The tests drive the codec beneath the pooled entry
-// points, so the counts are exact whatever the pool does (under -race it
-// drops a quarter of its Puts).
+// commit), to the copying dyn constructors, to a field slice per struct or
+// to a copy per string (one more object per element each) fails here rather
+// than eroding calls_bulk. The tests drive the codec beneath the pooled
+// entry points, so the counts are exact whatever the pool does (under -race
+// it drops a quarter of its Puts).
 
 func TestAllocs_BulkEncode(t *testing.T) {
 	v := bulkValue(256)
@@ -51,10 +51,11 @@ func TestAllocs_BulkDecode(t *testing.T) {
 		}
 	}
 	decode() // grow the element stack once
-	// 256 tag strings + sequence slice + sequence type + the slab's chunks:
-	// 3 values doubling to 768 is nine.
-	if allocs := testing.AllocsPerRun(100, decode); allocs > 256+2+9 {
-		t.Errorf("bulk decode allocates %.1f objects/op, budget is %d", allocs, 256+2+9)
+	// Sequence slice + sequence type + the slab's chunks: 3 values doubling
+	// to 768 is nine, and the tag strings' bytes doubling from 16 to 4 KiB
+	// nine more.
+	if allocs := testing.AllocsPerRun(100, decode); allocs > 2+9+9 {
+		t.Errorf("bulk decode allocates %.1f objects/op, budget is %d", allocs, 2+9+9)
 	}
 }
 

@@ -352,7 +352,15 @@ func (c *codec) value(t *dyn.Type) (dyn.Value, error) {
 		case 'f':
 			return dyn.BoolValue(false), c.literal("false")
 		}
-	case dyn.KindChar, dyn.KindInt64, dyn.KindString:
+	case dyn.KindString:
+		if b == '"' {
+			s, err := c.str()
+			if err != nil {
+				return dyn.Value{}, err
+			}
+			return dyn.StringValue(c.fields.CopyString(s, len(c.data)-c.pos)), nil
+		}
+	case dyn.KindChar, dyn.KindInt64:
 		if b == '"' {
 			s, err := c.str()
 			if err != nil {
@@ -382,24 +390,20 @@ func (c *codec) value(t *dyn.Type) (dyn.Value, error) {
 	return dyn.Value{}, fmt.Errorf("jsonb: value at offset %d is not a %s", c.pos, t)
 }
 
-// fromString builds the value of a kind that travels as a JSON string from
-// the decoded (hence valid UTF-8) bytes of one.
+// fromString builds a char or int64, the kinds besides string that travel
+// as a JSON string, from the decoded (hence valid UTF-8) bytes of one.
 func fromString(k dyn.Kind, s []byte) (dyn.Value, error) {
-	switch k {
-	case dyn.KindChar:
+	if k == dyn.KindChar {
 		if r, size := utf8.DecodeRune(s); size > 0 && size == len(s) {
 			return dyn.CharValue(r), nil
 		}
 		return dyn.Value{}, fmt.Errorf("jsonb: char value must be one rune, got %q", s)
-	case dyn.KindInt64:
-		n, err := strconv.ParseInt(string(s), 10, 64)
-		if err != nil {
-			return dyn.Value{}, fmt.Errorf("jsonb: decoding int64: %w", err)
-		}
-		return dyn.Int64Value(n), nil
-	default:
-		return dyn.StringValue(string(s)), nil
 	}
+	n, err := strconv.ParseInt(string(s), 10, 64)
+	if err != nil {
+		return dyn.Value{}, fmt.Errorf("jsonb: decoding int64: %w", err)
+	}
+	return dyn.Int64Value(n), nil
 }
 
 // fromNumber builds the value of a kind that travels as a JSON number from
@@ -727,7 +731,7 @@ func (c *codec) errorObject() (failure dyn.Value, iface []byte, err error) {
 			}
 			var s []byte
 			if s, err = c.str(); err == nil {
-				fields[i], seen[i] = dyn.StringValue(string(s)), true
+				fields[i], seen[i] = dyn.StringValue(c.fields.CopyString(s, len(c.data)-c.pos)), true
 			}
 		case "interface":
 			from := c.pos

@@ -27,7 +27,8 @@ type codec struct {
 	scratch []byte
 	// stack collects sequence elements until their count is known.
 	stack []dyn.Value
-	// fields is what one decode's struct field slices are carved from.
+	// fields is what one decode's struct field slices and strings are
+	// carved from.
 	fields dyn.Slab
 }
 

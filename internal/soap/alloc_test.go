@@ -132,12 +132,13 @@ func TestAllocs_BulkParseDecode(t *testing.T) {
 		}
 	}
 	parseDecode() // grow the element stack once
-	// 256 tag strings + sequence slice + sequence type + the lexer's stack
-	// of open names + handle slice + method name + the slab's chunks: 3
-	// values doubling to 768 is nine. The tree parser made 5 922, a member
-	// slice per struct 256 more than this.
-	if allocs := testing.AllocsPerRun(50, parseDecode); allocs > 256+5+9 {
-		t.Errorf("bulk ParseRequest+DecodeValue allocates %.0f objects/op, budget is %d", allocs, 256+5+9)
+	// Sequence slice + sequence type + the lexer's stack of open names +
+	// handle slice + method name + the slab's chunks: 3 values doubling to
+	// 768 is nine, and the tag strings' bytes doubling from 16 to 4 KiB nine
+	// more. The tree parser made 5 922, a member slice per struct 256 more
+	// than this and a copy per string 256 more again.
+	if allocs := testing.AllocsPerRun(50, parseDecode); allocs > 5+9+9 {
+		t.Errorf("bulk ParseRequest+DecodeValue allocates %.0f objects/op, budget is %d", allocs, 5+9+9)
 	}
 }
 
@@ -158,10 +159,10 @@ func TestAllocs_BulkParseCall(t *testing.T) {
 		}
 	}
 	parseCall() // grow the element stack once
-	// 256 tag strings + sequence slice + sequence type + argument slice +
-	// method name + the slab's nine chunks.
-	if allocs := testing.AllocsPerRun(50, parseCall); allocs > 256+4+9 {
-		t.Errorf("bulk ParseCall allocates %.0f objects/op, budget is %d", allocs, 256+4+9)
+	// Sequence slice + sequence type + argument slice + method name + the
+	// slab's nine value chunks and nine string chunks.
+	if allocs := testing.AllocsPerRun(50, parseCall); allocs > 4+9+9 {
+		t.Errorf("bulk ParseCall allocates %.0f objects/op, budget is %d", allocs, 4+9+9)
 	}
 }
 

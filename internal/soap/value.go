@@ -146,7 +146,8 @@ type decoder struct {
 	scratch []byte
 	// stack collects sequence elements until their count is known.
 	stack []dyn.Value
-	// fields is what one decode's struct member slices are carved from.
+	// fields is what one decode's struct member slices and strings are
+	// carved from.
 	fields dyn.Slab
 }
 
@@ -206,8 +207,14 @@ func (d *decoder) value(t *dyn.Type) (dyn.Value, error) {
 		return d.sequence(t.Elem())
 	case dyn.KindStruct:
 		return d.structure(t)
+	case dyn.KindString:
+		text, err := d.chars()
+		if err != nil {
+			return dyn.Value{}, err
+		}
+		return dyn.StringValue(d.fields.CopyString(text, len(d.lx.data)-d.lx.pos)), nil
 	case dyn.KindBoolean, dyn.KindChar, dyn.KindInt32, dyn.KindInt64,
-		dyn.KindFloat32, dyn.KindFloat64, dyn.KindString:
+		dyn.KindFloat32, dyn.KindFloat64:
 		text, err := d.chars()
 		if err != nil {
 			return dyn.Value{}, err
@@ -292,11 +299,10 @@ func (d *decoder) chars() ([]byte, error) {
 	return text, nil
 }
 
-// fromChars builds a scalar of kind k from an element's character data.
+// fromChars builds a scalar of kind k, not a string, from an element's
+// character data.
 func fromChars(k dyn.Kind, text []byte) (dyn.Value, error) {
 	switch k {
-	case dyn.KindString:
-		return dyn.StringValue(string(text)), nil
 	case dyn.KindChar:
 		// One rune exactly; a stray byte of invalid UTF-8 counts as the
 		// one rune U+FFFD, as it does when a string is ranged over.
