@@ -145,10 +145,30 @@ func TestStoreSnapshotCadence(t *testing.T) {
 // TestRestartRecoveryReplay is the acceptance scenario: streaming watchers
 // follow a durable Interface Server through a full process-style restart
 // (store closed, HTTP view gone, store reopened from the data dir, view
-// rebound). Reconnecting with their last epoch they must be served
-// `event: replay` — not a snapshot — with zero missed or duplicated
-// versions, and epochs must strictly continue across the restart.
+// rebound), more versions commit while the view is down, and each watcher
+// reconnects with its last epoch. Epochs strictly continue across the
+// restart, every watcher sees both generations, and after catching up each
+// one takes a live commit. How it catches up depends on the reopened
+// journal:
+//   - one that covers the downtime serves `event: replay` — no snapshot —
+//     with zero missed or duplicated versions;
+//   - one shrunk on reopen (HistoryLen -1) no longer covers the watchers'
+//     epochs, so each reconnect gets exactly one snapshot of the latest
+//     document and no replay: a replay would have gaps.
 func TestRestartRecoveryReplay(t *testing.T) {
+	for _, row := range []struct {
+		name       string
+		historyLen int // the reopened store's
+		snapshot   bool
+	}{
+		{"journal_covers_downtime", 0, false},
+		{"journal_shrunk_on_reopen", -1, true},
+	} {
+		t.Run(row.name, func(t *testing.T) { restartAndReconnect(t, row.historyLen, row.snapshot) })
+	}
+}
+
+func restartAndReconnect(t *testing.T, historyLen int, wantSnapshot bool) {
 	dir := t.TempDir()
 	st := openDir(t, dir, 0)
 	srv := NewView(st)
@@ -159,22 +179,28 @@ func TestRestartRecoveryReplay(t *testing.T) {
 	addr := strings.TrimPrefix(base, "http://")
 	const path = "/wsdl/R.wsdl"
 	url := base + path
+	content := func(v uint64) string { return fmt.Sprintf("<v%d/>", v) }
 
 	const preRestart = 7
-	for i := 1; i <= preRestart; i++ {
-		st.PublishVersioned(path, "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
+	for i := uint64(1); i <= preRestart; i++ {
+		st.PublishVersioned(path, "text/xml", content(i), i)
 	}
 
 	// A handful of watchers, parked at different epochs of the history.
 	const watchers = 4
 	type seenT struct {
-		versions  []uint64
-		epochs    []uint64
-		replays   int
-		snapshots int
-		gens      map[uint64]bool
+		versions []uint64
+		epochs   []uint64
+		gens     map[uint64]bool
+		latest   uint64        // the store's version when it reconnected
+		after    []StreamEvent // the events seen after the restart
 	}
 	seen := make([]seenT, watchers)
+	record := func(s *seenT, ev StreamEvent) {
+		s.versions = append(s.versions, ev.Doc.Version)
+		s.epochs = append(s.epochs, ev.Doc.Epoch)
+		s.gens[ev.Doc.Generation] = true
+	}
 	cursor := make([]uint64, watchers) // each watcher's last seen epoch
 	for w := 0; w < watchers; w++ {
 		seen[w].gens = map[uint64]bool{}
@@ -186,9 +212,7 @@ func TestRestartRecoveryReplay(t *testing.T) {
 			if ev.Doc.Version > upTo {
 				return
 			}
-			seen[w].versions = append(seen[w].versions, ev.Doc.Version)
-			seen[w].epochs = append(seen[w].epochs, ev.Doc.Epoch)
-			seen[w].gens[ev.Doc.Generation] = true
+			record(&seen[w], ev)
 			cursor[w] = ev.Doc.Epoch
 			if ev.Doc.Version == upTo {
 				cancel()
@@ -212,15 +236,14 @@ func TestRestartRecoveryReplay(t *testing.T) {
 	}
 	st.Close()
 
-	st2 := openDir(t, dir, 0)
+	st2 := openDir(t, dir, historyLen)
 	defer st2.Close()
 	if got := st2.Epoch(); got != preEpoch {
 		t.Fatalf("reopened epoch = %d, want %d", got, preEpoch)
 	}
 	const postRestart = 3
-	final := uint64(preRestart + postRestart)
-	for i := preRestart + 1; i <= preRestart+postRestart; i++ {
-		st2.PublishVersioned(path, "text/xml", fmt.Sprintf("<v%d/>", i), uint64(i))
+	for i := uint64(preRestart + 1); i <= preRestart+postRestart; i++ {
+		st2.PublishVersioned(path, "text/xml", content(i), i)
 	}
 	if got := st2.Epoch(); got <= preEpoch {
 		t.Fatalf("post-restart epoch = %d, want > %d (epochs must strictly continue)", got, preEpoch)
@@ -231,45 +254,82 @@ func TestRestartRecoveryReplay(t *testing.T) {
 	}
 	defer func() { _ = srv2.Close() }()
 
-	// Every watcher reconnects with after=<its last epoch> and must be
-	// caught up purely from journal replay.
+	// Every watcher reconnects with after=<its last epoch>. Once it holds
+	// the latest version, one more commits: it must arrive live.
 	for w := 0; w < watchers; w++ {
+		latest := st2.Version(path)
+		seen[w].latest = latest
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := WatchStream(ctx, nil, url, cursor[w], func(ev StreamEvent) {
-			seen[w].versions = append(seen[w].versions, ev.Doc.Version)
-			seen[w].epochs = append(seen[w].epochs, ev.Doc.Epoch)
-			seen[w].gens[ev.Doc.Generation] = true
-			if ev.Replayed {
-				seen[w].replays++
-			}
-			if ev.Snapshot {
-				seen[w].snapshots++
-			}
-			if ev.Doc.Version == final {
-				cancel()
-			}
-		})
+		caughtUp := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- WatchStream(ctx, nil, url, cursor[w], func(ev StreamEvent) {
+				record(&seen[w], ev)
+				seen[w].after = append(seen[w].after, ev)
+				switch ev.Doc.Version {
+				case latest:
+					close(caughtUp)
+				case latest + 1:
+					cancel()
+				}
+			})
+		}()
+		select {
+		case <-caughtUp:
+			st2.PublishVersioned(path, "text/xml", content(latest+1), latest+1)
+		case <-ctx.Done():
+		}
+		err := <-done
 		cancel()
 		if ctx.Err() == nil && err != nil {
 			t.Fatalf("watcher %d reconnect: %v", w, err)
+		}
+		select {
+		case <-caughtUp:
+		default:
+			t.Fatalf("watcher %d never caught up to v%d after the restart; saw %+v", w, latest, seen[w].after)
 		}
 	}
 
 	for w := 0; w < watchers; w++ {
 		s := seen[w]
-		if s.snapshots != 0 {
-			t.Errorf("watcher %d: %d snapshot events; a recovered journal must serve replay", w, s.snapshots)
+		// The catch-up ends at the latest version; the live commit follows.
+		n := len(s.after)
+		if n < 2 || s.after[n-2].Doc.Version != s.latest || s.after[n-1].Doc.Version != s.latest+1 {
+			t.Fatalf("watcher %d: after the restart saw %+v; want a catch-up to v%d, then v%d live", w, s.after, s.latest, s.latest+1)
 		}
-		if s.replays == 0 {
-			t.Errorf("watcher %d: no replay events on reconnect", w)
+		catchUp, live := s.after[:n-1], s.after[n-1]
+		if live.Replayed {
+			t.Errorf("watcher %d: the live commit came as a replay", w)
 		}
-		// No miss, no dup: versions 1..final exactly once, in order.
-		if len(s.versions) != int(final) {
-			t.Fatalf("watcher %d: saw %d versions %v, want %d", w, len(s.versions), s.versions, final)
+		if wantSnapshot {
+			// One snapshot of the latest document, nothing replayed. (A
+			// store without a journal sends the live step as the current
+			// document too, so its Snapshot flag is not checked.)
+			if ev := catchUp[0]; len(catchUp) != 1 || !ev.Snapshot || ev.Replayed || ev.Doc.Content != content(s.latest) {
+				t.Errorf("watcher %d: caught up by %+v; want exactly one snapshot event of v%d %q", w, catchUp, s.latest, content(s.latest))
+			}
+		} else {
+			for _, ev := range catchUp {
+				if ev.Snapshot || !ev.Replayed {
+					t.Errorf("watcher %d: caught up by %+v; a recovered journal must serve replay only", w, catchUp)
+					break
+				}
+			}
+			if live.Snapshot {
+				t.Errorf("watcher %d: the live commit came as a snapshot", w)
+			}
+			// No miss, no dup: versions 1..the live one exactly once, in
+			// order.
+			for i, v := range s.versions {
+				if v != uint64(i+1) {
+					t.Fatalf("watcher %d: versions = %v, want 1..%d in order", w, s.versions, len(s.versions))
+				}
+			}
 		}
-		for i, v := range s.versions {
-			if v != uint64(i+1) {
-				t.Fatalf("watcher %d: versions = %v, want 1..%d in order", w, s.versions, final)
+		for i := 1; i < len(s.versions); i++ {
+			if s.versions[i] <= s.versions[i-1] {
+				t.Errorf("watcher %d: version went backward across restart: %v", w, s.versions)
 			}
 		}
 		for i := 1; i < len(s.epochs); i++ {
