@@ -195,5 +195,5 @@ func (p *orbPool) stats() (conns, refs int) {
 }
 
 // IIOPPoolStats reports the shared IIOP connection pool's current size and
-// total holder count — observability for tests and the experiments harness.
+// total holder count — observability for tests.
 func IIOPPoolStats() (conns, refs int) { return sharedORBs.stats() }

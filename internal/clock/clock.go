@@ -1,6 +1,6 @@
 // Package clock abstracts timer creation so the SDE publisher's
 // stable-timeout algorithm (paper Section 5.6) can be driven
-// deterministically in tests and experiments. The real implementation wraps
+// deterministically in tests. The real implementation wraps
 // time.AfterFunc; the fake implementation fires timers only when the test
 // advances virtual time.
 package clock

@@ -289,7 +289,7 @@ func (p *DLPublisher) EnsureCurrent() {
 }
 
 // WaitIdle blocks until no generation is running and no timer is armed —
-// a quiescence helper for tests and experiments. With a fake clock the
+// a quiescence helper for tests and examples. With a fake clock the
 // caller must advance virtual time from another goroutine or beforehand,
 // or the armed timer never expires and WaitIdle never returns.
 func (p *DLPublisher) WaitIdle() {

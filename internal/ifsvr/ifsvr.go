@@ -3,8 +3,8 @@
 // (Section 5.1) — and, shared by the CORBA subsystem for simplicity
 // (Section 5.2), the CORBA-IDL documents and IORs as well. Documents are
 // versioned; every response carries the document's version in the
-// X-Interface-Version header, which is what lets the CDE (and the
-// experiments) observe the recency guarantees of Sections 5.7 and 6.
+// X-Interface-Version header, which is what lets the CDE observe the
+// recency guarantees of Sections 5.7 and 6.
 //
 // The server is a read view over the journaled publication Store in this
 // package, which the SDE Manager shares with every binding and publishes
