@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -107,13 +110,29 @@ func exchangeRaw(t *testing.T, addr, req string) []byte {
 var (
 	dateValue    = regexp.MustCompile(`(?m)^Date: [^\r]*\r$`)
 	metricsCount = regexp.MustCompile(`(livedev_endpoint_requests_total\{path="/metrics"\}) \d+`)
+
+	// What else varies between runs, masked in the committed replies: the
+	// store's random generation (a header on stale replies, a line of
+	// /metrics), the loopback ports the documents name, and so the length
+	// of the /metrics body.
+	generationValue = regexp.MustCompile(`(?m)^(X-Store-Generation: |livedev_store_generation )\d+`)
+	loopbackAddr    = regexp.MustCompile(`127\.0\.0\.1:\d+`)
+	contentLength   = regexp.MustCompile(`(?m)^Content-Length: \d+\r$`)
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/endpoint_replies.txt from the live replies")
+
+// endpointReplies is the committed transcript of TestEndpointRepliesMatchNetHTTP's
+// live replies: for each row, its name, then the reply one quoted line at
+// a time.
+const endpointReplies = "testdata/endpoint_replies.txt"
 
 // TestEndpointRepliesMatchNetHTTP serves the manager's endpoint handler
 // on net/http as well and compares every reply byte for byte, Date's
 // value aside: each HTTP binding's result, application fault, stale fault
 // carrying the document, malformed request, call before CreateInstance
-// and GET, and /metrics.
+// and GET, and /metrics. It then compares the live replies with the
+// committed transcript in testdata, which -update rewrites.
 func TestEndpointRepliesMatchNetHTTP(t *testing.T) {
 	core.RegisterBinding(jsonb.New())
 	core.RegisterBinding(h2b.New())
@@ -168,11 +187,41 @@ func TestEndpointRepliesMatchNetHTTP(t *testing.T) {
 	mask := func(b []byte) string {
 		return metricsCount.ReplaceAllString(string(dateValue.ReplaceAll(b, []byte("Date: *\r"))), "$1 *")
 	}
+	var transcript strings.Builder
 	for _, r := range rows {
 		want := mask(exchangeRaw(t, std, r.req))
 		got := mask(exchangeRaw(t, live, r.req))
 		if got != want {
 			t.Errorf("%s: the endpoint replied\n%q\nnet/http replies\n%q", r.name, got, want)
 		}
+		got = loopbackAddr.ReplaceAllString(generationValue.ReplaceAllString(got, "${1}*"), "127.0.0.1:*")
+		if r.name == "metrics" {
+			got = contentLength.ReplaceAllString(got, "Content-Length: *\r")
+		}
+		transcript.WriteString("=== " + r.name + "\n")
+		for line := range strings.SplitAfterSeq(got, "\n") {
+			transcript.WriteString(strconv.Quote(line) + "\n")
+		}
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(endpointReplies), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(endpointReplies, []byte(transcript.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	committed, err := os.ReadFile(endpointReplies)
+	if err != nil {
+		t.Fatalf("%v (run with -update to write it)", err)
+	}
+	if got := transcript.String(); got != string(committed) {
+		gl, cl := strings.Split(got, "\n"), strings.Split(string(committed), "\n")
+		for i := range min(len(gl), len(cl)) {
+			if gl[i] != cl[i] {
+				t.Fatalf("the replies differ from %s at line %d:\n got  %s\n want %s", endpointReplies, i+1, gl[i], cl[i])
+			}
+		}
+		t.Fatalf("the replies run to %d lines, %s to %d", len(gl), endpointReplies, len(cl))
 	}
 }
