@@ -196,6 +196,7 @@ func restartAndReconnect(t *testing.T, historyLen int) {
 		gens     map[uint64]bool
 		latest   uint64        // the store's version when it reconnected
 		after    []StreamEvent // the events seen after the restart
+		resets   uint64        // FanoutStats.Resets counted from the live commit on
 	}
 	seen := make([]seenT, watchers)
 	record := func(s *seenT, ev StreamEvent) {
@@ -280,13 +281,16 @@ func restartAndReconnect(t *testing.T, historyLen int) {
 				}
 			})
 		}()
+		var resets uint64
 		select {
 		case <-caughtUp:
+			resets = st2.Stats().Fanout.Resets
 			st2.PublishVersioned(path, "text/xml", content(latest+1), latest+1)
 		case <-ctx.Done():
 		}
 		err := <-done
 		cancel()
+		seen[w].resets = st2.Stats().Fanout.Resets - resets
 		if ctx.Err() == nil && err != nil {
 			t.Fatalf("watcher %d reconnect: %v", w, err)
 		}
@@ -305,13 +309,12 @@ func restartAndReconnect(t *testing.T, historyLen int) {
 			t.Fatalf("watcher %d: after the restart saw %+v; want a catch-up to v%d, then v%d live", w, s.after, s.latest, s.latest+1)
 		}
 		catchUp, live := s.after[:n-1], s.after[n-1]
-		if live.Replayed {
-			t.Errorf("watcher %d: the live commit came as a replay", w)
+		if live.Replayed || live.Snapshot || s.resets != 0 {
+			t.Errorf("watcher %d: the live commit v%d came with snapshot=%v replayed=%v and %d stream resets; want a plain version",
+				w, live.Doc.Version, live.Snapshot, live.Replayed, s.resets)
 		}
 		if historyLen < 0 {
-			// One snapshot of the latest document, nothing replayed. (A
-			// store without a journal sends the live step as the current
-			// document too, so its Snapshot flag is not checked.)
+			// One snapshot of the latest document, nothing replayed.
 			if ev := catchUp[0]; len(catchUp) != 1 || !ev.Snapshot || ev.Replayed || ev.Doc.Content != content(s.latest) {
 				t.Errorf("watcher %d: caught up by %+v; want exactly one snapshot event of v%d %q", w, catchUp, s.latest, content(s.latest))
 			}
@@ -321,9 +324,6 @@ func restartAndReconnect(t *testing.T, historyLen int) {
 					t.Errorf("watcher %d: caught up by %+v; a recovered journal must serve replay only", w, catchUp)
 					break
 				}
-			}
-			if live.Snapshot {
-				t.Errorf("watcher %d: the live commit came as a snapshot", w)
 			}
 			// No miss, no dup: versions 1..the live one exactly once, in
 			// order.

@@ -639,7 +639,10 @@ type pumpView struct {
 // live cursor (per-path versions are contiguous, so afterVer+len(events)
 // must reach cur.Version — a replicated epoch that arrived at or below
 // the journal floor was never journaled, and fails this), by the journal
-// floor for a connecting one. On complete=false the pump snapshot-resets.
+// floor for a connecting one. A live cursor one version behind is
+// complete whatever the journal holds: cur, whose Payload the docs map
+// keeps, is its one event, so a store without a journal streams live
+// commits as versions too. On complete=false the pump snapshot-resets.
 func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []StoreEvent) pumpView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -648,6 +651,9 @@ func (s *Store) pumpCollect(path string, afterEpoch, afterVer uint64, buf []Stor
 		return v
 	}
 	v.events = s.journalAfterLocked(path, afterEpoch, v.events)
+	if afterVer > 0 && afterVer+1 == v.cur.Doc.Version && len(v.events) == 0 {
+		v.events = append(v.events, v.cur)
+	}
 	if afterVer > 0 {
 		v.complete = afterVer+uint64(len(v.events)) == v.cur.Doc.Version
 	} else {
