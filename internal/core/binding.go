@@ -16,13 +16,12 @@ import (
 //
 //   - a document generator (GenerateFunc), handed to Manager.NewClassServer
 //     with the document's path and content type;
-//   - a transport that receives requests: a handler on the shared HTTP
-//     endpoint server (ClassServer.MountHTTP), or a listener of its own
-//     released through ClassServer.OnClose (CORBA's ORB, h2b's mux);
-//   - a Resolve per request, decoding it against the live interface it is
-//     handed, passed to ClassServer.Call;
-//   - an outcome mapper, rendering the Reply that comes back in the
-//     technology's wire vocabulary.
+//   - a codec. An HTTP binding hands an HTTPCodec to ClassServer.MountCalls:
+//     a Decode that reads one request against the live interface it is
+//     handed, and an Encode that renders the Reply in the technology's
+//     wire vocabulary. A binding with a listener of its own (CORBA's ORB,
+//     h2b's mux), released through ClassServer.OnClose, passes a Resolve
+//     per request to ClassServer.Call and renders the Reply itself.
 //
 // What it can no longer get wrong, because it no longer does it: publishing
 // the basic description at registration (Manager.Register does, once Serve
@@ -31,7 +30,9 @@ import (
 // holding the read gate through the method body, checking the request
 // context before dispatch, forcing publication before "non-existent method"
 // (and not under the ActivePublishingOnly ablation), counting outcomes, and
-// unmounting, unpublishing and unregistering on Close.
+// unmounting, unpublishing and unregistering on Close; and on the shared
+// HTTP endpoint, refusing what is not a POST, capping and pooling the
+// request body and writing each reply once with its length declared.
 type Binding interface {
 	// Name is the technology name servers and clients resolve ("SOAP",
 	// "CORBA", "JSON", ...). Names are case-sensitive and process-wide.

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/ifsvr"
 )
 
@@ -91,13 +93,35 @@ type CallStats struct {
 	Inactive uint64
 }
 
+// HTTPCodec is an HTTP binding's wire format: how one call's request
+// reads and how its Reply renders. Everything else about serving a call on
+// the manager's HTTP endpoint server — the POST check, the body cap, the
+// pooled buffers, the declared length and the single write — is
+// ClassServer.MountCalls'.
+type HTTPCodec struct {
+	// Name names the endpoint in the reply to a request that is not a POST.
+	Name string
+	// Decode is the binding's Resolve over one request, whose body has been
+	// read whole into a pooled buffer. The arguments it returns may alias
+	// body only while Encode runs: a method body may keep an argument, and
+	// the buffer serves another call once the reply is out.
+	Decode func(r *http.Request, body []byte, live dyn.InterfaceDescriptor) (method string, args []dyn.Value, err error)
+	// Encode maps a call's outcome to its reply: it sets the reply headers
+	// but Content-Length on h, appends the body to dst and returns it with
+	// the status. It is not called for OutcomeAbandoned.
+	Encode func(h http.Header, dst []byte, rep Reply) (body []byte, status int)
+}
+
 // ClassServer is the technology-independent whole of one managed server
 // class: everything Sections 4 and 5 prescribe and nothing about wire
 // formats. It owns the DL Publisher and the document it publishes, the one
-// live instance, the call counters, teardown, and — in Call — the
-// live-call protocol of Sections 5.1.3, 5.4 and 5.7. Every binding's
-// server embeds one and adds a codec and a transport; SOAPServer,
-// CORBAServer, jsonb.Server and h2b.Server differ in nothing else.
+// live instance, the call counters, teardown, the live-call protocol of
+// Sections 5.1.3, 5.4 and 5.7 (in Call), and the one HTTP call handler
+// (MountCalls), which reads a request, calls, and writes the reply once.
+// Every binding's server embeds one and adds a codec: an HTTPCodec for
+// MountCalls, or a listener of its own that calls Call (CORBA's ORB, h2b's
+// fast path). SOAPServer, CORBAServer, jsonb.Server and h2b.Server differ
+// in nothing else.
 //
 // The protocol, stated once. Calls run concurrently under the read gate
 // (Section 5.4: the handler is "completely multithreaded"), which is held
@@ -137,7 +161,7 @@ type ClassServer struct {
 // tech: it wires the publication of the interface document gen renders —
 // under docPath on the Interface Server, with the given content type —
 // through the manager's store, and returns the inactive server for the
-// binding's Serve to embed and attach a transport to (MountHTTP, or a
+// binding's Serve to embed and attach a transport to (MountCalls, or a
 // listener of its own released through OnClose).
 //
 // The publication seam bundles what every binding needs: generated text is
@@ -171,14 +195,67 @@ func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, con
 	}
 }
 
-// MountHTTP serves h at path (under Manager.HTTPBaseURL) on the manager's
-// shared HTTP endpoint server until Close.
-func (s *ClassServer) MountHTTP(path string, h http.Handler) {
-	s.mgr.httpMux.handle(path, h)
+// MountCalls serves calls at path (under Manager.HTTPBaseURL) on the
+// manager's shared HTTP endpoint server until Close, in codec's wire
+// format.
+func (s *ClassServer) MountCalls(path string, codec HTTPCodec) {
+	s.mgr.httpMux.handle(path, &muxEntry{calls: s, codec: codec})
 	s.OnClose(func() error {
 		s.mgr.httpMux.removeHandler(path)
 		return nil
 	})
+}
+
+// bufPool holds the request and reply buffers of the calls MountCalls
+// serves.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+// maxPooledBuf bounds the buffer capacity the pool keeps: a one-off bulk
+// call must not stay resident.
+const maxPooledBuf = 1 << 20
+
+func putBuf(bp *[]byte, b []byte) {
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		bufPool.Put(bp)
+	}
+}
+
+// serveCall is the HTTP call handler of Section 5.1.3, for every binding:
+// the request body is read whole into a pooled buffer, Call decodes it
+// with the mount's codec, and the reply is rendered into a second pooled
+// buffer and written once, with its length declared. A reply with a 5xx
+// status counts as one of the mount's errors.
+func (e *muxEntry) serveCall(w http.ResponseWriter, r *http.Request) {
+	codec := e.codec
+	if r.Method != http.MethodPost {
+		http.Error(w, codec.Name+" endpoint: POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	in := bufPool.Get().(*[]byte)
+	body, readErr := h1.ReadBody(*in, r.Body, r.ContentLength)
+	rep := e.calls.Call(r.Context(), func(live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
+		if readErr != nil {
+			// An oversize body is malformed like a truncated one: it is not
+			// decoded.
+			return "", nil, readErr
+		}
+		return codec.Decode(r, body, live)
+	})
+	if rep.Outcome != OutcomeAbandoned { // else nobody is left to answer
+		out := bufPool.Get().(*[]byte)
+		reply, status := codec.Encode(w.Header(), (*out)[:0], rep)
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		w.WriteHeader(status)
+		_, _ = w.Write(reply) // the client is gone; nobody to tell
+		putBuf(out, reply)
+		if status >= http.StatusInternalServerError {
+			e.errors.Add(1)
+		}
+	}
+	// The reply's value may alias the request body, so the body recycles
+	// only once the reply is out.
+	putBuf(in, body)
 }
 
 // OnClose registers teardown for a resource the binding owns beside the

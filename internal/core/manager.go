@@ -218,7 +218,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.httpBase = "http://" + ln.Addr().String()
 	// The ops plane rides the shared endpoint mux: scrapers hit the same
 	// listener the bindings serve on, so one address covers both.
-	m.httpMux.handle("/metrics", http.HandlerFunc(m.serveMetrics))
+	m.httpMux.handle("/metrics", &muxEntry{h: http.HandlerFunc(m.serveMetrics)})
 	m.httpSrv = h1.Serve(ln, m.httpMux)
 	return m, nil
 }
@@ -239,7 +239,7 @@ func (m *Manager) Store() *ifsvr.Store { return m.store }
 func (m *Manager) InterfaceBaseURL() string { return m.iface.BaseURL() }
 
 // HTTPBaseURL returns the base URL of the shared HTTP endpoint server that
-// ClassServer.MountHTTP mounts call handlers on.
+// ClassServer.MountCalls serves calls on.
 func (m *Manager) HTTPBaseURL() string { return m.httpBase }
 
 // GenerateFunc renders an interface descriptor into one binding's document
@@ -496,13 +496,15 @@ type dynamicMux struct {
 	handlers map[string]*muxEntry
 }
 
-// muxEntry is one mounted handler plus its counters. Counters survive as
-// long as the mount; remounting a path (a class re-registered) starts
-// fresh.
+// muxEntry is one mount — a class's calls in its binding's codec, or a
+// plain handler (/metrics) — plus its counters. Counters survive as long
+// as the mount; remounting a path (a class re-registered) starts fresh.
 type muxEntry struct {
-	h        http.Handler
+	calls    *ClassServer
+	codec    HTTPCodec
+	h        http.Handler // when calls is nil
 	requests atomic.Uint64
-	errors   atomic.Uint64
+	errors   atomic.Uint64 // replies with a 5xx status
 }
 
 // muxStat is one mount's counter snapshot.
@@ -515,9 +517,9 @@ func newDynamicMux() *dynamicMux {
 	return &dynamicMux{handlers: make(map[string]*muxEntry)}
 }
 
-func (d *dynamicMux) handle(path string, h http.Handler) {
+func (d *dynamicMux) handle(path string, e *muxEntry) {
 	d.mu.Lock()
-	d.handlers[path] = &muxEntry{h: h}
+	d.handlers[path] = e
 	d.mu.Unlock()
 }
 
@@ -538,7 +540,8 @@ func (d *dynamicMux) stats() []muxStat {
 	return out
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. A call mount counts its own errors;
+// the plain handler, /metrics, never answers 5xx.
 func (d *dynamicMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.mu.RLock()
 	e, ok := d.handlers[r.URL.Path]
@@ -548,22 +551,9 @@ func (d *dynamicMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.requests.Add(1)
-	sw := &statusWriter{ResponseWriter: w}
-	e.h.ServeHTTP(sw, r)
-	if sw.status >= http.StatusInternalServerError {
-		e.errors.Add(1)
+	if e.calls != nil {
+		e.serveCall(w, r)
+	} else {
+		e.h.ServeHTTP(w, r)
 	}
-}
-
-// statusWriter records the response status for the mux's error counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
 }

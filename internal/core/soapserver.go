@@ -9,11 +9,11 @@ import (
 )
 
 // SOAPServer is the SOAP subsystem for one managed class (Figure 4): the
-// WSDL generator feeding the ClassServer's DL Publisher, and the paper's
-// SOAP Call Handler — "the communication end point that performs the SOAP
-// to Java and Java to SOAP translation for remote method invocations"
-// (Section 5.1), here SOAP to dyn values and back — mounted on the
-// manager's HTTP endpoint server.
+// WSDL generator feeding the ClassServer's DL Publisher, and the codec of
+// the paper's SOAP Call Handler — "the communication end point that
+// performs the SOAP to Java and Java to SOAP translation for remote method
+// invocations" (Section 5.1), here SOAP to dyn values and back — which
+// ClassServer.MountCalls serves on the manager's HTTP endpoint server.
 type SOAPServer struct {
 	*ClassServer
 	endpoint  string // full endpoint URL
@@ -29,68 +29,57 @@ func newSOAPServer(m *Manager, class *dyn.Class) (*SOAPServer, error) {
 		func(desc dyn.InterfaceDescriptor) (string, error) {
 			return wsdl.Generate(desc, s.endpoint).XML()
 		})
-	s.MountHTTP(path, s)
+	s.MountCalls(path, HTTPCodec{Name: "SOAP", Decode: decodeSOAP, Encode: s.encode})
 	return s, nil
 }
 
 // Endpoint returns the SOAP endpoint URL.
 func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
-// ServeHTTP implements the request/response handling of Section 5.1.3.
-// The request body is read into a pooled buffer and parsed in the one
-// pass that decodes its parameters; the decoded dyn values and the method
-// name are copies, so the buffer recycles once the request is handled.
-// Replies are rendered into and written from a pooled buffer too.
-func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
-		return
+// decodeSOAP reads a request as Section 5.1.3 prescribes: "the SOAP Call
+// Handler searches for a matching method in the current server interface"
+// while it parses the request, in the one pass that decodes its
+// parameters. The method name and the decoded values are copies.
+func decodeSOAP(_ *http.Request, body []byte, live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
+	call, err := soap.ParseCall(body, live.Lookup)
+	if err != nil {
+		return "", nil, err
 	}
-	buf := soap.GetBodyBuffer()
-	defer soap.PutBodyBuffer(buf)
-	// An oversize body is malformed like a truncated one: it is not parsed.
-	readErr := soap.ReadBody(buf, r.Body, r.ContentLength)
+	if call.Stale != nil {
+		// Unknown, or encoded against a stale signature (Section 5.6:
+		// "Client calls for stale method signatures may also trigger
+		// updates").
+		return call.Method, nil, ErrMisfit
+	}
+	return call.Method, call.Args, nil
+}
 
-	rep := s.Call(r.Context(), func(live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
-		if readErr != nil {
-			return "", nil, readErr
-		}
-		// "the SOAP Call Handler searches for a matching method in the
-		// current server interface" while it parses the request.
-		call, err := soap.ParseCall(buf.Bytes(), live.Lookup)
-		if err != nil {
-			return "", nil, err
-		}
-		if call.Stale != nil {
-			// Unknown, or encoded against a stale signature (Section 5.6:
-			// "Client calls for stale method signatures may also trigger
-			// updates").
-			return call.Method, nil, ErrMisfit
-		}
-		return call.Method, call.Args, nil
-	})
-
+// encode renders a call's outcome as its SOAP reply: the response
+// envelope, or a fault with the paper's fault string.
+func (s *SOAPServer) encode(h http.Header, dst []byte, rep Reply) ([]byte, int) {
+	var f soap.Fault
 	switch rep.Outcome {
 	case OutcomeOK:
-		if encErr := soap.WriteResponse(w, s.serviceNS, rep.Method, rep.Value); encErr != nil {
-			soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: encErr.Error()})
+		body, err := soap.AppendResponse(h, dst, s.serviceNS, rep.Method, rep.Value)
+		if err == nil {
+			return body, http.StatusOK
 		}
+		f = soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()}
 	case OutcomeAppFault:
 		// "a SOAP Response containing a SOAP Fault that encapsulates the
 		// exception is sent to the client."
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: rep.Err.Error()})
+		f = soap.Fault{Code: "soap:Server", String: rep.Err.Error()}
 	case OutcomeStale:
-		soap.WriteFault(w, &soap.Fault{
+		f = soap.Fault{
 			Code:      "soap:Server",
 			String:    soap.FaultNonExistentMethod,
 			Detail:    "method " + rep.Method + " is not part of the current server interface",
 			Interface: rep.Doc,
-		})
+		}
 	case OutcomeMalformed:
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
-	case OutcomeInactive:
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: soap.FaultServerNotInitialized})
-	case OutcomeAbandoned:
-		// The client is gone; there is nobody to answer.
+		f = soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest}
+	default: // OutcomeInactive
+		f = soap.Fault{Code: "soap:Server", String: soap.FaultServerNotInitialized}
 	}
+	return soap.AppendFault(h, dst, &f), http.StatusInternalServerError
 }

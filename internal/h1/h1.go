@@ -18,11 +18,12 @@
 //
 // Serve runs an http.Handler on a listener: the call endpoints (the
 // manager's SOAP, JSON, H2B-http and /metrics mux, and internal/static's
-// Table 1 control) serve on it. One goroutine per connection reads each
-// request into state the connection reuses, calls the handler with a
-// reused *http.Request and a ResponseWriter that holds the reply back
-// until the handler returns, and writes status line, header and body in
-// one write (writev for a body over 4 KiB): no background read goroutine,
+// Table 1 control) serve on it, and read a call's body with ReadBody,
+// under the 16 MiB cap Post holds a reply to. One goroutine per
+// connection reads each request into state the connection reuses, calls
+// the handler with a reused *http.Request and a ResponseWriter that holds
+// the reply back until the handler returns, and writes status line,
+// header and body in one write (writev for a body over 4 KiB): no background read goroutine,
 // no context.WithCancel and no bufio.Writer per request. It keeps what net/http does that a client can
 // see: keep-alive, HTTP/1.0 with and without keep-alive, Connection:
 // close, Content-Length and chunked request bodies, Expect: 100-continue,
@@ -64,9 +65,9 @@ import (
 	"time"
 )
 
-// ErrBodyTooLarge reports a reply body over the 16 MiB cap the bindings
-// share.
-var ErrBodyTooLarge = errors.New("h1: reply body exceeds 16 MiB")
+// ErrBodyTooLarge reports a call body, request or reply, over the 16 MiB
+// cap the bindings share.
+var ErrBodyTooLarge = errors.New("h1: message body exceeds 16 MiB")
 
 // ceiling bounds a direct call whose context carries no deadline.
 var ceiling = 30 * time.Second
@@ -191,15 +192,40 @@ func postVia(ctx context.Context, hc *http.Client, rawURL string, header [][2]st
 	return Reply{Status: resp.StatusCode, Body: dst, Buf: dst, header: resp.Header}, err
 }
 
+// ReadBody reads a request body whole into dst[:0]: the server-side twin
+// of the reply read Post makes, under the same cap. declared is the
+// request's Content-Length, -1 when unknown. It is only a claim, so it
+// buys at most 1 MiB of room up front; past that dst grows as bytes
+// arrive.
+func ReadBody(dst []byte, r io.Reader, declared int64) ([]byte, error) {
+	if declared > maxBody {
+		return dst[:0], ErrBodyTooLarge
+	}
+	if declared > 0 {
+		dst = slices.Grow(dst[:0], int(min(declared, 1<<20))+bytes.MinRead)
+	}
+	return readAll(r, dst[:0])
+}
+
 // readAll appends r's bytes to dst up to EOF, failing with ErrBodyTooLarge
 // once it has appended more than maxBody.
 func readAll(r io.Reader, dst []byte) ([]byte, error) {
-	b := bytes.NewBuffer(dst)
-	_, err := b.ReadFrom(io.LimitReader(r, maxBody+1))
-	if err == nil && b.Len()-len(dst) > maxBody {
-		err = ErrBodyTooLarge
+	start := len(dst)
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, bytes.MinRead)
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		switch {
+		case len(dst)-start > maxBody:
+			return dst, ErrBodyTooLarge
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return dst, err
+		}
 	}
-	return b.Bytes(), err
 }
 
 // An endpoint is a parsed call URL, its idle connections, most recently

@@ -166,9 +166,6 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		{OrderHeader, orderValue(cdr.BigEndian)},
 	}, e.Bytes(), nil)
 	cdr.PutEncoder(e)
-	if errors.Is(err, h1.ErrBodyTooLarge) {
-		err = errBodyTooLarge
-	}
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("h2b: posting to %s: %w", c.Endpoint, err)
 	}

@@ -17,6 +17,7 @@ import (
 	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/h2x"
 	"livedev/internal/ifsvr"
 	"livedev/internal/jsonb"
@@ -272,8 +273,8 @@ func TestCallerRefusesOversizeReply(t *testing.T) {
 
 	sig := dyn.MethodSig{Name: "flags", Result: dyn.SequenceOf(dyn.Boolean)}
 	_, err := (&Caller{Endpoint: ts.URL}).Call(context.Background(), sig, nil)
-	if !errors.Is(err, errBodyTooLarge) {
-		t.Fatalf("an oversize reply returned %v, want errBodyTooLarge", err)
+	if !errors.Is(err, h1.ErrBodyTooLarge) {
+		t.Fatalf("an oversize reply returned %v, want h1.ErrBodyTooLarge", err)
 	}
 }
 
@@ -484,7 +485,9 @@ func TestStaleReplyCarriesDocumentUpToTheBound(t *testing.T) {
 		for _, h := range hdr {
 			w.Header().Set(h[0], h[1])
 		}
-		writeError(w, http.StatusNotFound, CodeNonExistentMethod, b)
+		w.Header().Set(ErrorHeader, CodeNonExistentMethod)
+		w.WriteHeader(http.StatusNotFound)
+		_, _ = io.WriteString(w, b)
 	}))
 	defer plain.Close()
 	mux := h2x.NewServer(h2x.HandlerFunc(func(_ context.Context, _ *h2x.Request) *h2x.Response {

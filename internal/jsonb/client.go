@@ -77,9 +77,6 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 	// then.
 	r, err := h1.Post(ctx, c.HTTPClient, c.Endpoint, [][2]string{{"Content-Type", ContentType}}, cd.buf, cd.buf[:0])
 	cd.buf = r.Buf
-	if errors.Is(err, h1.ErrBodyTooLarge) {
-		err = errBodyTooLarge
-	}
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("jsonb: posting to %s: %w", c.Endpoint, err)
 	}

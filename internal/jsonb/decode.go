@@ -1,11 +1,8 @@
 package jsonb
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -755,30 +752,4 @@ func (c *codec) errorObject() (failure dyn.Value, iface []byte, err error) {
 	}
 	failure, err = dyn.AdoptStruct(wireErrorType, fields[:])
 	return failure, iface, err
-}
-
-// ---- Bodies ----
-
-// maxBodyBytes caps a request or response body, as the SOAP and h2b
-// bindings cap theirs.
-const maxBodyBytes = 16 << 20
-
-var errBodyTooLarge = errors.New("jsonb: message body exceeds 16 MiB")
-
-// readBody reads r to its end into buf and fails once the body passes
-// maxBodyBytes. A declared length is only a claim, so it buys at most a
-// pool-sized buffer up front; past that the buffer grows as bytes arrive.
-func readBody(buf []byte, r io.Reader, declared int64) ([]byte, error) {
-	if declared > maxBodyBytes {
-		return buf, errBodyTooLarge
-	}
-	b := bytes.NewBuffer(buf[:0])
-	if declared > 0 {
-		b.Grow(int(min(declared, maxPooledBuf)) + bytes.MinRead)
-	}
-	_, err := b.ReadFrom(io.LimitReader(r, maxBodyBytes+1))
-	if err == nil && b.Len() > maxBodyBytes {
-		err = errBodyTooLarge
-	}
-	return b.Bytes(), err
 }

@@ -15,6 +15,9 @@ import (
 	"livedev/internal/dyn"
 )
 
+// maxBodyBytes is internal/h1's cap on a call body.
+const maxBodyBytes = 16 << 20
+
 // post sends one raw body to the endpoint and returns the status, the
 // Content-Length header and the body.
 func post(t *testing.T, url, body string) (int, string, string) {

@@ -1,14 +1,10 @@
 package soap
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"livedev/internal/dyn"
 	"livedev/internal/h1"
@@ -30,91 +26,25 @@ type Client struct {
 	HTTPClient *http.Client
 }
 
-// bodyPool holds reusable buffers for the request bodies the SOAP servers
-// read: reading a body per call was the largest remaining per-call
-// allocation after the envelope work moved to pooled buffers.
-var bodyPool = sync.Pool{
-	New: func() any { return bytes.NewBuffer(make([]byte, 0, 4<<10)) },
-}
-
-// GetBodyBuffer returns a pooled buffer for reading an HTTP body into.
-func GetBodyBuffer() *bytes.Buffer {
-	b := bodyPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-// PutBodyBuffer recycles a buffer obtained from GetBodyBuffer. Element
-// handles parsed from its contents die with it: call it only after the last
-// DecodeValue. Decoded dyn values and the Method and Fault strings are
-// copies and stay valid.
-func PutBodyBuffer(b *bytes.Buffer) {
-	// Oversized one-off bodies would pin their memory in the pool forever.
-	if b.Cap() > maxPooledRender {
-		return
-	}
-	bodyPool.Put(b)
-}
-
-// maxBodyBytes caps a request or response body, as the JSON and h2b
-// bindings cap theirs.
-const maxBodyBytes = 16 << 20
-
-// ErrBodyTooLarge reports a request or response body over the 16 MiB cap.
-var ErrBodyTooLarge = errors.New("soap: message body exceeds 16 MiB")
-
-// ReadBody reads r to its end into buf and fails with ErrBodyTooLarge once
-// the body passes the cap, rather than handing on a truncated document. A
-// declared length (-1 when unknown) is only a claim, so it buys at most a
-// pool-sized buffer up front; past that the buffer grows as bytes arrive.
-func ReadBody(buf *bytes.Buffer, r io.Reader, declared int64) error {
-	if declared > maxBodyBytes {
-		return ErrBodyTooLarge
-	}
-	if declared > 0 {
-		buf.Grow(int(min(declared, maxPooledRender)) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(io.LimitReader(r, maxBodyBytes+1))
-	if err == nil && buf.Len() > maxBodyBytes {
-		err = ErrBodyTooLarge
-	}
-	return err
-}
-
 const contentType = `text/xml; charset="utf-8"`
 
-// writeEnvelope sends one complete envelope: declared length, one Write.
-func writeEnvelope(w http.ResponseWriter, status int, env []byte) {
-	h := w.Header()
+// AppendResponse appends the response envelope for result to dst, the
+// body of a call's HTTP 200 reply, and sets the reply's Content-Type on h.
+// On an encoding error what it appended is not an envelope.
+func AppendResponse(h http.Header, dst []byte, serviceNS, method string, result dyn.Value) ([]byte, error) {
 	h.Set("Content-Type", contentType)
-	h.Set("Content-Length", strconv.Itoa(len(env)))
-	w.WriteHeader(status)
-	_, _ = w.Write(env) // the client is gone; nobody to tell
+	return appendResponse(dst, serviceNS, method, result)
 }
 
-// WriteResponse renders the response envelope for result and sends it as
-// the HTTP 200 reply, straight from a pooled buffer. On an encoding error
-// nothing has been written.
-func WriteResponse(w http.ResponseWriter, serviceNS, method string, result dyn.Value) error {
-	bp := getRenderBuf()
-	buf, err := appendResponse((*bp)[:0], serviceNS, method, result)
-	if err == nil {
-		writeEnvelope(w, http.StatusOK, buf)
-	}
-	putRenderBuf(bp, buf)
-	return err
-}
-
-// WriteFault sends a SOAP fault with HTTP 500, per SOAP 1.1 over HTTP, and
-// the counters of the interface document it carries, if any.
-func WriteFault(w http.ResponseWriter, f *Fault) {
+// AppendFault appends f's envelope to dst, the body of a reply sent with
+// HTTP 500 per SOAP 1.1 over HTTP, and sets the reply's Content-Type on h
+// with the counters of the interface document f carries, if any.
+func AppendFault(h http.Header, dst []byte, f *Fault) []byte {
 	if f.Interface != nil {
-		ifsvr.DocHeaders(*f.Interface, w.Header().Set)
+		ifsvr.DocHeaders(*f.Interface, h.Set)
 	}
-	bp := getRenderBuf()
-	buf := appendFault((*bp)[:0], f)
-	writeEnvelope(w, http.StatusInternalServerError, buf)
-	putRenderBuf(bp, buf)
+	h.Set("Content-Type", contentType)
+	return appendFault(dst, f)
 }
 
 // CallContext performs one RPC: it builds the request envelope, POSTs it,
@@ -137,9 +67,6 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 		{"SOAPAction", strconv.Quote(c.ServiceNS + "#" + method)},
 	}, env, env[:0])
 	defer putRenderBuf(bp, r.Buf)
-	if errors.Is(err, h1.ErrBodyTooLarge) {
-		err = ErrBodyTooLarge
-	}
 	if err != nil {
 		return dyn.Value{}, fmt.Errorf("soap: posting to %s: %w", c.Endpoint, err)
 	}

@@ -6,10 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"livedev/internal/dyn"
+	"livedev/internal/h1"
 	"livedev/internal/ifsvr"
 )
 
@@ -62,20 +64,37 @@ func TestClientCallOversizeReply(t *testing.T) {
 			_, _ = io.WriteString(w, env)
 		})
 		c := &Client{Endpoint: srv.URL, ServiceNS: "urn:S"}
-		if _, err := c.CallContext(context.Background(), "big", nil, dyn.StringT); !errors.Is(err, ErrBodyTooLarge) {
-			t.Errorf("declared length %v: oversize reply = %v, want ErrBodyTooLarge", declare, err)
+		if _, err := c.CallContext(context.Background(), "big", nil, dyn.StringT); !errors.Is(err, h1.ErrBodyTooLarge) {
+			t.Errorf("declared length %v: oversize reply = %v, want h1.ErrBodyTooLarge", declare, err)
 		}
 	}
 }
 
-// The reply writers declare the envelope's length and hand it to the
-// connection whole, so net/http does not chunk it.
+// maxBodyBytes is internal/h1's cap on a call body.
+const maxBodyBytes = 16 << 20
+
+// writeEnvelope sends env as the servers' call handler does: its length
+// declared, in one Write.
+func writeEnvelope(w http.ResponseWriter, status int, env []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)))
+	w.WriteHeader(status)
+	_, _ = w.Write(env)
+}
+
+func writeFault(w http.ResponseWriter, f *Fault) {
+	writeEnvelope(w, http.StatusInternalServerError, AppendFault(w.Header(), nil, f))
+}
+
+// The reply appenders set the envelope's content type; sent with its
+// length declared and whole, net/http does not chunk it.
 func TestWriteResponseDeclaresLength(t *testing.T) {
 	srv := soapTestServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/fault" {
-			WriteFault(w, &Fault{Code: "soap:Server", String: FaultNonExistentMethod})
-		} else if err := WriteResponse(w, "urn:S", "echo", bulkValue()); err != nil {
+			writeFault(w, &Fault{Code: "soap:Server", String: FaultNonExistentMethod})
+		} else if env, err := AppendResponse(w.Header(), nil, "urn:S", "echo", bulkValue()); err != nil {
 			t.Error(err)
+		} else {
+			writeEnvelope(w, http.StatusOK, env)
 		}
 	})
 	for path, status := range map[string]int{"/ok": http.StatusOK, "/fault": http.StatusInternalServerError} {
@@ -158,7 +177,7 @@ func TestFaultCarriesInterface(t *testing.T) {
 				_, _ = io.WriteString(w, BuildFault(&f))
 				return
 			}
-			WriteFault(w, &f)
+			writeFault(w, &f)
 		})
 		_, err := (&Client{Endpoint: srv.URL, ServiceNS: "urn:S"}).CallContext(context.Background(), "x", nil, dyn.Int32T)
 		var got *Fault

@@ -36,7 +36,7 @@ type Fault struct {
 	// Interface is the current interface document a "Non existent Method"
 	// fault carries: its text is the character data of the one <interface>
 	// child of <detail>, in CDATA sections, never markup; its counters
-	// travel in the ifsvr document headers. WriteFault sends both, and
+	// travel in the ifsvr document headers. AppendFault sets both, and
 	// Client.CallContext fills it from both.
 	Interface *ifsvr.Document
 }

@@ -13,19 +13,18 @@
 // byte buffers around a skeleton (the constant text around the method
 // element) cached per (service namespace, method): BuildRequest,
 // BuildResponse and BuildFault return an independent string, so their
-// callers never observe pooled storage; WriteResponse and WriteFault send
-// straight from the buffer and recycle it once the bytes are on the
-// connection. Client.CallContext gives the transport a copy, because the
-// transport may still be reading a request body after the reply arrived.
+// callers never observe pooled storage; AppendResponse and AppendFault
+// append to the buffer their caller hands them, which the server's call
+// handler keeps pooled and writes from.
 //
 // Reading goes the other way round: nothing is copied until a value is
 // decoded. ParseRequest and ParseResponse validate the whole document in
 // one pass and hand out Element handles that alias the bytes they were
 // given — the Request.Params and Response.Return of a body read into a
-// GetBodyBuffer buffer point into that buffer. DecodeValue copies as it
-// decodes: the dyn values it returns own their bytes, as do the Method and
-// Fault strings. So the order is read, parse, decode every element you
-// need, and only then PutBodyBuffer; a handle used after its buffer went
+// pooled buffer point into that buffer. DecodeValue copies as it decodes:
+// the dyn values it returns own their bytes, as do the Method and Fault
+// strings. So the order is read, parse, decode every element you need,
+// and only then recycle the buffer; a handle used after its buffer went
 // back to the pool reads another call's bytes.
 //
 // Documents that are not envelopes (WSDL) are read through Scanner, the

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"livedev/internal/cdr"
 	"livedev/internal/dyn"
@@ -86,40 +88,58 @@ func (s *SOAPServer) Start(addr string) (string, error) {
 // Endpoint returns the endpoint URL ("" before Start).
 func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
-// ServeHTTP implements the static request path: parse against the table,
-// dispatch, encode.
+// bufPool holds the buffers a static SOAP call is read into and replied
+// from.
+var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
+// ServeHTTP implements the static request path: read, parse against the
+// table, dispatch, encode and write once, with the SDE server's body
+// reader and reply appenders.
 func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	buf := soap.GetBodyBuffer()
-	defer soap.PutBodyBuffer(buf)
-	if err := soap.ReadBody(buf, r.Body, r.ContentLength); err != nil {
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
-		return
+	bp := bufPool.Get().(*[]byte)
+	body, err := h1.ReadBody(*bp, r.Body, r.ContentLength)
+	reply, status := s.reply(w.Header(), body, err)
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.WriteHeader(status)
+	_, _ = w.Write(reply)
+	if cap(reply) <= 1<<20 { // a one-off bulk call must not stay resident
+		*bp = reply[:0]
+		bufPool.Put(bp)
 	}
-	call, err := soap.ParseCall(buf.Bytes(), s.lookup)
+}
+
+// reply serves one call read into body and renders its reply over body:
+// the decoded arguments and the method name are copies.
+func (s *SOAPServer) reply(h http.Header, body []byte, readErr error) ([]byte, int) {
+	fault := func(f soap.Fault) ([]byte, int) {
+		return soap.AppendFault(h, body[:0], &f), http.StatusInternalServerError
+	}
+	if readErr != nil {
+		return fault(soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
+	}
+	call, err := soap.ParseCall(body, s.lookup)
 	if err != nil {
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
-		return
+		return fault(soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest})
 	}
 	if call.Stale != nil {
-		f := &soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: call.Stale.Error()}
 		if soap.IsNonExistentMethod(call.Stale) {
-			f = &soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod}
+			return fault(soap.Fault{Code: "soap:Server", String: soap.FaultNonExistentMethod})
 		}
-		soap.WriteFault(w, f)
-		return
+		return fault(soap.Fault{Code: "soap:Client", String: soap.FaultMalformedRequest, Detail: call.Stale.Error()})
 	}
 	result, err := s.ops[call.Method].Fn(call.Args)
 	if err != nil {
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: err.Error()})
-		return
+		return fault(soap.Fault{Code: "soap:Server", String: err.Error()})
 	}
-	if err := soap.WriteResponse(w, s.serviceNS, call.Method, result); err != nil {
-		soap.WriteFault(w, &soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()})
+	out, err := soap.AppendResponse(h, body[:0], s.serviceNS, call.Method, result)
+	if err != nil {
+		return fault(soap.Fault{Code: "soap:Server", String: "encoding error", Detail: err.Error()})
 	}
+	return out, http.StatusOK
 }
 
 // lookup resolves a method in the operation table, for soap.ParseCall.

@@ -214,22 +214,22 @@ type (
 //   - Serve deploys a dynamic class as a live server under a Manager: a
 //     core.Server that embeds the *core.ClassServer from
 //     Manager.NewClassServer — given the binding's document generator —
-//     behind a transport (ClassServer.MountHTTP on the shared HTTP
-//     endpoint, or a listener of the binding's own released through
-//     ClassServer.OnClose). The shared endpoint is internal/h1's HTTP/1.1
-//     server: a mounted handler writes one reply, which goes out when the
-//     handler returns (no Flush, no Hijack), a request body it leaves
-//     unread closes the connection, and its request context's Err
-//     reports a caller that has gone, which ClassServer.Call checks
-//     before dispatch; a binding that streams belongs on a listener of
-//     its own. Per request the binding
-//     supplies a core.Resolve, which decodes the request against the live
-//     interface it is handed, to ClassServer.Call, and maps the
-//     core.Reply that comes back (result, application error, non-existent
-//     method, malformed, not initialized) to its wire format. Publication
-//     of the basic description, the single instance, the gate, forced
-//     publication before "non-existent method", counters and teardown
-//     come with the ClassServer.
+//     and a codec. An HTTP binding hands a core.HTTPCodec to
+//     ClassServer.MountCalls: Decode reads one request against the live
+//     interface it is handed, and Encode maps the core.Reply that comes
+//     back (result, application error, non-existent method, malformed,
+//     not initialized) to its reply's headers, body and status. The POST
+//     check, the 16 MiB body cap, the pooled buffers and the one write
+//     with a declared length come with the ClassServer, on the shared
+//     endpoint: internal/h1's HTTP/1.1 server, whose request context's
+//     Err reports a caller that has gone, which ClassServer.Call checks
+//     before dispatch. A binding that streams, or speaks anything but an
+//     HTTP/1.1 request and reply, owns a listener instead, released
+//     through ClassServer.OnClose, and passes a core.Resolve per request
+//     to ClassServer.Call itself. Publication of the basic description,
+//     the single instance, the gate, forced publication before
+//     "non-existent method", counters and teardown come with the
+//     ClassServer.
 //   - Describe reports how the binding's published interface documents
 //     are recognized, so Dial can route to it without an explicit option.
 //   - Connect builds a live Client from an interface-document URL:
@@ -244,13 +244,13 @@ type (
 //     published through a ClassServer has — come with ConnectDocs.
 //
 // internal/jsonb is the worked example: a document grammar, a one-pass
-// wire codec, a Resolve, an outcome mapper and a Caller, wired up purely
-// through RegisterBinding.
+// wire codec as an HTTPCodec and a Caller, wired up purely through
+// RegisterBinding.
 //
 // internal/h2b is the binary worked example: the same contract carrying
 // CDR-encoded bodies over HTTP/2 streams. It shows the two degrees of
 // freedom HTTP-based bindings have beyond jsonb — a binding may own a
-// dedicated listener next to its MountHTTP mount (h2b's multiplexed fast
+// dedicated listener next to its MountCalls mount (h2b's multiplexed fast
 // path, the way CORBA owns its IIOP port), and its interface document may
 // carry extra transport keys (h2b's "mux_endpoint") provided Describe
 // still recognizes documents without them. Neither needs core or cde
