@@ -403,6 +403,40 @@ func TestStreamIsUnchunkedOnHTTP1(t *testing.T) {
 	}
 }
 
+// TestStreamHangupReleasesWatcher: a held stream whose client hangs up is
+// released at once, not at its next write: with a one-hour heartbeat and
+// no commits, only the server noticing the closed connection can end it.
+func TestStreamHangupReleasesWatcher(t *testing.T) {
+	st := NewStore(0, nil)
+	t.Cleanup(st.Close)
+	srv := NewView(st)
+	srv.HeartbeatInterval = time.Hour
+	base, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- WatchStream(ctx, nil, base+"/wsdl/S.wsdl", 0, func(StreamEvent) { cancel() })
+	}()
+	select {
+	case <-done: // the catch-up arrived and the client hung up
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stream never delivered its catch-up")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for st.Stats().Fanout.Watchers != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d watchers still registered 2s after their client hung up", st.Stats().Fanout.Watchers)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestStreamSnapshotAllocsFlatInDocSize: a mid-stream snapshot reset and a
 // parked first publication send the current version's commit-time bytes,
 // so what a Collect allocates does not grow with the document: a held
