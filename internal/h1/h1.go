@@ -1,6 +1,6 @@
 // Package h1 is the HTTP/1.1 both ends of an HTTP call run on: the
 // client and the server the call bindings share (SOAP, JSON and h2b's
-// plain endpoint).
+// plain endpoint). The Interface Server serves on it too.
 //
 // Post sends a call body as a request on a pooled keep-alive connection.
 // The calling goroutine writes request line, headers and body in one
@@ -18,32 +18,33 @@
 //
 // Serve runs an http.Handler on a listener: the call endpoints (the
 // manager's SOAP, JSON, H2B-http and /metrics mux, and internal/static's
-// Table 1 control) serve on it, and read a call's body with ReadBody,
-// under the 16 MiB cap Post holds a reply to. One goroutine per
-// connection reads each request into state the connection reuses, calls
-// the handler with a reused *http.Request and a ResponseWriter that holds
-// the reply back until the handler returns, and writes status line,
-// header and body in one write (writev for a body over 4 KiB): no background read goroutine,
-// no context.WithCancel and no bufio.Writer per request. It keeps what net/http does that a client can
-// see: keep-alive, HTTP/1.0 with and without keep-alive, Connection:
-// close, Content-Length and chunked request bodies, Expect: 100-continue,
-// HEAD, a 10 s header timeout and a 1 MiB header cap (400, 431 and 501
-// close the connection, as does a bad Content-Length or a control
-// character in a header value), a handler panic closing its own
-// connection only, and the reply head net/http writes for the same
-// handler calls. It differs in two ways: a body the handler did not
-// declare goes out with its length rather than chunked, and a request
-// body the handler leaves unread closes the connection after the reply
-// (net/http reads up to 256 KiB of it first). A request's context reports
+// Table 1 control, which read a call's body with ReadBody under the
+// 16 MiB cap Post holds a reply to) and the Interface Server serve on it.
+// One goroutine per connection reads each request into state the
+// connection reuses, calls the handler with a reused *http.Request and a
+// ResponseWriter that holds the reply back until the handler returns, and
+// writes status line, header and body in one write (writev for a body
+// over 4 KiB). It keeps what net/http does that a client can see:
+// keep-alive, HTTP/1.0 with and without keep-alive, Connection: close,
+// Content-Length and chunked request bodies, Expect: 100-continue, HEAD, a
+// 10 s header timeout and a 1 MiB header cap (400, 431 and 501 close the
+// connection, as does a bad Content-Length or a control character in a
+// header value), a handler panic closing its own connection only, reading
+// on through up to 256 KiB of a body the handler left unread, and the
+// reply head net/http writes for the same handler calls. A body the
+// handler did not declare goes out with its length rather than chunked,
+// unless the handler flushes (http.ResponseController), as the Interface
+// Server's watch streams do: the first flush writes the head without a
+// length, the body runs to the connection's close, and each later flush
+// writes what the handler wrote since. A request's context reports
 // context.Canceled from Err once the peer has gone: on Unix by a
 // non-blocking peek when Err is asked, elsewhere by a background read
 // started once the body is read, as net/http does, which can learn of the
-// departure late. It is cancelled when its connection closes, not as each
+// departure late; a flushed reply's, by a background read as the peer
+// hangs up. It is cancelled when its connection closes, not as each
 // handler returns. A request or header line must fit the 4 KiB read
 // buffer (431 otherwise). The server does not do TLS, HTTP/2 (h2c),
-// upgrades, Hijack, Flush, informational replies or request trailers:
-// handlers that stream or wait on their peer, such as the Interface
-// Server's, stay on net/http.
+// upgrades, Hijack, informational replies or request trailers.
 package h1
 
 import (

@@ -152,7 +152,7 @@ type reqCtx struct {
 }
 
 func (x *reqCtx) Err() error {
-	if x.Context.Err() == nil && x.c.peerGone(x.c.br) {
+	if x.Context.Err() == nil && !x.c.w.held && x.c.peerGone(x.c.br) {
 		x.cancel()
 	}
 	return x.Context.Err()
@@ -283,7 +283,7 @@ func (c *srvConn) readRequest() error {
 // means the connection cannot carry another request.
 func (c *srvConn) serveRequest() error {
 	w := &c.w
-	w.status, w.cl, w.written, w.buf, w.close = 0, -1, 0, w.buf[:0], false
+	w.status, w.cl, w.written, w.buf, w.close, w.held = 0, -1, 0, w.buf[:0], false, false
 	clear(w.hdr)
 	ok := false
 	func() {
@@ -295,6 +295,13 @@ func (c *srvConn) serveRequest() error {
 		c.s.h.ServeHTTP(w, c.req)
 		ok = true
 	}()
+	if w.held { // the rest of a held reply, then the close that ends it
+		_ = w.FlushError()
+		return io.EOF
+	}
+	if c.body.err == nil && !c.body.cont && c.body.n < 256<<10 { // as net/http does
+		_, _ = io.CopyN(io.Discard, &c.body, 256<<10) // a body read to its end keeps the connection
+	}
 	gone := c.ctx.Context.Err() != nil // what Err saw, without asking the socket again
 	if !c.unwatch() || !ok || gone && w.status == 0 {
 		return context.Canceled // a panic, or a caller gone with nothing to tell it
@@ -311,7 +318,7 @@ func (c *srvConn) serveRequest() error {
 }
 
 // body is a request body of declared length, or chunked. One the
-// handler leaves unread closes the connection after the reply.
+// handler leaves unread past 256 KiB closes the connection.
 type body struct {
 	c       *srvConn
 	n       int64     // bytes left of a declared length
@@ -352,7 +359,7 @@ func (b *body) Read(p []byte) (n int, err error) {
 func (b *body) Close() error { return nil }
 
 // response holds a reply back until the handler returns, so that head
-// and body go out in one write.
+// and body go out in one write, unless the handler flushes it.
 type response struct {
 	c           *srvConn
 	hdr         http.Header
@@ -360,6 +367,8 @@ type response struct {
 	cl, written int64 // cl: the declared Content-Length, -1 if none
 	buf         []byte
 	close       bool
+	held        bool  // flushed: the head is out and the body runs to the close
+	err         error // a held reply's first write error
 }
 
 func (w *response) Header() http.Header { return w.hdr }
@@ -386,10 +395,36 @@ func (w *response) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// FlushError sends what the handler wrote and holds the reply: the first
+// flush writes the head without a length, and starts a read that cancels
+// the request's context once the peer hangs up (or sends a byte, unread).
+func (w *response) FlushError() error {
+	if c := w.c; !w.held {
+		w.WriteHeader(http.StatusOK) // if the handler set no status
+		w.held, w.close = true, true
+		c.unwatch() // one background read, not the body's watch, learns of a hang-up
+		if w.err = w.emit(); c.body.err == io.EOF {
+			go func() { _, _ = c.br.Peek(1); c.ctx.cancel() }()
+		}
+	} else if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.c.nc.Write(w.buf)
+	}
+	if w.buf = w.buf[:0]; cap(w.buf) > maxWBuf {
+		w.buf = nil
+	}
+	if w.err != nil {
+		w.c.ctx.cancel() // as net/http does on a failed write
+	}
+	return w.err
+}
+
+// SetWriteDeadline bounds the connection's writes, as net/http's does.
+func (w *response) SetWriteDeadline(t time.Time) error { return w.c.nc.SetWriteDeadline(t) }
+
 // emit writes the head and the body in one write: a body up to 4 KiB
 // copied in behind the head (cheaper than a writev for a small call's
 // reply), a larger one beside it (writev).
-func (w *response) emit() {
+func (w *response) emit() error {
 	c, p := w.c, w.buf
 	if w.head() {
 		p = nil
@@ -403,6 +438,7 @@ func (w *response) emit() {
 		_, err = nb.WriteTo(c.nc)
 	}
 	w.close = w.close || err != nil
+	return err
 }
 
 // head renders the status line and header into c.out as net/http does
@@ -414,7 +450,7 @@ func (w *response) emit() {
 func (w *response) head() bool {
 	c, h, r, p := w.c, w.hdr, w.c.req, w.buf
 	allowed, http10, isHEAD := bodyAllowed(w.status), r.ProtoMinor == 0, r.Method == "HEAD"
-	setCL := allowed && h["Content-Length"] == nil && (!isHEAD || len(p) > 0)
+	setCL := allowed && !w.held && h["Content-Length"] == nil && (!isHEAD || len(p) > 0)
 	if setCL {
 		w.cl = int64(len(p))
 	}

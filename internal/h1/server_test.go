@@ -109,8 +109,9 @@ func TestServeRawConn(t *testing.T) {
 	h := rawHandler()
 	_, live := serveH1(t, h)
 	std := serveStd(t, h)
-	// A body the handler leaves unread closes the connection; net/http
-	// reads up to 256 KiB of one first, so this one is larger.
+	// A body the handler leaves unread closes the connection once it is
+	// past 256 KiB: up to that, the server reads on through it, as
+	// net/http does.
 	bigBody := "POST /ignore HTTP/1.1\r\nHost: h\r\nContent-Length: 307200\r\n\r\n" + strings.Repeat("a", 300<<10)
 	bigHeader := "GET /hello HTTP/1.1\r\nHost: h\r\nX-Big: " + strings.Repeat("b", 2*maxHeader) + "\r\n\r\n"
 	for _, row := range []struct {
@@ -135,6 +136,10 @@ func TestServeRawConn(t *testing.T) {
 		{"Expect: 100-continue, body not read", []string{"POST /ignore HTTP/1.1\r\nHost: h\r\nExpect: 100-continue\r\nContent-Length: 5\r\n\r\n"},
 			[]int{200}, false, true, "Connection: close"}, // net/http then waits for the body it did not ask for
 		{"unread body closes", []string{bigBody}, []int{200}, true, true, "Connection: close"},
+		{"unread small body", []string{"POST /ignore HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\nabcde", get("/hello")},
+			[]int{200, 200}, false, true, "hello"},
+		{"unread chunked body", []string{"POST /ignore HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n", get("/hello")},
+			[]int{200, 200}, false, true, "hello"},
 		{"HEAD", []string{"HEAD /hello HTTP/1.1\r\nHost: h\r\n\r\n", get("/hello")}, []int{200, 200}, false, true, "Content-Length: 5"},
 		{"unknown path", []string{get("/nowhere")}, []int{404}, false, true, "404 page not found"},
 		{"bad request line", []string{"GARBAGE\r\n\r\n"}, []int{400}, true, false, "400 Bad Request"},

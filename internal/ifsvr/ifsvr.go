@@ -27,6 +27,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"livedev/internal/h1"
 )
 
 // VersionHeader carries the published document version (publish count) on
@@ -87,8 +89,8 @@ type Document struct {
 }
 
 // Server is the Interface Server: an HTTP read view over a Store
-// (NewView). Publications go to the store; call Start to serve its
-// documents over HTTP.
+// (NewView). Publications go to the store; Start serves its documents and
+// watch streams on internal/h1, the HTTP/1.1 server calls are served on.
 type Server struct {
 	store *Store
 
@@ -129,10 +131,8 @@ type Server struct {
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
-	httpSrv  *http.Server
-	listener net.Listener
-	baseURL  string
-	done     chan struct{}
+	srv     *h1.Server
+	baseURL string
 }
 
 // NewView returns an interface server that serves the given store — the
@@ -197,8 +197,8 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	_ = enc.Encode(s.store.Stats())
 }
 
-// writeDoc answers a GET with d. The declared length keeps net/http from
-// chunking a document larger than its 2 KB write buffer.
+// writeDoc answers a GET with d. Its declared length keeps the header's
+// place in the head, before Date.
 func writeDoc(w http.ResponseWriter, d Document) {
 	h := w.Header()
 	h.Set("Content-Type", d.ContentType)
@@ -254,48 +254,33 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ifsvr: listen %s: %w", addr, err)
 	}
-	s.listener = ln
 	s.baseURL = "http://" + ln.Addr().String()
-	s.httpSrv = &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		_ = s.httpSrv.Serve(ln)
-	}()
+	s.srv = h1.Serve(ln, s)
 	return s.baseURL, nil
 }
 
 // BaseURL returns the server's base URL ("" before Start).
 func (s *Server) BaseURL() string { return s.baseURL }
 
-// Shutdown gracefully drains the server: held streams end with a terminal
-// "draining" frame so their clients reconnect elsewhere, the listener
-// stops accepting connections, and in-flight requests run to completion
-// (bounded by ctx, after which remaining connections are abandoned to
-// Close). Unlike Close it never closes the backing store — draining is
-// reversible right up to Stop.
-// Safe to call before Start (it only marks the server draining).
+// Shutdown drains the server: held streams end with a terminal "draining"
+// frame so their clients reconnect elsewhere, the listener stops
+// accepting, and requests in flight run to completion, bounded by ctx.
+// Before Start, it only marks the server draining.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainCancel() // held streams end with a terminal "draining" frame
-	if s.httpSrv == nil {
+	if s.srv == nil {
 		return nil
 	}
-	err := s.httpSrv.Shutdown(ctx)
-	if err == nil {
-		<-s.done
-	}
-	return err
+	return s.srv.Shutdown(ctx)
 }
 
-// Close stops the HTTP server (no-op if Start was never called). The store
-// is not closed — its owner is.
+// Close closes the listener and every connection, held streams' too (no-op
+// before Start). The store is not closed — its owner is.
 func (s *Server) Close() error {
-	if s.httpSrv == nil {
+	if s.srv == nil {
 		return nil
 	}
-	err := s.httpSrv.Close()
-	<-s.done
-	return err
+	return s.srv.Close()
 }
 
 // maxDocBytes bounds one fetched interface document.
