@@ -80,7 +80,7 @@ func TestWriteAllocsServedCall(t *testing.T) {
 	h := core.EndpointHandler(m)
 	// The counts the handler made when this pin was set: lower a budget
 	// when the handler gets cheaper, never raise one.
-	budget := map[core.Technology]float64{core.TechSOAP: 5, jsonb.Name: 4, h2b.Name: 7}
+	budget := map[core.Technology]float64{core.TechSOAP: 5, jsonb.Name: 4, h2b.Name: 4}
 	var ran atomic.Int32
 	for _, b := range endpointBindings {
 		class := "Allocs" + string(b.tech)

@@ -62,7 +62,7 @@ func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
 		Decode: func(r *http.Request, body []byte, live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
 			// body is a pooled buffer, which an argument a method body keeps
 			// would outlive: decode copies.
-			return decode(r.Header.Get(MethodHeader), r.Header.Get(OrderHeader), body, false, live)
+			return decode(r.Header.Get(methodKey), r.Header.Get(orderKey), body, false, live)
 		},
 		Encode: encodeHTTP,
 	})
@@ -151,12 +151,15 @@ func failure(rep core.Reply) (status int, code, msg string, doc *ifsvr.Document)
 	}
 }
 
+// The wire headers as an http.Header keys them: the HTTP front canonicalizes none per call.
+var methodKey, orderKey, errorKey = http.CanonicalHeaderKey(MethodHeader), http.CanonicalHeaderKey(OrderHeader), http.CanonicalHeaderKey(ErrorHeader)
+
 // encodeHTTP renders a call's outcome for the HTTP front.
 func encodeHTTP(h http.Header, dst []byte, rep core.Reply) ([]byte, int) {
 	if rep.Outcome == core.OutcomeOK {
 		if e := result(&rep); e != nil {
 			h.Set("Content-Type", CallContentType)
-			h.Set(OrderHeader, orderValue(e.Order()))
+			h.Set(orderKey, orderValue(e.Order()))
 			dst = append(dst, e.Bytes()...)
 			cdr.PutEncoder(e)
 			return dst, http.StatusOK
@@ -167,7 +170,7 @@ func encodeHTTP(h http.Header, dst []byte, rep core.Reply) ([]byte, int) {
 		ifsvr.DocHeaders(*doc, h.Set)
 	}
 	h.Set("Content-Type", "text/plain; charset=utf-8")
-	h.Set(ErrorHeader, code)
+	h.Set(errorKey, code)
 	return append(dst, msg...), status
 }
 
