@@ -6,14 +6,12 @@
 //
 // Usage:
 //
-//	cde-client -url URL [-binding NAME] [-timeout D] [-watch] [-parallel N]  [method arg...]
-//	cde-client -wsdl URL                              [method arg...]
-//	cde-client -idl URL -ior URL                      [method arg...]
+//	cde-client -url URL [-ior URL] [-binding NAME] [-timeout D] [-watch] [-parallel N]  [method arg...]
 //
-// -url is the v2 entry point: any registered binding's interface-document
-// URL (WSDL, CORBA-IDL, IOR, JSON, h2b). The binding is sniffed from the
-// document, or forced with -binding. -timeout bounds each call. The -wsdl
-// and -idl/-ior forms remain for compatibility.
+// -url is any registered binding's interface-document URL (WSDL,
+// CORBA-IDL, IOR, JSON, h2b). The binding is sniffed from the document, or
+// forced with -binding; -ior names a CORBA-IDL document's IOR. -timeout
+// bounds each call.
 //
 // -parallel N issues the call N times concurrently instead of once — an
 // ad-hoc smoke run of a binding's concurrent-call path (for the h2b
@@ -52,40 +50,28 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "per-call timeout (0 = none)")
 	watch := flag.Bool("watch", false, "subscribe to push-based interface updates (one held SSE stream)")
 	parallel := flag.Int("parallel", 1, "issue the call N times concurrently (concurrent-call smoke run)")
-	wsdlURL := flag.String("wsdl", "", "WSDL document URL (SOAP mode)")
-	idlURL := flag.String("idl", "", "CORBA-IDL document URL (CORBA mode)")
 	iorURL := flag.String("ior", "", "stringified IOR URL (CORBA mode)")
 	flag.Parse()
 
 	livedev.RegisterBinding(jsonb.New())
 	livedev.RegisterBinding(h2b.New())
 
-	ctx := context.Background()
-	var client *cde.Client
-	var err error
-	switch {
-	case *url != "":
-		opts := []livedev.Option{livedev.WithTimeout(*timeout)}
-		if *watch {
-			opts = append(opts, livedev.WithWatch())
-		}
-		if *binding != "" {
-			opts = append(opts, livedev.WithBinding(*binding))
-		}
-		if *iorURL != "" {
-			opts = append(opts, livedev.WithAuxURL(*iorURL))
-		}
-		client, err = livedev.Dial(ctx, *url, opts...)
-	case *wsdlURL != "":
-		client, err = livedev.Dial(ctx, *wsdlURL,
-			livedev.WithBinding("SOAP"), livedev.WithTimeout(*timeout))
-	case *idlURL != "" && *iorURL != "":
-		client, err = livedev.Dial(ctx, *idlURL,
-			livedev.WithBinding("CORBA"), livedev.WithAuxURL(*iorURL), livedev.WithTimeout(*timeout))
-	default:
-		fmt.Fprintln(os.Stderr, "cde-client: need -url URL (v2), -wsdl URL, or -idl URL and -ior URL")
+	if *url == "" {
+		fmt.Fprintln(os.Stderr, "cde-client: need -url URL")
 		return 2
 	}
+	ctx := context.Background()
+	opts := []livedev.Option{livedev.WithTimeout(*timeout)}
+	if *watch {
+		opts = append(opts, livedev.WithWatch())
+	}
+	if *binding != "" {
+		opts = append(opts, livedev.WithBinding(*binding))
+	}
+	if *iorURL != "" {
+		opts = append(opts, livedev.WithAuxURL(*iorURL))
+	}
+	client, err := livedev.Dial(ctx, *url, opts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cde-client:", err)
 		return 1
