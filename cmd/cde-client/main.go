@@ -8,10 +8,9 @@
 //
 //	cde-client -url URL [-ior URL] [-binding NAME] [-timeout D] [-watch] [-parallel N]  [method arg...]
 //
-// -url is any registered binding's interface-document URL (WSDL,
-// CORBA-IDL, IOR, JSON, h2b). The binding is sniffed from the document, or
-// forced with -binding; -ior names a CORBA-IDL document's IOR. -timeout
-// bounds each call.
+// -url is any registered binding's interface-document URL (WSDL, CORBA-IDL,
+// IOR, JSON, h2b), whose binding is sniffed from it or forced with -binding;
+// -ior names a CORBA-IDL document's IOR. -timeout bounds each call.
 //
 // -parallel N issues the call N times concurrently instead of once — an
 // ad-hoc smoke run of a binding's concurrent-call path (for the h2b

@@ -32,19 +32,17 @@
 // header value), a handler panic closing its own connection only, reading
 // on through up to 256 KiB of a body the handler left unread, and the
 // reply head net/http writes for the same handler calls. A body the
-// handler did not declare goes out with its length rather than chunked,
-// unless the handler flushes (http.ResponseController), as the Interface
-// Server's watch streams do: the first flush writes the head without a
-// length, the body runs to the connection's close, and each later flush
-// writes what the handler wrote since. A request's context reports
-// context.Canceled from Err once the peer has gone: on Unix by a
-// non-blocking peek when Err is asked, elsewhere by a background read
-// started once the body is read, as net/http does, which can learn of the
-// departure late; a flushed reply's, by a background read as the peer
-// hangs up. It is cancelled when its connection closes, not as each
-// handler returns. A request or header line must fit the 4 KiB read
-// buffer (431 otherwise). The server does not do TLS, HTTP/2 (h2c),
-// upgrades, Hijack, informational replies or request trailers.
+// handler did not declare goes out with its length, not chunked; one it
+// flushes (the Interface Server's watch streams) runs to the close. A
+// request's context reports context.Canceled from Err once the peer has
+// gone: on Unix by a non-blocking peek when Err is asked, elsewhere by a
+// background read started once the body is read, as net/http does, which
+// can learn of the departure late. It is cancelled when its connection
+// closes, not as each handler returns, or, for a flushed reply, by a
+// background read as the peer hangs up. A request or header line must fit
+// the 4 KiB read buffer (431 otherwise). The server does not do TLS,
+// HTTP/2 (h2c), upgrades, Hijack, informational replies or request
+// trailers.
 package h1
 
 import (

@@ -418,8 +418,11 @@ func (w *response) FlushError() error {
 	return w.err
 }
 
-// SetWriteDeadline bounds the connection's writes, as net/http's does.
-func (w *response) SetWriteDeadline(t time.Time) error { return w.c.nc.SetWriteDeadline(t) }
+// SetWriteDeadline bounds the reply's writes; the connection closes after it.
+func (w *response) SetWriteDeadline(t time.Time) error {
+	w.close = true
+	return w.c.nc.SetWriteDeadline(t)
+}
 
 // emit writes the head and the body in one write: a body up to 4 KiB
 // copied in behind the head (cheaper than a writev for a small call's
