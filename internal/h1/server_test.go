@@ -17,7 +17,10 @@ import (
 
 // rawHandler is the raw table's handler: /echo answers with what it read
 // of the body, /hello with "hello", /ignore without reading the body,
-// /panic panics, and any other path is not found.
+// /panic panics, /flush flushes its reply between two writes (declared
+// close-delimited and typed, as the Interface Server's streams are, so
+// net/http writes the same head), /deadline sets a write deadline, and
+// any other path is not found.
 func rawHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
@@ -27,6 +30,19 @@ func rawHandler() http.Handler {
 	mux.HandleFunc("/hello", func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "hello") })
 	mux.HandleFunc("/ignore", func(w http.ResponseWriter, _ *http.Request) { _, _ = io.WriteString(w, "ignored") })
 	mux.HandleFunc("/panic", func(http.ResponseWriter, *http.Request) { panic("handler panic") })
+	mux.HandleFunc("/flush", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Transfer-Encoding", "identity")
+		w.Header().Set("Content-Type", "text/plain")
+		_, _ = io.WriteString(w, "held ")
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			panic(err)
+		}
+		_, _ = io.WriteString(w, "reply")
+	})
+	mux.HandleFunc("/deadline", func(w http.ResponseWriter, _ *http.Request) {
+		_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute))
+		_, _ = io.WriteString(w, "hello")
+	})
 	return mux
 }
 
@@ -151,6 +167,8 @@ func TestServeRawConn(t *testing.T) {
 		{"unknown transfer-encoding", []string{"POST /echo HTTP/1.1\r\nHost: h\r\nTransfer-Encoding: gzip\r\n\r\n"},
 			[]int{501}, true, false, "501 Not Implemented"},
 		{"panic", []string{get("/panic")}, nil, true, true, ""},
+		{"flushed reply", []string{get("/flush")}, []int{200}, true, true, "Connection: close\r\n\r\nheld reply"},
+		{"flushed reply, HTTP/1.0", []string{"GET /flush HTTP/1.0\r\n\r\n"}, []int{200}, true, true, "HTTP/1.0 200 OK"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			got := exchange(t, live, row.steps, row.want, row.closes)
@@ -161,6 +179,11 @@ func TestServeRawConn(t *testing.T) {
 				t.Errorf("replied\n%q\nnet/http replies\n%q", got, want)
 			}
 		})
+	}
+	// A reply under a write deadline closes its connection, where net/http
+	// clears the deadline and keeps it.
+	if got := exchange(t, live, []string{get("/deadline")}, []int{200}, true); !strings.Contains(got, "Connection: close") {
+		t.Errorf("a reply under a write deadline: %q", got)
 	}
 	// A panic closed its own connection only.
 	if got := exchange(t, live, []string{get("/hello")}, []int{200}, false); !strings.HasSuffix(got, "hello") {
