@@ -108,9 +108,6 @@ func (f *Front) InterfaceURL() string { return f.srv.InterfaceURL() }
 // Technology reports the front-side technology.
 func (f *Front) Technology() core.Technology { return f.srv.Technology() }
 
-// Backend returns the backend client the bridge forwards over.
-func (f *Front) Backend() *cde.Client { return f.backend }
-
 // Refresh re-fetches the backend interface and resynchronizes the proxy
 // class (the view-change hook does this automatically; Refresh is the
 // manual trigger).

@@ -183,9 +183,10 @@ func connectCORBA(ctx context.Context, url string, opts *DialOptions) (*Client, 
 // corbaStub is the OpenORB-DII-equivalent client plumbing: IDL compiler,
 // IOR bootstrap, IIOP invocation (paper Figure 2). It is its own Caller:
 // the IIOP connection does not change with the document but with the
-// server's incarnation. The connection is drawn from the process-wide
-// endpoint pool, so every stub bound to the same published IOR multiplexes
-// one TCP connection.
+// server's incarnation, and the connection itself says when that ended
+// (Broken). The connection is drawn from the process-wide endpoint pool,
+// so every stub bound to the same published IOR multiplexes one TCP
+// connection.
 type corbaStub struct {
 	iorDocs *DocSource
 
@@ -194,20 +195,6 @@ type corbaStub struct {
 	release func() error // returns the pooled connection
 	iface   string       // interface name from the IOR type id
 	closed  bool         // set by close: no connection is taken after it
-	// lastGeneration is the store restart generation of the last compiled
-	// IDL document. A change means the Interface Server process restarted
-	// — whether or not it recovered its durable state, the old ORB socket
-	// died with it — which triggers the pool probe below.
-	lastGeneration uint64
-	// lastDescriptor is the descriptor version of the last compiled IDL
-	// document — the legacy restart heuristic: against stores predating
-	// the generation header (Generation 0), and for a class server
-	// redeployed under a still-running store, a descriptor version moving
-	// backwards means the server restarted (a fresh class restarts its
-	// edit counter while the document version resumes its sequence), so
-	// the pooled connection is probed and, if dead, evicted — the next
-	// call must not burn a round-trip on the dead socket.
-	lastDescriptor uint64
 }
 
 // corbaBinding compiles IDL documents into calls through a stub
@@ -225,8 +212,11 @@ func corbaBinding(iorDocs *DocSource) DocBinding {
 			}
 			return nil
 		},
-		Bootstrap: b.connect,
-		Close:     b.close,
+		Bootstrap: func(ctx context.Context) error {
+			_, err := b.take(ctx)
+			return err
+		},
+		Close: b.close,
 	}
 }
 
@@ -249,47 +239,50 @@ func interfaceNameFromTypeID(typeID string) (string, error) {
 	return s, nil
 }
 
-// connect dials the server ORB if not yet connected, using the published
-// IOR (Figure 2 step 1). A closed stub refuses: the reference it would take
-// from the endpoint pool would never be released.
-func (b *corbaStub) connect(ctx context.Context) error {
+// take returns the stub's pooled connection. One that is Broken — its
+// server went away, or restarted — is let go first, and the stub
+// reconnects from the freshly fetched IOR (Figure 2 step 1), as h1's and
+// h2b's pools check a connection before they use it. A closed stub
+// refuses: the reference it would take from the endpoint pool would never
+// be released.
+func (b *corbaStub) take(ctx context.Context) (*orb.ClientORB, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return errClosed
+		return nil, errClosed
 	}
 	if b.conn != nil {
-		return nil
+		if !b.conn.Broken() {
+			return b.conn, nil
+		}
+		// The pool re-dials for the next acquire: its holders' releases
+		// are bound to the dead entry, and the last of them closes it,
+		// which can only report the failure Broken already did.
+		_ = b.release()
+		b.conn, b.release = nil, nil
 	}
 	doc, err := b.iorDocs.Fetch(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ref, err := ior.ParseString(doc.Content)
 	if err != nil {
-		return fmt.Errorf("cde: parsing IOR: %w", err)
+		return nil, fmt.Errorf("cde: parsing IOR: %w", err)
 	}
 	name, err := interfaceNameFromTypeID(ref.TypeID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	conn, release, err := sharedORBs.acquire(ctx, ref)
 	if err != nil {
-		return fmt.Errorf("cde: initializing client ORB: %w", err)
+		return nil, fmt.Errorf("cde: initializing client ORB: %w", err)
 	}
-	b.conn = conn
-	b.release = release
-	b.iface = name
-	return nil
+	b.conn, b.release, b.iface = conn, release, name
+	return conn, nil
 }
 
 // compile turns a fetched (or pushed) IDL document into the descriptor
-// (Figure 2's IDL compiler). A restart-generation change across
-// compilations — or, against servers predating the generation header and
-// for class redeployments under a still-running store, a descriptor
-// version moving backwards — is the server-restart signal: the pooled IIOP
-// connection is probed and, if dead, evicted immediately instead of on the
-// next failing call.
+// (Figure 2's IDL compiler).
 func (b *corbaStub) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
 	parsed, err := idl.Parse(doc.Content)
 	if err != nil {
@@ -297,64 +290,19 @@ func (b *corbaStub) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller
 	}
 	b.mu.Lock()
 	name := b.iface
-	restarted := doc.DescriptorVersion < b.lastDescriptor ||
-		(doc.Generation != 0 && b.lastGeneration != 0 && doc.Generation != b.lastGeneration)
 	b.mu.Unlock()
-	if restarted {
-		// Probe before anything can fail below: the signal must not be lost
-		// to an unresolvable intermediate document. A false alarm costs
-		// nothing — a live connection survives the probe.
-		b.evictRestartedConn()
-	}
 	desc, err := idl.Resolve(parsed, name)
 	if err != nil {
 		return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: resolving IDL: %w", err)
 	}
-	b.mu.Lock()
-	b.lastDescriptor = doc.DescriptorVersion
-	b.lastGeneration = doc.Generation
-	b.mu.Unlock()
 	return desc, b, nil
 }
 
-// evictRestartedConn probes the stub's pooled IIOP connection after a
-// generation-change signal. If the socket is dead it is dropped from the
-// endpoint pool (so sibling Dials re-dial too), this stub releases its
-// hold, and the next Call reconnects from the freshly published IOR. A
-// false alarm — the connection still alive — costs nothing.
-func (b *corbaStub) evictRestartedConn() {
-	b.mu.Lock()
-	conn, release := b.conn, b.release
-	b.mu.Unlock()
-	if conn == nil || !conn.Broken() {
-		return
-	}
-	sharedORBs.evictBroken(conn)
-	b.mu.Lock()
-	if b.conn != conn {
-		// A concurrent reconnect already replaced it; leave the new one be.
-		b.mu.Unlock()
-		return
-	}
-	b.conn, b.release = nil, nil
-	b.mu.Unlock()
-	_ = release()
-}
-
-// Call implements Caller via DII. A stub whose pooled connection was
-// evicted after a server restart reconnects here, from the freshly
-// published IOR.
+// Call implements Caller via DII, over the connection take returns.
 func (b *corbaStub) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	b.mu.Lock()
-	conn := b.conn
-	b.mu.Unlock()
-	if conn == nil {
-		if err := b.connect(ctx); err != nil {
-			return dyn.Value{}, err
-		}
-		b.mu.Lock()
-		conn = b.conn
-		b.mu.Unlock()
+	conn, err := b.take(ctx)
+	if err != nil {
+		return dyn.Value{}, err
 	}
 	return conn.InvokeContext(ctx, sig, args)
 }

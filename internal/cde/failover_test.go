@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/repl"
 )
@@ -53,7 +54,7 @@ func awaitReplicated(t *testing.T, f *repl.Follower, path string, want uint64) {
 // (Restarts must stay exactly 0), and immediate: only a failure of the
 // whole rotation waits out a backoff (Backoffs must stay 0 too).
 func TestWatchClientFailsOverBetweenReplicas(t *testing.T) {
-	mgr, srv := startCalcManager(t, "127.0.0.1:0", "", 0)
+	mgr, srv := startCalcManager(t, "127.0.0.1:0", "", 0, core.TechSOAP)
 	defer func() { _ = mgr.Close() }()
 
 	u, err := neturl.Parse(srv.InterfaceURL())

@@ -165,24 +165,6 @@ func (p *orbPool) releaser(key string, e *orbPoolEntry) func() error {
 	}
 }
 
-// evictBroken removes the pool entry holding conn when the connection is
-// dead, so later acquires re-dial instead of inheriting the broken socket.
-// The CORBA backend calls it when a watch update signals a server restart;
-// holders keep their entry-bound releases and the last of them closes the
-// old connection.
-func (p *orbPool) evictBroken(conn *orb.ClientORB) {
-	if conn == nil || !conn.Broken() {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for key, e := range p.conns {
-		if e.orb == conn {
-			delete(p.conns, key)
-		}
-	}
-}
-
 // stats reports the pool's current size and total holder count.
 func (p *orbPool) stats() (conns, refs int) {
 	p.mu.Lock()

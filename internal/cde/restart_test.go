@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,15 +39,15 @@ func calcClass(t *testing.T, renames int) *dyn.Class {
 	return c
 }
 
-// startCalcManager starts a manager serving Calc over SOAP on the given
+// startCalcManager starts a manager serving Calc over tech on the given
 // interface address ("127.0.0.1:0" for fresh) with an optional data dir.
-func startCalcManager(t *testing.T, ifaceAddr, dataDir string, renames int) (*core.Manager, core.Server) {
+func startCalcManager(t *testing.T, ifaceAddr, dataDir string, renames int, tech core.Technology) (*core.Manager, core.Server) {
 	t.Helper()
 	mgr, err := core.NewManager(core.Config{InterfaceAddr: ifaceAddr, Timeout: time.Hour, DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := mgr.Register(calcClass(t, renames), core.TechSOAP)
+	srv, err := mgr.Register(calcClass(t, renames), tech)
 	if err != nil {
 		_ = mgr.Close()
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestNoteRestartSignals(t *testing.T) {
 // event is recorded — a durable restart is ordinary catch-up.
 func TestWatchClientRidesDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", dir, 0)
+	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", dir, 0, core.TechSOAP)
 	ifaceAddr := strings.TrimPrefix(mgr1.InterfaceBaseURL(), "http://")
 	url := srv1.InterfaceURL()
 
@@ -122,7 +123,7 @@ func TestWatchClientRidesDurableRestart(t *testing.T) {
 	if err := mgr1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mgr2, srv2 := startCalcManager(t, ifaceAddr, dir, 2)
+	mgr2, srv2 := startCalcManager(t, ifaceAddr, dir, 2, core.TechSOAP)
 	defer func() { _ = mgr2.Close() }()
 	_ = srv2
 
@@ -163,7 +164,7 @@ func TestWatchClientRidesDurableRestart(t *testing.T) {
 // is the restart signal that forces the (version-regressed) new view in,
 // instead of dropping it under the no-backwards rule and wedging forever.
 func TestWatchClientRecoversFromStateLossRestart(t *testing.T) {
-	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", "", 3)
+	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", "", 3, core.TechSOAP)
 	ifaceAddr := strings.TrimPrefix(mgr1.InterfaceBaseURL(), "http://")
 	url := srv1.InterfaceURL()
 
@@ -197,7 +198,7 @@ func TestWatchClientRecoversFromStateLossRestart(t *testing.T) {
 	if err := mgr1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	mgr2, _ := startCalcManager(t, ifaceAddr, "", 0)
+	mgr2, _ := startCalcManager(t, ifaceAddr, "", 0, core.TechSOAP)
 	defer func() { _ = mgr2.Close() }()
 
 	// The client must adopt the new incarnation's view even though its
@@ -232,7 +233,7 @@ func TestWatchClientRecoversFromStateLossRestart(t *testing.T) {
 // same server.
 func TestWatchClientRecoversFromWipedDataDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
-	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", dir, 3)
+	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", dir, 3, core.TechSOAP)
 	ifaceAddr := strings.TrimPrefix(mgr1.InterfaceBaseURL(), "http://")
 	for i := 0; i < 3; i++ {
 		if _, err := srv1.Class().AddMethod(dyn.MethodSpec{
@@ -265,7 +266,7 @@ func TestWatchClientRecoversFromWipedDataDir(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	mgr2, _ := startCalcManager(t, ifaceAddr, dir, 0)
+	mgr2, _ := startCalcManager(t, ifaceAddr, dir, 0, core.TechSOAP)
 	defer func() { _ = mgr2.Close() }()
 
 	deadline := time.Now().Add(15 * time.Second)
@@ -288,4 +289,54 @@ func TestWatchClientRecoversFromWipedDataDir(t *testing.T) {
 	if _, err := c.CallContext(ctx, "op"); err != nil {
 		t.Fatalf("post-restart call: %v", err)
 	}
+}
+
+// TestCORBAClientReconnectsAfterRestart: a CORBA client dialed without a
+// watcher learns of its server's restart from its pooled IIOP connection
+// alone, which died with the old manager. A call lets the dead connection
+// go and reconnects from the IOR the new manager published at the same
+// Interface Server address. Callers share the client: a call that still
+// finds the old socket open fails on it, and the connection is dead by
+// the time that call returns, so each caller's next call reconnects.
+func TestCORBAClientReconnectsAfterRestart(t *testing.T) {
+	mgr1, srv1 := startCalcManager(t, "127.0.0.1:0", "", 0, core.TechCORBA)
+	ifaceAddr := strings.TrimPrefix(mgr1.InterfaceBaseURL(), "http://")
+	ctx := context.Background()
+	c, err := Dial(ctx, srv1.InterfaceURL(), nil)
+	if err != nil {
+		_ = mgr1.Close()
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if _, err := c.CallContext(ctx, "op"); err != nil {
+		t.Fatalf("pre-restart call: %v", err)
+	}
+
+	if err := mgr1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mgr2, _ := startCalcManager(t, ifaceAddr, "", 0, core.TechCORBA)
+	defer func() { _ = mgr2.Close() }()
+
+	const callers = 4
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var errs []error
+			for range 2 {
+				v, err := c.CallContext(ctx, "op")
+				if err == nil {
+					if got := v.Int32(); got != 7 {
+						t.Errorf("post-restart call returned %v", v)
+					}
+					return
+				}
+				errs = append(errs, err)
+			}
+			t.Errorf("calls never reconnected after the restart: %v", errs)
+		}()
+	}
+	wg.Wait()
 }

@@ -266,11 +266,11 @@ func TestWatchClientRefetchesUndecodableEvent(t *testing.T) {
 	}
 }
 
-// TestCORBAWatcherEvictsPooledConnOnRestart pins the generation-change fix:
-// when a watch update's descriptor version moves backwards (the server
-// process restarted), the client probes the shared IIOP pool and evicts
-// the dead connection, so the next call reconnects from the fresh IOR
-// instead of failing on the dead socket forever.
+// TestCORBAWatcherEvictsPooledConnOnRestart: a watching CORBA client whose
+// class server is redeployed under the same store — a fresh class with a
+// lower descriptor version, on a new ORB — finds its pooled IIOP
+// connection dead at call time, lets it go, and reconnects from the
+// freshly published IOR instead of failing on the dead socket forever.
 func TestCORBAWatcherEvictsPooledConnOnRestart(t *testing.T) {
 	mgr, err := core.NewManager(core.Config{Timeout: time.Hour})
 	if err != nil {
@@ -328,7 +328,6 @@ func TestCORBAWatcherEvictsPooledConnOnRestart(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the client observe the dead socket
 	class2 := newClass(0)
 	srv2, err := mgr.Register(class2, core.TechCORBA)
 	if err != nil {
@@ -338,8 +337,8 @@ func TestCORBAWatcherEvictsPooledConnOnRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The watch update republished by the new generation triggers the pool
-	// probe; the next call must reconnect and succeed.
+	// A call that finds the connection dead reconnects and succeeds; one
+	// that raced the old server's close fails, and the loop retries.
 	deadline := time.Now().Add(10 * time.Second)
 	var lastErr error
 	for time.Now().Before(deadline) {

@@ -229,6 +229,7 @@ func putBuf(bp *[]byte, b []byte) {
 func (e *muxEntry) serveCall(w http.ResponseWriter, r *http.Request) {
 	codec := e.codec
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, codec.Name+" endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}

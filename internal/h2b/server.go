@@ -181,7 +181,7 @@ func (s *Server) ServeH2(ctx context.Context, r *h2x.Request) *h2x.Response {
 	if r.Method != "POST" {
 		return &h2x.Response{
 			Status: http.StatusMethodNotAllowed,
-			Header: [][2]string{{"content-type", "text/plain; charset=utf-8"}},
+			Header: [][2]string{{"allow", "POST"}, {"content-type", "text/plain; charset=utf-8"}},
 			Body:   []byte("h2b endpoint: POST only"),
 		}
 	}

@@ -154,9 +154,10 @@ func (s *Server) Draining() bool { return s.drainCtx.Err() != nil }
 // server-sent-event stream: journal replay of everything committed after
 // epoch N, then one event per live commit, on a single held connection
 // (see stream.go); on AllPath, of every path (repl.go). Any other query is
-// ignored.
+// ignored. HEAD answers as GET does without the body, and never holds a
+// stream.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		if s.LeaderURL != "" {
 			// A replica does not take writes: misdirect the request to the
 			// leader, whose address rides in Location.
@@ -165,6 +166,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				http.StatusMisdirectedRequest)
 			return
 		}
+		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
@@ -173,7 +175,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if q.Get("watch") == "stream" {
+	if r.Method == http.MethodGet && q.Get("watch") == "stream" {
 		s.serveStream(w, r, q)
 		return
 	}
@@ -197,8 +199,8 @@ func (s *Server) serveStats(w http.ResponseWriter) {
 	_ = enc.Encode(s.store.Stats())
 }
 
-// writeDoc answers a GET with d. Its declared length keeps the header's
-// place in the head, before Date.
+// writeDoc answers a GET or HEAD with d. Its declared length keeps the
+// header's place in the head, before Date.
 func writeDoc(w http.ResponseWriter, d Document) {
 	h := w.Header()
 	h.Set("Content-Type", d.ContentType)

@@ -137,14 +137,6 @@ type PersistStats struct {
 	Compactions uint64
 }
 
-// GroupCommitMean is the mean number of logged batches per fsync.
-func (ps PersistStats) GroupCommitMean() float64 {
-	if ps.Fsyncs == 0 {
-		return 0
-	}
-	return float64(ps.SyncedBatches) / float64(ps.Fsyncs)
-}
-
 // SyncWaitMean is the mean time an acked commit spent waiting on fsync.
 func (ps PersistStats) SyncWaitMean() time.Duration {
 	if ps.SyncWaits == 0 {

@@ -216,15 +216,21 @@ func (s *Store) SetReadOnly(ro bool) {
 // replication leader's. A follower serves the leader's generation on
 // every response, so a watcher failing over between replicas — or from
 // the leader to a replica — does not misread the switch as a state-loss
-// restart. The adopted value lands in the next snapshot like a native
-// one.
-func (s *Store) AdoptGeneration(gen uint64) {
-	if gen == 0 {
-		return
+// restart. A durable store snapshots the adopted value at once, so a
+// crash after adoption still recovers it. It reports whether gen is the
+// generation the store recovered from its data directory: only then is
+// the recovered state a prefix of gen's commits that a follower may
+// resume from its epoch.
+func (s *Store) AdoptGeneration(gen uint64) bool {
+	if gen == 0 || !s.beginWrite(false) {
+		return false
 	}
-	s.mu.Lock()
 	s.generation = gen
+	_ = s.snapshotLocked() // a failure is counted in PersistErrors
+	match := gen == s.recovered
 	s.mu.Unlock()
+	s.deliverMu.Unlock()
+	return match
 }
 
 // ResetReplicated wipes a replica's state for a new leader incarnation:

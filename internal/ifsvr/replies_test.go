@@ -35,9 +35,10 @@ var (
 // TestServerRepliesMatchTranscript sends raw requests over TCP to an
 // Interface Server started with Start and compares every reply, byte for
 // byte, with the committed transcript in testdata, which -update
-// rewrites: document GETs over HTTP/1.1 and HTTP/1.0, HEAD, 404, 405, a
-// replica's 421 and its document GET, per-path streams from epoch 0 and
-// 1, the all-paths stream, a stream over HTTP/1.0 and /.stats. Each
+// rewrites: document GETs over HTTP/1.1 and HTTP/1.0, HEAD (which holds
+// no stream), 404, 405, a replica's 421 and its document GET, per-path
+// streams from epoch 0 and 1, the all-paths stream, a stream over
+// HTTP/1.0, and /.stats by GET and HEAD. Each
 // stream is held on its own server with a one-hour heartbeat, which
 // Shutdown then drains, so a stream row is its head, its catch-up and the
 // "draining" farewell.
@@ -71,6 +72,7 @@ func TestServerRepliesMatchTranscript(t *testing.T) {
 		{name: "GET", addr: leader, req: get("/wsdl/Calc.wsdl", "HTTP/1.1")},
 		{name: "GET HTTP/1.0", addr: leader, req: get("/idl/Calc.idl", "HTTP/1.0")},
 		{name: "HEAD", addr: leader, req: "HEAD /wsdl/Calc.wsdl HTTP/1.1\r\nHost: livedev\r\n\r\n"},
+		{name: "HEAD stream", addr: leader, req: "HEAD /wsdl/Calc.wsdl?watch=stream&after=0 HTTP/1.1\r\nHost: livedev\r\n\r\n"},
 		{name: "not found", addr: leader, req: get("/wsdl/Missing.wsdl", "HTTP/1.1")},
 		{name: "POST", addr: leader, req: "POST /wsdl/Calc.wsdl HTTP/1.1\r\nHost: livedev\r\nContent-Length: 2\r\n\r\nhi"},
 		{name: "replica POST", addr: replica, req: "POST /wsdl/Calc.wsdl HTTP/1.1\r\nHost: livedev\r\nContent-Length: 2\r\n\r\nhi"},
@@ -80,6 +82,7 @@ func TestServerRepliesMatchTranscript(t *testing.T) {
 		{name: "all-paths stream", req: get(AllPath+"?watch=stream&after=0", "HTTP/1.1"), stream: true},
 		{name: "stream HTTP/1.0", req: get("/idl/Calc.idl?watch=stream&after=0", "HTTP/1.0"), stream: true},
 		{name: "stats", addr: leader, req: get(StatsPath, "HTTP/1.1")},
+		{name: "HEAD stats", addr: leader, req: "HEAD " + StatsPath + " HTTP/1.1\r\nHost: livedev\r\n\r\n"},
 	}
 	var transcript strings.Builder
 	for _, r := range rows {
@@ -91,7 +94,7 @@ func TestServerRepliesMatchTranscript(t *testing.T) {
 			raw = exchangeRaw(t, r.addr, r.req)
 		}
 		got := generationValue.ReplaceAllString(string(dateValue.ReplaceAll(raw, []byte("Date: *\r"))), "${1}*")
-		if r.name == "stats" {
+		if strings.HasSuffix(r.name, "stats") {
 			got = contentLength.ReplaceAllString(statsGeneration.ReplaceAllString(got, "${1}*"), "Content-Length: *\r")
 		}
 		transcript.WriteString("=== " + r.name + "\n")

@@ -147,6 +147,10 @@ type Store struct {
 	// server" (a generation change — with an epoch regression when the new
 	// server lost the old state).
 	generation uint64
+	// recovered is the generation a persistent store loaded from its data
+	// directory (0 if none): a follower resumes from its recovered epoch
+	// only when this is its leader's (AdoptGeneration).
+	recovered uint64
 
 	// persist, when non-nil, is the store's log: every operation is
 	// appended to its WAL (under mu, before fan-out), and once the log is
@@ -258,6 +262,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	}
 	s.docs, s.retired = state.Docs, state.Retired
 	s.epoch = state.Epoch
+	s.recovered = state.Generation
 	if next := state.Generation + 1; next > 1 {
 		s.generation = next // 0 (nothing recovered) and a wrap keep the random one
 	}

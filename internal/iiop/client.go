@@ -62,18 +62,18 @@ type Conn struct {
 	stateMu sync.Mutex
 	closed  bool
 	readErr error
+	// dead is set with closed or readErr, so Broken — which a pooled
+	// CORBA stub checks before every call — takes no lock.
+	dead atomic.Bool
 
 	readerDone chan struct{}
 }
 
-// Broken reports whether the connection is no longer usable: closed, or
-// its read loop died (peer went away, protocol error). Invokes on a broken
-// connection fail fast; pools use this to evict dead connections.
-func (cn *Conn) Broken() bool {
-	cn.stateMu.Lock()
-	defer cn.stateMu.Unlock()
-	return cn.closed || cn.readErr != nil
-}
+// Broken reports whether the connection is no longer usable: closed, its
+// read loop died (peer went away, protocol error), or a request's write
+// failed. Invokes on a broken connection fail fast; pools use this to
+// evict dead connections.
+func (cn *Conn) Broken() bool { return cn.dead.Load() }
 
 // Dial is DialContext with a background context.
 func Dial(addr string) (*Conn, error) {
@@ -159,6 +159,7 @@ func (cn *Conn) failAll(err error) {
 	if cn.readErr == nil {
 		cn.readErr = err
 	}
+	cn.dead.Store(true)
 	cn.stateMu.Unlock()
 	for i := range cn.shards {
 		sh := &cn.shards[i]
@@ -216,7 +217,11 @@ func (cn *Conn) send(id uint32, objectKey []byte, operation string, order cdr.By
 	cn.writeMu.Unlock()
 	req.Recycle()
 	if err != nil {
-		return fmt.Errorf("iiop: sending request: %w", err)
+		// A failed write leaves the stream's framing unknown: the
+		// connection is dead even if the read loop has not seen it yet.
+		err = fmt.Errorf("iiop: sending request: %w", err)
+		cn.failAll(err)
+		return err
 	}
 	return nil
 }
@@ -353,6 +358,7 @@ func (cn *Conn) Close() error {
 		return nil
 	}
 	cn.closed = true
+	cn.dead.Store(true)
 	cn.stateMu.Unlock()
 	err := cn.c.Close()
 	<-cn.readerDone

@@ -17,12 +17,9 @@ package repl
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -39,27 +36,12 @@ import (
 // and changing it would change the benchmark's documents.
 const DefaultTailShards = 4
 
-// cursorFile is the follower's sidecar next to its store data: the
-// leader generation and the applied epoch a restart resumes from.
-// It is written without fsync — the apply path is idempotent, so a
-// cursor that lags (or tears and parses as nothing) only widens the
-// re-fetch overlap, never loses or duplicates a commit.
-const cursorFile = "repl-state.json"
-
 // DefaultRetryDelay is the base reconnect pacing after a broken stream or
 // a refused event, and while the leader is unreachable. Consecutive
 // failures back off exponentially from this base — capped and jittered,
 // reset by the next applied event — so a follower fleet facing a dead
 // leader does not dial in lockstep forever.
 const DefaultRetryDelay = 200 * time.Millisecond
-
-// cursorSaveEvery debounces cursor-sidecar writes on the apply path: the
-// sidecar is rewritten at most once per this many applied events (plus on
-// a reset and on Close), so an edit storm does not pay a
-// marshal+WriteFile+Rename per replicated event. A cursor that lags by up
-// to a debounce window only widens the restart re-fetch overlap, which
-// the version filter deduplicates.
-const cursorSaveEvery = 64
 
 // errReset ends a stream whose generation header named a leader
 // incarnation other than the adopted one: the follower has reset and
@@ -71,9 +53,8 @@ type FollowerConfig struct {
 	// Leader is the leader Interface Server's base URL.
 	Leader string
 	// Store configures the follower's own store — in-memory by default,
-	// durable when Dir is set (the replication cursor persists next to
-	// the store's files, so a restarted follower resumes from its durable
-	// epoch instead of re-bootstrapping).
+	// durable when Dir is set (a restarted follower then resumes from the
+	// epoch its store recovered instead of re-bootstrapping).
 	Store ifsvr.StoreConfig
 	// HTTPClient overrides the streaming client (nil means a private one).
 	HTTPClient *http.Client
@@ -100,18 +81,15 @@ type Follower struct {
 	hc     *http.Client
 	store  *ifsvr.Store
 	iface  *ifsvr.Server
-	dir    string
 	retry  time.Duration
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	curMu       sync.Mutex // serializes cursor-sidecar writes
 	mu          sync.Mutex
 	gen         uint64
 	applied     uint64 // last applied epoch
 	leaderEpoch uint64 // the leader's epoch, from stream headers and events
-	dirty       int    // applied events since the last cursor save
 	snapshot    bool   // the last applied version was part of a snapshot reset
 	counters    struct {
 		records, batches, removes, bootstraps uint64
@@ -119,34 +97,32 @@ type Follower struct {
 	}
 }
 
-// cursorState is the cursorFile layout.
-type cursorState struct {
-	Generation uint64 `json:"generation"`
-	Applied    uint64 `json:"applied"`
-}
-
-// OpenFollower connects to the leader's all-paths stream, opens (or
-// recovers) the local store, and starts applying. The connect comes first,
-// so an unreachable leader fails fast; the returned follower's store is
+// OpenFollower opens (or recovers) the local store, connects to the
+// leader's all-paths stream past the store's epoch, and starts applying;
+// an unreachable leader fails it. The returned follower's store is
 // read-only and already adopting the leader's generation.
+//
+// A recovered store resumes only under the generation it recovered: its
+// WAL and snapshot are a prefix of that leader incarnation's commits, so
+// its epoch is exactly what it kept. Any other recovered state belongs to
+// a dead incarnation and is wiped, and the follower rebuilds from epoch 0.
 func OpenFollower(cfg FollowerConfig) (*Follower, error) {
-	f := &Follower{leader: cfg.Leader, hc: cfg.HTTPClient, dir: cfg.Store.Dir, retry: cfg.RetryDelay}
+	f := &Follower{leader: cfg.Leader, hc: cfg.HTTPClient, retry: cfg.RetryDelay}
 	if f.hc == nil {
 		f.hc = &http.Client{}
 	}
 	if f.retry <= 0 {
 		f.retry = DefaultRetryDelay
 	}
-	cur, curOK := f.loadCursor()
-	ctx, cancel := context.WithCancel(context.Background())
-	s, err := f.open(ctx, cur.Applied)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
 	st, err := ifsvr.OpenStore(cfg.Store)
 	if err != nil {
-		_ = s.Close()
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	after := st.Epoch()
+	s, err := f.open(ctx, after)
+	if err != nil {
+		st.Close()
 		cancel()
 		return nil, err
 	}
@@ -156,23 +132,20 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	// Serve the LEADER's restart generation, not our own incarnation
 	// count: a watcher failing over between replicas must not misread
 	// the replica switch as a state-loss restart.
-	st.AdoptGeneration(s.Generation)
+	resume := st.AdoptGeneration(s.Generation)
 	st.SetReadOnly(true)
 	st.SetReplicationStats(f.replicationStats)
 	switch {
-	case curOK && cur.Generation == s.Generation:
-		f.applied = cur.Applied
-	case curOK || st.Epoch() > 0:
-		// The durable cursor (or the recovered store state, when the
-		// cursor tore) belongs to a dead leader incarnation: its
+	case resume:
+		f.applied = after
+	case after > 0:
+		// The recovered state belongs to another leader incarnation: its
 		// versions would shadow the new leader's. Wipe and rebuild from
-		// epoch 0 — on this stream, if it asked for that.
+		// epoch 0 on a new stream.
 		f.reset(s.Generation)
 		f.leaderEpoch = s.Epoch
-		if cur.Applied != 0 {
-			_ = s.Close()
-			s = nil
-		}
+		_ = s.Close()
+		s = nil
 	}
 	f.wg.Add(1)
 	go f.run(ctx, s)
@@ -216,18 +189,17 @@ func (f *Follower) Generation() uint64 {
 // Leader returns the leader base URL.
 func (f *Follower) Leader() string { return f.leader }
 
-// Close stops following, persists the final cursor, and closes the local
-// store (and the Serve HTTP server, if started).
+// Close stops following and closes the local store (and the Serve HTTP
+// server, if started).
 func (f *Follower) Close() {
 	f.cancel()
 	f.wg.Wait()
-	f.saveCursor()
 	_ = f.iface.Close()
 	f.store.Close()
 }
 
-// Crash is Close the hard way — no final cursor write, no store
-// snapshot — for restart-torture tests.
+// Crash is Close the hard way — no closing store snapshot — for
+// restart-torture tests.
 func (f *Follower) Crash() error {
 	f.cancel()
 	f.wg.Wait()
@@ -342,18 +314,13 @@ func (f *Follower) apply(ev ifsvr.StreamEvent) {
 		f.leaderEpoch = max(f.leaderEpoch, ev.Doc.Epoch)
 	}
 	f.counters.records++
-	f.dirty++
-	save := f.dirty >= cursorSaveEvery
 	f.mu.Unlock()
-	if save {
-		f.saveCursor()
-	}
 }
 
 // reset wipes the follower for a new leader incarnation gen: local store
 // state (documents, journal, epochs), the cursor (to epoch 0), and the
-// adopted generation. The cursor persists at once, so a follower that
-// crashes mid-rebuild still rebuilds on restart.
+// adopted generation. The store snapshots the wiped state under gen at
+// once, so a follower that crashes mid-rebuild resumes the rebuild.
 func (f *Follower) reset(gen uint64) {
 	f.mu.Lock()
 	f.gen = gen
@@ -362,48 +329,6 @@ func (f *Follower) reset(gen uint64) {
 	f.counters.resets++
 	f.mu.Unlock()
 	f.store.ResetReplicated(gen)
-	f.saveCursor()
-}
-
-// loadCursor reads the cursor sidecar ("" dir, a missing file, a torn
-// write, or a file in an older layout all read as no cursor — the
-// follower just bootstraps).
-func (f *Follower) loadCursor() (cursorState, bool) {
-	if f.dir == "" {
-		return cursorState{}, false
-	}
-	data, err := os.ReadFile(filepath.Join(f.dir, cursorFile))
-	if err != nil {
-		return cursorState{}, false
-	}
-	var cur cursorState
-	if json.Unmarshal(data, &cur) != nil {
-		return cursorState{}, false
-	}
-	return cur, true
-}
-
-// saveCursor writes the cursor sidecar (best-effort, unsynced; see
-// cursorFile) and resets the debounce counter.
-func (f *Follower) saveCursor() {
-	f.mu.Lock()
-	cur := cursorState{Generation: f.gen, Applied: f.applied}
-	f.dirty = 0
-	f.mu.Unlock()
-	if f.dir == "" {
-		return
-	}
-	data, err := json.Marshal(cur)
-	if err != nil {
-		return
-	}
-	f.curMu.Lock()
-	defer f.curMu.Unlock()
-	tmp := filepath.Join(f.dir, cursorFile+".tmp")
-	if os.WriteFile(tmp, data, 0o644) != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(f.dir, cursorFile))
 }
 
 // Lag is the follower's backlog: the leader's epoch minus the applied

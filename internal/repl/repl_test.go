@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -202,12 +205,13 @@ func TestFollowerRestartResumes(t *testing.T) {
 	// The subscription rides until Close: everything applied is recorded.
 	time.Sleep(15 * time.Millisecond)
 	f.Close()
+	assertStoreFilesOnly(t, dir)
 
 	<-done // leader finishes the storm while the follower is down
 
-	// Restart over the same dir: the stream resumes from the durable
-	// cursor. OpenFollower returns with the stream connected, so it is
-	// held until the subscription records what it carries.
+	// Restart over the same dir: the stream resumes from the epoch the
+	// store recovered. OpenFollower returns with the stream connected, so
+	// it is held until the subscription records what it carries.
 	tr := &holdingTransport{RoundTripper: http.DefaultTransport.(*http.Transport).Clone()}
 	tr.hold()
 	f2, err := repl.OpenFollower(repl.FollowerConfig{Leader: base, Store: ifsvr.StoreConfig{Dir: dir},
@@ -242,6 +246,62 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if rs := f2.Store().Stats().Replication; rs == nil || rs.Bootstraps != 0 {
 		t.Fatalf("restart should resume by replay, not bootstrap: %+v", rs)
 	}
+}
+
+// assertStoreFilesOnly fails unless dir holds exactly a store's two files:
+// a follower keeps no state of its own beside them.
+func assertStoreFilesOnly(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"snapshot.json", "wal.log"}) {
+		t.Fatalf("follower directory holds %q, want exactly snapshot.json and wal.log", names)
+	}
+}
+
+// TestFollowerResumesFromRolledBackStore: a power loss can roll a durable
+// follower's store back to an earlier state. The follower resumes from the
+// epoch its store recovered, so it fetches again what the store lost and
+// converges on the leader.
+func TestFollowerResumesFromRolledBackStore(t *testing.T) {
+	st, base := startLeader(t, ifsvr.StoreConfig{})
+	dir := t.TempDir()
+	st.Publish("/a", "text/plain", "a1")
+	st.Publish("/b", "text/plain", "b1")
+	f := openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	waitConverged(t, st, f.Store())
+	f.Close()
+	early := make(map[string][]byte)
+	for _, name := range []string{"snapshot.json", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		early[name] = data
+	}
+
+	f = openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	st.Publish("/b", "text/plain", "b2")
+	st.Publish("/c", "text/plain", "c1")
+	waitConverged(t, st, f.Store())
+	f.Close()
+
+	// The power loss: the store's files go back to the earlier copy, and
+	// anything else in the directory keeps its later state.
+	for name, data := range early {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f = openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	defer f.Close()
+	waitConverged(t, st, f.Store())
 }
 
 // TestLeaderCompactionBootstrap forces the snapshot-reset path: the

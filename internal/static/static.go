@@ -97,6 +97,7 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b
 // reader and reply appenders.
 func (s *SOAPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
