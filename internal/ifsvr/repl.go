@@ -206,28 +206,47 @@ func (src *allSource) emitFloor(w io.Writer, f retiredFloor) {
 // apply methods below. The Interface Server pairs this with
 // Server.LeaderURL, which misdirects HTTP writes to the leader with a
 // 421.
+//
+// A replica serves its leader's generation, never an incarnation count of
+// its own, so marking a recovered durable store read-only also puts back
+// the generation it recovered — the leader's it last adopted — in place
+// of OpenStore's bump, and snapshots it: a follower that stops before it
+// reaches its leader leaves its directory resumable under that leader.
 func (s *Store) SetReadOnly(ro bool) {
+	s.deliverMu.Lock()
 	s.mu.Lock()
 	s.readOnly = ro
+	if ro && !s.closed && s.recovered != 0 && s.generation != s.recovered {
+		s.generation = s.recovered
+		_ = s.snapshotLocked() // a failure is counted in PersistErrors
+	}
 	s.mu.Unlock()
+	s.deliverMu.Unlock()
 }
 
 // AdoptGeneration overrides the store's restart generation with the
 // replication leader's. A follower serves the leader's generation on
 // every response, so a watcher failing over between replicas — or from
 // the leader to a replica — does not misread the switch as a state-loss
-// restart. A durable store snapshots the adopted value at once, so a
-// crash after adoption still recovers it. It reports whether gen is the
-// generation the store recovered from its data directory: only then is
-// the recovered state a prefix of gen's commits that a follower may
-// resume from its epoch.
+// restart. It reports whether gen is the generation the store recovered
+// from its data directory: only then is the recovered state a prefix of
+// gen's commits that a follower may resume from its epoch.
+//
+// A store that holds state under another generation does not adopt gen:
+// that state belongs to a dead incarnation, and the caller wipes it with
+// ResetReplicated(gen), which adopts gen and snapshots the empty state in
+// one step, so no crash finds gen on disk beside the dead incarnation's
+// documents. Otherwise a durable store snapshots the adopted value at
+// once, so a crash after adoption still recovers it.
 func (s *Store) AdoptGeneration(gen uint64) bool {
 	if gen == 0 || !s.beginWrite(false) {
 		return false
 	}
-	s.generation = gen
-	_ = s.snapshotLocked() // a failure is counted in PersistErrors
 	match := gen == s.recovered
+	if (match || s.epoch == 0) && s.generation != gen {
+		s.generation = gen
+		_ = s.snapshotLocked() // a failure is counted in PersistErrors
+	}
 	s.mu.Unlock()
 	s.deliverMu.Unlock()
 	return match

@@ -85,3 +85,45 @@ func TestResetReplicatedClearsIncarnation(t *testing.T) {
 		t.Fatalf("post-reset /x = %+v, %v; want v1 %q", d, err, "new")
 	}
 }
+
+// TestAdoptGenerationLeavesForeignStateUnadopted: a durable replica whose
+// recovered state belongs to one leader incarnation does not store
+// another's generation beside it, so a crash before the wipe cannot
+// resume the dead incarnation's documents under the new generation. Read
+// only, the reopened store goes back to the generation it recovered, not
+// OpenStore's bump, and stores it at once.
+func TestAdoptGenerationLeavesForeignStateUnadopted(t *testing.T) {
+	dir := t.TempDir()
+	st := openDir(t, dir, 0)
+	st.SetReadOnly(true)
+	if st.AdoptGeneration(77) {
+		t.Fatal("a fresh directory matched generation 77")
+	}
+	st.ApplyReplicated([]StoreEvent{replicatedEvent("/x", "old", 3, 5)})
+	st.Close()
+
+	st = openDir(t, dir, 0)
+	if g := st.Generation(); g != 78 {
+		t.Fatalf("reopened generation = %d, want the bump 78", g)
+	}
+	st.SetReadOnly(true)
+	if g := st.Generation(); g != 77 {
+		t.Fatalf("read-only generation = %d, want the recovered 77", g)
+	}
+	if st.AdoptGeneration(91) {
+		t.Fatal("state recovered under generation 77 matched 91")
+	}
+	if err := st.Crash(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = openDir(t, dir, 0)
+	defer st.Close()
+	st.SetReadOnly(true)
+	if st.AdoptGeneration(91) {
+		t.Fatal("after a crash, generation 91 resumed state recovered under 77")
+	}
+	if !st.AdoptGeneration(77) || st.Version("/x") != 3 {
+		t.Fatalf("the recovered state no longer resumes under its own generation 77 (/x at v%d)", st.Version("/x"))
+	}
+}

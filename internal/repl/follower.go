@@ -118,6 +118,10 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Read-only before the leader is reached: a recovered store goes back
+	// to the generation it recovered, so a start that fails here leaves
+	// the directory resumable.
+	st.SetReadOnly(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	after := st.Epoch()
 	s, err := f.open(ctx, after)
@@ -129,19 +133,17 @@ func OpenFollower(cfg FollowerConfig) (*Follower, error) {
 	f.store, f.gen, f.leaderEpoch, f.cancel = st, s.Generation, s.Epoch, cancel
 	f.iface = ifsvr.NewView(st)
 	f.iface.LeaderURL = cfg.Leader
+	st.SetReplicationStats(f.replicationStats)
 	// Serve the LEADER's restart generation, not our own incarnation
 	// count: a watcher failing over between replicas must not misread
 	// the replica switch as a state-loss restart.
-	resume := st.AdoptGeneration(s.Generation)
-	st.SetReadOnly(true)
-	st.SetReplicationStats(f.replicationStats)
 	switch {
-	case resume:
+	case st.AdoptGeneration(s.Generation):
 		f.applied = after
 	case after > 0:
 		// The recovered state belongs to another leader incarnation: its
-		// versions would shadow the new leader's. Wipe and rebuild from
-		// epoch 0 on a new stream.
+		// versions would shadow the new leader's. Wipe, adopting the
+		// leader's generation, and rebuild from epoch 0 on a new stream.
 		f.reset(s.Generation)
 		f.leaderEpoch = s.Epoch
 		_ = s.Close()

@@ -304,6 +304,30 @@ func TestFollowerResumesFromRolledBackStore(t *testing.T) {
 	waitConverged(t, st, f.Store())
 }
 
+// TestFollowerFailedStartResumes: a start that cannot reach the leader
+// leaves a durable follower's directory under the leader's generation, so
+// the next start resumes by replay instead of wiping and re-bootstrapping.
+func TestFollowerFailedStartResumes(t *testing.T) {
+	st, base := startLeader(t, ifsvr.StoreConfig{})
+	dir := t.TempDir()
+	st.Publish("/a", "text/plain", "a1")
+	f := openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	waitConverged(t, st, f.Store())
+	f.Close()
+
+	if f, err := repl.OpenFollower(repl.FollowerConfig{Leader: "http://127.0.0.1:1", Store: ifsvr.StoreConfig{Dir: dir}}); err == nil {
+		f.Close()
+		t.Fatal("a follower of an unreachable leader started")
+	}
+	st.Publish("/a", "text/plain", "a2")
+	f = openFollower(t, base, ifsvr.StoreConfig{Dir: dir})
+	defer f.Close()
+	waitConverged(t, st, f.Store())
+	if rs := f.Store().Stats().Replication; rs == nil || rs.Bootstraps != 0 || rs.Resets != 0 {
+		t.Fatalf("a start after a failed one should resume by replay: %+v", rs)
+	}
+}
+
 // TestLeaderCompactionBootstrap forces the snapshot-reset path: the
 // leader's journal is tiny, the follower connects after far more commits
 // than the journal holds, so its cursor is below the floor and the leader
