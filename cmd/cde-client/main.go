@@ -34,6 +34,7 @@ import (
 
 	"livedev"
 	"livedev/internal/cde"
+	"livedev/internal/decfloat"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
 	"livedev/internal/jsonb"
@@ -211,13 +212,13 @@ func parseArg(s string, t *dyn.Type) (dyn.Value, error) {
 		}
 		return dyn.Int64Value(i), nil
 	case dyn.KindFloat32:
-		f, err := strconv.ParseFloat(s, 32)
+		f, err := decfloat.ParseFloat([]byte(s), 32)
 		if err != nil {
 			return dyn.Value{}, err
 		}
 		return dyn.Float32Value(float32(f)), nil
 	case dyn.KindFloat64:
-		f, err := strconv.ParseFloat(s, 64)
+		f, err := decfloat.ParseFloat([]byte(s), 64)
 		if err != nil {
 			return dyn.Value{}, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -48,14 +49,17 @@ func elemOrSelf(t *dyn.Type) *dyn.Type {
 	return t
 }
 
-// bulkValue is the benchmark's calls_bulk payload shape: n Item structs.
+// bulkValue is the benchmark's calls_bulk payload shape: n Item structs,
+// each score, as the benchmark's, a random int32 divided by 1024 (an exact
+// binary fraction of up to 17 significant digits).
 func bulkValue(n int) dyn.Value {
+	rng := rand.New(rand.NewPCG(1, 2))
 	elems := make([]dyn.Value, n)
 	for i := range elems {
 		elems[i] = dyn.MustStructValue(itemType,
 			dyn.Int32Value(int32(i*7919-100000)),
 			dyn.StringValue(fmt.Sprintf("tag-%012d", i)),
-			dyn.Float64Value(float64(i*31-4000)/1024))
+			dyn.Float64Value(float64(rng.Int32())/1024))
 	}
 	return dyn.MustSequenceValue(itemType, elems...)
 }

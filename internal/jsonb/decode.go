@@ -8,6 +8,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"livedev/internal/decfloat"
 	"livedev/internal/dyn"
 )
 
@@ -415,13 +416,13 @@ func fromNumber(k dyn.Kind, lit []byte) (dyn.Value, error) {
 		}
 		return dyn.Int32Value(int32(n)), nil
 	case dyn.KindFloat32:
-		f, err := strconv.ParseFloat(string(lit), 32)
+		f, err := decfloat.ParseFloat(lit, 32)
 		if err != nil {
 			return dyn.Value{}, fmt.Errorf("jsonb: decoding float32: %w", err)
 		}
 		return dyn.Float32Value(float32(f)), nil
 	default:
-		f, err := strconv.ParseFloat(string(lit), 64)
+		f, err := decfloat.ParseFloat(lit, 64)
 		if err != nil {
 			return dyn.Value{}, fmt.Errorf("jsonb: decoding float64: %w", err)
 		}

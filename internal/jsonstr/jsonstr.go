@@ -8,6 +8,16 @@ import "unicode/utf8"
 
 const hexDigits = "0123456789abcdef"
 
+// unescaped marks the bytes Append copies as they are: printable ASCII but
+// for the quote, the backslash and the three HTML characters. Control bytes
+// are escaped; bytes from utf8.RuneSelf up start a rune, checked apart.
+var unescaped = func() (t [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return t
+}()
+
 // Append writes s as a JSON string literal onto buf with encoding/json's
 // default escaping: the short escapes, \u00XX for the remaining control
 // bytes and for < > & (the text may be embedded in HTML), \u2028 and
@@ -17,11 +27,11 @@ func Append(buf []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		b := s[i]
+		if unescaped[b] {
+			i++
+			continue
+		}
 		if b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
 			buf = append(buf, s[start:i]...)
 			switch b {
 			case '"', '\\':

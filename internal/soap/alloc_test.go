@@ -2,6 +2,7 @@ package soap
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"livedev/internal/dyn"
@@ -72,7 +73,9 @@ func TestAllocs_BuildResponse(t *testing.T) {
 }
 
 // bulkItem and bulkValue are the benchmark's calls_bulk payload: a sequence
-// of 256 struct{int32, string(16), float64}, 46 KB as an envelope.
+// of 256 struct{int32, string(16), float64}, 46 KB as an envelope. Each
+// score is, as the benchmark's, a random int32 divided by 1024: an exact
+// binary fraction of up to 17 significant digits.
 var bulkItem = dyn.MustStructOf("BenchItem",
 	dyn.StructField{Name: "id", Type: dyn.Int32T},
 	dyn.StructField{Name: "tag", Type: dyn.StringT},
@@ -80,12 +83,13 @@ var bulkItem = dyn.MustStructOf("BenchItem",
 )
 
 func bulkValue() dyn.Value {
+	rng := rand.New(rand.NewPCG(1, 2))
 	elems := make([]dyn.Value, 256)
 	for i := range elems {
 		elems[i] = dyn.MustStructValue(bulkItem,
 			dyn.Int32Value(int32(i*7919-1<<20)),
 			dyn.StringValue(fmt.Sprintf("tag-%012d", i*104729)),
-			dyn.Float64Value(float64(i*65537-1<<22)/1024),
+			dyn.Float64Value(float64(rng.Int32())/1024),
 		)
 	}
 	return dyn.MustSequenceValue(bulkItem, elems...)

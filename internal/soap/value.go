@@ -8,6 +8,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"livedev/internal/decfloat"
 	"livedev/internal/dyn"
 )
 
@@ -357,7 +358,7 @@ func parseXSDFloat(s []byte, bits int) (float64, error) {
 	case "NaN":
 		return math.NaN(), nil
 	}
-	f, err := strconv.ParseFloat(string(s), bits)
+	f, err := decfloat.ParseFloat(s, bits)
 	if err != nil {
 		return 0, fmt.Errorf("soap: invalid float %q", s)
 	}
