@@ -120,7 +120,7 @@ var (
 	contentLength   = regexp.MustCompile(`(?m)^Content-Length: \d+\r$`)
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/endpoint_replies.txt from the live replies")
+var update = flag.Bool("update", false, "rewrite the transcripts in testdata from the live replies")
 
 // endpointReplies is the committed transcript of TestEndpointRepliesMatchNetHTTP's
 // live replies: for each row, its name, then the reply one quoted line at
@@ -203,25 +203,32 @@ func TestEndpointRepliesMatchNetHTTP(t *testing.T) {
 			transcript.WriteString(strconv.Quote(line) + "\n")
 		}
 	}
+	checkTranscript(t, endpointReplies, transcript.String())
+}
+
+// checkTranscript compares got with the committed transcript at path,
+// after writing got there under -update.
+func checkTranscript(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(endpointReplies), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(endpointReplies, []byte(transcript.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	committed, err := os.ReadFile(endpointReplies)
+	committed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to write it)", err)
 	}
-	if got := transcript.String(); got != string(committed) {
+	if got != string(committed) {
 		gl, cl := strings.Split(got, "\n"), strings.Split(string(committed), "\n")
 		for i := range min(len(gl), len(cl)) {
 			if gl[i] != cl[i] {
-				t.Fatalf("the replies differ from %s at line %d:\n got  %s\n want %s", endpointReplies, i+1, gl[i], cl[i])
+				t.Fatalf("the replies differ from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], cl[i])
 			}
 		}
-		t.Fatalf("the replies run to %d lines, %s to %d", len(gl), endpointReplies, len(cl))
+		t.Fatalf("the replies run to %d lines, %s to %d", len(gl), path, len(cl))
 	}
 }
