@@ -1,9 +1,11 @@
 // Bank-corba: a CORBA-RMI bank service with per-account state held in
-// dynamic fields, served through the SDE's server ORB (DSI) and consumed
-// through a CDE client (DII), with the full IOR + CORBA-IDL bootstrap of
-// the paper's Figure 2. The interface then evolves live: withdraw gains an
-// overdraft-protection parameter, and the connected client observes the
-// signature change through the reactive protocol.
+// dynamic fields, served through the SDE's CORBA call handler (which
+// resolves each operation against the live interface at dispatch, the
+// DSI idea) and consumed through a CDE client (DII), with the full IOR +
+// CORBA-IDL bootstrap of the paper's Figure 2. The interface then evolves
+// live: withdraw gains an overdraft-protection parameter, and the
+// connected client observes the signature change through the reactive
+// protocol.
 package main
 
 import (

@@ -8,10 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/giop"
 	"livedev/internal/idl"
 	"livedev/internal/ifsvr"
+	"livedev/internal/iiop"
 	"livedev/internal/ior"
 	"livedev/internal/orb"
 	"livedev/internal/wsdl"
@@ -175,8 +178,8 @@ func TestCORBABackendIDLFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := &testTarget{in: class.NewInstance()}
-	srv := orb.NewServerORB("IDL:SvcModule/Svc:1.0", []byte("svc"), target)
-	ref, err := srv.Listen("127.0.0.1:0")
+	srv := iiop.NewServer(iiop.HandlerFunc(target.handle))
+	ref, err := orb.Listen(srv, "127.0.0.1:0", "IDL:SvcModule/Svc:1.0", []byte("svc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,24 +282,29 @@ func TestClosedClientStaysClosed(t *testing.T) {
 	}
 }
 
-// testTarget is a minimal DSI target for the failure-injection tests.
+// testTarget is a minimal CORBA servant for the failure-injection tests,
+// on the ORB's reply builders.
 type testTarget struct{ in *dyn.Instance }
 
-func (t *testTarget) Invoke(_ context.Context, req orb.ServerRequest) (dyn.Value, error) {
-	sig, ok := t.in.Class().Interface().Lookup(req.Operation)
+func (t *testTarget) handle(_ context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
+	if string(h.ObjectKey) != "svc" {
+		return orb.ExceptionReply(order, h.RequestID, &giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo}, nil)
+	}
+	sig, ok := t.in.Class().Interface().Lookup(h.Operation)
 	if !ok {
-		return dyn.Value{}, orb.BadOperation(1)
+		return orb.ExceptionReply(order, h.RequestID, orb.BadOperation(1), nil)
 	}
-	if len(sig.Params) != 0 || req.Args.Remaining() > 0 {
-		return dyn.Value{}, orb.BadOperation(3) // the injected operations take no arguments
+	if len(sig.Params) != 0 || args.Remaining() > 0 {
+		return orb.ExceptionReply(order, h.RequestID, orb.BadOperation(3), nil) // the injected operations take no arguments
 	}
-	v, err := t.in.InvokeDistributed(req.Operation)
-	if err != nil && errors.Is(err, dyn.ErrNoBody) {
+	v, err := t.in.InvokeDistributed(h.Operation)
+	if err != nil && errors.Is(err, dyn.ErrNoBody) && strings.HasPrefix(h.Operation, "op") {
 		// The failure-injection class has no bodies; answer statically so
 		// the happy-path assertion can pass.
-		if strings.HasPrefix(req.Operation, "op") {
-			return dyn.Int32Value(7), nil
-		}
+		v, err = dyn.Int32Value(7), nil
 	}
-	return v, err
+	if err != nil {
+		return orb.AppErrorReply(order, h.RequestID, err.Error())
+	}
+	return orb.ResultReply(order, h.RequestID, v)
 }

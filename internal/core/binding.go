@@ -19,9 +19,10 @@ import (
 //   - a codec. An HTTP binding hands an HTTPCodec to ClassServer.MountCalls:
 //     a Decode that reads one request against the live interface it is
 //     handed, and an Encode that renders the Reply in the technology's
-//     wire vocabulary. A binding with a listener of its own (CORBA's ORB,
-//     h2b's mux), released through ClassServer.OnClose, passes a Resolve
-//     per request to ClassServer.Call and renders the Reply itself.
+//     wire vocabulary. A binding with a listener of its own (CORBA's IIOP
+//     port, h2b's mux), released through ClassServer.OnClose, passes a
+//     Resolve per request to ClassServer.Call and switches on the Reply's
+//     Outcome straight to its wire reply, as an Encode does.
 //
 // What it can no longer get wrong, because it no longer does it: publishing
 // the basic description at registration (Manager.Register does, once Serve

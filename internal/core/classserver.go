@@ -119,9 +119,9 @@ type HTTPCodec struct {
 // Sections 5.1.3, 5.4 and 5.7 (in Call), and the one HTTP call handler
 // (MountCalls), which reads a request, calls, and writes the reply once.
 // Every binding's server embeds one and adds a codec: an HTTPCodec for
-// MountCalls, or a listener of its own that calls Call (CORBA's ORB, h2b's
-// fast path). SOAPServer, CORBAServer, jsonb.Server and h2b.Server differ
-// in nothing else.
+// MountCalls, or a listener of its own that calls Call (CORBA's IIOP
+// handler, h2b's fast path). SOAPServer, CORBAServer, jsonb.Server and
+// h2b.Server differ in nothing else.
 //
 // The protocol, stated once. Calls run concurrently under the read gate
 // (Section 5.4: the handler is "completely multithreaded"), which is held

@@ -2,33 +2,35 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"livedev/internal/cdr"
 	"livedev/internal/dyn"
+	"livedev/internal/giop"
 	"livedev/internal/idl"
+	"livedev/internal/iiop"
 	"livedev/internal/ior"
 	"livedev/internal/orb"
 )
 
 // CORBAServer is the CORBA subsystem for one managed class (Figure 5): an
-// IDL Generator feeding the ClassServer's DL Publisher, a Server ORB (with
-// DSI, so interface changes never require ORB reinitialization — Section
-// 5.2.2), the published IOR, and the CORBA Call Handler: "a simple wrapper
-// around the Server ORB" (Section 5.2), here the orb.DSITarget the ORB
-// hands each request to.
+// IDL Generator feeding the ClassServer's DL Publisher, the Server ORB (an
+// IIOP listener), the published IOR, and the CORBA Call Handler, "a simple
+// wrapper around the Server ORB" (Section 5.2): serve, which resolves each
+// operation against the live interface at dispatch — the Dynamic Skeleton
+// Interface idea, so interface changes never require ORB reinitialization
+// (Section 5.2.2) — and renders the Reply straight into GIOP.
 type CORBAServer struct {
 	*ClassServer
+	key     []byte
 	ref     ior.IOR
 	iorPath string
 }
 
 var _ Server = (*CORBAServer)(nil)
-var _ orb.DSITarget = (*CORBAServer)(nil)
 
 func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
-	s := &CORBAServer{iorPath: "/ior/" + class.Name() + ".ior"}
+	s := &CORBAServer{key: []byte(class.Name()), iorPath: "/ior/" + class.Name() + ".ior"}
 	s.ClassServer = m.NewClassServer(class, TechCORBA, "/idl/"+class.Name()+".idl", "text/plain",
 		func(desc dyn.InterfaceDescriptor) (string, error) {
 			doc, err := idl.Generate(desc)
@@ -43,8 +45,8 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 	// IDL document Register publishes next, so anyone who can see the IDL
 	// can already bootstrap the connection.
 	typeID := fmt.Sprintf("IDL:%sModule/%s:1.0", class.Name(), class.Name())
-	orbSrv := orb.NewServerORB(typeID, []byte(class.Name()), s)
-	ref, err := orbSrv.Listen(m.cfg.CORBAAddr)
+	srv := iiop.NewServer(iiop.HandlerFunc(s.serve))
+	ref, err := orb.Listen(srv, m.cfg.CORBAAddr, typeID, s.key)
 	if err != nil {
 		_ = s.Close()
 		return nil, fmt.Errorf("core: starting server ORB: %w", err)
@@ -52,7 +54,7 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 	s.ref = ref
 	m.store.Publish(s.iorPath, "text/plain", ref.String())
 	s.OnClose(func() error {
-		err := orbSrv.Close()
+		err := srv.Close()
 		m.store.Remove(s.iorPath)
 		return err
 	})
@@ -71,47 +73,50 @@ func (s *CORBAServer) IORURL() string { return s.mgr.InterfaceBaseURL() + s.iorP
 // fault.
 const FaultTextServerNotInitialized = "Server not initialized"
 
-var errServerNotInitialized = errors.New(FaultTextServerNotInitialized)
-
-// Invoke implements orb.DSITarget. The BAD_OPERATION minor code says how
-// the request missed the live interface: 1 unknown operation, 2 changed
-// between resolve and dispatch, 3 arguments that do not decode under the
-// current signature, 4 argument octets left over (the client's stale
-// signature had more parameters than the current one).
-func (s *CORBAServer) Invoke(ctx context.Context, req orb.ServerRequest) (dyn.Value, error) {
+// serve is the CORBA Call Handler. A request for another object key is
+// OBJECT_NOT_EXIST; a stale one is BAD_OPERATION, whose minor code says how
+// it missed the live interface: 1 unknown operation, 2 changed between
+// resolve and dispatch, 3 arguments that do not decode under the current
+// signature, 4 argument octets left over (the client's stale signature had
+// more parameters than the current one). Every error a method body returns
+// is the generic application exception (Section 5.2.3).
+func (s *CORBAServer) serve(ctx context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
+	if string(h.ObjectKey) != string(s.key) {
+		return orb.ExceptionReply(order, h.RequestID,
+			&giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo}, nil)
+	}
 	minor := uint32(2)
 	rep := s.Call(ctx, func(live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
-		sig, ok := live.Lookup(req.Operation)
+		sig, ok := live.Lookup(h.Operation)
 		if !ok {
 			minor = 1
-			return req.Operation, nil, ErrMisfit
+			return h.Operation, nil, ErrMisfit
 		}
-		args := make([]dyn.Value, len(sig.Params))
+		vals := make([]dyn.Value, len(sig.Params))
 		for i, p := range sig.Params {
 			var err error
-			if args[i], err = cdr.DecodeValue(req.Args, p.Type); err != nil {
+			if vals[i], err = cdr.DecodeValue(args, p.Type); err != nil {
 				// Encoded against a stale signature (Section 5.6: "Client
 				// calls for stale method signatures may also trigger updates").
 				minor = 3
-				return req.Operation, nil, ErrMisfit
+				return h.Operation, nil, ErrMisfit
 			}
 		}
-		if req.Args.Remaining() > 0 {
+		if args.Remaining() > 0 {
 			minor = 4
-			return req.Operation, nil, ErrMisfit
+			return h.Operation, nil, ErrMisfit
 		}
-		return req.Operation, args, nil
+		return h.Operation, vals, nil
 	})
 	switch rep.Outcome {
 	case OutcomeOK:
-		return rep.Value, nil
+		return orb.ResultReply(order, h.RequestID, rep.Value)
 	case OutcomeStale:
-		return dyn.Value{}, &orb.StaleError{Operation: req.Operation, Exception: orb.BadOperation(minor), Interface: rep.Doc}
+		return orb.ExceptionReply(order, h.RequestID, orb.BadOperation(minor), rep.Doc)
 	case OutcomeInactive:
-		return dyn.Value{}, errServerNotInitialized
+		return orb.AppErrorReply(order, h.RequestID, FaultTextServerNotInitialized)
 	default:
-		// The body's error, which the ORB wraps in the generic exception —
-		// or an abandoned call's, which nobody reads.
-		return dyn.Value{}, rep.Err
+		// The body's error — or an abandoned call's, which nobody reads.
+		return orb.AppErrorReply(order, h.RequestID, rep.Err.Error())
 	}
 }

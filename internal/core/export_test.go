@@ -1,6 +1,10 @@
 package core
 
-import "net/http"
+import (
+	"net/http"
+
+	"livedev/internal/iiop"
+)
 
 // SetStaleHook makes every stale call s serves run fn once the call has
 // been refused and before the forced publication (Section 5.7) — the point
@@ -20,3 +24,6 @@ func (s *ClassServer) WriterWaiting() bool {
 
 // EndpointHandler returns the handler m's HTTP endpoint serves.
 func EndpointHandler(m *Manager) http.Handler { return m.httpMux }
+
+// CORBAHandler returns the IIOP handler s's Server ORB serves.
+func CORBAHandler(s *CORBAServer) iiop.HandlerFunc { return s.serve }

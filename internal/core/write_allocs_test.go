@@ -4,6 +4,8 @@ package core_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,8 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"livedev/internal/cdr"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
+	"livedev/internal/giop"
 	"livedev/internal/h2b"
 	"livedev/internal/jsonb"
 )
@@ -68,7 +72,9 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 
 // TestWriteAllocsServedCall pins what the endpoint handler allocates to
 // serve one small twice call on each HTTP binding, from the mux through
-// the reply's write, with the request and the response writer reused.
+// the reply's write, with the request and the response writer reused; and
+// what the CORBA servant's IIOP handler allocates for a twice call and for
+// a stale one, from the decoded request header to the reply message.
 func TestWriteAllocsServedCall(t *testing.T) {
 	core.RegisterBinding(jsonb.New())
 	core.RegisterBinding(h2b.New())
@@ -114,6 +120,40 @@ func TestWriteAllocsServedCall(t *testing.T) {
 		t.Logf("%s: %.1f allocations per served call", b.tech, allocs)
 		if allocs > budget[b.tech] {
 			t.Errorf("%s: a served call allocates %.1f times, budget %.0f", b.tech, allocs, budget[b.tech])
+		}
+	}
+
+	srv, err := m.Register(endpointClass(t, "AllocsCORBA", &ran, nil, nil), core.TechCORBA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+	handle := core.CORBAHandler(srv.(*core.CORBAServer))
+	args := binary.BigEndian.AppendUint32(nil, 21)
+	// Budgets as above: a twice call and a stale one, the document carried.
+	for _, c := range []struct {
+		op     string
+		status giop.ReplyStatus
+		budget float64
+	}{{"twice", giop.ReplyNoException, 1}, {"renamedAway", giop.ReplySystemException, 7}} {
+		h := giop.RequestHeader{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("AllocsCORBA"), Operation: c.op}
+		d := cdr.NewDecoder(args, cdr.BigEndian)
+		serve := func() giop.Message {
+			d.Reset(args, cdr.BigEndian)
+			return handle(context.Background(), h, d, cdr.BigEndian)
+		}
+		allocs := testing.AllocsPerRun(200, func() { msg := serve(); msg.Recycle() })
+		msg := serve()
+		hdr, _, err := giop.DecodeReply(msg)
+		if err != nil || hdr.Status != c.status {
+			t.Fatalf("CORBA %s: the call answered %s (%v), want %s", c.op, hdr.Status, err, c.status)
+		}
+		msg.Recycle()
+		t.Logf("CORBA %s: %.1f allocations per served call", c.op, allocs)
+		if allocs > c.budget {
+			t.Errorf("CORBA %s: a served call allocates %.1f times, budget %.0f", c.op, allocs, c.budget)
 		}
 	}
 }

@@ -223,17 +223,8 @@ func TestSystemExceptionRoundTrip(t *testing.T) {
 	if got.RepoID != se.RepoID || got.Minor != se.Minor || got.Completed != se.Completed {
 		t.Errorf("exception = %+v", got)
 	}
-	if !IsBadOperation(got) {
-		t.Error("IsBadOperation should be true")
-	}
-	if IsBadOperation(errors.New("other")) {
-		t.Error("IsBadOperation on unrelated error")
-	}
 	if got.Error() == "" {
 		t.Error("Error() should be non-empty")
-	}
-	if se2, ok := AsSystemException(got); !ok || se2 != got {
-		t.Error("AsSystemException")
 	}
 }
 

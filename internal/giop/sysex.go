@@ -1,7 +1,6 @@
 package giop
 
 import (
-	"errors"
 	"fmt"
 
 	"livedev/internal/cdr"
@@ -32,10 +31,7 @@ const (
 const (
 	RepoBadOperation   = "IDL:omg.org/CORBA/BAD_OPERATION:1.0"
 	RepoMarshal        = "IDL:omg.org/CORBA/MARSHAL:1.0"
-	RepoNoImplement    = "IDL:omg.org/CORBA/NO_IMPLEMENT:1.0"
 	RepoObjectNotExist = "IDL:omg.org/CORBA/OBJECT_NOT_EXIST:1.0"
-	RepoUnknown        = "IDL:omg.org/CORBA/UNKNOWN:1.0"
-	RepoInitialize     = "IDL:omg.org/CORBA/INITIALIZE:1.0"
 )
 
 // Error implements error.
@@ -66,15 +62,6 @@ func DecodeSystemException(d *cdr.Decoder) (*SystemException, error) {
 		return nil, fmt.Errorf("giop: system exception completion: %w", err)
 	}
 	return &SystemException{RepoID: id, Minor: minor, Completed: CompletionStatus(completed)}, nil
-}
-
-// AsSystemException unwraps err to a *SystemException if there is one.
-func AsSystemException(err error) (*SystemException, bool) {
-	var se *SystemException
-	if errors.As(err, &se) {
-		return se, true
-	}
-	return nil, false
 }
 
 // DocContextID tags the reply service context in which a BAD_OPERATION reply
@@ -131,11 +118,4 @@ func ParseDocContext(sc ServiceContext) (DocContext, error) {
 		return DocContext{}, fmt.Errorf("giop: document context: %d octets left over", d.Remaining())
 	}
 	return dc, nil
-}
-
-// IsBadOperation reports whether err is a BAD_OPERATION system exception —
-// the CORBA-side signal of the paper's "Non Existent Method" condition.
-func IsBadOperation(err error) bool {
-	se, ok := AsSystemException(err)
-	return ok && se.RepoID == RepoBadOperation
 }

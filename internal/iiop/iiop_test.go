@@ -91,7 +91,7 @@ func TestInvokeSystemException(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !giop.IsBadOperation(se) {
+	if se.RepoID != giop.RepoBadOperation {
 		t.Errorf("exception = %+v", se)
 	}
 }

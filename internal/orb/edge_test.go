@@ -145,8 +145,8 @@ func TestServerEncodesResultFailure(t *testing.T) {
 	defer stop()
 
 	_, err := cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "wide", Result: dyn.Char}, nil)
-	se, ok := giop.AsSystemException(err)
-	if !ok || se.RepoID != giop.RepoMarshal {
+	var se *giop.SystemException
+	if !errors.As(err, &se) || se.RepoID != giop.RepoMarshal {
 		t.Errorf("wide result: %v", err)
 	}
 }
@@ -183,7 +183,7 @@ func TestClientReadsCarriedDocument(t *testing.T) {
 
 			_, err = cl.InvokeContext(context.Background(), dyn.MethodSig{Name: "gone", Result: dyn.Int32T}, nil)
 			var stale *StaleError
-			if !errors.Is(err, ErrNonExistentMethod) || !errors.As(err, &stale) || !giop.IsBadOperation(err) {
+			if !errors.Is(err, ErrNonExistentMethod) || !errors.As(err, &stale) || stale.Exception.RepoID != giop.RepoBadOperation {
 				t.Fatalf("stale reply = %v", err)
 			}
 			switch got := stale.Interface; {

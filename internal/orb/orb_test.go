@@ -10,44 +10,50 @@ import (
 	"livedev/internal/cdr"
 	"livedev/internal/dyn"
 	"livedev/internal/giop"
+	"livedev/internal/iiop"
 	"livedev/internal/ior"
 )
 
-// classTarget adapts a dyn class instance to DSITarget for tests; it is the
-// shape the SDE's CORBA Call Handler takes, minus gate and publisher:
-// missing counts the replies that would have forced publication first.
+// classTarget serves a dyn class instance under the object key "calc"
+// for tests; it is the shape the SDE's CORBA Call Handler takes, minus
+// gate and publisher, on the same reply builders: missing counts the
+// replies that would have forced publication first.
 type classTarget struct {
 	in      *dyn.Instance
 	missing atomic.Int64
 }
 
-func (t *classTarget) Invoke(_ context.Context, req ServerRequest) (dyn.Value, error) {
-	sig, ok := t.in.Class().Interface().Lookup(req.Operation)
-	if !ok {
-		t.missing.Add(1)
-		return dyn.Value{}, BadOperation(1)
+func (t *classTarget) handle(_ context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
+	if string(h.ObjectKey) != "calc" {
+		return ExceptionReply(order, h.RequestID, &giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo}, nil)
 	}
-	args := make([]dyn.Value, len(sig.Params))
+	stale := func(minor uint32) giop.Message {
+		t.missing.Add(1)
+		return ExceptionReply(order, h.RequestID, BadOperation(minor), nil)
+	}
+	sig, ok := t.in.Class().Interface().Lookup(h.Operation)
+	if !ok {
+		return stale(1)
+	}
+	vals := make([]dyn.Value, len(sig.Params))
 	for i, p := range sig.Params {
 		var err error
-		if args[i], err = cdr.DecodeValue(req.Args, p.Type); err != nil {
-			t.missing.Add(1)
-			return dyn.Value{}, BadOperation(3)
+		if vals[i], err = cdr.DecodeValue(args, p.Type); err != nil {
+			return stale(3)
 		}
 	}
-	if req.Args.Remaining() > 0 {
-		t.missing.Add(1)
-		return dyn.Value{}, BadOperation(4)
+	if args.Remaining() > 0 {
+		return stale(4)
 	}
-	v, err := t.in.InvokeDistributed(req.Operation, args...)
-	if errors.Is(err, dyn.ErrNoSuchMethod) || errors.Is(err, dyn.ErrSignatureMismatch) {
-		t.missing.Add(1)
-		return dyn.Value{}, BadOperation(2)
+	v, err := t.in.InvokeDistributed(h.Operation, vals...)
+	switch {
+	case errors.Is(err, dyn.ErrNoSuchMethod), errors.Is(err, dyn.ErrSignatureMismatch):
+		return stale(2)
+	case err != nil:
+		return AppErrorReply(order, h.RequestID, err.Error())
 	}
-	return v, err
+	return ResultReply(order, h.RequestID, v)
 }
-
-var _ DSITarget = (*classTarget)(nil)
 
 func newCalcTarget(t *testing.T) (*classTarget, *dyn.Class, dyn.MemberID) {
 	t.Helper()
@@ -77,16 +83,20 @@ func newCalcTarget(t *testing.T) (*classTarget, *dyn.Class, dyn.MemberID) {
 	return &classTarget{in: c.NewInstance()}, c, id
 }
 
-func startORB(t *testing.T, target DSITarget) (*ClientORB, func()) {
+// listenCalc serves target on a loopback port and returns its IOR.
+func listenCalc(t *testing.T, target *classTarget) (ior.IOR, *iiop.Server) {
 	t.Helper()
-	s := NewServerORB("IDL:CalcModule/Calc:1.0", []byte("calc"), target)
-	ref, err := s.Listen("127.0.0.1:0")
+	srv := iiop.NewServer(iiop.HandlerFunc(target.handle))
+	ref, err := Listen(srv, "127.0.0.1:0", "IDL:CalcModule/Calc:1.0", []byte("calc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Addr() == nil {
-		t.Fatal("Addr should be set after Listen")
-	}
+	return ref, srv
+}
+
+func startORB(t *testing.T, target *classTarget) (*ClientORB, func()) {
+	t.Helper()
+	ref, s := listenCalc(t, target)
 	cl, err := DialIOR(ref)
 	if err != nil {
 		_ = s.Close()
@@ -138,7 +148,8 @@ func TestInvokeNonExistentMethod(t *testing.T) {
 		t.Errorf("OperationMissing calls = %d", target.missing.Load())
 	}
 	// The underlying system exception is preserved in the chain.
-	if !giop.IsBadOperation(err) {
+	var se *giop.SystemException
+	if !errors.As(err, &se) || se.RepoID != giop.RepoBadOperation {
 		t.Error("BAD_OPERATION should be in the error chain")
 	}
 }
@@ -193,11 +204,7 @@ func TestInvokeClientSideTypeChecks(t *testing.T) {
 
 func TestWrongObjectKey(t *testing.T) {
 	target, _, _ := newCalcTarget(t)
-	s := NewServerORB("IDL:CalcModule/Calc:1.0", []byte("calc"), target)
-	ref, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, s := listenCalc(t, target)
 	defer s.Close()
 
 	// Corrupt the object key.
@@ -209,8 +216,8 @@ func TestWrongObjectKey(t *testing.T) {
 	defer cl.Close()
 
 	_, err = cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.Int32Value(2)})
-	se, ok := giop.AsSystemException(err)
-	if !ok || se.RepoID != giop.RepoObjectNotExist {
+	var se *giop.SystemException
+	if !errors.As(err, &se) || se.RepoID != giop.RepoObjectNotExist {
 		t.Errorf("wrong key: %v", err)
 	}
 }

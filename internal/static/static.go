@@ -9,7 +9,6 @@ package static
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -185,26 +184,12 @@ func NewCORBAServer(typeID string, objectKey []byte, ops []Op) (*CORBAServer, er
 
 // Start listens on addr and returns the object's IOR.
 func (s *CORBAServer) Start(addr string) (ior.IOR, error) {
-	a, err := s.srv.Listen(addr)
-	if err != nil {
-		return ior.IOR{}, err
-	}
-	tcp, ok := a.(*net.TCPAddr)
-	if !ok {
-		_ = s.srv.Close()
-		return ior.IOR{}, errors.New("static: unexpected listener address type")
-	}
-	return ior.New(s.typeID, tcp.IP.String(), uint16(tcp.Port), s.objectKey), nil
+	return orb.Listen(s.srv, addr, s.typeID, s.objectKey)
 }
 
 func (s *CORBAServer) handle(_ context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
 	sysEx := func(repoID string) giop.Message {
-		se := &giop.SystemException{RepoID: repoID, Minor: 1, Completed: giop.CompletedNo}
-		msg, err := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplySystemException}, se.Encode)
-		if err != nil {
-			return giop.Message{Type: giop.MsgMessageError, Order: order}
-		}
-		return msg
+		return orb.ExceptionReply(order, h.RequestID, &giop.SystemException{RepoID: repoID, Minor: 1, Completed: giop.CompletedNo}, nil)
 	}
 	if string(h.ObjectKey) != string(s.objectKey) {
 		return sysEx(giop.RepoObjectNotExist)
@@ -223,23 +208,9 @@ func (s *CORBAServer) handle(_ context.Context, h giop.RequestHeader, args *cdr.
 	}
 	result, err := op.Fn(vals)
 	if err != nil {
-		msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyUserException},
-			func(e *cdr.Encoder) error {
-				e.WriteString(orb.AppErrorRepoID)
-				e.WriteString(err.Error())
-				return nil
-			})
-		if encErr != nil {
-			return sysEx(giop.RepoUnknown)
-		}
-		return msg
+		return orb.AppErrorReply(order, h.RequestID, err.Error())
 	}
-	msg, encErr := giop.EncodeReply(order, giop.ReplyHeader{RequestID: h.RequestID, Status: giop.ReplyNoException},
-		func(e *cdr.Encoder) error { return cdr.EncodeValue(e, result) })
-	if encErr != nil {
-		return sysEx(giop.RepoMarshal)
-	}
-	return msg
+	return orb.ResultReply(order, h.RequestID, result)
 }
 
 // Close shuts the server down.

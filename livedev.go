@@ -225,10 +225,11 @@ type (
 //     Err reports a caller that has gone, which ClassServer.Call checks
 //     before dispatch. A binding that streams, or speaks anything but an
 //     HTTP/1.1 request and reply, owns a listener instead, released
-//     through ClassServer.OnClose, and passes a core.Resolve per request
-//     to ClassServer.Call itself. Publication of the basic description,
-//     the single instance, the gate, forced publication before
-//     "non-existent method", counters and teardown come with the
+//     through ClassServer.OnClose, passes a core.Resolve per request to
+//     ClassServer.Call itself and maps the core.Reply to its own reply,
+//     as CORBA's IIOP handler and h2b's mux do. Publication of the basic
+//     description, the single instance, the gate, forced publication
+//     before "non-existent method", counters and teardown come with the
 //     ClassServer.
 //   - Describe reports how the binding's published interface documents
 //     are recognized, so Dial can route to it without an explicit option.
