@@ -108,21 +108,10 @@ func run() int {
 		return runFollower(mgr, *duration, *drainTimeout)
 	}
 
-	class := dyn.NewClass("Calc")
-	addID, err := class.AddMethod(dyn.MethodSpec{
-		Name:        "add",
-		Params:      []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
-		Result:      dyn.Int32T,
-		Distributed: true,
-		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
-			return dyn.Int32Value(args[0].Int32() + args[1].Int32()), nil
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	if _, err := class.AddMethod(dyn.MethodSpec{
+	// One calculator class per binding (one manager slot per class), all
+	// with the same add; the SOAP class also greets, and is the one -live
+	// edits.
+	greet := dyn.MethodSpec{
 		Name:        "greet",
 		Params:      []dyn.Param{{Name: "name", Type: dyn.StringT}},
 		Result:      dyn.StringT,
@@ -130,99 +119,24 @@ func run() int {
 		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
 			return dyn.StringValue("hello, " + args[0].Str()), nil
 		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
 	}
-
-	soapSrv, err := mgr.Register(class, core.TechSOAP)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
+	var srvs []core.Server
+	for _, c := range []struct {
+		name  string
+		tech  core.Technology
+		extra []dyn.MethodSpec
+	}{{"Calc", core.TechSOAP, []dyn.MethodSpec{greet}}, {"CalcCorba", core.TechCORBA, nil},
+		{"CalcJSON", jsonb.Name, nil}, {"CalcH2B", h2b.Name, nil}} {
+		srv, err := serveCalc(mgr, c.name, c.tech, c.extra)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sde-server:", err)
+			return 1
+		}
+		srvs = append(srvs, srv)
 	}
-	if _, err := soapSrv.CreateInstance(); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-
-	// A second class serves the same logic over CORBA (one manager slot
-	// per class).
-	corbaClass := dyn.NewClass("CalcCorba")
-	if _, err := corbaClass.AddMethod(dyn.MethodSpec{
-		Name:        "add",
-		Params:      []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
-		Result:      dyn.Int32T,
-		Distributed: true,
-		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
-			return dyn.Int32Value(args[0].Int32() + args[1].Int32()), nil
-		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	corbaSrv, err := mgr.Register(corbaClass, core.TechCORBA)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	if _, err := corbaSrv.CreateInstance(); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	cs := corbaSrv.(*core.CORBAServer)
-
-	// A third class serves the same logic over the JSON binding, which is
-	// wired in through the registry — the server loop below treats it like
-	// the built-in pair.
-	jsonClass := dyn.NewClass("CalcJSON")
-	if _, err := jsonClass.AddMethod(dyn.MethodSpec{
-		Name:        "add",
-		Params:      []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
-		Result:      dyn.Int32T,
-		Distributed: true,
-		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
-			return dyn.Int32Value(args[0].Int32() + args[1].Int32()), nil
-		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	jsonSrv, err := mgr.Register(jsonClass, core.Technology(jsonb.Name))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	if _, err := jsonSrv.CreateInstance(); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-
-	// A fourth class serves the same logic over the multiplexed binary
-	// binding (CDR bodies over HTTP/2 streams) — the high-concurrency
-	// counterpart of the JSON class.
-	h2bClass := dyn.NewClass("CalcH2B")
-	if _, err := h2bClass.AddMethod(dyn.MethodSpec{
-		Name:        "add",
-		Params:      []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
-		Result:      dyn.Int32T,
-		Distributed: true,
-		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
-			return dyn.Int32Value(args[0].Int32() + args[1].Int32()), nil
-		},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	h2bSrv, err := mgr.Register(h2bClass, core.Technology(h2b.Name))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	if _, err := h2bSrv.CreateInstance(); err != nil {
-		fmt.Fprintln(os.Stderr, "sde-server:", err)
-		return 1
-	}
-	hs := h2bSrv.(*h2b.Server)
+	soapSrv, cs, jsonSrv, hs := srvs[0], srvs[1].(*core.CORBAServer), srvs[2], srvs[3].(*h2b.Server)
+	class := soapSrv.Class()
+	addID, _ := class.MethodIDByName("add")
 
 	fmt.Println("SDE server running")
 	if *dataDir != "" {
@@ -289,6 +203,31 @@ func run() int {
 				st.Published, st.SkippedCurrent, st.Forced)
 		}
 	}
+}
+
+// serveCalc registers a calculator class named name with tech and creates
+// its instance: add(a, b int32) int32, then the extra methods.
+func serveCalc(mgr *core.Manager, name string, tech core.Technology, extra []dyn.MethodSpec) (core.Server, error) {
+	class := dyn.NewClass(name)
+	for _, spec := range append([]dyn.MethodSpec{{
+		Name:        "add",
+		Params:      []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}},
+		Result:      dyn.Int32T,
+		Distributed: true,
+		Body: func(_ *dyn.Instance, args []dyn.Value) (dyn.Value, error) {
+			return dyn.Int32Value(args[0].Int32() + args[1].Int32()), nil
+		},
+	}}, extra...) {
+		if _, err := class.AddMethod(spec); err != nil {
+			return nil, err
+		}
+	}
+	srv, err := mgr.Register(class, tech)
+	if err != nil {
+		return nil, err
+	}
+	_, err = srv.CreateInstance()
+	return srv, err
 }
 
 // dumpStats is the SIGQUIT dump of the leader and follower loops alike:
