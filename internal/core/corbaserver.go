@@ -22,7 +22,6 @@ import (
 // (Section 5.2.2) — and renders the Reply straight into GIOP.
 type CORBAServer struct {
 	*ClassServer
-	key     []byte
 	ref     ior.IOR
 	iorPath string
 }
@@ -30,7 +29,7 @@ type CORBAServer struct {
 var _ Server = (*CORBAServer)(nil)
 
 func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
-	s := &CORBAServer{key: []byte(class.Name()), iorPath: "/ior/" + class.Name() + ".ior"}
+	s := &CORBAServer{iorPath: "/ior/" + class.Name() + ".ior"}
 	s.ClassServer = m.NewClassServer(class, TechCORBA, "/idl/"+class.Name()+".idl", "text/plain",
 		func(desc dyn.InterfaceDescriptor) (string, error) {
 			doc, err := idl.Generate(desc)
@@ -46,7 +45,7 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 	// can already bootstrap the connection.
 	typeID := fmt.Sprintf("IDL:%sModule/%s:1.0", class.Name(), class.Name())
 	srv := iiop.NewServer(iiop.HandlerFunc(s.serve))
-	ref, err := orb.Listen(srv, m.cfg.CORBAAddr, typeID, s.key)
+	ref, err := orb.Listen(srv, m.cfg.CORBAAddr, typeID, []byte(class.Name()))
 	if err != nil {
 		_ = s.Close()
 		return nil, fmt.Errorf("core: starting server ORB: %w", err)
@@ -81,7 +80,7 @@ const FaultTextServerNotInitialized = "Server not initialized"
 // more parameters than the current one). Every error a method body returns
 // is the generic application exception (Section 5.2.3).
 func (s *CORBAServer) serve(ctx context.Context, h giop.RequestHeader, args *cdr.Decoder, order cdr.ByteOrder) giop.Message {
-	if string(h.ObjectKey) != string(s.key) {
+	if string(h.ObjectKey) != s.class.Name() {
 		return orb.ExceptionReply(order, h.RequestID,
 			&giop.SystemException{RepoID: giop.RepoObjectNotExist, Minor: 1, Completed: giop.CompletedNo}, nil)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"livedev/internal/dyn"
 	"livedev/internal/giop"
 	"livedev/internal/ior"
+	"livedev/internal/orb"
 	"livedev/internal/static"
 )
 
@@ -84,12 +86,17 @@ func maskedHex(b []byte, masks ...[]byte) string {
 			off += i + 1
 		}
 	}
+	return wrap(h)
+}
+
+// wrap breaks s into lines of 64 characters.
+func wrap(s []byte) string {
 	var out strings.Builder
-	for len(h) > 0 {
-		n := min(len(h), 64)
-		out.Write(h[:n])
+	for len(s) > 0 {
+		n := min(len(s), 64)
+		out.Write(s[:n])
 		out.WriteByte('\n')
-		h = h[n:]
+		s = s[n:]
 	}
 	return out.String()
 }
@@ -197,12 +204,43 @@ func TestGIOPRepliesMatchTranscript(t *testing.T) {
 			text[i] = '*'
 		}
 	}
-	transcript.WriteString("=== live published IOR\n")
-	for len(text) > 0 {
-		n := min(len(text), 64)
-		transcript.WriteString(string(text[:n]) + "\n")
-		text = text[n:]
-	}
+	transcript.WriteString("=== live published IOR\n" + wrap(text))
 
 	checkTranscript(t, giopReplies, transcript.String())
+}
+
+// TestCORBABodySystemExceptionIsAppError: a method body's error reaches a
+// CORBA client as the generic application exception (Section 5.2.3), even
+// when the error is itself a CORBA system exception.
+func TestCORBABodySystemExceptionIsAppError(t *testing.T) {
+	m, err := core.NewManager(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	c := dyn.NewClass("SysExBody")
+	if _, err := c.AddMethod(dyn.MethodSpec{Name: "op", Result: dyn.Int32T, Distributed: true,
+		Body: func(*dyn.Instance, []dyn.Value) (dyn.Value, error) {
+			return dyn.Value{}, &giop.SystemException{RepoID: giop.RepoMarshal, Minor: 9, Completed: giop.CompletedYes}
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := m.Register(c, core.TechCORBA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+	h := giop.RequestHeader{RequestID: 7, ResponseExpected: true, ObjectKey: []byte("SysExBody"), Operation: "op"}
+	msg := core.CORBAHandler(srv.(*core.CORBAServer))(context.Background(), h, cdr.NewDecoder(nil, cdr.BigEndian), cdr.BigEndian)
+	defer msg.Recycle()
+	hdr, body, err := giop.DecodeReply(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repoID, _ := body.ReadString()
+	if hdr.Status != giop.ReplyUserException || repoID != orb.AppErrorRepoID {
+		t.Errorf("the reply is %s %q, want %s %q", hdr.Status, repoID, giop.ReplyUserException, orb.AppErrorRepoID)
+	}
 }
