@@ -137,7 +137,7 @@ func TestWriteAllocsServedCall(t *testing.T) {
 		op     string
 		status giop.ReplyStatus
 		budget float64
-	}{{"twice", giop.ReplyNoException, 1}, {"renamedAway", giop.ReplySystemException, 7}} {
+	}{{"twice", giop.ReplyNoException, 1}, {"renamedAway", giop.ReplySystemException, 1}} {
 		h := giop.RequestHeader{RequestID: 1, ResponseExpected: true, ObjectKey: []byte("AllocsCORBA"), Operation: c.op}
 		d := cdr.NewDecoder(args, cdr.BigEndian)
 		serve := func() giop.Message {

@@ -57,6 +57,43 @@ func TestReplyContextsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplyDocWrittenInPlace: the document context EncodeReply writes in
+// place for ReplyHeader.Doc is the one cdr's aligning encoder writes as a
+// stand-alone encapsulation, here at offset 28 of the body, not a multiple
+// of 8, after a 7-octet entry and its padding: the counters align from the
+// encapsulation's flag octet, not from the body's start. Context gives the
+// same bytes.
+func TestReplyDocWrittenInPlace(t *testing.T) {
+	for _, order := range []cdr.ByteOrder{cdr.BigEndian, cdr.LittleEndian} {
+		aligned, err := cdr.EncodeEncapsulation(order, func(e *cdr.Encoder) error {
+			for _, v := range [...]uint64{sampleDoc.Version, sampleDoc.DescriptorVersion, sampleDoc.Epoch, sampleDoc.Generation} {
+				e.WriteULongLong(v)
+			}
+			e.WriteString(sampleDoc.Text)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := ServiceContext{ID: 0xBEEF, Data: []byte{1, 2, 3, 4, 5, 6, 7}}
+		reply := func(h ReplyHeader) []byte {
+			h.RequestID, h.Status = 5, ReplySystemException
+			msg, err := EncodeReply(order, h, (&SystemException{RepoID: RepoBadOperation, Minor: 3}).Encode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return msg.Body
+		}
+		want := reply(ReplyHeader{Contexts: []ServiceContext{first, {ID: DocContextID, Data: aligned}}})
+		if got := reply(ReplyHeader{Contexts: []ServiceContext{first}, Doc: &sampleDoc}); !bytes.Equal(got, want) {
+			t.Errorf("%v: in place\n got %x\nwant %x", order, got, want)
+		}
+		if got := sampleDoc.Context(order); !bytes.Equal(got.Data, aligned) {
+			t.Errorf("%v: Context\n got %x\nwant %x", order, got.Data, aligned)
+		}
+	}
+}
+
 func TestDecodeReplyRefusesMalformedContexts(t *testing.T) {
 	good := staleReply(t, cdr.BigEndian, DocContext{Version: 1, Text: "x"}).Body // a 1+7+32+6 = 46-octet context: 2 octets of padding
 	lying := append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, good[4:]...)

@@ -277,7 +277,7 @@ func readMessage(r io.Reader, pooled bool) (Message, error) {
 // from the struct: requests always carry an empty list, and DecodeRequest
 // skips whatever list a peer sends. Replies do use the list — a
 // BAD_OPERATION reply carries the current interface document in one
-// (ReplyHeader.Contexts, DocContext).
+// (ReplyHeader.Contexts and Doc, DocContext).
 //
 // When produced by DecodeRequest, ObjectKey and Principal are sub-slices of
 // the message body: they are valid only until the message is recycled and
@@ -387,7 +387,13 @@ type ReplyHeader struct {
 	// Contexts is the reply's service context list, empty on every reply
 	// but a stale call's BAD_OPERATION. DecodeReply returns the entries'
 	// Data as sub-slices of the message body, valid until it is recycled.
-	Contexts  []ServiceContext
+	Contexts []ServiceContext
+	// Doc is the interface document a stale call's reply carries. Only
+	// EncodeReply reads it: it writes Doc after Contexts as one more entry,
+	// the context Doc.Context would make in the reply's byte order, but
+	// encoded straight into the reply. DecodeReply returns that entry in
+	// Contexts, for ParseDocContext.
+	Doc       *DocContext
 	RequestID uint32
 	Status    ReplyStatus
 }
@@ -398,10 +404,17 @@ type ReplyHeader struct {
 // written (see the package comment).
 func EncodeReply(order cdr.ByteOrder, h ReplyHeader, result func(*cdr.Encoder) error) (Message, error) {
 	e := cdr.GetEncoder(order)
-	e.WriteULong(uint32(len(h.Contexts)))
+	n := len(h.Contexts)
+	if h.Doc != nil {
+		n++
+	}
+	e.WriteULong(uint32(n))
 	for _, sc := range h.Contexts {
 		e.WriteULong(sc.ID)
 		e.WriteOctetSeq(sc.Data)
+	}
+	if h.Doc != nil {
+		h.Doc.encode(e)
 	}
 	e.WriteULong(h.RequestID)
 	e.WriteULong(uint32(h.Status))

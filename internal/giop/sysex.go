@@ -1,6 +1,7 @@
 package giop
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"livedev/internal/cdr"
@@ -78,16 +79,33 @@ type DocContext struct {
 
 // Context encodes dc as a DocContextID service context: an encapsulation in
 // the given byte order of the four counters, each an unsigned long long, and
-// the text as a string.
+// the text as a string, as encode writes it.
 func (dc DocContext) Context(order cdr.ByteOrder) ServiceContext {
-	data, _ := cdr.EncodeEncapsulation(order, func(e *cdr.Encoder) error {
-		for _, v := range [...]uint64{dc.Version, dc.DescriptorVersion, dc.Epoch, dc.Generation} {
-			e.WriteULongLong(v)
+	e := cdr.NewEncoder(order)
+	dc.encode(e)
+	return ServiceContext{ID: DocContextID, Data: e.Bytes()[8:]} // past the id and the length
+}
+
+// encode writes dc into e as a DocContextID service context, its
+// encapsulation in e's byte order and in place: the flag octet, seven
+// octets of padding that align the four counters (each an unsigned long
+// long) to 8 from the flag, then the text as a string. Those offsets are
+// fixed within the encapsulation, which starts 4-aligned after its length,
+// so the text's length lands 4-aligned in e too and needs no padding.
+func (dc *DocContext) encode(e *cdr.Encoder) {
+	var head [8 + 4*8]byte
+	head[0] = byte(e.Order())
+	for i, v := range [...]uint64{dc.Version, dc.DescriptorVersion, dc.Epoch, dc.Generation} {
+		if e.Order() == cdr.LittleEndian { // not Binary(): through its interface, head escapes
+			binary.LittleEndian.PutUint64(head[8+8*i:], v)
+		} else {
+			binary.BigEndian.PutUint64(head[8+8*i:], v)
 		}
-		e.WriteString(dc.Text)
-		return nil
-	})
-	return ServiceContext{ID: DocContextID, Data: data}
+	}
+	e.WriteULong(DocContextID)
+	e.WriteULong(uint32(len(head) + 4 + len(dc.Text) + 1))
+	e.WriteOctets(head[:])
+	e.WriteString(dc.Text)
 }
 
 // ParseDocContext decodes a DocContextID service context. It refuses a

@@ -113,14 +113,14 @@ func ResultReply(order cdr.ByteOrder, id uint32, result dyn.Value) giop.Message 
 // doc, which the reply carries in a giop.DocContextID service context;
 // every other reply passes nil.
 func ExceptionReply(order cdr.ByteOrder, id uint32, se *giop.SystemException, doc *ifsvr.Document) giop.Message {
-	var contexts []giop.ServiceContext
+	h := giop.ReplyHeader{RequestID: id, Status: giop.ReplySystemException}
 	if doc != nil {
-		contexts = []giop.ServiceContext{giop.DocContext{
+		h.Doc = &giop.DocContext{
 			Version: doc.Version, DescriptorVersion: doc.DescriptorVersion,
 			Epoch: doc.Epoch, Generation: doc.Generation, Text: doc.Content,
-		}.Context(order)}
+		}
 	}
-	msg, _ := giop.EncodeReply(order, giop.ReplyHeader{Contexts: contexts, RequestID: id, Status: giop.ReplySystemException}, se.Encode)
+	msg, _ := giop.EncodeReply(order, h, se.Encode)
 	return msg // se.Encode cannot fail
 }
 

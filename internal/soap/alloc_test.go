@@ -206,3 +206,34 @@ func BenchmarkBulkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBulkParseCall and BenchmarkBulkParseReply time the one-pass
+// reads both ends of a bulk call make: the server's of the request, the
+// client's of the response.
+func BenchmarkBulkParseCall(b *testing.B) {
+	raw, typ := bulkRequest(b), dyn.SequenceOf(bulkItem)
+	sig := dyn.MethodSig{Name: "echoAll", Params: []dyn.Param{{Name: "v", Type: typ}}, Result: typ}
+	lookup := func(string) (dyn.MethodSig, bool) { return sig, true }
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if c, err := ParseCall(raw, lookup); err != nil || c.Stale != nil {
+			b.Fatal(c.Stale, err)
+		}
+	}
+}
+
+func BenchmarkBulkParseReply(b *testing.B) {
+	env, err := BuildResponse("urn:Bench", "echoAll", bulkValue())
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw, typ := []byte(env), dyn.SequenceOf(bulkItem)
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if res, err := parseReply(raw, typ); err != nil || res.misfit != nil {
+			b.Fatal(res.misfit, err)
+		}
+	}
+}

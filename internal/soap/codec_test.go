@@ -48,6 +48,10 @@ var (
 	voidField = dyn.MustStructOf("V",
 		dyn.StructField{Name: "v", Type: dyn.Void},
 		dyn.StructField{Name: "n", Type: dyn.Int32T})
+	// Member names the item skeleton must not cover: the lexer reads the
+	// first by its local name and refuses the second's end tag.
+	prefixedMember  = dyn.MustStructOf("Prefixed", dyn.StructField{Name: "m:a", Type: dyn.Int32T})
+	wideSpaceMember = dyn.MustStructOf("Wide", dyn.StructField{Name: "a\u00a0", Type: dyn.Int32T})
 )
 
 // codecTypes are the types every accepted element is decoded against, fit
@@ -56,6 +60,7 @@ var codecTypes = []*dyn.Type{
 	dyn.Void, dyn.Boolean, dyn.Char, dyn.Int32T, dyn.Int64T, dyn.Float32T, dyn.Float64T, dyn.StringT,
 	dyn.SequenceOf(dyn.Int32T), dyn.SequenceOf(dyn.StringT), dyn.SequenceOf(dyn.SequenceOf(dyn.Boolean)),
 	pairType, nestType, voidField, dyn.SequenceOf(pairType),
+	dyn.SequenceOf(prefixedMember), dyn.SequenceOf(wideSpaceMember),
 }
 
 // checkElement decodes one parameter or return element both ways against t.
@@ -259,6 +264,24 @@ var elementCases = []struct {
 	{"bad item", `<p><item>1</item><item>x</item></p>`, dyn.SequenceOf(dyn.Int32T), false, dyn.Value{}},
 	{"sequence of sequences", `<p><item><item>true</item><item>0</item></item><item/></p>`, dyn.SequenceOf(dyn.SequenceOf(dyn.Boolean)), true, dyn.Value{}},
 
+	// Sequence items as the encoder writes them, which the item skeleton
+	// reads, and each way an item can differ from that, which the lexer
+	// reads instead.
+	{"encoded items", `<p>` + pairItem(`1`, `x`) + pairItem(`2`, `y`) + `</p>`, dyn.SequenceOf(pairType), true, pairs("1x", "2y")},
+	{"white space between encoded items", "<p>\n " + pairItem(`1`, `x`) + "\n " + pairItem(`2`, `y`) + "\n</p>", dyn.SequenceOf(pairType), true, pairs("1x", "2y")},
+	{"reference in a member", `<p>` + pairItem(`1`, `x&amp;`) + pairItem(`2`, `y`) + `</p>`, dyn.SequenceOf(pairType), true, pairs("1x&", "2y")},
+	{"reordered members", `<p><item xsi:type="tns:Pair"><b xsi:type="xsd:string">x</b><a xsi:type="xsd:int">1</a></item>` + pairItem(`2`, `y`) + `</p>`, dyn.SequenceOf(pairType), true, pairs("1x", "2y")},
+	{"item missing a member", `<p>` + pairItem(`1`, `x`) + `<item xsi:type="tns:Pair"><a xsi:type="xsd:int">2</a></item></p>`, dyn.SequenceOf(pairType), false, dyn.Value{}},
+	{"prefixed item", `<p><m:item xsi:type="tns:Pair"><a xsi:type="xsd:int">1</a><b xsi:type="xsd:string">x</b></m:item></p>`, dyn.SequenceOf(pairType), true, pairs("1x")},
+	{"item with another attribute", `<p><item xsi:type="tns:Pair" id="i1"><a xsi:type="xsd:int">1</a><b xsi:type="xsd:string">x</b></item></p>`, dyn.SequenceOf(pairType), true, pairs("1x")},
+	{"self-closed item", `<p><item xsi:type="xsd:string">a</item><item xsi:type="xsd:string"/></p>`, dyn.SequenceOf(dyn.StringT), true, dyn.MustSequenceValue(dyn.StringT, dyn.StringValue("a"), dyn.StringValue(""))},
+	{"empty string member, self-closed", `<p><item xsi:type="tns:Pair"><a xsi:type="xsd:int">1</a><b xsi:type="xsd:string"/></item></p>`, dyn.SequenceOf(pairType), true, pairs("1")},
+	{"white space in an item's end tag", `<p><item xsi:type="tns:Pair"><a xsi:type="xsd:int">1</a><b xsi:type="xsd:string">x</b></item ></p>`, dyn.SequenceOf(pairType), true, pairs("1x")},
+	{"member refused, as encoded", `<p>` + pairItem(`1`, `x`) + pairItem(`two`, `y`) + `</p>`, dyn.SequenceOf(pairType), false, dyn.Value{}},
+	{"CDATA and a comment in encoded items", `<p><item xsi:type="xsd:int"><![CDATA[1]]></item><item xsi:type="xsd:int">2<!-- --></item></p>`, dyn.SequenceOf(dyn.Int32T), true, dyn.MustSequenceValue(dyn.Int32T, dyn.Int32Value(1), dyn.Int32Value(2))},
+	{"member name with a prefix", `<p><item xsi:type="tns:Prefixed"><m:a xsi:type="xsd:int">1</m:a></item></p>`, dyn.SequenceOf(prefixedMember), false, dyn.Value{}},
+	{"member name ending in a wide space", "<p><item xsi:type=\"tns:Wide\"><a\u00a0 xsi:type=\"xsd:int\">1</a\u00a0></item></p>", dyn.SequenceOf(wideSpaceMember), false, dyn.Value{}},
+
 	// Scalars: direct character data only.
 	{"scalar ignores child elements", `<p>1<x>9</x>2</p>`, dyn.Int32T, true, dyn.Int32Value(12)},
 	{"string ignores child elements", `<p>ab<x>ZZ</x>cd<y/></p>`, dyn.StringT, true, dyn.StringValue("abcd")},
@@ -350,6 +373,53 @@ var elementCases = []struct {
 	{"mismatched nesting", `<p><a>1</b></p>`, dyn.StringT, false, dyn.Value{}},
 	{"crossed nesting", `<p><a><b></a></b></p>`, dyn.StringT, false, dyn.Value{}},
 	{"unclosed child", `<p><a>1</p>`, dyn.StringT, false, dyn.Value{}},
+}
+
+// sample is a value of type t with no empty string or sequence in it, so
+// the encoder writes every element out in full: the value seeds the fuzz
+// targets and the skeleton pin with what the encoder writes for each type.
+func sample(t *dyn.Type) dyn.Value {
+	switch t.Kind() {
+	case dyn.KindBoolean:
+		return dyn.BoolValue(true)
+	case dyn.KindChar:
+		return dyn.CharValue('c')
+	case dyn.KindInt32:
+		return dyn.Int32Value(-7)
+	case dyn.KindInt64:
+		return dyn.Int64Value(1 << 40)
+	case dyn.KindFloat32:
+		return dyn.Float32Value(0.5)
+	case dyn.KindFloat64:
+		return dyn.Float64Value(-2.25)
+	case dyn.KindString:
+		return dyn.StringValue("s-1")
+	case dyn.KindSequence:
+		return dyn.MustSequenceValue(t.Elem(), sample(t.Elem()), sample(t.Elem()))
+	case dyn.KindStruct:
+		fields := make([]dyn.Value, t.NumFields())
+		for i := range fields {
+			fields[i] = sample(t.Field(i).Type)
+		}
+		return dyn.MustStructValue(t, fields...)
+	}
+	return dyn.VoidValue()
+}
+
+// pairItem is a sequence item of pairType as the encoder writes it, with
+// the members' character data a and b as given.
+func pairItem(a, b string) string {
+	return `<item xsi:type="tns:Pair"><a xsi:type="xsd:int">` + a + `</a><b xsi:type="xsd:string">` + b + `</b></item>`
+}
+
+// pairs is a sequence of pairType, each pair given as its int's one digit
+// and its string.
+func pairs(each ...string) dyn.Value {
+	elems := make([]dyn.Value, len(each))
+	for i, p := range each {
+		elems[i] = dyn.MustStructValue(pairType, dyn.Int32Value(int32(p[0]-'0')), dyn.StringValue(p[1:]))
+	}
+	return dyn.MustSequenceValue(pairType, elems...)
 }
 
 func TestDecodeAgainstOracle(t *testing.T) {
@@ -635,6 +705,62 @@ func TestCrossVersion(t *testing.T) {
 		}
 		if got, err := DecodeValue(res.Return, typ); err != nil || !sameValue(got, want) {
 			t.Fatalf("%s: decoded %v, %v", typ, got, err)
+		}
+	}
+}
+
+// TestEncodedItemsMatchSkeleton pins the item skeleton to the encoder: every
+// item the encoder writes for the bulk payload, in a request and in a
+// response, and for a sample of each sequence type of codecTypes whose items
+// the skeleton covers, is read by matchItem, none by the lexer, and yields
+// the value encoded.
+func TestEncodedItemsMatchSkeleton(t *testing.T) {
+	type seq struct {
+		name string
+		e    Element
+		v    dyn.Value
+	}
+	resp, err := BuildResponse("urn:Bench", "echoAll", bulkValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ParseResponse([]byte(resp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := ParseRequest(bulkRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := []seq{{"bulk request", req.Params[0], bulkValue()}, {"bulk response", res.Return, bulkValue()}}
+	for _, typ := range []*dyn.Type{dyn.SequenceOf(dyn.Int32T), dyn.SequenceOf(dyn.StringT), dyn.SequenceOf(pairType)} {
+		v := sample(typ)
+		e, err := appendValue(nil, "p", v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq{typ.String(), e, v})
+	}
+	for _, s := range seqs {
+		d := new(decoder)
+		if err := d.enter(s.e); err != nil {
+			t.Fatal(err)
+		}
+		elem := s.v.Type().Elem()
+		if !d.skeleton(elem) {
+			t.Fatalf("%s: no item skeleton for %s", s.name, elem)
+		}
+		for i := range s.v.Len() {
+			v, ok := d.matchItem(elem)
+			if !ok {
+				t.Fatalf("%s: item %d goes to the lexer: %.120q", s.name, i, s.e[d.lx.pos:])
+			}
+			if !v.Equal(s.v.Index(i)) {
+				t.Fatalf("%s: item %d reads %v, encoded %v", s.name, i, v, s.v.Index(i))
+			}
+		}
+		if end := string(s.e[d.lx.pos:]); !strings.HasPrefix(end, "</") {
+			t.Fatalf("%s: %.120q left after the items", s.name, end)
 		}
 	}
 }

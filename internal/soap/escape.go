@@ -27,6 +27,23 @@
 // and only then recycle the buffer; a handle used after its buffer went
 // back to the pool reads another call's bytes.
 //
+// Everything is read by the one lexer but one shape of input: the items of
+// a sequence whose item type is a scalar, or a struct of scalars, as this
+// package's encoder writes them. For such a sequence the decoder writes,
+// once and with the encoder's own tag writer, the item's skeleton: its
+// start tag, each member's start and end tags, its end tag. It reads each
+// item by comparing the input with those bytes, taking the character data
+// between them as it stands when it holds no reference and converts as the
+// lexer's would; any difference (white space, a prefix, another attribute,
+// reordered or missing members, a self-closed element, a reference, CDATA,
+// a comment, a value the conversion refuses) sends the position back to the
+// item's first byte and the lexer reads the item, so what is accepted and
+// every error stay the lexer's. A skeleton is used only when the item and
+// member names are ASCII letters, digits, '_', '-' and '.': the lexer reads
+// those back unchanged and trims nothing off their end tags, while other
+// names that dyn allows (with a ':' or a trailing non-ASCII space) it
+// matches by local name or refuses.
+//
 // Documents that are not envelopes (WSDL) are read through Scanner, the
 // lexer's exported face, and written with AppendEscaped: the names and
 // attribute values a Scanner hands out alias its input the same way.

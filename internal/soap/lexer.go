@@ -49,6 +49,7 @@ type lexer struct {
 	attrs      []byte // tokStart: the validated region between name and '>' or '/>'
 	selfClosed bool   // tokStart: "<name/>", nothing was pushed on open
 	text       []byte // tokText, tokCDATA
+	refs       bool   // tokText: text holds a reference
 }
 
 func malformed(format string, args ...any) error {
@@ -62,7 +63,10 @@ func malformed(format string, args ...any) error {
 func (lx *lexer) next() (tokenKind, error) {
 	d := lx.data
 	for {
-		i := bytes.IndexByte(d[lx.pos:], '<')
+		i := 0 // to the next '<'
+		if lx.pos >= len(d) || d[lx.pos] != '<' {
+			i = bytes.IndexByte(d[lx.pos:], '<')
+		}
 		if i < 0 {
 			// Character data to the end of input: inside an element the
 			// element is unclosed, outside the root it is ignored.
@@ -80,8 +84,11 @@ func (lx *lexer) next() (tokenKind, error) {
 			lx.start = lx.pos
 			lx.pos += i
 			if len(lx.open) > 0 {
-				if err := checkEntities(text); err != nil {
-					return tokEOF, err
+				amp := bytes.IndexByte(text, '&')
+				if lx.refs = amp >= 0; lx.refs {
+					if err := checkEntities(text[amp:]); err != nil {
+						return tokEOF, err
+					}
 				}
 				lx.text = text
 				return tokText, nil
@@ -142,6 +149,19 @@ func (lx *lexer) skipPast(close string) error {
 func (lx *lexer) endTag() error {
 	from := lx.pos + 2
 	top := len(lx.open) - 1
+	// The innermost name then '>' is the end tag when bytes.TrimSpace would
+	// leave the name whole: its first and last bytes are ASCII, not space.
+	if top >= 0 {
+		name := lx.open[top]
+		end := from + len(name)
+		if end < len(lx.data) && lx.data[end] == '>' && bytes.Equal(lx.data[from:end], name) &&
+			trimKeeps(name[0]) && trimKeeps(name[len(name)-1]) {
+			lx.open = lx.open[:top]
+			lx.name = lx.data[from:end]
+			lx.pos = end + 1
+			return nil
+		}
+	}
 	i := bytes.IndexByte(lx.data[from:], '>')
 	if i < 0 {
 		return malformed("unterminated end tag")
@@ -161,6 +181,10 @@ func (lx *lexer) endTag() error {
 	lx.pos = from + i + 1
 	return nil
 }
+
+// trimKeeps reports whether bytes.TrimSpace keeps c at either end of a
+// slice, whatever surrounds it.
+func trimKeeps(c byte) bool { return ' ' < c && c < utf8.RuneSelf }
 
 // nameByte marks the bytes that may appear in a tag or attribute name:
 // anything but white space and the tag punctuation.

@@ -50,18 +50,10 @@ func xsdType(t *dyn.Type) string {
 func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	t := v.Type()
 	k := t.Kind()
-	buf = append(buf, '<')
-	buf = append(buf, name...)
+	buf = appendStartTag(buf, name, t)
 	if k == dyn.KindVoid {
-		return append(buf, '/', '>'), nil
+		return buf, nil
 	}
-	buf = append(buf, ` xsi:type="`...)
-	if k == dyn.KindStruct {
-		buf = AppendEscaped(append(buf, "tns:"...), t.Name())
-	} else {
-		buf = append(buf, xsdType(t)...)
-	}
-	buf = append(buf, '"', '>')
 	content := len(buf)
 
 	var err error
@@ -103,9 +95,32 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 		buf[content-1] = '/'
 		return append(buf, '>'), nil
 	}
+	return appendEndTag(buf, name), nil
+}
+
+// appendStartTag appends the start tag appendValue opens the element <name>
+// with for a value of type t: <name/> for void, else <name xsi:type="…">.
+// The decoder's item skeletons are written by it too.
+func appendStartTag(buf []byte, name string, t *dyn.Type) []byte {
+	buf = append(buf, '<')
+	buf = append(buf, name...)
+	if t.Kind() == dyn.KindVoid {
+		return append(buf, '/', '>')
+	}
+	buf = append(buf, ` xsi:type="`...)
+	if t.Kind() == dyn.KindStruct {
+		buf = AppendEscaped(append(buf, "tns:"...), t.Name())
+	} else {
+		buf = append(buf, xsdType(t)...)
+	}
+	return append(buf, '"', '>')
+}
+
+// appendEndTag appends </name>.
+func appendEndTag(buf []byte, name string) []byte {
 	buf = append(buf, '<', '/')
 	buf = append(buf, name...)
-	return append(buf, '>'), nil
+	return append(buf, '>')
 }
 
 // appendXSDFloat appends a float in XSD lexical form: shortest round-trip
@@ -150,13 +165,18 @@ type decoder struct {
 	// fields is what one decode's struct member slices and strings are
 	// carved from.
 	fields dyn.Slab
+	// skel and cuts are the item skeleton of the sequence being read (see
+	// skeleton), spans the character data matchItem last found in an item.
+	skel  []byte
+	cuts  []int
+	spans []int
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
 func putDecoder(d *decoder) {
 	const valueSize = 24 // unsafe.Sizeof(dyn.Value{})
-	if cap(d.scratch) > maxPooledRender || cap(d.stack) > maxPooledRender/valueSize || cap(d.lx.open) > 64 {
+	if cap(d.scratch) > maxPooledRender || cap(d.stack) > maxPooledRender/valueSize || cap(d.lx.open) > 64 || cap(d.skel) > maxPooledRender {
 		return
 	}
 	// Nothing pooled may pin the caller's buffer, or the chunks the decoded
@@ -279,7 +299,7 @@ func (d *decoder) chars() ([]byte, error) {
 		if len(lx.open) > depth || (tok != tokText && tok != tokCDATA) {
 			continue
 		}
-		resolve := tok == tokText && bytes.IndexByte(lx.text, '&') >= 0
+		resolve := tok == tokText && lx.refs
 		if !assembled && len(text) == 0 && !resolve {
 			text = lx.text
 			continue
@@ -367,7 +387,9 @@ func parseXSDFloat(s []byte, bits int) (float64, error) {
 
 // sequence decodes the current element as a sequence: every child element
 // is an item. Items collect on d.stack until the end tag gives their count,
-// so the value gets one exact-size slice however long the sequence is.
+// so the value gets one exact-size slice however long the sequence is. An
+// item written exactly as appendValue writes it is read by matchItem; any
+// other goes through the lexer.
 func (d *decoder) sequence(elem *dyn.Type) (dyn.Value, error) {
 	base := len(d.stack)
 	defer func() {
@@ -375,7 +397,14 @@ func (d *decoder) sequence(elem *dyn.Type) (dyn.Value, error) {
 		d.stack = d.stack[:base]
 	}()
 	if lx := &d.lx; !lx.selfClosed {
+		skeleton := d.skeleton(elem)
 		for depth := len(lx.open); ; {
+			if skeleton {
+				if v, ok := d.matchItem(elem); ok {
+					d.stack = append(d.stack, v)
+					continue
+				}
+			}
 			tok, err := lx.next()
 			if err != nil {
 				return dyn.Value{}, err
@@ -455,4 +484,123 @@ func (d *decoder) structure(t *dyn.Type) (dyn.Value, error) {
 		}
 	}
 	return dyn.AdoptStruct(t, vals)
+}
+
+// skeleton readies d.skel and d.cuts for a sequence of elem and reports
+// whether there are any: the bytes appendValue writes around an item's
+// character data when elem is a scalar, or a struct whose members all are
+// — the item's start tag, each member's start and end tags, the item's end
+// tag — cut where character data goes. An item the skeleton covers holds no
+// sequence, so no two sequences use it at once.
+//
+// Only names of ASCII letters, digits, '_', '-' and '.' qualify (dyn takes
+// any string): the lexer reads such a name back unchanged, localName
+// leaves it whole and no white space trims off its end tag, so where the
+// input repeats the skeleton's bytes the lexer would read the same item.
+func (d *decoder) skeleton(elem *dyn.Type) bool {
+	d.skel, d.cuts = d.skel[:0], d.cuts[:0]
+	switch k := elem.Kind(); {
+	case k == dyn.KindStruct:
+		for i := range elem.NumFields() {
+			if f := elem.Field(i); !scalar(f.Type.Kind()) || !plainName(f.Name) {
+				return false
+			}
+		}
+	case !scalar(k):
+		return false
+	}
+	d.skel = appendStartTag(d.skel, "item", elem)
+	if elem.Kind() == dyn.KindStruct {
+		for i := range elem.NumFields() {
+			f := elem.Field(i)
+			d.skel = appendStartTag(d.skel, f.Name, f.Type)
+			d.cuts = append(d.cuts, len(d.skel))
+			d.skel = appendEndTag(d.skel, f.Name)
+		}
+	} else {
+		d.cuts = append(d.cuts, len(d.skel))
+	}
+	d.skel = appendEndTag(d.skel, "item")
+	d.cuts = append(d.cuts, len(d.skel))
+	return true
+}
+
+func scalar(k dyn.Kind) bool {
+	switch k {
+	case dyn.KindBoolean, dyn.KindChar, dyn.KindInt32, dyn.KindInt64,
+		dyn.KindFloat32, dyn.KindFloat64, dyn.KindString:
+		return true
+	}
+	return false
+}
+
+// plainName reports whether name is made only of ASCII letters, digits,
+// '_', '-' and '.'.
+func plainName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '_', c == '-', c == '.':
+		default:
+			return false
+		}
+	}
+	return name != ""
+}
+
+// matchItem reads the item at the lexer's position if its bytes are the
+// skeleton's with character data in the cuts that holds no reference and
+// that value would decode: then it is the value the lexer would read, and
+// the lexer's position is past the item. Otherwise nothing moved, and the
+// lexer reads the item — white space, a prefix, another attribute, members
+// reordered or missing, a self-closed element, a reference, CDATA or a
+// comment all send it there, and so do values it refuses.
+func (d *decoder) matchItem(elem *dyn.Type) (dyn.Value, bool) {
+	data, p, from := d.lx.data, d.lx.pos, 0
+	spans := d.spans[:0]
+	for i, cut := range d.cuts {
+		if i > 0 {
+			n := bytes.IndexByte(data[p:], '<')
+			if n < 0 || bytes.IndexByte(data[p:p+n], '&') >= 0 {
+				return dyn.Value{}, false
+			}
+			spans = append(spans, p, p+n)
+			p += n
+		}
+		if !bytes.HasPrefix(data[p:], d.skel[from:cut]) {
+			return dyn.Value{}, false
+		}
+		p, from = p+cut-from, cut
+	}
+	d.spans = spans
+	var v dyn.Value
+	var err error
+	if elem.Kind() != dyn.KindStruct {
+		v, err = d.scalarAt(elem.Kind(), 0)
+	} else {
+		// A member fromChars refuses fails the lexer's read of the item
+		// too, so what this one took from the slab is never kept.
+		vals := d.fields.Take(elem.NumFields())
+		for i := 0; i < len(vals) && err == nil; i++ {
+			vals[i], err = d.scalarAt(elem.Field(i).Type.Kind(), i)
+		}
+		if err == nil {
+			v, err = dyn.AdoptStruct(elem, vals)
+		}
+	}
+	if err != nil {
+		return dyn.Value{}, false
+	}
+	d.lx.pos = p
+	return v, true
+}
+
+// scalarAt builds a scalar of kind k from the character data matchItem
+// found at d.spans[2i:2i+2], as value builds one from what chars returns.
+func (d *decoder) scalarAt(k dyn.Kind, i int) (dyn.Value, error) {
+	from, to := d.spans[2*i], d.spans[2*i+1]
+	text := d.lx.data[from:to]
+	if k == dyn.KindString {
+		return dyn.StringValue(d.fields.CopyString(text, len(d.lx.data)-to)), nil
+	}
+	return fromChars(k, text)
 }
