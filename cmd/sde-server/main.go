@@ -7,10 +7,10 @@
 //
 // Usage:
 //
-//	sde-server [-iface ADDR] [-http ADDR] [-timeout D] [-data-dir DIR]
-//	           [-sync none|group|always] [-live] [-duration D]
-//	           [-max-watcher-lag N] [-watch-write-timeout D] [-follow URL]
-//	           [-drain-timeout D]
+//	sde-server [-iface ADDR] [-http ADDR] [-corba ADDR] [-timeout D]
+//	           [-history-len N] [-data-dir DIR] [-sync none|group|always]
+//	           [-live] [-duration D] [-max-watcher-lag N]
+//	           [-watch-write-timeout D] [-follow URL] [-drain-timeout D]
 //
 // SIGTERM and SIGINT drain before exiting: registrations and new HTTP
 // connections are refused, in-flight calls run to completion (bounded by
@@ -134,8 +134,7 @@ func run() int {
 		}
 		srvs = append(srvs, srv)
 	}
-	soapSrv, cs, jsonSrv, hs := srvs[0], srvs[1].(*core.CORBAServer), srvs[2], srvs[3].(*h2b.Server)
-	class := soapSrv.Class()
+	class := srvs[0].Class()
 	addID, _ := class.MethodIDByName("add")
 
 	fmt.Println("SDE server running")
@@ -146,14 +145,13 @@ func run() int {
 			fmt.Printf("  durability: sync=%s (SIGQUIT dumps store stats)\n", d.Policy)
 		}
 	}
-	fmt.Println("  WSDL:", soapSrv.InterfaceURL())
-	fmt.Println("  SOAP endpoint:", soapSrv.(*core.SOAPServer).Endpoint())
-	fmt.Println("  IDL: ", cs.InterfaceURL())
-	fmt.Println("  IOR: ", cs.IORURL())
-	fmt.Println("  JSON doc:", jsonSrv.InterfaceURL())
-	fmt.Println("  JSON endpoint:", jsonSrv.(*jsonb.Server).Endpoint())
-	fmt.Println("  H2B doc: ", hs.InterfaceURL())
-	fmt.Println("  H2B endpoint:", hs.Endpoint(), "(mux", hs.MuxAddr()+")")
+	for i, labels := range [][2]string{{"WSDL", "SOAP endpoint"}, {"IDL", "IOR"}, {"JSON doc", "JSON endpoint"}, {"H2B doc", "H2B endpoint"}} {
+		endpoint := srvs[i].Endpoint()
+		if hs, ok := srvs[i].(*h2b.Server); ok {
+			endpoint += " (mux " + hs.MuxAddr() + ")"
+		}
+		fmt.Printf("  %s: %s\n  %s: %s\n", labels[0], srvs[i].InterfaceURL(), labels[1], endpoint)
+	}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -198,7 +196,7 @@ func run() int {
 			}
 			fmt.Printf("live edit %d applied; interface version now %d (publishes after %v of stability)\n",
 				step, class.InterfaceVersion(), *timeout)
-			st := soapSrv.Publisher().Stats()
+			st := srvs[0].Publisher().Stats()
 			fmt.Printf("  publisher: %d published, %d skipped, %d forced\n",
 				st.Published, st.SkippedCurrent, st.Forced)
 		}

@@ -104,7 +104,7 @@ type front struct {
 
 var fronts = []front{
 	{"SOAP", core.TechSOAP, func(_ *testing.T, srv core.Server) stub {
-		c := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:" + srv.Class().Name()}
+		c := &soap.Client{Endpoint: srv.Endpoint(), ServiceNS: "urn:" + srv.Class().Name()}
 		return func(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
 			named := make([]soap.NamedValue, len(args))
 			for i, a := range args {
@@ -122,10 +122,10 @@ var fronts = []front{
 		return conn.InvokeContext
 	}},
 	{"JSON", jsonb.Name, func(_ *testing.T, srv core.Server) stub {
-		return (&jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint()}).Call
+		return (&jsonb.Caller{Endpoint: srv.Endpoint()}).Call
 	}},
 	{"H2B-http", h2b.Name, func(_ *testing.T, srv core.Server) stub {
-		return (&h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}).Call
+		return (&h2b.Caller{Endpoint: srv.Endpoint()}).Call
 	}},
 	{"H2B-mux", h2b.Name, func(_ *testing.T, srv core.Server) stub {
 		s := srv.(*h2b.Server)

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"livedev"
-	"livedev/internal/core"
 	"livedev/internal/ifsvr"
 )
 
@@ -83,12 +82,11 @@ func run() error {
 	if _, err := srv.CreateInstance(); err != nil {
 		return err
 	}
-	cs := srv.(*core.CORBAServer)
-	fmt.Println("CORBA-IDL:", cs.InterfaceURL())
-	fmt.Println("IOR:      ", cs.IORURL())
+	fmt.Println("CORBA-IDL:", srv.InterfaceURL())
+	fmt.Println("IOR:      ", srv.Endpoint())
 
 	// Show the published artifacts, as a CORBA client would fetch them.
-	idlDoc, err := ifsvr.FetchContext(ctx, nil, cs.InterfaceURL())
+	idlDoc, err := ifsvr.FetchContext(ctx, nil, srv.InterfaceURL())
 	if err != nil {
 		return err
 	}
@@ -97,7 +95,7 @@ func run() error {
 
 	// Dial sniffs the IDL document and derives the IOR URL from the
 	// /idl/ <-> /ior/ publication convention (WithAuxURL would override).
-	teller, err := livedev.Dial(ctx, cs.InterfaceURL())
+	teller, err := livedev.Dial(ctx, srv.InterfaceURL())
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"livedev"
-	"livedev/internal/core"
 )
 
 func main() {
@@ -58,7 +57,6 @@ func run() error {
 	if _, err := corbaSrv.CreateInstance(); err != nil {
 		return err
 	}
-	cs := corbaSrv.(*core.CORBAServer)
 
 	// Client developers connect to the minimal interfaces. Dial sniffs the
 	// technology from each published document; the CORBA IOR URL comes from
@@ -69,7 +67,7 @@ func run() error {
 		return err
 	}
 	defer func() { _ = soapClient.Close() }()
-	corbaClient, err := livedev.Dial(ctx, cs.InterfaceURL(), livedev.WithAuxURL(cs.IORURL()))
+	corbaClient, err := livedev.Dial(ctx, corbaSrv.InterfaceURL())
 	if err != nil {
 		return err
 	}

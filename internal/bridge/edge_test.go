@@ -41,7 +41,7 @@ func TestBridgeCloseIsIdempotent(t *testing.T) {
 func TestBridgeTransportEdges(t *testing.T) {
 	backend, _, _ := startBackend(t, core.TechCORBA, nil)
 	front, _ := startFront(t, backend, core.TechSOAP)
-	endpoint := front.Server().(*core.SOAPServer).Endpoint()
+	endpoint := front.Server().Endpoint()
 
 	// GET is rejected.
 	resp, err := http.Get(endpoint)
@@ -105,7 +105,7 @@ func TestBridgeForwardsAppErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	endpoint := front.Server().(*core.SOAPServer).Endpoint()
+	endpoint := front.Server().Endpoint()
 	client := &soap.Client{Endpoint: endpoint, ServiceNS: "urn:InvBridge"}
 	_, err := client.CallContext(t.Context(), "explode", nil, dyn.StringT)
 	if err == nil || !strings.Contains(err.Error(), "backend detonated") {

@@ -35,8 +35,9 @@ type DocBinding struct {
 	// Technology names the binding ("SOAP", "CORBA", "JSON", ...).
 	Technology string
 	// Compile parses one published interface document into the descriptor
-	// and the Caller for the endpoint it advertises.
-	Compile func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error)
+	// and the Caller for the endpoint it advertises, resolved against base,
+	// the URL the client reads documents from (ResolveAddr).
+	Compile func(doc ifsvr.Document, base string) (dyn.InterfaceDescriptor, Caller, error)
 	// IsStale reports whether err is this technology's "Non Existent
 	// Method" signal — what triggers the client's reactive refresh.
 	IsStale func(err error) bool
@@ -109,13 +110,13 @@ func init() {
 func soapBinding(httpClient *http.Client) DocBinding {
 	return DocBinding{
 		Technology: "SOAP",
-		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+		Compile: func(doc ifsvr.Document, base string) (dyn.InterfaceDescriptor, Caller, error) {
 			parsed, err := wsdl.Parse([]byte(doc.Content))
 			if err != nil {
 				return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: compiling WSDL: %w", err)
 			}
 			return parsed.Descriptor(), soapCaller{&soap.Client{
-				Endpoint:   parsed.Endpoint,
+				Endpoint:   ResolveAddr(parsed.Endpoint, base),
 				ServiceNS:  parsed.TargetNS,
 				HTTPClient: httpClient,
 			}}, nil
@@ -157,10 +158,7 @@ func connectCORBA(ctx context.Context, url string, opts *DialOptions) (*Client, 
 	// Classify the primary document the same way the sniffer does: suffix
 	// on the query-stripped path, with the fetched content ("IOR:" prefix)
 	// as the fallback signal for unconventional URLs.
-	path := url
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path = path[:i]
-	}
+	path, _, _ := strings.Cut(url, "?")
 	isIOR := strings.HasSuffix(path, ".ior") ||
 		(opts.Prefetched != nil && strings.HasPrefix(opts.Prefetched.Content, "IOR:"))
 
@@ -222,18 +220,9 @@ func corbaBinding(iorDocs *DocSource) DocBinding {
 
 // interfaceNameFromTypeID extracts "Calc" from "IDL:CalcModule/Calc:1.0".
 func interfaceNameFromTypeID(typeID string) (string, error) {
-	s, ok := strings.CutPrefix(typeID, "IDL:")
-	if !ok {
-		return "", fmt.Errorf("cde: unexpected repository id %q", typeID)
-	}
-	s, _, ok = strings.Cut(s, ":")
-	if !ok {
-		return "", fmt.Errorf("cde: unexpected repository id %q", typeID)
-	}
-	if i := strings.LastIndexByte(s, '/'); i >= 0 {
-		s = s[i+1:]
-	}
-	if s == "" {
+	s, prefixed := strings.CutPrefix(typeID, "IDL:")
+	s, _, versioned := strings.Cut(s, ":")
+	if s = s[strings.LastIndexByte(s, '/')+1:]; !prefixed || !versioned || s == "" {
 		return "", fmt.Errorf("cde: unexpected repository id %q", typeID)
 	}
 	return s, nil
@@ -269,6 +258,9 @@ func (b *corbaStub) take(ctx context.Context) (*orb.ClientORB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cde: parsing IOR: %w", err)
 	}
+	for i := range ref.Profiles { // against the URL the IOR was read from
+		ref.Profiles[i].Host = ResolveAddr(ref.Profiles[i].Host, b.iorDocs.readURL())
+	}
 	name, err := interfaceNameFromTypeID(ref.TypeID)
 	if err != nil {
 		return nil, err
@@ -282,8 +274,8 @@ func (b *corbaStub) take(ctx context.Context) (*orb.ClientORB, error) {
 }
 
 // compile turns a fetched (or pushed) IDL document into the descriptor
-// (Figure 2's IDL compiler).
-func (b *corbaStub) compile(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+// (Figure 2's IDL compiler). take resolves the IOR the stub calls.
+func (b *corbaStub) compile(doc ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 	parsed, err := idl.Parse(doc.Content)
 	if err != nil {
 		return dyn.InterfaceDescriptor{}, nil, fmt.Errorf("cde: compiling IDL: %w", err)
@@ -318,7 +310,6 @@ func (b *corbaStub) close() error {
 		return nil
 	}
 	err := b.release()
-	b.conn = nil
-	b.release = nil
+	b.conn, b.release = nil, nil
 	return err
 }

@@ -125,7 +125,7 @@ func TestDroppedViewKeepsCaller(t *testing.T) {
 	}
 	c, err := connect(context.Background(), NewDocSource("http://unused/", nil, doc(2)), DocBinding{
 		Technology: "TAGGED",
-		Compile: func(d ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+		Compile: func(d ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 			return descWith(d.Content), taggedCaller("v" + strconv.FormatUint(d.Version, 10)), nil
 		},
 		IsStale: func(error) bool { return false },

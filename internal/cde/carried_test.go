@@ -24,7 +24,7 @@ func (carryingStale) Error() string { return "fake: non-existent method" }
 func opsBinding(stale error) DocBinding {
 	return DocBinding{
 		Technology: "OPS",
-		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+		Compile: func(doc ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 			names, ok := strings.CutPrefix(doc.Content, "ops:")
 			if !ok {
 				return dyn.InterfaceDescriptor{}, nil, errors.New("not an ops document")

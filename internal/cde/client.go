@@ -307,9 +307,11 @@ const (
 
 // install compiles doc into a view and installs it (installView), reporting
 // whether it was installed. A document that does not compile installs
-// nothing and is returned as the error.
+// nothing and is returned as the error. Whatever its source, the addresses
+// it names resolve against the URL documents are read from: a replica that
+// pushes a document does not host its endpoints.
 func (c *Client) install(doc ifsvr.Document, src viewSource) (bool, error) {
-	desc, caller, err := c.b.Compile(doc)
+	desc, caller, err := c.b.Compile(doc, c.docs.readURL())
 	if err != nil {
 		return false, err
 	}

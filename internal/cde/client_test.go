@@ -83,7 +83,7 @@ func (f *fakeServer) serveDoc(w http.ResponseWriter, _ *http.Request) {
 func (f *fakeServer) binding() DocBinding {
 	return DocBinding{
 		Technology: "FAKE",
-		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, Caller, error) {
+		Compile: func(doc ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 			return descWith(strings.Split(doc.Content, ",")...), fakeCaller{f}, nil
 		},
 		IsStale: func(err error) bool { return errors.Is(err, errFakeStale) },

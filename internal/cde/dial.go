@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/netip"
 	neturl "net/url"
 	"sort"
 	"strings"
@@ -141,16 +142,16 @@ type DocSource struct {
 	bo    backoff.Backoff
 	waits atomic.Uint64
 
-	mu     sync.Mutex
-	seed   *ifsvr.Document
-	leader string   // the leader a replica named; every later read goes there
-	bases  []string // replica endpoints; stream rotation target on failure
-	cur    int
+	mu    sync.Mutex
+	seed  *ifsvr.Document
+	read  string   // the URL reads go to: url, or on the leader a replica named
+	bases []string // replica endpoints; stream rotation target on failure
+	cur   int
 }
 
 // NewDocSource returns a source for url. seed may be nil.
 func NewDocSource(url string, hc *http.Client, seed *ifsvr.Document) *DocSource {
-	return &DocSource{url: url, hc: hc, seed: seed}
+	return &DocSource{url: url, hc: hc, seed: seed, read: url}
 }
 
 // SetEndpoints installs the replica endpoint list watch streams rotate
@@ -176,6 +177,49 @@ func onBase(url, base string) string {
 	}
 	u.Scheme, u.Host = b.Scheme, b.Host
 	return u.String()
+}
+
+// ResolveAddr returns addr, an address an interface document or an IOR
+// advertises (a URL, a "host:port" or a bare host), with an unspecified
+// host (0.0.0.0, ::), which a server bound to every interface publishes,
+// replaced by the host of base, the URL the document was read from. Any
+// other addr, or a base without a host, returns addr without allocating.
+func ResolveAddr(addr, base string) string {
+	host, start, end := hostOf(addr)
+	if host == "" || strings.Trim(host, "0.:") != "" { // decided without parsing
+		return addr
+	}
+	bhost, _, _ := hostOf(base)
+	if ip, err := netip.ParseAddr(host); err != nil || !ip.IsUnspecified() || bhost == "" {
+		return addr
+	}
+	if strings.IndexByte(bhost, ':') >= 0 && addr != host { // not a bare host
+		bhost = "[" + bhost + "]"
+	}
+	return addr[:start] + bhost + addr[end:]
+}
+
+// hostOf locates the host in addr, after a URL's "://" and before its port
+// or path: addr[start:end] with its brackets, host without them. An IPv6
+// literal without brackets is a bare host; an unclosed bracket is none.
+func hostOf(addr string) (host string, start, end int) {
+	if i := strings.Index(addr, "://"); i >= 0 {
+		start = i + len("://")
+	}
+	rest := addr[start:]
+	if strings.HasPrefix(rest, "[") {
+		if i := strings.IndexByte(rest, ']'); i > 0 {
+			return rest[1:i], start, start + i + 1
+		}
+		return "", 0, 0
+	}
+	if i := strings.IndexAny(rest, "/?#"); i >= 0 {
+		rest = rest[:i]
+	}
+	if i := strings.IndexByte(rest, ':'); i >= 0 && strings.LastIndexByte(rest, ':') == i {
+		rest = rest[:i]
+	}
+	return rest, start, start + len(rest)
 }
 
 // streamURL is the document URL on the endpoint the stream rotation is at.
@@ -223,17 +267,21 @@ func (s *DocSource) pace(ctx context.Context, after int) error {
 // pacing.
 func (s *DocSource) Backoffs() uint64 { return s.waits.Load() }
 
+// readURL returns the URL Fetch reads: the dialed URL until a replica names
+// its leader, the document's URL on the leader ever after.
+func (s *DocSource) readURL() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.read
+}
+
 // Fetch returns the seeded document on the first call that finds one, and
-// reads the document over HTTP otherwise: from the dialed URL until a
-// replica names its leader, from the leader ever after (readLeader). Reads
-// do not rotate, so they wait out the backoff from the first failure.
+// reads the document over HTTP at readURL otherwise (readLeader). Reads do
+// not rotate, so they wait out the backoff from the first failure.
 func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	s.mu.Lock()
-	seed, url := s.seed, s.url
+	seed, url := s.seed, s.read
 	s.seed = nil
-	if s.leader != "" {
-		url = onBase(url, s.leader)
-	}
 	s.mu.Unlock()
 	if seed != nil {
 		return *seed, nil
@@ -244,7 +292,7 @@ func (s *DocSource) Fetch(ctx context.Context) (ifsvr.Document, error) {
 	doc, leader, err := readLeader(ctx, docClient(s.hc), url)
 	if leader != "" {
 		s.mu.Lock()
-		s.leader = leader
+		s.read = onBase(s.url, leader)
 		s.mu.Unlock()
 	}
 	switch {
@@ -346,15 +394,9 @@ func Dial(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
 // matchConnector scores every registered connector against the fetched
 // document and returns the unique best match.
 func matchConnector(url string, doc ifsvr.Document) (Connector, error) {
-	contentType := doc.ContentType
-	if i := strings.IndexByte(contentType, ';'); i >= 0 {
-		contentType = contentType[:i]
-	}
+	contentType, _, _ := strings.Cut(doc.ContentType, ";")
 	contentType = strings.TrimSpace(contentType)
-	path := url
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path = path[:i]
-	}
+	path, _, _ := strings.Cut(url, "?")
 
 	connMu.RLock()
 	candidates := make([]Connector, 0, len(connectors))

@@ -57,7 +57,7 @@ func TestActivePublishingViolatesRecency(t *testing.T) {
 				client, err = cde.Dial(context.Background(), srv.InterfaceURL(), &cde.DialOptions{Binding: "SOAP"})
 			} else {
 				cs := srv.(*core.CORBAServer)
-				client, err = cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
+				client, err = cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.Endpoint()})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -146,7 +146,8 @@ type ClassServer struct {
 	tech       Technology
 	pub        *DLPublisher
 	docPath    string
-	activeOnly bool // Config.ActivePublishingOnly: the Figure 7 ablation
+	endpoint   string // the address clients call: see Endpoint
+	activeOnly bool   // Config.ActivePublishingOnly: the Figure 7 ablation
 
 	gate     sync.RWMutex
 	instance atomic.Pointer[dyn.Instance]
@@ -168,9 +169,8 @@ type ClassServer struct {
 // cached by interface hash, so republishing a previously seen interface
 // (undo/redo, A→B→A edit cycles) skips the generator, and documents are
 // committed through the store carrying the descriptor version. Nothing is
-// published yet: Manager.Register
-// publishes the basic description (Section 4) once Serve has returned, when
-// the endpoint the document advertises exists.
+// published yet: Manager.Register publishes the basic description (Section
+// 4) once Serve has returned and set the Endpoint the document names.
 func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, contentType string, gen GenerateFunc) *ClassServer {
 	docs := newDocCache()
 	pub := NewDLPublisher(class, m.cfg.Timeout, m.cfg.Clock, func(desc dyn.InterfaceDescriptor) error {
@@ -197,8 +197,9 @@ func (m *Manager) NewClassServer(class *dyn.Class, tech Technology, docPath, con
 
 // MountCalls serves calls at path (under Manager.HTTPBaseURL) on the
 // manager's shared HTTP endpoint server until Close, in codec's wire
-// format.
+// format, and makes that URL the server's Endpoint.
 func (s *ClassServer) MountCalls(path string, codec HTTPCodec) {
+	s.endpoint = s.mgr.HTTPBaseURL() + path
 	s.mgr.httpMux.handle(path, &muxEntry{calls: s, codec: codec})
 	s.OnClose(func() error {
 		s.mgr.httpMux.removeHandler(path)
@@ -275,6 +276,9 @@ func (s *ClassServer) Publisher() *DLPublisher { return s.pub }
 
 // InterfaceURL implements Server.
 func (s *ClassServer) InterfaceURL() string { return s.mgr.InterfaceBaseURL() + s.docPath }
+
+// Endpoint implements Server. Serve sets it, before Register publishes.
+func (s *ClassServer) Endpoint() string { return s.endpoint }
 
 // CreateInstance implements Server.
 func (s *ClassServer) CreateInstance() (*dyn.Instance, error) {

@@ -22,14 +22,13 @@ import (
 // (Section 5.2.2) — and renders the Reply straight into GIOP.
 type CORBAServer struct {
 	*ClassServer
-	ref     ior.IOR
-	iorPath string
+	ref ior.IOR
 }
 
 var _ Server = (*CORBAServer)(nil)
 
 func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
-	s := &CORBAServer{iorPath: "/ior/" + class.Name() + ".ior"}
+	s := &CORBAServer{}
 	s.ClassServer = m.NewClassServer(class, TechCORBA, "/idl/"+class.Name()+".idl", "text/plain",
 		func(desc dyn.InterfaceDescriptor) (string, error) {
 			doc, err := idl.Generate(desc)
@@ -50,11 +49,12 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 		_ = s.Close()
 		return nil, fmt.Errorf("core: starting server ORB: %w", err)
 	}
-	s.ref = ref
-	m.store.Publish(s.iorPath, "text/plain", ref.String())
+	iorPath := "/ior/" + class.Name() + ".ior"
+	s.ref, s.endpoint = ref, m.InterfaceBaseURL()+iorPath
+	m.store.Publish(iorPath, "text/plain", ref.String())
 	s.OnClose(func() error {
 		err := srv.Close()
-		m.store.Remove(s.iorPath)
+		m.store.Remove(iorPath)
 		return err
 	})
 	return s, nil
@@ -62,9 +62,6 @@ func newCORBAServer(m *Manager, class *dyn.Class) (*CORBAServer, error) {
 
 // IOR returns the server object's interoperable object reference.
 func (s *CORBAServer) IOR() ior.IOR { return s.ref }
-
-// IORURL returns the URL the stringified IOR is published at.
-func (s *CORBAServer) IORURL() string { return s.mgr.InterfaceBaseURL() + s.iorPath }
 
 // FaultTextServerNotInitialized is the message CORBA clients receive (in
 // the generic application exception) for calls to a not-yet-initialized

@@ -193,7 +193,7 @@ func runFigureCell(t *testing.T, row figureRow) figureExpect {
 		opts.HTTPClient = &http.Client{Transport: gate}
 	}
 	if cs, ok := srv.(*core.CORBAServer); ok {
-		opts.AuxURL = cs.IORURL()
+		opts.AuxURL = cs.Endpoint()
 	}
 	gate.open.Store(true)
 	client, err := cde.Dial(ctx, srv.InterfaceURL(), opts)

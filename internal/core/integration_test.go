@@ -104,7 +104,7 @@ func startCORBA(t *testing.T, m *core.Manager, name string) (*core.CORBAServer, 
 	srv.Publisher().PublishNow()
 	srv.Publisher().WaitIdle()
 	cs := srv.(*core.CORBAServer)
-	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
+	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.Endpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCORBAServerNotInitialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := srv.(*core.CORBAServer)
-	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.IORURL()})
+	client, err := cde.Dial(context.Background(), cs.InterfaceURL(), &cde.DialOptions{Binding: "CORBA", AuxURL: cs.Endpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,13 +68,13 @@ func TestDrainCompletesInFlightCall(t *testing.T) {
 	for _, hc := range httpClients {
 		rows = append(rows,
 			row{"SOAP" + hc.suffix, core.TechSOAP, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-				client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:SlowDrain", HTTPClient: hc.client}
+				client := &soap.Client{Endpoint: srv.Endpoint(), ServiceNS: "urn:SlowDrain", HTTPClient: hc.client}
 				return func(ctx context.Context) (dyn.Value, error) {
 					return client.CallContext(ctx, "echo", []soap.NamedValue{{Name: "s", Value: args[0]}}, dyn.StringT)
 				}
 			}},
 			row{"JSON" + hc.suffix, jsonb.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-				caller := &jsonb.Caller{Endpoint: srv.(*jsonb.Server).Endpoint(), HTTPClient: hc.client}
+				caller := &jsonb.Caller{Endpoint: srv.Endpoint(), HTTPClient: hc.client}
 				return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
 			}})
 	}
@@ -82,7 +82,7 @@ func TestDrainCompletesInFlightCall(t *testing.T) {
 	// not a stream on the binding's own listener. h2b takes no HTTP
 	// client for calls, so it runs on the default client only.
 	rows = append(rows, row{"H2B-http", h2b.Name, func(srv core.Server) func(context.Context) (dyn.Value, error) {
-		caller := &h2b.Caller{Endpoint: srv.(*h2b.Server).Endpoint()}
+		caller := &h2b.Caller{Endpoint: srv.Endpoint()}
 		return func(ctx context.Context) (dyn.Value, error) { return caller.Call(ctx, sig, args) }
 	}})
 	for _, tc := range rows {
@@ -194,7 +194,7 @@ func testMetricsEndpoint(t *testing.T, hc *http.Client) {
 	if _, err := srv.CreateInstance(); err != nil {
 		t.Fatal(err)
 	}
-	client := &soap.Client{Endpoint: srv.(*core.SOAPServer).Endpoint(), ServiceNS: "urn:Metered", HTTPClient: hc}
+	client := &soap.Client{Endpoint: srv.Endpoint(), ServiceNS: "urn:Metered", HTTPClient: hc}
 	if _, err := client.CallContext(context.Background(), "echo",
 		[]soap.NamedValue{{Name: "s", Value: dyn.StringValue("hi")}}, dyn.StringT); err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func testMetricsEndpoint(t *testing.T, hc *http.Client) {
 		t.Fatal(err)
 	}
 	echoSig := dyn.MethodSig{Name: "echo", Params: []dyn.Param{{Name: "s", Type: dyn.StringT}}, Result: dyn.StringT}
-	mux := &h2b.Caller{Endpoint: hsrv.(*h2b.Server).Endpoint(), Mux: hsrv.(*h2b.Server).MuxAddr()}
+	mux := &h2b.Caller{Endpoint: hsrv.Endpoint(), Mux: hsrv.(*h2b.Server).MuxAddr()}
 	if _, err := mux.Call(context.Background(), echoSig, []dyn.Value{dyn.StringValue("hi")}); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestListenersSpeakHTTP11Only(t *testing.T) {
 	var p http.Protocols
 	p.SetUnencryptedHTTP2(true)
 	h2c := &http.Client{Transport: &http.Transport{Protocols: &p}, Timeout: 5 * time.Second}
-	for _, target := range []string{srv.InterfaceURL(), srv.(*core.SOAPServer).Endpoint()} {
+	for _, target := range []string{srv.InterfaceURL(), srv.Endpoint()} {
 		start := time.Now()
 		resp, err := h2c.Post(target, "text/xml", strings.NewReader("<x/>"))
 		if err == nil {

@@ -33,7 +33,8 @@ const (
 
 // Server is the technology-independent view of one managed server class —
 // the SDEServer position in the Figure 6 hierarchy. Every binding's server
-// implements it by embedding a *ClassServer.
+// implements it by embedding a *ClassServer, which holds its InterfaceURL
+// and its Endpoint.
 type Server interface {
 	// Class returns the managed dynamic class.
 	Class() *dyn.Class
@@ -51,6 +52,9 @@ type Server interface {
 	// InterfaceURL returns the HTTP URL of the published interface
 	// description (WSDL, CORBA-IDL, or the binding's own format).
 	InterfaceURL() string
+	// Endpoint returns the URL the server's calls go to, as bound and as
+	// its interface document names it; for CORBA, the URL of its IOR.
+	Endpoint() string
 	// CallStats returns the server's call-outcome counters.
 	CallStats() CallStats
 	// Close deactivates the server and releases its resources.

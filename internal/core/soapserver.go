@@ -16,7 +16,6 @@ import (
 // ClassServer.MountCalls serves on the manager's HTTP endpoint server.
 type SOAPServer struct {
 	*ClassServer
-	endpoint  string // full endpoint URL
 	serviceNS string
 }
 
@@ -24,17 +23,14 @@ var _ Server = (*SOAPServer)(nil)
 
 func newSOAPServer(m *Manager, class *dyn.Class) (*SOAPServer, error) {
 	path := "/soap/" + class.Name()
-	s := &SOAPServer{endpoint: m.HTTPBaseURL() + path, serviceNS: "urn:" + class.Name()}
+	s := &SOAPServer{serviceNS: "urn:" + class.Name()}
 	s.ClassServer = m.NewClassServer(class, TechSOAP, "/wsdl/"+class.Name()+".wsdl", "text/xml",
 		func(desc dyn.InterfaceDescriptor) (string, error) {
-			return wsdl.Generate(desc, s.endpoint).XML()
+			return wsdl.Generate(desc, s.Endpoint()).XML()
 		})
 	s.MountCalls(path, HTTPCodec{Name: "SOAP", Decode: decodeSOAP, Encode: s.encode})
 	return s, nil
 }
-
-// Endpoint returns the SOAP endpoint URL.
-func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
 // decodeSOAP reads a request as Section 5.1.3 prescribes: "the SOAP Call
 // Handler searches for a matching method in the current server interface"

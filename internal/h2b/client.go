@@ -305,13 +305,13 @@ func (Binding) Describe() cde.DocMatch {
 func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (*cde.Client, error) {
 	return cde.ConnectDocs(ctx, url, opts, cde.DocBinding{
 		Technology: Name,
-		Compile: func(doc ifsvr.Document) (dyn.InterfaceDescriptor, cde.Caller, error) {
+		Compile: func(doc ifsvr.Document, base string) (dyn.InterfaceDescriptor, cde.Caller, error) {
 			desc, endpoint, mux, err := ParseDoc(doc.Content)
 			if err != nil {
 				return dyn.InterfaceDescriptor{}, nil, err
 			}
 			desc.Version = doc.DescriptorVersion
-			return desc, &Caller{Endpoint: endpoint, Mux: mux}, nil
+			return desc, &Caller{Endpoint: cde.ResolveAddr(endpoint, base), Mux: cde.ResolveAddr(mux, base)}, nil
 		},
 		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
 		StaleDoc: func(err error) *ifsvr.Document {

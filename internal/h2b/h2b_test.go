@@ -176,7 +176,7 @@ func TestMuxParallelCallsShareOneConn(t *testing.T) {
 	if !ok {
 		t.Fatal("no signature for add")
 	}
-	caller := &Caller{Endpoint: srv.(*Server).Endpoint(), Mux: muxAddr}
+	caller := &Caller{Endpoint: srv.Endpoint(), Mux: muxAddr}
 	const callers = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
@@ -232,7 +232,7 @@ func TestServerRefusesOversizeBody(t *testing.T) {
 		if !declare { // chunked: the limit has to be found by reading
 			r = io.MultiReader(r)
 		}
-		req, err := http.NewRequest(http.MethodPost, srv.(*Server).Endpoint(), r)
+		req, err := http.NewRequest(http.MethodPost, srv.Endpoint(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,8 +319,8 @@ func TestDeadlineExceededUnderConcurrentStreams(t *testing.T) {
 		name   string
 		caller *Caller
 	}{
-		{"http", &Caller{Endpoint: srv.(*Server).Endpoint()}},
-		{"mux", &Caller{Endpoint: srv.(*Server).Endpoint(), Mux: srv.(*Server).MuxAddr()}},
+		{"http", &Caller{Endpoint: srv.Endpoint()}},
+		{"mux", &Caller{Endpoint: srv.Endpoint(), Mux: srv.(*Server).MuxAddr()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const calls = 64

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"strings"
 
 	"livedev/internal/cdr"
@@ -30,19 +29,17 @@ const maxBodyBytes = 16 << 20
 // with failure, so the stale-call protocol reads the same on either.
 type Server struct {
 	*core.ClassServer
-	endpoint string
-	muxAddr  string
+	muxAddr string
 }
 
 var _ core.Server = (*Server)(nil)
 var _ h2x.Handler = (*Server)(nil)
 
 func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
-	path := "/h2b/" + class.Name()
-	s := &Server{endpoint: m.HTTPBaseURL() + path}
+	s := &Server{}
 	s.ClassServer = m.NewClassServer(class, Name, "/h2bif/"+class.Name()+".h2b", DocContentType,
 		func(desc dyn.InterfaceDescriptor) (string, error) {
-			return GenerateDoc(desc, s.endpoint, s.muxAddr)
+			return GenerateDoc(desc, s.Endpoint(), s.muxAddr)
 		})
 
 	// The fast-path listener: the same calls, carried by the purpose-built
@@ -50,14 +47,15 @@ func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
 	// next to the manager's listener (the CORBA binding's IIOP port is the
 	// precedent). The document advertises it as mux_endpoint.
 	mux := h2x.NewServer(s)
-	muxAddr, err := mux.Listen(net.JoinHostPort(httpHost(m.HTTPBaseURL()), "0"))
+	host, _, _ := net.SplitHostPort(strings.TrimPrefix(m.HTTPBaseURL(), "http://"))
+	muxAddr, err := mux.Listen(net.JoinHostPort(host, "0"))
 	if err != nil {
 		_ = s.Close()
 		return nil, fmt.Errorf("h2b: starting mux listener: %w", err)
 	}
 	s.muxAddr = muxAddr
 	s.OnClose(mux.Close)
-	s.MountCalls(path, core.HTTPCodec{
+	s.MountCalls("/h2b/"+class.Name(), core.HTTPCodec{
 		Name: "h2b",
 		Decode: func(r *http.Request, body []byte, live dyn.InterfaceDescriptor) (string, []dyn.Value, error) {
 			// body is a pooled buffer, which an argument a method body keeps
@@ -68,18 +66,6 @@ func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
 	})
 	return s, nil
 }
-
-// httpHost extracts the host from the manager's base URL, defaulting to
-// loopback so the mux listener binds the same interface as the HTTP one.
-func httpHost(baseURL string) string {
-	if u, err := url.Parse(baseURL); err == nil && u.Hostname() != "" {
-		return u.Hostname()
-	}
-	return "127.0.0.1"
-}
-
-// Endpoint returns the CDR-POST endpoint URL.
-func (s *Server) Endpoint() string { return s.endpoint }
 
 // MuxAddr returns the fast-path listener's "host:port" — the address the
 // interface document advertises as mux_endpoint.

@@ -31,24 +31,19 @@ const (
 // server.
 type Server struct {
 	*core.ClassServer
-	endpoint string
 }
 
 var _ core.Server = (*Server)(nil)
 
 func newServer(m *core.Manager, class *dyn.Class) (*Server, error) {
-	path := "/json/" + class.Name()
-	s := &Server{endpoint: m.HTTPBaseURL() + path}
+	s := &Server{}
 	s.ClassServer = m.NewClassServer(class, Name, "/jsonif/"+class.Name()+".json", ContentType,
 		func(desc dyn.InterfaceDescriptor) (string, error) {
-			return GenerateDoc(desc, s.endpoint)
+			return GenerateDoc(desc, s.Endpoint())
 		})
-	s.MountCalls(path, core.HTTPCodec{Name: Name, Decode: decodeCall, Encode: encodeReply})
+	s.MountCalls("/json/"+class.Name(), core.HTTPCodec{Name: Name, Decode: decodeCall, Encode: encodeReply})
 	return s, nil
 }
-
-// Endpoint returns the JSON-POST endpoint URL.
-func (s *Server) Endpoint() string { return s.endpoint }
 
 // decodeCall reads a request in one pass: the method is resolved and each
 // argument decoded against its parameter type as the envelope is scanned.

@@ -80,7 +80,7 @@ func TestNullArgumentTakesStalePath(t *testing.T) {
 		if _, err := srv.CreateInstance(); err != nil {
 			t.Fatal(err)
 		}
-		endpoint := srv.(*Server).Endpoint()
+		endpoint := srv.Endpoint()
 		srv.Publisher().WaitIdle()
 
 		// An interface edit the stability timer (30 min) will not publish.
@@ -128,7 +128,7 @@ func TestServerRejectsTrailingDataAndOversizeBodies(t *testing.T) {
 	if _, err := srv.CreateInstance(); err != nil {
 		t.Fatal(err)
 	}
-	endpoint := srv.(*Server).Endpoint()
+	endpoint := srv.Endpoint()
 
 	for _, body := range []string{
 		`{"method":"add","args":[1,2]}x`,

@@ -83,17 +83,15 @@ func carriedDoc(contexts []giop.ServiceContext) *ifsvr.Document {
 }
 
 // Listen binds srv to addr ("host:port", port 0 for ephemeral) and returns
-// the IOR clients use to reach the object typeID names under objectKey.
+// the IOR clients use to reach the object typeID names under objectKey. It
+// names the host srv bound, an unspecified one included, which clients
+// resolve to the host they read the IOR from.
 func Listen(srv *iiop.Server, addr, typeID string, objectKey []byte) (ior.IOR, error) {
 	a, err := srv.Listen(addr)
 	if err != nil {
 		return ior.IOR{}, err
 	}
-	tcp, ok := a.(*net.TCPAddr)
-	if !ok {
-		_ = srv.Close()
-		return ior.IOR{}, fmt.Errorf("orb: unexpected address type %T", a)
-	}
+	tcp := a.(*net.TCPAddr) // a TCP listener's
 	return ior.New(typeID, tcp.IP.String(), uint16(tcp.Port), objectKey), nil
 }
 

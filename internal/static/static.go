@@ -52,8 +52,7 @@ type SOAPServer struct {
 	serviceNS string
 	ops       map[string]Op
 
-	srv      *h1.Server
-	endpoint string
+	srv *h1.Server
 }
 
 // NewSOAPServer builds a static SOAP server for the given operations.
@@ -77,15 +76,11 @@ func (s *SOAPServer) Start(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("static: listen %s: %w", addr, err)
 	}
-	s.endpoint = "http://" + ln.Addr().String() + "/"
 	// The same HTTP/1.1 server as the SDE's call endpoint, so Table 1
 	// compares dispatch, not servers.
 	s.srv = h1.Serve(ln, s)
-	return s.endpoint, nil
+	return "http://" + ln.Addr().String() + "/", nil
 }
-
-// Endpoint returns the endpoint URL ("" before Start).
-func (s *SOAPServer) Endpoint() string { return s.endpoint }
 
 // bufPool holds the buffers a static SOAP call is read into and replied
 // from.

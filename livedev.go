@@ -215,10 +215,13 @@ type (
 //     core.Server that embeds the *core.ClassServer from
 //     Manager.NewClassServer — given the binding's document generator —
 //     and a codec. An HTTP binding hands a core.HTTPCodec to
-//     ClassServer.MountCalls: Decode reads one request against the live
-//     interface it is handed, and Encode maps the core.Reply that comes
-//     back (result, application error, non-existent method, malformed,
-//     not initialized) to its reply's headers, body and status. The POST
+//     ClassServer.MountCalls, which records the mount's URL as the
+//     server's Endpoint: the address the document generator reads and
+//     names, set before the first publication. Decode reads one request
+//     against the live interface it is handed, and Encode maps the
+//     core.Reply that comes back (result, application error, non-existent
+//     method, malformed, not initialized) to its reply's headers, body and
+//     status. The POST
 //     check, the 16 MiB body cap, the pooled buffers and the one write
 //     with a declared length come with the ClassServer, on the shared
 //     endpoint: internal/h1's HTTP/1.1 server, whose request context's
@@ -236,7 +239,8 @@ type (
 //   - Connect builds a live Client from an interface-document URL:
 //     cde.ConnectDocs over a cde.DocBinding — a document parser returning
 //     the descriptor and a cde.Caller for the endpoint the document
-//     names, and an IsStale recognizing the technology's "non-existent
+//     names, resolved against the document's URL (cde.ResolveAddr), and
+//     an IsStale recognizing the technology's "non-existent
 //     method" error (which is what triggers the client's reactive
 //     interface refresh). The Caller must honor ctx for all I/O.
 //     Fetching, WithTimeout, WithDebugger, replica endpoints and
@@ -272,20 +276,12 @@ type Binding interface {
 // process-wide registry: its server half becomes available to
 // Manager.Register and its client half to Dial.
 func RegisterBinding(b Binding) {
-	core.RegisterBinding(serverHalf{b})
+	core.RegisterBinding(b)
 	cde.RegisterConnector(cde.Connector{Name: b.Name(), Match: b.Describe(), Connect: b.Connect})
 }
 
 // Bindings returns the names of all registered server bindings, sorted.
 func Bindings() []string { return core.BindingNames() }
-
-// serverHalf adapts a Binding to the core registry's narrower interface.
-type serverHalf struct{ b Binding }
-
-func (s serverHalf) Name() string { return s.b.Name() }
-func (s serverHalf) Serve(m *core.Manager, class *dyn.Class) (core.Server, error) {
-	return s.b.Serve(m, class)
-}
 
 // Bridge is a live, binding-agnostic re-export: the class behind a CDE
 // client served over another registered RMI technology. See ReExport.

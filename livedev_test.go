@@ -139,17 +139,8 @@ func TestFacadeCORBA(t *testing.T) {
 	if _, err := srv.CreateInstance(); err != nil {
 		t.Fatal(err)
 	}
-	// The facade keeps the CORBA server's extra URLs reachable through
-	// the concrete type.
-	type corbaURLs interface {
-		InterfaceURL() string
-		IORURL() string
-	}
-	cs, ok := srv.(corbaURLs)
-	if !ok {
-		t.Fatal("CORBA server should expose IORURL")
-	}
-	client, err := livedev.Dial(context.Background(), cs.InterfaceURL(), livedev.WithAuxURL(cs.IORURL()))
+	// A CORBA server's Endpoint is the URL its IOR is published at.
+	client, err := livedev.Dial(context.Background(), srv.InterfaceURL(), livedev.WithAuxURL(srv.Endpoint()))
 	if err != nil {
 		t.Fatal(err)
 	}
