@@ -17,22 +17,22 @@ import (
 	"livedev/internal/repl"
 )
 
-// tailGen is the leader generation the shipped tails are served under.
-const tailGen = 42
+// streamGen is the leader generation the shipped tails are served under.
+const streamGen = 42
 
-// A tailSeed is one shipped tail and the follower state it must leave:
+// A streamSeed is one shipped tail and the follower state it must leave:
 // each path's version (nil when the seed is only there to be survived).
-type tailSeed struct {
+type streamSeed struct {
 	data []byte
 	want map[string]uint64
 }
 
-// tailSeeds builds representative tails of a leader's all-paths stream:
+// streamSeeds builds representative tails of a leader's all-paths stream:
 // commits across several paths, those commits and a retirement, a snapshot
 // reset of a whole store, a heartbeat, their concatenation, a tail cut
 // mid-event, one whose retirement's data line does not decode, a data line
 // without its field name, and bytes that are no stream at all.
-func tailSeeds() []tailSeed {
+func streamSeeds() []streamSeed {
 	event := func(kind, path string, version, epoch uint64) []byte {
 		d := ifsvr.Document{Content: "<x a=\"&\"/>\n", ContentType: "text/xml", Version: version, DescriptorVersion: version, Epoch: epoch}
 		return []byte("id: " + strconv.FormatUint(epoch, 10) + "\nevent: " + kind + "\ndata: " + string(ifsvr.EventPayload(path, d)) + "\n\n")
@@ -48,7 +48,7 @@ func tailSeeds() []tailSeed {
 	flipped[len(commit)+bytes.Index(remove, []byte("{"))+1] ^= 0x40
 	bare := ifsvr.EventPayload("/wsdl/Calc.wsdl", ifsvr.Document{Content: "<x/>", Version: 1, Epoch: 1})
 
-	return []tailSeed{
+	return []streamSeed{
 		{commit, map[string]uint64{"/wsdl/Calc.wsdl": 1, "/idl/Calc.idl": 1, "/jsonif/Calc.json": 1}},
 		{cat(commit, remove), map[string]uint64{"/idl/Calc.idl": 1, "/jsonif/Calc.json": 1}},
 		{boot, map[string]uint64{"/wsdl/Calc.wsdl": 4, "/idl/Calc.idl": 2}},
@@ -74,7 +74,7 @@ func shipTail(t *testing.T, data []byte, serve int32) (url string, drained <-cha
 	done := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ifsvr.StreamContentType)
-		w.Header().Set(ifsvr.GenerationHeader, strconv.Itoa(tailGen))
+		w.Header().Set(ifsvr.GenerationHeader, strconv.Itoa(streamGen))
 		w.Header().Set(ifsvr.EpochHeader, "0")
 		if connects.Add(1) > serve {
 			once.Do(func() { close(done) })
@@ -159,11 +159,13 @@ func checkApplied(t *testing.T, data []byte, st *ifsvr.Store) {
 }
 
 // FuzzWALTailDecode ships arbitrary bytes to a follower as its leader's
-// all-paths tail: the follower must never panic, must reconnect once the
-// tail ends, and must hold and serve only what decoded from it (so nothing
-// corrupt can masquerade as a committed version).
+// all-paths SSE stream: the follower must never panic, must reconnect once
+// the stream ends, and must hold and serve only what decoded from it (so
+// nothing corrupt can masquerade as a committed version). It keeps the name
+// of the /.wal tail the stream replaced, so the target and its seed runs
+// keep the names earlier test results list them under.
 func FuzzWALTailDecode(f *testing.F) {
-	for _, seed := range tailSeeds() {
+	for _, seed := range streamSeeds() {
 		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -176,7 +178,7 @@ func FuzzWALTailDecode(f *testing.F) {
 // well-formed tail commits, retires and resets to, and for a cut or
 // undecodable tail exactly the events before the damage.
 func TestFrameReaderSeeds(t *testing.T) {
-	for i, seed := range tailSeeds() {
+	for i, seed := range streamSeeds() {
 		st := followTail(t, seed.data)
 		checkApplied(t, seed.data, st)
 		if seed.want == nil {
