@@ -186,7 +186,7 @@ func onBase(url, base string) string {
 // other addr, or a base without a host, returns addr without allocating.
 func ResolveAddr(addr, base string) string {
 	host, start, end := hostOf(addr)
-	if host == "" || strings.Trim(host, "0.:") != "" { // decided without parsing
+	if host == "" || strings.Trim(host, "0.:") != "" { // most hosts: no parse, no allocation
 		return addr
 	}
 	bhost, _, _ := hostOf(base)
