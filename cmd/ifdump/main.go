@@ -16,8 +16,8 @@
 // WAL durability block (lsns, fsyncs, group-commit batch sizes,
 // sync-wait totals), the Replication block
 // (role, applied vs leader epoch, lag, bootstrap and
-// reconnect counts), and the watch fan-out block: held watchers per
-// registry shard, commit wakeups, delivery batch-size percentiles, and
+// reconnect counts), and the watch fan-out block: held watchers, commit
+// wakeups, delivery batch-size percentiles, heartbeats, and
 // the backpressure evictions/resets. Pointed at a read-only replica
 // (sde-server -follow) this is the quickest way to see how far behind
 // its leader it is.

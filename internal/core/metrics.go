@@ -69,12 +69,8 @@ func (m *Manager) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "livedev_store_journal_depth %d\n", st.JournalDepth)
 	fmt.Fprintf(&b, "livedev_store_persist_errors_total %d\n", st.PersistErrors)
 
-	// Fan-out plane: watcher population (total and per shard) plus the
-	// backpressure valves.
+	// Fan-out plane: watcher population plus the backpressure valves.
 	fmt.Fprintf(&b, "livedev_watchers %d\n", st.Fanout.Watchers)
-	for shard, n := range st.Fanout.ShardWatchers {
-		fmt.Fprintf(&b, "livedev_shard_watchers{shard=\"%d\"} %d\n", shard, n)
-	}
 	fmt.Fprintf(&b, "livedev_fanout_streams_total %d\n", st.Fanout.Streams)
 	fmt.Fprintf(&b, "livedev_fanout_events_total %d\n", st.Fanout.Events)
 	fmt.Fprintf(&b, "livedev_fanout_evictions_total %d\n", st.Fanout.Evictions)

@@ -2,7 +2,9 @@
 // client and the server the call bindings share (SOAP, JSON and h2b's
 // plain endpoint). The Interface Server serves on it too.
 //
-// Post sends a call body as a request on a pooled keep-alive connection.
+// Post sends a call body as a request on a keep-alive connection, pooled
+// by server address: every class and binding a client calls on one
+// host:port shares one pool.
 // The calling goroutine writes request line, headers and body in one
 // Write and reads the whole reply itself: no transport goroutines, no
 // header maps, and the call's deadline is the connection's. A
@@ -10,8 +12,8 @@
 // instrumentation.
 //
 // Idle connections are not timed out. One its server closed is dropped
-// when its endpoint is next taken, and every endpoint's are checked each
-// time a call goes to a new one, so a process that moves on from a server
+// when its pool is next taken, and every pool's are checked each time a
+// call goes to a new URL, so a process that moves on from a server
 // that went away does not keep its sockets. The check is a peek at the
 // socket, made on Unix only (not AIX); elsewhere an idle connection is
 // kept until a call finds it dead.
@@ -73,7 +75,7 @@ var ceiling = 30 * time.Second
 
 const (
 	maxBody   = 16 << 20
-	maxIdle   = 32       // idle connections kept per endpoint
+	maxIdle   = 32       // idle connections kept per server address
 	maxHeader = 1 << 20  // header bytes read before giving up, either half
 	maxWBuf   = 64 << 10 // request buffer a connection keeps between calls
 )
@@ -131,13 +133,13 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 	if !ok {
 		deadline = time.Now().Add(ceiling)
 	}
-	ep, c, err := take(rawURL, deadline)
+	rt, p, c, err := take(rawURL, deadline)
 	if err != nil {
 		return Reply{Buf: dst}, callErr(ctx, err)
 	}
 	if c == nil {
-		if c, err = dial(ctx, ep.addr, deadline); err != nil {
-			put(ep, nil, false)
+		if c, err = dial(ctx, rt.addr, deadline); err != nil {
+			put(p, nil, false)
 			return Reply{Buf: dst}, callErr(ctx, err)
 		}
 	}
@@ -145,11 +147,11 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = c.Close() })
 	}
-	r, reuse, err := c.roundTrip(ep, header, body, dst[:0])
+	r, reuse, err := c.roundTrip(rt, header, body, dst[:0])
 	if stop != nil && !stop() {
 		reuse = false // the connection is closed, or closing
 	}
-	put(ep, c, err == nil && reuse)
+	put(p, c, err == nil && reuse)
 	if err != nil {
 		return r, callErr(ctx, err)
 	}
@@ -227,64 +229,75 @@ func readAll(r io.Reader, dst []byte) ([]byte, error) {
 	}
 }
 
-// An endpoint is a parsed call URL, its idle connections, most recently
-// used last, and the number of calls that took it and have not put it
-// back.
-type endpoint struct {
+// A route is a parsed call URL: the server address its connections are
+// pooled under, and the Host header and request target it writes.
+type route struct {
 	addr, host, target string
-	idle               []*conn
-	calls              int
+}
+
+// A pool is one server address's idle connections, most recently used
+// last, and the number of calls that took it and have not put it back.
+// Every URL on one host:port shares it.
+type pool struct {
+	idle  []*conn
+	calls int
 }
 
 var (
-	mu        sync.Mutex // guards endpoints and every idle list
-	endpoints = map[string]*endpoint{}
+	mu     sync.Mutex           // guards routes, pools and every idle list
+	routes = map[string]route{} // call URL → route
+	pools  = map[string]*pool{} // host:port → pool
 )
 
-// take returns rawURL's endpoint and, if one passes the liveness check,
-// an idle connection whose deadline is already set. The caller owes the
-// endpoint a put.
-func take(rawURL string, deadline time.Time) (*endpoint, *conn, error) {
+// take returns rawURL's route and its address's pool and, if one passes
+// the liveness check, an idle connection whose deadline is already set.
+// The caller owes the pool a put.
+func take(rawURL string, deadline time.Time) (route, *pool, *conn, error) {
 	mu.Lock()
 	defer mu.Unlock()
-	ep := endpoints[rawURL]
-	if ep == nil {
+	rt, ok := routes[rawURL]
+	if !ok {
 		sweep()
 		u, err := url.Parse(rawURL)
 		if err != nil {
-			return nil, nil, err
+			return rt, nil, nil, err
 		}
 		if u.Scheme != "http" {
-			return nil, nil, fmt.Errorf("h1: %s: only http:// calls go direct; supply an *http.Client for %s", rawURL, u.Scheme)
+			return rt, nil, nil, fmt.Errorf("h1: %s: only http:// calls go direct; supply an *http.Client for %s", rawURL, u.Scheme)
 		}
-		ep = &endpoint{addr: u.Host, host: u.Host, target: u.RequestURI()}
+		rt = route{addr: u.Host, host: u.Host, target: u.RequestURI()}
 		if u.Port() == "" {
-			ep.addr = net.JoinHostPort(u.Hostname(), "80")
+			rt.addr = net.JoinHostPort(u.Hostname(), "80")
 		}
-		endpoints[rawURL] = ep
+		routes[rawURL] = rt
 	}
-	ep.calls++
-	for len(ep.idle) > 0 {
-		c := ep.idle[len(ep.idle)-1]
-		ep.idle = ep.idle[:len(ep.idle)-1]
+	p := pools[rt.addr]
+	if p == nil {
+		p = &pool{}
+		pools[rt.addr] = p
+	}
+	p.calls++
+	for len(p.idle) > 0 {
+		c := p.idle[len(p.idle)-1]
+		p.idle = p.idle[:len(p.idle)-1]
 		if c.SetDeadline(deadline) == nil && c.alive() {
-			return ep, c, nil
+			return rt, p, c, nil
 		}
 		_ = c.Close()
 	}
-	return ep, nil, nil
+	return rt, p, nil, nil
 }
 
-// put ends a call that took ep: c, if any, is pooled when keep says it
+// put ends a call that took p: c, if any, is pooled when keep says it
 // may carry another call and the pool has room, and closed otherwise.
-func put(ep *endpoint, c *conn, keep bool) {
+func put(p *pool, c *conn, keep bool) {
 	if keep {
 		_ = c.SetDeadline(time.Time{}) // an expired deadline would fail the liveness check
 	}
 	mu.Lock()
-	ep.calls--
-	if keep && len(ep.idle) < maxIdle {
-		ep.idle = append(ep.idle, c)
+	p.calls--
+	if keep && len(p.idle) < maxIdle {
+		p.idle = append(p.idle, c)
 		c = nil
 	}
 	mu.Unlock()
@@ -293,23 +306,28 @@ func put(ep *endpoint, c *conn, keep bool) {
 	}
 }
 
-// sweep closes every idle connection that fails the liveness check and
-// forgets the endpoints left with neither idle connections nor a call
-// that will put one back. Caller holds mu.
+// sweep closes every idle connection that fails the liveness check,
+// forgets the pools left with neither idle connections nor a call that
+// will put one back, and the routes to them. Caller holds mu.
 func sweep() {
-	for key, ep := range endpoints {
-		live := ep.idle[:0]
-		for _, c := range ep.idle {
+	for addr, p := range pools {
+		live := p.idle[:0]
+		for _, c := range p.idle {
 			if c.alive() {
 				live = append(live, c)
 			} else {
 				_ = c.Close()
 			}
 		}
-		clear(ep.idle[len(live):])
-		ep.idle = live
-		if len(live) == 0 && ep.calls == 0 {
-			delete(endpoints, key)
+		clear(p.idle[len(live):])
+		p.idle = live
+		if len(live) == 0 && p.calls == 0 {
+			delete(pools, addr)
+		}
+	}
+	for u, rt := range routes {
+		if pools[rt.addr] == nil {
+			delete(routes, u)
 		}
 	}
 }
@@ -335,11 +353,11 @@ type conn struct {
 
 // roundTrip writes the request in one Write and reads the whole reply
 // into dst. It reports whether the connection may carry another call.
-func (c *conn) roundTrip(ep *endpoint, header [][2]string, body, dst []byte) (Reply, bool, error) {
+func (c *conn) roundTrip(rt route, header [][2]string, body, dst []byte) (Reply, bool, error) {
 	w := append(c.wbuf[:0], "POST "...)
-	w = append(w, ep.target...)
+	w = append(w, rt.target...)
 	w = append(w, " HTTP/1.1\r\nHost: "...)
-	w = append(w, ep.host...)
+	w = append(w, rt.host...)
 	for _, h := range header {
 		w = append(w, "\r\n"...)
 		w = append(w, h[0]...)

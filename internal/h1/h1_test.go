@@ -53,11 +53,13 @@ func (s *rowServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_, _ = io.WriteString(w, "ok")
 }
 
+// idleConns is the number of idle connections in the pool of url's
+// server address.
 func idleConns(url string) int {
 	mu.Lock()
 	defer mu.Unlock()
-	if ep := endpoints[url]; ep != nil {
-		return len(ep.idle)
+	if p := pools[routes[url].addr]; p != nil {
+		return len(p.idle)
 	}
 	return 0
 }
@@ -172,7 +174,7 @@ func TestKeepAliveRobustness(t *testing.T) {
 			}
 			if tc.move {
 				mu.Lock()
-				_, kept := endpoints[first]
+				_, kept := routes[first]
 				mu.Unlock()
 				if kept {
 					t.Errorf("the endpoint of the server that went away is still pooled")
@@ -222,13 +224,23 @@ func TestReplyHeader(t *testing.T) {
 }
 
 // TestConcurrentCallsSharePool: callers on several goroutines share one
-// endpoint's pool; no connection carries two calls at once, and the pool
-// never holds more connections than were ever in use together.
+// server's pool, whichever of its paths they call; no connection carries
+// two calls at once, and the pool never holds more connections than were
+// ever in use together.
 func TestConcurrentCallsSharePool(t *testing.T) {
 	s := &rowServer{addr: "127.0.0.1:0"}
 	s.start(t)
 	t.Cleanup(func() { _ = s.srv.Close() })
 	s.reqs.Store(2) // past the row: every call is answered "ok"
+	urls := []string{s.url(), "http://" + s.addr + "/other"}
+	for _, u := range urls {
+		if r, err := Post(context.Background(), nil, u, nil, []byte("call"), nil); err != nil || string(r.Body) != "ok" {
+			t.Fatalf("call to %s: %q, %v", u, r.Body, err)
+		}
+	}
+	if conns := s.conns.Load(); conns != 1 {
+		t.Errorf("one caller's calls to two paths of one server took %d connections, want 1", conns)
+	}
 	const callers, calls = 8, 50
 	var wg sync.WaitGroup
 	for g := range callers {
@@ -236,7 +248,7 @@ func TestConcurrentCallsSharePool(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range calls {
-				r, err := Post(context.Background(), nil, s.url(), nil, []byte("call"), nil)
+				r, err := Post(context.Background(), nil, urls[(g+i)%2], nil, []byte("call"), nil)
 				if err != nil || string(r.Body) != "ok" {
 					t.Errorf("caller %d call %d: %q, %v", g, i, r.Body, err)
 					return

@@ -139,7 +139,7 @@ func TestRecoveryIsCommitPrefix(t *testing.T) {
 	var paths []string
 	for i, seen := 0, map[int]bool{}; len(paths) < 4; i++ {
 		p := fmt.Sprintf("/wsdl/P%d.wsdl", i)
-		if k := shardOf(p, 8); !seen[k] {
+		if k := ShardOf(p, 8); !seen[k] {
 			seen[k] = true
 			paths = append(paths, p)
 		}

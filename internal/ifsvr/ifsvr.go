@@ -25,7 +25,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"livedev/internal/h1"
@@ -119,11 +118,6 @@ type Server struct {
 	// where publications belong, and document GETs name it in
 	// LeaderHeader. Set it before Start.
 	LeaderURL string
-
-	// sweep is the shared heartbeat ticker over every held stream's
-	// delivery pump — one goroutine, not one timer per connection.
-	sweepMu sync.Mutex
-	sweep   *PumpSweep
 
 	// drainCtx is cancelled when a graceful Shutdown begins: held streams
 	// end with a terminal "draining" frame so clients reconnect to another

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -14,20 +13,24 @@ import (
 //
 // Commits never write to sockets. Every held connection — an SSE watch
 // stream of one path or, for a replication follower, of all paths — owns a
-// Pump: a capacity-1 wake channel the commit path (or the shared heartbeat
-// sweep) nudges. The connection's goroutine runs Pump.Run, which on each
-// wake asks its PumpSource for everything pending behind the source's own
-// cursor, so a commit costs one non-blocking send per watcher and a slow
-// socket slows nobody but itself. Run owns the whole held-connection policy:
+// Pump: a capacity-1 wake channel the commit path (or the store's
+// heartbeat tick) nudges. The connection's goroutine runs Pump.Run, which
+// on each wake asks its PumpSource for everything pending behind the
+// source's own cursor, so a commit costs one non-blocking send per
+// watcher and a slow socket slows nobody but itself. Run owns the whole
+// held-connection policy:
 //
 //   - one write deadline per batch, armed on the batch's first write;
 //   - one flush per batch, however many frames the source wrote, the
 //     first carrying the response headers;
 //   - a failed write is an eviction when it missed the deadline (or the
 //     peer is still connected), a hangup otherwise;
-//   - idle liveness frames, paced by one shared PumpSweep ticker instead
-//     of a timer per connection;
-//   - a graceful drain ends the connection with the source's farewell.
+//   - idle liveness frames (an SSE comment), paced by the store's one
+//     heartbeat tick instead of a timer per connection;
+//   - a graceful drain ends the connection with a terminal "draining"
+//     event, so the client reconnects to another replica with its cursors
+//     intact (ordinary replay catch-up) instead of timing out against a
+//     dead connection.
 //
 // What is pending, how it is framed, and what a cursor the journal no
 // longer covers gets instead (a snapshot reset, a lag eviction) is the
@@ -46,11 +49,6 @@ type PumpSource interface {
 	// connection after a best-effort flush of what was written — a
 	// terminal frame, or nothing at all.
 	Collect(w io.Writer) (hold bool)
-	// Heartbeat writes one idle liveness frame.
-	Heartbeat(w io.Writer)
-	// Farewell writes the terminal frame of a graceful drain; a plane
-	// without one writes nothing.
-	Farewell(w io.Writer)
 }
 
 // PumpCounters are the outcomes Run counts on behalf of its plane.
@@ -69,8 +67,6 @@ type PumpConfig struct {
 	WriteTimeout time.Duration
 	// Heartbeat is the idle interval after which a liveness frame is due.
 	Heartbeat time.Duration
-	// Sweep is the plane's shared heartbeat ticker.
-	Sweep *PumpSweep
 	// Drain is closed when the server begins a graceful shutdown.
 	Drain <-chan struct{}
 	// Counters receives heartbeat and eviction counts.
@@ -84,22 +80,13 @@ type Pump struct {
 	lastWrite atomic.Int64 // unix nanos of the last completed flush
 }
 
-// NewPump returns a pump whose idle clock starts now. Register it with
-// whatever nudges it — Store.watchPath, Store.watchAll — before calling
-// Run, so a commit landing in between is a pending wake, not a lost one.
+// NewPump returns a pump whose idle clock starts now. Register its wake
+// channel with the store (Store.watchPath) before calling Run, so a commit
+// landing in between is a pending wake, not a lost one.
 func NewPump() *Pump {
 	p := &Pump{wake: make(chan struct{}, 1)}
 	p.touch()
 	return p
-}
-
-// Nudge delivers a non-blocking wake; a full channel means one is already
-// pending, which is all a level-triggered pump needs.
-func (p *Pump) Nudge() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
 }
 
 func (p *Pump) touch() { p.lastWrite.Store(time.Now().UnixNano()) }
@@ -153,8 +140,6 @@ func (pw *pumpWriter) flush() error {
 // connect-time catch-up, so a client that has read them knows its
 // catch-up was collected.
 func (p *Pump) Run(w http.ResponseWriter, r *http.Request, cfg PumpConfig, src PumpSource) {
-	cfg.Sweep.Add(p)
-	defer cfg.Sweep.Remove(p)
 	pw := &pumpWriter{w: w, rc: http.NewResponseController(w), timeout: cfg.WriteTimeout}
 	pw.arm() // the headers open the first batch
 	// deliver flushes what the source wrote. The error check matters: the
@@ -185,7 +170,7 @@ func (p *Pump) Run(w http.ResponseWriter, r *http.Request, cfg PumpConfig, src P
 			return
 		}
 		if p.idle() >= cfg.Heartbeat {
-			src.Heartbeat(pw)
+			_, _ = io.WriteString(pw, ": hb\n\n")
 			if !deliver() {
 				return
 			}
@@ -195,70 +180,10 @@ func (p *Pump) Run(w http.ResponseWriter, r *http.Request, cfg PumpConfig, src P
 		case <-r.Context().Done():
 			return
 		case <-cfg.Drain:
-			src.Farewell(pw)
+			_, _ = io.WriteString(pw, "event: draining\ndata: {}\n\n")
 			_ = pw.flush()
 			return
 		case <-p.wake:
 		}
-	}
-}
-
-// PumpSweep replaces per-connection heartbeat timers with one shared
-// ticker: a single goroutine periodically nudges every registered pump,
-// and each pump decides for itself whether a liveness frame is due. The
-// sweeping goroutine starts with the first registration and exits when
-// the registry empties, so an idle server runs no ticker.
-type PumpSweep struct {
-	interval time.Duration
-
-	mu       sync.Mutex
-	pumps    map[*Pump]struct{}
-	sweeping bool
-}
-
-// NewPumpSweep returns a sweep ticking at the given interval (clamped to
-// at least 1ms). Sweep at half the heartbeat interval so an idle
-// connection's liveness write lands within 1.5× the nominal heartbeat.
-func NewPumpSweep(interval time.Duration) *PumpSweep {
-	if interval < time.Millisecond {
-		interval = time.Millisecond
-	}
-	return &PumpSweep{interval: interval, pumps: make(map[*Pump]struct{})}
-}
-
-// Add registers a pump, starting the sweeping goroutine if it is the
-// first.
-func (s *PumpSweep) Add(p *Pump) {
-	s.mu.Lock()
-	s.pumps[p] = struct{}{}
-	if !s.sweeping {
-		s.sweeping = true
-		go s.run()
-	}
-	s.mu.Unlock()
-}
-
-// Remove unregisters a pump; the sweeping goroutine retires on its own
-// once the registry is empty.
-func (s *PumpSweep) Remove(p *Pump) {
-	s.mu.Lock()
-	delete(s.pumps, p)
-	s.mu.Unlock()
-}
-
-func (s *PumpSweep) run() {
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for range t.C {
-		s.mu.Lock()
-		if len(s.pumps) == 0 {
-			s.sweeping = false
-			s.mu.Unlock()
-			return
-		}
-		for p := range s.pumps {
-			p.Nudge()
-		}
-		s.mu.Unlock()
 	}
 }

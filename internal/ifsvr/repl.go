@@ -69,13 +69,14 @@ type followCounters struct {
 // is the rest of its stats, floor its journal floor.
 func (s *Store) leaderStats(st StoreStats, floor uint64) *ReplicationStats {
 	c := &s.follow
+	_, tails := s.watcherCounts()
 	batches, removes := c.batches.Load(), c.removes.Load()
 	return &ReplicationStats{
 		Role:       "leader",
 		Generation: st.Generation,
 		LSN:        st.Epoch,
 		FloorLSN:   floor,
-		Tails:      s.allWatchers.count(),
+		Tails:      tails,
 		Records:    batches + removes,
 		Batches:    batches,
 		Removes:    removes,
@@ -139,7 +140,6 @@ func (s *Store) followCollect(afterEpoch, afterSeq uint64, connecting bool, evs 
 // is the journal: MaxWatcherLag does not apply, and a stream the journal
 // no longer covers is reset, not evicted.
 type allSource struct {
-	sseLiveness
 	st  *Store
 	gen uint64 // the generation the stream opened under
 	// cursor is the store epoch delivered through; retireCount the floors
@@ -413,12 +413,22 @@ func (s *Store) ApplyReplicatedRemove(path string, version uint64) bool {
 	return op.RemovePath != ""
 }
 
-// ShardOf is FNV-1a over path, mod shards — the hash the watcher registry
-// stripes its locks by. The benchmark's input generator (bench/inputs.go)
-// names it, with repl.DefaultTailShards, to pick its class names; it stays
-// exported for that.
+// ShardOf is FNV-1a over path, mod shards: a hash spelled out instead of
+// delegated to a seed-randomized library hash, so it is stable across
+// processes. Outside tests only the benchmark's input generator
+// (bench/inputs.go) names it, with repl.DefaultTailShards, to pick its
+// class names; it stays exported for that.
 func ShardOf(path string, shards int) int {
-	return shardOf(path, shards)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(path); i++ {
+		h ^= uint64(path[i])
+		h *= prime64
+	}
+	return int(h % uint64(shards))
 }
 
 // DecodeFrame parses the WAL record at the head of data, returning its

@@ -173,14 +173,11 @@ type Store struct {
 	replStats  func() *ReplicationStats
 	closed     bool
 
-	// watchers is the path-hash-sharded wake registry (see watchers.go):
-	// held streams register a capacity-1 wake channel per path, and a
-	// commit nudges only the shards its batch dirtied. Shard locks nest strictly inside mu (registration and
-	// wakeup never hold mu) and are never held across a callback.
-	watchers [watchShardCount]watchShard
-	// allWatchers holds the all-paths streams' wake channels (repl.go),
-	// nudged by every logged operation.
-	allWatchers watchShard
+	// watchers is the wake registry of held streams (see watchers.go):
+	// each registers a capacity-1 wake channel under its path, all-paths
+	// streams under AllPath, and a commit nudges only its batch's paths
+	// and the all-paths streams. Registration and wakeup never hold mu.
+	watchers wakeSet
 	// fanout is the delivery plane's lock-free instrumentation; follow is
 	// the all-paths streams' (the leader's ReplicationStats).
 	fanout fanoutCounters
@@ -410,7 +407,6 @@ func (s *Store) endWrite(op StoreOp) {
 	// on each watcher's own delivery pump — so this costs O(watchers of the
 	// batch's paths), not O(bytes).
 	s.wakeWatchers(op.Events)
-	s.allWatchers.wake("")
 	for _, fn := range s.taps {
 		fn(op)
 	}
@@ -637,7 +633,7 @@ type pumpView struct {
 // pumpCollect gathers everything a waking stream pump needs under one mu
 // acquisition. The cursor is the last delivered document of path, as its
 // (epoch, version); a connecting stream knows only the epoch (afterVer 0).
-// With nothing committed past afterVer — every idle sweep wake — it
+// With nothing committed past afterVer — every heartbeat tick's wake — it
 // returns without touching the journal. Otherwise events are the journal
 // entries past afterEpoch, appended into buf[:0], and complete reports
 // whether they are the whole history up to cur: by version count for a

@@ -102,8 +102,7 @@ type streamWire struct {
 }
 
 // pumpConfig resolves the server's held-stream policy: the heartbeat
-// interval, the per-batch write deadline, the shared sweep (lazily built,
-// ticking at half the heartbeat interval), and the drain signal; counters
+// interval, the per-batch write deadline, and the drain signal; counters
 // receives the outcomes.
 func (s *Server) pumpConfig(counters *PumpCounters) PumpConfig {
 	hb := s.HeartbeatInterval
@@ -117,16 +116,9 @@ func (s *Server) pumpConfig(counters *PumpCounters) PumpConfig {
 	case wt < 0:
 		wt = 0
 	}
-	s.sweepMu.Lock()
-	if s.sweep == nil {
-		s.sweep = NewPumpSweep(hb / 2)
-	}
-	sweep := s.sweep
-	s.sweepMu.Unlock()
 	return PumpConfig{
 		WriteTimeout: wt,
 		Heartbeat:    hb,
-		Sweep:        sweep,
 		Drain:        s.drainCtx.Done(),
 		Counters:     counters,
 	}
@@ -155,22 +147,27 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 	w.WriteHeader(http.StatusOK) // Run flushes it with the catch-up
 
 	// Register the wake BEFORE the first collect: a commit landing between
-	// the two must nudge the pump, not vanish.
+	// the two must nudge the pump, not vanish. The heartbeat tick, at half
+	// the interval, lands an idle stream's liveness frame within 1.5× it.
 	p := NewPump()
-	if r.URL.Path == AllPath {
-		defer st.watchAll(p.wake)()
-		p.Run(w, r, s.pumpConfig(&st.follow.pump), &allSource{st: st, gen: gen, cursor: after})
-		return
-	}
-	st.fanout.streams.Add(1)
 	defer st.watchPath(r.URL.Path, p.wake)()
-	p.Run(w, r, s.pumpConfig(&st.fanout.pump), &streamSource{
-		st:        st,
-		path:      r.URL.Path,
-		gen:       gen,
-		budget:    s.MaxWatcherLag,
-		lastEpoch: after,
-	})
+	var src PumpSource
+	counters := &st.fanout.pump
+	if r.URL.Path == AllPath {
+		src, counters = &allSource{st: st, gen: gen, cursor: after}, &st.follow.pump
+	} else {
+		st.fanout.streams.Add(1)
+		src = &streamSource{
+			st:        st,
+			path:      r.URL.Path,
+			gen:       gen,
+			budget:    s.MaxWatcherLag,
+			lastEpoch: after,
+		}
+	}
+	cfg := s.pumpConfig(counters)
+	st.heartbeat(cfg.Heartbeat / 2)
+	p.Run(w, r, cfg, src)
 }
 
 // streamSource feeds one SSE stream's pump from the store journal. Its
@@ -184,7 +181,6 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, q url.Value
 // the value the client holds and sends back as after= on a reconnect —
 // live wakes and reconnects read the journal the same way.
 type streamSource struct {
-	sseLiveness
 	st     *Store
 	path   string
 	gen    uint64 // the generation the stream opened under
@@ -222,7 +218,7 @@ func (src *streamSource) Collect(w io.Writer) bool {
 	n := 0
 	switch {
 	case v.cur.Doc.Version <= src.lastVer:
-		// Nothing committed past the cursor: an idle sweep wake, or a
+		// Nothing committed past the cursor: a heartbeat tick's wake, or a
 		// path that is not (yet) published — hold the stream open.
 		src.parked = src.parked || connecting
 		return true
@@ -295,21 +291,6 @@ func appendEvent(f []byte, id uint64, event string, data []byte) []byte {
 	f = append(f, "\ndata: "...)
 	f = append(f, data...)
 	return append(f, "\n\n"...)
-}
-
-// sseLiveness is the SSE half of a PumpSource that both stream forms
-// share: the idle heartbeat and the drain farewell.
-type sseLiveness struct{}
-
-// Heartbeat implements PumpSource: the SSE comment line.
-func (sseLiveness) Heartbeat(w io.Writer) { _, _ = io.WriteString(w, ": hb\n\n") }
-
-// Farewell implements PumpSource: the terminal frame of a graceful
-// shutdown, so the client reconnects to another replica with its cursors
-// intact (ordinary replay catch-up) instead of timing out against a dead
-// connection.
-func (sseLiveness) Farewell(w io.Writer) {
-	_, _ = io.WriteString(w, "event: draining\ndata: {}\n\n")
 }
 
 // WatchStream performs one streaming watch against url: it connects with

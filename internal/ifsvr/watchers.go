@@ -4,164 +4,143 @@ package ifsvr
 //
 // A commit must not do O(watchers) work, nor wake streams whose path it
 // did not touch: each held stream registers a capacity-1 wake channel
-// under the path it watches, the registry is sharded by path hash, and a
-// commit touches only the shards its batch dirtied — one small lock each,
-// one non-blocking send per watcher of a dirty path. Delivery itself
-// happens on the watcher's own goroutine (its delivery pump), which pulls
-// pending events from the epoch journal at its own pace; see pump.go.
+// under the path it watches (an all-paths stream under AllPath), and a
+// commit sends one non-blocking wake per watcher of each path its batch
+// dirtied, plus one per all-paths stream. Delivery itself happens on the
+// watcher's own goroutine (its delivery pump), which pulls pending events
+// from the epoch journal at its own pace; see pump.go. The same registry
+// drives the heartbeat tick, and close and reset wake all of it.
 
 import (
 	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// watchShardCount is the number of locks the watcher registry is split
-// across. Watchers of one path always share a shard (shardOf), so a
-// commit's wakeup cost is O(dirty shards), not O(registry).
-const watchShardCount = 32
-
-// shardOf maps a path to its registry shard: FNV-1a over the path, mod
-// shards. The hash is spelled out instead of delegated to a seed-randomized
-// library hash so it is stable across processes (see ShardOf).
-func shardOf(path string, shards int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(path); i++ {
-		h ^= uint64(path[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
+// wakeSet is the store's one registry of held streams: path → the wake
+// channels of the streams watching it. Commits take its lock under
+// deliverMu; it is never held together with mu, nor across a callback.
+type wakeSet struct {
+	mu    sync.Mutex
+	paths map[string]map[chan<- struct{}]struct{}
+	// ticking is set while the heartbeat tick runs.
+	ticking bool
 }
 
-// watchShard is one lock's worth of a wake registry: path → set of wake
-// channels, keyed by a per-shard registration id so cancel is O(1).
-type watchShard struct {
-	mu     sync.Mutex
-	paths  map[string]map[uint64]chan<- struct{}
-	nextID uint64
-}
-
-func (s *Store) watchShardOf(path string) *watchShard {
-	return &s.watchers[shardOf(path, watchShardCount)]
-}
-
-// watchPath registers a wake channel for path and returns its cancel.
-// The channel should have capacity 1; wakeups are non-blocking sends, so
-// a full channel simply means a wake is already pending — the watcher
-// will drain everything it finds when it gets around to looking.
+// watchPath registers a wake channel for path — AllPath for an all-paths
+// stream — and returns its cancel. The channel should have capacity 1;
+// wakeups are non-blocking sends, so a full channel simply means a wake is
+// already pending — the watcher will drain everything it finds when it
+// gets around to looking.
 func (s *Store) watchPath(path string, wake chan<- struct{}) (cancel func()) {
-	return s.watchShardOf(path).add(path, wake)
-}
-
-// watchAll registers the wake channel of an all-paths stream: every logged
-// operation nudges it. It is kept out of the path registry, so Fanout's
-// counters describe per-path watchers only.
-func (s *Store) watchAll(wake chan<- struct{}) (cancel func()) {
-	return s.allWatchers.add("", wake)
-}
-
-func (sh *watchShard) add(path string, wake chan<- struct{}) (cancel func()) {
-	sh.mu.Lock()
-	if sh.paths == nil {
-		sh.paths = make(map[string]map[uint64]chan<- struct{})
+	w := &s.watchers
+	w.mu.Lock()
+	if w.paths == nil {
+		w.paths = make(map[string]map[chan<- struct{}]struct{})
 	}
-	set := sh.paths[path]
+	set := w.paths[path]
 	if set == nil {
-		set = make(map[uint64]chan<- struct{})
-		sh.paths[path] = set
+		set = make(map[chan<- struct{}]struct{})
+		w.paths[path] = set
 	}
-	id := sh.nextID
-	sh.nextID++
-	set[id] = wake
-	sh.mu.Unlock()
+	set[wake] = struct{}{}
+	w.mu.Unlock()
 	return func() {
-		sh.mu.Lock()
-		if set := sh.paths[path]; set != nil {
-			delete(set, id)
+		w.mu.Lock()
+		if set := w.paths[path]; set != nil {
+			delete(set, wake)
 			if len(set) == 0 {
-				delete(sh.paths, path)
+				delete(w.paths, path)
 			}
 		}
-		sh.mu.Unlock()
+		w.mu.Unlock()
 	}
 }
 
-// wake signals every watcher of path and returns how many there were.
-func (sh *watchShard) wake(path string) (n uint64) {
-	sh.mu.Lock()
-	for _, ch := range sh.paths[path] {
+// wakeLocked signals every watcher in set and returns how many there were.
+func wakeLocked(set map[chan<- struct{}]struct{}) (n uint64) {
+	for ch := range set {
 		select {
 		case ch <- struct{}{}:
 		default:
 		}
-		n++
 	}
-	sh.mu.Unlock()
-	return n
+	return uint64(len(set))
 }
 
-// wakeAll signals every watcher of every path.
-func (sh *watchShard) wakeAll() {
-	sh.mu.Lock()
-	for _, set := range sh.paths {
-		for _, ch := range set {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// count is the number of registered watchers.
-func (sh *watchShard) count() (n int) {
-	sh.mu.Lock()
-	for _, set := range sh.paths {
-		n += len(set)
-	}
-	sh.mu.Unlock()
-	return n
-}
-
-// wakeWatchers signals every watcher of every path in a committed batch.
-// A commit batch carries each path at most once, so no dedup is needed;
-// sends are non-blocking against capacity-1 channels, so a slow watcher
-// costs the committer nothing.
+// wakeWatchers signals every watcher of every path in a committed batch,
+// and every all-paths stream. A commit batch carries each path at most
+// once, so no dedup is needed; sends are non-blocking against capacity-1
+// channels, so a slow watcher costs the committer nothing. Fanout.Wakes
+// counts the per-path wakes only.
 func (s *Store) wakeWatchers(evs []StoreEvent) {
+	w := &s.watchers
 	var woken uint64
+	w.mu.Lock()
 	for _, ev := range evs {
-		woken += s.watchShardOf(ev.Path).wake(ev.Path)
+		woken += wakeLocked(w.paths[ev.Path])
 	}
+	wakeLocked(w.paths[AllPath])
+	w.mu.Unlock()
 	if woken > 0 {
 		s.fanout.wakes.Add(woken)
 	}
 }
 
-// wakeAllWatchers nudges every registered watcher regardless of path, and
-// every all-paths stream — used for store-wide state changes (close,
-// crash, replicated reset) that every held connection must notice.
+// wakeAllWatchers nudges every held stream regardless of path — used for
+// store-wide state changes (close, crash, replicated reset) that every
+// held connection must notice.
 func (s *Store) wakeAllWatchers() {
-	for i := range s.watchers {
-		s.watchers[i].wakeAll()
+	w := &s.watchers
+	w.mu.Lock()
+	for _, set := range w.paths {
+		wakeLocked(set)
 	}
-	s.allWatchers.wakeAll()
+	w.mu.Unlock()
 }
 
-// watcherCounts reports the registered-watcher population, total and per
-// shard, for StoreStats.
-func (s *Store) watcherCounts() (total int, per []int) {
-	per = make([]int, watchShardCount)
-	for i := range s.watchers {
-		per[i] = s.watchers[i].count()
-		total += per[i]
+// heartbeat starts the heartbeat tick unless it runs. Every interval
+// (clamped to at least 1ms) the tick nudges every held stream, whose pump
+// decides for itself whether a liveness frame is due, and it exits at the
+// first tick that finds none, so an idle store runs no ticker. Call it
+// after registering a stream.
+func (s *Store) heartbeat(interval time.Duration) {
+	w := &s.watchers
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ticking {
+		return
 	}
-	return total, per
+	w.ticking = true
+	go func() {
+		t := time.NewTicker(max(interval, time.Millisecond))
+		defer t.Stop()
+		for ticking := true; ticking; {
+			<-t.C
+			w.mu.Lock()
+			for _, set := range w.paths {
+				wakeLocked(set)
+			}
+			w.ticking = len(w.paths) > 0
+			ticking = w.ticking
+			w.mu.Unlock()
+		}
+	}()
+}
+
+// watcherCounts reports the registered population: per-path watchers, and
+// all-paths streams (tails).
+func (s *Store) watcherCounts() (watchers, tails int) {
+	w := &s.watchers
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, set := range w.paths {
+		watchers += len(set)
+	}
+	tails = len(w.paths[AllPath])
+	return watchers - tails, tails
 }
 
 // batchBuckets sizes the power-of-two flush-batch histogram: bucket b
@@ -234,9 +213,8 @@ func (c *fanoutCounters) batchPercentile(q float64) int {
 // backpressure valves (evictions, snapshot resets) are firing.
 type FanoutStats struct {
 	// Watchers is the number of currently registered watch subscriptions
-	// (held streams); ShardWatchers is the per-registry-shard breakdown.
-	Watchers      int
-	ShardWatchers []int
+	// (held per-path streams).
+	Watchers int
 	// Wakes counts wake signals sent to watcher pumps at commit time;
 	// Streams counts streaming-watch connections served (cumulative).
 	Wakes   uint64
@@ -251,8 +229,8 @@ type FanoutStats struct {
 	BatchP50 int
 	BatchP99 int
 	BatchMax int
-	// Heartbeats counts idle-stream liveness comments written by the
-	// shared sweep.
+	// Heartbeats counts idle-stream liveness comments written at the
+	// heartbeat tick's nudge.
 	Heartbeats uint64
 	// Evictions counts streams dropped for backpressure — a write that
 	// missed its deadline, or pending events past MaxWatcherLag.
@@ -264,21 +242,20 @@ type FanoutStats struct {
 }
 
 // fanoutStats assembles the exported block. Counter reads are atomic and
-// the registry walk takes each shard lock briefly; no store lock is held.
+// the registry walk takes the registry lock briefly; no store lock is held.
 func (s *Store) fanoutStats() FanoutStats {
-	total, per := s.watcherCounts()
+	watchers, _ := s.watcherCounts()
 	return FanoutStats{
-		Watchers:      total,
-		ShardWatchers: per,
-		Wakes:         s.fanout.wakes.Load(),
-		Streams:       s.fanout.streams.Load(),
-		Batches:       s.fanout.batches.Load(),
-		Events:        s.fanout.events.Load(),
-		BatchP50:      s.fanout.batchPercentile(0.50),
-		BatchP99:      s.fanout.batchPercentile(0.99),
-		BatchMax:      int(s.fanout.batchMax.Load()),
-		Heartbeats:    s.fanout.pump.Heartbeats.Load(),
-		Evictions:     s.fanout.pump.Evictions.Load(),
-		Resets:        s.fanout.resets.Load(),
+		Watchers:   watchers,
+		Wakes:      s.fanout.wakes.Load(),
+		Streams:    s.fanout.streams.Load(),
+		Batches:    s.fanout.batches.Load(),
+		Events:     s.fanout.events.Load(),
+		BatchP50:   s.fanout.batchPercentile(0.50),
+		BatchP99:   s.fanout.batchPercentile(0.99),
+		BatchMax:   int(s.fanout.batchMax.Load()),
+		Heartbeats: s.fanout.pump.Heartbeats.Load(),
+		Evictions:  s.fanout.pump.Evictions.Load(),
+		Resets:     s.fanout.resets.Load(),
 	}
 }
