@@ -83,6 +83,65 @@ func endpointClass(t *testing.T, name string, ran *atomic.Int32, entered chan<- 
 	return c
 }
 
+// echoItem is the item type of the echo rows' sequence, and echoValue
+// its items: what the text encoders write for a sequence of structs, where
+// they take different paths. The empty tag self-closes its SOAP member;
+// the floats are an integer, a negative fraction, a 17-digit exact binary
+// fraction, 0.1 (not exact), SOAP's exponent forms at 1e6 and below 1e-4
+// (exact and not), JSON's below 1e-6 and from 1e21, and each again as a
+// float32.
+var echoItem = dyn.MustStructOf("EchoItem",
+	dyn.StructField{Name: "tag", Type: dyn.StringT},
+	dyn.StructField{Name: "x", Type: dyn.Float64T},
+	dyn.StructField{Name: "f", Type: dyn.Float32T},
+)
+
+func echoValue() dyn.Value {
+	rows := []struct {
+		tag string
+		x   float64
+	}{
+		{"", 42}, {"neg", -3.75}, {"17 digits", 2097151.9990234375}, {"tenth", 0.1},
+		{"1e6", 1e6}, {"2^20+1/2", 1048576.5}, {"1e-5", 1e-5}, {"2^-17", 0x1p-17},
+		{"2^-21", 0x1p-21}, {"1e-7", 1e-7}, {"2^70", 0x1p70},
+	}
+	items := make([]dyn.Value, len(rows))
+	for i, r := range rows {
+		items[i] = dyn.MustStructValue(echoItem, dyn.StringValue(r.tag), dyn.Float64Value(r.x), dyn.Float32Value(float32(r.x)))
+	}
+	return dyn.MustSequenceValue(echoItem, items...)
+}
+
+// echoSig is the signature of echoClass's one method.
+var echoSig = dyn.MethodSig{Name: "echo", Params: []dyn.Param{{Name: "v", Type: dyn.SequenceOf(echoItem)}}, Result: dyn.SequenceOf(echoItem)}
+
+// echoClass is a class whose one method, echo, returns its sequence of
+// echoItem.
+func echoClass(t *testing.T, name string) *dyn.Class {
+	t.Helper()
+	c := dyn.NewClass(name)
+	if _, err := c.AddMethod(dyn.MethodSpec{Name: echoSig.Name, Params: echoSig.Params, Result: echoSig.Result, Distributed: true,
+		Body: func(_ *dyn.Instance, a []dyn.Value) (dyn.Value, error) { return a[0], nil }}); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// registerEcho registers and starts echoClass as prefix+tech for SOAP and
+// JSON.
+func registerEcho(t *testing.T, m *core.Manager, prefix string) {
+	t.Helper()
+	for _, tech := range []core.Technology{core.TechSOAP, jsonb.Name} {
+		srv, err := m.Register(echoClass(t, prefix+string(tech)), tech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.CreateInstance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // exchangeRaw sends req on a new connection and returns the raw bytes of
 // the one reply, read to its end.
 func exchangeRaw(t *testing.T, addr, req string) []byte {
@@ -131,7 +190,7 @@ const endpointReplies = "testdata/endpoint_replies.txt"
 // on net/http as well and compares every reply byte for byte, Date's
 // value aside: each HTTP binding's result, application fault, stale fault
 // carrying the document, malformed request, call before CreateInstance
-// and GET, and /metrics. It then compares the live replies with the
+// and GET, SOAP's and JSON's echo of a sequence of structs, and /metrics. It then compares the live replies with the
 // committed transcript in testdata, which -update rewrites.
 func TestEndpointRepliesMatchNetHTTP(t *testing.T) {
 	core.RegisterBinding(jsonb.New())
@@ -182,7 +241,22 @@ func TestEndpointRepliesMatchNetHTTP(t *testing.T) {
 			rows[i].name = string(b.tech) + " " + rows[i].name
 		}
 	}
-	rows = append(rows, row{"metrics", "GET /metrics HTTP/1.1\r\nHost: livedev\r\n\r\n"})
+	registerEcho(t, m, "OracleEcho")
+	env, err := soap.BuildRequest("urn:OracleEchoSOAP", "echo", []soap.NamedValue{{Name: "v", Value: echoValue()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, err := jsonb.EncodeValue(echoValue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows,
+		row{"SOAP echo sequence", rawPost("/soap/OracleEchoSOAP",
+			"Content-Type: text/xml; charset=utf-8\r\nSOAPAction: \"urn:OracleEchoSOAP#echo\"\r\n", env)},
+		row{"JSON echo sequence", rawPost("/json/OracleEchoJSON",
+			"Content-Type: "+jsonb.ContentType+"\r\n", `{"method":"echo","args":[`+string(args)+`]}`)},
+		row{"metrics", "GET /metrics HTTP/1.1\r\nHost: livedev\r\n\r\n"},
+	)
 
 	mask := func(b []byte) string {
 		return metricsCount.ReplaceAllString(string(dateValue.ReplaceAll(b, []byte("Date: *\r"))), "$1 *")

@@ -109,7 +109,8 @@ func (r *recorder) take() string {
 // TestCallRequestsMatchTranscript records, through a raw-TCP relay, the
 // request each HTTP binding's caller sends — soap.Client, jsonb.Caller
 // and h2b.Caller without a mux, each on the default HTTP/1.1 client — for
-// a call and for a stale call, and compares them with the committed
+// a call and for a stale call, then SOAP's and JSON's for the echo of a
+// sequence of structs, and compares them with the committed
 // transcript in testdata, which -update rewrites. The relay forwards to a
 // live manager, so each call is also checked for its answer.
 func TestCallRequestsMatchTranscript(t *testing.T) {
@@ -168,6 +169,30 @@ func TestCallRequestsMatchTranscript(t *testing.T) {
 			for line := range strings.SplitAfterSeq(got, "\n") {
 				transcript.WriteString(strconv.Quote(line) + "\n")
 			}
+		}
+	}
+
+	// Then the echo of a sequence of structs, whose request is most of the
+	// text encoders' work.
+	registerEcho(t, m, "RecEcho")
+	echoCallers := []struct {
+		name string
+		call caller
+	}{
+		{"SOAP", func(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
+			c := &soap.Client{Endpoint: base + "/soap/RecEchoSOAP", ServiceNS: "urn:RecEchoSOAP"}
+			return c.CallContext(ctx, sig.Name, []soap.NamedValue{{Name: sig.Params[0].Name, Value: args[0]}}, sig.Result)
+		}},
+		{"JSON", (&jsonb.Caller{Endpoint: base + "/json/RecEchoJSON"}).Call},
+	}
+	for _, c := range echoCallers {
+		v, err := c.call(context.Background(), echoSig, []dyn.Value{echoValue()})
+		if err != nil || !v.Equal(echoValue()) {
+			t.Fatalf("%s: echo = %v, %v", c.name, v, err)
+		}
+		transcript.WriteString("=== " + c.name + " echo sequence\n")
+		for line := range strings.SplitAfterSeq(loopbackAddr.ReplaceAllString(rec.take(), "127.0.0.1:*"), "\n") {
+			transcript.WriteString(strconv.Quote(line) + "\n")
 		}
 	}
 	checkTranscript(t, callRequests, transcript.String())
