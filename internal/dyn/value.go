@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"livedev/internal/decfloat"
 )
 
 // Value is a dynamically typed value of the dyn type system. The zero Value
@@ -280,9 +282,9 @@ func (v Value) String() string {
 	case KindInt32, KindInt64:
 		return strconv.FormatInt(v.Int64(), 10)
 	case KindFloat32:
-		return strconv.FormatFloat(v.Float64(), 'g', -1, 32)
+		return string(decfloat.AppendFloat(nil, v.Float64(), 'g', 32))
 	case KindFloat64:
-		return strconv.FormatFloat(v.Float64(), 'g', -1, 64)
+		return string(decfloat.AppendFloat(nil, v.Float64(), 'g', 64))
 	case KindString:
 		return strconv.Quote(v.Str())
 	case KindSequence:

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"livedev/internal/decfloat"
 	"livedev/internal/dyn"
 	"livedev/internal/jsonstr"
 )
@@ -88,6 +89,9 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	case dyn.KindString:
 		return jsonstr.Append(buf, v.Str()), nil
 	case dyn.KindSequence:
+		if t.Elem().Kind() == dyn.KindStruct {
+			return appendStructs(buf, v)
+		}
 		buf = append(buf, '[')
 		var err error
 		for i := 0; i < v.Len(); i++ {
@@ -118,6 +122,37 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	}
 }
 
+// appendStructs appends sequence v of structs as appendValue writes it, but
+// with the member names escaped once per sequence: each item is the
+// prefixes {"name0":, ,"name1":, … with its member values between them.
+func appendStructs(buf []byte, v dyn.Value) ([]byte, error) {
+	elem := v.Type().Elem()
+	var keyBuf [256]byte
+	var cutBuf [16]int
+	keys, cuts := keyBuf[:0], cutBuf[:0] // ,"name0":,"name1":…
+	for i := range elem.NumFields() {
+		keys = append(jsonstr.Append(append(keys, ','), elem.Field(i).Name), ':')
+		cuts = append(cuts, len(keys))
+	}
+	buf = append(buf, '[')
+	var err error
+	for i := 0; i < v.Len(); i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		item, from := v.Index(i), 1
+		buf = append(buf, '{')
+		for j, cut := range cuts {
+			buf, from = append(buf, keys[from:cut]...), cut
+			if buf, err = appendValue(buf, item.Index(j)); err != nil {
+				return buf, err
+			}
+		}
+		buf = append(buf, '}')
+	}
+	return append(buf, ']'), nil
+}
+
 // appendFloat writes f the way encoding/json does (so parent-commit peers
 // see the bytes they always saw): shortest round-tripping digits, exponent
 // form only below 1e-6 and from 1e21, "e-09" trimmed to "e-9".
@@ -131,7 +166,7 @@ func appendFloat(buf []byte, f float64, bits int) ([]byte, error) {
 			format = 'e'
 		}
 	}
-	buf = strconv.AppendFloat(buf, f, format, -1, bits)
+	buf = decfloat.AppendFloat(buf, f, format, bits)
 	if n := len(buf); format == 'e' && n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
 		buf[n-2] = buf[n-1]
 		buf = buf[:n-1]

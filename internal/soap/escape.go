@@ -29,9 +29,11 @@
 //
 // Everything is read by the one lexer but one shape of input: the items of
 // a sequence whose item type is a scalar, or a struct of scalars, as this
-// package's encoder writes them. For such a sequence the decoder writes,
+// package's encoder writes them. For such a sequence both directions build,
 // once and with the encoder's own tag writer, the item's skeleton: its
-// start tag, each member's start and end tags, its end tag. It reads each
+// start tag, each member's start and end tags, its end tag. The encoder
+// writes each item as those bytes with its values' character data between
+// them (an empty value self-closes its element). The decoder reads each
 // item by comparing the input with those bytes, taking the character data
 // between them as it stands when it holds no reference and converts as the
 // lexer's would; any difference (white space, a prefix, another attribute,

@@ -57,34 +57,18 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 	content := len(buf)
 
 	var err error
-	switch k {
-	case dyn.KindBoolean:
-		buf = strconv.AppendBool(buf, v.Bool())
-	case dyn.KindChar:
-		var tmp [utf8.UTFMax]byte
-		n := utf8.EncodeRune(tmp[:], v.Char())
-		buf = AppendEscaped(buf, string(tmp[:n]))
-	case dyn.KindInt32:
-		buf = strconv.AppendInt(buf, int64(v.Int32()), 10)
-	case dyn.KindInt64:
-		buf = strconv.AppendInt(buf, v.Int64(), 10)
-	case dyn.KindFloat32:
-		buf = appendXSDFloat(buf, float64(v.Float32()), 32)
-	case dyn.KindFloat64:
-		buf = appendXSDFloat(buf, v.Float64(), 64)
-	case dyn.KindString:
-		buf = AppendEscaped(buf, v.Str())
-	case dyn.KindSequence:
-		for i := 0; i < v.Len() && err == nil; i++ {
-			buf, err = appendValue(buf, "item", v.Index(i))
-		}
-	case dyn.KindStruct:
+	switch {
+	case k == dyn.KindSequence:
+		buf, err = appendItems(buf, v)
+	case k == dyn.KindStruct:
 		for i := 0; i < v.Len() && err == nil; i++ {
 			f := t.Field(i)
 			if buf, err = appendValue(buf, f.Name, v.Index(i)); err != nil {
 				err = fmt.Errorf("struct %s field %s: %w", t.Name(), f.Name, err)
 			}
 		}
+	case scalar(k):
+		buf = appendScalar(buf, v)
 	default:
 		err = fmt.Errorf("soap: cannot encode kind %s", k)
 	}
@@ -96,6 +80,59 @@ func appendValue(buf []byte, name string, v dyn.Value) ([]byte, error) {
 		return append(buf, '>'), nil
 	}
 	return appendEndTag(buf, name), nil
+}
+
+// appendScalar appends the character data of scalar v.
+func appendScalar(buf []byte, v dyn.Value) []byte {
+	switch v.Type().Kind() {
+	case dyn.KindBoolean:
+		return strconv.AppendBool(buf, v.Bool())
+	case dyn.KindChar:
+		var tmp [utf8.UTFMax]byte
+		n := utf8.EncodeRune(tmp[:], v.Char())
+		return AppendEscaped(buf, string(tmp[:n]))
+	case dyn.KindInt32, dyn.KindInt64:
+		return strconv.AppendInt(buf, v.Int64(), 10)
+	case dyn.KindFloat32:
+		return appendXSDFloat(buf, v.Float64(), 32)
+	case dyn.KindFloat64:
+		return appendXSDFloat(buf, v.Float64(), 64)
+	default:
+		return AppendEscaped(buf, v.Str())
+	}
+}
+
+// appendItems appends the <item> children of sequence v, from the item
+// skeleton when it covers them: an empty value self-closes its element, as
+// appendValue does, and the skeleton's end tag for it is skipped.
+func appendItems(buf []byte, v dyn.Value) ([]byte, error) {
+	elem := v.Type().Elem()
+	var skelBuf [512]byte
+	var cutBuf [16]int
+	skel, cuts, ok := appendSkeleton(skelBuf[:0], cutBuf[:0], elem)
+	var err error
+	for i := 0; i < v.Len() && err == nil; i++ {
+		if !ok {
+			buf, err = appendValue(buf, "item", v.Index(i))
+			continue
+		}
+		item, from := v.Index(i), 0
+		for j, cut := range cuts[:len(cuts)-1] {
+			buf = append(buf, skel[from:cut]...)
+			val, name := item, "item"
+			if elem.Kind() == dyn.KindStruct {
+				val, name = item.Index(j), elem.Field(j).Name
+			}
+			at := len(buf)
+			if buf, from = appendScalar(buf, val), cut; len(buf) == at {
+				buf[at-1] = '/'
+				buf = append(buf, '>')
+				from += len("</>") + len(name)
+			}
+		}
+		buf = append(buf, skel[from:]...)
+	}
+	return buf, err
 }
 
 // appendStartTag appends the start tag appendValue opens the element <name>
@@ -134,7 +171,7 @@ func appendXSDFloat(buf []byte, f float64, bits int) []byte {
 	case math.IsNaN(f):
 		return append(buf, "NaN"...)
 	}
-	return strconv.AppendFloat(buf, f, 'g', -1, bits)
+	return decfloat.AppendFloat(buf, f, 'g', bits)
 }
 
 // ---- Decoding ----
@@ -166,7 +203,7 @@ type decoder struct {
 	// carved from.
 	fields dyn.Slab
 	// skel and cuts are the item skeleton of the sequence being read (see
-	// skeleton), spans the character data matchItem last found in an item.
+	// appendSkeleton), spans the character data matchItem last found in an item.
 	skel  []byte
 	cuts  []int
 	spans []int
@@ -486,43 +523,47 @@ func (d *decoder) structure(t *dyn.Type) (dyn.Value, error) {
 	return dyn.AdoptStruct(t, vals)
 }
 
-// skeleton readies d.skel and d.cuts for a sequence of elem and reports
-// whether there are any: the bytes appendValue writes around an item's
-// character data when elem is a scalar, or a struct whose members all are
-// — the item's start tag, each member's start and end tags, the item's end
-// tag — cut where character data goes. An item the skeleton covers holds no
-// sequence, so no two sequences use it at once.
+// skeleton readies d.skel and d.cuts for a sequence of elem, if it has any.
+// An item it covers holds no sequence, so no two sequences use it at once.
+func (d *decoder) skeleton(elem *dyn.Type) (ok bool) {
+	d.skel, d.cuts, ok = appendSkeleton(d.skel[:0], d.cuts[:0], elem)
+	return ok
+}
+
+// appendSkeleton appends the item skeleton of a sequence of elem, if it has
+// one, and reports whether it does: the bytes appendValue writes around an
+// item's character data when elem is a scalar or a struct whose members
+// all are (the item's start tag, each member's start and end tags, the
+// item's end tag) to skel, and to cuts the offsets where character data
+// goes, then the end's. The encoder writes items from it, the decoder
+// matches them against it.
 //
 // Only names of ASCII letters, digits, '_', '-' and '.' qualify (dyn takes
 // any string): the lexer reads such a name back unchanged, localName
 // leaves it whole and no white space trims off its end tag, so where the
 // input repeats the skeleton's bytes the lexer would read the same item.
-func (d *decoder) skeleton(elem *dyn.Type) bool {
-	d.skel, d.cuts = d.skel[:0], d.cuts[:0]
-	switch k := elem.Kind(); {
-	case k == dyn.KindStruct:
-		for i := range elem.NumFields() {
-			if f := elem.Field(i); !scalar(f.Type.Kind()) || !plainName(f.Name) {
-				return false
-			}
-		}
-	case !scalar(k):
-		return false
+func appendSkeleton(skel []byte, cuts []int, elem *dyn.Type) ([]byte, []int, bool) {
+	k := elem.Kind()
+	if k == dyn.KindStruct && elem.NumFields() == 0 || k != dyn.KindStruct && !scalar(k) {
+		return skel, cuts, false
 	}
-	d.skel = appendStartTag(d.skel, "item", elem)
-	if elem.Kind() == dyn.KindStruct {
-		for i := range elem.NumFields() {
-			f := elem.Field(i)
-			d.skel = appendStartTag(d.skel, f.Name, f.Type)
-			d.cuts = append(d.cuts, len(d.skel))
-			d.skel = appendEndTag(d.skel, f.Name)
+	for i := range elem.NumFields() {
+		if f := elem.Field(i); !scalar(f.Type.Kind()) || !plainName(f.Name) {
+			return skel, cuts, false
 		}
-	} else {
-		d.cuts = append(d.cuts, len(d.skel))
 	}
-	d.skel = appendEndTag(d.skel, "item")
-	d.cuts = append(d.cuts, len(d.skel))
-	return true
+	skel = appendStartTag(skel, "item", elem)
+	for i := range elem.NumFields() {
+		f := elem.Field(i)
+		skel = appendStartTag(skel, f.Name, f.Type)
+		cuts = append(cuts, len(skel))
+		skel = appendEndTag(skel, f.Name)
+	}
+	if k != dyn.KindStruct {
+		cuts = append(cuts, len(skel))
+	}
+	skel = appendEndTag(skel, "item")
+	return skel, append(cuts, len(skel)), true
 }
 
 func scalar(k dyn.Kind) bool {
