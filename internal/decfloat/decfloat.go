@@ -147,7 +147,8 @@ func AppendFloat(dst []byte, f float64, fmt byte, bitSize int) []byte {
 		dst = append(dst, '-')
 	}
 	// strconv's layout of digits d with the decimal point dp digits in: 'g'
-	// is 'e' for exp < -4 or exp >= 6, the exponent at least two digits.
+	// is 'e' for exp < -4 or exp >= 6, the exponent at least two digits
+	// (here never more: -23 ≤ exp ≤ 15).
 	if exp := dp - 1; fmt == 'e' || fmt == 'g' && (exp < -4 || exp >= 6) {
 		dst = append(dst, d[0])
 		if len(d) > 1 {

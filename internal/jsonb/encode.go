@@ -89,20 +89,7 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	case dyn.KindString:
 		return jsonstr.Append(buf, v.Str()), nil
 	case dyn.KindSequence:
-		if t.Elem().Kind() == dyn.KindStruct {
-			return appendStructs(buf, v)
-		}
-		buf = append(buf, '[')
-		var err error
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if buf, err = appendValue(buf, v.Index(i)); err != nil {
-				return buf, err
-			}
-		}
-		return append(buf, ']'), nil
+		return appendSequence(buf, v)
 	case dyn.KindStruct:
 		buf = append(buf, '{')
 		var err error
@@ -122,10 +109,11 @@ func appendValue(buf []byte, v dyn.Value) ([]byte, error) {
 	}
 }
 
-// appendStructs appends sequence v of structs as appendValue writes it, but
-// with the member names escaped once per sequence: each item is the
-// prefixes {"name0":, ,"name1":, … with its member values between them.
-func appendStructs(buf []byte, v dyn.Value) ([]byte, error) {
+// appendSequence appends sequence v as an array. A sequence of structs has
+// its member names escaped once: each item is the prefixes {"name0":,
+// ,"name1":, … with its member values between them, as appendValue writes
+// a struct.
+func appendSequence(buf []byte, v dyn.Value) ([]byte, error) {
 	elem := v.Type().Elem()
 	var keyBuf [256]byte
 	var cutBuf [16]int
@@ -141,6 +129,12 @@ func appendStructs(buf []byte, v dyn.Value) ([]byte, error) {
 			buf = append(buf, ',')
 		}
 		item, from := v.Index(i), 1
+		if elem.Kind() != dyn.KindStruct {
+			if buf, err = appendValue(buf, item); err != nil {
+				return buf, err
+			}
+			continue
+		}
 		buf = append(buf, '{')
 		for j, cut := range cuts {
 			buf, from = append(buf, keys[from:cut]...), cut
