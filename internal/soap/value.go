@@ -203,7 +203,8 @@ type decoder struct {
 	// carved from.
 	fields dyn.Slab
 	// skel and cuts are the item skeleton of the sequence being read (see
-	// appendSkeleton), spans the character data matchItem last found in an item.
+	// appendSkeleton), spans the character data matchItem last found in an
+	// item.
 	skel  []byte
 	cuts  []int
 	spans []int
@@ -532,8 +533,8 @@ func (d *decoder) skeleton(elem *dyn.Type) (ok bool) {
 
 // appendSkeleton appends the item skeleton of a sequence of elem, if it has
 // one, and reports whether it does: the bytes appendValue writes around an
-// item's character data when elem is a scalar or a struct whose members
-// all are (the item's start tag, each member's start and end tags, the
+// item's character data when elem is a scalar or a struct of one or more
+// members that all are (the item's start tag, each member's start and end tags, the
 // item's end tag) to skel, and to cuts the offsets where character data
 // goes, then the end's. The encoder writes items from it, the decoder
 // matches them against it.
