@@ -77,53 +77,85 @@ func TestSyncPolicyStorm(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAckSurvivesCrash is the ack-honesty test: a publication
-// acked under SyncGroupCommit must be recoverable from the data directory
-// exactly as the files stand at ack time — reopened without Close, no
-// parting flush or snapshot (Crash) — because the ack only returned after
-// the log writer's fsync covered the record.
+// TestGroupCommitAckSurvivesCrash is the ack-honesty test, under both
+// durable spellings of -sync: a publication acked under group (or always)
+// must be recoverable from the data directory after a power loss at ack
+// time. The store is crashed (no parting flush or snapshot), and the WAL
+// is then cut to the length the last completed fsync covered — the fsync
+// seam notes the file's size as each fsync begins — so every byte no
+// fsync made durable is gone, as the page cache would be. An ack that
+// returned before the fsync covering its record ended fails here.
 func TestGroupCommitAckSurvivesCrash(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(StoreConfig{Dir: dir, Sync: SyncGroupCommit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const publishers = 6
-	const perPub = 10
-	acked := make([][]uint64, publishers) // versions each publisher saw acked
-	var wg sync.WaitGroup
-	for w := 0; w < publishers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/wsdl/C%d.wsdl", w)
-			for i := 1; i <= perPub; i++ {
-				v := st.PublishVersioned(path, "text/xml", fmt.Sprintf("<w%dv%d/>", w, i), uint64(i))
-				acked[w] = append(acked[w], v)
+	for _, spelling := range []string{"group", "always"} {
+		t.Run(spelling, func(t *testing.T) {
+			policy, err := ParseSyncPolicy(spelling)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if err := st.Crash(); err != nil {
-		t.Fatal(err)
-	}
+			dir := t.TempDir()
+			st, err := OpenStore(StoreConfig{Dir: dir, Sync: policy, SnapshotEvery: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			var covered int64 // WAL bytes the completed fsyncs made durable
+			st.persist.fsync = func(f *os.File) error {
+				fi, err := f.Stat()
+				if err != nil {
+					return err
+				}
+				if err := walSync(f); err != nil {
+					return err
+				}
+				mu.Lock()
+				covered = max(covered, fi.Size())
+				mu.Unlock()
+				return nil
+			}
+			const publishers = 6
+			const perPub = 10
+			acked := make([][]uint64, publishers) // versions each publisher saw acked
+			var wg sync.WaitGroup
+			for w := 0; w < publishers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					path := fmt.Sprintf("/wsdl/C%d.wsdl", w)
+					for i := 1; i <= perPub; i++ {
+						v := st.PublishVersioned(path, "text/xml", fmt.Sprintf("<w%dv%d/>", w, i), uint64(i))
+						acked[w] = append(acked[w], v)
+					}
+				}(w)
+			}
+			wg.Wait()
+			if err := st.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			cut := covered
+			mu.Unlock()
+			if err := os.Truncate(filepath.Join(dir, walFile), cut); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := OpenStore(StoreConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer st2.Close()
-	for w := 0; w < publishers; w++ {
-		path := fmt.Sprintf("/wsdl/C%d.wsdl", w)
-		d, err := st2.Get(path)
-		if err != nil {
-			t.Fatalf("acked path %s lost in crash: %v", path, err)
-		}
-		for _, v := range acked[w] {
-			if d.Version < v {
-				t.Errorf("%s: version %d was acked but recovery stops at %d", path, v, d.Version)
+			st2, err := OpenStore(StoreConfig{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen after crash: %v", err)
 			}
-		}
+			defer st2.Close()
+			for w := 0; w < publishers; w++ {
+				path := fmt.Sprintf("/wsdl/C%d.wsdl", w)
+				d, err := st2.Get(path)
+				if err != nil {
+					t.Fatalf("acked path %s lost in crash: %v", path, err)
+				}
+				for _, v := range acked[w] {
+					if d.Version < v {
+						t.Errorf("%s: version %d was acked but recovery stops at %d", path, v, d.Version)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -210,7 +210,10 @@ type syncWaiter struct {
 type filePersistence struct {
 	cfg StoreConfig
 	f   *os.File
-	wg  sync.WaitGroup
+	// fsync makes every record written to f durable. It is walSync; only
+	// this package's tests set another, to hold or fail an fsync.
+	fsync func(*os.File) error
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -242,7 +245,7 @@ func openFilePersistence(cfg StoreConfig) (*filePersistence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ifsvr: opening WAL: %w", err)
 	}
-	p := &filePersistence{cfg: cfg, f: f}
+	p := &filePersistence{cfg: cfg, f: f, fsync: walSync}
 	p.cond = sync.NewCond(&p.mu)
 	if cfg.Sync == SyncGroupCommit {
 		p.wg.Add(1)
@@ -426,7 +429,7 @@ func (p *filePersistence) append(enc func(buf []byte, lsn uint64) []byte) (uint6
 	switch p.cfg.Sync {
 	case SyncAlways:
 		// The committer pays its own fsync, inline, before the ack.
-		if err := walSync(p.f); err != nil {
+		if err := p.fsync(p.f); err != nil {
 			p.failLocked(err)
 			return 0, err
 		}
@@ -539,7 +542,7 @@ func (p *filePersistence) groupSyncer() {
 			p.mu.Unlock()
 		}
 
-		err := walSync(p.f)
+		err := p.fsync(p.f)
 
 		p.mu.Lock()
 		if err != nil {
