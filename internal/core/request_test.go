@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"strconv"
@@ -14,7 +16,9 @@ import (
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
+	"livedev/internal/ior"
 	"livedev/internal/jsonb"
+	"livedev/internal/orb"
 	"livedev/internal/soap"
 )
 
@@ -22,6 +26,11 @@ import (
 // for each row, its name, then the request the caller sent, one quoted
 // line at a time.
 const callRequests = "testdata/call_requests.txt"
+
+// giopRequests is the committed transcript of
+// TestGIOPRequestsMatchTranscript: for each row, its name, then the
+// request message in hex, 32 octets a line.
+const giopRequests = "testdata/giop_requests.txt"
 
 // recorder is a raw-TCP relay on loopback in front of target: it copies
 // every connection to target and the replies back, and keeps the bytes the
@@ -196,4 +205,57 @@ func TestCallRequestsMatchTranscript(t *testing.T) {
 		}
 	}
 	checkTranscript(t, callRequests, transcript.String())
+}
+
+// TestGIOPRequestsMatchTranscript records, through the raw-TCP relay, the
+// GIOP Request the CORBA stub's client ORB (orb.ClientORB, bound to an IOR
+// that names the relay) sends for a call and for a stale call, and
+// compares each with the committed transcript in testdata, which -update
+// rewrites. The relay forwards to a live CORBA server, so each call is
+// also checked for its answer.
+func TestGIOPRequestsMatchTranscript(t *testing.T) {
+	m, err := core.NewManager(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var ran atomic.Int32
+	srv, err := m.Register(endpointClass(t, "RecCORBA", &ran, nil, nil), core.TechCORBA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.CreateInstance(); err != nil {
+		t.Fatal(err)
+	}
+	ref := srv.(*core.CORBAServer).IOR()
+	p, err := ref.FirstIIOP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := newRecorder(t, p.Addr())
+	relay := rec.ln.Addr().(*net.TCPAddr)
+	stub, err := orb.DialIOR(ior.New(ref.TypeID, "127.0.0.1", uint16(relay.Port), p.ObjectKey))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stub.Close()
+
+	var transcript strings.Builder
+	for _, method := range []string{"twice", "renamedAway"} {
+		sig := dyn.MethodSig{Name: method, Params: []dyn.Param{{Name: "a", Type: dyn.Int32T}}, Result: dyn.Int32T}
+		v, err := stub.InvokeContext(context.Background(), sig, []dyn.Value{dyn.Int32Value(21)})
+		name := "CORBA call"
+		if method == "twice" {
+			if err != nil || v.Int32() != 42 {
+				t.Fatalf("twice(21) = %v, %v", v, err)
+			}
+		} else {
+			name = "CORBA stale call"
+			if !errors.Is(err, orb.ErrNonExistentMethod) {
+				t.Fatalf("a call of an unknown method = %v, %v; want a stale error", v, err)
+			}
+		}
+		transcript.WriteString("=== " + name + "\n" + wrap([]byte(hex.EncodeToString([]byte(rec.take())))))
+	}
+	checkTranscript(t, giopRequests, transcript.String())
 }
