@@ -8,7 +8,7 @@
 // Usage:
 //
 //	sde-server [-iface ADDR] [-http ADDR] [-corba ADDR] [-timeout D]
-//	           [-history-len N] [-data-dir DIR] [-sync none|group|always]
+//	           [-history-len N] [-data-dir DIR] [-sync none|group]
 //	           [-live] [-duration D] [-max-watcher-lag N]
 //	           [-watch-write-timeout D] [-follow URL] [-drain-timeout D]
 //
@@ -21,8 +21,9 @@
 // With -data-dir the publication store is durable (snapshot + WAL): a
 // restarted sde-server resumes its epoch sequence, so watch clients ride
 // journal replay across the restart instead of refetching snapshots.
-// -sync picks the durability of the publication ack (group = group-commit
-// fsync). -max-watcher-lag and -watch-write-timeout are the watch-stream
+// -sync picks the durability of the publication ack: none (the OS page
+// cache) or group (an fsync, shared with concurrent commits, covers the
+// record); always is a deprecated spelling of group. -max-watcher-lag and -watch-write-timeout are the watch-stream
 // backpressure valves: a streaming watcher pending more than N events, or
 // unable to absorb a write within D, is evicted with a terminal event and
 // reconnects through ordinary replay. SIGQUIT dumps the store's counters
@@ -65,7 +66,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "publication stability timeout (Section 5.6)")
 	historyLen := flag.Int("history-len", 0, "publication-store replay journal capacity (0 = default, negative disables)")
 	dataDir := flag.String("data-dir", "", "durable publication-store directory (snapshot + WAL; empty = in-memory)")
-	syncMode := flag.String("sync", "", "durable-store sync policy: none, group (ack after group-commit fsync), or always (empty = store default)")
+	syncMode := flag.String("sync", "", "durable-store sync policy: none, or group (ack after an fsync shared with concurrent commits; always is a deprecated spelling of it) (empty = store default)")
 	maxLag := flag.Int("max-watcher-lag", 0, "evict a streaming watcher pending more than this many events (0 = unbounded)")
 	watchWriteTimeout := flag.Duration("watch-write-timeout", 0, "per-write deadline on held watch streams (0 = default, negative disables)")
 	live := flag.Bool("live", false, "keep editing the server interface live")

@@ -89,10 +89,10 @@ type Config struct {
 	// the store in-memory.
 	DataDir string
 	// Sync selects when the durable store fsyncs its WAL (ignored without
-	// DataDir). The zero value SyncNone keeps today's buffered writes;
-	// SyncGroupCommit batches concurrent commits into shared fsyncs and
-	// blocks each publication until its record is durable; SyncAlways
-	// fsyncs every commit individually.
+	// DataDir). The zero value SyncNone keeps buffered writes;
+	// SyncGroupCommit blocks each publication until an fsync, shared with
+	// concurrent commits, covers its record. SyncAlways is a deprecated
+	// name for SyncGroupCommit.
 	Sync SyncPolicy
 	// FollowURL turns the manager into a read-only replica: instead of
 	// hosting live server classes it watches the all-paths stream of the

@@ -6,9 +6,13 @@ import "livedev/internal/ifsvr"
 // (Config.Sync). See ifsvr.SyncPolicy.
 type SyncPolicy = ifsvr.SyncPolicy
 
-// The three WAL sync policies; see ifsvr.SyncPolicy.
+// The two WAL sync policies; see ifsvr.SyncPolicy.
 const (
 	SyncNone        = ifsvr.SyncNone
 	SyncGroupCommit = ifsvr.SyncGroupCommit
-	SyncAlways      = ifsvr.SyncAlways
 )
+
+// SyncAlways is SyncGroupCommit; see ifsvr.SyncAlways.
+//
+// Deprecated: use SyncGroupCommit.
+const SyncAlways = ifsvr.SyncGroupCommit

@@ -11,12 +11,18 @@ import (
 	"testing"
 )
 
-// TestSyncPolicyStorm runs a concurrent publisher storm under every sync
-// policy (race-enabled in CI): N publishers hammer disjoint paths, every
+// TestSyncPolicyStorm runs a concurrent publisher storm under both sync
+// policies (race-enabled in CI): N publishers hammer disjoint paths, every
 // ack must be consistent with the final committed versions, reopening
-// must recover everything, and no persistence errors may surface.
+// must recover everything, and no persistence errors may surface. The
+// deprecated spellings of group parse to it.
 func TestSyncPolicyStorm(t *testing.T) {
-	for _, policy := range []SyncPolicy{SyncNone, SyncGroupCommit, SyncAlways} {
+	for _, spelling := range []string{"always", "full"} {
+		if p, err := ParseSyncPolicy(spelling); err != nil || p != SyncGroupCommit {
+			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want group", spelling, p, err)
+		}
+	}
+	for _, policy := range []SyncPolicy{SyncNone, SyncGroupCommit} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			st, err := OpenStore(StoreConfig{Dir: dir, Sync: policy})
@@ -24,10 +30,7 @@ func TestSyncPolicyStorm(t *testing.T) {
 				t.Fatal(err)
 			}
 			const publishers = 8
-			perPub := 25
-			if policy == SyncAlways {
-				perPub = 8 // every commit pays a real fsync; keep the storm short
-			}
+			const perPub = 25
 			var wg sync.WaitGroup
 			for w := 0; w < publishers; w++ {
 				wg.Add(1)
@@ -304,7 +307,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if got.WALAppends != 1 || got.Durability == nil {
 		t.Fatalf("stats = %+v, want 1 WAL append with a durability block", got)
 	}
-	if d := got.Durability; d.Policy != "always" || d.LastLSN != 1 || d.DurableLSN != 1 || d.Fsyncs == 0 {
+	if d := got.Durability; d.Policy != "group" || d.LastLSN != 1 || d.DurableLSN != 1 || d.Fsyncs == 0 {
 		t.Fatalf("durability stats = %+v", got.Durability)
 	}
 }

@@ -1,6 +1,7 @@
 package ifsvr
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -132,6 +133,92 @@ func TestCloseWaitsForInflightFsync(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the covered commit's Sync did not return")
+	}
+}
+
+// TestReadersNeverWaitOnFsync: while a commit's WAL fsync is held, under
+// each durable spelling of -sync, a document read, the store's counters
+// and a held per-path stream's delivery of an earlier commit each complete
+// within a second. No reader may wait out a flush.
+func TestReadersNeverWaitOnFsync(t *testing.T) {
+	for _, spelling := range []string{"always", "group"} {
+		t.Run(spelling, func(t *testing.T) {
+			policy, err := ParseSyncPolicy(spelling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, url := startStreamServer(t, StoreConfig{Dir: t.TempDir(), Sync: policy})
+			st.PublishVersioned("/wsdl/S.wsdl", "text/xml", "<v1/>", 1)
+			gate := holdFsyncs(st.persist)
+			t.Cleanup(gate.open) // runs before the store closes
+
+			published := make(chan uint64, 1)
+			go func() { published <- st.Publish("/wsdl/P.wsdl", "text/xml", "<p/>") }()
+			gate.awaitHeld(t)
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			readers := map[string]func() error{
+				"Get": func() error {
+					if d, err := st.Get("/wsdl/S.wsdl"); err != nil || d.Version != 1 {
+						return fmt.Errorf("got v%d, %v; want v1", d.Version, err)
+					}
+					return nil
+				},
+				"Stats": func() error {
+					if d := st.Stats().Durability; d == nil || d.LastLSN != 2 {
+						return fmt.Errorf("durability %+v, want last lsn 2", d)
+					}
+					return nil
+				},
+				"a held stream": func() error {
+					var got uint64
+					sctx, stop := context.WithCancel(ctx)
+					defer stop()
+					_ = WatchStream(sctx, nil, url, 0, func(ev StreamEvent) {
+						got = ev.Doc.Version
+						stop()
+					})
+					if got != 1 {
+						return fmt.Errorf("delivered v%d, want v1", got)
+					}
+					return nil
+				},
+			}
+			results := make(map[string]chan error, len(readers))
+			for name, read := range readers {
+				res := make(chan error, 1)
+				results[name] = res
+				go func() { res <- read() }()
+			}
+			deadline := time.After(time.Second)
+			var late []string
+			for name, res := range results {
+				select {
+				case err := <-res:
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					results[name] = nil
+				case <-deadline:
+					late = append(late, name)
+					deadline = time.After(0)
+				}
+			}
+			if len(late) > 0 {
+				t.Errorf("%v waited on the held fsync", late)
+			}
+
+			gate.open()
+			if v := <-published; v != 1 {
+				t.Errorf("the held commit acked v%d, want v1", v)
+			}
+			for _, res := range results {
+				if res != nil {
+					<-res // let a late reader finish before the store closes
+				}
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,11 +38,6 @@ const SnapshotSchema = "livedev/ifsvr-snapshot/v3"
 // compacted snapshots.
 const DefaultSnapshotEvery = 64
 
-// DefaultGroupWindow bounds the extra time a lone commit may wait for
-// company under SyncGroupCommit (groups that already formed behind an
-// in-flight fsync are synced at once).
-const DefaultGroupWindow = 2 * time.Millisecond
-
 // SyncPolicy selects what a committed publication's ack means for
 // durability (see StoreConfig.Sync).
 type SyncPolicy int
@@ -52,15 +46,19 @@ const (
 	// SyncNone acks after the WAL write hits the OS page cache (no fsync):
 	// a process crash loses nothing, a power loss can lose the tail.
 	SyncNone SyncPolicy = iota
-	// SyncGroupCommit acks only after the record is fsynced, with one
-	// dedicated writer batching the records of concurrent committers into
-	// a single fsync (classic group commit): the ack is honest and the
-	// fsync cost is amortized across the group.
+	// SyncGroupCommit acks only after an fsync that covers the record.
+	// Concurrent committers share that fsync (group commit): the ack is
+	// honest and the fsync cost is amortized across the group.
 	SyncGroupCommit
-	// SyncAlways acks only after an fsync issued by the committer itself,
-	// one per logged batch — no coalescing, maximum ordering paranoia.
-	SyncAlways
 )
+
+// SyncAlways is SyncGroupCommit. One fdatasync of the log covers every
+// write to it before the call, so an ack after a shared fsync is as
+// durable as one after the committer's own.
+//
+// Deprecated: use SyncGroupCommit; ParseSyncPolicy still reads the
+// "always" and "full" spellings, as SyncGroupCommit.
+const SyncAlways = SyncGroupCommit
 
 // String returns the flag spelling of the policy.
 func (sp SyncPolicy) String() string {
@@ -69,8 +67,6 @@ func (sp SyncPolicy) String() string {
 		return "none"
 	case SyncGroupCommit:
 		return "group"
-	case SyncAlways:
-		return "always"
 	}
 	return fmt.Sprintf("SyncPolicy(%d)", int(sp))
 }
@@ -80,10 +76,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "none":
 		return SyncNone, nil
-	case "group", "group-commit", "groupcommit":
+	case "group", "group-commit", "groupcommit", "always", "full":
 		return SyncGroupCommit, nil
-	case "always", "full":
-		return SyncAlways, nil
 	}
 	return SyncNone, fmt.Errorf("ifsvr: unknown sync policy %q (want none, group, or always)", s)
 }
@@ -116,7 +110,7 @@ type PersistentState struct {
 // PersistStats are the durability counters of a store's log; all fields
 // are cumulative since open.
 type PersistStats struct {
-	// Policy is the backend's sync policy ("none", "group", "always").
+	// Policy is the backend's sync policy ("none" or "group").
 	Policy string
 	// LastLSN is the last appended log sequence number.
 	LastLSN uint64
@@ -182,13 +176,6 @@ func isSnapshotTemp(name string) bool {
 // batch does not stay pinned.
 const walBufKeep = 1 << 20
 
-// syncWaiter is one parked Sync call: completed with nil once the durable
-// watermark reaches lsn, or with the log's error.
-type syncWaiter struct {
-	lsn  uint64
-	done chan error
-}
-
 // filePersistence is a durable store's log: one snapshot and one WAL under
 // a directory. Snapshots are written to a temp file, fsynced, renamed into
 // place, and the directory is fsynced — so a crash mid-snapshot leaves the
@@ -200,29 +187,28 @@ type syncWaiter struct {
 // never wait on snapshot IO). Sync and Stats are concurrent: the store
 // calls Sync after releasing its locks so concurrent committers can share
 // one fsync. The log takes no store lock and never calls back into the
-// store.
+// store, and it runs no goroutine of its own.
 //
-// mu guards the log state. cond wakes only the group-commit syncer ("new
-// record appended" / "shutting down"), while Sync waiters each get their
-// own channel so an fsync completion wakes exactly the commits it covered
-// — a shared broadcast here would stampede every parked publisher on
-// every round.
+// mu guards the log state; no fsync runs under it. synced is broadcast
+// when an fsync ends, a snapshot raises the durable watermark, the log
+// fails, or it closes. A broadcast wakes every parked committer once per
+// fsync: those the fsync covered return, and of the rest one starts the
+// next fsync while the others park again.
 type filePersistence struct {
 	cfg StoreConfig
 	f   *os.File
 	// fsync makes every record written to f durable. It is walSync; only
 	// this package's tests set another, to hold or fail an fsync.
 	fsync func(*os.File) error
-	wg    sync.WaitGroup
 
 	mu      sync.Mutex
-	cond    *sync.Cond
+	synced  *sync.Cond
 	lsn     uint64
 	durable uint64
+	syncing bool  // a committer's fsync is in flight
 	batches int   // records appended since the last snapshot
 	err     error // sticky append/fsync error; cleared by a successful snapshot
 	closed  bool
-	waiters []*syncWaiter
 	buf     []byte // record encode buffer, reused across appends
 
 	fsyncs        atomic.Uint64
@@ -246,11 +232,7 @@ func openFilePersistence(cfg StoreConfig) (*filePersistence, error) {
 		return nil, fmt.Errorf("ifsvr: opening WAL: %w", err)
 	}
 	p := &filePersistence{cfg: cfg, f: f, fsync: walSync}
-	p.cond = sync.NewCond(&p.mu)
-	if cfg.Sync == SyncGroupCommit {
-		p.wg.Add(1)
-		go p.groupSyncer()
-	}
+	p.synced = sync.NewCond(&p.mu)
 	return p, nil
 }
 
@@ -381,7 +363,7 @@ func (p *filePersistence) scanDir() error {
 
 // Append logs one committed batch as one commit record under the next
 // lsn, which it returns for Sync. The write is buffered (page cache);
-// durability is the syncer's job.
+// durability is Sync's job.
 func (p *filePersistence) Append(events []StoreEvent) (uint64, error) {
 	return p.append(func(buf []byte, lsn uint64) []byte {
 		return appendCommitRecord(buf, lsn, events)
@@ -426,20 +408,6 @@ func (p *filePersistence) append(enc func(buf []byte, lsn uint64) []byte) (uint6
 	}
 	p.lsn = lsn
 	p.batches++
-	switch p.cfg.Sync {
-	case SyncAlways:
-		// The committer pays its own fsync, inline, before the ack.
-		if err := p.fsync(p.f); err != nil {
-			p.failLocked(err)
-			return 0, err
-		}
-		p.durable = lsn
-		p.fsyncs.Add(1)
-		p.syncedBatches.Add(1)
-		p.notifyLocked()
-	case SyncGroupCommit:
-		p.cond.Broadcast() // hand the record to the writer
-	}
 	return lsn, nil
 }
 
@@ -454,97 +422,53 @@ func (p *filePersistence) keepBuf(buf []byte) {
 	p.buf = buf[:0]
 }
 
-// failLocked makes err the log's sticky error and fails every waiter it
-// strands. Caller holds p.mu.
+// failLocked makes err the log's sticky error and fails every Sync waiter
+// it strands. Caller holds p.mu.
 func (p *filePersistence) failLocked(err error) {
 	p.err = err
-	p.cond.Broadcast()
-	p.notifyLocked()
+	p.synced.Broadcast()
 }
 
-// notifyLocked completes every Sync waiter the log's current state can
-// answer: durability covers its record (nil), or the log hit a sticky
-// error or closed. Called with p.mu held; the channels are buffered so the
-// sends cannot block.
-func (p *filePersistence) notifyLocked() {
-	fail := p.err
-	if fail == nil && p.closed {
-		fail = ErrStoreClosed
+// Sync blocks until the record lsn is durable: at once under SyncNone (or
+// for lsn 0), else until an fsync that began after the record was written
+// has ended, or a snapshot covered it. It is the log's one fsync site, and
+// committers share it (leader-based group commit): the first whose record
+// is not yet durable captures the last lsn, fsyncs outside every lock,
+// raises the durable watermark to what it captured, and wakes the
+// waiters. Committers that arrive while an fsync runs wait for it;
+// records appended meanwhile ride the next, which one of their committers
+// starts. A sticky error or Close answers every waiter its record's
+// durability does not.
+func (p *filePersistence) Sync(lsn uint64) error {
+	if p.cfg.Sync == SyncNone || lsn == 0 {
+		return nil
 	}
-	kept := p.waiters[:0]
-	for _, w := range p.waiters {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.durable >= lsn {
+		return nil
+	}
+	start := time.Now()
+	defer func() {
+		p.syncWaits.Add(1)
+		p.syncWaitNanos.Add(uint64(time.Since(start)))
+	}()
+	for p.durable < lsn {
 		switch {
-		case w.lsn <= p.durable:
-			w.done <- nil
-		case fail != nil:
-			w.done <- fail
-		default:
-			kept = append(kept, w)
+		case p.err != nil:
+			return p.err
+		case p.closed:
+			return ErrStoreClosed
+		case p.syncing:
+			p.synced.Wait()
+			continue
 		}
-	}
-	clear(p.waiters[len(kept):])
-	p.waiters = kept
-}
-
-// groupSyncer is the log's dedicated writer under SyncGroupCommit: it
-// fsyncs whenever records are waiting, and every record appended while
-// one fsync is in flight rides the next one — piggyback batching, the
-// classic group commit. Crucially it never waits for a group to finish
-// forming: the in-flight fsync IS the gather window, so on a sustained
-// storm the committers acked by one fsync append their next records
-// while the following fsync runs, and commit CPU overlaps disk time
-// instead of alternating with it. Only a lone record waits: one yield
-// (letting already-runnable committers join) plus, if it is still alone,
-// a fraction of DefaultGroupWindow — one bounded chance for an imminent
-// concurrent commit to share the fsync. (A deliberate full-window pause
-// before each storm flush was tried and measured slower here: the
-// closed-loop committers exhaust their in-flight commits within the
-// window and the pause becomes idle time.)
-func (p *filePersistence) groupSyncer() {
-	defer p.wg.Done()
-	const gatherTick = DefaultGroupWindow / 8
-	for {
-		p.mu.Lock()
-		for !p.closed && (p.err != nil || p.durable >= p.lsn) {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
+		p.syncing = true
 		target := p.lsn
-		pending := target - p.durable
 		p.mu.Unlock()
-
-		if pending == 1 {
-			runtime.Gosched()
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if p.err == nil && p.lsn > target {
-				target = p.lsn
-				pending = target - p.durable
-			}
-			p.mu.Unlock()
-		}
-		if pending == 1 {
-			time.Sleep(gatherTick)
-			p.mu.Lock()
-			if p.closed {
-				p.mu.Unlock()
-				return
-			}
-			if p.err == nil && p.lsn > target {
-				target = p.lsn
-			}
-			p.mu.Unlock()
-		}
-
 		err := p.fsync(p.f)
-
 		p.mu.Lock()
+		p.syncing = false
 		if err != nil {
 			p.err = err
 		} else if target > p.durable {
@@ -552,40 +476,9 @@ func (p *filePersistence) groupSyncer() {
 			p.syncedBatches.Add(target - p.durable)
 			p.durable = target
 		}
-		p.notifyLocked()
-		p.mu.Unlock()
+		p.synced.Broadcast()
 	}
-}
-
-// Sync blocks until the record lsn is durable. Under SyncNone (or for lsn
-// 0) there is nothing to wait for; under SyncAlways the append already
-// synced and the wait is free; under SyncGroupCommit this is where
-// concurrent committers queue behind the writer's next fsync.
-func (p *filePersistence) Sync(lsn uint64) error {
-	if p.cfg.Sync == SyncNone || lsn == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	if p.durable >= lsn {
-		p.mu.Unlock()
-		return nil
-	}
-	if p.err != nil || p.closed {
-		err := p.err
-		if err == nil {
-			err = ErrStoreClosed
-		}
-		p.mu.Unlock()
-		return err
-	}
-	w := &syncWaiter{lsn: lsn, done: make(chan error, 1)}
-	p.waiters = append(p.waiters, w)
-	p.mu.Unlock()
-	start := time.Now()
-	err := <-w.done
-	p.syncWaits.Add(1)
-	p.syncWaitNanos.Add(uint64(time.Since(start)))
-	return err
+	return nil
 }
 
 // CompactDue reports whether the log holds SnapshotEvery records since the
@@ -764,7 +657,7 @@ func (p *filePersistence) Snapshot(state PersistentState) error {
 		p.durable = p.lsn // the snapshot made every logged record durable
 	}
 	p.err = nil // a reset log is appendable again
-	p.notifyLocked()
+	p.synced.Broadcast()
 	p.mu.Unlock()
 	p.compactions.Add(1)
 	return nil
@@ -803,13 +696,16 @@ func (p *filePersistence) Stats() PersistStats {
 	}
 }
 
-// Close stops the writer, wakes any waiters, and closes the WAL.
+// Close answers every Sync waiter its record's durability does not with
+// ErrStoreClosed, waits for an fsync in flight to end, and closes the WAL.
+// No fsync starts after it.
 func (p *filePersistence) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	p.cond.Broadcast()
-	p.notifyLocked()
+	p.synced.Broadcast()
+	for p.syncing {
+		p.synced.Wait()
+	}
 	p.mu.Unlock()
-	p.wg.Wait()
 	return p.f.Close()
 }

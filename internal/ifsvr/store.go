@@ -223,10 +223,10 @@ type StoreConfig struct {
 	// cadence snapshots (0 means DefaultSnapshotEvery).
 	SnapshotEvery int
 	// Sync selects what a committed publication's ack means for
-	// durability: SyncNone (buffered write, the default), SyncGroupCommit
-	// (ack after an fsync shared with concurrent committers), or
-	// SyncAlways (ack after a per-batch fsync). A lone commit under
-	// SyncGroupCommit waits at most DefaultGroupWindow for company.
+	// durability: SyncNone (buffered write, the default) or
+	// SyncGroupCommit (ack after an fsync, shared with concurrent
+	// committers, that covers the record; SyncAlways is its deprecated
+	// name). A lone commit fsyncs at once.
 	Sync SyncPolicy
 }
 

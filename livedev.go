@@ -170,14 +170,19 @@ type (
 	SyncPolicy = core.SyncPolicy
 )
 
-// Durability policies for Config.Sync, ordered by cost: acked once the OS
-// has the bytes (buffered), acked after a shared group-commit fsync, acked
-// after the commit's own inline fsync.
+// Durability policies for Config.Sync: acked once the OS has the bytes
+// (buffered), or acked after an fsync, shared with concurrent commits,
+// that covers the commit (group commit).
 const (
 	SyncNone        = core.SyncNone
 	SyncGroupCommit = core.SyncGroupCommit
-	SyncAlways      = core.SyncAlways
 )
+
+// SyncAlways is SyncGroupCommit: one fsync of the log covers every earlier
+// write to it, so a shared fsync makes an ack as durable as its own would.
+//
+// Deprecated: use SyncGroupCommit.
+const SyncAlways = core.SyncGroupCommit
 
 // CDE types.
 type (
