@@ -21,7 +21,9 @@ type fsyncGate struct {
 }
 
 // holdFsyncs installs a gate on p's fsync seam. Call it before the log's
-// first Sync, from the goroutine that then starts the committers.
+// first Sync, from the goroutine that then starts the committers. The two
+// report channels hold more sends than the fsyncs one test starts; a send
+// that finds one full is dropped rather than stall the log.
 func holdFsyncs(p *filePersistence) *fsyncGate {
 	g := &fsyncGate{entered: make(chan struct{}, 16), release: make(chan struct{}), ran: make(chan error, 16)}
 	p.fsync = func(f *os.File) error {
