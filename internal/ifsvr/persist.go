@@ -79,7 +79,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	case "group", "group-commit", "groupcommit", "always", "full":
 		return SyncGroupCommit, nil
 	}
-	return SyncNone, fmt.Errorf("ifsvr: unknown sync policy %q (want none, group, or always)", s)
+	return SyncNone, fmt.Errorf("ifsvr: unknown sync policy %q (want none or group)", s)
 }
 
 // PersistentState is everything a store needs to resume where a previous
