@@ -34,11 +34,22 @@ func (g *docGets) RoundTrip(req *http.Request) (*http.Response, error) {
 
 var staleTechs = []livedev.Technology{livedev.TechSOAP, livedev.TechCORBA, "JSON", "H2B"}
 
+// staleCauses is, per binding, the text of the reply a stale call to
+// echo gets: the cause a delivered StaleMethodError reports.
+var staleCauses = map[livedev.Technology]string{
+	livedev.TechSOAP:  "SOAP fault soap:Server: Non existent Method",
+	livedev.TechCORBA: "orb: non-existent method: echo: CORBA system exception IDL:omg.org/CORBA/BAD_OPERATION:1.0 (minor=1, completed=1)",
+	"JSON":            "jsonb: non-existent method: method echo is not part of the current server interface",
+	"H2B":             "h2b: non-existent method: method echo is not part of the current server interface",
+}
+
 // TestStaleRecoveryFetchesNoDocument: on every binding, with a watcher and
 // without, a stale call's recovery sends no request for the document — the
 // reply carried it — and the view it installs is exactly what the Interface
 // Server serves at reply time. Under the ActivePublishingOnly ablation the
-// reply carries nothing, and the recovery fetches once, as before.
+// reply carries nothing, and the recovery fetches once, as before. The
+// delivered error's text is the binding's reply, behind the descriptor
+// version the view was updated to.
 func TestStaleRecoveryFetchesNoDocument(t *testing.T) {
 	livedev.RegisterBinding(livedev.JSONBinding())
 	livedev.RegisterBinding(livedev.H2BBinding())
@@ -64,10 +75,20 @@ func TestStaleRecoveryFetchesNoDocument(t *testing.T) {
 						t.Fatal(err)
 					}
 					before := gets.n.Load()
-					if _, err := client.CallContext(ctx, "echo", livedev.Str("x")); !errors.Is(err, livedev.ErrStaleMethod) {
+					_, err = client.CallContext(ctx, "echo", livedev.Str("x"))
+					if !errors.Is(err, livedev.ErrStaleMethod) {
 						t.Fatalf("stale call: %v", err)
 					}
 					fetched := gets.n.Load() - before
+					descriptor := 2 // the rename's
+					if ablation {
+						descriptor = 1 // nothing was published
+					}
+					wantText := fmt.Sprintf("cde: method echo is not part of the current server interface (client view updated to descriptor version %d): %s",
+						descriptor, staleCauses[tech])
+					if got := err.Error(); got != wantText {
+						t.Errorf("the stale call's error reads\n\t%s\nwant\n\t%s", got, wantText)
+					}
 					if ablation {
 						if fetched != 1 {
 							t.Errorf("the ablation's recovery sent %d document requests, want the one fetch", fetched)
@@ -92,6 +113,58 @@ func TestStaleRecoveryFetchesNoDocument(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestApplicationErrorText: on every binding, a method body's error reaches
+// a Dial'd client as the binding's application error, whose text carries
+// the body's message.
+func TestApplicationErrorText(t *testing.T) {
+	livedev.RegisterBinding(livedev.JSONBinding())
+	livedev.RegisterBinding(livedev.H2BBinding())
+	want := map[livedev.Technology]string{
+		livedev.TechSOAP:  "SOAP fault soap:Server: mailbox unavailable",
+		livedev.TechCORBA: "server application error: mailbox unavailable",
+		"JSON":            "server application error: mailbox unavailable",
+		"H2B":             "server application error: mailbox unavailable",
+	}
+	mgr, err := livedev.NewManager(livedev.Config{Timeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ctx := context.Background()
+	for _, tech := range staleTechs {
+		t.Run(string(tech), func(t *testing.T) {
+			class := livedev.NewClass("Failing" + string(tech))
+			if _, err := class.AddMethod(livedev.MethodSpec{
+				Name: "fail", Result: livedev.StringType, Distributed: true,
+				Body: func(*livedev.Instance, []livedev.Value) (livedev.Value, error) {
+					return livedev.Value{}, errors.New("mailbox unavailable")
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := mgr.Register(class, tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := srv.CreateInstance(); err != nil {
+				t.Fatal(err)
+			}
+			client, err := livedev.Dial(ctx, srv.InterfaceURL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = client.Close() }()
+			_, err = client.CallContext(ctx, "fail")
+			if err == nil || errors.Is(err, livedev.ErrStaleMethod) {
+				t.Fatalf("call = %v, want the application error", err)
+			}
+			if got := err.Error(); got != want[tech] {
+				t.Errorf("the application error reads %q, want %q", got, want[tech])
+			}
+		})
 	}
 }
 
