@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"livedev"
+	"livedev/internal/cde"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
 	"livedev/internal/ifsvr"
@@ -128,6 +129,10 @@ func (c *child) wait(fail func(string, ...any), hung time.Duration) (clean bool,
 // start → probe → exercise every binding → scrape and assert /metrics →
 // walk a -follow replica → SIGTERM with a watch client attached. Every
 // failure names its stage.
+// isStaleReply reports whether err is the JSON or H2B Caller's "Non
+// Existent Method" reply.
+func isStaleReply(err error) bool { return errors.As(err, new(*cde.StaleReply)) }
+
 func TestStagedSmoke(t *testing.T) {
 	stage := "start"
 	fail := func(format string, args ...any) {
@@ -218,11 +223,11 @@ func TestStagedSmoke(t *testing.T) {
 		{"CalcJSON", "JSON", urls["JSON doc"], func() error {
 			_, err := (&jsonb.Caller{Endpoint: urls["JSON endpoint"]}).Call(ctx, gone, nil)
 			return err
-		}, func(err error) bool { return errors.Is(err, jsonb.ErrNonExistentMethod) }},
+		}, isStaleReply},
 		{"CalcH2B", "H2B", urls["H2B doc"], func() error {
 			_, err := (&h2b.Caller{Endpoint: h2bEndpoint, Mux: h2bMux}).Call(ctx, gone, nil)
 			return err
-		}, func(err error) bool { return errors.Is(err, h2b.ErrNonExistentMethod) }},
+		}, isStaleReply},
 	}
 	for _, b := range bindings {
 		client, err := livedev.Dial(ctx, b.doc, livedev.WithTimeout(3*time.Second))

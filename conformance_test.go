@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"livedev/internal/cde"
 	"livedev/internal/core"
 	"livedev/internal/dyn"
 	"livedev/internal/h2b"
@@ -35,14 +36,14 @@ const (
 )
 
 // classify reduces a front's error to its class (and, for an application
-// error, the message the method body failed with). Each binding has its own
-// error vocabulary; no two overlap, so one classifier serves all fronts.
+// error, the message the method body failed with). SOAP and CORBA report
+// their outcomes in their wire types; JSON and H2B in cde's. No two
+// overlap, so one classifier serves all fronts.
 func classify(err error) (class, msg string) {
 	var (
 		fault *soap.Fault
 		oApp  *orb.AppError
-		jApp  *jsonb.AppError
-		hApp  *h2b.AppError
+		app   *cde.AppError
 	)
 	switch {
 	case err == nil:
@@ -50,7 +51,7 @@ func classify(err error) (class, msg string) {
 	case errors.Is(err, context.Canceled):
 		return seesCancelled, ""
 	case soap.IsNonExistentMethod(err), errors.Is(err, orb.ErrNonExistentMethod),
-		errors.Is(err, jsonb.ErrNonExistentMethod), errors.Is(err, h2b.ErrNonExistentMethod):
+		errors.As(err, new(*cde.StaleReply)):
 		return seesStale, ""
 	case errors.As(err, &fault) && fault.String == soap.FaultServerNotInitialized,
 		errors.As(err, &oApp) && oApp.Message == core.FaultTextServerNotInitialized,
@@ -60,10 +61,8 @@ func classify(err error) (class, msg string) {
 		return seesAppFault, fault.String
 	case errors.As(err, &oApp):
 		return seesAppFault, oApp.Message
-	case errors.As(err, &jApp):
-		return seesAppFault, jApp.Message
-	case errors.As(err, &hApp):
-		return seesAppFault, hApp.Message
+	case errors.As(err, &app):
+		return seesAppFault, app.Message
 	}
 	return err.Error(), ""
 }
@@ -74,18 +73,15 @@ func carriedDoc(err error) *ifsvr.Document {
 	var (
 		fault *soap.Fault
 		oStal *orb.StaleError
-		jStal *jsonb.StaleError
-		hStal *h2b.StaleError
+		stale *cde.StaleReply
 	)
 	switch {
 	case errors.As(err, &fault):
 		return fault.Interface
 	case errors.As(err, &oStal):
 		return oStal.Interface
-	case errors.As(err, &jStal):
-		return jStal.Interface
-	case errors.As(err, &hStal):
-		return hStal.Interface
+	case errors.As(err, &stale):
+		return stale.Doc
 	}
 	return nil
 }

@@ -21,16 +21,44 @@ import (
 // document advertises — the transport half of a client stub (soap.Client,
 // the pooled IIOP connection, jsonb.Caller, h2b.Caller).
 type Caller interface {
-	// Call performs one RPC against sig. Cancelling ctx must abort the
-	// transport exchange and surface an error wrapping ctx.Err().
+	// Call performs one RPC against sig with args, which the Client has
+	// checked against sig. A "Non Existent Method" reply is reported as a
+	// *StaleReply. Cancelling ctx must abort the transport exchange and
+	// surface an error wrapping ctx.Err().
 	Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error)
 }
+
+// StaleReply is how a Caller reports a "Non Existent Method" reply, the
+// signal of the client's reactive refresh: Err is the binding's error for
+// it, and Doc the interface document the reply carried, nil when it
+// carried none. Receiving one guarantees the published interface is
+// already current (Section 5.7).
+type StaleReply struct {
+	Doc *ifsvr.Document
+	Err error
+}
+
+// Error returns Err's text.
+func (e *StaleReply) Error() string { return e.Err.Error() }
+
+// Unwrap returns Err.
+func (e *StaleReply) Unwrap() error { return e.Err }
+
+// AppError is a server-side application error delivered to the client by
+// a binding whose wire type has none of its own (JSON, H2B).
+type AppError struct {
+	Message string
+}
+
+// Error implements error.
+func (e *AppError) Error() string { return "server application error: " + e.Message }
 
 // DocBinding is everything one technology supplies to the client side: a
 // document parser and what it takes to call the endpoint the document
 // names. The Client ConnectDocs builds over it does the rest — fetching,
 // the streaming watch, version bookkeeping, installing each new document's
-// Caller with the view compiled from it.
+// Caller with the view compiled from it, checking each call's arguments,
+// and the reactive refresh on a *StaleReply.
 type DocBinding struct {
 	// Technology names the binding ("SOAP", "CORBA", "JSON", ...).
 	Technology string
@@ -38,13 +66,6 @@ type DocBinding struct {
 	// and the Caller for the endpoint it advertises, resolved against base,
 	// the URL the client reads documents from (ResolveAddr).
 	Compile func(doc ifsvr.Document, base string) (dyn.InterfaceDescriptor, Caller, error)
-	// IsStale reports whether err is this technology's "Non Existent
-	// Method" signal — what triggers the client's reactive refresh.
-	IsStale func(err error) bool
-	// StaleDoc, when set, returns the interface document a stale err
-	// carried (nil when it carried none): the client installs it instead of
-	// fetching the document.
-	StaleDoc func(err error) *ifsvr.Document
 	// Bootstrap, when set, runs before every fetch: whatever Compile needs
 	// beyond the document (CORBA's IOR). A stream needs none of its own:
 	// the client that holds one has fetched already.
@@ -121,14 +142,6 @@ func soapBinding(httpClient *http.Client) DocBinding {
 				HTTPClient: httpClient,
 			}}, nil
 		},
-		IsStale: soap.IsNonExistentMethod,
-		StaleDoc: func(err error) *ifsvr.Document {
-			var f *soap.Fault
-			if errors.As(err, &f) {
-				return f.Interface
-			}
-			return nil
-		},
 	}
 }
 
@@ -137,18 +150,16 @@ type soapCaller struct{ c *soap.Client }
 
 // Call implements Caller.
 func (s soapCaller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	if len(args) != len(sig.Params) {
-		return dyn.Value{}, fmt.Errorf("cde: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
-	}
 	named := make([]soap.NamedValue, len(args))
 	for i, a := range args {
-		if !a.Type().Equal(sig.Params[i].Type) {
-			return dyn.Value{}, fmt.Errorf("cde: %s parameter %s wants %s, got %s",
-				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
-		}
 		named[i] = soap.NamedValue{Name: sig.Params[i].Name, Value: a}
 	}
-	return s.c.CallContext(ctx, sig.Name, named, sig.Result)
+	v, err := s.c.CallContext(ctx, sig.Name, named, sig.Result)
+	var f *soap.Fault
+	if errors.As(err, &f) && f.String == soap.FaultNonExistentMethod {
+		return v, &StaleReply{Doc: f.Interface, Err: err}
+	}
+	return v, err
 }
 
 // connectCORBA accepts either the IDL-document URL or the IOR URL as the
@@ -202,14 +213,6 @@ func corbaBinding(iorDocs *DocSource) DocBinding {
 	return DocBinding{
 		Technology: "CORBA",
 		Compile:    b.compile,
-		IsStale:    func(err error) bool { return errors.Is(err, orb.ErrNonExistentMethod) },
-		StaleDoc: func(err error) *ifsvr.Document {
-			var stale *orb.StaleError
-			if errors.As(err, &stale) {
-				return stale.Interface
-			}
-			return nil
-		},
 		Bootstrap: func(ctx context.Context) error {
 			_, err := b.take(ctx)
 			return err
@@ -296,7 +299,12 @@ func (b *corbaStub) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Valu
 	if err != nil {
 		return dyn.Value{}, err
 	}
-	return conn.InvokeContext(ctx, sig, args)
+	v, err := conn.InvokeContext(ctx, sig, args)
+	var stale *orb.StaleError
+	if errors.As(err, &stale) {
+		return v, &StaleReply{Doc: stale.Interface, Err: err}
+	}
+	return v, err
 }
 
 // close releases the pooled connection rather than closing it — it is torn

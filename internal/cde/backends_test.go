@@ -128,7 +128,6 @@ func TestDroppedViewKeepsCaller(t *testing.T) {
 		Compile: func(d ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 			return descWith(d.Content), taggedCaller("v" + strconv.FormatUint(d.Version, 10)), nil
 		},
-		IsStale: func(error) bool { return false },
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,9 @@ import (
 )
 
 // carryingStale is a fake binding's stale reply, carrying doc.
-type carryingStale struct{ doc *ifsvr.Document }
-
-func (carryingStale) Error() string { return "fake: non-existent method" }
+func carryingStale(doc *ifsvr.Document) error {
+	return &StaleReply{Doc: doc, Err: errors.New("fake: non-existent method")}
+}
 
 // opsBinding compiles documents of the form "ops:a,b,c" into one method per
 // name; its Caller refuses every call with stale.
@@ -30,14 +30,6 @@ func opsBinding(stale error) DocBinding {
 				return dyn.InterfaceDescriptor{}, nil, errors.New("not an ops document")
 			}
 			return descWith(strings.Split(names, ",")...), refusing{stale}, nil
-		},
-		IsStale: func(err error) bool { return errors.As(err, new(carryingStale)) },
-		StaleDoc: func(err error) *ifsvr.Document {
-			var cs carryingStale
-			if errors.As(err, &cs) {
-				return cs.doc
-			}
-			return nil
 		},
 	}
 }
@@ -90,7 +82,7 @@ func TestStaleReplyDocumentOrFetch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			publish(ifsvr.Document{Content: "ops:ping", Version: 1, Generation: 1})
-			b := opsBinding(carryingStale{tc.carried})
+			b := opsBinding(carryingStale(tc.carried))
 			c, err := ConnectDocs(context.Background(), ts.URL+"/doc", nil, b)
 			if err != nil {
 				t.Fatal(err)

@@ -42,7 +42,8 @@ type StaleMethodError struct {
 	// RefreshedDescriptorVersion is the descriptor version of the client's
 	// post-refresh interface view.
 	RefreshedDescriptorVersion uint64
-	// Cause is the transport-level error (SOAP fault / CORBA exception).
+	// Cause is the Caller's *StaleReply, whose Err is the binding's error
+	// (SOAP fault, CORBA exception, ...).
 	Cause error
 }
 
@@ -421,13 +422,10 @@ func (c *Client) RefreshContext(ctx context.Context) error {
 // document that is unversioned, over ifsvr.MaxCarriedDoc or does not
 // compile, a server predating carried documents — falls back to fetching
 // the document, the classic Section 6 path.
-func (c *Client) reactiveRefresh(ctx context.Context, stale error) error {
-	if c.b.StaleDoc != nil {
-		doc := c.b.StaleDoc(stale)
-		if doc != nil && doc.Version != 0 && len(doc.Content) <= ifsvr.MaxCarriedDoc {
-			if _, err := c.install(*doc, fromReply); err == nil {
-				return nil
-			}
+func (c *Client) reactiveRefresh(ctx context.Context, stale *StaleReply) error {
+	if doc := stale.Doc; doc != nil && doc.Version != 0 && len(doc.Content) <= ifsvr.MaxCarriedDoc {
+		if _, err := c.install(*doc, fromReply); err == nil {
+			return nil
 		}
 	}
 	return c.RefreshContext(ctx)
@@ -435,10 +433,11 @@ func (c *Client) reactiveRefresh(ctx context.Context, stale error) error {
 
 // CallContext invokes a server method by name. The signature is resolved
 // against the client's current interface view and the call goes to the
-// endpoint that same view names; arguments are type-checked against it;
-// and the reactive-update protocol of Section 6 runs on "Non Existent
-// Method" replies: refresh first, then deliver a *StaleMethodError, which
-// is also recorded with the debugger.
+// endpoint that same view names; the arguments' count and types are
+// checked against that signature before any Caller runs; and the
+// reactive-update protocol of Section 6 runs on "Non Existent Method"
+// replies (a *StaleReply): refresh first, then deliver a
+// *StaleMethodError, which is also recorded with the debugger.
 //
 // Cancelling ctx (or exceeding its deadline, or the client's configured
 // default timeout when ctx carries no deadline) aborts the in-flight
@@ -474,6 +473,15 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 		}
 	}
 
+	if len(args) != len(sig.Params) {
+		return dyn.Value{}, fmt.Errorf("cde: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
+	}
+	for i, p := range sig.Params {
+		if !args[i].Type().Equal(p.Type) {
+			return dyn.Value{}, fmt.Errorf("cde: %s parameter %s wants %s, got %s", sig.Name, p.Name, p.Type, args[i].Type())
+		}
+	}
+
 	result, err := v.caller.Call(ctx, sig, args)
 	if err == nil {
 		c.mu.Lock()
@@ -481,7 +489,8 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 		c.mu.Unlock()
 		return result, nil
 	}
-	if !c.b.IsStale(err) {
+	var stale *StaleReply
+	if !errors.As(err, &stale) {
 		return dyn.Value{}, err
 	}
 
@@ -491,7 +500,7 @@ func (c *Client) CallContext(ctx context.Context, method string, args ...dyn.Val
 	// to the dynamic class that made the original RMI call." The currently
 	// published one rides on the reply itself.
 	c.refreshMu.Lock()
-	refreshErr := c.reactiveRefresh(ctx, err)
+	refreshErr := c.reactiveRefresh(ctx, stale)
 	c.refreshMu.Unlock()
 
 	c.mu.Lock()

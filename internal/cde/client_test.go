@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +31,9 @@ type fakeServer struct {
 	closed   bool
 }
 
-var errFakeStale = errors.New("fake: non existent method")
+// errFakeStale is the fake's "Non Existent Method" reply, which it carries
+// no document on.
+var errFakeStale error = &StaleReply{Err: errors.New("fake: non existent method")}
 
 func newFakeServer(t *testing.T) *fakeServer {
 	f := &fakeServer{}
@@ -86,7 +89,6 @@ func (f *fakeServer) binding() DocBinding {
 		Compile: func(doc ifsvr.Document, _ string) (dyn.InterfaceDescriptor, Caller, error) {
 			return descWith(strings.Split(doc.Content, ",")...), fakeCaller{f}, nil
 		},
-		IsStale: func(err error) bool { return errors.Is(err, errFakeStale) },
 		Close: func() error {
 			f.mu.Lock()
 			f.closed = true
@@ -156,6 +158,53 @@ func TestCallSuccess(t *testing.T) {
 	}
 	if c.Stats().Calls != 1 {
 		t.Errorf("stats = %+v", c.Stats())
+	}
+}
+
+// countingCaller counts the calls that reach it.
+type countingCaller struct{ n *atomic.Int64 }
+
+func (c countingCaller) Call(context.Context, dyn.MethodSig, []dyn.Value) (dyn.Value, error) {
+	c.n.Add(1)
+	return dyn.Int32Value(3), nil
+}
+
+// TestCallClientSideTypeChecks: the client checks a call's arguments
+// against the signature its view holds, for every binding, so a wrong arity
+// or a wrong type is refused before the binding's Caller runs.
+func TestCallClientSideTypeChecks(t *testing.T) {
+	var calls atomic.Int64
+	c, err := connect(context.Background(), NewDocSource("http://unused/", nil, &ifsvr.Document{Content: "add", Version: 1}), DocBinding{
+		Technology: "COUNTING",
+		Compile: func(ifsvr.Document, string) (dyn.InterfaceDescriptor, Caller, error) {
+			cls := dyn.NewClass("Calc")
+			_, err := cls.AddMethod(dyn.MethodSpec{Name: "add", Distributed: true, Result: dyn.Int32T,
+				Params: []dyn.Param{{Name: "a", Type: dyn.Int32T}, {Name: "b", Type: dyn.Int32T}}})
+			return cls.Interface(), countingCaller{&calls}, err
+		},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		args []dyn.Value
+		want string
+	}{
+		{"wrong arity", []dyn.Value{dyn.Int32Value(1)}, "cde: add takes 2 arguments, got 1"},
+		{"wrong type", []dyn.Value{dyn.Int32Value(1), dyn.StringValue("x")}, "cde: add parameter b wants int32, got string"},
+	} {
+		if _, err := c.CallContext(ctx, "add", tc.args...); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: call = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d refused calls reached the Caller", n)
+	}
+	if v, err := c.CallContext(ctx, "add", dyn.Int32Value(1), dyn.Int32Value(2)); err != nil || v.Int32() != 3 || calls.Load() != 1 {
+		t.Errorf("a fitting call = %v, %v after %d Caller calls, want 3 after 1", v, err, calls.Load())
 	}
 }
 

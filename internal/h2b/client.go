@@ -17,34 +17,6 @@ import (
 	"livedev/internal/ifsvr"
 )
 
-// ErrNonExistentMethod is the client-visible form of the binding's
-// "non-existent method" error code. Receiving it guarantees the published
-// interface document is already current (Section 5.7), so the CDE reacts
-// by installing the document the reply carries, or by re-fetching it.
-var ErrNonExistentMethod = errors.New("h2b: non-existent method")
-
-// StaleError is a "non-existent method" reply: the server's message, and
-// the interface document the reply carried, if any. It matches
-// ErrNonExistentMethod.
-type StaleError struct {
-	Message   string
-	Interface *ifsvr.Document
-}
-
-// Error implements error.
-func (e *StaleError) Error() string { return ErrNonExistentMethod.Error() + ": " + e.Message }
-
-// Unwrap returns ErrNonExistentMethod.
-func (e *StaleError) Unwrap() error { return ErrNonExistentMethod }
-
-// AppError is a server-side application error delivered to the client.
-type AppError struct {
-	Message string
-}
-
-// Error implements error.
-func (e *AppError) Error() string { return "server application error: " + e.Message }
-
 // The fast-path connection pool: one long-lived h2x connection per mux
 // endpoint, shared by every caller in the process. Dials are
 // single-flighted — under a parallel burst the first caller dials while
@@ -131,20 +103,13 @@ type Caller struct {
 	Mux string
 }
 
-// Call performs one RPC against sig. Cancelling ctx aborts the in-flight
-// call (a stream reset on the fast path, a closed connection on the plain
-// POST) and returns an error wrapping ctx.Err().
+// Call performs one RPC against sig. A "non-existent method" reply is a
+// *cde.StaleReply, an application error a *cde.AppError. Cancelling ctx
+// aborts the in-flight call (a stream reset on the fast path, a closed
+// connection on the plain POST) and returns an error wrapping ctx.Err().
 func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	if len(args) != len(sig.Params) {
-		return dyn.Value{}, fmt.Errorf("h2b: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
-	}
 	e := cdr.GetEncoder(cdr.BigEndian)
-	for i, a := range args {
-		if !a.Type().Equal(sig.Params[i].Type) {
-			cdr.PutEncoder(e)
-			return dyn.Value{}, fmt.Errorf("h2b: %s parameter %s wants %s, got %s",
-				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
-		}
+	for _, a := range args {
 		if err := cdr.EncodeValue(e, a); err != nil {
 			cdr.PutEncoder(e)
 			return dyn.Value{}, err
@@ -259,15 +224,15 @@ const maxMessage = 1 << 16
 func replyError(sig dyn.MethodSig, code string, status int, body []byte, get func(string) string) error {
 	if code == CodeNonExistentMethod && len(body) <= ifsvr.MaxCarriedDoc {
 		if doc, ok := ifsvr.CarriedDoc(string(body), get); ok {
-			return &StaleError{Message: "method " + sig.Name + " is not part of the current server interface", Interface: &doc}
+			return &cde.StaleReply{Doc: &doc, Err: errors.New("h2b: non-existent method: method " + sig.Name + " is not part of the current server interface")}
 		}
 	}
 	msg := body[:min(len(body), maxMessage)]
 	switch code {
 	case CodeNonExistentMethod:
-		return &StaleError{Message: string(msg)}
+		return &cde.StaleReply{Err: errors.New("h2b: non-existent method: " + string(msg))}
 	case CodeApplication:
-		return &AppError{Message: string(msg)}
+		return &cde.AppError{Message: string(msg)}
 	default:
 		return fmt.Errorf("h2b: server error %s (HTTP %d): %s", code, status, msg)
 	}
@@ -312,14 +277,6 @@ func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (
 			}
 			desc.Version = doc.DescriptorVersion
 			return desc, &Caller{Endpoint: cde.ResolveAddr(endpoint, base), Mux: cde.ResolveAddr(mux, base)}, nil
-		},
-		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
-		StaleDoc: func(err error) *ifsvr.Document {
-			var stale *StaleError
-			if errors.As(err, &stale) {
-				return stale.Interface
-			}
-			return nil
 		},
 	})
 }

@@ -520,11 +520,11 @@ func TestStaleReplyCarriesDocumentUpToTheBound(t *testing.T) {
 		mu.Unlock()
 		for front, c := range map[string]*Caller{"http": {Endpoint: plain.URL}, "mux": {Endpoint: plain.URL, Mux: muxAddr}} {
 			_, err := c.Call(context.Background(), sig, nil)
-			var stale *StaleError
-			if !errors.As(err, &stale) || !errors.Is(err, ErrNonExistentMethod) {
+			var stale *cde.StaleReply
+			if !errors.As(err, &stale) {
 				t.Fatalf("%s, %s: %v", tc.name, front, err)
 			}
-			switch got := stale.Interface; {
+			switch got := stale.Doc; {
 			case !tc.carried && got != nil:
 				t.Errorf("%s, %s: carried %d octets", tc.name, front, len(got.Content))
 			case tc.carried && (got == nil || len(got.Content) != tc.size || got.Version != doc.Version || got.Generation != doc.Generation):

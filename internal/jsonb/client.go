@@ -14,34 +14,6 @@ import (
 	"livedev/internal/ifsvr"
 )
 
-// ErrNonExistentMethod is the client-visible form of the binding's
-// "non-existent method" error code. Receiving it guarantees the published
-// interface document is already current (Section 5.7), so the CDE reacts
-// by installing the document the reply carries, or by re-fetching it.
-var ErrNonExistentMethod = errors.New("jsonb: non-existent method")
-
-// StaleError is a "non-existent method" reply: the server's message, and
-// the interface document the reply carried, if any. It matches
-// ErrNonExistentMethod.
-type StaleError struct {
-	Message   string
-	Interface *ifsvr.Document
-}
-
-// Error implements error.
-func (e *StaleError) Error() string { return ErrNonExistentMethod.Error() + ": " + e.Message }
-
-// Unwrap returns ErrNonExistentMethod.
-func (e *StaleError) Unwrap() error { return ErrNonExistentMethod }
-
-// AppError is a server-side application error delivered to the client.
-type AppError struct {
-	Message string
-}
-
-// Error implements error.
-func (e *AppError) Error() string { return "server application error: " + e.Message }
-
 // Caller posts calls to one endpoint URL — the transport half of a JSON
 // client stub (the analogue of soap.Client).
 type Caller struct {
@@ -55,18 +27,11 @@ type Caller struct {
 	HTTPClient *http.Client
 }
 
-// Call performs one RPC against sig. Cancelling ctx aborts the in-flight
-// HTTP round-trip and returns an error wrapping ctx.Err().
+// Call performs one RPC against sig. A "non-existent method" reply is a
+// *cde.StaleReply, an application error a *cde.AppError. Cancelling ctx
+// aborts the in-flight HTTP round-trip and returns an error wrapping
+// ctx.Err().
 func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	if len(args) != len(sig.Params) {
-		return dyn.Value{}, fmt.Errorf("jsonb: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
-	}
-	for i, a := range args {
-		if !a.Type().Equal(sig.Params[i].Type) {
-			return dyn.Value{}, fmt.Errorf("jsonb: %s parameter %s wants %s, got %s",
-				sig.Name, sig.Params[i].Name, sig.Params[i].Type, a.Type())
-		}
-	}
 	cd := getCodec()
 	defer putCodec(cd)
 	var err error
@@ -94,15 +59,15 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 		code, msg := parsed.failure.Index(0).Str(), parsed.failure.Index(1).Str()
 		switch code {
 		case CodeNonExistentMethod:
-			stale := &StaleError{Message: msg}
+			stale := &cde.StaleReply{Err: errors.New("jsonb: non-existent method: " + msg)}
 			if parsed.iface != nil {
 				if doc, ok := ifsvr.CarriedDoc(string(parsed.iface), r.Header); ok {
-					stale.Interface = &doc
+					stale.Doc = &doc
 				}
 			}
 			return dyn.Value{}, stale
 		case CodeApplication:
-			return dyn.Value{}, &AppError{Message: msg}
+			return dyn.Value{}, &cde.AppError{Message: msg}
 		default:
 			return dyn.Value{}, fmt.Errorf("jsonb: server error %s: %s", code, msg)
 		}
@@ -158,14 +123,6 @@ func (Binding) Connect(ctx context.Context, url string, opts *cde.DialOptions) (
 			}
 			desc.Version = doc.DescriptorVersion
 			return desc, &Caller{Endpoint: cde.ResolveAddr(endpoint, base), HTTPClient: hc}, nil
-		},
-		IsStale: func(err error) bool { return errors.Is(err, ErrNonExistentMethod) },
-		StaleDoc: func(err error) *ifsvr.Document {
-			var stale *StaleError
-			if errors.As(err, &stale) {
-				return stale.Interface
-			}
-			return nil
 		},
 	})
 }

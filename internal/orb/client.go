@@ -63,11 +63,12 @@ func (o *ClientORB) Close() error { return o.conn.Close() }
 // entries so new Dials reconnect instead of inheriting a dead socket.
 func (o *ClientORB) Broken() bool { return o.conn.Broken() }
 
-// InvokeContext performs a dynamic invocation: arguments are type-checked
-// against sig, encoded in CDR, and the result is decoded per sig.Result.
-// Cancelling ctx aborts the in-flight IIOP invocation (a GIOP CancelRequest
-// is sent, the eventual reply is dropped) and returns an error wrapping
-// ctx.Err().
+// InvokeContext performs a dynamic invocation: the arguments are encoded
+// in CDR as given, and the result is decoded per sig.Result. It does not
+// check args against sig (cde.Client does, before the call); a server
+// whose live signature differs refuses the call as stale. Cancelling ctx
+// aborts the in-flight IIOP invocation (a GIOP CancelRequest is sent, the
+// eventual reply is dropped) and returns an error wrapping ctx.Err().
 //
 // Error space: a *StaleError, matching ErrNonExistentMethod and wrapping the
 // BAD_OPERATION system exception, when the operation is gone from the live
@@ -75,14 +76,6 @@ func (o *ClientORB) Broken() bool { return o.conn.Broken() }
 // for server application exceptions; *giop.SystemException for other
 // system exceptions; context and transport errors otherwise.
 func (o *ClientORB) InvokeContext(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	if len(args) != len(sig.Params) {
-		return dyn.Value{}, fmt.Errorf("orb: %s takes %d arguments, got %d", sig.Name, len(sig.Params), len(args))
-	}
-	for i, p := range sig.Params {
-		if !args[i].Type().Equal(p.Type) {
-			return dyn.Value{}, fmt.Errorf("orb: %s parameter %s wants %s, got %s", sig.Name, p.Name, p.Type, args[i].Type())
-		}
-	}
 	// InvokeInto scopes the reply body to the closure so the transport can
 	// recycle its buffer; everything extracted below (values, exception
 	// strings) is copied by the plain cdr read paths.

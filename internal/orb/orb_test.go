@@ -189,19 +189,6 @@ func TestInvokeApplicationError(t *testing.T) {
 	}
 }
 
-func TestInvokeClientSideTypeChecks(t *testing.T) {
-	target, _, _ := newCalcTarget(t)
-	cl, stop := startORB(t, target)
-	defer stop()
-
-	if _, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1)}); err == nil {
-		t.Error("wrong arity should fail client-side")
-	}
-	if _, err := cl.InvokeContext(context.Background(), addSig(), []dyn.Value{dyn.Int32Value(1), dyn.StringValue("x")}); err == nil {
-		t.Error("wrong type should fail client-side")
-	}
-}
-
 func TestWrongObjectKey(t *testing.T) {
 	target, _, _ := newCalcTarget(t)
 	ref, s := listenCalc(t, target)

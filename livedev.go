@@ -244,14 +244,16 @@ type (
 //   - Connect builds a live Client from an interface-document URL:
 //     cde.ConnectDocs over a cde.DocBinding — a document parser returning
 //     the descriptor and a cde.Caller for the endpoint the document
-//     names, resolved against the document's URL (cde.ResolveAddr), and
-//     an IsStale recognizing the technology's "non-existent
-//     method" error (which is what triggers the client's reactive
-//     interface refresh). The Caller must honor ctx for all I/O.
-//     Fetching, WithTimeout, WithDebugger, replica endpoints and
-//     WithWatch — push-invalidated interface caches over the Interface
-//     Server's "?watch=stream&after=N" SSE endpoint, which every document
-//     published through a ClassServer has — come with ConnectDocs.
+//     names, resolved against the document's URL (cde.ResolveAddr). The
+//     Caller reports the technology's "non-existent method" reply as a
+//     *cde.StaleReply, with the interface document the reply carried, if
+//     any (which is what triggers the client's reactive interface
+//     refresh), and must honor ctx for all I/O. Argument checks against
+//     the view's signature, fetching, WithTimeout, WithDebugger, replica
+//     endpoints and WithWatch — push-invalidated interface caches over
+//     the Interface Server's "?watch=stream&after=N" SSE endpoint, which
+//     every document published through a ClassServer has — come with
+//     ConnectDocs.
 //
 // internal/jsonb is the worked example: a document grammar, a one-pass
 // wire codec as an HTTPCodec and a Caller, wired up purely through
