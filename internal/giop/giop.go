@@ -155,15 +155,6 @@ func (m *Message) Recycle() {
 	m.Body = nil
 }
 
-// Disown detaches the message's body from its pool: Recycle becomes a
-// no-op and the Body slice is safe to retain indefinitely (it will simply
-// be garbage-collected). Used when a pooled message escapes to a caller
-// whose lifetime the transport cannot see.
-func (m *Message) Disown() {
-	m.src = srcCallerOwned
-	m.enc = nil
-}
-
 // framePool recycles the combined header+body write buffers.
 var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 

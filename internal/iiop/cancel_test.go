@@ -53,7 +53,7 @@ func TestContextCancelAbortsInvoke(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := conn.Invoke(ctx, nil, "hang", cdr.BigEndian, nil)
+		_, _, err := invoke(ctx, conn, nil, "hang", cdr.BigEndian, nil)
 		done <- err
 	}()
 	<-h.entered // the request is parked in the handler
@@ -80,7 +80,7 @@ func TestContextCancelAbortsInvoke(t *testing.T) {
 
 	// The connection survives: release the handler and make a fresh call.
 	close(h.release)
-	hdr, _, err := conn.Invoke(context.Background(), nil, "after", cdr.BigEndian, nil)
+	hdr, _, err := invoke(context.Background(), conn, nil, "after", cdr.BigEndian, nil)
 	if err != nil {
 		t.Fatalf("invoke after cancellation: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestDeadlineExceededUnderConcurrency(t *testing.T) {
 				ctx, cancel = context.WithTimeout(ctx, 5*time.Millisecond)
 				defer cancel()
 			}
-			hdr, body, err := conn.Invoke(ctx, nil, "op", cdr.BigEndian, func(e *cdr.Encoder) error {
+			hdr, body, err := invoke(ctx, conn, nil, "op", cdr.BigEndian, func(e *cdr.Encoder) error {
 				e.WriteLong(n)
 				return nil
 			})

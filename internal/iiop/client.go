@@ -16,7 +16,7 @@ import (
 // closed connection.
 var ErrConnClosed = errors.New("iiop: connection closed")
 
-// callSlot is a pooled per-request rendezvous between Invoke and the read
+// callSlot is a pooled per-request rendezvous between InvokeInto and the read
 // loop. The channel carries exactly one message per registration: the
 // matching Reply, or a non-Reply sentinel meaning "connection failed, read
 // cn.readErr". Slots go back to the pool once that message is consumed, so
@@ -49,7 +49,7 @@ type pendingShard struct {
 	_  [48]byte // pad to a cache line so shards don't false-share
 }
 
-// Conn is a client-side IIOP connection. Concurrent Invoke calls are
+// Conn is a client-side IIOP connection. Concurrent InvokeInto calls are
 // multiplexed over the single TCP stream by GIOP request ID.
 type Conn struct {
 	c net.Conn
@@ -262,37 +262,10 @@ func (cn *Conn) cancelRequest(id uint32, order cdr.ByteOrder) {
 	}()
 }
 
-// Invoke sends a GIOP request for operation on objectKey, with arguments
-// encoded by args (may be nil), and waits for the matching reply. ctx
-// cancellation or deadline expiry aborts the wait (the connection stays
-// usable; the late reply is dropped when it arrives). It returns the reply
-// header and a decoder positioned at the reply body. The reply body is
-// caller-owned (never recycled), so the decoder stays valid indefinitely;
-// latency-sensitive callers should prefer InvokeInto, which recycles the
-// body buffer.
-func (cn *Conn) Invoke(ctx context.Context, objectKey []byte, operation string, order cdr.ByteOrder, args func(*cdr.Encoder) error) (giop.ReplyHeader, *cdr.Decoder, error) {
-	if err := ctx.Err(); err != nil {
-		return giop.ReplyHeader{}, nil, fmt.Errorf("iiop: invocation aborted: %w", err)
-	}
-	id, slot, err := cn.register()
-	if err != nil {
-		return giop.ReplyHeader{}, nil, err
-	}
-	if err := cn.send(id, objectKey, operation, order, args); err != nil {
-		cn.abandon(id, slot)
-		return giop.ReplyHeader{}, nil, err
-	}
-	msg, err := cn.await(ctx, id, order, slot)
-	if err != nil {
-		return giop.ReplyHeader{}, nil, err
-	}
-	// Detach the body from the pool: the returned decoder outlives this
-	// call, so the buffer must not be reused under it.
-	msg.Disown()
-	return giop.DecodeReply(msg)
-}
-
-// InvokeInto is Invoke with scoped reply ownership: reply is called with
+// InvokeInto sends a GIOP request for operation on objectKey, with
+// arguments encoded by args (may be nil), and waits for the matching reply.
+// ctx cancellation or deadline expiry aborts the wait (the connection stays
+// usable; the late reply is dropped when it arrives). reply is called with
 // the reply header and body decoder, and the pooled body buffer is recycled
 // as soon as reply returns. Values that must outlive the call have to be
 // copied inside reply (the plain cdr Read*/DecodeValue paths already copy).

@@ -12,6 +12,27 @@ import (
 	"livedev/internal/giop"
 )
 
+// invoke is InvokeInto with the reply read out: the reply header, and a
+// decoder over a copy of the body, positioned where InvokeInto's was (so
+// CDR alignment is unchanged), which stays valid after the call.
+func invoke(ctx context.Context, conn *Conn, objectKey []byte, operation string, order cdr.ByteOrder, args func(*cdr.Encoder) error) (giop.ReplyHeader, *cdr.Decoder, error) {
+	var (
+		hdr  giop.ReplyHeader
+		body *cdr.Decoder
+	)
+	err := conn.InvokeInto(ctx, objectKey, operation, order, args, func(h giop.ReplyHeader, d *cdr.Decoder) error {
+		pos := d.Pos()
+		rest, err := d.ReadOctets(d.Remaining())
+		if err != nil {
+			return err
+		}
+		hdr, body = h, cdr.NewDecoder(append(make([]byte, pos), rest...), d.Order())
+		_, err = body.ReadOctets(pos)
+		return err
+	})
+	return hdr, body, err
+}
+
 // echoHandler replies with the request's string argument, doubled, and
 // status NO_EXCEPTION; unknown operations get BAD_OPERATION.
 func echoHandler() Handler {
@@ -56,7 +77,7 @@ func TestInvokeRoundTrip(t *testing.T) {
 	}
 	defer conn.Close()
 
-	h, body, err := conn.Invoke(context.Background(), []byte("obj"), "echo", cdr.BigEndian, func(e *cdr.Encoder) error {
+	h, body, err := invoke(context.Background(), conn, []byte("obj"), "echo", cdr.BigEndian, func(e *cdr.Encoder) error {
 		e.WriteString("ab")
 		return nil
 	})
@@ -80,7 +101,7 @@ func TestInvokeSystemException(t *testing.T) {
 	}
 	defer conn.Close()
 
-	h, body, err := conn.Invoke(context.Background(), nil, "nonexistent", cdr.BigEndian, nil)
+	h, body, err := invoke(context.Background(), conn, nil, "nonexistent", cdr.BigEndian, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +146,7 @@ func TestConcurrentInvocationsMultiplex(t *testing.T) {
 		wg.Add(1)
 		go func(n int32) {
 			defer wg.Done()
-			hdr, body, err := conn.Invoke(context.Background(), nil, "mul", cdr.LittleEndian, func(e *cdr.Encoder) error {
+			hdr, body, err := invoke(context.Background(), conn, nil, "mul", cdr.LittleEndian, func(e *cdr.Encoder) error {
 				e.WriteLong(n)
 				return nil
 			})
@@ -160,7 +181,7 @@ func TestInvokeAfterClose(t *testing.T) {
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := conn.Invoke(context.Background(), nil, "echo", cdr.BigEndian, nil); !errors.Is(err, ErrConnClosed) {
+	if _, _, err := invoke(context.Background(), conn, nil, "echo", cdr.BigEndian, nil); !errors.Is(err, ErrConnClosed) {
 		t.Errorf("invoke after close: %v", err)
 	}
 	// Idempotent close.
@@ -189,7 +210,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := conn.Invoke(context.Background(), nil, "hang", cdr.BigEndian, nil)
+		_, _, err := invoke(context.Background(), conn, nil, "hang", cdr.BigEndian, nil)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the request reach the handler
@@ -261,7 +282,7 @@ func TestOnewayRequestGetsNoReply(t *testing.T) {
 	}
 	<-called
 
-	hdr, _, err := conn.Invoke(context.Background(), nil, "normal", cdr.BigEndian, nil)
+	hdr, _, err := invoke(context.Background(), conn, nil, "normal", cdr.BigEndian, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

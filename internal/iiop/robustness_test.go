@@ -49,7 +49,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	h, body, err := conn.Invoke(context.Background(), nil, "echo", cdr.BigEndian, func(e *cdr.Encoder) error {
+	h, body, err := invoke(context.Background(), conn, nil, "echo", cdr.BigEndian, func(e *cdr.Encoder) error {
 		e.WriteString("ok")
 		return nil
 	})
@@ -139,7 +139,7 @@ func TestClientHandlesCloseConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	_, _, err = conn.Invoke(context.Background(), nil, "anything", cdr.BigEndian, nil)
+	_, _, err = invoke(context.Background(), conn, nil, "anything", cdr.BigEndian, nil)
 	if err == nil {
 		t.Fatal("invocation against closing server should fail")
 	}
@@ -170,7 +170,7 @@ func TestClientHandlesGarbageReply(t *testing.T) {
 	defer conn.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := conn.Invoke(context.Background(), nil, "anything", cdr.BigEndian, nil)
+		_, _, err := invoke(context.Background(), conn, nil, "anything", cdr.BigEndian, nil)
 		done <- err
 	}()
 	select {
