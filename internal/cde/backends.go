@@ -89,7 +89,7 @@ func optsDocSource(url string, opts *DialOptions, seeded bool) *DocSource {
 	}
 	var seed *ifsvr.Document
 	if seeded {
-		seed = opts.Prefetched
+		seed = opts.prefetched
 	}
 	docs := NewDocSource(url, opts.HTTPClient, seed)
 	docs.SetEndpoints(opts.Endpoints)
@@ -171,7 +171,7 @@ func connectCORBA(ctx context.Context, url string, opts *DialOptions) (*Client, 
 	// as the fallback signal for unconventional URLs.
 	path, _, _ := strings.Cut(url, "?")
 	isIOR := strings.HasSuffix(path, ".ior") ||
-		(opts.Prefetched != nil && strings.HasPrefix(opts.Prefetched.Content, "IOR:"))
+		(opts.prefetched != nil && strings.HasPrefix(opts.prefetched.Content, "IOR:"))
 
 	idlURL, iorURL := url, opts.AuxURL
 	if isIOR {

@@ -46,11 +46,6 @@ type DialOptions struct {
 	// Prompt, when non-nil, is installed as the client debugger's hook:
 	// it is invoked synchronously for every recorded stale-call exception.
 	Prompt func(Exception)
-	// Prefetched, when non-nil, is the document already fetched from the
-	// primary URL — Dial's sniffing fetch sets it so the chosen
-	// connector's client can seed its initial interface compilation
-	// instead of re-fetching the same document.
-	Prefetched *ifsvr.Document
 	// Endpoints lists replica base URLs (a replicated watch plane's
 	// leader and followers) serving the same documents as the primary
 	// URL. Watch streams rotate to the next endpoint when the current one
@@ -59,6 +54,11 @@ type DialOptions struct {
 	// reconnect-with-replay, not a restart. Document reads do not rotate:
 	// they go to the leader a replica names (DocSource.Fetch).
 	Endpoints []string
+
+	// prefetched, when non-nil, is the document Dial's sniffing fetch read
+	// from the primary URL: the chosen connector's client compiles it
+	// instead of fetching it again.
+	prefetched *ifsvr.Document
 }
 
 // DocMatch describes how a binding's published interface documents can be
@@ -387,7 +387,7 @@ func Dial(ctx context.Context, url string, opts *DialOptions) (*Client, error) {
 	// Copy before attaching the document: a caller-owned options struct
 	// must not carry this fetch into an unrelated later Dial.
 	seeded := *opts
-	seeded.Prefetched = &doc
+	seeded.prefetched = &doc
 	return c.Connect(ctx, url, &seeded)
 }
 
