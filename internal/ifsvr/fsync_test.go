@@ -88,9 +88,22 @@ func TestCloseWaitsForInflightFsync(t *testing.T) {
 	go func() { syncA <- p.Sync(lsnA) }()
 	gate.awaitHeld(t)
 
-	lsnB, err := p.Append(gateEvents("/wsdl/B.wsdl"))
-	if err != nil {
-		t.Fatal(err)
+	// The append runs apart, under a deadline: a log that fsyncs under
+	// p.mu would hold it behind the gate for good.
+	var lsnB uint64
+	appended := make(chan error, 1)
+	go func() {
+		var err error
+		lsnB, err = p.Append(gateEvents("/wsdl/B.wsdl"))
+		appended <- err
+	}()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an Append waited out the held fsync")
 	}
 	syncB := make(chan error, 1)
 	go func() { syncB <- p.Sync(lsnB) }()
