@@ -224,7 +224,8 @@ const maxMessage = 1 << 16
 func replyError(sig dyn.MethodSig, code string, status int, body []byte, get func(string) string) error {
 	if code == CodeNonExistentMethod && len(body) <= ifsvr.MaxCarriedDoc {
 		if doc, ok := ifsvr.CarriedDoc(string(body), get); ok {
-			return &cde.StaleReply{Doc: &doc, Err: errors.New("h2b: non-existent method: method " + sig.Name + " is not part of the current server interface")}
+			return &cde.StaleReply{Doc: &doc,
+				Err: errors.New("h2b: non-existent method: method " + sig.Name + " is not part of the current server interface")}
 		}
 	}
 	msg := body[:min(len(body), maxMessage)]
