@@ -145,18 +145,21 @@ func soapBinding(httpClient *http.Client) DocBinding {
 	}
 }
 
-// soapCaller adapts soap.Client, which names its parameters, to Caller.
+// soapCaller is soap.Client under the Caller contract: each argument is
+// named after its parameter in sig, and a "Non existent Method" fault is a
+// *StaleReply. It allocates nothing of its own for a call of up to eight
+// arguments.
 type soapCaller struct{ c *soap.Client }
 
 // Call implements Caller.
 func (s soapCaller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	named := make([]soap.NamedValue, len(args))
+	var named [8]soap.NamedValue
+	params := named[:0]
 	for i, a := range args {
-		named[i] = soap.NamedValue{Name: sig.Params[i].Name, Value: a}
+		params = append(params, soap.NamedValue{Name: sig.Params[i].Name, Value: a})
 	}
-	v, err := s.c.CallContext(ctx, sig.Name, named, sig.Result)
-	var f *soap.Fault
-	if errors.As(err, &f) && f.String == soap.FaultNonExistentMethod {
+	v, err := s.c.CallContext(ctx, sig.Name, params, sig.Result)
+	if f, ok := err.(*soap.Fault); ok && f.String == soap.FaultNonExistentMethod {
 		return v, &StaleReply{Doc: f.Interface, Err: err}
 	}
 	return v, err
@@ -300,6 +303,10 @@ func (b *corbaStub) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Valu
 		return dyn.Value{}, err
 	}
 	v, err := conn.InvokeContext(ctx, sig, args)
+	if err == nil {
+		return v, nil
+	}
+	// Only a failed call pays for the errors.As target, which escapes.
 	var stale *orb.StaleError
 	if errors.As(err, &stale) {
 		return v, &StaleReply{Doc: stale.Interface, Err: err}

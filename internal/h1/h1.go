@@ -78,6 +78,7 @@ const (
 	maxIdle   = 32       // idle connections kept per server address
 	maxHeader = 1 << 20  // header bytes read before giving up, either half
 	maxWBuf   = 64 << 10 // request buffer a connection keeps between calls
+	maxXBuf   = 1 << 20  // call buffer an exchange keeps between calls
 )
 
 // Reply is one HTTP reply. Its body, and the header lines of a direct
@@ -157,6 +158,45 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 	}
 	return r, nil
 }
+
+// Exchange is one call's trip, the only one every binding that calls
+// over HTTP takes: the binding's codec is encode and decode, and Exchange
+// owns the rest. encode appends the request body to a pooled buffer and
+// its header lines to a pooled list; Post carries them, and the reply
+// lands in the same buffer; decode reads the reply, and the buffer goes
+// back to the pool when decode returns, so what decode keeps of the body
+// it copies. A failure to carry the call is wrapped once, naming rawURL;
+// encode's and decode's errors come back as they are.
+func Exchange(ctx context.Context, hc *http.Client, rawURL string,
+	encode func(body []byte, header [][2]string) ([]byte, [][2]string, error),
+	decode func(Reply) error) error {
+	x := callBufs.Get().(*callBuf)
+	body, header, err := encode(x.buf[:0], x.header[:0])
+	if err == nil {
+		var r Reply
+		r, err = Post(ctx, hc, rawURL, header, body, body[:0])
+		if body = r.Buf; err != nil {
+			err = fmt.Errorf("h1: posting to %s: %w", rawURL, err)
+		} else {
+			err = decode(r)
+		}
+	}
+	clear(header) // the pool keeps no header value alive
+	if cap(body) <= maxXBuf {
+		x.buf, x.header = body[:0], header[:0]
+		callBufs.Put(x)
+	}
+	return err
+}
+
+// callBuf is what an Exchange keeps between calls: the buffer a request
+// is encoded into and its reply read into, and the request's header list.
+type callBuf struct {
+	buf    []byte
+	header [][2]string
+}
+
+var callBufs = sync.Pool{New: func() any { return new(callBuf) }}
 
 // callErr names a direct call's failure by its cause: the caller's
 // context, or the ceiling.

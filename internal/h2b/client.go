@@ -1,6 +1,7 @@
 package h2b
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,50 +110,30 @@ type Caller struct {
 // connection on the plain POST) and returns an error wrapping ctx.Err().
 func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
 	e := cdr.GetEncoder(cdr.BigEndian)
+	// Both transports copy the body before they return, on success and on
+	// every error path, so the pooled encoder is always safe to recycle.
+	defer cdr.PutEncoder(e)
 	for _, a := range args {
 		if err := cdr.EncodeValue(e, a); err != nil {
-			cdr.PutEncoder(e)
 			return dyn.Value{}, err
 		}
 	}
 	if c.Mux != "" {
-		v, err := c.callMux(ctx, sig, e.Bytes())
-		// The engine copies the body into the connection's write buffer
-		// before Do returns — on success and on every error path — so the
-		// pooled encoder is always safe to recycle here.
-		cdr.PutEncoder(e)
-		return v, err
+		return c.callMux(ctx, sig, e.Bytes())
 	}
-	// Post is done with the request when it returns. The reply gets a
-	// buffer of its own: the zero-copy decode below may alias it.
-	r, err := h1.Post(ctx, nil, c.Endpoint, [][2]string{
-		{"Content-Type", CallContentType},
-		{MethodHeader, sig.Name},
-		{OrderHeader, orderValue(cdr.BigEndian)},
-	}, e.Bytes(), nil)
-	cdr.PutEncoder(e)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: posting to %s: %w", c.Endpoint, err)
-	}
-	if code := r.Header(ErrorHeader); code != "" || r.Status != http.StatusOK {
-		return dyn.Value{}, replyError(sig, code, r.Status, r.Body, r.Header)
-	}
-	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
-		return dyn.VoidValue(), nil
-	}
-	order, err := parseOrder(r.Header(OrderHeader))
-	if err != nil {
-		return dyn.Value{}, err
-	}
-	// The reply body is this call's own heap buffer: the zero-copy decode
-	// may alias it, the result value keeps it alive.
-	d := cdr.NewDecoder(r.Body, order)
-	d.SetZeroCopy(true)
-	v, err := cdr.DecodeValue(d, sig.Result)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("h2b: decoding %s result: %w", sig.Name, err)
-	}
-	return v, nil
+	var v dyn.Value
+	err := h1.Exchange(ctx, nil, c.Endpoint, func(body []byte, header [][2]string) ([]byte, [][2]string, error) {
+		return append(body, e.Bytes()...), append(header,
+			[2]string{"Content-Type", CallContentType},
+			[2]string{MethodHeader, sig.Name},
+			[2]string{OrderHeader, orderValue(cdr.BigEndian)}), nil
+	}, func(r h1.Reply) (err error) {
+		// The exchange recycles the reply's buffer, and the zero-copy
+		// decode may alias the body: it gets a buffer of its own.
+		v, err = decodeReply(sig, r.Status, r.Header, bytes.Clone(r.Body))
+		return err
+	})
+	return v, err
 }
 
 // callMux performs one RPC over the pooled fast-path connection. It is
@@ -187,23 +168,28 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 		}
 		return dyn.Value{}, fmt.Errorf("h2b: calling mux endpoint %s: %w", c.Mux, err)
 	}
+	// The reply body is this call's own buffer: the engine never recycles
+	// received frames into other streams.
+	return decodeReply(sig, resp.Status, resp.HeaderValue, resp.Body)
+}
 
-	if code := resp.HeaderValue(muxErrorHeader); code != "" || resp.Status != http.StatusOK {
-		return dyn.Value{}, replyError(sig, code, resp.Status, resp.Body, func(name string) string {
-			return resp.HeaderValue(strings.ToLower(name))
-		})
+// decodeReply reads the reply to a call against sig, on either transport:
+// its status, its header as get reads it, and a body of the call's own,
+// which the result may alias (the zero-copy decode; the result keeps it
+// alive). An error reply is a *cde.StaleReply, a *cde.AppError or the
+// server's error.
+func decodeReply(sig dyn.MethodSig, status int, get func(string) string, body []byte) (dyn.Value, error) {
+	if code := get(ErrorHeader); code != "" || status != http.StatusOK {
+		return dyn.Value{}, replyError(sig, code, status, body, get)
 	}
 	if sig.Result == nil || sig.Result.Kind() == dyn.KindVoid {
 		return dyn.VoidValue(), nil
 	}
-	order, err := parseOrder(resp.HeaderValue(muxOrderHeader))
+	order, err := parseOrder(get(OrderHeader))
 	if err != nil {
 		return dyn.Value{}, err
 	}
-	// The reply body is this call's own buffer (the engine never recycles
-	// received frames into other streams), so the zero-copy decode may
-	// alias it; the result value keeps it alive.
-	d := cdr.NewDecoder(resp.Body, order)
+	d := cdr.NewDecoder(body, order)
 	d.SetZeroCopy(true)
 	v, err := cdr.DecodeValue(d, sig.Result)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -44,10 +45,11 @@ func (r *Request) HeaderValue(name string) string {
 	return ""
 }
 
-// HeaderValue returns the first value of the named (lowercase) field.
+// HeaderValue returns the first value of the named field, whatever the
+// case name is spelled in.
 func (r *Response) HeaderValue(name string) string {
 	for _, f := range r.Header {
-		if f[0] == name {
+		if strings.EqualFold(f[0], name) {
 			return f[1]
 		}
 	}

@@ -32,23 +32,26 @@ type Caller struct {
 // aborts the in-flight HTTP round-trip and returns an error wrapping
 // ctx.Err().
 func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) (dyn.Value, error) {
-	cd := getCodec()
-	defer putCodec(cd)
-	var err error
-	if cd.buf, err = appendRequest(cd.buf[:0], sig.Name, args); err != nil {
-		return dyn.Value{}, err
-	}
-	// The reply lands in the request's buffer, which Post is done with by
-	// then.
-	r, err := h1.Post(ctx, c.HTTPClient, c.Endpoint, [][2]string{{"Content-Type", ContentType}}, cd.buf, cd.buf[:0])
-	cd.buf = r.Buf
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("jsonb: posting to %s: %w", c.Endpoint, err)
-	}
+	var v dyn.Value
+	err := h1.Exchange(ctx, c.HTTPClient, c.Endpoint, func(body []byte, header [][2]string) ([]byte, [][2]string, error) {
+		body, err := appendRequest(body, sig.Name, args)
+		return body, append(header, [2]string{"Content-Type", ContentType}), err
+	}, func(r h1.Reply) (err error) {
+		v, err = decodeReply(sig, r)
+		return err
+	})
+	return v, err
+}
+
+// decodeReply reads the reply to a call against sig. Nothing it returns
+// aliases r's buffer, which the exchange recycles.
+func decodeReply(sig dyn.MethodSig, r h1.Reply) (dyn.Value, error) {
 	result := sig.Result
 	if result == nil {
 		result = dyn.Void
 	}
+	cd := getCodec()
+	defer putCodec(cd)
 	cd.reset(r.Body)
 	parsed, err := cd.parseReply(result)
 	if err != nil {

@@ -52,24 +52,23 @@ func AppendFault(h http.Header, dst []byte, f *Fault) []byte {
 // faults are returned as *Fault errors. Cancelling ctx aborts the in-flight
 // HTTP round-trip and returns an error wrapping ctx.Err().
 func (c *Client) CallContext(ctx context.Context, method string, params []NamedValue, resultType *dyn.Type) (dyn.Value, error) {
-	bp := getRenderBuf()
-	env, err := appendRequest((*bp)[:0], c.ServiceNS, method, params)
-	if err != nil {
-		putRenderBuf(bp, env)
-		return dyn.Value{}, err
-	}
-	// The reply lands in the request's buffer, which Post is done with by
-	// then. The parsed reply's handles alias it, so it goes back to the
-	// pool only when this function returns: the decoded result and the
-	// fault strings are copies.
-	r, err := h1.Post(ctx, c.HTTPClient, c.Endpoint, [][2]string{
-		{"Content-Type", contentType},
-		{"SOAPAction", strconv.Quote(c.ServiceNS + "#" + method)},
-	}, env, env[:0])
-	defer putRenderBuf(bp, r.Buf)
-	if err != nil {
-		return dyn.Value{}, fmt.Errorf("soap: posting to %s: %w", c.Endpoint, err)
-	}
+	var v dyn.Value
+	err := h1.Exchange(ctx, c.HTTPClient, c.Endpoint, func(body []byte, header [][2]string) ([]byte, [][2]string, error) {
+		body, err := appendRequest(body, c.ServiceNS, method, params)
+		return body, append(header,
+			[2]string{"Content-Type", contentType},
+			[2]string{"SOAPAction", strconv.Quote(c.ServiceNS + "#" + method)}), err
+	}, func(r h1.Reply) (err error) {
+		v, err = c.decode(r, method, resultType)
+		return err
+	})
+	return v, err
+}
+
+// decode reads the reply to a call of method. The parsed reply's handles
+// alias r's buffer, which the exchange recycles: the decoded result and
+// the fault strings are copies.
+func (c *Client) decode(r h1.Reply, method string, resultType *dyn.Type) (dyn.Value, error) {
 	if resultType == nil {
 		resultType = dyn.Void
 	}
