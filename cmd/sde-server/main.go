@@ -23,7 +23,7 @@
 // journal replay across the restart instead of refetching snapshots.
 // -sync picks the durability of the publication ack: none (the OS page
 // cache) or group (an fsync, shared with concurrent commits, covers the
-// record); always is a deprecated spelling of group. -max-watcher-lag and -watch-write-timeout are the watch-stream
+// record). -max-watcher-lag and -watch-write-timeout are the watch-stream
 // backpressure valves: a streaming watcher pending more than N events, or
 // unable to absorb a write within D, is evicted with a terminal event and
 // reconnects through ordinary replay. SIGQUIT dumps the store's counters
@@ -66,7 +66,7 @@ func run() int {
 	timeout := flag.Duration("timeout", 500*time.Millisecond, "publication stability timeout (Section 5.6)")
 	historyLen := flag.Int("history-len", 0, "publication-store replay journal capacity (0 = default, negative disables)")
 	dataDir := flag.String("data-dir", "", "durable publication-store directory (snapshot + WAL; empty = in-memory)")
-	syncMode := flag.String("sync", "", "durable-store sync policy: none, or group (ack after an fsync shared with concurrent commits; always is a deprecated spelling of it) (empty = store default)")
+	syncMode := flag.String("sync", "", "durable-store sync policy: none, or group (ack after an fsync shared with concurrent commits) (empty = store default)")
 	maxLag := flag.Int("max-watcher-lag", 0, "evict a streaming watcher pending more than this many events (0 = unbounded)")
 	watchWriteTimeout := flag.Duration("watch-write-timeout", 0, "per-write deadline on held watch streams (0 = default, negative disables)")
 	live := flag.Bool("live", false, "keep editing the server interface live")

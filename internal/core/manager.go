@@ -91,8 +91,7 @@ type Config struct {
 	// Sync selects when the durable store fsyncs its WAL (ignored without
 	// DataDir). The zero value SyncNone keeps buffered writes;
 	// SyncGroupCommit blocks each publication until an fsync, shared with
-	// concurrent commits, covers its record. SyncAlways is a deprecated
-	// name for SyncGroupCommit.
+	// concurrent commits, covers its record.
 	Sync SyncPolicy
 	// FollowURL turns the manager into a read-only replica: instead of
 	// hosting live server classes it watches the all-paths stream of the

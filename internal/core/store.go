@@ -11,8 +11,3 @@ const (
 	SyncNone        = ifsvr.SyncNone
 	SyncGroupCommit = ifsvr.SyncGroupCommit
 )
-
-// SyncAlways is SyncGroupCommit; see ifsvr.SyncAlways.
-//
-// Deprecated: use SyncGroupCommit.
-const SyncAlways = ifsvr.SyncGroupCommit

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -15,11 +16,11 @@ import (
 // policies (race-enabled in CI): N publishers hammer disjoint paths, every
 // ack must be consistent with the final committed versions, reopening
 // must recover everything, and no persistence errors may surface. The
-// deprecated spellings of group parse to it.
+// retired spellings of group are refused.
 func TestSyncPolicyStorm(t *testing.T) {
 	for _, spelling := range []string{"always", "full"} {
-		if p, err := ParseSyncPolicy(spelling); err != nil || p != SyncGroupCommit {
-			t.Errorf("ParseSyncPolicy(%q) = %v, %v; want group", spelling, p, err)
+		if _, err := ParseSyncPolicy(spelling); err == nil || !strings.Contains(err.Error(), "unknown sync policy") {
+			t.Errorf("ParseSyncPolicy(%q) = %v; want unknown sync policy", spelling, err)
 		}
 	}
 	for _, policy := range []SyncPolicy{SyncNone, SyncGroupCommit} {
@@ -80,16 +81,16 @@ func TestSyncPolicyStorm(t *testing.T) {
 	}
 }
 
-// TestGroupCommitAckSurvivesCrash is the ack-honesty test, under both
-// durable spellings of -sync: a publication acked under group (or always)
-// must be recoverable from the data directory after a power loss at ack
-// time. The store is crashed (no parting flush or snapshot), and the WAL
+// TestGroupCommitAckSurvivesCrash is the ack-honesty test, under the
+// durable -sync policy: a publication acked under group must be
+// recoverable from the data directory after a power loss at ack time. The
+// store is crashed (no parting flush or snapshot), and the WAL
 // is then cut to the length the last completed fsync covered — the fsync
 // seam notes the file's size as each fsync begins — so every byte no
 // fsync made durable is gone, as the page cache would be. An ack that
 // returned before the fsync covering its record ended fails here.
 func TestGroupCommitAckSurvivesCrash(t *testing.T) {
-	for _, spelling := range []string{"group", "always"} {
+	for _, spelling := range []string{"group"} {
 		t.Run(spelling, func(t *testing.T) {
 			policy, err := ParseSyncPolicy(spelling)
 			if err != nil {
@@ -279,7 +280,7 @@ func TestRecoveryIsCommitPrefix(t *testing.T) {
 // TestStatsEndpoint: the Interface Server serves the backing store's
 // counters — durability block included — as JSON on StatsPath.
 func TestStatsEndpoint(t *testing.T) {
-	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), Sync: SyncAlways})
+	st, err := OpenStore(StoreConfig{Dir: t.TempDir(), Sync: SyncGroupCommit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,11 +152,11 @@ func TestCloseWaitsForInflightFsync(t *testing.T) {
 }
 
 // TestReadersNeverWaitOnFsync: while a commit's WAL fsync is held, under
-// each durable spelling of -sync, a document read, the store's counters
+// the durable -sync policy, a document read, the store's counters
 // and a held per-path stream's delivery of an earlier commit each complete
 // within a second. No reader may wait out a flush.
 func TestReadersNeverWaitOnFsync(t *testing.T) {
-	for _, spelling := range []string{"always", "group"} {
+	for _, spelling := range []string{"group"} {
 		t.Run(spelling, func(t *testing.T) {
 			policy, err := ParseSyncPolicy(spelling)
 			if err != nil {
@@ -239,12 +239,12 @@ func TestReadersNeverWaitOnFsync(t *testing.T) {
 
 // BenchmarkSyncStorm is a publisher storm on a durable store: each of 1, 8
 // and 64 publishers commits to its own path until b.N commits are acked,
-// under each durable spelling of -sync. ns/op is the wall time per acked
+// under the durable -sync policy. ns/op is the wall time per acked
 // commit, and fsyncs/commit the share of commits that paid a WAL fsync.
 // Cadence snapshots are pushed out of the run, so every ack waits on the
 // WAL's own fsync.
 func BenchmarkSyncStorm(b *testing.B) {
-	for _, spelling := range []string{"group", "always"} {
+	for _, spelling := range []string{"group"} {
 		policy, err := ParseSyncPolicy(spelling)
 		if err != nil {
 			b.Fatal(err)

@@ -52,14 +52,6 @@ const (
 	SyncGroupCommit
 )
 
-// SyncAlways is SyncGroupCommit. One fdatasync of the log covers every
-// write to it before the call, so an ack after a shared fsync is as
-// durable as one after the committer's own.
-//
-// Deprecated: use SyncGroupCommit; ParseSyncPolicy still reads the
-// "always" and "full" spellings, as SyncGroupCommit.
-const SyncAlways = SyncGroupCommit
-
 // String returns the flag spelling of the policy.
 func (sp SyncPolicy) String() string {
 	switch sp {
@@ -76,7 +68,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "", "none":
 		return SyncNone, nil
-	case "group", "group-commit", "groupcommit", "always", "full":
+	case "group", "group-commit", "groupcommit":
 		return SyncGroupCommit, nil
 	}
 	return SyncNone, fmt.Errorf("ifsvr: unknown sync policy %q (want none or group)", s)

@@ -225,8 +225,7 @@ type StoreConfig struct {
 	// Sync selects what a committed publication's ack means for
 	// durability: SyncNone (buffered write, the default) or
 	// SyncGroupCommit (ack after an fsync, shared with concurrent
-	// committers, that covers the record; SyncAlways is its deprecated
-	// name). A lone commit fsyncs at once.
+	// committers, that covers the record). A lone commit fsyncs at once.
 	Sync SyncPolicy
 }
 

@@ -178,12 +178,6 @@ const (
 	SyncGroupCommit = core.SyncGroupCommit
 )
 
-// SyncAlways is SyncGroupCommit: one fsync of the log covers every earlier
-// write to it, so a shared fsync makes an ack as durable as its own would.
-//
-// Deprecated: use SyncGroupCommit.
-const SyncAlways = core.SyncGroupCommit
-
 // CDE types.
 type (
 	// Client is a live CDE client.
