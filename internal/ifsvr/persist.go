@@ -184,8 +184,8 @@ const walBufKeep = 1 << 20
 // mu guards the log state; no fsync runs under it. synced is broadcast
 // when an fsync ends, a snapshot raises the durable watermark, the log
 // fails, or it closes. A broadcast wakes every parked committer once per
-// fsync: those the fsync covered return, and of the rest one starts the
-// next fsync while the others park again.
+// fsync: those the fsync covered return, and of the rest the last to run
+// starts the next fsync while the others park again.
 type filePersistence struct {
 	cfg StoreConfig
 	f   *os.File
@@ -198,6 +198,8 @@ type filePersistence struct {
 	lsn     uint64
 	durable uint64
 	syncing bool  // a committer's fsync is in flight
+	parked  int   // committers waiting on synced
+	woken   int   // committers a wake counted that have not yet run
 	batches int   // records appended since the last snapshot
 	err     error // sticky append/fsync error; cleared by a successful snapshot
 	closed  bool
@@ -418,6 +420,14 @@ func (p *filePersistence) keepBuf(buf []byte) {
 // it strands. Caller holds p.mu.
 func (p *filePersistence) failLocked(err error) {
 	p.err = err
+	p.wakeLocked()
+}
+
+// wakeLocked wakes every parked committer and counts it as woken until it
+// has run. Caller holds p.mu.
+func (p *filePersistence) wakeLocked() {
+	p.woken += p.parked
+	p.parked = 0
 	p.synced.Broadcast()
 }
 
@@ -431,6 +441,14 @@ func (p *filePersistence) failLocked(err error) {
 // records appended meanwhile ride the next, which one of their committers
 // starts. A sticky error or Close answers every waiter its record's
 // durability does not.
+//
+// The invariant: every committer a wake counts as woken runs once, and
+// while one has not, no committer starts an fsync. The lead thus passes
+// to the last woken committer whose record is not yet durable; if the
+// last woken one is covered, it wakes the parked again. So a committer
+// that has just returned, and commits again, cannot take the lead from
+// those the fsync's end woke: with one P it would lead an fsync nearly
+// alone, each time.
 func (p *filePersistence) Sync(lsn uint64) error {
 	if p.cfg.Sync == SyncNone || lsn == 0 {
 		return nil
@@ -451,8 +469,10 @@ func (p *filePersistence) Sync(lsn uint64) error {
 			return p.err
 		case p.closed:
 			return ErrStoreClosed
-		case p.syncing:
+		case p.syncing || p.woken > 0:
+			p.parked++
 			p.synced.Wait()
+			p.woken--
 			continue
 		}
 		p.syncing = true
@@ -468,7 +488,10 @@ func (p *filePersistence) Sync(lsn uint64) error {
 			p.syncedBatches.Add(target - p.durable)
 			p.durable = target
 		}
-		p.synced.Broadcast()
+		p.wakeLocked()
+	}
+	if p.woken == 0 && p.parked > 0 && !p.syncing {
+		p.wakeLocked() // the last woken committer is covered: the parked lead
 	}
 	return nil
 }
@@ -649,7 +672,7 @@ func (p *filePersistence) Snapshot(state PersistentState) error {
 		p.durable = p.lsn // the snapshot made every logged record durable
 	}
 	p.err = nil // a reset log is appendable again
-	p.synced.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 	p.compactions.Add(1)
 	return nil
@@ -694,7 +717,7 @@ func (p *filePersistence) Stats() PersistStats {
 func (p *filePersistence) Close() error {
 	p.mu.Lock()
 	p.closed = true
-	p.synced.Broadcast()
+	p.wakeLocked()
 	for p.syncing {
 		p.synced.Wait()
 	}
