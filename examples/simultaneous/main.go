@@ -6,9 +6,7 @@
 // the reactive stale-call path, and the CDE debugger's 'try again'
 // resumes execution after the server developer restores a signature.
 //
-// The session runs on the v2 API (Dial, CallContext); the deprecated v1
-// shims keep their compile-time coverage in the root package's
-// livedev_shim_test.go.
+// The session runs on the v2 API (Dial, CallContext).
 package main
 
 import (

@@ -18,8 +18,9 @@ import (
 )
 
 // Caller performs calls against the endpoint one compiled interface
-// document advertises — the transport half of a client stub (soap.Client,
-// the pooled IIOP connection, jsonb.Caller, h2b.Caller).
+// document advertises. The built-in ones are a binding's codec run on one
+// call path per transport (h1.Exchange; iiop.Conn.InvokeInto; an h2x
+// stream); a third-party binding, or a test, may implement it directly.
 type Caller interface {
 	// Call performs one RPC against sig with args, which the Client has
 	// checked against sig. A "Non Existent Method" reply is reported as a
@@ -146,9 +147,8 @@ func soapBinding(httpClient *http.Client) DocBinding {
 }
 
 // soapCaller is soap.Client under the Caller contract: each argument is
-// named after its parameter in sig, and a "Non existent Method" fault is a
-// *StaleReply. It allocates nothing of its own for a call of up to eight
-// arguments.
+// named after its parameter (on the stack, up to eight), and a "Non
+// existent Method" fault is a *StaleReply.
 type soapCaller struct{ c *soap.Client }
 
 // Call implements Caller.

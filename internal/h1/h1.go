@@ -2,8 +2,9 @@
 // client and the server the call bindings share (SOAP, JSON and h2b's
 // plain endpoint). The Interface Server serves on it too.
 //
-// Post sends a call body as a request on a keep-alive connection, pooled
-// by server address: every class and binding a client calls on one
+// Exchange runs every call the bindings make over HTTP, on Post, which
+// sends a call body as a request on a keep-alive connection, pooled by
+// server address: every class and binding a client calls on one
 // host:port shares one pool.
 // The calling goroutine writes request line, headers and body in one
 // Write and reads the whole reply itself: no transport goroutines, no
@@ -112,8 +113,8 @@ func (r Reply) Header(name string) string {
 // lines, and reads the whole reply into dst[:0], which may alias body.
 //
 // With hc nil the call is direct, on a pooled keep-alive connection
-// (http:// only): ctx's deadline, or a 30 s ceiling when it has none,
-// bounds the exchange; cancelling ctx closes the connection. On Unix an
+// (http:// only, no environment proxy): ctx's deadline, or a 30 s ceiling
+// when it has none, bounds the exchange; cancelling ctx closes the connection. On Unix an
 // idle connection is checked before reuse, so one its server closed is
 // never written to; a request whose bytes were written is never sent
 // again.
@@ -159,14 +160,12 @@ func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]strin
 	return r, nil
 }
 
-// Exchange is one call's trip, the only one every binding that calls
-// over HTTP takes: the binding's codec is encode and decode, and Exchange
-// owns the rest. encode appends the request body to a pooled buffer and
-// its header lines to a pooled list; Post carries them, and the reply
-// lands in the same buffer; decode reads the reply, and the buffer goes
-// back to the pool when decode returns, so what decode keeps of the body
-// it copies. A failure to carry the call is wrapped once, naming rawURL;
-// encode's and decode's errors come back as they are.
+// Exchange is one call over Post, with a binding's codec: encode appends
+// the request body to a pooled buffer and its header lines to a pooled
+// list, and decode reads the reply, which lands in that buffer. The
+// buffer is recycled when decode returns, so decode copies what it keeps.
+// A failure to carry the call is wrapped once, naming rawURL; encode's
+// and decode's errors come back as they are.
 func Exchange(ctx context.Context, hc *http.Client, rawURL string,
 	encode func(body []byte, header [][2]string) ([]byte, [][2]string, error),
 	decode func(Reply) error) error {
@@ -189,8 +188,7 @@ func Exchange(ctx context.Context, hc *http.Client, rawURL string,
 	return err
 }
 
-// callBuf is what an Exchange keeps between calls: the buffer a request
-// is encoded into and its reply read into, and the request's header list.
+// callBuf is a call's buffer and header list, pooled across Exchanges.
 type callBuf struct {
 	buf    []byte
 	header [][2]string

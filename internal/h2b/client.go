@@ -48,52 +48,39 @@ func muxConn(addr string) (*h2x.ClientConn, error) {
 	for {
 		muxMu.Lock()
 		e := muxConns[addr]
-		stale := false
-		if e != nil {
-			select {
-			case <-e.ready:
-				if e.err == nil && e.conn.Alive() {
-					muxMu.Unlock()
-					return e.conn, nil
-				}
-				stale = true // dead conn (or failed dial left behind); replace
-			default:
-				// A dial is in flight; wait for it outside the lock.
-			}
-		}
-		if e == nil || stale {
-			ne := &muxEntry{ready: make(chan struct{})}
-			muxConns[addr] = ne
+		if e == nil { // dial; callers that come meanwhile wait on ready
+			e = &muxEntry{ready: make(chan struct{})}
+			muxConns[addr] = e
 			muxMu.Unlock()
-			ne.conn, ne.err = h2x.Dial(addr)
+			e.conn, e.err = h2x.Dial(addr)
 			muxMu.Lock()
-			if ne.err == nil {
+			if e.err == nil {
 				muxDials[addr]++
-			} else if muxConns[addr] == ne {
+			} else {
 				delete(muxConns, addr)
 			}
 			muxMu.Unlock()
-			close(ne.ready)
-			return ne.conn, ne.err
+			close(e.ready)
+			return e.conn, e.err
 		}
 		muxMu.Unlock()
 		<-e.ready
-		if e.err == nil && e.conn.Alive() {
-			return e.conn, nil
+		if e.err != nil || e.conn.Alive() {
+			return e.conn, e.err
 		}
-		if e.err != nil {
-			return nil, e.err
+		muxMu.Lock()
+		if muxConns[addr] == e {
+			delete(muxConns, addr) // dead: the next pass dials again
 		}
-		// The awaited conn died immediately; loop and redial.
+		muxMu.Unlock()
 	}
 }
 
 // Caller posts CDR calls to one endpoint URL — the transport half of an
 // h2b client stub (the analogue of jsonb.Caller). With Mux set, calls ride
 // the pooled fast-path connection; without it they are plain HTTP/1.1
-// POSTs on internal/h1's keep-alive pool, one connection per in-flight
-// call, under its 30 s ceiling when the context has no deadline. A
-// caller-supplied HTTP client applies to document traffic only.
+// POSTs on h1.Post's direct client. A caller-supplied HTTP client applies
+// to document traffic only.
 type Caller struct {
 	// Endpoint is the CDR-POST endpoint URL.
 	Endpoint string
@@ -118,28 +105,23 @@ func (c *Caller) Call(ctx context.Context, sig dyn.MethodSig, args []dyn.Value) 
 			return dyn.Value{}, err
 		}
 	}
-	if c.Mux != "" {
-		return c.callMux(ctx, sig, e.Bytes())
+	if c.Mux == "" {
+		var v dyn.Value
+		err := h1.Exchange(ctx, nil, c.Endpoint, func(body []byte, header [][2]string) ([]byte, [][2]string, error) {
+			return append(body, e.Bytes()...), append(header,
+				[2]string{"Content-Type", CallContentType},
+				[2]string{MethodHeader, sig.Name},
+				[2]string{OrderHeader, orderValue(cdr.BigEndian)}), nil
+		}, func(r h1.Reply) (err error) {
+			// The exchange recycles the reply's buffer, and the zero-copy
+			// decode may alias the body: it gets a buffer of its own.
+			v, err = decodeReply(sig, r.Status, r.Header, bytes.Clone(r.Body))
+			return err
+		})
+		return v, err
 	}
-	var v dyn.Value
-	err := h1.Exchange(ctx, nil, c.Endpoint, func(body []byte, header [][2]string) ([]byte, [][2]string, error) {
-		return append(body, e.Bytes()...), append(header,
-			[2]string{"Content-Type", CallContentType},
-			[2]string{MethodHeader, sig.Name},
-			[2]string{OrderHeader, orderValue(cdr.BigEndian)}), nil
-	}, func(r h1.Reply) (err error) {
-		// The exchange recycles the reply's buffer, and the zero-copy
-		// decode may alias the body: it gets a buffer of its own.
-		v, err = decodeReply(sig, r.Status, r.Header, bytes.Clone(r.Body))
-		return err
-	})
-	return v, err
-}
-
-// callMux performs one RPC over the pooled fast-path connection. It is
-// the same wire exchange as the plain POST — the X-H2B-* headers, a CDR
-// body each way — framed by the h2x engine.
-func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (dyn.Value, error) {
+	// The fast path: the same wire exchange as the plain POST, framed by
+	// the h2x engine on the pooled connection.
 	req := &h2x.Request{
 		Method:    "POST",
 		Authority: c.Mux,
@@ -149,7 +131,7 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 			{muxMethodHeader, sig.Name},
 			{muxOrderHeader, orderValue(cdr.BigEndian)},
 		},
-		Body: body,
+		Body: e.Bytes(),
 	}
 	var resp *h2x.Response
 	for attempt := 0; ; attempt++ {
@@ -173,11 +155,9 @@ func (c *Caller) callMux(ctx context.Context, sig dyn.MethodSig, body []byte) (d
 	return decodeReply(sig, resp.Status, resp.HeaderValue, resp.Body)
 }
 
-// decodeReply reads the reply to a call against sig, on either transport:
+// decodeReply reads the reply to a call against sig on either transport:
 // its status, its header as get reads it, and a body of the call's own,
-// which the result may alias (the zero-copy decode; the result keeps it
-// alive). An error reply is a *cde.StaleReply, a *cde.AppError or the
-// server's error.
+// which the zero-copy decode lets the result alias.
 func decodeReply(sig dyn.MethodSig, status int, get func(string) string, body []byte) (dyn.Value, error) {
 	if code := get(ErrorHeader); code != "" || status != http.StatusOK {
 		return dyn.Value{}, replyError(sig, code, status, body, get)
@@ -204,9 +184,7 @@ const maxMessage = 1 << 16
 // replyError is the error an error reply to a call against sig stands for:
 // its code, HTTP status and body, and its headers as get reads them. A
 // stale reply's body is the interface document it carries when get finds
-// the document's counters; the caller reads it to one octet past
-// ifsvr.MaxCarriedDoc, so one at the bound arrives whole and one past it is
-// refused, not cut.
+// the document's counters and it is at most ifsvr.MaxCarriedDoc long.
 func replyError(sig dyn.MethodSig, code string, status int, body []byte, get func(string) string) error {
 	if code == CodeNonExistentMethod && len(body) <= ifsvr.MaxCarriedDoc {
 		if doc, ok := ifsvr.CarriedDoc(string(body), get); ok {

@@ -35,20 +35,15 @@ type Response struct {
 	Done   func()
 }
 
-// HeaderValue returns the first value of the named (lowercase) field.
-func (r *Request) HeaderValue(name string) string {
-	for _, f := range r.Header {
-		if f[0] == name {
-			return f[1]
-		}
-	}
-	return ""
-}
-
 // HeaderValue returns the first value of the named field, whatever the
 // case name is spelled in.
-func (r *Response) HeaderValue(name string) string {
-	for _, f := range r.Header {
+func (r *Request) HeaderValue(name string) string { return headerValue(r.Header, name) }
+
+// HeaderValue is Request.HeaderValue, for a reply.
+func (r *Response) HeaderValue(name string) string { return headerValue(r.Header, name) }
+
+func headerValue(h [][2]string, name string) string {
+	for _, f := range h {
 		if strings.EqualFold(f[0], name) {
 			return f[1]
 		}

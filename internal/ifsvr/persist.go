@@ -443,12 +443,10 @@ func (p *filePersistence) wakeLocked() {
 // durability does not.
 //
 // The invariant: every committer a wake counts as woken runs once, and
-// while one has not, no committer starts an fsync. The lead thus passes
-// to the last woken committer whose record is not yet durable; if the
-// last woken one is covered, it wakes the parked again. So a committer
-// that has just returned, and commits again, cannot take the lead from
-// those the fsync's end woke: with one P it would lead an fsync nearly
-// alone, each time.
+// while one has not, no fsync starts. The lead passes to the last woken
+// committer, or, if it is covered, to the parked it wakes again; one that
+// returned and commits again cannot take it from those an fsync's end
+// woke (with one P it would lead each fsync nearly alone).
 func (p *filePersistence) Sync(lsn uint64) error {
 	if p.cfg.Sync == SyncNone || lsn == 0 {
 		return nil

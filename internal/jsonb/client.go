@@ -20,10 +20,7 @@ type Caller struct {
 	// Endpoint is the JSON-POST endpoint URL.
 	Endpoint string
 	// HTTPClient, when set, carries the calls, with its own timeouts,
-	// proxy and TLS settings. Nil means the direct HTTP/1.1 client
-	// (internal/h1): pooled keep-alive connections to http:// endpoints,
-	// a 30 s ceiling on a call whose context has no deadline, and no
-	// environment proxy.
+	// proxy and TLS settings; nil means h1.Post's direct client.
 	HTTPClient *http.Client
 }
 

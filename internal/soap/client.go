@@ -19,10 +19,7 @@ type Client struct {
 	// ServiceNS is the XML namespace RPC calls are made in.
 	ServiceNS string
 	// HTTPClient, when set, carries the calls, with its own timeouts,
-	// proxy and TLS settings. Nil means the direct HTTP/1.1 client
-	// (internal/h1): pooled keep-alive connections to http:// endpoints,
-	// a 30 s ceiling on a call whose context has no deadline, and no
-	// environment proxy.
+	// proxy and TLS settings; nil means h1.Post's direct client.
 	HTTPClient *http.Client
 }
 
@@ -65,9 +62,8 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 	return v, err
 }
 
-// decode reads the reply to a call of method. The parsed reply's handles
-// alias r's buffer, which the exchange recycles: the decoded result and
-// the fault strings are copies.
+// decode reads the reply to a call of method. The parsed reply aliases r's
+// buffer, which is recycled; the result and fault strings are copies.
 func (c *Client) decode(r h1.Reply, method string, resultType *dyn.Type) (dyn.Value, error) {
 	if resultType == nil {
 		resultType = dyn.Void
