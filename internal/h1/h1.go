@@ -114,10 +114,10 @@ func (r Reply) Header(name string) string {
 //
 // With hc nil the call is direct, on a pooled keep-alive connection
 // (http:// only, no environment proxy): ctx's deadline, or a 30 s ceiling
-// when it has none, bounds the exchange; cancelling ctx closes the connection. On Unix an
-// idle connection is checked before reuse, so one its server closed is
-// never written to; a request whose bytes were written is never sent
-// again.
+// when it has none, bounds the exchange; cancelling ctx closes the
+// connection. On Unix an idle connection is checked before reuse, so one
+// its server closed is never written to; a request whose bytes were
+// written is never sent again.
 // Otherwise hc carries the call and its own timeouts apply.
 func Post(ctx context.Context, hc *http.Client, rawURL string, header [][2]string, body, dst []byte) (Reply, error) {
 	for _, h := range header {
