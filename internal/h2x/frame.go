@@ -72,8 +72,6 @@ type frameHeader struct {
 	streamID uint32
 }
 
-var errFrameTooLarge = errors.New("h2x: frame exceeds the advertised maximum size")
-
 // readFrameHeader reads one frame header from r into hdr.
 func readFrameHeader(r io.Reader, buf *[9]byte) (frameHeader, error) {
 	if _, err := io.ReadFull(r, buf[:]); err != nil {

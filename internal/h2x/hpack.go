@@ -10,6 +10,17 @@
 // responses written directly from the handler goroutine, and one
 // long-lived TCP connection multiplexing concurrent calls as streams.
 //
+// One connection core serves both roles. It holds the socket, the one
+// locked frame writer, flow control in both directions and the frame
+// loop, which answers SETTINGS and PING, applies WINDOW_UPDATE and reads
+// header blocks; its send path writes a message's HEADERS and DATA, in
+// one write when the body fits a frame and the windows allow it. The
+// client (ClientConn) and the server connection embed it and keep what
+// differs: what a stream's HEADERS, DATA and RST_STREAM mean, the
+// pseudo-headers they encode (:method and :path against :status), and
+// how a connection error ends the connection (the client fails its
+// in-flight calls, the server sends GOAWAY).
+//
 // What is deliberately not implemented: server push (disabled via
 // SETTINGS), priorities (frames are ignored, as RFC 9113 deprecates
 // them), trailers, and padding emission (received padding is handled).
@@ -299,9 +310,11 @@ func (d *hpackDecoder) next() (name, value string, done bool, err error) {
 }
 
 // decodeHeaderBlock decodes a complete header block into field pairs.
+// Room for eight is made at once: a call's pseudo-headers and a binding's
+// few fields fit it.
 func decodeHeaderBlock(block []byte) ([][2]string, error) {
 	d := hpackDecoder{buf: block}
-	var out [][2]string
+	out := make([][2]string, 0, 8)
 	for {
 		name, value, done, err := d.next()
 		if err != nil {

@@ -1,9 +1,10 @@
 package h2x
 
 import (
-	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -68,13 +69,7 @@ func (s *Server) acceptLoop(l net.Listener) {
 		if err != nil {
 			return
 		}
-		c := &serverConn{
-			srv:     s,
-			conn:    nc,
-			br:      bufio.NewReaderSize(nc, 1<<16),
-			streams: make(map[uint32]*serverStream),
-			flow:    newFlowState(),
-		}
+		c := s.newConn(nc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -108,36 +103,36 @@ func (s *Server) Close() error {
 		_ = l.Close()
 	}
 	for _, c := range conns {
-		_ = c.conn.Close()
+		_ = c.nc.Close()
 	}
 	return nil
 }
 
-// serverConn is one accepted connection.
+// serverConn is one accepted connection: the connection core in its
+// server role.
 type serverConn struct {
-	srv  *Server
-	conn net.Conn
-	br   *bufio.Reader
-
-	wmu  sync.Mutex
-	wbuf []byte
+	conn
+	srv *Server
 
 	mu      sync.Mutex
 	streams map[uint32]*serverStream
-
-	flow *flowState
-
-	recvMu   sync.Mutex
-	recvDebt uint32
 }
 
 // serverStream is one request being assembled (or served).
 type serverStream struct {
 	id     uint32
 	req    Request
-	cancel context.CancelFunc
+	cancel context.CancelFunc // set once dispatched
 }
 
+func (s *Server) newConn(nc net.Conn) *serverConn {
+	c := &serverConn{srv: s, streams: make(map[uint32]*serverStream)}
+	c.init(nc)
+	return c
+}
+
+// serve reads the preface, sends the server's settings and runs the frame
+// loop. A connection error ends the connection with GOAWAY.
 func (c *serverConn) serve() {
 	defer func() {
 		c.srv.mu.Lock()
@@ -145,102 +140,30 @@ func (c *serverConn) serve() {
 		c.srv.mu.Unlock()
 		c.teardown()
 	}()
-
-	// Connection preface, then our settings.
 	preface := make([]byte, len(clientPreface))
-	if _, err := readFull(c.br, preface); err != nil || string(preface) != clientPreface {
+	if _, err := io.ReadFull(c.br, preface); err != nil || string(preface) != clientPreface {
 		return
 	}
-	b := appendSettings(nil,
-		[2]uint32{settingHeaderTableSize, 0},
-		[2]uint32{settingMaxConcurrentStreams, maxConcurrentStream},
-		[2]uint32{settingInitialWindowSize, streamWindow},
-		[2]uint32{settingMaxFrameSize, maxFrameSize},
-	)
-	b = appendWindowUpdate(b, 0, connWindow-initialWindow)
-	if _, err := c.conn.Write(b); err != nil {
+	if err := c.write(func(b []byte) []byte {
+		b = appendSettings(b,
+			[2]uint32{settingHeaderTableSize, 0},
+			[2]uint32{settingMaxConcurrentStreams, maxConcurrentStream},
+			[2]uint32{settingInitialWindowSize, streamWindow},
+			[2]uint32{settingMaxFrameSize, maxFrameSize},
+		)
+		return appendWindowUpdate(b, 0, connWindow-initialWindow)
+	}); err != nil {
 		return
 	}
-
-	connCtx, cancelConn := context.WithCancel(context.Background())
-	defer cancelConn()
-
-	var hbuf [9]byte
-	payload := make([]byte, 0, 1<<16)
-	for {
-		hdr, err := readFrameHeader(c.br, &hbuf)
-		if err != nil {
-			return
-		}
-		if hdr.length > maxFrameSize {
-			c.goAway(errCodeProtocol)
-			return
-		}
-		if cap(payload) < int(hdr.length) {
-			payload = make([]byte, hdr.length)
-		}
-		payload = payload[:hdr.length]
-		if _, err := readFull(c.br, payload); err != nil {
-			return
-		}
-
-		switch hdr.typ {
-		case frameHeaders:
-			if err := c.handleHeaders(connCtx, hdr, payload); err != nil {
-				c.goAway(errCodeProtocol)
-				return
-			}
-		case frameData:
-			if err := c.handleData(hdr, payload); err != nil {
-				c.goAway(errCodeFlowControl)
-				return
-			}
-		case frameRSTStream:
-			c.mu.Lock()
-			s := c.streams[hdr.streamID]
-			delete(c.streams, hdr.streamID)
-			c.mu.Unlock()
-			if s != nil && s.cancel != nil {
-				s.cancel()
-			}
-			c.flow.forget(hdr.streamID)
-		case frameSettings:
-			if hdr.flags&flagAck != 0 {
-				continue
-			}
-			c.applySettings(payload)
-			c.wmu.Lock()
-			buf := appendSettingsAck(c.wbuf[:0])
-			_, _ = c.conn.Write(buf)
-			c.wbuf = buf
-			c.wmu.Unlock()
-		case framePing:
-			if hdr.flags&flagAck == 0 && len(payload) == 8 {
-				c.wmu.Lock()
-				buf := appendPingAck(c.wbuf[:0], payload)
-				_, _ = c.conn.Write(buf)
-				c.wbuf = buf
-				c.wmu.Unlock()
-			}
-		case frameWindowUpdate:
-			if len(payload) == 4 {
-				delta := int64(uint32(payload[0])<<24|uint32(payload[1])<<16|uint32(payload[2])<<8|uint32(payload[3])) & 0x7fffffff
-				c.flow.credit(hdr.streamID, delta)
-			}
-		case frameGoAway:
-			return
-		case frameContinuation:
-			c.goAway(errCodeProtocol)
-			return
-		case framePriority:
-			// Deprecated; ignored.
-		}
+	var ce *connError
+	if err := c.readFrames(c); errors.As(err, &ce) {
+		_ = c.write(func(b []byte) []byte { return appendGoAway(b, 0, ce.code) })
 	}
 }
 
 // teardown cancels every in-flight stream and unblocks writers.
 func (c *serverConn) teardown() {
-	_ = c.conn.Close()
+	c.shut()
 	c.mu.Lock()
 	streams := c.streams
 	c.streams = make(map[uint32]*serverStream)
@@ -250,62 +173,13 @@ func (c *serverConn) teardown() {
 			s.cancel()
 		}
 	}
-	c.flow.mu.Lock()
-	c.flow.dead = true
-	c.flow.cond.Broadcast()
-	c.flow.mu.Unlock()
 }
 
-func (c *serverConn) goAway(code uint32) {
-	c.wmu.Lock()
-	buf := appendGoAway(c.wbuf[:0], 0, code)
-	_, _ = c.conn.Write(buf)
-	c.wbuf = buf
-	c.wmu.Unlock()
-}
-
-// handleHeaders assembles a request's header block (reading
-// CONTINUATIONs inline if the peer splits it) and either dispatches the
-// request (END_STREAM set) or parks the stream awaiting DATA.
-func (c *serverConn) handleHeaders(connCtx context.Context, hdr frameHeader, payload []byte) error {
-	fragment := payload
-	if hdr.flags&flagPadded != 0 {
-		b, err := stripPadding(payload)
-		if err != nil {
-			return err
-		}
-		fragment = b
-	}
-	if hdr.flags&flagPriority != 0 {
-		if len(fragment) < 5 {
-			return fmt.Errorf("h2x: HEADERS priority block too short")
-		}
-		fragment = fragment[5:]
-	}
-	block := append([]byte(nil), fragment...)
-	endHeaders := hdr.flags&flagEndHeaders != 0
-	var hbuf [9]byte
-	for !endHeaders {
-		ch, err := readFrameHeader(c.br, &hbuf)
-		if err != nil {
-			return err
-		}
-		if ch.typ != frameContinuation || ch.streamID != hdr.streamID || ch.length > maxFrameSize {
-			return fmt.Errorf("h2x: bad CONTINUATION")
-		}
-		cont := make([]byte, ch.length)
-		if _, err := readFull(c.br, cont); err != nil {
-			return err
-		}
-		block = append(block, cont...)
-		endHeaders = ch.flags&flagEndHeaders != 0
-	}
-
-	fields, err := decodeHeaderBlock(block)
-	if err != nil {
-		return err
-	}
+// onHeaders starts a request from its header block and either dispatches
+// it (END_STREAM set) or parks the stream awaiting DATA.
+func (c *serverConn) onHeaders(hdr frameHeader, fields [][2]string) {
 	s := &serverStream{id: hdr.streamID}
+	h := fields[:0]
 	for _, f := range fields {
 		switch f[0] {
 		case ":method":
@@ -318,80 +192,72 @@ func (c *serverConn) handleHeaders(connCtx context.Context, hdr frameHeader, pay
 			s.req.Authority = f[1]
 		default:
 			if len(f[0]) > 0 && f[0][0] != ':' {
-				s.req.Header = append(s.req.Header, f)
+				h = append(h, f)
 			}
 		}
 	}
-
+	if len(h) > 0 {
+		s.req.Header = h // the decoded list, its pseudo-headers dropped
+	}
+	c.flow.open(s.id)
 	if hdr.flags&flagEndStream != 0 {
-		c.dispatch(connCtx, s)
-		return nil
+		c.dispatch(s)
+		return
 	}
 	c.mu.Lock()
-	c.streams[hdr.streamID] = s
+	c.streams[s.id] = s
 	c.mu.Unlock()
-	c.flow.mu.Lock()
-	c.flow.streamWindow[hdr.streamID] = c.flow.initialWindow
-	c.flow.mu.Unlock()
-	return nil
 }
 
-// handleData appends a DATA frame to its stream's body, credits receive
-// windows, and dispatches on END_STREAM.
-func (c *serverConn) handleData(hdr frameHeader, payload []byte) error {
-	body := payload
-	if hdr.flags&flagPadded != 0 {
-		b, err := stripPadding(payload)
-		if err != nil {
-			return err
-		}
-		body = b
-	}
+// onData appends a DATA frame to its request's body, credits receive
+// windows, and dispatches on END_STREAM. A request already dispatched
+// takes no more DATA.
+func (c *serverConn) onData(hdr frameHeader, body []byte) {
+	end := hdr.flags&flagEndStream != 0
 	c.mu.Lock()
 	s := c.streams[hdr.streamID]
+	if s != nil && s.cancel != nil {
+		s = nil
+	}
 	if s != nil {
 		s.req.Body = append(s.req.Body, body...)
 		if len(s.req.Body) > maxServerBody {
 			delete(c.streams, hdr.streamID)
 			c.mu.Unlock()
 			c.flow.forget(hdr.streamID)
-			c.wmu.Lock()
-			buf := appendRSTStream(c.wbuf[:0], hdr.streamID, errCodeEnhanceYourCalm)
-			_, _ = c.conn.Write(buf)
-			c.wbuf = buf
-			c.wmu.Unlock()
-			return nil
+			c.reset(hdr.streamID, errCodeEnhanceYourCalm)
+			return
 		}
-		if hdr.flags&flagEndStream != 0 {
+		if end {
 			delete(c.streams, hdr.streamID)
 		}
 	}
 	c.mu.Unlock()
-	c.creditReceive(hdr.streamID, hdr.length, s != nil && hdr.flags&flagEndStream == 0)
-	if s != nil && hdr.flags&flagEndStream != 0 {
-		c.flow.mu.Lock()
-		// Keep the stream's send window registered for the response.
-		if _, ok := c.flow.streamWindow[hdr.streamID]; !ok {
-			c.flow.streamWindow[hdr.streamID] = c.flow.initialWindow
-		}
-		c.flow.mu.Unlock()
-		c.dispatch(context.Background(), s)
+	c.creditReceive(hdr.streamID, hdr.length, s != nil && !end)
+	if s != nil && end {
+		c.dispatch(s)
 	}
-	return nil
 }
 
-// dispatch runs the handler on its own goroutine and writes the
-// response directly from it.
-func (c *serverConn) dispatch(connCtx context.Context, s *serverStream) {
-	c.flow.mu.Lock()
-	if _, ok := c.flow.streamWindow[s.id]; !ok {
-		c.flow.streamWindow[s.id] = c.flow.initialWindow
+// onReset cancels the stream's handler.
+func (c *serverConn) onReset(id, _ uint32) {
+	c.mu.Lock()
+	s := c.streams[id]
+	delete(c.streams, id)
+	c.mu.Unlock()
+	if s != nil && s.cancel != nil {
+		s.cancel()
 	}
-	c.flow.mu.Unlock()
-	ctx, cancel := context.WithCancel(connCtx)
+	c.flow.forget(id)
+}
+
+// dispatch runs the handler on its own goroutine and sends the response
+// directly from it.
+func (c *serverConn) dispatch(s *serverStream) {
+	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	c.mu.Lock()
-	c.streams[s.id] = s // re-register for RST-driven cancellation
+	c.streams[s.id] = s // registered for RST-driven cancellation
 	c.mu.Unlock()
 	go func() {
 		defer cancel()
@@ -401,153 +267,38 @@ func (c *serverConn) dispatch(connCtx context.Context, s *serverStream) {
 		c.mu.Unlock()
 		if resp != nil && resp.Done != nil {
 			// The response octets are copied into the connection's write
-			// buffer before writeResponse returns, so the handler's
-			// pooled Body buffer is released either way.
+			// buffer before send returns, so the handler's pooled Body
+			// buffer is released either way.
 			defer resp.Done()
 		}
-		if resp == nil || ctx.Err() != nil {
-			c.flow.forget(s.id)
-			return
+		if resp != nil && ctx.Err() == nil {
+			_ = c.send(ctx, s.id, resp.appendBlock, resp.Body)
 		}
-		c.writeResponse(ctx, s.id, resp)
 		c.flow.forget(s.id)
 	}()
 }
 
-// writeResponse encodes and sends one response; like the client's
-// request path, a small response is a single conn.Write.
-func (c *serverConn) writeResponse(ctx context.Context, id uint32, resp *Response) {
-	var block []byte
-	switch resp.Status {
+// appendBlock appends the response's header block: :status first,
+// stateless HPACK.
+func (r *Response) appendBlock(b []byte) []byte {
+	switch r.Status {
 	case 200:
-		block = appendIndexed(block, 8)
+		b = appendIndexed(b, 8)
 	case 204:
-		block = appendIndexed(block, 9)
+		b = appendIndexed(b, 9)
 	case 304:
-		block = appendIndexed(block, 11)
+		b = appendIndexed(b, 11)
 	case 400:
-		block = appendIndexed(block, 12)
+		b = appendIndexed(b, 12)
 	case 404:
-		block = appendIndexed(block, 13)
+		b = appendIndexed(b, 13)
 	case 500:
-		block = appendIndexed(block, 14)
+		b = appendIndexed(b, 14)
 	default:
-		block = appendLiteral(block, 8, "", strconv.Itoa(resp.Status))
+		b = appendLiteral(b, 8, "", strconv.Itoa(r.Status))
 	}
-	for _, f := range resp.Header {
-		block = appendLiteral(block, 0, f[0], f[1])
+	for _, f := range r.Header {
+		b = appendLiteral(b, 0, f[0], f[1])
 	}
-
-	c.flow.mu.Lock()
-	maxFrame := int(c.flow.maxFrame)
-	c.flow.mu.Unlock()
-
-	endStream := uint8(0)
-	if len(resp.Body) == 0 {
-		endStream = flagEndStream
-	}
-	if len(resp.Body) <= maxFrame {
-		if len(resp.Body) > 0 {
-			if err := c.flow.take(ctx, id, int64(len(resp.Body))); err != nil {
-				return
-			}
-		}
-		c.wmu.Lock()
-		buf := appendFrameHeader(c.wbuf[:0], len(block), frameHeaders, flagEndHeaders|endStream, id)
-		buf = append(buf, block...)
-		if len(resp.Body) > 0 {
-			buf = appendFrameHeader(buf, len(resp.Body), frameData, flagEndStream, id)
-			buf = append(buf, resp.Body...)
-		}
-		_, _ = c.conn.Write(buf)
-		c.wbuf = buf
-		c.wmu.Unlock()
-		return
-	}
-
-	c.wmu.Lock()
-	buf := appendFrameHeader(c.wbuf[:0], len(block), frameHeaders, flagEndHeaders, id)
-	buf = append(buf, block...)
-	_, err := c.conn.Write(buf)
-	c.wbuf = buf
-	c.wmu.Unlock()
-	if err != nil {
-		return
-	}
-	body := resp.Body
-	for len(body) > 0 {
-		c.flow.mu.Lock()
-		maxFrame = int(c.flow.maxFrame)
-		c.flow.mu.Unlock()
-		n := min(len(body), maxFrame)
-		if err := c.flow.take(ctx, id, int64(n)); err != nil {
-			return
-		}
-		flags := uint8(0)
-		if n == len(body) {
-			flags = flagEndStream
-		}
-		c.wmu.Lock()
-		buf = appendFrameHeader(c.wbuf[:0], n, frameData, flags, id)
-		buf = append(buf, body[:n]...)
-		_, err = c.conn.Write(buf)
-		c.wbuf = buf
-		c.wmu.Unlock()
-		if err != nil {
-			return
-		}
-		body = body[n:]
-	}
-}
-
-// applySettings applies peer SETTINGS to the send direction.
-func (c *serverConn) applySettings(payload []byte) {
-	c.flow.mu.Lock()
-	for i := 0; i+6 <= len(payload); i += 6 {
-		id := uint16(payload[i])<<8 | uint16(payload[i+1])
-		v := uint32(payload[i+2])<<24 | uint32(payload[i+3])<<16 | uint32(payload[i+4])<<8 | uint32(payload[i+5])
-		switch id {
-		case settingInitialWindowSize:
-			delta := int64(v) - c.flow.initialWindow
-			c.flow.initialWindow = int64(v)
-			for sid := range c.flow.streamWindow {
-				c.flow.streamWindow[sid] += delta
-			}
-		case settingMaxFrameSize:
-			if v >= minMaxFrameSize {
-				c.flow.maxFrame = v
-			}
-		}
-	}
-	c.flow.cond.Broadcast()
-	c.flow.mu.Unlock()
-}
-
-// creditReceive mirrors the client's receive-credit policy.
-func (c *serverConn) creditReceive(streamID uint32, n uint32, streamOpen bool) {
-	if n == 0 {
-		return
-	}
-	c.recvMu.Lock()
-	c.recvDebt += n
-	connCredit := uint32(0)
-	if c.recvDebt >= connWindow/4 {
-		connCredit = c.recvDebt
-		c.recvDebt = 0
-	}
-	c.recvMu.Unlock()
-	if connCredit == 0 && !streamOpen {
-		return
-	}
-	c.wmu.Lock()
-	buf := c.wbuf[:0]
-	if streamOpen {
-		buf = appendWindowUpdate(buf, streamID, n)
-	}
-	if connCredit > 0 {
-		buf = appendWindowUpdate(buf, 0, connCredit)
-	}
-	_, _ = c.conn.Write(buf)
-	c.wbuf = buf
-	c.wmu.Unlock()
+	return b
 }

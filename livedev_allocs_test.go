@@ -19,7 +19,7 @@ var clientCallAllocs = map[livedev.Technology]float64{
 	livedev.TechSOAP:  13,
 	livedev.TechCORBA: 14,
 	"JSON":            8,
-	"H2B":             60,
+	"H2B":             28,
 }
 
 // TestWriteAllocsClientCall pins the whole call path of each binding, so a
