@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"livedev/internal/dyn"
 	"livedev/internal/h1"
@@ -54,7 +53,7 @@ func (c *Client) CallContext(ctx context.Context, method string, params []NamedV
 		body, err := appendRequest(body, c.ServiceNS, method, params)
 		return body, append(header,
 			[2]string{"Content-Type", contentType},
-			[2]string{"SOAPAction", strconv.Quote(c.ServiceNS + "#" + method)}), err
+			[2]string{"SOAPAction", reqSkeletons.get(c.ServiceNS, method, "").action}), err
 	}, func(r h1.Reply) (err error) {
 		v, err = c.decode(r, method, resultType)
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,6 +79,7 @@ type callSkeleton struct {
 	open      string // `<m:method xmlns:m="NS">`
 	selfClose string // `<m:method xmlns:m="NS"/>`
 	close     string // `</m:method>`
+	action    string // `"NS#method"`, a request's SOAPAction header
 }
 
 func newCallSkeleton(serviceNS, elem string) *callSkeleton {
@@ -88,6 +90,7 @@ func newCallSkeleton(serviceNS, elem string) *callSkeleton {
 		open:      head + ">",
 		selfClose: head + "/>",
 		close:     "</m:" + elem + ">",
+		action:    strconv.Quote(serviceNS + "#" + elem),
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // client and in-process server counted together. H2B's call rides the
 // h2x fast path its document names. Budgets may be lowered, never raised.
 var clientCallAllocs = map[livedev.Technology]float64{
-	livedev.TechSOAP:  13,
+	livedev.TechSOAP:  11,
 	livedev.TechCORBA: 14,
 	"JSON":            8,
 	"H2B":             28,
