@@ -98,7 +98,8 @@ func (c *conn) readFrame() (frameHeader, []byte, error) {
 // WINDOW_UPDATE, and hands a stream's HEADERS (decoded), DATA (padding
 // stripped) and RST_STREAM to r, until the connection ends. It returns
 // why: an I/O error or the peer's GOAWAY, wrapped in ErrConnClosed, or a
-// *connError.
+// *connError. The loop drops its own writes' errors: a failed write
+// means a dead connection, which its next read reports.
 func (c *conn) readFrames(r role) error {
 	for {
 		hdr, payload, err := c.readFrame()
@@ -141,10 +142,11 @@ func (c *conn) readFrames(r role) error {
 			return fmt.Errorf("%w: GOAWAY from peer", ErrConnClosed)
 		case frameContinuation:
 			// Outside readHeaderBlock, a CONTINUATION means an
-			// interleaved header block. PRIORITY is ignored (RFC 9113
-			// deprecates it), and push is disabled via SETTINGS.
+			// interleaved header block.
 			return &connError{errCodeProtocol, "unexpected CONTINUATION"}
 		}
+		// PRIORITY is ignored (RFC 9113 deprecates it), and so is
+		// PUSH_PROMISE: push is disabled via SETTINGS.
 	}
 }
 

@@ -37,6 +37,8 @@ type tapConn struct {
 }
 
 func newTap(nc net.Conn, inject []byte) *tapConn {
+	// The queue holds more writes than the exchange makes, so no writer
+	// ever waits on the forwarder.
 	t := &tapConn{Conn: nc, inject: inject, q: make(chan []byte, 1024), done: make(chan struct{})}
 	go func() {
 		for {

@@ -272,6 +272,8 @@ func (c *serverConn) dispatch(s *serverStream) {
 			defer resp.Done()
 		}
 		if resp != nil && ctx.Err() == nil {
+			// A response that cannot be sent has no one to hear of it:
+			// its stream was reset or its connection died.
 			_ = c.send(ctx, s.id, resp.appendBlock, resp.Body)
 		}
 		c.flow.forget(s.id)
