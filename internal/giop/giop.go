@@ -125,32 +125,27 @@ type Message struct {
 	Order cdr.ByteOrder
 	Body  []byte
 
-	// Provenance of Body, for Recycle. Zero means Body is caller-owned
-	// (or nil) and Recycle is a no-op.
-	src messageSource
-	enc *cdr.Encoder // set when src == srcEncoder
+	// Where Body's storage goes on Recycle: back under the body pool's
+	// pointer it was taken with (kept, so putting it back boxes nothing),
+	// or with the encoder Body aliases. With neither set, Body is
+	// caller-owned (or nil) and Recycle is a no-op.
+	pooled *[]byte
+	enc    *cdr.Encoder
 }
-
-type messageSource uint8
-
-const (
-	srcCallerOwned messageSource = iota
-	srcBodyPool                  // Body came from the internal body pool
-	srcEncoder                   // Body aliases enc's buffer
-)
 
 // Recycle returns the message's body storage to its pool. It must be called
 // at most once, and only once nothing aliases Body anymore (decoders,
 // sub-slice reads, decoded headers). Calling it on a caller-owned message
 // is a no-op, so generic cleanup paths can call it unconditionally.
 func (m *Message) Recycle() {
-	switch m.src {
-	case srcBodyPool:
-		putBody(m.Body)
-	case srcEncoder:
+	if m.pooled != nil && cap(m.Body) <= maxPooledBuf {
+		*m.pooled = m.Body[:0]
+		bodyPool.Put(m.pooled)
+	}
+	if m.enc != nil {
 		cdr.PutEncoder(m.enc)
 	}
-	m.src = srcCallerOwned
+	m.pooled = nil
 	m.enc = nil
 	m.Body = nil
 }
@@ -163,14 +158,6 @@ var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b 
 
 // maxPooledBuf bounds buffer capacity retained by the pools.
 const maxPooledBuf = 1 << 20
-
-func putBody(b []byte) {
-	if b == nil || cap(b) > maxPooledBuf {
-		return
-	}
-	b = b[:0]
-	bodyPool.Put(&b)
-}
 
 // giopPrefix is the constant first six octets of every GIOP 1.0 header.
 var giopPrefix = [6]byte{'G', 'I', 'O', 'P', 1, 0}
@@ -214,8 +201,26 @@ func ReadMessagePooled(r io.Reader) (Message, error) {
 }
 
 func readMessage(r io.Reader, pooled bool) (Message, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if !pooled {
+		return readFrame(r, make([]byte, headerLen), false)
+	}
+	// The header is read into the buffer the body will fill, so it costs
+	// no object of its own. Pooled buffers hold at least 512 octets.
+	bp := bodyPool.Get().(*[]byte)
+	msg, err := readFrame(r, (*bp)[:headerLen], true)
+	if err != nil {
+		bodyPool.Put(bp)
+		return Message{}, err
+	}
+	msg.pooled = bp
+	return msg, nil
+}
+
+// readFrame reads a message's header into hdr and then its body: into
+// hdr's storage when pooled (grown if the body does not fit), into a
+// fresh slice when not.
+func readFrame(r io.Reader, hdr []byte, pooled bool) (Message, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Message{}, io.EOF
 		}
@@ -242,26 +247,15 @@ func readMessage(r io.Reader, pooled bool) (Message, error) {
 		return Message{}, fmt.Errorf("%w: %d octets", ErrTooLarge, size)
 	}
 	var body []byte
-	src := srcCallerOwned
-	if pooled {
-		bp := bodyPool.Get().(*[]byte)
-		if cap(*bp) >= int(size) {
-			body = (*bp)[:size]
-		} else {
-			bodyPool.Put(bp)
-			body = make([]byte, size)
-		}
-		src = srcBodyPool
+	if pooled && cap(hdr) >= int(size) {
+		body = hdr[:size]
 	} else {
 		body = make([]byte, size)
 	}
 	if _, err := io.ReadFull(r, body); err != nil {
-		if src == srcBodyPool {
-			putBody(body)
-		}
 		return Message{}, fmt.Errorf("giop: reading body: %w", err)
 	}
-	return Message{Type: msgType, Order: order, Body: body, src: src}, nil
+	return Message{Type: msgType, Order: order, Body: body}, nil
 }
 
 // RequestHeader is the GIOP 1.0 request header. ServiceContext is omitted
@@ -299,7 +293,7 @@ func EncodeRequest(order cdr.ByteOrder, h RequestHeader, args func(*cdr.Encoder)
 			return Message{}, fmt.Errorf("giop: encoding request args: %w", err)
 		}
 	}
-	return Message{Type: MsgRequest, Order: order, Body: e.Bytes(), src: srcEncoder, enc: e}, nil
+	return Message{Type: MsgRequest, Order: order, Body: e.Bytes(), enc: e}, nil
 }
 
 // DecodeRequest parses a Request body, returning the header and a decoder
@@ -349,7 +343,7 @@ func DecodeRequest(m Message) (RequestHeader, *cdr.Decoder, error) {
 func EncodeCancelRequest(order cdr.ByteOrder, requestID uint32) Message {
 	e := cdr.GetEncoder(order)
 	e.WriteULong(requestID)
-	return Message{Type: MsgCancelRequest, Order: order, Body: e.Bytes(), src: srcEncoder, enc: e}
+	return Message{Type: MsgCancelRequest, Order: order, Body: e.Bytes(), enc: e}
 }
 
 // DecodeCancelRequest parses a CancelRequest body, returning the request ID
@@ -415,7 +409,7 @@ func EncodeReply(order cdr.ByteOrder, h ReplyHeader, result func(*cdr.Encoder) e
 			return Message{}, fmt.Errorf("giop: encoding reply body: %w", err)
 		}
 	}
-	return Message{Type: MsgReply, Order: order, Body: e.Bytes(), src: srcEncoder, enc: e}, nil
+	return Message{Type: MsgReply, Order: order, Body: e.Bytes(), enc: e}, nil
 }
 
 // DecodeReply parses a Reply body, returning the header and a decoder
