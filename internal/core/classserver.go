@@ -333,9 +333,13 @@ func (s *ClassServer) Close() error {
 // so it is consulted once, just before dispatch.
 //
 // It is one function, and bindings should keep what they stack on top of it
-// shallow: IIOP serves each request on a fresh goroutine, so every frame
-// between the transport and the method body is stack that goroutine has to
-// grow into, per call.
+// shallow. IIOP and h2x no longer start each call on a fresh 2 KB stack: a
+// connection's calls run on its worker goroutines, which stay on between
+// calls, so a sequential caller's stack grows once. But a burst beyond a
+// connection's idle workers still starts fresh goroutines, and the garbage
+// collector halves an idle worker's stack when it uses little of it, so
+// every frame between the transport and the method body can still be stack
+// a call has to grow into.
 func (s *ClassServer) Call(ctx context.Context, resolve Resolve) (rep Reply) {
 	var refused uint64 // the version of the interface that refused the call
 	s.gate.RLock()

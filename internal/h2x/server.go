@@ -8,12 +8,14 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
-// Handler serves one complete call. It runs on its own goroutine per
-// stream; ctx is cancelled when the client resets the stream or the
-// connection dies. The returned response is written directly from that
-// goroutine — no frame-scheduler handoff.
+// Handler serves one complete call. It runs on a goroutine apart from the
+// connection's frame loop, one of the connection's workers; ctx is
+// cancelled when the client resets the stream or the connection dies. The
+// returned response is written directly from that goroutine — no
+// frame-scheduler handoff.
 type Handler interface {
 	ServeH2(ctx context.Context, req *Request) *Response
 }
@@ -27,6 +29,11 @@ func (f HandlerFunc) ServeH2(ctx context.Context, req *Request) *Response { retu
 // maxServerBody caps one request body; the binding enforces its own
 // (smaller) limit, this one just bounds engine memory.
 const maxServerBody = 32 << 20
+
+// maxIdleWorkers bounds the handler goroutines a connection keeps waiting
+// for its next stream. A burst of streams beyond them starts goroutines
+// that exit after their stream once that many others wait.
+const maxIdleWorkers = 8
 
 // Server accepts prior-knowledge cleartext HTTP/2 connections and
 // serves calls through a Handler.
@@ -116,17 +123,24 @@ type serverConn struct {
 
 	mu      sync.Mutex
 	streams map[uint32]*serverStream
+
+	// work hands a dispatched stream to an idle worker; only the frame
+	// loop sends, and serve closes work when the loop ends. idle counts
+	// the waiting workers.
+	work chan *serverStream
+	idle atomic.Int32
 }
 
 // serverStream is one request being assembled (or served).
 type serverStream struct {
 	id     uint32
 	req    Request
+	ctx    context.Context
 	cancel context.CancelFunc // set once dispatched
 }
 
 func (s *Server) newConn(nc net.Conn) *serverConn {
-	c := &serverConn{srv: s, streams: make(map[uint32]*serverStream)}
+	c := &serverConn{srv: s, streams: make(map[uint32]*serverStream), work: make(chan *serverStream)}
 	c.init(nc)
 	return c
 }
@@ -139,6 +153,7 @@ func (c *serverConn) serve() {
 		delete(c.srv.conns, c)
 		c.srv.mu.Unlock()
 		c.teardown()
+		close(c.work)
 	}()
 	preface := make([]byte, len(clientPreface))
 	if _, err := io.ReadFull(c.br, preface); err != nil || string(preface) != clientPreface {
@@ -251,33 +266,58 @@ func (c *serverConn) onReset(id, _ uint32) {
 	c.flow.forget(id)
 }
 
-// dispatch runs the handler on its own goroutine and sends the response
-// directly from it.
+// dispatch registers the stream for RST-driven cancellation and hands it
+// to an idle worker, or starts a worker for it when every worker is busy.
 func (c *serverConn) dispatch(s *serverStream) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	c.mu.Lock()
-	c.streams[s.id] = s // registered for RST-driven cancellation
+	c.streams[s.id] = s
 	c.mu.Unlock()
-	go func() {
-		defer cancel()
-		resp := c.srv.handler.ServeH2(ctx, &s.req)
-		c.mu.Lock()
-		delete(c.streams, s.id)
-		c.mu.Unlock()
-		if resp != nil && resp.Done != nil {
-			// The response octets are copied into the connection's write
-			// buffer before send returns, so the handler's pooled Body
-			// buffer is released either way.
-			defer resp.Done()
+	select {
+	case c.work <- s:
+	default:
+		go c.worker(s)
+	}
+}
+
+// worker serves s, then each stream handed to it while it waits idle, so
+// a sequential caller's calls run on a stack that has already grown. It
+// exits when the connection ends, or after a stream when maxIdleWorkers
+// others already wait.
+func (c *serverConn) worker(s *serverStream) {
+	for {
+		c.serveStream(s)
+		if c.idle.Add(1) > maxIdleWorkers {
+			c.idle.Add(-1)
+			return
 		}
-		if resp != nil && ctx.Err() == nil {
-			// A response that cannot be sent has no one to hear of it:
-			// its stream was reset or its connection died.
-			_ = c.send(ctx, s.id, resp.appendBlock, resp.Body)
+		var ok bool
+		if s, ok = <-c.work; !ok {
+			return
 		}
-		c.flow.forget(s.id)
-	}()
+		c.idle.Add(-1)
+	}
+}
+
+// serveStream runs the handler and sends its response.
+func (c *serverConn) serveStream(s *serverStream) {
+	defer s.cancel()
+	resp := c.srv.handler.ServeH2(s.ctx, &s.req)
+	c.mu.Lock()
+	delete(c.streams, s.id)
+	c.mu.Unlock()
+	if resp != nil && resp.Done != nil {
+		// The response octets are copied into the connection's write
+		// buffer before send returns, so the handler's pooled Body
+		// buffer is released either way.
+		defer resp.Done()
+	}
+	if resp != nil && s.ctx.Err() == nil {
+		// A response that cannot be sent has no one to hear of it: its
+		// stream was reset or its connection died.
+		_ = c.send(s.ctx, s.id, resp.appendBlock, resp.Body)
+	}
+	c.flow.forget(s.id)
 }
 
 // appendBlock appends the response's header block: :status first,

@@ -1,6 +1,7 @@
 package iiop
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +53,8 @@ type pendingShard struct {
 // Conn is a client-side IIOP connection. Concurrent InvokeInto calls are
 // multiplexed over the single TCP stream by GIOP request ID.
 type Conn struct {
-	c net.Conn
+	c  net.Conn
+	br *bufio.Reader // the read loop's
 
 	writeMu sync.Mutex
 
@@ -90,6 +92,7 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	}
 	conn := &Conn{
 		c:          c,
+		br:         bufio.NewReaderSize(c, readBufSize),
 		readerDone: make(chan struct{}),
 	}
 	for i := range conn.shards {
@@ -104,7 +107,7 @@ func (cn *Conn) shard(id uint32) *pendingShard { return &cn.shards[id&shardMask]
 func (cn *Conn) readLoop() {
 	defer close(cn.readerDone)
 	for {
-		msg, err := giop.ReadMessagePooled(cn.c)
+		msg, err := giop.ReadMessagePooled(cn.br)
 		if err != nil {
 			cn.failAll(fmt.Errorf("%w: %v", ErrConnClosed, err))
 			return

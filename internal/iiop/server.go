@@ -1,16 +1,26 @@
 // Package iiop implements the Internet Inter-ORB Protocol transport: GIOP
-// messages over TCP. The Server side accepts connections and dispatches
-// each Request to a Handler on its own goroutine (the paper's call handlers
-// are "completely multithreaded", Section 5.4); the Conn side is a client
-// connection that multiplexes concurrent requests by request ID.
+// messages over TCP. The Server side accepts connections and runs each
+// Request's Handler on a goroutine apart from the connection's read loop,
+// so requests on one connection run concurrently (the paper's call
+// handlers are "completely multithreaded", Section 5.4); the Conn side is
+// a client connection that multiplexes concurrent requests by request ID.
+//
+// Both sides pay their fixed costs per connection, not per call. Each reads
+// GIOP through its own buffered reader, so a whole message, and any
+// messages queued behind it, arrives in one read. A server connection
+// keeps up to maxIdleWorkers handler goroutines waiting between requests
+// and starts another only when all of them are busy, so a sequential
+// caller's requests run on a stack that has already grown.
 package iiop
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"livedev/internal/cdr"
 	"livedev/internal/giop"
@@ -109,35 +119,83 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
+// Per-connection sizes: readBufSize is each side's read buffer, and
+// maxIdleWorkers bounds the handler goroutines a server connection keeps
+// waiting for its next request. A burst of requests beyond them starts
+// goroutines that exit after their request once that many others wait.
+const (
+	readBufSize    = 16 << 10
+	maxIdleWorkers = 8
+)
+
+// serverConn is one accepted connection: its read loop and the workers
+// that run its requests' handlers.
+type serverConn struct {
+	s    *Server
+	conn net.Conn
+	br   *bufio.Reader
+
+	writeMu sync.Mutex
+	// inflight maps request IDs to their pooled request contexts so a
+	// CancelRequest from the peer aborts exactly the request it names.
+	// Cancels run while holding inflightMu; a request is unregistered under
+	// the same mutex before its context is recycled, which is what makes
+	// the pooled contexts safe (no cancel can land on a reused context).
+	inflightMu sync.Mutex
+	inflight   map[uint32]*reqCtx
+
+	// work hands a request to an idle worker; only the read loop sends,
+	// and it closes work when it ends. idle counts the waiting workers.
+	work    chan request
+	idle    atomic.Int32
+	workers sync.WaitGroup
+}
+
+// request is one decoded Request on its way to a worker. hdr and args
+// alias msg's pooled body.
+type request struct {
+	hdr  giop.RequestHeader
+	args *cdr.Decoder
+	msg  giop.Message
+	rc   *reqCtx
+}
+
 func (s *Server) serveConn(conn net.Conn) {
+	sc := &serverConn{
+		s:        s,
+		conn:     conn,
+		br:       bufio.NewReaderSize(conn, readBufSize),
+		inflight: make(map[uint32]*reqCtx),
+		work:     make(chan request),
+	}
 	defer func() {
 		_ = conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	// inflight maps request IDs to their pooled request contexts so a
-	// CancelRequest from the peer aborts exactly the request it names.
-	// Cancels run while holding inflightMu; a request is unregistered under
-	// the same mutex before its context is recycled, which is what makes
-	// the pooled contexts safe (no cancel can land on a reused context).
-	var inflightMu sync.Mutex
-	inflight := make(map[uint32]*reqCtx)
 	defer func() {
 		// Connection teardown (including server shutdown, which closes the
-		// conn): cancel whatever is still running, then join. The read loop
-		// has exited, so no new registrations can race this sweep.
-		inflightMu.Lock()
-		for _, rc := range inflight {
+		// conn): cancel whatever is still running, dismiss the idle
+		// workers, then join them all. The read loop has exited, so no new
+		// registrations can race this sweep.
+		sc.inflightMu.Lock()
+		for _, rc := range sc.inflight {
 			rc.cancel(context.Canceled)
 		}
-		inflightMu.Unlock()
-		reqWG.Wait()
+		sc.inflightMu.Unlock()
+		close(sc.work)
+		sc.workers.Wait()
 	}()
+	sc.readLoop()
+}
+
+// readLoop reads the connection's messages until it ends. It runs no
+// handler itself, so it stays free to read a CancelRequest for a request
+// in progress.
+func (sc *serverConn) readLoop() {
 	for {
-		msg, err := giop.ReadMessagePooled(conn)
+		msg, err := giop.ReadMessagePooled(sc.br)
 		if err != nil {
 			return // EOF, protocol error, or connection closed
 		}
@@ -147,51 +205,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			if err != nil {
 				// Unparseable request header: signal and drop the conn.
 				msg.Recycle()
-				writeMu.Lock()
-				_ = giop.WriteMessage(conn, giop.Message{Type: giop.MsgMessageError, Order: msg.Order})
-				writeMu.Unlock()
+				sc.write(giop.Message{Type: giop.MsgMessageError, Order: msg.Order})
 				return
 			}
 			rc := newReqCtx()
-			inflightMu.Lock()
-			inflight[hdr.RequestID] = rc
-			inflightMu.Unlock()
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				reply := s.handler.HandleRequest(rc, hdr, args, msg.Order)
-				id := hdr.RequestID
-				responseExpected := hdr.ResponseExpected
-				// The handler is done with the request body (hdr and args
-				// alias it; decoded values are copies).
-				msg.Recycle()
-				inflightMu.Lock()
-				delete(inflight, id)
-				inflightMu.Unlock()
-				// Unregistered under the mutex: no cancel holds a reference
-				// any more, so the context can be pooled for the next
-				// request.
-				rc.recycle()
-				if !responseExpected {
-					reply.Recycle()
-					return
-				}
-				writeMu.Lock()
-				_ = giop.WriteMessage(conn, reply)
-				writeMu.Unlock()
-				reply.Recycle()
-			}()
+			sc.inflightMu.Lock()
+			sc.inflight[hdr.RequestID] = rc
+			sc.inflightMu.Unlock()
+			sc.dispatch(request{hdr: hdr, args: args, msg: msg, rc: rc})
 		case giop.MsgCancelRequest:
 			id, err := giop.DecodeCancelRequest(msg)
 			msg.Recycle()
 			if err != nil {
 				continue // malformed cancel: ignore, it is advisory
 			}
-			inflightMu.Lock()
-			if rc := inflight[id]; rc != nil {
+			sc.inflightMu.Lock()
+			if rc := sc.inflight[id]; rc != nil {
 				rc.cancel(context.Canceled)
 			}
-			inflightMu.Unlock()
+			sc.inflightMu.Unlock()
 		case giop.MsgCloseConnection:
 			msg.Recycle()
 			return
@@ -199,11 +231,65 @@ func (s *Server) serveConn(conn net.Conn) {
 			// LocateRequest etc. are not needed by the SDE; reply with
 			// MessageError per GIOP for unexpected types.
 			msg.Recycle()
-			writeMu.Lock()
-			_ = giop.WriteMessage(conn, giop.Message{Type: giop.MsgMessageError, Order: msg.Order})
-			writeMu.Unlock()
+			sc.write(giop.Message{Type: giop.MsgMessageError, Order: msg.Order})
 		}
 	}
+}
+
+// dispatch hands r to an idle worker, or starts a worker for it when
+// every worker is busy.
+func (sc *serverConn) dispatch(r request) {
+	select {
+	case sc.work <- r:
+	default:
+		sc.workers.Add(1)
+		go sc.worker(r)
+	}
+}
+
+// worker serves r, then each request handed to it while it waits idle. It
+// exits when the read loop ends, or after a request when maxIdleWorkers
+// others already wait.
+func (sc *serverConn) worker(r request) {
+	defer sc.workers.Done()
+	for {
+		sc.serve(r)
+		if sc.idle.Add(1) > maxIdleWorkers {
+			sc.idle.Add(-1)
+			return
+		}
+		var ok bool
+		if r, ok = <-sc.work; !ok {
+			return
+		}
+		sc.idle.Add(-1)
+	}
+}
+
+// serve runs one request's handler and writes its reply.
+func (sc *serverConn) serve(r request) {
+	reply := sc.s.handler.HandleRequest(r.rc, r.hdr, r.args, r.msg.Order)
+	// The handler is done with the request body (hdr and args alias it;
+	// decoded values are copies).
+	r.msg.Recycle()
+	sc.inflightMu.Lock()
+	delete(sc.inflight, r.hdr.RequestID)
+	sc.inflightMu.Unlock()
+	// Unregistered under the mutex: no cancel holds a reference any more,
+	// so the context can be pooled for the next request.
+	r.rc.recycle()
+	if r.hdr.ResponseExpected {
+		sc.write(reply)
+	}
+	reply.Recycle()
+}
+
+// write sends one message; a failed write means a dead connection, which
+// the read loop's next read reports.
+func (sc *serverConn) write(m giop.Message) {
+	sc.writeMu.Lock()
+	_ = giop.WriteMessage(sc.conn, m)
+	sc.writeMu.Unlock()
 }
 
 // Close stops accepting, closes all connections, and joins every serving
