@@ -25,11 +25,13 @@ type conn struct {
 	flow flowState
 
 	// The frame loop's own state: receive-credit debt, the frame header
-	// and payload buffers, and a header block split over CONTINUATIONs.
+	// and payload buffers, a header block split over CONTINUATIONs, and
+	// the HPACK decoder with its intern table.
 	recvDebt uint32
 	hbuf     [9]byte
 	payload  []byte
 	block    []byte
+	hpack    hpackDecoder
 }
 
 // role is what one side makes of a stream's frames. The frame loop calls
@@ -44,6 +46,7 @@ func (c *conn) init(nc net.Conn) {
 	c.nc = nc
 	c.br = bufio.NewReaderSize(nc, 1<<16)
 	c.flow.init()
+	c.hpack.interned = make(map[string]string)
 }
 
 // write is the connection's one frame writer: f appends frames to the
@@ -152,7 +155,7 @@ func (c *conn) readFrames(r role) error {
 
 // readHeaderBlock decodes a HEADERS frame's block, reading the
 // CONTINUATIONs that complete it. A block that ends in its first frame is
-// decoded in place: the decoder copies out its strings.
+// decoded in place: the decoder copies out (or interns) its strings.
 func (c *conn) readHeaderBlock(hdr frameHeader, payload []byte) ([][2]string, error) {
 	frag := payload
 	if hdr.flags&flagPadded != 0 {
@@ -185,7 +188,7 @@ func (c *conn) readHeaderBlock(hdr frameHeader, payload []byte) ([][2]string, er
 		}
 		frag = c.block
 	}
-	fields, err := decodeHeaderBlock(frag)
+	fields, err := c.hpack.decode(frag)
 	if err != nil {
 		return nil, &connError{errCodeProtocol, err.Error()}
 	}

@@ -10,6 +10,13 @@
 // responses written directly from the handler goroutine, and one
 // long-lived TCP connection multiplexing concurrent calls as streams.
 //
+// A connection pays its fixed costs once, not per call. Its handler
+// goroutines are workers that stay on between streams: the frame loop
+// hands a stream to an idle one and starts another only when all are
+// busy, up to maxIdleWorkers waiting, so a sequential caller's calls run
+// on a stack that has already grown. Its HPACK decoder interns the header
+// names and values that repeat from call to call in a small table.
+//
 // One connection core serves both roles. It holds the socket, the one
 // locked frame writer, flow control in both directions and the frame
 // loop, which answers SETTINGS and PING, applies WINDOW_UPDATE and reads
@@ -204,13 +211,44 @@ func huffmanDecode(in []byte) ([]byte, error) {
 	return out, nil
 }
 
-// hpackDecoder decodes one header block. Both halves of this engine
+// hpackDecoder decodes header blocks. Both halves of this engine
 // advertise SETTINGS_HEADER_TABLE_SIZE = 0, so a conforming peer encoder
 // cannot reference dynamic entries; incremental-indexing literals are
 // still accepted (adding to a zero-size table evicts immediately, which
 // is legal), as are table-size updates down to zero.
+//
+// A connection's decoder interns the strings it decodes: a call's header
+// names and values (content-type, a binding's method and order fields,
+// the path) repeat from call to call, and a repeat reuses one string
+// instead of copying it again. Only the frame loop decodes, so the table
+// needs no lock.
 type hpackDecoder struct {
-	buf []byte
+	buf      []byte
+	interned map[string]string // nil: no interning
+}
+
+// The intern table's bounds: strings longer than maxInternedLen are not
+// kept, and a table holding maxInterned strings starts over, so a peer
+// whose values never repeat costs a cleared map, not a growing one.
+const (
+	maxInterned    = 64
+	maxInternedLen = 128
+)
+
+// str returns b as a string, interned when the decoder interns.
+func (d *hpackDecoder) str(b []byte) string {
+	if d.interned == nil || len(b) > maxInternedLen {
+		return string(b)
+	}
+	if s, ok := d.interned[string(b)]; ok {
+		return s
+	}
+	if len(d.interned) >= maxInterned {
+		clear(d.interned)
+	}
+	s := string(b)
+	d.interned[s] = s
+	return s
 }
 
 var errHPACK = errors.New("h2x: malformed header block")
@@ -254,9 +292,9 @@ func (d *hpackDecoder) readString() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return string(dec), nil
+		return d.str(dec), nil
 	}
-	return string(raw), nil
+	return d.str(raw), nil
 }
 
 // next returns the next decoded field, or done=true at end of block.
@@ -309,11 +347,18 @@ func (d *hpackDecoder) next() (name, value string, done bool, err error) {
 	}
 }
 
-// decodeHeaderBlock decodes a complete header block into field pairs.
-// Room for eight is made at once: a call's pseudo-headers and a binding's
-// few fields fit it.
+// decodeHeaderBlock decodes a complete header block into field pairs,
+// interning nothing.
 func decodeHeaderBlock(block []byte) ([][2]string, error) {
-	d := hpackDecoder{buf: block}
+	var d hpackDecoder
+	return d.decode(block)
+}
+
+// decode decodes a complete header block into field pairs. Room for eight
+// is made at once: a call's pseudo-headers and a binding's few fields fit
+// it.
+func (d *hpackDecoder) decode(block []byte) ([][2]string, error) {
+	d.buf = block
 	out := make([][2]string, 0, 8)
 	for {
 		name, value, done, err := d.next()

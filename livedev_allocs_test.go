@@ -17,9 +17,9 @@ import (
 // h2x fast path its document names. Budgets may be lowered, never raised.
 var clientCallAllocs = map[livedev.Technology]float64{
 	livedev.TechSOAP:  11,
-	livedev.TechCORBA: 14,
+	livedev.TechCORBA: 8,
 	"JSON":            8,
-	"H2B":             28,
+	"H2B":             15,
 }
 
 // TestWriteAllocsClientCall pins the whole call path of each binding, so a
