@@ -46,7 +46,6 @@ func (c *conn) init(nc net.Conn) {
 	c.nc = nc
 	c.br = bufio.NewReaderSize(nc, 1<<16)
 	c.flow.init()
-	c.hpack.interned = make(map[string]string)
 }
 
 // write is the connection's one frame writer: f appends frames to the

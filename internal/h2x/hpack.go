@@ -224,7 +224,7 @@ func huffmanDecode(in []byte) ([]byte, error) {
 // needs no lock.
 type hpackDecoder struct {
 	buf      []byte
-	interned map[string]string // nil: no interning
+	interned map[string]string // made on first use
 }
 
 // The intern table's bounds: strings longer than maxInternedLen are not
@@ -235,15 +235,17 @@ const (
 	maxInternedLen = 128
 )
 
-// str returns b as a string, interned when the decoder interns.
+// str returns b as a string, interned unless it is too long to keep.
 func (d *hpackDecoder) str(b []byte) string {
-	if d.interned == nil || len(b) > maxInternedLen {
+	if len(b) > maxInternedLen {
 		return string(b)
 	}
 	if s, ok := d.interned[string(b)]; ok {
 		return s
 	}
-	if len(d.interned) >= maxInterned {
+	if d.interned == nil {
+		d.interned = make(map[string]string)
+	} else if len(d.interned) >= maxInterned {
 		clear(d.interned)
 	}
 	s := string(b)
@@ -347,8 +349,8 @@ func (d *hpackDecoder) next() (name, value string, done bool, err error) {
 	}
 }
 
-// decodeHeaderBlock decodes a complete header block into field pairs,
-// interning nothing.
+// decodeHeaderBlock decodes a complete header block into field pairs
+// with a decoder of its own.
 func decodeHeaderBlock(block []byte) ([][2]string, error) {
 	var d hpackDecoder
 	return d.decode(block)
